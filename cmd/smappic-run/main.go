@@ -7,7 +7,6 @@
 //
 //	smappic-run -shape 1x1x2 [-prog program.s] [-max-cycles N]
 //	            [-parallel N] [-adaptive N] [-shard-granularity fpga|node]
-//	            [-shard-affinity]
 //	            [-metrics-json out.json] [-trace-out trace.json]
 //	            [-sample-every N] [-sample-out samples.csv]
 //	            [-faults SPEC] [-fault-seed N] [-watchdog N]
@@ -51,8 +50,7 @@
 // default serial engine. Windows widen adaptively while cross-shard traffic
 // is absent (geometric doubling, collapsing back to the minimum crossing
 // when traffic returns); -adaptive N caps the widening at N minimum
-// crossings (0 = default cap, 1 = fixed pre-adaptive windows), and
-// -shard-affinity pins each shard worker to an OS thread during windows.
+// crossings (0 = default cap, 1 = fixed pre-adaptive windows).
 // -shard-granularity picks the shard unit: "fpga" (default, one engine per
 // FPGA) or "node" (one engine per simulated node, nested under the per-FPGA
 // windows at the intra-FPGA interconnect lookahead — on multi-node FPGAs
@@ -133,7 +131,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "shard the simulation across goroutines, one per FPGA (>1 = on; results are identical to serial)")
 	adaptive := flag.Int("adaptive", 0, "adaptive lookahead cap in minimum-crossing multiples for -parallel runs (0 = default cap, 1 = fixed windows)")
 	granularity := flag.String("shard-granularity", "", `shard unit for -parallel runs: "fpga" (default) or "node" (one engine per node under nested windows)`)
-	affinity := flag.Bool("shard-affinity", false, "pin each shard worker to an OS thread during windows (-parallel runs; execution policy only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serve := flag.String("serve", "", "serve the live dashboard on this address (e.g. 127.0.0.1:8080) for the duration of the run")
@@ -158,7 +155,6 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.AdaptiveLookahead = *adaptive
 	cfg.ShardGranularity = *granularity
-	cfg.ShardAffinity = *affinity
 	cfg.SyncMetrics = *syncMetrics
 	cfg.Faults, err = smappic.ParseFaults(*faults, *faultSeed)
 	if err != nil {
@@ -192,6 +188,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
+
+	// A run that ends at -max-cycles leaves its harts parked mid-program;
+	// release them (the process may linger under -serve-hold).
+	defer proto.Close()
 
 	source := helloProgram
 	if *progPath != "" {

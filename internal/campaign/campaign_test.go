@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testSpec is a small grid used by the runner tests (4 points).
@@ -361,6 +363,55 @@ func TestExecuteMaxCycles(t *testing.T) {
 	}
 	if IsStall(err) {
 		t.Fatal("max_cycles abort must not be retried as a stall")
+	}
+}
+
+// Jobs cut short must not leave their kernel threads parked forever: each
+// leaked goroutine pins its whole prototype, which is unbounded growth in a
+// resident worker. Covers the abort (max_cycles) and stall exits, from the
+// first and from a later segment of a checkpointing run; the goroutine
+// count must return to its baseline.
+func TestAbortedJobsLeakNoGoroutines(t *testing.T) {
+	is := Params{
+		Shape: "2x1x2", Workload: WorkloadIS, NUMA: true,
+		Homing: HomingRegion, Keys: 1 << 9, Seed: 1,
+	}
+	aborted := is
+	aborted.MaxCycles = 2000
+	stalled := Params{
+		Shape: "2x1x2", Workload: WorkloadStores, Homing: HomingRegion,
+		Keys: 16, Seed: 1, Faults: "pcie.ep0.link.hang:after=4", FaultSeed: 1,
+		Watchdog: 100_000,
+	}
+	ckptPath := filepath.Join(t.TempDir(), "job.ckpt")
+
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := Execute(context.Background(), aborted); err == nil {
+			t.Fatal("max_cycles did not abort the job")
+		}
+		if _, err := Execute(context.Background(), stalled); !IsStall(err) {
+			t.Fatalf("hung link did not stall the job: %v", err)
+		}
+	}
+	// An abort in a later segment of a checkpointing run, whose prototype
+	// ExecuteWithOpts itself never sees.
+	late := is
+	late.MaxCycles = 20_000
+	if _, err := ExecuteWithOpts(context.Background(), late,
+		ExecuteOpts{CheckpointPath: ckptPath, CheckpointEvery: 1}); err == nil {
+		t.Fatal("max_cycles did not abort the checkpointing job")
+	} else if _, serr := os.Stat(ckptPath); serr != nil {
+		t.Fatalf("job aborted (%v) before its first checkpoint: %v", err, serr)
+	}
+	// A closed process has handed control back but may not have finished
+	// exiting; give the scheduler a moment before counting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines before, %d after: cut-short jobs leaked their processes", base, n)
 	}
 }
 

@@ -98,7 +98,7 @@ func IsPanic(err error) bool {
 // timeout checks. Batching by event count (not RunUntil time slices) matters
 // for determinism: RunUntil forces the clock forward to its deadline when
 // the queue drains early, which would inflate the simulated time a kernel
-// Join observes; Step never moves the clock past the last executed event.
+// Join observes; Advance never moves the clock past the last executed event.
 const stepBatch = 4096
 
 // aborted carries a cancellation/timeout/stall out of the event loop; it is
@@ -175,6 +175,14 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 	}
 
 	var proto *core.Prototype
+	// Every exit path — result, error, abort or job panic — releases the
+	// processes a cut-short run leaves parked (isSegment does the same for
+	// the prototypes a checkpointing run drops on the way).
+	defer func() {
+		if proto != nil {
+			proto.Close()
+		}
+	}()
 	var cycles sim.Time
 	var simBase uint64
 	checksum := ""
@@ -307,6 +315,7 @@ func BuildPrefix(ctx context.Context, p Params) (*ckpt.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer proto.Close() // an abort or stall leaves the threads parked
 	cut := &workload.CutPlan{After: 1}
 	_, ic := workload.RunISCut(k, ip, cut)
 	if proto.StallDiagnosis != "" {
@@ -369,43 +378,17 @@ func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*c
 	}
 
 	for {
-		proto, k, ip, err := isSetup(ctx, p, cfg)
+		proto, r, cut, err := isSegment(ctx, p, cfg, opts, overlay, warmFork, startNow)
 		if err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
-		if overlay != nil {
-			if err := proto.ApplyState(overlay, warmFork); err != nil {
-				return nil, workload.ISResult{}, 0, err
-			}
-		}
-		var cut *workload.CutPlan
-		if opts.CheckpointEvery > 0 && opts.CheckpointPath != "" {
-			cut = &workload.CutPlan{After: sim.Time(startNow + opts.CheckpointEvery)}
-		}
-		var r workload.ISResult
-		var ic *workload.ISCut
-		if overlay != nil {
-			r, ic, err = workload.ResumeIS(k, ip, overlay.Kernel, overlay.Workload, cut)
-			if err != nil {
-				return nil, workload.ISResult{}, 0, err
-			}
-		} else {
-			r, ic = workload.RunISCut(k, ip, cut)
-		}
-		if proto.StallDiagnosis != "" {
-			return nil, workload.ISResult{}, 0, &StallError{Diagnosis: proto.StallDiagnosis}
-		}
-		if ic == nil {
+		if cut == nil {
 			return proto, r, simBase, nil
 		}
 		// Periodic checkpoint: persist the cut, then continue from our own
 		// file — the continuation doubles as a restore self-test, and a
 		// SIGKILL at any point leaves a usable snapshot behind.
-		snap, err := snapshotCut(proto, cfg, ic, "")
-		if err != nil {
-			return nil, workload.ISResult{}, 0, err
-		}
-		if err := snap.WriteFile(opts.CheckpointPath); err != nil {
+		if err := cut.WriteFile(opts.CheckpointPath); err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
 		reread, err := ckpt.ReadFile(opts.CheckpointPath)
@@ -414,6 +397,50 @@ func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*c
 		}
 		overlay, warmFork, startNow = reread.State, false, reread.Now
 	}
+}
+
+// isSegment runs IS on a fresh prototype, from overlay (nil: cold) to the
+// next periodic checkpoint cut or to completion. At a cut it returns the
+// snapshot; on completion it returns the final prototype (quiescent, fully
+// drained), which the caller closes. On every other path — an error, a
+// stall, an abort or job panic unwinding through here — the prototype is
+// closed before it is dropped, so the threads the run left parked exit.
+func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts, overlay *ckpt.State, warmFork bool, startNow uint64) (final *core.Prototype, r workload.ISResult, cut *ckpt.Snapshot, err error) {
+	proto, k, ip, err := isSetup(ctx, p, cfg)
+	if err != nil {
+		return nil, workload.ISResult{}, nil, err
+	}
+	defer func() {
+		if final == nil {
+			proto.Close()
+		}
+	}()
+	if overlay != nil {
+		if err := proto.ApplyState(overlay, warmFork); err != nil {
+			return nil, workload.ISResult{}, nil, err
+		}
+	}
+	var plan *workload.CutPlan
+	if opts.CheckpointEvery > 0 && opts.CheckpointPath != "" {
+		plan = &workload.CutPlan{After: sim.Time(startNow + opts.CheckpointEvery)}
+	}
+	var ic *workload.ISCut
+	if overlay != nil {
+		r, ic, err = workload.ResumeIS(k, ip, overlay.Kernel, overlay.Workload, plan)
+		if err != nil {
+			return nil, workload.ISResult{}, nil, err
+		}
+	} else {
+		r, ic = workload.RunISCut(k, ip, plan)
+	}
+	if proto.StallDiagnosis != "" {
+		return nil, workload.ISResult{}, nil, &StallError{Diagnosis: proto.StallDiagnosis}
+	}
+	if ic == nil {
+		return proto, r, nil, nil
+	}
+	cut, err = snapshotCut(proto, cfg, ic, "")
+	return nil, workload.ISResult{}, cut, err
 }
 
 // driveEngine advances the serial engine to quiescence in stepBatch-event
@@ -437,10 +464,6 @@ func driveEngine(ctx context.Context, proto *core.Prototype, maxCycles uint64) s
 		if maxCycles > 0 && uint64(next) > maxCycles {
 			panic(aborted{fmt.Errorf("campaign: job exceeded max_cycles %d", maxCycles)})
 		}
-		for i := 0; i < stepBatch; i++ {
-			if !eng.Step() {
-				break
-			}
-		}
+		eng.Advance(sim.TimeMax, stepBatch, nil)
 	}
 }

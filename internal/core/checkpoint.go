@@ -156,8 +156,10 @@ func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 		}
 		return nil
 	}
+	// The budget counts discarded cancelled entries too, hence the loop; it
+	// lands on the cursor exactly because Executed never overshoots it.
 	for p.Eng.Executed() < rp.Executed {
-		if !p.Eng.Step() {
+		if !p.Eng.Advance(sim.TimeMax, rp.Executed-p.Eng.Executed(), nil) {
 			return &ckpt.MismatchError{Field: "replay cursor",
 				Got:  fmt.Sprintf("%d events", rp.Executed),
 				Want: fmt.Sprintf("run drained after %d", p.Eng.Executed())}

@@ -124,13 +124,6 @@ type Config struct {
 	// serial.
 	AdaptiveLookahead int
 
-	// ShardAffinity, with Parallel > 1, pins each shard's worker to an OS
-	// thread for the duration of a window (runtime.LockOSThread) so shard
-	// heaps and event pools stay cache-hot instead of migrating across
-	// threads. Pure execution policy with no effect on results or on the
-	// window sequence; snapshots restore across either setting.
-	ShardAffinity bool
-
 	// SyncMetrics, with Parallel > 1, records the window synchronizer's
 	// behavior (windows executed, envelopes merged, horizon and per-shard
 	// lag) as fpga<N>.sync.* instruments in the per-shard registries, so

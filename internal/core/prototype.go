@@ -212,7 +212,6 @@ func Build(cfg Config) (*Prototype, error) {
 		}
 		p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
 		p.Group.SetAdaptive(cfg.AdaptiveCap())
-		p.Group.SetAffinity(cfg.ShardAffinity)
 		p.Group.SetMinLatencyFunc(p.minCrossingOf)
 		p.net = p.Group
 		if cfg.SyncMetrics {
@@ -503,18 +502,23 @@ func (p *Prototype) mustSerial(what string) {
 	}
 }
 
-// Run drains the simulation (until all activity quiesces).
-func (p *Prototype) Run() sim.Time {
-	if p.Group != nil {
-		t := p.Group.Run()
-		p.GroupWatchdog.drained()
-		return t
+// Close releases the goroutines of every simulation process (hart, kernel
+// thread, workload driver) still parked when the prototype is abandoned — a
+// run cut short by a cycle limit, a timeout, a cancellation or a stall —
+// which would otherwise stay blocked forever, each pinning the whole
+// prototype. Nothing may run on the prototype afterwards; its state and
+// statistics stay readable. Safe to call more than once.
+func (p *Prototype) Close() {
+	for _, e := range p.engs {
+		e.Close()
 	}
-	return p.Eng.Run()
 }
 
+// Run drains the simulation (until all activity quiesces).
+func (p *Prototype) Run() sim.Time { return p.run(nil, 0, nil) }
+
 // RunObserved drains the simulation like Run while invoking publish at
-// non-perturbing boundaries: every `every` cycles from the driving goroutine
+// non-perturbing boundaries: every `every` cycles from the calling goroutine
 // between events when serial, and at every window barrier when sharded (via
 // Group.OnBarrier, which it installs for the duration of the call, chaining
 // any hook already present). publish must only read state — it runs while
@@ -522,30 +526,7 @@ func (p *Prototype) Run() sim.Time {
 // perturb event order, and the run's outputs are byte-identical to an
 // unobserved one.
 func (p *Prototype) RunObserved(every sim.Time, publish func()) sim.Time {
-	if p.Group != nil {
-		prev := p.Group.OnBarrier
-		p.Group.OnBarrier = func() {
-			if prev != nil {
-				prev()
-			}
-			publish()
-		}
-		defer func() { p.Group.OnBarrier = prev }()
-		t := p.Group.Run()
-		p.GroupWatchdog.drained()
-		return t
-	}
-	if every <= 0 {
-		every = 100_000
-	}
-	next := p.Eng.Now() + every
-	for p.Eng.Step() {
-		if p.Eng.Now() >= next {
-			publish()
-			next = p.Eng.Now() + every
-		}
-	}
-	return p.Eng.Now()
+	return p.run(nil, every, publish)
 }
 
 // RunUntil advances simulation to the deadline. Serial-only: sharded
@@ -561,8 +542,45 @@ func (p *Prototype) RunUntil(t sim.Time) sim.Time {
 // state is coherent to inspect), so it may overshoot the limit by up to one
 // window.
 func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
+	return p.run(p.haltedOrPast(limit), 0, nil)
+}
+
+// RunUntilHaltedObserved is RunUntilHalted with the observation contract of
+// RunObserved: publish runs between events every `every` cycles when serial,
+// and at window barriers when sharded.
+func (p *Prototype) RunUntilHaltedObserved(limit, every sim.Time, publish func()) sim.Time {
+	return p.run(p.haltedOrPast(limit), every, publish)
+}
+
+// haltedOrPast is RunUntilHalted's stop predicate. It only reads core and
+// clock state, as a stop predicate must.
+func (p *Prototype) haltedOrPast(limit sim.Time) func() bool {
+	return func() bool { return p.AllHalted() || p.Now() >= limit }
+}
+
+// run is the one run loop behind Run*: advance until the simulation drains
+// or stop (nil: never) holds, calling publish (nil: none) from this
+// goroutine at the observation boundaries RunObserved documents. Serial,
+// stop and the publish interval are evaluated between events inside
+// Engine.Advance; sharded, they are evaluated at window barriers.
+func (p *Prototype) run(stop func() bool, every sim.Time, publish func()) sim.Time {
 	if p.Group != nil {
-		for !p.AllHalted() && p.Group.Now() < limit {
+		if publish != nil {
+			prev := p.Group.OnBarrier
+			p.Group.OnBarrier = func() {
+				if prev != nil {
+					prev()
+				}
+				publish()
+			}
+			defer func() { p.Group.OnBarrier = prev }()
+		}
+		if stop == nil {
+			t := p.Group.Run()
+			p.GroupWatchdog.drained()
+			return t
+		}
+		for !stop() {
 			if !p.Group.StepWindow() {
 				p.GroupWatchdog.drained()
 				break
@@ -570,40 +588,24 @@ func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
 		}
 		return p.Group.Now()
 	}
-	for !p.AllHalted() && p.Eng.Now() < limit {
-		if !p.Eng.Step() {
-			break
-		}
+	if publish == nil {
+		p.Eng.Advance(sim.TimeMax, 0, stop)
+		return p.Eng.Now()
 	}
-	return p.Eng.Now()
-}
-
-// RunUntilHaltedObserved is RunUntilHalted with the observation contract of
-// RunObserved: publish runs between events every `every` cycles when serial,
-// and at window barriers when sharded.
-func (p *Prototype) RunUntilHaltedObserved(limit, every sim.Time, publish func()) sim.Time {
-	if p.Group != nil {
-		prev := p.Group.OnBarrier
-		p.Group.OnBarrier = func() {
-			if prev != nil {
-				prev()
-			}
-			publish()
-		}
-		defer func() { p.Group.OnBarrier = prev }()
-		return p.RunUntilHalted(limit)
+	if stop == nil {
+		stop = func() bool { return false }
 	}
 	if every <= 0 {
 		every = 100_000
 	}
-	next := p.Eng.Now() + every
-	for !p.AllHalted() && p.Eng.Now() < limit {
-		if !p.Eng.Step() {
+	for !stop() {
+		next := p.Eng.Now() + every
+		due := func() bool { return p.Eng.Now() >= next || stop() }
+		if !p.Eng.Advance(sim.TimeMax, 0, due) {
 			break
 		}
 		if p.Eng.Now() >= next {
 			publish()
-			next = p.Eng.Now() + every
 		}
 	}
 	return p.Eng.Now()

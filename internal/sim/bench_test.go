@@ -13,13 +13,35 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e.Run()
 }
 
-func BenchmarkProcessContextSwitch(b *testing.B) {
+// BenchmarkProcessContextSwitch is the self-resume path of the baton
+// protocol: the process that blocks is the next to run, so a resume costs no
+// goroutine switch. The two benchmarks below keep a number on the other
+// path, one switch per resume.
+func BenchmarkProcessContextSwitch(b *testing.B) { benchProcessResume(b, 1) }
+
+// BenchmarkProcessPingPong alternates two processes: every resume hands the
+// baton to the other goroutine.
+func BenchmarkProcessPingPong(b *testing.B) { benchProcessResume(b, 2) }
+
+// BenchmarkProcessRoundRobin48 cycles 48 processes, the numa48-serial
+// pattern (one kernel thread per core of the 4x1x12 shape).
+func BenchmarkProcessRoundRobin48(b *testing.B) { benchProcessResume(b, 48) }
+
+// benchProcessResume runs b.N Wait(1) resumes spread over procs processes
+// that all wake in the same cycle, in spawn order.
+func benchProcessResume(b *testing.B, procs int) {
 	e := NewEngine()
-	Go(e, "bench", func(p *Process) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(1)
+	for i := 0; i < procs; i++ {
+		n := b.N / procs
+		if i < b.N%procs {
+			n++
 		}
-	})
+		Go(e, "bench", func(p *Process) {
+			for ; n > 0; n-- {
+				p.Wait(1)
+			}
+		})
+	}
 	b.ResetTimer()
 	e.Run()
 }

@@ -19,6 +19,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is a point in simulated time, measured in clock cycles of the
@@ -93,11 +94,28 @@ type Engine struct {
 
 	// stats
 	executed uint64
+
+	// Baton state (see drive). Exactly one goroutine per engine holds the
+	// baton; these fields are touched only by it, and every hand-off is a
+	// channel operation, which orders the accesses.
+	limit  Time          // current Advance call: no event later than this runs
+	budget uint64        // ... queue entries it may still consume
+	stop   func() bool   // ... optional stop predicate, evaluated between events
+	more   bool          // set at the bound: eligible work remains
+	wake   *Process      // process the event just executed asked to resume
+	caller chan struct{} // the Advance caller parks here while a process drives
+	fault  any           // panic to re-raise on the goroutine taking the baton
+
+	// procs is the set of processes started on this engine whose bodies
+	// have not returned, so Close can unwind them. A process that hopped
+	// away finishes on another engine's goroutine, hence the lock.
+	procMu sync.Mutex
+	procs  []*Process
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{caller: make(chan struct{})}
 }
 
 // Now returns the current simulation time.
@@ -391,59 +409,156 @@ func (e *Engine) next() (int32, bool) {
 	return 0, false
 }
 
-// Step executes the single next event. It reports false when the queue is
-// empty or the engine has been stopped. Cancelled events are discarded
-// without executing (and without advancing the clock); Step still reports
-// true for them so run loops keep draining.
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
+// Advance is the engine's one event loop; Step, Run, RunUntil and runTo are
+// thin calls to it. It executes events in order until the call's bound is
+// reached, and reports whether eligible work remains:
+//
+//   - the queue drained, the next entry lies beyond limit, or Stop was
+//     called: returns false;
+//   - budget queue entries were consumed (0 means no budget; a cancelled
+//     entry discarded unexecuted counts, exactly like a Step), or stop
+//     reported true: returns true.
+//
+// The clock is never forced forward: it rests on the last executed event.
+//
+// stop is evaluated between events by whichever goroutine holds the baton —
+// the caller's or a process's (see drive) — so it must be a pure function of
+// simulation state: no side effects, nothing goroutine-local. Hooks that do
+// have side effects (publishing a snapshot, checking a context) belong on
+// the caller's goroutine, between Advance calls.
+//
+// Advance must be called from host code (never from an event callback or a
+// process body), and a process body runs to its next block inside the call
+// that dispatched it, as it always has.
+func (e *Engine) Advance(limit Time, budget uint64, stop func() bool) bool {
+	if budget == 0 {
+		budget = math.MaxUint64
 	}
-	idx, ok := e.next()
-	if !ok {
-		return false
-	}
-	ev := &e.pool[idx]
-	if !ev.live() {
-		e.release(idx) // cancelled; already removed from the live count
-		return true
-	}
-	e.now = ev.at
-	e.lastEvent = ev.at
-	e.executed++
-	e.live--
-	// Copy the callback out and recycle the slot before invoking: the
-	// callback may schedule (growing the pool and moving ev) and a Timer
-	// still pointing at the slot is fenced off by the generation bump.
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	e.release(idx)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
+	e.limit, e.budget, e.stop = limit, budget, stop
+	e.drive(nil)
+	e.stop = nil
+	return e.more
+}
+
+// atBound reports whether the current Advance call must return now,
+// recording in e.more whether eligible work remains.
+func (e *Engine) atBound() bool {
+	// Budget and predicate come before the stopped flag: a Step whose event
+	// calls Stop still reports the event it executed.
+	switch {
+	case e.budget == 0:
+		e.more = true
+	case e.stop != nil && e.stop():
+		e.more = true
+	case e.stopped:
+		e.more = false
+	default:
+		if t, ok := e.peekAt(); ok && t <= e.limit {
+			return false
+		}
+		e.more = false
 	}
 	return true
 }
 
+// drive runs the event loop on the calling goroutine, which holds the
+// engine's baton: self is the process whose goroutine this is, nil for the
+// Advance caller. The invariant is that per engine exactly one goroutine
+// holds the baton — it alone executes events and process bodies — and every
+// other process goroutine is parked on its own resume channel (the Advance
+// caller on e.caller). A process that blocks does not yield to the caller:
+// it keeps driving here, so a dispatch event only records which process to
+// resume (e.wake) and the loop acts on it once the event has returned:
+//
+//   - the process is self: return into its body, no goroutine switch;
+//   - another process: pass the baton with one send and park, one switch.
+//
+// drive returns to a process when it has been resumed, and to the Advance
+// caller when the bound is reached. The baton goes back to the caller only
+// then, when a process body returns, or on the Hop path (see Process.Hop).
+func (e *Engine) drive(self *Process) {
+	for {
+		if e.atBound() {
+			if self == nil {
+				return
+			}
+			e.caller <- struct{}{}
+			self.park()
+			return
+		}
+		idx, _ := e.next()
+		e.budget--
+		ev := &e.pool[idx]
+		if !ev.live() {
+			e.release(idx) // cancelled; already removed from the live count
+			continue
+		}
+		e.now = ev.at
+		e.lastEvent = ev.at
+		e.executed++
+		e.live--
+		// Copy the callback out and recycle the slot before invoking: the
+		// callback may schedule (growing the pool and moving ev) and a Timer
+		// still pointing at the slot is fenced off by the generation bump.
+		fn, afn, arg := ev.fn, ev.afn, ev.arg
+		e.release(idx)
+		if fn != nil {
+			fn()
+		} else {
+			afn(arg)
+		}
+		q := e.wake
+		if q == nil {
+			continue
+		}
+		e.wake = nil
+		if q == self {
+			return
+		}
+		q.resume <- struct{}{}
+		if self != nil {
+			self.park()
+			return
+		}
+		e.awaitBaton()
+	}
+}
+
+// awaitBaton parks the Advance caller until a process hands the baton back,
+// and re-raises, on the caller's goroutine, a panic that unwound a process
+// in the meantime.
+func (e *Engine) awaitBaton() {
+	<-e.caller
+	e.raiseFault()
+}
+
+// raiseFault re-raises a panic recorded by an exiting process.
+func (e *Engine) raiseFault() {
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
+	}
+}
+
+// Step executes the single next event. It reports false when the queue is
+// empty or the engine has been stopped. Cancelled events are discarded
+// without executing (and without advancing the clock); Step still reports
+// true for them so run loops keep draining.
+func (e *Engine) Step() bool { return e.Advance(TimeMax, 1, nil) }
+
 // Run executes events until the queue drains or Stop is called. It returns
 // the final simulation time.
 func (e *Engine) Run() Time {
-	for e.Step() {
-	}
+	e.Advance(TimeMax, 0, nil)
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued; the clock is left at min(deadline,
-// last executed event time).
+// beyond the deadline remain queued; the clock is left at the deadline
+// (forced forward if the last executed event was earlier) unless Stop was
+// called.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped {
-		t, ok := e.peekAt()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.Advance(deadline, 0, nil)
 	if e.now < deadline && !e.stopped {
 		e.now = deadline
 	}
@@ -458,15 +573,7 @@ func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
 // event. Shard workers use it so that between windows every engine's notion
 // of "now" matches what the serial engine would have seen (forcing would
 // timestamp post-window scheduling differently across modes).
-func (e *Engine) runTo(deadline Time) {
-	for !e.stopped {
-		t, ok := e.peekAt()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
-	}
-}
+func (e *Engine) runTo(deadline Time) { e.Advance(deadline, 0, nil) }
 
 // alignTo advances an idle engine's clock to t without executing anything.
 // The shard group calls it after a full drain so that host-side code that
@@ -487,3 +594,47 @@ func (e *Engine) Resume() { e.stopped = false }
 
 // Stopped reports whether the engine is currently stopped.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// register adds a newly started process to the live set.
+func (e *Engine) register(p *Process) {
+	e.procMu.Lock()
+	p.slot = len(e.procs)
+	e.procs = append(e.procs, p)
+	e.procMu.Unlock()
+}
+
+// unregister removes a process whose body has returned.
+func (e *Engine) unregister(p *Process) {
+	e.procMu.Lock()
+	last := len(e.procs) - 1
+	q := e.procs[last]
+	e.procs[p.slot] = q
+	q.slot = p.slot
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
+	e.procMu.Unlock()
+}
+
+// Close unwinds every process started on this engine that is still parked —
+// blocked in a Wait that will never fire because the run was abandoned — so
+// their goroutines exit and release whatever their bodies reference. It
+// returns once each of them has. Call it from host code when the engine is
+// done for good (nothing may run on it afterwards); an engine whose
+// processes all finished needs no Close.
+func (e *Engine) Close() {
+	for {
+		e.procMu.Lock()
+		var p *Process
+		if n := len(e.procs); n > 0 {
+			p = e.procs[n-1]
+		}
+		e.procMu.Unlock()
+		if p == nil {
+			return
+		}
+		on := p.eng // p may have hopped to another engine
+		p.killed = true
+		p.resume <- struct{}{}
+		on.awaitBaton()
+	}
+}

@@ -59,7 +59,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -101,11 +100,10 @@ type Group struct {
 	// and cross-cluster rows at the outer window barrier, each merging into
 	// the destination engine's spool. Slices are reused window to window, so
 	// a warmed-up group hands envelopes off without allocating.
-	outbox   [][]netEntry
-	horizon  Time  // current window's exclusive upper bound
-	running  bool  // inside a window (workers active)
-	active   []int // active-cluster scratch, reused window to window
-	affinity bool  // pin shard workers with runtime.LockOSThread
+	outbox  [][]netEntry
+	horizon Time  // current window's exclusive upper bound
+	running bool  // inside a window (workers active)
+	active  []int // active-cluster scratch, reused window to window
 
 	// Adaptive-lookahead state. width is the next window's width in units
 	// of lookahead; maxWidth caps the geometric widening (1 = fixed
@@ -314,13 +312,6 @@ func (g *Group) SetAdaptive(cap int) {
 		}
 	}
 }
-
-// SetAffinity, when on, makes every shard worker pin itself to an OS thread
-// (runtime.LockOSThread) for the duration of its window, so a shard's
-// event pool, heap and model state keep their cache affinity instead of
-// migrating across threads mid-window. Pure execution policy: it affects
-// neither the event stream nor the window sequence.
-func (g *Group) SetAffinity(on bool) { g.affinity = on }
 
 // SetMinLatencyFunc arms an additional per-edge model-latency floor on top
 // of the topology bounds the group always enforces (inner lookahead for
@@ -879,10 +870,6 @@ func (g *Group) runClusterChunk(ci int, e *Engine, chunkEnd Time) {
 // cluster), meeting the other participants at the outer chunk barrier,
 // until the last arriver calls the window over.
 func (g *Group) runEngineWindow(ci int, e *Engine, start Time, planned int) {
-	if g.affinity {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	for k := 1; ; k++ {
 		g.runClusterChunk(ci, e, start+Time(k)*g.lookahead)
 		if !g.bar.arrive(func() bool { return g.windowOver(start, k, planned) }) {
@@ -941,10 +928,6 @@ func (g *Group) StepWindow() bool {
 				wg.Add(1)
 				go func(ci int, e *Engine) {
 					defer wg.Done()
-					if g.affinity {
-						runtime.LockOSThread()
-						defer runtime.UnlockOSThread()
-					}
 					g.runClusterChunk(ci, e, g.horizon)
 				}(ci, g.engines[ei])
 			}

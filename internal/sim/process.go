@@ -3,20 +3,27 @@ package sim
 import "fmt"
 
 // Process is a coroutine running against an Engine. Each Process has its own
-// goroutine; the engine resumes it at scheduled times, and the process yields
-// back by calling Wait, WaitUntil or one of the blocking helpers. Exactly one
-// of {engine, any process} runs at a time, so models stay deterministic and
-// need no locking among themselves.
+// goroutine; it is resumed at scheduled times and blocks by calling Wait,
+// WaitUntil or one of the blocking helpers. Exactly one goroutine per engine
+// runs at a time (see Engine.drive), so models stay deterministic and need no
+// locking among themselves.
 //
 // A Process is the execution vehicle for anything with sequential control
 // flow: workload threads, the RISC-V core's instruction loop, test drivers.
 type Process struct {
 	eng    *Engine
+	home   *Engine // engine the process was started on; owns its live-set slot
+	slot   int     // index in home.procs, guarded by home.procMu
 	name   string
 	resume chan struct{}
-	yield  chan struct{}
-	done   bool
-	err    any // panic value from the process body, re-raised in the engine
+	// yield is the second half of the synchronous exchange a Hop delivery
+	// uses to run the process inside a flush event; nothing else uses it.
+	yield chan struct{}
+
+	done    bool
+	driving bool // inside block, running the engine's event loop
+	nested  bool // resumed synchronously by a Hop delivery; give control back on yield
+	killed  bool // Engine.Close: unwind on resume
 
 	// dispatchFn and wakeFn are bound once at creation so the hot resume
 	// paths (Wait, Call, Suspend) schedule without allocating a closure
@@ -26,42 +33,56 @@ type Process struct {
 	armed      bool // a Suspend/Call completion is outstanding
 }
 
+// killedPanic is the sentinel Engine.Close unwinds a parked process with.
+type killedPanic struct{}
+
 // Go starts fn as a new process at the current simulation time. fn receives
 // the Process handle and must use it for all time-consuming operations.
 func Go(eng *Engine, name string, fn func(*Process)) *Process {
 	p := &Process{
 		eng:    eng,
+		home:   eng,
 		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
 	p.dispatchFn = p.dispatch
 	p.wakeFn = p.wake
+	eng.register(p)
 	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = r
-			}
-			p.done = true
-			p.yield <- struct{}{}
-		}()
+		defer p.exit()
+		p.park()
 		fn(p)
 	}()
 	eng.Schedule(0, p.dispatchFn)
 	return p
 }
 
-// dispatch hands control to the process goroutine and blocks the engine until
-// the process yields or finishes.
-func (p *Process) dispatch() {
-	if p.done {
-		return
+// exit ends the process goroutine: the body returned, panicked, or was
+// unwound by a panic that is not its own. Event callbacks run on whichever
+// process goroutine is driving, so a model panic (scheduling in the past, a
+// latency undercut, the watchdog) unwinds that process's body; it is handed
+// to the goroutine taking the baton with its original value, while a panic
+// raised by the body itself gets the process's name attached.
+func (p *Process) exit() {
+	r := recover()
+	p.done = true
+	p.home.unregister(p)
+	switch {
+	case r == nil, r == killedPanic{}:
+	case p.driving:
+		p.eng.fault = r
+	default:
+		p.eng.fault = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 	}
-	p.resume <- struct{}{}
-	<-p.yield
-	if p.err != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.err))
+	p.handBack()
+}
+
+// dispatch is the event that resumes the process. It only records the
+// request; the event loop acts on it after the event returns.
+func (p *Process) dispatch() {
+	if !p.done {
+		p.eng.wake = p
 	}
 }
 
@@ -104,10 +125,36 @@ func (p *Process) WaitUntil(t Time) {
 	p.block()
 }
 
-// block yields control back to the engine until dispatch resumes us.
+// block suspends the process until its dispatch event runs. The process
+// holds the baton, so it runs the event loop itself until then.
 func (p *Process) block() {
-	p.yield <- struct{}{}
+	if p.nested {
+		p.handBack()
+		p.park()
+		return
+	}
+	p.driving = true
+	p.eng.drive(p)
+	p.driving = false
+}
+
+// park waits, without the baton, to be resumed.
+func (p *Process) park() {
 	<-p.resume
+	if p.killed {
+		panic(killedPanic{})
+	}
+}
+
+// handBack gives up control without driving: to the Hop delivery that
+// resumed the process synchronously, or else to the Advance caller.
+func (p *Process) handBack() {
+	if p.nested {
+		p.nested = false
+		p.yield <- struct{}{}
+		return
+	}
+	p.eng.caller <- struct{}{}
 }
 
 // Hop moves the process to another shard: after delay cycles it resumes on
@@ -116,14 +163,28 @@ func (p *Process) block() {
 // the call must be made from shard src's execution context, and delay must
 // be at least the group lookahead. With a SerialNet, dstEng is the same
 // engine and Hop degenerates to a canonically-ordered Wait.
+//
+// Hop is the one path that does not use the deferred hand-off. A flush
+// event applies all of a cycle's deliveries to one endpoint inside a single
+// event, and a migrating process must run between them, at its place in the
+// canonical order, or the sequence numbers of everything it schedules shift.
+// So the delivery resumes the process synchronously (resume, then wait on
+// yield) and the process, marked nested, gives control straight back at its
+// next block. For the same reason the hopping process must not keep driving
+// while it waits: under a SerialNet it would pop the flush carrying its own
+// delivery and send to itself. It hands the baton back first.
 func (p *Process) Hop(net CrossNet, src, dst int, dstEng *Engine, delay Time) {
 	net.Send(src, dst, p.eng.Now()+delay, func() {
-		// Runs on dst's goroutine; the process itself is parked, and the
-		// window barrier orders this write after the park below.
+		// Runs in dst's execution context; the process itself is parked,
+		// and the window barrier orders this write after the park below.
 		p.eng = dstEng
-		p.dispatch()
+		p.nested = true
+		p.resume <- struct{}{}
+		<-p.yield
+		dstEng.raiseFault()
 	})
-	p.block()
+	p.handBack()
+	p.park()
 }
 
 // Suspend parks the process indefinitely. The returned wake function
@@ -145,9 +206,9 @@ func (p *Process) Park() { p.block() }
 // (possibly immediately). Call returns at the simulation time of completion.
 func (p *Process) Call(start func(done func())) {
 	p.armed = true
-	// The engine cannot execute the dispatch the completion schedules
-	// before we yield below, even when the completion is synchronous,
-	// because the engine is blocked waiting on this process.
+	// The dispatch the completion schedules cannot run before we block
+	// below, even when the completion is synchronous: this process holds
+	// the baton, so no event executes until block drives the loop.
 	start(p.wakeFn)
 	p.block()
 }
