@@ -3,7 +3,11 @@ package fleetsrv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -496,4 +500,140 @@ func TestEndToEndWorkersOverHTTP(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestOversizeBodyRefused: the server is shared, so a request body is read
+// only up to maxBodyBytes. A tenant streaming more than that at POST
+// /api/campaigns gets 413 with a JSON error while another tenant's campaign
+// runs to completion through the same server, byte-identical to the
+// in-process run — and a legitimate result of exactly the maximum size
+// still lands, one byte more does not.
+func TestOversizeBodyRefused(t *testing.T) {
+	spec := testSpec("bystander")
+	want, _ := referenceReport(t, spec)
+
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cache)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := &Client{Server: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	post := func(path string, body io.Reader) (int, string, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), msg
+	}
+
+	// The bystander's campaign is in flight, on a slow worker, while the
+	// oversize submit arrives.
+	sub, err := cl.Submit(ctx, "bob", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	w := &Worker{Server: ts.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Exec: func(ctx context.Context, p campaign.Params) (*campaign.Result, error) {
+			time.Sleep(20 * time.Millisecond)
+			return fakeExec(ctx, p)
+		}}
+	wctx, stopWorker := context.WithCancel(ctx)
+	wg.Add(1)
+	go func() { defer wg.Done(); w.Run(wctx) }()
+
+	// One JSON string that never ends within the limit: the decoder has to
+	// keep reading, so only the bound stops it.
+	huge := io.MultiReader(
+		strings.NewReader(`{"tenant":"mallory","spec":{"name":"`),
+		io.LimitReader(zeros{}, 2*maxBodyBytes),
+		strings.NewReader(`"}}`))
+	code, ctype, msg := post("/api/campaigns", huge)
+	var refusal struct {
+		Error string `json:"error"`
+		Limit int64  `json:"limit_bytes"`
+	}
+	if code != http.StatusRequestEntityTooLarge || ctype != "application/json" ||
+		json.Unmarshal(msg, &refusal) != nil || refusal.Error == "" || refusal.Limit != maxBodyBytes {
+		t.Fatalf("oversize submit: status %d, content type %q, body %q", code, ctype, msg)
+	}
+
+	st, err := cl.Wait(ctx, sub.CampaignID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Complete || st.Failed != 0 {
+		t.Fatalf("bystander's campaign after the oversize submit: %+v", st)
+	}
+	got, err := cl.Report(ctx, sub.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bystander's report differs from the in-process run\nfleet:\n%s\nin-process:\n%s", got, want)
+	}
+	if fs, err := cl.FleetStatus(ctx); err != nil || len(fs.Campaigns) != 1 {
+		t.Fatalf("fleet status after the refusal: %+v, %v (the refused campaign must not exist)", fs, err)
+	}
+	stopWorker()
+	wg.Wait()
+
+	// A result padded to the limit, to the byte, by its metrics document.
+	big, err := cl.Submit(ctx, "carol", 0, testSpec("big-result", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := cl.register(ctx, RegisterRequest{Name: "by-hand"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := cl.lease(ctx, LeaseRequest{WorkerID: reg.WorkerID})
+	if err != nil || lease.Job == nil {
+		t.Fatalf("lease: %+v, %v", lease, err)
+	}
+	res, _ := fakeExec(ctx, lease.Job.Params)
+	res.Attempts = 1
+	req := ResultRequest{WorkerID: reg.WorkerID, LeaseID: lease.Job.LeaseID,
+		CampaignID: lease.Job.CampaignID, Index: lease.Job.Index, Status: campaign.StatusRun, Result: res}
+	body := func(size int) []byte {
+		t.Helper()
+		res.Metrics = json.RawMessage(`""`)
+		empty, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Metrics = json.RawMessage(`"` + strings.Repeat("m", size-len(empty)) + `"`)
+		doc, err := json.Marshal(req)
+		if err != nil || len(doc) != size {
+			t.Fatalf("padded result is %d bytes, want %d (%v)", len(doc), size, err)
+		}
+		return doc
+	}
+	if code, _, msg := post("/api/workers/result", bytes.NewReader(body(maxBodyBytes+1))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("result one byte over the limit: status %d, body %q", code, msg)
+	}
+	if code, _, msg := post("/api/workers/result", bytes.NewReader(body(maxBodyBytes))); code != http.StatusOK {
+		t.Fatalf("result of exactly the limit: status %d, body %q", code, msg)
+	}
+	if st, err := cl.Campaign(ctx, big.CampaignID); err != nil || !st.Complete || st.Done != 1 {
+		t.Fatalf("campaign after the maximum-size result: %+v, %v", st, err)
+	}
+}
+
+// zeros reads as an endless run of '0' characters.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }

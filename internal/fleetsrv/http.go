@@ -40,11 +40,35 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// readJSON decodes a request body, rejecting unknown fields.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every request body the server reads. The largest
+// legitimate one is a ResultRequest carrying a full metrics document plus the
+// counter snapshot: 50 KB of metrics for the 48-tile 4x1x12 shape, 87 KB for
+// 4x4x4, so 8 MiB is well over an order of magnitude of headroom and still
+// nothing one tenant can exhaust the shared server with.
+const maxBodyBytes = 8 << 20
+
+// readJSON decodes a request body of at most maxBodyBytes, rejecting unknown
+// fields. When it reports false it has already answered: 413 with a JSON
+// error for an oversize body, 400 for anything else that does not decode.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusRequestEntityTooLarge)
+	json.NewEncoder(w).Encode(map[string]any{
+		"error":       "fleetsrv: request body too large",
+		"limit_bytes": tooBig.Limit,
+	})
+	return false
 }
 
 // Handler returns the fleet API mux.
@@ -65,8 +89,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := readJSON(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	resp, err := s.submit(req)
@@ -155,8 +178,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := readJSON(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	writeJSON(w, s.register(req))
@@ -164,8 +186,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := readJSON(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	resp, err := s.leaseNext(req)
@@ -178,8 +199,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := readJSON(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if err := s.heartbeat(req); err != nil {
@@ -191,8 +211,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
-	if err := readJSON(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if err := s.result(req); err != nil {

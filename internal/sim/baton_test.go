@@ -384,3 +384,243 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 		t.Fatalf("%d goroutines before, %d after Close", base, n)
 	}
 }
+
+// The cases below are the ones a coroutine resume makes possible to get
+// wrong: who resumes a process changes over its life, and a resume can be
+// nested inside an event a process is executing.
+
+// hopFlush builds the three-deliveries-in-one-flush schedule of
+// TestHopRunsInsideTheFlushInCanonicalOrder with a long-waiting process
+// added, so that a process — not the Advance caller — is running the event
+// loop when the flush resumes the migrant. migrant is the body's tail after
+// the hop lands; last is the delivery ordered after it.
+func hopFlush(e *Engine, net *SerialNet, first func(), migrant func(p *Process), last func()) (driver, mig *Process) {
+	e.Schedule(1, func() { net.Send(0, 2, 100, first) })
+	mig = Go(e, "migrant", func(p *Process) {
+		p.Wait(1)
+		p.Hop(net, 1, 2, e, 99)
+		migrant(p)
+	})
+	e.Schedule(1, func() { net.Send(3, 2, 100, last) })
+	driver = Go(e, "driver", func(p *Process) {
+		p.Wait(2)   // past the migrant's departure at cycle 1 ...
+		p.Wait(500) // ... so this block is the last, and the driver runs the loop
+	})
+	return driver, mig
+}
+
+func TestHopDeliveredWhileProcessDrives(t *testing.T) {
+	var got []string
+	e := NewEngine()
+	note := func(s string) { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) }
+	driver, mig := hopFlush(e, NewSerialNet(e),
+		func() { note("first") },
+		func(p *Process) {
+			note("migrant")
+			p.Wait(0)
+			note("migrant-later")
+			p.Wait(7)
+			note("migrant-last")
+		},
+		func() {
+			note("last")
+			e.Schedule(0, func() { note("after-flush") })
+		})
+	within(t, "Run", func() { e.Run() })
+	want := []string{"first@100", "migrant@100", "last@100", "migrant-later@100", "after-flush@100", "migrant-last@107"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v\nwant  %v", got, want)
+	}
+	if !driver.Done() || !mig.Done() || e.Now() != 502 {
+		t.Fatalf("driver done=%v migrant done=%v at %d, want both done at 502", driver.Done(), mig.Done(), e.Now())
+	}
+}
+
+// A panic in the delivery after the migrant's proves where control went when
+// the nested resume returned: back into the flush the driver is executing.
+// The driver is unwound, and the value crosses its wrapper unchanged.
+func TestCallbackPanicAfterNestedResumeKeepsValue(t *testing.T) {
+	type modelBug struct{ code int }
+	e := NewEngine()
+	landed := false
+	driver, mig := hopFlush(e, NewSerialNet(e),
+		func() {},
+		func(p *Process) { landed = true; p.Wait(50) },
+		func() { panic(&modelBug{13}) })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if bug, ok := got.(*modelBug); !ok || bug.code != 13 {
+		t.Fatalf("Run panicked with %#v, want the delivery's *modelBug{13}", got)
+	}
+	if !landed || !driver.Done() || mig.Done() {
+		t.Fatalf("landed=%v driver done=%v migrant done=%v, want the migrant parked and the driver unwound",
+			landed, driver.Done(), mig.Done())
+	}
+	e.Close()
+	if !mig.Done() {
+		t.Fatal("Close did not release the migrant")
+	}
+}
+
+// A body panic in a hop-resumed process leaves through the nested resume
+// into the driving process, and through that one's wrapper to the caller:
+// named once, after the process that raised it.
+func TestBodyPanicInHopResumedProcessWhileProcessDrives(t *testing.T) {
+	e := NewEngine()
+	driver, _ := hopFlush(e, NewSerialNet(e),
+		func() {},
+		func(*Process) { panic("lost") },
+		func() { t.Error("delivery after the panic ran") })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != `sim: process "migrant" panicked: lost` {
+		t.Fatalf("Run panicked with %#v", got)
+	}
+	if !driver.Done() {
+		t.Fatal("the driving process was not unwound")
+	}
+	e.Close()
+}
+
+// goid names the calling goroutine.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// One process, resumed over its life by the goroutine that calls Advance
+// directly and by the Group's per-window worker goroutines of two shards.
+// The probe is an event ordered just before a dispatch the process waits for
+// without driving, so it runs on the goroutine about to resume it. Run under
+// -race: a resume that is not ordered after the previous yield is a report.
+func TestProcessResumedByChangingHostGoroutines(t *testing.T) {
+	const L = 10
+	e0, e1 := NewEngine(), NewEngine()
+	g := NewGroup(L, e0, e1)
+	for _, e := range []*Engine{e0, e1} {
+		e := e
+		n := 0
+		var tick func()
+		tick = func() { // keeps both shards busy, so every window runs on workers
+			if n++; n < 40*L {
+				e.Schedule(1, tick)
+			}
+		}
+		e.Schedule(0, tick)
+	}
+	hosts := map[string]bool{}
+	probe := func() { hosts[goid()] = true }
+	resumes := 0
+	e0.Schedule(0, probe)
+	p := Go(e0, "nomad", func(p *Process) {
+		resumes++
+		p.Wait(2)
+		for hop, at := 0, 0; hop < 6; hop++ {
+			at = 1 - at
+			p.Hop(g, 1-at, at, g.Engine(at), L)
+			p.Engine().Schedule(0, probe)
+			p.Wait(0) // resumed by the delivery: yields to it without driving
+			resumes++
+			p.Wait(3) // drives shard at's loop itself
+		}
+	})
+	e0.Advance(1, 0, nil) // the test's goroutine starts the body
+	if resumes != 1 {
+		t.Fatalf("body started %d times under a direct Advance, want 1", resumes)
+	}
+	within(t, "Group.Run", func() { g.Run() })
+	if !p.Done() || resumes != 7 {
+		t.Fatalf("done=%v after %d resumes, want true after 7", p.Done(), resumes)
+	}
+	if len(hosts) < 3 {
+		t.Fatalf("process was resumed by %d distinct goroutines (%v), want at least 3", len(hosts), hosts)
+	}
+}
+
+// Close on each state a process can be left in, one at a time, must end its
+// coroutine: with iter.Pull even a body that never started owns a goroutine.
+func TestCloseReleasesEachParkedState(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(e *Engine, net *SerialNet) *Process
+	}{
+		{"never started", func(e *Engine, net *SerialNet) *Process {
+			e.RunUntil(10)
+			return Go(e, "unstarted", func(p *Process) { t.Error("unstarted body ran") })
+		}},
+		{"parked at the bound while driving", func(e *Engine, net *SerialNet) *Process {
+			p := Go(e, "driver", func(p *Process) { p.Wait(1000) })
+			e.RunUntil(10)
+			return p
+		}},
+		{"parked mid-hop", func(e *Engine, net *SerialNet) *Process {
+			p := Go(e, "migrant", func(p *Process) { p.Hop(net, 0, 1, e, 1000) })
+			e.RunUntil(10)
+			return p
+		}},
+		{"parked after a nested resume", func(e *Engine, net *SerialNet) *Process {
+			p := Go(e, "landed", func(p *Process) {
+				p.Hop(net, 0, 1, e, 5)
+				p.Wait(1000)
+			})
+			e.RunUntil(10)
+			return p
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			p := tc.build(e, NewSerialNet(e))
+			if p.Done() {
+				t.Fatal("process finished before Close")
+			}
+			e.Close()
+			if !p.Done() {
+				t.Fatal("process still parked after Close")
+			}
+			awaitGoroutines(t, base)
+		})
+	}
+}
+
+// A process that parked at the bound while driving is not owed the engine
+// back: later Advance calls run on the caller until the process's own
+// dispatch comes up, and only that resumes it.
+func TestAdvanceAfterParkAtBoundResumesOnOwnDispatch(t *testing.T) {
+	e := NewEngine()
+	var stamps []Time
+	Go(e, "sleeper", func(p *Process) {
+		for i := 0; i < 3; i++ {
+			stamps = append(stamps, p.Now())
+			p.Wait(10)
+		}
+	})
+	ticks := 0
+	var tick func()
+	tick = func() {
+		if ticks++; ticks < 30 {
+			e.Schedule(1, tick)
+		}
+	}
+	e.Schedule(0, tick)
+	e.Advance(3, 0, nil) // the sleeper drives, and parks at this bound
+	for e.Step() {
+		want := 1 + int(e.Now())/10
+		if want > 3 {
+			want = 3
+		}
+		if len(stamps) != want {
+			t.Fatalf("at cycle %d the body has run %d times (%v), want %d", e.Now(), len(stamps), stamps, want)
+		}
+	}
+	if want := []Time{0, 10, 20}; !reflect.DeepEqual(stamps, want) || ticks != 30 {
+		t.Fatalf("body resumed at %v with %d ticks, want %v and 30", stamps, ticks, want)
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e := NewEngine()
@@ -13,14 +16,16 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcessContextSwitch is the self-resume path of the baton
-// protocol: the process that blocks is the next to run, so a resume costs no
-// goroutine switch. The two benchmarks below keep a number on the other
-// path, one switch per resume.
+// BenchmarkProcessContextSwitch is the self-resume path of the run loop: the
+// process that blocks is the next to run, so a resume costs no switch. The
+// two benchmarks below keep a number on the other path, a hand-off through
+// the Advance caller per resume — but back to back, which flatters any
+// hand-off that wakes a goroutine through the scheduler (the peer thread is
+// still spinning); BenchmarkProcessHandoffLoaded is the honest one.
 func BenchmarkProcessContextSwitch(b *testing.B) { benchProcessResume(b, 1) }
 
-// BenchmarkProcessPingPong alternates two processes: every resume hands the
-// baton to the other goroutine.
+// BenchmarkProcessPingPong alternates two processes: every resume is a
+// hand-off to the other one.
 func BenchmarkProcessPingPong(b *testing.B) { benchProcessResume(b, 2) }
 
 // BenchmarkProcessRoundRobin48 cycles 48 processes, the numa48-serial
@@ -44,6 +49,46 @@ func benchProcessResume(b *testing.B, procs int) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+var benchSink uint64
+
+// BenchmarkProcessHandoffLoaded is RoundRobin48 with host work between the
+// hand-offs, as a workload has: each process walks a private 64 KiB buffer
+// (2-3 us) before every Wait(1). That is long enough for an idle P's
+// thread to stop spinning and go to sleep, so a hand-off that readies a
+// goroutine pays the futex wake a tight loop hides (numa48-serial paid
+// ~1.9 us per hand-off while PingPong read 350 ns). Each walk is timed where
+// it runs and the total subtracted: handoff-ns/resume is the cost of the
+// switch alone (plus one clock read), ns/op the gross.
+func BenchmarkProcessHandoffLoaded(b *testing.B) {
+	const procs = 48
+	var work time.Duration
+	e := NewEngine()
+	for i := 0; i < procs; i++ {
+		n := b.N / procs
+		if i < b.N%procs {
+			n++
+		}
+		buf := make([]uint64, 64<<10/8)
+		Go(e, "bench", func(p *Process) {
+			for ; n > 0; n-- {
+				start := time.Now()
+				var sum uint64
+				for j := 0; j < len(buf); j += 8 { // one word per cache line
+					sum += buf[j]
+				}
+				benchSink += sum
+				work += time.Since(start)
+				p.Wait(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(work)/float64(b.N), "work-ns/resume")
+	b.ReportMetric(float64(b.Elapsed()-work)/float64(b.N), "handoff-ns/resume")
 }
 
 func BenchmarkRNGUint64(b *testing.B) {

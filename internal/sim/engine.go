@@ -95,28 +95,25 @@ type Engine struct {
 	// stats
 	executed uint64
 
-	// Baton state (see drive). Exactly one goroutine per engine holds the
-	// baton; these fields are touched only by it, and every hand-off is a
-	// channel operation, which orders the accesses.
-	limit  Time          // current Advance call: no event later than this runs
-	budget uint64        // ... queue entries it may still consume
-	stop   func() bool   // ... optional stop predicate, evaluated between events
-	more   bool          // set at the bound: eligible work remains
-	wake   *Process      // process the event just executed asked to resume
-	caller chan struct{} // the Advance caller parks here while a process drives
-	fault  any           // panic to re-raise on the goroutine taking the baton
+	// Run-loop state (see drive). Per engine exactly one goroutine or
+	// process coroutine is running at a time and only it touches these
+	// fields; every switch between them is a coroutine resume or yield,
+	// which orders the accesses.
+	limit  Time        // current Advance call: no event later than this runs
+	budget uint64      // ... queue entries it may still consume
+	stop   func() bool // ... optional stop predicate, evaluated between events
+	more   bool        // set at the bound: eligible work remains
+	wake   *Process    // process whose dispatch has run and that Advance must resume
 
 	// procs is the set of processes started on this engine whose bodies
 	// have not returned, so Close can unwind them. A process that hopped
-	// away finishes on another engine's goroutine, hence the lock.
+	// away finishes under another engine's Advance, hence the lock.
 	procMu sync.Mutex
 	procs  []*Process
 }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{caller: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -421,8 +418,9 @@ func (e *Engine) next() (int32, bool) {
 //
 // The clock is never forced forward: it rests on the last executed event.
 //
-// stop is evaluated between events by whichever goroutine holds the baton —
-// the caller's or a process's (see drive) — so it must be a pure function of
+// stop is evaluated between events by whoever is running the loop — the
+// caller or a blocked process (see drive) — and once more by the caller after
+// a process has parked at the bound, so it must be a pure function of
 // simulation state: no side effects, nothing goroutine-local. Hooks that do
 // have side effects (publishing a snapshot, checking a context) belong on
 // the caller's goroutine, between Advance calls.
@@ -461,29 +459,39 @@ func (e *Engine) atBound() bool {
 	return true
 }
 
-// drive runs the event loop on the calling goroutine, which holds the
-// engine's baton: self is the process whose goroutine this is, nil for the
-// Advance caller. The invariant is that per engine exactly one goroutine
-// holds the baton — it alone executes events and process bodies — and every
-// other process goroutine is parked on its own resume channel (the Advance
-// caller on e.caller). A process that blocks does not yield to the caller:
-// it keeps driving here, so a dispatch event only records which process to
-// resume (e.wake) and the loop acts on it once the event has returned:
+// drive is the event loop. self is the process running it — a process that
+// blocks does not give the engine up, it keeps executing events from inside
+// its own block — or nil for the Advance caller. A dispatch event only
+// records which process to resume (e.wake); the loop acts on it once the
+// event has returned:
 //
-//   - the process is self: return into its body, no goroutine switch;
-//   - another process: pass the baton with one send and park, one switch.
+//   - the process is self: return into its body, no switch at all;
+//   - self is nil: resume it, a nested call that returns when it yields;
+//   - otherwise: leave e.wake set and yield to the caller, which resumes it.
+//     A coroutine can only be resumed by a call, so a hand-off between two
+//     processes goes through the caller: two coroutine switches, no
+//     scheduler.
 //
-// drive returns to a process when it has been resumed, and to the Advance
-// caller when the bound is reached. The baton goes back to the caller only
-// then, when a process body returns, or on the Hop path (see Process.Hop).
+// A driving process also yields to the caller when the bound is reached, and
+// a process yields without driving on the Hop path (see Process.Hop). The
+// caller therefore re-checks e.wake and the bound each time it gets control
+// back; drive returns to it at the bound, and to a process once it has been
+// resumed.
 func (e *Engine) drive(self *Process) {
 	for {
-		if e.atBound() {
-			if self == nil {
+		if q := e.wake; q != nil {
+			if self != nil {
+				self.park()
 				return
 			}
-			e.caller <- struct{}{}
-			self.park()
+			e.wake = nil
+			q.co.resume()
+			continue
+		}
+		if e.atBound() {
+			if self != nil {
+				self.park()
+			}
 			return
 		}
 		idx, _ := e.next()
@@ -507,36 +515,10 @@ func (e *Engine) drive(self *Process) {
 		} else {
 			afn(arg)
 		}
-		q := e.wake
-		if q == nil {
-			continue
-		}
-		e.wake = nil
-		if q == self {
+		if e.wake == self && self != nil {
+			e.wake = nil
 			return
 		}
-		q.resume <- struct{}{}
-		if self != nil {
-			self.park()
-			return
-		}
-		e.awaitBaton()
-	}
-}
-
-// awaitBaton parks the Advance caller until a process hands the baton back,
-// and re-raises, on the caller's goroutine, a panic that unwound a process
-// in the meantime.
-func (e *Engine) awaitBaton() {
-	<-e.caller
-	e.raiseFault()
-}
-
-// raiseFault re-raises a panic recorded by an exiting process.
-func (e *Engine) raiseFault() {
-	if f := e.fault; f != nil {
-		e.fault = nil
-		panic(f)
 	}
 }
 
@@ -617,10 +599,9 @@ func (e *Engine) unregister(p *Process) {
 
 // Close unwinds every process started on this engine that is still parked —
 // blocked in a Wait that will never fire because the run was abandoned — so
-// their goroutines exit and release whatever their bodies reference. It
-// returns once each of them has. Call it from host code when the engine is
-// done for good (nothing may run on it afterwards); an engine whose
-// processes all finished needs no Close.
+// their coroutines end and release whatever their bodies reference. Call it
+// from host code when the engine is done for good (nothing may run on it
+// afterwards); an engine whose processes all finished needs no Close.
 func (e *Engine) Close() {
 	for {
 		e.procMu.Lock()
@@ -632,9 +613,10 @@ func (e *Engine) Close() {
 		if p == nil {
 			return
 		}
-		on := p.eng // p may have hopped to another engine
-		p.killed = true
-		p.resume <- struct{}{}
-		on.awaitBaton()
+		p.co.stop()
+		if !p.done { // never started: no body ran, so no exit did either
+			p.done = true
+			e.unregister(p)
+		}
 	}
 }

@@ -2,28 +2,26 @@ package sim
 
 import "fmt"
 
-// Process is a coroutine running against an Engine. Each Process has its own
-// goroutine; it is resumed at scheduled times and blocks by calling Wait,
-// WaitUntil or one of the blocking helpers. Exactly one goroutine per engine
-// runs at a time (see Engine.drive), so models stay deterministic and need no
-// locking among themselves.
+// Process is a coroutine running against an Engine: its body executes only
+// while some goroutine is inside its resume (see coro), and it blocks by
+// calling Wait, WaitUntil or one of the blocking helpers. Exactly one body or
+// event callback per engine runs at a time (see Engine.drive), so models stay
+// deterministic and need no locking among themselves.
 //
 // A Process is the execution vehicle for anything with sequential control
 // flow: workload threads, the RISC-V core's instruction loop, test drivers.
 type Process struct {
-	eng    *Engine
-	home   *Engine // engine the process was started on; owns its live-set slot
-	slot   int     // index in home.procs, guarded by home.procMu
-	name   string
-	resume chan struct{}
-	// yield is the second half of the synchronous exchange a Hop delivery
-	// uses to run the process inside a flush event; nothing else uses it.
-	yield chan struct{}
+	eng  *Engine
+	home *Engine // engine the process was started on; owns its live-set slot
+	slot int     // index in home.procs, guarded by home.procMu
+	name string
+
+	co    *coro
+	yield func() bool // the coroutine's yield; set when the body starts
 
 	done    bool
 	driving bool // inside block, running the engine's event loop
-	nested  bool // resumed synchronously by a Hop delivery; give control back on yield
-	killed  bool // Engine.Close: unwind on resume
+	nested  bool // resumed from inside a Hop delivery; must not drive at its next block
 
 	// dispatchFn and wakeFn are bound once at creation so the hot resume
 	// paths (Wait, Call, Suspend) schedule without allocating a closure
@@ -33,37 +31,33 @@ type Process struct {
 	armed      bool // a Suspend/Call completion is outstanding
 }
 
-// killedPanic is the sentinel Engine.Close unwinds a parked process with.
+// killedPanic is the sentinel a process stopped by Engine.Close unwinds with.
 type killedPanic struct{}
 
 // Go starts fn as a new process at the current simulation time. fn receives
-// the Process handle and must use it for all time-consuming operations.
+// the Process handle and must use it for all time-consuming operations. The
+// body starts lazily, when its first dispatch resumes it.
 func Go(eng *Engine, name string, fn func(*Process)) *Process {
-	p := &Process{
-		eng:    eng,
-		home:   eng,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{eng: eng, home: eng, name: name}
 	p.dispatchFn = p.dispatch
 	p.wakeFn = p.wake
-	eng.register(p)
-	go func() {
+	p.co = newCoro(func(yield func() bool) {
+		p.yield = yield
 		defer p.exit()
-		p.park()
 		fn(p)
-	}()
+	})
+	eng.register(p)
 	eng.Schedule(0, p.dispatchFn)
 	return p
 }
 
-// exit ends the process goroutine: the body returned, panicked, or was
-// unwound by a panic that is not its own. Event callbacks run on whichever
-// process goroutine is driving, so a model panic (scheduling in the past, a
-// latency undercut, the watchdog) unwinds that process's body; it is handed
-// to the goroutine taking the baton with its original value, while a panic
-// raised by the body itself gets the process's name attached.
+// exit ends the body: it returned, panicked, or was unwound by a panic that
+// is not its own. Event callbacks run inside whichever process is driving, so
+// a model panic (scheduling in the past, a latency undercut, the watchdog, a
+// panic out of a nested resume) unwinds that process's body; it is re-raised
+// with its original value, while a panic raised by the body itself gets the
+// process's name attached. Either way it leaves the coroutine through the
+// resume that was running it.
 func (p *Process) exit() {
 	r := recover()
 	p.done = true
@@ -71,11 +65,10 @@ func (p *Process) exit() {
 	switch {
 	case r == nil, r == killedPanic{}:
 	case p.driving:
-		p.eng.fault = r
+		panic(r)
 	default:
-		p.eng.fault = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}
-	p.handBack()
 }
 
 // dispatch is the event that resumes the process. It only records the
@@ -126,10 +119,11 @@ func (p *Process) WaitUntil(t Time) {
 }
 
 // block suspends the process until its dispatch event runs. The process
-// holds the baton, so it runs the event loop itself until then.
+// runs the event loop itself until then, unless a Hop delivery resumed it:
+// that delivery is waiting inside a flush event for control to come back.
 func (p *Process) block() {
 	if p.nested {
-		p.handBack()
+		p.nested = false
 		p.park()
 		return
 	}
@@ -138,23 +132,12 @@ func (p *Process) block() {
 	p.driving = false
 }
 
-// park waits, without the baton, to be resumed.
+// park yields to whoever resumed the process and returns when it is resumed
+// again; if that is Engine.Close stopping it, park unwinds the body instead.
 func (p *Process) park() {
-	<-p.resume
-	if p.killed {
+	if !p.yield() {
 		panic(killedPanic{})
 	}
-}
-
-// handBack gives up control without driving: to the Hop delivery that
-// resumed the process synchronously, or else to the Advance caller.
-func (p *Process) handBack() {
-	if p.nested {
-		p.nested = false
-		p.yield <- struct{}{}
-		return
-	}
-	p.eng.caller <- struct{}{}
 }
 
 // Hop moves the process to another shard: after delay cycles it resumes on
@@ -164,26 +147,23 @@ func (p *Process) handBack() {
 // be at least the group lookahead. With a SerialNet, dstEng is the same
 // engine and Hop degenerates to a canonically-ordered Wait.
 //
-// Hop is the one path that does not use the deferred hand-off. A flush
+// Hop is the one resume that is not deferred to the Advance caller. A flush
 // event applies all of a cycle's deliveries to one endpoint inside a single
 // event, and a migrating process must run between them, at its place in the
 // canonical order, or the sequence numbers of everything it schedules shift.
-// So the delivery resumes the process synchronously (resume, then wait on
-// yield) and the process, marked nested, gives control straight back at its
-// next block. For the same reason the hopping process must not keep driving
-// while it waits: under a SerialNet it would pop the flush carrying its own
-// delivery and send to itself. It hands the baton back first.
+// So the delivery resumes the process right there — a nested resume, from
+// the caller's goroutine or from inside a driving process — and the process,
+// marked nested, yields straight back at its next block. For the same reason
+// the hopping process must not drive while it waits: under a SerialNet it
+// would pop the flush carrying its own delivery and resume itself.
 func (p *Process) Hop(net CrossNet, src, dst int, dstEng *Engine, delay Time) {
 	net.Send(src, dst, p.eng.Now()+delay, func() {
 		// Runs in dst's execution context; the process itself is parked,
 		// and the window barrier orders this write after the park below.
 		p.eng = dstEng
 		p.nested = true
-		p.resume <- struct{}{}
-		<-p.yield
-		dstEng.raiseFault()
+		p.co.resume()
 	})
-	p.handBack()
 	p.park()
 }
 
@@ -207,8 +187,8 @@ func (p *Process) Park() { p.block() }
 func (p *Process) Call(start func(done func())) {
 	p.armed = true
 	// The dispatch the completion schedules cannot run before we block
-	// below, even when the completion is synchronous: this process holds
-	// the baton, so no event executes until block drives the loop.
+	// below, even when the completion is synchronous: this process is the
+	// one running, so no event executes until block drives the loop.
 	start(p.wakeFn)
 	p.block()
 }
