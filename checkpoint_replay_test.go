@@ -8,10 +8,12 @@ package smappic_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"smappic"
 	"smappic/internal/ckpt"
+	"smappic/internal/ckpt/ckpttest"
 	"smappic/internal/core"
 	"smappic/internal/rvasm"
 )
@@ -294,5 +296,24 @@ func TestReplayRejectsGranularityMismatch(t *testing.T) {
 				t.Fatalf("replay across shard granularities: error %T (%v), want MismatchError", err, err)
 			}
 		})
+	}
+}
+
+// TestRestoreRefusesFormatVersion1 hand-seals what the previous format
+// wrote — the same envelope at version 1 around a JSON payload, for the
+// right configuration, digest valid — and requires the version gate, not
+// the payload decoder, to refuse it.
+func TestRestoreRefusesFormatVersion1(t *testing.T) {
+	cfg := replayCfg(t, 0, "")
+	payload := fmt.Sprintf(`{"kind":1,"config_hash":%q,"now":2000,"replay":{"executed":1234,"parallel":1}}`, cfg.ConfigHash())
+	raw := ckpttest.Seal(1, ckpt.KindReplay, []byte(payload))
+
+	_, _, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+	var ve *ckpt.VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("version-1 snapshot: error %T (%v), want VersionError", err, err)
+	}
+	if ve.Got != 1 || ve.Want != ckpt.Version {
+		t.Errorf("VersionError{Got: %d, Want: %d}, want {1, %d}", ve.Got, ve.Want, ckpt.Version)
 	}
 }

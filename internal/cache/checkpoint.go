@@ -13,15 +13,19 @@ import (
 	"smappic/internal/ckpt"
 )
 
-// captureSetAssoc copies a tag array into snapshot form.
+// captureSetAssoc copies a tag array into snapshot form, one column per way
+// field (every set of a tag array has the same associativity).
 func captureSetAssoc(c *setAssoc) ckpt.SetAssocState {
-	st := ckpt.SetAssocState{Tick: c.tick, Sets: make([][]ckpt.WayState, len(c.sets))}
-	for i, set := range c.sets {
-		ways := make([]ckpt.WayState, len(set))
-		for j, w := range set {
-			ways[j] = ckpt.WayState{Line: w.line, State: uint8(w.st), Dirty: w.dirty, LRU: w.lru}
+	n := len(c.sets) * len(c.sets[0])
+	st := ckpt.SetAssocState{Tick: c.tick, Sets: len(c.sets),
+		Line: make([]uint64, 0, n), State: make([]uint8, 0, n), Dirty: make([]bool, 0, n), LRU: make([]uint64, 0, n)}
+	for _, set := range c.sets {
+		for _, w := range set {
+			st.Line = append(st.Line, w.line)
+			st.State = append(st.State, uint8(w.st))
+			st.Dirty = append(st.Dirty, w.dirty)
+			st.LRU = append(st.LRU, w.lru)
 		}
-		st.Sets[i] = ways
 	}
 	return st
 }
@@ -30,21 +34,24 @@ func captureSetAssoc(c *setAssoc) ckpt.SetAssocState {
 // matches the built one (a snapshot from a different cache configuration
 // must be refused, not silently reshaped).
 func restoreSetAssoc(c *setAssoc, st ckpt.SetAssocState, what string) error {
-	if len(st.Sets) != len(c.sets) {
+	if st.Sets != len(c.sets) {
 		return &ckpt.MismatchError{Field: what + " set count",
-			Got: fmt.Sprint(len(st.Sets)), Want: fmt.Sprint(len(c.sets))}
+			Got: fmt.Sprint(st.Sets), Want: fmt.Sprint(len(c.sets))}
 	}
-	for i, ways := range st.Sets {
-		if len(ways) != len(c.sets[i]) {
-			return &ckpt.MismatchError{Field: what + " associativity",
-				Got: fmt.Sprint(len(ways)), Want: fmt.Sprint(len(c.sets[i]))}
+	ways := len(c.sets[0])
+	if len(st.Line) != st.Sets*ways {
+		return &ckpt.MismatchError{Field: what + " associativity",
+			Got: fmt.Sprint(len(st.Line) / st.Sets), Want: fmt.Sprint(ways)}
+	}
+	if len(st.State) != len(st.Line) || len(st.Dirty) != len(st.Line) || len(st.LRU) != len(st.Line) {
+		return &ckpt.CorruptError{Reason: fmt.Sprintf("%s way columns differ in length (%d lines, %d states, %d dirty bits, %d LRU stamps)",
+			what, len(st.Line), len(st.State), len(st.Dirty), len(st.LRU))}
+	}
+	for i, s := range st.State {
+		if s > uint8(stModified) {
+			return &ckpt.CorruptError{Reason: fmt.Sprintf("%s way state %d out of range", what, s)}
 		}
-		for j, w := range ways {
-			if w.State > uint8(stModified) {
-				return &ckpt.CorruptError{Reason: fmt.Sprintf("%s way state %d out of range", what, w.State)}
-			}
-			c.sets[i][j] = way{line: w.Line, st: state(w.State), dirty: w.Dirty, lru: w.LRU}
-		}
+		c.sets[i/ways][i%ways] = way{line: st.Line[i], st: state(s), dirty: st.Dirty[i], lru: st.LRU[i]}
 	}
 	c.tick = st.Tick
 	return nil

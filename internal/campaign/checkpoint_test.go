@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"smappic/internal/ckpt"
+	"smappic/internal/ckpt/ckpttest"
 )
 
 // isParams is a small real-simulation IS job used by the checkpoint tests.
@@ -218,27 +219,34 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 		}
 	})
 
-	t.Run("corrupt", func(t *testing.T) {
-		dir := t.TempDir()
-		ckptFile := filepath.Join(dir, p.Key()+".ckpt")
-		if err := os.WriteFile(ckptFile, []byte("not a snapshot"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var events []EventType
-		res, err := newRunner(dir, &events).Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Executed != 1 || res.Failed != 0 {
-			t.Fatalf("executed %d failed %d, want 1/0", res.Executed, res.Failed)
-		}
-		if res.Jobs[0].Result.Attempts != 1 {
-			t.Errorf("cold restart after corrupt checkpoint burned attempts: %d", res.Jobs[0].Result.Attempts)
-		}
-		if !bytes.Equal(resultBytes(t, res.Jobs[0].Result), resultBytes(t, cold)) {
-			t.Error("job result after discarded checkpoint diverges from cold run")
-		}
-	})
+	// An unusable resume file — damaged, or sealed under format version 1 —
+	// is discarded for a cold restart that burns no attempt.
+	for name, file := range map[string][]byte{
+		"corrupt":  []byte("not a snapshot"),
+		"version1": version1State,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckptFile := filepath.Join(dir, p.Key()+".ckpt")
+			if err := os.WriteFile(ckptFile, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var events []EventType
+			res, err := newRunner(dir, &events).Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Executed != 1 || res.Failed != 0 {
+				t.Fatalf("executed %d failed %d, want 1/0", res.Executed, res.Failed)
+			}
+			if res.Jobs[0].Result.Attempts != 1 {
+				t.Errorf("cold restart after discarded checkpoint burned attempts: %d", res.Jobs[0].Result.Attempts)
+			}
+			if !bytes.Equal(resultBytes(t, res.Jobs[0].Result), resultBytes(t, cold)) {
+				t.Error("job result after discarded checkpoint diverges from cold run")
+			}
+		})
+	}
 }
 
 // TestWarmStartForksAndSavesCycles runs the same job cold and warm-started:
@@ -275,11 +283,10 @@ func TestWarmStartForksAndSavesCycles(t *testing.T) {
 	}
 }
 
-// TestRunnerWarmStartSharesPrefix runs a multi-seed warm-started sweep and
-// verifies the prefix snapshot is generated once in the cache directory,
-// every point succeeds, and its recorded prefix identity matches PrefixKey.
-func TestRunnerWarmStartSharesPrefix(t *testing.T) {
-	spec := Spec{
+// warmSpec is a two-point warm-started sweep whose fault variants share one
+// prefix identity.
+func warmSpec() Spec {
+	return Spec{
 		Name:      "warm",
 		Shapes:    []string{"1x1x2"},
 		Workloads: []string{WorkloadIS},
@@ -289,6 +296,13 @@ func TestRunnerWarmStartSharesPrefix(t *testing.T) {
 		Keys:      1 << 10,
 		WarmStart: true,
 	}
+}
+
+// TestRunnerWarmStartSharesPrefix runs a multi-seed warm-started sweep and
+// verifies the prefix snapshot is generated once in the cache directory,
+// every point succeeds, and its recorded prefix identity matches PrefixKey.
+func TestRunnerWarmStartSharesPrefix(t *testing.T) {
+	spec := warmSpec()
 	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -328,4 +342,123 @@ func TestRunnerWarmStartSharesPrefix(t *testing.T) {
 				out.Job.Params.Label(), out.Result.SimulatedCycles, out.Result.RunCycles)
 		}
 	}
+}
+
+// version1State is a format-version-1 state snapshot file: the envelope this
+// build still writes, around the JSON payload it no longer reads.
+var version1State = ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"config_hash":"x","now":1,"state":{}}`))
+
+// TestUnusableWarmPrefixIsReplaced plants garbage, a truncated prefix and a
+// version-1 file where a warm-started campaign keeps its shared prefix. The
+// file must cost nothing but a rebuild: every job completes on its first
+// attempt with the result a clean cache gives — through the Runner, whose
+// prefix loop replaces the file, and through a bare Executor (the fleet
+// worker path), which removes it and forks from an in-process prefix.
+func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
+	ctx := context.Background()
+	spec := warmSpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(dir string) *CampaignResult {
+		t.Helper()
+		cache, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&Runner{Workers: 2, Cache: cache}).Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean := run(t.TempDir())
+	if clean.Executed != len(jobs) {
+		t.Fatalf("clean-cache run executed %d of %d jobs", clean.Executed, len(jobs))
+	}
+	sameAsClean := func(t *testing.T, out JobOutcome) {
+		t.Helper()
+		if out.Status != StatusRun {
+			t.Fatalf("job %s: status %s (%s), want run", out.Job.Params.Label(), out.Status, out.Err)
+		}
+		if out.Result.Attempts != 1 {
+			t.Errorf("job %s: the bad prefix burned attempts: %d", out.Job.Params.Label(), out.Result.Attempts)
+		}
+		want, err := json.Marshal(clean.Jobs[out.Job.Index].Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(out.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("job %s: result differs from the clean-cache run", out.Job.Params.Label())
+		}
+	}
+
+	prefix, err := BuildPrefix(ctx, jobs[0].Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := prefix.Write(&valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"garbage", []byte("not a snapshot")},
+		{"truncated", valid.Bytes()[:valid.Len()/2]},
+		{"version1", version1State},
+	} {
+		t.Run("runner/"+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := warmPathIn(dir, jobs[0].Params)
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res := run(dir)
+			for _, out := range res.Jobs {
+				sameAsClean(t, out)
+			}
+			if snap, err := ckpt.ReadFile(path); err != nil {
+				t.Errorf("warm prefix not rebuilt in place: %v", err)
+			} else if snap.PrefixHash != jobs[0].Params.PrefixKey() {
+				t.Error("rebuilt prefix has the wrong identity")
+			}
+		})
+		t.Run("executor/"+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := warmPathIn(dir, jobs[0].Params)
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, job := range jobs {
+				sameAsClean(t, (&Executor{Dir: dir}).RunJob(ctx, job, spec.Policy(), len(jobs)))
+			}
+			if ok, _ := statExists(path); ok {
+				t.Error("unusable warm prefix left in place")
+			}
+		})
+	}
+
+	// Two executor jobs share a bad prefix: one removes it between the
+	// other's stat and read. The loser sees "no such file", not a snapshot
+	// error, and must take the same in-process path.
+	t.Run("executor/removed under the job", func(t *testing.T) {
+		dir := t.TempDir()
+		path := warmPathIn(dir, jobs[0].Params)
+		if err := os.WriteFile(path, version1State, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e := &Executor{Dir: dir}
+		e.execOpts = func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error) {
+			os.Remove(path)
+			return ExecuteWithOpts(ctx, p, opts)
+		}
+		sameAsClean(t, e.RunJob(ctx, jobs[0], spec.Policy(), len(jobs)))
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"smappic/internal/ckpt"
 )
 
 // Status classifies how a job's slot in the campaign was filled.
@@ -176,7 +178,15 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 				r.Log("warm prefix %s: stat %s: %v (rebuilding)", key[:12], path, serr)
 			}
 			if ok {
-				continue
+				// An existing file this build cannot fork from (damaged, or
+				// written under another format version) is rebuilt in place.
+				_, verr := warmPrefix(ctx, job.Params, path)
+				if !ckpt.IsSnapshotError(verr) {
+					continue
+				}
+				if r.Log != nil {
+					r.Log("warm prefix %s: %v (rebuilding)", key[:12], verr)
+				}
 			}
 			if ctx.Err() != nil {
 				break

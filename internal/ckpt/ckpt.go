@@ -1,15 +1,20 @@
 // Package ckpt defines the snapshot format for deterministic
 // checkpoint/restore of SMAPPIC prototypes.
 //
-// A snapshot file is a small binary envelope around one JSON payload:
+// A snapshot file is a small binary envelope around one payload:
 //
 //	magic "SMCK" | version uint32 LE | kind byte | payload len uint64 LE |
-//	payload (JSON) | SHA-256 over everything prior
+//	payload (encoding/gob of Snapshot) | SHA-256 over everything prior
 //
 // The trailing digest makes truncation and corruption detectable before any
 // field is interpreted; the version gate refuses payloads this build cannot
-// decode. All map-shaped state is serialized as sorted arrays so equal
-// simulation states produce byte-identical snapshots.
+// decode (format version 1 carried the same struct as JSON; such a file is a
+// VersionError, which callers treat as "discard, start cold"). The payload
+// codec is reflection-driven, so a field added to a state struct needs no
+// codec code; the bulk sections are shaped for its fast paths — cache tag
+// arrays are columnar (SetAssocState) and memory pages are raw bytes. All
+// map-shaped state is serialized as sorted arrays so equal simulation states
+// produce byte-identical snapshots.
 //
 // Two snapshot kinds exist (see DESIGN.md "Snapshot format"):
 //
@@ -34,7 +39,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,10 +47,14 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 1
+const Version = 2
 
 // magic identifies a SMAPPIC snapshot file.
 var magic = [4]byte{'S', 'M', 'C', 'K'}
+
+// headerLen is the envelope ahead of the payload: magic, version, kind,
+// payload length.
+const headerLen = len(magic) + 4 + 1 + 8
 
 // Kind selects the restore strategy a snapshot encodes.
 type Kind uint8
@@ -108,42 +117,42 @@ func IsSnapshotError(err error) bool {
 
 // Snapshot is the decoded payload of a snapshot file.
 type Snapshot struct {
-	Kind Kind `json:"kind"`
+	Kind Kind
 
 	// ConfigHash fingerprints the full core.Config the snapshot was taken
 	// under; restore refuses a different configuration. PrefixHash, set on
 	// warm-start prefix snapshots, fingerprints only the boot-relevant
 	// parameter subset, letting sweep points that differ in fork-time
 	// parameters (faults, credits, latencies) share one prefix.
-	ConfigHash string `json:"config_hash"`
-	PrefixHash string `json:"prefix_hash,omitempty"`
+	ConfigHash string
+	PrefixHash string
 
 	// Workload tags what was running (a program hash for bare-metal runs, a
 	// workload label for kernel runs); restore refuses a different tag.
-	Workload string `json:"workload,omitempty"`
+	Workload string
 
 	// Now is the engine clock at capture (the drain time for state
 	// snapshots); informational for state snapshots, verified on replay.
-	Now uint64 `json:"now"`
+	Now uint64
 
-	Replay *Replay `json:"replay,omitempty"`
-	State  *State  `json:"state,omitempty"`
+	Replay *Replay
+	State  *State
 }
 
 // Replay is the cursor of a KindReplay snapshot.
 type Replay struct {
 	// Executed is the serial engine's executed-event count at capture.
-	Executed uint64 `json:"executed,omitempty"`
+	Executed uint64
 	// Windows is the sharded group's completed-window count at capture
 	// (used instead of Executed when Parallel > 1).
-	Windows uint64 `json:"windows,omitempty"`
+	Windows uint64
 	// Parallel records the shard count the cursor was taken under.
-	Parallel int `json:"parallel,omitempty"`
+	Parallel int
 	// Adaptive records the effective adaptive-lookahead cap of a sharded
 	// run: window counts are only comparable between runs widening their
 	// windows under the same cap, so restore rejects a different one.
 	// Zero in serial cursors and in snapshots predating the field.
-	Adaptive int `json:"adaptive,omitempty"`
+	Adaptive int
 	// WindowDigest fingerprints the sharded run's window sequence (each
 	// window's start time and realized width, FNV-1a folded; hierarchical
 	// runs fold every cluster's inner-window sequence in too). Replay
@@ -151,13 +160,13 @@ type Replay struct {
 	// identical windows rather than merely the same number of them. Never
 	// zero when written (the digest starts at the FNV offset basis); zero
 	// means a serial cursor or an older snapshot, and is not checked.
-	WindowDigest uint64 `json:"window_digest,omitempty"`
+	WindowDigest uint64
 	// Granularity records the shard granularity ("fpga" or "node") of a
 	// sharded cursor: window counts and digests are granularity-specific,
 	// so restore refuses a cursor taken at the other granularity. Empty in
 	// serial cursors and in snapshots predating the field (which are all
 	// per-FPGA).
-	Granularity string `json:"granularity,omitempty"`
+	Granularity string
 }
 
 // State is the full quiescent-state section of a KindState snapshot. Every
@@ -166,112 +175,109 @@ type Replay struct {
 // queues, PCIe exchange pools, in-flight memory ops) are provably empty at
 // a quiescent safepoint and are deliberately absent — see DESIGN.md.
 type State struct {
-	Mem      MemState       `json:"mem"`
-	Nodes    []NodeState    `json:"nodes"`
-	PCIe     PCIeState      `json:"pcie"`
-	Fault    *FaultState    `json:"fault,omitempty"`
-	Stats    []StatsState   `json:"stats"` // one per shard registry
-	Kernel   *KernelState   `json:"kernel,omitempty"`
-	Workload *WorkloadState `json:"workload,omitempty"`
+	Mem      MemState
+	Nodes    []NodeState
+	PCIe     PCIeState
+	Fault    *FaultState
+	Stats    []StatsState // one per shard registry
+	Kernel   *KernelState
+	Workload *WorkloadState
 }
 
 // MemState is the backing store: every materialized page, sorted by number.
 type MemState struct {
-	PageBytes int       `json:"page_bytes"`
-	Pages     []MemPage `json:"pages"`
+	PageBytes int
+	Pages     []MemPage
 }
 
-// MemPage is one backing page. Data is raw page contents (base64 in JSON).
+// MemPage is one backing page. Data is the raw page contents.
 type MemPage struct {
-	Page uint64 `json:"page"`
-	Data []byte `json:"data"`
+	Page uint64
+	Data []byte
 }
 
 // NodeState is one node's device state.
 type NodeState struct {
-	Node   int         `json:"node"`
-	DRAM   DRAMState   `json:"dram"`
-	MemCtl MemCtlState `json:"memctl"`
-	NoC    NoCState    `json:"noc"`
-	Bridge BridgeState `json:"bridge"`
-	Tiles  []TileState `json:"tiles"`
+	Node   int
+	DRAM   DRAMState
+	MemCtl MemCtlState
+	NoC    NoCState
+	Bridge BridgeState
+	Tiles  []TileState
 }
 
 // DRAMState is a DRAM channel's timing state.
 type DRAMState struct {
-	Busy uint64 `json:"busy"`
+	Busy uint64
 }
 
 // MemCtlState is a memory controller's monotonic state.
 type MemCtlState struct {
-	NextID uint64 `json:"next_id"`
+	NextID uint64
 }
 
 // NoCState is a mesh's link/router timing state.
 type NoCState struct {
-	NextFree  [][]uint64 `json:"next_free"`
-	LinkFlits [][]uint64 `json:"link_flits"`
-	LinkBusy  [][]uint64 `json:"link_busy"`
+	NextFree  [][]uint64
+	LinkFlits [][]uint64
+	LinkBusy  [][]uint64
 }
 
 // BridgeState is an inter-node bridge's credit bookkeeping, keyed by
 // destination node (sorted), plus the outbound shaper's bandwidth clock
 // when the link is shaped.
 type BridgeState struct {
-	Dsts       []BridgeDstState `json:"dsts"`
-	ShaperBusy uint64           `json:"shaper_busy,omitempty"`
+	Dsts       []BridgeDstState
+	ShaperBusy uint64
 }
 
 // BridgeDstState is the per-destination credit state of one bridge.
 type BridgeDstState struct {
-	Dst        int    `json:"dst"`
-	Credits    int    `json:"credits"`
-	Returned   uint64 `json:"returned"`
-	Freed      uint64 `json:"freed"`
-	FreedTotal uint64 `json:"freed_total"`
-	CrFails    int    `json:"cr_fails"`
-	Wedged     bool   `json:"wedged,omitempty"`
+	Dst        int
+	Credits    int
+	Returned   uint64
+	Freed      uint64
+	FreedTotal uint64
+	CrFails    int
+	Wedged     bool
 }
 
 // TileState is one tile's cache state.
 type TileState struct {
-	Tile int           `json:"tile"`
-	L1I  SetAssocState `json:"l1i"`
-	L1D  SetAssocState `json:"l1d"`
-	BPC  SetAssocState `json:"bpc"`
-	LLC  SetAssocState `json:"llc"`
-	Dir  []DirEntry    `json:"dir"`
+	Tile int
+	L1I  SetAssocState
+	L1D  SetAssocState
+	BPC  SetAssocState
+	LLC  SetAssocState
+	Dir  []DirEntry
 	// NextTag is the LLC slice's monotonic transaction-tag counter.
-	NextTag uint64 `json:"next_tag"`
+	NextTag uint64
 }
 
-// SetAssocState is a set-associative array: all ways of all sets plus the
-// LRU tick.
+// SetAssocState is a set-associative array: the LRU tick plus every way of
+// every set, one column per way field. Way w of set s is element
+// s*(len(Line)/Sets)+w of each column; the four columns have equal length.
 type SetAssocState struct {
-	Tick uint64       `json:"tick"`
-	Sets [][]WayState `json:"sets"`
-}
-
-// WayState is one cache way.
-type WayState struct {
-	Line  uint64 `json:"line"`
-	State uint8  `json:"state"`
-	Dirty bool   `json:"dirty,omitempty"`
-	LRU   uint64 `json:"lru"`
+	Tick  uint64
+	Sets  int
+	Line  []uint64
+	State []uint8
+	Dirty []bool
+	LRU   []uint64
 }
 
 // DirEntry is one LLC directory entry, with sharers in sorted GID order.
 type DirEntry struct {
-	Line    uint64     `json:"line"`
-	State   uint8      `json:"state"`
-	Owner   GIDState   `json:"owner"`
-	Sharers []GIDState `json:"sharers,omitempty"`
+	Line    uint64
+	State   uint8
+	Owner   GIDState
+	Sharers []GIDState
 }
 
 // GIDState is a cache.GID in serializable form.
 type GIDState struct {
-	Node int `json:"node"`
-	Tile int `json:"tile"`
+	Node int
+	Tile int
 }
 
 // PCIeState is the fabric's reliable-transport state: per-endpoint egress
@@ -280,102 +286,102 @@ type GIDState struct {
 // NextSeq has been delivered and acknowledged, so NextSeq alone is the
 // protocol state.
 type PCIeState struct {
-	Endpoints []PCIeEndpointState `json:"endpoints"`
-	Seqs      []PCIeSeqState      `json:"seqs"`
+	Endpoints []PCIeEndpointState
+	Seqs      []PCIeSeqState
 }
 
 // PCIeEndpointState is one endpoint's egress serialization clock.
 type PCIeEndpointState struct {
-	ID     int    `json:"id"`
-	Egress uint64 `json:"egress"`
+	ID     int
+	Egress uint64
 }
 
 // PCIeSeqState is one ordered (src,dst) reliable-channel sequence counter.
 // Src/Dst use the fabric's internal indexing (0 = host, 1+fpga = endpoint).
 type PCIeSeqState struct {
-	Src     int    `json:"src"`
-	Dst     int    `json:"dst"`
-	NextSeq uint64 `json:"next_seq"`
+	Src     int
+	Dst     int
+	NextSeq uint64
 }
 
 // FaultState is the injector's deterministic progress: per-site RNG streams
 // and per-rule fire counts, sorted by site name.
 type FaultState struct {
-	Sites []FaultSiteState `json:"sites"`
+	Sites []FaultSiteState
 }
 
 // FaultSiteState is one site's state.
 type FaultSiteState struct {
-	Name       string           `json:"name"`
-	RNG        uint64           `json:"rng"`
-	Hung       bool             `json:"hung,omitempty"`
-	StallUntil uint64           `json:"stall_until,omitempty"`
-	Rules      []FaultRuleState `json:"rules"`
+	Name       string
+	RNG        uint64
+	Hung       bool
+	StallUntil uint64
+	Rules      []FaultRuleState
 }
 
 // FaultRuleState is one rule's counters on one site.
 type FaultRuleState struct {
-	Seen  uint64 `json:"seen"`
-	Fired uint64 `json:"fired"`
+	Seen  uint64
+	Fired uint64
 }
 
 // StatsState is a full-fidelity dump of one stats registry (unlike
 // sim.Stats.Snapshot it preserves histogram bins and gauge high-water
 // marks, so a restored registry renders byte-identical reports).
 type StatsState struct {
-	Counters []CounterState `json:"counters"`
-	Gauges   []GaugeState   `json:"gauges"`
-	Hists    []HistState    `json:"hists"`
+	Counters []CounterState
+	Gauges   []GaugeState
+	Hists    []HistState
 }
 
 // CounterState is one counter.
 type CounterState struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
+	Name  string
+	Value uint64
 }
 
 // GaugeState is one gauge with its high-water mark.
 type GaugeState struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-	High  int64  `json:"high"`
+	Name  string
+	Value int64
+	High  int64
 }
 
 // HistState is one histogram including its bins.
 type HistState struct {
-	Name    string   `json:"name"`
-	Samples uint64   `json:"samples"`
-	Sum     uint64   `json:"sum"`
-	Min     uint64   `json:"min"`
-	Max     uint64   `json:"max"`
-	Bins    []uint64 `json:"bins"`
+	Name    string
+	Samples uint64
+	Sum     uint64
+	Min     uint64
+	Max     uint64
+	Bins    []uint64
 }
 
 // KernelState is the mini-OS state: page tables and per-thread context.
 type KernelState struct {
-	NextVA  uint64            `json:"next_va"`
-	Pages   []KernelPageState `json:"pages"`
-	Threads []ThreadState     `json:"threads"`
+	NextVA  uint64
+	Pages   []KernelPageState
+	Threads []ThreadState
 	// BarrierReleased is the futex barrier's released-round watermark.
-	BarrierReleased uint64 `json:"barrier_released"`
+	BarrierReleased uint64
 }
 
 // KernelPageState is one installed page-table entry.
 type KernelPageState struct {
-	VPage uint64 `json:"vpage"`
-	Phys  uint64 `json:"phys"`
-	Node  int    `json:"node"`
+	VPage uint64
+	Phys  uint64
+	Node  int
 }
 
 // ThreadState is one kernel thread's context, captured at a barrier cut.
 type ThreadState struct {
-	ID         int               `json:"id"`
-	Hart       int               `json:"hart"`
-	RNG        uint64            `json:"rng"`
-	NextMigr   uint64            `json:"next_migr"`
-	Migrations int               `json:"migrations"`
-	BarEpoch   uint64            `json:"bar_epoch"`
-	TLB        []KernelPageState `json:"tlb"`
+	ID         int
+	Hart       int
+	RNG        uint64
+	NextMigr   uint64
+	Migrations int
+	BarEpoch   uint64
+	TLB        []KernelPageState
 }
 
 // WorkloadState is the workload's resume cursor. Resume order is the order
@@ -383,35 +389,36 @@ type ThreadState struct {
 // wakes them in exactly this order at their recorded times, which
 // reproduces the uninterrupted run's event interleaving bit for bit.
 type WorkloadState struct {
-	Name   string        `json:"name"`
-	Phase  int           `json:"phase"` // barriers completed; resume at phase Phase+1
-	Start  uint64        `json:"start"` // workload start time (cycle measurement base)
-	Resume []ResumePoint `json:"resume"`
+	Name   string
+	Phase  int    // barriers completed; resume at phase Phase+1
+	Start  uint64 // workload start time (cycle measurement base)
+	Resume []ResumePoint
 }
 
 // ResumePoint is one thread's resume record, in barrier exit order.
 type ResumePoint struct {
-	Thread   int    `json:"thread"`
-	ResumeAt uint64 `json:"resume_at"`
+	Thread   int
+	ResumeAt uint64
 }
 
-// Write encodes the snapshot into the envelope format.
+// Write encodes the snapshot into the envelope format: the payload is
+// encoded straight behind a reserved header, the length patched in, and the
+// whole buffer hashed and written once.
 func (s *Snapshot) Write(w io.Writer) error {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
-	}
 	var buf bytes.Buffer
 	buf.Write(magic[:])
-	var hdr [13]byte
+	var hdr [headerLen - len(magic)]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], Version)
 	hdr[4] = byte(s.Kind)
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(len(payload)))
 	buf.Write(hdr[:])
-	buf.Write(payload)
-	sum := sha256.Sum256(buf.Bytes())
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[headerLen-8:headerLen], uint64(len(data)-headerLen))
+	sum := sha256.Sum256(data)
 	buf.Write(sum[:])
-	_, err = w.Write(buf.Bytes())
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 
@@ -442,8 +449,25 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading snapshot: %w", err)
 	}
-	if len(data) < len(magic)+13+sha256.Size {
-		return nil, &TruncatedError{Want: int64(len(magic) + 13 + sha256.Size), Got: int64(len(data))}
+	return decode(data)
+}
+
+// ReadFile reads and verifies a snapshot file, read in one piece at its
+// stat'ed size.
+func ReadFile(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decode(data)
+}
+
+// decode verifies the envelope of a whole snapshot file and decodes its
+// payload. The length frame is checked against the bytes actually present
+// before anything is sized from it.
+func decode(data []byte) (*Snapshot, error) {
+	if len(data) < headerLen+sha256.Size {
+		return nil, &TruncatedError{Want: int64(headerLen + sha256.Size), Got: int64(len(data))}
 	}
 	if !bytes.Equal(data[:4], magic[:]) {
 		return nil, &CorruptError{Reason: "bad magic (not a SMAPPIC snapshot)"}
@@ -453,22 +477,26 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, &VersionError{Got: version, Want: Version}
 	}
 	kind := Kind(data[8])
-	plen := binary.LittleEndian.Uint64(data[9:17])
-	want := int64(17) + int64(plen) + sha256.Size
+	plen := binary.LittleEndian.Uint64(data[9:headerLen])
+	want := int64(headerLen) + int64(plen) + sha256.Size
 	if plen > uint64(len(data)) || int64(len(data)) < want {
 		return nil, &TruncatedError{Want: want, Got: int64(len(data))}
 	}
 	if int64(len(data)) > want {
 		return nil, &CorruptError{Reason: fmt.Sprintf("%d trailing bytes after digest", int64(len(data))-want)}
 	}
-	body := data[:17+plen]
+	body := data[:headerLen+int(plen)]
 	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], data[17+plen:]) {
+	if !bytes.Equal(sum[:], data[len(body):]) {
 		return nil, &CorruptError{Reason: "SHA-256 digest mismatch"}
 	}
 	var s Snapshot
-	if err := json.Unmarshal(data[17:17+plen], &s); err != nil {
-		return nil, &CorruptError{Reason: "payload is not valid JSON: " + err.Error()}
+	payload := bytes.NewReader(body[headerLen:])
+	if err := gob.NewDecoder(payload).Decode(&s); err != nil {
+		return nil, &CorruptError{Reason: "payload does not decode: " + err.Error()}
+	}
+	if payload.Len() != 0 {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d undecoded bytes after the payload value", payload.Len())}
 	}
 	if s.Kind != kind {
 		return nil, &CorruptError{Reason: "payload kind disagrees with envelope kind"}
@@ -486,14 +514,4 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, &CorruptError{Reason: "unknown snapshot kind " + s.Kind.String()}
 	}
 	return &s, nil
-}
-
-// ReadFile reads and verifies a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

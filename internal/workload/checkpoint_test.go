@@ -216,17 +216,34 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 
 	t.Run("bitflip", func(t *testing.T) {
-		for _, off := range []int{9, len(raw) / 2, len(raw) - 1} {
+		// One flip per envelope region (layout: magic 0-3, version 4-7,
+		// kind 8, length 9-16, payload, 32-byte digest). What a flipped
+		// length reads as — trailing bytes or a short file — depends on
+		// which way the flipped bit moves it, so that region asserts only
+		// the snapshot-error class.
+		var ce *ckpt.CorruptError
+		var ve *ckpt.VersionError
+		for _, c := range []struct {
+			region string
+			off    int
+			want   any
+		}{
+			{"version", 4, &ve},
+			{"kind", 8, &ce},
+			{"length", 9, nil},
+			{"payload", 17 + (len(raw)-17-32)/2, &ce},
+			{"digest", len(raw) - 1, &ce},
+		} {
 			bad := append([]byte(nil), raw...)
-			bad[off] ^= 0x40
+			bad[c.off] ^= 0x40
 			_, _, err := core.RestorePrototype(bytes.NewReader(bad), cfg)
-			if err == nil {
-				t.Fatalf("bit flip at %d accepted", off)
-			}
-			var ce *ckpt.CorruptError
-			var ve *ckpt.VersionError
-			if !errors.As(err, &ce) && !errors.As(err, &ve) {
-				t.Fatalf("bit flip at %d: error %T (%v), want typed ckpt error", off, err, err)
+			switch {
+			case err == nil:
+				t.Errorf("bit flip in %s (offset %d) accepted", c.region, c.off)
+			case c.want == nil && !ckpt.IsSnapshotError(err):
+				t.Errorf("bit flip in %s (offset %d): error %T (%v), want a snapshot error", c.region, c.off, err, err)
+			case c.want != nil && !errors.As(err, c.want):
+				t.Errorf("bit flip in %s (offset %d): error %T (%v), want %T", c.region, c.off, err, err, c.want)
 			}
 		}
 	})
