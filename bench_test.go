@@ -151,18 +151,16 @@ func BenchmarkFig14_CloudVsOnPrem(b *testing.B) {
 }
 
 // benchIS runs the NPB integer sort once on the given shape, serial
-// (parallel=0) or sharded (parallel=FPGAs) under the given adaptive
-// lookahead cap (0 = default) and shard granularity ("" = per-FPGA,
-// "node" = per-node under the hierarchical synchronizer), and returns the
-// simulated cycle count. It is shared between the benchmarks and the CI
-// scaling gates (see scaling_gate_test.go), so the gated numbers and the
-// recorded benchmark numbers are the same run.
-func benchIS(tb testing.TB, fpgas, nodesPerFPGA, tiles, parallel, adaptive int, granularity string) smappic.Time {
+// (parallel=0) or sharded (parallel=FPGAs) at the given shard granularity
+// ("" = per-FPGA, "node" = per-node under the hierarchical synchronizer),
+// and returns the simulated cycle count. It is shared between the
+// benchmarks and the CI scaling gates (see scaling_gate_test.go), so the
+// gated numbers and the benchmark numbers are the same run.
+func benchIS(tb testing.TB, fpgas, nodesPerFPGA, tiles, parallel int, granularity string) smappic.Time {
 	tb.Helper()
 	cfg := smappic.DefaultConfig(fpgas, nodesPerFPGA, tiles)
 	cfg.Core = core.CoreNone
 	cfg.Parallel = parallel
-	cfg.AdaptiveLookahead = adaptive
 	cfg.ShardGranularity = granularity
 	p, err := core.Build(cfg)
 	if err != nil {
@@ -179,11 +177,12 @@ func benchIS(tb testing.TB, fpgas, nodesPerFPGA, tiles, parallel, adaptive int, 
 }
 
 // BenchmarkParallel_vs_Serial measures the sharded engine against the
-// serial reference on the 4-node (4x1x2) and 8-node (4x2x2) NPB-IS
+// one-shard reference on the 4-node (4x1x2) and 8-node (4x2x2) NPB-IS
 // configurations. The sharded engine's speedup is bounded by the host's
 // core count: on a single-core host the window barriers are pure overhead,
 // so treat serial-vs-parallel deltas here together with the gomaxprocs
-// metric (see BENCH_PARALLEL.json for the recorded trajectory).
+// metric (benchmark/ records the committed numbers: numa48-serial vs
+// npbis8-node).
 func BenchmarkParallel_vs_Serial(b *testing.B) {
 	shapes := []struct {
 		name                string
@@ -196,24 +195,20 @@ func BenchmarkParallel_vs_Serial(b *testing.B) {
 		for _, mode := range []struct {
 			name        string
 			parallel    func(fpgas int) int
-			adaptive    int
 			granularity string
 		}{
-			{"serial", func(int) int { return 0 }, 0, ""},
-			// "parallel" is the shipping configuration (adaptive widening at
-			// the default cap); "parallel-fixed" pins the pre-adaptive
-			// one-crossing windows so the widening win stays measurable;
-			// "parallel-node" shards per node under the hierarchical
-			// synchronizer (on the 4node shape NodesPerFPGA is 1, so that
-			// column doubles as the degenerate-overhead measurement).
-			{"parallel", func(f int) int { return f }, 0, ""},
-			{"parallel-fixed", func(f int) int { return f }, 1, ""},
-			{"parallel-node", func(f int) int { return f }, 0, "node"},
+			{"serial", func(int) int { return 0 }, ""},
+			// "parallel" shards per FPGA; "parallel-node" shards per node
+			// under the hierarchical synchronizer (on the 4node shape
+			// NodesPerFPGA is 1, so that column doubles as the
+			// degenerate-overhead measurement).
+			{"parallel", func(f int) int { return f }, ""},
+			{"parallel-node", func(f int) int { return f }, "node"},
 		} {
 			b.Run(sh.name+"/"+mode.name, func(b *testing.B) {
 				var cycles smappic.Time
 				for i := 0; i < b.N; i++ {
-					cycles = benchIS(b, sh.fpgas, sh.nodes, sh.tiles, mode.parallel(sh.fpgas), mode.adaptive, mode.granularity)
+					cycles = benchIS(b, sh.fpgas, sh.nodes, sh.tiles, mode.parallel(sh.fpgas), mode.granularity)
 				}
 				b.ReportMetric(float64(cycles), "sim_cycles")
 				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")

@@ -21,24 +21,17 @@ import (
 // replayCfg is the configuration under test: multi-FPGA so the cut crosses
 // bridge and PCIe traffic.
 func replayCfg(t *testing.T, parallel int, faults string) smappic.Config {
-	return replayCfgAdaptive(t, parallel, faults, 0)
-}
-
-// replayCfgAdaptive additionally pins the adaptive-lookahead cap (0 keeps
-// the default widening cap).
-func replayCfgAdaptive(t *testing.T, parallel int, faults string, adaptive int) smappic.Config {
-	return replayCfgShaped(t, 4, 1, parallel, faults, adaptive, "")
+	return replayCfgShaped(t, 4, 1, parallel, faults, "")
 }
 
 // replayCfgShaped is the fully-parameterized builder: shape (a FPGAs of b
-// nodes), engine mode, fault plan, widening cap and shard granularity. The
-// per-node rows use 2x2x2 — multi-node FPGAs, so node granularity actually
-// nests inner windows.
-func replayCfgShaped(t *testing.T, a, b, parallel int, faults string, adaptive int, granularity string) smappic.Config {
+// nodes), shard count, fault plan and shard granularity. The per-node rows
+// use 2x2x2 — multi-node FPGAs, so node granularity actually nests inner
+// windows.
+func replayCfgShaped(t *testing.T, a, b, parallel int, faults string, granularity string) smappic.Config {
 	t.Helper()
 	cfg := smappic.DefaultConfig(a, b, 2)
 	cfg.Parallel = parallel
-	cfg.AdaptiveLookahead = adaptive
 	cfg.ShardGranularity = granularity
 	cfg.Seed = 42
 	if faults != "" {
@@ -72,11 +65,24 @@ func replayOutcome(t *testing.T, p *core.Prototype) diffOutcome {
 }
 
 // startReplayProto builds a prototype and loads the cross-node program.
-func startReplayProto(t *testing.T, cfg smappic.Config) *core.Prototype {
+// widthCap, when nonzero, overrides the widening cap the configuration
+// implies (1 pins fixed one-crossing windows) — test-only scheduling, so the
+// restoring side must apply the same override (loadReplayProgram does).
+func startReplayProto(t *testing.T, cfg smappic.Config, widthCap int) *core.Prototype {
 	t.Helper()
 	p, err := core.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	loadReplayProgram(p, widthCap)
+	return p
+}
+
+// loadReplayProgram loads the cross-node program into a freshly built (or
+// RestorePrototype-built) prototype, applies the cap override and starts it.
+func loadReplayProgram(p *core.Prototype, widthCap int) {
+	if widthCap != 0 {
+		p.Group.SetAdaptive(widthCap)
 	}
 	prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
 	host := p.Host()
@@ -84,7 +90,6 @@ func startReplayProto(t *testing.T, cfg smappic.Config) *core.Prototype {
 		host.LoadProgram(n, prog)
 	}
 	p.Start()
-	return p
 }
 
 // TestReplayCheckpointRoundTrip checkpoints a RISC-V run at mid-run cycles,
@@ -96,17 +101,18 @@ func TestReplayCheckpointRoundTrip(t *testing.T) {
 		a, b        int
 		parallel    int
 		faults      string
-		adaptive    int
+		widthCap    int // 0 = the configuration's own cap
 		granularity string
 	}{
+		// A serial cursor is a one-shard window cursor, cut at the widened
+		// boundaries of the one-engine window; the cap-16 row proves it
+		// round-trips under another window sequence too.
 		{"serial", 4, 1, 0, "", 0, ""},
 		{"serial-faults", 4, 1, 0, pcieFaults, 0, ""},
-		// Serial ignores the adaptive knob entirely; the row proves a config
-		// carrying it still round-trips (same ConfigHash, same replay).
 		{"serial-adaptive-cfg", 4, 1, 0, "", 16, ""},
 		// The plain sharded rows run under the default widening cap, so the
 		// cut lands at adaptively-widened window boundaries; the fixed row
-		// pins the pre-adaptive discipline.
+		// pins the one-crossing discipline.
 		{"sharded", 4, 1, 4, "", 0, ""},
 		{"sharded-fixed", 4, 1, 4, "", 1, ""},
 		{"sharded-faults", 4, 1, 4, pcieFaults, 0, ""},
@@ -120,16 +126,16 @@ func TestReplayCheckpointRoundTrip(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := replayCfgShaped(t, tc.a, tc.b, tc.parallel, tc.faults, tc.adaptive, tc.granularity)
+			cfg := replayCfgShaped(t, tc.a, tc.b, tc.parallel, tc.faults, tc.granularity)
 
-			cold := startReplayProto(t, cfg)
+			cold := startReplayProto(t, cfg, tc.widthCap)
 			cold.RunUntilHalted(20_000_000)
 			want := replayOutcome(t, cold)
 
 			for _, at := range []smappic.Time{500, 2_000, want.cycles / 2} {
 				// Checkpointing run: pause at the cut, snapshot, continue.
 				// The pause itself must not perturb the result.
-				p := startReplayProto(t, cfg)
+				p := startReplayProto(t, cfg, tc.widthCap)
 				p.RunUntilHalted(at)
 				var buf bytes.Buffer
 				if err := p.Checkpoint(&buf); err != nil {
@@ -146,12 +152,7 @@ func TestReplayCheckpointRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("at=%d: RestorePrototype: %v", at, err)
 				}
-				prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
-				host := r.Host()
-				for n := 0; n < r.Cfg.TotalNodes(); n++ {
-					host.LoadProgram(n, prog)
-				}
-				r.Start()
+				loadReplayProgram(r, tc.widthCap)
 				if err := r.Replay(snap); err != nil {
 					t.Fatalf("at=%d: Replay: %v", at, err)
 				}
@@ -171,19 +172,34 @@ func TestReplayCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// replayInto restores raw into a build of cfg (under widthCap) and replays
+// it, returning Replay's verdict.
+func replayInto(t *testing.T, raw []byte, cfg smappic.Config, widthCap int) error {
+	t.Helper()
+	p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+	if err != nil {
+		t.Fatalf("RestorePrototype: %v", err)
+	}
+	loadReplayProgram(p, widthCap)
+	return p.Replay(snap)
+}
+
+// cursorAt runs a build of cfg to the first barrier at or past cycle at and
+// returns its replay snapshot.
+func cursorAt(t *testing.T, cfg smappic.Config, at smappic.Time) []byte {
+	t.Helper()
+	p := startReplayProto(t, cfg, 0)
+	p.RunUntilHalted(at)
+	var buf bytes.Buffer
+	if err := p.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestReplayRejectsModeMismatch restores a serial snapshot into a sharded
 // build (and vice versa); both must be refused with a typed error.
 func TestReplayRejectsModeMismatch(t *testing.T) {
-	snapFor := func(parallel int) []byte {
-		cfg := replayCfg(t, parallel, "")
-		p := startReplayProto(t, cfg)
-		p.RunUntilHalted(2_000)
-		var buf bytes.Buffer
-		if err := p.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	for _, tc := range []struct {
 		name    string
 		snapPar int
@@ -193,73 +209,38 @@ func TestReplayRejectsModeMismatch(t *testing.T) {
 		{"sharded-into-serial", 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := snapFor(tc.snapPar)
-			cfg := replayCfg(t, tc.restPar, "")
-			p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
-			if err != nil {
-				t.Fatalf("RestorePrototype: %v", err)
-			}
-			prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
-			host := p.Host()
-			for n := 0; n < p.Cfg.TotalNodes(); n++ {
-				host.LoadProgram(n, prog)
-			}
-			p.Start()
-			err = p.Replay(snap)
+			raw := cursorAt(t, replayCfg(t, tc.snapPar, ""), 2_000)
+			err := replayInto(t, raw, replayCfg(t, tc.restPar, ""), 0)
 			var me *ckpt.MismatchError
 			if !errors.As(err, &me) {
-				t.Fatalf("replay across engine modes: error %T (%v), want MismatchError", err, err)
+				t.Fatalf("replay across shard counts: error %T (%v), want MismatchError", err, err)
 			}
 		})
 	}
 }
 
-// TestReplayRejectsAdaptiveMismatch restores a sharded snapshot taken under
-// the default widening cap into a fixed-window build: the window cursor is
-// meaningless across caps, so replay must refuse with a typed error rather
-// than silently stepping a different window sequence.
+// TestReplayRejectsAdaptiveMismatch replays a cursor taken under the
+// configuration's widening cap on a group pinned to fixed windows — a state
+// only test code reaches, the cap being a pure function of the hashed
+// configuration. The window count is meaningless across caps; the clock and
+// digest cross-checks must refuse it with a typed error rather than accept a
+// different window sequence.
 func TestReplayRejectsAdaptiveMismatch(t *testing.T) {
-	cfg := replayCfgAdaptive(t, 4, "", 0)
-	p := startReplayProto(t, cfg)
-	p.RunUntilHalted(5_000)
-	var buf bytes.Buffer
-	if err := p.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	fixed := replayCfgAdaptive(t, 4, "", 1)
-	r, snap, err := core.RestorePrototype(bytes.NewReader(buf.Bytes()), fixed)
-	if err != nil {
-		t.Fatalf("RestorePrototype: %v", err)
-	}
-	prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
-	host := r.Host()
-	for n := 0; n < r.Cfg.TotalNodes(); n++ {
-		host.LoadProgram(n, prog)
-	}
-	r.Start()
-	err = r.Replay(snap)
-	var me *ckpt.MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("replay across adaptive caps: error %T (%v), want MismatchError", err, err)
+	for _, parallel := range []int{0, 4} {
+		raw := cursorAt(t, replayCfg(t, parallel, ""), 5_000)
+		err := replayInto(t, raw, replayCfg(t, parallel, ""), 1)
+		var me *ckpt.MismatchError
+		if !errors.As(err, &me) {
+			t.Fatalf("parallel=%d: replay across widening caps: error %T (%v), want MismatchError", parallel, err, err)
+		}
 	}
 }
 
 // TestReplayRejectsGranularityMismatch restores a per-FPGA snapshot into a
 // per-node build (and vice versa) of the same shape: the window cursor
-// counts different synchronizer steps at each granularity, so replay must
-// refuse with a typed error naming the shard granularity.
+// counts different synchronizer steps on two engines than on four, so
+// replay must refuse with a typed error.
 func TestReplayRejectsGranularityMismatch(t *testing.T) {
-	snapFor := func(granularity string) []byte {
-		cfg := replayCfgShaped(t, 2, 2, 2, "", 0, granularity)
-		p := startReplayProto(t, cfg)
-		p.RunUntilHalted(5_000)
-		var buf bytes.Buffer
-		if err := p.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	for _, tc := range []struct {
 		name     string
 		snapGran string
@@ -267,24 +248,13 @@ func TestReplayRejectsGranularityMismatch(t *testing.T) {
 	}{
 		{"fpga-into-node", "fpga", "node"},
 		{"node-into-fpga", "node", "fpga"},
-		// The zero value means per-FPGA: a legacy snapshot without the field
-		// must restore into an explicit per-FPGA build, not be rejected.
+		// The zero value means per-FPGA: it must restore into an explicit
+		// per-FPGA build, not be rejected.
 		{"default-into-fpga-ok", "", "fpga"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := snapFor(tc.snapGran)
-			cfg := replayCfgShaped(t, 2, 2, 2, "", 0, tc.restGran)
-			p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
-			if err != nil {
-				t.Fatalf("RestorePrototype: %v", err)
-			}
-			prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
-			host := p.Host()
-			for n := 0; n < p.Cfg.TotalNodes(); n++ {
-				host.LoadProgram(n, prog)
-			}
-			p.Start()
-			err = p.Replay(snap)
+			raw := cursorAt(t, replayCfgShaped(t, 2, 2, 2, "", tc.snapGran), 5_000)
+			err := replayInto(t, raw, replayCfgShaped(t, 2, 2, 2, "", tc.restGran), 0)
 			if tc.snapGran == "" || tc.snapGran == tc.restGran {
 				if err != nil {
 					t.Fatalf("same-granularity replay failed: %v", err)
@@ -299,21 +269,38 @@ func TestReplayRejectsGranularityMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesFormatVersion1 hand-seals what the previous format
-// wrote — the same envelope at version 1 around a JSON payload, for the
-// right configuration, digest valid — and requires the version gate, not
-// the payload decoder, to refuse it.
-func TestRestoreRefusesFormatVersion1(t *testing.T) {
-	cfg := replayCfg(t, 0, "")
-	payload := fmt.Sprintf(`{"kind":1,"config_hash":%q,"now":2000,"replay":{"executed":1234,"parallel":1}}`, cfg.ConfigHash())
-	raw := ckpttest.Seal(1, ckpt.KindReplay, []byte(payload))
-
+// wantVersionError requires RestorePrototype to refuse raw at the version
+// gate, naming both versions.
+func wantVersionError(t *testing.T, raw []byte, cfg smappic.Config, version uint32) {
+	t.Helper()
 	_, _, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
 	var ve *ckpt.VersionError
 	if !errors.As(err, &ve) {
-		t.Fatalf("version-1 snapshot: error %T (%v), want VersionError", err, err)
+		t.Fatalf("version-%d snapshot: error %T (%v), want VersionError", version, err, err)
 	}
-	if ve.Got != 1 || ve.Want != ckpt.Version {
-		t.Errorf("VersionError{Got: %d, Want: %d}, want {1, %d}", ve.Got, ve.Want, ckpt.Version)
+	if ve.Got != version || ve.Want != ckpt.Version {
+		t.Errorf("VersionError{Got: %d, Want: %d}, want {%d, %d}", ve.Got, ve.Want, version, ckpt.Version)
 	}
+}
+
+// TestRestoreRefusesFormatVersion1 hand-seals what format version 1 wrote —
+// the same envelope around a JSON payload, for the right configuration,
+// digest valid — and requires the version gate, not the payload decoder, to
+// refuse it.
+func TestRestoreRefusesFormatVersion1(t *testing.T) {
+	cfg := replayCfg(t, 0, "")
+	payload := fmt.Sprintf(`{"kind":1,"config_hash":%q,"now":2000,"replay":{"executed":1234,"parallel":1}}`, cfg.ConfigHash())
+	wantVersionError(t, ckpttest.Seal(1, ckpt.KindReplay, []byte(payload)), cfg, 1)
+}
+
+// TestRestoreRefusesFormatVersion2 re-seals a valid cursor of this build at
+// version 2. A version-2 serial cursor counted executed events, which no
+// build can replay any more; gob would decode such a payload leniently
+// (unknown fields dropped, Windows zero) and the replay would "succeed" at
+// cycle 0 — so the gate, not the decoder, must refuse it.
+func TestRestoreRefusesFormatVersion2(t *testing.T) {
+	cfg := replayCfg(t, 0, "")
+	file := cursorAt(t, cfg, 2_000)
+	payload := file[17 : len(file)-32] // between the header and the digest
+	wantVersionError(t, ckpttest.Seal(2, ckpt.KindReplay, payload), cfg, 2)
 }

@@ -8,8 +8,7 @@
 //
 // Besides the paper's tables and figures, the ablation studies and the
 // "sharding" comparison (serial vs per-FPGA vs per-node engine granularity
-// on the 48-core NUMA shape, the CLI face of scripts/bench.sh
-// --parallel-json) are selectable by name.
+// on the 48-core NUMA shape) are selectable by name.
 //
 // With -counters-out, every experiment sub-run writes its full counter
 // state (the same JSON smappic-run's -metrics-json produces) into the given

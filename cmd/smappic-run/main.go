@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smappic-run -shape 1x1x2 [-prog program.s] [-max-cycles N]
-//	            [-parallel N] [-adaptive N] [-shard-granularity fpga|node]
+//	            [-parallel N] [-shard-granularity fpga|node]
 //	            [-metrics-json out.json] [-trace-out trace.json]
 //	            [-sample-every N] [-sample-out samples.csv]
 //	            [-faults SPEC] [-fault-seed N] [-watchdog N]
@@ -35,35 +35,38 @@
 // after=N (skip the first N transfers), cycles=N (delay/stall length),
 // seed=N (per-rule RNG seed; -fault-seed sets the default).
 //
-// -watchdog N arms the forward-progress watchdog: if no event executes for
-// N cycles while transactions are in flight, the run prints a stall
-// diagnosis (outstanding gauges plus fault-site status) instead of
-// draining silently.
+// -watchdog N arms the forward-progress watchdog: if a shard executes
+// nothing for N cycles while transactions are in flight, or the run drains
+// with transactions still in flight, the run prints a stall diagnosis
+// (the wedged shard, its outstanding gauges, fault-site status) instead of
+// draining silently. The watchdog checks at window barriers and schedules
+// no events: a watched run's results are byte-identical to an unwatched
+// one's.
 //
 // -cpuprofile and -memprofile write Go pprof profiles of the simulator
 // itself (inspect with `go tool pprof`). The CPU profile covers the whole
 // run; the heap profile is snapshotted after the run, post-GC, so it shows
 // the simulator's steady-state live set.
 //
-// -parallel N (N > 1) shards the simulation one-engine-per-FPGA under the
-// conservative lookahead synchronizer; results are bit-identical to the
-// default serial engine. Windows widen adaptively while cross-shard traffic
-// is absent (geometric doubling, collapsing back to the minimum crossing
-// when traffic returns); -adaptive N caps the widening at N minimum
-// crossings (0 = default cap, 1 = fixed pre-adaptive windows).
-// -shard-granularity picks the shard unit: "fpga" (default, one engine per
-// FPGA) or "node" (one engine per simulated node, nested under the per-FPGA
-// windows at the intra-FPGA interconnect lookahead — on multi-node FPGAs
-// this exposes NodesPerFPGA times more host parallelism). All these knobs
-// are execution policy: they change wall-clock, never results.
-// The sharded engine does not support the event-trace or sampler extras;
-// -watchdog works in both modes (sharded runs check forward progress at
-// window barriers and name the wedged shard — with a watchdog armed the
-// adaptive cap is additionally clamped so a quiet wide window cannot
-// outlast the stall deadline).
+// Every run executes in lookahead windows under one conservative
+// synchronizer; the default is its one-shard case (a single engine whose
+// windows run straight through). -parallel N (N > 1) shards it
+// one-engine-per-FPGA; results are bit-identical whatever the shard count.
+// Windows widen adaptively while cross-shard traffic is absent (geometric
+// doubling up to 64 minimum PCIe crossings — clamped to the -watchdog
+// interval when one is armed — collapsing back to one crossing when
+// traffic returns). -shard-granularity picks the shard unit: "fpga"
+// (default, one engine per FPGA) or "node" (one engine per simulated node,
+// nested under the per-FPGA windows at the intra-FPGA interconnect
+// lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
+// parallelism). These knobs are execution policy: they change wall-clock,
+// never results. The event-trace and sampler extras need the single engine.
+// The halt check, -max-cycles and -checkpoint-at are evaluated at window
+// barriers, so a run may pass such a bound by at most one window.
 //
 // -checkpoint FILE -checkpoint-at N writes a replay snapshot of the run at
-// cycle N and then continues to completion. -restore FILE rebuilds the same
+// the first window barrier at or past cycle N and then continues to
+// completion. -restore FILE rebuilds the same
 // configuration and deterministically replays to the snapshot's cursor
 // before continuing — the completed run is byte-identical to an
 // uninterrupted one, serial or sharded. Snapshots are integrity-checked
@@ -74,8 +77,8 @@
 // ADDR for the duration of the run: open http://ADDR/ in a browser, or poll
 // /api/metrics and /api/events directly. Observation is read-only and
 // non-perturbing — a served run's outputs are byte-identical to an unserved
-// one. -publish-every N sets the serial snapshot cadence in cycles (sharded
-// runs publish at window barriers); -serve-hold D keeps the server (and the
+// one. Snapshots publish at window barriers, throttled to one per 100 ms of
+// wall clock; -serve-hold D keeps the server (and the
 // process) up for D after the run finishes so the final state can be
 // inspected — all output files are written before the hold begins.
 package main
@@ -129,12 +132,10 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "default RNG seed for fault rules without an explicit seed=")
 	watchdog := flag.Uint64("watchdog", 0, "stall-detection window in cycles (0 = off)")
 	parallel := flag.Int("parallel", 0, "shard the simulation across goroutines, one per FPGA (>1 = on; results are identical to serial)")
-	adaptive := flag.Int("adaptive", 0, "adaptive lookahead cap in minimum-crossing multiples for -parallel runs (0 = default cap, 1 = fixed windows)")
 	granularity := flag.String("shard-granularity", "", `shard unit for -parallel runs: "fpga" (default) or "node" (one engine per node under nested windows)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serve := flag.String("serve", "", "serve the live dashboard on this address (e.g. 127.0.0.1:8080) for the duration of the run")
-	publishEvery := flag.Uint64("publish-every", 100_000, "serial dashboard snapshot cadence in cycles (sharded runs publish at window barriers)")
 	serveHold := flag.Duration("serve-hold", 0, "keep the dashboard up this long after the run ends (outputs are written first)")
 	syncMetrics := flag.Bool("sync-metrics", false, "record per-shard synchronizer telemetry (fpga<i>.sync.*, or node<i>.sync.* at node granularity) in the metrics report; sharded runs only, makes the report differ from a serial run's")
 	checkpoint := flag.String("checkpoint", "", "write a replay snapshot to this file at -checkpoint-at cycles, then continue")
@@ -153,7 +154,6 @@ func main() {
 	}
 	cfg := smappic.DefaultConfig(a, b, c)
 	cfg.Parallel = *parallel
-	cfg.AdaptiveLookahead = *adaptive
 	cfg.ShardGranularity = *granularity
 	cfg.SyncMetrics = *syncMetrics
 	cfg.Faults, err = smappic.ParseFaults(*faults, *faultSeed)
@@ -251,7 +251,7 @@ func main() {
 	proto.Start()
 	if restored != nil {
 		// Deterministic re-execution to the snapshot cursor: the program is
-		// loaded and the engine replays exactly the recorded event count.
+		// loaded and the run replays exactly the recorded window count.
 		if err := proto.Replay(restored); err != nil {
 			fmt.Fprintf(os.Stderr, "smappic-run: replay of %s failed: %v\n", *restore, err)
 			os.Exit(1)
@@ -273,11 +273,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint %s written at cycle %d\n", *checkpoint, proto.Now())
 	}
+	proto.RunUntilHalted(smappic.Time(*maxCycles))
 	if srv != nil {
-		proto.RunUntilHaltedObserved(smappic.Time(*maxCycles), smappic.Time(*publishEvery), srv.Publish)
 		srv.Flush()
-	} else {
-		proto.RunUntilHalted(smappic.Time(*maxCycles))
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

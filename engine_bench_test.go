@@ -1,15 +1,14 @@
 // Engine throughput benchmarks: end-to-end simulations whose wall-clock is
 // dominated by the event core (internal/sim) and the hot subsystems feeding
-// it. They are the fixtures BENCH_ENGINE.json records and the ones
-// scripts/bench.sh compares, so changes to the scheduler, the event pool or
-// a hot call site show up here first. Run with:
+// it, so changes to the scheduler, the event pool or a hot call site show up
+// here first (benchmark/ holds the committed numbers; these are the quick
+// local fixtures). Run with:
 //
 //	go test -bench 'BenchmarkEngine_' -benchmem
 //
 // The exported cycles_per_sec metric is simulated cycles divided by
-// wall-clock seconds — the throughput figure ISSUE/BENCH_ENGINE track —
-// and sim_cycles pins the simulated work so a "speedup" from simulating
-// less is visible as such.
+// wall-clock seconds, and sim_cycles pins the simulated work so a "speedup"
+// from simulating less is visible as such.
 package smappic_test
 
 import (
@@ -73,7 +72,7 @@ func BenchmarkEngine_Quickstart(b *testing.B) {
 func BenchmarkEngine_NUMA48(b *testing.B) {
 	var cycles smappic.Time
 	for i := 0; i < b.N; i++ {
-		cycles = benchIS(b, 4, 1, 12, 0, 0, "")
+		cycles = benchIS(b, 4, 1, 12, 0, "")
 	}
 	reportThroughput(b, cycles)
 }
@@ -84,7 +83,7 @@ func BenchmarkEngine_NUMA48(b *testing.B) {
 func BenchmarkEngine_NPBIS8(b *testing.B) {
 	var cycles smappic.Time
 	for i := 0; i < b.N; i++ {
-		cycles = benchIS(b, 4, 2, 2, 0, 0, "")
+		cycles = benchIS(b, 4, 2, 2, 0, "")
 	}
 	reportThroughput(b, cycles)
 }

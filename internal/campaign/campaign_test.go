@@ -320,8 +320,16 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 	if !IsStall(err) {
 		t.Fatalf("stall not classified as StallError: %v", err)
 	}
-	if !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("error %q does not say stalled", err)
+	if !strings.Contains(err.Error(), "stalled: WATCHDOG: shard 0") {
+		t.Fatalf("error %q does not carry the watchdog's diagnosis", err)
+	}
+
+	// The probe workload drains inside MeasureLatency rather than under the
+	// job's stop predicate; its drain must reach the watchdog all the same.
+	probe := p
+	probe.Workload, probe.Keys, probe.Faults = WorkloadProbe, 0, "pcie.ep0.link.hang:after=0"
+	if _, err := Execute(context.Background(), probe); !IsStall(err) {
+		t.Fatalf("hung probe: error %v, want a StallError", err)
 	}
 
 	spec := Spec{

@@ -94,14 +94,7 @@ func IsPanic(err error) bool {
 	return errors.As(err, &p)
 }
 
-// stepBatch is how many events the executor runs between cancellation and
-// timeout checks. Batching by event count (not RunUntil time slices) matters
-// for determinism: RunUntil forces the clock forward to its deadline when
-// the queue drains early, which would inflate the simulated time a kernel
-// Join observes; Advance never moves the clock past the last executed event.
-const stepBatch = 4096
-
-// aborted carries a cancellation/timeout/stall out of the event loop; it is
+// aborted carries a cancellation/timeout/stall out of the run loop; it is
 // recovered at the top of Execute.
 type aborted struct{ err error }
 
@@ -127,8 +120,8 @@ type ExecuteOpts struct {
 }
 
 // Execute runs one job to completion and returns its Result. It honors
-// ctx cancellation and deadline between event slices, and returns a
-// *StallError when the job's watchdog detects a wedged simulation.
+// ctx cancellation and deadline between synchronization windows, and
+// returns a *StallError when the job's watchdog detects a wedged simulation.
 // Execution is fully deterministic: equal Params produce byte-identical
 // Results (Attempts excluded; the runner owns it).
 func Execute(ctx context.Context, p Params) (*Result, error) {
@@ -201,8 +194,8 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 	case WorkloadProbe:
 		// One warm dirty-line read from node 0 to node 1, exactly the
 		// Fig. 7 measurement (seq 1 keeps the probe line off the warmup
-		// line). MeasureLatency drains the engine itself; a watchdog, if
-		// armed, guarantees termination under injected hangs.
+		// line). MeasureLatency drains the run itself; under an injected
+		// hang the drain ends in the watchdog's diagnosis, if one is armed.
 		proto, err = core.Build(cfg)
 		if err != nil {
 			return nil, err
@@ -217,7 +210,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 		port := proto.PortAt(cache.GID{Node: 0, Tile: 0})
 		remote := proto.Map.NodeDRAMBase(1) + 0x100000
 		done := false
-		sim.Go(proto.Eng, "wl", func(proc *sim.Process) {
+		sim.Go(proto.EngineForNode(0), "wl", func(proc *sim.Process) {
 			start := proc.Now()
 			for i := uint64(0); i < uint64(p.Keys); i++ {
 				port.Store(proc, remote+i*64, 8, i) // one miss per line
@@ -225,7 +218,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 			cycles = proc.Now() - start
 			done = true
 		})
-		driveEngine(ctx, proto, p.MaxCycles)
+		drive(ctx, proto, p.MaxCycles)
 		if !done {
 			if proto.StallDiagnosis != "" {
 				return nil, &StallError{Diagnosis: proto.StallDiagnosis}
@@ -259,7 +252,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 }
 
 // isSetup builds one IS execution: prototype, booted kernel with the
-// chunked ctx-aware runner installed, and resolved sort parameters.
+// ctx-aware runner installed, and resolved sort parameters.
 func isSetup(ctx context.Context, p Params, cfg core.Config) (*core.Prototype, *kernel.Kernel, workload.ISParams, error) {
 	proto, err := core.Build(cfg)
 	if err != nil {
@@ -268,7 +261,7 @@ func isSetup(ctx context.Context, p Params, cfg core.Config) (*core.Prototype, *
 	kc := kernel.DefaultConfig()
 	kc.NUMA = p.NUMA
 	k := kernel.New(proto, kc)
-	k.SetRunner(func() sim.Time { return driveEngine(ctx, proto, p.MaxCycles) })
+	k.SetRunner(func() sim.Time { return drive(ctx, proto, p.MaxCycles) })
 	threads := p.Threads
 	if threads == 0 {
 		threads = len(k.AllHarts())
@@ -443,27 +436,29 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 	return nil, workload.ISResult{}, cut, err
 }
 
-// driveEngine advances the serial engine to quiescence in stepBatch-event
-// chunks, checking ctx between chunks so a wall-clock timeout or a campaign
-// cancellation terminates a job mid-simulation. A watchdog stall surfaces
-// here too: the engine drains after the watchdog fires, and the recorded
-// diagnosis is converted into a StallError.
-func driveEngine(ctx context.Context, proto *core.Prototype, maxCycles uint64) sim.Time {
-	eng := proto.Eng
-	for {
-		if err := ctx.Err(); err != nil {
-			panic(aborted{fmt.Errorf("campaign: job aborted at cycle %d: %w", eng.Now(), err)})
+// drive runs the prototype to quiescence through its one run entry. The
+// job's limits are that entry's stop predicate, evaluated at every window
+// barrier: a wall-clock timeout or campaign cancellation, the max_cycles
+// bound (passed by at most one window before it is noticed) and a watchdog
+// diagnosis each end the run mid-simulation. A run that wedges drains, and
+// the drain itself reaches the watchdog, so the diagnosis is checked once
+// more after the loop.
+func drive(ctx context.Context, proto *core.Prototype, maxCycles uint64) sim.Time {
+	var abort error
+	now := proto.RunUntil(func() bool {
+		switch err := ctx.Err(); {
+		case err != nil:
+			abort = fmt.Errorf("campaign: job aborted at cycle %d: %w", proto.Now(), err)
+		case maxCycles > 0 && uint64(proto.Now()) > maxCycles:
+			abort = fmt.Errorf("campaign: job exceeded max_cycles %d", maxCycles)
 		}
-		next, ok := eng.NextEventTime()
-		if !ok {
-			if proto.StallDiagnosis != "" {
-				panic(aborted{&StallError{Diagnosis: proto.StallDiagnosis}})
-			}
-			return eng.Now()
-		}
-		if maxCycles > 0 && uint64(next) > maxCycles {
-			panic(aborted{fmt.Errorf("campaign: job exceeded max_cycles %d", maxCycles)})
-		}
-		eng.Advance(sim.TimeMax, stepBatch, nil)
+		return abort != nil || proto.StallDiagnosis != ""
+	})
+	if abort == nil && proto.StallDiagnosis != "" {
+		abort = &StallError{Diagnosis: proto.StallDiagnosis}
 	}
+	if abort != nil {
+		panic(aborted{abort})
+	}
+	return now
 }

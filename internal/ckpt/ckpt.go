@@ -8,8 +8,10 @@
 //
 // The trailing digest makes truncation and corruption detectable before any
 // field is interpreted; the version gate refuses payloads this build cannot
-// decode (format version 1 carried the same struct as JSON; such a file is a
-// VersionError, which callers treat as "discard, start cold"). The payload
+// decode or must not trust (format version 1 carried the same struct as
+// JSON; version 2 serial cursors counted executed events, a cursor no build
+// can replay any more — either file is a VersionError, which callers treat
+// as "discard, start cold"). The payload
 // codec is reflection-driven, so a field added to a state struct needs no
 // codec code; the bulk sections are shaped for its fast paths — cache tag
 // arrays are columnar (SetAssocState) and memory pages are raw bytes. All
@@ -18,11 +20,11 @@
 //
 // Two snapshot kinds exist (see DESIGN.md "Snapshot format"):
 //
-//   - KindReplay records a cursor (events executed when serial, windows
-//     stepped when sharded) plus the engine clock. Restore rebuilds the same
-//     run and re-executes deterministically to the cursor — byte-identical
-//     by construction in every mode, including under fault plans, at the
-//     cost of re-simulating the prefix.
+//   - KindReplay records a cursor (synchronization windows stepped, plus
+//     their sequence digest) and the clock. Restore rebuilds the same run
+//     and re-executes deterministically to the cursor — byte-identical by
+//     construction at every shard count, including under fault plans, at
+//     the cost of re-simulating the prefix.
 //   - KindState records the full device state at a quiescent workload
 //     safepoint (event queue drained, every thread parked or exited at a
 //     barrier cut). Restore rebuilds the prototype, overlays the state and
@@ -47,7 +49,7 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 2
+const Version = 3
 
 // magic identifies a SMAPPIC snapshot file.
 var magic = [4]byte{'S', 'M', 'C', 'K'}
@@ -139,34 +141,22 @@ type Snapshot struct {
 	State  *State
 }
 
-// Replay is the cursor of a KindReplay snapshot.
+// Replay is the cursor of a KindReplay snapshot. Every build runs under the
+// window synchronizer (serial is its one-shard case), so there is one cursor
+// shape.
 type Replay struct {
-	// Executed is the serial engine's executed-event count at capture.
-	Executed uint64
-	// Windows is the sharded group's completed-window count at capture
-	// (used instead of Executed when Parallel > 1).
+	// Windows is the group's completed-window count at capture.
 	Windows uint64
-	// Parallel records the shard count the cursor was taken under.
-	Parallel int
-	// Adaptive records the effective adaptive-lookahead cap of a sharded
-	// run: window counts are only comparable between runs widening their
-	// windows under the same cap, so restore rejects a different one.
-	// Zero in serial cursors and in snapshots predating the field.
-	Adaptive int
-	// WindowDigest fingerprints the sharded run's window sequence (each
-	// window's start time and realized width, FNV-1a folded; hierarchical
-	// runs fold every cluster's inner-window sequence in too). Replay
-	// verifies it after reaching the cursor, proving the restore re-ran the
-	// identical windows rather than merely the same number of them. Never
-	// zero when written (the digest starts at the FNV offset basis); zero
-	// means a serial cursor or an older snapshot, and is not checked.
+	// WindowDigest fingerprints the run's window sequence (each window's
+	// start time and realized width, FNV-1a folded; hierarchical runs fold
+	// every cluster's inner-window sequence in too). Replay verifies it
+	// after reaching the cursor, proving the restore re-ran the identical
+	// windows rather than merely the same number of them.
 	WindowDigest uint64
-	// Granularity records the shard granularity ("fpga" or "node") of a
-	// sharded cursor: window counts and digests are granularity-specific,
-	// so restore refuses a cursor taken at the other granularity. Empty in
-	// serial cursors and in snapshots predating the field (which are all
-	// per-FPGA).
-	Granularity string
+	// Shards records how many shard engines the cursor was taken on (1 for
+	// a serial run): window counts and digests are specific to the
+	// sharding, so restore refuses a cursor taken under another.
+	Shards int
 }
 
 // State is the full quiescent-state section of a KindState snapshot. Every

@@ -131,6 +131,7 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"magic", with(func(b []byte) []byte { b[0] = 'X'; return b }), &ce},
 		{"version newer", with(func(b []byte) []byte { b[4]++; return b }), &ve},
 		{"version 1", ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"state":{}}`)), &ve},
+		{"version 2", ckpttest.Seal(2, ckpt.KindState, payload), &ve},
 		{"kind byte flipped", with(func(b []byte) []byte { b[8] ^= 3; return b }), &ce},
 		{"kind disagrees with payload", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, payload), &ce},
 		{"kind unknown", ckpttest.Seal(ckpt.Version, 9, section(filled(9))), &ce},

@@ -1,9 +1,9 @@
 // Checkpoint/restore assembly for the platform. Two snapshot kinds exist
-// (package ckpt): replay cursors, which any prototype can take at any point
-// and which restore by deterministic re-execution; and full state captures,
-// which are serial-only and must be taken at a quiescent safepoint (event
-// queue drained) — the campaign layer arranges those at workload barrier
-// cuts. See DESIGN.md "Snapshot format".
+// (package ckpt): replay cursors, which any prototype can take at any window
+// barrier and which restore by deterministic re-execution; and full state
+// captures, which are single-engine only and must be taken at a quiescent
+// safepoint (event queue drained) — the campaign layer arranges those at
+// workload barrier cuts. See DESIGN.md "Snapshot format".
 package core
 
 import (
@@ -28,8 +28,8 @@ func (c Config) canonicalString() string {
 }
 
 // ConfigHash fingerprints the configuration for snapshot/restore matching.
-// Parallel is deliberately excluded: serial and sharded runs of one
-// configuration are byte-identical, and the execution mode is verified
+// Parallel and ShardGranularity are deliberately excluded: every sharding of
+// one configuration is byte-identical, and the execution policy is verified
 // separately (with a clearer error) when replaying a cursor.
 func (c Config) ConfigHash() string {
 	sum := sha256.Sum256([]byte(c.canonicalString()))
@@ -47,35 +47,22 @@ func (c Config) PrefixString() string {
 		c.DRAMLatency, c.DRAMBytesPerCycle, c.PCIe, c.ClockMHz, c.Seed)
 }
 
-// normalizedParallel folds "unset" and "1" into one serial mode value.
-func normalizedParallel(parallel int) int {
-	if parallel <= 1 {
-		return 1
-	}
-	return parallel
-}
-
 // Checkpoint writes a replay-cursor snapshot of the run so far: the
-// executed-event count (serial) or completed-window count (sharded), plus
-// the engine clock for verification. It may be taken at any point where the
-// caller's run loop is between events/windows. WorkloadTag (set by the
-// caller after loading software) guards restore against replaying a
-// different program.
+// completed-window count and the window-sequence digest, plus the clock for
+// verification. It may be taken wherever the caller's run loop is between
+// windows (RunUntil has returned). WorkloadTag (set by the caller after
+// loading software) guards restore against replaying a different program.
 func (p *Prototype) Checkpoint(w io.Writer) error {
 	snap := &ckpt.Snapshot{
 		Kind:       ckpt.KindReplay,
 		ConfigHash: p.Cfg.ConfigHash(),
 		Workload:   p.WorkloadTag,
 		Now:        uint64(p.Now()),
-		Replay:     &ckpt.Replay{Parallel: normalizedParallel(p.Cfg.Parallel)},
-	}
-	if p.Group != nil {
-		snap.Replay.Windows = p.Group.Windows()
-		snap.Replay.Adaptive = p.Group.WidthCap()
-		snap.Replay.WindowDigest = p.Group.WindowDigest()
-		snap.Replay.Granularity = p.Cfg.Granularity()
-	} else {
-		snap.Replay.Executed = p.Eng.Executed()
+		Replay: &ckpt.Replay{
+			Windows:      p.Group.Windows(),
+			WindowDigest: p.Group.WindowDigest(),
+			Shards:       p.Group.Shards(),
+		},
 	}
 	return snap.Write(w)
 }
@@ -103,8 +90,8 @@ func RestorePrototype(r io.Reader, cfg Config) (*Prototype, *ckpt.Snapshot, erro
 
 // Replay re-executes a freshly built, started prototype to a replay
 // snapshot's cursor. Determinism does the heavy lifting: stepping the same
-// build the same number of events (or windows) reproduces the exact global
-// state, and the recorded clock cross-checks it — a mismatch means the
+// build the same number of windows reproduces the exact global state, and
+// the recorded clock and window digest cross-check it — a mismatch means the
 // software or configuration differs from the checkpointed run.
 func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 	if snap.Kind != ckpt.KindReplay || snap.Replay == nil {
@@ -113,61 +100,31 @@ func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 	if snap.Workload != p.WorkloadTag {
 		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: p.WorkloadTag}
 	}
+	// A window cursor belongs to one sharding: one-shard, per-FPGA and
+	// per-node runs of a configuration execute different window sequences,
+	// so a cursor only replays on as many shard engines as it was taken on.
+	// (The widening cap is a pure function of the hashed configuration.)
 	rp := snap.Replay
-	if rp.Parallel != normalizedParallel(p.Cfg.Parallel) {
-		return &ckpt.MismatchError{Field: "execution mode (parallel shards)",
-			Got: fmt.Sprint(rp.Parallel), Want: fmt.Sprint(normalizedParallel(p.Cfg.Parallel))}
+	if rp.Shards != p.Group.Shards() {
+		return &ckpt.MismatchError{Field: "shard count (execution policy)",
+			Got: fmt.Sprint(rp.Shards), Want: fmt.Sprint(p.Group.Shards())}
 	}
-	if p.Group != nil {
-		// A window cursor is granularity-specific: per-FPGA and per-node
-		// runs of one configuration execute different window sequences, so
-		// a cursor only replays at the granularity it was taken under.
-		// Cursors predating the field are all per-FPGA.
-		cursorGran := rp.Granularity
-		if cursorGran == "" {
-			cursorGran = "fpga"
-		}
-		if cursorGran != p.Cfg.Granularity() {
-			return &ckpt.MismatchError{Field: "shard granularity",
-				Got: cursorGran, Want: p.Cfg.Granularity()}
-		}
-		// A window cursor only means "the same windows" if both runs widen
-		// them identically, so the adaptive cap is part of the cursor's
-		// identity — and the digest proves the replayed window sequence
-		// (starts and widths) matched, not just its length.
-		if rp.Adaptive != 0 && rp.Adaptive != p.Group.WidthCap() {
-			return &ckpt.MismatchError{Field: "adaptive lookahead cap",
-				Got: fmt.Sprint(rp.Adaptive), Want: fmt.Sprint(p.Group.WidthCap())}
-		}
-		for p.Group.Windows() < rp.Windows {
-			if !p.Group.StepWindow() {
-				return &ckpt.MismatchError{Field: "replay cursor",
-					Got:  fmt.Sprintf("%d windows", rp.Windows),
-					Want: fmt.Sprintf("run drained after %d", p.Group.Windows())}
-			}
-		}
-		if uint64(p.Group.Now()) != snap.Now {
-			return &ckpt.MismatchError{Field: "replay clock",
-				Got: fmt.Sprint(snap.Now), Want: fmt.Sprint(p.Group.Now())}
-		}
-		if rp.WindowDigest != 0 && rp.WindowDigest != p.Group.WindowDigest() {
-			return &ckpt.MismatchError{Field: "window sequence digest",
-				Got: fmt.Sprintf("%#x", rp.WindowDigest), Want: fmt.Sprintf("%#x", p.Group.WindowDigest())}
-		}
-		return nil
-	}
-	// The budget counts discarded cancelled entries too, hence the loop; it
-	// lands on the cursor exactly because Executed never overshoots it.
-	for p.Eng.Executed() < rp.Executed {
-		if !p.Eng.Advance(sim.TimeMax, rp.Executed-p.Eng.Executed(), nil) {
+	for p.Group.Windows() < rp.Windows {
+		if !p.Group.StepWindow() {
 			return &ckpt.MismatchError{Field: "replay cursor",
-				Got:  fmt.Sprintf("%d events", rp.Executed),
-				Want: fmt.Sprintf("run drained after %d", p.Eng.Executed())}
+				Got:  fmt.Sprintf("%d windows", rp.Windows),
+				Want: fmt.Sprintf("run drained after %d", p.Group.Windows())}
 		}
 	}
-	if uint64(p.Eng.Now()) != snap.Now {
+	if uint64(p.Now()) != snap.Now {
 		return &ckpt.MismatchError{Field: "replay clock",
-			Got: fmt.Sprint(snap.Now), Want: fmt.Sprint(p.Eng.Now())}
+			Got: fmt.Sprint(snap.Now), Want: fmt.Sprint(p.Now())}
+	}
+	// The digest proves the replayed window sequence (starts and widths)
+	// matched, not just its length.
+	if rp.WindowDigest != p.Group.WindowDigest() {
+		return &ckpt.MismatchError{Field: "window sequence digest",
+			Got: fmt.Sprintf("%#x", rp.WindowDigest), Want: fmt.Sprintf("%#x", p.Group.WindowDigest())}
 	}
 	return nil
 }
@@ -216,8 +173,8 @@ func statsFromCkpt(s *sim.Stats, st ckpt.StatsState) error {
 
 // CaptureState assembles the full quiescent-state section: backing memory,
 // every node's devices and caches, the PCIe fabric, fault-injector progress
-// and the statistics registry. Serial-only (state snapshots are taken by
-// campaign jobs, which run serial), and the event queue must be fully
+// and the statistics registry. Single-engine only (state snapshots are taken
+// by campaign jobs, which run one shard), and the event queue must be fully
 // drained — each subsystem additionally checks its own quiescence
 // invariants and errors instead of capturing a torn state.
 func (p *Prototype) CaptureState() (*ckpt.State, error) {
@@ -260,8 +217,8 @@ func (p *Prototype) CaptureState() (*ckpt.State, error) {
 	return st, nil
 }
 
-// ApplyState overlays a captured state section onto a freshly built serial
-// prototype. With warmFork set — warm-start forking, where the restoring
+// ApplyState overlays a captured state section onto a freshly built
+// one-shard prototype. With warmFork set — warm-start forking, where the restoring
 // configuration may differ in fork-time parameters — the bridge section
 // (credits, link shaper) and fault section are skipped: a fresh bridge's
 // full-credit quiescent state is consistent on both sides of every link,

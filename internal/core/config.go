@@ -76,26 +76,25 @@ type Config struct {
 	Faults *fault.Plan
 
 	// WatchdogInterval, when nonzero, arms the forward-progress watchdog:
-	// if no event executes for this many cycles while transactions are in
-	// flight, the run records a stall diagnosis instead of draining silently.
-	// Serial builds use the event-based sim.Watchdog; sharded builds use a
-	// barrier-hook GroupWatchdog that checks per-shard progress at window
-	// barriers without scheduling events (so arming it keeps the sharded
-	// event stream byte-identical to an unwatched sharded run, and the
-	// diagnosis names the wedged shard).
+	// if a shard executes nothing for this many cycles while transactions
+	// are in flight — or the run drains with transactions still in flight —
+	// the run records a stall diagnosis naming the wedged shard instead of
+	// draining silently. The watchdog checks at window barriers and
+	// schedules no events, so a watched run is byte-identical to an
+	// unwatched one.
 	WatchdogInterval sim.Time
 
 	// Parallel > 1 shards the simulation: one engine per shard running on
-	// its own goroutine under a bounded-lag synchronizer whose outer
+	// its own goroutine under the bounded-lag synchronizer whose outer
 	// lookahead is the minimum PCIe crossing (see internal/sim/parallel.go).
 	// ShardGranularity picks the shard size — one per FPGA (default) or one
 	// per node, the latter nesting the co-located engines in an inner
 	// window level at the intra-FPGA interconnect crossing — so the value
-	// only selects the mode. Sharded runs produce byte-identical
-	// MetricsJSON to serial ones at either granularity; the
-	// live-introspection extras (tracer, sampler, latency probe) are
-	// serial-only, and the watchdog switches to its barrier-hook sharded
-	// form. 0 or 1 (the default) runs serial.
+	// only selects the policy. 0 or 1 (the default) is the one-shard case of
+	// the same synchronizer: one engine, windows run straight through.
+	// Every sharding produces byte-identical MetricsJSON; the
+	// live-introspection extras (tracer, sampler, latency probe) need the
+	// single engine.
 	Parallel int
 
 	// ShardGranularity selects how finely a Parallel > 1 build shards:
@@ -104,34 +103,18 @@ type Config struct {
 	// under the hierarchical window synchronizer. Execution policy like
 	// Parallel itself: results are byte-identical across granularities, so
 	// the value is excluded from the configuration identity — but replay
-	// snapshots of sharded runs record it, since the window-digest cursor
-	// they carry is granularity-specific. Ignored when serial.
+	// snapshots record it, since the window cursor they carry is
+	// granularity-specific. It changes nothing about how a one-shard build
+	// runs.
 	ShardGranularity string
 
-	// AdaptiveLookahead caps the sharded synchronizer's adaptive window
-	// widening, in multiples of the minimum PCIe crossing: windows double
-	// geometrically up to this cap while no cross-shard envelope appears and
-	// collapse back to one crossing the window traffic returns (see
-	// internal/sim/parallel.go). 0 (the default) uses sim.DefaultAdaptiveCap;
-	// 1 pins windows to the fixed minimum crossing; negative is invalid.
-	// When a watchdog is armed, Build additionally clamps the cap so the
-	// widest window never exceeds the watchdog interval — otherwise a quiet
-	// wide window would legitimately delay the barrier past the stall
-	// deadline. The effective cap is execution scheduling, not model
-	// behavior: it never changes simulation results, but it is part of the
-	// window-sequence identity replay checkpoints record, so a snapshot of a
-	// sharded run only restores under the same effective cap. Ignored when
-	// serial.
-	AdaptiveLookahead int
-
-	// SyncMetrics, with Parallel > 1, records the window synchronizer's
-	// behavior (windows executed, envelopes merged, horizon and per-shard
-	// lag) as fpga<N>.sync.* instruments in the per-shard registries, so
-	// MetricsJSON captures it alongside the dashboard. Opt-in because the
-	// extra instruments necessarily make a sharded report differ from the
-	// serial reference document (a serial engine has no windows); leave it
-	// off when byte-comparing the two, as the differential harness does.
-	// Ignored when serial.
+	// SyncMetrics records the window synchronizer's behavior (windows
+	// executed, envelopes merged, horizon and per-shard lag) as
+	// fpga<N>.sync.* instruments in the per-shard registries, so MetricsJSON
+	// captures it alongside the dashboard. Opt-in because the instruments
+	// describe the sharding, not the model: reports taken under different
+	// shard counts then differ, so leave it off when byte-comparing them, as
+	// the differential harness does.
 	SyncMetrics bool
 }
 
@@ -211,9 +194,6 @@ func (c Config) Validate() error {
 	if c.Core != CoreAriane && c.Core != CorePicoRV32 && c.Core != CoreNone {
 		return fmt.Errorf("core: unknown core type %q", c.Core)
 	}
-	if c.AdaptiveLookahead < 0 {
-		return fmt.Errorf("core: AdaptiveLookahead %d; want 0 (default), 1 (fixed windows) or a positive cap", c.AdaptiveLookahead)
-	}
 	if g := c.ShardGranularity; g != "" && g != "fpga" && g != "node" {
 		return fmt.Errorf("core: unknown shard granularity %q; want fpga or node", g)
 	}
@@ -229,15 +209,15 @@ func (c Config) Granularity() string {
 	return c.ShardGranularity
 }
 
-// AdaptiveCap resolves the effective adaptive-lookahead cap for a sharded
-// build: the configured cap (default sim.DefaultAdaptiveCap), clamped so a
-// full-width window cannot outlast an armed watchdog's interval. Derived
-// only from the configuration, so every run and replay of it agrees.
+// AdaptiveCap resolves the adaptive-lookahead cap — the widest window, in
+// minimum PCIe crossings: sim.DefaultAdaptiveCap, clamped so a full-width
+// window cannot outlast an armed watchdog's interval (a quiet wide window
+// would otherwise legitimately delay the barrier past the stall deadline).
+// A pure function of the hashed configuration, so every run and replay of
+// it widens identically; it is execution scheduling and never changes
+// simulation results.
 func (c Config) AdaptiveCap() int {
-	cap := c.AdaptiveLookahead
-	if cap == 0 {
-		cap = sim.DefaultAdaptiveCap
-	}
+	cap := sim.DefaultAdaptiveCap
 	if c.WatchdogInterval > 0 {
 		if byWD := int(c.WatchdogInterval / c.PCIe.MinCrossing()); byWD < cap {
 			cap = byWD

@@ -195,7 +195,7 @@ func TestCrossNodeSharedMemory(t *testing.T) {
 	}
 	host.LoadProgram(0, writer)
 	p.Start()
-	p.RunUntil(3_000_000)
+	p.RunUntilHalted(3_000_000)
 	if !p.AllHalted() {
 		t.Fatal("harts did not halt; cross-node coherence broken")
 	}
@@ -373,7 +373,7 @@ func TestCLINTTimerInterruptWakesCore(t *testing.T) {
 	`)
 	host.LoadProgram(0, prog)
 	p.Start()
-	p.RunUntil(1_000_000)
+	p.RunUntilHalted(1_000_000)
 	c := p.Nodes[0].Tiles[0].Core
 	if !c.Halted() || c.HaltCode() != 42 {
 		t.Fatalf("timer interrupt not delivered: %s", c)
@@ -414,7 +414,7 @@ func TestSoftwareInterruptAcrossNodes(t *testing.T) {
 	`)
 	host.LoadProgram(0, prog)
 	p.Start()
-	p.RunUntil(5_000_000)
+	p.RunUntilHalted(5_000_000)
 	rcv := p.Nodes[1].Tiles[0].Core
 	if !rcv.Halted() || rcv.HaltCode() != 99 {
 		t.Fatalf("cross-node IPI not delivered: %s", rcv)
@@ -450,7 +450,7 @@ func TestVirtualSDBootFlow(t *testing.T) {
 	`)
 	host.LoadProgram(0, prog)
 	p.Start()
-	p.RunUntil(1_000_000)
+	p.RunUntilHalted(1_000_000)
 	c := p.Nodes[0].Tiles[0].Core
 	if !c.Halted() || c.HaltCode() != 0x5A {
 		t.Fatalf("SD boot flow failed: %s", c)

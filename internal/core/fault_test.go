@@ -86,16 +86,16 @@ func TestHangProducesWatchdogDiagnosis(t *testing.T) {
 			completed++
 		}
 	})
-	p.Run() // must terminate: the watchdog fires instead of spinning
+	p.Run() // must terminate, and the drain must reach the watchdog
 
 	if completed == 16 {
 		t.Error("every store completed despite the hung link")
 	}
-	if p.Watchdog == nil || !p.Watchdog.Fired() {
+	if !p.GroupWatchdog.Fired() {
 		t.Fatalf("watchdog did not fire (%d/16 stores completed)", completed)
 	}
 	diag := p.StallDiagnosis
-	if !strings.Contains(diag, "WATCHDOG") {
+	if !strings.Contains(diag, "WATCHDOG: shard 0 (all nodes)") {
 		t.Fatalf("missing stall diagnosis, got %q", diag)
 	}
 	if !strings.Contains(diag, "mshr_occ") {

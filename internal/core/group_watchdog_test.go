@@ -41,7 +41,8 @@ func runStoreWorkload(t *testing.T, parallel int, faults string, watchdog sim.Ti
 
 // TestGroupWatchdogDiagnosesWedgedShard wedges a sharded run with a hung
 // PCIe link and requires the barrier-hook watchdog to terminate the run with
-// a diagnosis that names the stuck shard.
+// a diagnosis that names the stuck shard (TestHangProducesWatchdogDiagnosis
+// is the one-shard twin, where only the drain check can see the wedge).
 func TestGroupWatchdogDiagnosesWedgedShard(t *testing.T) {
 	p, completed := runStoreWorkload(t, 2, "pcie.ep0.link.hang:after=4", 100_000)
 	if completed == 16 {
@@ -65,37 +66,44 @@ func TestGroupWatchdogDiagnosesWedgedShard(t *testing.T) {
 	}
 }
 
-// TestGroupWatchdogNonPerturbing runs the same traffic serial-unarmed,
-// sharded-unarmed and sharded-armed: the armed run must be byte-identical to
-// both, because the sharded watchdog only reads state at window barriers and
-// never schedules an event.
+// TestGroupWatchdogNonPerturbing runs the same traffic unarmed and armed, on
+// one shard and on two: every armed run must be byte-identical to the
+// unarmed one-shard reference, because the watchdog only reads state at
+// window barriers and never schedules an event.
 func TestGroupWatchdogNonPerturbing(t *testing.T) {
-	metricsOf := func(p *Prototype) []byte {
-		t.Helper()
-		m, err := p.MetricsJSON()
+	ref, n := runStoreWorkload(t, 0, "", 0)
+	if n != 16 {
+		t.Fatalf("reference completed %d/16 stores", n)
+	}
+	want, err := ref.MetricsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		parallel int
+		watchdog sim.Time
+	}{
+		{"serial+watchdog", 0, 10_000},
+		{"sharded", 2, 0},
+		{"sharded+watchdog", 2, 10_000},
+	} {
+		p, n := runStoreWorkload(t, tc.parallel, "", tc.watchdog)
+		if n != 16 {
+			t.Fatalf("%s: completed %d/16 stores", tc.name, n)
+		}
+		if p.GroupWatchdog.Fired() {
+			t.Fatalf("%s: watchdog fired on a healthy run:\n%s", tc.name, p.StallDiagnosis)
+		}
+		if p.Now() != ref.Now() {
+			t.Errorf("%s: final time %d, reference %d", tc.name, p.Now(), ref.Now())
+		}
+		got, err := p.MetricsJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
-	}
-	serial, n1 := runStoreWorkload(t, 0, "", 0)
-	unarmed, n2 := runStoreWorkload(t, 2, "", 0)
-	armed, n3 := runStoreWorkload(t, 2, "", 10_000)
-	if n1 != 16 || n2 != 16 || n3 != 16 {
-		t.Fatalf("stores completed: serial %d, sharded %d, sharded+watchdog %d; want 16 each", n1, n2, n3)
-	}
-	if armed.GroupWatchdog.Fired() {
-		t.Fatalf("watchdog fired on a healthy run:\n%s", armed.StallDiagnosis)
-	}
-	if serial.Now() != unarmed.Now() || unarmed.Now() != armed.Now() {
-		t.Errorf("final times diverge: serial %d, sharded %d, sharded+watchdog %d",
-			serial.Now(), unarmed.Now(), armed.Now())
-	}
-	ms, mu, ma := metricsOf(serial), metricsOf(unarmed), metricsOf(armed)
-	if !bytes.Equal(mu, ma) {
-		t.Error("arming the sharded watchdog changed the metrics document")
-	}
-	if !bytes.Equal(ms, ma) {
-		t.Error("sharded+watchdog metrics diverge from the serial reference")
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: metrics document diverges from the unwatched one-shard reference", tc.name)
+		}
 	}
 }

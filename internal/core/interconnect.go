@@ -114,7 +114,7 @@ func (m *icMaster) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
 	// concurrently. Within one engine sim order protects the pointer; across
 	// engines only a value handed off at the Send boundary is safe.
 	cp := *req
-	m.p.net.Send(m.node, pt.node, m.eng.Now()+icLatency, func() {
+	m.p.Group.Send(m.node, pt.node, m.eng.Now()+icLatency, func() {
 		pt.writes.Inc()
 		pt.arbitrate(beats, func() { pt.target.Write(&cp, dropWriteResp) })
 	})
@@ -138,13 +138,13 @@ func (m *icMaster) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
 	beats := icBeats(req.Len)
 	src := m.node
 	cp := *req // see Write: the crossing owns a copy
-	m.p.net.Send(src, pt.node, m.eng.Now()+icLatency, func() {
+	m.p.Group.Send(src, pt.node, m.eng.Now()+icLatency, func() {
 		pt.reads.Inc()
 		pt.arbitrate(beats, func() {
 			pt.target.Read(&cp, func(r *axi.ReadResp) {
 				// Full round trip: the response pays the return crossing
 				// too, delivered back on the source node's engine.
-				m.p.net.Send(pt.node, src, pt.eng.Now()+icLatency, func() { done(r) })
+				m.p.Group.Send(pt.node, src, pt.eng.Now()+icLatency, func() { done(r) })
 			})
 		})
 	})
@@ -165,9 +165,9 @@ func (m *icMaster) shellWrite(req *axi.WriteReq, done func(*axi.WriteResp)) {
 	src := m.node
 	shEng := m.p.EngineForNode(out)
 	cp := *req // see Write: the crossing owns a copy
-	m.p.net.Send(src, out, m.eng.Now()+icLatency, func() {
+	m.p.Group.Send(src, out, m.eng.Now()+icLatency, func() {
 		sh.Outbound().Write(&cp, func(r *axi.WriteResp) {
-			m.p.net.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
+			m.p.Group.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
 		})
 	})
 }
@@ -183,9 +183,9 @@ func (m *icMaster) shellRead(req *axi.ReadReq, done func(*axi.ReadResp)) {
 	src := m.node
 	shEng := m.p.EngineForNode(out)
 	cp := *req // see Write: the crossing owns a copy
-	m.p.net.Send(src, out, m.eng.Now()+icLatency, func() {
+	m.p.Group.Send(src, out, m.eng.Now()+icLatency, func() {
 		sh.Outbound().Read(&cp, func(r *axi.ReadResp) {
-			m.p.net.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
+			m.p.Group.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
 		})
 	})
 }

@@ -35,7 +35,7 @@ func (p *Prototype) MeasureLatency(i, j cache.GID, seq int) sim.Time {
 	receiver := p.PortAt(j)
 
 	var lat sim.Time
-	pr := sim.Go(p.Eng, "probe", func(proc *sim.Process) {
+	sim.Go(p.Eng, "probe", func(proc *sim.Process) {
 		// Warm: j takes the line in M.
 		receiver.Store(proc, line, 8, 0xAB)
 		proc.Wait(8)
@@ -43,8 +43,7 @@ func (p *Prototype) MeasureLatency(i, j cache.GID, seq int) sim.Time {
 		sender.Load(proc, line, 8)
 		lat = proc.Now() - start
 	})
-	p.Eng.Run()
-	_ = pr
+	p.Run()
 	// The paper measures with a software ping-pong (flag polling loop on
 	// both cores); its per-iteration instruction overhead adds a fixed
 	// cost on top of the hardware transaction.

@@ -80,8 +80,8 @@ type Node struct {
 	Pack  *interrupt.Packetizer
 
 	proto   *Prototype
-	eng     *sim.Engine // the node's shard engine (the global one when serial)
-	stats   *sim.Stats  // the shard's registry (the global one when serial)
+	eng     *sim.Engine // the node's shard engine
+	stats   *sim.Stats  // the shard's registry
 	name    string
 	devices []devRegion
 }
@@ -92,17 +92,17 @@ func (n *Node) Name() string { return n.name }
 // Prototype is a built SMAPPIC system.
 type Prototype struct {
 	Cfg Config
-	// Eng is the single simulation engine of a serial build; nil under
-	// sharded execution (Cfg.Parallel > 1), where each FPGA owns an engine
-	// and Group coordinates them. Use Now/Run/RunUntilHalted, which dispatch
-	// on the mode, instead of touching Eng directly.
-	Eng *sim.Engine
-	// Group is the bounded-lag shard synchronizer of a sharded build; nil
-	// when serial.
+	// Group is the bounded-lag synchronizer every build runs under: one
+	// engine per shard, one shard when Cfg.Parallel <= 1. Use
+	// Now/Run/RunUntil/RunUntilHalted rather than stepping it directly.
 	Group *sim.Group
-	// Stats is the registry reports read. Serial builds write it directly;
-	// sharded builds keep one registry per shard and fold them into Stats at
-	// report time.
+	// Eng is the engine of a one-shard build and nil otherwise: the handle
+	// of the single-engine-only features (tracer, sampler, latency probe,
+	// state capture), which mustSerial gates on it.
+	Eng *sim.Engine
+	// Stats is the registry reports read. A one-shard build writes it
+	// directly; a multi-shard build keeps one registry per shard and folds
+	// them into Stats at report time.
 	Stats   *sim.Stats
 	Backing *mem.Backing
 	Map     *AddrMap
@@ -111,11 +111,10 @@ type Prototype struct {
 	Nodes   []*Node
 	RNG     *sim.RNG
 
-	engs       []*sim.Engine // per shard; the one global engine when serial
-	shardStats []*sim.Stats  // per shard; all Stats when serial
-	nodeShard  []int         // node id -> shard index (all 0 when serial)
+	engs       []*sim.Engine // per shard
+	shardStats []*sim.Stats  // per shard; Stats itself when there is one
+	nodeShard  []int         // node id -> shard index
 	icPorts    []*icPort     // node id -> its bridge's interconnect port
-	net        sim.CrossNet  // cross-shard delivery (SerialNet when serial)
 	// Tracer, when installed with EnableTrace, records protocol and MMIO
 	// events (nil-safe: tracing is free when disabled).
 	Tracer *sim.Tracer
@@ -125,13 +124,10 @@ type Prototype struct {
 	// Injector resolves fault sites against Cfg.Faults; nil when no plan is
 	// configured (injection disabled, zero cost).
 	Injector *fault.Injector
-	// Watchdog is the forward-progress monitor armed by EnableWatchdog (or
-	// by Build when Cfg.WatchdogInterval is set).
-	Watchdog *sim.Watchdog
-	// GroupWatchdog is the sharded-run forward-progress monitor installed by
-	// Build when Cfg.WatchdogInterval is set on a parallel build. It piggy-
-	// backs on window barriers instead of scheduling events, so arming it
-	// does not perturb the simulated event stream.
+	// GroupWatchdog is the forward-progress monitor Build installs when
+	// Cfg.WatchdogInterval is set. It piggybacks on window barriers instead
+	// of scheduling events, so arming it cannot perturb the simulated event
+	// stream.
 	GroupWatchdog *GroupWatchdog
 	// StallDiagnosis is filled when the watchdog detects a wedged run: no
 	// event executed for a full interval while transactions were in flight.
@@ -144,7 +140,7 @@ type Prototype struct {
 
 // EnableTrace installs an event tracer retaining the last capacity events
 // and propagates it to subsystems that emit their own tracks (bridges).
-// Serial-only: the trace ring is a single time-ordered buffer.
+// Single-engine only: the trace ring is a single time-ordered buffer.
 func (p *Prototype) EnableTrace(capacity int) *sim.Tracer {
 	p.mustSerial("EnableTrace")
 	p.Tracer = sim.NewTracer(p.Eng, capacity)
@@ -161,17 +157,22 @@ func Build(cfg Config) (*Prototype, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	parallel := cfg.Parallel > 1
-	perNode := parallel && cfg.Granularity() == "node"
-	shards := 1
-	if parallel {
-		shards = cfg.FPGAs
-		if perNode {
-			shards = cfg.TotalNodes()
+	// Execution policy, read here and nowhere else: how many nodes share a
+	// shard engine and how many shard engines share a cluster (an FPGA's
+	// worth of engines under the inner lookahead). Serial is the one-shard
+	// case of the same machinery — one engine, one cluster, every endpoint
+	// (the host's included) on it.
+	nodesPerShard, shardsPerCluster := cfg.TotalNodes(), 1
+	if cfg.Parallel > 1 {
+		nodesPerShard = cfg.NodesPerFPGA
+		if cfg.Granularity() == "node" {
+			nodesPerShard, shardsPerCluster = 1, cfg.NodesPerFPGA
 		}
 	}
+	shards := cfg.TotalNodes() / nodesPerShard
 	p := &Prototype{
 		Cfg:        cfg,
+		Stats:      &sim.Stats{},
 		Backing:    mem.NewBacking(),
 		Map:        NewAddrMap(cfg.TotalNodes(), cfg.TilesPerNode, cfg.UnifiedMemory),
 		RNG:        sim.NewRNG(cfg.Seed),
@@ -181,54 +182,31 @@ func Build(cfg Config) (*Prototype, error) {
 		icPorts:    make([]*icPort, cfg.TotalNodes()),
 	}
 	for n := range p.nodeShard {
-		switch {
-		case perNode:
-			p.nodeShard[n] = n
-		case parallel:
-			p.nodeShard[n] = n / cfg.NodesPerFPGA
-		}
+		p.nodeShard[n] = n / nodesPerShard
 	}
-	if parallel {
-		// One engine and registry per shard (an FPGA, or a node under
-		// per-node granularity); shards never touch each other's. p.Stats
-		// stays empty until report time, when the shard registries are
-		// folded into it.
-		p.Stats = &sim.Stats{}
-		for i := range p.engs {
-			p.engs[i] = sim.NewEngine()
-			p.shardStats[i] = &sim.Stats{}
-		}
-		// Clusters group one FPGA's shard engines under the inner (intra-
-		// FPGA interconnect) lookahead; the outer level synchronizes FPGAs
-		// at the PCIe lookahead. Per-FPGA granularity degenerates to
-		// singleton clusters — the flat, one-level behavior.
-		clusters := make([][]*sim.Engine, cfg.FPGAs)
-		for f := range clusters {
-			if perNode {
-				clusters[f] = p.engs[f*cfg.NodesPerFPGA : (f+1)*cfg.NodesPerFPGA]
-			} else {
-				clusters[f] = p.engs[f : f+1]
-			}
-		}
-		p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
-		p.Group.SetAdaptive(cfg.AdaptiveCap())
-		p.Group.SetMinLatencyFunc(p.minCrossingOf)
-		p.net = p.Group
-		if cfg.SyncMetrics {
-			p.Group.EnableSyncStats(p.shardStats)
-		}
-	} else {
-		p.Eng = sim.NewEngine()
-		p.Stats = &sim.Stats{}
-		p.engs[0] = p.Eng
-		p.shardStats[0] = p.Stats
-		// The serial reference enforces the same per-edge model-latency
-		// floors the sharded lookaheads depend on (PCIe crossing between
-		// FPGAs, interconnect crossing inside one), so an undercutting model
-		// is caught in whichever mode runs first.
-		net := sim.NewSerialNet(p.Eng)
-		net.SetMinLatencyFunc(p.minCrossingOf)
-		p.net = net
+	// One engine and registry per shard; shards never touch each other's.
+	for i := range p.engs {
+		p.engs[i] = sim.NewEngine()
+		p.shardStats[i] = &sim.Stats{}
+	}
+	if shards == 1 {
+		p.Eng, p.shardStats[0] = p.engs[0], p.Stats
+	}
+	// Clusters group one FPGA's shard engines under the inner (intra-FPGA
+	// interconnect) lookahead; the outer level synchronizes clusters at the
+	// PCIe lookahead. Singleton clusters skip the inner level.
+	clusters := make([][]*sim.Engine, shards/shardsPerCluster)
+	for c := range clusters {
+		clusters[c] = p.engs[c*shardsPerCluster : (c+1)*shardsPerCluster]
+	}
+	p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
+	p.Group.SetAdaptive(cfg.AdaptiveCap())
+	// Per-edge model-latency floors (PCIe crossing between FPGAs, interconnect
+	// crossing inside one) are enforced whatever the shard count, so an
+	// undercutting model is caught even where no window depends on it.
+	p.Group.SetMinLatencyFunc(p.minCrossingOf)
+	if cfg.SyncMetrics {
+		p.Group.EnableSyncStats(p.shardStats)
 	}
 	p.Injector = fault.NewInjector(p.engs[0], cfg.Faults)
 	p.Fabric = pcie.New(p.engs[0], cfg.PCIe, p.shardStats[0])
@@ -236,19 +214,17 @@ func Build(cfg Config) (*Prototype, error) {
 	// The fabric addresses endpoints by FPGA id; the CrossNet underneath
 	// speaks node ids (so intra-FPGA hops can cross shards too). pcieView
 	// translates: FPGA f rides its slot-0 node's endpoint.
-	p.Fabric.SetCrossNet(pcieView{net: p.net, nodes: cfg.NodesPerFPGA})
-	if parallel {
+	p.Fabric.SetCrossNet(pcieView{net: p.Group, nodes: cfg.NodesPerFPGA})
+	if shards > 1 {
+		// Concurrent shards must not create fabric endpoints lazily; with
+		// one engine the fabric binds them (and the host port) on first use.
 		for f := 0; f < cfg.FPGAs; f++ {
 			s := p.nodeShard[f*cfg.NodesPerFPGA]
 			p.Fabric.ShardEndpoint(f, p.engs[s], p.shardStats[s])
 		}
 	}
 	if cfg.WatchdogInterval > 0 {
-		if parallel {
-			p.EnableGroupWatchdog(cfg.WatchdogInterval)
-		} else {
-			p.EnableWatchdog(cfg.WatchdogInterval)
-		}
+		p.EnableGroupWatchdog(cfg.WatchdogInterval)
 	}
 
 	w, h := cfg.MeshDims()
@@ -438,64 +414,58 @@ func (p *Prototype) Seconds(cycles sim.Time) float64 {
 	return float64(cycles) / (float64(p.Cfg.ClockMHz) * 1e6)
 }
 
-// Now returns the current simulation time: the single engine's clock when
-// serial, the globally latest executed event when sharded (the two agree —
-// see internal/sim/parallel.go).
-func (p *Prototype) Now() sim.Time {
-	if p.Group != nil {
-		return p.Group.Now()
-	}
-	return p.Eng.Now()
-}
+// Now returns the current simulation time: the globally latest executed
+// event (a one-shard build's engine clock).
+func (p *Prototype) Now() sim.Time { return p.Group.Now() }
 
-// ShardOfNode returns the shard index that simulates a node: 0 when
-// serial, the node's FPGA under per-FPGA granularity, the node itself
-// under per-node granularity.
+// ShardOfNode returns the shard index that simulates a node: 0 in a
+// one-shard build, the node's FPGA under per-FPGA granularity, the node
+// itself under per-node granularity.
 func (p *Prototype) ShardOfNode(node int) int { return p.nodeShard[node] }
 
 // EngineForNode returns the engine that simulates a node: its shard's
-// engine, or the global engine when serial. Under per-node granularity
-// distinct co-located nodes get distinct engines.
+// engine. Under per-node granularity distinct co-located nodes get distinct
+// engines.
 func (p *Prototype) EngineForNode(node int) *sim.Engine {
 	return p.engs[p.nodeShard[node]]
 }
 
-// Net returns the cross-shard delivery network. Serial and sharded builds
-// both have one, so code that crosses shards (the PCIe fabric, thread
-// migration) is written once against it.
-func (p *Prototype) Net() sim.CrossNet { return p.net }
+// Net returns the cross-shard delivery network, so code that crosses
+// shards (the PCIe fabric, thread migration) is written once against it.
+func (p *Prototype) Net() sim.CrossNet { return p.Group }
 
 // StatsForNode returns the registry new instruments on a node (e.g. an
 // accelerator placed on one of its tiles) must register with: the node's
-// shard registry when sharded, the global one when serial. Instruments
-// registered on Stats directly would be dropped by a sharded build's
-// report-time merge.
+// shard registry. Instruments registered on Stats directly would be dropped
+// by a multi-shard build's report-time merge.
 func (p *Prototype) StatsForNode(node int) *sim.Stats {
 	return p.shardStats[p.nodeShard[node]]
 }
 
-// ShardRegistries returns the per-shard stats registries in shard order
-// (one registry, the global one, when serial). Observers that rebuild the
-// merged report must fold all of them, whatever the granularity.
+// ShardRegistries returns the per-shard stats registries in shard order.
+// Observers that rebuild the merged report must fold all of them, whatever
+// the granularity.
 func (p *Prototype) ShardRegistries() []*sim.Stats { return p.shardStats }
 
 // Lookahead returns the minimum cross-FPGA latency in cycles — the outer
-// bound every PCIe-class CrossNet send must respect, in either mode
-// (serial runs must obey it too or they would diverge from sharded ones).
+// bound every PCIe-class CrossNet send must respect, whatever the shard
+// count (a one-shard run must obey it too or it would diverge from a
+// sharded one).
 func (p *Prototype) Lookahead() sim.Time { return p.Cfg.PCIe.MinCrossing() }
 
 // InnerLookahead returns the minimum intra-FPGA cross-shard latency in
 // cycles: the interconnect crossing between co-located nodes, and the
 // inner window bound of per-node sharded runs. Like Lookahead it is a
-// property of the model, not the execution mode.
+// property of the model, not the execution policy.
 func (p *Prototype) InnerLookahead() sim.Time { return icLatency }
 
-// MustSerial panics when a serial-only feature is used on a sharded build;
-// exported for the software layers (kernel, workload) that add their own
-// serial-only features, such as state capture.
+// MustSerial panics when a single-engine-only feature is used on a
+// multi-shard build; exported for the software layers (kernel, workload)
+// that add their own, such as state capture.
 func (p *Prototype) MustSerial(what string) { p.mustSerial(what) }
 
-// mustSerial panics when a serial-only feature is used on a sharded build.
+// mustSerial panics when a single-engine-only feature is used on a
+// multi-shard build. It is the one execution-mode test in the package.
 func (p *Prototype) mustSerial(what string) {
 	if p.Eng == nil {
 		panic(fmt.Sprintf("core: %s is serial-only; rebuild without Parallel", what))
@@ -515,100 +485,32 @@ func (p *Prototype) Close() {
 }
 
 // Run drains the simulation (until all activity quiesces).
-func (p *Prototype) Run() sim.Time { return p.run(nil, 0, nil) }
-
-// RunObserved drains the simulation like Run while invoking publish at
-// non-perturbing boundaries: every `every` cycles from the calling goroutine
-// between events when serial, and at every window barrier when sharded (via
-// Group.OnBarrier, which it installs for the duration of the call, chaining
-// any hook already present). publish must only read state — it runs while
-// the simulation is provably quiescent, so a snapshot taken inside it cannot
-// perturb event order, and the run's outputs are byte-identical to an
-// unobserved one.
-func (p *Prototype) RunObserved(every sim.Time, publish func()) sim.Time {
-	return p.run(nil, every, publish)
-}
-
-// RunUntil advances simulation to the deadline. Serial-only: sharded
-// execution advances in lookahead windows, not to arbitrary deadlines.
-func (p *Prototype) RunUntil(t sim.Time) sim.Time {
-	p.mustSerial("RunUntil")
-	return p.Eng.RunUntil(t)
-}
+func (p *Prototype) Run() sim.Time { return p.RunUntil(nil) }
 
 // RunUntilHalted executes until every core halts, the event queue drains,
-// or the cycle limit passes, and returns the final time. Sharded execution
-// checks the halt condition at window barriers (the only points where core
-// state is coherent to inspect), so it may overshoot the limit by up to one
-// window.
+// or the cycle limit passes, and returns the final time.
 func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
-	return p.run(p.haltedOrPast(limit), 0, nil)
+	return p.RunUntil(func() bool { return p.AllHalted() || p.Now() >= limit })
 }
 
-// RunUntilHaltedObserved is RunUntilHalted with the observation contract of
-// RunObserved: publish runs between events every `every` cycles when serial,
-// and at window barriers when sharded.
-func (p *Prototype) RunUntilHaltedObserved(limit, every sim.Time, publish func()) sim.Time {
-	return p.run(p.haltedOrPast(limit), every, publish)
-}
-
-// haltedOrPast is RunUntilHalted's stop predicate. It only reads core and
-// clock state, as a stop predicate must.
-func (p *Prototype) haltedOrPast(limit sim.Time) func() bool {
-	return func() bool { return p.AllHalted() || p.Now() >= limit }
-}
-
-// run is the one run loop behind Run*: advance until the simulation drains
-// or stop (nil: never) holds, calling publish (nil: none) from this
-// goroutine at the observation boundaries RunObserved documents. Serial,
-// stop and the publish interval are evaluated between events inside
-// Engine.Advance; sharded, they are evaluated at window barriers.
-func (p *Prototype) run(stop func() bool, every sim.Time, publish func()) sim.Time {
-	if p.Group != nil {
-		if publish != nil {
-			prev := p.Group.OnBarrier
-			p.Group.OnBarrier = func() {
-				if prev != nil {
-					prev()
-				}
-				publish()
-			}
-			defer func() { p.Group.OnBarrier = prev }()
-		}
-		if stop == nil {
-			t := p.Group.Run()
+// RunUntil is the one run entry: it steps synchronization windows until the
+// simulation drains or stop (nil: never) holds, and returns the final time.
+// stop is evaluated on the calling goroutine at window barriers — the points
+// where every shard is parked and the whole model is coherent to inspect —
+// so it may read anything and may have host-side effects (check a context,
+// note why it stopped), and a run passes the bound stop encodes by at most
+// one window: Cfg.AdaptiveCap() minimum PCIe crossings. That holds for every
+// shard count; a one-shard build has windows too. Observers hook the same
+// barriers through Group.OnBarrier (obs.Server.ObservePrototype does), and a
+// drain reaches the watchdog's lost-callback check.
+func (p *Prototype) RunUntil(stop func() bool) sim.Time {
+	for stop == nil || !stop() {
+		if !p.Group.StepWindow() {
 			p.GroupWatchdog.drained()
-			return t
-		}
-		for !stop() {
-			if !p.Group.StepWindow() {
-				p.GroupWatchdog.drained()
-				break
-			}
-		}
-		return p.Group.Now()
-	}
-	if publish == nil {
-		p.Eng.Advance(sim.TimeMax, 0, stop)
-		return p.Eng.Now()
-	}
-	if stop == nil {
-		stop = func() bool { return false }
-	}
-	if every <= 0 {
-		every = 100_000
-	}
-	for !stop() {
-		next := p.Eng.Now() + every
-		due := func() bool { return p.Eng.Now() >= next || stop() }
-		if !p.Eng.Advance(sim.TimeMax, 0, due) {
 			break
 		}
-		if p.Eng.Now() >= next {
-			publish()
-		}
 	}
-	return p.Eng.Now()
+	return p.Now()
 }
 
 // Start boots every RISC-V core (no-op for CoreNone prototypes). Cores

@@ -27,10 +27,11 @@ func (p *Prototype) flushTelemetry() {
 			merged.Merge(h)
 		}
 	}
-	if p.Group != nil {
-		// Fold the per-shard registries into the reporting registry. Shard
-		// instrument names are disjoint, so this is a rename-free union; it
-		// is also idempotent because CopyFrom replaces rather than adds.
+	if len(p.shardStats) > 1 {
+		// Fold the per-shard registries into the reporting registry (one
+		// shard writes Stats directly). Shard instrument names are disjoint,
+		// so this is a rename-free union; it is also idempotent because
+		// CopyFrom replaces rather than adds.
 		p.Stats.CopyFrom(p.shardStats...)
 	}
 }
@@ -133,65 +134,19 @@ func (p *Prototype) WriteTrace(w io.Writer) error {
 	return p.Tracer.WriteChrome(w)
 }
 
-// EnableWatchdog arms the forward-progress watchdog: if no event executes for
-// interval cycles while any occupancy gauge is nonzero, the run is wedged —
-// the watchdog records a diagnosis (StallDiagnosis, also appended to Report)
-// built from the stats registry instead of letting the queue drain silently.
-func (p *Prototype) EnableWatchdog(interval sim.Time) *sim.Watchdog {
-	p.mustSerial("EnableWatchdog")
-	p.Watchdog = sim.NewWatchdog(p.Eng, interval, p.hasInflight, func() {
-		p.StallDiagnosis = p.stallDiagnosis(interval)
-	})
-	return p.Watchdog
-}
-
-// hasInflight reports whether any transaction is outstanding anywhere in the
-// model, judged by the occupancy gauges every subsystem maintains (MSHRs,
-// memory engines, PCIe in-flight, bridge send queues).
-func (p *Prototype) hasInflight() bool {
-	if p.Stats == nil {
-		return false
-	}
-	for _, name := range p.Stats.GaugeNames() {
-		if v, ok := p.Stats.GaugeValue(name); ok && v != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// stallDiagnosis renders the watchdog's dump: where the outstanding work is
-// stuck (every nonzero gauge) and what the fault injector has done so far.
-func (p *Prototype) stallDiagnosis(interval sim.Time) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "WATCHDOG: no forward progress for %d cycles at cycle %d with transactions in flight\n",
-		interval, p.Now())
-	b.WriteString("outstanding (nonzero gauges):\n")
-	for _, name := range p.Stats.GaugeNames() {
-		if v, ok := p.Stats.GaugeValue(name); ok && v != 0 {
-			fmt.Fprintf(&b, "  %-40s %d\n", name, v)
-		}
-	}
-	if p.Injector != nil {
-		b.WriteString("fault sites:\n")
-		b.WriteString(p.Injector.String())
-	}
-	return b.String()
-}
-
-// GroupWatchdog is the sharded-run forward-progress monitor. The serial
-// watchdog schedules check events, which a sharded run cannot afford: an
-// extra event per interval would perturb window contents and break the
-// serial/parallel byte-equality contract. Instead this watchdog piggybacks
-// on the window barrier — a point where every shard is provably quiescent —
-// and compares each shard engine's executed-event count against the last
+// GroupWatchdog is the forward-progress monitor of every build. It
+// schedules no events — an event per interval would drag a drained clock to
+// the next interval multiple and perturb window contents, breaking the
+// "watched = unwatched, byte for byte" contract — and piggybacks on the
+// window barrier instead, a point where every shard is provably quiescent:
+// it compares each shard engine's executed-event count against the last
 // barrier at which that shard made progress. A shard that executes nothing
 // for a full interval while its own registry shows outstanding transactions
-// is wedged; the diagnosis names it. A second detector covers total
-// wedges the barrier hook cannot see: if the whole group drains (StepWindow
+// is wedged; the diagnosis names it. A second detector covers the wedges no
+// barrier sees — the only kind a one-shard build can have, since its every
+// barrier follows executed events: if the whole group drains (StepWindow
 // returns false) while occupancy gauges are still nonzero, callbacks were
-// lost and the run stalled silently — Run/RunUntilHalted call drained() for
-// that case.
+// lost and the run stalled silently. RunUntil calls drained() for that case.
 type GroupWatchdog struct {
 	p        *Prototype
 	interval sim.Time
@@ -200,13 +155,10 @@ type GroupWatchdog struct {
 	fired    bool
 }
 
-// EnableGroupWatchdog arms the sharded watchdog; Build calls it when
-// WatchdogInterval is set on a parallel configuration. It chains onto any
-// Group.OnBarrier hook already installed and schedules no events.
+// EnableGroupWatchdog arms the watchdog; Build calls it when
+// WatchdogInterval is set. It chains onto any Group.OnBarrier hook already
+// installed and schedules no events.
 func (p *Prototype) EnableGroupWatchdog(interval sim.Time) *GroupWatchdog {
-	if p.Group == nil {
-		panic("core: EnableGroupWatchdog needs a sharded build; use EnableWatchdog")
-	}
 	w := &GroupWatchdog{
 		p:        p,
 		interval: interval,
@@ -232,7 +184,7 @@ func (w *GroupWatchdog) check() {
 	if w.fired {
 		return
 	}
-	now := w.p.Group.Now()
+	now := w.p.Now()
 	for i := range w.lastExec {
 		e := w.p.Group.Engine(i).Executed()
 		if e != w.lastExec[i] {
@@ -256,8 +208,8 @@ func (w *GroupWatchdog) check() {
 
 // drained runs after the group's event queues empty: a drain with
 // transactions still outstanding means callbacks were dropped and the run
-// wedged without ever reaching another barrier check. Nil-safe (serial
-// builds and unwatched sharded builds have no GroupWatchdog).
+// wedged without ever reaching another barrier check. Nil-safe (unwatched
+// builds have no GroupWatchdog).
 func (w *GroupWatchdog) drained() {
 	if w == nil || w.fired {
 		return
@@ -271,7 +223,10 @@ func (w *GroupWatchdog) drained() {
 	}
 }
 
-// shardHasInflight is hasInflight scoped to one shard's registry.
+// shardHasInflight reports whether any transaction is outstanding on a
+// shard, judged by the occupancy gauges every subsystem maintains in the
+// shard's registry (MSHRs, memory engines, PCIe in-flight, bridge send
+// queues).
 func (p *Prototype) shardHasInflight(shard int) bool {
 	s := p.shardStats[shard]
 	if s == nil {
@@ -285,16 +240,16 @@ func (p *Prototype) shardHasInflight(shard int) bool {
 	return false
 }
 
-// shardStallDiagnosis renders the sharded watchdog's dump, naming the
-// wedged shard and listing where its outstanding work is stuck.
+// shardStallDiagnosis renders the watchdog's dump, naming the wedged shard
+// and listing where its outstanding work is stuck.
 func (p *Prototype) shardStallDiagnosis(shard int, interval sim.Time) string {
 	var b strings.Builder
-	kind := "fpga"
-	if p.Cfg.Granularity() == "node" {
-		kind = "node"
+	unit := "all nodes"
+	if len(p.engs) > 1 {
+		unit = fmt.Sprintf("%s%d", p.Cfg.Granularity(), shard)
 	}
-	fmt.Fprintf(&b, "WATCHDOG: shard %d (%s%d) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
-		shard, kind, shard, interval, p.Group.Now())
+	fmt.Fprintf(&b, "WATCHDOG: shard %d (%s) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
+		shard, unit, interval, p.Now())
 	fmt.Fprintf(&b, "outstanding on shard %d (nonzero gauges):\n", shard)
 	s := p.shardStats[shard]
 	for _, name := range s.GaugeNames() {

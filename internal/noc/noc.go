@@ -372,9 +372,13 @@ func (m *Mesh) RestoreState(st ckpt.NoCState) error {
 		return &ckpt.CorruptError{Reason: fmt.Sprintf("%s: snapshot has %d NoC classes, mesh has %d", m.name, len(st.NextFree), numClasses)}
 	}
 	for c := 0; c < int(numClasses); c++ {
-		if len(st.NextFree[c]) != len(m.nextFree[c]) {
-			return &ckpt.MismatchError{Field: m.name + " link count",
-				Got: fmt.Sprint(len(st.NextFree[c])), Want: fmt.Sprint(len(m.nextFree[c]))}
+		// All three columns are per link; one of the wrong length would index
+		// (LinkBusy) or silently truncate (LinkFlits) past the mesh's.
+		for _, n := range []int{len(st.NextFree[c]), len(st.LinkFlits[c]), len(st.LinkBusy[c])} {
+			if n != len(m.nextFree[c]) {
+				return &ckpt.MismatchError{Field: m.name + " link count",
+					Got: fmt.Sprint(n), Want: fmt.Sprint(len(m.nextFree[c]))}
+			}
 		}
 		for l, t := range st.NextFree[c] {
 			m.nextFree[c][l] = sim.Time(t)

@@ -12,9 +12,9 @@
 // from an HTTP handler. All state crosses from the simulation to the HTTP
 // side through an explicit snapshot mailbox (an atomic pointer to an
 // immutable Snapshot) that is written only by Publish, and Publish runs only
-// at quiescent boundaries — a sampler tick, a window barrier (Group
-// .OnBarrier), or between events on the serial driving goroutine
-// (Prototype.RunObserved). Publishing schedules no events, mutates no
+// at quiescent boundaries — a window barrier (Group.OnBarrier, which every
+// build has: a serial run is a one-shard group) or a sampler tick.
+// Publishing schedules no events, mutates no
 // registries, and allocates only host-side memory, so a run with the server
 // attached is byte-identical to one without — enforced by the golden and
 // differential tests.
@@ -83,21 +83,17 @@ func New() *Server {
 // ObservePrototype attaches the server read-only to a prototype and
 // publishes an initial snapshot. Call before the run starts. It wires the
 // non-perturbing publish hooks that exist on the prototype itself: the
-// window barrier of a sharded build, and the sampler's row hook when a
-// sampler is installed (rows are additionally forwarded on the SSE stream).
-// Serial runs without a sampler publish from the driving goroutine instead —
-// drive them with Prototype.RunObserved / RunUntilHaltedObserved, passing
-// s.Publish.
+// window barrier, and the sampler's row hook when a sampler is installed
+// (rows are additionally forwarded on the SSE stream). Barriers can be
+// microseconds apart; MinPublishInterval throttles what is actually built.
 func (s *Server) ObservePrototype(p *core.Prototype) {
 	s.proto = p
-	if p.Group != nil {
-		prev := p.Group.OnBarrier
-		p.Group.OnBarrier = func() {
-			if prev != nil {
-				prev()
-			}
-			s.Publish()
+	prev := p.Group.OnBarrier
+	p.Group.OnBarrier = func() {
+		if prev != nil {
+			prev()
 		}
+		s.Publish()
 	}
 	if p.Sampler != nil {
 		prev := p.Sampler.OnRow

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,8 +62,9 @@ func TestEndpointsServeDashboardMetricsAndSSE(t *testing.T) {
 	if sn.Seq == 0 || sn.Meta == nil || sn.Meta.Shape != "2x1x2" {
 		t.Fatalf("unexpected snapshot: %+v", sn)
 	}
-	if sn.Meta.Parallel || sn.Sync != nil {
-		t.Fatalf("serial build reported as sharded: %+v", sn.Meta)
+	// A serial build is the one-shard case of the same synchronizer.
+	if sn.Meta.Parallel || sn.Sync == nil || len(sn.Sync.Shards) != 1 || len(sn.Sync.ShardStats) != 1 {
+		t.Fatalf("serial build not reported as one shard: %+v, sync %+v", sn.Meta, sn.Sync)
 	}
 	if len(sn.NoC) != 2 {
 		t.Fatalf("got %d mesh views, want 2", len(sn.NoC))
@@ -231,8 +233,24 @@ func TestServedParallelRunIsNonPerturbing(t *testing.T) {
 				if err != nil {
 					return // server shutting down
 				}
+				// The test's own CloseClientConnections may cut a body short;
+				// a read error is a failure only while the run is still going.
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					select {
+					case <-done:
+					default:
+						t.Errorf("mid-run metrics read: %v", err)
+					}
+					return
+				}
+				if resp.StatusCode != 200 {
+					t.Errorf("mid-run metrics status %d: %s", resp.StatusCode, body)
+					return
+				}
 				var sn Snapshot
-				if err := json.Unmarshal([]byte(readAll(t, resp)), &sn); err != nil {
+				if err := json.Unmarshal(body, &sn); err != nil {
 					t.Errorf("mid-run metrics not valid JSON: %v", err)
 					return
 				}

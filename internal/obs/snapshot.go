@@ -19,7 +19,7 @@ type Snapshot struct {
 	// Meta and the sections below are present when a prototype is observed.
 	Meta     *MetaView          `json:"meta,omitempty"`
 	Stats    *sim.StatsSnapshot `json:"stats,omitempty"` // merged across shards
-	Sync     *SyncView          `json:"sync,omitempty"`  // sharded runs only
+	Sync     *SyncView          `json:"sync,omitempty"`  // window synchronizer (one shard when serial)
 	NoC      []MeshView         `json:"noc,omitempty"`
 	Watchdog *WatchdogView      `json:"watchdog,omitempty"`
 	Sampler  *SamplerView       `json:"sampler,omitempty"`
@@ -99,8 +99,8 @@ type JobView struct {
 
 // buildPrototypeView fills the prototype-derived sections of a snapshot.
 // It must run only while the simulation is quiescent: the caller is either
-// the serial driving goroutine between events, a sampler tick, or the shard
-// coordinator at a window barrier.
+// a sampler tick or the coordinator at a window barrier (or host code
+// before/after the run).
 func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 	cfg := p.Cfg
 	sn.Meta = &MetaView{
@@ -111,31 +111,27 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 		Cycles:       uint64(p.Now()),
 		ClockMHz:     cfg.ClockMHz,
 		Seed:         cfg.Seed,
-		Parallel:     p.Group != nil,
+		Parallel:     p.Group.Shards() > 1,
 		Halted:       p.AllHalted(),
 	}
 
-	if p.Group != nil {
-		// Merge the shard registries into a scratch registry (CopyFrom only
-		// reads its sources) and snapshot per-shard views alongside. The
-		// registries come in shard order, whatever the granularity — one
-		// per FPGA, or one per node under per-node sharding.
-		regs := p.ShardRegistries()
-		var merged sim.Stats
-		merged.CopyFrom(regs...)
-		sn.Stats = merged.Snapshot()
+	// Merge the shard registries into a scratch registry (CopyFrom only
+	// reads its sources) and snapshot per-shard views alongside. The
+	// registries come in shard order, whatever the sharding — one for a
+	// serial run, one per FPGA, or one per node.
+	regs := p.ShardRegistries()
+	var merged sim.Stats
+	merged.CopyFrom(regs...)
+	sn.Stats = merged.Snapshot()
 
-		sv := &SyncView{
-			GroupSync:  p.Group.SyncSnapshot(),
-			ShardStats: make([]*sim.StatsSnapshot, len(regs)),
-		}
-		for i, reg := range regs {
-			sv.ShardStats[i] = reg.Snapshot()
-		}
-		sn.Sync = sv
-	} else {
-		sn.Stats = p.Stats.Snapshot()
+	sv := &SyncView{
+		GroupSync:  p.Group.SyncSnapshot(),
+		ShardStats: make([]*sim.StatsSnapshot, len(regs)),
 	}
+	for i, reg := range regs {
+		sv.ShardStats[i] = reg.Snapshot()
+	}
+	sn.Sync = sv
 
 	sn.NoC = make([]MeshView, 0, len(p.Nodes))
 	for _, n := range p.Nodes {
@@ -150,8 +146,8 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 	}
 
 	sn.Watchdog = &WatchdogView{
-		Armed:     p.Watchdog != nil,
-		Fired:     p.Watchdog != nil && p.Watchdog.Fired(),
+		Armed:     p.GroupWatchdog != nil,
+		Fired:     p.GroupWatchdog.Fired(),
 		Diagnosis: p.StallDiagnosis,
 	}
 

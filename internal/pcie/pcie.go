@@ -13,8 +13,8 @@
 // partitioned per endpoint (engine, egress reservation, telemetry, and the
 // per-direction halves of the reliable-link state), and every crossing is
 // delivered through a sim.CrossNet, whose canonical ordering keeps serial
-// and sharded runs byte-identical. In serial mode an internal SerialNet
-// plays that role on the single engine.
+// and sharded runs byte-identical. A standalone fabric gets a one-engine
+// sim.Group of its own for that role.
 package pcie
 
 import (
@@ -117,14 +117,14 @@ const WindowSize uint64 = 1 << 40
 const WindowBase axi.Addr = 1 << 44
 
 // New creates a fabric. Attach endpoints before sending. Crossings are
-// delivered through an internal SerialNet on eng until SetCrossNet replaces
-// it.
+// delivered through a private one-engine group on eng until SetCrossNet
+// replaces it.
 func New(eng *sim.Engine, p Params, stats *sim.Stats) *Fabric {
 	f := &Fabric{
 		eng:        eng,
 		p:          p,
 		stats:      stats,
-		net:        sim.NewSerialNet(eng),
+		net:        sim.NewHierGroup(p.MinCrossing(), p.MinCrossing(), [][]*sim.Engine{{eng}}, make([]int, MaxFPGAs)),
 		eps:        make(map[int]*epState),
 		windowBase: WindowBase,
 		windowSize: WindowSize,
@@ -146,9 +146,9 @@ func (f *Fabric) SetInjector(inj *fault.Injector) { f.inj = inj }
 
 // SetCrossNet replaces the delivery network. Sharded builds pass the shard
 // group so crossings become envelopes exchanged at window barriers; it can
-// also be used to share one SerialNet between the fabric and other
+// also be used to share one network between the fabric and other
 // cross-shard users (thread migration) so they draw from the same
-// per-source sequence space in both modes. Must be called before traffic.
+// per-source sequence space. Must be called before traffic.
 func (f *Fabric) SetCrossNet(net sim.CrossNet) { f.net = net }
 
 // ShardEndpoint binds endpoint id to its shard's engine and stats registry

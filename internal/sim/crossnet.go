@@ -5,12 +5,13 @@ import (
 	"slices"
 )
 
-// CrossNet carries events between shards — the PCIe crossings, the
+// CrossNet carries events between endpoints — the PCIe crossings, the
 // intra-FPGA interconnect hops and thread migrations that are the only
-// coupling between shard engines. Both execution modes implement it:
-// SerialNet for the single-engine reference and Group for the sharded
-// engine. The two apply the *same* canonical delivery discipline, which is
-// what makes them produce identical event orders:
+// coupling between shard engines. Group implements it for every run, from
+// one engine to one per node; SerialNet is the reference oracle the tests
+// and the send-cost probe compare Group against. The two apply the *same*
+// canonical delivery discipline, which is what makes every sharding produce
+// the identical event order:
 //
 //   - all deliveries landing on one destination endpoint in one cycle are
 //     applied in ascending (send time, source endpoint, per-source
@@ -36,6 +37,10 @@ type CrossNet interface {
 	// caller's model latency guarantees it.
 	Send(src, dst int, deliverAt Time, fn func())
 }
+
+// hostEndpoint is the one endpoint id below the node range: the host CPU's
+// root port (pcie.HostID). Tables indexed by endpoint keep it at id+1.
+const hostEndpoint = -1
 
 // netEntry is one in-flight cross-shard delivery.
 type netEntry struct {
@@ -87,11 +92,11 @@ type dstState struct {
 // spool is one engine's delivery side of a CrossNet: per destination
 // endpoint it parks pending envelopes and applies all of a cycle's
 // deliveries in canonical order at the front of that cycle, with exactly
-// one flush event per (destination, cycle). SerialNet is a spool over the
-// single engine; the sharded Group keeps one spool per shard engine, fed
-// from barrier merges and from same-engine sends.
+// one flush event per (destination, cycle). The Group keeps one spool per
+// shard engine, fed from barrier merges and from same-engine sends;
+// SerialNet is a bare spool over a single engine.
 //
-// Endpoint ids may include pcie.HostID (-1); state is indexed at id+1.
+// Endpoint ids may include hostEndpoint; state is indexed at id+1.
 type spool struct {
 	eng     *Engine
 	dsts    []*dstState
@@ -163,10 +168,10 @@ func (s *spool) flush(dst int) {
 	d.due = due[:0]
 }
 
-// SerialNet is the single-engine CrossNet: everything runs on one Engine,
-// so "crossing" is just a scheduled event — but routed through the same
-// canonical ordering the sharded Group uses, so the serial reference and a
-// sharded run order cross-shard traffic identically.
+// SerialNet is the reference oracle: a CrossNet with no windows at all, just
+// the canonical ordering applied on one Engine. Nothing in the simulator
+// runs on it (a serial run is a one-engine Group); the tests and the
+// benchmark's send-cost probe hold Group against it.
 type SerialNet struct {
 	sp     *spool
 	minLat func(src, dst int) Time // per-edge model-latency floor; nil = unguarded
@@ -187,12 +192,9 @@ func (n *SerialNet) seqAt(src int) *uint64 {
 	return &n.seqs[src+1]
 }
 
-// SetMinLatency arms a uniform model-latency floor, the guard the sharded
+// SetMinLatency arms a uniform model-latency floor, the guard a multi-engine
 // Group always enforces: a Send delivering closer than lat to the current
-// cycle panics. The serial engine does not need the bound for correctness —
-// it has no windows — but a model that undercuts it here would undercut the
-// sharded lookahead too, so guarding the serial reference catches the
-// wiring bug in whichever mode hits it first. 0 disarms the guard.
+// cycle panics. 0 disarms the guard.
 func (n *SerialNet) SetMinLatency(lat Time) {
 	if lat == 0 {
 		n.minLat = nil
@@ -204,10 +206,9 @@ func (n *SerialNet) SetMinLatency(lat Time) {
 // SetMinLatencyFunc arms a per-edge-class model-latency floor: class
 // returns the minimum latency a send on the (src, dst) edge must respect —
 // e.g. the intra-FPGA interconnect crossing for co-located nodes and the
-// (much larger) PCIe crossing for nodes on different FPGAs. With
-// granularity-aware floors the serial reference panics on an undercutting
-// intra-FPGA send exactly like a per-node sharded run would, not only on
-// PCIe-class sends. A nil or zero class result leaves that edge unguarded.
+// (much larger) PCIe crossing for nodes on different FPGAs, mirroring
+// Group.SetMinLatencyFunc. A nil or zero class result leaves that edge
+// unguarded.
 func (n *SerialNet) SetMinLatencyFunc(class func(src, dst int) Time) {
 	n.minLat = class
 }

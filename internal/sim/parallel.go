@@ -1,12 +1,22 @@
-// Sharded parallel execution: a Group runs several Engines on goroutines
-// under a conservative bounded-lag synchronizer. The PCIe fabric's one-way
-// latency is the outer lookahead L: no FPGA can affect another sooner than
-// L cycles out, so between barriers every shard may safely execute all of
-// its events in the window [T, T+L) without seeing the others. At each
-// barrier the shards' outboxes are merged and injected in the canonical
-// CrossNet order (see crossnet.go), which makes a sharded run produce the
-// exact event order — and therefore byte-identical metrics — of the serial
-// reference.
+// Windowed execution: a Group runs a set of Engines — one per shard, from a
+// single engine (the serial case) to one per simulated node — under a
+// conservative bounded-lag synchronizer. The PCIe fabric's one-way latency
+// is the outer lookahead L: no FPGA can affect another sooner than L cycles
+// out, so between barriers every shard may safely execute all of its events
+// in the window [T, T+L) without seeing the others. At each barrier the
+// shards' outboxes are merged and injected in the canonical CrossNet order
+// (see crossnet.go), which makes every sharding produce the exact event
+// order — and therefore byte-identical metrics — of the one-engine run.
+//
+// # One engine
+//
+// A one-engine group has no outboxes to merge and nobody to wait for: every
+// send is same-engine and lands in the spool at once. Its window is the
+// planned width run straight through — no goroutine, no chunk barrier — so
+// the only thing the window machinery adds to a serial run is a boundary
+// every few thousand cycles at which run predicates, observers, the
+// watchdog and replay cursors get a quiescent look at the model. That is
+// what lets one run loop, one watchdog and one cursor serve every build.
 //
 // # Adaptive lookahead
 //
@@ -87,10 +97,10 @@ type Group struct {
 	lookahead Time // outer: minimum cross-cluster (PCIe) crossing
 	innerLA   Time // inner: minimum intra-cluster cross-engine crossing
 	engines   []*Engine
-	clusters  [][]int // engine indices per cluster (all singletons when flat)
-	engCl     []int   // engine index -> cluster index
-	epEng     []int   // endpoint id -> engine index
-	seqs      []uint64
+	clusters  [][]int                 // engine indices per cluster (all singletons when flat)
+	engCl     []int                   // engine index -> cluster index
+	epEng     []int                   // endpoint id+1 -> engine index (slot 0: the host)
+	seqs      []uint64                // per-source send sequence, indexed like epEng
 	spools    []*spool                // per-engine canonical delivery spool
 	minLat    func(src, dst int) Time // optional per-edge model floor
 	// outbox is the batched envelope hand-off: one preallocated slice per
@@ -273,7 +283,7 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 			panic(fmt.Sprintf("sim: endpoint mapped to engine %d outside group of %d engines", ei, len(g.engines)))
 		}
 	}
-	g.epEng = append([]int(nil), epEngine...)
+	g.epEng = append([]int{0}, epEngine...)
 	n := len(g.engines)
 	g.seqs = make([]uint64, len(g.epEng))
 	g.outbox = make([][]netEntry, n*n)
@@ -293,9 +303,10 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 // widths are additionally clamped by the enclosing outer chunk). 1 keeps
 // fixed windows; larger caps let windows double geometrically while no
 // cross-shard envelope appears and collapse back to 1 the window traffic
-// returns. Must be called while the group is quiescent. The cap is part of
-// the window-sequence identity a replay checkpoint records, so a restore
-// must use the same value (core.Replay verifies it).
+// returns. Must be called while the group is quiescent. The cap shapes the
+// window sequence a replay cursor counts, so a restore must run under the
+// same value (core derives it from the hashed configuration; the digest
+// check catches a test that overrides one side only).
 func (g *Group) SetAdaptive(cap int) {
 	if cap < 1 {
 		panic(fmt.Sprintf("sim: adaptive lookahead cap %d; need >= 1", cap))
@@ -317,8 +328,8 @@ func (g *Group) SetAdaptive(cap int) {
 // of the topology bounds the group always enforces (inner lookahead for
 // intra-cluster cross-engine sends, outer lookahead for cross-cluster
 // sends): a send undercutting class(src, dst) panics even when its
-// endpoints share an engine, mirroring SerialNet.SetMinLatencyFunc so both
-// modes police the same contract.
+// endpoints share an engine, so a one-engine run polices the same contract
+// a sharded one depends on.
 func (g *Group) SetMinLatencyFunc(class func(src, dst int) Time) {
 	g.minLat = class
 }
@@ -332,9 +343,9 @@ func (g *Group) SetMinLatencyFunc(class func(src, dst int) Time) {
 // engine's lag behind that horizon. Each multi-engine cluster additionally
 // binds its inner-window counters ("...sync.inner_windows" etc.) on its
 // first engine's registry. Values are refreshed at every window barrier.
-// Note that a report folding these registries will then differ from a
-// serial run's (a serial engine has no windows), so the feature is opt-in —
-// see core.Config.SyncMetrics.
+// Note that reports folding these registries then differ between shardings
+// of one configuration, so the feature is opt-in — see
+// core.Config.SyncMetrics.
 func (g *Group) EnableSyncStats(regs []*Stats) {
 	if len(regs) != len(g.engines) {
 		panic(fmt.Sprintf("sim: EnableSyncStats got %d registries for %d shards", len(regs), len(g.engines)))
@@ -498,12 +509,11 @@ func (g *Group) SyncSnapshot() GroupSync {
 }
 
 // Windows returns the number of completed synchronization windows. It is
-// the sharded engine's replay cursor: re-executing the same build for the
-// same number of windows reproduces the exact global state, so a replay
-// checkpoint of a sharded run records this count where a serial one records
-// the executed-event count. Under adaptive lookahead the window widths are
-// themselves deterministic, so the cursor stays exact; WindowDigest lets a
-// restore verify it replayed the identical width sequence.
+// the replay cursor: re-executing the same build for the same number of
+// windows reproduces the exact global state. Under adaptive lookahead the
+// window widths are themselves deterministic, so the cursor stays exact;
+// WindowDigest lets a restore verify it replayed the identical width
+// sequence.
 func (g *Group) Windows() uint64 { return g.windows }
 
 // Chunks returns the number of completed window chunks — the window count
@@ -555,24 +565,23 @@ func (g *Group) Lookahead() Time { return g.lookahead }
 // cycles; equal to Lookahead for a flat group.
 func (g *Group) InnerLookahead() Time { return g.innerLA }
 
-// WidthCap returns the adaptive widening cap (1 = fixed windows).
-func (g *Group) WidthCap() int { return g.maxWidth }
-
 // Send implements CrossNet. Same-engine sends go straight into the owning
 // engine's delivery spool; cross-engine sends park in the (src, dst)
 // engine outbox for the next inner (same cluster) or outer (cross-cluster)
 // barrier merge. Must be called from the goroutine of the engine owning
-// endpoint src (or from the coordinator while the group is quiescent). A
+// endpoint src (or from the coordinator while the group is quiescent). The
+// host endpoint (-1, pcie.HostID) is accepted on either side and rides
+// engine 0, the engine that owns the fabric's host port. A
 // delivery closer than the governing lookahead to the sender's clock would
 // mean the model's cross-shard latency undercuts the synchronizer — a
 // wiring bug — and panics. (Deliveries inside the current window's horizon
 // are fine under adaptive widening: the chunk discipline ends the window
 // before any shard crosses the boundary they land beyond.)
 func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
-	if src < 0 || src >= len(g.epEng) || dst < 0 || dst >= len(g.epEng) {
-		panic(fmt.Sprintf("sim: cross-shard send %d->%d outside group of %d endpoints", src, dst, len(g.epEng)))
+	if src < hostEndpoint || src+1 >= len(g.epEng) || dst < hostEndpoint || dst+1 >= len(g.epEng) {
+		panic(fmt.Sprintf("sim: cross-shard send %d->%d outside group of %d endpoints", src, dst, len(g.epEng)-1))
 	}
-	se, de := g.epEng[src], g.epEng[dst]
+	se, de := g.epEng[src+1], g.epEng[dst+1]
 	sent := g.engines[se].Now()
 	if g.running {
 		var min Time
@@ -592,9 +601,9 @@ func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
 				src, dst, sent, deliverAt, min))
 		}
 	}
-	g.seqs[src]++
+	g.seqs[src+1]++
 	g.envOut[se]++
-	e := netEntry{at: deliverAt, sent: sent, src: src, dst: dst, seq: g.seqs[src], fn: fn}
+	e := netEntry{at: deliverAt, sent: sent, src: src, dst: dst, seq: g.seqs[src+1], fn: fn}
 	if se == de {
 		g.envIn[de]++
 		g.spools[de].insert(e)
@@ -606,7 +615,7 @@ func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
 
 // inject merges every parked envelope into its destination engine's spool.
 // The spool applies each (endpoint, cycle)'s deliveries in canonical order
-// at the front of the cycle, exactly like the serial reference; deliveries
+// at the front of the cycle, exactly like the SerialNet oracle; deliveries
 // to different endpoints carry no cross-order (their state is disjoint).
 // Consumed entries are zeroed so delivered closures don't linger, and all
 // buffers are reused.
@@ -882,11 +891,19 @@ func (g *Group) runEngineWindow(ci int, e *Engine, start Time, planned int) {
 // finds the global next event time T, and lets every cluster with work
 // before the horizon execute it concurrently — chunk by chunk under the
 // adaptive width, each multi-engine cluster running its own inner windows
-// inside each chunk. Returns false when no work remains anywhere.
+// inside each chunk. Returns false when no work remains anywhere, after
+// aligning every engine clock to the global last-event time (mirroring a
+// single engine, whose clock rests on the last executed event — host code
+// that schedules the next phase then sees one "now" whatever the shard
+// count).
 func (g *Group) StepWindow() bool {
 	g.inject()
 	t, ok := g.minNext()
 	if !ok {
+		now := g.Now()
+		for _, e := range g.engines {
+			e.alignTo(now)
+		}
 		return false
 	}
 	planned := g.width
@@ -914,6 +931,12 @@ func (g *Group) StepWindow() bool {
 		}
 	}
 	switch {
+	case len(g.engines) == 1:
+		// A one-engine group — the serial case — has nobody to meet: every
+		// send is same-engine and already sits in the spool, so each chunk
+		// boundary would decide "continue" over an empty outbox. Run the
+		// whole planned width straight through.
+		g.engines[0].runTo(g.horizon - 1)
 	case planned == 1 && parties == 1:
 		// Fixed-width window with a single busy singleton cluster: run
 		// inline, no goroutine, no barrier.
@@ -983,21 +1006,16 @@ func (g *Group) StepWindow() bool {
 	return true
 }
 
-// Run executes windows until every shard drains, then aligns all engine
-// clocks to the global last-event time (mirroring the serial engine, whose
-// single clock rests on the last executed event). Returns that time.
+// Run executes windows until every shard drains and returns the global
+// last-event time.
 func (g *Group) Run() Time {
 	for g.StepWindow() {
 	}
-	t := g.Now()
-	for _, e := range g.engines {
-		e.alignTo(t)
-	}
-	return t
+	return g.Now()
 }
 
 // Now returns the globally latest executed-event time. While the group is
-// quiescent this matches what the serial engine's Now would report after
+// quiescent this matches what a single engine's Now would report after
 // executing the same events.
 func (g *Group) Now() Time {
 	var t Time

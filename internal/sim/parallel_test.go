@@ -137,6 +137,53 @@ func TestGroupMatchesSerialNet(t *testing.T) {
 	}
 }
 
+// TestOneEngineGroupMatchesSerialNet is the serial case: both endpoints of
+// the model on one engine under a one-engine Group, whose window runs
+// straight through. Logs and final time must equal the SerialNet oracle's at
+// every widening cap, the windows must widen every time (no send ever parks
+// in an outbox to collapse them), and two runs must fold the same
+// window digest — it is the replay cursor of every serial run.
+func TestOneEngineGroupMatchesSerialNet(t *testing.T) {
+	const la = Time(61)
+	const rounds = 12
+
+	serial := &crossModel{la: la, log: make([][]string, 2)}
+	se := NewEngine()
+	serial.engs = []*Engine{se, se}
+	serial.net = NewSerialNet(se)
+	serial.start(rounds)
+	serialEnd := se.Run()
+
+	for _, cap := range []int{1, 4, DefaultAdaptiveCap} {
+		var digests [2]uint64
+		for run := range digests {
+			m := &crossModel{la: la, log: make([][]string, 2)}
+			e := NewEngine()
+			g := NewHierGroup(la, la, [][]*Engine{{e}}, []int{0, 0})
+			g.SetAdaptive(cap)
+			m.engs = []*Engine{e, e}
+			m.net = g
+			m.start(rounds)
+			end := g.Run()
+			if !reflect.DeepEqual(serial.log, m.log) {
+				t.Fatalf("cap %d: logs diverge:\noracle: %v\ngroup:  %v", cap, serial.log, m.log)
+			}
+			if end != serialEnd || e.Now() != serialEnd {
+				t.Fatalf("cap %d: final time %d (engine clock %d), want %d", cap, end, e.Now(), serialEnd)
+			}
+			sn := g.SyncSnapshot()
+			if want := min(cap, 1<<sn.Windows); sn.Width != want || sn.Collapses != 0 {
+				t.Errorf("cap %d: width %d after %d windows, %d collapses; want %d (doubling every window), none",
+					cap, sn.Width, sn.Windows, sn.Collapses, want)
+			}
+			digests[run] = g.WindowDigest()
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("cap %d: window digests differ between identical runs: %#x vs %#x", cap, digests[0], digests[1])
+		}
+	}
+}
+
 // hierModel extends the cross-shard model to two latency classes: four
 // endpoints in two clusters of two, where intra-cluster sends pay the inner
 // crossing and cross-cluster sends pay the outer one. Each endpoint ticks
@@ -324,16 +371,59 @@ func TestGroupSendInsideWindowPanics(t *testing.T) {
 	}
 }
 
-// TestGroupSendOutOfRangePanics checks that host-side traffic (shard -1)
-// cannot sneak through the cross-shard network.
+// TestGroupSendOutOfRangePanics checks the endpoint range: the host endpoint
+// (-1) is the only id below the node range, and nothing at or past the
+// endpoint count gets through.
 func TestGroupSendOutOfRangePanics(t *testing.T) {
-	g := NewGroup(61, NewEngine(), NewEngine())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range send did not panic")
+	for _, ep := range [][2]int{{-2, 0}, {0, -2}, {2, 0}, {0, 2}} {
+		g := NewGroup(61, NewEngine(), NewEngine())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("send %d->%d on a 2-endpoint group did not panic", ep[0], ep[1])
+				}
+			}()
+			g.Send(ep[0], ep[1], 100, func() {})
+		}()
+	}
+}
+
+// TestGroupHostEndpointMatchesSerialNet drives host-side traffic (endpoint
+// -1, on engine 0) through a one-engine and a two-engine group and requires
+// the delivery order the SerialNet oracle produces, host and node sources
+// colliding on one (destination, cycle).
+func TestGroupHostEndpointMatchesSerialNet(t *testing.T) {
+	script := func(eng *Engine, net CrossNet, log *[]string) {
+		note := func(s string) func() {
+			return func() { *log = append(*log, fmt.Sprintf("%s@%d", s, eng.Now())) }
 		}
-	}()
-	g.Send(-1, 0, 100, func() {})
+		eng.Schedule(0, func() {
+			net.Send(0, 0, 100, note("n0#1"))
+			net.Send(-1, 0, 100, note("host#1"))
+			net.Send(-1, 0, 100, note("host#2"))
+			net.Send(0, -1, 150, note("to-host"))
+		})
+	}
+	var want []string
+	se := NewEngine()
+	script(se, NewSerialNet(se), &want)
+	se.Run()
+	if len(want) != 4 || want[0] != "host#1@100" {
+		t.Fatalf("oracle order %v", want)
+	}
+	for _, engines := range []int{1, 2} {
+		es := make([]*Engine, engines)
+		for i := range es {
+			es[i] = NewEngine()
+		}
+		g := NewGroup(61, es...)
+		var got []string
+		script(es[0], g, &got)
+		g.Run()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%d engines: order %v, want %v", engines, got, want)
+		}
+	}
 }
 
 // TestSerialNetCanonicalOrder checks the tie-break: deliveries colliding on

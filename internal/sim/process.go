@@ -144,8 +144,8 @@ func (p *Process) park() {
 // dstEng, delivered through net so the crossing is ordered canonically with
 // all other cross-shard traffic. src and dst are the CrossNet shard ids;
 // the call must be made from shard src's execution context, and delay must
-// be at least the group lookahead. With a SerialNet, dstEng is the same
-// engine and Hop degenerates to a canonically-ordered Wait.
+// be at least the group lookahead. When both endpoints share an engine (always,
+// in a one-engine group) Hop degenerates to a canonically-ordered Wait.
 //
 // Hop is the one resume that is not deferred to the Advance caller. A flush
 // event applies all of a cycle's deliveries to one endpoint inside a single
@@ -154,8 +154,8 @@ func (p *Process) park() {
 // So the delivery resumes the process right there — a nested resume, from
 // the caller's goroutine or from inside a driving process — and the process,
 // marked nested, yields straight back at its next block. For the same reason
-// the hopping process must not drive while it waits: under a SerialNet it
-// would pop the flush carrying its own delivery and resume itself.
+// the hopping process must not drive while it waits: hopping within its own
+// engine it would pop the flush carrying its own delivery and resume itself.
 func (p *Process) Hop(net CrossNet, src, dst int, dstEng *Engine, delay Time) {
 	net.Send(src, dst, p.eng.Now()+delay, func() {
 		// Runs in dst's execution context; the process itself is parked,

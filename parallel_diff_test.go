@@ -1,10 +1,10 @@
 // Differential harness for the sharded engine: every configuration below is
-// simulated twice — once on the serial reference engine and once sharded
-// across goroutines under the lookahead synchronizer — and the two runs must
-// agree byte-for-byte on the MetricsJSON document, on the final simulated
-// time, and on the workload's output checksum. Any scheduling divergence
-// between the modes shows up as a counter or cycle-count drift, so this is
-// the equivalence proof the parallel engine rests on.
+// simulated on one shard (the serial reference) and sharded across
+// goroutines under the same lookahead synchronizer, and the runs must agree
+// byte-for-byte on the MetricsJSON document, on the final simulated time,
+// and on the workload's output checksum. Any scheduling divergence between
+// shardings shows up as a counter or cycle-count drift, so this is the
+// equivalence proof the parallel engine rests on.
 package smappic_test
 
 import (
@@ -35,8 +35,9 @@ type diffCase struct {
 	numa        bool
 	faults      string
 	seed        uint64
-	adaptive    int    // AdaptiveLookahead for the sharded run (0 = default cap)
-	granularity string // ShardGranularity for the sharded run ("" = per-FPGA)
+	watchdog    smappic.Time // WatchdogInterval (0 = unwatched)
+	widthCap    int          // widening-cap override for the sharded run (0 = the configuration's, 1 = fixed windows)
+	granularity string       // ShardGranularity for the sharded run ("" = per-FPGA)
 }
 
 // buildProto builds one prototype for a case in the requested mode.
@@ -44,9 +45,9 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 	t.Helper()
 	cfg := smappic.DefaultConfig(dc.a, dc.b, dc.c)
 	cfg.Parallel = parallel
-	cfg.AdaptiveLookahead = dc.adaptive
 	cfg.ShardGranularity = dc.granularity
 	cfg.Seed = dc.seed
+	cfg.WatchdogInterval = dc.watchdog
 	if dc.workload != "riscv" {
 		cfg.Core = core.CoreNone
 	}
@@ -60,6 +61,11 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 	p, err := core.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dc.widthCap != 0 {
+		// Fixed windows are a test-only discipline: no configuration
+		// selects them.
+		p.Group.SetAdaptive(dc.widthCap)
 	}
 	return p
 }
@@ -123,6 +129,9 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 		t.Fatalf("unknown workload %q", dc.workload)
 	}
 
+	if p.StallDiagnosis != "" {
+		t.Fatalf("%s: watchdog fired on a healthy run:\n%s", dc.name, p.StallDiagnosis)
+	}
 	m, err := p.MetricsJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -192,49 +201,63 @@ func diffCases() []diffCase {
 		// Full RISC-V cores over the bridge/PCIe fabric.
 		diffCase{name: "riscv-4x1x2", a: 4, b: 1, c: 2, workload: "riscv", seed: 42},
 		diffCase{name: "riscv-4x1x2-faults", a: 4, b: 1, c: 2, workload: "riscv", faults: pcieFaults, seed: 5},
+		// Watched rows: the reference stays the *unwatched* one-shard run,
+		// and the watched one-shard and watched sharded runs must both
+		// reproduce it. (An event-scheduling watchdog dragged the drained
+		// clock of the first row to an interval multiple: 300 000 cycles
+		// against 115 121.)
+		diffCase{name: "is-2x1x2-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, seed: 42, watchdog: 150_000},
+		diffCase{name: "is-2x1x2-faults-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, faults: pcieFaults, seed: 7, watchdog: 150_000},
 	)
 	return cases
 }
 
 // TestShardedMatchesSerial is the differential table: sharded == serial,
 // byte for byte, across node counts, workloads, fault plans and seeds —
-// and for every row, both with fixed windows (AdaptiveLookahead 1) and
-// under the default adaptive widening cap, at per-FPGA shard granularity
-// and (for multi-node FPGAs) at per-node granularity under the
-// hierarchical synchronizer. Adaptive widening and shard granularity are
-// execution scheduling only, so every sharded variant must reproduce the
-// one serial outcome — which also pins per-node byte-identical to
+// and for every row, both with fixed windows and under the configuration's
+// adaptive widening cap, at per-FPGA shard granularity and (for multi-node
+// FPGAs) at per-node granularity under the hierarchical synchronizer.
+// Adaptive widening, shard granularity and the watchdog are execution
+// scheduling and observation only, so every variant must reproduce the one
+// unwatched one-shard outcome — which also pins per-node byte-identical to
 // per-FPGA, transitively.
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
-			serial := runCase(t, dc, 0)
+			ref := dc
+			ref.watchdog = 0
+			serial := runCase(t, ref, 0)
+			same := func(label string, got diffOutcome) {
+				t.Helper()
+				if serial.cycles != got.cycles {
+					t.Errorf("%s: final time: serial %d, got %d", label, serial.cycles, got.cycles)
+				}
+				if serial.checksum != got.checksum {
+					t.Errorf("%s: checksum: serial %#x, got %#x", label, serial.checksum, got.checksum)
+				}
+				if !bytes.Equal(serial.metrics, got.metrics) {
+					t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
+						label, len(serial.metrics), len(got.metrics), firstDiff(serial.metrics, got.metrics))
+				}
+			}
+			if dc.watchdog != 0 {
+				same("watched-serial", runCase(t, dc, 0))
+			}
 			grans := []string{"fpga"}
 			if dc.b > 1 {
 				grans = append(grans, "node")
 			}
 			for _, mode := range []struct {
 				name     string
-				adaptive int
+				widthCap int
 			}{{"fixed", 1}, {"adaptive", 0}} {
 				for _, gran := range grans {
-					label := mode.name + "/" + gran
 					dc := dc
-					dc.adaptive = mode.adaptive
+					dc.widthCap = mode.widthCap
 					dc.granularity = gran
-					sharded := runCase(t, dc, dc.a)
-					if serial.cycles != sharded.cycles {
-						t.Errorf("%s: final time: serial %d, sharded %d", label, serial.cycles, sharded.cycles)
-					}
-					if serial.checksum != sharded.checksum {
-						t.Errorf("%s: checksum: serial %#x, sharded %#x", label, serial.checksum, sharded.checksum)
-					}
-					if !bytes.Equal(serial.metrics, sharded.metrics) {
-						t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
-							label, len(serial.metrics), len(sharded.metrics), firstDiff(serial.metrics, sharded.metrics))
-					}
+					same(mode.name+"/"+gran, runCase(t, dc, dc.a))
 				}
 			}
 		})
@@ -260,7 +283,7 @@ func firstDiff(a, b []byte) string {
 			if hiB > len(b) {
 				hiB = len(b)
 			}
-			return fmt.Sprintf("first diff at byte %d:\nserial:  …%s…\nsharded: …%s…", i, a[lo:hiA], b[lo:hiB])
+			return fmt.Sprintf("first diff at byte %d:\nserial:  …%s…\ngot:     …%s…", i, a[lo:hiA], b[lo:hiB])
 		}
 	}
 	return fmt.Sprintf("length mismatch at byte %d", n)

@@ -8,12 +8,11 @@
 // it runs when SMAPPIC_SCALING_GATE=1 is set (the parallel-scaling CI job
 // sets it on a >=4-vCPU runner) and refuses to pass vacuously on small
 // hosts. Everything it measures goes through the same benchIS helper as
-// BenchmarkParallel_vs_Serial, so the gated number and the recorded
-// benchmark number are the same run.
+// BenchmarkParallel_vs_Serial, so the gated number and the benchmark number
+// are the same run.
 package smappic_test
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -30,11 +29,11 @@ const gateMinSpeedup = 1.5
 const gateRuns = 3
 
 // gateMeasure times one mode of an NPB-IS fixture, best of gateRuns.
-func gateMeasure(t *testing.T, fpgas, nodes, tiles, parallel, adaptive int, granularity string) (best time.Duration, cycles int64) {
+func gateMeasure(t *testing.T, fpgas, nodes, tiles, parallel int, granularity string) (best time.Duration, cycles int64) {
 	t.Helper()
 	for r := 0; r < gateRuns; r++ {
 		start := time.Now()
-		c := benchIS(t, fpgas, nodes, tiles, parallel, adaptive, granularity)
+		c := benchIS(t, fpgas, nodes, tiles, parallel, granularity)
 		d := time.Since(start)
 		if r == 0 || d < best {
 			best = d
@@ -46,8 +45,6 @@ func gateMeasure(t *testing.T, fpgas, nodes, tiles, parallel, adaptive int, gran
 
 // TestParallelScalingGate fails the build if the adaptive sharded engine
 // does not deliver >=1.5x over serial on the 8-node NPB-IS configuration.
-// It logs a BENCH_PARALLEL.json-shaped fragment so CI logs double as the
-// trajectory record.
 func TestParallelScalingGate(t *testing.T) {
 	if os.Getenv("SMAPPIC_SCALING_GATE") != "1" {
 		t.Skip("set SMAPPIC_SCALING_GATE=1 to run the multi-core scaling gate")
@@ -57,9 +54,8 @@ func TestParallelScalingGate(t *testing.T) {
 			"run it on a multi-core host (the parallel-scaling CI job does)", ncpu)
 	}
 
-	serial, serialCycles := gateMeasure(t, 4, 2, 2, 0, 0, "")
-	adaptive, parCycles := gateMeasure(t, 4, 2, 2, 4, 0, "")
-	fixed, _ := gateMeasure(t, 4, 2, 2, 4, 1, "")
+	serial, serialCycles := gateMeasure(t, 4, 2, 2, 0, "")
+	adaptive, parCycles := gateMeasure(t, 4, 2, 2, 4, "")
 
 	if parCycles != serialCycles {
 		t.Fatalf("sharded run simulated %d cycles, serial %d: the modes are not comparable",
@@ -67,15 +63,8 @@ func TestParallelScalingGate(t *testing.T) {
 	}
 
 	speedup := serial.Seconds() / adaptive.Seconds()
-	fixedSpeedup := serial.Seconds() / fixed.Seconds()
-
-	// BENCH_PARALLEL.json trajectory fragment (scripts/bench.sh emits the
-	// same shape from the benchmark output).
-	t.Logf("BENCH_PARALLEL fragment: %s", fmt.Sprintf(
-		`{"fixture": "npb-is-8node", "gomaxprocs": %d, "serial_ms": %.1f, "parallel_ms": %.1f, "parallel_fixed_ms": %.1f, "speedup": %.2f, "fixed_speedup": %.2f, "sim_cycles": %d}`,
-		runtime.GOMAXPROCS(0), float64(serial.Microseconds())/1000,
-		float64(adaptive.Microseconds())/1000, float64(fixed.Microseconds())/1000,
-		speedup, fixedSpeedup, serialCycles))
+	t.Logf("8-node NPB-IS on %d CPUs: serial %v, sharded %v, speedup %.2fx",
+		runtime.NumCPU(), serial, adaptive, speedup)
 
 	if speedup < gateMinSpeedup {
 		t.Errorf("8-node NPB-IS adaptive sharded speedup %.2fx < %.1fx gate "+
@@ -100,8 +89,8 @@ func TestNodeShardingGate(t *testing.T) {
 			"run it on a multi-core host (the parallel-scaling CI job does)", ncpu)
 	}
 
-	perFPGA, fpgaCycles := gateMeasure(t, 2, 2, 12, 2, 0, "fpga")
-	perNode, nodeCycles := gateMeasure(t, 2, 2, 12, 2, 0, "node")
+	perFPGA, fpgaCycles := gateMeasure(t, 2, 2, 12, 2, "fpga")
+	perNode, nodeCycles := gateMeasure(t, 2, 2, 12, 2, "node")
 
 	if nodeCycles != fpgaCycles {
 		t.Fatalf("per-node run simulated %d cycles, per-FPGA %d: the granularities are not comparable",
@@ -109,10 +98,8 @@ func TestNodeShardingGate(t *testing.T) {
 	}
 
 	speedup := perFPGA.Seconds() / perNode.Seconds()
-	t.Logf("BENCH_PARALLEL fragment: %s", fmt.Sprintf(
-		`{"fixture": "npb-is-48core-2x2x12", "gomaxprocs": %d, "parallel_fpga_ms": %.1f, "parallel_node_ms": %.1f, "node_vs_fpga": %.2f, "sim_cycles": %d}`,
-		runtime.GOMAXPROCS(0), float64(perFPGA.Microseconds())/1000,
-		float64(perNode.Microseconds())/1000, speedup, fpgaCycles))
+	t.Logf("48-core NPB-IS on %d CPUs: per-FPGA %v, per-node %v, node/fpga %.2fx",
+		runtime.NumCPU(), perFPGA, perNode, speedup)
 
 	if speedup < 1.0 {
 		t.Errorf("48-core NPB-IS per-node sharding is slower than per-FPGA: %.2fx "+
