@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"smappic"
@@ -303,4 +304,75 @@ func TestRestoreRefusesFormatVersion2(t *testing.T) {
 	file := cursorAt(t, cfg, 2_000)
 	payload := file[17 : len(file)-32] // between the header and the digest
 	wantVersionError(t, ckpttest.Seal(2, ckpt.KindReplay, payload), cfg, 2)
+}
+
+// TestReplayParentWrittenCursors replays cursors that the build before the
+// one-level synchronizer wrote (testdata/replay-v3/README.md has the
+// commands). Replay checks the window count, the clock and the window digest
+// — both tiers folded — so each row proves this build steps the very window
+// sequence the writer stepped; finishing byte-identical to a cold run proves
+// the state at the cursor was the same too. A failure here means the window
+// sequence moved: that needs a ckpt.Version bump, not new fixtures.
+func TestReplayParentWrittenCursors(t *testing.T) {
+	src, err := os.ReadFile("testdata/replay-v3/hello.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := rvasm.MustAssemble(smappic.ResetPC, string(src))
+	start := func(p *core.Prototype) {
+		host := p.Host()
+		for n := 0; n < p.Cfg.TotalNodes(); n++ {
+			host.LoadProgram(n, prog)
+		}
+		p.Start()
+	}
+	for _, tc := range []struct {
+		file        string
+		parallel    int
+		granularity string
+	}{
+		{"one-shard.ckpt", 0, ""},
+		{"per-fpga.ckpt", 2, ""},
+		{"per-node.ckpt", 2, "node"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			t.Parallel()
+			cfg := smappic.DefaultConfig(2, 2, 2)
+			cfg.Parallel = tc.parallel
+			cfg.ShardGranularity = tc.granularity
+
+			cold, err := core.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start(cold)
+			cold.RunUntilHalted(50_000_000)
+			want := replayOutcome(t, cold)
+
+			raw, err := os.ReadFile("testdata/replay-v3/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+			if err != nil {
+				t.Fatalf("RestorePrototype: %v", err)
+			}
+			start(p)
+			if err := p.Replay(snap); err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if snap.Replay.Windows == 0 || uint64(p.Now()) != snap.Now {
+				t.Fatalf("cursor at window %d, cycle %d; replayed to cycle %d", snap.Replay.Windows, snap.Now, p.Now())
+			}
+			t.Logf("replayed %d windows to cycle %d", snap.Replay.Windows, snap.Now)
+			p.RunUntilHalted(50_000_000)
+			got := replayOutcome(t, p)
+			if got.cycles != want.cycles || got.checksum != want.checksum {
+				t.Errorf("final time %d checksum %#x, want %d %#x", got.cycles, got.checksum, want.cycles, want.checksum)
+			}
+			if !bytes.Equal(got.metrics, want.metrics) {
+				t.Errorf("MetricsJSON diverges:\n%s", firstDiff(got.metrics, want.metrics))
+			}
+		})
+	}
 }

@@ -6,9 +6,8 @@
 //
 //	smappic-bench [-exp table1,...,fig14|all] [-quick] [-counters-out dir]
 //
-// Besides the paper's tables and figures, the ablation studies and the
-// "sharding" comparison (serial vs per-FPGA vs per-node engine granularity
-// on the 48-core NUMA shape) are selectable by name.
+// Besides the paper's tables and figures, the ablation studies are
+// selectable by name.
 //
 // With -counters-out, every experiment sub-run writes its full counter
 // state (the same JSON smappic-run's -metrics-json produces) into the given
@@ -66,13 +65,11 @@ func main() {
 		"ablation-credits":      func(bool) string { return experiments.AblationCredits().String() },
 		"ablation-interconnect": func(bool) string { return experiments.AblationInterconnect().String() },
 		"ablation-core":         func(bool) string { return experiments.AblationCore().String() },
-		"sharding":              func(q bool) string { return experiments.Sharding(q).String() },
 	}
 	order := []string{
 		"table1", "table2", "table3", "table4",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"ablation-homing", "ablation-credits", "ablation-interconnect", "ablation-core",
-		"sharding",
 	}
 
 	selected := order

@@ -137,7 +137,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serve := flag.String("serve", "", "serve the live dashboard on this address (e.g. 127.0.0.1:8080) for the duration of the run")
 	serveHold := flag.Duration("serve-hold", 0, "keep the dashboard up this long after the run ends (outputs are written first)")
-	syncMetrics := flag.Bool("sync-metrics", false, "record per-shard synchronizer telemetry (fpga<i>.sync.*, or node<i>.sync.* at node granularity) in the metrics report; sharded runs only, makes the report differ from a serial run's")
 	checkpoint := flag.String("checkpoint", "", "write a replay snapshot to this file at -checkpoint-at cycles, then continue")
 	checkpointAt := flag.Uint64("checkpoint-at", 0, "simulated cycle at which to take the -checkpoint snapshot")
 	restore := flag.String("restore", "", "restore a replay snapshot from this file (same -shape/-faults/etc as the original run), then continue")
@@ -155,7 +154,6 @@ func main() {
 	cfg := smappic.DefaultConfig(a, b, c)
 	cfg.Parallel = *parallel
 	cfg.ShardGranularity = *granularity
-	cfg.SyncMetrics = *syncMetrics
 	cfg.Faults, err = smappic.ParseFaults(*faults, *faultSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -96,6 +96,44 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// hugeSpec names 100^10 points in ten 100-entry axes — a few KB of JSON.
+// The entries are zero values: sizing comes before validating any of them.
+func hugeSpec() Spec {
+	return Spec{
+		Name:      "huge",
+		Workloads: make([]string, 100), Shapes: make([]string, 100), Homing: make([]string, 100),
+		NUMA: make([]bool, 100), Threads: make([]int, 100), ActiveNodes: make([]int, 100),
+		Credits: make([]int, 100), ExtraLatency: make([]uint64, 100),
+		Faults: make([]string, 100), Seeds: make([]uint64, 100),
+	}
+}
+
+// TestSpecExpansionBounded: the grid is sized before it is built. A spec
+// past MaxPoints is an error naming the count, reached in a handful of
+// allocations whatever the count — none of them a Job; the limit itself
+// still expands.
+func TestSpecExpansionBounded(t *testing.T) {
+	huge := hugeSpec()
+	_, err := huge.Jobs()
+	if err == nil || !strings.Contains(err.Error(), "100000000000000000000 points") {
+		t.Fatalf("10^20-point spec: error %v, want one naming the count", err)
+	}
+	if n := testing.AllocsPerRun(20, func() { huge.Jobs() }); n > 40 {
+		t.Errorf("refusing the 10^20-point spec takes %.0f allocations; the grid must not be touched", n)
+	}
+
+	edge := testSpec()
+	edge.Seeds = make([]uint64, 256)
+	edge.Credits = make([]int, 256)
+	if jobs, err := edge.Jobs(); err != nil || len(jobs) != MaxPoints {
+		t.Fatalf("spec of exactly MaxPoints: %d jobs, %v", len(jobs), err)
+	}
+	edge.Credits = append(edge.Credits, 0)
+	if _, err := edge.Jobs(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(257*256)) {
+		t.Fatalf("spec of MaxPoints+256: error %v, want one naming the count", err)
+	}
+}
+
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x","shapes":["1x1x2"],"workloads":["is"],"seedz":[1]}`)); err == nil {
 		t.Fatal("typoed field accepted")

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"strings"
 
 	"smappic/internal/core"
@@ -234,6 +235,11 @@ type Spec struct {
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 }
 
+// MaxPoints bounds a spec's expansion. Every built-in sweep and the
+// benchmark's are a few hundred points at most; the bound exists so that a
+// grid submitted to a shared fleetd is refused before it is allocated.
+const MaxPoints = 1 << 16
+
 // Job is one expanded point of a campaign.
 type Job struct {
 	// Index is the job's position in the expansion order; aggregation
@@ -303,7 +309,18 @@ func (s Spec) Jobs() ([]Job, error) {
 		return nil, fmt.Errorf("campaign: spec needs at least one shape and one workload")
 	}
 	d := s.withDefaults()
-	var jobs []Job
+	// Size the grid before building any of it: the axes multiply, so a spec
+	// of a few hundred bytes can name more points than memory holds (and
+	// more than an int counts, hence big).
+	points := big.NewInt(1)
+	for _, n := range []int{len(d.Workloads), len(d.Shapes), len(d.Homing), len(d.NUMA), len(d.Threads),
+		len(d.ActiveNodes), len(d.Credits), len(d.ExtraLatency), len(d.Faults), len(d.Seeds)} {
+		points.Mul(points, big.NewInt(int64(n)))
+	}
+	if points.Cmp(big.NewInt(MaxPoints)) > 0 {
+		return nil, fmt.Errorf("campaign: spec expands to %s points; the limit is %d", points, MaxPoints)
+	}
+	jobs := make([]Job, 0, points.Int64())
 	for _, wl := range d.Workloads {
 		for _, shape := range d.Shapes {
 			for _, homing := range d.Homing {

@@ -107,15 +107,6 @@ type Config struct {
 	// granularity-specific. It changes nothing about how a one-shard build
 	// runs.
 	ShardGranularity string
-
-	// SyncMetrics records the window synchronizer's behavior (windows
-	// executed, envelopes merged, horizon and per-shard lag) as
-	// fpga<N>.sync.* instruments in the per-shard registries, so MetricsJSON
-	// captures it alongside the dashboard. Opt-in because the instruments
-	// describe the sharding, not the model: reports taken under different
-	// shard counts then differ, so leave it off when byte-comparing them, as
-	// the differential harness does.
-	SyncMetrics bool
 }
 
 // DefaultConfig returns the paper's Table 2 system for the given shape.

@@ -8,10 +8,6 @@ import (
 	"smappic/internal/sim"
 )
 
-// probeSeq makes each measurement use a fresh cache line so measurements
-// never interfere.
-var _ = fmt.Sprintf
-
 // probeLine picks a line homed at exactly (node, tile): it lives in the
 // node's DRAM region (home node = region owner) and its line index is
 // congruent to the tile (home slice = line interleave).

@@ -205,9 +205,6 @@ func Build(cfg Config) (*Prototype, error) {
 	// crossing inside one) are enforced whatever the shard count, so an
 	// undercutting model is caught even where no window depends on it.
 	p.Group.SetMinLatencyFunc(p.minCrossingOf)
-	if cfg.SyncMetrics {
-		p.Group.EnableSyncStats(p.shardStats)
-	}
 	p.Injector = fault.NewInjector(p.engs[0], cfg.Faults)
 	p.Fabric = pcie.New(p.engs[0], cfg.PCIe, p.shardStats[0])
 	p.Fabric.SetInjector(p.Injector)

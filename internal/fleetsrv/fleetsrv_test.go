@@ -628,6 +628,46 @@ func TestOversizeBodyRefused(t *testing.T) {
 	}
 }
 
+// TestOversizeSpecRefused: a spec is sized before it is expanded. A body of
+// a few KB whose ten axes multiply to 10^20 points gets 400 naming the
+// count — the server does not try to build the grid — and the server
+// answers the next request with no campaign created.
+func TestOversizeSpecRefused(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(cache).Handler())
+	defer ts.Close()
+
+	// Zero-valued entries: sizing comes before validating any of them.
+	spec := campaign.Spec{
+		Name:      "huge",
+		Workloads: make([]string, 100), Shapes: make([]string, 100), Homing: make([]string, 100),
+		NUMA: make([]bool, 100), Threads: make([]int, 100), ActiveNodes: make([]int, 100),
+		Credits: make([]int, 100), ExtraLatency: make([]uint64, 100),
+		Faults: make([]string, 100), Seeds: make([]uint64, 100),
+	}
+	body, err := json.Marshal(SubmitRequest{Tenant: "mallory", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "100000000000000000000 points") {
+		t.Fatalf("10^20-point submit (%d-byte body): status %d, body %q", len(body), resp.StatusCode, msg)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if fs, err := (&Client{Server: ts.URL}).FleetStatus(ctx); err != nil || len(fs.Campaigns) != 0 {
+		t.Fatalf("fleet status after the refusal: %+v, %v", fs, err)
+	}
+}
+
 // zeros reads as an endless run of '0' characters.
 type zeros struct{}
 

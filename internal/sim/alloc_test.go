@@ -141,8 +141,8 @@ func TestAfterCancelZeroAlloc(t *testing.T) {
 }
 
 // TestGroupHandoffZeroAlloc pins the batched envelope hand-off: once the
-// per-(src,dst) outbox slices and the inject scratch are warm, parking an
-// envelope (Send), merging it at the barrier (inject) and delivering it
+// per-(src,dst) outbox slices and the merge scratch are warm, parking an
+// envelope (Send), merging it at the barrier (merge) and delivering it
 // (AtFront + Step) must not allocate per envelope.
 func TestGroupHandoffZeroAlloc(t *testing.T) {
 	e0, e1 := NewEngine(), NewEngine()
@@ -160,12 +160,12 @@ func TestGroupHandoffZeroAlloc(t *testing.T) {
 		g.Send(0, 1, e1.Now()+100, fn)
 		g.Send(1, 0, e0.Now()+100, fn)
 	}
-	g.inject()
+	g.merge(g.root)
 	drain()
 	if avg := testing.AllocsPerRun(1000, func() {
 		g.Send(0, 1, e1.Now()+100, fn)
 		g.Send(1, 0, e0.Now()+100, fn)
-		g.inject()
+		g.merge(g.root)
 		drain()
 	}); avg != 0 {
 		t.Fatalf("envelope hand-off allocates %.2f/op at steady state, want 0", avg)
@@ -184,7 +184,7 @@ func TestGroupHandoffBurstZeroAlloc(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			g.Send(0, 1, at, fn)
 		}
-		g.inject()
+		g.merge(g.root)
 		for e1.Step() {
 		}
 	}

@@ -1,70 +1,68 @@
 // Windowed execution: a Group runs a set of Engines — one per shard, from a
 // single engine (the serial case) to one per simulated node — under a
-// conservative bounded-lag synchronizer. The PCIe fabric's one-way latency
-// is the outer lookahead L: no FPGA can affect another sooner than L cycles
-// out, so between barriers every shard may safely execute all of its events
-// in the window [T, T+L) without seeing the others. At each barrier the
-// shards' outboxes are merged and injected in the canonical CrossNet order
-// (see crossnet.go), which makes every sharding produce the exact event
-// order — and therefore byte-identical metrics — of the one-engine run.
+// conservative bounded-lag synchronizer built from one kind of part, the
+// window level.
+//
+// # One level
+//
+// A level couples a set of member engines at one radius: its lookahead la
+// is the minimum latency of any envelope between two members (the PCIe
+// crossing at the root, the intra-FPGA interconnect crossing inside a
+// cluster). No member can affect another sooner than la cycles out, so the
+// members may execute a chunk [c, c+la) without seeing each other. Every
+// envelope emitted during that chunk is sent at some s >= c (the previous
+// chunk drained everything earlier) and delivers at s + model latency >=
+// c + la — never inside its own chunk. It parks in the (source engine,
+// destination engine) outbox row, and the level merges its rows into the
+// destination spools in the canonical CrossNet order (see crossnet.go)
+// before any member runs past the boundary the envelope lands beyond. That
+// is what makes every sharding produce the exact event order — and
+// therefore byte-identical metrics — of the one-engine run.
+//
+// A level steps in windows. plan merges the rows, finds the earliest member
+// event T and opens [T, T + width*la); the members run it as lockstep
+// chunks of la cycles, meeting at the level's barrier between chunks, where
+// the last arriver calls the window over at the first boundary with traffic
+// parked in the rows (so no member ever crosses a chunk boundary ahead of an
+// undelivered envelope) or with no member work left before the horizon. A
+// window of width W is therefore event-for-event identical to W consecutive
+// one-chunk windows whose barriers all had nothing to merge — the barriers
+// that were skipped are exactly the ones that would have been no-ops. When
+// the window closes, a quiet one doubles the next width up to the cap and
+// one that parked traffic collapses it back to a single crossing: a fixed
+// window would pay a full barrier every minimum crossing even while the
+// members are not talking to each other, which is most of a bucket-sort
+// run. The width sequence is a pure function of the (deterministic)
+// simulation, so replay reproduces it, and WindowDigest fingerprints it so
+// a checkpoint cursor can prove it did.
+//
+// # Two radii
+//
+// The intra-FPGA interconnect couples co-located nodes far more tightly
+// than PCIe couples FPGAs: its crossing is a few cycles, not sixty. One
+// engine per *node* under a single level would force the whole system to
+// the tiny lookahead. A Group therefore holds a root level over all engines
+// and, for every cluster (FPGA) of more than one engine, an inner level
+// over that cluster's engines (NewHierGroup). A root participant whose
+// cluster has a level of its own tiles each root chunk with that level's
+// windows. The only tier-specific clause is the clamp: an inner window's
+// horizon never crosses the enclosing root chunk's end, so the root
+// argument is untouched, and a final inner chunk [b, e) cut short by the
+// clamp (e <= b + la) is safe for the same reason as a full one —
+// everything it sends delivers at >= b + la >= e. The root is clamped by
+// nothing (TimeMax). Same-engine sends bypass the levels entirely — they go
+// straight into the owning engine's delivery spool, which applies the
+// identical canonical per-(endpoint, cycle) order in every mode.
 //
 // # One engine
 //
-// A one-engine group has no outboxes to merge and nobody to wait for: every
+// A one-engine group has no rows to merge and nobody to wait for: every
 // send is same-engine and lands in the spool at once. Its window is the
 // planned width run straight through — no goroutine, no chunk barrier — so
 // the only thing the window machinery adds to a serial run is a boundary
 // every few thousand cycles at which run predicates, observers, the
 // watchdog and replay cursors get a quiescent look at the model. That is
 // what lets one run loop, one watchdog and one cursor serve every build.
-//
-// # Adaptive lookahead
-//
-// A fixed window of L cycles pays a full barrier (goroutine fan-out,
-// coordinator merge, telemetry flush) every minimum-crossing interval even
-// when the shards are not talking to each other — which is most of a
-// bucket-sort run. The Group therefore widens windows adaptively: after a
-// window closes with no cross-shard envelopes, the next window doubles in
-// width (in units of L) up to a cap, and collapses back to L the moment
-// traffic reappears.
-//
-// Widening never reorders events, because a widened window is executed as
-// lockstep *chunks* of L cycles. The safety argument is the conservative
-// one, applied per chunk: every envelope emitted during chunk [c, c+L) is
-// sent at some s >= c (the previous chunk drained everything earlier) and
-// delivers at s + model latency >= c + L — i.e. never inside its own chunk.
-// Between chunks the shards meet at a lightweight in-window barrier; the
-// last arriver checks the outboxes and ends the window at the first chunk
-// boundary with traffic parked, so no shard ever crosses a chunk boundary
-// ahead of an undelivered envelope. A window of width W is therefore
-// event-for-event identical to W consecutive fixed windows whose barriers
-// all had nothing to inject — the chunks that were skipped are exactly the
-// barriers that would have been no-ops. The adaptive width sequence is a
-// pure function of the (deterministic) simulation, so replay reproduces it,
-// and WindowDigest fingerprints it so a checkpoint cursor can prove it did.
-//
-// # Hierarchical windows (sub-FPGA sharding)
-//
-// The intra-FPGA interconnect couples co-located nodes far more tightly
-// than PCIe couples FPGAs: its crossing is a few cycles, not sixty. Running
-// one engine per *node* under the flat scheme would therefore force the
-// whole system to the tiny lookahead. Instead the Group supports two
-// levels (NewHierGroup): engines are grouped into clusters (one per FPGA),
-// and within each outer chunk of L cycles, each multi-engine cluster runs
-// its own sequence of *inner* windows at the inner lookahead l — planned,
-// chunked, adaptively widened and barriered exactly like the outer level,
-// but entirely inside the cluster. Inner windows always tile outer chunks:
-// an inner window never crosses the enclosing outer chunk boundary (its
-// horizon is clamped to it), so the outer safety argument is untouched.
-// The per-chunk argument then holds at both radii: a cross-cluster
-// envelope sent inside outer chunk [c, c+L) delivers at >= c+L (outer
-// barrier injection), and an intra-cluster envelope sent inside inner
-// chunk [b, b+l) delivers at >= b+l (drained into the member's spool at
-// the next inner barrier). A truncated final inner chunk [b, e) with
-// e <= b+l is safe for the same reason: everything it sends delivers at
-// >= b+l >= e. Same-engine sends bypass the window machinery entirely —
-// they go straight into the owning engine's delivery spool, which applies
-// the identical canonical per-(endpoint, cycle) order in every mode.
 package sim
 
 import (
@@ -73,14 +71,14 @@ import (
 )
 
 // DefaultAdaptiveCap is the default ceiling on adaptive window widening, in
-// units of the lookahead L: windows grow geometrically 1, 2, 4, ... up to
-// this multiplier while cross-shard traffic is absent. 64 puts the widest
-// window at a few thousand cycles with the PCIe-calibrated L — long enough
-// to amortize barriers across a local compute phase, short enough that the
-// group still reaches quiescent points (checkpoints, watchdog checks,
-// dashboard snapshots) at a useful cadence. Inner windows use the same cap
-// in units of the inner lookahead; their width is additionally clamped by
-// the enclosing outer chunk.
+// units of a level's lookahead: windows grow geometrically 1, 2, 4, ... up
+// to this multiplier while the level's traffic is absent. 64 puts the widest
+// root window at a few thousand cycles with the PCIe-calibrated lookahead —
+// long enough to amortize barriers across a local compute phase, short
+// enough that the group still reaches quiescent points (checkpoints,
+// watchdog checks, dashboard snapshots) at a useful cadence. Inner windows
+// use the same cap in units of the inner lookahead; the enclosing root chunk
+// clamps them further.
 const DefaultAdaptiveCap = 64
 
 // Group executes a set of Engines — one per shard — in bounded-lag windows,
@@ -94,59 +92,36 @@ const DefaultAdaptiveCap = 64
 // quiescent and the caller's goroutine may inspect any shard freely — the
 // window barrier provides the happens-before edge.
 type Group struct {
-	lookahead Time // outer: minimum cross-cluster (PCIe) crossing
-	innerLA   Time // inner: minimum intra-cluster cross-engine crossing
-	engines   []*Engine
-	clusters  [][]int                 // engine indices per cluster (all singletons when flat)
-	engCl     []int                   // engine index -> cluster index
-	epEng     []int                   // endpoint id+1 -> engine index (slot 0: the host)
-	seqs      []uint64                // per-source send sequence, indexed like epEng
-	spools    []*spool                // per-engine canonical delivery spool
-	minLat    func(src, dst int) Time // optional per-edge model floor
+	engines  []*Engine
+	clusters [][]int                 // engine indices per cluster (all singletons when flat)
+	engCl    []int                   // engine index -> cluster index
+	epEng    []int                   // endpoint id+1 -> engine index (slot 0: the host)
+	seqs     []uint64                // per-source send sequence, indexed like epEng
+	spools   []*spool                // per-engine canonical delivery spool
+	minLat   func(src, dst int) Time // optional per-edge model floor
 	// outbox is the batched envelope hand-off: one preallocated slice per
 	// (src, dst) engine pair at index src*engines+dst. During a window row
 	// src is owned by engine src's goroutine (Send appends, nothing else
-	// touches it); intra-cluster rows drain at the cluster's inner barriers
-	// and cross-cluster rows at the outer window barrier, each merging into
-	// the destination engine's spool. Slices are reused window to window, so
-	// a warmed-up group hands envelopes off without allocating.
+	// touches it); a row drains when a level that lists it plans its next
+	// window — intra-cluster rows at the cluster's inner barriers, the rest
+	// at the root barrier — merging into the destination engine's spool.
+	// Slices are reused window to window, so a warmed-up group hands
+	// envelopes off without allocating.
 	outbox  [][]netEntry
-	horizon Time  // current window's exclusive upper bound
 	running bool  // inside a window (workers active)
-	active  []int // active-cluster scratch, reused window to window
+	parts   []int // the root window's participant engines; scratch, reused
 
-	// Adaptive-lookahead state. width is the next window's width in units
-	// of lookahead; maxWidth caps the geometric widening (1 = fixed
-	// windows). chunksRan is the width the current window actually reached
-	// before traffic (or idleness) ended it — written by the last barrier
-	// arriver, read by the coordinator after the workers join.
-	width     int
-	maxWidth  int
-	chunksRan int
-	bar       winBarrier
+	root  *level   // all engines at the outer (cross-cluster) lookahead
+	inner []*level // per cluster, at the inner lookahead; nil for singletons
 
-	// cl holds each cluster's inner synchronizer (meaningful only for
-	// clusters with more than one engine).
-	cl []clusterState
-
-	// Synchronizer telemetry, maintained unconditionally (a few integer
-	// bumps per window). envOut[i] is written only by engine i's goroutine
-	// during a window; envIn[i] is written by engine i's own sends, its
-	// cluster's inner-barrier drains and the quiescent coordinator —
-	// contexts the barriers already order. Everything else is
-	// coordinator-owned and touched only while the group is quiescent.
-	windows    uint64   // completed synchronization windows
-	chunks     uint64   // completed window chunks (windows in units of L)
-	widenings  uint64   // windows after which the width grew
-	collapses  uint64   // windows after which the width snapped back to 1
-	digest     uint64   // FNV-1a over the (start, width) outer window sequence
-	ranWindows []uint64 // windows in which engine i actually executed work
+	// Per-shard telemetry, maintained unconditionally (a few integer bumps
+	// per window). envOut[i] is written only by engine i's goroutine during
+	// a window; envIn[i] is written by engine i's own sends, its cluster's
+	// inner-barrier merges and the quiescent coordinator — contexts the
+	// barriers already order. ranWindows is coordinator-owned.
+	ranWindows []uint64 // root windows in which engine i actually executed work
 	envIn      []uint64 // envelopes merged toward engine i
 	envOut     []uint64 // envelopes sent by engine i
-
-	// syncStats, when bound with EnableSyncStats, mirrors the telemetry into
-	// per-shard stats registries at every barrier.
-	syncStats []shardSyncStats
 
 	// OnBarrier, when non-nil, runs at the end of every synchronization
 	// window, after the worker goroutines have joined and before the next
@@ -156,46 +131,32 @@ type Group struct {
 	OnBarrier func()
 }
 
-// clusterState is one cluster's inner window machinery: a private chunk
-// barrier plus the same plan/adapt/digest state the outer level keeps, in
-// units of the inner lookahead. All fields are touched only under the
-// cluster's barrier lock (or while the group is quiescent).
-type clusterState struct {
-	engines  []int
-	bar      winBarrier
-	width    int // next inner window width, in units of innerLA
-	maxWidth int
-	winStart Time // current inner window start
-	winEnd   Time // current inner window's exclusive clamp (tiles the outer chunk)
+// level is one radius of the synchronizer: the window machinery over a set
+// of member engines whose mutual sends all honor the lookahead la. Between
+// windows its fields belong to whoever holds the level quiescent — the
+// coordinator for the root, the last arriver at bar for an inner level;
+// during a window members only read start and end.
+type level struct {
+	la      Time       // minimum crossing between two members, in cycles
+	members []int      // engine indices
+	rows    []int      // outbox rows merged at this level's barriers, in (dst, src) order
+	bar     winBarrier // chunk rendezvous of the window's participants
 
-	windows   uint64
-	chunks    uint64
-	widenings uint64
-	collapses uint64
-	chunksRan int
-	digest    uint64 // FNV-1a over the (start, chunks) inner window sequence
-}
+	// width is the next window's width in units of la; maxWidth caps the
+	// geometric widening (1 = fixed windows).
+	width, maxWidth int
+	// The current window is [start, end); end is the planned horizon until
+	// close trims it to what was reached. ran is the number of chunks the
+	// window runs — set to the planned count by plan, cut by over when the
+	// window ends early, and zero once close has booked it.
+	start, end Time
+	ran        int
 
-// shardSyncStats is the per-shard registry binding of the synchronizer
-// telemetry (see EnableSyncStats).
-type shardSyncStats struct {
-	windows   *Counter
-	chunks    *Counter
-	widenings *Counter
-	collapses *Counter
-	envIn     *Counter
-	envOut    *Counter
-	horizon   *Gauge
-	width     *Gauge
-	lag       *Gauge
-
-	// Inner-group instruments, bound only on the first engine of a
-	// multi-engine cluster.
-	innerWindows   *Counter
-	innerChunks    *Counter
-	innerWidenings *Counter
-	innerCollapses *Counter
-	innerWidth     *Gauge
+	windows   uint64 // completed windows
+	chunks    uint64 // completed chunks (windows in units of la)
+	widenings uint64 // windows after which the width grew
+	collapses uint64 // windows after which the width snapped back to 1
+	digest    uint64 // FNV-1a over the (start, chunks ran) window sequence
 }
 
 // fnvOffset/fnvPrime are the FNV-1a constants for the window-sequence
@@ -238,8 +199,8 @@ func NewGroup(lookahead Time, engines ...*Engine) *Group {
 // lookahead and cross-engine sends within one cluster honoring the inner
 // lookahead, with endpoint ids mapped onto engines by epEngine. Both
 // lookaheads must be positive and inner must not exceed outer. Clusters of
-// one engine skip the inner machinery entirely, so a hierarchical group
-// whose clusters are all singletons behaves exactly like a flat one.
+// one engine get no level of their own, so a hierarchical group whose
+// clusters are all singletons behaves exactly like a flat one.
 func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Group {
 	if outer == 0 || inner == 0 {
 		panic("sim: parallel group needs positive lookaheads")
@@ -250,29 +211,17 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	if len(clusters) == 0 {
 		panic("sim: parallel group needs at least one cluster")
 	}
-	g := &Group{
-		lookahead: outer,
-		innerLA:   inner,
-		width:     1,
-		maxWidth:  1,
-		digest:    fnvOffset,
-		cl:        make([]clusterState, len(clusters)),
-	}
+	g := &Group{}
 	for ci, members := range clusters {
 		if len(members) == 0 {
 			panic("sim: parallel group cluster with no engines")
 		}
-		cs := &g.cl[ci]
-		cs.width = 1
-		cs.maxWidth = 1
-		cs.digest = fnvOffset
 		var idx []int
 		for _, e := range members {
 			idx = append(idx, len(g.engines))
 			g.engCl = append(g.engCl, ci)
 			g.engines = append(g.engines, e)
 		}
-		cs.engines = idx
 		g.clusters = append(g.clusters, idx)
 	}
 	if len(epEngine) == 0 {
@@ -288,38 +237,61 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	g.seqs = make([]uint64, len(g.epEng))
 	g.outbox = make([][]netEntry, n*n)
 	g.spools = make([]*spool, n)
+	all := make([]int, n)
 	for i, e := range g.engines {
 		g.spools[i] = newSpool(e)
+		all[i] = i
 	}
 	g.ranWindows = make([]uint64, n)
 	g.envIn = make([]uint64, n)
 	g.envOut = make([]uint64, n)
+	// The root lists every row: between windows the coordinator may send
+	// on any of them, and at a root barrier the intra-cluster ones are
+	// empty anyway (every cluster leaves a root chunk through a merge).
+	g.root = g.newLevel(outer, all)
+	g.inner = make([]*level, len(g.clusters))
+	for ci, members := range g.clusters {
+		if len(members) > 1 {
+			g.inner[ci] = g.newLevel(inner, members)
+		}
+	}
 	return g
 }
 
+// newLevel builds the level over the given member engines. Its barrier
+// starts out sized for all of them, which is every inner window's party;
+// the root resizes its own per window.
+func (g *Group) newLevel(la Time, members []int) *level {
+	l := &level{la: la, members: members, width: 1, maxWidth: 1, digest: fnvOffset}
+	l.bar.reset(len(members))
+	for _, de := range members {
+		for _, se := range members {
+			if se != de {
+				l.rows = append(l.rows, se*len(g.engines)+de)
+			}
+		}
+	}
+	return l
+}
+
 // SetAdaptive sets the adaptive-lookahead cap: the maximum window width as a
-// multiple of the lookahead, applied at both levels (outer windows in units
-// of the outer lookahead, inner windows in units of the inner one — inner
-// widths are additionally clamped by the enclosing outer chunk). 1 keeps
-// fixed windows; larger caps let windows double geometrically while no
-// cross-shard envelope appears and collapse back to 1 the window traffic
-// returns. Must be called while the group is quiescent. The cap shapes the
-// window sequence a replay cursor counts, so a restore must run under the
-// same value (core derives it from the hashed configuration; the digest
-// check catches a test that overrides one side only).
+// multiple of the lookahead, applied at every level (root windows in units
+// of the outer lookahead, inner windows in units of the inner one — the
+// enclosing root chunk clamps those further). 1 keeps fixed windows; larger
+// caps let windows double geometrically while no envelope parks at the level
+// and collapse back to 1 the window traffic returns. Must be called while
+// the group is quiescent. The cap shapes the window sequence a replay cursor
+// counts, so a restore must run under the same value (core derives it from
+// the hashed configuration; the digest check catches a test that overrides
+// one side only).
 func (g *Group) SetAdaptive(cap int) {
 	if cap < 1 {
 		panic(fmt.Sprintf("sim: adaptive lookahead cap %d; need >= 1", cap))
 	}
-	g.maxWidth = cap
-	if g.width > cap {
-		g.width = cap
-	}
-	for ci := range g.cl {
-		cs := &g.cl[ci]
-		cs.maxWidth = cap
-		if cs.width > cap {
-			cs.width = cap
+	for _, l := range append([]*level{g.root}, g.inner...) {
+		if l != nil {
+			l.maxWidth = cap
+			l.width = min(l.width, cap)
 		}
 	}
 }
@@ -334,87 +306,6 @@ func (g *Group) SetMinLatencyFunc(class func(src, dst int) Time) {
 	g.minLat = class
 }
 
-// EnableSyncStats registers the synchronizer's telemetry as instruments in
-// the given per-shard registries (regs[i] belongs to engine i) under the
-// "fpga<i>.sync." prefix — "node<i>.sync." when the group is hierarchical
-// (sub-FPGA sharding, where a shard is a node). Mirrored per engine:
-// windows and chunks executed, envelopes merged in and sent out,
-// widening/collapse counts, the current window horizon and width, and the
-// engine's lag behind that horizon. Each multi-engine cluster additionally
-// binds its inner-window counters ("...sync.inner_windows" etc.) on its
-// first engine's registry. Values are refreshed at every window barrier.
-// Note that reports folding these registries then differ between shardings
-// of one configuration, so the feature is opt-in — see
-// core.Config.SyncMetrics.
-func (g *Group) EnableSyncStats(regs []*Stats) {
-	if len(regs) != len(g.engines) {
-		panic(fmt.Sprintf("sim: EnableSyncStats got %d registries for %d shards", len(regs), len(g.engines)))
-	}
-	kind := "fpga"
-	if g.Hierarchical() {
-		kind = "node"
-	}
-	g.syncStats = make([]shardSyncStats, len(regs))
-	for i, s := range regs {
-		prefix := fmt.Sprintf("%s%d.sync.", kind, i)
-		g.syncStats[i] = shardSyncStats{
-			windows:   s.Counter(prefix + "windows"),
-			chunks:    s.Counter(prefix + "chunks"),
-			widenings: s.Counter(prefix + "widenings"),
-			collapses: s.Counter(prefix + "collapses"),
-			envIn:     s.Counter(prefix + "envelopes_in"),
-			envOut:    s.Counter(prefix + "envelopes_out"),
-			horizon:   s.Gauge(prefix + "horizon"),
-			width:     s.Gauge(prefix + "width"),
-			lag:       s.Gauge(prefix + "lag"),
-		}
-	}
-	for ci, members := range g.clusters {
-		if len(members) < 2 {
-			continue
-		}
-		ss := &g.syncStats[members[0]]
-		s := regs[members[0]]
-		prefix := fmt.Sprintf("%s%d.sync.", kind, members[0])
-		_ = ci
-		ss.innerWindows = s.Counter(prefix + "inner_windows")
-		ss.innerChunks = s.Counter(prefix + "inner_chunks")
-		ss.innerWidenings = s.Counter(prefix + "inner_widenings")
-		ss.innerCollapses = s.Counter(prefix + "inner_collapses")
-		ss.innerWidth = s.Gauge(prefix + "inner_width")
-	}
-}
-
-// flushSyncStats assigns the current telemetry into the bound registries.
-// Assignment (not accumulation) keeps it idempotent; it runs only at
-// barriers, where the coordinator owns every shard registry.
-func (g *Group) flushSyncStats() {
-	for i := range g.syncStats {
-		ss := &g.syncStats[i]
-		ss.windows.Value = g.ranWindows[i]
-		ss.chunks.Value = g.chunks
-		ss.widenings.Value = g.widenings
-		ss.collapses.Value = g.collapses
-		ss.envIn.Value = g.envIn[i]
-		ss.envOut.Value = g.envOut[i]
-		ss.horizon.Set(int64(g.horizon))
-		ss.width.Set(int64(g.width))
-		lag := int64(0)
-		if le := g.engines[i].LastEventTime(); g.horizon > 0 && g.horizon-1 > le {
-			lag = int64(g.horizon - 1 - le)
-		}
-		ss.lag.Set(lag)
-		if ss.innerWindows != nil {
-			cs := &g.cl[g.engCl[i]]
-			ss.innerWindows.Value = cs.windows
-			ss.innerChunks.Value = cs.chunks
-			ss.innerWidenings.Value = cs.widenings
-			ss.innerCollapses.Value = cs.collapses
-			ss.innerWidth.Set(int64(cs.width))
-		}
-	}
-}
-
 // ShardSync is one shard engine's synchronizer state, captured at a barrier.
 type ShardSync struct {
 	Shard     int    `json:"shard"`
@@ -426,34 +317,45 @@ type ShardSync struct {
 	Lag       Time   `json:"lag"`     // cycles behind the window horizon
 }
 
-// InnerSync is one cluster's inner-window synchronizer state (sub-FPGA
-// sharding), captured at an outer barrier.
-type InnerSync struct {
-	Cluster   int    `json:"cluster"`
-	Engines   int    `json:"engines"`
-	Lookahead Time   `json:"lookahead"` // inner lookahead in cycles
-	Windows   uint64 `json:"windows"`   // completed inner windows
-	Chunks    uint64 `json:"chunks"`    // completed inner chunks (units of the inner lookahead)
-	Width     int    `json:"width"`     // next inner window's width
-	WidthCap  int    `json:"width_cap"`
-	Widenings uint64 `json:"widenings"`
-	Collapses uint64 `json:"collapses"`
+// LevelSync is one window level's books, captured at a barrier.
+type LevelSync struct {
+	Windows   uint64 `json:"windows"`   // completed windows
+	Chunks    uint64 `json:"chunks"`    // completed chunks (windows in units of the lookahead)
+	Lookahead Time   `json:"lookahead"` // minimum window width in cycles
+	Width     int    `json:"width"`     // next window's width, in units of the lookahead
+	WidthCap  int    `json:"width_cap"` // adaptive cap (1 = fixed windows)
+	Widenings uint64 `json:"widenings"` // windows after which the width grew
+	Collapses uint64 `json:"collapses"` // windows that snapped the width back
 }
 
-// GroupSync is the synchronizer's state, captured at a barrier: window and
-// chunk totals, the adaptive-width machinery, per-shard occupancy, and —
-// under sub-FPGA sharding — each cluster's inner-window state.
+// InnerSync is one cluster's inner level (sub-FPGA sharding), captured at a
+// root barrier.
+type InnerSync struct {
+	Cluster int `json:"cluster"`
+	Engines int `json:"engines"`
+	LevelSync
+}
+
+// GroupSync is the synchronizer's state, captured at a barrier: the root
+// level's books, per-shard occupancy, and — under sub-FPGA sharding — each
+// cluster's inner level.
 type GroupSync struct {
-	Windows   uint64      `json:"windows"`   // completed synchronization windows
-	Chunks    uint64      `json:"chunks"`    // completed chunks (windows in units of L)
-	Horizon   Time        `json:"horizon"`   // last window's exclusive upper bound
-	Lookahead Time        `json:"lookahead"` // minimum window width in cycles
-	Width     int         `json:"width"`     // next window's width, in units of L
-	WidthCap  int         `json:"width_cap"` // adaptive cap (1 = fixed windows)
-	Widenings uint64      `json:"widenings"` // windows after which the width grew
-	Collapses uint64      `json:"collapses"` // windows that snapped the width back
-	Shards    []ShardSync `json:"shards"`
-	Inner     []InnerSync `json:"inner,omitempty"` // per multi-engine cluster
+	LevelSync
+	Horizon Time        `json:"horizon"` // last window's exclusive upper bound
+	Shards  []ShardSync `json:"shards"`
+	Inner   []InnerSync `json:"inner,omitempty"` // per multi-engine cluster
+}
+
+func (l *level) sync() LevelSync {
+	return LevelSync{
+		Windows:   l.windows,
+		Chunks:    l.chunks,
+		Lookahead: l.la,
+		Width:     l.width,
+		WidthCap:  l.maxWidth,
+		Widenings: l.widenings,
+		Collapses: l.collapses,
+	}
 }
 
 // SyncSnapshot captures the synchronizer's state: window/chunk totals, the
@@ -461,22 +363,17 @@ type GroupSync struct {
 // must only be called while the group is quiescent (between windows — e.g.
 // from OnBarrier — or before/after Run).
 func (g *Group) SyncSnapshot() GroupSync {
+	horizon := g.root.end
 	sn := GroupSync{
-		Windows:   g.windows,
-		Chunks:    g.chunks,
-		Horizon:   g.horizon,
-		Lookahead: g.lookahead,
-		Width:     g.width,
-		WidthCap:  g.maxWidth,
-		Widenings: g.widenings,
-		Collapses: g.collapses,
+		LevelSync: g.root.sync(),
+		Horizon:   horizon,
 		Shards:    make([]ShardSync, len(g.engines)),
 	}
 	for i, e := range g.engines {
 		le := e.LastEventTime()
 		var lag Time
-		if g.horizon > 0 && g.horizon-1 > le {
-			lag = g.horizon - 1 - le
+		if horizon > 0 && horizon-1 > le {
+			lag = horizon - 1 - le
 		}
 		sn.Shards[i] = ShardSync{
 			Shard:     i,
@@ -488,22 +385,10 @@ func (g *Group) SyncSnapshot() GroupSync {
 			Lag:       lag,
 		}
 	}
-	for ci := range g.cl {
-		cs := &g.cl[ci]
-		if len(cs.engines) < 2 {
-			continue
+	for ci, in := range g.inner {
+		if in != nil {
+			sn.Inner = append(sn.Inner, InnerSync{Cluster: ci, Engines: len(in.members), LevelSync: in.sync()})
 		}
-		sn.Inner = append(sn.Inner, InnerSync{
-			Cluster:   ci,
-			Engines:   len(cs.engines),
-			Lookahead: g.innerLA,
-			Windows:   cs.windows,
-			Chunks:    cs.chunks,
-			Width:     cs.width,
-			WidthCap:  cs.maxWidth,
-			Widenings: cs.widenings,
-			Collapses: cs.collapses,
-		})
 	}
 	return sn
 }
@@ -514,23 +399,23 @@ func (g *Group) SyncSnapshot() GroupSync {
 // window widths are themselves deterministic, so the cursor stays exact;
 // WindowDigest lets a restore verify it replayed the identical width
 // sequence.
-func (g *Group) Windows() uint64 { return g.windows }
+func (g *Group) Windows() uint64 { return g.root.windows }
 
 // Chunks returns the number of completed window chunks — the window count
 // normalized to units of the lookahead, comparable across adaptive caps.
-func (g *Group) Chunks() uint64 { return g.chunks }
+func (g *Group) Chunks() uint64 { return g.root.chunks }
 
 // WindowDigest returns the running FNV-1a fingerprint of the window
-// sequence: every completed outer window folds in its start time and the
+// sequence: every completed root window folds in its start time and the
 // width it actually reached, and — under sub-FPGA sharding — each
-// cluster's inner window sequence folds its own digest on top, in cluster
-// order. Two runs that stepped the same windows at the same widths at both
-// levels — what a replay cursor promises — have equal digests.
+// cluster's inner level folds its own digest on top, in cluster order. Two
+// runs that stepped the same windows at the same widths at both levels —
+// what a replay cursor promises — have equal digests.
 func (g *Group) WindowDigest() uint64 {
-	h := g.digest
-	for ci := range g.cl {
-		if len(g.cl[ci].engines) > 1 {
-			h = fnvFold(h, g.cl[ci].digest)
+	h := g.root.digest
+	for _, in := range g.inner {
+		if in != nil {
+			h = fnvFold(h, in.digest)
 		}
 	}
 	return h
@@ -539,39 +424,20 @@ func (g *Group) WindowDigest() uint64 {
 // Shards returns the number of shard engines.
 func (g *Group) Shards() int { return len(g.engines) }
 
-// Clusters returns the number of engine clusters (FPGAs). Equal to
-// Shards() for a flat group.
-func (g *Group) Clusters() int { return len(g.clusters) }
-
-// Hierarchical reports whether any cluster holds more than one engine —
-// i.e. whether the inner window machinery is in play.
-func (g *Group) Hierarchical() bool {
-	for _, members := range g.clusters {
-		if len(members) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // Engine returns shard i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
-// Lookahead returns the minimum outer synchronization window length in
+// Lookahead returns the minimum root synchronization window length in
 // cycles.
-func (g *Group) Lookahead() Time { return g.lookahead }
-
-// InnerLookahead returns the minimum inner (intra-cluster) window length in
-// cycles; equal to Lookahead for a flat group.
-func (g *Group) InnerLookahead() Time { return g.innerLA }
+func (g *Group) Lookahead() Time { return g.root.la }
 
 // Send implements CrossNet. Same-engine sends go straight into the owning
 // engine's delivery spool; cross-engine sends park in the (src, dst)
-// engine outbox for the next inner (same cluster) or outer (cross-cluster)
-// barrier merge. Must be called from the goroutine of the engine owning
-// endpoint src (or from the coordinator while the group is quiescent). The
-// host endpoint (-1, pcie.HostID) is accepted on either side and rides
-// engine 0, the engine that owns the fabric's host port. A
+// engine outbox row for the next inner (same cluster) or root
+// (cross-cluster) barrier merge. Must be called from the goroutine of the
+// engine owning endpoint src (or from the coordinator while the group is
+// quiescent). The host endpoint (-1, pcie.HostID) is accepted on either
+// side and rides engine 0, the engine that owns the fabric's host port. A
 // delivery closer than the governing lookahead to the sender's clock would
 // mean the model's cross-shard latency undercuts the synchronizer — a
 // wiring bug — and panics. (Deliveries inside the current window's horizon
@@ -586,9 +452,9 @@ func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
 	if g.running {
 		var min Time
 		if se != de {
-			min = g.lookahead
-			if g.engCl[se] == g.engCl[de] {
-				min = g.innerLA
+			min = g.root.la
+			if ci := g.engCl[se]; ci == g.engCl[de] {
+				min = g.inner[ci].la
 			}
 		}
 		if g.minLat != nil {
@@ -613,97 +479,41 @@ func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
 	*box = append(*box, e)
 }
 
-// inject merges every parked envelope into its destination engine's spool.
-// The spool applies each (endpoint, cycle)'s deliveries in canonical order
-// at the front of the cycle, exactly like the SerialNet oracle; deliveries
-// to different endpoints carry no cross-order (their state is disjoint).
-// Consumed entries are zeroed so delivered closures don't linger, and all
-// buffers are reused.
-func (g *Group) inject() {
-	n := len(g.engines)
-	for de := 0; de < n; de++ {
-		sp := g.spools[de]
-		for se := 0; se < n; se++ {
-			if se == de {
-				continue
-			}
-			box := &g.outbox[se*n+de]
-			for j := range *box {
-				g.envIn[de]++
-				sp.insert((*box)[j])
-				(*box)[j] = netEntry{}
-			}
-			*box = (*box)[:0]
-		}
-	}
-}
-
-// drainIntraCluster merges the cluster's internal outbox rows into its
-// member spools. It runs under the cluster's inner barrier lock with every
-// member parked, which orders the spool insertions against member
+// merge moves every envelope parked in the level's rows into its
+// destination engine's spool. The spool applies each (endpoint, cycle)'s
+// deliveries in canonical order at the front of the cycle, exactly like the
+// SerialNet oracle; deliveries to different endpoints carry no cross-order
+// (their state is disjoint). Consumed entries are zeroed so delivered
+// closures don't linger, and all buffers are reused. It runs only while the
+// level is quiescent, which orders the spool insertions against member
 // execution on both sides.
-func (g *Group) drainIntraCluster(ci int) {
-	n := len(g.engines)
-	members := g.cl[ci].engines
-	for _, de := range members {
-		sp := g.spools[de]
-		for _, se := range members {
-			if se == de {
-				continue
-			}
-			box := &g.outbox[se*n+de]
-			for j := range *box {
-				g.envIn[de]++
-				sp.insert((*box)[j])
-				(*box)[j] = netEntry{}
-			}
-			*box = (*box)[:0]
+func (g *Group) merge(l *level) {
+	for _, r := range l.rows {
+		box := &g.outbox[r]
+		de := r % len(g.engines)
+		for j := range *box {
+			g.envIn[de]++
+			g.spools[de].insert((*box)[j])
+			(*box)[j] = netEntry{}
 		}
+		*box = (*box)[:0]
 	}
 }
 
-// pendingEnvelopes reports whether any outbox holds an undelivered envelope.
-// At outer barriers only cross-cluster rows can be non-empty: every cluster
-// leaves its outer chunk through an inner drain.
-func (g *Group) pendingEnvelopes() bool {
-	for i := range g.outbox {
-		if len(g.outbox[i]) > 0 {
+// parked reports whether any of the level's rows holds an undelivered
+// envelope.
+func (g *Group) parked(l *level) bool {
+	for _, r := range l.rows {
+		if len(g.outbox[r]) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// pendingIntraCluster reports whether the cluster's internal rows hold an
-// undelivered envelope.
-func (g *Group) pendingIntraCluster(ci int) bool {
-	n := len(g.engines)
-	members := g.cl[ci].engines
-	for _, se := range members {
-		for _, de := range members {
-			if se != de && len(g.outbox[se*n+de]) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// minNext returns the earliest live event time across all shards.
-func (g *Group) minNext() (Time, bool) {
-	var best Time
-	found := false
-	for _, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && (!found || t < best) {
-			best, found = t, true
-		}
-	}
-	return best, found
-}
-
 // winBarrier is the in-window chunk barrier: a reusable phase rendezvous
 // for the window's participant shards. The last arriver of each phase
-// evaluates the window-over decision while it holds the lock (so every
+// evaluates the level's decision while it holds the lock (so every
 // participant's work for the chunk happens-before the decision) and the
 // verdict is read by all under the same lock on the way out.
 type winBarrier struct {
@@ -715,7 +525,7 @@ type winBarrier struct {
 	stop    bool
 }
 
-// reset prepares the barrier for a window with the given participant count.
+// reset prepares the barrier for windows with the given participant count.
 func (b *winBarrier) reset(parties int) {
 	b.parties = parties
 	b.arrived = 0
@@ -725,9 +535,9 @@ func (b *winBarrier) reset(parties int) {
 	}
 }
 
-// arrive blocks until every participant has finished the chunk, then
-// reports whether the window continues. over runs exactly once per phase,
-// in the last arriver, under the barrier lock.
+// arrive blocks until every participant has arrived, then reports whether
+// the caller goes on. over runs exactly once per phase, in the last
+// arriver, under the barrier lock.
 func (b *winBarrier) arrive(over func() bool) (cont bool) {
 	b.mu.Lock()
 	b.arrived++
@@ -747,259 +557,176 @@ func (b *winBarrier) arrive(over func() bool) (cont bool) {
 	return !stop
 }
 
-// windowOver is the outer chunk-boundary decision, made by the last barrier
-// arriver after chunk k (1-based) of a window starting at start with the
-// given planned width. The window ends when it reaches its planned width,
-// when any outbox parked a cross-cluster envelope (its delivery lands at or
-// beyond the next chunk boundary, so stopping here is exactly a
-// fixed-window barrier), or when no shard has work left before the planned
-// horizon (the remaining chunks would all be empty). Reading other shards'
-// engines and outboxes is safe here: every participant is parked in the
-// barrier and the barrier lock orders the reads.
-func (g *Group) windowOver(start Time, k, planned int) bool {
-	g.chunksRan = k
-	if k >= planned {
-		return true
+// plan opens the level's next window below clamp, the exclusive end of the
+// enclosing parent chunk (TimeMax at the root). The caller holds the level
+// quiescent. It first books the previous window if its members left it
+// without a rendezvous (see runWindow), then merges the rows — the flush
+// events this schedules count as member work — and looks for the earliest
+// member event. It returns false, planning nothing, when the members have
+// nothing left to do before clamp.
+func (g *Group) plan(l *level, clamp Time) bool {
+	if l.ran > 0 {
+		g.close(l)
 	}
-	if g.pendingEnvelopes() {
-		return true
-	}
-	end := start + Time(planned)*g.lookahead
-	for _, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && t < end {
-			return false
-		}
-	}
-	return true
-}
-
-// innerSetup plans a cluster's next inner window inside the outer chunk
-// ending (exclusively) at chunkEnd. It runs under the cluster's barrier
-// lock: first it drains the cluster's internal envelopes (their flush
-// events then count as member work), then it looks for the earliest member
-// event before the chunk boundary. It returns true — "stop" — when the
-// cluster has nothing left to do in this outer chunk.
-func (g *Group) innerSetup(ci int, chunkEnd Time) bool {
-	g.drainIntraCluster(ci)
-	cs := &g.cl[ci]
+	g.merge(l)
 	var t Time
 	found := false
-	for _, ei := range cs.engines {
-		if next, ok := g.engines[ei].NextEventTime(); ok && next < chunkEnd && (!found || next < t) {
+	for _, ei := range l.members {
+		if next, ok := g.engines[ei].NextEventTime(); ok && (!found || next < t) {
 			t, found = next, true
 		}
 	}
-	if !found {
-		return true
-	}
-	cs.winStart = t
-	end := t + Time(cs.width)*g.innerLA
-	if end > chunkEnd {
-		end = chunkEnd
-	}
-	cs.winEnd = end
-	return false
-}
-
-// innerOver is the inner chunk-boundary decision after inner chunk k
-// (1-based) of the cluster's current window: over when the window reached
-// its clamp, parked intra-cluster traffic, or ran out of member work. When
-// the window ends it also closes the books — chunk count, digest fold and
-// the inner width adaptation — still under the barrier lock.
-func (g *Group) innerOver(ci, k int) bool {
-	cs := &g.cl[ci]
-	cs.chunksRan = k
-	over := true
-	switch {
-	case cs.winStart+Time(k)*g.innerLA >= cs.winEnd:
-	case g.pendingIntraCluster(ci):
-	default:
-		over = false
-		for _, ei := range cs.engines {
-			if t, ok := g.engines[ei].NextEventTime(); ok && t < cs.winEnd {
-				break
-			}
-			if ei == cs.engines[len(cs.engines)-1] {
-				over = true
-			}
-		}
-	}
-	if !over {
+	if !found || t >= clamp {
 		return false
 	}
-	cs.windows++
-	cs.chunks += uint64(k)
-	cs.digest = fnvFold(fnvFold(cs.digest, uint64(cs.winStart)), uint64(k))
-	if g.pendingIntraCluster(ci) {
-		if cs.width > 1 {
-			cs.collapses++
-		}
-		cs.width = 1
-	} else if cs.width < cs.maxWidth {
-		cs.width *= 2
-		if cs.width > cs.maxWidth {
-			cs.width = cs.maxWidth
-		}
-		cs.widenings++
-	}
+	l.start = t
+	l.end = min(t+Time(l.width)*l.la, clamp)
+	l.ran = int((l.end - t + l.la - 1) / l.la)
 	return true
 }
 
-// runClusterChunk executes one member engine's share of a single outer
-// chunk ending (exclusively) at chunkEnd. Singleton clusters run straight
-// through; multi-engine clusters alternate setup phases (drain + plan) and
-// inner chunk loops at the cluster barrier until the cluster is idle up to
-// the chunk boundary. Inner windows tile the outer chunk: their horizon
-// never crosses chunkEnd.
-func (g *Group) runClusterChunk(ci int, e *Engine, chunkEnd Time) {
-	cs := &g.cl[ci]
-	if len(cs.engines) == 1 {
-		e.runTo(chunkEnd - 1)
-		return
+// over is the chunk-boundary decision, made by the last barrier arriver
+// after chunk k (1-based, not the final planned one) of the level's window.
+// A window ends at its planned horizon, or before it at the first boundary
+// where a row parked an envelope (its delivery lands at or beyond the next
+// boundary, so stopping here is exactly a fixed-window barrier), or where
+// no member has work left before the horizon (the remaining chunks would
+// all be empty). Reading other members' engines and outbox rows is safe
+// here: every participant is parked in the barrier and its lock orders the
+// reads. (Non-participants of a root window have no work below the horizon
+// by selection, and nothing can reach them before the next merge.)
+func (g *Group) over(l *level, k int) bool {
+	if !g.parked(l) {
+		for _, ei := range l.members {
+			if t, ok := g.engines[ei].NextEventTime(); ok && t < l.end {
+				return false
+			}
+		}
 	}
-	for {
-		if !cs.bar.arrive(func() bool { return g.innerSetup(ci, chunkEnd) }) {
-			return
+	l.ran = k
+	return true
+}
+
+// close books the level's finished window: totals, the digest fold, the
+// horizon it actually reached, and the width adaptation — traffic parked at
+// this barrier collapses the width back to the minimum crossing; a quiet
+// window doubles it up to the cap. The caller holds the level quiescent,
+// with nothing merged since the members stopped.
+func (g *Group) close(l *level) {
+	l.end = min(l.end, l.start+Time(l.ran)*l.la)
+	l.windows++
+	l.chunks += uint64(l.ran)
+	l.digest = fnvFold(fnvFold(l.digest, uint64(l.start)), uint64(l.ran))
+	l.ran = 0
+	if g.parked(l) {
+		if l.width > 1 {
+			l.collapses++
 		}
-		for k := 1; ; k++ {
-			end := cs.winStart + Time(k)*g.innerLA
-			if end > cs.winEnd {
-				end = cs.winEnd
-			}
-			e.runTo(end - 1)
-			if !cs.bar.arrive(func() bool { return g.innerOver(ci, k) }) {
-				break
-			}
-		}
+		l.width = 1
+	} else if l.width < l.maxWidth {
+		l.width = min(2*l.width, l.maxWidth)
+		l.widenings++
 	}
 }
 
-// runEngineWindow is one participant engine's outer window: execute chunk
-// after chunk of L cycles (each possibly expanded into inner windows by its
-// cluster), meeting the other participants at the outer chunk barrier,
-// until the last arriver calls the window over.
-func (g *Group) runEngineWindow(ci int, e *Engine, start Time, planned int) {
+// runWindow is participant engine ei's share of the level's current window:
+// chunk after chunk of la cycles, meeting the other participants at the
+// level's barrier, until the last arriver calls the window over. A root
+// participant whose cluster has a level of its own tiles each root chunk
+// with that level's windows — plan, run, plan again, until the cluster is
+// idle up to the chunk's end — and so leaves every chunk through a merge of
+// the cluster's rows.
+//
+// A member that has run the final planned chunk (possibly cut short by the
+// clamp) leaves without a rendezvous: the verdict is "over" whatever
+// happened in it. Whoever next holds the level quiescent books the window —
+// the coordinator after the join (root) or the last arriver of the next
+// plan (inner) — and sees exactly what the skipped rendezvous would have
+// seen, every member having stopped and nothing having been merged since.
+func (g *Group) runWindow(l *level, ei int) {
+	var in *level
+	if l == g.root {
+		in = g.inner[g.engCl[ei]]
+	}
 	for k := 1; ; k++ {
-		g.runClusterChunk(ci, e, start+Time(k)*g.lookahead)
-		if !g.bar.arrive(func() bool { return g.windowOver(start, k, planned) }) {
+		end := l.start + Time(k)*l.la
+		final := end >= l.end
+		if final {
+			end = l.end
+		}
+		if in == nil {
+			g.engines[ei].runTo(end - 1)
+		} else {
+			for in.bar.arrive(func() bool { return !g.plan(in, end) }) {
+				g.runWindow(in, ei)
+			}
+		}
+		if final || !l.bar.arrive(func() bool { return g.over(l, k) }) {
 			return
 		}
 	}
 }
 
-// StepWindow runs one synchronization window: injects pending envelopes,
-// finds the global next event time T, and lets every cluster with work
-// before the horizon execute it concurrently — chunk by chunk under the
-// adaptive width, each multi-engine cluster running its own inner windows
-// inside each chunk. Returns false when no work remains anywhere, after
-// aligning every engine clock to the global last-event time (mirroring a
-// single engine, whose clock rests on the last executed event — host code
-// that schedules the next phase then sees one "now" whatever the shard
-// count).
+// StepWindow runs one synchronization window: plans the root level (merging
+// pending envelopes, finding the global next event time T) and lets every
+// cluster with work before the horizon execute it concurrently — chunk by
+// chunk under the adaptive width, each multi-engine cluster running its own
+// inner windows inside each chunk. Returns false when no work remains
+// anywhere, after aligning every engine clock to the global last-event time
+// (mirroring a single engine, whose clock rests on the last executed event —
+// host code that schedules the next phase then sees one "now" whatever the
+// shard count).
 func (g *Group) StepWindow() bool {
-	g.inject()
-	t, ok := g.minNext()
-	if !ok {
+	root := g.root
+	if !g.plan(root, TimeMax) {
 		now := g.Now()
 		for _, e := range g.engines {
 			e.alignTo(now)
 		}
 		return false
 	}
-	planned := g.width
-	g.horizon = t + Time(planned)*g.lookahead
-	g.active = g.active[:0]
-	parties := 0
-	for ci, members := range g.clusters {
-		act := false
+	// A cluster takes part, all members together, when any member has work
+	// before the horizon: the inner barrier needs every one of them.
+	g.parts = g.parts[:0]
+	for _, members := range g.clusters {
+		busy := false
 		for _, ei := range members {
-			if next, ok := g.engines[ei].NextEventTime(); ok && next < g.horizon {
+			if next, ok := g.engines[ei].NextEventTime(); ok && next < root.end {
 				g.ranWindows[ei]++
-				act = true
+				busy = true
 			}
 		}
-		if act {
-			g.active = append(g.active, ci)
-			parties += len(members)
+		if busy {
+			g.parts = append(g.parts, members...)
 		}
 	}
 	g.running = true
-	g.chunksRan = planned
-	for _, ci := range g.active {
-		if len(g.clusters[ci]) > 1 {
-			g.cl[ci].bar.reset(len(g.clusters[ci]))
-		}
-	}
+	root.bar.reset(len(g.parts))
 	switch {
 	case len(g.engines) == 1:
 		// A one-engine group — the serial case — has nobody to meet: every
 		// send is same-engine and already sits in the spool, so each chunk
-		// boundary would decide "continue" over an empty outbox. Run the
-		// whole planned width straight through.
-		g.engines[0].runTo(g.horizon - 1)
-	case planned == 1 && parties == 1:
-		// Fixed-width window with a single busy singleton cluster: run
-		// inline, no goroutine, no barrier.
-		g.engines[g.clusters[g.active[0]][0]].runTo(g.horizon - 1)
-	case planned == 1:
-		// Fixed-width window: the outer chunk loop degenerates to one chunk
-		// per cluster, so skip the outer chunk barrier entirely (the inner
-		// machinery still runs inside the chunk).
-		var wg sync.WaitGroup
-		for _, ci := range g.active {
-			for _, ei := range g.clusters[ci] {
-				wg.Add(1)
-				go func(ci int, e *Engine) {
-					defer wg.Done()
-					g.runClusterChunk(ci, e, g.horizon)
-				}(ci, g.engines[ei])
-			}
-		}
-		wg.Wait()
-	case parties == 1:
-		// Widened window, one busy singleton cluster: run the chunk loop
-		// inline. The barrier with one party never blocks, but the chunk
-		// decisions still run — the shard's own sends must end the window at
-		// the correct boundary.
-		g.bar.reset(1)
-		g.runEngineWindow(g.active[0], g.engines[g.clusters[g.active[0]][0]], t, planned)
+		// boundary would decide "continue" over no rows. Run the whole
+		// planned width straight through.
+		g.engines[0].runTo(root.end - 1)
+	case len(g.parts) == 1:
+		// One busy singleton cluster: run the chunk loop inline. The barrier
+		// with one party never blocks, but the chunk decisions still run —
+		// the shard's own sends must end the window at the correct boundary.
+		g.runWindow(root, g.parts[0])
 	default:
-		g.bar.reset(parties)
 		var wg sync.WaitGroup
-		for _, ci := range g.active {
-			for _, ei := range g.clusters[ci] {
-				wg.Add(1)
-				go func(ci int, e *Engine) {
-					defer wg.Done()
-					g.runEngineWindow(ci, e, t, planned)
-				}(ci, g.engines[ei])
-			}
+		for _, ei := range g.parts {
+			wg.Add(1)
+			go func(ei int) {
+				defer wg.Done()
+				g.runWindow(root, ei)
+			}(ei)
 		}
 		wg.Wait()
 	}
 	g.running = false
-	ran := g.chunksRan
-	g.horizon = t + Time(ran)*g.lookahead
-	g.windows++
-	g.chunks += uint64(ran)
-	g.digest = fnvFold(fnvFold(g.digest, uint64(t)), uint64(ran))
-	// Adapt: traffic parked at this barrier collapses the width back to the
-	// minimum crossing; a quiet window doubles it up to the cap.
-	if g.pendingEnvelopes() {
-		if g.width > 1 {
-			g.collapses++
-		}
-		g.width = 1
-	} else if g.width < g.maxWidth {
-		g.width *= 2
-		if g.width > g.maxWidth {
-			g.width = g.maxWidth
-		}
-		g.widenings++
-	}
-	if g.syncStats != nil {
-		g.flushSyncStats()
-	}
+	g.close(root)
 	if g.OnBarrier != nil {
 		g.OnBarrier()
 	}

@@ -296,6 +296,73 @@ func TestHierGroupMatchesSerialNet(t *testing.T) {
 	}
 }
 
+// TestLevelBooksWithoutFinalRendezvous pins the books of windows whose
+// members leave the final planned chunk without meeting: a width-1 inner
+// window, inner windows whose last chunk the root chunk's end cuts short, one
+// that traffic ends on its second-to-last chunk and one that idleness ends.
+// The window sequences below are worked out by hand from the rules in the
+// package comment (outer 20, inner 7, cap 4, every engine ticking each cycle
+// 1..70, engine 0 sending its cluster-mate one envelope at cycle 30); the
+// digests prove the levels stepped exactly them.
+func TestLevelBooksWithoutFinalRendezvous(t *testing.T) {
+	engs := []*Engine{NewEngine(), NewEngine(), NewEngine()}
+	g := NewHierGroup(20, 7, [][]*Engine{{engs[0], engs[1]}, {engs[2]}}, []int{0, 1, 2})
+	g.SetAdaptive(4)
+	var deliveredAt Time
+	for s, e := range engs {
+		var tick func()
+		tick = func() {
+			if s == 0 && e.Now() == 30 {
+				g.Send(0, 1, 37, func() { deliveredAt = engs[1].Now() })
+			}
+			if e.Now() < 70 {
+				e.Schedule(1, tick)
+			}
+		}
+		e.Schedule(1, tick)
+	}
+	if end := g.Run(); end != 70 || deliveredAt != 37 {
+		t.Fatalf("run ended at %d with the envelope delivered at %d; want 70, 37", end, deliveredAt)
+	}
+
+	type win struct{ start, ran uint64 }
+	fold := func(seq []win) uint64 {
+		h := uint64(fnvOffset)
+		for _, w := range seq {
+			h = fnvFold(fnvFold(h, w.start), w.ran)
+		}
+		return h
+	}
+	// Root: [1,21) at width 1; [21,61) at width 2; [61,141) planned at width
+	// 4 and over after one chunk, nobody having work left.
+	root := []win{{1, 1}, {21, 2}, {61, 1}}
+	// Cluster 0, tiling those chunks: [1,8) is a width-1 window; [8,21) is
+	// cut short by the chunk's end ([15,21) is six cycles); [21,41) plans
+	// three chunks and parks the envelope in its second; [35,41) runs at the
+	// collapsed width, cut short again; [41,55), [55,61) tile the next root
+	// chunk; [61,81) plans three chunks and runs dry in its second.
+	inner := []win{{1, 1}, {8, 2}, {21, 2}, {35, 1}, {41, 2}, {55, 1}, {61, 2}}
+
+	sn := g.SyncSnapshot()
+	if len(sn.Inner) != 1 {
+		t.Fatalf("got %d inner views, want 1 (the singleton cluster has no level)", len(sn.Inner))
+	}
+	wantRoot := LevelSync{Windows: 3, Chunks: 4, Lookahead: 20, Width: 4, WidthCap: 4, Widenings: 2}
+	wantInner := LevelSync{Windows: 7, Chunks: 11, Lookahead: 7, Width: 4, WidthCap: 4, Widenings: 4, Collapses: 1}
+	if sn.LevelSync != wantRoot {
+		t.Errorf("root books %+v, want %+v", sn.LevelSync, wantRoot)
+	}
+	if sn.Inner[0].LevelSync != wantInner {
+		t.Errorf("inner books %+v, want %+v", sn.Inner[0].LevelSync, wantInner)
+	}
+	if sn.Horizon != 81 {
+		t.Errorf("horizon %d, want 81 (the last root window reached one chunk)", sn.Horizon)
+	}
+	if got, want := g.WindowDigest(), fnvFold(fold(root), fold(inner)); got != want {
+		t.Errorf("window digest %#x, want %#x: the levels did not step the expected windows", got, want)
+	}
+}
+
 // TestHierGroupInnerUndercutPanics checks the nested lookahead contract: an
 // intra-cluster send below the inner crossing must panic, while one at
 // exactly the inner bound — far below the outer lookahead — is legal.
@@ -511,51 +578,6 @@ func TestGroupSyncTelemetry(t *testing.T) {
 	if out == 0 || in != out {
 		t.Fatalf("envelope accounting: in %d, out %d", in, out)
 	}
-}
-
-// TestGroupEnableSyncStats checks the opt-in registry mirror: after a run the
-// per-shard registries carry the fpga<i>.sync.* instruments with values that
-// match SyncSnapshot.
-func TestGroupEnableSyncStats(t *testing.T) {
-	const la = Time(61)
-	m := &crossModel{la: la, log: make([][]string, 2)}
-	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(la, e0, e1)
-	m.engs = []*Engine{e0, e1}
-	m.net = g
-	regs := []*Stats{{}, {}}
-	g.EnableSyncStats(regs)
-	m.start(6)
-	g.Run()
-
-	shards := g.SyncSnapshot().Shards
-	for i, reg := range regs {
-		prefix := fmt.Sprintf("fpga%d.sync.", i)
-		if got := reg.Get(prefix + "windows"); got != shards[i].Windows {
-			t.Errorf("shard %d windows counter = %d, snapshot says %d", i, got, shards[i].Windows)
-		}
-		if got := reg.Get(prefix + "envelopes_in"); got != shards[i].EnvIn {
-			t.Errorf("shard %d env_in counter = %d, snapshot says %d", i, got, shards[i].EnvIn)
-		}
-		if got := reg.Get(prefix + "envelopes_out"); got != shards[i].EnvOut {
-			t.Errorf("shard %d env_out counter = %d, snapshot says %d", i, got, shards[i].EnvOut)
-		}
-		if h, ok := reg.GaugeValue(prefix + "horizon"); !ok || h == 0 {
-			t.Errorf("shard %d horizon gauge = %d,%v", i, h, ok)
-		}
-		if _, ok := reg.GaugeValue(prefix + "lag"); !ok {
-			t.Errorf("shard %d lag gauge missing", i)
-		}
-	}
-	// Mismatched registry count is a wiring bug and must panic.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("EnableSyncStats with wrong registry count did not panic")
-			}
-		}()
-		NewGroup(la, NewEngine(), NewEngine()).EnableSyncStats([]*Stats{{}})
-	}()
 }
 
 // TestGroupAdaptiveMatchesSerialNet re-runs the cross-shard model under a
