@@ -17,8 +17,10 @@
 //
 // -metrics-json dumps every counter, gauge and histogram as JSON;
 // -trace-out writes a Chrome trace-event file loadable in Perfetto;
-// -sample-every N snapshots the default counter set every N cycles
-// (written into the metrics JSON, or as CSV with -sample-out).
+// -sample-every N snapshots the default counter set at every multiple of N
+// cycles up to the run's last event (written into the metrics JSON, or as
+// CSV with -sample-out), at window barriers: it schedules no events, so a
+// sampled run's results equal an unsampled one's, whatever the sharding.
 //
 // -faults enables deterministic fault injection. A spec is a semicolon-
 // separated list of rules, each "site-pattern.kind:opts":
@@ -60,7 +62,7 @@
 // nested under the per-FPGA windows at the intra-FPGA interconnect
 // lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
 // parallelism). These knobs are execution policy: they change wall-clock,
-// never results. The event-trace and sampler extras need the single engine.
+// never results. The event trace needs the single engine.
 // The halt check, -max-cycles and -checkpoint-at are evaluated at window
 // barriers, so a run may pass such a bound by at most one window.
 //
@@ -147,8 +149,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *parallel > 1 && (*traceOut != "" || *sampleEvery > 0 || *sampleOut != "") {
-		fmt.Fprintln(os.Stderr, "smappic-run: -trace-out/-sample-every/-sample-out need the serial engine; drop -parallel")
+	if *parallel > 1 && *traceOut != "" {
+		fmt.Fprintln(os.Stderr, "smappic-run: -trace-out needs the serial engine; drop -parallel")
 		os.Exit(1)
 	}
 	cfg := smappic.DefaultConfig(a, b, c)

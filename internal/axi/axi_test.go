@@ -3,8 +3,6 @@ package axi
 import (
 	"testing"
 	"testing/quick"
-
-	"smappic/internal/sim"
 )
 
 func TestAlign(t *testing.T) {
@@ -35,166 +33,6 @@ func TestAlignProperty(t *testing.T) {
 	f := func(addr Addr) bool {
 		a, o := Align(addr)
 		return Aligned(a) && o >= 0 && o < BeatBytes && a+Addr(o) == addr
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// memTarget is a trivial in-memory AXI target for crossbar tests.
-type memTarget struct {
-	eng     *sim.Engine
-	latency sim.Time
-	data    map[Addr]byte
-	writes  int
-	reads   int
-}
-
-func newMemTarget(eng *sim.Engine, latency sim.Time) *memTarget {
-	return &memTarget{eng: eng, latency: latency, data: make(map[Addr]byte)}
-}
-
-func (m *memTarget) Write(req *WriteReq, done func(*WriteResp)) {
-	m.writes++
-	for i, b := range req.Data {
-		m.data[req.Addr+Addr(i)] = b
-	}
-	m.eng.Schedule(m.latency, func() { done(&WriteResp{ID: req.ID, OK: true}) })
-}
-
-func (m *memTarget) Read(req *ReadReq, done func(*ReadResp)) {
-	m.reads++
-	out := make([]byte, req.Len)
-	for i := range out {
-		out[i] = m.data[req.Addr+Addr(i)]
-	}
-	m.eng.Schedule(m.latency, func() { done(&ReadResp{ID: req.ID, Data: out, OK: true}) })
-}
-
-func TestCrossbarRoutesByAddress(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 2, nil)
-	a := newMemTarget(eng, 1)
-	b := newMemTarget(eng, 1)
-	x.Map(Region{Base: 0x0000, Size: 0x1000, Target: a, Name: "a"})
-	x.Map(Region{Base: 0x1000, Size: 0x1000, Target: b, Name: "b"})
-
-	var resp *WriteResp
-	x.Write(&WriteReq{Addr: 0x1800, Data: []byte{0xAB}}, func(r *WriteResp) { resp = r })
-	eng.Run()
-	if resp == nil || !resp.OK {
-		t.Fatal("write did not complete OK")
-	}
-	if a.writes != 0 || b.writes != 1 {
-		t.Fatalf("routed to wrong target: a=%d b=%d", a.writes, b.writes)
-	}
-	if b.data[0x1800] != 0xAB {
-		t.Error("data not written")
-	}
-}
-
-func TestCrossbarDecodeErrorFailsResponse(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 2, nil)
-	var wr *WriteResp
-	var rr *ReadResp
-	x.Write(&WriteReq{Addr: 0x9999}, func(r *WriteResp) { wr = r })
-	x.Read(&ReadReq{Addr: 0x9999, Len: 4}, func(r *ReadResp) { rr = r })
-	eng.Run()
-	if wr == nil || wr.OK {
-		t.Error("unmapped write should fail")
-	}
-	if rr == nil || rr.OK {
-		t.Error("unmapped read should fail")
-	}
-}
-
-func TestCrossbarOverlapPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 1, nil)
-	x.Map(Region{Base: 0, Size: 0x1000, Name: "a"})
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping Map did not panic")
-		}
-	}()
-	x.Map(Region{Base: 0x800, Size: 0x1000, Name: "b"})
-}
-
-func TestCrossbarLatencyAndSerialization(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 3, nil)
-	m := newMemTarget(eng, 0)
-	x.Map(Region{Base: 0, Size: 0x10000, Target: m, Name: "m"})
-
-	var done []sim.Time
-	// Two 128-byte (2-beat) writes issued at t=0 to the same target port.
-	for i := 0; i < 2; i++ {
-		x.Write(&WriteReq{Addr: 0, Data: make([]byte, 128)}, func(r *WriteResp) {
-			done = append(done, eng.Now())
-		})
-	}
-	eng.Run()
-	if len(done) != 2 {
-		t.Fatalf("completed %d writes, want 2", len(done))
-	}
-	// First arrives at target at 3 (latency). Second serializes behind 2
-	// beats: arrives at 5.
-	if done[0] != 3 {
-		t.Errorf("first write done at %d, want 3", done[0])
-	}
-	if done[1] != 5 {
-		t.Errorf("second write done at %d, want 5", done[1])
-	}
-}
-
-func TestCrossbarReadRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 1, nil)
-	m := newMemTarget(eng, 2)
-	x.Map(Region{Base: 0x4000, Size: 0x1000, Target: m, Name: "m"})
-	m.data[0x4010] = 0x5A
-
-	var got []byte
-	x.Read(&ReadReq{Addr: 0x4010, Len: 1}, func(r *ReadResp) { got = r.Data })
-	eng.Run()
-	if len(got) != 1 || got[0] != 0x5A {
-		t.Fatalf("read returned %v, want [0x5A]", got)
-	}
-}
-
-func TestCrossbarStats(t *testing.T) {
-	eng := sim.NewEngine()
-	var st sim.Stats
-	x := NewCrossbar(eng, "x0", 1, &st)
-	m := newMemTarget(eng, 0)
-	x.Map(Region{Base: 0, Size: 64, Target: m, Name: "m"})
-	x.Write(&WriteReq{Addr: 0, Data: []byte{1}}, func(*WriteResp) {})
-	x.Read(&ReadReq{Addr: 0, Len: 1}, func(*ReadResp) {})
-	eng.Run()
-	if st.Get("x0.writes") != 1 || st.Get("x0.reads") != 1 {
-		t.Errorf("stats: writes=%d reads=%d, want 1/1", st.Get("x0.writes"), st.Get("x0.reads"))
-	}
-}
-
-// Property: decode is a function of address only and respects region bounds.
-func TestCrossbarDecodeProperty(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewCrossbar(eng, "xbar", 1, nil)
-	a := newMemTarget(eng, 0)
-	b := newMemTarget(eng, 0)
-	x.Map(Region{Base: 0x1000, Size: 0x1000, Target: a, Name: "a"})
-	x.Map(Region{Base: 0x4000, Size: 0x2000, Target: b, Name: "b"})
-	f := func(addr uint16) bool {
-		got := x.Decode(Addr(addr))
-		switch {
-		case addr >= 0x1000 && addr < 0x2000:
-			return got == Target(a)
-		case addr >= 0x4000 && addr < 0x6000:
-			return got == Target(b)
-		default:
-			return got == nil
-		}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

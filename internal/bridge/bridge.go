@@ -94,6 +94,7 @@ type Bridge struct {
 	crFails    map[int]int       // consecutive failed credit reads per dst
 	wedged     map[int]bool      // dst declared unreachable after crFails limit
 	reconArmed map[int]bool      // reconciliation watchdog armed per dst
+	reconAt    map[int]sim.Time  // deadline of the last watchdog armed per dst
 
 	freed      map[int]int    // receive side: credits to return per src
 	freedTotal map[int]uint64 // receive side: cumulative freed per src
@@ -142,6 +143,7 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node int, p Params, stats *sim.Stats, 
 		crFails:    make(map[int]int),
 		wedged:     make(map[int]bool),
 		reconArmed: make(map[int]bool),
+		reconAt:    make(map[int]sim.Time),
 		freed:      make(map[int]int),
 		freedTotal: make(map[int]uint64),
 	}
@@ -362,11 +364,17 @@ func (b *Bridge) creditReadFailed(dst int) {
 // the queue empties (trySend re-arms on the next stall), so an idle bridge
 // schedules nothing.
 func (b *Bridge) armReconcileWatchdog(dst int) {
-	if b.reconArmed[dst] {
-		return
+	if !b.reconArmed[dst] {
+		b.armReconcileAt(dst, b.eng.Now()+reconcileInterval)
 	}
+}
+
+// armReconcileAt arms dst's watchdog with an absolute deadline, which is
+// what a snapshot carries: a restore re-arms at the captured phase.
+func (b *Bridge) armReconcileAt(dst int, at sim.Time) {
 	b.reconArmed[dst] = true
-	b.eng.Schedule(reconcileInterval, func() {
+	b.reconAt[dst] = at
+	b.eng.At(at, func() {
 		b.reconArmed[dst] = false
 		if len(b.sendq[dst]) == 0 || b.wedged[dst] {
 			return
@@ -397,9 +405,13 @@ func (b *Bridge) drain(dst int) {
 }
 
 // CaptureState records the bridge's credit bookkeeping, keyed by peer node.
-// The send queue, outstanding credit reads and the reconciliation watchdog
-// must be idle (quiescence check): a stalled packet is an in-flight NoC
-// transfer and cannot be captured at the bridge layer.
+// The send queue and outstanding credit reads must be idle (quiescence
+// check): a stalled packet is an in-flight NoC transfer and cannot be
+// captured at the bridge layer. The reconciliation watchdog need not be: the
+// drain that precedes a capture runs it out, possibly past the cycle the
+// software resumes at, so its last deadline is captured and RestoreState
+// re-arms it — otherwise the restored run's next stall would start a
+// watchdog at a different phase from the uninterrupted run's.
 func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 	if b.nStalled != 0 {
 		return ckpt.BridgeState{}, fmt.Errorf("bridge: %s has %d packets stalled on credits; not at a quiescent safepoint", b.name, b.nStalled)
@@ -428,6 +440,9 @@ func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 	for d := range b.wedged {
 		peers[d] = struct{}{}
 	}
+	for d := range b.reconAt {
+		peers[d] = struct{}{}
+	}
 	var st ckpt.BridgeState
 	for d := range peers {
 		cr, ok := b.credits[d]
@@ -442,6 +457,7 @@ func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 			FreedTotal: b.freedTotal[d],
 			CrFails:    b.crFails[d],
 			Wedged:     b.wedged[d],
+			ReconAt:    uint64(b.reconAt[d]),
 		})
 	}
 	sort.Slice(st.Dsts, func(i, j int) bool { return st.Dsts[i].Dst < st.Dsts[j].Dst })
@@ -461,6 +477,9 @@ func (b *Bridge) RestoreState(st ckpt.BridgeState) {
 		b.crFails[d.Dst] = d.CrFails
 		if d.Wedged {
 			b.wedged[d.Dst] = true
+		}
+		if at := sim.Time(d.ReconAt); at > b.eng.Now() {
+			b.armReconcileAt(d.Dst, at)
 		}
 	}
 	if b.shaper != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -461,4 +462,64 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 		}
 		sameAsClean(t, e.RunJob(ctx, jobs[0], spec.Policy(), len(jobs)))
 	})
+}
+
+// TestEveryBarrierCutMatchesPlainRun cuts an IS job at every phase barrier —
+// capture, write, re-read, restore into a fresh build, four times over — and
+// requires the whole Result of the plain run, byte for byte. The rows are the
+// seeds that failed before the bridge's reconciliation-watchdog deadline was
+// part of the snapshot (the restored run re-armed it at another phase, so
+// run_cycles moved by up to ~1 600).
+//
+// The last row is pinned as known different, not as a pass: with seeds 27, 34
+// and 36 of the same shape it is what is left of ROADMAP's open item. A
+// credit-return read is in flight when the threads leave the barrier; the
+// drain before the capture completes it, so the restored sender starts with
+// the credits back and stalls once less. The cut would have to carry an
+// in-flight AXI read to close it; no field of the quiescent state can.
+func TestEveryBarrierCutMatchesPlainRun(t *testing.T) {
+	for _, row := range []struct {
+		shape  string
+		keys   int
+		seed   uint64
+		differ string // the one counter allowed (and required) to differ
+	}{
+		{"2x1x2", 512, 1, ""}, {"2x1x2", 512, 3, ""}, {"2x1x2", 512, 6, ""}, {"2x1x2", 512, 8, ""},
+		{"2x2x2", 512, 19, ""},
+		{"4x1x12", 8192, 1000, ""},
+		{"2x1x2", 512, 17, "node1.bridge.credit_stall"},
+	} {
+		row := row
+		t.Run(fmt.Sprintf("%s-seed%d", row.shape, row.seed), func(t *testing.T) {
+			t.Parallel()
+			p := Params{Shape: row.shape, Workload: WorkloadIS, Homing: HomingRegion, NUMA: true, Seed: row.seed, Keys: row.keys}
+			plain, err := Execute(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut, err := ExecuteWithOpts(context.Background(), p,
+				ExecuteOpts{CheckpointPath: filepath.Join(t.TempDir(), "job.ckpt"), CheckpointEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := bytes.Equal(resultBytes(t, plain), resultBytes(t, cut))
+			if row.differ == "" {
+				if !same {
+					t.Errorf("every-barrier cuts perturbed the result: run_cycles %d vs %d", plain.RunCycles, cut.RunCycles)
+				}
+				return
+			}
+			if same {
+				t.Fatal("known-different row is now byte-identical: move it to the passing rows and close the ROADMAP item")
+			}
+			if plain.RunCycles != cut.RunCycles || plain.Checksum != cut.Checksum {
+				t.Errorf("run_cycles %d vs %d, checksum %s vs %s; the known difference is one counter", plain.RunCycles, cut.RunCycles, plain.Checksum, cut.Checksum)
+			}
+			for name, v := range plain.Stats {
+				if got := cut.Stats[name]; got != v && (name != row.differ || got+1 != v) {
+					t.Errorf("%s: %d vs %d; the known difference is %s one lower", name, v, got, row.differ)
+				}
+			}
+		})
+	}
 }

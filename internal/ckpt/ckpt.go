@@ -230,6 +230,10 @@ type BridgeDstState struct {
 	FreedTotal uint64
 	CrFails    int
 	Wedged     bool
+	// ReconAt is the absolute deadline of the last reconciliation watchdog
+	// armed toward Dst (0: never armed, or a snapshot written before the
+	// field existed — gob leaves it zero and restore arms nothing).
+	ReconAt uint64
 }
 
 // TileState is one tile's cache state.

@@ -36,17 +36,6 @@ func (c Config) ConfigHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// PrefixString renders only the boot-relevant parameter subset: what a
-// warm-start prefix depends on. Fork-time parameters — fault plan, bridge
-// credits and link shaping, the watchdog — are excluded, so sweep points
-// that differ only in those share one prefix snapshot. The campaign layer
-// appends its workload parameters before hashing.
-func (c Config) PrefixString() string {
-	return fmt.Sprintf("shape=%s;core=%s;cache=%+v;unified=%t;gih=%t;dram=%d/%d;pcie=%+v;clock=%d;seed=%d",
-		c.Shape(), c.Core, c.Cache, c.UnifiedMemory, c.GlobalInterleaveHoming,
-		c.DRAMLatency, c.DRAMBytesPerCycle, c.PCIe, c.ClockMHz, c.Seed)
-}
-
 // Checkpoint writes a replay-cursor snapshot of the run so far: the
 // completed-window count and the window-sequence digest, plus the clock for
 // verification. It may be taken wherever the caller's run loop is between

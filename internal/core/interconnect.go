@@ -61,9 +61,8 @@ func (pt *icPort) arbitrate(beats sim.Time, invoke func()) {
 // response has no consumer.
 func dropWriteResp(*axi.WriteResp) {}
 
-// icMaster is one node's master port onto its FPGA's interconnect. It
-// replaces the per-FPGA crossbar plus the old clOut router: addresses below
-// the PCIe aperture decode to a co-located bridge window and cross the
+// icMaster is one node's master port onto its FPGA's interconnect: addresses
+// below the PCIe aperture decode to a co-located bridge window and cross the
 // interconnect (a CrossNet send at icLatency); addresses inside the
 // aperture leave through the FPGA's shell, hopping to the shell-owning
 // slot-0 node first when the master lives elsewhere. The shell's inbound

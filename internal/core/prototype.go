@@ -97,8 +97,8 @@ type Prototype struct {
 	// Now/Run/RunUntil/RunUntilHalted rather than stepping it directly.
 	Group *sim.Group
 	// Eng is the engine of a one-shard build and nil otherwise: the handle
-	// of the single-engine-only features (tracer, sampler, latency probe,
-	// state capture), which mustSerial gates on it.
+	// of the single-engine-only features (tracer, latency probe, state
+	// capture), which mustSerial gates on it.
 	Eng *sim.Engine
 	// Stats is the registry reports read. A one-shard build writes it
 	// directly; a multi-shard build keeps one registry per shard and folds

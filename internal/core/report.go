@@ -101,11 +101,10 @@ func (p *Prototype) MetricsJSON() ([]byte, error) {
 // names it samples a default set: per-node NoC flit totals per class, bridge
 // traffic, DRAM accesses and memory-engine occupancy.
 func (p *Prototype) EnableSampler(every sim.Time, names ...string) *sim.Sampler {
-	p.mustSerial("EnableSampler")
 	if len(names) == 0 {
 		names = p.defaultSampleSet()
 	}
-	p.Sampler = sim.NewSampler(p.Eng, p.Stats, every, names...)
+	p.Sampler = sim.NewSampler(p.Group, p.shardStats, every, names...)
 	return p.Sampler
 }
 
@@ -156,8 +155,8 @@ type GroupWatchdog struct {
 }
 
 // EnableGroupWatchdog arms the watchdog; Build calls it when
-// WatchdogInterval is set. It chains onto any Group.OnBarrier hook already
-// installed and schedules no events.
+// WatchdogInterval is set. It observes window barriers and schedules no
+// events.
 func (p *Prototype) EnableGroupWatchdog(interval sim.Time) *GroupWatchdog {
 	w := &GroupWatchdog{
 		p:        p,
@@ -165,13 +164,7 @@ func (p *Prototype) EnableGroupWatchdog(interval sim.Time) *GroupWatchdog {
 		lastExec: make([]uint64, p.Group.Shards()),
 		lastAt:   make([]sim.Time, p.Group.Shards()),
 	}
-	prev := p.Group.OnBarrier
-	p.Group.OnBarrier = func() {
-		if prev != nil {
-			prev()
-		}
-		w.check()
-	}
+	p.Group.OnBarrier(w.check)
 	p.GroupWatchdog = w
 	return w
 }

@@ -78,7 +78,6 @@ type campaignRun struct {
 	failed    int
 	done      int
 	hub       *obs.Hub // per-campaign progress stream (SSE)
-	finished  chan struct{}
 }
 
 // workerState tracks one registered worker.
@@ -164,7 +163,6 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 		outcomes: make([]campaign.JobOutcome, len(jobs)),
 		filled:   make([]bool, len(jobs)),
 		hub:      obs.NewHub(),
-		finished: make(chan struct{}),
 	}
 	run.remaining = len(jobs)
 	s.campaigns[run.id] = run
@@ -210,7 +208,6 @@ func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campai
 	run.hub.Broadcast("job", ev)
 	if run.remaining == 0 {
 		run.hub.Broadcast("complete", s.statusLocked(run))
-		close(run.finished)
 		s.logf("campaign %s complete: %d done, %d failed", run.id, run.done, run.failed)
 	}
 }
@@ -499,17 +496,6 @@ func (s *Server) fleetStatus() *StatusView {
 	return view
 }
 
-// waitCh returns a channel closed when the campaign completes.
-func (s *Server) waitCh(id string) (<-chan struct{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	run, ok := s.campaigns[id]
-	if !ok {
-		return nil, errUnknownCampaign
-	}
-	return run.finished, nil
-}
-
 // ---- persistence ---------------------------------------------------------
 
 // persistedCampaign is the on-disk submission record.
@@ -607,7 +593,6 @@ func (s *Server) Load() error {
 			outcomes: make([]campaign.JobOutcome, len(jobs)),
 			filled:   make([]bool, len(jobs)),
 			hub:      obs.NewHub(),
-			finished: make(chan struct{}),
 		}
 		run.remaining = len(jobs)
 		s.campaigns[run.id] = run
@@ -653,9 +638,6 @@ func (s *Server) Load() error {
 			case campaign.StatusFailed:
 				run.failed++
 			}
-		}
-		if run.remaining == 0 {
-			close(run.finished)
 		}
 		for _, job := range jobs {
 			if run.filled[job.Index] {

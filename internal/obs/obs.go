@@ -12,8 +12,8 @@
 // from an HTTP handler. All state crosses from the simulation to the HTTP
 // side through an explicit snapshot mailbox (an atomic pointer to an
 // immutable Snapshot) that is written only by Publish, and Publish runs only
-// at quiescent boundaries — a window barrier (Group.OnBarrier, which every
-// build has: a serial run is a one-shard group) or a sampler tick.
+// at the one quiescent boundary there is — a window barrier (Group.OnBarrier,
+// which every build has: a serial run is a one-shard group).
 // Publishing schedules no events, mutates no
 // registries, and allocates only host-side memory, so a run with the server
 // attached is byte-identical to one without — enforced by the golden and
@@ -81,30 +81,23 @@ func New() *Server {
 }
 
 // ObservePrototype attaches the server read-only to a prototype and
-// publishes an initial snapshot. Call before the run starts. It wires the
-// non-perturbing publish hooks that exist on the prototype itself: the
-// window barrier, and the sampler's row hook when a sampler is installed
-// (rows are additionally forwarded on the SSE stream). Barriers can be
-// microseconds apart; MinPublishInterval throttles what is actually built.
+// publishes an initial snapshot. Call before the run starts, after
+// EnableSampler. It observes the window barrier: every barrier publishes
+// (MinPublishInterval throttles what is actually built — barriers can be
+// microseconds apart), and one at which the sampler took a row forwards the
+// row on the SSE stream first.
 func (s *Server) ObservePrototype(p *core.Prototype) {
 	s.proto = p
-	prev := p.Group.OnBarrier
-	p.Group.OnBarrier = func() {
-		if prev != nil {
-			prev()
+	var streamed sim.Time // cycle of the last sampler row forwarded
+	p.Group.OnBarrier(func() {
+		if p.Sampler != nil {
+			if rows := p.Sampler.Rows(); len(rows) > 0 && rows[len(rows)-1].At > streamed {
+				streamed = rows[len(rows)-1].At
+				s.hub.Broadcast("sample", rows[len(rows)-1])
+			}
 		}
 		s.Publish()
-	}
-	if p.Sampler != nil {
-		prev := p.Sampler.OnRow
-		p.Sampler.OnRow = func(row sim.SampleRow) {
-			if prev != nil {
-				prev(row)
-			}
-			s.hub.Broadcast("sample", row)
-			s.Publish()
-		}
-	}
+	})
 	// The simulation has not started: building the first snapshot here is
 	// trivially safe, and guarantees /api/metrics never 404s.
 	s.Flush()

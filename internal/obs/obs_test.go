@@ -294,6 +294,40 @@ func TestServedParallelRunIsNonPerturbing(t *testing.T) {
 	}
 }
 
+// TestSampleFramesFollowTheSamplerAtBarriers: the stream carries one "sample"
+// frame per sampler row, in order, from the barrier observer — on a sharded
+// build too, where the sampler used to be refused.
+func TestSampleFramesFollowTheSamplerAtBarriers(t *testing.T) {
+	p := buildSmall(t, 2)
+	p.EnableSampler(5000)
+	srv := New()
+	srv.ObservePrototype(p)
+	sub := srv.hub.Subscribe() // never drained: the run's frames fit its buffer
+
+	k := kernel.New(p, kernel.DefaultConfig())
+	ip := workload.DefaultISParams(p.Cfg.TotalTiles())
+	ip.Keys = 1 << 10
+	if r := workload.RunIS(k, ip); !r.Sorted {
+		t.Fatal("IS output not sorted")
+	}
+
+	var got []string
+	for len(sub) > 0 {
+		if frame := string(<-sub); strings.HasPrefix(frame, "event: sample\n") {
+			got = append(got, frame)
+		}
+	}
+	rows := p.Sampler.Rows()
+	if len(rows) < 5 || len(got) != len(rows) {
+		t.Fatalf("%d sample frames for %d sampler rows", len(got), len(rows))
+	}
+	for i, row := range rows {
+		if want := string(FormatSSE("sample", row)); got[i] != want {
+			t.Fatalf("frame %d = %q, want %q", i, got[i], want)
+		}
+	}
+}
+
 // TestHubDropsSlowSubscribers pins the non-blocking broadcast: a subscriber
 // that never reads cannot stall the publisher.
 func TestHubDropsSlowSubscribers(t *testing.T) {

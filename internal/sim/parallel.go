@@ -49,10 +49,11 @@
 // horizon never crosses the enclosing root chunk's end, so the root
 // argument is untouched, and a final inner chunk [b, e) cut short by the
 // clamp (e <= b + la) is safe for the same reason as a full one —
-// everything it sends delivers at >= b + la >= e. The root is clamped by
-// nothing (TimeMax). Same-engine sends bypass the levels entirely — they go
-// straight into the owning engine's delivery spool, which applies the
-// identical canonical per-(endpoint, cycle) order in every mode.
+// everything it sends delivers at >= b + la >= e. The root is clamped the
+// same way by the group's cut (the sampler's next row; nothing without one).
+// Same-engine sends bypass the levels entirely — they go straight into the
+// owning engine's delivery spool, which applies the identical canonical
+// per-(endpoint, cycle) order in every mode.
 //
 // # One engine
 //
@@ -123,12 +124,10 @@ type Group struct {
 	envIn      []uint64 // envelopes merged toward engine i
 	envOut     []uint64 // envelopes sent by engine i
 
-	// OnBarrier, when non-nil, runs at the end of every synchronization
-	// window, after the worker goroutines have joined and before the next
-	// window begins. The group is quiescent: the callback may inspect any
-	// shard engine or registry freely, but must not schedule events or send
-	// envelopes. The observability layer publishes its snapshot here.
-	OnBarrier func()
+	observers []func() // see OnBarrier
+	// cut is a boundary no root window crosses, so that a barrier falls on
+	// it: the Sampler keeps it on its next row. TimeMax clamps nothing.
+	cut Time
 }
 
 // level is one radius of the synchronizer: the window machinery over a set
@@ -249,6 +248,7 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	// on any of them, and at a root barrier the intra-cluster ones are
 	// empty anyway (every cluster leaves a root chunk through a merge).
 	g.root = g.newLevel(outer, all)
+	g.cut = TimeMax
 	g.inner = make([]*level, len(g.clusters))
 	for ci, members := range g.clusters {
 		if len(members) > 1 {
@@ -294,6 +294,31 @@ func (g *Group) SetAdaptive(cap int) {
 			l.width = min(l.width, cap)
 		}
 	}
+}
+
+// OnBarrier registers fn to run at every window barrier, after the observers
+// registered before it: once a window's worker goroutines have joined and
+// before the next window begins. The group is quiescent there: fn may
+// inspect any shard engine or registry freely, but must not schedule events
+// or send envelopes. It is the one place a run is observed — the watchdog,
+// the sampler and the dashboard publisher all hang here.
+func (g *Group) OnBarrier(fn func()) { g.observers = append(g.observers, fn) }
+
+func (g *Group) observe() {
+	for _, fn := range g.observers {
+		fn()
+	}
+}
+
+// pending reports whether any engine has an event queued or any row an
+// envelope parked. The caller holds the group quiescent.
+func (g *Group) pending() bool {
+	for _, e := range g.engines {
+		if _, ok := e.NextEventTime(); ok {
+			return true
+		}
+	}
+	return g.parked(g.root)
 }
 
 // SetMinLatencyFunc arms an additional per-edge model-latency floor on top
@@ -361,7 +386,7 @@ func (l *level) sync() LevelSync {
 // SyncSnapshot captures the synchronizer's state: window/chunk totals, the
 // current horizon, the adaptive window width, and per-shard occupancy. It
 // must only be called while the group is quiescent (between windows — e.g.
-// from OnBarrier — or before/after Run).
+// from an OnBarrier observer — or before/after Run).
 func (g *Group) SyncSnapshot() GroupSync {
 	horizon := g.root.end
 	sn := GroupSync{
@@ -558,7 +583,7 @@ func (b *winBarrier) arrive(over func() bool) (cont bool) {
 }
 
 // plan opens the level's next window below clamp, the exclusive end of the
-// enclosing parent chunk (TimeMax at the root). The caller holds the level
+// enclosing parent chunk (the cut at the root). The caller holds the level
 // quiescent. It first books the previous window if its members left it
 // without a rendezvous (see runWindow), then merges the rows — the flush
 // events this schedules count as member work — and looks for the earliest
@@ -678,12 +703,19 @@ func (g *Group) runWindow(l *level, ei int) {
 // shard count).
 func (g *Group) StepWindow() bool {
 	root := g.root
-	if !g.plan(root, TimeMax) {
-		now := g.Now()
-		for _, e := range g.engines {
-			e.alignTo(now)
+	for !g.plan(root, g.cut) {
+		if !g.pending() {
+			now := g.Now()
+			for _, e := range g.engines {
+				e.alignTo(now)
+			}
+			return false
 		}
-		return false
+		// Idle up to the cut with work beyond it: the horizon steps onto the
+		// cut without booking a window, and the sampler, observing that, moves
+		// the cut on — boundary to boundary across a long gap.
+		root.start, root.end = g.cut, g.cut
+		g.observe()
 	}
 	// A cluster takes part, all members together, when any member has work
 	// before the horizon: the inner barrier needs every one of them.
@@ -727,9 +759,7 @@ func (g *Group) StepWindow() bool {
 	}
 	g.running = false
 	g.close(root)
-	if g.OnBarrier != nil {
-		g.OnBarrier()
-	}
+	g.observe()
 	return true
 }
 

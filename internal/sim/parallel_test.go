@@ -532,7 +532,7 @@ func TestGroupSyncTelemetry(t *testing.T) {
 
 	barriers := 0
 	var lastWindows uint64
-	g.OnBarrier = func() {
+	g.OnBarrier(func() {
 		barriers++
 		sn := g.SyncSnapshot()
 		if sn.Windows != uint64(barriers) {
@@ -556,7 +556,7 @@ func TestGroupSyncTelemetry(t *testing.T) {
 				t.Errorf("shard %d ran to %d, beyond horizon %d", s.Shard, s.LastEvent, sn.Horizon)
 			}
 		}
-	}
+	})
 	g.Run()
 
 	final := g.SyncSnapshot()

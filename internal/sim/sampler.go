@@ -15,31 +15,24 @@ import (
 // counter match wins, then an exact gauge match; unknown names read as zero
 // until the instrument is created.
 //
-// The sampler re-schedules itself on the engine it was created on. When a
-// tick observes that nothing but the sampler itself has executed since the
-// previous tick, it stops re-arming: this keeps Engine.Run (which drains the
-// queue) terminating once the simulated system quiesces.
+// The sampler is a barrier observer and schedules nothing: it keeps the
+// group's cut on its next boundary, so a barrier falls exactly there, and
+// reads the shard registries at it. A row at k*every therefore holds the
+// effect of every event below k*every and of none at or past it — the same
+// state whatever the sharding — and a sampled run executes exactly the
+// events of an unsampled one. Rows stop with the run's last event.
 type Sampler struct {
-	eng      *Engine
-	stats    *Stats
-	every    Time
-	names    []string
-	rows     []SampleRow
-	lastExec uint64
-	stopped  bool
+	g     *Group
+	regs  []*Stats
+	every Time
+	names []string
+	rows  []SampleRow
 
 	// maxRows, when positive, caps the retained time series: once reached,
 	// each new row overwrites the oldest (start marks the ring head). The
 	// default (0) keeps every row, preserving historical behavior.
 	maxRows int
 	start   int
-
-	// OnRow, when non-nil, is invoked with each freshly taken row, after it
-	// has been recorded. It runs inside the sampler's own tick event on the
-	// simulation goroutine, so it may read simulation state freely but must
-	// not schedule events or block — the observability layer uses it to hand
-	// rows to its snapshot mailbox and SSE stream.
-	OnRow func(SampleRow)
 }
 
 // SampleRow is one snapshot: the cycle it was taken at and the sampled
@@ -49,15 +42,16 @@ type SampleRow struct {
 	Values []uint64
 }
 
-// NewSampler creates a sampler ticking every `every` cycles and arms its
-// first tick. A non-positive interval defaults to 1000 cycles.
-func NewSampler(eng *Engine, stats *Stats, every Time, names ...string) *Sampler {
+// NewSampler creates a sampler over the group's shard registries taking a
+// row at every multiple of `every` cycles beyond the group's horizon. A
+// non-positive interval defaults to 1000 cycles.
+func NewSampler(g *Group, regs []*Stats, every Time, names ...string) *Sampler {
 	if every <= 0 {
 		every = 1000
 	}
-	s := &Sampler{eng: eng, stats: stats, every: every, names: names}
-	s.lastExec = eng.Executed()
-	eng.Schedule(every, s.tick)
+	s := &Sampler{g: g, regs: regs, every: every, names: names}
+	g.cut = every * (g.root.end/every + 1)
+	g.OnBarrier(s.observe)
 	return s
 }
 
@@ -95,14 +89,14 @@ func (s *Sampler) Rows() []SampleRow {
 // Every returns the sampling interval in cycles.
 func (s *Sampler) Every() Time { return s.every }
 
-// Stop prevents any further samples from being taken.
-func (s *Sampler) Stop() { s.stopped = true }
-
-func (s *Sampler) tick() {
-	if s.stopped {
+// observe runs at every barrier. It takes a row when the group rests on the
+// boundary with work left beyond it: every event below has executed, none at
+// or past it has, and the run is not over.
+func (s *Sampler) observe() {
+	if s.g.root.end != s.g.cut || !s.g.pending() {
 		return
 	}
-	row := SampleRow{At: s.eng.Now(), Values: make([]uint64, len(s.names))}
+	row := SampleRow{At: s.g.cut, Values: make([]uint64, len(s.names))}
 	for i, n := range s.names {
 		row.Values[i] = s.sample(n)
 	}
@@ -112,34 +106,22 @@ func (s *Sampler) tick() {
 	} else {
 		s.rows = append(s.rows, row)
 	}
-	if s.OnRow != nil {
-		s.OnRow(row)
-	}
-	// Quiesce detection: if only our own tick executed since the last one,
-	// the simulation is idle; re-arming would keep Engine.Run alive forever.
-	exec := s.eng.Executed()
-	if exec-s.lastExec <= 1 {
-		s.stopped = true
-		return
-	}
-	s.lastExec = exec
-	s.eng.Schedule(s.every, s.tick)
+	s.g.cut += s.every
 }
 
 func (s *Sampler) sample(name string) uint64 {
-	if strings.HasSuffix(name, "*") {
-		return s.stats.Sum(strings.TrimSuffix(name, "*"))
-	}
-	if c, ok := s.stats.counters[name]; ok {
-		return c.Value
-	}
-	if g, ok := s.stats.gauges[name]; ok {
-		if g.Value < 0 {
-			return 0
+	prefix, sum := strings.CutSuffix(name, "*")
+	var v uint64
+	for _, r := range s.regs {
+		if sum {
+			v += r.Sum(prefix)
+		} else if c, ok := r.counters[name]; ok {
+			return c.Value
+		} else if g, ok := r.gauges[name]; ok {
+			return uint64(max(g.Value, 0))
 		}
-		return uint64(g.Value)
 	}
-	return 0
+	return v
 }
 
 // CSV renders the time series with a header row ("cycle,<name>,...").

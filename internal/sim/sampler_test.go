@@ -22,23 +22,34 @@ func sampledWorkload(eng *Engine, s *Stats, until Time) {
 	eng.Schedule(1, step)
 }
 
-func TestSamplerRecordsTimeSeries(t *testing.T) {
+// sampledRun runs sampledWorkload on a one-engine group under a sampler
+// (configured by setup, if any) and returns the sampler and the final time.
+func sampledRun(until, every Time, setup func(*Sampler), names ...string) (*Sampler, Time) {
 	eng := NewEngine()
 	var s Stats
-	sampledWorkload(eng, &s, 100)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "node0.*", "missing")
-	eng.Run()
+	sampledWorkload(eng, &s, until)
+	g := NewGroup(61, eng)
+	g.SetAdaptive(DefaultAdaptiveCap)
+	sm := NewSampler(g, []*Stats{&s}, every, names...)
+	if setup != nil {
+		setup(sm)
+	}
+	return sm, g.Run()
+}
+
+func TestSamplerRecordsTimeSeries(t *testing.T) {
+	sm, _ := sampledRun(100, 10, nil, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "node0.*", "missing")
 
 	rows := sm.Rows()
-	if len(rows) < 10 {
-		t.Fatalf("got %d rows, want >=10", len(rows))
+	if len(rows) != 10 {
+		t.Fatalf("got %d rows, want 10", len(rows))
 	}
 	r0 := rows[0]
 	if r0.At != 10 {
 		t.Fatalf("first sample at %d, want 10", r0.At)
 	}
-	// The tick was scheduled before the cycle-10 workload step, so it runs
-	// first within the cycle and sees the 9 completed steps of +2 each.
+	// The row at 10 holds every event below cycle 10 and none at it: the 9
+	// completed steps of +2 each.
 	if r0.Values[0] != 18 {
 		t.Fatalf("counter sample = %d, want 18", r0.Values[0])
 	}
@@ -59,45 +70,8 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 	}
 }
 
-// The sampler re-schedules itself, which would keep Engine.Run alive
-// forever; once nothing else executes between ticks it must stop re-arming
-// so the run terminates.
-func TestSamplerStopsWhenSimulationQuiesces(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sampledWorkload(eng, &s, 50)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	end := eng.Run() // must return
-
-	if end > 200 {
-		t.Fatalf("engine ran to %d; sampler kept the queue alive", end)
-	}
-	n := len(sm.Rows())
-	eng.Schedule(1, func() {})
-	eng.Run()
-	if len(sm.Rows()) != n {
-		t.Fatal("stopped sampler recorded more rows")
-	}
-}
-
-func TestSamplerStopIsImmediate(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sampledWorkload(eng, &s, 100)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	sm.Stop()
-	eng.Run()
-	if len(sm.Rows()) != 0 {
-		t.Fatalf("stopped sampler recorded %d rows", len(sm.Rows()))
-	}
-}
-
 func TestSamplerCSVAndJSON(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sampledWorkload(eng, &s, 30)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	eng.Run()
+	sm, _ := sampledRun(30, 10, nil, "node0.mesh.noc1.flits")
 
 	csv := sm.CSV()
 	if !strings.HasPrefix(csv, "cycle,node0.mesh.noc1.flits\n10,18\n") {
@@ -125,9 +99,7 @@ func TestSamplerCSVAndJSON(t *testing.T) {
 }
 
 func TestSamplerDefaultInterval(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sm := NewSampler(eng, &s, 0)
+	sm := NewSampler(NewGroup(1, NewEngine()), nil, 0)
 	if sm.Every() != 1000 {
 		t.Fatalf("default interval = %d, want 1000", sm.Every())
 	}
@@ -137,15 +109,10 @@ func TestSamplerDefaultInterval(t *testing.T) {
 // drops the oldest rows, and Rows/CSV/JSON all present the retained window
 // in chronological order.
 func TestSamplerRingBuffer(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sampledWorkload(eng, &s, 200)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	sm.SetMaxRows(5)
+	sm, _ := sampledRun(200, 10, func(sm *Sampler) { sm.SetMaxRows(5) }, "node0.mesh.noc1.flits")
 	if sm.MaxRows() != 5 {
 		t.Fatalf("MaxRows = %d, want 5", sm.MaxRows())
 	}
-	eng.Run()
 
 	rows := sm.Rows()
 	if len(rows) != 5 {
@@ -158,11 +125,7 @@ func TestSamplerRingBuffer(t *testing.T) {
 	}
 	// The retained window must be the LAST five samples of the run: the
 	// unbounded reference run tells us what those are.
-	ref := NewEngine()
-	var rs Stats
-	sampledWorkload(ref, &rs, 200)
-	rm := NewSampler(ref, &rs, 10, "node0.mesh.noc1.flits")
-	ref.Run()
+	rm, _ := sampledRun(200, 10, nil, "node0.mesh.noc1.flits")
 	all := rm.Rows()
 	want := all[len(all)-5:]
 	for i := range want {
@@ -183,33 +146,105 @@ func TestSamplerRingBuffer(t *testing.T) {
 // TestSamplerUnboundedByDefault pins the compatibility contract: without
 // SetMaxRows every sample is retained (goldens embed full series).
 func TestSamplerUnboundedByDefault(t *testing.T) {
-	eng := NewEngine()
-	var s Stats
-	sampledWorkload(eng, &s, 500)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	eng.Run()
-	if n := len(sm.Rows()); n < 49 {
-		t.Fatalf("unbounded sampler kept %d rows, want ~50", n)
+	sm, _ := sampledRun(500, 10, nil, "node0.mesh.noc1.flits")
+	if n := len(sm.Rows()); n != 50 {
+		t.Fatalf("unbounded sampler kept %d rows, want 50", n)
 	}
 }
 
-// TestSamplerOnRow checks the observability hook: each recorded row is also
-// handed to OnRow, in order, after being recorded.
-func TestSamplerOnRow(t *testing.T) {
+// TestSamplerSurvivesIdleGap: an idle stretch longer than the interval steps
+// boundary to boundary, booking no window, and sampling goes on to the run's
+// last event.
+func TestSamplerSurvivesIdleGap(t *testing.T) {
 	eng := NewEngine()
 	var s Stats
-	sampledWorkload(eng, &s, 50)
-	sm := NewSampler(eng, &s, 10, "node0.mesh.noc1.flits")
-	var seen []Time
-	sm.OnRow = func(r SampleRow) { seen = append(seen, r.At) }
-	eng.Run()
+	c := s.Counter("c")
+	for _, at := range []Time{50, 1050, 2050} {
+		eng.At(at, c.Inc)
+	}
+	g := NewGroup(61, eng)
+	g.SetAdaptive(DefaultAdaptiveCap)
+	sm := NewSampler(g, []*Stats{&s}, 100, "c")
+	if end := g.Run(); end != 2050 {
+		t.Fatalf("sampled run ended at %d, want 2050", end)
+	}
 	rows := sm.Rows()
-	if len(seen) != len(rows) {
-		t.Fatalf("OnRow saw %d rows, sampler recorded %d", len(seen), len(rows))
+	if len(rows) != 20 {
+		t.Fatalf("got %d rows, want 20 (100..2000)", len(rows))
 	}
 	for i, r := range rows {
-		if seen[i] != r.At {
-			t.Fatalf("OnRow order mismatch at %d: %d vs %d", i, seen[i], r.At)
+		at := Time(100 * (i + 1))
+		if want := uint64(1 + at/1050); r.At != at || r.Values[0] != want {
+			t.Fatalf("row %d = %+v, want cycle %d value %d", i, r, at, want)
 		}
+	}
+	if w := g.Windows(); w != 3 {
+		t.Fatalf("idle boundaries booked windows: %d for 3 events", w)
+	}
+}
+
+// sampledPair runs two talkative shards — each ticks on its own stride,
+// counts in its own registry and sends the other an envelope per tick — as a
+// group of one engine or of two, under a sampler, and returns the sampler's
+// CSV and the final time.
+func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
+	const la = Time(61)
+	engs := []*Engine{NewEngine(), NewEngine()}
+	regs := []*Stats{{}, {}}
+	var g *Group
+	if engines == 1 {
+		engs[1], regs = engs[0], regs[:1]
+		g = NewHierGroup(la, la, [][]*Engine{{engs[0]}}, []int{0, 0})
+	} else {
+		g = NewGroup(la, engs...)
+	}
+	g.SetAdaptive(DefaultAdaptiveCap)
+	for s := range engs {
+		s, e, reg := s, engs[s], regs[s%len(regs)]
+		ticks := reg.Counter(fmt.Sprintf("shard%d.ticks", s))
+		recv := reg.Counter(fmt.Sprintf("shard%d.recv", s))
+		busy := reg.Gauge(fmt.Sprintf("shard%d.busy", s))
+		var tick func(i int)
+		tick = func(i int) {
+			ticks.Inc()
+			busy.Set(int64(i % 3))
+			if i%4 == 0 { // talk in bursts, so windows widen in between
+				g.Send(s, 1-s, e.Now()+la+Time(3*s), recv.Inc)
+			}
+			if i < 400 {
+				e.Schedule(Time(7+s), func() { tick(i + 1) })
+			}
+		}
+		e.Schedule(Time(1+s), func() { tick(0) })
+	}
+	sm := NewSampler(g, regs, every, "shard0.ticks", "shard1.recv", "shard1.busy", "*")
+	end := g.Run()
+	for _, r := range sm.Rows() {
+		if r.At%every != 0 || r.At > end {
+			t.Errorf("%d engine(s): row at %d; want a multiple of %d no later than the last event at %d", engines, r.At, every, end)
+		}
+	}
+	if n := len(sm.Rows()); Time(n) != end/every {
+		t.Errorf("%d engine(s): %d rows for a run ending at %d, want %d", engines, n, end, end/every)
+	}
+	return sm.CSV(), end
+}
+
+// TestSamplerRowsExactAcrossShardings: rows land exactly on the multiples of
+// the interval, none past the last event, a sampled run ends where the
+// unsampled one does, and one engine and two give the same rows.
+func TestSamplerRowsExactAcrossShardings(t *testing.T) {
+	for _, every := range []Time{100, 61, 1000} {
+		one, endOne := sampledPair(t, 1, every)
+		two, endTwo := sampledPair(t, 2, every)
+		if one != two || endOne != endTwo {
+			t.Errorf("every %d: one engine (end %d) and two (end %d) sampled different rows:\n%s\nvs\n%s", every, endOne, endTwo, one, two)
+		}
+	}
+	_, sampled := sampledRun(100, 10, nil, "node0.mesh.noc1.flits")
+	eng := NewEngine()
+	sampledWorkload(eng, &Stats{}, 100)
+	if plain := NewGroup(61, eng).Run(); sampled != plain {
+		t.Errorf("sampled run ended at %d, unsampled at %d", sampled, plain)
 	}
 }

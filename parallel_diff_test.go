@@ -22,7 +22,8 @@ import (
 
 // diffOutcome is everything a run must reproduce exactly.
 type diffOutcome struct {
-	metrics  []byte
+	metrics  []byte // MetricsJSON without its "samples" section
+	samples  []byte // that section (nil for an unsampled run)
 	cycles   smappic.Time
 	checksum uint64
 }
@@ -36,6 +37,7 @@ type diffCase struct {
 	faults      string
 	seed        uint64
 	watchdog    smappic.Time // WatchdogInterval (0 = unwatched)
+	sampler     smappic.Time // EnableSampler interval (0 = unsampled)
 	widthCap    int          // widening-cap override for the sharded run (0 = the configuration's, 1 = fixed windows)
 	granularity string       // ShardGranularity for the sharded run ("" = per-FPGA)
 }
@@ -66,6 +68,9 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 		// Fixed windows are a test-only discipline: no configuration
 		// selects them.
 		p.Group.SetAdaptive(dc.widthCap)
+	}
+	if dc.sampler != 0 {
+		p.EnableSampler(dc.sampler)
 	}
 	return p
 }
@@ -137,6 +142,11 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 		t.Fatal(err)
 	}
 	out.metrics = m
+	if i := bytes.Index(m, []byte(",\n  \"samples\": ")); i >= 0 {
+		// "samples" is the document's last member: cut it out and close the
+		// object, which leaves exactly what an unsampled run renders.
+		out.metrics, out.samples = append(m[:i:i], "\n}\n"...), m[i:]
+	}
 	out.cycles = p.Now()
 	return out
 }
@@ -208,6 +218,11 @@ func diffCases() []diffCase {
 		// against 115 121.)
 		diffCase{name: "is-2x1x2-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, seed: 42, watchdog: 150_000},
 		diffCase{name: "is-2x1x2-faults-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, faults: pcieFaults, seed: 7, watchdog: 150_000},
+		// Sampled rows: likewise against the *unsampled* one-shard run, and
+		// every sharding must take the sampled one-shard run's rows, byte
+		// for byte.
+		diffCase{name: "is-4x2x2-sampler", a: 4, b: 2, c: 2, workload: "is", numa: true, seed: 42, sampler: 1000},
+		diffCase{name: "riscv-2x2x2-sampler", a: 2, b: 2, c: 2, workload: "riscv", seed: 42, sampler: 1000},
 	)
 	return cases
 }
@@ -217,18 +232,19 @@ func diffCases() []diffCase {
 // and for every row, both with fixed windows and under the configuration's
 // adaptive widening cap, at per-FPGA shard granularity and (for multi-node
 // FPGAs) at per-node granularity under the hierarchical synchronizer.
-// Adaptive widening, shard granularity and the watchdog are execution
-// scheduling and observation only, so every variant must reproduce the one
-// unwatched one-shard outcome — which also pins per-node byte-identical to
-// per-FPGA, transitively.
+// Adaptive widening, shard granularity, the watchdog and the sampler are
+// execution scheduling and observation only, so every variant must reproduce
+// the one unobserved one-shard outcome — which also pins per-node
+// byte-identical to per-FPGA, transitively.
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
 			ref := dc
-			ref.watchdog = 0
+			ref.watchdog, ref.sampler = 0, 0
 			serial := runCase(t, ref, 0)
+			var samples []byte // the observed one-shard run's sampler rows
 			same := func(label string, got diffOutcome) {
 				t.Helper()
 				if serial.cycles != got.cycles {
@@ -241,9 +257,16 @@ func TestShardedMatchesSerial(t *testing.T) {
 					t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
 						label, len(serial.metrics), len(got.metrics), firstDiff(serial.metrics, got.metrics))
 				}
+				if !bytes.Equal(samples, got.samples) {
+					t.Errorf("%s: sampler rows diverge from the one-shard run's:\n%s", label, firstDiff(samples, got.samples))
+				}
 			}
-			if dc.watchdog != 0 {
-				same("watched-serial", runCase(t, dc, 0))
+			if dc.watchdog != 0 || dc.sampler != 0 {
+				observed := runCase(t, dc, 0)
+				if samples = observed.samples; (len(samples) == 0) != (dc.sampler == 0) {
+					t.Fatalf("observed-serial: %d bytes of sampler rows at interval %d", len(samples), dc.sampler)
+				}
+				same("observed-serial", observed)
 			}
 			grans := []string{"fpga"}
 			if dc.b > 1 {
