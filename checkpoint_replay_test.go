@@ -1,8 +1,11 @@
-// Differential harness for replay checkpoints: a run that checkpoints
-// mid-flight and a run restored from that checkpoint must both be
-// byte-identical to the uninterrupted reference — same MetricsJSON, same
-// final time, same console output — in serial and sharded mode, with and
-// without a PCIe fault plan (so cuts land mid-retransmission).
+// Differential harness for replay checkpoints. A cursor names a cycle — the
+// horizon of the barrier it was taken at — plus the clock and a digest of the
+// simulated state there, and nothing about how the run was scheduled. So a
+// run that checkpoints mid-flight and a run restored from that checkpoint
+// must both be byte-identical to the uninterrupted reference — same
+// MetricsJSON, same final time, same console output — whatever sharding,
+// widening cap or sampler either side ran under, with and without a PCIe
+// fault plan (so cuts land mid-retransmission).
 package smappic_test
 
 import (
@@ -10,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"smappic"
@@ -19,21 +23,34 @@ import (
 	"smappic/internal/rvasm"
 )
 
-// replayCfg is the configuration under test: multi-FPGA so the cut crosses
-// bridge and PCIe traffic.
-func replayCfg(t *testing.T, parallel int, faults string) smappic.Config {
-	return replayCfgShaped(t, 4, 1, parallel, faults, "")
+// replayMode is one way of scheduling a run: everything a cursor must not
+// depend on.
+type replayMode struct {
+	name        string
+	parallel    int          // 0 = one shard; otherwise one engine per FPGA...
+	granularity string       // ...or per node
+	widthCap    int          // widening-cap override (0 = the configuration's, 1 = fixed windows)
+	sampler     smappic.Time // EnableSampler interval (0 = unsampled)
 }
 
-// replayCfgShaped is the fully-parameterized builder: shape (a FPGAs of b
-// nodes), shard count, fault plan and shard granularity. The per-node rows
-// use 2x2x2 — multi-node FPGAs, so node granularity actually nests inner
-// windows.
-func replayCfgShaped(t *testing.T, a, b, parallel int, faults string, granularity string) smappic.Config {
+// replayModes lists the shardings of an a-FPGA shape with b nodes per FPGA:
+// one shard, per FPGA and — where it nests inner windows — per node.
+func replayModes(a, b int) []replayMode {
+	modes := []replayMode{{name: "one-shard"}, {name: "per-fpga", parallel: a}}
+	if b > 1 {
+		modes = append(modes, replayMode{name: "per-node", parallel: a, granularity: "node"})
+	}
+	return modes
+}
+
+// replayCfg is the configuration under test: multi-FPGA so the cut crosses
+// bridge and PCIe traffic (a FPGAs of b two-tile nodes), under one mode's
+// execution policy.
+func replayCfg(t *testing.T, a, b int, faults string, m replayMode) smappic.Config {
 	t.Helper()
 	cfg := smappic.DefaultConfig(a, b, 2)
-	cfg.Parallel = parallel
-	cfg.ShardGranularity = granularity
+	cfg.Parallel = m.parallel
+	cfg.ShardGranularity = m.granularity
 	cfg.Seed = 42
 	if faults != "" {
 		var err error
@@ -55,37 +72,43 @@ func replayOutcome(t *testing.T, p *core.Prototype) diffOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := uint64(0)
+	out := diffOutcome{cycles: p.Now()}
+	out.metrics, out.samples = splitSamples(m)
 	host := p.Host()
 	for n := 0; n < p.Cfg.TotalNodes(); n++ {
 		for _, ch := range host.Console(n) {
-			sum = sum*31 + uint64(ch)
+			out.checksum = out.checksum*31 + uint64(ch)
 		}
 	}
-	return diffOutcome{metrics: m, cycles: p.Now(), checksum: sum}
+	return out
 }
 
-// startReplayProto builds a prototype and loads the cross-node program.
-// widthCap, when nonzero, overrides the widening cap the configuration
-// implies (1 pins fixed one-crossing windows) — test-only scheduling, so the
-// restoring side must apply the same override (loadReplayProgram does).
-func startReplayProto(t *testing.T, cfg smappic.Config, widthCap int) *core.Prototype {
+// sameOutcome fails the test unless got reproduces want (the sampler's series
+// aside: it belongs to the observer, not the run).
+func sameOutcome(t *testing.T, what string, got, want diffOutcome) {
 	t.Helper()
-	p, err := core.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if got.cycles != want.cycles {
+		t.Errorf("%s: final time %d, want %d", what, got.cycles, want.cycles)
 	}
-	loadReplayProgram(p, widthCap)
-	return p
+	if got.checksum != want.checksum {
+		t.Errorf("%s: console checksum %#x, want %#x", what, got.checksum, want.checksum)
+	}
+	if !bytes.Equal(got.metrics, want.metrics) {
+		t.Errorf("%s: MetricsJSON diverges:\n%s", what, firstDiff(got.metrics, want.metrics))
+	}
 }
 
-// loadReplayProgram loads the cross-node program into a freshly built (or
-// RestorePrototype-built) prototype, applies the cap override and starts it.
-func loadReplayProgram(p *core.Prototype, widthCap int) {
-	if widthCap != 0 {
-		p.Group.SetAdaptive(widthCap)
+// loadReplayProgram applies a mode's scheduling overrides to a freshly built
+// (or RestorePrototype-built) prototype, loads source on every node and
+// starts it.
+func loadReplayProgram(p *core.Prototype, m replayMode, source string) {
+	if m.widthCap != 0 {
+		p.Group.SetAdaptive(m.widthCap)
 	}
-	prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
+	if m.sampler != 0 {
+		p.EnableSampler(m.sampler)
+	}
+	prog := rvasm.MustAssemble(smappic.ResetPC, source)
 	host := p.Host()
 	for n := 0; n < p.Cfg.TotalNodes(); n++ {
 		host.LoadProgram(n, prog)
@@ -93,178 +116,217 @@ func loadReplayProgram(p *core.Prototype, widthCap int) {
 	p.Start()
 }
 
-// TestReplayCheckpointRoundTrip checkpoints a RISC-V run at mid-run cycles,
-// restores each snapshot via deterministic replay, and requires the
-// continued run to match the uninterrupted reference byte for byte.
-func TestReplayCheckpointRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		a, b        int
-		parallel    int
-		faults      string
-		widthCap    int // 0 = the configuration's own cap
-		granularity string
-	}{
-		// A serial cursor is a one-shard window cursor, cut at the widened
-		// boundaries of the one-engine window; the cap-16 row proves it
-		// round-trips under another window sequence too.
-		{"serial", 4, 1, 0, "", 0, ""},
-		{"serial-faults", 4, 1, 0, pcieFaults, 0, ""},
-		{"serial-adaptive-cfg", 4, 1, 0, "", 16, ""},
-		// The plain sharded rows run under the default widening cap, so the
-		// cut lands at adaptively-widened window boundaries; the fixed row
-		// pins the one-crossing discipline.
-		{"sharded", 4, 1, 4, "", 0, ""},
-		{"sharded-fixed", 4, 1, 4, "", 1, ""},
-		{"sharded-faults", 4, 1, 4, pcieFaults, 0, ""},
-		// Per-node granularity on multi-node FPGAs: the replay cursor counts
-		// hierarchical windows (outer digest folds the inner clusters'), so
-		// the cut lands at nested-window boundaries.
-		{"sharded-node", 2, 2, 2, "", 0, "node"},
-		{"sharded-node-fixed", 2, 2, 2, "", 1, "node"},
-		{"sharded-node-faults", 2, 2, 2, pcieFaults, 0, "node"},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := replayCfgShaped(t, tc.a, tc.b, tc.parallel, tc.faults, tc.granularity)
-
-			cold := startReplayProto(t, cfg, tc.widthCap)
-			cold.RunUntilHalted(20_000_000)
-			want := replayOutcome(t, cold)
-
-			for _, at := range []smappic.Time{500, 2_000, want.cycles / 2} {
-				// Checkpointing run: pause at the cut, snapshot, continue.
-				// The pause itself must not perturb the result.
-				p := startReplayProto(t, cfg, tc.widthCap)
-				p.RunUntilHalted(at)
-				var buf bytes.Buffer
-				if err := p.Checkpoint(&buf); err != nil {
-					t.Fatalf("at=%d: Checkpoint: %v", at, err)
-				}
-				p.RunUntilHalted(20_000_000)
-				if got := replayOutcome(t, p); !bytes.Equal(got.metrics, want.metrics) ||
-					got.cycles != want.cycles || got.checksum != want.checksum {
-					t.Fatalf("at=%d: checkpointing run diverged from reference", at)
-				}
-
-				// Restored run: rebuild, replay to the cursor, continue.
-				r, snap, err := core.RestorePrototype(bytes.NewReader(buf.Bytes()), cfg)
-				if err != nil {
-					t.Fatalf("at=%d: RestorePrototype: %v", at, err)
-				}
-				loadReplayProgram(r, tc.widthCap)
-				if err := r.Replay(snap); err != nil {
-					t.Fatalf("at=%d: Replay: %v", at, err)
-				}
-				r.RunUntilHalted(20_000_000)
-				got := replayOutcome(t, r)
-				if got.cycles != want.cycles {
-					t.Errorf("at=%d: final time %d, want %d", at, got.cycles, want.cycles)
-				}
-				if got.checksum != want.checksum {
-					t.Errorf("at=%d: console checksum %#x, want %#x", at, got.checksum, want.checksum)
-				}
-				if !bytes.Equal(got.metrics, want.metrics) {
-					t.Errorf("at=%d: MetricsJSON diverges:\n%s", at, firstDiff(got.metrics, want.metrics))
-				}
-			}
-		})
+// startReplayProto builds cfg and starts the cross-node program under m.
+func startReplayProto(t *testing.T, cfg smappic.Config, m replayMode) *core.Prototype {
+	t.Helper()
+	p, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	loadReplayProgram(p, m, diffProgram)
+	return p
 }
 
-// replayInto restores raw into a build of cfg (under widthCap) and replays
-// it, returning Replay's verdict.
-func replayInto(t *testing.T, raw []byte, cfg smappic.Config, widthCap int) error {
+// cursorAt runs a build of cfg under m to cycle at (or to the halt) and
+// returns the prototype, resting there, and its replay snapshot.
+func cursorAt(t *testing.T, cfg smappic.Config, m replayMode, at smappic.Time) (*core.Prototype, []byte) {
+	t.Helper()
+	p := startReplayProto(t, cfg, m)
+	p.RunToCycle(at, p.AllHalted)
+	var buf bytes.Buffer
+	if err := p.Checkpoint(&buf); err != nil {
+		t.Fatalf("at=%d: Checkpoint: %v", at, err)
+	}
+	return p, buf.Bytes()
+}
+
+// replayInto restores raw into a build of cfg running source under m and
+// replays it, returning the prototype and Replay's verdict.
+func replayInto(t *testing.T, raw []byte, cfg smappic.Config, m replayMode, source string) (*core.Prototype, error) {
 	t.Helper()
 	p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
 	if err != nil {
 		t.Fatalf("RestorePrototype: %v", err)
 	}
-	loadReplayProgram(p, widthCap)
-	return p.Replay(snap)
+	loadReplayProgram(p, m, source)
+	return p, p.Replay(snap)
 }
 
-// cursorAt runs a build of cfg to the first barrier at or past cycle at and
-// returns its replay snapshot.
-func cursorAt(t *testing.T, cfg smappic.Config, at smappic.Time) []byte {
-	t.Helper()
-	p := startReplayProto(t, cfg, 0)
-	p.RunUntilHalted(at)
-	var buf bytes.Buffer
-	if err := p.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
+// TestReplayCheckpointRoundTrip is the taken-under x restored-under matrix: a
+// RISC-V run checkpointed at mid-run cycles under one scheduling is restored
+// under every sharding of its shape, under fixed windows and under a sampler,
+// and every continued run must match the uninterrupted reference byte for
+// byte — as must the checkpointing run itself.
+func TestReplayCheckpointRoundTrip(t *testing.T) {
+	type row struct {
+		name   string
+		a, b   int
+		faults string
+		taken  replayMode
 	}
-	return buf.Bytes()
-}
-
-// TestReplayRejectsModeMismatch restores a serial snapshot into a sharded
-// build (and vice versa); both must be refused with a typed error.
-func TestReplayRejectsModeMismatch(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		snapPar int
-		restPar int
-	}{
-		{"serial-into-sharded", 0, 4},
-		{"sharded-into-serial", 4, 0},
-	} {
+	rows := []row{
+		// A cursor taken under another widening cap, or under a sampler, is
+		// restored under the configuration's cap, unsampled — and the other
+		// way round, every row restoring under fixed windows and a sampler.
+		{"serial-adaptive-cfg", 4, 1, "", replayMode{widthCap: 16}},
+		{"sharded-fixed", 4, 1, "", replayMode{parallel: 4, widthCap: 1}},
+		{"sharded-node-fixed", 2, 2, "", replayMode{parallel: 2, granularity: "node", widthCap: 1}},
+		{"sharded-sampled", 2, 2, pcieFaults, replayMode{parallel: 2, sampler: 300}},
+	}
+	for _, shape := range [][2]int{{4, 1}, {2, 2}} {
+		for _, faults := range []string{"", pcieFaults} {
+			for _, m := range replayModes(shape[0], shape[1]) {
+				// The 4x1x2 and per-node names predate the matrix.
+				name := map[string]string{"one-shard": "serial", "per-fpga": "sharded", "per-node": "sharded-node"}[m.name]
+				if shape[1] > 1 && m.name != "per-node" {
+					name = "2x2x2-" + name
+				}
+				if faults != "" {
+					name += "-faults"
+				}
+				rows = append(rows, row{name, shape[0], shape[1], faults, m})
+			}
+		}
+	}
+	for _, tc := range rows {
+		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			raw := cursorAt(t, replayCfg(t, tc.snapPar, ""), 2_000)
-			err := replayInto(t, raw, replayCfg(t, tc.restPar, ""), 0)
-			var me *ckpt.MismatchError
-			if !errors.As(err, &me) {
-				t.Fatalf("replay across shard counts: error %T (%v), want MismatchError", err, err)
+			t.Parallel()
+			cfg := replayCfg(t, tc.a, tc.b, tc.faults, tc.taken)
+
+			cold := startReplayProto(t, cfg, tc.taken)
+			cold.RunUntilHalted(20_000_000)
+			want := replayOutcome(t, cold)
+
+			restoreUnder := append(replayModes(tc.a, tc.b),
+				replayMode{name: "one-shard-fixed", widthCap: 1},
+				replayMode{name: "per-fpga-sampled", parallel: tc.a, sampler: 700})
+			for _, at := range []smappic.Time{500, 2_000, want.cycles / 2} {
+				// Checkpointing run: land on the cycle, snapshot, continue.
+				// The cut itself must not perturb the result.
+				p, raw := cursorAt(t, cfg, tc.taken, at)
+				if h := p.Group.Horizon(); h != at {
+					t.Fatalf("at=%d: checkpoint taken at horizon %d", at, h)
+				}
+				p.RunUntilHalted(20_000_000)
+				sameOutcome(t, fmt.Sprintf("at=%d: checkpointing run", at), replayOutcome(t, p), want)
+
+				// Restored runs: rebuild under another scheduling, replay to
+				// the cursor, continue.
+				for _, m := range restoreUnder {
+					what := fmt.Sprintf("at=%d restored %s", at, m.name)
+					r, err := replayInto(t, raw, replayCfg(t, tc.a, tc.b, tc.faults, m), m, diffProgram)
+					if err != nil {
+						t.Fatalf("%s: Replay: %v", what, err)
+					}
+					if h := r.Group.Horizon(); h != at {
+						t.Fatalf("%s: replayed to horizon %d", what, h)
+					}
+					r.RunUntilHalted(20_000_000)
+					got := replayOutcome(t, r)
+					sameOutcome(t, what, got, want)
+					if (m.sampler != 0) != (got.samples != nil) {
+						t.Errorf("%s: sampler %d, samples section present: %t", what, m.sampler, got.samples != nil)
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestReplayRejectsAdaptiveMismatch replays a cursor taken under the
-// configuration's widening cap on a group pinned to fixed windows — a state
-// only test code reaches, the cap being a pure function of the hashed
-// configuration. The window count is meaningless across caps; the clock and
-// digest cross-checks must refuse it with a typed error rather than accept a
-// different window sequence.
-func TestReplayRejectsAdaptiveMismatch(t *testing.T) {
-	for _, parallel := range []int{0, 4} {
-		raw := cursorAt(t, replayCfg(t, parallel, ""), 5_000)
-		err := replayInto(t, raw, replayCfg(t, parallel, ""), 1)
-		var me *ckpt.MismatchError
-		if !errors.As(err, &me) {
-			t.Fatalf("parallel=%d: replay across widening caps: error %T (%v), want MismatchError", parallel, err, err)
+// TestReplayCursorIsModeIndependent takes cursors at the same cycle under
+// every sharding, under fixed windows and under a sampler: the files must be
+// byte-identical, and name exactly that cycle.
+func TestReplayCursorIsModeIndependent(t *testing.T) {
+	for _, faults := range []string{"", pcieFaults} {
+		for _, at := range []smappic.Time{2_000, 5_000, 7_777} {
+			var first []byte
+			for _, m := range append(replayModes(2, 2),
+				replayMode{name: "per-node-fixed", parallel: 2, granularity: "node", widthCap: 1},
+				replayMode{name: "one-shard-sampled", sampler: 300}) {
+				_, raw := cursorAt(t, replayCfg(t, 2, 2, faults, m), m, at)
+				snap, err := ckpt.Read(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap.Replay.Horizon != uint64(at) || snap.Now >= uint64(at) {
+					t.Errorf("faults=%q at=%d %s: cursor at horizon %d, clock %d", faults, at, m.name, snap.Replay.Horizon, snap.Now)
+				}
+				if first == nil {
+					first = raw
+				} else if !bytes.Equal(raw, first) {
+					t.Errorf("faults=%q at=%d: the %s cursor differs from the one-shard one", faults, at, m.name)
+				}
+			}
 		}
 	}
 }
 
-// TestReplayRejectsGranularityMismatch restores a per-FPGA snapshot into a
-// per-node build (and vice versa) of the same shape: the window cursor
-// counts different synchronizer steps on two engines than on four, so
-// replay must refuse with a typed error.
-func TestReplayRejectsGranularityMismatch(t *testing.T) {
+// TestReplayAfterDrainRestoresEverywhere: a cursor taken once the run has
+// drained names the horizon of that sharding's last window, which another
+// sharding's run may never reach. The drained state is the same state, so
+// the restore must still verify and finish identical.
+func TestReplayAfterDrainRestoresEverywhere(t *testing.T) {
+	modes := replayModes(2, 2)
+	for _, taken := range modes {
+		p := startReplayProto(t, replayCfg(t, 2, 2, "", taken), taken)
+		p.Run()
+		want := replayOutcome(t, p)
+		var buf bytes.Buffer
+		if err := p.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range modes {
+			r, err := replayInto(t, buf.Bytes(), replayCfg(t, 2, 2, "", m), m, diffProgram)
+			if err != nil {
+				t.Fatalf("taken %s, restored %s: %v", taken.name, m.name, err)
+			}
+			r.Run()
+			sameOutcome(t, fmt.Sprintf("taken %s, restored %s", taken.name, m.name), replayOutcome(t, r), want)
+		}
+	}
+}
+
+// TestReplayGuards: the restore guard checks simulated state. A cursor whose
+// digest was altered (and the file re-sealed, so the envelope is valid), one
+// replayed against a different program, and one whose program drains before
+// the horizon are all typed mismatches — never a silent continue.
+func TestReplayGuards(t *testing.T) {
+	one := replayMode{name: "one-shard"}
+	cfg := replayCfg(t, 2, 2, "", one)
+	_, raw := cursorAt(t, cfg, one, 5_000)
+
+	snap, err := ckpt.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Replay.StateDigest = strings.Repeat("0", len(snap.Replay.StateDigest))
+	var tampered bytes.Buffer
+	if err := snap.Write(&tampered); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
-		name     string
-		snapGran string
-		restGran string
+		name   string
+		raw    []byte
+		source string
+		field  string
 	}{
-		{"fpga-into-node", "fpga", "node"},
-		{"node-into-fpga", "node", "fpga"},
-		// The zero value means per-FPGA: it must restore into an explicit
-		// per-FPGA build, not be rejected.
-		{"default-into-fpga-ok", "", "fpga"},
+		{"tampered digest", tampered.Bytes(), diffProgram, "state digest"},
+		{"different program", raw, strings.Replace(diffProgram, "li   s1, 0xF000001000", "li   s1, 0xF000001000\n\tnop", 1), ""},
+		{"drains before the horizon", raw, "\tli a0, 0\n\tebreak\n", "replay clock"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := cursorAt(t, replayCfgShaped(t, 2, 2, 2, "", tc.snapGran), 5_000)
-			err := replayInto(t, raw, replayCfgShaped(t, 2, 2, 2, "", tc.restGran), 0)
-			if tc.snapGran == "" || tc.snapGran == tc.restGran {
-				if err != nil {
-					t.Fatalf("same-granularity replay failed: %v", err)
-				}
-				return
-			}
+			p, err := replayInto(t, tc.raw, cfg, one, tc.source)
 			var me *ckpt.MismatchError
 			if !errors.As(err, &me) {
-				t.Fatalf("replay across shard granularities: error %T (%v), want MismatchError", err, err)
+				t.Fatalf("error %T (%v), want MismatchError", err, err)
+			}
+			if tc.field != "" && me.Field != tc.field {
+				t.Errorf("mismatch on %q, want %q", me.Field, tc.field)
+			}
+			if tc.field == "replay clock" && p.Group.Horizon() >= 5_000 {
+				t.Errorf("run reached horizon %d; the case wants a drain before 5000", p.Group.Horizon())
 			}
 		})
 	}
@@ -289,90 +351,30 @@ func wantVersionError(t *testing.T, raw []byte, cfg smappic.Config, version uint
 // digest valid — and requires the version gate, not the payload decoder, to
 // refuse it.
 func TestRestoreRefusesFormatVersion1(t *testing.T) {
-	cfg := replayCfg(t, 0, "")
+	cfg := replayCfg(t, 4, 1, "", replayMode{})
 	payload := fmt.Sprintf(`{"kind":1,"config_hash":%q,"now":2000,"replay":{"executed":1234,"parallel":1}}`, cfg.ConfigHash())
 	wantVersionError(t, ckpttest.Seal(1, ckpt.KindReplay, []byte(payload)), cfg, 1)
 }
 
 // TestRestoreRefusesFormatVersion2 re-seals a valid cursor of this build at
 // version 2. A version-2 serial cursor counted executed events, which no
-// build can replay any more; gob would decode such a payload leniently
-// (unknown fields dropped, Windows zero) and the replay would "succeed" at
-// cycle 0 — so the gate, not the decoder, must refuse it.
+// build can replay any more; the gate, not the decoder, must refuse it.
 func TestRestoreRefusesFormatVersion2(t *testing.T) {
-	cfg := replayCfg(t, 0, "")
-	file := cursorAt(t, cfg, 2_000)
+	cfg := replayCfg(t, 4, 1, "", replayMode{})
+	_, file := cursorAt(t, cfg, replayMode{}, 2_000)
 	payload := file[17 : len(file)-32] // between the header and the digest
 	wantVersionError(t, ckpttest.Seal(2, ckpt.KindReplay, payload), cfg, 2)
 }
 
-// TestReplayParentWrittenCursors replays cursors that the build before the
-// one-level synchronizer wrote (testdata/replay-v3/README.md has the
-// commands). Replay checks the window count, the clock and the window digest
-// — both tiers folded — so each row proves this build steps the very window
-// sequence the writer stepped; finishing byte-identical to a cold run proves
-// the state at the cursor was the same too. A failure here means the window
-// sequence moved: that needs a ckpt.Version bump, not new fixtures.
-func TestReplayParentWrittenCursors(t *testing.T) {
-	src, err := os.ReadFile("testdata/replay-v3/hello.s")
+// TestRestoreRefusesFormatVersion3 restores a real version-3 file: a window
+// cursor (window count, clock, window-sequence digest, shard count) written
+// by smappic-run at commit 3a94eb3 with `-shape 2x2x2 -checkpoint-at 60000`.
+// gob would decode it leniently — unknown fields dropped, horizon zero — so
+// the gate must stop it before the decoder sees it.
+func TestRestoreRefusesFormatVersion3(t *testing.T) {
+	raw, err := os.ReadFile("testdata/replay-v3/one-shard.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := rvasm.MustAssemble(smappic.ResetPC, string(src))
-	start := func(p *core.Prototype) {
-		host := p.Host()
-		for n := 0; n < p.Cfg.TotalNodes(); n++ {
-			host.LoadProgram(n, prog)
-		}
-		p.Start()
-	}
-	for _, tc := range []struct {
-		file        string
-		parallel    int
-		granularity string
-	}{
-		{"one-shard.ckpt", 0, ""},
-		{"per-fpga.ckpt", 2, ""},
-		{"per-node.ckpt", 2, "node"},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			t.Parallel()
-			cfg := smappic.DefaultConfig(2, 2, 2)
-			cfg.Parallel = tc.parallel
-			cfg.ShardGranularity = tc.granularity
-
-			cold, err := core.Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			start(cold)
-			cold.RunUntilHalted(50_000_000)
-			want := replayOutcome(t, cold)
-
-			raw, err := os.ReadFile("testdata/replay-v3/" + tc.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
-			if err != nil {
-				t.Fatalf("RestorePrototype: %v", err)
-			}
-			start(p)
-			if err := p.Replay(snap); err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			if snap.Replay.Windows == 0 || uint64(p.Now()) != snap.Now {
-				t.Fatalf("cursor at window %d, cycle %d; replayed to cycle %d", snap.Replay.Windows, snap.Now, p.Now())
-			}
-			t.Logf("replayed %d windows to cycle %d", snap.Replay.Windows, snap.Now)
-			p.RunUntilHalted(50_000_000)
-			got := replayOutcome(t, p)
-			if got.cycles != want.cycles || got.checksum != want.checksum {
-				t.Errorf("final time %d checksum %#x, want %d %#x", got.cycles, got.checksum, want.cycles, want.checksum)
-			}
-			if !bytes.Equal(got.metrics, want.metrics) {
-				t.Errorf("MetricsJSON diverges:\n%s", firstDiff(got.metrics, want.metrics))
-			}
-		})
-	}
+	wantVersionError(t, raw, smappic.DefaultConfig(2, 2, 2), 3)
 }

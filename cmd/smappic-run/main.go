@@ -63,17 +63,23 @@
 // lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
 // parallelism). These knobs are execution policy: they change wall-clock,
 // never results. The event trace needs the single engine.
-// The halt check, -max-cycles and -checkpoint-at are evaluated at window
-// barriers, so a run may pass such a bound by at most one window.
+// The halt check and -max-cycles are evaluated at window barriers, so a run
+// may pass such a bound by at most one window.
 //
 // -checkpoint FILE -checkpoint-at N writes a replay snapshot of the run at
-// the first window barrier at or past cycle N and then continues to
-// completion. -restore FILE rebuilds the same
-// configuration and deterministically replays to the snapshot's cursor
-// before continuing — the completed run is byte-identical to an
-// uninterrupted one, serial or sharded. Snapshots are integrity-checked
-// (format version plus SHA-256 footer); a corrupt, truncated or
-// wrong-configuration file is refused with a diagnostic, never a crash.
+// cycle N exactly — a window barrier is made to fall there: every event below
+// N has executed, none at or past it — and then continues to completion (a
+// run that halts before N is snapshotted where it halted). The snapshot names
+// that cycle, the clock and a digest of the simulated state, nothing about
+// how the run was scheduled: the same N gives the same file under every
+// -parallel / -shard-granularity. -restore FILE rebuilds the same
+// configuration, deterministically re-executes to the snapshot's cycle,
+// checks clock and digest, and continues — under any -parallel,
+// -shard-granularity and -sample-every, whatever the snapshot was taken
+// under; the completed run is byte-identical to an uninterrupted one.
+// Snapshots are integrity-checked (format version plus SHA-256 footer); a
+// corrupt, truncated, wrong-configuration or wrong-program file is refused
+// with a diagnostic, never a crash.
 //
 // -serve ADDR starts the live observability dashboard (internal/obs) on
 // ADDR for the duration of the run: open http://ADDR/ in a browser, or poll
@@ -141,7 +147,7 @@ func main() {
 	serveHold := flag.Duration("serve-hold", 0, "keep the dashboard up this long after the run ends (outputs are written first)")
 	checkpoint := flag.String("checkpoint", "", "write a replay snapshot to this file at -checkpoint-at cycles, then continue")
 	checkpointAt := flag.Uint64("checkpoint-at", 0, "simulated cycle at which to take the -checkpoint snapshot")
-	restore := flag.String("restore", "", "restore a replay snapshot from this file (same -shape/-faults/etc as the original run), then continue")
+	restore := flag.String("restore", "", "restore a replay snapshot from this file (same -shape/-faults/-prog as the original run; any -parallel), then continue")
 	flag.Parse()
 
 	a, b, c, err := smappic.ParseShape(*shape)
@@ -251,15 +257,15 @@ func main() {
 	proto.Start()
 	if restored != nil {
 		// Deterministic re-execution to the snapshot cursor: the program is
-		// loaded and the run replays exactly the recorded window count.
+		// loaded and the run replays to exactly the recorded cycle.
 		if err := proto.Replay(restored); err != nil {
 			fmt.Fprintf(os.Stderr, "smappic-run: replay of %s failed: %v\n", *restore, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "restored %s at cycle %d\n", *restore, proto.Now())
+		fmt.Fprintf(os.Stderr, "restored %s at cycle %d\n", *restore, restored.Replay.Horizon)
 	}
 	if *checkpoint != "" {
-		proto.RunUntilHalted(smappic.Time(*checkpointAt))
+		proto.RunToCycle(smappic.Time(*checkpointAt), proto.AllHalted)
 		f, err := os.Create(*checkpoint)
 		if err == nil {
 			err = proto.Checkpoint(f)
@@ -271,7 +277,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "checkpoint %s written at cycle %d\n", *checkpoint, proto.Now())
+		fmt.Fprintf(os.Stderr, "checkpoint %s written at cycle %d\n", *checkpoint, proto.Group.Horizon())
 	}
 	proto.RunUntilHalted(smappic.Time(*maxCycles))
 	if srv != nil {

@@ -37,12 +37,13 @@ func smappicRun(t *testing.T, args ...string) (stderr string, ok bool) {
 	return errb.String(), err == nil
 }
 
-// TestRestoreNamesBothFormatVersions restores hand-sealed snapshots of the
-// older formats (valid envelope and digest): version 1's JSON payload, and
-// this build's own payload re-sealed as version 2 — whose serial cursors
-// counted executed events, which nothing can replay any more. Each run must
-// exit 1 with a message naming the file's version and the one this build
-// reads. A snapshot the same binary just wrote must restore.
+// TestRestoreNamesBothFormatVersions restores snapshots of the older formats
+// (valid envelope and digest): version 1's JSON payload, this build's own
+// payload re-sealed as version 2 — whose serial cursors counted executed
+// events — and a real version-3 window cursor the parent of PR 17 wrote,
+// none of which anything can replay any more. Each run must exit 1 with a
+// message naming the file's version and the one this build reads. A snapshot
+// the same binary just wrote must restore, under another sharding too.
 func TestRestoreNamesBothFormatVersions(t *testing.T) {
 	dir := t.TempDir()
 
@@ -50,20 +51,27 @@ func TestRestoreNamesBothFormatVersions(t *testing.T) {
 	if stderr, ok := smappicRun(t, "-shape", "2x1x2", "-checkpoint", cur, "-checkpoint-at", "2000"); !ok {
 		t.Fatalf("checkpointing run failed:\n%s", stderr)
 	}
-	if stderr, ok := smappicRun(t, "-shape", "2x1x2", "-restore", cur); !ok {
-		t.Fatalf("restoring this build's own snapshot failed:\n%s", stderr)
+	for _, parallel := range []string{"0", "2"} {
+		if stderr, ok := smappicRun(t, "-shape", "2x1x2", "-parallel", parallel, "-restore", cur); !ok {
+			t.Fatalf("restoring this build's own snapshot under -parallel %s failed:\n%s", parallel, stderr)
+		}
 	}
 	file, err := os.ReadFile(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v3, err := os.ReadFile("../../testdata/replay-v3/one-shard.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for version, payload := range map[uint32][]byte{
-		1: []byte(`{"kind":1,"config_hash":"0","now":2000,"replay":{"executed":1,"parallel":1}}`),
-		2: file[17 : len(file)-32], // between the header and the digest
+	for version, sealed := range map[uint32][]byte{
+		1: ckpttest.Seal(1, ckpt.KindReplay, []byte(`{"kind":1,"config_hash":"0","now":2000,"replay":{"executed":1,"parallel":1}}`)),
+		2: ckpttest.Seal(2, ckpt.KindReplay, file[17:len(file)-32]), // between the header and the digest
+		3: v3,
 	} {
 		old := filepath.Join(dir, fmt.Sprintf("v%d.ckpt", version))
-		if err := os.WriteFile(old, ckpttest.Seal(version, ckpt.KindReplay, payload), 0o644); err != nil {
+		if err := os.WriteFile(old, sealed, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		stderr, ok := smappicRun(t, "-shape", "2x1x2", "-restore", old)

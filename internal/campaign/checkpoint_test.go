@@ -352,9 +352,9 @@ var version1State = ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"config_h
 // TestUnusableWarmPrefixIsReplaced plants garbage, a truncated prefix and a
 // version-1 file where a warm-started campaign keeps its shared prefix. The
 // file must cost nothing but a rebuild: every job completes on its first
-// attempt with the result a clean cache gives — through the Runner, whose
-// prefix loop replaces the file, and through a bare Executor (the fleet
-// worker path), which removes it and forks from an in-process prefix.
+// attempt with the result a clean cache gives, and the first job to find the
+// file unusable replaces it in place — through the Runner and through a bare
+// Executor (the fleet worker path) alike.
 func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 	ctx := context.Background()
 	spec := warmSpec()
@@ -399,6 +399,15 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 		}
 	}
 
+	rebuiltInPlace := func(t *testing.T, path string) {
+		t.Helper()
+		if snap, err := ckpt.ReadFile(path); err != nil {
+			t.Errorf("warm prefix not rebuilt in place: %v", err)
+		} else if snap.PrefixHash != jobs[0].Params.PrefixKey() {
+			t.Error("rebuilt prefix has the wrong identity")
+		}
+	}
+
 	prefix, err := BuildPrefix(ctx, jobs[0].Params)
 	if err != nil {
 		t.Fatal(err)
@@ -425,11 +434,7 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 			for _, out := range res.Jobs {
 				sameAsClean(t, out)
 			}
-			if snap, err := ckpt.ReadFile(path); err != nil {
-				t.Errorf("warm prefix not rebuilt in place: %v", err)
-			} else if snap.PrefixHash != jobs[0].Params.PrefixKey() {
-				t.Error("rebuilt prefix has the wrong identity")
-			}
+			rebuiltInPlace(t, path)
 		})
 		t.Run("executor/"+c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -440,15 +445,13 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 			for _, job := range jobs {
 				sameAsClean(t, (&Executor{Dir: dir}).RunJob(ctx, job, spec.Policy(), len(jobs)))
 			}
-			if ok, _ := statExists(path); ok {
-				t.Error("unusable warm prefix left in place")
-			}
+			rebuiltInPlace(t, path)
 		})
 	}
 
-	// Two executor jobs share a bad prefix: one removes it between the
-	// other's stat and read. The loser sees "no such file", not a snapshot
-	// error, and must take the same in-process path.
+	// The file vanishes between the executor's stat and the job's read (a
+	// cache directory being cleaned): the job sees "no such file", not a
+	// snapshot error, and must rebuild it the same way.
 	t.Run("executor/removed under the job", func(t *testing.T) {
 		dir := t.TempDir()
 		path := warmPathIn(dir, jobs[0].Params)
@@ -461,6 +464,7 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 			return ExecuteWithOpts(ctx, p, opts)
 		}
 		sameAsClean(t, e.RunJob(ctx, jobs[0], spec.Policy(), len(jobs)))
+		rebuiltInPlace(t, path)
 	})
 }
 

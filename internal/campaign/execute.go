@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime/debug"
 	"strings"
+	"sync"
 
 	"smappic/internal/cache"
 	"smappic/internal/ckpt"
@@ -113,9 +115,10 @@ type ExecuteOpts struct {
 	// ResumeFrom, when set, starts the job from this state snapshot
 	// (written by a previous, interrupted execution of the same job).
 	ResumeFrom string
-	// WarmStartPath, for jobs with Params.WarmStart, is the shared prefix
-	// snapshot to fork from; empty makes the executor build the prefix
-	// in-process (correct but unshared).
+	// WarmStartPath, for jobs with Params.WarmStart, is where the shared
+	// prefix snapshot lives: forked from when usable, built and written there
+	// when not (see warmPrefix). Empty builds the prefix in-process (correct
+	// but unshared).
 	WarmStartPath string
 }
 
@@ -320,12 +323,39 @@ func BuildPrefix(ctx context.Context, p Params) (*ckpt.Snapshot, error) {
 	return snapshotCut(proto, cfg, ic, p.PrefixKey())
 }
 
-// warmPrefix loads (or builds) the prefix snapshot a warm-started job
-// forks from.
+// prefixLocks serializes, per prefix file, this process's jobs through
+// warmPrefix: the first to arrive builds a missing prefix while the others
+// wait, and then read what it wrote.
+var prefixLocks sync.Map // path -> *sync.Mutex
+
+// warmPrefix returns the prefix snapshot a warm-started job forks from. It is
+// the one owner of the shared file at path: a usable file is read; a missing
+// one, or one this build cannot fork from (damaged, or written under another
+// format version), is built and atomically replaced — once per process,
+// however many jobs point at it, and wherever the job runs (an in-process
+// Runner's pool or a fleet worker). Processes that race build byte-identical
+// files, so whichever rename lands last changes nothing; a failed write costs
+// the sharing, not the job. An empty path builds in-process, unshared.
 func warmPrefix(ctx context.Context, p Params, path string) (*ckpt.Snapshot, error) {
 	if path == "" {
 		return BuildPrefix(ctx, p)
 	}
+	l, _ := prefixLocks.LoadOrStore(path, new(sync.Mutex))
+	mu := l.(*sync.Mutex)
+	mu.Lock()
+	defer mu.Unlock()
+	snap, err := readPrefix(p, path)
+	if err == nil || !(ckpt.IsSnapshotError(err) || errors.Is(err, fs.ErrNotExist)) {
+		return snap, err
+	}
+	if snap, err = BuildPrefix(ctx, p); err == nil {
+		_ = snap.WriteFile(path)
+	}
+	return snap, err
+}
+
+// readPrefix reads the shared prefix file and checks it is p's prefix.
+func readPrefix(p Params, path string) (*ckpt.Snapshot, error) {
 	snap, err := ckpt.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -106,8 +104,9 @@ func (e *Executor) logf(format string, args ...any) {
 }
 
 // RunJob executes one job under pol. Stalls and recovered panics are
-// retryable; a corrupt or version-skewed resume snapshot or warm prefix is
-// discarded and the job restarts without it, burning no retry attempt. A
+// retryable; a corrupt or version-skewed resume snapshot is discarded and the
+// job restarts without it, burning no retry attempt (an unusable warm prefix
+// never surfaces here: the job rebuilds it, see warmPrefix). A
 // stalled or panicked attempt's periodic checkpoint is deleted before the
 // next attempt (and on terminal stall/panic failure): resuming the pre-stall
 // state would deterministically stall again, so that snapshot is poison, not
@@ -124,12 +123,12 @@ func (e *Executor) RunJob(ctx context.Context, job Job, pol ExecPolicy, total in
 	if exec == nil {
 		if e.Dir != "" {
 			if job.Params.WarmStart {
+				// The job itself reads the shared prefix or, finding none it
+				// can use, builds and writes it (see warmPrefix).
 				wp := warmPathIn(e.Dir, job.Params)
-				ok, serr := statExists(wp)
-				if serr != nil {
+				if _, serr := statExists(wp); serr != nil {
 					e.logf("job %d %s: warm prefix unreadable (building in-process): %v", job.Index, label, serr)
-				}
-				if ok {
+				} else {
 					opts.WarmStartPath = wp
 				}
 			}
@@ -173,21 +172,6 @@ func (e *Executor) RunJob(ctx context.Context, job Job, pol ExecPolicy, total in
 			return JobOutcome{Job: job, Status: StatusRun, Result: result}
 		}
 		lastErr = err
-		if opts.WarmStartPath != "" && (ckpt.IsSnapshotError(err) || errors.Is(err, fs.ErrNotExist)) {
-			// The shared warm prefix is unusable (runIS reads it before
-			// anything else of a warm-started job), or a concurrent job that
-			// found it unusable removed it between our stat and our read.
-			// Remove a bad file so the next campaign's prefix loop rebuilds
-			// it instead of every job that points at it failing forever, and
-			// fork this job from a prefix built in-process; like a bad resume
-			// file, this costs no attempt.
-			if ckpt.IsSnapshotError(err) {
-				os.Remove(opts.WarmStartPath)
-			}
-			opts.WarmStartPath = ""
-			e.logf("job %d %s: discarding unusable warm prefix: %v", job.Index, label, err)
-			continue
-		}
 		if opts.ResumeFrom != "" && ckpt.IsSnapshotError(err) {
 			// The resume snapshot is corrupt, truncated, or from another
 			// format version — a bad file, not a bad job. Discard it and

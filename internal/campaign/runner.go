@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"smappic/internal/ckpt"
 )
 
 // Status classifies how a job's slot in the campaign was filled.
@@ -89,6 +87,23 @@ type CampaignResult struct {
 	Elapsed time.Duration
 }
 
+// Tally recounts Executed / Cached / Failed / Skipped from the job outcomes.
+func (r *CampaignResult) Tally() {
+	r.Executed, r.Cached, r.Failed, r.Skipped = 0, 0, 0, 0
+	for i := range r.Jobs {
+		switch r.Jobs[i].Status {
+		case StatusRun:
+			r.Executed++
+		case StatusCached:
+			r.Cached++
+		case StatusFailed:
+			r.Failed++
+		default:
+			r.Skipped++
+		}
+	}
+}
+
 // Runner executes campaigns in-process: it is the single-tenant composition
 // of the campaign engine's three layers — the job list is the queue (cache
 // hits resolved up front), the bounded goroutine pool is the scheduler, and
@@ -143,7 +158,8 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 	res := &CampaignResult{Spec: spec, Jobs: make([]JobOutcome, len(jobs))}
 
 	// Resolve cache hits up front (cheap, serial, deterministic), then
-	// fan the remainder out to the pool.
+	// fan the remainder out to the pool (where the first job to need a
+	// warm-start prefix builds it, see warmPrefix).
 	var todo []Job
 	for _, job := range jobs {
 		if r.Cache != nil {
@@ -155,51 +171,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 			}
 		}
 		todo = append(todo, job)
-	}
-
-	// Warm-start prefixes are shared across every sweep point with the same
-	// (shape, workload) prefix identity. Build each missing one exactly once,
-	// serially, before the fan-out — so workers only ever fork, never race to
-	// generate the same prefix.
-	if r.Cache != nil && r.Exec == nil {
-		built := map[string]bool{}
-		for _, job := range todo {
-			if !job.Params.WarmStart {
-				continue
-			}
-			key := job.Params.PrefixKey()
-			if built[key] {
-				continue
-			}
-			built[key] = true
-			path := warmPathIn(r.Cache.Dir(), job.Params)
-			ok, serr := statExists(path)
-			if serr != nil && r.Log != nil {
-				r.Log("warm prefix %s: stat %s: %v (rebuilding)", key[:12], path, serr)
-			}
-			if ok {
-				// An existing file this build cannot fork from (damaged, or
-				// written under another format version) is rebuilt in place.
-				_, verr := warmPrefix(ctx, job.Params, path)
-				if !ckpt.IsSnapshotError(verr) {
-					continue
-				}
-				if r.Log != nil {
-					r.Log("warm prefix %s: %v (rebuilding)", key[:12], verr)
-				}
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			snap, err := BuildPrefix(ctx, job.Params)
-			if err == nil {
-				err = snap.WriteFile(path)
-			}
-			if err != nil && r.Log != nil {
-				// Not fatal: the affected jobs build their prefix in-process.
-				r.Log("warm prefix %s: %v", key[:12], err)
-			}
-		}
 	}
 
 	workers := r.Workers
@@ -238,18 +209,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 	close(ch)
 	wg.Wait()
 
-	for i := range res.Jobs {
-		switch res.Jobs[i].Status {
-		case StatusRun:
-			res.Executed++
-		case StatusCached:
-			res.Cached++
-		case StatusFailed:
-			res.Failed++
-		default:
-			res.Skipped++
-		}
-	}
+	res.Tally()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

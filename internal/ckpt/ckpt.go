@@ -9,9 +9,10 @@
 // The trailing digest makes truncation and corruption detectable before any
 // field is interpreted; the version gate refuses payloads this build cannot
 // decode or must not trust (format version 1 carried the same struct as
-// JSON; version 2 serial cursors counted executed events, a cursor no build
-// can replay any more — either file is a VersionError, which callers treat
-// as "discard, start cold"). The payload
+// JSON; version 2 serial cursors counted executed events and version 3
+// cursors counted synchronization windows, cursors no build can replay any
+// more — each is a VersionError, which callers treat as "discard, start
+// cold"). The payload
 // codec is reflection-driven, so a field added to a state struct needs no
 // codec code; the bulk sections are shaped for its fast paths — cache tag
 // arrays are columnar (SetAssocState) and memory pages are raw bytes. All
@@ -20,11 +21,11 @@
 //
 // Two snapshot kinds exist (see DESIGN.md "Snapshot format"):
 //
-//   - KindReplay records a cursor (synchronization windows stepped, plus
-//     their sequence digest) and the clock. Restore rebuilds the same run
-//     and re-executes deterministically to the cursor — byte-identical by
-//     construction at every shard count, including under fault plans, at
-//     the cost of re-simulating the prefix.
+//   - KindReplay records a cursor — the cycle a barrier fell on, the clock
+//     and a digest of the simulated state there. Restore rebuilds the same
+//     run and re-executes deterministically to that cycle — byte-identical
+//     by construction, taken and restored under any sharding, including
+//     under fault plans, at the cost of re-simulating the prefix.
 //   - KindState records the full device state at a quiescent workload
 //     safepoint (event queue drained, every thread parked or exited at a
 //     barrier cut). Restore rebuilds the prototype, overlays the state and
@@ -49,7 +50,7 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 3
+const Version = 4
 
 // magic identifies a SMAPPIC snapshot file.
 var magic = [4]byte{'S', 'M', 'C', 'K'}
@@ -141,22 +142,18 @@ type Snapshot struct {
 	State  *State
 }
 
-// Replay is the cursor of a KindReplay snapshot. Every build runs under the
-// window synchronizer (serial is its one-shard case), so there is one cursor
-// shape.
+// Replay is the cursor of a KindReplay snapshot: where the run was, in
+// simulated terms only. Nothing in it depends on how the run was scheduled —
+// shard count, granularity, widening cap, sampler — so a cursor restores
+// under any of them.
 type Replay struct {
-	// Windows is the group's completed-window count at capture.
-	Windows uint64
-	// WindowDigest fingerprints the run's window sequence (each window's
-	// start time and realized width, FNV-1a folded; hierarchical runs fold
-	// every cluster's inner-window sequence in too). Replay verifies it
-	// after reaching the cursor, proving the restore re-ran the identical
-	// windows rather than merely the same number of them.
-	WindowDigest uint64
-	// Shards records how many shard engines the cursor was taken on (1 for
-	// a serial run): window counts and digests are specific to the
-	// sharding, so restore refuses a cursor taken under another.
-	Shards int
+	// Horizon is the cycle of the barrier the cursor was taken at: every
+	// event below it had executed, none at or past it.
+	Horizon uint64
+	// StateDigest is the hex SHA-256 of the simulated state at that barrier
+	// (the metrics document: clock plus the merged statistics registry).
+	// Replay verifies it after re-executing to Horizon.
+	StateDigest string
 }
 
 // State is the full quiescent-state section of a KindState snapshot. Every
@@ -497,8 +494,8 @@ func decode(data []byte) (*Snapshot, error) {
 	}
 	switch s.Kind {
 	case KindReplay:
-		if s.Replay == nil {
-			return nil, &CorruptError{Reason: "replay snapshot without replay section"}
+		if s.Replay == nil || s.Replay.Horizon == 0 || s.Replay.StateDigest == "" {
+			return nil, &CorruptError{Reason: "replay snapshot without a replay cursor"}
 		}
 	case KindState:
 		if s.State == nil {

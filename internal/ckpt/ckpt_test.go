@@ -119,6 +119,10 @@ func TestEnvelopeErrors(t *testing.T) {
 	section := func(s *ckpt.Snapshot) []byte { return payloadOf(encode(t, s)) }
 	noState, noReplay := filled(ckpt.KindState), filled(ckpt.KindReplay)
 	noState.State, noReplay.Replay = nil, nil
+	// What gob makes of an older cursor's payload: the section present, the
+	// fields it no longer knows dropped, the new ones zero.
+	noHorizon, noDigest := filled(ckpt.KindReplay), filled(ckpt.KindReplay)
+	noHorizon.Replay.Horizon, noDigest.Replay.StateDigest = 0, ""
 
 	var ce *ckpt.CorruptError
 	var te *ckpt.TruncatedError
@@ -132,11 +136,14 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"version newer", with(func(b []byte) []byte { b[4]++; return b }), &ve},
 		{"version 1", ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"state":{}}`)), &ve},
 		{"version 2", ckpttest.Seal(2, ckpt.KindState, payload), &ve},
+		{"version 3", ckpttest.Seal(3, ckpt.KindState, payload), &ve},
 		{"kind byte flipped", with(func(b []byte) []byte { b[8] ^= 3; return b }), &ce},
 		{"kind disagrees with payload", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, payload), &ce},
 		{"kind unknown", ckpttest.Seal(ckpt.Version, 9, section(filled(9))), &ce},
 		{"state section missing", ckpttest.Seal(ckpt.Version, ckpt.KindState, section(noState)), &ce},
 		{"replay section missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noReplay)), &ce},
+		{"replay horizon missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noHorizon)), &ce},
+		{"replay state digest missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noDigest)), &ce},
 		{"length too large", with(func(b []byte) []byte { return putLen(b, uint64(len(payload))+1) }), &te},
 		{"length too small", with(func(b []byte) []byte { return putLen(b, uint64(len(payload))-1) }), &ce},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), &ce},

@@ -1,9 +1,10 @@
 // Checkpoint/restore assembly for the platform. Two snapshot kinds exist
 // (package ckpt): replay cursors, which any prototype can take at any window
-// barrier and which restore by deterministic re-execution; and full state
-// captures, which are single-engine only and must be taken at a quiescent
-// safepoint (event queue drained) — the campaign layer arranges those at
-// workload barrier cuts. See DESIGN.md "Snapshot format".
+// barrier and which restore by deterministic re-execution under any
+// sharding; and full state captures, which are single-engine only and must
+// be taken at a quiescent safepoint (event queue drained) — the campaign
+// layer arranges those at workload barrier cuts. See DESIGN.md "Snapshot
+// format".
 package core
 
 import (
@@ -29,29 +30,57 @@ func (c Config) canonicalString() string {
 
 // ConfigHash fingerprints the configuration for snapshot/restore matching.
 // Parallel and ShardGranularity are deliberately excluded: every sharding of
-// one configuration is byte-identical, and the execution policy is verified
-// separately (with a clearer error) when replaying a cursor.
+// one configuration is byte-identical, so a snapshot belongs to all of them.
 func (c Config) ConfigHash() string {
 	sum := sha256.Sum256([]byte(c.canonicalString()))
 	return hex.EncodeToString(sum[:])
 }
 
-// Checkpoint writes a replay-cursor snapshot of the run so far: the
-// completed-window count and the window-sequence digest, plus the clock for
-// verification. It may be taken wherever the caller's run loop is between
-// windows (RunUntil has returned). WorkloadTag (set by the caller after
-// loading software) guards restore against replaying a different program.
+// RunToCycle runs until a barrier falls exactly on cycle at — every event
+// below at executed, none at or past it: the same simulated state whatever
+// the shard count, granularity, widening cap or sampler — or until stop (nil:
+// never) holds or the run drains, whichever comes first. It is how a replay
+// cursor is both taken at a chosen cycle and restored to one.
+func (p *Prototype) RunToCycle(at sim.Time, stop func() bool) sim.Time {
+	if at > p.Group.Horizon() {
+		p.Group.HoldCut(at)
+		defer p.Group.HoldCut(sim.TimeMax)
+	}
+	return p.RunUntil(func() bool { return p.Group.Horizon() >= at || (stop != nil && stop()) })
+}
+
+// stateDigest fingerprints the simulated state at the current barrier: the
+// metrics document (clock and merged registry) without the sampler's series,
+// which is an observer's, not the model's.
+func (p *Prototype) stateDigest() (string, error) {
+	doc, err := p.metricsJSON(nil)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// Checkpoint writes a replay-cursor snapshot of the run so far: the horizon
+// of the barrier the run rests on, the clock, and the digest of the simulated
+// state there. It may be taken wherever the caller's run loop is between
+// windows (RunUntil or RunToCycle has returned, at least one window in).
+// WorkloadTag (set by the caller after loading software) guards restore
+// against replaying a different program.
 func (p *Prototype) Checkpoint(w io.Writer) error {
+	if p.Group.Horizon() == 0 {
+		return fmt.Errorf("core: no window has run; a replay cursor names a barrier")
+	}
+	digest, err := p.stateDigest()
+	if err != nil {
+		return err
+	}
 	snap := &ckpt.Snapshot{
 		Kind:       ckpt.KindReplay,
 		ConfigHash: p.Cfg.ConfigHash(),
 		Workload:   p.WorkloadTag,
 		Now:        uint64(p.Now()),
-		Replay: &ckpt.Replay{
-			Windows:      p.Group.Windows(),
-			WindowDigest: p.Group.WindowDigest(),
-			Shards:       p.Group.Shards(),
-		},
+		Replay:     &ckpt.Replay{Horizon: uint64(p.Group.Horizon()), StateDigest: digest},
 	}
 	return snap.Write(w)
 }
@@ -78,10 +107,14 @@ func RestorePrototype(r io.Reader, cfg Config) (*Prototype, *ckpt.Snapshot, erro
 }
 
 // Replay re-executes a freshly built, started prototype to a replay
-// snapshot's cursor. Determinism does the heavy lifting: stepping the same
-// build the same number of windows reproduces the exact global state, and
-// the recorded clock and window digest cross-check it — a mismatch means the
-// software or configuration differs from the checkpointed run.
+// snapshot's cursor. Determinism does the heavy lifting: running the same
+// build to the same cycle reproduces the exact simulated state — under any
+// sharding, since a barrier on a cycle means the same thing in all of them —
+// and the recorded clock and state digest cross-check it. A mismatch means
+// the software or configuration differs from the checkpointed run. A run that
+// drains before the horizon is compared too: a cursor taken after the run
+// drained names a horizon another sharding's last window may never reach,
+// and the drained state is the same state.
 func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 	if snap.Kind != ckpt.KindReplay || snap.Replay == nil {
 		return &ckpt.MismatchError{Field: "snapshot kind", Got: snap.Kind.String(), Want: ckpt.KindReplay.String()}
@@ -89,31 +122,17 @@ func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 	if snap.Workload != p.WorkloadTag {
 		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: p.WorkloadTag}
 	}
-	// A window cursor belongs to one sharding: one-shard, per-FPGA and
-	// per-node runs of a configuration execute different window sequences,
-	// so a cursor only replays on as many shard engines as it was taken on.
-	// (The widening cap is a pure function of the hashed configuration.)
-	rp := snap.Replay
-	if rp.Shards != p.Group.Shards() {
-		return &ckpt.MismatchError{Field: "shard count (execution policy)",
-			Got: fmt.Sprint(rp.Shards), Want: fmt.Sprint(p.Group.Shards())}
-	}
-	for p.Group.Windows() < rp.Windows {
-		if !p.Group.StepWindow() {
-			return &ckpt.MismatchError{Field: "replay cursor",
-				Got:  fmt.Sprintf("%d windows", rp.Windows),
-				Want: fmt.Sprintf("run drained after %d", p.Group.Windows())}
-		}
-	}
+	p.RunToCycle(sim.Time(snap.Replay.Horizon), nil)
 	if uint64(p.Now()) != snap.Now {
 		return &ckpt.MismatchError{Field: "replay clock",
 			Got: fmt.Sprint(snap.Now), Want: fmt.Sprint(p.Now())}
 	}
-	// The digest proves the replayed window sequence (starts and widths)
-	// matched, not just its length.
-	if rp.WindowDigest != p.Group.WindowDigest() {
-		return &ckpt.MismatchError{Field: "window sequence digest",
-			Got: fmt.Sprintf("%#x", rp.WindowDigest), Want: fmt.Sprintf("%#x", p.Group.WindowDigest())}
+	digest, err := p.stateDigest()
+	if err != nil {
+		return err
+	}
+	if digest != snap.Replay.StateDigest {
+		return &ckpt.MismatchError{Field: "state digest", Got: snap.Replay.StateDigest, Want: digest}
 	}
 	return nil
 }

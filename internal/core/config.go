@@ -92,9 +92,8 @@ type Config struct {
 	// window level at the intra-FPGA interconnect crossing — so the value
 	// only selects the policy. 0 or 1 (the default) is the one-shard case of
 	// the same synchronizer: one engine, windows run straight through.
-	// Every sharding produces byte-identical MetricsJSON; the
-	// live-introspection extras (tracer, sampler, latency probe) need the
-	// single engine.
+	// Every sharding produces byte-identical MetricsJSON; the tracer and the
+	// latency probe need the single engine.
 	Parallel int
 
 	// ShardGranularity selects how finely a Parallel > 1 build shards:
@@ -102,10 +101,8 @@ type Config struct {
 	// engine per node, letting a 48-core numa48 shape occupy 48 host cores
 	// under the hierarchical window synchronizer. Execution policy like
 	// Parallel itself: results are byte-identical across granularities, so
-	// the value is excluded from the configuration identity — but replay
-	// snapshots record it, since the window cursor they carry is
-	// granularity-specific. It changes nothing about how a one-shard build
-	// runs.
+	// the value is excluded from the configuration identity and from
+	// snapshots. It changes nothing about how a one-shard build runs.
 	ShardGranularity string
 }
 
@@ -204,9 +201,7 @@ func (c Config) Granularity() string {
 // minimum PCIe crossings: sim.DefaultAdaptiveCap, clamped so a full-width
 // window cannot outlast an armed watchdog's interval (a quiet wide window
 // would otherwise legitimately delay the barrier past the stall deadline).
-// A pure function of the hashed configuration, so every run and replay of
-// it widens identically; it is execution scheduling and never changes
-// simulation results.
+// It is execution scheduling and never changes simulation results.
 func (c Config) AdaptiveCap() int {
 	cap := sim.DefaultAdaptiveCap
 	if c.WatchdogInterval > 0 {

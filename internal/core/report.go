@@ -75,7 +75,9 @@ type metricsMeta struct {
 
 // MetricsJSON renders the run's metadata, full statistics registry and (when
 // a sampler is installed) the sampled time series as one JSON document.
-func (p *Prototype) MetricsJSON() ([]byte, error) {
+func (p *Prototype) MetricsJSON() ([]byte, error) { return p.metricsJSON(p.Sampler) }
+
+func (p *Prototype) metricsJSON(samples *sim.Sampler) ([]byte, error) {
 	p.flushTelemetry()
 	doc := metricsDoc{
 		Meta: metricsMeta{
@@ -87,7 +89,7 @@ func (p *Prototype) MetricsJSON() ([]byte, error) {
 			Seed:         p.Cfg.Seed,
 		},
 		Stats:   p.Stats,
-		Samples: p.Sampler,
+		Samples: samples,
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"smappic/internal/campaign"
+	"smappic/internal/ckpt"
 )
 
 // fakeExec is the deterministic executor stub shared by every protocol
@@ -500,6 +502,103 @@ func TestEndToEndWorkersOverHTTP(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestWorkersShareWarmPrefix: fleet workers go straight to the Executor, so
+// the shared warm-start prefix has to be built by whichever job needs it
+// first. Two real Worker loops over one cache directory serve a warm-started
+// IS sweep (two seeds = two prefix identities, each shared by two fault
+// variants) on the real simulator: afterwards the directory holds exactly one
+// prefix file per identity, nothing half-written, and the report is
+// byte-identical to the in-process Runner's.
+func TestWorkersShareWarmPrefix(t *testing.T) {
+	spec := campaign.Spec{
+		Name:      "warm-fleet",
+		Shapes:    []string{"1x1x2"},
+		Workloads: []string{campaign.WorkloadIS},
+		NUMA:      []bool{true},
+		Seeds:     []uint64{3, 4},
+		Faults:    []string{"", "node0.bridge.delay:p=0.02,cycles=400"},
+		Keys:      1 << 10,
+		WarmStart: true,
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[string]bool{}
+	for _, job := range jobs {
+		prefixes[job.Params.PrefixKey()] = true
+	}
+
+	refCache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := (&campaign.Runner{Workers: 2, Cache: refCache}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Aggregate().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cache, err := campaign.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(cache).Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b"} {
+		w := &Worker{Server: ts.URL, Name: name, CacheDir: dir, Poll: 10 * time.Millisecond}
+		wg.Add(1)
+		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	cl := &Client{Server: ts.URL}
+	sub, err := cl.Submit(ctx, "alice", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Wait(ctx, sub.CampaignID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Complete || st.Failed != 0 {
+		t.Fatalf("final status %+v", st)
+	}
+	got, err := cl.Report(ctx, sub.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	wg.Wait()
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet report differs from in-process run\nfleet:\n%s\nin-process:\n%s", got, want)
+	}
+
+	for _, d := range []string{dir, refCache.Dir()} {
+		files, err := filepath.Glob(filepath.Join(d, "warm-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(prefixes) {
+			t.Fatalf("%d warm prefix files for %d prefix identities: %v", len(files), len(prefixes), files)
+		}
+		for _, f := range files {
+			snap, err := ckpt.ReadFile(f)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if !prefixes[snap.PrefixHash] || filepath.Base(f) != "warm-"+snap.PrefixHash+".ckpt" {
+				t.Errorf("%s holds prefix %s", f, snap.PrefixHash)
+			}
+		}
+	}
 }
 
 // TestOversizeBodyRefused: the server is shared, so a request body is read

@@ -154,19 +154,7 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 		s.queue.SetQuota(tenant, s.DefaultQuota)
 	}
 	s.nextCamp++
-	run := &campaignRun{
-		id:       fmt.Sprintf("c%04d", s.nextCamp),
-		tenant:   tenant,
-		priority: req.Priority,
-		spec:     req.Spec,
-		jobs:     jobs,
-		outcomes: make([]campaign.JobOutcome, len(jobs)),
-		filled:   make([]bool, len(jobs)),
-		hub:      obs.NewHub(),
-	}
-	run.remaining = len(jobs)
-	s.campaigns[run.id] = run
-	s.order = append(s.order, run.id)
+	run := s.admitLocked(fmt.Sprintf("c%04d", s.nextCamp), tenant, req.Priority, req.Spec, jobs)
 	s.persistCampaign(run)
 
 	cached := 0
@@ -178,22 +166,43 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 			cached++
 			continue
 		}
-		s.nextSeq++
-		s.queue.Push(&campaign.TenantJob{
-			Tenant: tenant, CampaignID: run.id, Priority: req.Priority,
-			Seq: s.nextSeq, Job: job,
-		})
-		run.pending++
+		s.enqueueLocked(run, job)
 	}
 	s.logf("campaign %s (%s): %d jobs, %d cached, tenant %s", run.id, req.Spec.Name, len(jobs), cached, tenant)
 	return &SubmitResponse{CampaignID: run.id, Jobs: len(jobs), Cached: cached}, nil
 }
 
-// fillLocked records a terminal outcome for one job slot and streams its
-// event. Caller holds s.mu.
-func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campaign.Event) {
+// admitLocked registers a campaign with every slot open. Caller holds s.mu.
+func (s *Server) admitLocked(id, tenant string, priority int, spec campaign.Spec, jobs []campaign.Job) *campaignRun {
+	run := &campaignRun{
+		id: id, tenant: tenant, priority: priority, spec: spec,
+		jobs:      jobs,
+		outcomes:  make([]campaign.JobOutcome, len(jobs)),
+		filled:    make([]bool, len(jobs)),
+		remaining: len(jobs),
+		hub:       obs.NewHub(),
+	}
+	s.campaigns[run.id] = run
+	s.order = append(s.order, run.id)
+	return run
+}
+
+// enqueueLocked puts one open slot's job on the scheduler queue. Caller holds
+// s.mu.
+func (s *Server) enqueueLocked(run *campaignRun, job campaign.Job) {
+	s.nextSeq++
+	s.queue.Push(&campaign.TenantJob{
+		Tenant: run.tenant, CampaignID: run.id, Priority: run.priority,
+		Seq: s.nextSeq, Job: job,
+	})
+	run.pending++
+}
+
+// fill books a terminal outcome into its job slot — the accounting only, no
+// journal, no stream — and reports whether the slot was still open.
+func (run *campaignRun) fill(out campaign.JobOutcome) bool {
 	if run.filled[out.Job.Index] {
-		return
+		return false
 	}
 	run.filled[out.Job.Index] = true
 	run.outcomes[out.Job.Index] = out
@@ -203,6 +212,15 @@ func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campai
 		run.done++
 	case campaign.StatusFailed:
 		run.failed++
+	}
+	return true
+}
+
+// fillLocked records a terminal outcome for one job slot, journals it and
+// streams its event. Caller holds s.mu.
+func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campaign.Event) {
+	if !run.fill(out) {
+		return
 	}
 	s.persistOutcome(run, out)
 	run.hub.Broadcast("job", ev)
@@ -456,18 +474,7 @@ func (s *Server) campaignResult(id string) (*campaign.CampaignResult, error) {
 		return nil, errIncomplete
 	}
 	cr := &campaign.CampaignResult{Spec: run.spec, Jobs: append([]campaign.JobOutcome(nil), run.outcomes...)}
-	for _, out := range cr.Jobs {
-		switch out.Status {
-		case campaign.StatusRun:
-			cr.Executed++
-		case campaign.StatusCached:
-			cr.Cached++
-		case campaign.StatusFailed:
-			cr.Failed++
-		default:
-			cr.Skipped++
-		}
-	}
+	cr.Tally()
 	return cr, nil
 }
 
@@ -587,16 +594,7 @@ func (s *Server) Load() error {
 		if err != nil {
 			return fmt.Errorf("fleetsrv: %s: %w", path, err)
 		}
-		run := &campaignRun{
-			id: pc.ID, tenant: pc.Tenant, priority: pc.Priority, spec: pc.Spec,
-			jobs:     jobs,
-			outcomes: make([]campaign.JobOutcome, len(jobs)),
-			filled:   make([]bool, len(jobs)),
-			hub:      obs.NewHub(),
-		}
-		run.remaining = len(jobs)
-		s.campaigns[run.id] = run
-		s.order = append(s.order, run.id)
+		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
 		if n := campNum(pc.ID); n > s.nextCamp {
 			s.nextCamp = n
 		}
@@ -629,26 +627,12 @@ func (s *Server) Load() error {
 				}
 				out.Result = res
 			}
-			run.filled[rec.Index] = true
-			run.outcomes[rec.Index] = out
-			run.remaining--
-			switch out.Status {
-			case campaign.StatusRun, campaign.StatusCached:
-				run.done++
-			case campaign.StatusFailed:
-				run.failed++
-			}
+			run.fill(out)
 		}
 		for _, job := range jobs {
-			if run.filled[job.Index] {
-				continue
+			if !run.filled[job.Index] {
+				s.enqueueLocked(run, job)
 			}
-			s.nextSeq++
-			s.queue.Push(&campaign.TenantJob{
-				Tenant: run.tenant, CampaignID: run.id, Priority: run.priority,
-				Seq: s.nextSeq, Job: job,
-			})
-			run.pending++
 		}
 		s.logf("restored campaign %s: %d/%d complete, %d re-queued", run.id, run.done+run.failed, len(jobs), run.pending)
 	}

@@ -32,9 +32,8 @@
 // one that parked traffic collapses it back to a single crossing: a fixed
 // window would pay a full barrier every minimum crossing even while the
 // members are not talking to each other, which is most of a bucket-sort
-// run. The width sequence is a pure function of the (deterministic)
-// simulation, so replay reproduces it, and WindowDigest fingerprints it so
-// a checkpoint cursor can prove it did.
+// run. The width sequence is host-side scheduling only: where the barriers
+// fall never changes what executes, so nothing persisted depends on it.
 //
 // # Two radii
 //
@@ -50,7 +49,8 @@
 // argument is untouched, and a final inner chunk [b, e) cut short by the
 // clamp (e <= b + la) is safe for the same reason as a full one —
 // everything it sends delivers at >= b + la >= e. The root is clamped the
-// same way by the group's cut (the sampler's next row; nothing without one).
+// same way by the group's cut (the nearer of the sampler's next row and a
+// cycle held with HoldCut; nothing without either).
 // Same-engine sends bypass the levels entirely — they go straight into the
 // owning engine's delivery spool, which applies the identical canonical
 // per-(endpoint, cycle) order in every mode.
@@ -61,9 +61,9 @@
 // send is same-engine and lands in the spool at once. Its window is the
 // planned width run straight through — no goroutine, no chunk barrier — so
 // the only thing the window machinery adds to a serial run is a boundary
-// every few thousand cycles at which run predicates, observers, the
-// watchdog and replay cursors get a quiescent look at the model. That is
-// what lets one run loop, one watchdog and one cursor serve every build.
+// every few thousand cycles at which run predicates, observers and the
+// watchdog get a quiescent look at the model. That is what lets one run
+// loop and one watchdog serve every build.
 package sim
 
 import (
@@ -125,9 +125,11 @@ type Group struct {
 	envOut     []uint64 // envelopes sent by engine i
 
 	observers []func() // see OnBarrier
-	// cut is a boundary no root window crosses, so that a barrier falls on
-	// it: the Sampler keeps it on its next row. TimeMax clamps nothing.
-	cut Time
+	// cut and hold are boundaries no root window crosses, so that a barrier
+	// falls on each: the Sampler keeps cut on its next row, HoldCut puts hold
+	// on a caller's cycle. The root plan clamps to the nearer; TimeMax clamps
+	// nothing.
+	cut, hold Time
 }
 
 // level is one radius of the synchronizer: the window machinery over a set
@@ -155,25 +157,6 @@ type level struct {
 	chunks    uint64 // completed chunks (windows in units of la)
 	widenings uint64 // windows after which the width grew
 	collapses uint64 // windows after which the width snapped back to 1
-	digest    uint64 // FNV-1a over the (start, chunks ran) window sequence
-}
-
-// fnvOffset/fnvPrime are the FNV-1a constants for the window-sequence
-// digest. Starting from the offset basis keeps the digest of an empty
-// sequence nonzero, so a snapshot can always carry it.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-// fnvFold mixes one word into the running window digest.
-func fnvFold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
 }
 
 // NewGroup builds a flat synchronizer over the given shard engines, with
@@ -248,7 +231,7 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	// on any of them, and at a root barrier the intra-cluster ones are
 	// empty anyway (every cluster leaves a root chunk through a merge).
 	g.root = g.newLevel(outer, all)
-	g.cut = TimeMax
+	g.cut, g.hold = TimeMax, TimeMax
 	g.inner = make([]*level, len(g.clusters))
 	for ci, members := range g.clusters {
 		if len(members) > 1 {
@@ -262,7 +245,7 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 // starts out sized for all of them, which is every inner window's party;
 // the root resizes its own per window.
 func (g *Group) newLevel(la Time, members []int) *level {
-	l := &level{la: la, members: members, width: 1, maxWidth: 1, digest: fnvOffset}
+	l := &level{la: la, members: members, width: 1, maxWidth: 1}
 	l.bar.reset(len(members))
 	for _, de := range members {
 		for _, se := range members {
@@ -280,10 +263,7 @@ func (g *Group) newLevel(la Time, members []int) *level {
 // enclosing root chunk clamps those further). 1 keeps fixed windows; larger
 // caps let windows double geometrically while no envelope parks at the level
 // and collapse back to 1 the window traffic returns. Must be called while
-// the group is quiescent. The cap shapes the window sequence a replay cursor
-// counts, so a restore must run under the same value (core derives it from
-// the hashed configuration; the digest check catches a test that overrides
-// one side only).
+// the group is quiescent. The cap moves barriers, never results.
 func (g *Group) SetAdaptive(cap int) {
 	if cap < 1 {
 		panic(fmt.Sprintf("sim: adaptive lookahead cap %d; need >= 1", cap))
@@ -418,32 +398,28 @@ func (g *Group) SyncSnapshot() GroupSync {
 	return sn
 }
 
-// Windows returns the number of completed synchronization windows. It is
-// the replay cursor: re-executing the same build for the same number of
-// windows reproduces the exact global state. Under adaptive lookahead the
-// window widths are themselves deterministic, so the cursor stays exact;
-// WindowDigest lets a restore verify it replayed the identical width
-// sequence.
+// Windows returns the number of completed synchronization windows.
 func (g *Group) Windows() uint64 { return g.root.windows }
 
 // Chunks returns the number of completed window chunks — the window count
 // normalized to units of the lookahead, comparable across adaptive caps.
 func (g *Group) Chunks() uint64 { return g.root.chunks }
 
-// WindowDigest returns the running FNV-1a fingerprint of the window
-// sequence: every completed root window folds in its start time and the
-// width it actually reached, and — under sub-FPGA sharding — each
-// cluster's inner level folds its own digest on top, in cluster order. Two
-// runs that stepped the same windows at the same widths at both levels —
-// what a replay cursor promises — have equal digests.
-func (g *Group) WindowDigest() uint64 {
-	h := g.root.digest
-	for _, in := range g.inner {
-		if in != nil {
-			h = fnvFold(h, in.digest)
-		}
+// Horizon returns the exclusive upper bound of the last barrier: while the
+// group is quiescent every event below it has executed and none at or past
+// it has — the same state under every sharding and widening cap, which is
+// what makes a cycle, not a window count, the name of a point in a run.
+func (g *Group) Horizon() Time { return g.root.end }
+
+// HoldCut holds a cut at cycle t beside the sampler's: no root window crosses
+// it, so a barrier falls exactly on it and StepWindow returns there with
+// Horizon() == t. The hold stays until it is moved or released with TimeMax;
+// t must lie beyond the horizon. Must be called while the group is quiescent.
+func (g *Group) HoldCut(t Time) {
+	if t <= g.root.end {
+		panic(fmt.Sprintf("sim: cut held at %d, not beyond the horizon %d", t, g.root.end))
 	}
-	return h
+	g.hold = t
 }
 
 // Shards returns the number of shard engines.
@@ -632,16 +608,15 @@ func (g *Group) over(l *level, k int) bool {
 	return true
 }
 
-// close books the level's finished window: totals, the digest fold, the
-// horizon it actually reached, and the width adaptation — traffic parked at
-// this barrier collapses the width back to the minimum crossing; a quiet
-// window doubles it up to the cap. The caller holds the level quiescent,
-// with nothing merged since the members stopped.
+// close books the level's finished window: totals, the horizon it actually
+// reached, and the width adaptation — traffic parked at this barrier
+// collapses the width back to the minimum crossing; a quiet window doubles
+// it up to the cap. The caller holds the level quiescent, with nothing
+// merged since the members stopped.
 func (g *Group) close(l *level) {
 	l.end = min(l.end, l.start+Time(l.ran)*l.la)
 	l.windows++
 	l.chunks += uint64(l.ran)
-	l.digest = fnvFold(fnvFold(l.digest, uint64(l.start)), uint64(l.ran))
 	l.ran = 0
 	if g.parked(l) {
 		if l.width > 1 {
@@ -703,7 +678,8 @@ func (g *Group) runWindow(l *level, ei int) {
 // shard count).
 func (g *Group) StepWindow() bool {
 	root := g.root
-	for !g.plan(root, g.cut) {
+	clamp := min(g.cut, g.hold)
+	for !g.plan(root, clamp) {
 		if !g.pending() {
 			now := g.Now()
 			for _, e := range g.engines {
@@ -713,9 +689,15 @@ func (g *Group) StepWindow() bool {
 		}
 		// Idle up to the cut with work beyond it: the horizon steps onto the
 		// cut without booking a window, and the sampler, observing that, moves
-		// the cut on — boundary to boundary across a long gap.
-		root.start, root.end = g.cut, g.cut
+		// its cut on — boundary to boundary across a long gap. A cut nobody
+		// moved is one the caller holds: the step ends on it.
+		root.start, root.end = clamp, clamp
 		g.observe()
+		next := min(g.cut, g.hold)
+		if next == clamp {
+			return true
+		}
+		clamp = next
 	}
 	// A cluster takes part, all members together, when any member has work
 	// before the horizon: the inner barrier needs every one of them.

@@ -27,12 +27,6 @@ type Sampler struct {
 	every Time
 	names []string
 	rows  []SampleRow
-
-	// maxRows, when positive, caps the retained time series: once reached,
-	// each new row overwrites the oldest (start marks the ring head). The
-	// default (0) keeps every row, preserving historical behavior.
-	maxRows int
-	start   int
 }
 
 // SampleRow is one snapshot: the cycle it was taken at and the sampled
@@ -55,36 +49,11 @@ func NewSampler(g *Group, regs []*Stats, every Time, names ...string) *Sampler {
 	return s
 }
 
-// SetMaxRows caps the retained time series at n rows: once full, each new
-// sample overwrites the oldest (a ring buffer), so an indefinitely running
-// sampler — a long -serve session, a numa48-scale run — holds bounded memory.
-// n <= 0 restores the default unbounded behavior. Call it before the series
-// wraps; shrinking an already-wrapped series is not supported.
-func (s *Sampler) SetMaxRows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxRows = n
-}
-
-// MaxRows returns the ring-buffer cap (0 = unbounded).
-func (s *Sampler) MaxRows() int { return s.maxRows }
-
 // Names returns the sampled column names.
 func (s *Sampler) Names() []string { return s.names }
 
-// Rows returns the recorded time series in chronological order. When the
-// ring-buffer cap has dropped old rows, the slice starts at the oldest
-// retained row.
-func (s *Sampler) Rows() []SampleRow {
-	if s.start == 0 {
-		return s.rows
-	}
-	out := make([]SampleRow, 0, len(s.rows))
-	out = append(out, s.rows[s.start:]...)
-	out = append(out, s.rows[:s.start]...)
-	return out
-}
+// Rows returns the recorded time series in chronological order.
+func (s *Sampler) Rows() []SampleRow { return s.rows }
 
 // Every returns the sampling interval in cycles.
 func (s *Sampler) Every() Time { return s.every }
@@ -100,12 +69,7 @@ func (s *Sampler) observe() {
 	for i, n := range s.names {
 		row.Values[i] = s.sample(n)
 	}
-	if s.maxRows > 0 && len(s.rows) >= s.maxRows {
-		s.rows[s.start] = row
-		s.start = (s.start + 1) % len(s.rows)
-	} else {
-		s.rows = append(s.rows, row)
-	}
+	s.rows = append(s.rows, row)
 	s.g.cut += s.every
 }
 
@@ -133,7 +97,7 @@ func (s *Sampler) CSV() string {
 		b.WriteString(n)
 	}
 	b.WriteByte('\n')
-	for _, r := range s.Rows() {
+	for _, r := range s.rows {
 		fmt.Fprintf(&b, "%d", r.At)
 		for _, v := range r.Values {
 			fmt.Fprintf(&b, ",%d", v)
@@ -145,9 +109,8 @@ func (s *Sampler) CSV() string {
 
 // MarshalJSON renders {"every":N,"names":[...],"rows":[[cycle,v0,v1,...],...]}.
 func (s *Sampler) MarshalJSON() ([]byte, error) {
-	ordered := s.Rows()
-	rows := make([][]uint64, len(ordered))
-	for i, r := range ordered {
+	rows := make([][]uint64, len(s.rows))
+	for i, r := range s.rows {
 		row := make([]uint64, 0, len(r.Values)+1)
 		row = append(row, uint64(r.At))
 		row = append(row, r.Values...)

@@ -22,23 +22,20 @@ func sampledWorkload(eng *Engine, s *Stats, until Time) {
 	eng.Schedule(1, step)
 }
 
-// sampledRun runs sampledWorkload on a one-engine group under a sampler
-// (configured by setup, if any) and returns the sampler and the final time.
-func sampledRun(until, every Time, setup func(*Sampler), names ...string) (*Sampler, Time) {
+// sampledRun runs sampledWorkload on a one-engine group under a sampler and
+// returns the sampler and the final time.
+func sampledRun(until, every Time, names ...string) (*Sampler, Time) {
 	eng := NewEngine()
 	var s Stats
 	sampledWorkload(eng, &s, until)
 	g := NewGroup(61, eng)
 	g.SetAdaptive(DefaultAdaptiveCap)
 	sm := NewSampler(g, []*Stats{&s}, every, names...)
-	if setup != nil {
-		setup(sm)
-	}
 	return sm, g.Run()
 }
 
 func TestSamplerRecordsTimeSeries(t *testing.T) {
-	sm, _ := sampledRun(100, 10, nil, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "node0.*", "missing")
+	sm, _ := sampledRun(100, 10, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "node0.*", "missing")
 
 	rows := sm.Rows()
 	if len(rows) != 10 {
@@ -71,7 +68,7 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 }
 
 func TestSamplerCSVAndJSON(t *testing.T) {
-	sm, _ := sampledRun(30, 10, nil, "node0.mesh.noc1.flits")
+	sm, _ := sampledRun(30, 10, "node0.mesh.noc1.flits")
 
 	csv := sm.CSV()
 	if !strings.HasPrefix(csv, "cycle,node0.mesh.noc1.flits\n10,18\n") {
@@ -105,48 +102,10 @@ func TestSamplerDefaultInterval(t *testing.T) {
 	}
 }
 
-// TestSamplerRingBuffer checks the MaxRows cap: the series stays bounded,
-// drops the oldest rows, and Rows/CSV/JSON all present the retained window
-// in chronological order.
-func TestSamplerRingBuffer(t *testing.T) {
-	sm, _ := sampledRun(200, 10, func(sm *Sampler) { sm.SetMaxRows(5) }, "node0.mesh.noc1.flits")
-	if sm.MaxRows() != 5 {
-		t.Fatalf("MaxRows = %d, want 5", sm.MaxRows())
-	}
-
-	rows := sm.Rows()
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5 (ring cap)", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].At <= rows[i-1].At {
-			t.Fatalf("rows not chronological after wrap: %d then %d", rows[i-1].At, rows[i].At)
-		}
-	}
-	// The retained window must be the LAST five samples of the run: the
-	// unbounded reference run tells us what those are.
-	rm, _ := sampledRun(200, 10, nil, "node0.mesh.noc1.flits")
-	all := rm.Rows()
-	want := all[len(all)-5:]
-	for i := range want {
-		if rows[i].At != want[i].At || rows[i].Values[0] != want[i].Values[0] {
-			t.Fatalf("row %d = %+v, want %+v", i, rows[i], want[i])
-		}
-	}
-	// CSV and JSON go through Rows(), so they see the same ordered window.
-	csv := sm.CSV()
-	if !strings.Contains(csv, fmt.Sprintf("\n%d,", want[0].At)) {
-		t.Fatalf("CSV missing oldest retained row %d:\n%s", want[0].At, csv)
-	}
-	if strings.Contains(csv, fmt.Sprintf("\n%d,", all[0].At)) {
-		t.Fatalf("CSV still contains dropped row %d:\n%s", all[0].At, csv)
-	}
-}
-
-// TestSamplerUnboundedByDefault pins the compatibility contract: without
-// SetMaxRows every sample is retained (goldens embed full series).
+// TestSamplerUnboundedByDefault pins the compatibility contract: every
+// sample is retained (goldens embed full series).
 func TestSamplerUnboundedByDefault(t *testing.T) {
-	sm, _ := sampledRun(500, 10, nil, "node0.mesh.noc1.flits")
+	sm, _ := sampledRun(500, 10, "node0.mesh.noc1.flits")
 	if n := len(sm.Rows()); n != 50 {
 		t.Fatalf("unbounded sampler kept %d rows, want 50", n)
 	}
@@ -186,8 +145,9 @@ func TestSamplerSurvivesIdleGap(t *testing.T) {
 // sampledPair runs two talkative shards — each ticks on its own stride,
 // counts in its own registry and sends the other an envelope per tick — as a
 // group of one engine or of two, under a sampler, and returns the sampler's
-// CSV and the final time.
-func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
+// CSV and the final time. A nonzero cutAt is held as a cut, run to and
+// released on the way.
+func sampledPair(t *testing.T, engines int, every, cutAt Time) (string, Time) {
 	const la = Time(61)
 	engs := []*Engine{NewEngine(), NewEngine()}
 	regs := []*Stats{{}, {}}
@@ -218,6 +178,15 @@ func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
 		e.Schedule(Time(1+s), func() { tick(0) })
 	}
 	sm := NewSampler(g, regs, every, "shard0.ticks", "shard1.recv", "shard1.busy", "*")
+	if cutAt != 0 {
+		g.HoldCut(cutAt)
+		for g.Horizon() < cutAt && g.StepWindow() {
+		}
+		if g.Horizon() != cutAt {
+			t.Fatalf("%d engine(s): horizon %d after running to the cut held at %d", engines, g.Horizon(), cutAt)
+		}
+		g.HoldCut(TimeMax)
+	}
 	end := g.Run()
 	for _, r := range sm.Rows() {
 		if r.At%every != 0 || r.At > end {
@@ -235,16 +204,73 @@ func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
 // unsampled one does, and one engine and two give the same rows.
 func TestSamplerRowsExactAcrossShardings(t *testing.T) {
 	for _, every := range []Time{100, 61, 1000} {
-		one, endOne := sampledPair(t, 1, every)
-		two, endTwo := sampledPair(t, 2, every)
+		one, endOne := sampledPair(t, 1, every, 0)
+		two, endTwo := sampledPair(t, 2, every, 0)
 		if one != two || endOne != endTwo {
 			t.Errorf("every %d: one engine (end %d) and two (end %d) sampled different rows:\n%s\nvs\n%s", every, endOne, endTwo, one, two)
 		}
 	}
-	_, sampled := sampledRun(100, 10, nil, "node0.mesh.noc1.flits")
+	_, sampled := sampledRun(100, 10, "node0.mesh.noc1.flits")
 	eng := NewEngine()
 	sampledWorkload(eng, &Stats{}, 100)
 	if plain := NewGroup(61, eng).Run(); sampled != plain {
 		t.Errorf("sampled run ended at %d, unsampled at %d", sampled, plain)
+	}
+}
+
+// TestHeldCutEndsStepAcrossIdleGap holds a cut inside an idle gap of a
+// two-engine group with no sampler to move it: StepWindow must return with
+// the horizon exactly on the cut — everything below executed, nothing at or
+// past it — book no window for the gap, and finish the run where an uncut one
+// does once the hold is released.
+func TestHeldCutEndsStepAcrossIdleGap(t *testing.T) {
+	// Each engine counts its own events: shards share nothing during a window.
+	build := func() (*Group, func() uint64) {
+		e0, e1 := NewEngine(), NewEngine()
+		var n0, n1 uint64
+		for _, at := range []Time{50, 5050} {
+			e0.At(at, func() { n0++ })
+			e1.At(at+7, func() { n1++ })
+		}
+		g := NewGroup(61, e0, e1)
+		g.SetAdaptive(DefaultAdaptiveCap)
+		return g, func() uint64 { return n0 + n1 }
+	}
+	plain, _ := build()
+	want := plain.Run()
+
+	g, count := build()
+	g.HoldCut(2000)
+	steps := 0
+	for g.Horizon() < 2000 {
+		if !g.StepWindow() {
+			t.Fatalf("run drained at horizon %d before the cut", g.Horizon())
+		}
+		if steps++; steps > 100 {
+			t.Fatalf("StepWindow never reached the held cut; horizon %d", g.Horizon())
+		}
+	}
+	if g.Horizon() != 2000 || count() != 2 || g.Now() != 57 {
+		t.Fatalf("at the cut: horizon %d, %d events, clock %d; want 2000, 2, 57", g.Horizon(), count(), g.Now())
+	}
+	windows := g.Windows()
+	g.HoldCut(TimeMax)
+	if end := g.Run(); end != want || count() != 4 {
+		t.Fatalf("released run ended at %d with %d events, want %d and 4", end, count(), want)
+	}
+	if g.Windows() != plain.Windows() || windows != 1 {
+		t.Errorf("the cut booked windows: %d at the cut, %d in all, uncut run %d", windows, g.Windows(), plain.Windows())
+	}
+}
+
+// TestHeldCutLeavesSamplerRowsAlone: a cut held between two sampler rows, and
+// one held exactly on a row, add a barrier and change no row.
+func TestHeldCutLeavesSamplerRowsAlone(t *testing.T) {
+	want, end := sampledPair(t, 2, 100, 0)
+	for _, at := range []Time{777, 1300} {
+		got, gotEnd := sampledPair(t, 2, 100, at)
+		if got != want || gotEnd != end {
+			t.Errorf("cut held at %d changed the sampled run (end %d, want %d):\n%s\nvs\n%s", at, gotEnd, end, got, want)
+		}
 	}
 }

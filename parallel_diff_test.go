@@ -141,14 +141,19 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.metrics = m
-	if i := bytes.Index(m, []byte(",\n  \"samples\": ")); i >= 0 {
-		// "samples" is the document's last member: cut it out and close the
-		// object, which leaves exactly what an unsampled run renders.
-		out.metrics, out.samples = append(m[:i:i], "\n}\n"...), m[i:]
-	}
+	out.metrics, out.samples = splitSamples(m)
 	out.cycles = p.Now()
 	return out
+}
+
+// splitSamples cuts the "samples" member — the document's last — out of a
+// MetricsJSON document and closes the object, which leaves exactly what an
+// unsampled run renders; samples is nil when there was none.
+func splitSamples(m []byte) (metrics, samples []byte) {
+	if i := bytes.Index(m, []byte(",\n  \"samples\": ")); i >= 0 {
+		return append(m[:i:i], "\n}\n"...), m[i:]
+	}
+	return m, nil
 }
 
 // diffProgram is the cross-node RISC-V payload: every hart halts, hart 0 of
