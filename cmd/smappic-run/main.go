@@ -16,7 +16,9 @@
 // (see internal/rvasm); execution starts at the reset PC on every hart.
 //
 // -metrics-json dumps every counter, gauge and histogram as JSON;
-// -trace-out writes a Chrome trace-event file loadable in Perfetto;
+// -trace-out writes a Chrome trace-event file loadable in Perfetto (one ring
+// per node, -trace-cap events between them; the same file under every
+// -parallel / -shard-granularity);
 // -sample-every N snapshots the default counter set at every multiple of N
 // cycles up to the run's last event (written into the metrics JSON, or as
 // CSV with -sample-out), at window barriers: it schedules no events, so a
@@ -62,7 +64,7 @@
 // nested under the per-FPGA windows at the intra-FPGA interconnect
 // lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
 // parallelism). These knobs are execution policy: they change wall-clock,
-// never results. The event trace needs the single engine.
+// never results.
 // The halt check and -max-cycles are evaluated at window barriers, so a run
 // may pass such a bound by at most one window.
 //
@@ -133,7 +135,7 @@ func main() {
 	disasm := flag.Bool("disasm", false, "print a disassembly listing before running")
 	metricsJSON := flag.String("metrics-json", "", "write all counters/gauges/histograms as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto) to this file")
-	traceCap := flag.Int("trace-cap", 1<<20, "event trace ring-buffer capacity (with -trace-out)")
+	traceCap := flag.Int("trace-cap", 1<<20, "events the trace retains, split evenly over the nodes' rings (with -trace-out)")
 	sampleEvery := flag.Uint64("sample-every", 0, "snapshot the default counter set every N cycles (0 = off)")
 	sampleOut := flag.String("sample-out", "", "write the sampled time series as CSV to this file")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "pcie.*.drop:p=0.01;node0.dram.flip:n=3" (see doc comment)`)
@@ -153,10 +155,6 @@ func main() {
 	a, b, c, err := smappic.ParseShape(*shape)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *parallel > 1 && *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "smappic-run: -trace-out needs the serial engine; drop -parallel")
 		os.Exit(1)
 	}
 	cfg := smappic.DefaultConfig(a, b, c)

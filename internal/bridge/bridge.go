@@ -183,8 +183,8 @@ func (b *Bridge) Credits(dst int) int {
 	return b.credits[dst]
 }
 
-// SetTracer installs an event tracer; tx/rx instants appear on the bridge's
-// own track ("<node>.bridge") in exported timelines.
+// SetTracer installs the trace ring of the bridge's node; tx/rx instants
+// appear on the bridge's own track ("<node>.bridge") in exported timelines.
 func (b *Bridge) SetTracer(t *sim.Tracer) { b.tracer = t }
 
 // ConnectOut wires the bridge's outbound AXI path: out is the crossbar or

@@ -422,6 +422,3 @@ func (s *Slice) DirState(line uint64) (st string, holders int) {
 		return "E", 1
 	}
 }
-
-// Resident reports whether the LLC currently holds the line.
-func (s *Slice) Resident(line uint64) bool { return s.tags.peek(line) != nil }

@@ -84,9 +84,9 @@ type Params struct {
 
 // cacheVersion salts the content hash; bump it whenever the executor or the
 // Result encoding changes meaning, so stale cache entries miss instead of
-// poisoning new runs. (v3: watched points lost the event watchdog's
-// round-up of run_cycles to an interval multiple.)
-const cacheVersion = "campaign-v3"
+// poisoning new runs. (v4: a probe job's run_cycles moved when
+// MeasureLatency became two processes and two drains; its latency did not.)
+const cacheVersion = "campaign-v4"
 
 // Key returns the content address of the job: a hash of the canonical JSON
 // encoding of the fully resolved parameters.

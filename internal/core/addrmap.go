@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Physical address map. Each node owns one DRAM region; the top half of the
 // region backs the node's virtual SD card (paper §3.4.2), the bottom half is
 // main memory. Device (uncacheable) space sits far above DRAM.
@@ -105,16 +103,4 @@ func (m *AddrMap) AccelTile(off uint64) (tile int, devOff uint64, ok bool) {
 		return 0, 0, false
 	}
 	return tile, rel & 0xFFFF, true
-}
-
-// CheckMainMemory panics if addr+size spills out of a node's usable main
-// memory (catches workloads colliding with the SD image).
-func (m *AddrMap) CheckMainMemory(addr uint64, size int) {
-	if !m.IsDRAM(addr) {
-		panic(fmt.Sprintf("core: address %#x outside DRAM", addr))
-	}
-	off := (addr - DRAMBase) % NodeDRAMSize
-	if off+uint64(size) > m.MainMemorySize() {
-		panic(fmt.Sprintf("core: access %#x+%d crosses into the SD region", addr, size))
-	}
 }

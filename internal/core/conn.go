@@ -81,11 +81,12 @@ func (p *Prototype) tileHandler(t *Tile) noc.Handler {
 	// The tile's trace track is fixed for the prototype's lifetime; compute
 	// it once so the hot path never formats strings.
 	track := fmt.Sprintf("node%d.tile%d", t.ID.Node, t.ID.Tile)
+	n := t.node
 	return func(pkt *noc.Packet) {
 		switch m := pkt.Payload.(type) {
 		case *cache.Msg:
-			if p.Tracer.Enabled() {
-				p.Tracer.EmitT(track, sim.CatCoherence, "%v line=%#x req=%v at tile %v", m.Op, m.Line, m.Req, t.ID)
+			if n.Tracer.Enabled() {
+				n.Tracer.EmitT(track, sim.CatCoherence, "%v line=%#x req=%v at tile %v", m.Op, m.Line, m.Req, t.ID)
 			}
 			switch m.Op {
 			case cache.GetS, cache.GetM, cache.PutS, cache.PutM, cache.InvAck, cache.DownAck:
@@ -167,8 +168,8 @@ func (p *Prototype) deviceAccess(n *Node, m *mmioReq) {
 				} else {
 					val = r.dev.Read(off-r.base, m.size)
 				}
-				if p.Tracer.Enabled() {
-					p.Tracer.EmitT(n.Name(), sim.CatMMIO, "%s %s off=%#x val=%#x", rw(m.write), r.dev.Name(), off-r.base, val|m.val)
+				if n.Tracer.Enabled() {
+					n.Tracer.EmitT(n.Name(), sim.CatMMIO, "%s %s off=%#x val=%#x", rw(m.write), r.dev.Name(), off-r.base, val|m.val)
 				}
 				n.Mesh.Send(&noc.Packet{
 					Class:   noc.NoC2,

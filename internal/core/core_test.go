@@ -509,7 +509,8 @@ func TestTracerRecordsCoherenceAndMMIO(t *testing.T) {
 	cfg := DefaultConfig(1, 1, 2)
 	cfg.Core = CoreNone
 	p := buildQuiet(t, cfg)
-	tr := p.EnableTrace(256)
+	p.EnableTrace(256)
+	tr := p.Nodes[0].Tracer
 	port := p.PortAt(cache.GID{Node: 0, Tile: 0})
 	sim.Go(p.Eng, "wl", func(proc *sim.Process) {
 		port.Load(proc, p.Map.NodeDRAMBase(0)+0x7000, 8)
@@ -538,7 +539,8 @@ func TestTracerRecordsCoherenceAndMMIO(t *testing.T) {
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *sim.Tracer
-	tr.Emit("x", "should not panic")
+	tr.EmitT("node0", "x", "should not panic")
+	tr.Instant("node0", "x", "nor this")
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Error("nil tracer misbehaves")
 	}

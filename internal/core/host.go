@@ -14,7 +14,6 @@ import (
 type Host struct {
 	pr      *Prototype
 	serial0 []*dev.VirtualSerial
-	serial1 []*dev.VirtualSerial
 }
 
 // Host returns the prototype's host-side tooling.
@@ -22,7 +21,6 @@ func (p *Prototype) Host() *Host {
 	h := &Host{pr: p}
 	for _, n := range p.Nodes {
 		h.serial0 = append(h.serial0, dev.NewVirtualSerial(n.UART0))
-		h.serial1 = append(h.serial1, dev.NewVirtualSerial(n.UART1))
 	}
 	return h
 }
@@ -44,9 +42,3 @@ func (h *Host) LoadSDImage(node int, offset uint64, image []byte) {
 
 // Console returns everything node's console UART printed so far.
 func (h *Host) Console(node int) string { return h.serial0[node].Console() }
-
-// DataConsole returns the overclocked data UART's output.
-func (h *Host) DataConsole(node int) string { return h.serial1[node].Console() }
-
-// SendConsole types into a node's console.
-func (h *Host) SendConsole(node int, s string) { h.serial0[node].Send(s) }

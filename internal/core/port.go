@@ -8,67 +8,32 @@ import (
 	"smappic/internal/sim"
 )
 
-// corePort implements riscv.Mem for a tile: cacheable accesses flow through
-// the private cache stack (the TRI boundary) and move functional data in
-// the backing store at completion time; uncacheable accesses become MMIO
-// round trips over the NoC.
-type corePort struct{ tile *Tile }
+// corePort implements riscv.Mem for a tile: a Port plus instruction fetch,
+// with accesses to uncacheable addresses routed to the Port's MMIO round
+// trips (a hart does not choose the access kind; the address map does).
+type corePort struct{ *Port }
 
-func (cp *corePort) proto() *Prototype { return cp.tile.node.proto }
+var _ riscv.Mem = corePort{}
 
-// Cacheable accesses use the Suspend/Park split rather than Call: the
-// process's pooled completion goes straight to the cache stack, so the
-// per-access path allocates nothing.
-
-func (cp *corePort) Fetch(p *sim.Process, addr uint64) uint32 {
-	pr := cp.proto()
+func (cp corePort) Fetch(p *sim.Process, addr uint64) uint32 {
 	cp.tile.Priv.Fetch(addr, p.Suspend())
 	p.Park()
-	return pr.Backing.ReadU32(addr)
+	return cp.pr.Backing.ReadU32(addr)
 }
 
-func (cp *corePort) Load(p *sim.Process, addr uint64, size int) uint64 {
-	pr := cp.proto()
-	if pr.Map.IsUncached(addr) {
-		var out uint64
-		p.Call(func(done func()) {
-			pr.sendMMIO(cp.tile, &mmioReq{addr: addr, size: size, done: func(v uint64) {
-				out = v
-				done()
-			}})
-		})
-		return out
+func (cp corePort) Load(p *sim.Process, addr uint64, size int) uint64 {
+	if cp.pr.Map.IsUncached(addr) {
+		return cp.MMIOLoad(p, addr, size)
 	}
-	cp.tile.Priv.Load(addr, p.Suspend())
-	p.Park()
-	return readBacking(pr, addr, size)
+	return cp.Port.Load(p, addr, size)
 }
 
-func (cp *corePort) Store(p *sim.Process, addr uint64, size int, v uint64) {
-	pr := cp.proto()
-	if pr.Map.IsUncached(addr) {
-		p.Call(func(done func()) {
-			pr.sendMMIO(cp.tile, &mmioReq{write: true, addr: addr, size: size, val: v, done: func(uint64) {
-				done()
-			}})
-		})
+func (cp corePort) Store(p *sim.Process, addr uint64, size int, v uint64) {
+	if cp.pr.Map.IsUncached(addr) {
+		cp.MMIOStore(p, addr, size, v)
 		return
 	}
-	cp.tile.Priv.Store(addr, p.Suspend())
-	p.Park()
-	writeBacking(pr, addr, size, v)
-}
-
-func (cp *corePort) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64) uint64 {
-	pr := cp.proto()
-	var old uint64
-	cp.tile.Priv.Amo(addr, p.Suspend())
-	p.Park()
-	// The line is held in M here; the read-modify-write is atomic in the
-	// simulated interleaving.
-	old = readBacking(pr, addr, size)
-	writeBacking(pr, addr, size, f(old))
-	return old
+	cp.Port.Store(p, addr, size, v)
 }
 
 func readBacking(pr *Prototype, addr uint64, size int) uint64 {
@@ -100,8 +65,6 @@ func writeBacking(pr *Prototype, addr uint64, size int, v uint64) {
 	}
 }
 
-var _ riscv.Mem = (*corePort)(nil)
-
 // ReadPhys reads simulated memory functionally (host/debug access, no
 // simulated time).
 func (p *Prototype) ReadPhys(addr uint64, size int) uint64 { return readBacking(p, addr, size) }
@@ -125,6 +88,11 @@ func (p *Prototype) PortAt(g cache.GID) *Port {
 
 // Tile returns the port's tile location.
 func (pt *Port) Tile() cache.GID { return pt.tile.ID }
+
+// Cacheable accesses use the Suspend/Park split rather than Call: the
+// process's pooled completion goes straight to the cache stack, so the
+// per-access path allocates nothing, and functional data moves in the
+// backing store at completion time.
 
 // Load reads size bytes at addr through the cache hierarchy.
 func (pt *Port) Load(p *sim.Process, addr uint64, size int) uint64 {
@@ -158,6 +126,8 @@ func (pt *Port) StoreAsync(addr uint64, size int, v uint64) {
 func (pt *Port) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64) uint64 {
 	pt.tile.Priv.Amo(addr, p.Suspend())
 	p.Park()
+	// The line is held in M here; the read-modify-write is atomic in the
+	// simulated interleaving.
 	old := readBacking(pt.pr, addr, size)
 	writeBacking(pt.pr, addr, size, f(old))
 	return old

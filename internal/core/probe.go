@@ -25,16 +25,19 @@ func (p *Prototype) probeLine(g cache.GID, seq int) uint64 {
 // probe to j, and the data grant back to i — crossing the inter-node
 // interconnect twice when i and j sit on different nodes.
 func (p *Prototype) MeasureLatency(i, j cache.GID, seq int) sim.Time {
-	p.mustSerial("MeasureLatency")
 	line := p.probeLine(j, seq)
 	sender := p.PortAt(i)
 	receiver := p.PortAt(j)
 
-	var lat sim.Time
-	sim.Go(p.Eng, "probe", func(proc *sim.Process) {
+	// Two short processes, each on its own tile's engine, with a drain
+	// after each: the same probe under every sharding.
+	sim.Go(p.EngineForNode(j.Node), "probe-warm", func(proc *sim.Process) {
 		// Warm: j takes the line in M.
 		receiver.Store(proc, line, 8, 0xAB)
-		proc.Wait(8)
+	})
+	p.Run()
+	var lat sim.Time
+	sim.Go(p.EngineForNode(i.Node), "probe", func(proc *sim.Process) {
 		start := proc.Now()
 		sender.Load(proc, line, 8)
 		lat = proc.Now() - start

@@ -78,6 +78,10 @@ type Node struct {
 	UART1 *dev.UART // data, ~1 Mbit/s ("overclocked", paper §3.4.1)
 	SD    *dev.SDCard
 	Pack  *interrupt.Packetizer
+	// Tracer, when installed with EnableTrace, is the node's ring of
+	// protocol, MMIO and bridge events (nil-safe: tracing is free when
+	// disabled).
+	Tracer *sim.Tracer
 
 	proto   *Prototype
 	eng     *sim.Engine // the node's shard engine
@@ -97,8 +101,8 @@ type Prototype struct {
 	// Now/Run/RunUntil/RunUntilHalted rather than stepping it directly.
 	Group *sim.Group
 	// Eng is the engine of a one-shard build and nil otherwise: the handle
-	// of the single-engine-only features (tracer, latency probe, state
-	// capture), which mustSerial gates on it.
+	// of the state cut (CaptureState / ApplyState and the kernel's capture),
+	// the one single-engine-only feature, which mustSerial gates on it.
 	Eng *sim.Engine
 	// Stats is the registry reports read. A one-shard build writes it
 	// directly; a multi-shard build keeps one registry per shard and folds
@@ -115,9 +119,6 @@ type Prototype struct {
 	shardStats []*sim.Stats  // per shard; Stats itself when there is one
 	nodeShard  []int         // node id -> shard index
 	icPorts    []*icPort     // node id -> its bridge's interconnect port
-	// Tracer, when installed with EnableTrace, records protocol and MMIO
-	// events (nil-safe: tracing is free when disabled).
-	Tracer *sim.Tracer
 	// Sampler, when installed with EnableSampler, snapshots selected
 	// counters at a fixed cycle interval.
 	Sampler *sim.Sampler
@@ -138,16 +139,15 @@ type Prototype struct {
 	WorkloadTag string
 }
 
-// EnableTrace installs an event tracer retaining the last capacity events
-// and propagates it to subsystems that emit their own tracks (bridges).
-// Single-engine only: the trace ring is a single time-ordered buffer.
-func (p *Prototype) EnableTrace(capacity int) *sim.Tracer {
-	p.mustSerial("EnableTrace")
-	p.Tracer = sim.NewTracer(p.Eng, capacity)
+// EnableTrace gives every node a trace ring on its own engine, so a node's
+// events are recorded in the same order under every sharding. capacity is
+// the total number of events retained, split evenly: each ring keeps the
+// node's last capacity/TotalNodes events.
+func (p *Prototype) EnableTrace(capacity int) {
 	for _, n := range p.Nodes {
-		n.Bridge.SetTracer(p.Tracer)
+		n.Tracer = sim.NewTracer(n.eng, max(1, capacity/len(p.Nodes)))
+		n.Bridge.SetTracer(n.Tracer)
 	}
-	return p.Tracer
 }
 
 // Build constructs a prototype from the configuration. It corresponds to
@@ -294,11 +294,12 @@ func Build(cfg Config) (*Prototype, error) {
 					t.Core.SetIRQ(int(k), level)
 				}
 			})
+			port := corePort{&Port{tile: t, pr: p}}
 			switch cfg.Core {
 			case CoreAriane:
-				t.Core = riscv.New(&corePort{tile: t}, p.hartID(gid), ResetPC, stats, tname+".core")
+				t.Core = riscv.New(port, p.hartID(gid), ResetPC, stats, tname+".core")
 			case CorePicoRV32:
-				t.Core = riscv.NewWithProfile(&corePort{tile: t}, p.hartID(gid), ResetPC, riscv.PicoRV32, stats, tname+".core")
+				t.Core = riscv.NewWithProfile(port, p.hartID(gid), ResetPC, riscv.PicoRV32, stats, tname+".core")
 			}
 			n.Tiles = append(n.Tiles, t)
 			n.Mesh.AttachTile(tID, p.tileHandler(t))
@@ -403,9 +404,6 @@ func (p *Prototype) homeFunc(nodeID int) cache.HomeFunc {
 // Tile returns the tile at a global location.
 func (p *Prototype) Tile(g cache.GID) *Tile { return p.Nodes[g.Node].Tiles[g.Tile] }
 
-// TileByHart returns the tile hosting a hart.
-func (p *Prototype) TileByHart(hart int) *Tile { return p.Tile(p.hartLoc(hart)) }
-
 // Seconds converts cycles to wall-clock seconds at the prototype frequency.
 func (p *Prototype) Seconds(cycles sim.Time) float64 {
 	return float64(cycles) / (float64(p.Cfg.ClockMHz) * 1e6)
@@ -414,11 +412,6 @@ func (p *Prototype) Seconds(cycles sim.Time) float64 {
 // Now returns the current simulation time: the globally latest executed
 // event (a one-shard build's engine clock).
 func (p *Prototype) Now() sim.Time { return p.Group.Now() }
-
-// ShardOfNode returns the shard index that simulates a node: 0 in a
-// one-shard build, the node's FPGA under per-FPGA granularity, the node
-// itself under per-node granularity.
-func (p *Prototype) ShardOfNode(node int) int { return p.nodeShard[node] }
 
 // EngineForNode returns the engine that simulates a node: its shard's
 // engine. Under per-node granularity distinct co-located nodes get distinct
@@ -456,13 +449,12 @@ func (p *Prototype) Lookahead() sim.Time { return p.Cfg.PCIe.MinCrossing() }
 // property of the model, not the execution policy.
 func (p *Prototype) InnerLookahead() sim.Time { return icLatency }
 
-// MustSerial panics when a single-engine-only feature is used on a
-// multi-shard build; exported for the software layers (kernel, workload)
-// that add their own, such as state capture.
+// MustSerial is mustSerial for the kernel's half of the state cut.
 func (p *Prototype) MustSerial(what string) { p.mustSerial(what) }
 
-// mustSerial panics when a single-engine-only feature is used on a
-// multi-shard build. It is the one execution-mode test in the package.
+// mustSerial panics when the state cut — the one single-engine-only feature
+// left — is used on a multi-shard build. It is the one execution-mode test
+// in the package.
 func (p *Prototype) mustSerial(what string) {
 	if p.Eng == nil {
 		panic(fmt.Sprintf("core: %s is serial-only; rebuild without Parallel", what))

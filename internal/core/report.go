@@ -129,10 +129,15 @@ func (p *Prototype) defaultSampleSet() []string {
 }
 
 // WriteTrace exports the recorded event trace in Chrome trace-event JSON
-// (load in Perfetto or chrome://tracing). Safe to call with no tracer
-// installed; the result is then a valid empty trace.
+// (load in Perfetto or chrome://tracing): the nodes' rings one after the
+// other in node order, which no sharding can change. Safe to call with no
+// tracer installed; the result is then a valid empty trace.
 func (p *Prototype) WriteTrace(w io.Writer) error {
-	return p.Tracer.WriteChrome(w)
+	rings := make([]*sim.Tracer, len(p.Nodes))
+	for i, n := range p.Nodes {
+		rings[i] = n.Tracer
+	}
+	return sim.WriteChrome(w, rings...)
 }
 
 // GroupWatchdog is the forward-progress monitor of every build. It

@@ -25,7 +25,7 @@ func (pb *prototypeBackend) Handle(path string, s3Data []byte) (string, time.Dur
 	k := pb.kern
 	pr := k.Prototype()
 	buf := k.Alloc(uint64(len(s3Data) + 4096))
-	start := pr.Eng.Now()
+	start := pr.Now()
 	k.Spawn("nginx", []int{0}, func(c *kernel.Ctx) {
 		// Parse the request line (per-byte scan).
 		for range path {
@@ -168,7 +168,7 @@ func helloWorldCycles() uint64 {
 	host.LoadProgram(0, prog)
 	p.Start()
 	p.Run()
-	return uint64(p.Eng.Now())
+	return uint64(p.Now())
 }
 
 // String renders the cost table and anchors.

@@ -361,6 +361,52 @@ func TestCrossTenantCacheSharing(t *testing.T) {
 	}
 }
 
+// TestResultKeyMustMatchLease: the cache is content-addressed and shared by
+// every tenant, so a worker holding one lease must not be able to write a
+// result under another job's key. The forged delivery is a 400, the lease
+// survives it (the honest result still lands), nothing reaches the cache
+// under the victim's key, and the victim job later runs for real.
+func TestResultKeyMustMatchLease(t *testing.T) {
+	spec := testSpec("forged", 1, 2)
+	want, _ := referenceReport(t, spec)
+	s, _ := testServer(t)
+	sub, err := s.submit(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.register(RegisterRequest{})
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: w.WorkerID})
+	if err != nil || resp.Job == nil {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	lj := resp.Job
+	victim := s.campaigns[sub.CampaignID].jobs[1-lj.Index].Params
+
+	forged, _ := fakeExec(context.Background(), victim)
+	forged.Cycles, forged.Attempts = 1, 1
+	deliver := func(res *campaign.Result) error {
+		return s.result(ResultRequest{
+			WorkerID: w.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
+			Index: lj.Index, Status: campaign.StatusRun, Result: res,
+		})
+	}
+	if err := deliver(forged); err == nil || httpStatus(err) != http.StatusBadRequest {
+		t.Errorf("result under another job's key: got %v, want a 400", err)
+	}
+	if got, ok := s.Cache.Get(victim.Key()); ok {
+		t.Fatalf("forged result served from the shared cache: %+v", got)
+	}
+	honest, _ := fakeExec(context.Background(), lj.Params)
+	honest.Attempts = 1
+	if err := deliver(honest); err != nil {
+		t.Fatalf("honest result after the refused one: %v (the refusal consumed the lease)", err)
+	}
+	completeAll(t, s, w.WorkerID)
+	if got := reportOf(t, s, sub.CampaignID); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestServerRestartPersistence: the server dies mid-campaign; a new one
 // over the same StateDir and cache resumes — completed jobs stay completed,
 // the rest re-queue — and the final report matches the in-process run.

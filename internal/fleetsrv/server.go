@@ -389,6 +389,11 @@ func (s *Server) result(req ResultRequest) error {
 		}
 		return errStaleLease
 	}
+	// The cache is content-addressed and shared by every tenant: a result
+	// goes in only under the key of the job this lease was granted for.
+	if req.Status == campaign.StatusRun && req.Result != nil && req.Result.Key != l.tj.Job.Params.Key() {
+		return fmt.Errorf("fleetsrv: result key %q is not the key of leased job %d", req.Result.Key, l.tj.Job.Index)
+	}
 	delete(s.leases, l.id)
 	if w, ok := s.workers[l.workerID]; ok {
 		delete(w.leases, l.id)

@@ -135,9 +135,6 @@ func NewWithProfile(mem Mem, hartID int, resetPC uint64, prof Profile, stats *si
 // Profile returns the core's timing profile.
 func (c *Core) Profile() Profile { return c.profile }
 
-// HartID returns the hart index.
-func (c *Core) HartID() int { return c.hartID }
-
 // Halted reports whether the core stopped (EBREAK or double fault).
 func (c *Core) Halted() bool { return c.halted }
 

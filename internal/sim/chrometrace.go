@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Chrome trace-event export: the retained ring buffer renders as a JSON
+// Chrome trace-event export: the retained ring buffers render as one JSON
 // document loadable by chrome://tracing and Perfetto (ui.perfetto.dev).
 // Each distinct track prefix up to the first "." becomes a process
 // ("node0", "node1", ...) and each full track name a thread within it
@@ -17,11 +17,9 @@ import (
 // trace microseconds (1 cycle == 1 us on the viewer's axis).
 //
 // The export is deterministic: ids are assigned from sorted name sets and
-// events appear in ring-buffer order, so two same-seed runs produce
-// byte-identical files.
-
-// defaultTrack is the timeline for events emitted without a track.
-const defaultTrack = "sim"
+// events appear ring after ring, each in emission order (viewers place events
+// by timestamp, so the document needs no global order), so two same-seed runs
+// produce byte-identical files.
 
 // chromeEvent is one trace-event JSON record. Field order is fixed by the
 // struct, keeping output deterministic.
@@ -30,7 +28,6 @@ type chromeEvent struct {
 	Cat   string         `json:"cat,omitempty"`
 	Phase string         `json:"ph"`
 	TS    uint64         `json:"ts"`
-	Dur   uint64         `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`
@@ -45,19 +42,19 @@ func procOf(track string) string {
 	return track
 }
 
-// WriteChrome writes the retained events as a Chrome trace-event JSON
-// document. A nil tracer writes a valid empty trace.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	events := t.Events()
+// WriteChrome writes the events the rings retain, concatenated in argument
+// order, as a Chrome trace-event JSON document. Nil tracers contribute
+// nothing; with no events the result is a valid empty trace.
+func WriteChrome(w io.Writer, rings ...*Tracer) error {
+	var events []TraceEvent
+	for _, t := range rings {
+		events = append(events, t.Events()...)
+	}
 
 	// Assign deterministic pids/tids from the sorted name sets.
 	trackSet := make(map[string]struct{})
 	for _, ev := range events {
-		track := ev.Track
-		if track == "" {
-			track = defaultTrack
-		}
-		trackSet[track] = struct{}{}
+		trackSet[ev.Track] = struct{}{}
 	}
 	tracks := make([]string, 0, len(trackSet))
 	for tr := range trackSet {
@@ -91,28 +88,19 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		})
 	}
 	for _, ev := range events {
-		track := ev.Track
-		if track == "" {
-			track = defaultTrack
-		}
 		ce := chromeEvent{
-			Cat: ev.Category,
-			TS:  uint64(ev.At),
-			PID: pids[procOf(track)],
-			TID: tids[track],
+			Cat:   ev.Category,
+			Phase: "i",
+			Scope: "t",
+			TS:    uint64(ev.At),
+			PID:   pids[procOf(ev.Track)],
+			TID:   tids[ev.Track],
 		}
 		if ce.Name = ev.Name; ce.Name == "" {
 			ce.Name = ev.Category
 		}
 		if ev.Message != "" {
 			ce.Args = map[string]any{"msg": ev.Message}
-		}
-		if ev.Dur > 0 {
-			ce.Phase = "X"
-			ce.Dur = uint64(ev.Dur)
-		} else {
-			ce.Phase = "i"
-			ce.Scope = "t"
 		}
 		out = append(out, ce)
 	}

@@ -574,9 +574,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // Resume clears the stopped flag set by Stop.
 func (e *Engine) Resume() { e.stopped = false }
 
-// Stopped reports whether the engine is currently stopped.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // register adds a newly started process to the live set.
 func (e *Engine) register(p *Process) {
 	e.procMu.Lock()

@@ -351,7 +351,7 @@ func TestTracerRingBufferWraps(t *testing.T) {
 	e := NewEngine()
 	tr := NewTracer(e, 4)
 	for i := 0; i < 10; i++ {
-		tr.Emit("cat", "event %d", i)
+		tr.EmitT("node0", "cat", "event %d", i)
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -362,21 +362,10 @@ func TestTracerRingBufferWraps(t *testing.T) {
 	}
 }
 
-func TestTracerFilter(t *testing.T) {
-	e := NewEngine()
-	tr := NewTracer(e, 16)
-	tr.SetFilter(func(cat string) bool { return cat == "keep" })
-	tr.Emit("keep", "a")
-	tr.Emit("drop", "b")
-	if tr.Len() != 1 || tr.Events()[0].Category != "keep" {
-		t.Fatalf("filter broken: %v", tr.Events())
-	}
-}
-
 func TestTracerTimestamps(t *testing.T) {
 	e := NewEngine()
 	tr := NewTracer(e, 16)
-	e.Schedule(42, func() { tr.Emit("x", "later") })
+	e.Schedule(42, func() { tr.EmitT("node0", "x", "later") })
 	e.Run()
 	if tr.Events()[0].At != 42 {
 		t.Fatalf("timestamp %d, want 42", tr.Events()[0].At)

@@ -4,7 +4,7 @@ import "fmt"
 
 // Process is a coroutine running against an Engine: its body executes only
 // while some goroutine is inside its resume (see coro), and it blocks by
-// calling Wait, WaitUntil or one of the blocking helpers. Exactly one body or
+// calling Wait or one of the blocking helpers. Exactly one body or
 // event callback per engine runs at a time (see Engine.drive), so models stay
 // deterministic and need no locking among themselves.
 //
@@ -106,15 +106,6 @@ func (p *Process) Done() bool { return p.done }
 // Wait suspends the process for d cycles.
 func (p *Process) Wait(d Time) {
 	p.eng.Schedule(d, p.dispatchFn)
-	p.block()
-}
-
-// WaitUntil suspends the process until absolute time t (no-op if t <= now).
-func (p *Process) WaitUntil(t Time) {
-	if t <= p.eng.Now() {
-		return
-	}
-	p.eng.At(t, p.dispatchFn)
 	p.block()
 }
 

@@ -5,17 +5,12 @@ import (
 	"strings"
 )
 
-// Trace categories shared across packages, so filters and exporters see
-// consistent labels no matter which subsystem emitted an event.
+// Trace categories shared across packages, so exporters see consistent
+// labels no matter which subsystem emitted an event.
 const (
 	CatCoherence = "coherence" // cache protocol messages
 	CatMMIO      = "mmio"      // uncacheable device accesses
-	CatNoC       = "noc"       // mesh traffic
 	CatBridge    = "bridge"    // inter-node bridge activity
-	CatMem       = "mem"       // memory controller / DRAM
-	CatPCIe      = "pcie"      // inter-FPGA fabric
-	CatIRQ       = "irq"       // interrupt delivery
-	CatKernel    = "kernel"    // mini-kernel scheduling
 )
 
 // Tracer records cycle-stamped events into a bounded ring buffer — the
@@ -24,22 +19,22 @@ const (
 // pay nothing unless a tracer is installed. Call sites that format
 // arguments should still guard with Enabled() to avoid boxing them for a
 // nil tracer.
+//
+// A ring belongs to one engine: events are stamped with that engine's clock
+// and recorded from its goroutine only, so a ring per simulated node holds
+// that node's events in the same order under every sharding.
 type Tracer struct {
 	eng     *Engine
 	cap     int
 	events  []TraceEvent
 	next    int
 	wrapped bool
-	filter  func(category string) bool
 }
 
 // TraceEvent is one recorded occurrence. Track names the timeline the event
-// belongs to ("node0.tile3", "node1.bridge"); an empty track renders on the
-// shared "sim" timeline. Dur is non-zero for span events (an operation that
-// started Dur cycles before At).
+// belongs to ("node0.tile3", "node1.bridge").
 type TraceEvent struct {
 	At       Time
-	Dur      Time
 	Category string
 	Track    string
 	Name     string
@@ -66,28 +61,9 @@ func NewTracer(eng *Engine, capacity int) *Tracer {
 // expensive event payloads should check it first.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// SetFilter restricts recording to categories the predicate accepts.
-func (t *Tracer) SetFilter(f func(category string) bool) {
-	if t != nil {
-		t.filter = f
-	}
-}
-
-// Emit records a formatted event at the current simulation time on the
-// shared timeline.
-func (t *Tracer) Emit(category, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.EmitT("", category, format, args...)
-}
-
-// EmitT records a formatted event on a specific track.
+// EmitT records a formatted event on a track at the current simulation time.
 func (t *Tracer) EmitT(track, category, format string, args ...any) {
 	if t == nil {
-		return
-	}
-	if t.filter != nil && !t.filter(category) {
 		return
 	}
 	t.record(TraceEvent{
@@ -102,23 +78,7 @@ func (t *Tracer) Instant(track, category, name string) {
 	if t == nil {
 		return
 	}
-	if t.filter != nil && !t.filter(category) {
-		return
-	}
 	t.record(TraceEvent{At: t.eng.Now(), Category: category, Track: track, Name: name})
-}
-
-// Span records an operation that began at start and completed now; trace
-// viewers render it as a duration bar on the track.
-func (t *Tracer) Span(track, category, name string, start Time) {
-	if t == nil {
-		return
-	}
-	if t.filter != nil && !t.filter(category) {
-		return
-	}
-	now := t.eng.Now()
-	t.record(TraceEvent{At: start, Dur: now - start, Category: category, Track: track, Name: name})
 }
 
 func (t *Tracer) record(ev TraceEvent) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -17,7 +16,7 @@ func fillTracer(eng *Engine, tr *Tracer, n int) {
 			if i%2 == 1 {
 				track = "node1.bridge"
 			}
-			tr.Instant(track, CatNoC, fmt.Sprintf("ev%d", i))
+			tr.Instant(track, CatBridge, fmt.Sprintf("ev%d", i))
 		})
 	}
 	eng.Run()
@@ -44,52 +43,6 @@ func TestTracerWrapKeepsEmissionOrder(t *testing.T) {
 	}
 }
 
-// A category filter must apply before ring admission, so a wrapped buffer
-// holds only accepted events and ordering survives the wrap.
-func TestTracerFilterWithWrap(t *testing.T) {
-	eng := NewEngine()
-	tr := NewTracer(eng, 3)
-	tr.SetFilter(func(cat string) bool { return cat == CatBridge })
-	for i := 0; i < 12; i++ {
-		i := i
-		eng.Schedule(Time(i+1), func() {
-			if i%2 == 0 {
-				tr.Instant("node0.bridge", CatBridge, fmt.Sprintf("keep%d", i))
-			} else {
-				tr.Instant("node0.tile0", CatCoherence, fmt.Sprintf("drop%d", i))
-			}
-		})
-	}
-	eng.Run()
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Category != CatBridge || !strings.HasPrefix(ev.Name, "keep") {
-			t.Fatalf("event %d = %v, want filtered bridge event", i, ev)
-		}
-		want := fmt.Sprintf("keep%d", 6+2*i)
-		if ev.Name != want {
-			t.Fatalf("event %d = %q, want %q", i, ev.Name, want)
-		}
-	}
-}
-
-func TestTracerSpanRecordsDuration(t *testing.T) {
-	eng := NewEngine()
-	tr := NewTracer(eng, 8)
-	eng.Schedule(5, func() {
-		start := eng.Now()
-		eng.Schedule(7, func() { tr.Span("node0.memctl", CatMem, "drain", start) })
-	})
-	eng.Run()
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].At != 5 || evs[0].Dur != 7 {
-		t.Fatalf("span = %+v, want At=5 Dur=7", evs)
-	}
-}
-
 // Two identical runs must render byte-identical text and Chrome traces:
 // trace diffs across same-seed runs are the debugging workflow the
 // single-threaded deterministic engine guarantees.
@@ -99,7 +52,7 @@ func TestTraceOutputsDeterministic(t *testing.T) {
 		tr := NewTracer(eng, 64)
 		fillTracer(eng, tr, 20)
 		var buf bytes.Buffer
-		if err := tr.WriteChrome(&buf); err != nil {
+		if err := WriteChrome(&buf, tr); err != nil {
 			t.Fatalf("WriteChrome: %v", err)
 		}
 		return tr.String(), buf.Bytes()
@@ -114,18 +67,20 @@ func TestTraceOutputsDeterministic(t *testing.T) {
 	}
 }
 
+// The export takes one ring per node and writes them one after the other:
+// every ring's events appear, in ring order, under process and thread tracks
+// numbered from the sorted names of all of them.
 func TestWriteChromeValidJSONWithProcessTracks(t *testing.T) {
 	eng := NewEngine()
-	tr := NewTracer(eng, 64)
-	fillTracer(eng, tr, 6)
-	eng.Schedule(1, func() {
-		tr.Span("node0.memctl", CatMem, "xfer", 0)
-		tr.EmitT("node1.tile2", CatCoherence, "line=%#x", 0x40)
-	})
+	n0, n1 := NewTracer(eng, 64), NewTracer(eng, 64)
+	eng.Schedule(1, func() { n1.EmitT("node1.tile2", CatCoherence, "line=%#x", 0x40) })
+	eng.Schedule(2, func() { n0.Instant("node0.bridge", CatBridge, "tx") })
+	eng.Schedule(3, func() { n1.Instant("node1.bridge", CatBridge, "rx") })
+	eng.Schedule(4, func() { n0.EmitT("node0", CatMMIO, "read uart0") })
 	eng.Run()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, n0, nil, n1); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc struct {
@@ -136,7 +91,6 @@ func TestWriteChromeValidJSONWithProcessTracks(t *testing.T) {
 			PID   int            `json:"pid"`
 			TID   int            `json:"tid"`
 			TS    uint64         `json:"ts"`
-			Dur   uint64         `json:"dur"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -145,7 +99,8 @@ func TestWriteChromeValidJSONWithProcessTracks(t *testing.T) {
 	}
 
 	pids := map[int]bool{}
-	var procNames, threadNames, spans int
+	var procNames, threadNames int
+	var stamps []uint64
 	for _, ev := range doc.TraceEvents {
 		pids[ev.PID] = true
 		switch {
@@ -153,28 +108,26 @@ func TestWriteChromeValidJSONWithProcessTracks(t *testing.T) {
 			procNames++
 		case ev.Name == "thread_name":
 			threadNames++
-		case ev.Phase == "X":
-			spans++
-			if ev.Dur == 0 {
-				t.Fatalf("span with zero dur: %+v", ev)
-			}
+		case ev.Phase == "i":
+			stamps = append(stamps, ev.TS)
+		default:
+			t.Fatalf("unexpected event %+v", ev)
 		}
 	}
-	if procNames < 2 || len(pids) < 2 {
-		t.Fatalf("want >=2 process tracks, got %d names over %d pids", procNames, len(pids))
+	if procNames != 2 || len(pids) != 2 {
+		t.Fatalf("want 2 process tracks, got %d names over %d pids", procNames, len(pids))
 	}
-	if threadNames < 3 {
-		t.Fatalf("want >=3 thread tracks (tile0, bridge, memctl...), got %d", threadNames)
+	if threadNames != 4 {
+		t.Fatalf("want 4 thread tracks (node0, node0.bridge, node1.bridge, node1.tile2), got %d", threadNames)
 	}
-	if spans != 1 {
-		t.Fatalf("want 1 span event, got %d", spans)
+	if fmt.Sprint(stamps) != "[2 4 1 3]" {
+		t.Fatalf("event timestamps %v, want node0's ring [2 4] then node1's [1 3]", stamps)
 	}
 }
 
 func TestWriteChromeNilTracerEmptyTrace(t *testing.T) {
-	var tr *Tracer
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, nil); err != nil {
 		t.Fatalf("WriteChrome on nil tracer: %v", err)
 	}
 	var doc map[string]any

@@ -24,6 +24,7 @@ import (
 type diffOutcome struct {
 	metrics  []byte // MetricsJSON without its "samples" section
 	samples  []byte // that section (nil for an unsampled run)
+	trace    []byte // the exported Chrome trace (nil for an untraced run)
 	cycles   smappic.Time
 	checksum uint64
 }
@@ -38,6 +39,7 @@ type diffCase struct {
 	seed        uint64
 	watchdog    smappic.Time // WatchdogInterval (0 = unwatched)
 	sampler     smappic.Time // EnableSampler interval (0 = unsampled)
+	trace       int          // EnableTrace capacity, small enough that every node's ring wraps (0 = untraced)
 	widthCap    int          // widening-cap override for the sharded run (0 = the configuration's, 1 = fixed windows)
 	granularity string       // ShardGranularity for the sharded run ("" = per-FPGA)
 }
@@ -71,6 +73,9 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 	}
 	if dc.sampler != 0 {
 		p.EnableSampler(dc.sampler)
+	}
+	if dc.trace != 0 {
+		p.EnableTrace(dc.trace)
 	}
 	return p
 }
@@ -143,6 +148,18 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 	}
 	out.metrics, out.samples = splitSamples(m)
 	out.cycles = p.Now()
+	if dc.trace != 0 {
+		for _, n := range p.Nodes {
+			if got, ring := n.Tracer.Len(), dc.trace/len(p.Nodes); got != ring {
+				t.Fatalf("%s: %s retained %d events; the row needs its ring of %d full", dc.name, n.Name(), got, ring)
+			}
+		}
+		var buf bytes.Buffer
+		if err := p.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out.trace = buf.Bytes()
+	}
 	return out
 }
 
@@ -228,6 +245,11 @@ func diffCases() []diffCase {
 		// for byte.
 		diffCase{name: "is-4x2x2-sampler", a: 4, b: 2, c: 2, workload: "is", numa: true, seed: 42, sampler: 1000},
 		diffCase{name: "riscv-2x2x2-sampler", a: 2, b: 2, c: 2, workload: "riscv", seed: 42, sampler: 1000},
+		// Traced rows: likewise against the *untraced* one-shard run, and
+		// every sharding must export the traced one-shard run's Chrome
+		// trace, byte for byte, from rings that wrapped.
+		diffCase{name: "is-4x2x2-trace", a: 4, b: 2, c: 2, workload: "is", numa: true, seed: 42, trace: 4000},
+		diffCase{name: "riscv-2x2x2-trace", a: 2, b: 2, c: 2, workload: "riscv", seed: 42, trace: 32},
 	)
 	return cases
 }
@@ -237,19 +259,19 @@ func diffCases() []diffCase {
 // and for every row, both with fixed windows and under the configuration's
 // adaptive widening cap, at per-FPGA shard granularity and (for multi-node
 // FPGAs) at per-node granularity under the hierarchical synchronizer.
-// Adaptive widening, shard granularity, the watchdog and the sampler are
-// execution scheduling and observation only, so every variant must reproduce
-// the one unobserved one-shard outcome — which also pins per-node
-// byte-identical to per-FPGA, transitively.
+// Adaptive widening, shard granularity, the watchdog, the sampler and the
+// tracer are execution scheduling and observation only, so every variant
+// must reproduce the one unobserved one-shard outcome — which also pins
+// per-node byte-identical to per-FPGA, transitively.
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
 			ref := dc
-			ref.watchdog, ref.sampler = 0, 0
+			ref.watchdog, ref.sampler, ref.trace = 0, 0, 0
 			serial := runCase(t, ref, 0)
-			var samples []byte // the observed one-shard run's sampler rows
+			var samples, trace []byte // the observed one-shard run's sampler rows and Chrome trace
 			same := func(label string, got diffOutcome) {
 				t.Helper()
 				if serial.cycles != got.cycles {
@@ -265,9 +287,13 @@ func TestShardedMatchesSerial(t *testing.T) {
 				if !bytes.Equal(samples, got.samples) {
 					t.Errorf("%s: sampler rows diverge from the one-shard run's:\n%s", label, firstDiff(samples, got.samples))
 				}
+				if !bytes.Equal(trace, got.trace) {
+					t.Errorf("%s: Chrome trace diverges from the one-shard run's:\n%s", label, firstDiff(trace, got.trace))
+				}
 			}
-			if dc.watchdog != 0 || dc.sampler != 0 {
+			if dc.watchdog != 0 || dc.sampler != 0 || dc.trace != 0 {
 				observed := runCase(t, dc, 0)
+				trace = observed.trace
 				if samples = observed.samples; (len(samples) == 0) != (dc.sampler == 0) {
 					t.Fatalf("observed-serial: %d bytes of sampler rows at interval %d", len(samples), dc.sampler)
 				}
@@ -289,6 +315,33 @@ func TestShardedMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLatencyMatrixSameUnderEverySharding: the Fig. 7 probe starts its two
+// processes on the engines of the tiles they use and drains through the
+// group, so the heatmap and the MetricsJSON after its 256 probes are the
+// same on one shard, per FPGA and per node.
+func TestLatencyMatrixSameUnderEverySharding(t *testing.T) {
+	run := func(parallel int, granularity string) (string, []byte) {
+		dc := diffCase{a: 2, b: 2, c: 4, workload: "probe", seed: 1, granularity: granularity}
+		p := buildProto(t, dc, parallel)
+		heatmap := core.FormatHeatmap(p.LatencyMatrix())
+		m, err := p.MetricsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return heatmap, m
+	}
+	heatmap, metrics := run(0, "")
+	for _, gran := range []string{"fpga", "node"} {
+		h, m := run(2, gran)
+		if h != heatmap {
+			t.Errorf("per-%s: latency matrix differs from the one-shard build's:\n%s\nwant:\n%s", gran, h, heatmap)
+		}
+		if !bytes.Equal(m, metrics) {
+			t.Errorf("per-%s: MetricsJSON diverges:\n%s", gran, firstDiff(metrics, m))
+		}
 	}
 }
 
