@@ -63,8 +63,12 @@
 // (default, one engine per FPGA) or "node" (one engine per simulated node,
 // nested under the per-FPGA windows at the intra-FPGA interconnect
 // lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
-// parallelism). These knobs are execution policy: they change wall-clock,
-// never results.
+// parallelism). These knobs are execution policy: they choose the engines,
+// and the engines of a window are run by as many host workers as GOMAXPROCS
+// allows, so they change wall-clock, never results. A -parallel run ends
+// with a "sync:" line on stderr: windows, chunks, events and the
+// critical-path event count, whose ratio to the events is the most that a
+// worker per FPGA can gain over one worker on any host.
 // The halt check and -max-cycles are evaluated at window barriers, so a run
 // may pass such a bound by at most one window.
 //
@@ -141,7 +145,7 @@ func main() {
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "pcie.*.drop:p=0.01;node0.dram.flip:n=3" (see doc comment)`)
 	faultSeed := flag.Uint64("fault-seed", 1, "default RNG seed for fault rules without an explicit seed=")
 	watchdog := flag.Uint64("watchdog", 0, "stall-detection window in cycles (0 = off)")
-	parallel := flag.Int("parallel", 0, "shard the simulation across goroutines, one per FPGA (>1 = on; results are identical to serial)")
+	parallel := flag.Int("parallel", 0, "shard the simulation, one engine per FPGA, run by up to GOMAXPROCS workers (>1 = on; results are identical to serial)")
 	granularity := flag.String("shard-granularity", "", `shard unit for -parallel runs: "fpga" (default) or "node" (one engine per node under nested windows)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
@@ -302,6 +306,17 @@ func main() {
 		proto.Now(), proto.Seconds(proto.Now())*1e3, proto.Cfg.ClockMHz)
 	if !proto.AllHalted() {
 		fmt.Println("warning: not all harts halted before the cycle limit")
+	}
+	if *parallel > 1 {
+		// The partition's books, not the results': stderr, like the other
+		// notes about how the run was executed.
+		sn := proto.Group.SyncSnapshot()
+		var events uint64
+		for _, sh := range sn.Shards {
+			events += sh.Events
+		}
+		fmt.Fprintf(os.Stderr, "sync: %d shards, %d windows, %d chunks, %d events, critical path %d events (one worker per FPGA is at most %.2fx one worker)\n",
+			len(sn.Shards), sn.Windows, sn.Chunks, events, sn.CriticalEvents, float64(events)/float64(max(sn.CriticalEvents, 1)))
 	}
 	if proto.StallDiagnosis != "" {
 		fmt.Print(proto.StallDiagnosis)

@@ -84,9 +84,10 @@ type Config struct {
 	// unwatched one.
 	WatchdogInterval sim.Time
 
-	// Parallel > 1 shards the simulation: one engine per shard running on
-	// its own goroutine under the bounded-lag synchronizer whose outer
-	// lookahead is the minimum PCIe crossing (see internal/sim/parallel.go).
+	// Parallel > 1 shards the simulation: one engine per shard under the
+	// bounded-lag synchronizer whose outer lookahead is the minimum PCIe
+	// crossing, the engines of a window run by as many host workers as
+	// GOMAXPROCS allows (see internal/sim/parallel.go).
 	// ShardGranularity picks the shard size — one per FPGA (default) or one
 	// per node, the latter nesting the co-located engines in an inner
 	// window level at the intra-FPGA interconnect crossing — so the value

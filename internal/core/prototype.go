@@ -464,10 +464,12 @@ func (p *Prototype) mustSerial(what string) {
 // Close releases the goroutines of every simulation process (hart, kernel
 // thread, workload driver) still parked when the prototype is abandoned — a
 // run cut short by a cycle limit, a timeout, a cancellation or a stall —
-// which would otherwise stay blocked forever, each pinning the whole
-// prototype. Nothing may run on the prototype afterwards; its state and
-// statistics stay readable. Safe to call more than once.
+// and the synchronizer's host workers, which would otherwise stay blocked
+// forever, each pinning the whole prototype. Nothing may run on the
+// prototype afterwards; its state and statistics stay readable. Safe to
+// call more than once.
 func (p *Prototype) Close() {
+	p.Group.Close()
 	for _, e := range p.engs {
 		e.Close()
 	}

@@ -249,6 +249,41 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 	}
 }
 
+// TestDuplicateResultDoesNotRewriteCache: a replayed delivery of a completed
+// job — same key, no live lease — is absorbed but never written: the entry
+// under the key stays the first delivery's even when the replay's body
+// differs.
+func TestDuplicateResultDoesNotRewriteCache(t *testing.T) {
+	s, clock := testServer(t)
+	if _, err := s.submit(SubmitRequest{Spec: testSpec("dup-rewrite", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	w1 := s.register(RegisterRequest{Name: "slow"})
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: w1.WorkerID})
+	if err != nil || resp.Job == nil {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	lj := resp.Job
+	*clock = clock.Add(s.LeaseTTL + time.Second)
+	completeAll(t, s, s.register(RegisterRequest{Name: "fast"}).WorkerID)
+	first, ok := s.Cache.Get(lj.Params.Key())
+	if !ok {
+		t.Fatal("completed job is not in the cache")
+	}
+
+	altered, _ := fakeExec(context.Background(), lj.Params)
+	altered.Attempts, altered.Cycles = 1, first.Cycles+1
+	if err := s.result(ResultRequest{
+		WorkerID: w1.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
+		Index: lj.Index, Status: campaign.StatusRun, Result: altered,
+	}); err != nil {
+		t.Fatalf("duplicate delivery of a completed job: got %v, want it absorbed", err)
+	}
+	if got, ok := s.Cache.Get(lj.Params.Key()); !ok || got.Cycles != first.Cycles {
+		t.Fatalf("duplicate delivery rewrote the cache entry: cycles %d, first delivery had %d", got.Cycles, first.Cycles)
+	}
+}
+
 // TestTenantQuotasFairness: two tenants saturate the fleet; quotas cap each
 // tenant's concurrent leases, DRR keeps grants fair, and both campaigns'
 // reports are byte-identical to their in-process runs.

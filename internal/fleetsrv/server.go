@@ -378,12 +378,10 @@ func (s *Server) result(req ResultRequest) error {
 			prev := run.outcomes[req.Index]
 			if req.Status == campaign.StatusRun && req.Result != nil && prev.Result != nil &&
 				prev.Result.Key == req.Result.Key {
-				// Duplicate delivery of a completed job: cache.Put is
-				// idempotent for byte-identical results, so absorbing the
-				// replay is free and keeps the worker's exit path simple.
-				if err := s.Cache.Put(req.Result); err != nil {
-					s.logf("duplicate result for %s job %d: cache put: %v", req.CampaignID, req.Index, err)
-				}
+				// Duplicate delivery of a completed job: absorb it, which
+				// keeps the worker's exit path simple, and write nothing —
+				// the entry stored under this key is the first delivery's,
+				// and a replay without a lease has no say over it.
 				return nil
 			}
 		}

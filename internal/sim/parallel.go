@@ -55,11 +55,27 @@
 // owning engine's delivery spool, which applies the identical canonical
 // per-(endpoint, cycle) order in every mode.
 //
+// # Engines and workers
+//
+// Engines are the partition: which engine owns which node, where the levels'
+// barriers fall and what they decide are functions of the model and of the
+// partition alone. Who executes an engine is the host's business. A root
+// window's participant engines are dealt (deal) to at most as many host
+// workers as the Go scheduler has processors — the calling goroutine and a
+// set of persistent worker goroutines — each taking a contiguous run of
+// engines that it runs, chunk by chunk, in index order. A worker holds whole
+// clusters, or a piece of one cluster and nothing else, so the party of a
+// level's barrier is a worker, and a level whose participating members all
+// sit with one worker has a one-party barrier: arriving at it is a plain
+// call to the decision. With one processor the whole window, inner levels
+// and all, runs on the caller's goroutine; with as many processors as
+// engines every engine has a worker of its own.
+//
 // # One engine
 //
 // A one-engine group has no rows to merge and nobody to wait for: every
 // send is same-engine and lands in the spool at once. Its window is the
-// planned width run straight through — no goroutine, no chunk barrier — so
+// planned width run straight through — no worker, no chunk barrier — so
 // the only thing the window machinery adds to a serial run is a boundary
 // every few thousand cycles at which run predicates, observers and the
 // watchdog get a quiescent look at the model. That is what lets one run
@@ -68,14 +84,18 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // DefaultAdaptiveCap is the default ceiling on adaptive window widening, in
 // units of a level's lookahead: windows grow geometrically 1, 2, 4, ... up
 // to this multiplier while the level's traffic is absent. 64 puts the widest
 // root window at a few thousand cycles with the PCIe-calibrated lookahead —
-// long enough to amortize barriers across a local compute phase, short
+// long enough to amortize barriers (and, on more than one worker, the
+// hand-off and join of a window) across a local compute phase, short
 // enough that the group still reaches quiescent points (checkpoints,
 // watchdog checks, dashboard snapshots) at a useful cadence. Inner windows
 // use the same cap in units of the inner lookahead; the enclosing root chunk
@@ -86,12 +106,16 @@ const DefaultAdaptiveCap = 64
 // optionally nested two levels deep (see NewHierGroup). Construct with
 // NewGroup or NewHierGroup; it implements CrossNet for cross-shard sends.
 //
-// Threading contract: during a window each engine runs on its own worker
-// goroutine and must only touch state owned by its shard; Send(src, ...)
-// must be called from the goroutine of the engine owning endpoint src.
-// Between windows (and before Run / after it returns) the group is
-// quiescent and the caller's goroutine may inspect any shard freely — the
-// window barrier provides the happens-before edge.
+// Threading contract: during a window every participant engine is run by
+// exactly one worker — the caller's goroutine or one of the group's
+// persistent worker goroutines, possibly a different one from window to
+// window — and code running on an engine must only touch state owned by its
+// shard; Send(src, ...) must be called from the worker currently running the
+// engine that owns endpoint src. Between windows (and before Run / after it
+// returns) the group is quiescent and the caller's goroutine may inspect any
+// shard freely — the hand-off and the join of a window are the
+// happens-before edges. A group that ran windows on more than one worker
+// holds goroutines until it drains or is closed (Close).
 type Group struct {
 	engines  []*Engine
 	clusters [][]int                 // engine indices per cluster (all singletons when flat)
@@ -102,27 +126,43 @@ type Group struct {
 	minLat   func(src, dst int) Time // optional per-edge model floor
 	// outbox is the batched envelope hand-off: one preallocated slice per
 	// (src, dst) engine pair at index src*engines+dst. During a window row
-	// src is owned by engine src's goroutine (Send appends, nothing else
-	// touches it); a row drains when a level that lists it plans its next
+	// src is owned by the worker running engine src (Send appends, nothing
+	// else touches it); a row drains when a level that lists it plans its next
 	// window — intra-cluster rows at the cluster's inner barriers, the rest
 	// at the root barrier — merging into the destination engine's spool.
 	// Slices are reused window to window, so a warmed-up group hands
 	// envelopes off without allocating.
 	outbox  [][]netEntry
-	running bool  // inside a window (workers active)
-	parts   []int // the root window's participant engines; scratch, reused
+	running bool // inside a window (workers active)
+
+	// The host side of a window, all of it scratch reused window to window:
+	// parts is the participant engines, busy clusters back to back, sizes
+	// the engine count of each, shares their deal among the workers.
+	parts   []int
+	sizes   []int
+	shares  [][]int
+	budget  int          // workers a window may use; 0 until the first window after a drain reads it
+	spin    bool         // read with it: waiters poll before they park; not on an oversubscribed host
+	workers []*worker    // persistent, beyond the calling goroutine
+	left    atomic.Int32 // workers still inside the current window
+	joined  signal       // moved by the last of them
+	exited  sync.WaitGroup
 
 	root  *level   // all engines at the outer (cross-cluster) lookahead
 	inner []*level // per cluster, at the inner lookahead; nil for singletons
 
 	// Per-shard telemetry, maintained unconditionally (a few integer bumps
-	// per window). envOut[i] is written only by engine i's goroutine during
-	// a window; envIn[i] is written by engine i's own sends, its cluster's
-	// inner-barrier merges and the quiescent coordinator — contexts the
-	// barriers already order. ranWindows is coordinator-owned.
+	// per window). envOut[i] is written only by the worker running engine i
+	// during a window; envIn[i] is written by engine i's own sends, its
+	// cluster's inner-barrier merges and the quiescent coordinator —
+	// contexts the barriers already order. ranWindows is coordinator-owned.
 	ranWindows []uint64 // root windows in which engine i actually executed work
 	envIn      []uint64 // envelopes merged toward engine i
 	envOut     []uint64 // envelopes sent by engine i
+	// The critical path (see GroupSync.CriticalEvents): clEvents is each
+	// cluster's executed-event total at the last root chunk boundary.
+	clEvents []uint64
+	critical uint64
 
 	observers []func() // see OnBarrier
 	// cut and hold are boundaries no root window crosses, so that a barrier
@@ -227,6 +267,8 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	g.ranWindows = make([]uint64, n)
 	g.envIn = make([]uint64, n)
 	g.envOut = make([]uint64, n)
+	g.clEvents = make([]uint64, len(g.clusters))
+	g.joined.init()
 	// The root lists every row: between windows the coordinator may send
 	// on any of them, and at a root barrier the intra-cluster ones are
 	// empty anyway (every cluster leaves a root chunk through a merge).
@@ -241,12 +283,11 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	return g
 }
 
-// newLevel builds the level over the given member engines. Its barrier
-// starts out sized for all of them, which is every inner window's party;
-// the root resizes its own per window.
+// newLevel builds the level over the given member engines. The party of
+// its barrier is set window by window, when the participants are dealt.
 func (g *Group) newLevel(la Time, members []int) *level {
 	l := &level{la: la, members: members, width: 1, maxWidth: 1}
-	l.bar.reset(len(members))
+	l.bar.phase.init()
 	for _, de := range members {
 		for _, se := range members {
 			if se != de {
@@ -317,6 +358,7 @@ type ShardSync struct {
 	Windows   uint64 `json:"windows"` // windows in which the shard ran work
 	EnvIn     uint64 `json:"env_in"`  // envelopes merged into the shard
 	EnvOut    uint64 `json:"env_out"` // envelopes the shard sent
+	Events    uint64 `json:"events"`  // events the shard's engine executed
 	LastEvent Time   `json:"last_event"`
 	Pending   int    `json:"pending"` // live events still queued
 	Lag       Time   `json:"lag"`     // cycles behind the window horizon
@@ -346,9 +388,15 @@ type InnerSync struct {
 // cluster's inner level.
 type GroupSync struct {
 	LevelSync
-	Horizon Time        `json:"horizon"` // last window's exclusive upper bound
-	Shards  []ShardSync `json:"shards"`
-	Inner   []InnerSync `json:"inner,omitempty"` // per multi-engine cluster
+	Horizon Time `json:"horizon"` // last window's exclusive upper bound
+	// CriticalEvents is the sum over root chunks of the largest number of
+	// events any one cluster executed in the chunk: what a run with a worker
+	// per cluster cannot go below, so Σ Shards[i].Events / CriticalEvents is
+	// the speedup ceiling of this partition on any host. A function of the
+	// model and the partition only — the worker count does not move it.
+	CriticalEvents uint64      `json:"critical_events"`
+	Shards         []ShardSync `json:"shards"`
+	Inner          []InnerSync `json:"inner,omitempty"` // per multi-engine cluster
 }
 
 func (l *level) sync() LevelSync {
@@ -370,9 +418,10 @@ func (l *level) sync() LevelSync {
 func (g *Group) SyncSnapshot() GroupSync {
 	horizon := g.root.end
 	sn := GroupSync{
-		LevelSync: g.root.sync(),
-		Horizon:   horizon,
-		Shards:    make([]ShardSync, len(g.engines)),
+		LevelSync:      g.root.sync(),
+		Horizon:        horizon,
+		CriticalEvents: g.critical,
+		Shards:         make([]ShardSync, len(g.engines)),
 	}
 	for i, e := range g.engines {
 		le := e.LastEventTime()
@@ -385,6 +434,7 @@ func (g *Group) SyncSnapshot() GroupSync {
 			Windows:   g.ranWindows[i],
 			EnvIn:     g.envIn[i],
 			EnvOut:    g.envOut[i],
+			Events:    e.Executed(),
 			LastEvent: le,
 			Pending:   e.Pending(),
 			Lag:       lag,
@@ -435,10 +485,10 @@ func (g *Group) Lookahead() Time { return g.root.la }
 // Send implements CrossNet. Same-engine sends go straight into the owning
 // engine's delivery spool; cross-engine sends park in the (src, dst)
 // engine outbox row for the next inner (same cluster) or root
-// (cross-cluster) barrier merge. Must be called from the goroutine of the
-// engine owning endpoint src (or from the coordinator while the group is
-// quiescent). The host endpoint (-1, pcie.HostID) is accepted on either
-// side and rides engine 0, the engine that owns the fabric's host port. A
+// (cross-cluster) barrier merge. Must be called from the worker currently
+// running the engine that owns endpoint src (or from the coordinator while
+// the group is quiescent). The host endpoint (-1, pcie.HostID) is accepted
+// on either side and rides engine 0, which owns the fabric's host port. A
 // delivery closer than the governing lookahead to the sender's clock would
 // mean the model's cross-shard latency undercuts the synchronizer — a
 // wiring bug — and panics. (Deliveries inside the current window's horizon
@@ -512,50 +562,87 @@ func (g *Group) parked(l *level) bool {
 	return false
 }
 
-// winBarrier is the in-window chunk barrier: a reusable phase rendezvous
-// for the window's participant shards. The last arriver of each phase
-// evaluates the level's decision while it holds the lock (so every
-// participant's work for the chunk happens-before the decision) and the
-// verdict is read by all under the same lock on the way out.
-type winBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	parties int
-	arrived int
-	phase   uint64
-	stop    bool
+// spinFor is how long a waiter polls the word it waits on, yielding its
+// processor to any other runnable goroutine between bursts, before it parks
+// on the mutex. It is sized from what a worker waits for on the host the
+// committed numbers come from — the slower worker of a root chunk, or that
+// plus the coordinator's turn between two windows: in a two-worker per-node
+// NPB-IS run half the waits are over within 1.5 µs, nine in ten within 25 µs
+// and 99 in 100 within 65 µs (EXPERIMENTS.md, "Host throughput", PR 21) — and
+// a waiter that parks short of that costs more than one that never spins. A
+// constant, not a knob: past it the waiter parks exactly as before, so a
+// bound that is wrong for a host costs time, never a result. Nobody spins
+// when the scheduler has more processors than the host has cores
+// (Group.spin): the word may be waiting on a worker that has no core to run
+// on, and yielding a processor does not yield a core.
+const spinFor = 100 * time.Microsecond
+
+// signal is a word that moves and the waiters watching for it to move: they
+// spin a bounded while, then park.
+type signal struct {
+	v    atomic.Uint64
+	mu   sync.Mutex
+	cond sync.Cond
 }
 
-// reset prepares the barrier for windows with the given participant count.
-func (b *winBarrier) reset(parties int) {
-	b.parties = parties
-	b.arrived = 0
-	b.stop = false
-	if b.cond.L == nil {
-		b.cond.L = &b.mu
-	}
-}
+func (s *signal) init() { s.cond.L = &s.mu }
 
-// arrive blocks until every participant has arrived, then reports whether
-// the caller goes on. over runs exactly once per phase, in the last
-// arriver, under the barrier lock.
-func (b *winBarrier) arrive(over func() bool) (cont bool) {
-	b.mu.Lock()
-	b.arrived++
-	if b.arrived == b.parties {
-		b.stop = over()
-		b.arrived = 0
-		b.phase++
-		b.cond.Broadcast()
-	} else {
-		phase := b.phase
-		for phase == b.phase {
-			b.cond.Wait()
+// wait returns once the word has moved off seen, polling it for spinFor
+// before parking if spin is set.
+func (s *signal) wait(seen uint64, spin bool) {
+	if spin {
+		for start := time.Now(); time.Since(start) < spinFor; runtime.Gosched() {
+			for i := 0; i < 256; i++ {
+				if s.v.Load() != seen {
+					return
+				}
+			}
 		}
 	}
-	stop := b.stop
-	b.mu.Unlock()
-	return !stop
+	s.mu.Lock()
+	for s.v.Load() == seen {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// move steps the word and wakes whoever parked; everything the caller did
+// before happens-before a waiter's return.
+func (s *signal) move() {
+	s.v.Add(1)
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// winBarrier is the in-window chunk barrier: a reusable phase rendezvous
+// for the workers that share a level's window. The last arriver of each
+// phase evaluates the level's decision (every party's work for the chunk
+// happens-before it, through the arrival count) and publishes the verdict
+// by moving the phase, which the others wait on.
+type winBarrier struct {
+	parties int32 // set while the level is quiescent
+	arrived atomic.Int32
+	stop    bool
+	phase   signal
+}
+
+// arrive blocks until every party has arrived, then reports whether the
+// caller goes on. over runs exactly once per phase, in the last arriver.
+// With one party that is a plain call: no count, no wait.
+func (b *winBarrier) arrive(spin bool, over func() bool) (cont bool) {
+	if b.parties == 1 {
+		return !over()
+	}
+	phase := b.phase.v.Load()
+	if b.arrived.Add(1) == b.parties {
+		b.arrived.Store(0)
+		b.stop = over()
+		b.phase.move()
+	} else {
+		b.phase.wait(phase, spin)
+	}
+	return !b.stop
 }
 
 // plan opens the level's next window below clamp, the exclusive end of the
@@ -593,10 +680,14 @@ func (g *Group) plan(l *level, clamp Time) bool {
 // boundary, so stopping here is exactly a fixed-window barrier), or where
 // no member has work left before the horizon (the remaining chunks would
 // all be empty). Reading other members' engines and outbox rows is safe
-// here: every participant is parked in the barrier and its lock orders the
-// reads. (Non-participants of a root window have no work below the horizon
-// by selection, and nothing can reach them before the next merge.)
+// here: every worker of the window is parked in the barrier and its arrival
+// orders the reads. (Non-participants of a root window have no work below
+// the horizon by selection, and nothing can reach them before the next
+// merge.)
 func (g *Group) over(l *level, k int) bool {
+	if l == g.root {
+		g.bookCritical()
+	}
 	if !g.parked(l) {
 		for _, ei := range l.members {
 			if t, ok := g.engines[ei].NextEventTime(); ok && t < l.end {
@@ -608,12 +699,32 @@ func (g *Group) over(l *level, k int) bool {
 	return true
 }
 
+// bookCritical closes a root chunk's critical-path account: the largest
+// number of events one cluster executed since the last call. The caller
+// holds the whole group quiescent — the last arriver of a root chunk, the
+// coordinator after the join.
+func (g *Group) bookCritical() {
+	var most uint64
+	for ci, members := range g.clusters {
+		var n uint64
+		for _, ei := range members {
+			n += g.engines[ei].Executed()
+		}
+		most = max(most, n-g.clEvents[ci])
+		g.clEvents[ci] = n
+	}
+	g.critical += most
+}
+
 // close books the level's finished window: totals, the horizon it actually
 // reached, and the width adaptation — traffic parked at this barrier
 // collapses the width back to the minimum crossing; a quiet window doubles
 // it up to the cap. The caller holds the level quiescent, with nothing
 // merged since the members stopped.
 func (g *Group) close(l *level) {
+	if l == g.root {
+		g.bookCritical()
+	}
 	l.end = min(l.end, l.start+Time(l.ran)*l.la)
 	l.windows++
 	l.chunks += uint64(l.ran)
@@ -629,53 +740,137 @@ func (g *Group) close(l *level) {
 	}
 }
 
-// runWindow is participant engine ei's share of the level's current window:
-// chunk after chunk of la cycles, meeting the other participants at the
-// level's barrier, until the last arriver calls the window over. A root
-// participant whose cluster has a level of its own tiles each root chunk
-// with that level's windows — plan, run, plan again, until the cluster is
-// idle up to the chunk's end — and so leaves every chunk through a merge of
-// the cluster's rows.
+// runWindow is one worker's share of the level's current window: own, a
+// contiguous run of the level's participant engines, taken chunk after chunk
+// of la cycles in index order, meeting the level's other workers at its
+// barrier, until the last arriver calls the window over. At the root, a run
+// of own that belongs to a cluster with a level of its own tiles each root
+// chunk with that level's windows — plan, run, plan again, until the cluster
+// is idle up to the chunk's end — and so leaves every chunk through a merge
+// of the cluster's rows; the worker shares that level's barrier with
+// whoever holds the rest of the cluster, or has it to itself.
 //
-// A member that has run the final planned chunk (possibly cut short by the
+// A worker that has run the final planned chunk (possibly cut short by the
 // clamp) leaves without a rendezvous: the verdict is "over" whatever
 // happened in it. Whoever next holds the level quiescent books the window —
 // the coordinator after the join (root) or the last arriver of the next
 // plan (inner) — and sees exactly what the skipped rendezvous would have
 // seen, every member having stopped and nothing having been merged since.
-func (g *Group) runWindow(l *level, ei int) {
-	var in *level
-	if l == g.root {
-		in = g.inner[g.engCl[ei]]
-	}
+func (g *Group) runWindow(l *level, own []int) {
 	for k := 1; ; k++ {
 		end := l.start + Time(k)*l.la
 		final := end >= l.end
 		if final {
 			end = l.end
 		}
-		if in == nil {
-			g.engines[ei].runTo(end - 1)
-		} else {
-			for in.bar.arrive(func() bool { return !g.plan(in, end) }) {
-				g.runWindow(in, ei)
+		for rest := own; len(rest) > 0; {
+			var in *level
+			n := len(rest)
+			if l == g.root {
+				ci := g.engCl[rest[0]]
+				in, n = g.inner[ci], 1
+				for n < len(rest) && g.engCl[rest[n]] == ci {
+					n++
+				}
 			}
+			if in == nil {
+				for _, ei := range rest[:n] {
+					g.engines[ei].runTo(end - 1)
+				}
+			} else {
+				for in.bar.arrive(g.spin, func() bool { return !g.plan(in, end) }) {
+					g.runWindow(in, rest[:n])
+				}
+			}
+			rest = rest[n:]
 		}
-		if final || !l.bar.arrive(func() bool { return g.over(l, k) }) {
+		if final || !l.bar.arrive(g.spin, func() bool { return g.over(l, k) }) {
 			return
 		}
 	}
 }
 
+// deal splits a window's participant engines — parts, the busy clusters'
+// members back to back, sizes[i] of them in the i-th — into contiguous runs
+// for at most w workers, appended to shares: whole clusters per worker while
+// there are at least as many busy clusters as workers, otherwise each
+// cluster's engines cut into even runs among its share of the workers (no
+// more of them than it has engines). Either way no run holds part of one
+// cluster and anything of another, and w == len(parts) gives every engine a
+// run of its own.
+func deal(shares [][]int, parts, sizes []int, w int) [][]int {
+	c := len(sizes)
+	lo := 0
+	if w <= c {
+		ci := 0
+		for i := 1; i <= w; i++ {
+			hi := lo
+			for ; ci < i*c/w; ci++ {
+				hi += sizes[ci]
+			}
+			shares = append(shares, parts[lo:hi])
+			lo = hi
+		}
+		return shares
+	}
+	for ci, n := range sizes {
+		k := w / c
+		if ci < w%c {
+			k++
+		}
+		k = min(k, n)
+		for j := 0; j < k; j++ {
+			shares = append(shares, parts[lo+j*n/k:lo+(j+1)*n/k])
+		}
+		lo += n
+	}
+	return shares
+}
+
+// worker is one persistent host worker beyond the calling goroutine: it
+// waits for a share of a window, runs it, and reports in.
+type worker struct {
+	own  []int  // the share handed over; nil tells the worker to exit
+	hand signal // moved once per hand-over
+}
+
+func (g *Group) work(w *worker) {
+	defer g.exited.Done()
+	for seen := uint64(0); ; seen++ {
+		w.hand.wait(seen, g.spin)
+		if w.own == nil {
+			return
+		}
+		g.runWindow(g.root, w.own)
+		if g.left.Add(-1) == 0 {
+			g.joined.move()
+		}
+	}
+}
+
+// Close releases the group's worker goroutines and waits for them to exit.
+// A group that drained has none; one abandoned mid-run does. The group stays
+// usable — the next window that needs workers starts them again — and
+// closing twice is harmless. Must be called while the group is quiescent.
+func (g *Group) Close() {
+	for _, w := range g.workers {
+		w.own = nil
+		w.hand.move()
+	}
+	g.exited.Wait()
+	g.workers, g.budget = g.workers[:0], 0
+}
+
 // StepWindow runs one synchronization window: plans the root level (merging
 // pending envelopes, finding the global next event time T) and lets every
-// cluster with work before the horizon execute it concurrently — chunk by
-// chunk under the adaptive width, each multi-engine cluster running its own
-// inner windows inside each chunk. Returns false when no work remains
-// anywhere, after aligning every engine clock to the global last-event time
-// (mirroring a single engine, whose clock rests on the last executed event —
-// host code that schedules the next phase then sees one "now" whatever the
-// shard count).
+// cluster with work before the horizon execute it — chunk by chunk under the
+// adaptive width, each multi-engine cluster running its own inner windows
+// inside each chunk — on as many workers as the host has processors for.
+// Returns false when no work remains anywhere, after aligning every engine
+// clock to the global last-event time (mirroring a single engine, whose
+// clock rests on the last executed event — host code that schedules the next
+// phase then sees one "now" whatever the shard count) and releasing the
+// workers.
 func (g *Group) StepWindow() bool {
 	root := g.root
 	clamp := min(g.cut, g.hold)
@@ -685,6 +880,7 @@ func (g *Group) StepWindow() bool {
 			for _, e := range g.engines {
 				e.alignTo(now)
 			}
+			g.Close()
 			return false
 		}
 		// Idle up to the cut with work beyond it: the horizon steps onto the
@@ -699,10 +895,31 @@ func (g *Group) StepWindow() bool {
 		}
 		clamp = next
 	}
+	g.running = true
+	if len(g.engines) == 1 {
+		// A one-engine group — the serial case — has nobody to meet: every
+		// send is same-engine and already sits in the spool, so each chunk
+		// boundary would decide "continue" over no rows. Run the whole
+		// planned width straight through.
+		g.ranWindows[0]++
+		g.engines[0].runTo(root.end - 1)
+	} else {
+		g.runShares()
+	}
+	g.running = false
+	g.close(root)
+	g.observe()
+	return true
+}
+
+// runShares deals the planned root window's participants to the workers,
+// runs the caller's share and joins the rest.
+func (g *Group) runShares() {
+	root := g.root
 	// A cluster takes part, all members together, when any member has work
-	// before the horizon: the inner barrier needs every one of them.
-	g.parts = g.parts[:0]
-	for _, members := range g.clusters {
+	// before the horizon: its inner level needs every one of them.
+	g.parts, g.sizes = g.parts[:0], g.sizes[:0]
+	for ci, members := range g.clusters {
 		busy := false
 		for _, ei := range members {
 			if next, ok := g.engines[ei].NextEventTime(); ok && next < root.end {
@@ -712,37 +929,47 @@ func (g *Group) StepWindow() bool {
 		}
 		if busy {
 			g.parts = append(g.parts, members...)
+			g.sizes = append(g.sizes, len(members))
+			if in := g.inner[ci]; in != nil {
+				in.bar.parties = 0 // counted below
+			}
 		}
 	}
-	g.running = true
-	root.bar.reset(len(g.parts))
-	switch {
-	case len(g.engines) == 1:
-		// A one-engine group — the serial case — has nobody to meet: every
-		// send is same-engine and already sits in the spool, so each chunk
-		// boundary would decide "continue" over no rows. Run the whole
-		// planned width straight through.
-		g.engines[0].runTo(root.end - 1)
-	case len(g.parts) == 1:
-		// One busy singleton cluster: run the chunk loop inline. The barrier
-		// with one party never blocks, but the chunk decisions still run —
-		// the shard's own sends must end the window at the correct boundary.
-		g.runWindow(root, g.parts[0])
-	default:
-		var wg sync.WaitGroup
-		for _, ei := range g.parts {
-			wg.Add(1)
-			go func(ei int) {
-				defer wg.Done()
-				g.runWindow(root, ei)
-			}(ei)
-		}
-		wg.Wait()
+	if g.budget == 0 {
+		// Once per run of windows: GOMAXPROCS takes the scheduler's lock.
+		g.budget = runtime.GOMAXPROCS(0)
+		g.spin = g.budget <= runtime.NumCPU()
 	}
-	g.running = false
-	g.close(root)
-	g.observe()
-	return true
+	g.shares = deal(g.shares[:0], g.parts, g.sizes, min(g.budget, len(g.parts)))
+	// The party of each barrier is the workers that share its level: every
+	// share at the root, and at a busy cluster's level the shares that hold
+	// a piece of it — one, when a worker took the cluster whole.
+	root.bar.parties = int32(len(g.shares))
+	for _, own := range g.shares {
+		for i, ei := range own {
+			if ci := g.engCl[ei]; (i == 0 || ci != g.engCl[own[i-1]]) && g.inner[ci] != nil {
+				g.inner[ci].bar.parties++
+			}
+		}
+	}
+	others := g.shares[1:]
+	for len(g.workers) < len(others) {
+		w := &worker{}
+		w.hand.init()
+		g.workers = append(g.workers, w)
+		g.exited.Add(1)
+		go g.work(w)
+	}
+	joined := g.joined.v.Load()
+	g.left.Store(int32(len(others)))
+	for i, own := range others {
+		g.workers[i].own = own
+		g.workers[i].hand.move()
+	}
+	g.runWindow(root, g.shares[0])
+	if len(others) > 0 {
+		g.joined.wait(joined, g.spin)
+	}
 }
 
 // Run executes windows until every shard drains and returns the global

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -512,10 +513,14 @@ func TestGroupSyncTelemetry(t *testing.T) {
 	m.start(8)
 
 	barriers := 0
-	var lastWindows uint64
+	var lastWindows, lastCritical uint64
 	g.OnBarrier(func() {
 		barriers++
 		sn := g.SyncSnapshot()
+		if sn.CriticalEvents <= lastCritical {
+			t.Errorf("barrier %d: critical path %d events after %d; every window executes something", barriers, sn.CriticalEvents, lastCritical)
+		}
+		lastCritical = sn.CriticalEvents
 		if sn.Windows != uint64(barriers) {
 			t.Errorf("barrier %d: windows = %d", barriers, sn.Windows)
 		}
@@ -544,20 +549,54 @@ func TestGroupSyncTelemetry(t *testing.T) {
 	if barriers == 0 || uint64(barriers) != final.Windows {
 		t.Fatalf("OnBarrier fired %d times for %d windows", barriers, final.Windows)
 	}
-	var in, out uint64
-	for _, s := range final.Shards {
+	var in, out, events, most uint64
+	for i, s := range final.Shards {
 		if s.Windows == 0 {
 			t.Errorf("shard %d never ran a window", s.Shard)
 		}
 		if s.Pending != 0 {
 			t.Errorf("shard %d still has %d pending after drain", s.Shard, s.Pending)
 		}
+		if s.Events != m.engs[i].Executed() {
+			t.Errorf("shard %d reports %d events, its engine executed %d", s.Shard, s.Events, m.engs[i].Executed())
+		}
 		in += s.EnvIn
 		out += s.EnvOut
+		events += s.Events
+		most = max(most, s.Events)
+	}
+	// The critical path takes the busier shard of every chunk: no shorter
+	// than the busiest shard's whole run, no longer than everything.
+	if c := final.CriticalEvents; c < most || c > events {
+		t.Errorf("critical path %d events outside [%d, %d]", c, most, events)
+	}
+	if final.CriticalEvents != lastCritical {
+		t.Errorf("critical path %d after the drain, %d at the last barrier", final.CriticalEvents, lastCritical)
 	}
 	// Every envelope sent was delivered: 8 rounds, both shards send each round.
 	if out == 0 || in != out {
 		t.Fatalf("envelope accounting: in %d, out %d", in, out)
+	}
+
+	// The critical path by hand: clusters {0,1} and {2}, fixed windows of ten
+	// cycles. [1,11): cluster 0 executes 2+1 events, cluster 1 four — 4.
+	// [20,30): one each — 1. [40,50): engine 1 alone, three — 3.
+	engs := []*Engine{NewEngine(), NewEngine(), NewEngine()}
+	hg := NewHierGroup(10, 5, [][]*Engine{{engs[0], engs[1]}, {engs[2]}}, []int{0, 1, 2})
+	for i, at := range [][]Time{{1, 2, 20}, {3, 40, 41, 42}, {1, 2, 3, 4, 21}} {
+		for _, c := range at {
+			engs[i].At(c, func() {})
+		}
+	}
+	hg.Run()
+	sn := hg.SyncSnapshot()
+	if sn.Windows != 3 || sn.CriticalEvents != 8 {
+		t.Errorf("hand-sized run: %d windows, critical path %d events; want 3, 8", sn.Windows, sn.CriticalEvents)
+	}
+	for i, want := range []uint64{3, 4, 5} {
+		if sn.Shards[i].Events != want {
+			t.Errorf("hand-sized run: shard %d executed %d events, want %d", i, sn.Shards[i].Events, want)
+		}
 	}
 }
 
@@ -734,5 +773,137 @@ func TestSerialNetMinLatencyGuard(t *testing.T) {
 	e.Run()
 	if !ok {
 		t.Fatal("legal send was not delivered")
+	}
+}
+
+// TestDeal checks the one rule that hands a window's engines to workers:
+// the shares are the participants cut into contiguous, non-empty runs, at
+// most one per worker and exactly one per worker when there are engines
+// enough; a share that reaches into two clusters holds both whole; and when
+// clusters are split, no cluster gets two workers more than another.
+func TestDeal(t *testing.T) {
+	for _, r := range []struct {
+		name   string
+		sizes  []int
+		ws     []int
+		uneven bool // a cluster may run out of engines before it runs out of workers
+	}{
+		{"4 clusters of 2", []int{2, 2, 2, 2}, []int{1, 2, 3, 4, 5, 6, 7, 8}, false},
+		{"2 clusters of 2", []int{2, 2}, []int{3}, false},
+		{"one busy cluster", []int{2}, []int{1, 2}, false},
+		{"one busy cluster of 4", []int{4}, []int{1, 2, 3, 4}, false},
+		{"singletons", []int{1, 1, 1, 1}, []int{1, 2, 3, 4}, false},
+		{"clusters of 1 and 3", []int{1, 3}, []int{1, 2, 3, 4}, true},
+	} {
+		// Engines 10, 11, ... so an index is never mistaken for an engine.
+		var parts, cluster []int
+		for ci, n := range r.sizes {
+			for i := 0; i < n; i++ {
+				cluster = append(cluster, ci)
+				parts = append(parts, 10+len(parts))
+			}
+		}
+		for _, w := range r.ws {
+			shares := deal(nil, parts, r.sizes, w)
+			if len(shares) > w || (len(shares) < w && !r.uneven) {
+				t.Errorf("%s, %d workers: %d shares", r.name, w, len(shares))
+			}
+			at := 0
+			workers := make([]int, len(r.sizes)) // shares holding a piece of each cluster
+			for _, own := range shares {
+				if len(own) == 0 {
+					t.Errorf("%s, %d workers: empty share in %v", r.name, w, shares)
+					continue
+				}
+				for i, ei := range own {
+					if at == len(parts) || ei != parts[at] {
+						t.Fatalf("%s, %d workers: shares %v are not %v cut into runs", r.name, w, shares, parts)
+					}
+					if ci := cluster[at]; i == 0 || ci != cluster[at-1] {
+						workers[ci]++
+					}
+					at++
+				}
+				first, last := cluster[at-len(own)], cluster[at-1]
+				if first != last {
+					// Two clusters in one share: it starts at the first one's
+					// first engine and ends at the last one's last.
+					if lo := at - len(own); lo > 0 && cluster[lo-1] == first || at < len(parts) && cluster[at] == last {
+						t.Errorf("%s, %d workers: share %v straddles a cluster it does not hold whole", r.name, w, own)
+					}
+				}
+			}
+			if at != len(parts) {
+				t.Errorf("%s, %d workers: shares %v leave engines out of %v", r.name, w, shares, parts)
+			}
+			lo, hi := workers[0], workers[0]
+			for _, n := range workers {
+				lo, hi = min(lo, n), max(hi, n)
+			}
+			if lo < 1 || (hi > lo+1 && !r.uneven) {
+				t.Errorf("%s, %d workers: clusters have %v workers each", r.name, w, workers)
+			}
+		}
+	}
+	// Every engine its own worker is the same rule, not another one.
+	if got := deal(nil, []int{0, 1, 2, 3}, []int{2, 2}, 4); !reflect.DeepEqual(got, [][]int{{0}, {1}, {2}, {3}}) {
+		t.Errorf("4 workers over 2 clusters of 2: %v", got)
+	}
+	if got := deal(nil, []int{0, 1, 2, 3, 4, 5}, []int{2, 2, 2}, 2); !reflect.DeepEqual(got, [][]int{{0, 1}, {2, 3, 4, 5}}) {
+		t.Errorf("2 workers over 3 clusters of 2: %v", got)
+	}
+}
+
+// TestWorkersExitOnDrainAndClose: the workers are goroutines of the group
+// that live from window to window — and no longer than the run. A drained
+// Run leaves none behind without anyone closing the group; a group
+// abandoned mid-run gives them up in Close, and runs on afterwards.
+func TestWorkersExitOnDrainAndClose(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ticking := func() *Group {
+		engs := make([]*Engine, 4)
+		for i := range engs {
+			e := NewEngine()
+			var tick func()
+			tick = func() {
+				if e.Now() < 400 {
+					e.Schedule(1, tick)
+				}
+			}
+			e.Schedule(1, tick)
+			engs[i] = e
+		}
+		return NewGroup(20, engs...)
+	}
+	base := runtime.NumGoroutine()
+
+	g := ticking()
+	between := 0
+	g.OnBarrier(func() { between = max(between, runtime.NumGoroutine()-base) })
+	g.Run()
+	if between != 3 {
+		t.Errorf("%d goroutines beyond the caller's between windows, want 3 persistent workers", between)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines before, %d after a drained Run", base, n)
+	}
+
+	g = ticking()
+	for i := 0; i < 3; i++ {
+		g.StepWindow()
+	}
+	if n := runtime.NumGoroutine(); n != base+3 {
+		t.Errorf("%d goroutines mid-run, want the caller's %d and 3 workers", n, base)
+	}
+	g.Close()
+	g.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines before, %d after Close", base, n)
+	}
+	if end := g.Run(); end != 400 {
+		t.Errorf("run resumed after Close ended at %d, want 400", end)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines before, %d after the resumed run drained", base, n)
 	}
 }

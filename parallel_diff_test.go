@@ -9,8 +9,11 @@ package smappic_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"smappic"
 	"smappic/internal/accel"
@@ -27,6 +30,28 @@ type diffOutcome struct {
 	trace    []byte // the exported Chrome trace (nil for an untraced run)
 	cycles   smappic.Time
 	checksum uint64
+	sync     []byte // the synchronizer's books: the partition's, so compared only between runs of one partition
+}
+
+// same requires got to be the outcome want, the partition's books aside.
+func (want diffOutcome) same(t *testing.T, label string, got diffOutcome) {
+	t.Helper()
+	if want.cycles != got.cycles {
+		t.Errorf("%s: final time: serial %d, got %d", label, want.cycles, got.cycles)
+	}
+	if want.checksum != got.checksum {
+		t.Errorf("%s: checksum: serial %#x, got %#x", label, want.checksum, got.checksum)
+	}
+	if !bytes.Equal(want.metrics, got.metrics) {
+		t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
+			label, len(want.metrics), len(got.metrics), firstDiff(want.metrics, got.metrics))
+	}
+	if !bytes.Equal(want.samples, got.samples) {
+		t.Errorf("%s: sampler rows diverge from the one-shard run's:\n%s", label, firstDiff(want.samples, got.samples))
+	}
+	if !bytes.Equal(want.trace, got.trace) {
+		t.Errorf("%s: Chrome trace diverges from the one-shard run's:\n%s", label, firstDiff(want.trace, got.trace))
+	}
 }
 
 // diffCase is one row of the differential table.
@@ -148,6 +173,9 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 	}
 	out.metrics, out.samples = splitSamples(m)
 	out.cycles = p.Now()
+	if out.sync, err = json.Marshal(p.Group.SyncSnapshot()); err != nil {
+		t.Fatal(err)
+	}
 	if dc.trace != 0 {
 		for _, n := range p.Nodes {
 			if got, ring := n.Tracer.Len(), dc.trace/len(p.Nodes); got != ring {
@@ -270,34 +298,16 @@ func TestShardedMatchesSerial(t *testing.T) {
 			t.Parallel()
 			ref := dc
 			ref.watchdog, ref.sampler, ref.trace = 0, 0, 0
-			serial := runCase(t, ref, 0)
-			var samples, trace []byte // the observed one-shard run's sampler rows and Chrome trace
-			same := func(label string, got diffOutcome) {
-				t.Helper()
-				if serial.cycles != got.cycles {
-					t.Errorf("%s: final time: serial %d, got %d", label, serial.cycles, got.cycles)
-				}
-				if serial.checksum != got.checksum {
-					t.Errorf("%s: checksum: serial %#x, got %#x", label, serial.checksum, got.checksum)
-				}
-				if !bytes.Equal(serial.metrics, got.metrics) {
-					t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
-						label, len(serial.metrics), len(got.metrics), firstDiff(serial.metrics, got.metrics))
-				}
-				if !bytes.Equal(samples, got.samples) {
-					t.Errorf("%s: sampler rows diverge from the one-shard run's:\n%s", label, firstDiff(samples, got.samples))
-				}
-				if !bytes.Equal(trace, got.trace) {
-					t.Errorf("%s: Chrome trace diverges from the one-shard run's:\n%s", label, firstDiff(trace, got.trace))
-				}
-			}
+			// The unobserved one-shard outcome, then with the observed one-shard
+			// run's sampler rows and Chrome trace.
+			want := runCase(t, ref, 0)
 			if dc.watchdog != 0 || dc.sampler != 0 || dc.trace != 0 {
 				observed := runCase(t, dc, 0)
-				trace = observed.trace
-				if samples = observed.samples; (len(samples) == 0) != (dc.sampler == 0) {
-					t.Fatalf("observed-serial: %d bytes of sampler rows at interval %d", len(samples), dc.sampler)
+				if (len(observed.samples) == 0) != (dc.sampler == 0) {
+					t.Fatalf("observed-serial: %d bytes of sampler rows at interval %d", len(observed.samples), dc.sampler)
 				}
-				same("observed-serial", observed)
+				want.samples, want.trace = observed.samples, observed.trace
+				want.same(t, "observed-serial", observed)
 			}
 			grans := []string{"fpga"}
 			if dc.b > 1 {
@@ -311,10 +321,74 @@ func TestShardedMatchesSerial(t *testing.T) {
 					dc := dc
 					dc.widthCap = mode.widthCap
 					dc.granularity = gran
-					same(mode.name+"/"+gran, runCase(t, dc, dc.a))
+					want.same(t, mode.name+"/"+gran, runCase(t, dc, dc.a))
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerCountMovesNothing is the worker axis: the engines are the
+// partition and the host's processors only decide who runs them, so the
+// per-FPGA and per-node runs of three rows — under 1, 2, 3, 5 and 8
+// processors, from everything inline on the caller to a worker per engine,
+// whole clusters per worker and clusters split among workers in between —
+// must each reproduce the one-shard outcome and, worker count to worker
+// count, the same synchronizer books to the byte: windows, chunks, inner
+// levels, per-shard envelopes and events, the critical path. More
+// processors than the host has cores is slow, not wrong.
+func TestWorkerCountMovesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, dc := range []diffCase{
+		{name: "is-4x2x2", a: 4, b: 2, c: 2, workload: "is", numa: true, seed: 42},
+		{name: "is-2x2x2-faults", a: 2, b: 2, c: 2, workload: "is", numa: true, faults: pcieFaults, seed: 7},
+		{name: "riscv-2x2x2", a: 2, b: 2, c: 2, workload: "riscv", seed: 42},
+	} {
+		want := runCase(t, dc, 0)
+		for _, dc.granularity = range []string{"fpga", "node"} {
+			var books []byte
+			for _, procs := range []int{1, 2, 3, 5, 8} {
+				runtime.GOMAXPROCS(procs)
+				label := fmt.Sprintf("%s/%s/%d procs", dc.name, dc.granularity, procs)
+				got := runCase(t, dc, dc.a)
+				want.same(t, label, got)
+				if books == nil {
+					books = got.sync
+				} else if !bytes.Equal(books, got.sync) {
+					t.Errorf("%s: the synchronizer's books moved with the worker count:\n%s", label, firstDiff(books, got.sync))
+				}
+			}
+		}
+	}
+}
+
+// TestStoppedRunLeaksNoWorkers: a sharded run stopped mid-flight by its
+// predicate leaves the synchronizer's workers (and its harts) waiting for a
+// window that never comes; Prototype.Close releases them all.
+func TestStoppedRunLeaksNoWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		p := buildProto(t, diffCase{a: 2, b: 2, c: 2, workload: "riscv", seed: 42, granularity: "node"}, 2)
+		prog := rvasm.MustAssemble(smappic.ResetPC, diffProgram)
+		for n := 0; n < p.Cfg.TotalNodes(); n++ {
+			p.Host().LoadProgram(n, prog)
+		}
+		p.Start()
+		p.RunUntil(func() bool { return p.Group.Windows() >= 5 })
+		if p.AllHalted() {
+			t.Fatal("the run halted within five windows; nothing was stopped mid-flight")
+		}
+		p.Close()
+	}
+	// A closed process has handed control back but may not have finished
+	// exiting; give the scheduler a moment before counting.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines before, %d after: stopped runs leaked goroutines", base, n)
 	}
 }
 

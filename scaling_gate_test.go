@@ -107,3 +107,38 @@ func TestNodeShardingGate(t *testing.T) {
 			speedup, perFPGA, perNode, runtime.NumCPU())
 	}
 }
+
+// gateMaxSlowdown is how much slower than the one-shard run a sharding of
+// the same simulation may be on any host: sharding chooses engines, the
+// host's processors choose the workers, and with one processor a sharded
+// window runs inline like a serial one — what is left is the chunk
+// discipline's own cost plus run-to-run spread.
+const gateMaxSlowdown = 1.10
+
+// TestShardedNotSlowerThanSerialGate is the gate a small host can judge:
+// 8-node (4x2x2) NPB-IS sharded per FPGA and per node, best of 3 each, must
+// take no more than 1.10x the one-shard run's wall-clock, on however many
+// CPUs there are. Opt-in under the same switch as the multi-core gates
+// because it judges wall-clock; it needs only two CPUs.
+func TestShardedNotSlowerThanSerialGate(t *testing.T) {
+	if os.Getenv("SMAPPIC_SCALING_GATE") != "1" {
+		t.Skip("set SMAPPIC_SCALING_GATE=1 to run the sharded-not-slower gate")
+	}
+	if ncpu := runtime.NumCPU(); ncpu < 2 {
+		t.Fatalf("the sharded-not-slower gate requires >=2 CPUs, host has %d", ncpu)
+	}
+	serial, serialCycles := gateMeasure(t, 4, 2, 2, 0, "")
+	for _, gran := range []string{"fpga", "node"} {
+		sharded, cycles := gateMeasure(t, 4, 2, 2, 4, gran)
+		if cycles != serialCycles {
+			t.Fatalf("per-%s run simulated %d cycles, one shard %d: the modes are not comparable", gran, cycles, serialCycles)
+		}
+		ratio := sharded.Seconds() / serial.Seconds()
+		t.Logf("8-node NPB-IS on %d CPUs (GOMAXPROCS %d): one shard %v, per-%s %v, %.2fx",
+			runtime.NumCPU(), runtime.GOMAXPROCS(0), serial, gran, sharded, ratio)
+		if ratio > gateMaxSlowdown {
+			t.Errorf("8-node NPB-IS per-%s takes %.2fx the one-shard run's wall-clock, gate %.2fx (one shard %v, per-%s %v)",
+				gran, ratio, gateMaxSlowdown, serial, gran, sharded)
+		}
+	}
+}
