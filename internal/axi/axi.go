@@ -7,8 +7,6 @@
 // into them.
 package axi
 
-import "fmt"
-
 // Addr is a 64-bit AXI address.
 type Addr = uint64
 
@@ -24,9 +22,6 @@ const BeatBytes = 64
 func Align(addr Addr) (aligned Addr, offset int) {
 	return addr &^ (BeatBytes - 1), int(addr & (BeatBytes - 1))
 }
-
-// Aligned reports whether addr sits on a 64-byte boundary.
-func Aligned(addr Addr) bool { return addr&(BeatBytes-1) == 0 }
 
 // WriteReq is one AXI4 write: the aw channel carries Addr and ID, the w
 // channel carries Data. Data longer than BeatBytes models a burst.
@@ -76,7 +71,3 @@ type LiteTarget interface {
 	ReadReg(addr Addr) uint32
 	WriteReg(addr Addr, v uint32)
 }
-
-// ErrDecode is returned (as a failed response) when no region matches an
-// address in a crossbar.
-var ErrDecode = fmt.Errorf("axi: address decode error")

@@ -93,15 +93,6 @@ var SPECint2017 = []Benchmark{
 	{"xz", 300, 350, true},
 }
 
-// TotalGInstr sums the suite.
-func TotalGInstr() float64 {
-	var t float64
-	for _, b := range SPECint2017 {
-		t += b.GInstr
-	}
-	return t
-}
-
 // Cost returns the dollars to run one benchmark on one tool: runtime at the
 // tool's rate, on the cheapest suitable instance, divided across the
 // instances sharing the host.

@@ -174,15 +174,6 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node int, p Params, stats *sim.Stats, 
 // to repair. Must be called before traffic; nil-safe.
 func (b *Bridge) SetInjector(inj *fault.Injector) { b.site = inj.SiteOn(b.name, b.eng) }
 
-// Credits returns the current send-credit level toward dst, for diagnostics
-// (the watchdog's stall dump) and tests.
-func (b *Bridge) Credits(dst int) int {
-	if _, ok := b.credits[dst]; !ok {
-		return b.p.CreditsPerDst
-	}
-	return b.credits[dst]
-}
-
 // SetTracer installs the trace ring of the bridge's node; tx/rx instants
 // appear on the bridge's own track ("<node>.bridge") in exported timelines.
 func (b *Bridge) SetTracer(t *sim.Tracer) { b.tracer = t }

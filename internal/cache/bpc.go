@@ -83,9 +83,6 @@ func NewPrivate(eng *sim.Engine, id GID, p Params, conn Conn, home HomeFunc, sta
 	return c
 }
 
-// ID returns the global tile id of this cache.
-func (c *Private) ID() GID { return c.id }
-
 // Load performs a data read of any size within one line. done fires when
 // the value may be consumed.
 func (c *Private) Load(addr uint64, done func()) { c.access(addr, false, c.l1d, done) }
@@ -297,14 +294,3 @@ func (c *Private) handleDowngrade(msg *Msg) {
 	c.cDownRx.Inc()
 	c.conn.SendProto(c.id, msg.From, &Msg{Op: DownAck, Line: msg.Line, From: c.id, Req: msg.Req})
 }
-
-// State reports the BPC state of a line (for tests and invariant checks).
-func (c *Private) State(line uint64) string {
-	if w := c.bpc.peek(line); w != nil {
-		return w.st.String()
-	}
-	return "I"
-}
-
-// OutstandingMisses returns the number of active MSHRs.
-func (c *Private) OutstandingMisses() int { return len(c.mshrs) }

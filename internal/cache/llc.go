@@ -405,20 +405,3 @@ func (s *Slice) finish(line uint64) {
 	s.gQueue.Set(int64(s.nq))
 	s.begin(next)
 }
-
-// DirState reports the directory state of a line ("I", "S", "E") with the
-// sharer/owner count, for tests and invariant checks.
-func (s *Slice) DirState(line uint64) (st string, holders int) {
-	e, ok := s.dir[line]
-	if !ok {
-		return "I", 0
-	}
-	switch e.st {
-	case dirI:
-		return "I", 0
-	case dirS:
-		return "S", len(e.sharers)
-	default:
-		return "E", 1
-	}
-}

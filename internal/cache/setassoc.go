@@ -12,20 +12,6 @@ const (
 	stModified
 )
 
-func (s state) String() string {
-	switch s {
-	case stInvalid:
-		return "I"
-	case stShared:
-		return "S"
-	case stExclusive:
-		return "E"
-	case stModified:
-		return "M"
-	}
-	return "?"
-}
-
 // way is one entry of a set.
 type way struct {
 	line  uint64

@@ -166,15 +166,6 @@ func (q *Queue) Next() *TenantJob {
 	return tj
 }
 
-// Len returns the total number of pending jobs across all tenants.
-func (q *Queue) Len() int {
-	n := 0
-	for _, t := range q.tenants {
-		n += len(t.jobs)
-	}
-	return n
-}
-
 // TenantView is one tenant's queue state, for status endpoints.
 type TenantView struct {
 	Tenant   string `json:"tenant"`
@@ -198,12 +189,4 @@ func (q *Queue) Tenants() []TenantView {
 		})
 	}
 	return views
-}
-
-// InFlight returns a tenant's current in-flight lease count.
-func (q *Queue) InFlight(tenant string) int {
-	if t, ok := q.tenants[tenant]; ok {
-		return t.inflight
-	}
-	return 0
 }

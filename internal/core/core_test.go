@@ -432,7 +432,7 @@ func TestVirtualSDBootFlow(t *testing.T) {
 		img[i] = byte(i / 512)
 	}
 	img[3*512] = 0x5A
-	host.LoadSDImage(0, 0, img)
+	p.Nodes[0].SD.LoadImage(0, img)
 	prog := rvasm.MustAssemble(ResetPC, `
 		li t0, 0xF000003000    # SD controller
 		li t1, 3

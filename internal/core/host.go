@@ -8,9 +8,9 @@ import (
 )
 
 // Host models the F1 instance's host CPU side: the PCIe driver, the virtual
-// serial devices, program loading and SD card initialization. Host actions
-// that happen before boot (image loading) are functional-only, matching the
-// paper's flow where setup time is not part of the measured run.
+// serial devices and program loading. Host actions that happen before boot
+// (image loading) are functional-only, matching the paper's flow where setup
+// time is not part of the measured run.
 type Host struct {
 	pr      *Prototype
 	serial0 []*dev.VirtualSerial
@@ -32,12 +32,6 @@ func (h *Host) LoadProgram(node int, prog *rvasm.Program) {
 		panic(fmt.Sprintf("core: program base %#x below DRAM", prog.Base))
 	}
 	h.pr.Backing.WriteBytes(prog.Base, prog.Bytes)
-}
-
-// LoadSDImage initializes a node's virtual SD card, as the specialized
-// host-side Linux driver does (paper §3.4.2).
-func (h *Host) LoadSDImage(node int, offset uint64, image []byte) {
-	h.pr.Nodes[node].SD.LoadImage(offset, image)
 }
 
 // Console returns everything node's console UART printed so far.

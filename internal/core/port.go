@@ -69,9 +69,6 @@ func writeBacking(pr *Prototype, addr uint64, size int, v uint64) {
 // simulated time).
 func (p *Prototype) ReadPhys(addr uint64, size int) uint64 { return readBacking(p, addr, size) }
 
-// WritePhys writes simulated memory functionally.
-func (p *Prototype) WritePhys(addr uint64, size int, v uint64) { writeBacking(p, addr, size, v) }
-
 // Port is the execution-driven interface for workload threads (the fast
 // path for large studies): Go code issues loads and stores that charge real
 // memory-system timing and move data in simulated memory, without running
@@ -85,9 +82,6 @@ type Port struct {
 func (p *Prototype) PortAt(g cache.GID) *Port {
 	return &Port{tile: p.Tile(g), pr: p}
 }
-
-// Tile returns the port's tile location.
-func (pt *Port) Tile() cache.GID { return pt.tile.ID }
 
 // Cacheable accesses use the Suspend/Park split rather than Call: the
 // process's pooled completion goes straight to the cache stack, so the
@@ -152,11 +146,4 @@ func (pt *Port) MMIOStore(p *sim.Process, addr uint64, size int, v uint64) {
 			done()
 		}})
 	})
-}
-
-// Compute charges n cycles of pure computation (in-order single-issue).
-func (pt *Port) Compute(p *sim.Process, n sim.Time) {
-	if n > 0 {
-		p.Wait(n)
-	}
 }

@@ -16,7 +16,6 @@ const (
 	UartIER = 1
 	UartIIR = 2 // read; write = FCR
 	UartLCR = 3
-	UartMCR = 4
 	UartLSR = 5
 )
 
@@ -138,9 +137,6 @@ func (u *UART) HostRead() []byte {
 	return out
 }
 
-// TxPending returns the bytes queued toward the host without draining.
-func (u *UART) TxPending() int { return len(u.tx) }
-
 // LiteTap exposes the UART over AXI-Lite for the host tunnel: the same
 // registers, as 32-bit words at stride 4 (the Xilinx AXI UART16550 layout).
 func (u *UART) LiteTap() axi.LiteTarget { return liteTap{u} }
@@ -176,6 +172,3 @@ func (v *VirtualSerial) Console() string {
 	v.Poll()
 	return string(v.out)
 }
-
-// Send types input into the prototype's console.
-func (v *VirtualSerial) Send(s string) { v.uart.HostWrite([]byte(s)) }

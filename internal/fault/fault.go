@@ -258,7 +258,7 @@ func (inj *Injector) Site(name string) *Site {
 			continue
 		}
 		if s == nil {
-			s = &Site{name: name, eng: inj.eng}
+			s = &Site{eng: inj.eng}
 		}
 		s.rules = append(s.rules, siteRule{Rule: r})
 		seed ^= r.Seed
@@ -403,7 +403,6 @@ type siteRule struct {
 // Site is one named injection point. The nil Site is the disabled form: every
 // method no-ops and allocates nothing.
 type Site struct {
-	name  string
 	eng   *sim.Engine
 	rng   sim.RNG
 	rules []siteRule
@@ -412,17 +411,9 @@ type Site struct {
 	stallUntil sim.Time
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Fate is the outcome of consulting a site for one transfer.
 type Fate struct {
-	// Drop: the transfer vanishes (the site may be hung; see Site.Hung).
+	// Drop: the transfer vanishes (the site may be hung).
 	Drop bool
 	// Corrupt: deliver, but with a checksum-detectable corruption.
 	Corrupt bool
@@ -496,9 +487,6 @@ func (s *Site) FlipBits() int {
 	}
 	return bits
 }
-
-// Hung reports whether a Hang rule has triggered at this site.
-func (s *Site) Hung() bool { return s != nil && s.hung }
 
 // trigger advances the rule's event counters and RNG and reports whether it
 // fires for this event.

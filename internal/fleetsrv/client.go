@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,10 +29,12 @@ type staleError struct{ msg string }
 
 func (e *staleError) Error() string { return e.msg }
 
-// isStale reports whether err is a 409 protocol answer.
+// isStale reports whether err tells a worker that its lease is no longer its
+// own: a 409 protocol answer, or a server that does not know the worker at
+// all (it restarted; only the lease call answers that today).
 func isStale(err error) bool {
 	_, ok := err.(*staleError)
-	return ok
+	return ok || errors.Is(err, errUnknownWorker)
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -63,13 +66,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &staleError{msg: strings.TrimSpace(string(msg))}
-	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("fleetsrv: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		msg := strings.TrimSpace(string(data))
+		switch {
+		case resp.StatusCode == http.StatusConflict:
+			return &staleError{msg: msg}
+		case resp.StatusCode == http.StatusNotFound && msg == errUnknownWorker.Error():
+			return errUnknownWorker // the server's own sentinel, so errors.Is works on both sides
+		}
+		return fmt.Errorf("fleetsrv: %s %s: %s: %s", method, path, resp.Status, msg)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -157,15 +163,6 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
 // ReportCSV fetches the CSV aggregate.
 func (c *Client) ReportCSV(ctx context.Context, id string) ([]byte, error) {
 	return c.raw(ctx, "/api/campaigns/"+id+"/report.csv")
-}
-
-// FleetStatus fetches the whole-fleet status view.
-func (c *Client) FleetStatus(ctx context.Context) (*StatusView, error) {
-	var st StatusView
-	if err := c.do(ctx, http.MethodGet, "/api/status", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // raw fetches a non-JSON-decoded document.

@@ -551,20 +551,24 @@ func (s *Server) persistOutcome(run *campaignRun, out campaign.JobOutcome) {
 	}
 	line, err := json.Marshal(rec)
 	if err == nil {
-		f, ferr := os.OpenFile(filepath.Join(s.StateDir, run.id+".outcomes.jsonl"),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			err = ferr
-		} else {
-			_, err = f.Write(append(line, '\n'))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
+		err = appendFile(filepath.Join(s.StateDir, run.id+".outcomes.jsonl"), append(line, '\n'))
 	}
 	if err != nil {
 		s.logf("persist outcome %s/%d: %v", run.id, out.Job.Index, err)
 	}
+}
+
+// appendFile appends data to the journal at path, creating it if needed.
+func appendFile(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load restores persisted campaigns from StateDir: completed jobs are
@@ -602,9 +606,17 @@ func (s *Server) Load() error {
 			s.nextCamp = n
 		}
 
-		journal, err := os.ReadFile(filepath.Join(s.StateDir, pc.ID+".outcomes.jsonl"))
+		jpath := filepath.Join(s.StateDir, pc.ID+".outcomes.jsonl")
+		journal, err := os.ReadFile(jpath)
 		if err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("fleetsrv: %s journal: %w", pc.ID, err)
+		}
+		if n := len(journal); n > 0 && journal[n-1] != '\n' {
+			// A crash tore the last append. End its line, or the next record
+			// appended would be glued to the fragment and lost with it.
+			if err := appendFile(jpath, []byte("\n")); err != nil {
+				return fmt.Errorf("fleetsrv: %s journal: %w", pc.ID, err)
+			}
 		}
 		for _, line := range strings.Split(string(journal), "\n") {
 			if strings.TrimSpace(line) == "" {

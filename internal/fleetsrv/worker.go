@@ -2,6 +2,7 @@ package fleetsrv
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"smappic/internal/campaign"
@@ -48,11 +49,8 @@ func (w *Worker) poll() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// Run registers and serves leases until ctx is cancelled. A worker shut
-// down mid-job gives the job back (the server re-queues it); a worker
-// killed outright simply stops heartbeating and the lease expires.
-func (w *Worker) Run(ctx context.Context) error {
-	w.client = &Client{Server: w.Server}
+// register joins the server and takes the identity and lease TTL it assigns.
+func (w *Worker) register(ctx context.Context) error {
 	reg, err := w.client.register(ctx, RegisterRequest{Name: w.Name})
 	if err != nil {
 		return err
@@ -60,8 +58,26 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.workerID = reg.WorkerID
 	w.ttl = time.Duration(reg.LeaseTTLSec * float64(time.Second))
 	w.logf("registered as %s (lease TTL %s)", w.workerID, w.ttl)
+	return nil
+}
+
+// Run registers and serves leases until ctx is cancelled. A worker shut
+// down mid-job gives the job back (the server re-queues it); a worker
+// killed outright simply stops heartbeating and the lease expires. A server
+// that restarted has forgotten its workers (they are not persisted): the
+// worker registers again and carries on.
+func (w *Worker) Run(ctx context.Context) error {
+	w.client = &Client{Server: w.Server}
+	if err := w.register(ctx); err != nil {
+		return err
+	}
 	for ctx.Err() == nil {
 		resp, err := w.client.lease(ctx, LeaseRequest{WorkerID: w.workerID})
+		if errors.Is(err, errUnknownWorker) {
+			if err = w.register(ctx); err == nil {
+				continue
+			}
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				break

@@ -78,22 +78,15 @@ func (p *Packetizer) Set(hart int, kind Kind, level bool) {
 // the core's wires through the assert callback.
 type Depacketizer struct {
 	assert func(kind Kind, level bool)
-	level  map[Kind]bool
 }
 
 // NewDepacketizer creates a depacketizer driving assert.
 func NewDepacketizer(assert func(kind Kind, level bool)) *Depacketizer {
-	return &Depacketizer{assert: assert, level: make(map[Kind]bool)}
+	return &Depacketizer{assert: assert}
 }
 
 // Handle applies an interrupt packet to the local wires.
-func (d *Depacketizer) Handle(c *Change) {
-	d.level[c.Kind] = c.Level
-	d.assert(c.Kind, c.Level)
-}
-
-// Level reports the current state of a wire (for tests).
-func (d *Depacketizer) Level(k Kind) bool { return d.level[k] }
+func (d *Depacketizer) Handle(c *Change) { d.assert(c.Kind, c.Level) }
 
 // CLINT register map (offsets within the CLINT MMIO window), following the
 // SiFive convention used by Ariane/OpenPiton platforms.

@@ -7,16 +7,20 @@ import (
 )
 
 // wiring connects a packetizer straight to per-hart depacketizers,
-// emulating the NoC path with zero latency.
+// emulating the NoC path with zero latency, and keeps the level each
+// depacketizer last drove onto each of its hart's wires.
 type wiring struct {
 	depacks []*Depacketizer
+	wires   []map[Kind]bool
 	packets int
 }
 
 func newWiring(harts int) (*wiring, *Packetizer) {
 	w := &wiring{}
 	for i := 0; i < harts; i++ {
-		w.depacks = append(w.depacks, NewDepacketizer(func(Kind, bool) {}))
+		wires := map[Kind]bool{}
+		w.wires = append(w.wires, wires)
+		w.depacks = append(w.depacks, NewDepacketizer(func(k Kind, level bool) { wires[k] = level }))
 	}
 	p := NewPacketizer(func(hart int, c *Change) {
 		w.packets++
@@ -34,10 +38,10 @@ func TestPacketizerOnlySendsTransitions(t *testing.T) {
 	if w.packets != 3 {
 		t.Fatalf("sent %d packets, want 3 (transitions only)", w.packets)
 	}
-	if w.depacks[0].Level(Software) {
+	if w.wires[0][Software] {
 		t.Error("hart0 msip should be low")
 	}
-	if !w.depacks[1].Level(Timer) {
+	if !w.wires[1][Timer] {
 		t.Error("hart1 mtip should be high")
 	}
 }
@@ -65,14 +69,14 @@ func TestClintSoftwareInterrupt(t *testing.T) {
 	w, p := newWiring(4)
 	c := NewCLINT(eng, 4, p)
 	c.Write(ClintMSIPBase+4*2, 4, 1) // raise MSIP for hart 2
-	if !w.depacks[2].Level(Software) {
+	if !w.wires[2][Software] {
 		t.Fatal("hart2 msip not raised")
 	}
 	if c.Read(ClintMSIPBase+4*2, 4) != 1 {
 		t.Fatal("msip readback != 1")
 	}
 	c.Write(ClintMSIPBase+4*2, 4, 0)
-	if w.depacks[2].Level(Software) {
+	if w.wires[2][Software] {
 		t.Fatal("hart2 msip not cleared")
 	}
 }
@@ -82,21 +86,21 @@ func TestClintTimerFiresAtCompare(t *testing.T) {
 	w, p := newWiring(1)
 	c := NewCLINT(eng, 1, p)
 	c.Write(ClintMTimeCmpBase, 8, 100)
-	if w.depacks[0].Level(Timer) {
+	if w.wires[0][Timer] {
 		t.Fatal("mtip raised before compare time")
 	}
 	eng.RunUntil(99)
-	if w.depacks[0].Level(Timer) {
+	if w.wires[0][Timer] {
 		t.Fatal("mtip raised one cycle early")
 	}
 	eng.RunUntil(101)
 	eng.Run()
-	if !w.depacks[0].Level(Timer) {
+	if !w.wires[0][Timer] {
 		t.Fatal("mtip not raised at compare time")
 	}
 	// Writing a new future compare clears it.
 	c.Write(ClintMTimeCmpBase, 8, 10000)
-	if w.depacks[0].Level(Timer) {
+	if w.wires[0][Timer] {
 		t.Fatal("mtip not cleared by future mtimecmp")
 	}
 }
@@ -116,22 +120,22 @@ func TestPlicClaimComplete(t *testing.T) {
 	plic := NewPLIC(2, 4, p)
 	plic.Write(PlicEnableBase, 4, 1<<2) // hart0 enables source 2
 	plic.SetLevel(2, true)
-	if !w.depacks[0].Level(External) {
+	if !w.wires[0][External] {
 		t.Fatal("meip not raised for enabled hart")
 	}
-	if w.depacks[1].Level(External) {
+	if w.wires[1][External] {
 		t.Fatal("meip raised for hart with source disabled")
 	}
 	// Claim.
 	if s := plic.Read(PlicClaimBase, 4); s != 2 {
 		t.Fatalf("claim = %d, want 2", s)
 	}
-	if w.depacks[0].Level(External) {
+	if w.wires[0][External] {
 		t.Fatal("meip should drop while source in service")
 	}
 	// Complete with level still high: re-raises.
 	plic.Write(PlicClaimBase, 4, 2)
-	if !w.depacks[0].Level(External) {
+	if !w.wires[0][External] {
 		t.Fatal("meip should re-raise after complete with level high")
 	}
 	// Device drops the level; complete cycle ends quietly.
@@ -140,7 +144,7 @@ func TestPlicClaimComplete(t *testing.T) {
 	}
 	plic.SetLevel(2, false)
 	plic.Write(PlicClaimBase, 4, 2)
-	if w.depacks[0].Level(External) {
+	if w.wires[0][External] {
 		t.Fatal("meip high with no pending sources")
 	}
 }

@@ -233,37 +233,10 @@ func (k *Kernel) Read(va uint64, size int) uint64 {
 	return k.pr.ReadPhys(k.hostTranslate(va), size)
 }
 
-// Write performs a functional (zero-time) write at a virtual address.
-func (k *Kernel) Write(va uint64, size int, v uint64) {
-	k.pr.WritePhys(k.hostTranslate(va), size, v)
-}
-
 // Translate exposes the page table for hardware engines (e.g. MAPLE) that
 // are programmed with already-touched buffers. The toucher for any page
 // faulted here is node 0.
 func (k *Kernel) Translate(va uint64) uint64 { return k.hostTranslate(va) }
-
-// PageNode reports which node holds a virtual page (testing/stats); -1 if
-// untouched.
-func (k *Kernel) PageNode(va uint64) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if n, ok := k.pageNode[va/PageBytes]; ok {
-		return n
-	}
-	return -1
-}
-
-// PagesPerNode reports how many touched pages live on each node.
-func (k *Kernel) PagesPerNode() []int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]int, k.pr.Cfg.TotalNodes())
-	for _, n := range k.pageNode {
-		out[n]++
-	}
-	return out
-}
 
 // Thread is a schedulable software thread.
 type Thread struct {
@@ -315,9 +288,6 @@ func (k *Kernel) Spawn(name string, affinity []int, fn func(*Ctx)) *Thread {
 	return t
 }
 
-// Threads returns all spawned threads.
-func (k *Kernel) Threads() []*Thread { return k.threads }
-
 // AllHarts returns 0..n-1, the affinity of an unpinned thread.
 func (k *Kernel) AllHarts() []int {
 	out := make([]int, k.pr.Cfg.TotalTiles())
@@ -353,9 +323,6 @@ func (k *Kernel) locOf(hart int) cache.GID {
 
 // node returns the thread's current NUMA node.
 func (t *Thread) node() int { return t.hart / t.kern.pr.Cfg.TilesPerNode }
-
-// Hart returns the hart the thread currently runs on.
-func (t *Thread) Hart() int { return t.hart }
 
 // maybeMigrate implements the non-NUMA scheduler: at each expired quantum
 // the thread may hop to another allowed hart. A hop that changes nodes
@@ -456,12 +423,6 @@ func (c *Ctx) Compute(n sim.Time) {
 func (c *Ctx) MMIOLoad(addr uint64, size int) uint64 {
 	c.T.maybeMigrate(c.P)
 	return c.T.port.MMIOLoad(c.P, addr, size)
-}
-
-// MMIOStore performs an uncacheable device write from the current hart.
-func (c *Ctx) MMIOStore(addr uint64, size int, v uint64) {
-	c.T.maybeMigrate(c.P)
-	c.T.port.MMIOStore(c.P, addr, size, v)
 }
 
 // Barrier synchronizes n threads. Arrival is a real fetch-add on a shared

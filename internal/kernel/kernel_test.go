@@ -125,8 +125,8 @@ func TestPinnedThreadStaysPut(t *testing.T) {
 		}
 	})
 	k.Join()
-	if th.Migrations != 0 || th.Hart() != 3 {
-		t.Fatalf("pinned thread moved: hart=%d migrations=%d", th.Hart(), th.Migrations)
+	if th.Migrations != 0 || th.hart != 3 {
+		t.Fatalf("pinned thread moved: hart=%d migrations=%d", th.hart, th.Migrations)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestSpawnSpreadsOverAffinity(t *testing.T) {
 	harts := map[int]bool{}
 	for i := 0; i < 4; i++ {
 		th := k.Spawn("t", k.AllHarts(), func(c *Ctx) {})
-		harts[th.Hart()] = true
+		harts[th.hart] = true
 	}
 	if len(harts) != 4 {
 		t.Fatalf("threads started on %d distinct harts, want 4", len(harts))

@@ -95,13 +95,6 @@ func (b *Backing) RestoreState(st ckpt.MemState) error {
 	return nil
 }
 
-// Footprint returns the number of bytes currently allocated.
-func (b *Backing) Footprint() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return uint64(len(b.pages)) << pageBits
-}
-
 // ReadBytes copies len(dst) bytes starting at addr into dst.
 func (b *Backing) ReadBytes(addr uint64, dst []byte) {
 	for len(dst) > 0 {

@@ -63,7 +63,7 @@ func TestEndpointsServeDashboardMetricsAndSSE(t *testing.T) {
 		t.Fatalf("unexpected snapshot: %+v", sn)
 	}
 	// A serial build is the one-shard case of the same synchronizer.
-	if sn.Meta.Parallel || sn.Sync == nil || len(sn.Sync.Shards) != 1 || len(sn.Sync.ShardStats) != 1 {
+	if sn.Meta.Parallel || sn.Sync == nil || len(sn.Sync.Shards) != 1 {
 		t.Fatalf("serial build not reported as one shard: %+v, sync %+v", sn.Meta, sn.Sync)
 	}
 	if len(sn.NoC) != 2 {
@@ -102,7 +102,7 @@ func TestParallelSnapshotCarriesSyncView(t *testing.T) {
 	if sn == nil || sn.Sync == nil {
 		t.Fatal("sharded build published no sync view")
 	}
-	if len(sn.Sync.Shards) != 2 || len(sn.Sync.ShardStats) != 2 {
+	if len(sn.Sync.Shards) != 2 {
 		t.Fatalf("sync view: %+v", sn.Sync)
 	}
 	if sn.Sync.Lookahead != p.Lookahead() {

@@ -19,7 +19,7 @@ type Snapshot struct {
 	// Meta and the sections below are present when a prototype is observed.
 	Meta     *MetaView          `json:"meta,omitempty"`
 	Stats    *sim.StatsSnapshot `json:"stats,omitempty"` // merged across shards
-	Sync     *SyncView          `json:"sync,omitempty"`  // window synchronizer (one shard when serial)
+	Sync     *sim.GroupSync     `json:"sync,omitempty"`  // window synchronizer (one shard when serial)
 	NoC      []MeshView         `json:"noc,omitempty"`
 	Watchdog *WatchdogView      `json:"watchdog,omitempty"`
 	Sampler  *SamplerView       `json:"sampler,omitempty"`
@@ -39,16 +39,6 @@ type MetaView struct {
 	Seed         uint64 `json:"seed"`
 	Parallel     bool   `json:"parallel"`
 	Halted       bool   `json:"halted"` // every started core has halted
-}
-
-// SyncView is the window synchronizer's state at the last barrier,
-// including the adaptive-lookahead machinery (window width, cap, and the
-// widen/collapse history).
-type SyncView struct {
-	sim.GroupSync
-	// ShardStats carries each shard's own registry snapshot, so per-shard
-	// behavior is visible before the report-time merge.
-	ShardStats []*sim.StatsSnapshot `json:"shard_stats,omitempty"`
 }
 
 // MeshView is one node's NoC traffic: cumulative per-link flit and busy
@@ -115,23 +105,15 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 		Halted:       p.AllHalted(),
 	}
 
-	// Merge the shard registries into a scratch registry (CopyFrom only
-	// reads its sources) and snapshot per-shard views alongside. The
-	// registries come in shard order, whatever the sharding — one for a
-	// serial run, one per FPGA, or one per node.
-	regs := p.ShardRegistries()
+	// Merge the shard registries — one for a serial run, one per FPGA, or
+	// one per node — into a scratch registry (CopyFrom only reads its
+	// sources).
 	var merged sim.Stats
-	merged.CopyFrom(regs...)
+	merged.CopyFrom(p.ShardRegistries()...)
 	sn.Stats = merged.Snapshot()
 
-	sv := &SyncView{
-		GroupSync:  p.Group.SyncSnapshot(),
-		ShardStats: make([]*sim.StatsSnapshot, len(regs)),
-	}
-	for i, reg := range regs {
-		sv.ShardStats[i] = reg.Snapshot()
-	}
-	sn.Sync = sv
+	gs := p.Group.SyncSnapshot()
+	sn.Sync = &gs
 
 	sn.NoC = make([]MeshView, 0, len(p.Nodes))
 	for _, n := range p.Nodes {

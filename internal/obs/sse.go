@@ -45,13 +45,6 @@ func (h *Hub) Unsubscribe(ch chan []byte) {
 	h.mu.Unlock()
 }
 
-// Subscribers returns the current subscriber count.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Broadcast marshals data and sends one SSE frame to every subscriber,
 // dropping frames for subscribers that cannot keep up. The JSON marshal
 // happens outside the lock: marshaling an arbitrary payload under h.mu

@@ -391,20 +391,14 @@ type xchg struct {
 	done                bool
 }
 
-// exchange performs a request/response exchange from src to dst. invoke calls
-// the destination target and must hand the response to its callback exactly
+// exchange is the reliable-link path: a request/response exchange from src to
+// dst over a link with a fault site on either endpoint, sequence-numbered,
+// retransmitted on timeout and deduplicated at the receiver. invoke calls the
+// destination target and must hand the response to its callback exactly
 // once; finish receives that response, or nil when the link gave up after
-// maxAttempts. With no fault site on either endpoint this is a plain pair of
-// crossings — the fast path, byte-identical to the pre-fault model.
+// maxAttempts. A link with no fault site never comes here: port.Write and
+// port.Read take the pooled plain pair of crossings instead.
 func (f *Fabric) exchange(src, dst int, fwdBytes, respBytes int, invoke func(reply func(any)), finish func(any)) {
-	if f.resolveSite(f.state(src)) == nil && f.resolveSite(f.state(dst)) == nil {
-		f.cross(src, dst, fwdBytes, func() {
-			invoke(func(r any) {
-				f.cross(dst, src, respBytes, func() { finish(r) })
-			})
-		})
-		return
-	}
 	st := f.relOf(src, dst)
 	x := &xchg{
 		f: f, src: src, dst: dst,

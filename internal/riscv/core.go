@@ -132,9 +132,6 @@ func NewWithProfile(mem Mem, hartID int, resetPC uint64, prof Profile, stats *si
 	return &Core{mem: mem, hartID: hartID, PC: resetPC, profile: prof, stats: stats, name: name}
 }
 
-// Profile returns the core's timing profile.
-func (c *Core) Profile() Profile { return c.profile }
-
 // Halted reports whether the core stopped (EBREAK or double fault).
 func (c *Core) Halted() bool { return c.halted }
 

@@ -60,9 +60,6 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, id int, stats *sim.Stats) *Shell 
 	return s
 }
 
-// ID returns the FPGA index of this shell.
-func (s *Shell) ID() int { return s.id }
-
 // SetCustomLogic registers the CL's inbound AXI4 port.
 func (s *Shell) SetCustomLogic(t axi.Target) { s.cl = t }
 
@@ -79,13 +76,6 @@ func (s *Shell) RegisterLite(i int, t axi.LiteTarget) {
 func (s *Shell) LiteAddr(tap int, reg axi.Addr) axi.Addr {
 	base, _ := s.fabric.Window(s.id)
 	return base + LiteTapBase + axi.Addr(uint64(tap)*LiteTapSize) + reg
-}
-
-// WindowAddr returns the global PCIe address corresponding to local offset
-// off inside this FPGA's window.
-func (s *Shell) WindowAddr(off axi.Addr) axi.Addr {
-	base, _ := s.fabric.Window(s.id)
-	return base + off
 }
 
 // Outbound returns the CL's outbound AXI4 master: requests are converted to

@@ -3,13 +3,13 @@ package sim
 import "testing"
 
 // The engine's event core is pooled: once the free list is warm, the
-// Schedule->Step round trip must not allocate at all. These tests pin that
+// schedule-and-execute round trip must not allocate at all. These tests pin that
 // property so allocation creep fails CI instead of silently eroding the
 // zero-allocation win. AllocsPerRun's first iterations warm the pool, so
 // the amortized average over many runs converges to the steady state.
 
 // TestScheduleStepZeroAlloc pins the plain-closure hot path: Schedule of a
-// prebuilt func plus the Step that executes it.
+// prebuilt func plus the Run that executes it.
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
@@ -20,10 +20,9 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	eng.Run()
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.Schedule(1, fn)
-		for eng.Step() {
-		}
+		eng.Run()
 	}); avg != 0 {
-		t.Fatalf("Schedule+Step allocates %.2f/op at steady state, want 0", avg)
+		t.Fatalf("Schedule+Run allocates %.2f/op at steady state, want 0", avg)
 	}
 }
 
@@ -41,10 +40,9 @@ func TestScheduleArgStepZeroAlloc(t *testing.T) {
 	eng.Run()
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.ScheduleArg(1, fn, arg)
-		for eng.Step() {
-		}
+		eng.Run()
 	}); avg != 0 {
-		t.Fatalf("ScheduleArg+Step allocates %.2f/op at steady state, want 0", avg)
+		t.Fatalf("ScheduleArg+Run allocates %.2f/op at steady state, want 0", avg)
 	}
 	if arg.n == 0 {
 		t.Fatal("callback never ran")
@@ -63,10 +61,9 @@ func TestSameCycleFastPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.Schedule(0, fn)
 		eng.Schedule(0, fn)
-		for eng.Step() {
-		}
+		eng.Run()
 	}); avg != 0 {
-		t.Fatalf("same-cycle Schedule+Step allocates %.2f/op at steady state, want 0", avg)
+		t.Fatalf("same-cycle Schedule+Run allocates %.2f/op at steady state, want 0", avg)
 	}
 }
 
@@ -82,8 +79,7 @@ func TestAfterFireZeroAlloc(t *testing.T) {
 	eng.Run()
 	if avg := testing.AllocsPerRun(1000, func() {
 		eng.After(1, fn)
-		for eng.Step() {
-		}
+		eng.Run()
 	}); avg != 0 {
 		t.Fatalf("After+fire allocates %.2f/op at steady state, want 0", avg)
 	}
@@ -133,8 +129,7 @@ func TestAfterCancelZeroAlloc(t *testing.T) {
 		tm := eng.After(1, fn)
 		tm.Cancel()
 		eng.Schedule(1, fn) // keep time advancing so cancelled slots drain
-		for eng.Step() {
-		}
+		eng.Run()
 	}); avg != 0 {
 		t.Fatalf("After+Cancel allocates %.2f/op at steady state, want 0", avg)
 	}
@@ -143,16 +138,14 @@ func TestAfterCancelZeroAlloc(t *testing.T) {
 // TestGroupHandoffZeroAlloc pins the batched envelope hand-off: once the
 // per-(src,dst) outbox slices and the merge scratch are warm, parking an
 // envelope (Send), merging it at the barrier (merge) and delivering it
-// (AtFront + Step) must not allocate per envelope.
+// (AtFront + Run) must not allocate per envelope.
 func TestGroupHandoffZeroAlloc(t *testing.T) {
 	e0, e1 := NewEngine(), NewEngine()
 	g := NewGroup(61, e0, e1)
 	fn := func() {}
 	drain := func() {
-		for e0.Step() {
-		}
-		for e1.Step() {
-		}
+		e0.Run()
+		e1.Run()
 	}
 	// Warm the outboxes, the merge scratch and both engines' pools with a
 	// burst of envelopes each way.
@@ -185,8 +178,7 @@ func TestGroupHandoffBurstZeroAlloc(t *testing.T) {
 			g.Send(0, 1, at, fn)
 		}
 		g.merge(g.root)
-		for e1.Step() {
-		}
+		e1.Run()
 	}
 	for i := 0; i < 8; i++ {
 		window()

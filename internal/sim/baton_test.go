@@ -11,9 +11,9 @@ import (
 
 // The baton protocol (Engine.drive) changes which goroutine executes events,
 // never which events execute. These tests pin that: process-driven schedules
-// against the same schedules written as plain event chains, every bound of
-// Advance reached while a process holds the baton, panics crossing back to
-// the caller, the Hop exception, and teardown.
+// against the same schedules written as plain event chains, the cycle bound
+// reached while a process holds the baton, panics crossing back to the
+// caller, the Hop exception, and teardown.
 
 // chain is the hand-written twin of a process that logs and waits d cycles,
 // n times: one event per resume, rescheduling itself.
@@ -74,33 +74,6 @@ func TestBatonMatchesHandWrittenSchedule(t *testing.T) {
 	}
 }
 
-// A process that blocks keeps driving, and its own wake-up is the next
-// event — Step must still hand the baton back after exactly one event.
-func TestStepIsOneEventWhileProcessWouldRunOn(t *testing.T) {
-	e := NewEngine()
-	iters := 0
-	p := Go(e, "loop", func(p *Process) {
-		for i := 0; i < 10; i++ {
-			iters++
-			p.Wait(1)
-		}
-	})
-	for want := uint64(1); ; want++ {
-		if !e.Step() {
-			break
-		}
-		if e.Executed() != want {
-			t.Fatalf("after %d Steps Executed() = %d", want, e.Executed())
-		}
-		if wantIters := int(want); want <= 10 && iters != wantIters {
-			t.Fatalf("after %d Steps the body ran %d iterations, want %d", want, iters, wantIters)
-		}
-	}
-	if !p.Done() || e.Executed() != 11 {
-		t.Fatalf("done=%v executed=%d, want true/11", p.Done(), e.Executed())
-	}
-}
-
 func TestRunUntilDeadlineWhileProcessDrives(t *testing.T) {
 	e := NewEngine()
 	iters := 0
@@ -126,51 +99,6 @@ func TestRunUntilDeadlineWhileProcessDrives(t *testing.T) {
 	e.Close()
 }
 
-func TestStopWhileProcessDrives(t *testing.T) {
-	t.Run("from body", func(t *testing.T) {
-		e := NewEngine()
-		iters := 0
-		p := Go(e, "loop", func(p *Process) {
-			for i := 0; i < 10; i++ {
-				iters++
-				if i == 3 {
-					e.Stop()
-				}
-				p.Wait(1)
-			}
-		})
-		e.Run()
-		if iters != 4 || e.Now() != 3 || p.Done() {
-			t.Fatalf("Stop from body: %d iterations at %d done=%v, want 4 at 3, not done", iters, e.Now(), p.Done())
-		}
-		e.Resume()
-		e.Run()
-		if iters != 10 || !p.Done() {
-			t.Fatalf("after Resume: %d iterations done=%v", iters, p.Done())
-		}
-	})
-	t.Run("from callback", func(t *testing.T) {
-		e := NewEngine()
-		iters := 0
-		p := Go(e, "loop", func(p *Process) {
-			for i := 0; i < 10; i++ {
-				iters++
-				p.Wait(2)
-			}
-		})
-		e.Schedule(5, e.Stop) // executes on the process's goroutine
-		e.Run()
-		if e.Now() != 5 || iters != 3 || p.Done() {
-			t.Fatalf("Stop from callback: %d iterations at %d done=%v, want 3 at 5, not done", iters, e.Now(), p.Done())
-		}
-		e.Resume()
-		e.Run()
-		if iters != 10 || !p.Done() {
-			t.Fatalf("after Resume: %d iterations done=%v", iters, p.Done())
-		}
-	})
-}
-
 // An event callback that panics while a process is driving unwinds that
 // process's goroutine; the caller of Run must still see the original value.
 func TestCallbackPanicWhileProcessDrivesReachesCaller(t *testing.T) {
@@ -189,12 +117,12 @@ func TestCallbackPanicWhileProcessDrivesReachesCaller(t *testing.T) {
 	if !ok || bug.code != 42 {
 		t.Fatalf("Run panicked with %#v, want the callback's *modelBug{42}", got)
 	}
-	if !driver.Done() || parked.Done() {
+	if !driver.done || parked.done {
 		t.Fatalf("driver done=%v parked done=%v, want the driver unwound and the other still parked",
-			driver.Done(), parked.Done())
+			driver.done, parked.done)
 	}
 	e.Close()
-	if !parked.Done() {
+	if !parked.done {
 		t.Fatal("Close after a model panic did not release the parked process")
 	}
 }
@@ -248,8 +176,8 @@ func TestHopAloneUnderSerialNetTerminates(t *testing.T) {
 		}
 	})
 	within(t, "Run with a lone hopping process", func() { e.Run() })
-	if want := []Time{61, 126, 191}; !reflect.DeepEqual(stamps, want) || !p.Done() {
-		t.Fatalf("hops landed at %v (done=%v), want %v", stamps, p.Done(), want)
+	if want := []Time{61, 126, 191}; !reflect.DeepEqual(stamps, want) || !p.done {
+		t.Fatalf("hops landed at %v (done=%v), want %v", stamps, p.done, want)
 	}
 }
 
@@ -326,12 +254,13 @@ func TestWaitRoundTripZeroAlloc(t *testing.T) {
 			p.Wait(1)
 		}
 	})
-	e.Advance(TimeMax, 64, nil) // warm the pool and the FIFO
-	// Budget 1 is caller -> process -> caller; budget 8 adds the
-	// process-to-process and self-resume hand-offs.
-	for _, budget := range []uint64{1, 8} {
-		if n := testing.AllocsPerRun(500, func() { e.Advance(TimeMax, budget, nil) }); n != 0 {
-			t.Errorf("Wait(1) round trips at budget %d: %v allocs/op, want 0", budget, n)
+	e.runTo(32) // warm the pool and the FIFO
+	// One cycle is caller -> loop -> caller -> peer -> caller, peer parking
+	// at the bound; over eight, peer drives into the next cycle and hands
+	// loop its dispatch through the caller.
+	for _, cycles := range []Time{1, 8} {
+		if n := testing.AllocsPerRun(500, func() { e.runTo(e.Now() + cycles) }); n != 0 {
+			t.Errorf("Wait(1) round trips over %d cycles: %v allocs/op, want 0", cycles, n)
 		}
 	}
 	e.Close()
@@ -363,14 +292,14 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	finished := Go(e, "finished", func(p *Process) { p.Wait(1) })
 	e.RunUntil(10)
 	procs = append(procs, Go(e, "unstarted", func(p *Process) { t.Error("unstarted body ran") }))
-	if !finished.Done() {
+	if !finished.done {
 		t.Fatal("short process did not finish")
 	}
 	e.Close()
 	e.Close() // idempotent
 	for _, p := range procs {
-		if !p.Done() {
-			t.Fatalf("process %q still parked after Close", p.Name())
+		if !p.done {
+			t.Fatalf("process %q still parked after Close", p.name)
 		}
 	}
 	if unwound != 10 {
@@ -391,7 +320,7 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 
 // hopFlush builds the three-deliveries-in-one-flush schedule of
 // TestHopRunsInsideTheFlushInCanonicalOrder with a long-waiting process
-// added, so that a process — not the Advance caller — is running the event
+// added, so that a process — not the advance caller — is running the event
 // loop when the flush resumes the migrant. migrant is the body's tail after
 // the hop lands; last is the delivery ordered after it.
 func hopFlush(e *Engine, net *SerialNet, first func(), migrant func(p *Process), last func()) (driver, mig *Process) {
@@ -431,8 +360,8 @@ func TestHopDeliveredWhileProcessDrives(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("order %v\nwant  %v", got, want)
 	}
-	if !driver.Done() || !mig.Done() || e.Now() != 502 {
-		t.Fatalf("driver done=%v migrant done=%v at %d, want both done at 502", driver.Done(), mig.Done(), e.Now())
+	if !driver.done || !mig.done || e.Now() != 502 {
+		t.Fatalf("driver done=%v migrant done=%v at %d, want both done at 502", driver.done, mig.done, e.Now())
 	}
 }
 
@@ -455,12 +384,12 @@ func TestCallbackPanicAfterNestedResumeKeepsValue(t *testing.T) {
 	if bug, ok := got.(*modelBug); !ok || bug.code != 13 {
 		t.Fatalf("Run panicked with %#v, want the delivery's *modelBug{13}", got)
 	}
-	if !landed || !driver.Done() || mig.Done() {
+	if !landed || !driver.done || mig.done {
 		t.Fatalf("landed=%v driver done=%v migrant done=%v, want the migrant parked and the driver unwound",
-			landed, driver.Done(), mig.Done())
+			landed, driver.done, mig.done)
 	}
 	e.Close()
-	if !mig.Done() {
+	if !mig.done {
 		t.Fatal("Close did not release the migrant")
 	}
 }
@@ -482,7 +411,7 @@ func TestBodyPanicInHopResumedProcessWhileProcessDrives(t *testing.T) {
 	if got != `sim: process "migrant" panicked: lost` {
 		t.Fatalf("Run panicked with %#v", got)
 	}
-	if !driver.Done() {
+	if !driver.done {
 		t.Fatal("the driving process was not unwound")
 	}
 	e.Close()
@@ -494,7 +423,7 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
-// One process, resumed over its life by the goroutine that calls Advance
+// One process, resumed over its life by the goroutine that calls runTo
 // directly and by the Group's per-window worker goroutines of two shards.
 // The probe is an event ordered just before a dispatch the process waits for
 // without driving, so it runs on the goroutine about to resume it. Run under
@@ -524,19 +453,19 @@ func TestProcessResumedByChangingHostGoroutines(t *testing.T) {
 		for hop, at := 0, 0; hop < 6; hop++ {
 			at = 1 - at
 			p.Hop(g, 1-at, at, g.Engine(at), L)
-			p.Engine().Schedule(0, probe)
+			p.eng.Schedule(0, probe)
 			p.Wait(0) // resumed by the delivery: yields to it without driving
 			resumes++
 			p.Wait(3) // drives shard at's loop itself
 		}
 	})
-	e0.Advance(1, 0, nil) // the test's goroutine starts the body
+	e0.runTo(1) // the test's goroutine starts the body
 	if resumes != 1 {
-		t.Fatalf("body started %d times under a direct Advance, want 1", resumes)
+		t.Fatalf("body started %d times under a direct runTo, want 1", resumes)
 	}
 	within(t, "Group.Run", func() { g.Run() })
-	if !p.Done() || resumes != 7 {
-		t.Fatalf("done=%v after %d resumes, want true after 7", p.Done(), resumes)
+	if !p.done || resumes != 7 {
+		t.Fatalf("done=%v after %d resumes, want true after 7", p.done, resumes)
 	}
 	if len(hosts) < 3 {
 		t.Fatalf("process was resumed by %d distinct goroutines (%v), want at least 3", len(hosts), hosts)
@@ -578,11 +507,11 @@ func TestCloseReleasesEachParkedState(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e := NewEngine()
 			p := tc.build(e, NewSerialNet(e))
-			if p.Done() {
+			if p.done {
 				t.Fatal("process finished before Close")
 			}
 			e.Close()
-			if !p.Done() {
+			if !p.done {
 				t.Fatal("process still parked after Close")
 			}
 			awaitGoroutines(t, base)
@@ -591,7 +520,7 @@ func TestCloseReleasesEachParkedState(t *testing.T) {
 }
 
 // A process that parked at the bound while driving is not owed the engine
-// back: later Advance calls run on the caller until the process's own
+// back: later advance calls run on the caller until the process's own
 // dispatch comes up, and only that resumes it.
 func TestAdvanceAfterParkAtBoundResumesOnOwnDispatch(t *testing.T) {
 	e := NewEngine()
@@ -610,16 +539,15 @@ func TestAdvanceAfterParkAtBoundResumesOnOwnDispatch(t *testing.T) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.Advance(3, 0, nil) // the sleeper drives, and parks at this bound
-	for e.Step() {
-		want := 1 + int(e.Now())/10
-		if want > 3 {
-			want = 3
-		}
+	e.runTo(3) // the sleeper drives, and parks at this bound
+	for c := Time(4); c < 30; c++ {
+		e.runTo(c)
+		want := 1 + int(c)/10
 		if len(stamps) != want {
-			t.Fatalf("at cycle %d the body has run %d times (%v), want %d", e.Now(), len(stamps), stamps, want)
+			t.Fatalf("at cycle %d the body has run %d times (%v), want %d", c, len(stamps), stamps, want)
 		}
 	}
+	e.Run()
 	if want := []Time{0, 10, 20}; !reflect.DeepEqual(stamps, want) || ticks != 30 {
 		t.Fatalf("body resumed at %v with %d ticks, want %v and 30", stamps, ticks, want)
 	}

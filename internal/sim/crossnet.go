@@ -174,7 +174,7 @@ func (s *spool) flush(dst int) {
 // benchmark's send-cost probe hold Group against it.
 type SerialNet struct {
 	sp     *spool
-	minLat func(src, dst int) Time // per-edge model-latency floor; nil = unguarded
+	minLat Time // model-latency floor the tests arm; 0 = unguarded
 	seqs   []uint64
 }
 
@@ -192,35 +192,12 @@ func (n *SerialNet) seqAt(src int) *uint64 {
 	return &n.seqs[src+1]
 }
 
-// SetMinLatency arms a uniform model-latency floor, the guard a multi-engine
-// Group always enforces: a Send delivering closer than lat to the current
-// cycle panics. 0 disarms the guard.
-func (n *SerialNet) SetMinLatency(lat Time) {
-	if lat == 0 {
-		n.minLat = nil
-		return
-	}
-	n.minLat = func(int, int) Time { return lat }
-}
-
-// SetMinLatencyFunc arms a per-edge-class model-latency floor: class
-// returns the minimum latency a send on the (src, dst) edge must respect —
-// e.g. the intra-FPGA interconnect crossing for co-located nodes and the
-// (much larger) PCIe crossing for nodes on different FPGAs, mirroring
-// Group.SetMinLatencyFunc. A nil or zero class result leaves that edge
-// unguarded.
-func (n *SerialNet) SetMinLatencyFunc(class func(src, dst int) Time) {
-	n.minLat = class
-}
-
 // Send implements CrossNet.
 func (n *SerialNet) Send(src, dst int, deliverAt Time, fn func()) {
 	now := n.sp.eng.Now()
-	if n.minLat != nil {
-		if min := n.minLat(src, dst); min > 0 && deliverAt < now+min {
-			panic(fmt.Sprintf("sim: cross-shard send %d->%d at %d delivers at %d; model latency undercuts minimum crossing %d",
-				src, dst, now, deliverAt, min))
-		}
+	if n.minLat > 0 && deliverAt < now+n.minLat {
+		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %d delivers at %d; model latency undercuts minimum crossing %d",
+			src, dst, now, deliverAt, n.minLat))
 	}
 	seq := n.seqAt(src)
 	*seq++

@@ -77,7 +77,6 @@ func entLess(a, b heapEnt) bool {
 type Engine struct {
 	now       Time
 	seq       uint64
-	stopped   bool
 	live      int  // scheduled events that have not fired and are not cancelled
 	lastEvent Time // timestamp of the most recently executed event
 
@@ -99,15 +98,12 @@ type Engine struct {
 	// process coroutine is running at a time and only it touches these
 	// fields; every switch between them is a coroutine resume or yield,
 	// which orders the accesses.
-	limit  Time        // current Advance call: no event later than this runs
-	budget uint64      // ... queue entries it may still consume
-	stop   func() bool // ... optional stop predicate, evaluated between events
-	more   bool        // set at the bound: eligible work remains
-	wake   *Process    // process whose dispatch has run and that Advance must resume
+	limit Time     // current advance call: no event later than this runs
+	wake  *Process // process whose dispatch has run and that advance must resume
 
 	// procs is the set of processes started on this engine whose bodies
 	// have not returned, so Close can unwind them. A process that hopped
-	// away finishes under another engine's Advance, hence the lock.
+	// away finishes under another engine's advance, hence the lock.
 	procMu sync.Mutex
 	procs  []*Process
 }
@@ -342,7 +338,7 @@ func (e *Engine) After(delay Time, fn func()) Timer {
 
 // NextEventTime returns the timestamp of the earliest live event, discarding
 // any cancelled events it finds at the head of the queue (their slots are
-// recycled onto the free list, exactly as Step's drain does). The second
+// recycled onto the free list, exactly as the run loop's drain does). The second
 // return is false when no live events remain.
 func (e *Engine) NextEventTime() (Time, bool) {
 	for e.fifoHead < len(e.fifo) {
@@ -365,8 +361,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 }
 
 // peekAt returns the timestamp of the earliest queued event, live or
-// cancelled (run loops use it for deadline checks; Step discards cancelled
-// heads without executing them).
+// cancelled (the run loop uses it for its deadline check and discards
+// cancelled heads without executing them).
 func (e *Engine) peekAt() (Time, bool) {
 	if e.fifoHead < len(e.fifo) {
 		return e.now, true
@@ -406,62 +402,30 @@ func (e *Engine) next() (int32, bool) {
 	return 0, false
 }
 
-// Advance is the engine's one event loop; Step, Run, RunUntil and runTo are
-// thin calls to it. It executes events in order until the call's bound is
-// reached, and reports whether eligible work remains:
+// advance is the one way into the engine's event loop; Run, RunUntil and
+// runTo are thin calls to it. It executes events in order until the queue
+// drains or the next entry lies beyond limit — a cycle is the only bound
+// there is. The clock is never forced forward: it rests on the last executed
+// event.
 //
-//   - the queue drained, the next entry lies beyond limit, or Stop was
-//     called: returns false;
-//   - budget queue entries were consumed (0 means no budget; a cancelled
-//     entry discarded unexecuted counts, exactly like a Step), or stop
-//     reported true: returns true.
-//
-// The clock is never forced forward: it rests on the last executed event.
-//
-// stop is evaluated between events by whoever is running the loop — the
-// caller or a blocked process (see drive) — and once more by the caller after
-// a process has parked at the bound, so it must be a pure function of
-// simulation state: no side effects, nothing goroutine-local. Hooks that do
-// have side effects (publishing a snapshot, checking a context) belong on
-// the caller's goroutine, between Advance calls.
-//
-// Advance must be called from host code (never from an event callback or a
+// advance must be called from host code (never from an event callback or a
 // process body), and a process body runs to its next block inside the call
-// that dispatched it, as it always has.
-func (e *Engine) Advance(limit Time, budget uint64, stop func() bool) bool {
-	if budget == 0 {
-		budget = math.MaxUint64
-	}
-	e.limit, e.budget, e.stop = limit, budget, stop
+// that dispatched it.
+func (e *Engine) advance(limit Time) {
+	e.limit = limit
 	e.drive(nil)
-	e.stop = nil
-	return e.more
 }
 
-// atBound reports whether the current Advance call must return now,
-// recording in e.more whether eligible work remains.
+// atBound reports whether the current advance call must return now: the
+// queue drained, or its next entry (live or cancelled) lies beyond the limit.
 func (e *Engine) atBound() bool {
-	// Budget and predicate come before the stopped flag: a Step whose event
-	// calls Stop still reports the event it executed.
-	switch {
-	case e.budget == 0:
-		e.more = true
-	case e.stop != nil && e.stop():
-		e.more = true
-	case e.stopped:
-		e.more = false
-	default:
-		if t, ok := e.peekAt(); ok && t <= e.limit {
-			return false
-		}
-		e.more = false
-	}
-	return true
+	t, ok := e.peekAt()
+	return !ok || t > e.limit
 }
 
 // drive is the event loop. self is the process running it — a process that
 // blocks does not give the engine up, it keeps executing events from inside
-// its own block — or nil for the Advance caller. A dispatch event only
+// its own block — or nil for the advance caller. A dispatch event only
 // records which process to resume (e.wake); the loop acts on it once the
 // event has returned:
 //
@@ -495,7 +459,6 @@ func (e *Engine) drive(self *Process) {
 			return
 		}
 		idx, _ := e.next()
-		e.budget--
 		ev := &e.pool[idx]
 		if !ev.live() {
 			e.release(idx) // cancelled; already removed from the live count
@@ -522,26 +485,19 @@ func (e *Engine) drive(self *Process) {
 	}
 }
 
-// Step executes the single next event. It reports false when the queue is
-// empty or the engine has been stopped. Cancelled events are discarded
-// without executing (and without advancing the clock); Step still reports
-// true for them so run loops keep draining.
-func (e *Engine) Step() bool { return e.Advance(TimeMax, 1, nil) }
-
-// Run executes events until the queue drains or Stop is called. It returns
-// the final simulation time.
+// Run executes events until the queue drains. It returns the final
+// simulation time.
 func (e *Engine) Run() Time {
-	e.Advance(TimeMax, 0, nil)
+	e.advance(TimeMax)
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline. Events scheduled
 // beyond the deadline remain queued; the clock is left at the deadline
-// (forced forward if the last executed event was earlier) unless Stop was
-// called.
+// (forced forward if the last executed event was earlier).
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.Advance(deadline, 0, nil)
-	if e.now < deadline && !e.stopped {
+	e.advance(deadline)
+	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
@@ -555,7 +511,7 @@ func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
 // event. Shard workers use it so that between windows every engine's notion
 // of "now" matches what the serial engine would have seen (forcing would
 // timestamp post-window scheduling differently across modes).
-func (e *Engine) runTo(deadline Time) { e.Advance(deadline, 0, nil) }
+func (e *Engine) runTo(deadline Time) { e.advance(deadline) }
 
 // alignTo advances an idle engine's clock to t without executing anything.
 // The shard group calls it after a full drain so that host-side code that
@@ -566,13 +522,6 @@ func (e *Engine) alignTo(t Time) {
 		e.now = t
 	}
 }
-
-// Stop halts Run/RunUntil after the current event completes. Pending events
-// remain queued; a stopped engine can be resumed with Resume.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears the stopped flag set by Stop.
-func (e *Engine) Resume() { e.stopped = false }
 
 // register adds a newly started process to the live set.
 func (e *Engine) register(p *Process) {

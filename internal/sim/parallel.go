@@ -478,10 +478,6 @@ func (g *Group) Shards() int { return len(g.engines) }
 // Engine returns shard i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
-// Lookahead returns the minimum root synchronization window length in
-// cycles.
-func (g *Group) Lookahead() Time { return g.root.la }
-
 // Send implements CrossNet. Same-engine sends go straight into the owning
 // engine's delivery spool; cross-engine sends park in the (src, dst)
 // engine outbox row for the next inner (same cluster) or root

@@ -91,17 +91,8 @@ func (p *Process) wake() {
 	p.eng.Schedule(0, p.dispatchFn)
 }
 
-// Engine returns the engine this process runs on.
-func (p *Process) Engine() *Engine { return p.eng }
-
-// Name returns the process name (for diagnostics).
-func (p *Process) Name() string { return p.name }
-
 // Now returns the current simulation time.
 func (p *Process) Now() Time { return p.eng.Now() }
-
-// Done reports whether the process body has returned.
-func (p *Process) Done() bool { return p.done }
 
 // Wait suspends the process for d cycles.
 func (p *Process) Wait(d Time) {
@@ -138,7 +129,7 @@ func (p *Process) park() {
 // be at least the group lookahead. When both endpoints share an engine (always,
 // in a one-engine group) Hop degenerates to a canonically-ordered Wait.
 //
-// Hop is the one resume that is not deferred to the Advance caller. A flush
+// Hop is the one resume that is not deferred to the advance caller. A flush
 // event applies all of a cycle's deliveries to one endpoint inside a single
 // event, and a migrating process must run between them, at its place in the
 // canonical order, or the sequence numbers of everything it schedules shift.

@@ -36,9 +36,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -50,17 +47,4 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

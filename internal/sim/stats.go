@@ -572,31 +572,3 @@ func (s *Stats) MarshalJSON() ([]byte, error) {
 		"histograms": hists,
 	})
 }
-
-// WriteCSV renders the registry as CSV rows "kind,name,fields..." sorted by
-// kind then name, for spreadsheet import.
-func (s *Stats) WriteCSV(w *strings.Builder) {
-	for _, name := range s.Names() {
-		fmt.Fprintf(w, "counter,%s,%d\n", name, s.counters[name].Value)
-	}
-	for _, name := range s.GaugeNames() {
-		g := s.gauges[name]
-		fmt.Fprintf(w, "gauge,%s,%d,%d\n", name, g.Value, g.High)
-	}
-	for _, name := range s.HistogramNames() {
-		h := s.hists[name]
-		if h.Samples == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "histogram,%s,%d,%d,%d,%.3f,%d,%d,%d\n",
-			name, h.Samples, h.Min, h.Max, h.Mean(), h.P50(), h.P95(), h.P99())
-	}
-}
-
-// CSV returns the WriteCSV rendering with a header line.
-func (s *Stats) CSV() string {
-	var b strings.Builder
-	b.WriteString("kind,name,value_or_samples,high_or_min,max,mean,p50,p95,p99\n")
-	s.WriteCSV(&b)
-	return b.String()
-}

@@ -153,16 +153,6 @@ func TestStatsStringAndCSVSections(t *testing.T) {
 	if strings.Index(str, "a.count") > strings.Index(str, "b.count") {
 		t.Fatalf("counters not sorted:\n%s", str)
 	}
-
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "kind,name,") {
-		t.Fatalf("CSV missing header: %q", csv)
-	}
-	for _, want := range []string{"counter,a.count,1", "gauge,q.depth,5,5", "histogram,lat,1,8,8"} {
-		if !strings.Contains(csv, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, csv)
-		}
-	}
 }
 
 // Two registries populated in different orders must marshal byte-identically:
