@@ -17,7 +17,6 @@ package bridge
 
 import (
 	"fmt"
-	"sort"
 
 	"smappic/internal/axi"
 	"smappic/internal/ckpt"
@@ -75,6 +74,21 @@ func DefaultParams() Params {
 	return Params{ProcessDelay: 5, CreditsPerDst: 24 * ChunkFlits}
 }
 
+// peer is one bridge's state toward one other node: the send side's credit
+// bookkeeping for traffic to it and the receive side's for traffic from it.
+type peer struct {
+	credits    int       // send credits left
+	sendq      []stalled // packets stalled on credits
+	creditRead bool      // a credit-return read is outstanding
+	returned   uint64    // cumulative credits received back
+	crFails    int       // consecutive failed credit reads
+	wedged     bool      // declared unreachable after creditReadFailLimit
+	reconArmed bool      // reconciliation watchdog armed
+	reconAt    sim.Time  // deadline of the last watchdog armed
+	freed      int       // receive side: credits to return on its next read
+	freedTotal uint64    // receive side: cumulative freed
+}
+
 // Bridge is one node's inter-node bridge.
 type Bridge struct {
 	eng    *sim.Engine
@@ -87,17 +101,7 @@ type Bridge struct {
 	shaper *axi.Shaper // non-nil when Params request link shaping
 	addrOf func(dstNode int) axi.Addr
 
-	credits    map[int]int       // send credits per destination node
-	sendq      map[int][]stalled // packets stalled on credits
-	creditRead map[int]bool      // outstanding credit-return read per dst
-	returned   map[int]uint64    // cumulative credits received back per dst
-	crFails    map[int]int       // consecutive failed credit reads per dst
-	wedged     map[int]bool      // dst declared unreachable after crFails limit
-	reconArmed map[int]bool      // reconciliation watchdog armed per dst
-	reconAt    map[int]sim.Time  // deadline of the last watchdog armed per dst
-
-	freed      map[int]int    // receive side: credits to return per src
-	freedTotal map[int]uint64 // receive side: cumulative freed per src
+	peers []peer // indexed by node id, every node of the platform
 
 	site   *fault.Site // receive-side fault site ("<name>"), nil when clean
 	tracer *sim.Tracer
@@ -106,16 +110,26 @@ type Bridge struct {
 	gSendq      *sim.Gauge     // total packets stalled on credits
 	nStalled    int
 
-	// Pre-resolved hot-path counters (nil and free without stats) and bound
-	// callbacks, so the per-packet path does no string building and no
-	// closure captures.
-	cTxPackets  sim.LazyCounter
-	cTxFlits    sim.LazyCounter
-	cRxPackets  sim.LazyCounter
-	cRxFlits    sim.LazyCounter
-	trySendFn   func(any)            // arg is the *Envelope
-	rxFn        func(any)            // arg is the *Envelope
-	chunkRespFn func(*axi.WriteResp) // non-final chunk completion
+	// Pre-resolved counters (nil and free without stats; the conditionally
+	// hit ones list themselves only once touched) and bound callbacks, so
+	// neither the per-packet path nor the stall path builds strings or
+	// captures closures.
+	cTxPackets        sim.LazyCounter
+	cTxFlits          sim.LazyCounter
+	cRxPackets        sim.LazyCounter
+	cRxFlits          sim.LazyCounter
+	cAXIErrors        sim.LazyCounter
+	cTxLost           sim.LazyCounter
+	cCreditStall      sim.LazyCounter
+	cCreditReads      sim.LazyCounter
+	cCreditReconciles sim.LazyCounter
+	cCreditReclaimed  sim.LazyCounter
+	cCreditRestored   sim.LazyCounter
+	cCreditLoss       sim.LazyCounter
+	cDstWedged        sim.LazyCounter
+	trySendFn         func(any)            // arg is the *Envelope
+	rxFn              func(any)            // arg is the *Envelope
+	chunkRespFn       func(*axi.WriteResp) // non-final chunk completion
 }
 
 // chunkData backs the w channel of every encapsulation chunk. The payload
@@ -131,21 +145,16 @@ type stalled struct {
 	at  sim.Time
 }
 
-// New creates a bridge for the given node and registers it at the mesh's
-// bridge port.
-func New(eng *sim.Engine, mesh *noc.Mesh, node int, p Params, stats *sim.Stats, name string) *Bridge {
+// New creates the bridge of node, one of nodes in the platform, and
+// registers it at the mesh's bridge port. Every peer starts with full send
+// credits.
+func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.Stats, name string) *Bridge {
 	b := &Bridge{
 		eng: eng, mesh: mesh, node: node, p: p, stats: stats, name: name,
-		credits:    make(map[int]int),
-		sendq:      make(map[int][]stalled),
-		creditRead: make(map[int]bool),
-		returned:   make(map[int]uint64),
-		crFails:    make(map[int]int),
-		wedged:     make(map[int]bool),
-		reconArmed: make(map[int]bool),
-		reconAt:    make(map[int]sim.Time),
-		freed:      make(map[int]int),
-		freedTotal: make(map[int]uint64),
+		peers: make([]peer, nodes),
+	}
+	for i := range b.peers {
+		b.peers[i].credits = p.CreditsPerDst
 	}
 	if stats != nil {
 		b.hCreditWait = stats.Histogram(name + ".credit_wait")
@@ -155,13 +164,22 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node int, p Params, stats *sim.Stats, 
 	b.cTxFlits = stats.LazyCounter(name + ".tx_flits")
 	b.cRxPackets = stats.LazyCounter(name + ".rx_packets")
 	b.cRxFlits = stats.LazyCounter(name + ".rx_flits")
+	b.cAXIErrors = stats.LazyCounter(name + ".axi_errors")
+	b.cTxLost = stats.LazyCounter(name + ".tx_lost")
+	b.cCreditStall = stats.LazyCounter(name + ".credit_stall")
+	b.cCreditReads = stats.LazyCounter(name + ".credit_reads")
+	b.cCreditReconciles = stats.LazyCounter(name + ".credit_reconciles")
+	b.cCreditReclaimed = stats.LazyCounter(name + ".credit_reclaimed")
+	b.cCreditRestored = stats.LazyCounter(name + ".credit_restored")
+	b.cCreditLoss = stats.LazyCounter(name + ".credit_loss")
+	b.cDstWedged = stats.LazyCounter(name + ".dst_wedged")
 	b.trySendFn = func(env any) { b.trySend(env.(*Envelope)) }
 	b.rxFn = func(env any) { b.rx(env.(*Envelope)) }
 	b.chunkRespFn = func(r *axi.WriteResp) {
 		if !r.OK {
 			// Payload chunk lost; the envelope chunk decides the packet's
 			// fate, so only the error is recorded here.
-			b.count("axi_errors", 1)
+			b.cAXIErrors.Inc()
 		}
 	}
 	mesh.AttachBridge(b.handleMeshPacket)
@@ -172,7 +190,7 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node int, p Params, stats *sim.Stats, 
 // bridge itself, e.g. "node1.bridge"). A triggered drop there loses a
 // credit-return update — the classic leak the reconciliation watchdog exists
 // to repair. Must be called before traffic; nil-safe.
-func (b *Bridge) SetInjector(inj *fault.Injector) { b.site = inj.SiteOn(b.name, b.eng) }
+func (b *Bridge) SetInjector(inj *fault.Injector) { b.site = inj.Site(b.name, b.eng) }
 
 // SetTracer installs the trace ring of the bridge's node; tx/rx instants
 // appear on the bridge's own track ("<node>.bridge") in exported timelines.
@@ -192,12 +210,6 @@ func (b *Bridge) ConnectOut(out axi.Target, addrOf func(dstNode int) axi.Addr) {
 	b.addrOf = addrOf
 }
 
-func (b *Bridge) count(what string, n uint64) {
-	if b.stats != nil {
-		b.stats.Counter(b.name + "." + what).Add(n)
-	}
-}
-
 // handleMeshPacket receives a NoC packet routed to the bridge port
 // (northbound out of tile 0) and encapsulates it.
 func (b *Bridge) handleMeshPacket(pkt *noc.Packet) {
@@ -215,20 +227,18 @@ func (b *Bridge) trySend(env *Envelope) {
 		panic(fmt.Sprintf("bridge: %s: not connected", b.name))
 	}
 	dst := env.DstNode
-	if _, ok := b.credits[dst]; !ok {
-		b.credits[dst] = b.p.CreditsPerDst
-	}
-	if len(b.sendq[dst]) > 0 || b.credits[dst] < env.Flits {
+	pe := &b.peers[dst]
+	if len(pe.sendq) > 0 || pe.credits < env.Flits {
 		// Preserve order behind already-stalled packets.
-		b.sendq[dst] = append(b.sendq[dst], stalled{env: env, at: b.eng.Now()})
+		pe.sendq = append(pe.sendq, stalled{env: env, at: b.eng.Now()})
 		b.nStalled++
 		b.gSendq.Set(int64(b.nStalled))
-		b.count("credit_stall", 1)
+		b.cCreditStall.Inc()
 		b.fetchCredits(dst)
 		b.armReconcileWatchdog(dst)
 		return
 	}
-	b.credits[dst] -= env.Flits
+	pe.credits -= env.Flits
 	b.transmit(env)
 }
 
@@ -255,10 +265,10 @@ func (b *Bridge) transmit(env *Envelope) {
 				if r.OK {
 					return
 				}
-				b.count("axi_errors", 1)
-				b.count("tx_lost", 1)
-				b.count("credit_reclaimed", uint64(env.Flits))
-				b.credits[env.DstNode] += env.Flits
+				b.cAXIErrors.Inc()
+				b.cTxLost.Inc()
+				b.cCreditReclaimed.Add(uint64(env.Flits))
+				b.peers[env.DstNode].credits += env.Flits
 				b.drain(env.DstNode)
 			})
 			continue
@@ -273,27 +283,28 @@ func (b *Bridge) transmit(env *Envelope) {
 // polling so the stall surfaces to the forward-progress watchdog instead of
 // spinning the event queue forever.
 func (b *Bridge) fetchCredits(dst int) {
-	if b.creditRead[dst] || b.wedged[dst] {
+	pe := &b.peers[dst]
+	if pe.creditRead || pe.wedged {
 		return
 	}
-	b.creditRead[dst] = true
-	b.count("credit_reads", 1)
+	pe.creditRead = true
+	b.cCreditReads.Inc()
 	b.out.Read(&axi.ReadReq{
 		Addr: b.addrOf(dst) | axi.Addr(uint64(b.node)<<8),
 		Len:  8,
 	}, func(r *axi.ReadResp) {
-		b.creditRead[dst] = false
+		pe.creditRead = false
 		if !r.OK {
 			b.creditReadFailed(dst)
 			return
 		}
-		b.crFails[dst] = 0
+		pe.crFails = 0
 		got := 0
 		if cr, ok := r.User.(int); ok {
 			got = cr
 		}
-		b.credits[dst] += got
-		b.returned[dst] += uint64(got)
+		pe.credits += got
+		pe.returned += uint64(got)
 		b.drain(dst)
 	})
 }
@@ -304,33 +315,34 @@ func (b *Bridge) fetchCredits(dst int) {
 // lost in flight (the receive side decrements its pending count before its
 // response is known to arrive).
 func (b *Bridge) reconcile(dst int) {
-	if b.creditRead[dst] || b.wedged[dst] {
+	pe := &b.peers[dst]
+	if pe.creditRead || pe.wedged {
 		return
 	}
-	b.creditRead[dst] = true
-	b.count("credit_reconciles", 1)
+	pe.creditRead = true
+	b.cCreditReconciles.Inc()
 	b.out.Read(&axi.ReadReq{
 		Addr: b.addrOf(dst) | ReconcileFlag | axi.Addr(uint64(b.node)<<8),
 		Len:  8,
 	}, func(r *axi.ReadResp) {
-		b.creditRead[dst] = false
+		pe.creditRead = false
 		if !r.OK {
 			b.creditReadFailed(dst)
 			return
 		}
-		b.crFails[dst] = 0
+		pe.crFails = 0
 		var freedTotal uint64
 		if ft, ok := r.User.(uint64); ok {
 			freedTotal = ft
 		}
-		if leaked := int64(freedTotal) - int64(b.returned[dst]); leaked > 0 {
-			b.count("credit_restored", uint64(leaked))
-			b.credits[dst] += int(leaked)
-			if b.credits[dst] > b.p.CreditsPerDst {
-				b.credits[dst] = b.p.CreditsPerDst
+		if leaked := int64(freedTotal) - int64(pe.returned); leaked > 0 {
+			b.cCreditRestored.Add(uint64(leaked))
+			pe.credits += int(leaked)
+			if pe.credits > b.p.CreditsPerDst {
+				pe.credits = b.p.CreditsPerDst
 			}
 		}
-		b.returned[dst] = freedTotal
+		pe.returned = freedTotal
 		b.drain(dst)
 	})
 }
@@ -338,11 +350,12 @@ func (b *Bridge) reconcile(dst int) {
 // creditReadFailed counts a failed credit read and gives up on dst after the
 // limit.
 func (b *Bridge) creditReadFailed(dst int) {
-	b.count("axi_errors", 1)
-	b.crFails[dst]++
-	if b.crFails[dst] >= creditReadFailLimit {
-		b.wedged[dst] = true
-		b.count("dst_wedged", 1)
+	pe := &b.peers[dst]
+	b.cAXIErrors.Inc()
+	pe.crFails++
+	if pe.crFails >= creditReadFailLimit {
+		pe.wedged = true
+		b.cDstWedged.Inc()
 		return
 	}
 	// Escalate to reconciliation: the increment the failed read consumed at
@@ -355,7 +368,7 @@ func (b *Bridge) creditReadFailed(dst int) {
 // the queue empties (trySend re-arms on the next stall), so an idle bridge
 // schedules nothing.
 func (b *Bridge) armReconcileWatchdog(dst int) {
-	if !b.reconArmed[dst] {
+	if !b.peers[dst].reconArmed {
 		b.armReconcileAt(dst, b.eng.Now()+reconcileInterval)
 	}
 }
@@ -363,11 +376,12 @@ func (b *Bridge) armReconcileWatchdog(dst int) {
 // armReconcileAt arms dst's watchdog with an absolute deadline, which is
 // what a snapshot carries: a restore re-arms at the captured phase.
 func (b *Bridge) armReconcileAt(dst int, at sim.Time) {
-	b.reconArmed[dst] = true
-	b.reconAt[dst] = at
+	pe := &b.peers[dst]
+	pe.reconArmed = true
+	pe.reconAt = at
 	b.eng.At(at, func() {
-		b.reconArmed[dst] = false
-		if len(b.sendq[dst]) == 0 || b.wedged[dst] {
+		pe.reconArmed = false
+		if len(pe.sendq) == 0 || pe.wedged {
 			return
 		}
 		b.reconcile(dst)
@@ -377,98 +391,78 @@ func (b *Bridge) armReconcileAt(dst int, at sim.Time) {
 
 // drain retries queued packets after credits arrive.
 func (b *Bridge) drain(dst int) {
-	for len(b.sendq[dst]) > 0 {
-		st := b.sendq[dst][0]
-		if b.credits[dst] < st.env.Flits {
+	pe := &b.peers[dst]
+	for len(pe.sendq) > 0 {
+		st := pe.sendq[0]
+		if pe.credits < st.env.Flits {
 			// Still short: poll again. The receiver frees credits as it
 			// injects, so this terminates (the wedged flag bounds the
 			// pathological case of an unreachable receiver).
 			b.eng.Schedule(b.p.ProcessDelay*4, func() { b.fetchCredits(dst) })
 			return
 		}
-		b.sendq[dst] = b.sendq[dst][1:]
+		pe.sendq = pe.sendq[1:]
 		b.nStalled--
 		b.gSendq.Set(int64(b.nStalled))
 		b.hCreditWait.Observe(uint64(b.eng.Now() - st.at))
-		b.credits[dst] -= st.env.Flits
+		pe.credits -= st.env.Flits
 		b.transmit(st.env)
 	}
 }
 
-// CaptureState records the bridge's credit bookkeeping, keyed by peer node.
-// The send queue and outstanding credit reads must be idle (quiescence
-// check): a stalled packet is an in-flight NoC transfer and cannot be
-// captured at the bridge layer. The reconciliation watchdog need not be: the
-// drain that precedes a capture runs it out, possibly past the cycle the
-// software resumes at, so its last deadline is captured and RestoreState
-// re-arms it — otherwise the restored run's next stall would start a
-// watchdog at a different phase from the uninterrupted run's.
+// CaptureState records the bridge's credit bookkeeping, one entry per peer
+// node that has left its initial state (full credits, nothing returned or
+// freed), in node order. The send queue and outstanding credit reads must be
+// idle (quiescence check): a stalled packet is an in-flight NoC transfer and
+// cannot be captured at the bridge layer. The reconciliation watchdog need
+// not be: the drain that precedes a capture runs it out, possibly past the
+// cycle the software resumes at, so its last deadline is captured and
+// RestoreState re-arms it — otherwise the restored run's next stall would
+// start a watchdog at a different phase from the uninterrupted run's.
 func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 	if b.nStalled != 0 {
 		return ckpt.BridgeState{}, fmt.Errorf("bridge: %s has %d packets stalled on credits; not at a quiescent safepoint", b.name, b.nStalled)
 	}
-	for dst, outstanding := range b.creditRead {
-		if outstanding {
-			return ckpt.BridgeState{}, fmt.Errorf("bridge: %s has an outstanding credit read toward node %d; not at a quiescent safepoint", b.name, dst)
-		}
-	}
-	peers := make(map[int]struct{})
-	for d := range b.credits {
-		peers[d] = struct{}{}
-	}
-	for d := range b.returned {
-		peers[d] = struct{}{}
-	}
-	for d := range b.freed {
-		peers[d] = struct{}{}
-	}
-	for d := range b.freedTotal {
-		peers[d] = struct{}{}
-	}
-	for d := range b.crFails {
-		peers[d] = struct{}{}
-	}
-	for d := range b.wedged {
-		peers[d] = struct{}{}
-	}
-	for d := range b.reconAt {
-		peers[d] = struct{}{}
-	}
 	var st ckpt.BridgeState
-	for d := range peers {
-		cr, ok := b.credits[d]
-		if !ok {
-			cr = b.p.CreditsPerDst
+	for d := range b.peers {
+		pe := &b.peers[d]
+		if pe.creditRead {
+			return ckpt.BridgeState{}, fmt.Errorf("bridge: %s has an outstanding credit read toward node %d; not at a quiescent safepoint", b.name, d)
 		}
-		st.Dsts = append(st.Dsts, ckpt.BridgeDstState{
+		row := ckpt.BridgeDstState{
 			Dst:        d,
-			Credits:    cr,
-			Returned:   b.returned[d],
-			Freed:      uint64(b.freed[d]),
-			FreedTotal: b.freedTotal[d],
-			CrFails:    b.crFails[d],
-			Wedged:     b.wedged[d],
-			ReconAt:    uint64(b.reconAt[d]),
-		})
+			Credits:    pe.credits,
+			Returned:   pe.returned,
+			Freed:      uint64(pe.freed),
+			FreedTotal: pe.freedTotal,
+			CrFails:    pe.crFails,
+			Wedged:     pe.wedged,
+			ReconAt:    uint64(pe.reconAt),
+		}
+		if row != (ckpt.BridgeDstState{Dst: d, Credits: b.p.CreditsPerDst}) {
+			st.Dsts = append(st.Dsts, row)
+		}
 	}
-	sort.Slice(st.Dsts, func(i, j int) bool { return st.Dsts[i].Dst < st.Dsts[j].Dst })
 	if b.shaper != nil {
 		st.ShaperBusy = uint64(b.shaper.Busy())
 	}
 	return st, nil
 }
 
-// RestoreState overlays captured credit bookkeeping onto a fresh bridge.
-func (b *Bridge) RestoreState(st ckpt.BridgeState) {
+// RestoreState overlays captured credit bookkeeping onto a fresh bridge;
+// a peer the snapshot does not list keeps its initial state.
+func (b *Bridge) RestoreState(st ckpt.BridgeState) error {
 	for _, d := range st.Dsts {
-		b.credits[d.Dst] = d.Credits
-		b.returned[d.Dst] = d.Returned
-		b.freed[d.Dst] = int(d.Freed)
-		b.freedTotal[d.Dst] = d.FreedTotal
-		b.crFails[d.Dst] = d.CrFails
-		if d.Wedged {
-			b.wedged[d.Dst] = true
+		if d.Dst < 0 || d.Dst >= len(b.peers) {
+			return &ckpt.CorruptError{Reason: fmt.Sprintf("bridge %s: peer node %d out of range", b.name, d.Dst)}
 		}
+		pe := &b.peers[d.Dst]
+		pe.credits = d.Credits
+		pe.returned = d.Returned
+		pe.freed = int(d.Freed)
+		pe.freedTotal = d.FreedTotal
+		pe.crFails = d.CrFails
+		pe.wedged = d.Wedged
 		if at := sim.Time(d.ReconAt); at > b.eng.Now() {
 			b.armReconcileAt(d.Dst, at)
 		}
@@ -476,6 +470,7 @@ func (b *Bridge) RestoreState(st ckpt.BridgeState) {
 	if b.shaper != nil {
 		b.shaper.SetBusy(sim.Time(st.ShaperBusy))
 	}
+	return nil
 }
 
 // Inbound returns the AXI target of this bridge's receive side, to be
@@ -504,8 +499,9 @@ func (b *Bridge) rx(env *Envelope) {
 	// Inject into the local mesh toward the destination tile; the buffer
 	// slot is freed at injection, returning credits to the sender on its
 	// next credit read.
-	b.freed[env.SrcNode] += env.Flits
-	b.freedTotal[env.SrcNode] += uint64(env.Flits)
+	pe := &b.peers[env.SrcNode]
+	pe.freed += env.Flits
+	pe.freedTotal += uint64(env.Flits)
 	b.mesh.Send(&noc.Packet{
 		Class:   env.Class,
 		Src:     noc.Dest{Port: noc.PortBridge},
@@ -529,14 +525,19 @@ func (b *Bridge) rx(env *Envelope) {
 func (in *inbound) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
 	b := (*Bridge)(in)
 	src := int(uint64(req.Addr) >> 8 & 0xFF)
-	n := b.freed[src]
-	b.freed[src] = 0
+	if src >= len(b.peers) {
+		done(&axi.ReadResp{ID: req.ID, OK: false}) // no such node to owe credits to
+		return
+	}
+	pe := &b.peers[src]
+	n := pe.freed
+	pe.freed = 0
 	if req.Addr&ReconcileFlag != 0 {
-		done(&axi.ReadResp{ID: req.ID, Data: make([]byte, 8), OK: true, User: b.freedTotal[src]})
+		done(&axi.ReadResp{ID: req.ID, Data: make([]byte, 8), OK: true, User: pe.freedTotal})
 		return
 	}
 	if fate := b.site.Transfer(); fate.Drop || fate.Corrupt {
-		b.count("credit_loss", uint64(n))
+		b.cCreditLoss.Add(uint64(n))
 		n = 0
 	}
 	done(&axi.ReadResp{ID: req.ID, Data: make([]byte, 8), OK: true, User: n})

@@ -1,9 +1,11 @@
 package bridge
 
 import (
+	"reflect"
 	"testing"
 
 	"smappic/internal/axi"
+	"smappic/internal/ckpt"
 	"smappic/internal/fault"
 	"smappic/internal/noc"
 	"smappic/internal/pcie"
@@ -21,17 +23,22 @@ type pair struct {
 	stats  *sim.Stats
 }
 
-func newPair(t *testing.T, p Params) *pair {
+// newPair wires the pair; faults, when non-empty, is the fault plan the
+// fabric and both bridges resolve their sites against.
+func newPair(t *testing.T, p Params, faults string) *pair {
 	t.Helper()
 	eng := sim.NewEngine()
 	var stats sim.Stats
-	fab := pcie.New(eng, pcie.DefaultParams(), &stats)
+	inj := fault.NewInjector(fault.MustParse(faults, 5))
+	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), inj)
 	pr := &pair{eng: eng, fab: fab, stats: &stats}
 	var shells [2]*shell.Shell
 	for i := 0; i < 2; i++ {
+		fab.Bind(i, eng, &stats)
 		shells[i] = shell.New(eng, fab, i, &stats)
 		pr.meshes[i] = noc.New(eng, "mesh", noc.DefaultParams(2, 1), &stats)
-		pr.bs[i] = New(eng, pr.meshes[i], i, p, &stats, "bridge")
+		pr.bs[i] = New(eng, pr.meshes[i], i, 2, p, &stats, "bridge")
+		pr.bs[i].SetInjector(inj)
 	}
 	for i := 0; i < 2; i++ {
 		shells[i].SetCustomLogic(pr.bs[i].Inbound())
@@ -60,7 +67,7 @@ func (p *pair) send(src, dst, dstTile, flits int, payload any) {
 }
 
 func TestCrossFPGADelivery(t *testing.T) {
-	p := newPair(t, DefaultParams())
+	p := newPair(t, DefaultParams(), "")
 	var got any
 	var at sim.Time
 	p.meshes[1].AttachTile(1, func(pkt *noc.Packet) { got = pkt.Payload; at = p.eng.Now() })
@@ -76,7 +83,7 @@ func TestCrossFPGADelivery(t *testing.T) {
 }
 
 func TestMultiChunkPacketArrivesOnce(t *testing.T) {
-	p := newPair(t, DefaultParams())
+	p := newPair(t, DefaultParams(), "")
 	deliveries := 0
 	p.meshes[1].AttachTile(0, func(pkt *noc.Packet) {
 		deliveries++
@@ -95,7 +102,7 @@ func TestMultiChunkPacketArrivesOnce(t *testing.T) {
 }
 
 func TestOrderPreservedSameDestination(t *testing.T) {
-	p := newPair(t, DefaultParams())
+	p := newPair(t, DefaultParams(), "")
 	var order []int
 	p.meshes[1].AttachTile(1, func(pkt *noc.Packet) { order = append(order, pkt.Payload.(int)) })
 	for i := 0; i < 10; i++ {
@@ -115,7 +122,7 @@ func TestOrderPreservedSameDestination(t *testing.T) {
 func TestCreditExhaustionStallsThenRecovers(t *testing.T) {
 	p := DefaultParams()
 	p.CreditsPerDst = 9 // room for just one 9-flit packet
-	pr := newPair(t, p)
+	pr := newPair(t, p, "")
 	got := 0
 	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { got++ })
 	for i := 0; i < 5; i++ {
@@ -136,21 +143,21 @@ func TestCreditExhaustionStallsThenRecovers(t *testing.T) {
 func TestCreditsNeverGoNegative(t *testing.T) {
 	p := DefaultParams()
 	p.CreditsPerDst = 12
-	pr := newPair(t, p)
+	pr := newPair(t, p, "")
 	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) {})
 	for i := 0; i < 50; i++ {
 		pr.send(0, 1, 0, 3, i)
 	}
 	pr.eng.Run()
-	for dst, c := range pr.bs[0].credits {
-		if c < 0 {
+	for dst := range pr.bs[0].peers {
+		if c := pr.bs[0].Credits(dst); c < 0 {
 			t.Fatalf("credits[%d] = %d, negative", dst, c)
 		}
 	}
 }
 
 func TestBidirectionalTraffic(t *testing.T) {
-	pr := newPair(t, DefaultParams())
+	pr := newPair(t, DefaultParams(), "")
 	a, b := 0, 0
 	pr.meshes[0].AttachTile(0, func(pkt *noc.Packet) { a++ })
 	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { b++ })
@@ -165,7 +172,7 @@ func TestBidirectionalTraffic(t *testing.T) {
 }
 
 func TestShaperSlowsInterNodeLink(t *testing.T) {
-	fast := newPair(t, DefaultParams())
+	fast := newPair(t, DefaultParams(), "")
 	var fastAt sim.Time
 	fast.meshes[1].AttachTile(0, func(*noc.Packet) { fastAt = fast.eng.Now() })
 	fast.send(0, 1, 0, 3, nil)
@@ -173,7 +180,7 @@ func TestShaperSlowsInterNodeLink(t *testing.T) {
 
 	p := DefaultParams()
 	p.ExtraLatency = 500 // model e.g. a slower Ampere-Altra-class link
-	slow := newPair(t, p)
+	slow := newPair(t, p, "")
 	var slowAt sim.Time
 	slow.meshes[1].AttachTile(0, func(*noc.Packet) { slowAt = slow.eng.Now() })
 	slow.send(0, 1, 0, 3, nil)
@@ -210,7 +217,7 @@ func TestSameFPGABridgeDelivery(t *testing.T) {
 	var bs [2]*Bridge
 	for i := 0; i < 2; i++ {
 		meshes[i] = noc.New(eng, "mesh", noc.DefaultParams(2, 1), &stats)
-		bs[i] = New(eng, meshes[i], i, DefaultParams(), &stats, "bridge")
+		bs[i] = New(eng, meshes[i], i, 2, DefaultParams(), &stats, "bridge")
 		sw.in[i] = bs[i].Inbound()
 	}
 	for i := 0; i < 2; i++ {
@@ -241,7 +248,7 @@ func TestSameFPGABridgeDelivery(t *testing.T) {
 func TestUnconnectedBridgePanics(t *testing.T) {
 	eng := sim.NewEngine()
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil)
-	New(eng, mesh, 0, DefaultParams(), nil, "bridge")
+	New(eng, mesh, 0, 2, DefaultParams(), nil, "bridge")
 	mesh.Send(&noc.Packet{
 		Class:   noc.NoC1,
 		Src:     noc.Dest{Port: noc.PortTile, Tile: 0},
@@ -260,14 +267,10 @@ func TestUnconnectedBridgePanics(t *testing.T) {
 func TestLeakedCreditsRestoredByReconciliation(t *testing.T) {
 	p := DefaultParams()
 	p.CreditsPerDst = 9 // room for just one 9-flit packet
-	pr := newPair(t, p)
 	// Lose the first credit-return update at the receive side: its increment
 	// is consumed but zero credits come back — a leak only the cumulative
 	// reconciliation read can repair.
-	inj := fault.NewInjector(pr.eng, fault.MustParse("bridge.drop:n=1", 5))
-	for _, b := range pr.bs {
-		b.SetInjector(inj)
-	}
+	pr := newPair(t, p, "bridge.drop:n=1")
 	got := 0
 	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { got++ })
 	for i := 0; i < 5; i++ {
@@ -291,12 +294,10 @@ func TestLeakedCreditsRestoredByReconciliation(t *testing.T) {
 func TestWedgedDestinationStopsPolling(t *testing.T) {
 	p := DefaultParams()
 	p.CreditsPerDst = 9
-	pr := newPair(t, p)
 	// Hang endpoint 0's PCIe egress after the first packet's chunks (3 writes
 	// + headroom for their deliveries): every later chunk and credit read
 	// fails after bounded retries.
-	inj := fault.NewInjector(pr.eng, fault.MustParse("pcie.ep0.link.hang:after=6", 5))
-	pr.fab.SetInjector(inj)
+	pr := newPair(t, p, "pcie.ep0.link.hang:after=6")
 	got := 0
 	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { got++ })
 	for i := 0; i < 3; i++ {
@@ -314,5 +315,92 @@ func TestWedgedDestinationStopsPolling(t *testing.T) {
 	}
 	if got >= 3 {
 		t.Error("all packets delivered despite a hung link")
+	}
+}
+
+// TestStateRoundTrip: capture → restore into a fresh bridge → capture is a
+// fixed point. A peer at its initial state is not written, and a list that
+// names only some peers — or, as the map-keyed bridge wrote it, a touched
+// peer still at its initial values — restores.
+func TestStateRoundTrip(t *testing.T) {
+	full := DefaultParams().CreditsPerDst
+	fresh := func() (*sim.Engine, *Bridge) {
+		eng := sim.NewEngine()
+		return eng, New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil), 0, 4, DefaultParams(), nil, "bridge")
+	}
+	for _, tc := range []struct {
+		name       string
+		dsts, want []ckpt.BridgeDstState
+	}{
+		{name: "untouched peers"},
+		{
+			name: "send and receive halves",
+			dsts: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, Freed: 3, FreedTotal: 33}},
+			want: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, Freed: 3, FreedTotal: 33}},
+		},
+		{
+			name: "wedged peer",
+			dsts: []ckpt.BridgeDstState{{Dst: 2, Credits: 0, CrFails: creditReadFailLimit, Wedged: true}},
+			want: []ckpt.BridgeDstState{{Dst: 2, Credits: 0, CrFails: creditReadFailLimit, Wedged: true}},
+		},
+		{
+			name: "armed reconciliation deadline",
+			dsts: []ckpt.BridgeDstState{{Dst: 3, Credits: full, ReconAt: 5000}},
+			want: []ckpt.BridgeDstState{{Dst: 3, Credits: full, ReconAt: 5000}},
+		},
+		{
+			name: "sparse map-keyed list",
+			dsts: []ckpt.BridgeDstState{{Dst: 1, Credits: full}, {Dst: 3, Credits: full - 3, Returned: 6}},
+			want: []ckpt.BridgeDstState{{Dst: 3, Credits: full - 3, Returned: 6}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, b := fresh()
+			if err := b.RestoreState(ckpt.BridgeState{Dsts: tc.dsts}); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range tc.dsts {
+				if armed := b.peers[d.Dst].reconArmed; armed != (d.ReconAt != 0) {
+					t.Errorf("peer %d: watchdog armed = %v with deadline %d", d.Dst, armed, d.ReconAt)
+				}
+			}
+			eng.Run() // an armed watchdog finds nothing stalled and disarms; its deadline stays state
+			first, err := b.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first.Dsts, tc.want) {
+				t.Errorf("captured %+v, want %+v", first.Dsts, tc.want)
+			}
+			_, b2 := fresh()
+			if err := b2.RestoreState(first); err != nil {
+				t.Fatal(err)
+			}
+			second, err := b2.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("not a fixed point:\nfirst  %+v\nsecond %+v", first, second)
+			}
+		})
+	}
+}
+
+// A peer id from outside the program — a snapshot's, or the source field of
+// a credit read's address — is checked against the platform's node count.
+func TestPeerIDsFromOutsideAreChecked(t *testing.T) {
+	eng := sim.NewEngine()
+	b := New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil), 0, 2, DefaultParams(), nil, "bridge")
+	for _, dst := range []int{-1, 2} {
+		err := b.RestoreState(ckpt.BridgeState{Dsts: []ckpt.BridgeDstState{{Dst: dst}}})
+		if !ckpt.IsSnapshotError(err) {
+			t.Errorf("RestoreState with peer %d: error %v, want a ckpt snapshot error", dst, err)
+		}
+	}
+	var resp *axi.ReadResp
+	b.Inbound().Read(&axi.ReadReq{Addr: 7 << 8, Len: 8}, func(r *axi.ReadResp) { resp = r })
+	if resp == nil || resp.OK {
+		t.Errorf("credit read from node 7 of 2 answered %+v, want OK:false", resp)
 	}
 }

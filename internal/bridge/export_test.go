@@ -1,9 +1,4 @@
 package bridge
 
 // Credits returns the current send-credit level toward dst.
-func (b *Bridge) Credits(dst int) int {
-	if _, ok := b.credits[dst]; !ok {
-		return b.p.CreditsPerDst
-	}
-	return b.credits[dst]
-}
+func (b *Bridge) Credits(dst int) int { return b.peers[dst].credits }

@@ -26,14 +26,17 @@ type TenantJob struct {
 // tenant holds a priority-ordered backlog, and Next picks across tenants by
 // deficit round-robin under per-tenant concurrency quotas.
 //
-// Scheduling discipline: every Next call is one DRR round. Each tenant with
-// pending work earns one quantum of deficit (capped at its backlog — credit
-// beyond runnable work is meaningless); the eligible tenant (pending work,
-// in-flight leases below quota) with the largest deficit is served and pays
-// one quantum. Ties break in round-robin order from the last tenant served,
-// so equal-deficit tenants alternate, and a tenant starved at its quota
-// accumulates deficit and catches up in a burst once leases free up —
-// classic DRR fairness, measured in jobs.
+// Scheduling discipline: jobs cost one quantum each, so a tenant's account
+// is the number of jobs it has been served, and its deficit is how far that
+// trails the clock — the account of the tenant served last. Next serves the
+// eligible tenant (pending work, in-flight leases below quota) with the
+// largest deficit; ties break in round-robin order from the last tenant
+// served, so equal tenants alternate. A tenant held at its quota is not
+// served, falls behind and catches up in a burst once leases free up; a
+// tenant with nothing pending banks nothing — its next submission starts at
+// the clock. No eligible tenant starves: whoever leads a waiting tenant by
+// d is served at most d+1 times before it, however long the leader's
+// backlog and however short the waiter's.
 //
 // Queue is not safe for concurrent use; the fleet server serializes access
 // under its own lock. Scheduling order never affects campaign results — the
@@ -43,6 +46,7 @@ type Queue struct {
 	tenants      map[string]*tenantState
 	order        []string // tenant admission order: the round-robin ring
 	rr           int      // ring index scanning starts from
+	clock        int      // the highest account a served tenant had when served
 	quotas       map[string]int
 	defaultQuota int
 }
@@ -52,7 +56,7 @@ type tenantState struct {
 	name     string
 	jobs     []*TenantJob // sorted: Priority desc, Seq asc
 	inflight int
-	deficit  int
+	served   int // jobs dispatched, never below the clock at a submission to an empty backlog
 }
 
 // NewQueue returns an empty queue. defaultQuota bounds concurrent leases
@@ -97,6 +101,9 @@ func (q *Queue) tenant(name string) *tenantState {
 // Push adds a job to its tenant's backlog.
 func (q *Queue) Push(tj *TenantJob) {
 	t := q.tenant(tj.Tenant)
+	if len(t.jobs) == 0 {
+		t.served = max(t.served, q.clock)
+	}
 	i := sort.Search(len(t.jobs), func(i int) bool {
 		if t.jobs[i].Priority != tj.Priority {
 			return t.jobs[i].Priority < tj.Priority
@@ -130,35 +137,28 @@ func (q *Queue) atQuota(t *tenantState) bool {
 	return quota > 0 && t.inflight >= quota
 }
 
-// Next runs one DRR round and dispatches the winning tenant's
-// highest-priority job, charging an in-flight slot the caller must return
-// via Release or Requeue. It returns nil when no tenant is eligible —
-// nothing pending, or everything pending belongs to tenants at quota.
+// Next dispatches the highest-priority job of the eligible tenant furthest
+// behind, charging an in-flight slot the caller must return via Release or
+// Requeue. It returns nil when no tenant is eligible — nothing pending, or
+// everything pending belongs to tenants at quota.
 func (q *Queue) Next() *TenantJob {
 	n := len(q.order)
 	var best *tenantState
 	bestAt := 0
 	for i := 0; i < n; i++ {
 		t := q.tenants[q.order[(q.rr+i)%n]]
-		if len(t.jobs) == 0 {
+		if len(t.jobs) == 0 || q.atQuota(t) {
 			continue
 		}
-		if t.deficit < len(t.jobs) {
-			t.deficit++
-		}
-		if q.atQuota(t) {
-			continue
-		}
-		if best == nil || t.deficit > best.deficit {
+		if best == nil || t.served < best.served {
 			best, bestAt = t, i
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	if best.deficit > 0 {
-		best.deficit--
-	}
+	q.clock = max(q.clock, best.served)
+	best.served++
 	q.rr = (q.rr + bestAt + 1) % n
 	best.inflight++
 	tj := best.jobs[0]
@@ -172,7 +172,7 @@ type TenantView struct {
 	Pending  int    `json:"pending"`
 	InFlight int    `json:"in_flight"`
 	Quota    int    `json:"quota,omitempty"` // 0 = unlimited
-	Deficit  int    `json:"deficit"`
+	Deficit  int    `json:"deficit"`         // jobs behind the clock; <= 0 when level or just served
 }
 
 // Tenants returns a per-tenant view in admission order.
@@ -185,7 +185,7 @@ func (q *Queue) Tenants() []TenantView {
 			Pending:  len(t.jobs),
 			InFlight: t.inflight,
 			Quota:    q.Quota(name),
-			Deficit:  t.deficit,
+			Deficit:  q.clock - t.served,
 		})
 	}
 	return views

@@ -1,6 +1,10 @@
 package campaign
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // qjob builds a TenantJob with just enough identity for scheduling tests.
 func qjob(tenant string, index int, seq uint64, prio int) *TenantJob {
@@ -156,5 +160,139 @@ func TestQueueTenantsView(t *testing.T) {
 	}
 	if views[1].Quota != 0 {
 		t.Fatalf("bob view %+v, want unlimited quota", views[1])
+	}
+}
+
+// TestQueueInvariantsUnderRandomInterleavings drives the queue with seeded
+// random push / next / release / requeue sequences against a plain model of
+// who holds what, and checks after every step:
+//
+//   - a tenant's in-flight count is the leases it holds and never exceeds
+//     its quota; Next returns nil exactly when no tenant is eligible
+//     (pending work, a free slot);
+//   - a dispatched job is its tenant's best — highest priority, then lowest
+//     Seq — and a requeued job comes back under the Seq it was admitted with;
+//   - no eligible tenant starves: from the round a tenant is first passed
+//     over, every other tenant is served at most lead+1 more times before it,
+//     where lead is that tenant's deficit advantage at that round (a lead
+//     only shrinks while the waiting tenant waits) — two long backlogs do
+//     not outrank a third tenant's single job.
+func TestQueueInvariantsUnderRandomInterleavings(t *testing.T) {
+	tenants := []string{"a", "b", "c", "d"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewQueue(rng.Intn(4)) // 0 = unlimited
+		for _, name := range tenants[:rng.Intn(len(tenants))] {
+			q.SetQuota(name, rng.Intn(4))
+		}
+		pending := map[string][]*TenantJob{}
+		var leased []*TenantJob
+		admitted := map[*TenantJob]uint64{}
+		budget := map[string]int{} // waiting tenant -> grants to others it may still watch
+		var seq uint64
+		eligible := func(name string) bool {
+			quota, held := q.Quota(name), 0
+			for _, tj := range leased {
+				if tj.Tenant == name {
+					held++
+				}
+			}
+			return len(pending[name]) > 0 && (quota == 0 || held < quota)
+		}
+		take := func() *TenantJob {
+			i := rng.Intn(len(leased))
+			tj := leased[i]
+			leased = append(leased[:i], leased[i+1:]...)
+			return tj
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4: // submissions come in bursts, one tenant at a time
+				name := tenants[rng.Intn(len(tenants))]
+				for n := 1 + rng.Intn(6); n > 0; n-- {
+					seq++
+					tj := qjob(name, int(seq), seq, rng.Intn(3))
+					admitted[tj] = seq
+					pending[name] = append(pending[name], tj)
+					q.Push(tj)
+				}
+			case op < 8:
+				deficit := map[string]int{}
+				for _, v := range q.Tenants() {
+					deficit[v.Tenant] = v.Deficit
+				}
+				var could []string
+				for _, name := range tenants {
+					if eligible(name) {
+						could = append(could, name)
+					}
+				}
+				tj := q.Next()
+				if tj == nil {
+					if len(could) != 0 {
+						t.Fatalf("seed %d step %d: Next returned nil with %v eligible", seed, step, could)
+					}
+					continue
+				}
+				if !slices.Contains(could, tj.Tenant) {
+					t.Fatalf("seed %d step %d: served %s, not eligible (eligible: %v)", seed, step, tj.Tenant, could)
+				}
+				if tj.Seq != admitted[tj] {
+					t.Fatalf("seed %d step %d: job admitted as seq %d dispatched as seq %d", seed, step, admitted[tj], tj.Seq)
+				}
+				mine := pending[tj.Tenant]
+				at := slices.Index(mine, tj)
+				for _, other := range mine {
+					if other.Priority > tj.Priority || (other.Priority == tj.Priority && other.Seq < tj.Seq) {
+						t.Fatalf("seed %d step %d: dispatched prio %d seq %d ahead of prio %d seq %d",
+							seed, step, tj.Priority, tj.Seq, other.Priority, other.Seq)
+					}
+				}
+				pending[tj.Tenant] = append(mine[:at:at], mine[at+1:]...)
+				leased = append(leased, tj)
+				delete(budget, tj.Tenant)
+				for _, name := range could {
+					if name == tj.Tenant {
+						continue
+					}
+					if _, waiting := budget[name]; !waiting {
+						for _, other := range tenants {
+							if lead := deficit[other] - deficit[name]; other != name && lead >= 0 {
+								budget[name] += lead + 1
+							}
+						}
+					}
+					if budget[name]--; budget[name] < 0 {
+						t.Fatalf("seed %d step %d: %s starves: eligible and passed over beyond every other tenant's credit lead (%+v)",
+							seed, step, name, q.Tenants())
+					}
+				}
+			case op < 9:
+				if len(leased) > 0 {
+					q.Release(take().Tenant)
+				}
+			default:
+				if len(leased) > 0 {
+					tj := take()
+					pending[tj.Tenant] = append(pending[tj.Tenant], tj)
+					q.Requeue(tj)
+				}
+			}
+			for _, v := range q.Tenants() {
+				held := 0
+				for _, tj := range leased {
+					if tj.Tenant == v.Tenant {
+						held++
+					}
+				}
+				if v.InFlight != held || v.Pending != len(pending[v.Tenant]) {
+					t.Fatalf("seed %d step %d: %s books in-flight %d pending %d; holds %d, %d pending",
+						seed, step, v.Tenant, v.InFlight, v.Pending, held, len(pending[v.Tenant]))
+				}
+				if v.Quota > 0 && v.InFlight > v.Quota {
+					t.Fatalf("seed %d step %d: %s in-flight %d exceeds quota %d", seed, step, v.Tenant, v.InFlight, v.Quota)
+				}
+			}
+		}
 	}
 }

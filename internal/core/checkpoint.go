@@ -251,7 +251,9 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 			return err
 		}
 		if !warmFork {
-			n.Bridge.RestoreState(ns.Bridge)
+			if err := n.Bridge.RestoreState(ns.Bridge); err != nil {
+				return err
+			}
 		}
 		if len(ns.Tiles) != len(n.Tiles) {
 			return &ckpt.MismatchError{Field: "tile count",

@@ -108,3 +108,30 @@ func TestHangProducesWatchdogDiagnosis(t *testing.T) {
 		t.Error("Report() does not include the diagnosis")
 	}
 }
+
+// Sites resolve at Build, under every sharding: the fault report of a
+// prototype that has not run lists every matched site, so a site that never
+// carries traffic reads the same from a one-shard build as from a sharded one.
+func TestEverySiteResolvesAtBuild(t *testing.T) {
+	report := func(parallel int) string {
+		cfg := DefaultConfig(4, 1, 1)
+		cfg.Core = CoreNone
+		cfg.Parallel = parallel
+		cfg.Faults = fault.MustParse("pcie.*.drop:p=0.5;node2.*.drop:p=0.5", 1)
+		p, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		return p.Injector.String()
+	}
+	one := report(0)
+	for _, site := range []string{"pcie.ep0.link", "pcie.ep3.link", "node2.bridge", "node2.dram"} {
+		if !strings.Contains(one, site+": drop(fired 0)") {
+			t.Errorf("one-shard build's report lacks %s:\n%s", site, one)
+		}
+	}
+	if four := report(4); four != one {
+		t.Errorf("fault report differs by sharding:\none shard:\n%sfour:\n%s", one, four)
+	}
+}

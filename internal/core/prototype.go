@@ -161,7 +161,7 @@ func Build(cfg Config) (*Prototype, error) {
 	// shard engine and how many shard engines share a cluster (an FPGA's
 	// worth of engines under the inner lookahead). Serial is the one-shard
 	// case of the same machinery — one engine, one cluster, every endpoint
-	// (the host's included) on it.
+	// on it.
 	nodesPerShard, shardsPerCluster := cfg.TotalNodes(), 1
 	if cfg.Parallel > 1 {
 		nodesPerShard = cfg.NodesPerFPGA
@@ -205,34 +205,26 @@ func Build(cfg Config) (*Prototype, error) {
 	// crossing inside one) are enforced whatever the shard count, so an
 	// undercutting model is caught even where no window depends on it.
 	p.Group.SetMinLatencyFunc(p.minCrossingOf)
-	p.Injector = fault.NewInjector(p.engs[0], cfg.Faults)
-	p.Fabric = pcie.New(p.engs[0], cfg.PCIe, p.shardStats[0])
-	p.Fabric.SetInjector(p.Injector)
+	p.Injector = fault.NewInjector(cfg.Faults)
 	// The fabric addresses endpoints by FPGA id; the CrossNet underneath
 	// speaks node ids (so intra-FPGA hops can cross shards too). pcieView
 	// translates: FPGA f rides its slot-0 node's endpoint.
-	p.Fabric.SetCrossNet(pcieView{net: p.Group, nodes: cfg.NodesPerFPGA})
-	if shards > 1 {
-		// Concurrent shards must not create fabric endpoints lazily; with
-		// one engine the fabric binds them (and the host port) on first use.
-		for f := 0; f < cfg.FPGAs; f++ {
-			s := p.nodeShard[f*cfg.NodesPerFPGA]
-			p.Fabric.ShardEndpoint(f, p.engs[s], p.shardStats[s])
-		}
-	}
+	p.Fabric = pcie.New(cfg.PCIe, pcieView{net: p.Group, nodes: cfg.NodesPerFPGA}, p.Injector)
 	if cfg.WatchdogInterval > 0 {
 		p.EnableGroupWatchdog(cfg.WatchdogInterval)
 	}
 
 	w, h := cfg.MeshDims()
 
-	// Per-FPGA: shell on the slot-0 node's engine, with that node's
-	// interconnect master as the inbound custom logic — PCIe-delivered
-	// transactions cross the intra-FPGA interconnect to their slot like
-	// locally issued ones.
+	// Per-FPGA: fabric endpoint and shell on the slot-0 node's engine and
+	// registry, with that node's interconnect master as the inbound custom
+	// logic — PCIe-delivered transactions cross the intra-FPGA interconnect
+	// to their slot like locally issued ones. The host port stays unbound:
+	// nothing here sends from it, and a request routed to it fails.
 	for f := 0; f < cfg.FPGAs; f++ {
 		out := f * cfg.NodesPerFPGA
 		s := p.nodeShard[out]
+		p.Fabric.Bind(f, p.engs[s], p.shardStats[s])
 		sh := shell.New(p.engs[s], p.Fabric, f, p.shardStats[s])
 		p.Shells = append(p.Shells, sh)
 		sh.SetCustomLogic(&icMaster{p: p, node: out, eng: p.engs[s]})
@@ -258,7 +250,7 @@ func Build(cfg Config) (*Prototype, error) {
 		n.MemCtl = mem.NewController(eng, n.Mesh, name+".memctl", n.DRAM, stats)
 
 		// Interrupt fabric: global hart numbering node*C + tile.
-		n.Pack = interrupt.NewPacketizer(func(hart int, c *interrupt.Change) {
+		n.Pack = interrupt.NewPacketizer(cfg.TotalTiles(), func(hart int, c *interrupt.Change) {
 			p.sendInterrupt(n, hart, c)
 		})
 		n.CLINT = interrupt.NewCLINT(eng, cfg.TotalTiles(), n.Pack)
@@ -308,7 +300,7 @@ func Build(cfg Config) (*Prototype, error) {
 
 		// Inter-node bridge, behind its interconnect window's arbitration
 		// port.
-		n.Bridge = bridge.New(eng, n.Mesh, nID, cfg.Bridge, stats, name+".bridge")
+		n.Bridge = bridge.New(eng, n.Mesh, nID, cfg.TotalNodes(), cfg.Bridge, stats, name+".bridge")
 		n.Bridge.SetInjector(p.Injector)
 		p.icPorts[nID] = &icPort{
 			node:   nID,

@@ -227,24 +227,26 @@ func (r Rule) matches(name string) bool {
 // Injector resolves fault sites against a plan. A nil Injector is valid and
 // hands out nil Sites, so callers wire it unconditionally.
 type Injector struct {
-	eng   *sim.Engine
 	plan  *Plan
 	sites map[string]*Site
 }
 
 // NewInjector builds an injector for a plan. A nil or empty plan returns a
 // nil injector: injection fully disabled, zero cost.
-func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
+func NewInjector(plan *Plan) *Injector {
 	if plan == nil || len(plan.Rules) == 0 {
 		return nil
 	}
-	return &Injector{eng: eng, plan: plan, sites: make(map[string]*Site)}
+	return &Injector{plan: plan, sites: make(map[string]*Site)}
 }
 
-// Site resolves the fault site with the given name. It returns nil — the
-// zero-cost disabled form — when the injector is nil or no plan rule matches
-// the name. Resolving the same name twice returns the same Site.
-func (inj *Injector) Site(name string) *Site {
+// Site resolves the fault site with the given name for the component that
+// owns it; eng is that component's engine, the clock its stall windows are
+// measured on. It returns nil — the zero-cost disabled form — when the
+// injector is nil or no plan rule matches the name. Sites are resolved while
+// the platform is built, never from a running engine (the registry is not
+// synchronised); resolving a name again returns the Site it already has.
+func (inj *Injector) Site(name string, eng *sim.Engine) *Site {
 	if inj == nil {
 		return nil
 	}
@@ -258,7 +260,7 @@ func (inj *Injector) Site(name string) *Site {
 			continue
 		}
 		if s == nil {
-			s = &Site{eng: inj.eng}
+			s = &Site{eng: eng}
 		}
 		s.rules = append(s.rules, siteRule{Rule: r})
 		seed ^= r.Seed
@@ -267,19 +269,6 @@ func (inj *Injector) Site(name string) *Site {
 		s.rng = *sim.NewRNG(mix(seed, name))
 	}
 	inj.sites[name] = s
-	return s
-}
-
-// SiteOn resolves a fault site like Site but binds its stall timing to the
-// given engine. Components owned by a shard resolve their sites against
-// their shard's engine, so stall windows are measured on the clock that
-// actually drives the site; with a single shared engine SiteOn is
-// equivalent to Site.
-func (inj *Injector) SiteOn(name string, eng *sim.Engine) *Site {
-	s := inj.Site(name)
-	if s != nil {
-		s.eng = eng
-	}
 	return s
 }
 
@@ -324,9 +313,9 @@ func (inj *Injector) CaptureState() *ckpt.FaultState {
 	return st
 }
 
-// RestoreState overlays captured site progress. Every snapshot site must
-// resolve against this injector's plan with the same rule count — anything
-// else means the snapshot was taken under a different fault plan.
+// RestoreState overlays captured site progress. Every snapshot site must be
+// one this build resolved, with the same rule count — anything else means
+// the snapshot was taken under a different fault plan or shape.
 func (inj *Injector) RestoreState(st *ckpt.FaultState) error {
 	if st == nil {
 		return nil
@@ -338,7 +327,7 @@ func (inj *Injector) RestoreState(st *ckpt.FaultState) error {
 		return &ckpt.MismatchError{Field: "fault plan", Got: fmt.Sprintf("%d sites", len(st.Sites)), Want: "no injector"}
 	}
 	for _, ss := range st.Sites {
-		s := inj.Site(ss.Name)
+		s := inj.sites[ss.Name]
 		if s == nil {
 			return &ckpt.MismatchError{Field: "fault site " + ss.Name, Got: "present", Want: "no matching rule"}
 		}
@@ -432,7 +421,7 @@ func (s *Site) Transfer() (f Fate) {
 		f.Drop = true
 		return
 	}
-	if s.eng != nil && s.stallUntil > s.eng.Now() {
+	if s.stallUntil > s.eng.Now() {
 		f.Extra = s.stallUntil - s.eng.Now()
 	}
 	for i := range s.rules {
@@ -452,9 +441,7 @@ func (s *Site) Transfer() (f Fate) {
 		case Delay:
 			f.Extra += r.Cycles
 		case Stall:
-			if s.eng != nil {
-				s.stallUntil = s.eng.Now() + r.Cycles
-			}
+			s.stallUntil = s.eng.Now() + r.Cycles
 			f.Extra += r.Cycles
 		case Hang:
 			s.hung = true

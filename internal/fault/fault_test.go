@@ -74,7 +74,7 @@ func TestPatternMatching(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var inj *Injector
-	s := inj.Site("anything")
+	s := inj.Site("anything", nil)
 	if s != nil {
 		t.Fatal("nil injector handed out a site")
 	}
@@ -84,28 +84,28 @@ func TestNilSafety(t *testing.T) {
 	if s.FlipBits() != 0 {
 		t.Fatal("nil site not inert")
 	}
-	if NewInjector(sim.NewEngine(), nil) != nil {
+	if NewInjector(nil) != nil {
 		t.Fatal("nil plan should produce a nil injector")
 	}
 }
 
 func TestUnmatchedSiteIsNil(t *testing.T) {
-	inj := NewInjector(sim.NewEngine(), MustParse("pcie.*.drop:p=1", 1))
-	if s := inj.Site("node0.dram"); s != nil {
+	inj := NewInjector(MustParse("pcie.*.drop:p=1", 1))
+	if s := inj.Site("node0.dram", sim.NewEngine()); s != nil {
 		t.Fatal("unmatched site should be nil")
 	}
-	if s := inj.Site("pcie.ep0.link"); s == nil {
+	if s := inj.Site("pcie.ep0.link", sim.NewEngine()); s == nil {
 		t.Fatal("matched site missing")
 	}
-	if inj.Site("pcie.ep0.link") != inj.Site("pcie.ep0.link") {
+	if inj.Site("pcie.ep0.link", sim.NewEngine()) != inj.Site("pcie.ep0.link", sim.NewEngine()) {
 		t.Fatal("site resolution not idempotent")
 	}
 }
 
 func TestZeroAllocHotPath(t *testing.T) {
 	var nilSite *Site
-	inj := NewInjector(sim.NewEngine(), MustParse("pcie.*.drop:p=0.5;pcie.*.flip:p=0.5", 1))
-	live := inj.Site("pcie.ep0.link")
+	inj := NewInjector(MustParse("pcie.*.drop:p=0.5;pcie.*.flip:p=0.5", 1))
+	live := inj.Site("pcie.ep0.link", sim.NewEngine())
 	if n := testing.AllocsPerRun(1000, func() {
 		nilSite.Transfer()
 		nilSite.FlipBits()
@@ -118,8 +118,8 @@ func TestZeroAllocHotPath(t *testing.T) {
 
 func TestDeterministicSequences(t *testing.T) {
 	seq := func() []bool {
-		inj := NewInjector(sim.NewEngine(), MustParse("pcie.*.drop:p=0.3", 42))
-		s := inj.Site("pcie.ep1.link")
+		inj := NewInjector(MustParse("pcie.*.drop:p=0.3", 42))
+		s := inj.Site("pcie.ep1.link", sim.NewEngine())
 		out := make([]bool, 200)
 		for i := range out {
 			out[i] = s.Transfer().Drop
@@ -142,8 +142,8 @@ func TestDeterministicSequences(t *testing.T) {
 
 	// Different seed -> different sequence; different site name -> different
 	// stream from the same seed.
-	inj2 := NewInjector(sim.NewEngine(), MustParse("pcie.*.drop:p=0.3", 43))
-	s2 := inj2.Site("pcie.ep1.link")
+	inj2 := NewInjector(MustParse("pcie.*.drop:p=0.3", 43))
+	s2 := inj2.Site("pcie.ep1.link", sim.NewEngine())
 	same := 0
 	for i := range a {
 		if s2.Transfer().Drop == a[i] {
@@ -158,11 +158,11 @@ func TestDeterministicSequences(t *testing.T) {
 func TestSiteResolutionOrderIndependent(t *testing.T) {
 	plan := MustParse("pcie.*.drop:p=0.5", 9)
 	first := func(order []string) bool {
-		inj := NewInjector(sim.NewEngine(), plan)
+		inj := NewInjector(plan)
 		for _, n := range order {
-			inj.Site(n)
+			inj.Site(n, sim.NewEngine())
 		}
-		return inj.Site("pcie.ep0.link").Transfer().Drop
+		return inj.Site("pcie.ep0.link", sim.NewEngine()).Transfer().Drop
 	}
 	a := first([]string{"pcie.ep0.link", "pcie.ep1.link"})
 	b := first([]string{"pcie.ep1.link", "pcie.ep0.link"})
@@ -172,8 +172,8 @@ func TestSiteResolutionOrderIndependent(t *testing.T) {
 }
 
 func TestAfterAndNCaps(t *testing.T) {
-	inj := NewInjector(sim.NewEngine(), MustParse("x.drop:after=5,n=2", 1))
-	s := inj.Site("x")
+	inj := NewInjector(MustParse("x.drop:after=5,n=2", 1))
+	s := inj.Site("x", sim.NewEngine())
 	drops := 0
 	for i := 0; i < 20; i++ {
 		f := s.Transfer()
@@ -191,8 +191,8 @@ func TestAfterAndNCaps(t *testing.T) {
 
 func TestStallWindow(t *testing.T) {
 	eng := sim.NewEngine()
-	inj := NewInjector(eng, MustParse("link.stall:cycles=100,n=1", 1))
-	s := inj.Site("link")
+	inj := NewInjector(MustParse("link.stall:cycles=100,n=1", 1))
+	s := inj.Site("link", eng)
 	if f := s.Transfer(); f.Extra != 100 {
 		t.Fatalf("stall trigger Extra = %d, want 100", f.Extra)
 	}
@@ -211,8 +211,8 @@ func TestStallWindow(t *testing.T) {
 }
 
 func TestHangIsPermanent(t *testing.T) {
-	inj := NewInjector(sim.NewEngine(), MustParse("ep.hang:after=3", 1))
-	s := inj.Site("ep")
+	inj := NewInjector(MustParse("ep.hang:after=3", 1))
+	s := inj.Site("ep", sim.NewEngine())
 	for i := 0; i < 3; i++ {
 		if s.Transfer().Drop {
 			t.Fatalf("hung at event %d, before after=3", i)
@@ -232,8 +232,8 @@ func TestHangIsPermanent(t *testing.T) {
 }
 
 func TestFlipBitsPrecedence(t *testing.T) {
-	inj := NewInjector(sim.NewEngine(), MustParse("m.flip:p=1;m.flip2:p=1,after=2", 1))
-	s := inj.Site("m")
+	inj := NewInjector(MustParse("m.flip:p=1;m.flip2:p=1,after=2", 1))
+	s := inj.Site("m", sim.NewEngine())
 	if s.FlipBits() != 1 || s.FlipBits() != 1 {
 		t.Fatal("single-bit flips missing before flip2 becomes eligible")
 	}

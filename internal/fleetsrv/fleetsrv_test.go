@@ -284,6 +284,48 @@ func TestDuplicateResultDoesNotRewriteCache(t *testing.T) {
 	}
 }
 
+// TestRetainedOutcomeDropsMetrics: the full MetricsJSON of a delivered
+// result goes to the cache; the copy the server keeps for the life of the
+// campaign — delivered, or answered from the cache at submit — does not
+// hold it, and the report does not change.
+func TestRetainedOutcomeDropsMetrics(t *testing.T) {
+	spec := testSpec("slim", 1)
+	want, _ := referenceReport(t, spec)
+	s, _ := testServer(t)
+	first, err := s.submit(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.register(RegisterRequest{})
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: w.WorkerID})
+	if err != nil || resp.Job == nil {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	res, _ := fakeExec(context.Background(), resp.Job.Params)
+	res.Attempts, res.Metrics = 1, []byte(`{"stats":{}}`)
+	if err := s.result(ResultRequest{
+		WorkerID: w.WorkerID, LeaseID: resp.Job.LeaseID, CampaignID: resp.Job.CampaignID,
+		Index: resp.Job.Index, Status: campaign.StatusRun, Result: res,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Cache.Get(res.Key); !ok || len(got.Metrics) == 0 {
+		t.Fatalf("cache entry lost its metrics: %+v", got)
+	}
+	again, err := s.submit(SubmitRequest{Spec: spec})
+	if err != nil || again.Cached != 1 {
+		t.Fatalf("resubmission: %+v, %v; want one cache hit", again, err)
+	}
+	for _, id := range []string{first.CampaignID, again.CampaignID} {
+		if kept := s.campaigns[id].outcomes[0].Result; kept == nil || kept.Metrics != nil {
+			t.Errorf("campaign %s retains %+v", id, kept)
+		}
+		if got := reportOf(t, s, id); !bytes.Equal(got, want) {
+			t.Errorf("campaign %s: report differs from the in-process run", id)
+		}
+	}
+}
+
 // TestTenantQuotasFairness: two tenants saturate the fleet; quotas cap each
 // tenant's concurrent leases, DRR keeps grants fair, and both campaigns'
 // reports are byte-identical to their in-process runs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -109,6 +110,78 @@ func TestWorkersSurviveServerRestart(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestIDsFromThePreviousBootNeverMatch: worker and lease counters restart
+// with the server, so the first worker to register after a restart would be
+// handed the very IDs a survivor of the previous boot still holds. The
+// per-boot epoch keeps them apart: a survivor that speaks under its old IDs
+// after someone else has re-registered is told 404 / 409 — it never extends,
+// or delivers into, the newcomer's lease.
+func TestIDsFromThePreviousBootNeverMatch(t *testing.T) {
+	spec := testSpec("epochs", 1, 2)
+	want, _ := referenceReport(t, spec)
+	stateDir := t.TempDir()
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := loadedServer(t, cache, stateDir)
+	s1.epoch = "a"
+	sub, err := s1.submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor := s1.register(RegisterRequest{Name: "survivor"}).WorkerID
+	held, err := s1.leaseNext(LeaseRequest{WorkerID: survivor})
+	if err != nil || held.Job == nil {
+		t.Fatalf("lease before the restart: %v %+v", err, held)
+	}
+	if survivor != "wa-001" || held.Job.LeaseID != "la-000001" {
+		t.Fatalf("IDs %q / %q do not carry the boot's epoch", survivor, held.Job.LeaseID)
+	}
+
+	s2 := loadedServer(t, cache, stateDir)
+	s2.epoch = "b"
+	newcomer := s2.register(RegisterRequest{Name: "newcomer"}).WorkerID
+	granted, err := s2.leaseNext(LeaseRequest{WorkerID: newcomer})
+	if err != nil || granted.Job == nil {
+		t.Fatalf("lease after the restart: %v %+v", err, granted)
+	}
+	if newcomer == survivor || granted.Job.LeaseID == held.Job.LeaseID {
+		t.Fatalf("the restarted server reissued the survivor's IDs: worker %q, lease %q", newcomer, granted.Job.LeaseID)
+	}
+
+	if _, err := s2.leaseNext(LeaseRequest{WorkerID: survivor}); httpStatus(err) != http.StatusNotFound {
+		t.Errorf("survivor's lease request: %v, want a 404", err)
+	}
+	if err := s2.heartbeat(HeartbeatRequest{WorkerID: survivor, LeaseID: held.Job.LeaseID}); httpStatus(err) != http.StatusConflict {
+		t.Errorf("survivor's heartbeat: %v, want a 409", err)
+	}
+	res, _ := fakeExec(context.Background(), held.Job.Params)
+	res.Attempts = 1
+	if err := s2.result(ResultRequest{
+		WorkerID: survivor, LeaseID: held.Job.LeaseID, CampaignID: held.Job.CampaignID,
+		Index: held.Job.Index, Status: campaign.StatusRun, Result: res,
+	}); httpStatus(err) != http.StatusConflict {
+		t.Errorf("survivor's result: %v, want a 409", err)
+	}
+	if st, err := s2.campaignStatus(sub.CampaignID); err != nil || st.Done != 0 || st.InFlight != 1 {
+		t.Fatalf("after the survivor spoke: %+v, %v; want the newcomer's lease alone in flight", st, err)
+	}
+
+	res, _ = fakeExec(context.Background(), granted.Job.Params)
+	res.Attempts = 1
+	if err := s2.result(ResultRequest{
+		WorkerID: newcomer, LeaseID: granted.Job.LeaseID, CampaignID: granted.Job.CampaignID,
+		Index: granted.Job.Index, Status: campaign.StatusRun, Result: res,
+	}); err != nil {
+		t.Fatalf("newcomer's result: %v", err)
+	}
+	completeAll(t, s2, newcomer)
+	if got := reportOf(t, s2, sub.CampaignID); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestLoadSurvivesJournalTornAtEveryOffset: whatever a crash or a bad disk

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -46,6 +47,11 @@ type Server struct {
 	// now is the injectable clock; tests freeze and step it to drive lease
 	// expiry deterministically.
 	now func() time.Time
+	// epoch tags this boot's worker and lease IDs (wEPOCH-001,
+	// lEPOCH-000001): their counters restart with the server, and a
+	// survivor's ID from the previous boot must never match one issued
+	// since. Drawn from the clock at New; tests pin it.
+	epoch string
 
 	mu        sync.Mutex
 	queue     *campaign.Queue
@@ -103,6 +109,7 @@ func New(cache *campaign.Cache) *Server {
 	return &Server{
 		Cache:     cache,
 		now:       time.Now,
+		epoch:     strconv.FormatInt(time.Now().UnixNano(), 36),
 		queue:     campaign.NewQueue(0),
 		campaigns: map[string]*campaignRun{},
 		workers:   map[string]*workerState{},
@@ -205,6 +212,11 @@ func (run *campaignRun) fill(out campaign.JobOutcome) bool {
 		return false
 	}
 	run.filled[out.Job.Index] = true
+	if out.Result != nil {
+		slim := *out.Result
+		slim.Metrics = nil // stays in the cache; Aggregate strips it from every row it serves
+		out.Result = &slim
+	}
 	run.outcomes[out.Job.Index] = out
 	run.remaining--
 	switch out.Status {
@@ -266,7 +278,7 @@ func (s *Server) register(req RegisterRequest) *RegisterResponse {
 	defer s.mu.Unlock()
 	s.nextWkr++
 	w := &workerState{
-		id:       fmt.Sprintf("w%03d", s.nextWkr),
+		id:       fmt.Sprintf("w%s-%03d", s.epoch, s.nextWkr),
 		name:     req.Name,
 		lastSeen: s.now(),
 		leases:   map[string]struct{}{},
@@ -311,7 +323,7 @@ func (s *Server) leaseNext(req LeaseRequest) (*LeaseResponse, error) {
 		}
 		s.nextLease++
 		l := &lease{
-			id:         fmt.Sprintf("l%06d", s.nextLease),
+			id:         fmt.Sprintf("l%s-%06d", s.epoch, s.nextLease),
 			workerID:   w.id,
 			campaignID: tj.CampaignID,
 			tj:         tj,

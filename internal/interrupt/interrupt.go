@@ -20,6 +20,7 @@ const (
 	Software Kind = iota // MSIP
 	Timer                // MTIP
 	External             // MEIP
+	numKinds
 )
 
 // String names the wire.
@@ -52,25 +53,21 @@ const Flits = 3
 // Change to the destination hart's tile (possibly across nodes).
 type Packetizer struct {
 	send func(hart int, c *Change)
-	last map[int]map[Kind]bool
+	last [][numKinds]bool // per hart: the level last sent on each wire
 }
 
-// NewPacketizer creates a packetizer delivering through send.
-func NewPacketizer(send func(hart int, c *Change)) *Packetizer {
-	return &Packetizer{send: send, last: make(map[int]map[Kind]bool)}
+// NewPacketizer creates a packetizer for the given number of harts,
+// delivering through send.
+func NewPacketizer(harts int, send func(hart int, c *Change)) *Packetizer {
+	return &Packetizer{send: send, last: make([][numKinds]bool, harts)}
 }
 
 // Set drives one controller output. Only transitions generate packets.
 func (p *Packetizer) Set(hart int, kind Kind, level bool) {
-	m, ok := p.last[hart]
-	if !ok {
-		m = make(map[Kind]bool)
-		p.last[hart] = m
-	}
-	if m[kind] == level {
+	if p.last[hart][kind] == level {
 		return
 	}
-	m[kind] = level
+	p.last[hart][kind] = level
 	p.send(hart, &Change{Hart: hart, Kind: kind, Level: level})
 }
 

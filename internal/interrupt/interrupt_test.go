@@ -22,7 +22,7 @@ func newWiring(harts int) (*wiring, *Packetizer) {
 		w.wires = append(w.wires, wires)
 		w.depacks = append(w.depacks, NewDepacketizer(func(k Kind, level bool) { wires[k] = level }))
 	}
-	p := NewPacketizer(func(hart int, c *Change) {
+	p := NewPacketizer(harts, func(hart int, c *Change) {
 		w.packets++
 		w.depacks[hart].Handle(c)
 	})

@@ -64,7 +64,7 @@ func NewDRAM(eng *sim.Engine, name string, latency sim.Time, bytesPerCycle int, 
 // channel, e.g. "node0.dram"). flip rules model single-bit upsets the SECDED
 // code corrects; flip2 rules model double-bit upsets it can only detect,
 // failing the read with OK:false. Must be called before traffic; nil-safe.
-func (d *DRAM) SetInjector(inj *fault.Injector) { d.site = inj.SiteOn(d.name, d.eng) }
+func (d *DRAM) SetInjector(inj *fault.Injector) { d.site = inj.Site(d.name, d.eng) }
 
 // CaptureState records the channel's timing state (the bandwidth
 // serialization clock; everything else is configuration or statistics).

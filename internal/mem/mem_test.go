@@ -277,7 +277,7 @@ func TestSECDEDModel(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
 	d := NewDRAM(eng, "node0.dram", 10, 64, nil, 0, &st)
-	d.SetInjector(fault.NewInjector(eng, fault.MustParse("node0.dram.flip:n=2;node0.dram.flip2:n=1,after=2", 3)))
+	d.SetInjector(fault.NewInjector(fault.MustParse("node0.dram.flip:n=2;node0.dram.flip2:n=1,after=2", 3)))
 
 	var oks []bool
 	for i := 0; i < 4; i++ {
@@ -303,7 +303,7 @@ func TestControllerCountsAXIErrors(t *testing.T) {
 	var st sim.Stats
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 2), nil)
 	d := NewDRAM(eng, "node0.dram", 10, 64, nil, 0, &st)
-	d.SetInjector(fault.NewInjector(eng, fault.MustParse("node0.dram.flip2:p=1", 3)))
+	d.SetInjector(fault.NewInjector(fault.MustParse("node0.dram.flip2:p=1", 3)))
 	ctl := NewController(eng, mesh, "memctl", d, &st)
 
 	responses := 0

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDoubleAttachPanics(t *testing.T) {
-	f := New(sim.NewEngine(), DefaultParams(), nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
 	f.Attach(1, &echoTarget{})
 	defer func() {
 		if recover() == nil {
@@ -21,7 +21,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestErrorResponsePaysLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	f := New(eng, DefaultParams(), nil)
+	f := newFabric(eng, DefaultParams(), nil, nil)
 	base, _ := f.Window(3) // nothing attached
 	var at sim.Time
 	var resp *axi.WriteResp
@@ -38,8 +38,7 @@ func TestErrorResponsePaysLatency(t *testing.T) {
 func TestReliableDeliveryUnderDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := New(eng, DefaultParams(), &st)
-	f.SetInjector(fault.NewInjector(eng, fault.MustParse("pcie.ep0.link.drop:p=0.3", 11)))
+	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.drop:p=0.3", 11))
 	dst := &echoTarget{}
 	f.Attach(1, dst)
 	base, _ := f.Window(1)
@@ -72,8 +71,7 @@ func TestReliableDeliveryUnderDrops(t *testing.T) {
 func TestCorruptionIsRetransmitted(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := New(eng, DefaultParams(), &st)
-	f.SetInjector(fault.NewInjector(eng, fault.MustParse("pcie.ep0.link.corrupt:n=1", 3)))
+	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.corrupt:n=1", 3))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	var resp *axi.ReadResp
@@ -91,8 +89,7 @@ func TestCorruptionIsRetransmitted(t *testing.T) {
 func TestHungEndpointGivesUpWithError(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := New(eng, DefaultParams(), &st)
-	f.SetInjector(fault.NewInjector(eng, fault.MustParse("pcie.ep0.link.hang", 1)))
+	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.hang", 1))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	var resp *axi.WriteResp
@@ -121,10 +118,11 @@ func TestHungEndpointGivesUpWithError(t *testing.T) {
 func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 	run := func(inj bool) sim.Time {
 		eng := sim.NewEngine()
-		f := New(eng, DefaultParams(), nil)
+		var plan *fault.Plan
 		if inj {
-			f.SetInjector(fault.NewInjector(eng, fault.MustParse("pcie.*.drop:p=0", 1)))
+			plan = fault.MustParse("pcie.*.drop:p=0", 1)
 		}
+		f := newFabric(eng, DefaultParams(), nil, plan)
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time
@@ -143,10 +141,7 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 func TestDelayFaultAddsLatency(t *testing.T) {
 	rtt := func(spec string) sim.Time {
 		eng := sim.NewEngine()
-		f := New(eng, DefaultParams(), nil)
-		if spec != "" {
-			f.SetInjector(fault.NewInjector(eng, fault.MustParse(spec, 1)))
-		}
+		f := newFabric(eng, DefaultParams(), nil, fault.MustParse(spec, 1))
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time

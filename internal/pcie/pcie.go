@@ -8,18 +8,17 @@
 // crossing as a fixed one-way latency plus egress serialization at the
 // PCIe link's bandwidth.
 //
-// The fabric is the only component that spans FPGA chips, so under sharded
-// execution it is the cross-shard boundary: all of its mutable state is
-// partitioned per endpoint (engine, egress reservation, telemetry, and the
-// per-direction halves of the reliable-link state), and every crossing is
-// delivered through a sim.CrossNet, whose canonical ordering keeps serial
-// and sharded runs byte-identical. A standalone fabric gets a one-engine
-// sim.Group of its own for that role.
+// The fabric is the only component that spans FPGA chips, so it is the
+// cross-shard boundary: all of its mutable state is partitioned per endpoint
+// (engine, egress reservation, telemetry, and the per-direction halves of
+// the reliable-link state), every endpoint is bound to its owner's engine
+// and registry before it carries traffic, and every crossing is delivered
+// through a sim.CrossNet, whose canonical ordering keeps runs byte-identical
+// under every sharding.
 package pcie
 
 import (
 	"fmt"
-	"sort"
 
 	"smappic/internal/axi"
 	"smappic/internal/ckpt"
@@ -73,17 +72,17 @@ type epStats struct {
 	site *fault.Site // egress fault site ("pcie.epN.link"), nil when clean
 }
 
-// epState is everything the fabric owns on behalf of one endpoint. Each
-// field is only ever touched from that endpoint's execution context, which
-// is what lets shards run concurrently between barriers.
+// epState is everything the fabric owns on behalf of one endpoint, and the
+// endpoint's outbound master interface. Each field is only ever touched from
+// that endpoint's execution context, which is what lets shards run
+// concurrently between barriers.
 type epState struct {
-	id      int
-	eng     *sim.Engine
-	tel     *epStats
-	siteSet bool       // fault site resolved (it may have resolved to nil)
-	target  axi.Target // inbound interface; nil until Attach
-	egress  sim.Time   // egress link reservation
-	master  *port      // the endpoint's one outbound master interface
+	f      *Fabric
+	id     int
+	eng    *sim.Engine
+	tel    *epStats
+	target axi.Target // inbound interface; nil until Attach
+	egress sim.Time   // egress link reservation
 	// Free lists of pooled fast-path exchange records. Owned by this
 	// endpoint: records are taken and recycled only in its execution
 	// context, so shards never contend.
@@ -93,16 +92,14 @@ type epState struct {
 
 // Fabric is the PCIe switch connecting FPGAs and the host.
 type Fabric struct {
-	eng     *sim.Engine // default engine for endpoints without an explicit shard
-	p       Params
-	stats   *sim.Stats // default registry, likewise
-	inj     *fault.Injector
-	net     sim.CrossNet
-	sharded bool
-	eps     map[int]*epState
-	// rel[src+1][dst+1] is the reliable-link state of the directed pair
-	// (src, dst); the +1 folds HostID (-1) into the array. A fixed array —
-	// allocated up front — so concurrent shards never mutate a shared map.
+	p   Params
+	inj *fault.Injector
+	net sim.CrossNet
+	// eps[id+1] is endpoint id's state and rel[src+1][dst+1] the
+	// reliable-link state of the directed pair (src, dst); the +1 folds
+	// HostID (-1) into the arrays. Fixed arrays, filled before traffic, so
+	// concurrent shards never mutate a shared table.
+	eps [MaxFPGAs + 1]*epState
 	rel [MaxFPGAs + 1][MaxFPGAs + 1]*relState
 	// Address windows: FPGA i owns [WindowBase + i*WindowSize, +WindowSize).
 	// Anything else routes to the host.
@@ -116,16 +113,15 @@ const WindowSize uint64 = 1 << 40
 // WindowBase is the start of the FPGA apertures.
 const WindowBase axi.Addr = 1 << 44
 
-// New creates a fabric. Attach endpoints before sending. Crossings are
-// delivered through a private one-engine group on eng until SetCrossNet
-// replaces it.
-func New(eng *sim.Engine, p Params, stats *sim.Stats) *Fabric {
+// New creates a fabric that delivers its crossings through net (shared with
+// the other cross-shard users, so all draw from one per-source sequence
+// space) and consults inj for link faults; a nil injector leaves every link
+// infallible. Bind, then Attach, every endpoint before sending.
+func New(p Params, net sim.CrossNet, inj *fault.Injector) *Fabric {
 	f := &Fabric{
-		eng:        eng,
 		p:          p,
-		stats:      stats,
-		net:        sim.NewHierGroup(p.MinCrossing(), p.MinCrossing(), [][]*sim.Engine{{eng}}, make([]int, MaxFPGAs)),
-		eps:        make(map[int]*epState),
+		inj:        inj,
+		net:        net,
 		windowBase: WindowBase,
 		windowSize: WindowSize,
 	}
@@ -137,38 +133,19 @@ func New(eng *sim.Engine, p Params, stats *sim.Stats) *Fabric {
 	return f
 }
 
-// SetInjector attaches a fault injector. In serial mode each endpoint
-// resolves its egress fault site "pcie.epN.link" at first traffic; sharded
-// builds resolve eagerly at ShardEndpoint (the injector registry must not
-// be touched from concurrent shards), so there the injector must be set
-// first. A nil injector leaves every link infallible (the default).
-func (f *Fabric) SetInjector(inj *fault.Injector) { f.inj = inj }
-
-// SetCrossNet replaces the delivery network. Sharded builds pass the shard
-// group so crossings become envelopes exchanged at window barriers; it can
-// also be used to share one network between the fabric and other
-// cross-shard users (thread migration) so they draw from the same
-// per-source sequence space. Must be called before traffic.
-func (f *Fabric) SetCrossNet(net sim.CrossNet) { f.net = net }
-
-// ShardEndpoint binds endpoint id to its shard's engine and stats registry
-// and creates its state eagerly. Sharded builds must call it for every
-// endpoint before Attach; it also marks the fabric sharded, after which
-// traffic touching an unbound endpoint (e.g. the host) panics instead of
-// silently racing.
-func (f *Fabric) ShardEndpoint(id int, eng *sim.Engine, stats *sim.Stats) {
-	if _, dup := f.eps[id]; dup {
-		panic(fmt.Sprintf("pcie: endpoint %d sharded twice", id))
+// Bind gives endpoint id (an FPGA index in [0, MaxFPGAs) or HostID) its
+// owner's engine and stats registry and resolves its egress fault site
+// "pcie.epN.link" — once, while the platform is built: a running shard never
+// creates fabric state or touches the injector's registry.
+func (f *Fabric) Bind(id int, eng *sim.Engine, stats *sim.Stats) {
+	if id != HostID && (id < 0 || id >= MaxFPGAs) {
+		panic(fmt.Sprintf("pcie: endpoint id %d out of range", id))
 	}
-	f.sharded = true
-	st := f.newState(id, eng, stats)
-	f.resolveSite(st)
-	f.eps[id] = st
-}
-
-func (f *Fabric) newState(id int, eng *sim.Engine, stats *sim.Stats) *epState {
-	st := &epState{id: id, eng: eng, tel: &epStats{}}
-	st.master = &port{f: f, src: id}
+	if f.eps[id+1] != nil {
+		panic(fmt.Sprintf("pcie: endpoint %d bound twice", id))
+	}
+	st := &epState{f: f, id: id, eng: eng, tel: &epStats{}}
+	st.tel.site = f.inj.Site(fmt.Sprintf("pcie.ep%d.link", id), eng)
 	if stats != nil {
 		t := st.tel
 		t.txBytes = stats.Counter(fmt.Sprintf("pcie.ep%d.tx_bytes", id))
@@ -180,42 +157,21 @@ func (f *Fabric) newState(id int, eng *sim.Engine, stats *sim.Stats) *epState {
 		t.linkCorrupt = stats.Counter(fmt.Sprintf("pcie.ep%d.link_corrupt", id))
 		t.linkFailed = stats.Counter(fmt.Sprintf("pcie.ep%d.link_failed", id))
 	}
-	return st
+	f.eps[id+1] = st
 }
 
-// resolveSite binds the endpoint's egress fault site. Serial mode defers
-// this to first traffic so SetInjector may be called any time before the
-// fabric carries transfers; sharded mode resolves at ShardEndpoint because
-// the injector's registry must not be touched from concurrent shards.
-func (f *Fabric) resolveSite(st *epState) *fault.Site {
-	if !st.siteSet {
-		st.tel.site = f.inj.SiteOn(fmt.Sprintf("pcie.ep%d.link", st.id), st.eng)
-		st.siteSet = true
-	}
-	return st.tel.site
-}
-
-// state returns endpoint id's state, creating it on the fabric's default
-// engine/registry on first use in serial mode. In sharded mode every
-// endpoint that carries traffic must have been bound with ShardEndpoint.
+// state returns endpoint id's state; traffic touching an endpoint that was
+// never bound is a wiring error.
 func (f *Fabric) state(id int) *epState {
-	st, ok := f.eps[id]
-	if !ok {
-		if f.sharded {
-			panic(fmt.Sprintf("pcie: endpoint %d carries traffic but was not bound to a shard", id))
-		}
-		st = f.newState(id, f.eng, f.stats)
-		f.eps[id] = st
+	st := f.eps[id+1]
+	if st == nil {
+		panic(fmt.Sprintf("pcie: endpoint %d carries traffic but was never bound", id))
 	}
 	return st
 }
 
-// Attach registers the inbound AXI target for endpoint id (an FPGA index in
-// [0, MaxFPGAs) or HostID).
+// Attach registers the inbound AXI target of a bound endpoint.
 func (f *Fabric) Attach(id int, t axi.Target) {
-	if id != HostID && (id < 0 || id >= MaxFPGAs) {
-		panic(fmt.Sprintf("pcie: endpoint id %d out of range", id))
-	}
 	st := f.state(id)
 	if st.target != nil {
 		panic(fmt.Sprintf("pcie: endpoint id %d attached twice", id))
@@ -257,15 +213,12 @@ func (f *Fabric) LocalAddr(addr axi.Addr) axi.Addr {
 // bookkeeping and are not state.
 func (f *Fabric) CaptureState() ckpt.PCIeState {
 	var st ckpt.PCIeState
-	ids := make([]int, 0, len(f.eps))
-	for id := range f.eps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.Endpoints = append(st.Endpoints, ckpt.PCIeEndpointState{
-			ID: id, Egress: uint64(f.eps[id].egress),
-		})
+	for _, ep := range f.eps {
+		if ep != nil {
+			st.Endpoints = append(st.Endpoints, ckpt.PCIeEndpointState{
+				ID: ep.id, Egress: uint64(ep.egress),
+			})
+		}
 	}
 	for i := range f.rel {
 		for j := range f.rel[i] {
@@ -279,15 +232,17 @@ func (f *Fabric) CaptureState() ckpt.PCIeState {
 	return st
 }
 
-// RestoreState overlays a captured fabric state, creating endpoint records
-// as needed (serial mode creates them lazily on first traffic, so a fresh
-// build may not hold every endpoint the snapshot does).
+// RestoreState overlays a captured fabric state. A snapshot endpoint this
+// build did not bind belongs to a different platform.
 func (f *Fabric) RestoreState(st ckpt.PCIeState) error {
 	for _, ep := range st.Endpoints {
 		if ep.ID != HostID && (ep.ID < 0 || ep.ID >= MaxFPGAs) {
 			return &ckpt.CorruptError{Reason: fmt.Sprintf("pcie endpoint id %d out of range", ep.ID)}
 		}
-		f.state(ep.ID).egress = sim.Time(ep.Egress)
+		if f.eps[ep.ID+1] == nil {
+			return &ckpt.MismatchError{Field: fmt.Sprintf("pcie endpoint %d", ep.ID), Got: "present", Want: "not bound"}
+		}
+		f.eps[ep.ID+1].egress = sim.Time(ep.Egress)
 	}
 	for _, sq := range st.Seqs {
 		if sq.Src < 0 || sq.Src >= len(f.rel) || sq.Dst < 0 || sq.Dst >= len(f.rel) {
@@ -298,14 +253,13 @@ func (f *Fabric) RestoreState(st ckpt.PCIeState) error {
 	return nil
 }
 
-// delay reserves egress bandwidth at src and returns the total transfer
-// delay for n bytes. Runs in src's execution context.
-func (f *Fabric) delay(src, n int) sim.Time {
+// delay reserves egress bandwidth at st and returns the total transfer
+// delay for n bytes. Runs in st's execution context.
+func (f *Fabric) delay(st *epState, n int) sim.Time {
 	beats := sim.Time((n + f.p.BytesPerCycle - 1) / f.p.BytesPerCycle)
 	if beats == 0 {
 		beats = 1
 	}
-	st := f.state(src)
 	start := st.eng.Now()
 	if st.egress > start {
 		start = st.egress
@@ -361,8 +315,8 @@ func (f *Fabric) relOf(src, dst int) *relState { return f.rel[src+1][dst+1] }
 // CrossNet, the cross-shard edge.
 func (f *Fabric) cross(src, dst, nbytes int, then func()) {
 	st := f.state(src)
-	d := f.delay(src, nbytes)
-	fate := f.resolveSite(st).Transfer()
+	d := f.delay(st, nbytes)
+	fate := st.tel.site.Transfer()
 	if fate.Drop {
 		st.tel.linkDrops.Inc()
 		return
@@ -396,8 +350,8 @@ type xchg struct {
 // retransmitted on timeout and deduplicated at the receiver. invoke calls the
 // destination target and must hand the response to its callback exactly
 // once; finish receives that response, or nil when the link gave up after
-// maxAttempts. A link with no fault site never comes here: port.Write and
-// port.Read take the pooled plain pair of crossings instead.
+// maxAttempts. A link with no fault site never comes here: epState.Write and
+// epState.Read take the pooled plain pair of crossings instead.
 func (f *Fabric) exchange(src, dst int, fwdBytes, respBytes int, invoke func(reply func(any)), finish func(any)) {
 	st := f.relOf(src, dst)
 	x := &xchg{
@@ -475,35 +429,19 @@ func (x *xchg) timeout() {
 	x.attempt()
 }
 
-// port is one endpoint's outbound master interface.
-type port struct {
-	f   *Fabric
-	src int
-}
-
 // Master returns the outbound AXI interface of endpoint src. Writes and
 // reads are routed by address to the owning endpoint; responses pay the
 // return crossing.
-func (f *Fabric) Master(src int) axi.Target { return f.state(src).master }
+func (f *Fabric) Master(src int) axi.Target { return f.state(src) }
 
 // fail schedules an OK:false response for an unrouteable request. The error
 // still pays the one-way switch latency: the request has to reach the switch
 // before anything can reject it. The rejection never leaves src.
-func (p *port) fail(tel *epStats, respond func()) {
-	p.f.state(p.src).eng.Schedule(p.f.p.OneWay, func() {
-		tel.inflight.Dec()
+func (src *epState) fail(respond func()) {
+	src.eng.Schedule(src.f.p.OneWay, func() {
+		src.tel.inflight.Dec()
 		respond()
 	})
-}
-
-// targetOf returns the inbound interface of endpoint id without creating
-// state for unknown endpoints (an unrouteable address must fail cleanly,
-// not panic the sharded fabric).
-func (f *Fabric) targetOf(id int) axi.Target {
-	if st, ok := f.eps[id]; ok {
-		return st.target
-	}
-	return nil
 }
 
 // wop is one pooled fast-path write exchange: the rewritten request held by
@@ -598,29 +536,30 @@ func (f *Fabric) getRop(st *epState) *rop {
 	return newRop(f, st)
 }
 
-func (p *port) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	f := p.f
+func (src *epState) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
+	f := src.f
 	dstID := f.RouteOf(req.Addr)
-	src := f.state(p.src)
 	tel := src.tel
 	start := src.eng.Now()
 	tel.inflight.Inc()
-	dst := f.targetOf(dstID)
-	if dst == nil {
-		p.fail(tel, func() { done(&axi.WriteResp{ID: req.ID, OK: false}) })
+	ep := f.eps[dstID+1]
+	if ep == nil || ep.target == nil {
+		// Unbound or unattached: an unrouteable address fails, not panics.
+		src.fail(func() { done(&axi.WriteResp{ID: req.ID, OK: false}) })
 		return
 	}
-	if f.resolveSite(src) == nil && f.resolveSite(f.state(dstID)) == nil {
+	dst := ep.target
+	if tel.site == nil && ep.tel.site == nil {
 		o := f.getWop(src)
 		o.dstID, o.dst = dstID, dst
 		o.local = axi.WriteReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Data: req.Data, User: req.User}
 		o.done, o.start = done, start
-		f.cross(p.src, dstID, len(req.Data), o.deliverFn)
+		f.cross(src.id, dstID, len(req.Data), o.deliverFn)
 		return
 	}
 	local := &axi.WriteReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Data: req.Data, User: req.User}
 	// b-channel response crosses back as a small TLP.
-	f.exchange(p.src, dstID, len(req.Data), 4,
+	f.exchange(src.id, dstID, len(req.Data), 4,
 		func(reply func(any)) {
 			dst.Write(local, func(r *axi.WriteResp) { reply(r) })
 		},
@@ -635,29 +574,30 @@ func (p *port) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
 		})
 }
 
-func (p *port) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	f := p.f
+func (src *epState) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
+	f := src.f
 	dstID := f.RouteOf(req.Addr)
-	src := f.state(p.src)
 	tel := src.tel
 	start := src.eng.Now()
 	tel.inflight.Inc()
-	dst := f.targetOf(dstID)
-	if dst == nil {
-		p.fail(tel, func() { done(&axi.ReadResp{ID: req.ID, OK: false}) })
+	ep := f.eps[dstID+1]
+	if ep == nil || ep.target == nil {
+		// Unbound or unattached: an unrouteable address fails, not panics.
+		src.fail(func() { done(&axi.ReadResp{ID: req.ID, OK: false}) })
 		return
 	}
-	if f.resolveSite(src) == nil && f.resolveSite(f.state(dstID)) == nil {
+	dst := ep.target
+	if tel.site == nil && ep.tel.site == nil {
 		o := f.getRop(src)
 		o.dstID, o.dst = dstID, dst
 		o.local = axi.ReadReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Len: req.Len}
 		o.done, o.start = done, start
-		f.cross(p.src, dstID, 4, o.deliverFn)
+		f.cross(src.id, dstID, 4, o.deliverFn)
 		return
 	}
 	local := &axi.ReadReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Len: req.Len}
 	// r-channel data crosses back.
-	f.exchange(p.src, dstID, 4, req.Len,
+	f.exchange(src.id, dstID, 4, req.Len,
 		func(reply func(any)) {
 			dst.Read(local, func(r *axi.ReadResp) { reply(r) })
 		},

@@ -1,11 +1,24 @@
 package pcie
 
 import (
+	"errors"
 	"testing"
 
 	"smappic/internal/axi"
+	"smappic/internal/ckpt"
+	"smappic/internal/fault"
 	"smappic/internal/sim"
 )
+
+// newFabric builds a fabric whose every endpoint, the host's included, is
+// bound to eng and stats; plan (nil: none) is its fault plan.
+func newFabric(eng *sim.Engine, p Params, stats *sim.Stats, plan *fault.Plan) *Fabric {
+	f := New(p, sim.NewSerialNet(eng), fault.NewInjector(plan))
+	for id := HostID; id < MaxFPGAs; id++ {
+		f.Bind(id, eng, stats)
+	}
+	return f
+}
 
 // echoTarget acks writes and returns canned data for reads.
 type echoTarget struct {
@@ -24,7 +37,7 @@ func (e *echoTarget) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
 }
 
 func TestRouteByWindow(t *testing.T) {
-	f := New(sim.NewEngine(), DefaultParams(), nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
 	for i := 0; i < MaxFPGAs; i++ {
 		base, _ := f.Window(i)
 		if got := f.RouteOf(base); got != i {
@@ -40,7 +53,7 @@ func TestRouteByWindow(t *testing.T) {
 }
 
 func TestLocalAddrStripsWindow(t *testing.T) {
-	f := New(sim.NewEngine(), DefaultParams(), nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
 	base, _ := f.Window(2)
 	if got := f.LocalAddr(base + 0xABC); got != 0xABC {
 		t.Errorf("LocalAddr = %#x, want 0xABC", got)
@@ -52,7 +65,7 @@ func TestLocalAddrStripsWindow(t *testing.T) {
 
 func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 	eng := sim.NewEngine()
-	f := New(eng, DefaultParams(), nil)
+	f := newFabric(eng, DefaultParams(), nil, nil)
 	host := &echoTarget{}
 	fpga1 := &echoTarget{}
 	f.Attach(HostID, host)
@@ -75,7 +88,7 @@ func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 
 func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 	eng := sim.NewEngine()
-	f := New(eng, DefaultParams(), nil)
+	f := newFabric(eng, DefaultParams(), nil, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
@@ -91,7 +104,7 @@ func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 
 func TestUnattachedEndpointFails(t *testing.T) {
 	eng := sim.NewEngine()
-	f := New(eng, DefaultParams(), nil)
+	f := newFabric(eng, DefaultParams(), nil, nil)
 	base, _ := f.Window(3)
 	var resp *axi.WriteResp
 	f.Master(0).Write(&axi.WriteReq{Addr: base}, func(r *axi.WriteResp) { resp = r })
@@ -105,7 +118,7 @@ func TestEgressSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultParams()
 	p.BytesPerCycle = 64
-	f := New(eng, p, nil)
+	f := newFabric(eng, p, nil, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
@@ -128,7 +141,7 @@ func TestEgressSerialization(t *testing.T) {
 func TestStatsCountTraffic(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := New(eng, DefaultParams(), &st)
+	f := newFabric(eng, DefaultParams(), &st, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	f.Master(0).Write(&axi.WriteReq{Addr: base, Data: make([]byte, 64)}, func(*axi.WriteResp) {})
@@ -142,11 +155,66 @@ func TestStatsCountTraffic(t *testing.T) {
 }
 
 func TestBadEndpointIDPanics(t *testing.T) {
-	f := New(sim.NewEngine(), DefaultParams(), nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("Attach(9) did not panic")
+			t.Error("Bind(9) did not panic")
 		}
 	}()
-	f.Attach(9, &echoTarget{})
+	f.Bind(9, sim.NewEngine(), nil)
+}
+
+// TestUnboundEndpointPanics: an endpoint belongs to one engine from
+// construction on, under one engine as under four — sending from, or
+// attaching, one that was never bound is a wiring error, not a lazily
+// created endpoint on some default engine.
+func TestUnboundEndpointPanics(t *testing.T) {
+	for _, engines := range []int{1, 4} {
+		engs := make([]*sim.Engine, engines)
+		for i := range engs {
+			engs[i] = sim.NewEngine()
+		}
+		g := sim.NewGroup(DefaultParams().MinCrossing(), engs...)
+		f := New(DefaultParams(), g, nil)
+		for id := 0; id < 2; id++ {
+			f.Bind(id, engs[id%engines], nil)
+		}
+		f.Attach(1, &echoTarget{})
+		base, _ := f.Window(1)
+		for name, fn := range map[string]func(){
+			"send from the host": func() { f.Master(HostID).Write(&axi.WriteReq{Addr: base}, func(*axi.WriteResp) {}) },
+			"send from fpga 3":   func() { f.Master(3).Read(&axi.ReadReq{Addr: base, Len: 8}, func(*axi.ReadResp) {}) },
+			"attach fpga 2":      func() { f.Attach(2, &echoTarget{}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d engines: %s did not panic", engines, name)
+					}
+				}()
+				fn()
+			}()
+		}
+		g.Close()
+	}
+}
+
+// TestRestoreRefusesUnboundEndpoint: a snapshot endpoint this build did not
+// bind is answered with a typed snapshot error, not created.
+func TestRestoreRefusesUnboundEndpoint(t *testing.T) {
+	f := New(DefaultParams(), sim.NewSerialNet(sim.NewEngine()), nil)
+	f.Bind(0, sim.NewEngine(), nil)
+	if err := f.RestoreState(ckpt.PCIeState{Endpoints: []ckpt.PCIeEndpointState{{ID: 0, Egress: 7}}}); err != nil {
+		t.Fatalf("bound endpoint: %v", err)
+	}
+	for _, id := range []int{HostID, 2} {
+		err := f.RestoreState(ckpt.PCIeState{Endpoints: []ckpt.PCIeEndpointState{{ID: id, Egress: 7}}})
+		var me *ckpt.MismatchError
+		if !errors.As(err, &me) || !ckpt.IsSnapshotError(err) {
+			t.Errorf("endpoint %d: error %v, want a ckpt.MismatchError", id, err)
+		}
+	}
+	if got := f.CaptureState().Endpoints; len(got) != 1 || got[0] != (ckpt.PCIeEndpointState{ID: 0, Egress: 7}) {
+		t.Errorf("captured endpoints %+v, want only endpoint 0 at egress 7", got)
+	}
 }

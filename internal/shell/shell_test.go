@@ -30,7 +30,10 @@ func (l *liteRegs) WriteReg(a axi.Addr, v uint32) { l.regs[a] = v }
 
 func setup() (*sim.Engine, *pcie.Fabric, *Shell, *Shell) {
 	eng := sim.NewEngine()
-	fab := pcie.New(eng, pcie.DefaultParams(), nil)
+	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), nil)
+	for id := pcie.HostID; id < 2; id++ {
+		fab.Bind(id, eng, nil)
+	}
 	s0 := New(eng, fab, 0, nil)
 	s1 := New(eng, fab, 1, nil)
 	return eng, fab, s0, s1

@@ -351,7 +351,7 @@ type HistSnap struct {
 // snapshots at quiescent boundaries (sample ticks, window barriers) and hands
 // them to HTTP handlers, which may marshal them concurrently with the
 // simulation precisely because nothing in a snapshot aliases live state.
-// Untouched-histogram entries are omitted, matching MarshalJSON.
+// Untouched-histogram entries are omitted.
 type StatsSnapshot struct {
 	Counters   map[string]uint64    `json:"counters"`
 	Gauges     map[string]GaugeSnap `json:"gauges"`
@@ -526,49 +526,7 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
-// gaugeJSON is the wire form of a gauge.
-type gaugeJSON struct {
-	Value int64 `json:"value"`
-	High  int64 `json:"high"`
-}
-
-// histJSON is the wire form of a histogram summary.
-type histJSON struct {
-	Samples uint64  `json:"samples"`
-	Sum     uint64  `json:"sum"`
-	Min     uint64  `json:"min"`
-	Max     uint64  `json:"max"`
-	Mean    float64 `json:"mean"`
-	P50     uint64  `json:"p50"`
-	P95     uint64  `json:"p95"`
-	P99     uint64  `json:"p99"`
-}
-
-// MarshalJSON renders the registry as a deterministic JSON document with
-// "counters", "gauges" and "histograms" sections (encoding/json sorts map
-// keys, so two identical runs produce byte-identical output).
-func (s *Stats) MarshalJSON() ([]byte, error) {
-	counters := make(map[string]uint64, len(s.counters))
-	for name, c := range s.counters {
-		counters[name] = c.Value
-	}
-	gauges := make(map[string]gaugeJSON, len(s.gauges))
-	for name, g := range s.gauges {
-		gauges[name] = gaugeJSON{Value: g.Value, High: g.High}
-	}
-	hists := make(map[string]histJSON, len(s.hists))
-	for name, h := range s.hists {
-		if h.Samples == 0 {
-			continue
-		}
-		hists[name] = histJSON{
-			Samples: h.Samples, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			Mean: h.Mean(), P50: h.P50(), P95: h.P95(), P99: h.P99(),
-		}
-	}
-	return json.Marshal(map[string]any{
-		"counters":   counters,
-		"gauges":     gauges,
-		"histograms": hists,
-	})
-}
+// MarshalJSON renders the registry as its Snapshot: "counters", "gauges" and
+// "histograms" sections in that order, map keys sorted by encoding/json, so
+// two identical runs produce byte-identical output.
+func (s *Stats) MarshalJSON() ([]byte, error) { return json.Marshal(s.Snapshot()) }

@@ -30,6 +30,7 @@ type diffOutcome struct {
 	trace    []byte // the exported Chrome trace (nil for an untraced run)
 	cycles   smappic.Time
 	checksum uint64
+	faults   string // Injector.String(): every matched site and what it fired, touched or not
 	sync     []byte // the synchronizer's books: the partition's, so compared only between runs of one partition
 }
 
@@ -45,6 +46,9 @@ func (want diffOutcome) same(t *testing.T, label string, got diffOutcome) {
 	if !bytes.Equal(want.metrics, got.metrics) {
 		t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
 			label, len(want.metrics), len(got.metrics), firstDiff(want.metrics, got.metrics))
+	}
+	if want.faults != got.faults {
+		t.Errorf("%s: fault report diverges:\nserial:\n%sgot:\n%s", label, want.faults, got.faults)
 	}
 	if !bytes.Equal(want.samples, got.samples) {
 		t.Errorf("%s: sampler rows diverge from the one-shard run's:\n%s", label, firstDiff(want.samples, got.samples))
@@ -173,6 +177,7 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 	}
 	out.metrics, out.samples = splitSamples(m)
 	out.cycles = p.Now()
+	out.faults = p.Injector.String()
 	if out.sync, err = json.Marshal(p.Group.SyncSnapshot()); err != nil {
 		t.Fatal(err)
 	}
