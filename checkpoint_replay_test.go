@@ -378,3 +378,15 @@ func TestRestoreRefusesFormatVersion3(t *testing.T) {
 	}
 	wantVersionError(t, raw, smappic.DefaultConfig(2, 2, 2), 3)
 }
+
+// TestRestoreRefusesFormatVersion4 restores a real version-4 state capture,
+// whose statistics sat in one registry per shard beside the node sections.
+// gob would decode it without an error and drop those registries, so the
+// gate must stop it before the decoder sees it.
+func TestRestoreRefusesFormatVersion4(t *testing.T) {
+	raw, err := os.ReadFile("testdata/state-v4/one-shard.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVersionError(t, raw, smappic.DefaultConfig(1, 1, 2), 4)
+}

@@ -40,8 +40,9 @@ func smappicRun(t *testing.T, args ...string) (stderr string, ok bool) {
 // TestRestoreNamesBothFormatVersions restores snapshots of the older formats
 // (valid envelope and digest): version 1's JSON payload, this build's own
 // payload re-sealed as version 2 — whose serial cursors counted executed
-// events — and a real version-3 window cursor the parent of PR 17 wrote,
-// none of which anything can replay any more. Each run must exit 1 with a
+// events — a real version-3 window cursor written at commit 3a94eb3, none of
+// which anything can replay any more, and a real version-4 state capture,
+// whose per-shard statistics the decoder would drop. Each run must exit 1 with a
 // message naming the file's version and the one this build reads. A snapshot
 // the same binary just wrote must restore, under another sharding too.
 func TestRestoreNamesBothFormatVersions(t *testing.T) {
@@ -64,11 +65,16 @@ func TestRestoreNamesBothFormatVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v4, err := os.ReadFile("../../testdata/state-v4/one-shard.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for version, sealed := range map[uint32][]byte{
 		1: ckpttest.Seal(1, ckpt.KindReplay, []byte(`{"kind":1,"config_hash":"0","now":2000,"replay":{"executed":1,"parallel":1}}`)),
 		2: ckpttest.Seal(2, ckpt.KindReplay, file[17:len(file)-32]), // between the header and the digest
 		3: v3,
+		4: v4,
 	} {
 		old := filepath.Join(dir, fmt.Sprintf("v%d.ckpt", version))
 		if err := os.WriteFile(old, sealed, 0o644); err != nil {

@@ -11,8 +11,9 @@
 // decode or must not trust (format version 1 carried the same struct as
 // JSON; version 2 serial cursors counted executed events and version 3
 // cursors counted synchronization windows, cursors no build can replay any
-// more — each is a VersionError, which callers treat as "discard, start
-// cold"). The payload
+// more; version 4 state captures held one statistics registry per shard,
+// which the decoder would silently drop — each is a VersionError, which
+// callers treat as "discard, start cold"). The payload
 // codec is reflection-driven, so a field added to a state struct needs no
 // codec code; the bulk sections are shaped for its fast paths — cache tag
 // arrays are columnar (SetAssocState) and memory pages are raw bytes. All
@@ -27,11 +28,11 @@
 //     by construction, taken and restored under any sharding, including
 //     under fault plans, at the cost of re-simulating the prefix.
 //   - KindState records the full device state at a quiescent workload
-//     safepoint (event queue drained, every thread parked or exited at a
-//     barrier cut). Restore rebuilds the prototype, overlays the state and
-//     resumes the workload threads at their recorded times — the simulated
-//     prefix is genuinely skipped, which is what campaign crash-resume and
-//     warm-start forking need.
+//     safepoint (every event queue drained, every thread parked or exited at
+//     a barrier cut), laid out by node. Restore rebuilds the prototype,
+//     overlays the state and resumes the workload threads at their recorded
+//     times — the simulated prefix is genuinely skipped, which is what
+//     campaign crash-resume and warm-start forking need.
 //
 // The package owns only the format: the capture and restore logic lives
 // with the subsystems (cache, noc, pcie, bridge, mem, fault, kernel,
@@ -47,10 +48,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 4
+const Version = 5
 
 // magic identifies a SMAPPIC snapshot file.
 var magic = [4]byte{'S', 'M', 'C', 'K'}
@@ -166,7 +168,6 @@ type State struct {
 	Nodes    []NodeState
 	PCIe     PCIeState
 	Fault    *FaultState
-	Stats    []StatsState // one per shard registry
 	Kernel   *KernelState
 	Workload *WorkloadState
 }
@@ -183,7 +184,8 @@ type MemPage struct {
 	Data []byte
 }
 
-// NodeState is one node's device state.
+// NodeState is one node's device state and statistics registry (which also
+// holds the instruments of the FPGA whose slot 0 the node is).
 type NodeState struct {
 	Node   int
 	DRAM   DRAMState
@@ -191,6 +193,7 @@ type NodeState struct {
 	NoC    NoCState
 	Bridge BridgeState
 	Tiles  []TileState
+	Stats  StatsState
 }
 
 // DRAMState is a DRAM channel's timing state.
@@ -415,9 +418,10 @@ func (s *Snapshot) Write(w io.Writer) error {
 
 // WriteFile writes the snapshot atomically (temp file + rename), so a crash
 // mid-write can never leave a half-written snapshot under the final name.
+// The temp file is unique, so writers racing to one path each rename a
+// whole snapshot of their own into place.
 func (s *Snapshot) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -425,11 +429,13 @@ func (s *Snapshot) WriteFile(path string) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	return os.Rename(tmp, path)
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Read decodes and verifies a snapshot: magic, version, length, digest.

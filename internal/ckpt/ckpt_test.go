@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"smappic/internal/ckpt"
@@ -108,6 +111,50 @@ func TestReadFileMatchesRead(t *testing.T) {
 	}
 }
 
+// TestConcurrentWriteFilesLeaveOneWholeSnapshot: writers racing to one path
+// — two fleet workers running a re-leased job, two processes building one
+// warm prefix — each rename a whole snapshot of their own into place, so the
+// file always reads back as one writer's snapshot and no temp file is left.
+func TestConcurrentWriteFilesLeaveOneWholeSnapshot(t *testing.T) {
+	const writers, rounds = 4, 50
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.ckpt")
+	snaps := make([]*ckpt.Snapshot, writers)
+	for w := range snaps {
+		snaps[w] = filled(ckpt.KindState)
+		snaps[w].Now = uint64(w)
+		// Sizes differ too, so a torn mix of two writers cannot read back.
+		snaps[w].State.Mem.Pages = make([]ckpt.MemPage, w+1)
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for _, s := range snaps {
+			wg.Add(1)
+			go func(s *ckpt.Snapshot) {
+				defer wg.Done()
+				if err := s.WriteFile(path); err != nil {
+					t.Errorf("round %d: WriteFile: %v", round, err)
+				}
+			}(s)
+		}
+		wg.Wait()
+		got, err := ckpt.ReadFile(path)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got.Now >= writers || !reflect.DeepEqual(got, snaps[got.Now]) {
+			t.Fatalf("round %d: the file is no writer's snapshot", round)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("%d files left in the directory; want only job.ckpt", len(entries))
+	}
+}
+
 // TestEnvelopeErrors damages one envelope field at a time. Cases that must
 // get past the digest re-seal the file, so the named check is the one that
 // fires.
@@ -137,6 +184,7 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"version 1", ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"state":{}}`)), &ve},
 		{"version 2", ckpttest.Seal(2, ckpt.KindState, payload), &ve},
 		{"version 3", ckpttest.Seal(3, ckpt.KindState, payload), &ve},
+		{"version 4", ckpttest.Seal(4, ckpt.KindState, payload), &ve},
 		{"kind byte flipped", with(func(b []byte) []byte { b[8] ^= 3; return b }), &ce},
 		{"kind disagrees with payload", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, payload), &ce},
 		{"kind unknown", ckpttest.Seal(ckpt.Version, 9, section(filled(9))), &ce},

@@ -1,10 +1,11 @@
 // Checkpoint/restore assembly for the platform. Two snapshot kinds exist
 // (package ckpt): replay cursors, which any prototype can take at any window
 // barrier and which restore by deterministic re-execution under any
-// sharding; and full state captures, which are single-engine only and must
-// be taken at a quiescent safepoint (event queue drained) — the campaign
-// layer arranges those at workload barrier cuts. See DESIGN.md "Snapshot
-// format".
+// sharding; and full state captures, which must be taken at a quiescent
+// safepoint (the whole group drained) — the campaign layer arranges those at
+// workload barrier cuts. The hardware half of a capture is laid out by node
+// and reads the same under every sharding; the kernel's half needs one
+// shard. See DESIGN.md "Snapshot format".
 package core
 
 import (
@@ -180,22 +181,22 @@ func statsFromCkpt(s *sim.Stats, st ckpt.StatsState) error {
 }
 
 // CaptureState assembles the full quiescent-state section: backing memory,
-// every node's devices and caches, the PCIe fabric, fault-injector progress
-// and the statistics registry. Single-engine only (state snapshots are taken
-// by campaign jobs, which run one shard), and the event queue must be fully
-// drained — each subsystem additionally checks its own quiescence
-// invariants and errors instead of capturing a torn state.
+// every node's devices, caches and statistics registry, the PCIe fabric and
+// fault-injector progress. The whole group must be drained — no event queued
+// on any engine, no envelope parked in any outbox — and each subsystem
+// additionally checks its own quiescence invariants and errors instead of
+// capturing a torn state. Nothing captured depends on the sharding.
 func (p *Prototype) CaptureState() (*ckpt.State, error) {
-	p.mustSerial("CaptureState")
-	if p.Eng.Pending() != 0 {
-		return nil, fmt.Errorf("core: %d events still pending; state capture requires a drained engine", p.Eng.Pending())
+	if p.Group.Pending() {
+		return nil, fmt.Errorf("core: events still pending; state capture requires a drained group")
 	}
 	st := &ckpt.State{Mem: p.Backing.CaptureState()}
 	for _, n := range p.Nodes {
 		ns := ckpt.NodeState{
-			Node: n.ID,
-			DRAM: n.DRAM.CaptureState(),
-			NoC:  n.Mesh.CaptureState(),
+			Node:  n.ID,
+			DRAM:  n.DRAM.CaptureState(),
+			NoC:   n.Mesh.CaptureState(),
+			Stats: statsToCkpt(p.nodeStats[n.ID]),
 		}
 		mc, err := n.MemCtl.CaptureState()
 		if err != nil {
@@ -221,18 +222,16 @@ func (p *Prototype) CaptureState() (*ckpt.State, error) {
 	}
 	st.PCIe = p.Fabric.CaptureState()
 	st.Fault = p.Injector.CaptureState()
-	st.Stats = []ckpt.StatsState{statsToCkpt(p.Stats)}
 	return st, nil
 }
 
 // ApplyState overlays a captured state section onto a freshly built
-// one-shard prototype. With warmFork set — warm-start forking, where the restoring
-// configuration may differ in fork-time parameters — the bridge section
-// (credits, link shaper) and fault section are skipped: a fresh bridge's
-// full-credit quiescent state is consistent on both sides of every link,
-// and the fork's own fault plan starts its streams from zero.
+// prototype of any sharding. With warmFork set — warm-start forking, where
+// the restoring configuration may differ in fork-time parameters — the
+// bridge section (credits, link shaper) and fault section are skipped: a
+// fresh bridge's full-credit quiescent state is consistent on both sides of
+// every link, and the fork's own fault plan starts its streams from zero.
 func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
-	p.mustSerial("ApplyState")
 	if err := p.Backing.RestoreState(st.Mem); err != nil {
 		return err
 	}
@@ -247,6 +246,9 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 		}
 		n.DRAM.RestoreState(ns.DRAM)
 		n.MemCtl.RestoreState(ns.MemCtl)
+		if err := statsFromCkpt(p.nodeStats[n.ID], ns.Stats); err != nil {
+			return err
+		}
 		if err := n.Mesh.RestoreState(ns.NoC); err != nil {
 			return err
 		}
@@ -274,11 +276,6 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 	}
 	if !warmFork {
 		if err := p.Injector.RestoreState(st.Fault); err != nil {
-			return err
-		}
-	}
-	if len(st.Stats) > 0 {
-		if err := statsFromCkpt(p.Stats, st.Stats[0]); err != nil {
 			return err
 		}
 	}

@@ -23,7 +23,8 @@ func (p *Prototype) probeLine(g cache.GID, seq int) uint64 {
 // core j (dirty in its private cache, homed on j's node) is loaded by core
 // i. The load's round trip covers request to the home slice, downgrade
 // probe to j, and the data grant back to i — crossing the inter-node
-// interconnect twice when i and j sit on different nodes.
+// interconnect twice when i and j sit on different nodes. Stats is left to
+// the next run or report.
 func (p *Prototype) MeasureLatency(i, j cache.GID, seq int) sim.Time {
 	line := p.probeLine(j, seq)
 	sender := p.PortAt(i)
@@ -35,14 +36,14 @@ func (p *Prototype) MeasureLatency(i, j cache.GID, seq int) sim.Time {
 		// Warm: j takes the line in M.
 		receiver.Store(proc, line, 8, 0xAB)
 	})
-	p.Run()
+	p.run(nil)
 	var lat sim.Time
 	sim.Go(p.EngineForNode(i.Node), "probe", func(proc *sim.Process) {
 		start := proc.Now()
 		sender.Load(proc, line, 8)
 		lat = proc.Now() - start
 	})
-	p.Run()
+	p.run(nil)
 	// The paper measures with a software ping-pong (flag polling loop on
 	// both cores); its per-iteration instruction overhead adds a fixed
 	// cost on top of the hardware transaction.

@@ -85,7 +85,6 @@ type Node struct {
 
 	proto   *Prototype
 	eng     *sim.Engine // the node's shard engine
-	stats   *sim.Stats  // the shard's registry
 	name    string
 	devices []devRegion
 }
@@ -101,12 +100,13 @@ type Prototype struct {
 	// Now/Run/RunUntil/RunUntilHalted rather than stepping it directly.
 	Group *sim.Group
 	// Eng is the engine of a one-shard build and nil otherwise: the handle
-	// of the state cut (CaptureState / ApplyState and the kernel's capture),
-	// the one single-engine-only feature, which mustSerial gates on it.
+	// the kernel's thread capture and resume schedule on, which is why they
+	// alone need one shard.
 	Eng *sim.Engine
-	// Stats is the registry reports read. A one-shard build writes it
-	// directly; a multi-shard build keeps one registry per shard and folds
-	// them into Stats at report time.
+	// Stats is the fold of the node registries, the one reports read. It is
+	// refreshed when RunUntil returns and by every report (Report,
+	// MetricsJSON), not by the latency probe (MeasureLatency); instruments
+	// belong on a node's registry (StatsForNode), never here.
 	Stats   *sim.Stats
 	Backing *mem.Backing
 	Map     *AddrMap
@@ -115,10 +115,10 @@ type Prototype struct {
 	Nodes   []*Node
 	RNG     *sim.RNG
 
-	engs       []*sim.Engine // per shard
-	shardStats []*sim.Stats  // per shard; Stats itself when there is one
-	nodeShard  []int         // node id -> shard index
-	icPorts    []*icPort     // node id -> its bridge's interconnect port
+	engs      []*sim.Engine // per shard
+	nodeStats []*sim.Stats  // node id -> the node's registry
+	nodeShard []int         // node id -> shard index
+	icPorts   []*icPort     // node id -> its bridge's interconnect port
 	// Sampler, when installed with EnableSampler, snapshots selected
 	// counters at a fixed cycle interval.
 	Sampler *sim.Sampler
@@ -171,26 +171,27 @@ func Build(cfg Config) (*Prototype, error) {
 	}
 	shards := cfg.TotalNodes() / nodesPerShard
 	p := &Prototype{
-		Cfg:        cfg,
-		Stats:      &sim.Stats{},
-		Backing:    mem.NewBacking(),
-		Map:        NewAddrMap(cfg.TotalNodes(), cfg.TilesPerNode, cfg.UnifiedMemory),
-		RNG:        sim.NewRNG(cfg.Seed),
-		engs:       make([]*sim.Engine, shards),
-		shardStats: make([]*sim.Stats, shards),
-		nodeShard:  make([]int, cfg.TotalNodes()),
-		icPorts:    make([]*icPort, cfg.TotalNodes()),
+		Cfg:       cfg,
+		Stats:     &sim.Stats{},
+		Backing:   mem.NewBacking(),
+		Map:       NewAddrMap(cfg.TotalNodes(), cfg.TilesPerNode, cfg.UnifiedMemory),
+		RNG:       sim.NewRNG(cfg.Seed),
+		engs:      make([]*sim.Engine, shards),
+		nodeStats: make([]*sim.Stats, cfg.TotalNodes()),
+		nodeShard: make([]int, cfg.TotalNodes()),
+		icPorts:   make([]*icPort, cfg.TotalNodes()),
 	}
+	// One registry per node whatever the sharding, so a node's instruments
+	// live in the same place in every build; one engine per shard.
 	for n := range p.nodeShard {
 		p.nodeShard[n] = n / nodesPerShard
+		p.nodeStats[n] = &sim.Stats{}
 	}
-	// One engine and registry per shard; shards never touch each other's.
 	for i := range p.engs {
 		p.engs[i] = sim.NewEngine()
-		p.shardStats[i] = &sim.Stats{}
 	}
 	if shards == 1 {
-		p.Eng, p.shardStats[0] = p.engs[0], p.Stats
+		p.Eng = p.engs[0]
 	}
 	// Clusters group one FPGA's shard engines under the inner (intra-FPGA
 	// interconnect) lookahead; the outer level synchronizes clusters at the
@@ -223,19 +224,19 @@ func Build(cfg Config) (*Prototype, error) {
 	// nothing here sends from it, and a request routed to it fails.
 	for f := 0; f < cfg.FPGAs; f++ {
 		out := f * cfg.NodesPerFPGA
-		s := p.nodeShard[out]
-		p.Fabric.Bind(f, p.engs[s], p.shardStats[s])
-		sh := shell.New(p.engs[s], p.Fabric, f, p.shardStats[s])
+		eng := p.EngineForNode(out)
+		p.Fabric.Bind(f, eng, p.nodeStats[out])
+		sh := shell.New(eng, p.Fabric, f, p.nodeStats[out])
 		p.Shells = append(p.Shells, sh)
-		sh.SetCustomLogic(&icMaster{p: p, node: out, eng: p.engs[s]})
+		sh.SetCustomLogic(&icMaster{p: p, node: out, eng: eng})
 	}
 
 	// Nodes.
 	for nID := 0; nID < cfg.TotalNodes(); nID++ {
 		f := nID / cfg.NodesPerFPGA
-		eng, stats := p.engs[p.nodeShard[nID]], p.shardStats[p.nodeShard[nID]]
+		eng, stats := p.EngineForNode(nID), p.nodeStats[nID]
 		name := fmt.Sprintf("node%d", nID)
-		n := &Node{ID: nID, FPGA: f, proto: p, eng: eng, stats: stats, name: name}
+		n := &Node{ID: nID, FPGA: f, proto: p, eng: eng, name: name}
 		// Router/link delays calibrated so a 12-tile node reproduces the
 		// paper's ~100-cycle intra-node round trip (Fig. 7).
 		n.Mesh = noc.New(eng, name+".mesh", noc.Params{
@@ -416,18 +417,10 @@ func (p *Prototype) EngineForNode(node int) *sim.Engine {
 // shards (the PCIe fabric, thread migration) is written once against it.
 func (p *Prototype) Net() sim.CrossNet { return p.Group }
 
-// StatsForNode returns the registry new instruments on a node (e.g. an
-// accelerator placed on one of its tiles) must register with: the node's
-// shard registry. Instruments registered on Stats directly would be dropped
-// by a multi-shard build's report-time merge.
-func (p *Prototype) StatsForNode(node int) *sim.Stats {
-	return p.shardStats[p.nodeShard[node]]
-}
-
-// ShardRegistries returns the per-shard stats registries in shard order.
-// Observers that rebuild the merged report must fold all of them, whatever
-// the granularity.
-func (p *Prototype) ShardRegistries() []*sim.Stats { return p.shardStats }
+// StatsForNode returns a node's registry: the one new instruments on the
+// node (e.g. an accelerator placed on one of its tiles) must register with.
+// Instruments registered on Stats directly are dropped by the next fold.
+func (p *Prototype) StatsForNode(node int) *sim.Stats { return p.nodeStats[node] }
 
 // Lookahead returns the minimum cross-FPGA latency in cycles — the outer
 // bound every PCIe-class CrossNet send must respect, whatever the shard
@@ -440,18 +433,6 @@ func (p *Prototype) Lookahead() sim.Time { return p.Cfg.PCIe.MinCrossing() }
 // inner window bound of per-node sharded runs. Like Lookahead it is a
 // property of the model, not the execution policy.
 func (p *Prototype) InnerLookahead() sim.Time { return icLatency }
-
-// MustSerial is mustSerial for the kernel's half of the state cut.
-func (p *Prototype) MustSerial(what string) { p.mustSerial(what) }
-
-// mustSerial panics when the state cut — the one single-engine-only feature
-// left — is used on a multi-shard build. It is the one execution-mode test
-// in the package.
-func (p *Prototype) mustSerial(what string) {
-	if p.Eng == nil {
-		panic(fmt.Sprintf("core: %s is serial-only; rebuild without Parallel", what))
-	}
-}
 
 // Close releases the goroutines of every simulation process (hart, kernel
 // thread, workload driver) still parked when the prototype is abandoned — a
@@ -485,15 +466,24 @@ func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
 // one window: Cfg.AdaptiveCap() minimum PCIe crossings. That holds for every
 // shard count; a one-shard build has windows too. Observers hook the same
 // barriers through Group.OnBarrier (obs.Server.ObservePrototype does), and a
-// drain reaches the watchdog's lost-callback check.
+// drain reaches the watchdog's lost-callback check. Stats is the fold of the
+// node registries when it returns.
 func (p *Prototype) RunUntil(stop func() bool) sim.Time {
+	p.run(stop)
+	p.Stats.CopyFrom(p.nodeStats...)
+	return p.Now()
+}
+
+// run is RunUntil without the fold, for the latency probe: two drains per
+// measured pair, where a fold each would cost the Fig. 7 matrix far more
+// than its simulation.
+func (p *Prototype) run(stop func() bool) {
 	for stop == nil || !stop() {
 		if !p.Group.StepWindow() {
 			p.GroupWatchdog.drained()
-			break
+			return
 		}
 	}
-	return p.Now()
 }
 
 // Start boots every RISC-V core (no-op for CoreNone prototypes). Cores

@@ -10,30 +10,24 @@ import (
 )
 
 // flushTelemetry publishes derived statistics that are kept out of the hot
-// path during simulation: per-link NoC counters (accumulated in flat arrays
+// path during simulation — per-link NoC counters (accumulated in flat arrays
 // inside each mesh) and per-node cache-miss latency histograms (merged from
-// the per-tile ones). It is idempotent — calling it twice does not
-// double-count — so Report and MetricsJSON may both be used on one run.
+// the per-tile ones) — and refolds Stats. It is idempotent — calling it
+// twice does not double-count — so Report and MetricsJSON may both be used
+// on one run.
 func (p *Prototype) flushTelemetry() {
-	if p.Stats == nil {
-		return
-	}
 	for _, n := range p.Nodes {
 		n.Mesh.FlushLinkStats()
-		merged := n.stats.Histogram(n.name + ".bpc.miss_latency")
+		s := p.nodeStats[n.ID]
+		merged := s.Histogram(n.name + ".bpc.miss_latency")
 		merged.Reset()
 		for tID := range n.Tiles {
-			h := n.stats.FindHistogram(fmt.Sprintf("%s.tile%d.bpc.miss_latency", n.name, tID))
-			merged.Merge(h)
+			merged.Merge(s.FindHistogram(fmt.Sprintf("%s.tile%d.bpc.miss_latency", n.name, tID)))
 		}
 	}
-	if len(p.shardStats) > 1 {
-		// Fold the per-shard registries into the reporting registry (one
-		// shard writes Stats directly). Shard instrument names are disjoint,
-		// so this is a rename-free union; it is also idempotent because
-		// CopyFrom replaces rather than adds.
-		p.Stats.CopyFrom(p.shardStats...)
-	}
+	// Node instrument names are disjoint, so this is a rename-free union; it
+	// is idempotent because CopyFrom replaces rather than adds.
+	p.Stats.CopyFrom(p.nodeStats...)
 }
 
 // Report renders the end-of-run statistics as text: a run header followed by
@@ -106,7 +100,7 @@ func (p *Prototype) EnableSampler(every sim.Time, names ...string) *sim.Sampler 
 	if len(names) == 0 {
 		names = p.defaultSampleSet()
 	}
-	p.Sampler = sim.NewSampler(p.Group, p.shardStats, every, names...)
+	p.Sampler = sim.NewSampler(p.Group, p.nodeStats, every, names...)
 	return p.Sampler
 }
 
@@ -147,12 +141,13 @@ func (p *Prototype) WriteTrace(w io.Writer) error {
 // window barrier instead, a point where every shard is provably quiescent:
 // it compares each shard engine's executed-event count against the last
 // barrier at which that shard made progress. A shard that executes nothing
-// for a full interval while its own registry shows outstanding transactions
-// is wedged; the diagnosis names it. A second detector covers the wedges no
-// barrier sees — the only kind a one-shard build can have, since its every
-// barrier follows executed events: if the whole group drains (StepWindow
-// returns false) while occupancy gauges are still nonzero, callbacks were
-// lost and the run stalled silently. RunUntil calls drained() for that case.
+// for a full interval while its nodes' registries show outstanding
+// transactions is wedged; the diagnosis names it. A second detector covers
+// the wedges no barrier sees — the only kind a one-shard build can have,
+// since its every barrier follows executed events: if the whole group
+// drains (StepWindow returns false) while occupancy gauges are still
+// nonzero, callbacks were lost and the run stalled silently. RunUntil calls
+// drained() for that case.
 type GroupWatchdog struct {
 	p        *Prototype
 	interval sim.Time
@@ -194,7 +189,7 @@ func (w *GroupWatchdog) check() {
 		if now-w.lastAt[i] < w.interval {
 			continue
 		}
-		if !w.p.shardHasInflight(i) {
+		if len(w.p.inflight(i)) == 0 {
 			// Idle, not wedged (e.g. this FPGA's cores halted early);
 			// restart its clock so later traffic gets a full interval.
 			w.lastAt[i] = now
@@ -215,7 +210,7 @@ func (w *GroupWatchdog) drained() {
 		return
 	}
 	for i := range w.lastExec {
-		if w.p.shardHasInflight(i) {
+		if len(w.p.inflight(i)) > 0 {
 			w.fired = true
 			w.p.StallDiagnosis = w.p.shardStallDiagnosis(i, w.interval)
 			return
@@ -223,21 +218,26 @@ func (w *GroupWatchdog) drained() {
 	}
 }
 
-// shardHasInflight reports whether any transaction is outstanding on a
-// shard, judged by the occupancy gauges every subsystem maintains in the
-// shard's registry (MSHRs, memory engines, PCIe in-flight, bridge send
-// queues).
-func (p *Prototype) shardHasInflight(shard int) bool {
-	s := p.shardStats[shard]
-	if s == nil {
-		return false
-	}
-	for _, name := range s.GaugeNames() {
-		if v, ok := s.GaugeValue(name); ok && v != 0 {
-			return true
+// inflight lists the nonzero occupancy gauges every subsystem maintains in
+// its node's registry (MSHRs, memory engines, PCIe in flight, bridge send
+// queues) over a shard's nodes, one diagnosis line each in name order: any
+// line means a transaction is outstanding on the shard.
+func (p *Prototype) inflight(shard int) []string {
+	var regs []*sim.Stats
+	for n, s := range p.nodeShard {
+		if s == shard {
+			regs = append(regs, p.nodeStats[n])
 		}
 	}
-	return false
+	var merged sim.Stats
+	merged.CopyFrom(regs...)
+	var lines []string
+	for _, name := range merged.GaugeNames() {
+		if v, _ := merged.GaugeValue(name); v != 0 {
+			lines = append(lines, fmt.Sprintf("  %-40s %d\n", name, v))
+		}
+	}
+	return lines
 }
 
 // shardStallDiagnosis renders the watchdog's dump, naming the wedged shard
@@ -251,12 +251,7 @@ func (p *Prototype) shardStallDiagnosis(shard int, interval sim.Time) string {
 	fmt.Fprintf(&b, "WATCHDOG: shard %d (%s) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
 		shard, unit, interval, p.Now())
 	fmt.Fprintf(&b, "outstanding on shard %d (nonzero gauges):\n", shard)
-	s := p.shardStats[shard]
-	for _, name := range s.GaugeNames() {
-		if v, ok := s.GaugeValue(name); ok && v != 0 {
-			fmt.Fprintf(&b, "  %-40s %d\n", name, v)
-		}
-	}
+	b.WriteString(strings.Join(p.inflight(shard), ""))
 	if p.Injector != nil {
 		b.WriteString("fault sites:\n")
 		b.WriteString(p.Injector.String())

@@ -174,6 +174,29 @@ func TestWorkerKilledMidLease(t *testing.T) {
 	}
 }
 
+// TestLeaseForAGoneWorkerIsGivenBack: a lease request whose worker has gone
+// by the time the job is granted (the request context is done) returns the
+// job at once: it stays pending, and the next lease gets it, with no wait
+// for the TTL.
+func TestLeaseForAGoneWorkerIsGivenBack(t *testing.T) {
+	s, _ := testServer(t)
+	sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("gone", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.register(RegisterRequest{Name: "gone"})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body := strings.NewReader(`{"worker_id":"` + w.WorkerID + `"}`)
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/api/workers/lease", body).WithContext(ctx))
+	if st, err := s.campaignStatus(sub.CampaignID); err != nil || st.Pending != 1 || st.InFlight != 0 {
+		t.Fatalf("after a lease nobody received: %+v, %v; want the job pending, not in flight", st, err)
+	}
+	if resp, err := s.leaseNext(LeaseRequest{WorkerID: w.WorkerID}); err != nil || resp.Job == nil {
+		t.Fatalf("next lease: %+v, %v; want the returned job", resp, err)
+	}
+}
+
 // TestHeartbeatLostStaleLeaseRejected: a worker loses connectivity, its
 // lease expires, and when it comes back both its heartbeat and its result
 // for the still-incomplete job are rejected as stale.

@@ -194,6 +194,16 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), httpStatus(err))
 		return
 	}
+	if resp.Job != nil && r.Context().Err() != nil {
+		// The worker has gone and the grant cannot reach it: give the job
+		// back as a worker returning it would, rather than let it wait out
+		// the lease TTL. Returning a lease just granted cannot fail.
+		// net/http watches for the peer's close only once the body is
+		// read, so a close it has not seen yet still costs the TTL.
+		_ = s.result(ResultRequest{WorkerID: req.WorkerID, LeaseID: resp.Job.LeaseID,
+			CampaignID: resp.Job.CampaignID, Index: resp.Job.Index})
+		return
+	}
 	writeJSON(w, resp)
 }
 

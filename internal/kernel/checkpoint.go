@@ -17,12 +17,21 @@ import (
 // finisher wakes them at their recorded resume times in recorded order,
 // reproducing the uninterrupted run's event interleaving exactly.
 
+// oneShard panics unless the prototype runs on one engine: Release wakes
+// the resumed threads in recorded order from one finisher on
+// Prototype.Eng. The hardware half of the state cut has no such limit.
+func (k *Kernel) oneShard(what string) {
+	if k.pr.Eng == nil {
+		panic(fmt.Sprintf("kernel: %s needs a one-shard build; rebuild without Parallel", what))
+	}
+}
+
 // CaptureState snapshots the kernel at a quiescent safepoint. bar is the
 // workload's cut barrier (the one every thread is parked on); captures
 // support one barrier, which covers the phase-structured workloads that
-// take checkpoints. Serial-only, like all state capture.
+// take checkpoints. One shard only (see oneShard).
 func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
-	k.pr.MustSerial("kernel.CaptureState")
+	k.oneShard("CaptureState")
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	st := &ckpt.KernelState{NextVA: k.nextVA}
@@ -59,7 +68,7 @@ func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
 // must land exactly where the checkpointed one did; a NextVA mismatch
 // means the restore ran a different allocation script and is rejected.
 func (k *Kernel) RestoreState(st *ckpt.KernelState, bar *Barrier) error {
-	k.pr.MustSerial("kernel.RestoreState")
+	k.oneShard("RestoreState")
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.nextVA != st.NextVA {
@@ -91,9 +100,9 @@ type Resumer struct {
 	ids   map[int]bool
 }
 
-// NewResumer prepares thread resumption on a freshly booted serial kernel.
+// NewResumer prepares thread resumption on a freshly booted one-shard kernel.
 func (k *Kernel) NewResumer() *Resumer {
-	k.pr.MustSerial("kernel.NewResumer")
+	k.oneShard("NewResumer")
 	return &Resumer{k: k, wakes: make(map[int]func()), ids: make(map[int]bool)}
 }
 

@@ -105,11 +105,14 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 		Halted:       p.AllHalted(),
 	}
 
-	// Merge the shard registries — one for a serial run, one per FPGA, or
-	// one per node — into a scratch registry (CopyFrom only reads its
-	// sources).
+	// Merge the node registries into a scratch registry (CopyFrom only reads
+	// its sources).
+	regs := make([]*sim.Stats, len(p.Nodes))
+	for i := range regs {
+		regs[i] = p.StatsForNode(i)
+	}
 	var merged sim.Stats
-	merged.CopyFrom(p.ShardRegistries()...)
+	merged.CopyFrom(regs...)
 	sn.Stats = merged.Snapshot()
 
 	gs := p.Group.SyncSnapshot()

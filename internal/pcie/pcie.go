@@ -101,13 +101,11 @@ type Fabric struct {
 	// concurrent shards never mutate a shared table.
 	eps [MaxFPGAs + 1]*epState
 	rel [MaxFPGAs + 1][MaxFPGAs + 1]*relState
-	// Address windows: FPGA i owns [WindowBase + i*WindowSize, +WindowSize).
-	// Anything else routes to the host.
-	windowBase axi.Addr
-	windowSize uint64
 }
 
-// WindowSize is each FPGA's aperture in the host PCIe address space.
+// WindowSize is each FPGA's aperture in the host PCIe address space: FPGA i
+// owns [WindowBase + i*WindowSize, +WindowSize), and anything else routes to
+// the host.
 const WindowSize uint64 = 1 << 40
 
 // WindowBase is the start of the FPGA apertures.
@@ -118,13 +116,7 @@ const WindowBase axi.Addr = 1 << 44
 // space) and consults inj for link faults; a nil injector leaves every link
 // infallible. Bind, then Attach, every endpoint before sending.
 func New(p Params, net sim.CrossNet, inj *fault.Injector) *Fabric {
-	f := &Fabric{
-		p:          p,
-		inj:        inj,
-		net:        net,
-		windowBase: WindowBase,
-		windowSize: WindowSize,
-	}
+	f := &Fabric{p: p, inj: inj, net: net}
 	for i := range f.rel {
 		for j := range f.rel[i] {
 			f.rel[i][j] = &relState{cache: make(map[uint64]any)}
@@ -181,13 +173,13 @@ func (f *Fabric) Attach(id int, t axi.Target) {
 
 // Window returns the PCIe aperture of FPGA id.
 func (f *Fabric) Window(id int) (base axi.Addr, size uint64) {
-	return f.windowBase + axi.Addr(uint64(id)*f.windowSize), f.windowSize
+	return WindowBase + axi.Addr(uint64(id)*WindowSize), WindowSize
 }
 
 // RouteOf returns the endpoint that owns addr.
 func (f *Fabric) RouteOf(addr axi.Addr) int {
-	if addr >= f.windowBase {
-		i := int(uint64(addr-f.windowBase) / f.windowSize)
+	if addr >= WindowBase {
+		i := int(uint64(addr-WindowBase) / WindowSize)
 		if i < MaxFPGAs {
 			return i
 		}

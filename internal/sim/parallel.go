@@ -331,9 +331,9 @@ func (g *Group) observe() {
 	}
 }
 
-// pending reports whether any engine has an event queued or any row an
+// Pending reports whether any engine has an event queued or any row an
 // envelope parked. The caller holds the group quiescent.
-func (g *Group) pending() bool {
+func (g *Group) Pending() bool {
 	for _, e := range g.engines {
 		if _, ok := e.NextEventTime(); ok {
 			return true
@@ -871,7 +871,7 @@ func (g *Group) StepWindow() bool {
 	root := g.root
 	clamp := min(g.cut, g.hold)
 	for !g.plan(root, clamp) {
-		if !g.pending() {
+		if !g.Pending() {
 			now := g.Now()
 			for _, e := range g.engines {
 				e.alignTo(now)

@@ -17,9 +17,9 @@ import (
 //
 // The sampler is a barrier observer and schedules nothing: it keeps the
 // group's cut on its next boundary, so a barrier falls exactly there, and
-// reads the shard registries at it. A row at k*every therefore holds the
-// effect of every event below k*every and of none at or past it — the same
-// state whatever the sharding — and a sampled run executes exactly the
+// reads the registries it was given at it. A row at k*every therefore holds
+// the effect of every event below k*every and of none at or past it — the
+// same state whatever the sharding — and a sampled run executes exactly the
 // events of an unsampled one. Rows stop with the run's last event.
 type Sampler struct {
 	g     *Group
@@ -36,7 +36,7 @@ type SampleRow struct {
 	Values []uint64
 }
 
-// NewSampler creates a sampler over the group's shard registries taking a
+// NewSampler creates a sampler over the given registries taking a
 // row at every multiple of `every` cycles beyond the group's horizon. A
 // non-positive interval defaults to 1000 cycles.
 func NewSampler(g *Group, regs []*Stats, every Time, names ...string) *Sampler {
@@ -62,7 +62,7 @@ func (s *Sampler) Every() Time { return s.every }
 // boundary with work left beyond it: every event below has executed, none at
 // or past it has, and the run is not over.
 func (s *Sampler) observe() {
-	if s.g.root.end != s.g.cut || !s.g.pending() {
+	if s.g.root.end != s.g.cut || !s.g.Pending() {
 		return
 	}
 	row := SampleRow{At: s.g.cut, Values: make([]uint64, len(s.names))}

@@ -163,7 +163,7 @@ func TestTwoThreadsSpeedUp(t *testing.T) {
 func noiseSystem(t *testing.T) *kernel.Kernel {
 	k := newSystem(t, 1, 1, 2, true)
 	pr := k.Prototype()
-	pr.Nodes[0].Tiles[1].Accel = accel.NewGNG(1, pr.Stats, "gng")
+	pr.Nodes[0].Tiles[1].Accel = accel.NewGNG(1, pr.StatsForNode(0), "gng")
 	return k
 }
 

@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"smappic"
 	"smappic/internal/accel"
+	"smappic/internal/ckpt"
 	"smappic/internal/core"
 	"smappic/internal/kernel"
 	"smappic/internal/rvasm"
@@ -420,6 +422,91 @@ func TestLatencyMatrixSameUnderEverySharding(t *testing.T) {
 		}
 		if !bytes.Equal(m, metrics) {
 			t.Errorf("per-%s: MetricsJSON diverges:\n%s", gran, firstDiff(metrics, m))
+		}
+	}
+}
+
+// shardings are the three partitions of a multi-node shape the tests below
+// compare: one shard, per FPGA and per node.
+var shardings = []struct {
+	name        string
+	parallel    int
+	granularity string
+}{{"one-shard", 0, ""}, {"per-fpga", 2, "fpga"}, {"per-node", 2, "node"}}
+
+// drainedIS runs NPB-IS with 1 024 keys to the end on 2x2x2 under one
+// sharding and returns the drained prototype, nothing read or reported yet.
+func drainedIS(t *testing.T, parallel int, granularity string) *core.Prototype {
+	t.Helper()
+	p := buildProto(t, diffCase{a: 2, b: 2, c: 2, workload: "is", seed: 42, granularity: granularity}, parallel)
+	ip := workload.DefaultISParams(p.Cfg.TotalTiles())
+	ip.Keys = 1 << 10
+	if r := workload.RunIS(kernel.New(p, kernel.DefaultConfig()), ip); !r.Sorted {
+		t.Fatal("output not sorted")
+	}
+	return p
+}
+
+// TestStatsCurrentAfterRun: Stats is the fold of the node registries as soon
+// as the run returns, before any report, under every sharding.
+func TestStatsCurrentAfterRun(t *testing.T) {
+	var want map[string]uint64
+	for _, s := range shardings {
+		got := drainedIS(t, s.parallel, s.granularity).Stats.CounterSnapshot()
+		if want == nil {
+			want = got
+			if want["node0.dram.reads"] == 0 {
+				t.Fatal("one-shard run: node0.dram.reads is 0 right after the run")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: node0.dram.reads = %d of %d counters right after the run; one shard reads %d of %d",
+				s.name, got["node0.dram.reads"], len(got), want["node0.dram.reads"], len(want))
+		}
+	}
+}
+
+// TestStateCaptureIsShardingFree: the hardware half of a state capture is
+// laid out by node, so a drained run captures the same bytes under every
+// sharding, and a capture applied into a fresh build of any sharding
+// captures those bytes again.
+func TestStateCaptureIsShardingFree(t *testing.T) {
+	encode := func(p *core.Prototype) []byte {
+		t.Helper()
+		st, err := p.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := (&ckpt.Snapshot{Kind: ckpt.KindState, State: st}).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var want []byte
+	for _, taken := range shardings {
+		p := drainedIS(t, taken.parallel, taken.granularity)
+		raw := encode(p)
+		if want == nil {
+			want = raw
+		} else if !bytes.Equal(raw, want) {
+			t.Errorf("taken %s: capture differs from the one-shard one:\n%s", taken.name, firstDiff(want, raw))
+		}
+		snap, err := ckpt.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, into := range shardings {
+			r := buildProto(t, diffCase{a: 2, b: 2, c: 2, seed: 42, granularity: into.granularity}, into.parallel)
+			if err := r.ApplyState(snap.State, false); err != nil {
+				t.Fatalf("taken %s, applied into %s: %v", taken.name, into.name, err)
+			}
+			// The bridges re-arm their reconciliation deadlines; drain them.
+			r.Run()
+			if got := encode(r); !bytes.Equal(got, raw) {
+				t.Errorf("taken %s, applied into %s: re-capture differs:\n%s", taken.name, into.name, firstDiff(raw, got))
+			}
 		}
 	}
 }
