@@ -82,7 +82,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("  %-14s %d points (%s on %v)\n", s.Name, len(jobs), s.Workloads[0], s.Shapes)
+			fmt.Printf("  %-14s %d points (%v on %v)\n", s.Name, len(jobs), s.Workloads, s.Shapes)
 		}
 		return
 	}

@@ -99,9 +99,9 @@ type Prototype struct {
 	// engine per shard, one shard when Cfg.Parallel <= 1. Use
 	// Now/Run/RunUntil/RunUntilHalted rather than stepping it directly.
 	Group *sim.Group
-	// Eng is the engine of a one-shard build and nil otherwise: the handle
-	// the kernel's thread capture and resume schedule on, which is why they
-	// alone need one shard.
+	// Eng is the engine of a one-shard build and nil otherwise: a handle for
+	// tests and probes that start a process on the only engine. Models and
+	// the kernel use EngineForNode.
 	Eng *sim.Engine
 	// Stats is the fold of the node registries, the one reports read. It is
 	// refreshed when RunUntil returns and by every report (Report,

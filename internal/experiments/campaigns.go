@@ -46,7 +46,7 @@ func BuiltinSpec(name string, quick bool) (campaign.Spec, bool) {
 
 // BuiltinSpecs lists the sweeps smappic-fleet can run by name: the CI smoke
 // grid, the Fig. 8 NUMA scaling study, the Fig. 9 thread-allocation study,
-// and the three interconnect ablations.
+// the three interconnect ablations and the fault-tolerance ablation.
 func BuiltinSpecs(quick bool) []campaign.Spec {
 	fig8 := campaign.Spec{
 		Name:      "numa",
@@ -104,6 +104,16 @@ func BuiltinSpecs(quick bool) []campaign.Spec {
 			Workloads:    []string{campaign.WorkloadProbe},
 			ExtraLatency: []uint64{0, 125, 375},
 			Keys:         1,
+		},
+		{
+			Name:      "faults",
+			Shapes:    []string{"4x1x2"},
+			Workloads: []string{campaign.WorkloadProbe, campaign.WorkloadIS},
+			Threads:   []int{8},
+			Seeds:     []uint64{isSeed},
+			Faults:    faultTolerancePlans(),
+			FaultSeed: 7,
+			Keys:      1 << 12,
 		},
 	}
 }

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
-	"smappic/internal/cache"
-	"smappic/internal/core"
-	"smappic/internal/fault"
-	"smappic/internal/kernel"
+	"smappic/internal/campaign"
 	"smappic/internal/sim"
-	"smappic/internal/workload"
 )
 
 // AblationFaultTolerance stresses the recovery machinery end to end: the
@@ -44,66 +42,43 @@ type AblationFaultToleranceResult struct {
 // faultToleranceLossRates is the swept per-transfer drop probability.
 var faultToleranceLossRates = []float64{0, 0.01, 0.02, 0.05}
 
-// AblationFaultTolerance runs the sweep on a 4x1x2 prototype (4 nodes, so
-// every IS all-to-all phase crosses the PCIe fabric).
-func AblationFaultTolerance() AblationFaultToleranceResult {
-	run := func(p float64) FaultToleranceRow {
-		row := FaultToleranceRow{DropP: p}
-		// Besides the swept PCIe loss, every lossy run also loses two
-		// credit-return updates per bridge (repaired by reconciliation)
-		// and takes four single-bit DRAM upsets per channel (repaired by
-		// SECDED), so all three recovery paths are exercised at once.
-		plan := func() *fault.Plan {
-			if p == 0 {
-				return nil
-			}
-			return fault.MustParse(fmt.Sprintf(
-				"pcie.*.drop:p=%g;*.bridge.drop:n=2;*.dram.flip:n=4", p), 7)
-		}
-
-		// Fig. 7 probe: one inter-node dirty-line read, separate prototype
-		// so the probe's scratch traffic cannot perturb the IS run.
-		{
-			cfg := core.DefaultConfig(4, 1, 2)
-			cfg.Core = core.CoreNone
-			cfg.Faults = plan()
-			proto, err := core.Build(cfg)
-			if err != nil {
-				panic(err)
-			}
-			row.ProbeLatency = proto.MeasureLatency(
-				cache.GID{Node: 0, Tile: 0}, cache.GID{Node: 1, Tile: 0}, 1)
-		}
-
-		// Scaled NPB-IS across all four nodes.
-		// No watchdog here: its periodic checks outlive the workload and
-		// would inflate the post-drain engine time Join measures. The
-		// hang-to-diagnosis path has its own end-to-end test in core.
-		cfg := core.DefaultConfig(4, 1, 2)
-		cfg.Core = core.CoreNone
-		cfg.Faults = plan()
-		proto, err := core.Build(cfg)
-		if err != nil {
-			panic(err)
-		}
-		k := kernel.New(proto, kernel.DefaultConfig())
-		ip := workload.DefaultISParams(8)
-		ip.Keys = 1 << 12
-		r := workload.RunIS(k, ip)
-		row.Cycles = r.Cycles
-		row.Checksum = r.Checksum
-		row.Sorted = r.Sorted
-		row.Retransmits = sumSuffix(proto, ".retransmits")
-		row.LinkFailed = sumSuffix(proto, ".link_failed")
-		row.CreditRestored = sumSuffix(proto, ".credit_restored")
-		row.EccCorrected = sumSuffix(proto, ".ecc_corrected")
-		snapshot(fmt.Sprintf("ablation-faults/p=%g", p), proto)
-		return row
+// faultTolerancePlans are the sweep's fault specs, one per loss rate. Besides
+// the swept PCIe loss, every lossy run also loses two credit-return updates
+// per bridge (repaired by reconciliation) and takes four single-bit DRAM
+// upsets per channel (repaired by SECDED), so all three recovery paths are
+// exercised at once.
+func faultTolerancePlans() []string {
+	plans := []string{""}
+	for _, p := range faultToleranceLossRates[1:] {
+		plans = append(plans, fmt.Sprintf("pcie.*.drop:p=%g;*.bridge.drop:n=2;*.dram.flip:n=4", p))
 	}
+	return plans
+}
 
+// AblationFaultTolerance runs the builtin "faults" sweep on the campaign
+// engine: on a 4x1x2 prototype (4 nodes, so every IS all-to-all phase
+// crosses the PCIe fabric), one probe job and one IS job per loss rate.
+func AblationFaultTolerance() AblationFaultToleranceResult {
+	spec, _ := BuiltinSpec("faults", false)
 	res := AblationFaultToleranceResult{Identical: true, MaxSlowdown: 1}
 	for _, p := range faultToleranceLossRates {
-		res.Rows = append(res.Rows, run(p))
+		res.Rows = append(res.Rows, FaultToleranceRow{DropP: p})
+	}
+	for _, out := range runCampaign(spec) {
+		p, r := out.Job.Params, out.Result
+		row := &res.Rows[slices.Index(spec.Faults, p.Faults)]
+		if p.Workload == campaign.WorkloadProbe {
+			row.ProbeLatency = sim.Time(r.Cycles)
+			continue
+		}
+		row.Cycles = sim.Time(r.Cycles)
+		row.Checksum, _ = strconv.ParseUint(r.Checksum, 16, 64) // an IS job's is %016x
+		row.Sorted = r.Sorted
+		row.Retransmits = sumSuffix(r.Stats, ".retransmits")
+		row.LinkFailed = sumSuffix(r.Stats, ".link_failed")
+		row.CreditRestored = sumSuffix(r.Stats, ".credit_restored")
+		row.EccCorrected = sumSuffix(r.Stats, ".ecc_corrected")
+		snapshotMetrics(fmt.Sprintf("ablation-faults/p=%g", row.DropP), r.Metrics)
 	}
 	base := res.Rows[0]
 	for _, row := range res.Rows[1:] {
@@ -117,13 +92,13 @@ func AblationFaultTolerance() AblationFaultToleranceResult {
 	return res
 }
 
-// sumSuffix totals every counter whose name ends in suffix (the registry's
-// Sum only matches prefixes, but the recovery counters are per-endpoint).
-func sumSuffix(p *core.Prototype, suffix string) uint64 {
+// sumSuffix totals every counter whose name ends in suffix (the recovery
+// counters are per endpoint).
+func sumSuffix(stats map[string]uint64, suffix string) uint64 {
 	var total uint64
-	for _, name := range p.Stats.Names() {
+	for name, v := range stats {
 		if strings.HasSuffix(name, suffix) {
-			total += p.Stats.Get(name)
+			total += v
 		}
 	}
 	return total

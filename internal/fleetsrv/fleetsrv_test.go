@@ -757,13 +757,18 @@ func TestOversizeBodyRefused(t *testing.T) {
 	spec := testSpec("bystander")
 	want, _ := referenceReport(t, spec)
 
-	cache, err := campaign.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	// serve starts a server over a cache of its own.
+	serve := func() *httptest.Server {
+		t.Helper()
+		cache, err := campaign.OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(cache).Handler())
+		t.Cleanup(ts.Close)
+		return ts
 	}
-	s := New(cache)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := serve()
 	cl := &Client{Server: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -831,7 +836,11 @@ func TestOversizeBodyRefused(t *testing.T) {
 	stopWorker()
 	wg.Wait()
 
-	// A result padded to the limit, to the byte, by its metrics document.
+	// A result padded to the limit, to the byte, by its metrics document —
+	// on a server of its own: a lease request the stopped worker left in
+	// flight must not take the job from the hand-made lease below.
+	ts = serve()
+	cl = &Client{Server: ts.URL}
 	big, err := cl.Submit(ctx, "carol", 0, testSpec("big-result", 9))
 	if err != nil {
 		t.Fatal(err)

@@ -13,25 +13,15 @@ import (
 // drained — so the only live state is the page table, the barrier's
 // released-round watermark and each thread's scheduler context. Restore
 // re-boots the kernel, re-runs the workload's (pure) Alloc sequence,
-// overlays this state and re-parks freshly spawned threads until a
-// finisher wakes them at their recorded resume times in recorded order,
-// reproducing the uninterrupted run's event interleaving exactly.
-
-// oneShard panics unless the prototype runs on one engine: Release wakes
-// the resumed threads in recorded order from one finisher on
-// Prototype.Eng. The hardware half of the state cut has no such limit.
-func (k *Kernel) oneShard(what string) {
-	if k.pr.Eng == nil {
-		panic(fmt.Sprintf("kernel: %s needs a one-shard build; rebuild without Parallel", what))
-	}
-}
+// overlays this state and re-parks freshly spawned threads until their
+// engines' finishers wake them at their recorded resume times in recorded
+// order, reproducing the uninterrupted run's event interleaving exactly.
 
 // CaptureState snapshots the kernel at a quiescent safepoint. bar is the
 // workload's cut barrier (the one every thread is parked on); captures
 // support one barrier, which covers the phase-structured workloads that
-// take checkpoints. One shard only (see oneShard).
+// take checkpoints.
 func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
-	k.oneShard("CaptureState")
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	st := &ckpt.KernelState{NextVA: k.nextVA}
@@ -68,7 +58,6 @@ func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
 // must land exactly where the checkpointed one did; a NextVA mismatch
 // means the restore ran a different allocation script and is rejected.
 func (k *Kernel) RestoreState(st *ckpt.KernelState, bar *Barrier) error {
-	k.oneShard("RestoreState")
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.nextVA != st.NextVA {
@@ -89,27 +78,24 @@ func (k *Kernel) RestoreState(st *ckpt.KernelState, bar *Barrier) error {
 }
 
 // Resumer re-spawns checkpointed threads. Each resumed thread applies its
-// recorded context and parks immediately; Release then schedules a
-// finisher that wakes every thread at its recorded cycle, in recorded
-// barrier-exit order, via front-of-cycle scheduling — the same ordering
-// class barrier wakeups use, so the resumed event stream matches the
-// uninterrupted run's.
+// recorded context on its own hart's engine and parks immediately; Release
+// then schedules one finisher per engine that wakes that engine's threads at
+// their recorded cycles, in recorded barrier-exit order, via front-of-cycle
+// scheduling — the same ordering class barrier wakeups use, so the resumed
+// event stream matches the uninterrupted run's.
 type Resumer struct {
 	k     *Kernel
-	wakes map[int]func()
-	ids   map[int]bool
+	engs  []*sim.Engine // by thread id: a resumed thread's engine, nil for any other thread
+	wakes []func()      // by thread id: a resumed thread's wake, set on its engine as it parks
 }
 
-// NewResumer prepares thread resumption on a freshly booted one-shard kernel.
-func (k *Kernel) NewResumer() *Resumer {
-	k.oneShard("NewResumer")
-	return &Resumer{k: k, wakes: make(map[int]func()), ids: make(map[int]bool)}
-}
+// NewResumer prepares thread resumption on a freshly booted kernel.
+func (k *Kernel) NewResumer() *Resumer { return &Resumer{k: k} }
 
-// Spawn starts fn as a resumed thread: the body applies ts, parks, and
-// only continues (into fn) once Release wakes it at its recorded cycle.
-// Threads must be spawned in the same order as the original run so IDs
-// line up. bar, when non-nil, receives the thread's barrier epoch.
+// Spawn starts fn as a resumed thread on ts's hart: the body applies ts,
+// parks, and only continues (into fn) once Release wakes it at its recorded
+// cycle. Threads must be spawned in the same order as the original run so
+// IDs line up. bar, when non-nil, receives the thread's barrier epoch.
 func (r *Resumer) Spawn(name string, affinity []int, ts ckpt.ThreadState, bar *Barrier, fn func(*Ctx)) (*Thread, error) {
 	k := r.k
 	if ts.Hart < 0 || ts.Hart >= k.pr.Cfg.TotalTiles() {
@@ -119,11 +105,8 @@ func (r *Resumer) Spawn(name string, affinity []int, ts ckpt.ThreadState, bar *B
 		return nil, &ckpt.MismatchError{Field: "thread spawn order",
 			Got: fmt.Sprint(ts.ID), Want: fmt.Sprint(len(k.threads))}
 	}
-	r.ids[ts.ID] = true
-	t := k.Spawn(name, affinity, func(c *Ctx) {
+	t := k.spawnOn(name, affinity, ts.Hart, func(c *Ctx) {
 		t := c.T
-		t.hart = ts.Hart
-		t.port = k.pr.PortAt(k.locOf(ts.Hart))
 		t.rng.SetState(ts.RNG)
 		t.nextMigr = sim.Time(ts.NextMigr)
 		t.Migrations = ts.Migrations
@@ -133,31 +116,41 @@ func (r *Resumer) Spawn(name string, affinity []int, ts ckpt.ThreadState, bar *B
 		for _, pg := range ts.TLB {
 			t.tlb[pg.VPage] = pg.Phys
 		}
-		wake := c.P.Suspend()
-		r.wakes[t.ID] = wake
+		r.wakes[t.ID] = c.P.Suspend()
 		c.P.Park()
 		fn(c)
 	})
+	for len(r.engs) <= t.ID {
+		r.engs, r.wakes = append(r.engs, nil), append(r.wakes, nil)
+	}
+	r.engs[t.ID] = k.pr.EngineForNode(t.Node())
 	return t, nil
 }
 
-// Release schedules the wakeups: every resume point's thread resumes at
-// its recorded cycle, in slice (barrier-exit) order. Call after all
-// Spawns, before running the engine; the finisher runs once the spawned
-// bodies have parked.
+// Release schedules the wakeups: every resume point's thread resumes at its
+// recorded cycle, and the threads of one engine in slice (barrier-exit)
+// order. Call after all Spawns, before running; each engine's finisher runs
+// once that engine's spawned bodies have parked.
 func (r *Resumer) Release(resume []ckpt.ResumePoint) error {
+	var engs []*sim.Engine
+	byEng := make(map[*sim.Engine][]ckpt.ResumePoint)
 	for _, rp := range resume {
-		if !r.ids[rp.Thread] {
+		if rp.Thread < 0 || rp.Thread >= len(r.engs) || r.engs[rp.Thread] == nil {
 			return &ckpt.CorruptError{Reason: fmt.Sprintf("resume point for unspawned thread %d", rp.Thread)}
 		}
-	}
-	eng := r.k.pr.Eng
-	points := append([]ckpt.ResumePoint(nil), resume...)
-	eng.Schedule(0, func() {
-		for _, rp := range points {
-			wake := r.wakes[rp.Thread]
-			eng.AtFront(sim.Time(rp.ResumeAt), wake)
+		eng := r.engs[rp.Thread]
+		if byEng[eng] == nil {
+			engs = append(engs, eng)
 		}
-	})
+		byEng[eng] = append(byEng[eng], rp)
+	}
+	for _, eng := range engs {
+		points := byEng[eng]
+		eng.Schedule(0, func() {
+			for _, rp := range points {
+				eng.AtFront(sim.Time(rp.ResumeAt), r.wakes[rp.Thread])
+			}
+		})
+	}
 	return nil
 }

@@ -263,24 +263,29 @@ type Ctx struct {
 
 // Spawn starts fn as a thread allowed on the given harts (a taskset mask),
 // beginning on the hart at index (threadID mod len(affinity)) so sibling
-// threads spread over the mask. The thread's process runs on the engine of
-// the shard its starting hart belongs to.
+// threads spread over the mask.
 func (k *Kernel) Spawn(name string, affinity []int, fn func(*Ctx)) *Thread {
 	if len(affinity) == 0 {
 		panic("kernel: empty affinity")
 	}
+	return k.spawnOn(name, affinity, affinity[len(k.threads)%len(affinity)], fn)
+}
+
+// spawnOn starts fn as a thread allowed on affinity, beginning on hart. The
+// thread's process runs on the engine of the hart's node.
+func (k *Kernel) spawnOn(name string, affinity []int, hart int, fn func(*Ctx)) *Thread {
 	t := &Thread{
 		ID:       len(k.threads),
 		kern:     k,
 		affinity: append([]int(nil), affinity...),
+		hart:     hart,
 		tlb:      make(map[uint64]uint64),
 		barEpoch: make(map[*Barrier]uint64),
 	}
-	t.hart = t.affinity[t.ID%len(t.affinity)]
 	t.rng = sim.NewRNG(mix(k.cfg.Seed, 0x7468_7264+uint64(t.ID)))
-	t.port = k.pr.PortAt(k.locOf(t.hart))
+	t.port = k.pr.PortAt(k.locOf(hart))
 	k.threads = append(k.threads, t)
-	t.proc = sim.Go(k.pr.EngineForNode(t.node()), name, func(p *sim.Process) {
+	t.proc = sim.Go(k.pr.EngineForNode(t.Node()), name, func(p *sim.Process) {
 		t.nextMigr = p.Now() + k.cfg.Quantum
 		fn(&Ctx{T: t, P: p})
 		t.Done = true
@@ -321,8 +326,8 @@ func (k *Kernel) locOf(hart int) cache.GID {
 	return cache.GID{Node: hart / c, Tile: hart % c}
 }
 
-// node returns the thread's current NUMA node.
-func (t *Thread) node() int { return t.hart / t.kern.pr.Cfg.TilesPerNode }
+// Node returns the thread's current NUMA node, whose engine runs the thread.
+func (t *Thread) Node() int { return t.hart / t.kern.pr.Cfg.TilesPerNode }
 
 // maybeMigrate implements the non-NUMA scheduler: at each expired quantum
 // the thread may hop to another allowed hart. A hop that changes nodes
@@ -341,11 +346,11 @@ func (t *Thread) maybeMigrate(p *sim.Process) {
 		return
 	}
 	pr := t.kern.pr
-	oldNode := t.node()
+	oldNode := t.Node()
 	t.hart = next
 	t.port = pr.PortAt(t.kern.locOf(next))
 	t.Migrations++
-	newNode := t.node()
+	newNode := t.Node()
 	if newNode == oldNode {
 		p.Wait(t.kern.cfg.MigrateCost)
 		return
@@ -375,7 +380,7 @@ func (c *Ctx) translate(va uint64) uint64 {
 	k := t.kern
 	t.port.Amo(c.P, k.lockAddr(vp), 8, func(v uint64) uint64 { return v + 1 })
 	k.mu.Lock()
-	pa := k.faultLocked(vp, t.node())
+	pa := k.faultLocked(vp, t.Node())
 	k.mu.Unlock()
 	t.tlb[vp] = pa
 	return pa + va%PageBytes
@@ -512,7 +517,7 @@ func (b *Barrier) Wait(c *Ctx) {
 	c.T.barEpoch[b] = ep
 	old := c.Amo(b.countAddr, 8, func(o uint64) uint64 { return o + 1 })
 	pr := b.k.pr
-	src := c.T.node()
+	src := c.T.Node()
 	if old+1 == uint64(b.n)*ep {
 		// Last arriver of this round: post the release to the home node
 		// and continue without blocking.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestPendingCountsLiveEvents is the regression test for the live-event
@@ -857,7 +858,9 @@ func TestDeal(t *testing.T) {
 // TestWorkersExitOnDrainAndClose: the workers are goroutines of the group
 // that live from window to window — and no longer than the run. A drained
 // Run leaves none behind without anyone closing the group; a group
-// abandoned mid-run gives them up in Close, and runs on afterwards.
+// abandoned mid-run gives them up in Close, and runs on afterwards. A worker
+// signals its exit from a deferred call, before its goroutine has ended, so
+// each count is awaited (2 s at most), not read once.
 func TestWorkersExitOnDrainAndClose(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ticking := func() *Group {
@@ -875,7 +878,29 @@ func TestWorkersExitOnDrainAndClose(t *testing.T) {
 		}
 		return NewGroup(20, engs...)
 	}
+	// goroutines polls the count until it reads want, and returns the last
+	// reading.
+	goroutines := func(want int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			n := runtime.NumGoroutine()
+			if n == want || time.Now().After(deadline) {
+				return n
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Earlier tests' goroutines may still be ending: base is the count once
+	// two readings 10 ms apart agree.
 	base := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
 
 	g := ticking()
 	between := 0
@@ -884,7 +909,7 @@ func TestWorkersExitOnDrainAndClose(t *testing.T) {
 	if between != 3 {
 		t.Errorf("%d goroutines beyond the caller's between windows, want 3 persistent workers", between)
 	}
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutines(base); n != base {
 		t.Errorf("%d goroutines before, %d after a drained Run", base, n)
 	}
 
@@ -892,18 +917,18 @@ func TestWorkersExitOnDrainAndClose(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		g.StepWindow()
 	}
-	if n := runtime.NumGoroutine(); n != base+3 {
+	if n := goroutines(base + 3); n != base+3 {
 		t.Errorf("%d goroutines mid-run, want the caller's %d and 3 workers", n, base)
 	}
 	g.Close()
 	g.Close()
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutines(base); n != base {
 		t.Errorf("%d goroutines before, %d after Close", base, n)
 	}
 	if end := g.Run(); end != 400 {
 		t.Errorf("run resumed after Close ended at %d, want 400", end)
 	}
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutines(base); n != base {
 		t.Errorf("%d goroutines before, %d after the resumed run drained", base, n)
 	}
 }

@@ -83,18 +83,22 @@ const isPhases = 5
 // barrier whose first exiter is at or past After, with every thread of
 // that round recording its resume cursor as it leaves the barrier. The
 // decision is made once per barrier round — by the round's first exiter,
-// which in serial execution is always the round's last arriver, the
-// earliest thread out — so either the whole round stops or the whole
-// round proceeds; the plan is a pure function of simulated time and adds
-// no events, keeping a cut-armed run byte-identical to an unarmed one up
-// to the cut.
+// which is always the round's last arriver, at cycle T: it leaves without
+// blocking, while every other thread is woken by the barrier's home node at
+// T + 2·hopLatency or later, past a root barrier of any sharding — so either
+// the whole round stops or the whole round proceeds, and no thread reads the
+// latch before it is set. The plan is a pure function of simulated time and
+// adds no events, keeping a cut-armed run byte-identical to an unarmed one
+// up to the cut.
 type CutPlan struct {
 	// After is the request threshold in absolute cycles; zero disables.
 	After sim.Time
 
 	decided int // highest boundary whose latch decision was made
 	bound   int // latched boundary; 0 = none
-	resume  []ckpt.ResumePoint
+	// resume holds one list per node, appended to only from that node's
+	// engine, in the node's exit order — which no sharding can change.
+	resume [][]ckpt.ResumePoint
 }
 
 // DidCut reports whether the run stopped at a cut barrier.
@@ -119,7 +123,8 @@ func (cp *CutPlan) arrived(c *kernel.Ctx, ti, boundary int) bool {
 	if cp.bound == 0 {
 		return false
 	}
-	cp.resume = append(cp.resume, ckpt.ResumePoint{Thread: ti, ResumeAt: uint64(c.P.Now())})
+	n := c.T.Node()
+	cp.resume[n] = append(cp.resume[n], ckpt.ResumePoint{Thread: ti, ResumeAt: uint64(c.P.Now())})
 	return true
 }
 
@@ -127,20 +132,24 @@ func (cp *CutPlan) arrived(c *kernel.Ctx, ti, boundary int) bool {
 // sections. The caller captures the hardware sections (core.CaptureState)
 // alongside and assembles the full snapshot.
 type ISCut struct {
-	k   *kernel.Kernel
-	bar *kernel.Barrier
-	ws  ckpt.WorkloadState
+	k     *kernel.Kernel
+	bar   *kernel.Barrier
+	plan  *CutPlan
+	start uint64
 }
 
 // KernelState captures the mini-OS section (page table, thread contexts,
 // barrier watermark) of the quiescent cut.
 func (ic *ISCut) KernelState() *ckpt.KernelState { return ic.k.CaptureState(ic.bar) }
 
-// WorkloadState returns the workload cursor: completed phases and the
-// barrier-exit-ordered resume points.
+// WorkloadState returns the workload cursor: completed phases and the resume
+// points, node by node, each node's in its barrier-exit order.
 func (ic *ISCut) WorkloadState() *ckpt.WorkloadState {
-	ws := ic.ws
-	return &ws
+	ws := &ckpt.WorkloadState{Name: "is", Phase: ic.plan.bound, Start: ic.start}
+	for _, points := range ic.plan.resume {
+		ws.Resume = append(ws.Resume, points...)
+	}
+	return ws
 }
 
 // isRun bundles the state the phase bodies share; the same structure
@@ -190,6 +199,9 @@ func newISRun(k *kernel.Kernel, p ISParams, cut *CutPlan) *isRun {
 	r.seed = p.Seed
 	if r.seed == 0 {
 		r.seed = 12345
+	}
+	if cut != nil {
+		cut.resume = make([][]ckpt.ResumePoint, k.Prototype().Cfg.TotalNodes())
 	}
 	k.Prototype().WorkloadTag = p.Tag()
 	return r
@@ -357,8 +369,7 @@ func RunISCut(k *kernel.Kernel, p ISParams, cut *CutPlan) (ISResult, *ISCut) {
 	}
 	end := k.Join()
 	if cut.DidCut() {
-		return ISResult{}, &ISCut{k: k, bar: r.bar, ws: ckpt.WorkloadState{
-			Name: "is", Phase: cut.bound, Start: uint64(start), Resume: cut.resume}}
+		return ISResult{}, &ISCut{k: k, bar: r.bar, plan: cut, start: uint64(start)}
 	}
 	return r.verify(end, start), nil
 }
@@ -402,8 +413,7 @@ func ResumeIS(k *kernel.Kernel, p ISParams, ks *ckpt.KernelState, ws *ckpt.Workl
 	}
 	end := k.Join()
 	if cut.DidCut() {
-		return ISResult{}, &ISCut{k: k, bar: r.bar, ws: ckpt.WorkloadState{
-			Name: "is", Phase: cut.bound, Start: ws.Start, Resume: cut.resume}}, nil
+		return ISResult{}, &ISCut{k: k, bar: r.bar, plan: cut, start: ws.Start}, nil
 	}
 	return r.verify(end, sim.Time(ws.Start)), nil, nil
 }

@@ -426,13 +426,16 @@ func TestLatencyMatrixSameUnderEverySharding(t *testing.T) {
 	}
 }
 
-// shardings are the three partitions of a multi-node shape the tests below
-// compare: one shard, per FPGA and per node.
-var shardings = []struct {
+// sharding is one partition of a multi-node shape.
+type sharding struct {
 	name        string
 	parallel    int
 	granularity string
-}{{"one-shard", 0, ""}, {"per-fpga", 2, "fpga"}, {"per-node", 2, "node"}}
+}
+
+// shardings are the three partitions of a multi-node shape the tests below
+// compare: one shard, per FPGA and per node.
+var shardings = []sharding{{"one-shard", 0, ""}, {"per-fpga", 2, "fpga"}, {"per-node", 2, "node"}}
 
 // drainedIS runs NPB-IS with 1 024 keys to the end on 2x2x2 under one
 // sharding and returns the drained prototype, nothing read or reported yet.
@@ -478,11 +481,7 @@ func TestStateCaptureIsShardingFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := (&ckpt.Snapshot{Kind: ckpt.KindState, State: st}).Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return encodeSnapshot(t, &ckpt.Snapshot{Kind: ckpt.KindState, State: st})
 	}
 	var want []byte
 	for _, taken := range shardings {
@@ -507,6 +506,165 @@ func TestStateCaptureIsShardingFree(t *testing.T) {
 			if got := encode(r); !bytes.Equal(got, raw) {
 				t.Errorf("taken %s, applied into %s: re-capture differs:\n%s", taken.name, into.name, firstDiff(raw, got))
 			}
+		}
+	}
+}
+
+// encodeSnapshot writes snap to bytes.
+func encodeSnapshot(t *testing.T, snap *ckpt.Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snap.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// isSegment runs NPB-IS (keys keys, IS seed = dc.seed) on a fresh build of
+// dc under s — cold, or resumed from the encoded state snapshot from — to
+// the end or, with cut set, to the first phase barrier past its start. At a
+// cut it returns the whole snapshot (hardware, kernel and workload sections)
+// encoded; at the end, nil.
+func isSegment(t *testing.T, dc diffCase, keys int, s sharding, from []byte, cut bool) (*core.Prototype, workload.ISResult, []byte) {
+	t.Helper()
+	dc.granularity = s.granularity
+	p := buildProto(t, dc, s.parallel)
+	k := kernel.New(p, kernel.DefaultConfig())
+	ip := workload.DefaultISParams(p.Cfg.TotalTiles())
+	ip.Keys, ip.Seed = keys, dc.seed
+	var snap *ckpt.Snapshot
+	var plan *workload.CutPlan
+	if from != nil {
+		var err error
+		if snap, err = ckpt.Read(bytes.NewReader(from)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ApplyState(snap.State, false); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	if cut {
+		plan = &workload.CutPlan{After: 1}
+		if snap != nil {
+			plan.After += smappic.Time(snap.Now)
+		}
+	}
+	var res workload.ISResult
+	var ic *workload.ISCut
+	if snap != nil {
+		var err error
+		if res, ic, err = workload.ResumeIS(k, ip, snap.State.Kernel, snap.State.Workload, plan); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	} else {
+		res, ic = workload.RunISCut(k, ip, plan)
+	}
+	if ic == nil {
+		return p, res, nil
+	}
+	st, err := p.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Kernel, st.Workload = ic.KernelState(), ic.WorkloadState()
+	return p, res, encodeSnapshot(t, &ckpt.Snapshot{Kind: ckpt.KindState, ConfigHash: p.Cfg.ConfigHash(),
+		Workload: p.WorkloadTag, Now: uint64(p.Now()), State: st})
+}
+
+// metricsOf renders p's MetricsJSON.
+func metricsOf(t *testing.T, p *core.Prototype) []byte {
+	t.Helper()
+	m, err := p.MetricsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestISCutIsShardingFree: a whole IS cut is laid out by node — the resume
+// cursor too — and a resumed thread wakes on its own engine, so cutting
+// 2x2x2 at its first phase barrier writes the same snapshot under one shard,
+// per FPGA and per node, and the snapshot taken under each resumes under
+// each to the plain run's checksum and MetricsJSON.
+func TestISCutIsShardingFree(t *testing.T) {
+	dc := diffCase{a: 2, b: 2, c: 2, workload: "is", seed: 42}
+	p, plain, _ := isSegment(t, dc, 1<<10, shardings[0], nil, false)
+	want := metricsOf(t, p)
+	var first []byte
+	for _, taken := range shardings {
+		_, _, raw := isSegment(t, dc, 1<<10, taken, nil, true)
+		if raw == nil {
+			t.Fatalf("taken %s: the run ended before its first phase barrier", taken.name)
+		}
+		if first == nil {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Errorf("taken %s: snapshot differs from the one-shard one:\n%s", taken.name, firstDiff(first, raw))
+		}
+		for _, into := range shardings {
+			r, res, _ := isSegment(t, dc, 1<<10, into, raw, false)
+			if res.Checksum != plain.Checksum || res.Cycles != plain.Cycles || !res.Sorted {
+				t.Errorf("taken %s, resumed %s: checksum %#x in %d cycles (sorted %v), plain run %#x in %d",
+					taken.name, into.name, res.Checksum, res.Cycles, res.Sorted, plain.Checksum, plain.Cycles)
+			}
+			if got := metricsOf(t, r); !bytes.Equal(got, want) {
+				t.Errorf("taken %s, resumed %s: MetricsJSON diverges from the plain run's:\n%s", taken.name, into.name, firstDiff(want, got))
+			}
+		}
+	}
+}
+
+// TestISCutChainKeepsItsKnownDifference: seed 17 of 2x1x2 / 512 keys is the
+// credit-read hole (DESIGN §3.4): cut at every phase barrier and resumed from
+// each cut, it ends with node1.bridge.credit_stall one lower than the plain
+// run. Per FPGA the chain writes the one-shard chain's snapshot at every
+// barrier and ends on its MetricsJSON, so sharding neither widens nor hides
+// the difference.
+func TestISCutChainKeepsItsKnownDifference(t *testing.T) {
+	const differ = "node1.bridge.credit_stall"
+	dc := diffCase{a: 2, b: 1, c: 2, workload: "is", seed: 17}
+	p, plain, _ := isSegment(t, dc, 512, shardings[0], nil, false)
+	plainEnd, plainStats := p.Now(), p.Stats.CounterSnapshot()
+	var cuts [][]byte
+	var end []byte
+	for _, s := range shardings[:2] {
+		var raw []byte
+		var res workload.ISResult
+		n := 0
+		for {
+			var next []byte
+			if p, res, next = isSegment(t, dc, 512, s, raw, true); next == nil {
+				break
+			}
+			if n == len(cuts) {
+				cuts = append(cuts, next)
+			} else if !bytes.Equal(next, cuts[n]) {
+				t.Errorf("%s: cut %d differs from the one-shard chain's:\n%s", s.name, n+1, firstDiff(cuts[n], next))
+			}
+			raw = next
+			n++
+		}
+		if n != len(cuts) {
+			t.Errorf("%s: %d cuts, the one-shard chain made %d", s.name, n, len(cuts))
+		}
+		if res.Checksum != plain.Checksum || p.Now() != plainEnd {
+			t.Errorf("%s: checksum %#x at cycle %d, plain run %#x at %d; the known difference is one counter",
+				s.name, res.Checksum, p.Now(), plain.Checksum, plainEnd)
+		}
+		m := metricsOf(t, p)
+		if end == nil {
+			end = m
+		} else if !bytes.Equal(m, end) {
+			t.Errorf("%s: the chain's MetricsJSON diverges from the one-shard chain's:\n%s", s.name, firstDiff(end, m))
+		}
+		got := p.Stats.CounterSnapshot()
+		for name, v := range plainStats {
+			if got[name] != v && (name != differ || got[name]+1 != v) {
+				t.Errorf("%s: %s %d, plain run %d; the known difference is %s one lower", s.name, name, got[name], v, differ)
+			}
+		}
+		if got[differ] == plainStats[differ] {
+			t.Errorf("%s: %s equals the plain run's: the known difference is gone (close the ROADMAP item)", s.name, differ)
 		}
 	}
 }
