@@ -2,9 +2,10 @@
 // Shell exposes to Custom Logic. Only the aspects the platform observes are
 // modeled: addresses, IDs, 64-byte alignment rules, per-target serialization
 // and request/response pairing. Signal-level handshakes (five channels,
-// bursts) are abstracted into one request/response exchange per transfer,
-// with the channel roles documented where SMAPPIC's bridge packs NoC traffic
-// into them.
+// bursts) are abstracted into one exchange per transfer: a Txn handed to a
+// Target and the Resp that completes it, whichever direction the transfer
+// moves data in. The channel roles are documented where SMAPPIC's bridge
+// packs NoC traffic into them.
 package axi
 
 // Addr is a 64-bit AXI address.
@@ -23,46 +24,47 @@ func Align(addr Addr) (aligned Addr, offset int) {
 	return addr &^ (BeatBytes - 1), int(addr & (BeatBytes - 1))
 }
 
-// WriteReq is one AXI4 write: the aw channel carries Addr and ID, the w
-// channel carries Data. Data longer than BeatBytes models a burst.
-type WriteReq struct {
+// Txn is one AXI4 transfer. A write is the aw channel (Addr, ID) plus the w
+// channel (Data; longer than BeatBytes models a burst); a read is the ar
+// channel, Len bytes at Addr. The two narrow fields come last so a Txn fits
+// a 64-byte allocation.
+type Txn struct {
 	Addr Addr
-	ID   ID
-	Data []byte
-	// User carries model-level payload riding on the write (e.g. the NoC
+	Data []byte // a write's payload
+	Len  int    // a read's length
+	// User carries model-level payload riding on the transfer (e.g. the NoC
 	// flits the SMAPPIC bridge encodes into the w channel). The physical
-	// system would serialize it into Data; carrying it structured avoids
-	// a useless encode/decode round trip in simulation while Data keeps
-	// the size for timing.
-	User any
+	// system would serialize it into Data; carrying it structured avoids a
+	// useless encode/decode round trip in simulation while Data keeps the
+	// size for timing.
+	User  any
+	ID    ID
+	Write bool
 }
 
-// WriteResp is the b channel: completion acknowledgement for a write.
-type WriteResp struct {
-	ID ID
-	OK bool
+// Size is the number of bytes the transfer moves: a write's Data, a read's
+// Len.
+func (t *Txn) Size() int {
+	if t.Write {
+		return len(t.Data)
+	}
+	return t.Len
 }
 
-// ReadReq is the ar channel: a read of Len bytes at Addr.
-type ReadReq struct {
-	Addr Addr
-	ID   ID
-	Len  int
-}
-
-// ReadResp is the r channel: data returned for a read.
-type ReadResp struct {
-	ID   ID
+// Resp completes a Txn: the b channel's acknowledgement for a write, the r
+// channel's Data for a read. User is the model-level counterpart of Txn.User.
+type Resp struct {
 	Data []byte
-	OK   bool
 	User any
+	ID   ID
+	OK   bool
 }
 
-// Target is anything that accepts AXI4 transactions. Completion callbacks
-// fire as simulation events; they may fire synchronously.
+// Target is anything that accepts AXI4 transfers. Completion callbacks fire
+// as simulation events; they may fire synchronously. The Resp travels by
+// value, so an acknowledgement costs no allocation.
 type Target interface {
-	Write(req *WriteReq, done func(*WriteResp))
-	Read(req *ReadReq, done func(*ReadResp))
+	Do(t *Txn, done func(Resp))
 }
 
 // LiteTarget is an AXI-Lite register file: single 32-bit accesses, no IDs,

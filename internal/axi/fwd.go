@@ -3,15 +3,13 @@ package axi
 import "smappic/internal/sim"
 
 // fwd is a pooled deferred AXI transfer: the routed target plus the original
-// request and completion, so interconnect models (crossbar, shaper, shell)
+// transfer and completion, so interconnect models (crossbar, shaper, shell)
 // can schedule the forwarding hop through sim.ScheduleArg instead of
 // allocating a capture closure per transaction.
 type fwd struct {
-	t     Target
-	wreq  *WriteReq
-	wdone func(*WriteResp)
-	rreq  *ReadReq
-	rdone func(*ReadResp)
+	t    Target
+	txn  *Txn
+	done func(Resp)
 }
 
 // Forwarder schedules delayed dispatch of AXI transfers onto targets with a
@@ -28,39 +26,25 @@ func NewForwarder(eng *sim.Engine) *Forwarder {
 	p := &Forwarder{eng: eng}
 	p.fn = func(v any) {
 		f := v.(*fwd)
-		t, wreq, wdone, rreq, rdone := f.t, f.wreq, f.wdone, f.rreq, f.rdone
+		t, txn, done := f.t, f.txn, f.done
 		// Recycle before dispatching: the target may synchronously issue
 		// further transfers through this same forwarder.
 		*f = fwd{}
 		p.free = append(p.free, f)
-		if wreq != nil {
-			t.Write(wreq, wdone)
-		} else {
-			t.Read(rreq, rdone)
-		}
+		t.Do(txn, done)
 	}
 	return p
 }
 
-func (p *Forwarder) get() *fwd {
+// Do dispatches t.Do(txn, done) after delay cycles.
+func (p *Forwarder) Do(delay sim.Time, t Target, txn *Txn, done func(Resp)) {
+	var f *fwd
 	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
+		f = p.free[n-1]
 		p.free = p.free[:n-1]
-		return f
+	} else {
+		f = &fwd{}
 	}
-	return &fwd{}
-}
-
-// Write dispatches t.Write(req, done) after delay cycles.
-func (p *Forwarder) Write(delay sim.Time, t Target, req *WriteReq, done func(*WriteResp)) {
-	f := p.get()
-	f.t, f.wreq, f.wdone = t, req, done
-	p.eng.ScheduleArg(delay, p.fn, f)
-}
-
-// Read dispatches t.Read(req, done) after delay cycles.
-func (p *Forwarder) Read(delay sim.Time, t Target, req *ReadReq, done func(*ReadResp)) {
-	f := p.get()
-	f.t, f.rreq, f.rdone = t, req, done
+	f.t, f.txn, f.done = t, txn, done
 	p.eng.ScheduleArg(delay, p.fn, f)
 }

@@ -64,14 +64,9 @@ func (s *Shaper) delay(n int) sim.Time {
 	return d
 }
 
-// Write forwards the request after shaping.
-func (s *Shaper) Write(req *WriteReq, done func(*WriteResp)) {
-	s.pool.Write(s.delay(len(req.Data)), s.t, req, done)
-}
-
-// Read forwards the request after shaping.
-func (s *Shaper) Read(req *ReadReq, done func(*ReadResp)) {
-	s.pool.Read(s.delay(req.Len), s.t, req, done)
+// Do forwards the transfer after shaping.
+func (s *Shaper) Do(t *Txn, done func(Resp)) {
+	s.pool.Do(s.delay(t.Size()), s.t, t, done)
 }
 
 var _ Target = (*Shaper)(nil)

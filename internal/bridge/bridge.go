@@ -127,9 +127,9 @@ type Bridge struct {
 	cCreditRestored   sim.LazyCounter
 	cCreditLoss       sim.LazyCounter
 	cDstWedged        sim.LazyCounter
-	trySendFn         func(any)            // arg is the *Envelope
-	rxFn              func(any)            // arg is the *Envelope
-	chunkRespFn       func(*axi.WriteResp) // non-final chunk completion
+	trySendFn         func(any)      // arg is the *Envelope
+	rxFn              func(any)      // arg is the *Envelope
+	chunkRespFn       func(axi.Resp) // non-final chunk completion
 }
 
 // chunkData backs the w channel of every encapsulation chunk. The payload
@@ -175,7 +175,7 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.
 	b.cDstWedged = stats.LazyCounter(name + ".dst_wedged")
 	b.trySendFn = func(env any) { b.trySend(env.(*Envelope)) }
 	b.rxFn = func(env any) { b.rx(env.(*Envelope)) }
-	b.chunkRespFn = func(r *axi.WriteResp) {
+	b.chunkRespFn = func(r axi.Resp) {
 		if !r.OK {
 			// Payload chunk lost; the envelope chunk decides the packet's
 			// fate, so only the error is recorded here.
@@ -255,13 +255,10 @@ func (b *Bridge) transmit(env *Envelope) {
 	b.cTxFlits.Add(uint64(env.Flits))
 	b.tracer.Instant(b.name, sim.CatBridge, "tx")
 	for i := 0; i < chunks; i++ {
-		req := &axi.WriteReq{
-			Addr: addr,
-			Data: chunkData[:],
-		}
+		t := &axi.Txn{Write: true, Addr: addr, Data: chunkData[:]}
 		if i == chunks-1 {
-			req.User = env
-			b.out.Write(req, func(r *axi.WriteResp) {
+			t.User = env
+			b.out.Do(t, func(r axi.Resp) {
 				if r.OK {
 					return
 				}
@@ -273,7 +270,7 @@ func (b *Bridge) transmit(env *Envelope) {
 			})
 			continue
 		}
-		b.out.Write(req, b.chunkRespFn)
+		b.out.Do(t, b.chunkRespFn)
 	}
 }
 
@@ -289,10 +286,10 @@ func (b *Bridge) fetchCredits(dst int) {
 	}
 	pe.creditRead = true
 	b.cCreditReads.Inc()
-	b.out.Read(&axi.ReadReq{
+	b.out.Do(&axi.Txn{
 		Addr: b.addrOf(dst) | axi.Addr(uint64(b.node)<<8),
 		Len:  8,
-	}, func(r *axi.ReadResp) {
+	}, func(r axi.Resp) {
 		pe.creditRead = false
 		if !r.OK {
 			b.creditReadFailed(dst)
@@ -321,10 +318,10 @@ func (b *Bridge) reconcile(dst int) {
 	}
 	pe.creditRead = true
 	b.cCreditReconciles.Inc()
-	b.out.Read(&axi.ReadReq{
+	b.out.Do(&axi.Txn{
 		Addr: b.addrOf(dst) | ReconcileFlag | axi.Addr(uint64(b.node)<<8),
 		Len:  8,
-	}, func(r *axi.ReadResp) {
+	}, func(r axi.Resp) {
 		pe.creditRead = false
 		if !r.OK {
 			b.creditReadFailed(dst)
@@ -479,12 +476,18 @@ func (b *Bridge) Inbound() axi.Target { return (*inbound)(b) }
 
 type inbound Bridge
 
-// Write receives an encapsulation chunk. Only the final chunk of a packet
-// carries the envelope; earlier chunks have paid their bus time already.
-func (in *inbound) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
+// Do receives a transfer from a peer bridge. A write is an encapsulation
+// chunk: only the final chunk of a packet carries the envelope; earlier
+// chunks have paid their bus time already. A read asks for credits back (see
+// returnCredits).
+func (in *inbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	b := (*Bridge)(in)
-	done(&axi.WriteResp{ID: req.ID, OK: true})
-	env, ok := req.User.(*Envelope)
+	if !t.Write {
+		b.returnCredits(t, done)
+		return
+	}
+	done(axi.Resp{ID: t.ID, OK: true})
+	env, ok := t.User.(*Envelope)
 	if !ok {
 		return
 	}
@@ -511,7 +514,7 @@ func (b *Bridge) rx(env *Envelope) {
 	})
 }
 
-// Read answers a credit-return request. An incremental read (the common
+// returnCredits answers a credit-return read. An incremental read (the common
 // case) returns the credits freed since the source's last read; a read with
 // ReconcileFlag set returns the cumulative freed count instead, which the
 // sender diffs against what it has actually received to restore leaked
@@ -522,23 +525,22 @@ func (b *Bridge) rx(env *Envelope) {
 // triggered drop or corruption consumes the pending increment but reports
 // zero credits back, leaking them until a reconciliation read repairs the
 // gap.
-func (in *inbound) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	b := (*Bridge)(in)
-	src := int(uint64(req.Addr) >> 8 & 0xFF)
+func (b *Bridge) returnCredits(t *axi.Txn, done func(axi.Resp)) {
+	src := int(uint64(t.Addr) >> 8 & 0xFF)
 	if src >= len(b.peers) {
-		done(&axi.ReadResp{ID: req.ID, OK: false}) // no such node to owe credits to
+		done(axi.Resp{ID: t.ID, OK: false}) // no such node to owe credits to
 		return
 	}
 	pe := &b.peers[src]
 	n := pe.freed
 	pe.freed = 0
-	if req.Addr&ReconcileFlag != 0 {
-		done(&axi.ReadResp{ID: req.ID, Data: make([]byte, 8), OK: true, User: pe.freedTotal})
+	if t.Addr&ReconcileFlag != 0 {
+		done(axi.Resp{ID: t.ID, Data: make([]byte, 8), OK: true, User: pe.freedTotal})
 		return
 	}
 	if fate := b.site.Transfer(); fate.Drop || fate.Corrupt {
 		b.cCreditLoss.Add(uint64(n))
 		n = 0
 	}
-	done(&axi.ReadResp{ID: req.ID, Data: make([]byte, 8), OK: true, User: n})
+	done(axi.Resp{ID: t.ID, Data: make([]byte, 8), OK: true, User: n})
 }

@@ -199,12 +199,8 @@ type nodeSwitch struct {
 	in  [2]axi.Target
 }
 
-func (x *nodeSwitch) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	x.eng.Schedule(2, func() { x.in[req.Addr>>24&1].Write(req, done) })
-}
-
-func (x *nodeSwitch) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	x.eng.Schedule(2, func() { x.in[req.Addr>>24&1].Read(req, done) })
+func (x *nodeSwitch) Do(t *axi.Txn, done func(axi.Resp)) {
+	x.eng.Schedule(2, func() { x.in[t.Addr>>24&1].Do(t, done) })
 }
 
 func TestSameFPGABridgeDelivery(t *testing.T) {
@@ -398,8 +394,8 @@ func TestPeerIDsFromOutsideAreChecked(t *testing.T) {
 			t.Errorf("RestoreState with peer %d: error %v, want a ckpt snapshot error", dst, err)
 		}
 	}
-	var resp *axi.ReadResp
-	b.Inbound().Read(&axi.ReadReq{Addr: 7 << 8, Len: 8}, func(r *axi.ReadResp) { resp = r })
+	var resp *axi.Resp
+	b.Inbound().Do(&axi.Txn{Addr: 7 << 8, Len: 8}, func(r axi.Resp) { resp = &r })
 	if resp == nil || resp.OK {
 		t.Errorf("credit read from node 7 of 2 answered %+v, want OK:false", resp)
 	}

@@ -56,10 +56,10 @@ func (pt *icPort) arbitrate(beats sim.Time, invoke func()) {
 	invoke()
 }
 
-// dropWriteResp discards the bridge's inbound write acknowledgement: the
-// source was answered at issue time (posted write), so the destination-side
-// response has no consumer.
-func dropWriteResp(*axi.WriteResp) {}
+// dropResp discards the bridge's inbound write acknowledgement: the source
+// was answered at issue time (posted write), so the destination-side response
+// has no consumer.
+func dropResp(axi.Resp) {}
 
 // icMaster is one node's master port onto its FPGA's interconnect: addresses
 // below the PCIe aperture decode to a co-located bridge window and cross the
@@ -96,94 +96,64 @@ func (m *icMaster) outNode() int {
 	return m.node / b * b
 }
 
-func (m *icMaster) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	if req.Addr >= pcie.WindowBase {
-		m.shellWrite(req, done)
+// Do carries one transfer across the interconnect. A write is posted: the
+// source is answered at issue. A read is a full round trip: the response
+// pays the return crossing too, delivered back on the source node's engine.
+func (m *icMaster) Do(t *axi.Txn, done func(axi.Resp)) {
+	if t.Addr >= pcie.WindowBase {
+		m.toShell(t, done)
 		return
 	}
-	pt := m.decode(req.Addr)
+	pt := m.decode(t.Addr)
 	if pt == nil {
-		done(&axi.WriteResp{ID: req.ID, OK: false})
+		done(axi.Resp{ID: t.ID, OK: false})
 		return
 	}
-	beats := icBeats(len(req.Data))
-	// The crossing owns a copy of the request: req may point into a pooled
-	// record (a PCIe exchange's rewritten request) that its owner recycles at
+	beats := icBeats(t.Size())
+	src := m.node
+	count, reply := &pt.writes, dropResp
+	if !t.Write {
+		count = &pt.reads
+		reply = func(r axi.Resp) {
+			m.p.Group.Send(pt.node, src, pt.eng.Now()+icLatency, func() { done(r) })
+		}
+	}
+	// The crossing owns a copy of the transfer: t may point into a pooled
+	// record (a PCIe exchange's rewritten transfer) that its owner recycles at
 	// a later cycle of the same window — which another engine may execute
 	// concurrently. Within one engine sim order protects the pointer; across
 	// engines only a value handed off at the Send boundary is safe.
-	cp := *req
-	m.p.Group.Send(m.node, pt.node, m.eng.Now()+icLatency, func() {
-		pt.writes.Inc()
-		pt.arbitrate(beats, func() { pt.target.Write(&cp, dropWriteResp) })
-	})
-	// Posted write: the decode succeeded, so the source is answered
-	// immediately. The bridge's inbound port unconditionally acknowledges
-	// writes (loss shows up as a missing envelope, reconciled by credits),
-	// so no information is lost by acknowledging at the source.
-	done(&axi.WriteResp{ID: req.ID, OK: true})
-}
-
-func (m *icMaster) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	if req.Addr >= pcie.WindowBase {
-		m.shellRead(req, done)
-		return
-	}
-	pt := m.decode(req.Addr)
-	if pt == nil {
-		done(&axi.ReadResp{ID: req.ID, OK: false})
-		return
-	}
-	beats := icBeats(req.Len)
-	src := m.node
-	cp := *req // see Write: the crossing owns a copy
+	cp := *t
 	m.p.Group.Send(src, pt.node, m.eng.Now()+icLatency, func() {
-		pt.reads.Inc()
-		pt.arbitrate(beats, func() {
-			pt.target.Read(&cp, func(r *axi.ReadResp) {
-				// Full round trip: the response pays the return crossing
-				// too, delivered back on the source node's engine.
-				m.p.Group.Send(pt.node, src, pt.eng.Now()+icLatency, func() { done(r) })
-			})
-		})
+		count.Inc()
+		pt.arbitrate(beats, func() { pt.target.Do(&cp, reply) })
 	})
+	if t.Write {
+		// The decode succeeded, so the source is answered now. The bridge's
+		// inbound port unconditionally acknowledges writes (loss shows up as
+		// a missing envelope, reconciled by credits), so no information is
+		// lost by acknowledging at the source.
+		done(axi.Resp{ID: t.ID, OK: true})
+	}
 }
 
-// shellWrite routes a PCIe-aperture write out through the FPGA's shell. The
+// toShell routes a PCIe-aperture transfer out through the FPGA's shell. The
 // shell is owned by the slot-0 node's engine; masters on other nodes cross
 // the interconnect to reach it, and the response crosses back (the bridge
 // reclaims credits on a failed write, so the completion must arrive in the
 // source's own execution context).
-func (m *icMaster) shellWrite(req *axi.WriteReq, done func(*axi.WriteResp)) {
+func (m *icMaster) toShell(t *axi.Txn, done func(axi.Resp)) {
 	sh := m.p.Shells[m.node/m.p.Cfg.NodesPerFPGA]
 	out := m.outNode()
 	if m.node == out {
-		sh.Outbound().Write(req, done)
+		sh.Outbound().Do(t, done)
 		return
 	}
 	src := m.node
 	shEng := m.p.EngineForNode(out)
-	cp := *req // see Write: the crossing owns a copy
+	cp := *t // see Do: the crossing owns a copy
 	m.p.Group.Send(src, out, m.eng.Now()+icLatency, func() {
-		sh.Outbound().Write(&cp, func(r *axi.WriteResp) {
-			m.p.Group.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
-		})
-	})
-}
-
-// shellRead is shellWrite for reads (credit fetches crossing PCIe).
-func (m *icMaster) shellRead(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	sh := m.p.Shells[m.node/m.p.Cfg.NodesPerFPGA]
-	out := m.outNode()
-	if m.node == out {
-		sh.Outbound().Read(req, done)
-		return
-	}
-	src := m.node
-	shEng := m.p.EngineForNode(out)
-	cp := *req // see Write: the crossing owns a copy
-	m.p.Group.Send(src, out, m.eng.Now()+icLatency, func() {
-		sh.Outbound().Read(&cp, func(r *axi.ReadResp) {
+		sh.Outbound().Do(&cp, func(r axi.Resp) {
 			m.p.Group.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
 		})
 	})

@@ -150,30 +150,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errUnknownCampaign.Error(), http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("Connection", "keep-alive")
-
-	ch := run.hub.Subscribe()
-	defer run.hub.Unsubscribe(ch)
-	w.Write(obs.FormatSSE("hello", hello))
-	fl.Flush()
-	for {
-		select {
-		case frame := <-ch:
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	obs.ServeSSE(w, r, run.hub, func() any { return hello })
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {

@@ -538,23 +538,16 @@ func (k *Kernel) SetRunner(run func() sim.Time) { k.runner = run }
 
 // Join runs the simulation until every spawned thread finished.
 func (k *Kernel) Join() sim.Time {
-	for {
-		if k.runner != nil {
-			k.runner()
-		} else {
-			k.pr.Run()
-		}
-		all := true
-		for _, t := range k.threads {
-			if !t.Done {
-				all = false
-				break
-			}
-		}
-		if all {
-			return k.pr.Now()
-		}
-		// Threads still parked with no pending events would be a deadlock.
-		panic("kernel: Join: threads blocked with empty event queue")
+	if k.runner != nil {
+		k.runner()
+	} else {
+		k.pr.Run()
 	}
+	for _, t := range k.threads {
+		if !t.Done {
+			// Threads still parked with no pending events would be a deadlock.
+			panic("kernel: Join: threads blocked with empty event queue")
+		}
+	}
+	return k.pr.Now()
 }

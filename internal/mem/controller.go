@@ -157,8 +157,20 @@ func (c *Controller) issue(k engineKind, req *Req) {
 		size = axi.BeatBytes // AXI4 transfers are whole beats; narrow
 		// requests select the needed bytes on return (Fig. 5).
 	}
-	doneOne := func(ok bool) {
-		if !ok {
+	t := &axi.Txn{Write: req.Write, Addr: aligned, ID: id}
+	if req.Write {
+		c.cWrites.Inc()
+		if size <= len(zeroData) {
+			t.Data = zeroData[:size]
+		} else {
+			t.Data = make([]byte, size)
+		}
+	} else {
+		c.cReads.Inc()
+		t.Len = size
+	}
+	c.dram.Do(t, func(r axi.Resp) {
+		if !r.OK {
 			// The requester's MSHR is still released and the tag echoed —
 			// the NoC response format has no error channel — but the fault
 			// is recorded instead of silently swallowed.
@@ -174,22 +186,7 @@ func (c *Controller) issue(k engineKind, req *Req) {
 			c.hQWait.Observe(uint64(c.eng.Now() - next.at))
 			c.issue(k, next.req)
 		}
-	}
-	if req.Write {
-		c.cWrites.Inc()
-		data := zeroData[:]
-		if size > len(data) {
-			data = make([]byte, size)
-		} else {
-			data = data[:size]
-		}
-		c.dram.Write(&axi.WriteReq{Addr: aligned, ID: id, Data: data},
-			func(r *axi.WriteResp) { doneOne(r.OK) })
-	} else {
-		c.cReads.Inc()
-		c.dram.Read(&axi.ReadReq{Addr: aligned, ID: id, Len: size},
-			func(r *axi.ReadResp) { doneOne(r.OK) })
-	}
+	})
 }
 
 func (c *Controller) respond(req *Req) {

@@ -91,26 +91,27 @@ func (d *DRAM) delay(n int) sim.Time {
 	return (start - d.eng.Now()) + beats + d.Latency
 }
 
-// Write applies a write after the access latency.
-func (d *DRAM) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	d.cWrites.Inc()
-	d.cWriteBytes.Add(uint64(len(req.Data)))
-	d.eng.Schedule(d.delay(len(req.Data)), func() {
-		if d.backing != nil && len(req.Data) > 0 {
-			d.backing.WriteBytes(d.base+req.Addr, req.Data)
+// Do serves a transfer after the access latency: a write applies its data, a
+// read returns data. The SECDED model runs on the read path: a single-bit
+// upset is corrected transparently (counted), a double-bit upset is detected
+// but uncorrectable and fails the read.
+func (d *DRAM) Do(t *axi.Txn, done func(axi.Resp)) {
+	n := t.Size()
+	count, bytes := d.cReads, d.cReadBytes
+	if t.Write {
+		count, bytes = d.cWrites, d.cWriteBytes
+	}
+	count.Inc()
+	bytes.Add(uint64(n))
+	d.eng.Schedule(d.delay(n), func() {
+		resp := axi.Resp{ID: t.ID, OK: true}
+		if t.Write {
+			if d.backing != nil && n > 0 {
+				d.backing.WriteBytes(d.base+t.Addr, t.Data)
+			}
+			done(resp)
+			return
 		}
-		done(&axi.WriteResp{ID: req.ID, OK: true})
-	})
-}
-
-// Read returns data after the access latency. The SECDED model runs on the
-// read path: a single-bit upset is corrected transparently (counted), a
-// double-bit upset is detected but uncorrectable and fails the read.
-func (d *DRAM) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	d.cReads.Inc()
-	d.cReadBytes.Add(uint64(req.Len))
-	d.eng.Schedule(d.delay(req.Len), func() {
-		resp := &axi.ReadResp{ID: req.ID, OK: true}
 		switch d.site.FlipBits() {
 		case 1:
 			d.cEccFixed.Inc()
@@ -118,9 +119,9 @@ func (d *DRAM) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
 			d.cEccFatal.Inc()
 			resp.OK = false
 		}
-		if resp.OK && d.backing != nil && req.Len > 0 {
-			resp.Data = make([]byte, req.Len)
-			d.backing.ReadBytes(d.base+req.Addr, resp.Data)
+		if resp.OK && d.backing != nil && n > 0 {
+			resp.Data = make([]byte, n)
+			d.backing.ReadBytes(d.base+t.Addr, resp.Data)
 		}
 		done(resp)
 	})

@@ -87,7 +87,7 @@ func TestDRAMLatencyAndData(t *testing.T) {
 	d := NewDRAM(eng, "dram", 76, 64, b, 0x8000_0000, nil)
 
 	var wrAt sim.Time
-	d.Write(&axi.WriteReq{Addr: 0x40, Data: []byte{0xAA, 0xBB}}, func(*axi.WriteResp) { wrAt = eng.Now() })
+	d.Do(&axi.Txn{Write: true, Addr: 0x40, Data: []byte{0xAA, 0xBB}}, func(axi.Resp) { wrAt = eng.Now() })
 	eng.Run()
 	if wrAt != 77 { // 76 latency + 1 beat
 		t.Fatalf("write completed at %d, want 77", wrAt)
@@ -97,7 +97,7 @@ func TestDRAMLatencyAndData(t *testing.T) {
 	}
 
 	var rd []byte
-	d.Read(&axi.ReadReq{Addr: 0x40, Len: 2}, func(r *axi.ReadResp) { rd = r.Data })
+	d.Do(&axi.Txn{Addr: 0x40, Len: 2}, func(r axi.Resp) { rd = r.Data })
 	eng.Run()
 	if !bytes.Equal(rd, []byte{0xAA, 0xBB}) {
 		t.Fatalf("DRAM read = %v", rd)
@@ -109,7 +109,7 @@ func TestDRAMBandwidthSerializes(t *testing.T) {
 	d := NewDRAM(eng, "dram", 10, 64, nil, 0, nil)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
-		d.Read(&axi.ReadReq{Addr: 0, Len: 64}, func(*axi.ReadResp) { times = append(times, eng.Now()) })
+		d.Do(&axi.Txn{Addr: 0, Len: 64}, func(axi.Resp) { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	if len(times) != 3 {
@@ -127,7 +127,7 @@ func TestShaperAddsLatencyAndThrottles(t *testing.T) {
 	s := axi.NewShaper(eng, d, 50, 8)
 	var times []sim.Time
 	for i := 0; i < 2; i++ {
-		s.Read(&axi.ReadReq{Addr: 0, Len: 64}, func(*axi.ReadResp) { times = append(times, eng.Now()) })
+		s.Do(&axi.Txn{Addr: 0, Len: 64}, func(axi.Resp) { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	// 64B at 8B/cycle = 8 shaper beats + 1 DRAM beat. First: 50+8+1.
@@ -281,7 +281,7 @@ func TestSECDEDModel(t *testing.T) {
 
 	var oks []bool
 	for i := 0; i < 4; i++ {
-		d.Read(&axi.ReadReq{Addr: 0, Len: 64}, func(r *axi.ReadResp) { oks = append(oks, r.OK) })
+		d.Do(&axi.Txn{Addr: 0, Len: 64}, func(r axi.Resp) { oks = append(oks, r.OK) })
 	}
 	eng.Run()
 	want := []bool{true, true, false, true} // 2 corrected, then 1 fatal

@@ -183,7 +183,7 @@ func (s *Server) CampaignEvent(ev campaign.Event) {
 	case campaign.EventCacheHit:
 		jv.Status = "cached"
 		jv.Cycles = ev.Cycles
-	case campaign.EventStallRetry:
+	case campaign.EventStallRetry, campaign.EventPanicRetry:
 		jv.Status = "retrying"
 		jv.Attempt = ev.Attempt + 1
 		jv.Err = ev.Err
@@ -264,39 +264,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("Connection", "keep-alive")
-
-	ch := s.hub.Subscribe()
-	defer s.hub.Unsubscribe(ch)
-
-	// Greet immediately with the latest snapshot's tick, so a subscriber
-	// always receives a first event without waiting for the next publish
-	// (the CI smoke test and reconnecting dashboards rely on this).
-	var hello any = map[string]any{"seq": 0}
-	if sn := s.snap.Load(); sn != nil {
-		hello = tickEvent(sn)
-	}
-	w.Write(FormatSSE("hello", hello))
-	fl.Flush()
-
-	for {
-		select {
-		case frame := <-ch:
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
+	// Greet with the latest snapshot's tick, so a subscriber always receives
+	// a first event without waiting for the next publish (the CI smoke test
+	// and reconnecting dashboards rely on this).
+	ServeSSE(w, r, s.hub, func() any {
+		if sn := s.snap.Load(); sn != nil {
+			return tickEvent(sn)
 		}
-	}
+		return map[string]any{"seq": 0}
+	})
 }
 
 // Start listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves in a

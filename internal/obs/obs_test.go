@@ -132,9 +132,11 @@ func TestCampaignEventsUpdateTableAndStream(t *testing.T) {
 	srv.CampaignEvent(campaign.Event{Type: campaign.EventStallRetry, Index: 1, Label: "b", Total: 3, Attempt: 1, Err: "stall"})
 	srv.CampaignEvent(campaign.Event{Type: campaign.EventDone, Index: 1, Label: "b", Total: 3, Attempt: 2, Cycles: 456})
 	srv.CampaignEvent(campaign.Event{Type: campaign.EventFailed, Index: 2, Label: "c", Total: 3, Err: "boom"})
+	srv.CampaignEvent(campaign.Event{Type: campaign.EventStarted, Index: 3, Label: "d", Total: 4, Attempt: 1})
+	srv.CampaignEvent(campaign.Event{Type: campaign.EventPanicRetry, Index: 3, Label: "d", Total: 4, Attempt: 1, Err: "panic: bad"})
 
 	view := srv.campaignView()
-	if view.Total != 3 || len(view.Jobs) != 3 {
+	if view.Total != 4 || len(view.Jobs) != 4 {
 		t.Fatalf("campaign view: %+v", view)
 	}
 	// Jobs come back index-ordered regardless of event arrival order.
@@ -152,7 +154,11 @@ func TestCampaignEventsUpdateTableAndStream(t *testing.T) {
 	if view.Jobs[2].Status != "failed" || view.Jobs[2].Err != "boom" {
 		t.Fatalf("job 2: %+v", view.Jobs[2])
 	}
-	if view.Counts["done"] != 1 || view.Counts["cached"] != 1 || view.Counts["failed"] != 1 {
+	// A panic recovered into a retry reads like a stall retry.
+	if view.Jobs[3].Status != "retrying" || view.Jobs[3].Attempt != 2 || view.Jobs[3].Err != "panic: bad" {
+		t.Fatalf("job 3 (panicked, retrying): %+v", view.Jobs[3])
+	}
+	if view.Counts["done"] != 1 || view.Counts["cached"] != 1 || view.Counts["failed"] != 1 || view.Counts["retrying"] != 1 {
 		t.Fatalf("counts: %v", view.Counts)
 	}
 

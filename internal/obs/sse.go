@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 )
 
@@ -80,4 +81,35 @@ func FormatSSE(event string, data any) []byte {
 		payload = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
 	return []byte("event: " + event + "\ndata: " + string(payload) + "\n\n")
+}
+
+// ServeSSE streams hub to w as server-sent events until the request is done:
+// the event-stream headers, a "hello" frame carrying hello() — called once
+// subscribed, so nothing broadcast after the greeting is missed — then every
+// frame the hub broadcasts, flushed as it arrives.
+func ServeSSE(w http.ResponseWriter, r *http.Request, hub *Hub, hello func() any) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("Connection", "keep-alive")
+
+	ch := hub.Subscribe()
+	defer hub.Unsubscribe(ch)
+	w.Write(FormatSSE("hello", hello()))
+	fl.Flush()
+	for {
+		select {
+		case frame := <-ch:
+			if _, err := w.Write(frame); err != nil {
+				return
+			}
+			fl.Flush()
+		case <-r.Context().Done():
+			return
+		}
+	}
 }

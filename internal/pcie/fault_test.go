@@ -24,8 +24,8 @@ func TestErrorResponsePaysLatency(t *testing.T) {
 	f := newFabric(eng, DefaultParams(), nil, nil)
 	base, _ := f.Window(3) // nothing attached
 	var at sim.Time
-	var resp *axi.WriteResp
-	f.Master(0).Write(&axi.WriteReq{Addr: base}, func(r *axi.WriteResp) { resp, at = r, eng.Now() })
+	var resp *axi.Resp
+	f.Master(0).Do(&axi.Txn{Write: true, Addr: base}, func(r axi.Resp) { resp, at = &r, eng.Now() })
 	eng.Run()
 	if resp == nil || resp.OK {
 		t.Fatal("write to unattached endpoint should fail")
@@ -46,8 +46,8 @@ func TestReliableDeliveryUnderDrops(t *testing.T) {
 	oks := 0
 	const n = 100
 	for i := 0; i < n; i++ {
-		f.Master(0).Write(&axi.WriteReq{Addr: base + axi.Addr(i*64), Data: make([]byte, 64)},
-			func(r *axi.WriteResp) {
+		f.Master(0).Do(&axi.Txn{Write: true, Addr: base + axi.Addr(i*64), Data: make([]byte, 64)},
+			func(r axi.Resp) {
 				if r.OK {
 					oks++
 				}
@@ -74,8 +74,8 @@ func TestCorruptionIsRetransmitted(t *testing.T) {
 	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.corrupt:n=1", 3))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
-	var resp *axi.ReadResp
-	f.Master(0).Read(&axi.ReadReq{Addr: base, Len: 64}, func(r *axi.ReadResp) { resp = r })
+	var resp *axi.Resp
+	f.Master(0).Do(&axi.Txn{Addr: base, Len: 64}, func(r axi.Resp) { resp = &r })
 	eng.Run()
 	if resp == nil || !resp.OK {
 		t.Fatal("read did not survive one corrupted request")
@@ -92,8 +92,8 @@ func TestHungEndpointGivesUpWithError(t *testing.T) {
 	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.hang", 1))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
-	var resp *axi.WriteResp
-	f.Master(0).Write(&axi.WriteReq{Addr: base, Data: make([]byte, 64)}, func(r *axi.WriteResp) { resp = r })
+	var resp *axi.Resp
+	f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 64)}, func(r axi.Resp) { resp = &r })
 	eng.Run()
 	if resp == nil {
 		t.Fatal("hung link must produce a response, not a silent hang")
@@ -127,8 +127,8 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 		base, _ := f.Window(1)
 		var at sim.Time
 		for i := 0; i < 10; i++ {
-			f.Master(0).Write(&axi.WriteReq{Addr: base, Data: make([]byte, 256)},
-				func(*axi.WriteResp) { at = eng.Now() })
+			f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 256)},
+				func(axi.Resp) { at = eng.Now() })
 		}
 		eng.Run()
 		return at
@@ -145,7 +145,7 @@ func TestDelayFaultAddsLatency(t *testing.T) {
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time
-		f.Master(0).Read(&axi.ReadReq{Addr: base, Len: 24}, func(*axi.ReadResp) { at = eng.Now() })
+		f.Master(0).Do(&axi.Txn{Addr: base, Len: 24}, func(axi.Resp) { at = eng.Now() })
 		eng.Run()
 		return at
 	}

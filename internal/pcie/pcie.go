@@ -83,11 +83,10 @@ type epState struct {
 	tel    *epStats
 	target axi.Target // inbound interface; nil until Attach
 	egress sim.Time   // egress link reservation
-	// Free lists of pooled fast-path exchange records. Owned by this
+	// Free list of pooled fast-path exchange records. Owned by this
 	// endpoint: records are taken and recycled only in its execution
 	// context, so shards never contend.
-	wops []*wop
-	rops []*rop
+	ops []*op
 }
 
 // Fabric is the PCIe switch connecting FPGAs and the host.
@@ -119,7 +118,7 @@ func New(p Params, net sim.CrossNet, inj *fault.Injector) *Fabric {
 	f := &Fabric{p: p, inj: inj, net: net}
 	for i := range f.rel {
 		for j := range f.rel[i] {
-			f.rel[i][j] = &relState{cache: make(map[uint64]any)}
+			f.rel[i][j] = &relState{cache: make(map[uint64]*axi.Resp)}
 		}
 	}
 	return f
@@ -293,7 +292,7 @@ const (
 // replay cache is consulted and filled at the destination.
 type relState struct {
 	nextSeq uint64
-	cache   map[uint64]any
+	cache   map[uint64]*axi.Resp
 }
 
 func (f *Fabric) relOf(src, dst int) *relState { return f.rel[src+1][dst+1] }
@@ -330,8 +329,8 @@ type xchg struct {
 	fwdBytes, respBytes int
 	seq                 uint64
 	st                  *relState
-	invoke              func(reply func(any))
-	finish              func(any)
+	invoke              func(reply func(axi.Resp))
+	finish              func(*axi.Resp)
 	attempts            int
 	timer               sim.Timer
 	done                bool
@@ -342,9 +341,9 @@ type xchg struct {
 // retransmitted on timeout and deduplicated at the receiver. invoke calls the
 // destination target and must hand the response to its callback exactly
 // once; finish receives that response, or nil when the link gave up after
-// maxAttempts. A link with no fault site never comes here: epState.Write and
-// epState.Read take the pooled plain pair of crossings instead.
-func (f *Fabric) exchange(src, dst int, fwdBytes, respBytes int, invoke func(reply func(any)), finish func(any)) {
+// maxAttempts. A link with no fault site never comes here: epState.Do takes
+// the pooled plain pair of crossings instead.
+func (f *Fabric) exchange(src, dst int, fwdBytes, respBytes int, invoke func(reply func(axi.Resp)), finish func(*axi.Resp)) {
 	st := f.relOf(src, dst)
 	x := &xchg{
 		f: f, src: src, dst: dst,
@@ -388,17 +387,17 @@ func (x *xchg) deliver() {
 	if x.seq >= replayWindow {
 		delete(x.st.cache, x.seq-replayWindow)
 	}
-	x.invoke(func(r any) {
-		x.st.cache[x.seq] = r
-		x.sendResp(r)
+	x.invoke(func(r axi.Resp) {
+		x.st.cache[x.seq] = &r
+		x.sendResp(&r)
 	})
 }
 
-func (x *xchg) sendResp(r any) {
+func (x *xchg) sendResp(r *axi.Resp) {
 	x.f.cross(x.dst, x.src, x.respBytes, func() { x.complete(r) })
 }
 
-func (x *xchg) complete(r any) {
+func (x *xchg) complete(r *axi.Resp) {
 	if x.done {
 		return // a duplicate response from a spurious retransmit
 	}
@@ -421,9 +420,9 @@ func (x *xchg) timeout() {
 	x.attempt()
 }
 
-// Master returns the outbound AXI interface of endpoint src. Writes and
-// reads are routed by address to the owning endpoint; responses pay the
-// return crossing.
+// Master returns the outbound AXI interface of endpoint src. Transfers are
+// routed by address to the owning endpoint; responses pay the return
+// crossing.
 func (f *Fabric) Master(src int) axi.Target { return f.state(src) }
 
 // fail schedules an OK:false response for an unrouteable request. The error
@@ -436,31 +435,41 @@ func (src *epState) fail(respond func()) {
 	})
 }
 
-// wop is one pooled fast-path write exchange: the rewritten request held by
-// value, plus the three stage callbacks built once per record. The record is
-// taken and recycled at the source endpoint; between the two crossings it is
-// touched only at the destination, with the CrossNet barriers providing the
-// ordering — the same discipline the capture closures it replaces followed.
-type wop struct {
-	dstID int
-	dst   axi.Target
-	local axi.WriteReq
-	done  func(*axi.WriteResp)
-	start sim.Time
-	resp  *axi.WriteResp
-
-	deliverFn func()               // at dst: invoke the inbound target
-	respFn    func(*axi.WriteResp) // at dst: carry the response back
-	finishFn  func()               // at src: telemetry, completion, recycle
+// crossBytes returns the bytes a transfer carries over the link each way: a
+// write's data forward and its b-channel response back as a small TLP, a
+// read's request forward as a small TLP and its r-channel data back.
+func crossBytes(t *axi.Txn) (fwd, resp int) {
+	if t.Write {
+		return len(t.Data), 4
+	}
+	return 4, t.Len
 }
 
-func newWop(f *Fabric, st *epState) *wop {
-	o := &wop{}
-	o.deliverFn = func() { o.dst.Write(&o.local, o.respFn) }
-	o.respFn = func(r *axi.WriteResp) {
+// op is one pooled fast-path exchange: the rewritten transfer held by value,
+// plus the three stage callbacks built once per record. The record is taken
+// and recycled at the source endpoint; between the two crossings it is
+// touched only at the destination, with the CrossNet barriers providing the
+// ordering — the same discipline the capture closures it replaces followed.
+type op struct {
+	dstID int
+	dst   axi.Target
+	local axi.Txn
+	done  func(axi.Resp)
+	start sim.Time
+	resp  axi.Resp
+
+	deliverFn func()         // at dst: invoke the inbound target
+	respFn    func(axi.Resp) // at dst: carry the response back
+	finishFn  func()         // at src: telemetry, completion, recycle
+}
+
+func newOp(f *Fabric, st *epState) *op {
+	o := &op{}
+	o.deliverFn = func() { o.dst.Do(&o.local, o.respFn) }
+	o.respFn = func(r axi.Resp) {
 		o.resp = r
-		// b-channel response crosses back as a small TLP.
-		f.cross(o.dstID, st.id, 4, o.finishFn)
+		_, back := crossBytes(&o.local)
+		f.cross(o.dstID, st.id, back, o.finishFn)
 	}
 	o.finishFn = func() {
 		st.tel.rtt.Observe(uint64(st.eng.Now() - o.start))
@@ -468,138 +477,54 @@ func newWop(f *Fabric, st *epState) *wop {
 		done, resp := o.done, o.resp
 		// Recycle before completing: done may issue the next transfer
 		// synchronously through this same endpoint.
-		o.dst, o.done, o.resp = nil, nil, nil
-		o.local = axi.WriteReq{}
-		st.wops = append(st.wops, o)
+		o.dst, o.done, o.resp = nil, nil, axi.Resp{}
+		o.local = axi.Txn{}
+		st.ops = append(st.ops, o)
 		done(resp)
 	}
 	return o
 }
 
-func (f *Fabric) getWop(st *epState) *wop {
-	if n := len(st.wops); n > 0 {
-		o := st.wops[n-1]
-		st.wops = st.wops[:n-1]
-		return o
-	}
-	return newWop(f, st)
-}
-
-// rop is wop's read-channel twin.
-type rop struct {
-	dstID int
-	dst   axi.Target
-	local axi.ReadReq
-	done  func(*axi.ReadResp)
-	start sim.Time
-	resp  *axi.ReadResp
-
-	deliverFn func()
-	respFn    func(*axi.ReadResp)
-	finishFn  func()
-}
-
-func newRop(f *Fabric, st *epState) *rop {
-	o := &rop{}
-	o.deliverFn = func() { o.dst.Read(&o.local, o.respFn) }
-	o.respFn = func(r *axi.ReadResp) {
-		o.resp = r
-		// r-channel data crosses back.
-		f.cross(o.dstID, st.id, o.local.Len, o.finishFn)
-	}
-	o.finishFn = func() {
-		st.tel.rtt.Observe(uint64(st.eng.Now() - o.start))
-		st.tel.inflight.Dec()
-		done, resp := o.done, o.resp
-		o.dst, o.done, o.resp = nil, nil, nil
-		o.local = axi.ReadReq{}
-		st.rops = append(st.rops, o)
-		done(resp)
-	}
-	return o
-}
-
-func (f *Fabric) getRop(st *epState) *rop {
-	if n := len(st.rops); n > 0 {
-		o := st.rops[n-1]
-		st.rops = st.rops[:n-1]
-		return o
-	}
-	return newRop(f, st)
-}
-
-func (src *epState) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
+func (src *epState) Do(t *axi.Txn, done func(axi.Resp)) {
 	f := src.f
-	dstID := f.RouteOf(req.Addr)
+	dstID := f.RouteOf(t.Addr)
 	tel := src.tel
 	start := src.eng.Now()
 	tel.inflight.Inc()
 	ep := f.eps[dstID+1]
 	if ep == nil || ep.target == nil {
 		// Unbound or unattached: an unrouteable address fails, not panics.
-		src.fail(func() { done(&axi.WriteResp{ID: req.ID, OK: false}) })
+		src.fail(func() { done(axi.Resp{ID: t.ID, OK: false}) })
 		return
 	}
 	dst := ep.target
+	fwdBytes, respBytes := crossBytes(t)
 	if tel.site == nil && ep.tel.site == nil {
-		o := f.getWop(src)
+		var o *op
+		if n := len(src.ops); n > 0 {
+			o = src.ops[n-1]
+			src.ops = src.ops[:n-1]
+		} else {
+			o = newOp(f, src)
+		}
 		o.dstID, o.dst = dstID, dst
-		o.local = axi.WriteReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Data: req.Data, User: req.User}
+		o.local = *t
+		o.local.Addr = f.LocalAddr(t.Addr)
 		o.done, o.start = done, start
-		f.cross(src.id, dstID, len(req.Data), o.deliverFn)
+		f.cross(src.id, dstID, fwdBytes, o.deliverFn)
 		return
 	}
-	local := &axi.WriteReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Data: req.Data, User: req.User}
-	// b-channel response crosses back as a small TLP.
-	f.exchange(src.id, dstID, len(req.Data), 4,
-		func(reply func(any)) {
-			dst.Write(local, func(r *axi.WriteResp) { reply(r) })
-		},
-		func(r any) {
+	local := *t
+	local.Addr = f.LocalAddr(t.Addr)
+	f.exchange(src.id, dstID, fwdBytes, respBytes,
+		func(reply func(axi.Resp)) { dst.Do(&local, reply) },
+		func(r *axi.Resp) {
 			tel.rtt.Observe(uint64(src.eng.Now() - start))
 			tel.inflight.Dec()
 			if r == nil {
-				done(&axi.WriteResp{ID: req.ID, OK: false})
+				done(axi.Resp{ID: t.ID, OK: false})
 				return
 			}
-			done(r.(*axi.WriteResp))
-		})
-}
-
-func (src *epState) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	f := src.f
-	dstID := f.RouteOf(req.Addr)
-	tel := src.tel
-	start := src.eng.Now()
-	tel.inflight.Inc()
-	ep := f.eps[dstID+1]
-	if ep == nil || ep.target == nil {
-		// Unbound or unattached: an unrouteable address fails, not panics.
-		src.fail(func() { done(&axi.ReadResp{ID: req.ID, OK: false}) })
-		return
-	}
-	dst := ep.target
-	if tel.site == nil && ep.tel.site == nil {
-		o := f.getRop(src)
-		o.dstID, o.dst = dstID, dst
-		o.local = axi.ReadReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Len: req.Len}
-		o.done, o.start = done, start
-		f.cross(src.id, dstID, 4, o.deliverFn)
-		return
-	}
-	local := &axi.ReadReq{Addr: f.LocalAddr(req.Addr), ID: req.ID, Len: req.Len}
-	// r-channel data crosses back.
-	f.exchange(src.id, dstID, 4, req.Len,
-		func(reply func(any)) {
-			dst.Read(local, func(r *axi.ReadResp) { reply(r) })
-		},
-		func(r any) {
-			tel.rtt.Observe(uint64(src.eng.Now() - start))
-			tel.inflight.Dec()
-			if r == nil {
-				done(&axi.ReadResp{ID: req.ID, OK: false})
-				return
-			}
-			done(r.(*axi.ReadResp))
+			done(*r)
 		})
 }

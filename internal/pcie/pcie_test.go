@@ -20,20 +20,18 @@ func newFabric(eng *sim.Engine, p Params, stats *sim.Stats, plan *fault.Plan) *F
 	return f
 }
 
-// echoTarget acks writes and returns canned data for reads.
+// echoTarget acks writes, keeping them, and returns zeroed data for reads.
 type echoTarget struct {
-	writes []axi.WriteReq
-	reads  []axi.ReadReq
+	writes []axi.Txn
 }
 
-func (e *echoTarget) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	e.writes = append(e.writes, *req)
-	done(&axi.WriteResp{ID: req.ID, OK: true})
-}
-
-func (e *echoTarget) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	e.reads = append(e.reads, *req)
-	done(&axi.ReadResp{ID: req.ID, Data: make([]byte, req.Len), OK: true})
+func (e *echoTarget) Do(t *axi.Txn, done func(axi.Resp)) {
+	if t.Write {
+		e.writes = append(e.writes, *t)
+		done(axi.Resp{ID: t.ID, OK: true})
+		return
+	}
+	done(axi.Resp{ID: t.ID, Data: make([]byte, t.Len), OK: true})
 }
 
 func TestRouteByWindow(t *testing.T) {
@@ -72,8 +70,8 @@ func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 	f.Attach(1, fpga1)
 
 	base, _ := f.Window(1)
-	var resp *axi.WriteResp
-	f.Master(0).Write(&axi.WriteReq{Addr: base + 0x40, Data: make([]byte, 64)}, func(r *axi.WriteResp) { resp = r })
+	var resp *axi.Resp
+	f.Master(0).Do(&axi.Txn{Write: true, Addr: base + 0x40, Data: make([]byte, 64)}, func(r axi.Resp) { resp = &r })
 	eng.Run()
 	if resp == nil || !resp.OK {
 		t.Fatal("write did not complete")
@@ -93,7 +91,7 @@ func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 	base, _ := f.Window(1)
 
 	var done sim.Time
-	f.Master(0).Read(&axi.ReadReq{Addr: base, Len: 24}, func(r *axi.ReadResp) { done = eng.Now() })
+	f.Master(0).Do(&axi.Txn{Addr: base, Len: 24}, func(r axi.Resp) { done = eng.Now() })
 	eng.Run()
 	// Two crossings at 60 + serialization each; the shell's conversion adds
 	// the last couple of cycles toward the paper's 125-cycle RTT.
@@ -106,8 +104,8 @@ func TestUnattachedEndpointFails(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newFabric(eng, DefaultParams(), nil, nil)
 	base, _ := f.Window(3)
-	var resp *axi.WriteResp
-	f.Master(0).Write(&axi.WriteReq{Addr: base}, func(r *axi.WriteResp) { resp = r })
+	var resp *axi.Resp
+	f.Master(0).Do(&axi.Txn{Write: true, Addr: base}, func(r axi.Resp) { resp = &r })
 	eng.Run()
 	if resp == nil || resp.OK {
 		t.Fatal("write to unattached endpoint should fail")
@@ -125,7 +123,7 @@ func TestEgressSerialization(t *testing.T) {
 	var times []sim.Time
 	// Two 640-byte writes = 10 egress beats each from the same endpoint.
 	for i := 0; i < 2; i++ {
-		f.Master(0).Write(&axi.WriteReq{Addr: base, Data: make([]byte, 640)}, func(r *axi.WriteResp) {
+		f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 640)}, func(r axi.Resp) {
 			times = append(times, eng.Now())
 		})
 	}
@@ -144,7 +142,7 @@ func TestStatsCountTraffic(t *testing.T) {
 	f := newFabric(eng, DefaultParams(), &st, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
-	f.Master(0).Write(&axi.WriteReq{Addr: base, Data: make([]byte, 64)}, func(*axi.WriteResp) {})
+	f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 64)}, func(axi.Resp) {})
 	eng.Run()
 	if st.Get("pcie.ep0.tx_transfers") == 0 {
 		t.Error("tx_transfers not counted")
@@ -182,8 +180,8 @@ func TestUnboundEndpointPanics(t *testing.T) {
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		for name, fn := range map[string]func(){
-			"send from the host": func() { f.Master(HostID).Write(&axi.WriteReq{Addr: base}, func(*axi.WriteResp) {}) },
-			"send from fpga 3":   func() { f.Master(3).Read(&axi.ReadReq{Addr: base, Len: 8}, func(*axi.ReadResp) {}) },
+			"send from the host": func() { f.Master(HostID).Do(&axi.Txn{Write: true, Addr: base}, func(axi.Resp) {}) },
+			"send from fpga 3":   func() { f.Master(3).Do(&axi.Txn{Addr: base, Len: 8}, func(axi.Resp) {}) },
 			"attach fpga 2":      func() { f.Attach(2, &echoTarget{}) },
 		} {
 			func() {

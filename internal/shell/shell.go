@@ -10,6 +10,7 @@
 package shell
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"smappic/internal/axi"
@@ -89,78 +90,47 @@ type outbound struct{ s *Shell }
 // callbacks are built once when the record is created, so a steady-state
 // transaction allocates nothing in the shell.
 type outOp struct {
-	s     *Shell
-	wreq  *axi.WriteReq
-	wdone func(*axi.WriteResp)
-	wresp *axi.WriteResp
-	rreq  *axi.ReadReq
-	rdone func(*axi.ReadResp)
-	rresp *axi.ReadResp
+	txn  *axi.Txn
+	done func(axi.Resp)
+	resp axi.Resp
 
-	issueFn  func() // stage 1: issue on the PCIe master
-	finishFn func() // stage 2: deliver the converted response
-	wRespFn  func(*axi.WriteResp)
-	rRespFn  func(*axi.ReadResp)
+	issueFn  func()         // stage 1: issue on the PCIe master
+	respFn   func(axi.Resp) // the PCIe response, converted after a delay
+	finishFn func()         // stage 2: deliver the converted response
 }
 
 func newOutOp(s *Shell) *outOp {
-	o := &outOp{s: s}
-	o.issueFn = func() {
-		if o.wreq != nil {
-			s.fabric.Master(s.id).Write(o.wreq, o.wRespFn)
-		} else {
-			s.fabric.Master(s.id).Read(o.rreq, o.rRespFn)
-		}
-	}
-	o.wRespFn = func(r *axi.WriteResp) {
+	o := &outOp{}
+	o.issueFn = func() { s.fabric.Master(s.id).Do(o.txn, o.respFn) }
+	o.respFn = func(r axi.Resp) {
 		if !r.OK {
 			s.cErrors.Inc()
 		}
-		o.wresp = r
-		s.eng.Schedule(ConversionDelay, o.finishFn)
-	}
-	o.rRespFn = func(r *axi.ReadResp) {
-		if !r.OK {
-			s.cErrors.Inc()
-		}
-		o.rresp = r
+		o.resp = r
 		s.eng.Schedule(ConversionDelay, o.finishFn)
 	}
 	o.finishFn = func() {
-		wdone, wresp, rdone, rresp := o.wdone, o.wresp, o.rdone, o.rresp
+		done, resp := o.done, o.resp
 		// Recycle before delivering: the completion may issue the next
 		// outbound transfer synchronously.
-		o.wreq, o.wdone, o.wresp = nil, nil, nil
-		o.rreq, o.rdone, o.rresp = nil, nil, nil
+		o.txn, o.done, o.resp = nil, nil, axi.Resp{}
 		s.outOps = append(s.outOps, o)
-		if wdone != nil {
-			wdone(wresp)
-		} else {
-			rdone(rresp)
-		}
+		done(resp)
 	}
 	return o
 }
 
-func (s *Shell) getOutOp() *outOp {
+func (o *outbound) Do(t *axi.Txn, done func(axi.Resp)) {
+	s := o.s
+	var op *outOp
 	if n := len(s.outOps); n > 0 {
-		o := s.outOps[n-1]
+		op = s.outOps[n-1]
 		s.outOps = s.outOps[:n-1]
-		return o
+	} else {
+		op = newOutOp(s)
 	}
-	return newOutOp(s)
-}
-
-func (o *outbound) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	op := o.s.getOutOp()
-	op.wreq, op.wdone = req, done
-	o.s.eng.Schedule(ConversionDelay, op.issueFn)
-}
-
-func (o *outbound) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	op := o.s.getOutOp()
-	op.rreq, op.rdone = req, done
-	o.s.eng.Schedule(ConversionDelay, op.issueFn)
+	op.txn, op.done = t, done
+	s.eng.Schedule(ConversionDelay, op.issueFn)
 }
 
 // inbound is the shell's PCIe-facing target (what the fabric delivers to).
@@ -178,49 +148,30 @@ func (in *inbound) isLite(addr axi.Addr) (tap int, reg axi.Addr, ok bool) {
 	return tap, axi.Addr(off % LiteTapSize), true
 }
 
-func (in *inbound) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
+// Do converts a transfer arriving over PCIe: the AXI-Lite aperture is
+// decoded by the shell itself, anything else goes to the CL.
+func (in *inbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	s := (*Shell)(in)
-	if tap, reg, ok := in.isLite(req.Addr); ok {
-		s.eng.Schedule(ConversionDelay, func() {
-			t := s.lite[tap]
-			if t == nil || len(req.Data) < 4 {
-				done(&axi.WriteResp{ID: req.ID, OK: false})
-				return
-			}
-			v := uint32(req.Data[0]) | uint32(req.Data[1])<<8 | uint32(req.Data[2])<<16 | uint32(req.Data[3])<<24
-			t.WriteReg(reg, v)
-			done(&axi.WriteResp{ID: req.ID, OK: true})
-		})
+	if tap, reg, ok := in.isLite(t.Addr); ok {
+		s.eng.Schedule(ConversionDelay, func() { done(s.liteAccess(tap, reg, t)) })
 		return
 	}
 	if s.cl == nil {
-		done(&axi.WriteResp{ID: req.ID, OK: false})
+		done(axi.Resp{ID: t.ID, OK: false})
 		return
 	}
-	s.inFwd.Write(ConversionDelay, s.cl, req, done)
+	s.inFwd.Do(ConversionDelay, s.cl, t, done)
 }
 
-func (in *inbound) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	s := (*Shell)(in)
-	if tap, reg, ok := in.isLite(req.Addr); ok {
-		s.eng.Schedule(ConversionDelay, func() {
-			t := s.lite[tap]
-			if t == nil {
-				done(&axi.ReadResp{ID: req.ID, OK: false})
-				return
-			}
-			v := t.ReadReg(reg)
-			done(&axi.ReadResp{
-				ID:   req.ID,
-				Data: []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)},
-				OK:   true,
-			})
-		})
-		return
+// liteAccess performs one 32-bit register access behind AXI-Lite tap tap.
+func (s *Shell) liteAccess(tap int, reg axi.Addr, t *axi.Txn) axi.Resp {
+	regs := s.lite[tap]
+	if regs == nil || t.Write && len(t.Data) < 4 {
+		return axi.Resp{ID: t.ID, OK: false}
 	}
-	if s.cl == nil {
-		done(&axi.ReadResp{ID: req.ID, OK: false})
-		return
+	if t.Write {
+		regs.WriteReg(reg, binary.LittleEndian.Uint32(t.Data))
+		return axi.Resp{ID: t.ID, OK: true}
 	}
-	s.inFwd.Read(ConversionDelay, s.cl, req, done)
+	return axi.Resp{ID: t.ID, OK: true, Data: binary.LittleEndian.AppendUint32(nil, regs.ReadReg(reg))}
 }

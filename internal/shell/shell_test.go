@@ -8,19 +8,18 @@ import (
 	"smappic/internal/sim"
 )
 
+// clStub acks writes, keeping them, and returns zeroed data for reads.
 type clStub struct {
-	writes []axi.WriteReq
-	reads  []axi.ReadReq
+	writes []axi.Txn
 }
 
-func (c *clStub) Write(req *axi.WriteReq, done func(*axi.WriteResp)) {
-	c.writes = append(c.writes, *req)
-	done(&axi.WriteResp{ID: req.ID, OK: true})
-}
-
-func (c *clStub) Read(req *axi.ReadReq, done func(*axi.ReadResp)) {
-	c.reads = append(c.reads, *req)
-	done(&axi.ReadResp{ID: req.ID, Data: make([]byte, req.Len), OK: true})
+func (c *clStub) Do(t *axi.Txn, done func(axi.Resp)) {
+	if t.Write {
+		c.writes = append(c.writes, *t)
+		done(axi.Resp{ID: t.ID, OK: true})
+		return
+	}
+	done(axi.Resp{ID: t.ID, Data: make([]byte, t.Len), OK: true})
 }
 
 type liteRegs struct{ regs map[axi.Addr]uint32 }
@@ -44,9 +43,9 @@ func TestOutboundRoutesToPeerCL(t *testing.T) {
 	cl1 := &clStub{}
 	s1.SetCustomLogic(cl1)
 
-	var resp *axi.WriteResp
-	s0.Outbound().Write(&axi.WriteReq{Addr: s1.WindowAddr(0x123), Data: []byte{1}},
-		func(r *axi.WriteResp) { resp = r })
+	var resp *axi.Resp
+	s0.Outbound().Do(&axi.Txn{Write: true, Addr: s1.WindowAddr(0x123), Data: []byte{1}},
+		func(r axi.Resp) { resp = &r })
 	eng.Run()
 	if resp == nil || !resp.OK {
 		t.Fatal("outbound write failed")
@@ -61,8 +60,8 @@ func TestInterFPGAAXIReadRTTMatchesPaper(t *testing.T) {
 	s1.SetCustomLogic(&clStub{})
 
 	var done sim.Time
-	s0.Outbound().Read(&axi.ReadReq{Addr: s1.WindowAddr(0), Len: 24},
-		func(r *axi.ReadResp) { done = eng.Now() })
+	s0.Outbound().Do(&axi.Txn{Addr: s1.WindowAddr(0), Len: 24},
+		func(r axi.Resp) { done = eng.Now() })
 	eng.Run()
 	// Paper: inter-FPGA round trip over PCIe ~1250ns = ~125 cycles @100MHz.
 	if done < 120 || done > 130 {
@@ -78,9 +77,9 @@ func TestLiteTapDecodedByShell(t *testing.T) {
 	s0.SetCustomLogic(cl)
 
 	host := fab.Master(pcie.HostID)
-	var wr *axi.WriteResp
-	host.Write(&axi.WriteReq{Addr: s0.LiteAddr(1, 0x10), Data: []byte{0xEF, 0xBE, 0xAD, 0xDE}},
-		func(r *axi.WriteResp) { wr = r })
+	var wr *axi.Resp
+	host.Do(&axi.Txn{Write: true, Addr: s0.LiteAddr(1, 0x10), Data: []byte{0xEF, 0xBE, 0xAD, 0xDE}},
+		func(r axi.Resp) { wr = &r })
 	eng.Run()
 	if wr == nil || !wr.OK {
 		t.Fatal("lite write failed")
@@ -92,8 +91,8 @@ func TestLiteTapDecodedByShell(t *testing.T) {
 		t.Error("lite write leaked into CL")
 	}
 
-	var rr *axi.ReadResp
-	host.Read(&axi.ReadReq{Addr: s0.LiteAddr(1, 0x10), Len: 4}, func(r *axi.ReadResp) { rr = r })
+	var rr *axi.Resp
+	host.Do(&axi.Txn{Addr: s0.LiteAddr(1, 0x10), Len: 4}, func(r axi.Resp) { rr = &r })
 	eng.Run()
 	if rr == nil || !rr.OK || len(rr.Data) != 4 {
 		t.Fatal("lite read failed")
@@ -106,9 +105,9 @@ func TestLiteTapDecodedByShell(t *testing.T) {
 
 func TestUnregisteredLiteTapFails(t *testing.T) {
 	eng, fab, s0, _ := setup()
-	var rr *axi.ReadResp
-	fab.Master(pcie.HostID).Read(&axi.ReadReq{Addr: s0.LiteAddr(2, 0), Len: 4},
-		func(r *axi.ReadResp) { rr = r })
+	var rr *axi.Resp
+	fab.Master(pcie.HostID).Do(&axi.Txn{Addr: s0.LiteAddr(2, 0), Len: 4},
+		func(r axi.Resp) { rr = &r })
 	eng.Run()
 	if rr == nil || rr.OK {
 		t.Fatal("read from unregistered tap should fail")
@@ -117,9 +116,9 @@ func TestUnregisteredLiteTapFails(t *testing.T) {
 
 func TestNoCustomLogicFails(t *testing.T) {
 	eng, _, s0, s1 := setup()
-	var wr *axi.WriteResp
-	s0.Outbound().Write(&axi.WriteReq{Addr: s1.WindowAddr(0), Data: []byte{1}},
-		func(r *axi.WriteResp) { wr = r })
+	var wr *axi.Resp
+	s0.Outbound().Do(&axi.Txn{Write: true, Addr: s1.WindowAddr(0), Data: []byte{1}},
+		func(r axi.Resp) { wr = &r })
 	eng.Run()
 	if wr == nil || wr.OK {
 		t.Fatal("write to FPGA without CL should fail")
@@ -140,9 +139,9 @@ func TestHostReachesCLDMAWindow(t *testing.T) {
 	eng, fab, s0, _ := setup()
 	cl := &clStub{}
 	s0.SetCustomLogic(cl)
-	var wr *axi.WriteResp
-	fab.Master(pcie.HostID).Write(&axi.WriteReq{Addr: s0.WindowAddr(0x8000), Data: make([]byte, 64)},
-		func(r *axi.WriteResp) { wr = r })
+	var wr *axi.Resp
+	fab.Master(pcie.HostID).Do(&axi.Txn{Write: true, Addr: s0.WindowAddr(0x8000), Data: make([]byte, 64)},
+		func(r axi.Resp) { wr = &r })
 	eng.Run()
 	if wr == nil || !wr.OK {
 		t.Fatal("host DMA write failed")
