@@ -65,11 +65,13 @@ func main() {
 		"ablation-credits":      func(bool) string { return experiments.AblationCredits().String() },
 		"ablation-interconnect": func(bool) string { return experiments.AblationInterconnect().String() },
 		"ablation-core":         func(bool) string { return experiments.AblationCore().String() },
+		"ablation-faults":       func(bool) string { return experiments.AblationFaultTolerance().String() },
 	}
 	order := []string{
 		"table1", "table2", "table3", "table4",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"ablation-homing", "ablation-credits", "ablation-interconnect", "ablation-core",
+		"ablation-faults",
 	}
 
 	selected := order

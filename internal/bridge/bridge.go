@@ -11,11 +11,13 @@
 // than three flits are sent as consecutive writes. To guarantee freedom from
 // deadlock the NoCs are credit-flow-controlled across the bridge: the
 // sending side consumes credits per flit and periodically issues an AXI4
-// read to the receiving side, which answers with the number of credits to
-// return.
+// read to the receiving side, which answers with the running total of flits
+// it has freed from that sender. The sender takes the difference from the
+// last total it saw, so a lost answer costs one poll, never credits.
 package bridge
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"smappic/internal/axi"
@@ -28,21 +30,10 @@ import (
 // ChunkFlits is the number of NoC flits carried per AXI4 write (w channel).
 const ChunkFlits = 3
 
-// ReconcileFlag marks a credit read as a reconciliation request: the receive
-// side answers with its cumulative freed-flit count instead of the increment
-// since the last read. The bit sits inside the 16 MB bridge window, above the
-// source-node and class fields.
-const ReconcileFlag axi.Addr = 1 << 20
-
-const (
-	// reconcileInterval is the period of the credit-reconciliation watchdog
-	// while packets are stalled on credits (a few PCIe round trips).
-	reconcileInterval sim.Time = 2048
-	// creditReadFailLimit bounds consecutive failed credit/reconcile reads
-	// toward one destination before the bridge declares it wedged and stops
-	// polling, leaving the stall visible to the forward-progress watchdog.
-	creditReadFailLimit = 4
-)
+// creditReadFailLimit bounds consecutive failed credit reads toward one
+// destination before the bridge declares it wedged and stops polling, leaving
+// the stall visible to the forward-progress watchdog.
+const creditReadFailLimit = 4
 
 // Envelope is an inter-node NoC packet in flight between bridges. The
 // platform's transport wraps coherence/interrupt messages in one.
@@ -80,13 +71,10 @@ type peer struct {
 	credits    int       // send credits left
 	sendq      []stalled // packets stalled on credits
 	creditRead bool      // a credit-return read is outstanding
-	returned   uint64    // cumulative credits received back
+	returned   uint64    // the receiver's last freed total seen
 	crFails    int       // consecutive failed credit reads
 	wedged     bool      // declared unreachable after creditReadFailLimit
-	reconArmed bool      // reconciliation watchdog armed
-	reconAt    sim.Time  // deadline of the last watchdog armed
-	freed      int       // receive side: credits to return on its next read
-	freedTotal uint64    // receive side: cumulative freed
+	freedTotal uint64    // receive side: cumulative flits freed
 }
 
 // Bridge is one node's inter-node bridge.
@@ -114,22 +102,20 @@ type Bridge struct {
 	// hit ones list themselves only once touched) and bound callbacks, so
 	// neither the per-packet path nor the stall path builds strings or
 	// captures closures.
-	cTxPackets        sim.LazyCounter
-	cTxFlits          sim.LazyCounter
-	cRxPackets        sim.LazyCounter
-	cRxFlits          sim.LazyCounter
-	cAXIErrors        sim.LazyCounter
-	cTxLost           sim.LazyCounter
-	cCreditStall      sim.LazyCounter
-	cCreditReads      sim.LazyCounter
-	cCreditReconciles sim.LazyCounter
-	cCreditReclaimed  sim.LazyCounter
-	cCreditRestored   sim.LazyCounter
-	cCreditLoss       sim.LazyCounter
-	cDstWedged        sim.LazyCounter
-	trySendFn         func(any)      // arg is the *Envelope
-	rxFn              func(any)      // arg is the *Envelope
-	chunkRespFn       func(axi.Resp) // non-final chunk completion
+	cTxPackets       sim.LazyCounter
+	cTxFlits         sim.LazyCounter
+	cRxPackets       sim.LazyCounter
+	cRxFlits         sim.LazyCounter
+	cAXIErrors       sim.LazyCounter
+	cTxLost          sim.LazyCounter
+	cCreditStall     sim.LazyCounter
+	cCreditReads     sim.LazyCounter
+	cCreditReclaimed sim.LazyCounter
+	cCreditLoss      sim.LazyCounter
+	cDstWedged       sim.LazyCounter
+	trySendFn        func(any)      // arg is the *Envelope
+	rxFn             func(any)      // arg is the *Envelope
+	chunkRespFn      func(axi.Resp) // non-final chunk completion
 }
 
 // chunkData backs the w channel of every encapsulation chunk. The payload
@@ -168,9 +154,7 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.
 	b.cTxLost = stats.LazyCounter(name + ".tx_lost")
 	b.cCreditStall = stats.LazyCounter(name + ".credit_stall")
 	b.cCreditReads = stats.LazyCounter(name + ".credit_reads")
-	b.cCreditReconciles = stats.LazyCounter(name + ".credit_reconciles")
 	b.cCreditReclaimed = stats.LazyCounter(name + ".credit_reclaimed")
-	b.cCreditRestored = stats.LazyCounter(name + ".credit_restored")
 	b.cCreditLoss = stats.LazyCounter(name + ".credit_loss")
 	b.cDstWedged = stats.LazyCounter(name + ".dst_wedged")
 	b.trySendFn = func(env any) { b.trySend(env.(*Envelope)) }
@@ -187,9 +171,9 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.
 }
 
 // SetInjector resolves this bridge's receive-side fault site (named after the
-// bridge itself, e.g. "node1.bridge"). A triggered drop there loses a
-// credit-return update — the classic leak the reconciliation watchdog exists
-// to repair. Must be called before traffic; nil-safe.
+// bridge itself, e.g. "node1.bridge"). A triggered drop there loses one
+// credit-return update; the sender's next poll reads the total it missed.
+// Must be called before traffic; nil-safe.
 func (b *Bridge) SetInjector(inj *fault.Injector) { b.site = inj.Site(b.name, b.eng) }
 
 // SetTracer installs the trace ring of the bridge's node; tx/rx instants
@@ -235,7 +219,6 @@ func (b *Bridge) trySend(env *Envelope) {
 		b.gSendq.Set(int64(b.nStalled))
 		b.cCreditStall.Inc()
 		b.fetchCredits(dst)
-		b.armReconcileWatchdog(dst)
 		return
 	}
 	pe.credits -= env.Flits
@@ -275,10 +258,13 @@ func (b *Bridge) transmit(env *Envelope) {
 }
 
 // fetchCredits issues the credit-return AXI read (ar channel) unless one is
-// already outstanding toward dst. A failed read escalates to a reconciliation
-// read; creditReadFailLimit consecutive failures declare dst wedged and stop
-// polling so the stall surfaces to the forward-progress watchdog instead of
-// spinning the event queue forever.
+// already outstanding toward dst. The answer is the receiver's running total
+// of flits freed from this node; the credits are its growth since the last
+// total seen, clamped to the pool. An answer without a total (a lost update)
+// adds nothing, and the next poll reads what it missed. A failed read retries
+// after a few bridge delays; creditReadFailLimit consecutive failures declare
+// dst wedged and stop polling so the stall surfaces to the forward-progress
+// watchdog instead of spinning the event queue forever.
 func (b *Bridge) fetchCredits(dst int) {
 	pe := &b.peers[dst]
 	if pe.creditRead || pe.wedged {
@@ -292,97 +278,25 @@ func (b *Bridge) fetchCredits(dst int) {
 	}, func(r axi.Resp) {
 		pe.creditRead = false
 		if !r.OK {
-			b.creditReadFailed(dst)
-			return
-		}
-		pe.crFails = 0
-		got := 0
-		if cr, ok := r.User.(int); ok {
-			got = cr
-		}
-		pe.credits += got
-		pe.returned += uint64(got)
-		b.drain(dst)
-	})
-}
-
-// reconcile issues a reconciliation read: the receiver answers with its
-// cumulative freed-flit count, and any gap against the credits this sender
-// has actually received back is restored. This repairs credit-return updates
-// lost in flight (the receive side decrements its pending count before its
-// response is known to arrive).
-func (b *Bridge) reconcile(dst int) {
-	pe := &b.peers[dst]
-	if pe.creditRead || pe.wedged {
-		return
-	}
-	pe.creditRead = true
-	b.cCreditReconciles.Inc()
-	b.out.Do(&axi.Txn{
-		Addr: b.addrOf(dst) | ReconcileFlag | axi.Addr(uint64(b.node)<<8),
-		Len:  8,
-	}, func(r axi.Resp) {
-		pe.creditRead = false
-		if !r.OK {
-			b.creditReadFailed(dst)
-			return
-		}
-		pe.crFails = 0
-		var freedTotal uint64
-		if ft, ok := r.User.(uint64); ok {
-			freedTotal = ft
-		}
-		if leaked := int64(freedTotal) - int64(pe.returned); leaked > 0 {
-			b.cCreditRestored.Add(uint64(leaked))
-			pe.credits += int(leaked)
-			if pe.credits > b.p.CreditsPerDst {
-				pe.credits = b.p.CreditsPerDst
+			b.cAXIErrors.Inc()
+			pe.crFails++
+			if pe.crFails >= creditReadFailLimit {
+				pe.wedged = true
+				b.cDstWedged.Inc()
+				return
 			}
-		}
-		pe.returned = freedTotal
-		b.drain(dst)
-	})
-}
-
-// creditReadFailed counts a failed credit read and gives up on dst after the
-// limit.
-func (b *Bridge) creditReadFailed(dst int) {
-	pe := &b.peers[dst]
-	b.cAXIErrors.Inc()
-	pe.crFails++
-	if pe.crFails >= creditReadFailLimit {
-		pe.wedged = true
-		b.cDstWedged.Inc()
-		return
-	}
-	// Escalate to reconciliation: the increment the failed read consumed at
-	// the receiver is only recoverable from the cumulative count.
-	b.eng.Schedule(b.p.ProcessDelay*4, func() { b.reconcile(dst) })
-}
-
-// armReconcileWatchdog starts the periodic credit-reconciliation check for
-// dst. It runs while packets are stalled toward dst and disarms as soon as
-// the queue empties (trySend re-arms on the next stall), so an idle bridge
-// schedules nothing.
-func (b *Bridge) armReconcileWatchdog(dst int) {
-	if !b.peers[dst].reconArmed {
-		b.armReconcileAt(dst, b.eng.Now()+reconcileInterval)
-	}
-}
-
-// armReconcileAt arms dst's watchdog with an absolute deadline, which is
-// what a snapshot carries: a restore re-arms at the captured phase.
-func (b *Bridge) armReconcileAt(dst int, at sim.Time) {
-	pe := &b.peers[dst]
-	pe.reconArmed = true
-	pe.reconAt = at
-	b.eng.At(at, func() {
-		pe.reconArmed = false
-		if len(pe.sendq) == 0 || pe.wedged {
+			b.eng.Schedule(b.p.ProcessDelay*4, func() { b.fetchCredits(dst) })
 			return
 		}
-		b.reconcile(dst)
-		b.armReconcileWatchdog(dst)
+		pe.crFails = 0
+		if len(r.Data) == 8 {
+			total := binary.LittleEndian.Uint64(r.Data)
+			if total > pe.returned {
+				pe.credits = min(pe.credits+int(total-pe.returned), b.p.CreditsPerDst)
+			}
+			pe.returned = total
+		}
+		b.drain(dst)
 	})
 }
 
@@ -411,11 +325,8 @@ func (b *Bridge) drain(dst int) {
 // node that has left its initial state (full credits, nothing returned or
 // freed), in node order. The send queue and outstanding credit reads must be
 // idle (quiescence check): a stalled packet is an in-flight NoC transfer and
-// cannot be captured at the bridge layer. The reconciliation watchdog need
-// not be: the drain that precedes a capture runs it out, possibly past the
-// cycle the software resumes at, so its last deadline is captured and
-// RestoreState re-arms it — otherwise the restored run's next stall would
-// start a watchdog at a different phase from the uninterrupted run's.
+// cannot be captured at the bridge layer. Nothing else is in flight: the
+// bridge schedules events only while a packet or a credit read is.
 func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 	if b.nStalled != 0 {
 		return ckpt.BridgeState{}, fmt.Errorf("bridge: %s has %d packets stalled on credits; not at a quiescent safepoint", b.name, b.nStalled)
@@ -430,11 +341,9 @@ func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 			Dst:        d,
 			Credits:    pe.credits,
 			Returned:   pe.returned,
-			Freed:      uint64(pe.freed),
 			FreedTotal: pe.freedTotal,
 			CrFails:    pe.crFails,
 			Wedged:     pe.wedged,
-			ReconAt:    uint64(pe.reconAt),
 		}
 		if row != (ckpt.BridgeDstState{Dst: d, Credits: b.p.CreditsPerDst}) {
 			st.Dsts = append(st.Dsts, row)
@@ -456,13 +365,9 @@ func (b *Bridge) RestoreState(st ckpt.BridgeState) error {
 		pe := &b.peers[d.Dst]
 		pe.credits = d.Credits
 		pe.returned = d.Returned
-		pe.freed = int(d.Freed)
 		pe.freedTotal = d.FreedTotal
 		pe.crFails = d.CrFails
 		pe.wedged = d.Wedged
-		if at := sim.Time(d.ReconAt); at > b.eng.Now() {
-			b.armReconcileAt(d.Dst, at)
-		}
 	}
 	if b.shaper != nil {
 		b.shaper.SetBusy(sim.Time(st.ShaperBusy))
@@ -502,9 +407,7 @@ func (b *Bridge) rx(env *Envelope) {
 	// Inject into the local mesh toward the destination tile; the buffer
 	// slot is freed at injection, returning credits to the sender on its
 	// next credit read.
-	pe := &b.peers[env.SrcNode]
-	pe.freed += env.Flits
-	pe.freedTotal += uint64(env.Flits)
+	b.peers[env.SrcNode].freedTotal += uint64(env.Flits)
 	b.mesh.Send(&noc.Packet{
 		Class:   env.Class,
 		Src:     noc.Dest{Port: noc.PortBridge},
@@ -514,33 +417,25 @@ func (b *Bridge) rx(env *Envelope) {
 	})
 }
 
-// returnCredits answers a credit-return read. An incremental read (the common
-// case) returns the credits freed since the source's last read; a read with
-// ReconcileFlag set returns the cumulative freed count instead, which the
-// sender diffs against what it has actually received to restore leaked
-// credits. Both zero the pending increment — the cumulative count subsumes
-// it.
+// returnCredits answers a credit-return read with the running total of flits
+// freed from the source as its 8 bytes of read data. Answering does not
+// change the total, so a read asked twice, or answered and lost, is harmless.
 //
 // The bridge's fault site models loss of the credit-return update itself: a
-// triggered drop or corruption consumes the pending increment but reports
-// zero credits back, leaking them until a reconciliation read repairs the
-// gap.
+// triggered drop or corruption answers without a total and counts one lost
+// update; the source's next poll reads the total it missed.
 func (b *Bridge) returnCredits(t *axi.Txn, done func(axi.Resp)) {
 	src := int(uint64(t.Addr) >> 8 & 0xFF)
 	if src >= len(b.peers) {
 		done(axi.Resp{ID: t.ID, OK: false}) // no such node to owe credits to
 		return
 	}
-	pe := &b.peers[src]
-	n := pe.freed
-	pe.freed = 0
-	if t.Addr&ReconcileFlag != 0 {
-		done(axi.Resp{ID: t.ID, Data: make([]byte, 8), OK: true, User: pe.freedTotal})
+	if fate := b.site.Transfer(); fate.Drop || fate.Corrupt {
+		b.cCreditLoss.Inc()
+		done(axi.Resp{ID: t.ID, OK: true})
 		return
 	}
-	if fate := b.site.Transfer(); fate.Drop || fate.Corrupt {
-		b.cCreditLoss.Add(uint64(n))
-		n = 0
-	}
-	done(axi.Resp{ID: t.ID, Data: make([]byte, 8), OK: true, User: n})
+	total := make([]byte, 8)
+	binary.LittleEndian.PutUint64(total, b.peers[src].freedTotal)
+	done(axi.Resp{ID: t.ID, Data: total, OK: true})
 }

@@ -260,30 +260,41 @@ func TestUnconnectedBridgePanics(t *testing.T) {
 	eng.Run()
 }
 
-func TestLeakedCreditsRestoredByReconciliation(t *testing.T) {
+// TestLostCreditUpdateCostsOnePoll: a credit read is answered with the
+// receiver's running total, so an answer lost at the receive side leaks
+// nothing — the sender's next poll reads the total it missed — and nothing
+// keeps a drained pair's clock running past its last delivery.
+func TestLostCreditUpdateCostsOnePoll(t *testing.T) {
 	p := DefaultParams()
 	p.CreditsPerDst = 9 // room for just one 9-flit packet
-	// Lose the first credit-return update at the receive side: its increment
-	// is consumed but zero credits come back — a leak only the cumulative
-	// reconciliation read can repair.
-	pr := newPair(t, p, "bridge.drop:n=1")
-	got := 0
-	pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { got++ })
-	for i := 0; i < 5; i++ {
-		pr.send(0, 1, 0, 9, i)
+	run := func(faults string) (got int, last, drained sim.Time, pr *pair) {
+		pr = newPair(t, p, faults)
+		pr.meshes[1].AttachTile(0, func(pkt *noc.Packet) { got++; last = pr.eng.Now() })
+		for i := 0; i < 5; i++ {
+			pr.send(0, 1, 0, 9, i)
+		}
+		pr.eng.Run()
+		return got, last, pr.eng.Now(), pr
 	}
-	pr.eng.Run()
+	got, clean, drained, _ := run("")
 	if got != 5 {
-		t.Fatalf("delivered %d/5 after a leaked credit return", got)
+		t.Fatalf("fault-free: delivered %d/5", got)
 	}
-	if pr.stats.Get("bridge.credit_loss") == 0 {
-		t.Error("credit_loss not counted")
+	if drained > clean+100 {
+		t.Errorf("fault-free: drained at %d, last delivery at %d; nothing should run on after it", drained, clean)
 	}
-	if pr.stats.Get("bridge.credit_restored") == 0 {
-		t.Error("reconciliation restored nothing")
+	got, lossy, _, pr := run("bridge.drop:n=1")
+	if got != 5 {
+		t.Fatalf("lost update: delivered %d/5", got)
+	}
+	if lossy > clean+200 {
+		t.Errorf("lost update: last delivery at %d, fault-free at %d; one lost update should cost one poll", lossy, clean)
+	}
+	if n := pr.stats.Get("bridge.credit_loss"); n != 1 {
+		t.Errorf("credit_loss = %d, want 1", n)
 	}
 	if c := pr.bs[0].Credits(1); c < 0 || c > p.CreditsPerDst {
-		t.Fatalf("credits[1] = %d out of [0, %d]", c, p.CreditsPerDst)
+		t.Errorf("credits[1] = %d out of [0, %d]", c, p.CreditsPerDst)
 	}
 }
 
@@ -315,9 +326,10 @@ func TestWedgedDestinationStopsPolling(t *testing.T) {
 }
 
 // TestStateRoundTrip: capture → restore into a fresh bridge → capture is a
-// fixed point. A peer at its initial state is not written, and a list that
-// names only some peers — or, as the map-keyed bridge wrote it, a touched
-// peer still at its initial values — restores.
+// fixed point, and a restore schedules no event. A peer at its initial state
+// is not written, and a list that names only some peers — or, as the
+// map-keyed bridge wrote it, a touched peer still at its initial values —
+// restores.
 func TestStateRoundTrip(t *testing.T) {
 	full := DefaultParams().CreditsPerDst
 	fresh := func() (*sim.Engine, *Bridge) {
@@ -331,18 +343,13 @@ func TestStateRoundTrip(t *testing.T) {
 		{name: "untouched peers"},
 		{
 			name: "send and receive halves",
-			dsts: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, Freed: 3, FreedTotal: 33}},
-			want: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, Freed: 3, FreedTotal: 33}},
+			dsts: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, FreedTotal: 33}},
+			want: []ckpt.BridgeDstState{{Dst: 1, Credits: full - 9, Returned: 30, FreedTotal: 33}},
 		},
 		{
 			name: "wedged peer",
 			dsts: []ckpt.BridgeDstState{{Dst: 2, Credits: 0, CrFails: creditReadFailLimit, Wedged: true}},
 			want: []ckpt.BridgeDstState{{Dst: 2, Credits: 0, CrFails: creditReadFailLimit, Wedged: true}},
-		},
-		{
-			name: "armed reconciliation deadline",
-			dsts: []ckpt.BridgeDstState{{Dst: 3, Credits: full, ReconAt: 5000}},
-			want: []ckpt.BridgeDstState{{Dst: 3, Credits: full, ReconAt: 5000}},
 		},
 		{
 			name: "sparse map-keyed list",
@@ -355,12 +362,9 @@ func TestStateRoundTrip(t *testing.T) {
 			if err := b.RestoreState(ckpt.BridgeState{Dsts: tc.dsts}); err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range tc.dsts {
-				if armed := b.peers[d.Dst].reconArmed; armed != (d.ReconAt != 0) {
-					t.Errorf("peer %d: watchdog armed = %v with deadline %d", d.Dst, armed, d.ReconAt)
-				}
+			if eng.Pending() != 0 {
+				t.Error("a restore scheduled an event")
 			}
-			eng.Run() // an armed watchdog finds nothing stalled and disarms; its deadline stays state
 			first, err := b.CaptureState()
 			if err != nil {
 				t.Fatal(err)

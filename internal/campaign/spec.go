@@ -84,9 +84,10 @@ type Params struct {
 
 // cacheVersion salts the content hash; bump it whenever the executor or the
 // Result encoding changes meaning, so stale cache entries miss instead of
-// poisoning new runs. (v4: a probe job's run_cycles moved when
-// MeasureLatency became two processes and two drains; its latency did not.)
-const cacheVersion = "campaign-v4"
+// poisoning new runs. (v5: IS results moved when a bridge credit read began
+// answering with the receiver's running total and the reconciliation
+// watchdog went.)
+const cacheVersion = "campaign-v5"
 
 // Key returns the content address of the job: a hash of the canonical JSON
 // encoding of the fully resolved parameters.

@@ -221,19 +221,16 @@ type BridgeState struct {
 	ShaperBusy uint64
 }
 
-// BridgeDstState is the per-destination credit state of one bridge.
+// BridgeDstState is the per-destination credit state of one bridge: the
+// send side's credits and the last freed total it saw from Dst, and the
+// receive side's running total of flits freed from Dst.
 type BridgeDstState struct {
 	Dst        int
 	Credits    int
 	Returned   uint64
-	Freed      uint64
 	FreedTotal uint64
 	CrFails    int
 	Wedged     bool
-	// ReconAt is the absolute deadline of the last reconciliation watchdog
-	// armed toward Dst (0: never armed, or a snapshot written before the
-	// field existed — gob leaves it zero and restore arms nothing).
-	ReconAt uint64
 }
 
 // TileState is one tile's cache state.

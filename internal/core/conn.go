@@ -17,25 +17,27 @@ import (
 type nodeConn struct{ n *Node }
 
 func (c nodeConn) SendProto(from, to cache.GID, msg *cache.Msg) {
-	cls := msg.Class()
-	flits := msg.Flits()
-	src := noc.Dest{Port: noc.PortTile, Tile: from.Tile}
-	if to.Node == c.n.ID {
-		c.n.Mesh.Send(&noc.Packet{
-			Class: cls, Src: src,
-			Dst:     noc.Dest{Port: noc.PortTile, Tile: to.Tile},
-			Flits:   flits,
-			Payload: msg,
-		})
+	c.n.send(msg.Class(), noc.Dest{Port: noc.PortTile, Tile: from.Tile},
+		to.Node, noc.Dest{Port: noc.PortTile, Tile: to.Tile}, msg.Flits(), msg)
+}
+
+// send puts a packet from src on the node's mesh toward dst on node dstNode:
+// straight to dst when that is this node, otherwise to the bridge port
+// wrapped in a bridge.Envelope that the destination node's bridge injects
+// toward dst.
+func (n *Node) send(cls noc.Class, src noc.Dest, dstNode int, dst noc.Dest, flits int, payload any) {
+	if dstNode == n.ID {
+		n.Mesh.Send(&noc.Packet{Class: cls, Src: src, Dst: dst, Flits: flits, Payload: payload})
 		return
 	}
-	c.n.Mesh.Send(&noc.Packet{
+	n.Mesh.Send(&noc.Packet{
 		Class: cls, Src: src,
 		Dst:   noc.Dest{Port: noc.PortBridge},
 		Flits: flits,
 		Payload: &bridge.Envelope{
-			SrcNode: c.n.ID, DstNode: to.Node, DstTile: to.Tile,
-			Class: cls, Flits: flits, Payload: msg,
+			SrcNode: n.ID, DstNode: dstNode,
+			DstPort: dst.Port, DstTile: dst.Tile,
+			Class: cls, Flits: flits, Payload: payload,
 		},
 	})
 }
@@ -189,57 +191,19 @@ func (p *Prototype) deviceAccess(n *Node, m *mmioReq) {
 // may be on another node (the scalability problem §3.3 solves).
 func (p *Prototype) sendInterrupt(from *Node, hart int, c *interrupt.Change) {
 	dst := p.hartLoc(hart)
-	if dst.Node == from.ID {
-		from.Mesh.Send(&noc.Packet{
-			Class:   noc.NoC2,
-			Src:     noc.Dest{Port: noc.PortChipset},
-			Dst:     noc.Dest{Port: noc.PortTile, Tile: dst.Tile},
-			Flits:   interrupt.Flits,
-			Payload: c,
-		})
-		return
-	}
-	from.Mesh.Send(&noc.Packet{
-		Class: noc.NoC2,
-		Src:   noc.Dest{Port: noc.PortChipset},
-		Dst:   noc.Dest{Port: noc.PortBridge},
-		Flits: interrupt.Flits,
-		Payload: &bridge.Envelope{
-			SrcNode: from.ID, DstNode: dst.Node, DstTile: dst.Tile,
-			Class: noc.NoC2, Flits: interrupt.Flits, Payload: c,
-		},
-	})
+	from.send(noc.NoC2, noc.Dest{Port: noc.PortChipset},
+		dst.Node, noc.Dest{Port: noc.PortTile, Tile: dst.Tile}, interrupt.Flits, c)
 }
 
 // sendMMIO issues an uncacheable access from a tile and wires its response.
 func (p *Prototype) sendMMIO(t *Tile, m *mmioReq) {
-	node := p.Map.DevNode(m.addr)
 	off := p.Map.DevOffset(m.addr)
-	src := noc.Dest{Port: noc.PortTile, Tile: t.ID.Tile}
-	m.src = src
-
-	var dst noc.Dest
+	m.src = noc.Dest{Port: noc.PortTile, Tile: t.ID.Tile}
+	dst := noc.Dest{Port: noc.PortChipset}
 	if tile, _, ok := p.Map.AccelTile(off); ok {
 		dst = noc.Dest{Port: noc.PortTile, Tile: tile}
-	} else {
-		dst = noc.Dest{Port: noc.PortChipset}
 	}
-	if node == t.ID.Node {
-		t.node.Mesh.Send(&noc.Packet{
-			Class: noc.NoC1, Src: src, Dst: dst, Flits: 3, Payload: m,
-		})
-		return
-	}
-	t.node.Mesh.Send(&noc.Packet{
-		Class: noc.NoC1, Src: src,
-		Dst:   noc.Dest{Port: noc.PortBridge},
-		Flits: 3,
-		Payload: &bridge.Envelope{
-			SrcNode: t.ID.Node, DstNode: node,
-			DstPort: dst.Port, DstTile: dst.Tile,
-			Class: noc.NoC1, Flits: 3, Payload: m,
-		},
-	})
+	t.node.send(noc.NoC1, m.src, p.Map.DevNode(m.addr), dst, 3, m)
 }
 
 // rw labels an access direction in traces.
@@ -249,5 +213,3 @@ func rw(write bool) string {
 	}
 	return "read"
 }
-
-var _ = sim.Time(0)

@@ -238,8 +238,8 @@ func TestAblationFaultToleranceRecovers(t *testing.T) {
 	if lossy.Retransmits == 0 {
 		t.Error("p=0.05 run saw no retransmissions; injection not reaching the link")
 	}
-	if lossy.CreditRestored == 0 {
-		t.Error("bridge reconciliation never restored a leaked credit")
+	if lossy.CreditLost == 0 {
+		t.Error("no credit-return update was lost; injection not reaching the bridges")
 	}
 	if lossy.EccCorrected == 0 {
 		t.Error("SECDED never corrected an injected upset")
@@ -247,8 +247,8 @@ func TestAblationFaultToleranceRecovers(t *testing.T) {
 	if lossy.LinkFailed != 0 {
 		t.Errorf("%d transfers exhausted retries at p=0.05; recovery should absorb this rate", lossy.LinkFailed)
 	}
-	if r.MaxSlowdown > 5 {
-		t.Errorf("worst slowdown %.2fx; degradation should stay bounded", r.MaxSlowdown)
+	if r.MaxSlowdown > 1.5 {
+		t.Errorf("worst slowdown %.2fx; a lost credit update costs one poll, so degradation should stay within 1.5x", r.MaxSlowdown)
 	}
 }
 

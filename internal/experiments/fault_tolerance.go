@@ -18,15 +18,15 @@ import (
 
 // FaultToleranceRow is one loss-rate point of the sweep.
 type FaultToleranceRow struct {
-	DropP          float64  // per-transfer PCIe drop probability
-	ProbeLatency   sim.Time // Fig. 7 inter-node probe under this loss rate
-	Cycles         sim.Time // scaled NPB-IS runtime
-	Checksum       uint64   // FNV-1a of the sorted output
-	Sorted         bool
-	Retransmits    uint64 // pcie.ep*.retransmits
-	LinkFailed     uint64 // pcie.ep*.link_failed (exhausted retries)
-	CreditRestored uint64 // bridge reconciliation repairs
-	EccCorrected   uint64 // DRAM single-bit upsets corrected by SECDED
+	DropP        float64  // per-transfer PCIe drop probability
+	ProbeLatency sim.Time // Fig. 7 inter-node probe under this loss rate
+	Cycles       sim.Time // scaled NPB-IS runtime
+	Checksum     uint64   // FNV-1a of the sorted output
+	Sorted       bool
+	Retransmits  uint64 // pcie.ep*.retransmits
+	LinkFailed   uint64 // pcie.ep*.link_failed (exhausted retries)
+	CreditLost   uint64 // bridge credit-return updates lost (each healed by the next poll)
+	EccCorrected uint64 // DRAM single-bit upsets corrected by SECDED
 }
 
 // AblationFaultToleranceResult is the full sweep.
@@ -44,9 +44,9 @@ var faultToleranceLossRates = []float64{0, 0.01, 0.02, 0.05}
 
 // faultTolerancePlans are the sweep's fault specs, one per loss rate. Besides
 // the swept PCIe loss, every lossy run also loses two credit-return updates
-// per bridge (repaired by reconciliation) and takes four single-bit DRAM
-// upsets per channel (repaired by SECDED), so all three recovery paths are
-// exercised at once.
+// per bridge (each read again by the next credit poll) and takes four
+// single-bit DRAM upsets per channel (repaired by SECDED), so all three
+// recovery paths are exercised at once.
 func faultTolerancePlans() []string {
 	plans := []string{""}
 	for _, p := range faultToleranceLossRates[1:] {
@@ -76,7 +76,7 @@ func AblationFaultTolerance() AblationFaultToleranceResult {
 		row.Sorted = r.Sorted
 		row.Retransmits = sumSuffix(r.Stats, ".retransmits")
 		row.LinkFailed = sumSuffix(r.Stats, ".link_failed")
-		row.CreditRestored = sumSuffix(r.Stats, ".credit_restored")
+		row.CreditLost = sumSuffix(r.Stats, ".credit_loss")
 		row.EccCorrected = sumSuffix(r.Stats, ".ecc_corrected")
 		snapshotMetrics(fmt.Sprintf("ablation-faults/p=%g", row.DropP), r.Metrics)
 	}
@@ -109,11 +109,11 @@ func (r AblationFaultToleranceResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation (fault tolerance): Fig. 7 probe + scaled NPB-IS on 4x1x2 under PCIe loss\n")
 	fmt.Fprintf(&b, "%8s %12s %12s %12s %12s %10s %8s %18s\n",
-		"drop p", "probe (cyc)", "IS (cyc)", "retransmits", "link_failed", "cred_rest", "ecc_fix", "output checksum")
+		"drop p", "probe (cyc)", "IS (cyc)", "retransmits", "link_failed", "cred_lost", "ecc_fix", "output checksum")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8g %12d %12d %12d %12d %10d %8d %18x\n",
 			row.DropP, row.ProbeLatency, row.Cycles, row.Retransmits, row.LinkFailed,
-			row.CreditRestored, row.EccCorrected, row.Checksum)
+			row.CreditLost, row.EccCorrected, row.Checksum)
 	}
 	if r.Identical {
 		fmt.Fprintf(&b, "all outputs byte-identical to the fault-free run; worst slowdown %.2fx\n", r.MaxSlowdown)
