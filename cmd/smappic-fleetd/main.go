@@ -68,7 +68,7 @@ func main() {
 	srv := fleetsrv.New(cache)
 	srv.StateDir = *stateDir
 	srv.LeaseTTL = time.Duration(*leaseTTL * float64(time.Second))
-	srv.DefaultQuota = *defQuota
+	srv.SetDefaultQuota(*defQuota)
 	if *verbose {
 		srv.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "fleetd: "+format+"\n", args...)

@@ -82,51 +82,53 @@ func (c *Private) RestoreState(st *ckpt.TileState) error {
 }
 
 // CaptureState records the home slice's tag array, directory and monotonic
-// transaction-tag counter into st. The line locks, pending queues and
-// outstanding memory fetches must be empty (quiescence check).
+// transaction-tag counter into st. No line may be locked or have requests
+// queued, and no memory fetch may be outstanding (quiescence check).
 func (s *Slice) CaptureState(st *ckpt.TileState) error {
-	if len(s.busy) != 0 || len(s.pending) != 0 || len(s.memTags) != 0 || s.nq != 0 {
-		return fmt.Errorf("cache: %s has in-flight transactions (%d busy, %d queued, %d memory fetches); not at a quiescent safepoint",
-			s.name, len(s.busy), s.nq, len(s.memTags))
-	}
-	st.LLC = captureSetAssoc(s.tags)
-	st.NextTag = s.nextTag
-	st.Dir = make([]ckpt.DirEntry, 0, len(s.dir))
-	for line, e := range s.dir {
+	st.Dir = make([]ckpt.DirEntry, 0, len(s.lines))
+	busy := 0
+	for line, r := range s.lines {
+		if r.req != nil {
+			busy++
+		}
 		de := ckpt.DirEntry{
 			Line:  line,
-			State: uint8(e.st),
-			Owner: ckpt.GIDState{Node: e.owner.Node, Tile: e.owner.Tile},
+			State: uint8(r.st),
+			Owner: ckpt.GIDState{Node: r.owner.Node, Tile: r.owner.Tile},
 		}
-		for _, g := range e.sortedSharers() {
+		for _, g := range r.sharers {
 			de.Sharers = append(de.Sharers, ckpt.GIDState{Node: g.Node, Tile: g.Tile})
 		}
 		st.Dir = append(st.Dir, de)
 	}
+	if busy != 0 || len(s.memTags) != 0 || s.nq != 0 {
+		return fmt.Errorf("cache: %s has in-flight transactions (%d busy, %d queued, %d memory fetches); not at a quiescent safepoint",
+			s.name, busy, s.nq, len(s.memTags))
+	}
 	sort.Slice(st.Dir, func(i, j int) bool { return st.Dir[i].Line < st.Dir[j].Line })
+	st.LLC = captureSetAssoc(s.tags)
+	st.NextTag = s.nextTag
 	return nil
 }
 
-// RestoreState overlays a captured home slice onto a freshly built one.
+// RestoreState overlays a captured home slice onto a freshly built one. A
+// row's sharers may come in any order and repeat; the record keeps each
+// once, in (node, tile) order.
 func (s *Slice) RestoreState(st *ckpt.TileState) error {
 	if err := restoreSetAssoc(s.tags, st.LLC, s.name); err != nil {
 		return err
 	}
 	s.nextTag = st.NextTag
-	s.dir = make(map[uint64]*dirEntry, len(st.Dir))
+	s.lines = make(map[uint64]*record, len(st.Dir))
 	for _, de := range st.Dir {
 		if de.State > uint8(dirE) {
 			return &ckpt.CorruptError{Reason: fmt.Sprintf("%s directory state %d out of range", s.name, de.State)}
 		}
-		e := &dirEntry{
-			st:      dirState(de.State),
-			owner:   GID{Node: de.Owner.Node, Tile: de.Owner.Tile},
-			sharers: make(map[GID]struct{}, len(de.Sharers)),
-		}
+		r := &record{st: dirState(de.State), owner: GID{Node: de.Owner.Node, Tile: de.Owner.Tile}}
 		for _, g := range de.Sharers {
-			e.sharers[GID{Node: g.Node, Tile: g.Tile}] = struct{}{}
+			r.addSharer(GID{Node: g.Node, Tile: g.Tile})
 		}
-		s.dir[de.Line] = e
+		s.lines[de.Line] = r
 	}
 	return nil
 }

@@ -14,15 +14,15 @@ func (c *Private) OutstandingMisses() int { return len(c.mshrs) }
 // DirState reports the directory state of a line ("I", "S", "E") with the
 // sharer/owner count.
 func (s *Slice) DirState(line uint64) (st string, holders int) {
-	e, ok := s.dir[line]
+	r, ok := s.lines[line]
 	if !ok {
 		return "I", 0
 	}
-	switch e.st {
+	switch r.st {
 	case dirI:
 		return "I", 0
 	case dirS:
-		return "S", len(e.sharers)
+		return "S", len(r.sharers)
 	default:
 		return "E", 1
 	}

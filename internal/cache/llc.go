@@ -1,8 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smappic/internal/mem"
 	"smappic/internal/noc"
@@ -23,39 +24,35 @@ const (
 	dirE                 // one exclusive owner (E or M in its cache)
 )
 
-// dirEntry is the directory record for one line.
-type dirEntry struct {
-	st      dirState
-	owner   GID
-	sharers map[GID]struct{}
+// record is the home's one record of a line: the directory half (state,
+// owner, sharers) and the line lock (the request holding it, its ack count
+// and the requests queued behind it). The home is blocking: one transaction
+// per line at a time; others queue.
+type record struct {
+	st    dirState
+	owner GID
+	// sharers is kept in (node, tile) order with no duplicates.
+	// Invalidations go out in this order: the send order shapes NoC timing,
+	// so it must not depend on anything but the set.
+	sharers []GID
+
+	req      *Msg   // request holding the line lock; nil when free
+	needAcks int    // probe responses req still waits for
+	queue    []*Msg // requests waiting for the lock, in arrival order
 }
 
-func (d *dirEntry) addSharer(g GID)    { d.sharers[g] = struct{}{} }
-func (d *dirEntry) removeSharer(g GID) { delete(d.sharers, g) }
+func cmpGID(a, b GID) int { return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Tile, b.Tile)) }
 
-// sortedSharers returns the sharer set in (node, tile) order. Invalidations
-// must go out in a fixed order: Go randomizes map iteration per process, and
-// the send order shapes NoC timing, so iterating the map directly makes two
-// runs of the same configuration diverge.
-func (d *dirEntry) sortedSharers() []GID {
-	out := make([]GID, 0, len(d.sharers))
-	for g := range d.sharers {
-		out = append(out, g)
+func (r *record) addSharer(g GID) {
+	if i, ok := slices.BinarySearchFunc(r.sharers, g, cmpGID); !ok {
+		r.sharers = slices.Insert(r.sharers, i, g)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Tile < out[j].Tile
-	})
-	return out
 }
 
-// txn is one in-flight transaction at the home. The home is blocking: one
-// transaction per line at a time; others queue.
-type txn struct {
-	msg      *Msg
-	needAcks int
+func (r *record) removeSharer(g GID) {
+	if i, ok := slices.BinarySearchFunc(r.sharers, g, cmpGID); ok {
+		r.sharers = slices.Delete(r.sharers, i, i+1)
+	}
 }
 
 // Slice is one tile's LLC slice plus the directory for the lines it homes.
@@ -68,11 +65,8 @@ type Slice struct {
 	stats *sim.Stats
 	name  string
 
-	tags *setAssoc
-	dir  map[uint64]*dirEntry
-
-	busy    map[uint64]*txn
-	pending map[uint64][]*Msg
+	tags    *setAssoc
+	lines   map[uint64]*record
 	memTags map[uint64]memFetch // outstanding memory fetches by tag
 	nextTag uint64
 
@@ -101,9 +95,7 @@ func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, na
 	s := &Slice{
 		eng: eng, id: id, p: p, conn: conn, stats: stats, name: name,
 		tags:    newSetAssoc(p.LLCSliceSize, p.Ways),
-		dir:     make(map[uint64]*dirEntry),
-		busy:    make(map[uint64]*txn),
-		pending: make(map[uint64][]*Msg),
+		lines:   make(map[uint64]*record),
 		memTags: make(map[uint64]memFetch),
 	}
 	if stats != nil {
@@ -127,21 +119,21 @@ func (s *Slice) count(what string) {
 	}
 }
 
-func (s *Slice) entry(line uint64) *dirEntry {
-	e, ok := s.dir[line]
+func (s *Slice) entry(line uint64) *record {
+	r, ok := s.lines[line]
 	if !ok {
-		e = &dirEntry{sharers: make(map[GID]struct{})}
-		s.dir[line] = e
+		r = &record{}
+		s.lines[line] = r
 	}
-	return e
+	return r
 }
 
 // HandleMsg processes a protocol message addressed to this home slice.
 func (s *Slice) HandleMsg(msg *Msg) {
 	switch msg.Op {
 	case GetS, GetM:
-		if _, inFlight := s.busy[msg.Line]; inFlight {
-			s.pending[msg.Line] = append(s.pending[msg.Line], msg)
+		if r := s.lines[msg.Line]; r != nil && r.req != nil {
+			r.queue = append(r.queue, msg)
 			s.nq++
 			s.gQueue.Set(int64(s.nq))
 			s.cQueued.Inc()
@@ -151,21 +143,21 @@ func (s *Slice) HandleMsg(msg *Msg) {
 	case PutS:
 		// Directory hygiene; does not need the line lock (a concurrent
 		// transaction's probes will still be acked by the evicter).
-		e := s.entry(msg.Line)
-		e.removeSharer(msg.From)
-		if e.st == dirE && e.owner == msg.From {
-			e.st = dirI
+		r := s.entry(msg.Line)
+		r.removeSharer(msg.From)
+		if r.st == dirE && r.owner == msg.From {
+			r.st = dirI
 		}
-		if e.st == dirS && len(e.sharers) == 0 {
-			e.st = dirI
+		if r.st == dirS && len(r.sharers) == 0 {
+			r.st = dirI
 		}
 		s.cPutS.Inc()
 	case PutM:
-		e := s.entry(msg.Line)
-		if e.st == dirE && e.owner == msg.From {
-			e.st = dirI
+		r := s.entry(msg.Line)
+		if r.st == dirE && r.owner == msg.From {
+			r.st = dirI
 		}
-		e.removeSharer(msg.From)
+		r.removeSharer(msg.From)
 		if w := s.tags.peek(msg.Line); w != nil {
 			w.dirty = true
 		} else {
@@ -184,7 +176,8 @@ func (s *Slice) HandleMsg(msg *Msg) {
 
 // begin starts processing a GetS/GetM after the LLC lookup latency.
 func (s *Slice) begin(msg *Msg) {
-	s.busy[msg.Line] = &txn{msg: msg}
+	r := s.entry(msg.Line)
+	r.req, r.needAcks = msg, 0
 	if msg.Op == GetS {
 		s.cGetS.Inc()
 	} else {
@@ -248,18 +241,24 @@ func (s *Slice) fill(msg *Msg) {
 // LLC's inclusivity is restored by back-invalidating any private copies
 // (fire-and-forget; see package comment).
 func (s *Slice) evictLLC(v way) {
-	if e, ok := s.dir[v.line]; ok {
-		switch e.st {
+	if r, ok := s.lines[v.line]; ok {
+		switch r.st {
 		case dirE:
-			s.conn.SendProto(s.id, e.owner, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
+			s.conn.SendProto(s.id, r.owner, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
 			s.count("back_inval")
 		case dirS:
-			for _, g := range e.sortedSharers() {
+			for _, g := range r.sharers {
 				s.conn.SendProto(s.id, g, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
 				s.count("back_inval")
 			}
 		}
-		delete(s.dir, v.line)
+		if r.req == nil {
+			delete(s.lines, v.line)
+		} else {
+			// A request holds the line and keeps its place; the directory
+			// half starts over as a deleted-and-recreated entry would.
+			r.st, r.owner, r.sharers = dirI, GID{}, r.sharers[:0]
+		}
 	}
 	if v.dirty {
 		s.memWrite(v.line)
@@ -268,7 +267,7 @@ func (s *Slice) evictLLC(v way) {
 }
 
 // A back-invalidation's InvAck may arrive outside any transaction; ack
-// handling tolerates that (t == nil case in ack).
+// handling tolerates that (the r.req == nil case in ack).
 
 func (s *Slice) memWrite(line uint64) {
 	s.nextTag++
@@ -283,23 +282,22 @@ func (s *Slice) memWrite(line uint64) {
 
 // direct performs the directory action for a resident line.
 func (s *Slice) direct(msg *Msg) {
-	e := s.entry(msg.Line)
-	t := s.busy[msg.Line]
+	r := s.lines[msg.Line]
 	switch msg.Op {
 	case GetS:
-		switch e.st {
+		switch r.st {
 		case dirI:
 			// No other copies: grant exclusive (MESI E optimization).
-			e.st = dirE
-			e.owner = msg.Req
+			r.st = dirE
+			r.owner = msg.Req
 			s.grant(msg, DataE)
 			s.finish(msg.Line)
 		case dirS:
-			e.addSharer(msg.Req)
+			r.addSharer(msg.Req)
 			s.grant(msg, DataS)
 			s.finish(msg.Line)
 		case dirE:
-			if e.owner == msg.Req {
+			if r.owner == msg.Req {
 				// Requester lost the line silently? Cannot happen: BPC
 				// evictions send PutS/PutM. Re-grant defensively.
 				s.grant(msg, DataE)
@@ -307,19 +305,19 @@ func (s *Slice) direct(msg *Msg) {
 				return
 			}
 			// Demote the owner, then grant shared to both.
-			t.needAcks = 1
-			s.conn.SendProto(s.id, e.owner, &Msg{Op: Downgrade, Line: msg.Line, From: s.id, Req: msg.Req})
+			r.needAcks = 1
+			s.conn.SendProto(s.id, r.owner, &Msg{Op: Downgrade, Line: msg.Line, From: s.id, Req: msg.Req})
 		}
 	case GetM:
-		switch e.st {
+		switch r.st {
 		case dirI:
-			e.st = dirE
-			e.owner = msg.Req
+			r.st = dirE
+			r.owner = msg.Req
 			s.grant(msg, DataM)
 			s.finish(msg.Line)
 		case dirS:
 			n := 0
-			for _, g := range e.sortedSharers() {
+			for _, g := range r.sharers {
 				if g == msg.Req {
 					continue
 				}
@@ -327,22 +325,22 @@ func (s *Slice) direct(msg *Msg) {
 				n++
 			}
 			if n == 0 {
-				e.st = dirE
-				e.owner = msg.Req
-				e.sharers = make(map[GID]struct{})
+				r.st = dirE
+				r.owner = msg.Req
+				r.sharers = r.sharers[:0]
 				s.grant(msg, DataM)
 				s.finish(msg.Line)
 				return
 			}
-			t.needAcks = n
+			r.needAcks = n
 		case dirE:
-			if e.owner == msg.Req {
+			if r.owner == msg.Req {
 				s.grant(msg, DataM)
 				s.finish(msg.Line)
 				return
 			}
-			t.needAcks = 1
-			s.conn.SendProto(s.id, e.owner, &Msg{Op: Inv, Line: msg.Line, From: s.id, Req: msg.Req})
+			r.needAcks = 1
+			s.conn.SendProto(s.id, r.owner, &Msg{Op: Inv, Line: msg.Line, From: s.id, Req: msg.Req})
 		}
 	}
 }
@@ -353,31 +351,30 @@ func (s *Slice) ack(msg *Msg) {
 	if msg.Req == NoReq {
 		return // response to a fire-and-forget back-invalidation
 	}
-	t := s.busy[msg.Line]
-	if t == nil || t.needAcks == 0 {
+	r := s.lines[msg.Line]
+	if r == nil || r.req == nil || r.needAcks == 0 {
 		return // stray ack (evicter answered a probe it no longer needed)
 	}
-	t.needAcks--
-	if t.needAcks > 0 {
+	r.needAcks--
+	if r.needAcks > 0 {
 		return
 	}
-	e := s.entry(msg.Line)
-	req := t.msg
+	req := r.req
 	switch req.Op {
 	case GetS:
 		// Owner was downgraded; its data is now at the home (DownAck).
 		if w := s.tags.peek(msg.Line); w != nil {
 			w.dirty = true
 		}
-		e.st = dirS
-		e.sharers = make(map[GID]struct{})
-		e.addSharer(e.owner)
-		e.addSharer(req.Req)
+		r.st = dirS
+		r.sharers = r.sharers[:0]
+		r.addSharer(r.owner)
+		r.addSharer(req.Req)
 		s.grant(req, DataS)
 	case GetM:
-		e.st = dirE
-		e.owner = req.Req
-		e.sharers = make(map[GID]struct{})
+		r.st = dirE
+		r.owner = req.Req
+		r.sharers = r.sharers[:0]
 		s.grant(req, DataM)
 	}
 	s.finish(msg.Line)
@@ -389,18 +386,13 @@ func (s *Slice) grant(req *Msg, op MsgOp) {
 
 // finish releases the line lock and starts the next queued transaction.
 func (s *Slice) finish(line uint64) {
-	delete(s.busy, line)
-	q := s.pending[line]
-	if len(q) == 0 {
-		delete(s.pending, line)
+	r := s.lines[line]
+	r.req, r.needAcks = nil, 0
+	if len(r.queue) == 0 {
 		return
 	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(s.pending, line)
-	} else {
-		s.pending[line] = q[1:]
-	}
+	next := r.queue[0]
+	r.queue = r.queue[1:]
 	s.nq--
 	s.gQueue.Set(int64(s.nq))
 	s.begin(next)

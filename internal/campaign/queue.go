@@ -72,6 +72,9 @@ func NewQueue(defaultQuota int) *Queue {
 // SetQuota overrides one tenant's concurrency quota; <= 0 means unlimited.
 func (q *Queue) SetQuota(tenant string, quota int) { q.quotas[tenant] = quota }
 
+// SetDefaultQuota replaces the quota of every tenant SetQuota has not named.
+func (q *Queue) SetDefaultQuota(quota int) { q.defaultQuota = quota }
+
 // Quota returns the effective quota for a tenant (0 = unlimited).
 func (q *Queue) Quota(tenant string) int {
 	if quota, ok := q.quotas[tenant]; ok {

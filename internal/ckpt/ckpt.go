@@ -34,9 +34,9 @@
 //     times — the simulated prefix is genuinely skipped, which is what
 //     campaign crash-resume and warm-start forking need.
 //
-// The package owns only the format: the capture and restore logic lives
-// with the subsystems (cache, noc, pcie, bridge, mem, fault, kernel,
-// workload) and is assembled by core.Prototype.Checkpoint/RestorePrototype.
+// The package owns only the format: each subsystem writes and checks its
+// own rows (sim, cache, noc, pcie, bridge, mem, fault, kernel, workload),
+// and core.Prototype.CaptureState/ApplyState assembles them.
 package ckpt
 
 import (
@@ -357,11 +357,11 @@ type KernelState struct {
 	BarrierReleased uint64
 }
 
-// KernelPageState is one installed page-table entry.
+// KernelPageState is one installed page-table entry. Phys is the page's
+// direct-mapped frame, which names the node it was placed on.
 type KernelPageState struct {
 	VPage uint64
 	Phys  uint64
-	Node  int
 }
 
 // ThreadState is one kernel thread's context, captured at a barrier cut.

@@ -138,48 +138,6 @@ func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 	return nil
 }
 
-// statsToCkpt converts a registry dump to snapshot form.
-func statsToCkpt(s *sim.Stats) ckpt.StatsState {
-	counters, gauges, hists := s.CaptureState()
-	var st ckpt.StatsState
-	for _, c := range counters {
-		st.Counters = append(st.Counters, ckpt.CounterState{Name: c.Name, Value: c.Value})
-	}
-	for _, g := range gauges {
-		st.Gauges = append(st.Gauges, ckpt.GaugeState{Name: g.Name, Value: g.Value, High: g.High})
-	}
-	for _, h := range hists {
-		st.Hists = append(st.Hists, ckpt.HistState{
-			Name: h.Name, Samples: h.Samples, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			Bins: append([]uint64(nil), h.Bins[:]...),
-		})
-	}
-	return st
-}
-
-// statsFromCkpt applies a snapshot registry dump.
-func statsFromCkpt(s *sim.Stats, st ckpt.StatsState) error {
-	var counters []sim.Counter
-	var gauges []sim.Gauge
-	var hists []sim.Histogram
-	for _, c := range st.Counters {
-		counters = append(counters, sim.Counter{Name: c.Name, Value: c.Value})
-	}
-	for _, g := range st.Gauges {
-		gauges = append(gauges, sim.Gauge{Name: g.Name, Value: g.Value, High: g.High})
-	}
-	for _, h := range st.Hists {
-		hist := sim.Histogram{Name: h.Name, Samples: h.Samples, Sum: h.Sum, Min: h.Min, Max: h.Max}
-		if len(h.Bins) != len(hist.Bins) {
-			return &ckpt.CorruptError{Reason: fmt.Sprintf("histogram %s has %d bins; this build uses %d", h.Name, len(h.Bins), len(hist.Bins))}
-		}
-		copy(hist.Bins[:], h.Bins)
-		hists = append(hists, hist)
-	}
-	s.RestoreState(counters, gauges, hists)
-	return nil
-}
-
 // CaptureState assembles the full quiescent-state section: backing memory,
 // every node's devices, caches and statistics registry, the PCIe fabric and
 // fault-injector progress. The whole group must be drained — no event queued
@@ -196,7 +154,7 @@ func (p *Prototype) CaptureState() (*ckpt.State, error) {
 			Node:  n.ID,
 			DRAM:  n.DRAM.CaptureState(),
 			NoC:   n.Mesh.CaptureState(),
-			Stats: statsToCkpt(p.nodeStats[n.ID]),
+			Stats: p.nodeStats[n.ID].CaptureState(),
 		}
 		mc, err := n.MemCtl.CaptureState()
 		if err != nil {
@@ -246,7 +204,7 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 		}
 		n.DRAM.RestoreState(ns.DRAM)
 		n.MemCtl.RestoreState(ns.MemCtl)
-		if err := statsFromCkpt(p.nodeStats[n.ID], ns.Stats); err != nil {
+		if err := p.nodeStats[n.ID].RestoreState(ns.Stats); err != nil {
 			return err
 		}
 		if err := n.Mesh.RestoreState(ns.NoC); err != nil {

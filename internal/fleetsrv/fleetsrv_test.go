@@ -435,6 +435,59 @@ func TestTenantQuotasFairness(t *testing.T) {
 	}
 }
 
+// leaseAll leases greedily as one fresh worker until the queue gives nothing
+// more, and returns the grants per tenant.
+func leaseAll(t *testing.T, s *Server) map[string]int {
+	t.Helper()
+	w := s.register(RegisterRequest{Name: "pool"})
+	got := map[string]int{}
+	for {
+		resp, err := s.leaseNext(LeaseRequest{WorkerID: w.WorkerID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Job == nil {
+			return got
+		}
+		got[resp.Job.Tenant]++
+	}
+}
+
+// TestExplicitZeroQuotaBeatsDefault: -quota alice=0 pins alice unlimited
+// under -default-quota 2, at her first submit as at every later one.
+func TestExplicitZeroQuotaBeatsDefault(t *testing.T) {
+	s, _ := testServer(t)
+	s.SetDefaultQuota(2)
+	s.SetQuota("alice", 0)
+	for _, tenant := range []string{"alice", "bob"} {
+		if _, err := s.submit(SubmitRequest{Tenant: tenant, Spec: testSpec(tenant, 1, 2, 3, 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := leaseAll(t, s); got["alice"] != 4 || got["bob"] != 2 {
+		t.Fatalf("in flight %v, want alice 4 (explicitly unlimited) and bob 2 (the default)", got)
+	}
+}
+
+// TestRestoredTenantGetsDefaultQuota: a tenant whose campaign Load restored
+// is held to the default quota before it submits anything to this boot.
+func TestRestoredTenantGetsDefaultQuota(t *testing.T) {
+	cacheDir, stateDir := t.TempDir(), t.TempDir()
+	cache, err := campaign.OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := loadedServer(t, cache, stateDir)
+	if _, err := s1.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("restored", 1, 2, 3, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	s2 := loadedServer(t, cache, stateDir)
+	s2.SetDefaultQuota(2)
+	if got := leaseAll(t, s2); got["alice"] != 2 {
+		t.Fatalf("in flight %v after restart, want alice 2 (the default)", got)
+	}
+}
+
 // TestCrossTenantCacheSharing: tenant B submits the same sweep tenant A
 // already completed; every point answers from the shared cache at submit
 // time and B's report is byte-identical to A's.

@@ -38,9 +38,6 @@ type Server struct {
 	// LeaseTTL is the heartbeat deadline for granted leases; 0 means
 	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// DefaultQuota bounds each tenant's concurrent leases unless overridden
-	// by SetQuota; <= 0 means unlimited.
-	DefaultQuota int
 	// Log, when non-nil, receives one line per protocol event of note.
 	Log func(format string, args ...any)
 
@@ -124,6 +121,14 @@ func (s *Server) SetQuota(tenant string, quota int) {
 	s.queue.SetQuota(tenant, quota)
 }
 
+// SetDefaultQuota bounds the concurrent leases of every tenant SetQuota has
+// not named, restored tenants included (<= 0 = unlimited).
+func (s *Server) SetDefaultQuota(quota int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.queue.SetDefaultQuota(quota)
+}
+
 func (s *Server) logf(format string, args ...any) {
 	if s.Log != nil {
 		s.Log(format, args...)
@@ -155,11 +160,6 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	if s.DefaultQuota > 0 && s.queue.Quota(tenant) == 0 {
-		// First sight of this tenant: apply the server default unless the
-		// operator pinned an explicit quota.
-		s.queue.SetQuota(tenant, s.DefaultQuota)
-	}
 	s.nextCamp++
 	run := s.admitLocked(fmt.Sprintf("c%04d", s.nextCamp), tenant, req.Priority, req.Spec, jobs)
 	s.persistCampaign(run)

@@ -29,7 +29,7 @@ func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
 		st.BarrierReleased = bar.released
 	}
 	for vp, pa := range k.pageTable {
-		st.Pages = append(st.Pages, ckpt.KernelPageState{VPage: vp, Phys: pa, Node: k.pageNode[vp]})
+		st.Pages = append(st.Pages, ckpt.KernelPageState{VPage: vp, Phys: pa})
 	}
 	sort.Slice(st.Pages, func(i, j int) bool { return st.Pages[i].VPage < st.Pages[j].VPage })
 	for _, t := range k.threads {
@@ -44,7 +44,7 @@ func (k *Kernel) CaptureState(bar *Barrier) *ckpt.KernelState {
 			ts.BarEpoch = t.barEpoch[bar]
 		}
 		for vp, pa := range t.tlb {
-			ts.TLB = append(ts.TLB, ckpt.KernelPageState{VPage: vp, Phys: pa, Node: -1})
+			ts.TLB = append(ts.TLB, ckpt.KernelPageState{VPage: vp, Phys: pa})
 		}
 		sort.Slice(ts.TLB, func(i, j int) bool { return ts.TLB[i].VPage < ts.TLB[j].VPage })
 		st.Threads = append(st.Threads, ts)
@@ -64,15 +64,31 @@ func (k *Kernel) RestoreState(st *ckpt.KernelState, bar *Barrier) error {
 		return &ckpt.MismatchError{Field: "kernel heap cursor",
 			Got: fmt.Sprintf("%#x", st.NextVA), Want: fmt.Sprintf("%#x", k.nextVA)}
 	}
+	if err := k.checkFrames("page table", st.Pages); err != nil {
+		return err
+	}
 	for _, pg := range st.Pages {
-		if pg.Node < 0 || pg.Node >= k.pr.Cfg.TotalNodes() {
-			return &ckpt.CorruptError{Reason: fmt.Sprintf("page %#x on node %d of %d", pg.VPage, pg.Node, k.pr.Cfg.TotalNodes())}
-		}
 		k.pageTable[pg.VPage] = pg.Phys
-		k.pageNode[pg.VPage] = pg.Node
 	}
 	if bar != nil {
 		bar.released = st.BarrierReleased
+	}
+	return nil
+}
+
+// checkFrames refuses any row whose Phys is not the direct-mapped frame of
+// its VPage (physFor) on a node of this platform.
+func (k *Kernel) checkFrames(what string, pages []ckpt.KernelPageState) error {
+	first := heapBase / PageBytes
+	frames := (k.pr.Map.MainMemorySize() - heapPhysOffset) / PageBytes
+	for _, pg := range pages {
+		if pg.VPage >= first && pg.VPage-first < frames {
+			if n := frameNode(pg.Phys); n < k.pr.Cfg.TotalNodes() && pg.Phys == k.physFor(pg.VPage, n) {
+				continue
+			}
+		}
+		return &ckpt.CorruptError{Reason: fmt.Sprintf("%s maps page %#x to %#x, not its frame on any of %d nodes",
+			what, pg.VPage, pg.Phys, k.pr.Cfg.TotalNodes())}
 	}
 	return nil
 }
@@ -104,6 +120,9 @@ func (r *Resumer) Spawn(name string, affinity []int, ts ckpt.ThreadState, bar *B
 	if ts.ID != len(k.threads) {
 		return nil, &ckpt.MismatchError{Field: "thread spawn order",
 			Got: fmt.Sprint(ts.ID), Want: fmt.Sprint(len(k.threads))}
+	}
+	if err := k.checkFrames(fmt.Sprintf("thread %d TLB", ts.ID), ts.TLB); err != nil {
+		return nil, err
 	}
 	t := k.spawnOn(name, affinity, ts.Hart, func(c *Ctx) {
 		t := c.T

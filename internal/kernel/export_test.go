@@ -4,8 +4,8 @@ package kernel
 func (k *Kernel) PageNode(va uint64) int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if n, ok := k.pageNode[va/PageBytes]; ok {
-		return n
+	if pa, ok := k.pageTable[va/PageBytes]; ok {
+		return frameNode(pa)
 	}
 	return -1
 }
@@ -15,8 +15,8 @@ func (k *Kernel) PagesPerNode() []int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	out := make([]int, k.pr.Cfg.TotalNodes())
-	for _, n := range k.pageNode {
-		out[n]++
+	for _, pa := range k.pageTable {
+		out[frameNode(pa)]++
 	}
 	return out
 }

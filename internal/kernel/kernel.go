@@ -112,8 +112,7 @@ type Kernel struct {
 	// apart; the mutex makes the host-side (functional) accesses safe as
 	// well.
 	mu        sync.Mutex
-	pageTable map[uint64]uint64 // vpage -> physical page address
-	pageNode  map[uint64]int    // vpage -> owning node (for stats)
+	pageTable map[uint64]uint64 // vpage -> physical page address (its node: frameNode)
 	nextVA    uint64
 	threads   []*Thread
 
@@ -135,7 +134,6 @@ func New(pr *core.Prototype, cfg Config) *Kernel {
 		pr:        pr,
 		cfg:       cfg,
 		pageTable: make(map[uint64]uint64),
-		pageNode:  make(map[uint64]int),
 		nextVA:    heapBase,
 	}
 }
@@ -195,6 +193,10 @@ func (k *Kernel) physFor(vp uint64, node int) uint64 {
 	return k.pr.Map.NodeDRAMBase(node) + off
 }
 
+// frameNode is the node whose DRAM holds physical page pa: the inverse of
+// physFor's node choice.
+func frameNode(pa uint64) int { return int((pa - core.DRAMBase) / core.NodeDRAMSize) }
+
 // faultLocked resolves a page fault: look up the page, install it on first
 // touch. toucher is the node charged for a NUMA first-touch allocation.
 // Callers hold k.mu.
@@ -207,7 +209,6 @@ func (k *Kernel) faultLocked(vp uint64, toucher int) uint64 {
 		}
 		pa = k.physFor(vp, node)
 		k.pageTable[vp] = pa
-		k.pageNode[vp] = node
 	}
 	return pa
 }

@@ -47,16 +47,16 @@ func TestHubBroadcastStormVsChurn(t *testing.T) {
 					return
 				default:
 				}
-				ch := h.Subscribe()
+				ch := h.subscribe()
 				for i := 0; i < 8; i++ {
 					select {
 					case <-ch:
 					case <-stop:
-						h.Unsubscribe(ch)
+						h.unsubscribe(ch)
 						return
 					}
 				}
-				h.Unsubscribe(ch)
+				h.unsubscribe(ch)
 			}
 		}()
 	}
@@ -66,8 +66,8 @@ func TestHubBroadcastStormVsChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ch := h.Subscribe()
-		defer h.Unsubscribe(ch)
+		ch := h.subscribe()
+		defer h.unsubscribe(ch)
 		n := 0
 		for n < 100 {
 			select {

@@ -308,7 +308,7 @@ func TestSampleFramesFollowTheSamplerAtBarriers(t *testing.T) {
 	p.EnableSampler(5000)
 	srv := New()
 	srv.ObservePrototype(p)
-	sub := srv.hub.Subscribe() // never drained: the run's frames fit its buffer
+	sub := srv.hub.subscribe() // never drained: the run's frames fit its buffer
 
 	k := kernel.New(p, kernel.DefaultConfig())
 	ip := workload.DefaultISParams(p.Cfg.TotalTiles())
@@ -328,7 +328,7 @@ func TestSampleFramesFollowTheSamplerAtBarriers(t *testing.T) {
 		t.Fatalf("%d sample frames for %d sampler rows", len(got), len(rows))
 	}
 	for i, row := range rows {
-		if want := string(FormatSSE("sample", row)); got[i] != want {
+		if want := string(formatSSE("sample", row)); got[i] != want {
 			t.Fatalf("frame %d = %q, want %q", i, got[i], want)
 		}
 	}
@@ -338,7 +338,7 @@ func TestSampleFramesFollowTheSamplerAtBarriers(t *testing.T) {
 // that never reads cannot stall the publisher.
 func TestHubDropsSlowSubscribers(t *testing.T) {
 	h := NewHub()
-	ch := h.Subscribe()
+	ch := h.subscribe()
 	if h.Subscribers() != 1 {
 		t.Fatalf("subscribers = %d, want 1", h.Subscribers())
 	}
@@ -348,7 +348,7 @@ func TestHubDropsSlowSubscribers(t *testing.T) {
 	if len(ch) != subBuffer {
 		t.Fatalf("buffered %d frames, want full buffer %d", len(ch), subBuffer)
 	}
-	h.Unsubscribe(ch)
+	h.unsubscribe(ch)
 	if h.Subscribers() != 0 {
 		t.Fatalf("subscribers = %d after unsubscribe", h.Subscribers())
 	}

@@ -29,8 +29,8 @@ func NewHub() *Hub {
 	return &Hub{subs: make(map[chan []byte]struct{})}
 }
 
-// Subscribe registers a new subscriber and returns its event channel.
-func (h *Hub) Subscribe() chan []byte {
+// subscribe registers a new subscriber and returns its event channel.
+func (h *Hub) subscribe() chan []byte {
 	ch := make(chan []byte, subBuffer)
 	h.mu.Lock()
 	h.subs[ch] = struct{}{}
@@ -38,9 +38,9 @@ func (h *Hub) Subscribe() chan []byte {
 	return ch
 }
 
-// Unsubscribe removes a subscriber. Its channel is not closed — the reader
+// unsubscribe removes a subscriber. Its channel is not closed — the reader
 // owns the receive loop and exits on its request context instead.
-func (h *Hub) Unsubscribe(ch chan []byte) {
+func (h *Hub) unsubscribe(ch chan []byte) {
 	h.mu.Lock()
 	delete(h.subs, ch)
 	h.mu.Unlock()
@@ -49,7 +49,7 @@ func (h *Hub) Unsubscribe(ch chan []byte) {
 // Broadcast marshals data and sends one SSE frame to every subscriber,
 // dropping frames for subscribers that cannot keep up. The JSON marshal
 // happens outside the lock: marshaling an arbitrary payload under h.mu
-// stalled every concurrent Subscribe/Unsubscribe (i.e. every connecting or
+// stalled every concurrent subscribe/unsubscribe (i.e. every connecting or
 // disconnecting HTTP client) for the duration of the encode.
 func (h *Hub) Broadcast(event string, data any) {
 	h.mu.Lock()
@@ -62,7 +62,7 @@ func (h *Hub) Broadcast(event string, data any) {
 		// snapshot mailbox like any late joiner.
 		return
 	}
-	frame := FormatSSE(event, data)
+	frame := formatSSE(event, data)
 	h.mu.Lock()
 	for ch := range h.subs {
 		select {
@@ -73,9 +73,9 @@ func (h *Hub) Broadcast(event string, data any) {
 	h.mu.Unlock()
 }
 
-// FormatSSE renders one server-sent event frame: an event name line, the
+// formatSSE renders one server-sent event frame: an event name line, the
 // JSON payload on a data line, and the blank separator line.
-func FormatSSE(event string, data any) []byte {
+func formatSSE(event string, data any) []byte {
 	payload, err := json.Marshal(data)
 	if err != nil {
 		payload = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
@@ -97,9 +97,9 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, hub *Hub, hello func() any
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Connection", "keep-alive")
 
-	ch := hub.Subscribe()
-	defer hub.Unsubscribe(ch)
-	w.Write(FormatSSE("hello", hello()))
+	ch := hub.subscribe()
+	defer hub.unsubscribe(ch)
+	w.Write(formatSSE("hello", hello()))
 	fl.Flush()
 	for {
 		select {

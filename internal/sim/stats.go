@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+
+	"smappic/internal/ckpt"
 )
 
 // Counter is a named monotonically increasing statistic. Models expose
@@ -385,48 +387,55 @@ func (s *Stats) Snapshot() *StatsSnapshot {
 	return snap
 }
 
-// CaptureState returns value copies of every instrument, sorted by name —
-// the full-fidelity form checkpointing needs. Unlike Snapshot it preserves
-// histogram bins and zero-sample histograms, so a registry restored with
-// RestoreState renders byte-identical reports and keeps observing into the
-// same distributions.
-func (s *Stats) CaptureState() (counters []Counter, gauges []Gauge, hists []Histogram) {
-	for _, c := range s.counters {
-		counters = append(counters, *c)
+// CaptureState returns the registry's snapshot row: every instrument, sorted
+// by name. Unlike Snapshot it keeps histogram bins, gauge high-water marks
+// and zero-sample histograms, so a registry restored with RestoreState
+// renders byte-identical reports and keeps observing into the same
+// distributions.
+func (s *Stats) CaptureState() ckpt.StatsState {
+	var st ckpt.StatsState
+	for _, name := range s.Names() {
+		st.Counters = append(st.Counters, ckpt.CounterState{Name: name, Value: s.counters[name].Value})
 	}
-	for _, g := range s.gauges {
-		gauges = append(gauges, *g)
+	for _, name := range s.GaugeNames() {
+		g := s.gauges[name]
+		st.Gauges = append(st.Gauges, ckpt.GaugeState{Name: name, Value: g.Value, High: g.High})
 	}
-	for _, h := range s.hists {
-		hists = append(hists, *h)
+	for _, name := range s.HistogramNames() {
+		h := s.hists[name]
+		st.Hists = append(st.Hists, ckpt.HistState{Name: name, Samples: h.Samples, Sum: h.Sum, Min: h.Min, Max: h.Max,
+			Bins: append([]uint64(nil), h.Bins[:]...)})
 	}
-	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
-	return counters, gauges, hists
+	return st
 }
 
-// RestoreState overwrites instruments from a CaptureState dump. Instruments
+// RestoreState overwrites instruments from a CaptureState row. Instruments
 // already registered keep their identity (live pointers held by models stay
 // valid and simply see the restored values); instruments only present in the
-// dump are created. Instruments present in the registry but absent from the
-// dump are left untouched — restore runs right after construction, when the
-// registry holds only freshly-registered zero-valued instruments.
-func (s *Stats) RestoreState(counters []Counter, gauges []Gauge, hists []Histogram) {
-	for i := range counters {
-		c := s.Counter(counters[i].Name)
-		c.Value = counters[i].Value
+// row are created. Instruments present in the registry but absent from the
+// row are left untouched — restore runs right after construction, when the
+// registry holds only freshly-registered zero-valued instruments. A
+// histogram row whose bin count is not this build's is refused before
+// anything is written.
+func (s *Stats) RestoreState(st ckpt.StatsState) error {
+	for _, h := range st.Hists {
+		if len(h.Bins) != histBins {
+			return &ckpt.CorruptError{Reason: fmt.Sprintf("histogram %s has %d bins; this build uses %d", h.Name, len(h.Bins), histBins)}
+		}
 	}
-	for i := range gauges {
-		g := s.Gauge(gauges[i].Name)
-		g.Value, g.High = gauges[i].Value, gauges[i].High
+	for _, c := range st.Counters {
+		s.Counter(c.Name).Value = c.Value
 	}
-	for i := range hists {
-		h := s.Histogram(hists[i].Name)
-		name := h.Name
-		*h = hists[i]
-		h.Name = name
+	for _, g := range st.Gauges {
+		dst := s.Gauge(g.Name)
+		dst.Value, dst.High = g.Value, g.High
 	}
+	for _, h := range st.Hists {
+		dst := s.Histogram(h.Name)
+		dst.Samples, dst.Sum, dst.Min, dst.Max = h.Samples, h.Sum, h.Min, h.Max
+		copy(dst.Bins[:], h.Bins)
+	}
+	return nil
 }
 
 // Get returns the value of a counter, or zero if it was never touched.
