@@ -72,20 +72,9 @@
 // The halt check and -max-cycles are evaluated at window barriers, so a run
 // may pass such a bound by at most one window.
 //
-// -checkpoint FILE -checkpoint-at N writes a replay snapshot of the run at
-// cycle N exactly — a window barrier is made to fall there: every event below
-// N has executed, none at or past it — and then continues to completion (a
-// run that halts before N is snapshotted where it halted). The snapshot names
-// that cycle, the clock and a digest of the simulated state, nothing about
-// how the run was scheduled: the same N gives the same file under every
-// -parallel / -shard-granularity. -restore FILE rebuilds the same
-// configuration, deterministically re-executes to the snapshot's cycle,
-// checks clock and digest, and continues — under any -parallel,
-// -shard-granularity and -sample-every, whatever the snapshot was taken
-// under; the completed run is byte-identical to an uninterrupted one.
-// Snapshots are integrity-checked (format version plus SHA-256 footer); a
-// corrupt, truncated, wrong-configuration or wrong-program file is refused
-// with a diagnostic, never a crash.
+// smappic-run takes no snapshots: a state snapshot is cut at a workload
+// barrier, which a bare-metal program has none of. Campaign jobs checkpoint
+// and resume (smappic-fleet -checkpoint-every, -resume).
 //
 // -serve ADDR starts the live observability dashboard (internal/obs) on
 // ADDR for the duration of the run: open http://ADDR/ in a browser, or poll
@@ -106,8 +95,6 @@ import (
 	"time"
 
 	"smappic"
-	"smappic/internal/ckpt"
-	"smappic/internal/core"
 	"smappic/internal/obs"
 	"smappic/internal/rvasm"
 )
@@ -151,9 +138,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serve := flag.String("serve", "", "serve the live dashboard on this address (e.g. 127.0.0.1:8080) for the duration of the run")
 	serveHold := flag.Duration("serve-hold", 0, "keep the dashboard up this long after the run ends (outputs are written first)")
-	checkpoint := flag.String("checkpoint", "", "write a replay snapshot to this file at -checkpoint-at cycles, then continue")
-	checkpointAt := flag.Uint64("checkpoint-at", 0, "simulated cycle at which to take the -checkpoint snapshot")
-	restore := flag.String("restore", "", "restore a replay snapshot from this file (same -shape/-faults/-prog as the original run; any -parallel), then continue")
 	flag.Parse()
 
 	a, b, c, err := smappic.ParseShape(*shape)
@@ -170,31 +154,11 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.WatchdogInterval = smappic.Time(*watchdog)
-	if *checkpoint != "" && *checkpointAt == 0 {
-		fmt.Fprintln(os.Stderr, "smappic-run: -checkpoint needs -checkpoint-at N")
-		os.Exit(1)
-	}
 
-	var proto *smappic.Prototype
-	var restored *ckpt.Snapshot
-	if *restore != "" {
-		f, err := os.Open(*restore)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		proto, restored, err = core.RestorePrototype(f, cfg)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smappic-run: cannot restore %s: %v\n", *restore, err)
-			os.Exit(1)
-		}
-	} else {
-		proto, err = smappic.Build(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	proto, err := smappic.Build(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	// A run that ends at -max-cycles leaves its harts parked mid-program;
@@ -257,30 +221,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dashboard: http://%s/\n", addr)
 	}
 	proto.Start()
-	if restored != nil {
-		// Deterministic re-execution to the snapshot cursor: the program is
-		// loaded and the run replays to exactly the recorded cycle.
-		if err := proto.Replay(restored); err != nil {
-			fmt.Fprintf(os.Stderr, "smappic-run: replay of %s failed: %v\n", *restore, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "restored %s at cycle %d\n", *restore, restored.Replay.Horizon)
-	}
-	if *checkpoint != "" {
-		proto.RunToCycle(smappic.Time(*checkpointAt), proto.AllHalted)
-		f, err := os.Create(*checkpoint)
-		if err == nil {
-			err = proto.Checkpoint(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "checkpoint %s written at cycle %d\n", *checkpoint, proto.Group.Horizon())
-	}
 	proto.RunUntilHalted(smappic.Time(*maxCycles))
 	if srv != nil {
 		srv.Flush()

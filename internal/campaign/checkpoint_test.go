@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +145,37 @@ func TestExecuteCheckpointResumeByteIdentical(t *testing.T) {
 	if resumed.SimulatedCycles != cold.SimulatedCycles {
 		t.Errorf("resume changed SimulatedCycles: %d vs %d (resume must not re-base accounting)",
 			resumed.SimulatedCycles, cold.SimulatedCycles)
+	}
+}
+
+// TestResumeRefusesAnotherSort edits the workload tag of a job's own state
+// snapshot to name another key range — a checkpoint written before
+// DefaultISParams changed, which neither the configuration hash nor the job
+// key tells apart — and re-seals it. Resuming it is a typed workload
+// mismatch, the error on which the executor discards the file and starts
+// cold.
+func TestResumeRefusesAnotherSort(t *testing.T) {
+	ctx := context.Background()
+	p := isParams()
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if _, err := ExecuteWithOpts(ctx, p, ExecuteOpts{CheckpointPath: path, CheckpointEvery: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ckpt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := snap.Workload
+	if snap.Workload = strings.Replace(tag, "maxkey=1024;", "maxkey=2048;", 1); snap.Workload == tag {
+		t.Fatalf("workload tag %q names no max key of 1024", tag)
+	}
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ExecuteWithOpts(ctx, p, ExecuteOpts{ResumeFrom: path})
+	var me *ckpt.MismatchError
+	if !errors.As(err, &me) || me.Field != "workload" || me.Want != tag {
+		t.Fatalf("resuming another sort: error %T (%v), want a workload MismatchError wanting %q", err, err, tag)
 	}
 }
 
@@ -349,16 +381,21 @@ func TestRunnerWarmStartSharesPrefix(t *testing.T) {
 // build still writes, around the JSON payload it no longer reads.
 var version1State = ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"config_hash":"x","now":1,"state":{}}`))
 
-// TestUnusableWarmPrefixIsReplaced plants garbage, a truncated prefix and a
-// version-1 file where a warm-started campaign keeps its shared prefix. The
-// file must cost nothing but a rebuild: every job completes on its first
-// attempt with the result a clean cache gives, and the first job to find the
-// file unusable replaces it in place — through the Runner and through a bare
-// Executor (the fleet worker path) alike.
+// TestUnusableWarmPrefixIsReplaced plants garbage, a truncated prefix, a
+// version-1 file and a prefix of another sort where a warm-started campaign
+// keeps its shared prefix. The file must cost nothing but a rebuild: every
+// job completes on its first attempt with the result a clean cache gives,
+// and the first job to find the file unusable replaces it in place —
+// through the Runner and through a bare Executor (the fleet worker path)
+// alike.
 func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 	ctx := context.Background()
 	spec := warmSpec()
 	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := BuildPrefix(ctx, jobs[0].Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,17 +440,20 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 		t.Helper()
 		if snap, err := ckpt.ReadFile(path); err != nil {
 			t.Errorf("warm prefix not rebuilt in place: %v", err)
-		} else if snap.PrefixHash != jobs[0].Params.PrefixKey() {
+		} else if snap.PrefixHash != jobs[0].Params.PrefixKey() || snap.Workload != prefix.Workload {
 			t.Error("rebuilt prefix has the wrong identity")
 		}
 	}
 
-	prefix, err := BuildPrefix(ctx, jobs[0].Params)
-	if err != nil {
+	var valid, otherSort bytes.Buffer
+	if err := prefix.Write(&valid); err != nil {
 		t.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := prefix.Write(&valid); err != nil {
+	// The right prefix identity around another sort: a prefix written before
+	// DefaultISParams changed.
+	stale := *prefix
+	stale.Workload += ";stale"
+	if err := stale.Write(&otherSort); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -423,6 +463,7 @@ func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
 		{"garbage", []byte("not a snapshot")},
 		{"truncated", valid.Bytes()[:valid.Len()/2]},
 		{"version1", version1State},
+		{"another sort", otherSort.Bytes()},
 	} {
 		t.Run("runner/"+c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -265,17 +265,41 @@ func isSetup(ctx context.Context, p Params, cfg core.Config) (*core.Prototype, *
 	kc.NUMA = p.NUMA
 	k := kernel.New(proto, kc)
 	k.SetRunner(func() sim.Time { return drive(ctx, proto, p.MaxCycles) })
+	return proto, k, sortParams(p, cfg), nil
+}
+
+// sortParams resolves a job's sort parameters on cfg's shape: the threads
+// (one per hart unless the job names a count) run on the harts of the first
+// ActiveNodes nodes, or of every node. Nothing in them needs a build, so a
+// snapshot's workload tag is checked before one.
+func sortParams(p Params, cfg core.Config) workload.ISParams {
 	threads := p.Threads
 	if threads == 0 {
-		threads = len(k.AllHarts())
+		threads = cfg.TotalTiles()
 	}
 	ip := workload.DefaultISParams(threads)
 	ip.Keys = p.Keys
 	ip.Seed = p.Seed
+	nodes := cfg.TotalNodes()
 	if p.ActiveNodes > 0 {
-		ip.Affinity = k.NodesHarts(p.ActiveNodes)
+		nodes = p.ActiveNodes
 	}
-	return proto, k, ip, nil
+	ip.Affinity = make([]int, nodes*cfg.TilesPerNode)
+	for h := range ip.Affinity {
+		ip.Affinity[h] = h
+	}
+	return ip
+}
+
+// sameSort refuses a snapshot of another sort. The workload tag covers the
+// sort parameters that neither the configuration hash nor the job's keys
+// name (the key range, the compute per key), so a snapshot written before
+// DefaultISParams changed resumes nothing.
+func sameSort(snap *ckpt.Snapshot, tag string) error {
+	if snap.Workload != tag {
+		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: tag}
+	}
+	return nil
 }
 
 // snapshotCut assembles and encodes the full state snapshot of a just-cut,
@@ -330,13 +354,13 @@ var prefixLocks sync.Map // path -> *sync.Mutex
 
 // warmPrefix returns the prefix snapshot a warm-started job forks from. It is
 // the one owner of the shared file at path: a usable file is read; a missing
-// one, or one this build cannot fork from (damaged, or written under another
-// format version), is built and atomically replaced — once per process,
-// however many jobs point at it, and wherever the job runs (an in-process
-// Runner's pool or a fleet worker). Processes that race build byte-identical
+// one, or one this build cannot fork from (damaged, written under another
+// format version, or of another sort than tag names), is built and
+// atomically replaced — once per process, however many jobs point at it,
+// and wherever the job runs (an in-process Runner's pool or a fleet worker). Processes that race build byte-identical
 // files, so whichever rename lands last changes nothing; a failed write costs
 // the sharing, not the job. An empty path builds in-process, unshared.
-func warmPrefix(ctx context.Context, p Params, path string) (*ckpt.Snapshot, error) {
+func warmPrefix(ctx context.Context, p Params, path, tag string) (*ckpt.Snapshot, error) {
 	if path == "" {
 		return BuildPrefix(ctx, p)
 	}
@@ -344,7 +368,7 @@ func warmPrefix(ctx context.Context, p Params, path string) (*ckpt.Snapshot, err
 	mu := l.(*sync.Mutex)
 	mu.Lock()
 	defer mu.Unlock()
-	snap, err := readPrefix(p, path)
+	snap, err := readPrefix(p, path, tag)
 	if err == nil || !(ckpt.IsSnapshotError(err) || errors.Is(err, fs.ErrNotExist)) {
 		return snap, err
 	}
@@ -355,18 +379,15 @@ func warmPrefix(ctx context.Context, p Params, path string) (*ckpt.Snapshot, err
 }
 
 // readPrefix reads the shared prefix file and checks it is p's prefix.
-func readPrefix(p Params, path string) (*ckpt.Snapshot, error) {
+func readPrefix(p Params, path, tag string) (*ckpt.Snapshot, error) {
 	snap, err := ckpt.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if snap.Kind != ckpt.KindState {
-		return nil, &ckpt.MismatchError{Field: "snapshot kind", Got: snap.Kind.String(), Want: ckpt.KindState.String()}
-	}
 	if snap.PrefixHash != p.PrefixKey() {
 		return nil, &ckpt.MismatchError{Field: "warm-start prefix", Got: snap.PrefixHash, Want: p.PrefixKey()}
 	}
-	return snap, nil
+	return snap, sameSort(snap, tag)
 }
 
 // runIS executes the IS workload under the checkpoint/resume/warm-start
@@ -374,34 +395,34 @@ func readPrefix(p Params, path string) (*ckpt.Snapshot, error) {
 // sort result, and the simulated-cycle base (the warm prefix's cut time;
 // zero for cold and crash-resumed runs, whose accounting must match cold).
 func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*core.Prototype, workload.ISResult, uint64, error) {
-	var overlay *ckpt.State
+	var from *ckpt.Snapshot // the cut the next segment starts from; nil: cold
 	var warmFork bool
-	var simBase, startNow uint64
+	var simBase uint64
 
+	tag := sortParams(p, cfg).Tag()
 	switch {
 	case p.WarmStart:
-		snap, err := warmPrefix(ctx, p, opts.WarmStartPath)
+		snap, err := warmPrefix(ctx, p, opts.WarmStartPath, tag)
 		if err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
-		overlay, warmFork = snap.State, true
-		simBase, startNow = snap.Now, snap.Now
+		from, warmFork, simBase = snap, true, snap.Now
 	case opts.ResumeFrom != "":
 		snap, err := ckpt.ReadFile(opts.ResumeFrom)
 		if err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
-		if snap.Kind != ckpt.KindState {
-			return nil, workload.ISResult{}, 0, &ckpt.MismatchError{Field: "snapshot kind", Got: snap.Kind.String(), Want: ckpt.KindState.String()}
-		}
 		if snap.ConfigHash != cfg.ConfigHash() {
 			return nil, workload.ISResult{}, 0, &ckpt.MismatchError{Field: "configuration", Got: snap.ConfigHash, Want: cfg.ConfigHash()}
 		}
-		overlay, startNow = snap.State, snap.Now
+		if err := sameSort(snap, tag); err != nil {
+			return nil, workload.ISResult{}, 0, err
+		}
+		from = snap
 	}
 
 	for {
-		proto, r, cut, err := isSegment(ctx, p, cfg, opts, overlay, warmFork, startNow)
+		proto, r, cut, err := isSegment(ctx, p, cfg, opts, from, warmFork)
 		if err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
@@ -414,21 +435,20 @@ func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*c
 		if err := cut.WriteFile(opts.CheckpointPath); err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
-		reread, err := ckpt.ReadFile(opts.CheckpointPath)
-		if err != nil {
+		if from, err = ckpt.ReadFile(opts.CheckpointPath); err != nil {
 			return nil, workload.ISResult{}, 0, err
 		}
-		overlay, warmFork, startNow = reread.State, false, reread.Now
+		warmFork = false
 	}
 }
 
-// isSegment runs IS on a fresh prototype, from overlay (nil: cold) to the
+// isSegment runs IS on a fresh prototype, from a cut (nil: cold) to the
 // next periodic checkpoint cut or to completion. At a cut it returns the
 // snapshot; on completion it returns the final prototype (quiescent, fully
 // drained), which the caller closes. On every other path — an error, a
 // stall, an abort or job panic unwinding through here — the prototype is
 // closed before it is dropped, so the threads the run left parked exit.
-func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts, overlay *ckpt.State, warmFork bool, startNow uint64) (final *core.Prototype, r workload.ISResult, cut *ckpt.Snapshot, err error) {
+func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts, from *ckpt.Snapshot, warmFork bool) (final *core.Prototype, r workload.ISResult, cut *ckpt.Snapshot, err error) {
 	proto, k, ip, err := isSetup(ctx, p, cfg)
 	if err != nil {
 		return nil, workload.ISResult{}, nil, err
@@ -438,18 +458,20 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 			proto.Close()
 		}
 	}()
-	if overlay != nil {
-		if err := proto.ApplyState(overlay, warmFork); err != nil {
+	var startNow uint64
+	if from != nil {
+		if err := proto.ApplyState(from.State, warmFork); err != nil {
 			return nil, workload.ISResult{}, nil, err
 		}
+		startNow = from.Now
 	}
 	var plan *workload.CutPlan
 	if opts.CheckpointEvery > 0 && opts.CheckpointPath != "" {
 		plan = &workload.CutPlan{After: sim.Time(startNow + opts.CheckpointEvery)}
 	}
 	var ic *workload.ISCut
-	if overlay != nil {
-		r, ic, err = workload.ResumeIS(k, ip, overlay.Kernel, overlay.Workload, plan)
+	if from != nil {
+		r, ic, err = workload.ResumeIS(k, ip, from.State.Kernel, from.State.Workload, plan)
 		if err != nil {
 			return nil, workload.ISResult{}, nil, err
 		}

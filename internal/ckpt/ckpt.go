@@ -20,19 +20,14 @@
 // map-shaped state is serialized as sorted arrays so equal simulation states
 // produce byte-identical snapshots.
 //
-// Two snapshot kinds exist (see DESIGN.md "Snapshot format"):
-//
-//   - KindReplay records a cursor — the cycle a barrier fell on, the clock
-//     and a digest of the simulated state there. Restore rebuilds the same
-//     run and re-executes deterministically to that cycle — byte-identical
-//     by construction, taken and restored under any sharding, including
-//     under fault plans, at the cost of re-simulating the prefix.
-//   - KindState records the full device state at a quiescent workload
-//     safepoint (every event queue drained, every thread parked or exited at
-//     a barrier cut), laid out by node. Restore rebuilds the prototype,
-//     overlays the state and resumes the workload threads at their recorded
-//     times — the simulated prefix is genuinely skipped, which is what
-//     campaign crash-resume and warm-start forking need.
+// One snapshot kind exists (see DESIGN.md "Snapshot format"): KindState
+// records the full device state at a quiescent workload safepoint (every
+// event queue drained, every thread parked or exited at a barrier cut), laid
+// out by node. Restore rebuilds the prototype, overlays the state and resumes
+// the workload threads at their recorded times — the simulated prefix is
+// skipped, which is what campaign crash-resume and warm-start forking need.
+// The envelope keeps its kind byte: any other kind, including the replay
+// cursors of earlier builds (kind 1), is refused as corrupt.
 //
 // The package owns only the format: each subsystem writes and checks its
 // own rows (sim, cache, noc, pcie, bridge, mem, fault, kernel, workload),
@@ -61,22 +56,15 @@ var magic = [4]byte{'S', 'M', 'C', 'K'}
 // payload length.
 const headerLen = len(magic) + 4 + 1 + 8
 
-// Kind selects the restore strategy a snapshot encodes.
+// Kind names what a snapshot encodes, in the envelope and in the payload.
 type Kind uint8
 
-const (
-	// KindReplay is a replay cursor: restore re-executes to the cursor.
-	KindReplay Kind = 1
-	// KindState is a full quiescent-state capture: restore overlays state.
-	KindState Kind = 2
-)
+// KindState is a full quiescent-state capture: restore overlays state.
+const KindState Kind = 2
 
 // String names the kind for error messages.
 func (k Kind) String() string {
-	switch k {
-	case KindReplay:
-		return "replay"
-	case KindState:
+	if k == KindState {
 		return "state"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
@@ -132,33 +120,18 @@ type Snapshot struct {
 	ConfigHash string
 	PrefixHash string
 
-	// Workload tags what was running (a program hash for bare-metal runs, a
-	// workload label for kernel runs); restore refuses a different tag.
+	// Workload tags what was running (the workload's parameters, e.g.
+	// ISParams.Tag); a campaign resume or warm fork refuses a different tag.
 	Workload string
 
-	// Now is the engine clock at capture (the drain time for state
-	// snapshots); informational for state snapshots, verified on replay.
+	// Now is the engine clock at capture: the drain time of the cut, where
+	// the restored run's clock starts.
 	Now uint64
 
-	Replay *Replay
-	State  *State
+	State *State
 }
 
-// Replay is the cursor of a KindReplay snapshot: where the run was, in
-// simulated terms only. Nothing in it depends on how the run was scheduled —
-// shard count, granularity, widening cap, sampler — so a cursor restores
-// under any of them.
-type Replay struct {
-	// Horizon is the cycle of the barrier the cursor was taken at: every
-	// event below it had executed, none at or past it.
-	Horizon uint64
-	// StateDigest is the hex SHA-256 of the simulated state at that barrier
-	// (the metrics document: clock plus the merged statistics registry).
-	// Replay verifies it after re-executing to Horizon.
-	StateDigest string
-}
-
-// State is the full quiescent-state section of a KindState snapshot. Every
+// State is the full quiescent-state section of a snapshot. Every
 // subsystem contributes one entry; core assembles and applies them in a
 // fixed order. Transient structures (MSHRs, directory queues, bridge send
 // queues, PCIe exchange pools, in-flight memory ops) are provably empty at
@@ -495,17 +468,11 @@ func decode(data []byte) (*Snapshot, error) {
 	if s.Kind != kind {
 		return nil, &CorruptError{Reason: "payload kind disagrees with envelope kind"}
 	}
-	switch s.Kind {
-	case KindReplay:
-		if s.Replay == nil || s.Replay.Horizon == 0 || s.Replay.StateDigest == "" {
-			return nil, &CorruptError{Reason: "replay snapshot without a replay cursor"}
-		}
-	case KindState:
-		if s.State == nil {
-			return nil, &CorruptError{Reason: "state snapshot without state section"}
-		}
-	default:
+	if s.Kind != KindState {
 		return nil, &CorruptError{Reason: "unknown snapshot kind " + s.Kind.String()}
+	}
+	if s.State == nil {
+		return nil, &CorruptError{Reason: "state snapshot without state section"}
 	}
 	return &s, nil
 }

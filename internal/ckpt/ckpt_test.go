@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -75,15 +76,13 @@ const headerLen, digestLen = 17, sha256.Size
 func payloadOf(file []byte) []byte { return file[headerLen : len(file)-digestLen] }
 
 func TestRoundTripKeepsEveryField(t *testing.T) {
-	for _, kind := range []ckpt.Kind{ckpt.KindReplay, ckpt.KindState} {
-		want := filled(kind)
-		got, err := ckpt.Read(bytes.NewReader(encode(t, want)))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s snapshot changed in the round trip:\n got %+v\nwant %+v", kind, got, want)
-		}
+	want := filled(ckpt.KindState)
+	got, err := ckpt.Read(bytes.NewReader(encode(t, want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot changed in the round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -164,12 +163,8 @@ func TestEnvelopeErrors(t *testing.T) {
 	with := func(mut func(b []byte) []byte) []byte { return mut(append([]byte(nil), good...)) }
 	putLen := func(b []byte, n uint64) []byte { binary.LittleEndian.PutUint64(b[9:17], n); return b }
 	section := func(s *ckpt.Snapshot) []byte { return payloadOf(encode(t, s)) }
-	noState, noReplay := filled(ckpt.KindState), filled(ckpt.KindReplay)
-	noState.State, noReplay.Replay = nil, nil
-	// What gob makes of an older cursor's payload: the section present, the
-	// fields it no longer knows dropped, the new ones zero.
-	noHorizon, noDigest := filled(ckpt.KindReplay), filled(ckpt.KindReplay)
-	noHorizon.Replay.Horizon, noDigest.Replay.StateDigest = 0, ""
+	noState := filled(ckpt.KindState)
+	noState.State = nil
 
 	var ce *ckpt.CorruptError
 	var te *ckpt.TruncatedError
@@ -186,12 +181,9 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"version 3", ckpttest.Seal(3, ckpt.KindState, payload), &ve},
 		{"version 4", ckpttest.Seal(4, ckpt.KindState, payload), &ve},
 		{"kind byte flipped", with(func(b []byte) []byte { b[8] ^= 3; return b }), &ce},
-		{"kind disagrees with payload", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, payload), &ce},
+		{"kind disagrees with payload", ckpttest.Seal(ckpt.Version, 1, payload), &ce},
 		{"kind unknown", ckpttest.Seal(ckpt.Version, 9, section(filled(9))), &ce},
 		{"state section missing", ckpttest.Seal(ckpt.Version, ckpt.KindState, section(noState)), &ce},
-		{"replay section missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noReplay)), &ce},
-		{"replay horizon missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noHorizon)), &ce},
-		{"replay state digest missing", ckpttest.Seal(ckpt.Version, ckpt.KindReplay, section(noDigest)), &ce},
 		{"length too large", with(func(b []byte) []byte { return putLen(b, uint64(len(payload))+1) }), &te},
 		{"length too small", with(func(b []byte) []byte { return putLen(b, uint64(len(payload))-1) }), &ce},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), &ce},
@@ -211,6 +203,13 @@ func TestEnvelopeErrors(t *testing.T) {
 		if !ckpt.IsSnapshotError(err) {
 			t.Errorf("%s: %v is not a snapshot error", c.name, err)
 		}
+	}
+
+	// Kind 1 was the replay cursor of earlier builds: a well-sealed one of
+	// this version is corrupt, and the error names its kind.
+	_, err := ckpt.Read(bytes.NewReader(ckpttest.Seal(ckpt.Version, 1, section(filled(1)))))
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "unknown snapshot kind kind(1)") {
+		t.Errorf("kind-1 payload: error %T (%v); want a CorruptError naming kind(1)", err, err)
 	}
 }
 
@@ -265,12 +264,15 @@ const (
 // payload re-sealed under a valid header and digest so the envelope checks
 // pass and the payload decoder is what gets fuzzed. Only the typed errors
 // may come back — never a panic — with allocation bounded as above. The
-// seeds added here follow the schema; testdata/fuzz/FuzzRead holds the rest
-// (a realistic replay cursor, payloads under the wrong kind, cut short,
-// without their section, a version-1 JSON payload, nothing).
+// seeds added here follow the schema: a state payload, whole and cut short,
+// sealed as a state and as kind 1 (which no build reads any more).
+// testdata/fuzz/FuzzRead holds the rest (replay cursors of an earlier build,
+// payloads under the wrong kind, cut short, without their section, a
+// version-1 JSON payload, nothing), each of which must fail with a typed
+// error.
 func FuzzRead(f *testing.F) {
-	for _, kind := range []ckpt.Kind{ckpt.KindReplay, ckpt.KindState} {
-		p := payloadOf(encode(f, filled(kind)))
+	p := payloadOf(encode(f, filled(ckpt.KindState)))
+	for _, kind := range []ckpt.Kind{1, ckpt.KindState} {
 		f.Add(byte(kind), p)
 		f.Add(byte(kind), p[:len(p)/2])
 	}
@@ -288,7 +290,7 @@ func FuzzRead(f *testing.F) {
 			var ve *ckpt.VersionError
 			switch {
 			case err == nil:
-				if s == nil || byte(s.Kind) != kind || (s.Replay == nil && s.State == nil) {
+				if s == nil || byte(s.Kind) != kind || s.Kind != ckpt.KindState || s.State == nil {
 					t.Errorf("accepted snapshot is inconsistent: %+v", s)
 				}
 			case !errors.As(err, &ce) && !errors.As(err, &te) && !errors.As(err, &ve):

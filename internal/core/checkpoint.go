@@ -1,21 +1,16 @@
-// Checkpoint/restore assembly for the platform. Two snapshot kinds exist
-// (package ckpt): replay cursors, which any prototype can take at any window
-// barrier and which restore by deterministic re-execution under any
-// sharding; and full state captures, which must be taken at a quiescent
-// safepoint (the whole group drained) — the campaign layer arranges those at
-// workload barrier cuts. The hardware half of a capture is laid out by node
-// and reads the same under every sharding; the kernel's half needs one
-// shard. See DESIGN.md "Snapshot format".
+// Checkpoint/restore assembly for the platform. A snapshot (package ckpt) is
+// a full state capture, taken at a quiescent safepoint (the whole group
+// drained) — the campaign layer arranges those at workload barrier cuts. A
+// capture is laid out by node and reads the same under every sharding. See
+// DESIGN.md "Snapshot format".
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 
 	"smappic/internal/ckpt"
-	"smappic/internal/sim"
 )
 
 // canonicalString renders every parameter that shapes the simulated event
@@ -35,107 +30,6 @@ func (c Config) canonicalString() string {
 func (c Config) ConfigHash() string {
 	sum := sha256.Sum256([]byte(c.canonicalString()))
 	return hex.EncodeToString(sum[:])
-}
-
-// RunToCycle runs until a barrier falls exactly on cycle at — every event
-// below at executed, none at or past it: the same simulated state whatever
-// the shard count, granularity, widening cap or sampler — or until stop (nil:
-// never) holds or the run drains, whichever comes first. It is how a replay
-// cursor is both taken at a chosen cycle and restored to one.
-func (p *Prototype) RunToCycle(at sim.Time, stop func() bool) sim.Time {
-	if at > p.Group.Horizon() {
-		p.Group.HoldCut(at)
-		defer p.Group.HoldCut(sim.TimeMax)
-	}
-	return p.RunUntil(func() bool { return p.Group.Horizon() >= at || (stop != nil && stop()) })
-}
-
-// stateDigest fingerprints the simulated state at the current barrier: the
-// metrics document (clock and merged registry) without the sampler's series,
-// which is an observer's, not the model's.
-func (p *Prototype) stateDigest() (string, error) {
-	doc, err := p.metricsJSON(nil)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Checkpoint writes a replay-cursor snapshot of the run so far: the horizon
-// of the barrier the run rests on, the clock, and the digest of the simulated
-// state there. It may be taken wherever the caller's run loop is between
-// windows (RunUntil or RunToCycle has returned, at least one window in).
-// WorkloadTag (set by the caller after loading software) guards restore
-// against replaying a different program.
-func (p *Prototype) Checkpoint(w io.Writer) error {
-	if p.Group.Horizon() == 0 {
-		return fmt.Errorf("core: no window has run; a replay cursor names a barrier")
-	}
-	digest, err := p.stateDigest()
-	if err != nil {
-		return err
-	}
-	snap := &ckpt.Snapshot{
-		Kind:       ckpt.KindReplay,
-		ConfigHash: p.Cfg.ConfigHash(),
-		Workload:   p.WorkloadTag,
-		Now:        uint64(p.Now()),
-		Replay:     &ckpt.Replay{Horizon: uint64(p.Group.Horizon()), StateDigest: digest},
-	}
-	return snap.Write(w)
-}
-
-// RestorePrototype reads and verifies a snapshot, checks it belongs to cfg,
-// and builds a fresh prototype for it. The caller then loads the same
-// software, starts the prototype and — for replay snapshots — calls Replay
-// to re-execute to the cursor, or — for state snapshots — applies the state
-// sections. All failure modes return typed ckpt errors; nothing panics on a
-// hostile snapshot.
-func RestorePrototype(r io.Reader, cfg Config) (*Prototype, *ckpt.Snapshot, error) {
-	snap, err := ckpt.Read(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap.ConfigHash != cfg.ConfigHash() {
-		return nil, nil, &ckpt.MismatchError{Field: "configuration", Got: snap.ConfigHash, Want: cfg.ConfigHash()}
-	}
-	p, err := Build(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, snap, nil
-}
-
-// Replay re-executes a freshly built, started prototype to a replay
-// snapshot's cursor. Determinism does the heavy lifting: running the same
-// build to the same cycle reproduces the exact simulated state — under any
-// sharding, since a barrier on a cycle means the same thing in all of them —
-// and the recorded clock and state digest cross-check it. A mismatch means
-// the software or configuration differs from the checkpointed run. A run that
-// drains before the horizon is compared too: a cursor taken after the run
-// drained names a horizon another sharding's last window may never reach,
-// and the drained state is the same state.
-func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
-	if snap.Kind != ckpt.KindReplay || snap.Replay == nil {
-		return &ckpt.MismatchError{Field: "snapshot kind", Got: snap.Kind.String(), Want: ckpt.KindReplay.String()}
-	}
-	if snap.Workload != p.WorkloadTag {
-		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: p.WorkloadTag}
-	}
-	p.RunToCycle(sim.Time(snap.Replay.Horizon), nil)
-	if uint64(p.Now()) != snap.Now {
-		return &ckpt.MismatchError{Field: "replay clock",
-			Got: fmt.Sprint(snap.Now), Want: fmt.Sprint(p.Now())}
-	}
-	digest, err := p.stateDigest()
-	if err != nil {
-		return err
-	}
-	if digest != snap.Replay.StateDigest {
-		return &ckpt.MismatchError{Field: "state digest", Got: snap.Replay.StateDigest, Want: digest}
-	}
-	return nil
 }
 
 // CaptureState assembles the full quiescent-state section: backing memory,

@@ -134,8 +134,8 @@ type Prototype struct {
 	// event executed for a full interval while transactions were in flight.
 	StallDiagnosis string
 	// WorkloadTag names the software loaded into the prototype (set by the
-	// workload layer); snapshots record it so restore can refuse to replay a
-	// cursor against a different program.
+	// workload layer); snapshots record it so a restore can refuse a
+	// snapshot of different software.
 	WorkloadTag string
 }
 

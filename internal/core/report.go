@@ -69,9 +69,7 @@ type metricsMeta struct {
 
 // MetricsJSON renders the run's metadata, full statistics registry and (when
 // a sampler is installed) the sampled time series as one JSON document.
-func (p *Prototype) MetricsJSON() ([]byte, error) { return p.metricsJSON(p.Sampler) }
-
-func (p *Prototype) metricsJSON(samples *sim.Sampler) ([]byte, error) {
+func (p *Prototype) MetricsJSON() ([]byte, error) {
 	p.flushTelemetry()
 	doc := metricsDoc{
 		Meta: metricsMeta{
@@ -83,7 +81,7 @@ func (p *Prototype) metricsJSON(samples *sim.Sampler) ([]byte, error) {
 			Seed:         p.Cfg.Seed,
 		},
 		Stats:   p.Stats,
-		Samples: samples,
+		Samples: p.Sampler,
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

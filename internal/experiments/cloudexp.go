@@ -87,7 +87,7 @@ func Fig12() Fig12Result {
 
 // String renders the request trace.
 func (r Fig12Result) String() string {
-	return fmt.Sprintf("Fig 12: SMAPPIC in an experimental cloud pipeline (one request)\n%s  prototype share of end-to-end latency: %.0f%%\n",
+	return fmt.Sprintf("Fig 12: SMAPPIC in an experimental cloud pipeline (one request)\n%s  prototype share of end-to-end latency: %.2f%%\n",
 		r.Trace.String(), r.PrototypeShare*100)
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,6 +137,10 @@ func TestFig12PipelineRuns(t *testing.T) {
 	}
 	if r.PrototypeShare <= 0 || r.PrototypeShare >= 1 {
 		t.Fatalf("prototype share %.2f out of range", r.PrototypeShare)
+	}
+	// The share is a fraction of a percent: the report must not round it away.
+	if want := fmt.Sprintf("prototype share of end-to-end latency: %.2f%%\n", r.PrototypeShare*100); !strings.Contains(r.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, r)
 	}
 }
 

@@ -313,15 +313,6 @@ func (k *Kernel) NodeHarts(node int) []int {
 	return out
 }
 
-// NodesHarts returns the harts of nodes [0, n).
-func (k *Kernel) NodesHarts(n int) []int {
-	var out []int
-	for i := 0; i < n; i++ {
-		out = append(out, k.NodeHarts(i)...)
-	}
-	return out
-}
-
 func (k *Kernel) locOf(hart int) cache.GID {
 	c := k.pr.Cfg.TilesPerNode
 	return cache.GID{Node: hart / c, Tile: hart % c}

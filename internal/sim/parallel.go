@@ -49,8 +49,7 @@
 // argument is untouched, and a final inner chunk [b, e) cut short by the
 // clamp (e <= b + la) is safe for the same reason as a full one —
 // everything it sends delivers at >= b + la >= e. The root is clamped the
-// same way by the group's cut (the nearer of the sampler's next row and a
-// cycle held with HoldCut; nothing without either).
+// same way by the group's cut (the sampler's next row; nothing without one).
 // Same-engine sends bypass the levels entirely — they go straight into the
 // owning engine's delivery spool, which applies the identical canonical
 // per-(endpoint, cycle) order in every mode.
@@ -165,11 +164,9 @@ type Group struct {
 	critical uint64
 
 	observers []func() // see OnBarrier
-	// cut and hold are boundaries no root window crosses, so that a barrier
-	// falls on each: the Sampler keeps cut on its next row, HoldCut puts hold
-	// on a caller's cycle. The root plan clamps to the nearer; TimeMax clamps
-	// nothing.
-	cut, hold Time
+	// cut is a boundary no root window crosses, so that a barrier falls on
+	// it: the Sampler keeps it on its next row. TimeMax clamps nothing.
+	cut Time
 }
 
 // level is one radius of the synchronizer: the window machinery over a set
@@ -273,7 +270,7 @@ func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Grou
 	// on any of them, and at a root barrier the intra-cluster ones are
 	// empty anyway (every cluster leaves a root chunk through a merge).
 	g.root = g.newLevel(outer, all)
-	g.cut, g.hold = TimeMax, TimeMax
+	g.cut = TimeMax
 	g.inner = make([]*level, len(g.clusters))
 	for ci, members := range g.clusters {
 		if len(members) > 1 {
@@ -454,23 +451,6 @@ func (g *Group) Windows() uint64 { return g.root.windows }
 // Chunks returns the number of completed window chunks — the window count
 // normalized to units of the lookahead, comparable across adaptive caps.
 func (g *Group) Chunks() uint64 { return g.root.chunks }
-
-// Horizon returns the exclusive upper bound of the last barrier: while the
-// group is quiescent every event below it has executed and none at or past
-// it has — the same state under every sharding and widening cap, which is
-// what makes a cycle, not a window count, the name of a point in a run.
-func (g *Group) Horizon() Time { return g.root.end }
-
-// HoldCut holds a cut at cycle t beside the sampler's: no root window crosses
-// it, so a barrier falls exactly on it and StepWindow returns there with
-// Horizon() == t. The hold stays until it is moved or released with TimeMax;
-// t must lie beyond the horizon. Must be called while the group is quiescent.
-func (g *Group) HoldCut(t Time) {
-	if t <= g.root.end {
-		panic(fmt.Sprintf("sim: cut held at %d, not beyond the horizon %d", t, g.root.end))
-	}
-	g.hold = t
-}
 
 // Shards returns the number of shard engines.
 func (g *Group) Shards() int { return len(g.engines) }
@@ -869,8 +849,7 @@ func (g *Group) Close() {
 // workers.
 func (g *Group) StepWindow() bool {
 	root := g.root
-	clamp := min(g.cut, g.hold)
-	for !g.plan(root, clamp) {
+	for !g.plan(root, g.cut) {
 		if !g.Pending() {
 			now := g.Now()
 			for _, e := range g.engines {
@@ -881,15 +860,9 @@ func (g *Group) StepWindow() bool {
 		}
 		// Idle up to the cut with work beyond it: the horizon steps onto the
 		// cut without booking a window, and the sampler, observing that, moves
-		// its cut on — boundary to boundary across a long gap. A cut nobody
-		// moved is one the caller holds: the step ends on it.
-		root.start, root.end = clamp, clamp
+		// its cut on — boundary to boundary across a long gap.
+		root.start, root.end = g.cut, g.cut
 		g.observe()
-		next := min(g.cut, g.hold)
-		if next == clamp {
-			return true
-		}
-		clamp = next
 	}
 	g.running = true
 	if len(g.engines) == 1 {

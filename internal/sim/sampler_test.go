@@ -145,9 +145,8 @@ func TestSamplerSurvivesIdleGap(t *testing.T) {
 // sampledPair runs two talkative shards — each ticks on its own stride,
 // counts in its own registry and sends the other an envelope per tick — as a
 // group of one engine or of two, under a sampler, and returns the sampler's
-// CSV and the final time. A nonzero cutAt is held as a cut, run to and
-// released on the way.
-func sampledPair(t *testing.T, engines int, every, cutAt Time) (string, Time) {
+// CSV and the final time.
+func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
 	const la = Time(61)
 	engs := []*Engine{NewEngine(), NewEngine()}
 	regs := []*Stats{{}, {}}
@@ -178,15 +177,6 @@ func sampledPair(t *testing.T, engines int, every, cutAt Time) (string, Time) {
 		e.Schedule(Time(1+s), func() { tick(0) })
 	}
 	sm := NewSampler(g, regs, every, "shard0.ticks", "shard1.recv", "shard1.busy", "*")
-	if cutAt != 0 {
-		g.HoldCut(cutAt)
-		for g.Horizon() < cutAt && g.StepWindow() {
-		}
-		if g.Horizon() != cutAt {
-			t.Fatalf("%d engine(s): horizon %d after running to the cut held at %d", engines, g.Horizon(), cutAt)
-		}
-		g.HoldCut(TimeMax)
-	}
 	end := g.Run()
 	for _, r := range sm.Rows() {
 		if r.At%every != 0 || r.At > end {
@@ -204,8 +194,8 @@ func sampledPair(t *testing.T, engines int, every, cutAt Time) (string, Time) {
 // unsampled one does, and one engine and two give the same rows.
 func TestSamplerRowsExactAcrossShardings(t *testing.T) {
 	for _, every := range []Time{100, 61, 1000} {
-		one, endOne := sampledPair(t, 1, every, 0)
-		two, endTwo := sampledPair(t, 2, every, 0)
+		one, endOne := sampledPair(t, 1, every)
+		two, endTwo := sampledPair(t, 2, every)
 		if one != two || endOne != endTwo {
 			t.Errorf("every %d: one engine (end %d) and two (end %d) sampled different rows:\n%s\nvs\n%s", every, endOne, endTwo, one, two)
 		}
@@ -215,62 +205,5 @@ func TestSamplerRowsExactAcrossShardings(t *testing.T) {
 	sampledWorkload(eng, &Stats{}, 100)
 	if plain := NewGroup(61, eng).Run(); sampled != plain {
 		t.Errorf("sampled run ended at %d, unsampled at %d", sampled, plain)
-	}
-}
-
-// TestHeldCutEndsStepAcrossIdleGap holds a cut inside an idle gap of a
-// two-engine group with no sampler to move it: StepWindow must return with
-// the horizon exactly on the cut — everything below executed, nothing at or
-// past it — book no window for the gap, and finish the run where an uncut one
-// does once the hold is released.
-func TestHeldCutEndsStepAcrossIdleGap(t *testing.T) {
-	// Each engine counts its own events: shards share nothing during a window.
-	build := func() (*Group, func() uint64) {
-		e0, e1 := NewEngine(), NewEngine()
-		var n0, n1 uint64
-		for _, at := range []Time{50, 5050} {
-			e0.At(at, func() { n0++ })
-			e1.At(at+7, func() { n1++ })
-		}
-		g := NewGroup(61, e0, e1)
-		g.SetAdaptive(DefaultAdaptiveCap)
-		return g, func() uint64 { return n0 + n1 }
-	}
-	plain, _ := build()
-	want := plain.Run()
-
-	g, count := build()
-	g.HoldCut(2000)
-	steps := 0
-	for g.Horizon() < 2000 {
-		if !g.StepWindow() {
-			t.Fatalf("run drained at horizon %d before the cut", g.Horizon())
-		}
-		if steps++; steps > 100 {
-			t.Fatalf("StepWindow never reached the held cut; horizon %d", g.Horizon())
-		}
-	}
-	if g.Horizon() != 2000 || count() != 2 || g.Now() != 57 {
-		t.Fatalf("at the cut: horizon %d, %d events, clock %d; want 2000, 2, 57", g.Horizon(), count(), g.Now())
-	}
-	windows := g.Windows()
-	g.HoldCut(TimeMax)
-	if end := g.Run(); end != want || count() != 4 {
-		t.Fatalf("released run ended at %d with %d events, want %d and 4", end, count(), want)
-	}
-	if g.Windows() != plain.Windows() || windows != 1 {
-		t.Errorf("the cut booked windows: %d at the cut, %d in all, uncut run %d", windows, g.Windows(), plain.Windows())
-	}
-}
-
-// TestHeldCutLeavesSamplerRowsAlone: a cut held between two sampler rows, and
-// one held exactly on a row, add a barrier and change no row.
-func TestHeldCutLeavesSamplerRowsAlone(t *testing.T) {
-	want, end := sampledPair(t, 2, 100, 0)
-	for _, at := range []Time{777, 1300} {
-		got, gotEnd := sampledPair(t, 2, 100, at)
-		if got != want || gotEnd != end {
-			t.Errorf("cut held at %d changed the sampled run (end %d, want %d):\n%s\nvs\n%s", at, gotEnd, end, got, want)
-		}
 	}
 }

@@ -92,16 +92,27 @@ func cutAndSnapshot(t *testing.T, cfg core.Config, kc kernel.Config, after sim.T
 	return buf.Bytes(), st.Workload.Phase
 }
 
+// restore reads raw and builds a fresh prototype for it, refusing a snapshot
+// of another configuration — the steps a resuming campaign job takes.
+func restore(raw []byte, cfg core.Config) (*core.Prototype, *ckpt.Snapshot, error) {
+	snap, err := ckpt.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, nil, err
+	}
+	if snap.ConfigHash != cfg.ConfigHash() {
+		return nil, nil, &ckpt.MismatchError{Field: "configuration", Got: snap.ConfigHash, Want: cfg.ConfigHash()}
+	}
+	pr, err := core.Build(cfg)
+	return pr, snap, err
+}
+
 // resumeFrom decodes the snapshot, rebuilds, applies state and finishes
 // the sort.
 func resumeFrom(t *testing.T, cfg core.Config, kc kernel.Config, raw []byte) (ISResult, []byte, sim.Time) {
 	t.Helper()
-	pr, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+	pr, snap, err := restore(raw, cfg)
 	if err != nil {
-		t.Fatalf("RestorePrototype: %v", err)
-	}
-	if snap.Kind != ckpt.KindState {
-		t.Fatalf("snapshot kind %v", snap.Kind)
+		t.Fatalf("restore: %v", err)
 	}
 	k := kernel.New(pr, kc)
 	if err := pr.ApplyState(snap.State, false); err != nil {
@@ -189,9 +200,9 @@ func TestNoCutAtFinalBoundary(t *testing.T) {
 	if raw == nil {
 		t.Fatal("early cut did not latch")
 	}
-	pr, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+	pr, snap, err := restore(raw, cfg)
 	if err != nil {
-		t.Fatalf("RestorePrototype: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	k := kernel.New(pr, kc)
 	if err := pr.ApplyState(snap.State, false); err != nil {
@@ -236,7 +247,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		} {
 			bad := append([]byte(nil), raw...)
 			bad[c.off] ^= 0x40
-			_, _, err := core.RestorePrototype(bytes.NewReader(bad), cfg)
+			_, _, err := restore(bad, cfg)
 			switch {
 			case err == nil:
 				t.Errorf("bit flip in %s (offset %d) accepted", c.region, c.off)
@@ -250,7 +261,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 3, 10, len(raw) - 1} {
-			_, _, err := core.RestorePrototype(bytes.NewReader(raw[:n]), cfg)
+			_, _, err := restore(raw[:n], cfg)
 			var te *ckpt.TruncatedError
 			if !errors.As(err, &te) {
 				t.Fatalf("truncation to %d: error %T (%v), want TruncatedError", n, err, err)
@@ -261,7 +272,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	t.Run("version-skew", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[4] ^= 0xFF // version field (LE uint32 after 4-byte magic)
-		_, _, err := core.RestorePrototype(bytes.NewReader(bad), cfg)
+		_, _, err := restore(bad, cfg)
 		var ve *ckpt.VersionError
 		if !errors.As(err, &ve) {
 			t.Fatalf("version skew: error %T (%v), want VersionError", err, err)
@@ -271,7 +282,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	t.Run("config-mismatch", func(t *testing.T) {
 		other := cfg
 		other.Seed++
-		_, _, err := core.RestorePrototype(bytes.NewReader(raw), other)
+		_, _, err := restore(raw, other)
 		var me *ckpt.MismatchError
 		if !errors.As(err, &me) {
 			t.Fatalf("config mismatch: error %T (%v), want MismatchError", err, err)
@@ -279,7 +290,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("workload-mismatch", func(t *testing.T) {
-		pr, snap, err := core.RestorePrototype(bytes.NewReader(raw), cfg)
+		pr, snap, err := restore(raw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
