@@ -20,11 +20,6 @@
 // cadence) and lets a re-run pick interrupted jobs up mid-flight instead of
 // from cycle 0 — preemption-proof fleets: SIGKILL the campaign, run it
 // again, and the aggregate is byte-identical to an uninterrupted one.
-// -warm-start forks every IS sweep point from a shared boot+keygen prefix
-// snapshot, built once per prefix identity (faults/credits/latency
-// stripped; one per shape × seed × size) and cached, so each point
-// simulates only its own divergent suffix. Warm-started results carry their
-// own cache identity (warm_start is part of the job key).
 //
 // -v streams structured job lifecycle events (started, cache_hit,
 // stall_retry, panic_retry, resumed, done, failed, skipped) to stderr as
@@ -69,7 +64,6 @@ func main() {
 	serve := flag.String("serve", "", "serve the live campaign dashboard on this address (e.g. 127.0.0.1:8080)")
 	resume := flag.Bool("resume", false, "checkpoint in-flight IS jobs into the cache and resume interrupted ones mid-run (needs -cache)")
 	ckptEvery := flag.Uint64("checkpoint-every", 250_000, "checkpoint cadence in simulated cycles (with -resume; spec checkpoint_every wins if set)")
-	warmStart := flag.Bool("warm-start", false, "fork IS sweep points from a shared boot+keygen prefix snapshot (changes job cache identity)")
 	server := flag.String("server", "", "submit to a resident smappic-fleetd at this base URL instead of running in-process")
 	tenant := flag.String("tenant", "", "tenant identity for -server submissions (default: the fleet's default tenant)")
 	priority := flag.Int("priority", 0, "priority within the tenant's own backlog for -server submissions (higher first)")
@@ -116,10 +110,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smappic-fleet: -resume needs a cache directory (-cache)")
 		os.Exit(2)
 	}
-	if *warmStart {
-		spec.WarmStart = true
-	}
-
 	if *server != "" {
 		runRemote(*server, *tenant, *priority, spec, *out, *verbose)
 		return

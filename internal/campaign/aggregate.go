@@ -30,12 +30,8 @@ type Aggregate struct {
 	// the bulky MetricsJSON stripped (it stays in the cache).
 	Results []Result `json:"results"`
 
-	TotalCycles uint64 `json:"total_cycles"`
-	// WarmSavedCycles sums the simulation each warm-started job skipped
-	// (its RunCycles minus what it actually simulated). Prefix builds
-	// themselves are not jobs and are not netted out here.
-	WarmSavedCycles uint64  `json:"warm_saved_cycles,omitempty"`
-	TotalFPGAHours  float64 `json:"total_fpga_hours"`
+	TotalCycles    uint64  `json:"total_cycles"`
+	TotalFPGAHours float64 `json:"total_fpga_hours"`
 
 	// MergedCounters sums every job's counter snapshot — the campaign's
 	// view of the same registry a single run reports.
@@ -78,9 +74,6 @@ func (cr *CampaignResult) Aggregate() *Aggregate {
 			agg.Results = append(agg.Results, row)
 			agg.Complete++
 			agg.TotalCycles += row.Cycles
-			if row.SimulatedCycles < row.RunCycles {
-				agg.WarmSavedCycles += row.RunCycles - row.SimulatedCycles
-			}
 			agg.TotalFPGAHours += row.FPGAHours
 			for name, v := range row.Stats {
 				agg.MergedCounters[name] += v
@@ -120,12 +113,12 @@ func (a *Aggregate) JSON() ([]byte, error) {
 // CSV renders one row per completed job for spreadsheet import.
 func (a *Aggregate) CSV() string {
 	var b strings.Builder
-	b.WriteString("index,label,workload,shape,numa,homing,threads,active_nodes,keys,seed,faults,cycles,run_cycles,simulated_cycles,seconds,checksum,sorted,attempts,fpga_hours\n")
+	b.WriteString("index,label,workload,shape,numa,homing,threads,active_nodes,keys,seed,faults,cycles,run_cycles,seconds,checksum,sorted,attempts,fpga_hours\n")
 	for i, r := range a.Results {
 		p := r.Params
-		fmt.Fprintf(&b, "%d,%s,%s,%s,%v,%s,%d,%d,%d,%d,%q,%d,%d,%d,%g,%s,%v,%d,%g\n",
+		fmt.Fprintf(&b, "%d,%s,%s,%s,%v,%s,%d,%d,%d,%d,%q,%d,%d,%g,%s,%v,%d,%g\n",
 			i, r.Label, p.Workload, p.Shape, p.NUMA, p.Homing, p.Threads, p.ActiveNodes,
-			p.Keys, p.Seed, p.Faults, r.Cycles, r.RunCycles, r.SimulatedCycles, r.Seconds, r.Checksum,
+			p.Keys, p.Seed, p.Faults, r.Cycles, r.RunCycles, r.Seconds, r.Checksum,
 			r.Sorted, r.Attempts, r.FPGAHours)
 	}
 	return b.String()
@@ -148,9 +141,6 @@ func (cr *CampaignResult) Summary() string {
 		cr.Executed, cr.Cached, cr.Failed, cr.Skipped)
 	agg := cr.Aggregate()
 	fmt.Fprintf(&b, "  simulated %d workload cycles over %d completed jobs\n", agg.TotalCycles, agg.Complete)
-	if agg.WarmSavedCycles > 0 {
-		fmt.Fprintf(&b, "  warm starts skipped %d prefix cycles\n", agg.WarmSavedCycles)
-	}
 	if agg.Cost != nil {
 		fmt.Fprintf(&b, "  cost: %.6f FPGA-hours -> $%.4f on %s (hardware $%.0f, crossover %.0f days)\n",
 			agg.Cost.FPGAHours, agg.Cost.CloudUSD, agg.Cost.Instance, agg.Cost.OnPremUSD, agg.Cost.CrossoverDays)

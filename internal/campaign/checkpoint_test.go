@@ -142,10 +142,6 @@ func TestExecuteCheckpointResumeByteIdentical(t *testing.T) {
 	if !bytes.Equal(resultBytes(t, resumed), resultBytes(t, cold)) {
 		t.Fatal("resumed result diverges from the cold run")
 	}
-	if resumed.SimulatedCycles != cold.SimulatedCycles {
-		t.Errorf("resume changed SimulatedCycles: %d vs %d (resume must not re-base accounting)",
-			resumed.SimulatedCycles, cold.SimulatedCycles)
-	}
 }
 
 // TestResumeRefusesAnotherSort edits the workload tag of a job's own state
@@ -182,8 +178,9 @@ func TestResumeRefusesAnotherSort(t *testing.T) {
 // TestRunnerResumesFromCheckpointFile plants an interrupted job's checkpoint
 // in the cache directory and verifies the runner picks it up (resumed
 // event), completes it, serves a byte-identical result, and cleans the file
-// up on success. A corrupt checkpoint must be discarded — cold restart —
-// without failing the job or burning a retry attempt.
+// up on success. A corrupt, truncated or version-1 checkpoint must be
+// discarded — cold restart — without failing the job or burning a retry
+// attempt.
 func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 	ctx := context.Background()
 	spec := Spec{
@@ -201,6 +198,16 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 	}
 	p := jobs[0].Params // the exact params (with defaults) the runner will key by
 	cold, err := Execute(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fabricate the interruption: run once with checkpointing to get a real
+	// mid-run snapshot, which the subtests plant where the runner looks.
+	mid := filepath.Join(t.TempDir(), "mid.ckpt")
+	if _, err := ExecuteWithOpts(ctx, p, ExecuteOpts{CheckpointPath: mid, CheckpointEvery: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +234,8 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 
 	t.Run("valid", func(t *testing.T) {
 		dir := t.TempDir()
-		// Fabricate the interruption: run once with checkpointing to get a
-		// real mid-run snapshot, then plant it where the runner looks.
 		ckptFile := filepath.Join(dir, p.Key()+".ckpt")
-		if _, err := ExecuteWithOpts(ctx, p, ExecuteOpts{CheckpointPath: ckptFile, CheckpointEvery: 10_000}); err != nil {
+		if err := os.WriteFile(ckptFile, valid, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var events []EventType
@@ -252,11 +257,12 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 		}
 	})
 
-	// An unusable resume file — damaged, or sealed under format version 1 —
-	// is discarded for a cold restart that burns no attempt.
+	// An unusable resume file — damaged, cut short, or sealed under format
+	// version 1 — is discarded for a cold restart that burns no attempt.
 	for name, file := range map[string][]byte{
-		"corrupt":  []byte("not a snapshot"),
-		"version1": version1State,
+		"corrupt":   []byte("not a snapshot"),
+		"truncated": valid[:len(valid)/2],
+		"version1":  version1State,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -282,232 +288,9 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 	}
 }
 
-// TestWarmStartForksAndSavesCycles runs the same job cold and warm-started:
-// the warm run must simulate strictly fewer cycles, produce the same sorted
-// output, and — for a fault-free default-bridge job, where the prefix
-// configuration equals the full configuration — the same metrics document.
-func TestWarmStartForksAndSavesCycles(t *testing.T) {
-	ctx := context.Background()
-	cold, err := Execute(ctx, isParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp := isParams()
-	wp.WarmStart = true
-	warm, err := ExecuteWithOpts(ctx, wp, ExecuteOpts{}) // no path: prefix built in-process
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.SimulatedCycles >= cold.SimulatedCycles {
-		t.Errorf("warm start saved nothing: %d simulated cycles vs cold %d",
-			warm.SimulatedCycles, cold.SimulatedCycles)
-	}
-	if warm.Checksum != cold.Checksum || !warm.Sorted {
-		t.Errorf("warm output wrong: checksum %s sorted=%v, cold %s", warm.Checksum, warm.Sorted, cold.Checksum)
-	}
-	// Exact equality holds only on single-node shapes: the fork skips
-	// bridge/injector restore, so multi-node warm runs are
-	// result-identical but not cycle-identical to cold.
-	if warm.RunCycles != cold.RunCycles || !bytes.Equal(warm.Metrics, cold.Metrics) {
-		t.Error("fault-free warm run should equal the cold run's simulation exactly")
-	}
-	if warm.Key == cold.Key {
-		t.Error("warm_start does not change the cache key")
-	}
-}
-
-// warmSpec is a two-point warm-started sweep whose fault variants share one
-// prefix identity.
-func warmSpec() Spec {
-	return Spec{
-		Name:      "warm",
-		Shapes:    []string{"1x1x2"},
-		Workloads: []string{WorkloadIS},
-		NUMA:      []bool{true},
-		Seeds:     []uint64{3},
-		Faults:    []string{"", "node0.bridge.delay:p=0.02,cycles=400"},
-		Keys:      1 << 10,
-		WarmStart: true,
-	}
-}
-
-// TestRunnerWarmStartSharesPrefix runs a multi-seed warm-started sweep and
-// verifies the prefix snapshot is generated once in the cache directory,
-// every point succeeds, and its recorded prefix identity matches PrefixKey.
-func TestRunnerWarmStartSharesPrefix(t *testing.T) {
-	spec := warmSpec()
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Workers: 2, Cache: cache}
-	res, err := r.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed != len(jobs) || res.Failed != 0 {
-		t.Fatalf("executed %d failed %d, want %d/0", res.Executed, res.Failed, len(jobs))
-	}
-	// Both fault variants share one prefix identity (faults are excluded
-	// from the prefix), so exactly one warm-*.ckpt exists.
-	warmFiles, err := filepath.Glob(filepath.Join(dir, "warm-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warmFiles) != 1 {
-		t.Fatalf("%d warm prefix files, want 1: %v", len(warmFiles), warmFiles)
-	}
-	snap, err := ckpt.ReadFile(warmFiles[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.PrefixHash != jobs[0].Params.PrefixKey() {
-		t.Error("prefix snapshot's identity does not match PrefixKey")
-	}
-	for _, out := range res.Jobs {
-		if out.Result.SimulatedCycles >= out.Result.RunCycles {
-			t.Errorf("job %s: warm start simulated %d of %d cycles — no savings",
-				out.Job.Params.Label(), out.Result.SimulatedCycles, out.Result.RunCycles)
-		}
-	}
-}
-
 // version1State is a format-version-1 state snapshot file: the envelope this
 // build still writes, around the JSON payload it no longer reads.
 var version1State = ckpttest.Seal(1, ckpt.KindState, []byte(`{"kind":2,"config_hash":"x","now":1,"state":{}}`))
-
-// TestUnusableWarmPrefixIsReplaced plants garbage, a truncated prefix, a
-// version-1 file and a prefix of another sort where a warm-started campaign
-// keeps its shared prefix. The file must cost nothing but a rebuild: every
-// job completes on its first attempt with the result a clean cache gives,
-// and the first job to find the file unusable replaces it in place —
-// through the Runner and through a bare Executor (the fleet worker path)
-// alike.
-func TestUnusableWarmPrefixIsReplaced(t *testing.T) {
-	ctx := context.Background()
-	spec := warmSpec()
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix, err := BuildPrefix(ctx, jobs[0].Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(dir string) *CampaignResult {
-		t.Helper()
-		cache, err := OpenCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := (&Runner{Workers: 2, Cache: cache}).Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	clean := run(t.TempDir())
-	if clean.Executed != len(jobs) {
-		t.Fatalf("clean-cache run executed %d of %d jobs", clean.Executed, len(jobs))
-	}
-	sameAsClean := func(t *testing.T, out JobOutcome) {
-		t.Helper()
-		if out.Status != StatusRun {
-			t.Fatalf("job %s: status %s (%s), want run", out.Job.Params.Label(), out.Status, out.Err)
-		}
-		if out.Result.Attempts != 1 {
-			t.Errorf("job %s: the bad prefix burned attempts: %d", out.Job.Params.Label(), out.Result.Attempts)
-		}
-		want, err := json.Marshal(clean.Jobs[out.Job.Index].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(out.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("job %s: result differs from the clean-cache run", out.Job.Params.Label())
-		}
-	}
-
-	rebuiltInPlace := func(t *testing.T, path string) {
-		t.Helper()
-		if snap, err := ckpt.ReadFile(path); err != nil {
-			t.Errorf("warm prefix not rebuilt in place: %v", err)
-		} else if snap.PrefixHash != jobs[0].Params.PrefixKey() || snap.Workload != prefix.Workload {
-			t.Error("rebuilt prefix has the wrong identity")
-		}
-	}
-
-	var valid, otherSort bytes.Buffer
-	if err := prefix.Write(&valid); err != nil {
-		t.Fatal(err)
-	}
-	// The right prefix identity around another sort: a prefix written before
-	// DefaultISParams changed.
-	stale := *prefix
-	stale.Workload += ";stale"
-	if err := stale.Write(&otherSort); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		file []byte
-	}{
-		{"garbage", []byte("not a snapshot")},
-		{"truncated", valid.Bytes()[:valid.Len()/2]},
-		{"version1", version1State},
-		{"another sort", otherSort.Bytes()},
-	} {
-		t.Run("runner/"+c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := warmPathIn(dir, jobs[0].Params)
-			if err := os.WriteFile(path, c.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			res := run(dir)
-			for _, out := range res.Jobs {
-				sameAsClean(t, out)
-			}
-			rebuiltInPlace(t, path)
-		})
-		t.Run("executor/"+c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := warmPathIn(dir, jobs[0].Params)
-			if err := os.WriteFile(path, c.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			for _, job := range jobs {
-				sameAsClean(t, (&Executor{Dir: dir}).RunJob(ctx, job, spec.Policy(), len(jobs)))
-			}
-			rebuiltInPlace(t, path)
-		})
-	}
-
-	// The file vanishes between the executor's stat and the job's read (a
-	// cache directory being cleaned): the job sees "no such file", not a
-	// snapshot error, and must rebuild it the same way.
-	t.Run("executor/removed under the job", func(t *testing.T) {
-		dir := t.TempDir()
-		path := warmPathIn(dir, jobs[0].Params)
-		if err := os.WriteFile(path, version1State, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e := &Executor{Dir: dir}
-		e.execOpts = func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error) {
-			os.Remove(path)
-			return ExecuteWithOpts(ctx, p, opts)
-		}
-		sameAsClean(t, e.RunJob(ctx, jobs[0], spec.Policy(), len(jobs)))
-		rebuiltInPlace(t, path)
-	})
-}
 
 // TestEveryBarrierCutMatchesPlainRun cuts an IS job at every phase barrier —
 // capture, write, re-read, restore into a fresh build, four times over — and

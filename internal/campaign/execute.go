@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"runtime/debug"
 	"strings"
-	"sync"
 
 	"smappic/internal/cache"
 	"smappic/internal/ckpt"
@@ -33,14 +31,6 @@ type Result struct {
 	Cycles    uint64  `json:"cycles"`
 	RunCycles uint64  `json:"run_cycles"`
 	Seconds   float64 `json:"seconds"` // Cycles at the prototype clock
-
-	// SimulatedCycles is how much simulated time this job actually had to
-	// execute: RunCycles for a cold run, RunCycles minus the shared prefix
-	// for a warm-started one. It depends only on Params (the prefix cut
-	// time is deterministic), so results stay byte-identical across cache
-	// states — and it is the number the warm-start savings are measured
-	// from.
-	SimulatedCycles uint64 `json:"simulated_cycles"`
 
 	// Checksum is the IS output hash (hex); empty for other workloads.
 	Checksum string `json:"checksum,omitempty"`
@@ -102,8 +92,7 @@ type aborted struct{ err error }
 
 // ExecuteOpts tune how a job is executed. None of them change what the job
 // computes: periodic checkpointing and crash resume reproduce the cold
-// run's result byte-for-byte, and the warm-start prefix is pinned into the
-// job's identity by Params.WarmStart, not by these knobs.
+// run's result byte-for-byte.
 type ExecuteOpts struct {
 	// CheckpointPath + CheckpointEvery enable periodic checkpointing (IS
 	// only): every CheckpointEvery simulated cycles the run cuts at the
@@ -115,11 +104,6 @@ type ExecuteOpts struct {
 	// ResumeFrom, when set, starts the job from this state snapshot
 	// (written by a previous, interrupted execution of the same job).
 	ResumeFrom string
-	// WarmStartPath, for jobs with Params.WarmStart, is where the shared
-	// prefix snapshot lives: forked from when usable, built and written there
-	// when not (see warmPrefix). Empty builds the prefix in-process (correct
-	// but unshared).
-	WarmStartPath string
 }
 
 // Execute runs one job to completion and returns its Result. It honors
@@ -148,7 +132,7 @@ func configFor(p Params) (core.Config, error) {
 	return cfg, err
 }
 
-// ExecuteWithOpts is Execute with checkpoint/resume/warm-start policies.
+// ExecuteWithOpts is Execute with checkpoint/resume policies.
 func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Result, err error) {
 	if verr := p.Validate(); verr != nil {
 		return nil, verr
@@ -180,13 +164,12 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 		}
 	}()
 	var cycles sim.Time
-	var simBase uint64
 	checksum := ""
 	sorted := false
 	switch p.Workload {
 	case WorkloadIS:
 		var r workload.ISResult
-		proto, r, simBase, err = runIS(ctx, p, cfg, opts)
+		proto, r, err = runIS(ctx, p, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -238,19 +221,18 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 		return nil, err
 	}
 	return &Result{
-		Label:           p.Label(),
-		Key:             p.Key(),
-		Params:          p,
-		Cycles:          uint64(cycles),
-		RunCycles:       uint64(proto.Now()),
-		SimulatedCycles: uint64(proto.Now()) - simBase,
-		Seconds:         proto.Seconds(cycles),
-		Checksum:        checksum,
-		Sorted:          sorted,
-		Attempts:        1,
-		FPGAHours:       proto.Seconds(proto.Now()) * float64(cfg.FPGAs) / 3600,
-		Stats:           proto.Stats.CounterSnapshot(),
-		Metrics:         metrics,
+		Label:     p.Label(),
+		Key:       p.Key(),
+		Params:    p,
+		Cycles:    uint64(cycles),
+		RunCycles: uint64(proto.Now()),
+		Seconds:   proto.Seconds(cycles),
+		Checksum:  checksum,
+		Sorted:    sorted,
+		Attempts:  1,
+		FPGAHours: proto.Seconds(proto.Now()) * float64(cfg.FPGAs) / 3600,
+		Stats:     proto.Stats.CounterSnapshot(),
+		Metrics:   metrics,
 	}, nil
 }
 
@@ -291,20 +273,9 @@ func sortParams(p Params, cfg core.Config) workload.ISParams {
 	return ip
 }
 
-// sameSort refuses a snapshot of another sort. The workload tag covers the
-// sort parameters that neither the configuration hash nor the job's keys
-// name (the key range, the compute per key), so a snapshot written before
-// DefaultISParams changed resumes nothing.
-func sameSort(snap *ckpt.Snapshot, tag string) error {
-	if snap.Workload != tag {
-		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: tag}
-	}
-	return nil
-}
-
 // snapshotCut assembles and encodes the full state snapshot of a just-cut,
 // quiescent run.
-func snapshotCut(proto *core.Prototype, cfg core.Config, ic *workload.ISCut, prefixHash string) (*ckpt.Snapshot, error) {
+func snapshotCut(proto *core.Prototype, cfg core.Config, ic *workload.ISCut) (*ckpt.Snapshot, error) {
 	st, err := proto.CaptureState()
 	if err != nil {
 		return nil, err
@@ -314,131 +285,52 @@ func snapshotCut(proto *core.Prototype, cfg core.Config, ic *workload.ISCut, pre
 	return &ckpt.Snapshot{
 		Kind:       ckpt.KindState,
 		ConfigHash: cfg.ConfigHash(),
-		PrefixHash: prefixHash,
 		Workload:   proto.WorkloadTag,
 		Now:        uint64(proto.Now()),
 		State:      st,
 	}, nil
 }
 
-// BuildPrefix simulates the shared warm-start prefix of p — boot plus IS
-// key generation, cut at the first phase barrier, under the fault-free
-// default-bridge prefix configuration — and returns its snapshot, tagged
-// with p's PrefixKey.
-func BuildPrefix(ctx context.Context, p Params) (*ckpt.Snapshot, error) {
-	pp := p.prefixParams()
-	cfg, err := configFor(pp)
-	if err != nil {
-		return nil, err
-	}
-	proto, k, ip, err := isSetup(ctx, pp, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer proto.Close() // an abort or stall leaves the threads parked
-	cut := &workload.CutPlan{After: 1}
-	_, ic := workload.RunISCut(k, ip, cut)
-	if proto.StallDiagnosis != "" {
-		return nil, &StallError{Diagnosis: proto.StallDiagnosis}
-	}
-	if ic == nil {
-		return nil, fmt.Errorf("campaign: prefix run completed before its cut; nothing to fork")
-	}
-	return snapshotCut(proto, cfg, ic, p.PrefixKey())
-}
-
-// prefixLocks serializes, per prefix file, this process's jobs through
-// warmPrefix: the first to arrive builds a missing prefix while the others
-// wait, and then read what it wrote.
-var prefixLocks sync.Map // path -> *sync.Mutex
-
-// warmPrefix returns the prefix snapshot a warm-started job forks from. It is
-// the one owner of the shared file at path: a usable file is read; a missing
-// one, or one this build cannot fork from (damaged, written under another
-// format version, or of another sort than tag names), is built and
-// atomically replaced — once per process, however many jobs point at it,
-// and wherever the job runs (an in-process Runner's pool or a fleet worker). Processes that race build byte-identical
-// files, so whichever rename lands last changes nothing; a failed write costs
-// the sharing, not the job. An empty path builds in-process, unshared.
-func warmPrefix(ctx context.Context, p Params, path, tag string) (*ckpt.Snapshot, error) {
-	if path == "" {
-		return BuildPrefix(ctx, p)
-	}
-	l, _ := prefixLocks.LoadOrStore(path, new(sync.Mutex))
-	mu := l.(*sync.Mutex)
-	mu.Lock()
-	defer mu.Unlock()
-	snap, err := readPrefix(p, path, tag)
-	if err == nil || !(ckpt.IsSnapshotError(err) || errors.Is(err, fs.ErrNotExist)) {
-		return snap, err
-	}
-	if snap, err = BuildPrefix(ctx, p); err == nil {
-		_ = snap.WriteFile(path)
-	}
-	return snap, err
-}
-
-// readPrefix reads the shared prefix file and checks it is p's prefix.
-func readPrefix(p Params, path, tag string) (*ckpt.Snapshot, error) {
-	snap, err := ckpt.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if snap.PrefixHash != p.PrefixKey() {
-		return nil, &ckpt.MismatchError{Field: "warm-start prefix", Got: snap.PrefixHash, Want: p.PrefixKey()}
-	}
-	return snap, sameSort(snap, tag)
-}
-
-// runIS executes the IS workload under the checkpoint/resume/warm-start
-// policies. It returns the final prototype (quiescent, fully drained), the
-// sort result, and the simulated-cycle base (the warm prefix's cut time;
-// zero for cold and crash-resumed runs, whose accounting must match cold).
-func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*core.Prototype, workload.ISResult, uint64, error) {
+// runIS executes the IS workload under the checkpoint/resume policies: cold,
+// or from the job's own periodic checkpoint. It returns the final prototype
+// (quiescent, fully drained) and the sort result.
+func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*core.Prototype, workload.ISResult, error) {
 	var from *ckpt.Snapshot // the cut the next segment starts from; nil: cold
-	var warmFork bool
-	var simBase uint64
-
-	tag := sortParams(p, cfg).Tag()
-	switch {
-	case p.WarmStart:
-		snap, err := warmPrefix(ctx, p, opts.WarmStartPath, tag)
-		if err != nil {
-			return nil, workload.ISResult{}, 0, err
-		}
-		from, warmFork, simBase = snap, true, snap.Now
-	case opts.ResumeFrom != "":
+	if opts.ResumeFrom != "" {
 		snap, err := ckpt.ReadFile(opts.ResumeFrom)
 		if err != nil {
-			return nil, workload.ISResult{}, 0, err
+			return nil, workload.ISResult{}, err
 		}
 		if snap.ConfigHash != cfg.ConfigHash() {
-			return nil, workload.ISResult{}, 0, &ckpt.MismatchError{Field: "configuration", Got: snap.ConfigHash, Want: cfg.ConfigHash()}
+			return nil, workload.ISResult{}, &ckpt.MismatchError{Field: "configuration", Got: snap.ConfigHash, Want: cfg.ConfigHash()}
 		}
-		if err := sameSort(snap, tag); err != nil {
-			return nil, workload.ISResult{}, 0, err
+		// The workload tag covers the sort parameters that neither the
+		// configuration hash nor the job's key names (the key range, the
+		// compute per key), so a snapshot written before DefaultISParams
+		// changed resumes nothing.
+		if tag := sortParams(p, cfg).Tag(); snap.Workload != tag {
+			return nil, workload.ISResult{}, &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: tag}
 		}
 		from = snap
 	}
 
 	for {
-		proto, r, cut, err := isSegment(ctx, p, cfg, opts, from, warmFork)
+		proto, r, cut, err := isSegment(ctx, p, cfg, opts, from)
 		if err != nil {
-			return nil, workload.ISResult{}, 0, err
+			return nil, workload.ISResult{}, err
 		}
 		if cut == nil {
-			return proto, r, simBase, nil
+			return proto, r, nil
 		}
 		// Periodic checkpoint: persist the cut, then continue from our own
 		// file — the continuation doubles as a restore self-test, and a
 		// SIGKILL at any point leaves a usable snapshot behind.
 		if err := cut.WriteFile(opts.CheckpointPath); err != nil {
-			return nil, workload.ISResult{}, 0, err
+			return nil, workload.ISResult{}, err
 		}
 		if from, err = ckpt.ReadFile(opts.CheckpointPath); err != nil {
-			return nil, workload.ISResult{}, 0, err
+			return nil, workload.ISResult{}, err
 		}
-		warmFork = false
 	}
 }
 
@@ -448,7 +340,7 @@ func runIS(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts) (*c
 // drained), which the caller closes. On every other path — an error, a
 // stall, an abort or job panic unwinding through here — the prototype is
 // closed before it is dropped, so the threads the run left parked exit.
-func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts, from *ckpt.Snapshot, warmFork bool) (final *core.Prototype, r workload.ISResult, cut *ckpt.Snapshot, err error) {
+func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts, from *ckpt.Snapshot) (final *core.Prototype, r workload.ISResult, cut *ckpt.Snapshot, err error) {
 	proto, k, ip, err := isSetup(ctx, p, cfg)
 	if err != nil {
 		return nil, workload.ISResult{}, nil, err
@@ -460,7 +352,7 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 	}()
 	var startNow uint64
 	if from != nil {
-		if err := proto.ApplyState(from.State, warmFork); err != nil {
+		if err := proto.ApplyState(from.State, false); err != nil {
 			return nil, workload.ISResult{}, nil, err
 		}
 		startNow = from.Now
@@ -484,7 +376,7 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 	if ic == nil {
 		return proto, r, nil, nil
 	}
-	cut, err = snapshotCut(proto, cfg, ic, "")
+	cut, err = snapshotCut(proto, cfg, ic)
 	return nil, workload.ISResult{}, cut, err
 }
 

@@ -29,12 +29,6 @@ func (s Spec) Policy() ExecPolicy {
 	}
 }
 
-// warmPathIn is where the shared warm-start prefix snapshot for p's prefix
-// identity lives in a checkpoint directory.
-func warmPathIn(dir string, p Params) string {
-	return filepath.Join(dir, "warm-"+p.PrefixKey()+".ckpt")
-}
-
 // ckptPathIn is where a job's in-flight periodic checkpoint lives. It is
 // keyed by the job's full identity, written during execution, and deleted on
 // success or on a stall/panic — so its existence means "this exact job was
@@ -60,19 +54,18 @@ func statExists(path string) (bool, error) {
 }
 
 // Executor runs single jobs under an ExecPolicy: per-attempt timeouts,
-// stall/panic retries, periodic checkpointing with crash resume, and
-// warm-start forking. It is the bottom layer of the campaign engine — the
-// in-process Runner drives it from a goroutine pool, and a fleet worker
-// process drives it from a network lease — so a job's outcome is
-// byte-identical wherever it executes.
+// stall/panic retries, and periodic checkpointing with crash resume. It is
+// the bottom layer of the campaign engine — the in-process Runner drives it
+// from a goroutine pool, and a fleet worker process drives it from a network
+// lease — so a job's outcome is byte-identical wherever it executes.
 type Executor struct {
-	// Dir is the checkpoint/warm-prefix directory (normally the result
-	// cache's directory, shared between workers so a re-leased job can
-	// resume its predecessor's checkpoint). Empty disables both policies.
+	// Dir is the checkpoint directory (normally the result cache's
+	// directory, shared between workers so a re-leased job can resume its
+	// predecessor's checkpoint). Empty disables checkpointing.
 	Dir string
 	// Exec substitutes the simulator; nil means ExecuteWithOpts. Tests and
 	// fleet protocol tests put instrumented executors here. When set,
-	// checkpoint/warm-start setup is skipped (the stub has no opts).
+	// checkpoint setup is skipped (the stub has no opts).
 	Exec func(ctx context.Context, p Params) (*Result, error)
 	// Log, when non-nil, receives diagnostics (discarded checkpoints,
 	// degraded stat failures).
@@ -84,8 +77,8 @@ type Executor struct {
 
 	// execOpts is the test seam for the checkpoint/retry machinery: like
 	// Exec, but it receives the resolved ExecuteOpts of each attempt, and —
-	// unlike Exec — checkpoint and warm-start bookkeeping runs exactly as
-	// for the real simulator.
+	// unlike Exec — checkpoint bookkeeping runs exactly as for the real
+	// simulator.
 	execOpts func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error)
 }
 
@@ -105,8 +98,7 @@ func (e *Executor) logf(format string, args ...any) {
 
 // RunJob executes one job under pol. Stalls and recovered panics are
 // retryable; a corrupt or version-skewed resume snapshot is discarded and the
-// job restarts without it, burning no retry attempt (an unusable warm prefix
-// never surfaces here: the job rebuilds it, see warmPrefix). A
+// job restarts without it, burning no retry attempt. A
 // stalled or panicked attempt's periodic checkpoint is deleted before the
 // next attempt (and on terminal stall/panic failure): resuming the pre-stall
 // state would deterministically stall again, so that snapshot is poison, not
@@ -121,29 +113,17 @@ func (e *Executor) RunJob(ctx context.Context, job Job, pol ExecPolicy, total in
 	var opts ExecuteOpts
 	ckptFile := ""
 	if exec == nil {
-		if e.Dir != "" {
-			if job.Params.WarmStart {
-				// The job itself reads the shared prefix or, finding none it
-				// can use, builds and writes it (see warmPrefix).
-				wp := warmPathIn(e.Dir, job.Params)
-				if _, serr := statExists(wp); serr != nil {
-					e.logf("job %d %s: warm prefix unreadable (building in-process): %v", job.Index, label, serr)
-				} else {
-					opts.WarmStartPath = wp
-				}
+		if e.Dir != "" && pol.CheckpointEvery > 0 && job.Params.Workload == WorkloadIS {
+			ckptFile = ckptPathIn(e.Dir, job.Params)
+			opts.CheckpointPath = ckptFile
+			opts.CheckpointEvery = pol.CheckpointEvery
+			ok, serr := statExists(ckptFile)
+			if serr != nil {
+				e.logf("job %d %s: checkpoint unreadable (starting cold): %v", job.Index, label, serr)
 			}
-			if pol.CheckpointEvery > 0 && job.Params.Workload == WorkloadIS {
-				ckptFile = ckptPathIn(e.Dir, job.Params)
-				opts.CheckpointPath = ckptFile
-				opts.CheckpointEvery = pol.CheckpointEvery
-				ok, serr := statExists(ckptFile)
-				if serr != nil {
-					e.logf("job %d %s: checkpoint unreadable (starting cold): %v", job.Index, label, serr)
-				}
-				if ok {
-					opts.ResumeFrom = ckptFile
-					e.emit(Event{Type: EventResumed, Index: job.Index, Label: label, Total: total})
-				}
+			if ok {
+				opts.ResumeFrom = ckptFile
+				e.emit(Event{Type: EventResumed, Index: job.Index, Label: label, Total: total})
 			}
 		}
 		if e.execOpts != nil {

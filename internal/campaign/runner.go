@@ -158,8 +158,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 	res := &CampaignResult{Spec: spec, Jobs: make([]JobOutcome, len(jobs))}
 
 	// Resolve cache hits up front (cheap, serial, deterministic), then
-	// fan the remainder out to the pool (where the first job to need a
-	// warm-start prefix builds it, see warmPrefix).
+	// fan the remainder out to the pool.
 	var todo []Job
 	for _, job := range jobs {
 		if r.Cache != nil {

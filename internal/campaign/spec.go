@@ -73,16 +73,10 @@ type Params struct {
 	// Watchdog arms the forward-progress watchdog with this window; a job
 	// that trips it fails with ErrStalled and is eligible for retry.
 	Watchdog uint64 `json:"watchdog"`
-	// WarmStart forks the run from a shared boot+keygen prefix snapshot
-	// instead of simulating the prefix again (IS only). A warm-started
-	// job's prefix ran under fault-free, default-bridge conditions, so its
-	// result can differ from the cold run of the same point when fork-time
-	// knobs (faults, credits, shaping) are set; the flag is therefore part
-	// of the job's identity and cache key.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
-// cacheVersion salts the content hash; bump it whenever the executor or the
+// cacheVersion salts the content hash, and with it every result key and
+// every in-flight checkpoint path; bump it whenever the executor or the
 // Result encoding changes meaning, so stale cache entries miss instead of
 // poisoning new runs. (v5: IS results moved when a bridge credit read began
 // answering with the receiver's running total and the reconciliation
@@ -97,31 +91,6 @@ func (p Params) Key() string {
 		panic(fmt.Sprintf("campaign: params not encodable: %v", err))
 	}
 	sum := sha256.Sum256(append([]byte(cacheVersion+"\n"), b...))
-	return hex.EncodeToString(sum[:])
-}
-
-// prefixParams reduces the job to its warm-start prefix identity: the
-// parameters the boot+keygen prefix depends on. Fork-time knobs — fault
-// plan, bridge credits and shaping, cycle limits, the watchdog — are
-// zeroed, so every sweep point differing only in those shares one prefix.
-func (p Params) prefixParams() Params {
-	p.Faults = ""
-	p.FaultSeed = 0
-	p.Credits = 0
-	p.ExtraLatency = 0
-	p.MaxCycles = 0
-	p.Watchdog = 0
-	p.WarmStart = false
-	return p
-}
-
-// PrefixKey content-addresses the warm-start prefix this job forks from.
-func (p Params) PrefixKey() string {
-	b, err := json.Marshal(p.prefixParams())
-	if err != nil {
-		panic(fmt.Sprintf("campaign: params not encodable: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte(cacheVersion+"-warm\n"), b...))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -187,13 +156,8 @@ func (p Params) Validate() error {
 	if p.ActiveNodes > a*b {
 		return fmt.Errorf("campaign: active_nodes %d exceeds the %d nodes of %s", p.ActiveNodes, a*b, p.Shape)
 	}
-	if _, err := fault.Parse(p.Faults, p.FaultSeed); err != nil {
-		return err
-	}
-	if p.WarmStart && p.Workload != WorkloadIS {
-		return fmt.Errorf("campaign: warm_start applies only to the %s workload", WorkloadIS)
-	}
-	return nil
+	_, err = fault.Parse(p.Faults, p.FaultSeed)
+	return err
 }
 
 // Spec is a declarative sweep: the cartesian product of every dimension
@@ -220,11 +184,6 @@ type Spec struct {
 	FaultSeed uint64 `json:"fault_seed,omitempty"` // default 1
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	Watchdog  uint64 `json:"watchdog,omitempty"`
-
-	// WarmStart forks every IS point from a shared boot+keygen prefix
-	// snapshot (cached per prefix identity) instead of re-simulating the
-	// prefix. Part of each job's identity: see Params.WarmStart.
-	WarmStart bool `json:"warm_start,omitempty"`
 
 	// Execution policy (does not affect results, only how they are won).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"` // per-job wall clock, 0 = none
@@ -335,7 +294,6 @@ func (s Spec) Jobs() ([]Job, error) {
 											p := Params{
 												Shape:        shape,
 												Workload:     wl,
-												WarmStart:    s.WarmStart && wl == WorkloadIS,
 												NUMA:         numa,
 												Homing:       homing,
 												Threads:      threads,

@@ -1,31 +1,47 @@
 package ckpt_test
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"smappic/internal/campaign"
 	"smappic/internal/ckpt"
+	"smappic/internal/core"
+	"smappic/internal/kernel"
+	"smappic/internal/workload"
 )
 
 // firstBarrierSnapshot is the state snapshot the checkpoint cadence cuts
 // most often: NPB-IS (8192 keys) on the paper's 4x1x12 shape at its first
 // phase barrier — 48 tiles of tag arrays, the key pages, 48 thread contexts.
+// It is cut and assembled the way a checkpointing campaign job's is.
 func firstBarrierSnapshot(b *testing.B) *ckpt.Snapshot {
 	b.Helper()
-	spec := campaign.Spec{Name: "bench", Shapes: []string{"4x1x12"},
-		Workloads: []string{campaign.WorkloadIS}, Seeds: []uint64{1}, Keys: 1 << 13}
-	jobs, err := spec.Jobs()
+	cfg := core.DefaultConfig(4, 1, 12)
+	cfg.Core = core.CoreNone
+	cfg.Seed = 1
+	p, err := core.Build(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap, err := campaign.BuildPrefix(context.Background(), jobs[0].Params)
+	defer p.Close()
+	ip := workload.DefaultISParams(cfg.TotalTiles())
+	ip.Keys, ip.Seed = 1<<13, 1
+	ip.Affinity = make([]int, cfg.TotalTiles()) // every hart, named as a campaign job names them
+	for h := range ip.Affinity {
+		ip.Affinity[h] = h
+	}
+	_, ic := workload.RunISCut(kernel.New(p, kernel.DefaultConfig()), ip, &workload.CutPlan{After: 1})
+	if ic == nil {
+		b.Fatal("the IS run finished before its first barrier cut")
+	}
+	st, err := p.CaptureState()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return snap
+	st.Kernel, st.Workload = ic.KernelState(), ic.WorkloadState()
+	return &ckpt.Snapshot{Kind: ckpt.KindState, ConfigHash: cfg.ConfigHash(),
+		Workload: p.WorkloadTag, Now: uint64(p.Now()), State: st}
 }
 
 // snapshotFile writes snap and returns the path and the file size, which

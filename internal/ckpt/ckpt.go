@@ -25,7 +25,7 @@
 // event queue drained, every thread parked or exited at a barrier cut), laid
 // out by node. Restore rebuilds the prototype, overlays the state and resumes
 // the workload threads at their recorded times — the simulated prefix is
-// skipped, which is what campaign crash-resume and warm-start forking need.
+// skipped, which is what campaign crash-resume needs.
 // The envelope keeps its kind byte: any other kind, including the replay
 // cursors of earlier builds (kind 1), is refused as corrupt.
 //
@@ -113,15 +113,11 @@ type Snapshot struct {
 	Kind Kind
 
 	// ConfigHash fingerprints the full core.Config the snapshot was taken
-	// under; restore refuses a different configuration. PrefixHash, set on
-	// warm-start prefix snapshots, fingerprints only the boot-relevant
-	// parameter subset, letting sweep points that differ in fork-time
-	// parameters (faults, credits, latencies) share one prefix.
+	// under; restore refuses a different configuration.
 	ConfigHash string
-	PrefixHash string
 
 	// Workload tags what was running (the workload's parameters, e.g.
-	// ISParams.Tag); a campaign resume or warm fork refuses a different tag.
+	// ISParams.Tag); a campaign resume refuses a different tag.
 	Workload string
 
 	// Now is the engine clock at capture: the drain time of the cut, where

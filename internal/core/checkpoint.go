@@ -77,13 +77,12 @@ func (p *Prototype) CaptureState() (*ckpt.State, error) {
 	return st, nil
 }
 
-// ApplyState overlays a captured state section onto a freshly built
-// prototype of any sharding. With warmFork set — warm-start forking, where
-// the restoring configuration may differ in fork-time parameters — the
-// bridge section (credits, link shaper) and fault section are skipped: a
-// fresh bridge's full-credit quiescent state is consistent on both sides of
-// every link, and the fork's own fault plan starts its streams from zero.
-func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
+// ApplyState overlays a captured state section, every section of it, onto a
+// freshly built prototype of any sharding. The bool is ignored: it was the
+// warm-start fork's "skip the bridge and fault sections", and stays in the
+// signature only because the benchmark harness (benchmark/probes.go) calls
+// ApplyState(state, false).
+func (p *Prototype) ApplyState(st *ckpt.State, _ bool) error {
 	if err := p.Backing.RestoreState(st.Mem); err != nil {
 		return err
 	}
@@ -104,10 +103,8 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 		if err := n.Mesh.RestoreState(ns.NoC); err != nil {
 			return err
 		}
-		if !warmFork {
-			if err := n.Bridge.RestoreState(ns.Bridge); err != nil {
-				return err
-			}
+		if err := n.Bridge.RestoreState(ns.Bridge); err != nil {
+			return err
 		}
 		if len(ns.Tiles) != len(n.Tiles) {
 			return &ckpt.MismatchError{Field: "tile count",
@@ -126,10 +123,5 @@ func (p *Prototype) ApplyState(st *ckpt.State, warmFork bool) error {
 	if err := p.Fabric.RestoreState(st.PCIe); err != nil {
 		return err
 	}
-	if !warmFork {
-		if err := p.Injector.RestoreState(st.Fault); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Injector.RestoreState(st.Fault)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,4 +258,72 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	}
 	corrupt := bytes.Join([][]byte{lines[0], []byte("{\"index\":1,\"sta\x00\xff}}\n"), lines[2], lines[3]}, nil)
 	check("corrupted second line", corrupt, 3)
+}
+
+// TestLoadRequeuesOutcomeOfAnotherKey: a journal line restores its slot only
+// with the result of that slot's own job. A line naming another key — one
+// still in the cache, as every key of the model before a cacheVersion bump
+// is — is logged and its job re-queued, not served as this point's answer.
+func TestLoadRequeuesOutcomeOfAnotherKey(t *testing.T) {
+	spec := testSpec("foreign")
+	want, _ := referenceReport(t, spec)
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	s := loadedServer(t, cache, stateDir)
+	sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, foreign := jobs[0].Params.Key(), jobs[1].Params.Key()
+	if _, ok := cache.Get(foreign); !ok {
+		t.Fatal("the foreign key is not in the cache; the check needs one that is")
+	}
+
+	jpath := filepath.Join(stateDir, sub.CampaignID+".outcomes.jsonl")
+	journal, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(journal, []byte(own)) {
+		t.Fatalf("journal names no record of job 0's key %s:\n%s", own, journal)
+	}
+	if err := os.WriteFile(jpath, bytes.ReplaceAll(journal, []byte(own), []byte(foreign)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	r := New(cache)
+	r.StateDir = stateDir
+	r.Log = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	if err := r.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r.campaignStatus(sub.CampaignID); err != nil || st.Done != 3 || st.Pending != 1 {
+		t.Fatalf("restored %+v, %v; want job 0 re-queued and the other 3 done", st, err)
+	}
+	mu.Lock()
+	sawMismatch := false
+	for _, line := range logged {
+		sawMismatch = sawMismatch || strings.Contains(line, foreign)
+	}
+	mu.Unlock()
+	if !sawMismatch {
+		t.Errorf("the mismatched key was not logged: %q", logged)
+	}
+	completeAll(t, r, r.register(RegisterRequest{}).WorkerID)
+	if got := reportOf(t, r, sub.CampaignID); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }

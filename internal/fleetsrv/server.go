@@ -646,6 +646,13 @@ func (s *Server) Load() error {
 			}
 			out := campaign.JobOutcome{Job: jobs[rec.Index], Status: rec.Status, Err: rec.Err}
 			if rec.Status == campaign.StatusRun || rec.Status == campaign.StatusCached {
+				if key := jobs[rec.Index].Params.Key(); rec.Key != key {
+					// Another identity's result, e.g. one keyed before a
+					// cacheVersion bump: serving it would pass off another
+					// model's answer for this point. Re-run.
+					s.logf("campaign %s job %d: journaled key %s is not the job's %s, re-queueing", pc.ID, rec.Index, rec.Key, key)
+					continue
+				}
 				res, ok := s.Cache.Get(rec.Key)
 				if !ok {
 					// The journal promises a result the cache lost: re-run.

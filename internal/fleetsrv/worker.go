@@ -17,10 +17,10 @@ type Worker struct {
 	Server string
 	// Name is the human-readable label sent at registration.
 	Name string
-	// CacheDir, when non-empty, is the shared checkpoint/warm-prefix
-	// directory (normally the same filesystem as the server's cache). With
-	// it, a job re-leased from a dead worker warm-resumes that worker's
-	// last periodic checkpoint; without it, re-leased jobs restart cold —
+	// CacheDir, when non-empty, is the shared checkpoint directory
+	// (normally the same filesystem as the server's cache). With it, a job
+	// re-leased from a dead worker resumes that worker's last periodic
+	// checkpoint; without it, re-leased jobs restart cold —
 	// correct either way, the checkpoint only buys time back.
 	CacheDir string
 	// Poll is the idle re-poll interval when the server has no work;

@@ -8,9 +8,12 @@ package smappic_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"smappic"
@@ -147,4 +150,118 @@ func TestRestoreRefusesFormatVersion4(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantVersionError(t, raw, 4)
+}
+
+// The payload schema ckpt.Version names, as the digest of schemaOf
+// (ckpt.Snapshot). Any change to a state struct moves the digest, and must
+// then do one of two things: bump ckpt.Version (and pin the new pair here,
+// emptying compatibleSchemas), or list the old digest in compatibleSchemas.
+const (
+	pinnedSchema  = "fb08009ac81a5c1e3f59cdf3e13ad80c1a91ab1bdcfe6b7b3ba37c977207ec56"
+	pinnedVersion = 5
+)
+
+// compatibleSchemas maps an earlier schema of pinnedVersion, one whose files
+// gob still decodes into the current structs without losing state, to a
+// committed file written under it. The file must read and restore.
+var compatibleSchemas = map[string]string{
+	// Commit 6084b31: Snapshot.PrefixHash, the warm-start prefix identity.
+	"0f09bc612ea925962ab0e2b9074d7f2c1a975b9d49e505213cca5a82210ca0a9": "testdata/state-v5/one-shard.ckpt",
+}
+
+// schemaOf renders t canonically, the way gob sees it: a struct as its
+// exported fields in declaration order, each as its name and the rendering
+// of its type; a named type by its structure, not its name.
+func schemaOf(b *strings.Builder, t reflect.Type, open map[reflect.Type]bool) {
+	switch t.Kind() {
+	case reflect.Struct:
+		if open[t] {
+			b.WriteString(t.Name()) // a recursive type refers to itself by name
+			return
+		}
+		open[t] = true
+		b.WriteString("struct{")
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				b.WriteString(f.Name + " ")
+				schemaOf(b, f.Type, open)
+				b.WriteString("; ")
+			}
+		}
+		b.WriteString("}")
+		delete(open, t)
+	case reflect.Pointer:
+		b.WriteString("*")
+		schemaOf(b, t.Elem(), open)
+	case reflect.Slice:
+		b.WriteString("[]")
+		schemaOf(b, t.Elem(), open)
+	case reflect.Array:
+		fmt.Fprintf(b, "[%d]", t.Len())
+		schemaOf(b, t.Elem(), open)
+	case reflect.Map:
+		b.WriteString("map[")
+		schemaOf(b, t.Key(), open)
+		b.WriteString("]")
+		schemaOf(b, t.Elem(), open)
+	default:
+		b.WriteString(t.Kind().String())
+	}
+}
+
+// freshStateTarget is the build the state-v4 and state-v5 files capture:
+// 1x1x2, no cores, caches of a few sets.
+func freshStateTarget(t *testing.T) *core.Prototype {
+	t.Helper()
+	cfg := core.DefaultConfig(1, 1, 2)
+	cfg.Core = core.CoreNone
+	cfg.Cache.L1ISizeBytes, cfg.Cache.L1DSizeBytes, cfg.Cache.BPCSizeBytes, cfg.Cache.LLCSliceSize = 512, 512, 512, 2048
+	p, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSnapshotSchemaIsPinned ties ckpt.Version to the schema it names, so
+// keeping the version across a schema change is a recorded decision backed by
+// a file, not a judgement: the current schema's digest and ckpt.Version must
+// be the pinned pair, and every compatible earlier schema's file must read,
+// restore onto a fresh build, and re-capture as the state it holds.
+func TestSnapshotSchemaIsPinned(t *testing.T) {
+	var b strings.Builder
+	schemaOf(&b, reflect.TypeOf(ckpt.Snapshot{}), map[reflect.Type]bool{})
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != pinnedSchema || ckpt.Version != pinnedVersion {
+		t.Errorf("snapshot schema %s at ckpt.Version %d; pinned: %s at version %d.\n"+
+			"Bump ckpt.Version, or list the pinned digest in compatibleSchemas with a file of its schema that restores.\nSchema: %s",
+			got, ckpt.Version, pinnedSchema, pinnedVersion, b.String())
+	}
+	gobOf := func(st *ckpt.State) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for digest, path := range compatibleSchemas {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ckpt.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("schema %s: %s: %v", digest, path, err)
+		}
+		p := freshStateTarget(t)
+		if err := p.ApplyState(snap.State, false); err != nil {
+			t.Fatalf("schema %s: %s does not restore: %v", digest, path, err)
+		}
+		back, err := p.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gobOf(back), gobOf(snap.State)) {
+			t.Errorf("schema %s: %s restored, but re-captures as another state", digest, path)
+		}
+	}
 }
