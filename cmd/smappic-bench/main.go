@@ -45,48 +45,25 @@ func main() {
 		}
 	}
 
-	runs := map[string]func(bool) string{
-		"table1": func(bool) string { return experiments.Table1() },
-		"table2": func(bool) string { return experiments.Table2() },
-		"table3": func(bool) string { return experiments.Table3() },
-		"table4": func(bool) string { return experiments.Table4() },
-		"fig7": func(q bool) string {
-			r := experiments.Fig7(q)
-			return r.String() + "\n\nHeatmap (cycles):\n" + r.Heatmap
-		},
-		"fig8":                  func(q bool) string { return experiments.Fig8(q).String() },
-		"fig9":                  func(q bool) string { return experiments.Fig9(q).String() },
-		"fig10":                 func(q bool) string { return experiments.Fig10(q).String() },
-		"fig11":                 func(q bool) string { return experiments.Fig11(q).String() },
-		"fig12":                 func(bool) string { return experiments.Fig12().String() },
-		"fig13":                 func(bool) string { return experiments.Fig13().String() },
-		"fig14":                 func(bool) string { return experiments.Fig14().String() },
-		"ablation-homing":       func(bool) string { return experiments.AblationHoming().String() },
-		"ablation-credits":      func(bool) string { return experiments.AblationCredits().String() },
-		"ablation-interconnect": func(bool) string { return experiments.AblationInterconnect().String() },
-		"ablation-core":         func(bool) string { return experiments.AblationCore().String() },
-		"ablation-faults":       func(bool) string { return experiments.AblationFaultTolerance().String() },
+	byName := map[string]experiments.Artifact{}
+	var names []string
+	for _, a := range experiments.Artifacts {
+		byName[a.Name] = a
+		names = append(names, a.Name)
 	}
-	order := []string{
-		"table1", "table2", "table3", "table4",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"ablation-homing", "ablation-credits", "ablation-interconnect", "ablation-core",
-		"ablation-faults",
-	}
-
-	selected := order
+	selected := names
 	if *exp != "all" {
 		selected = strings.Split(*exp, ",")
 	}
 	for _, name := range selected {
 		name = strings.TrimSpace(strings.ToLower(name))
-		fn, ok := runs[name]
+		a, ok := byName[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", name, strings.Join(order, ", "))
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", name, strings.Join(names, ", "))
 			os.Exit(1)
 		}
 		start := time.Now()
-		out := fn(*quick)
+		out := a.Run(*quick)
 		fmt.Printf("===== %s (generated in %v) =====\n%s\n", name, time.Since(start).Round(time.Millisecond), out)
 	}
 }

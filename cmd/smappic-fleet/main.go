@@ -15,17 +15,18 @@
 // just to regenerate reports — re-executes nothing. The aggregate report is
 // byte-identical for any worker count and any mix of fresh and cached jobs.
 //
-// -resume makes in-flight IS jobs periodically checkpoint their full
-// simulation state into the cache directory ( -checkpoint-every sets the
-// cadence) and lets a re-run pick interrupted jobs up mid-flight instead of
-// from cycle 0 — preemption-proof fleets: SIGKILL the campaign, run it
-// again, and the aggregate is byte-identical to an uninterrupted one.
+// -checkpoint-every N makes in-flight IS jobs checkpoint their full
+// simulation state into the cache directory every N simulated cycles, and
+// lets a re-run pick interrupted jobs up mid-flight instead of from cycle 0
+// — preemption-proof fleets: SIGKILL the campaign, run it again, and the
+// aggregate is byte-identical to an uninterrupted one. A job runs once: a
+// stall, a panic or a timeout is its outcome, and re-running it would only
+// repeat it.
 //
-// -v streams structured job lifecycle events (started, cache_hit,
-// stall_retry, panic_retry, resumed, done, failed, skipped) to stderr as
-// they happen. -serve ADDR additionally starts the live dashboard
-// (internal/obs): the fleet job queue at http://ADDR/, the same events over
-// SSE at /api/events.
+// -v streams structured job lifecycle events (started, cache_hit, resumed,
+// done, failed, skipped) to stderr as they happen. -serve ADDR additionally
+// starts the live dashboard (internal/obs): the fleet job queue at
+// http://ADDR/, the same events over SSE at /api/events.
 //
 // -server URL submits the campaign to a resident smappic-fleetd instead of
 // running it in-process: the spec is posted with the tenant identity
@@ -59,11 +60,9 @@ func main() {
 	report := flag.Bool("report", false, "print the merged campaign-wide counter report")
 	quick := flag.Bool("quick", false, "reduced problem sizes for builtin sweeps")
 	timeout := flag.Float64("timeout", 0, "per-job wall-clock timeout in seconds (overrides the spec)")
-	retries := flag.Int("retries", -1, "extra attempts after a watchdog stall (overrides the spec)")
 	verbose := flag.Bool("v", false, "stream job lifecycle events to stderr")
 	serve := flag.String("serve", "", "serve the live campaign dashboard on this address (e.g. 127.0.0.1:8080)")
-	resume := flag.Bool("resume", false, "checkpoint in-flight IS jobs into the cache and resume interrupted ones mid-run (needs -cache)")
-	ckptEvery := flag.Uint64("checkpoint-every", 250_000, "checkpoint cadence in simulated cycles (with -resume; spec checkpoint_every wins if set)")
+	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint in-flight IS jobs into the cache every N simulated cycles and resume interrupted ones mid-run (needs -cache; 0 = the spec's checkpoint_every, or off)")
 	server := flag.String("server", "", "submit to a resident smappic-fleetd at this base URL instead of running in-process")
 	tenant := flag.String("tenant", "", "tenant identity for -server submissions (default: the fleet's default tenant)")
 	priority := flag.Int("priority", 0, "priority within the tenant's own backlog for -server submissions (higher first)")
@@ -97,22 +96,19 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *timeout > 0 {
+	if *timeout != 0 {
 		spec.TimeoutSec = *timeout
 	}
-	if *retries >= 0 {
-		spec.Retries = *retries
-	}
-	if *resume && spec.CheckpointEvery == 0 {
+	if *ckptEvery > 0 {
 		spec.CheckpointEvery = *ckptEvery
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "smappic-fleet: -resume needs a cache directory (-cache)")
-		os.Exit(2)
 	}
 	if *server != "" {
 		runRemote(*server, *tenant, *priority, spec, *out, *verbose)
 		return
+	}
+	if spec.CheckpointEvery > 0 && *cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "smappic-fleet: checkpointing needs a cache directory (-cache)")
+		os.Exit(2)
 	}
 
 	runner := &campaign.Runner{
@@ -145,9 +141,6 @@ func main() {
 			if verbosef {
 				mu.Lock()
 				switch ev.Type {
-				case campaign.EventStallRetry, campaign.EventPanicRetry:
-					fmt.Fprintf(os.Stderr, "[%s] job %d/%d %s (attempt %d: %s)\n",
-						ev.Type, ev.Index, ev.Total, ev.Label, ev.Attempt, ev.Err)
 				case campaign.EventDone:
 					fmt.Fprintf(os.Stderr, "[%s] job %d/%d %s (%d cycles)\n",
 						ev.Type, ev.Index, ev.Total, ev.Label, ev.Cycles)

@@ -74,7 +74,7 @@
 //
 // smappic-run takes no snapshots: a state snapshot is cut at a workload
 // barrier, which a bare-metal program has none of. Campaign jobs checkpoint
-// and resume (smappic-fleet -checkpoint-every, -resume).
+// and resume (smappic-fleet -checkpoint-every).
 //
 // -serve ADDR starts the live observability dashboard (internal/obs) on
 // ADDR for the duration of the run: open http://ADDR/ in a browser, or poll

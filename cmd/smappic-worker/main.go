@@ -1,8 +1,8 @@
 // Command smappic-worker is the fleet's remote executor: it registers with a
 // smappic-fleetd server, leases jobs one at a time, runs each through the
-// same execution engine the in-process campaign runner uses (per-attempt
-// timeouts, stall/panic retries, periodic checkpointing), heartbeats while
-// working, and posts results back.
+// same execution engine the in-process campaign runner uses (a per-job
+// timeout and periodic checkpointing), heartbeats while working, and posts
+// results back.
 //
 // Usage:
 //

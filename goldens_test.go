@@ -1,7 +1,8 @@
-// Golden-metrics regression fixtures: the serial engine's full MetricsJSON
-// for the two example configurations is pinned under testdata/. Any change
+// Golden regression fixtures: the serial engine's full MetricsJSON for the
+// two example configurations, and the rendering of every table, figure and
+// ablation of the paper's evaluation, are pinned under testdata/. Any change
 // to event ordering, cache policy, interconnect timing or stats accounting
-// shows up as a byte diff against the fixture — run with -update after an
+// shows up as a byte diff against a fixture — run with -update after an
 // intentional model change to regenerate:
 //
 //	go test -run TestGolden -update .
@@ -16,6 +17,7 @@ import (
 
 	"smappic"
 	"smappic/internal/core"
+	"smappic/internal/experiments"
 	"smappic/internal/kernel"
 	"smappic/internal/rvasm"
 	"smappic/internal/workload"
@@ -29,7 +31,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -147,3 +149,16 @@ nl:	.asciz "\n"
 digits:	.space 20
 digend:	.space 4
 `
+
+// TestGoldenPaperEval pins the paper's evaluation at full size: each
+// artifact's rendering — what smappic-bench prints under its "generated in"
+// header, and what EXPERIMENTS.md quotes — is testdata/paper_eval/<name>.txt.
+// A model change that moves a paper number fails here, and the -update diff
+// shows which numbers moved.
+func TestGoldenPaperEval(t *testing.T) {
+	for _, a := range experiments.Artifacts {
+		t.Run(a.Name, func(t *testing.T) {
+			checkGolden(t, filepath.Join("paper_eval", a.Name+".txt"), []byte(a.Run(false)+"\n"))
+		})
+	}
+}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,11 +29,12 @@ func testSpec() Spec {
 // fakeResult builds a deterministic Result for an executor stub.
 func fakeResult(p Params) *Result {
 	return &Result{
-		Label:  p.Label(),
-		Key:    p.Key(),
-		Params: p,
-		Cycles: 1000 + p.Seed,
-		Stats:  map[string]uint64{"fake.cycles": 1000 + p.Seed},
+		Label:    p.Label(),
+		Key:      p.Key(),
+		Params:   p,
+		Cycles:   1000 + p.Seed,
+		Attempts: 1,
+		Stats:    map[string]uint64{"fake.cycles": 1000 + p.Seed},
 	}
 }
 
@@ -88,6 +90,8 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, Homing: []string{"bogus"}},
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, ActiveNodes: []int{5}},
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, Faults: []string{"pcie.drop:q=1"}},
+		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, TimeoutSec: -1},   // negative timeout
+		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, TimeoutSec: 1e10}, // overflows a Duration
 	}
 	for i, s := range cases {
 		if _, err := s.Jobs(); err == nil {
@@ -135,8 +139,10 @@ func TestSpecExpansionBounded(t *testing.T) {
 }
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"name":"x","shapes":["1x1x2"],"workloads":["is"],"seedz":[1]}`)); err == nil {
-		t.Fatal("typoed field accepted")
+	for _, field := range []string{`"seedz":[1]`, `"retries":1`} {
+		if _, err := ParseSpec([]byte(`{"name":"x","shapes":["1x1x2"],"workloads":["is"],` + field + `}`)); err == nil {
+			t.Errorf("unknown field %s accepted", field)
+		}
 	}
 	s, err := ParseSpec([]byte(`{"name":"x","shapes":["1x1x2"],"workloads":["is"],"seeds":[1,2]}`))
 	if err != nil {
@@ -228,68 +234,37 @@ func TestSecondRunFullyCacheServed(t *testing.T) {
 	}
 }
 
-// A stall is retried within the budget and the winning attempt is recorded.
-func TestStallRetriedThenSucceeds(t *testing.T) {
-	var mu sync.Mutex
-	failed := map[string]bool{}
-	exec := func(ctx context.Context, p Params) (*Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !failed[p.Key()] {
-			failed[p.Key()] = true
-			return nil, &StallError{Diagnosis: "WATCHDOG: injected test stall"}
-		}
-		return fakeResult(p), nil
-	}
-	spec := testSpec()
-	spec.Retries = 1
-	r := &Runner{Workers: 2, Exec: exec}
-	res, err := r.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed != 4 || res.Failed != 0 {
-		t.Fatalf("executed %d failed %d, want 4/0", res.Executed, res.Failed)
-	}
-	for _, out := range res.Jobs {
-		if out.Result.Attempts != 2 {
-			t.Fatalf("job %d won on attempt %d, want 2", out.Job.Index, out.Result.Attempts)
-		}
-	}
+// isStall reports whether err is (or wraps) a watchdog stall.
+func isStall(err error) bool {
+	var s *StallError
+	return errors.As(err, &s)
 }
 
-// A job that stalls on every attempt fails once the budget is spent; other
-// failures are not retried at all.
-func TestRetryBudgetAndNonStallFailures(t *testing.T) {
-	var stallCalls, otherCalls atomic.Int64
-	alwaysStall := func(ctx context.Context, p Params) (*Result, error) {
-		stallCalls.Add(1)
-		return nil, &StallError{Diagnosis: "WATCHDOG: wedged"}
-	}
+// A job is a pure function of its Params, so its failure is its answer:
+// a stall, a recovered panic and any other error each execute exactly once.
+func TestFailedJobRunsOnce(t *testing.T) {
 	spec := testSpec()
 	spec.Seeds = []uint64{1}
-	spec.Retries = 2
-	res, err := (&Runner{Exec: alwaysStall}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 1 || stallCalls.Load() != 3 {
-		t.Fatalf("failed %d after %d attempts, want 1 after 3", res.Failed, stallCalls.Load())
-	}
-	if !strings.Contains(res.Jobs[0].Err, "stalled") {
-		t.Fatalf("failure lost the stall diagnosis: %q", res.Jobs[0].Err)
-	}
-
-	boom := func(ctx context.Context, p Params) (*Result, error) {
-		otherCalls.Add(1)
-		return nil, fmt.Errorf("build exploded")
-	}
-	res, err = (&Runner{Exec: boom}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 1 || otherCalls.Load() != 1 {
-		t.Fatalf("non-stall error retried: %d attempts", otherCalls.Load())
+	for name, fail := range map[string]error{
+		"stall": &StallError{Diagnosis: "WATCHDOG: wedged"},
+		"panic": &PanicError{Value: "injected", Stack: "stack"},
+		"other": fmt.Errorf("build exploded"),
+	} {
+		var calls atomic.Int64
+		exec := func(ctx context.Context, p Params) (*Result, error) {
+			calls.Add(1)
+			return nil, fail
+		}
+		res, err := (&Runner{Exec: exec}).Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != 1 || calls.Load() != 1 {
+			t.Errorf("%s: failed %d after %d executions, want 1 after 1", name, res.Failed, calls.Load())
+		}
+		if res.Jobs[0].Err != fail.Error() {
+			t.Errorf("%s: failure %q, want %q", name, res.Jobs[0].Err, fail.Error())
+		}
 	}
 }
 
@@ -337,9 +312,23 @@ func TestCancellationLeavesResumableState(t *testing.T) {
 	}
 }
 
+// stallOf executes p and returns its watchdog diagnosis, failing the test
+// unless p stalls.
+func stallOf(t *testing.T, p Params) string {
+	t.Helper()
+	_, err := Execute(context.Background(), p)
+	var s *StallError
+	if !errors.As(err, &s) {
+		t.Fatalf("%s: error %v, want a StallError", p.Label(), err)
+	}
+	return s.Diagnosis
+}
+
 // A real stall end to end: a hung PCIe endpoint under the stores workload
 // trips the watchdog, Execute converts the diagnosis into a StallError, and
-// the runner burns its retry budget before failing the job.
+// the runner fails the job with it. The stall is deterministic — a second
+// execution wedges at the same cycle with the same diagnosis, byte for byte —
+// which is why a failed job is never run again.
 func TestExecuteRealWatchdogStall(t *testing.T) {
 	p := Params{
 		Shape:     "2x1x2",
@@ -351,24 +340,33 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 		FaultSeed: 1,
 		Watchdog:  100_000,
 	}
-	_, err := Execute(context.Background(), p)
-	if err == nil {
-		t.Fatal("hung link did not fail the job")
+	first := stallOf(t, p)
+	if !strings.HasPrefix(first, "WATCHDOG: shard 0") {
+		t.Fatalf("diagnosis %q is not the watchdog's", first)
 	}
-	if !IsStall(err) {
-		t.Fatalf("stall not classified as StallError: %v", err)
+	if again := stallOf(t, p); again != first {
+		t.Fatalf("the same job stalled differently twice:\n%s\n---\n%s", first, again)
 	}
-	if !strings.Contains(err.Error(), "stalled: WATCHDOG: shard 0") {
-		t.Fatalf("error %q does not carry the watchdog's diagnosis", err)
+
+	// The hung IS job wedges at the same cycle every time too.
+	is := Params{
+		Shape: "2x1x2", Workload: WorkloadIS, NUMA: true, Homing: HomingRegion,
+		Keys: 1 << 10, Seed: 1, Faults: "pcie.ep1.link.hang:after=40", FaultSeed: 1,
+		Watchdog: 50_000,
+	}
+	isFirst := stallOf(t, is)
+	if !strings.Contains(isFirst, "at cycle 24614") {
+		t.Fatalf("hung IS job: diagnosis %q, want a stall at cycle 24614", isFirst)
+	}
+	if again := stallOf(t, is); again != isFirst {
+		t.Fatalf("the same IS job stalled differently twice:\n%s\n---\n%s", isFirst, again)
 	}
 
 	// The probe workload drains inside MeasureLatency rather than under the
 	// job's stop predicate; its drain must reach the watchdog all the same.
 	probe := p
 	probe.Workload, probe.Keys, probe.Faults = WorkloadProbe, 0, "pcie.ep0.link.hang:after=0"
-	if _, err := Execute(context.Background(), probe); !IsStall(err) {
-		t.Fatalf("hung probe: error %v, want a StallError", err)
-	}
+	stallOf(t, probe)
 
 	spec := Spec{
 		Name:      "stall",
@@ -377,7 +375,6 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 		Keys:      16,
 		Faults:    []string{"pcie.ep0.link.hang:after=4"},
 		Watchdog:  100_000,
-		Retries:   1,
 	}
 	res, err := (&Runner{}).Run(context.Background(), spec)
 	if err != nil {
@@ -386,7 +383,6 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("stalling job not failed: %+v", res.Jobs[0])
 	}
-	// The deterministic stall wedges identically on both attempts.
 	if !strings.Contains(res.Jobs[0].Err, "WATCHDOG") {
 		t.Fatalf("failure lost the watchdog diagnosis: %q", res.Jobs[0].Err)
 	}
@@ -407,8 +403,8 @@ func TestExecuteMaxCycles(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "max_cycles") {
 		t.Fatalf("runaway job not bounded: %v", err)
 	}
-	if IsStall(err) {
-		t.Fatal("max_cycles abort must not be retried as a stall")
+	if isStall(err) {
+		t.Fatal("max_cycles abort must not read as a stall")
 	}
 }
 
@@ -436,7 +432,7 @@ func TestAbortedJobsLeakNoGoroutines(t *testing.T) {
 		if _, err := Execute(context.Background(), aborted); err == nil {
 			t.Fatal("max_cycles did not abort the job")
 		}
-		if _, err := Execute(context.Background(), stalled); !IsStall(err) {
+		if _, err := Execute(context.Background(), stalled); !isStall(err) {
 			t.Fatalf("hung link did not stall the job: %v", err)
 		}
 	}
@@ -607,8 +603,7 @@ func TestAggregateCSV(t *testing.T) {
 }
 
 // TestRunnerEmitsLifecycleEvents pins the OnEvent hook: every job produces a
-// coherent event sequence (started ... done/failed, with stall_retry in
-// between), cache hits are reported without execution, and Total is carried
+// coherent event sequence (started, then done or failed), cache hits are reported without execution, and Total is carried
 // on every event.
 func TestRunnerEmitsLifecycleEvents(t *testing.T) {
 	var mu sync.Mutex
@@ -619,24 +614,14 @@ func TestRunnerEmitsLifecycleEvents(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// Seed 2 stalls once then succeeds; seed 3 fails hard; the rest are clean.
-	stalled := map[string]bool{}
+	// Seed 3 fails hard; the rest are clean.
 	exec := func(ctx context.Context, p Params) (*Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch p.Seed {
-		case 2:
-			if !stalled[p.Key()] {
-				stalled[p.Key()] = true
-				return nil, &StallError{Diagnosis: "WATCHDOG: injected"}
-			}
-		case 3:
+		if p.Seed == 3 {
 			return nil, fmt.Errorf("build exploded")
 		}
 		return fakeResult(p), nil
 	}
 	spec := testSpec()
-	spec.Retries = 1
 	r := &Runner{Workers: 2, Exec: exec, OnEvent: record}
 	res, err := r.Run(context.Background(), spec)
 	if err != nil {
@@ -660,10 +645,10 @@ func TestRunnerEmitsLifecycleEvents(t *testing.T) {
 		return ts
 	}
 	want := map[int][]EventType{
-		0: {EventStarted, EventDone},                  // seed 1
-		1: {EventStarted, EventStallRetry, EventDone}, // seed 2
-		2: {EventStarted, EventFailed},                // seed 3
-		3: {EventStarted, EventDone},                  // seed 4
+		0: {EventStarted, EventDone},   // seed 1
+		1: {EventStarted, EventDone},   // seed 2
+		2: {EventStarted, EventFailed}, // seed 3
+		3: {EventStarted, EventDone},   // seed 4
 	}
 	for idx, w := range want {
 		got := types(idx)
@@ -671,10 +656,8 @@ func TestRunnerEmitsLifecycleEvents(t *testing.T) {
 			t.Errorf("job %d events = %v, want %v", idx, got, w)
 		}
 	}
-	// The retried job reports the winning attempt number and its cycles.
-	doneEv := events[1][len(events[1])-1]
-	if doneEv.Attempt != 2 || doneEv.Cycles == 0 {
-		t.Errorf("retried done event = %+v, want attempt 2 with cycles", doneEv)
+	if doneEv := events[1][len(events[1])-1]; doneEv.Cycles == 0 {
+		t.Errorf("done event = %+v, want its cycles", doneEv)
 	}
 	if events[2][1].Err == "" {
 		t.Error("failed event lost its error")

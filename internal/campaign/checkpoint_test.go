@@ -28,13 +28,10 @@ func isParams() Params {
 	}
 }
 
-// resultBytes renders a Result for byte comparison, with the runner-owned
-// Attempts field masked out.
+// resultBytes renders a Result for byte comparison.
 func resultBytes(t *testing.T, r *Result) []byte {
 	t.Helper()
-	c := *r
-	c.Attempts = 0
-	b, err := json.Marshal(&c)
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,70 +40,19 @@ func resultBytes(t *testing.T, r *Result) []byte {
 
 // TestExecuteRecoversPanic wedges an IS job (hang fault, no watchdog) so the
 // kernel's Join panics on a drained queue, and requires ExecuteWithOpts to
-// convert that into a typed, retryable PanicError instead of crashing.
+// convert that into a typed PanicError — the job's failure — instead of
+// crashing the pool.
 func TestExecuteRecoversPanic(t *testing.T) {
 	p := isParams()
 	p.Shape = "2x1x2" // multi-node, so the hang wedges real PCIe traffic
 	p.Faults = "pcie.*.hang:after=10"
 	_, err := Execute(context.Background(), p)
-	if !IsPanic(err) {
+	var pe *PanicError
+	if !errors.As(err, &pe) {
 		t.Fatalf("error %T (%v), want PanicError", err, err)
 	}
-	var pe *PanicError
-	errors.As(err, &pe)
 	if pe.Stack == "" {
 		t.Error("PanicError carries no stack trace")
-	}
-}
-
-// TestPanicRetriedThenSucceeds drives the runner's retry policy with an
-// executor that panics (as a recovered PanicError) once per job before
-// succeeding: every job must finish StatusRun on attempt 2 with a
-// panic_retry event in between.
-func TestPanicRetriedThenSucceeds(t *testing.T) {
-	spec := testSpec()
-	spec.Retries = 1
-	var mu sync.Mutex
-	failed := map[string]bool{}
-	var events []EventType
-	r := &Runner{
-		Workers: 2,
-		Exec: func(ctx context.Context, p Params) (*Result, error) {
-			mu.Lock()
-			first := !failed[p.Key()]
-			failed[p.Key()] = true
-			mu.Unlock()
-			if first {
-				return nil, &PanicError{Value: "injected", Stack: "stack"}
-			}
-			return fakeResult(p), nil
-		},
-		OnEvent: func(ev Event) {
-			mu.Lock()
-			events = append(events, ev.Type)
-			mu.Unlock()
-		},
-	}
-	res, err := r.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed != 4 || res.Failed != 0 {
-		t.Fatalf("executed %d failed %d, want 4/0", res.Executed, res.Failed)
-	}
-	retries := 0
-	for _, out := range res.Jobs {
-		if out.Result.Attempts != 2 {
-			t.Errorf("job %s: %d attempts, want 2", out.Job.Params.Label(), out.Result.Attempts)
-		}
-	}
-	for _, ev := range events {
-		if ev == EventPanicRetry {
-			retries++
-		}
-	}
-	if retries != 4 {
-		t.Errorf("%d panic_retry events, want 4", retries)
 	}
 }
 
@@ -179,8 +125,7 @@ func TestResumeRefusesAnotherSort(t *testing.T) {
 // in the cache directory and verifies the runner picks it up (resumed
 // event), completes it, serves a byte-identical result, and cleans the file
 // up on success. A corrupt, truncated or version-1 checkpoint must be
-// discarded — cold restart — without failing the job or burning a retry
-// attempt.
+// discarded — cold restart — without failing the job.
 func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 	ctx := context.Background()
 	spec := Spec{
@@ -258,7 +203,7 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 	})
 
 	// An unusable resume file — damaged, cut short, or sealed under format
-	// version 1 — is discarded for a cold restart that burns no attempt.
+	// version 1 — is discarded for a cold restart.
 	for name, file := range map[string][]byte{
 		"corrupt":   []byte("not a snapshot"),
 		"truncated": valid[:len(valid)/2],
@@ -277,9 +222,6 @@ func TestRunnerResumesFromCheckpointFile(t *testing.T) {
 			}
 			if res.Executed != 1 || res.Failed != 0 {
 				t.Fatalf("executed %d failed %d, want 1/0", res.Executed, res.Failed)
-			}
-			if res.Jobs[0].Result.Attempts != 1 {
-				t.Errorf("cold restart after discarded checkpoint burned attempts: %d", res.Jobs[0].Result.Attempts)
 			}
 			if !bytes.Equal(resultBytes(t, res.Jobs[0].Result), resultBytes(t, cold)) {
 				t.Error("job result after discarded checkpoint diverges from cold run")

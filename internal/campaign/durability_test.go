@@ -185,136 +185,53 @@ func TestExecutorSurfacesStatErrors(t *testing.T) {
 	}
 }
 
-// TestStallRetryDeletesCheckpointBeforeRetry: attempt 1 writes its periodic
-// checkpoint and stalls; the retry must start with the checkpoint deleted
-// and no ResumeFrom — resuming the pre-stall state would deterministically
-// stall again.
-func TestStallRetryDeletesCheckpointBeforeRetry(t *testing.T) {
+// TestStalledJobLeavesNoCheckpoint: a checkpointing IS job that wedges
+// fails on its only execution, and the periodic checkpoint it wrote before
+// the stall is gone — resuming it would only wedge again, and a resumed
+// campaign must not warm-resume a failure.
+func TestStalledJobLeavesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := testSpec()
-	spec.Seeds = []uint64{1}
-	spec.Retries = 1
-	spec.CheckpointEvery = 10_000
+	spec := Spec{
+		Name:            "stall",
+		Shapes:          []string{"2x1x2"},
+		Workloads:       []string{WorkloadIS},
+		Keys:            1 << 10,
+		Faults:          []string{"pcie.ep1.link.hang:after=40"},
+		Watchdog:        50_000,
+		CheckpointEvery: 1_000,
+	}
 	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckptFile := filepath.Join(dir, jobs[0].Params.Key()+".ckpt")
 
-	var mu sync.Mutex
-	attempts := 0
-	retrySawCkpt, retryResume := false, "unset"
+	executions, wrote := 0, false
 	r := &Runner{Cache: cache}
 	r.execOpts = func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts == 1 {
-			// The attempt checkpoints mid-run, then trips the watchdog.
-			if err := os.WriteFile(opts.CheckpointPath, []byte("pre-stall state"), 0o644); err != nil {
-				t.Error(err)
-			}
-			return nil, &StallError{Diagnosis: "WATCHDOG: injected pre-retry"}
-		}
-		retrySawCkpt, _ = statExists(ckptFile)
-		retryResume = opts.ResumeFrom
-		return fakeResult(p), nil
+		executions++
+		res, err := ExecuteWithOpts(ctx, p, opts)
+		wrote, _ = statExists(ckptFile)
+		return res, err
 	}
 	res, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed != 1 || res.Failed != 0 || attempts != 2 {
-		t.Fatalf("executed %d failed %d attempts %d, want 1/0/2", res.Executed, res.Failed, attempts)
+	if res.Failed != 1 || executions != 1 {
+		t.Fatalf("failed %d after %d executions, want 1 after 1", res.Failed, executions)
 	}
-	if retrySawCkpt {
-		t.Error("stalled attempt's checkpoint still on disk when the retry started")
+	if !strings.Contains(res.Jobs[0].Err, "stalled: WATCHDOG") {
+		t.Fatalf("failure %q is not the watchdog's", res.Jobs[0].Err)
 	}
-	if retryResume != "" {
-		t.Errorf("retry resumed from %q, want a cold start", retryResume)
-	}
-}
-
-// TestInterruptedStallRetryStartsCold is the crash shape from the field: a
-// job stalls through its whole retry budget (each attempt leaving a periodic
-// checkpoint), the campaign dies, and the resumed campaign must start the
-// job cold — not ResumeFrom the pre-stall snapshot and deterministically
-// burn the budget again.
-func TestInterruptedStallRetryStartsCold(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec()
-	spec.Seeds = []uint64{1}
-	spec.Retries = 1
-	spec.CheckpointEvery = 10_000
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptFile := filepath.Join(dir, jobs[0].Params.Key()+".ckpt")
-
-	// First campaign: every attempt checkpoints then stalls; the job fails
-	// terminally (standing in for "the process died mid-retry" — either way
-	// the checkpoint has been written and no retry has overwritten it).
-	cache1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := &Runner{Cache: cache1}
-	var mu sync.Mutex
-	r1.execOpts = func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err := os.WriteFile(opts.CheckpointPath, []byte("pre-stall state"), 0o644); err != nil {
-			t.Error(err)
-		}
-		return nil, &StallError{Diagnosis: "WATCHDOG: injected stall"}
-	}
-	res, err := r1.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 1 {
-		t.Fatalf("failed %d, want 1", res.Failed)
+	if !wrote {
+		t.Fatal("the job stalled before its first checkpoint; the test checks nothing")
 	}
 	if ok, _ := statExists(ckptFile); ok {
-		t.Fatal("stalling campaign left its poison checkpoint on disk")
-	}
-
-	// Resumed campaign: the job must start cold — no resumed event, no
-	// ResumeFrom — and succeed on its first attempt.
-	cache2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []EventType
-	r2 := &Runner{Cache: cache2, OnEvent: func(ev Event) {
-		mu.Lock()
-		events = append(events, ev.Type)
-		mu.Unlock()
-	}}
-	r2.execOpts = func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error) {
-		if opts.ResumeFrom != "" {
-			t.Errorf("resumed campaign warm-resumed the stalled state from %q", opts.ResumeFrom)
-		}
-		return fakeResult(p), nil
-	}
-	res2, err := r2.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Executed != 1 || res2.Failed != 0 {
-		t.Fatalf("resumed campaign: executed %d failed %d, want 1/0", res2.Executed, res2.Failed)
-	}
-	for _, ev := range events {
-		if ev == EventResumed {
-			t.Fatal("resumed campaign emitted a resumed event for a job that must start cold")
-		}
-	}
-	if res2.Jobs[0].Result.Attempts != 1 {
-		t.Fatalf("cold restart took %d attempts, want 1", res2.Jobs[0].Result.Attempts)
+		t.Fatal("the stalled job's checkpoint is still on disk")
 	}
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -36,8 +35,10 @@ type Result struct {
 	Checksum string `json:"checksum,omitempty"`
 	Sorted   bool   `json:"sorted,omitempty"`
 
-	// Attempts counts executions including stall retries (set by the
-	// runner; a cached result keeps the count from the run that won it).
+	// Attempts is always 1, set by ExecuteWithOpts: a job runs once, and
+	// its failure is its answer. The field stays so that cached results
+	// and the report's attempts column keep their bytes, and because the
+	// benchmark harness reads it.
 	Attempts int `json:"attempts"`
 
 	// FPGAHours is the job's modeled FPGA time: prototype wall time times
@@ -62,29 +63,16 @@ func (e *StallError) Error() string {
 	return "campaign: job stalled: " + first
 }
 
-// IsStall reports whether err is (or wraps) a watchdog stall — one of the
-// failure classes the runner retries.
-func IsStall(err error) bool {
-	var s *StallError
-	return errors.As(err, &s)
-}
-
 // PanicError reports a job whose execution panicked. The executor recovers
 // the panic instead of taking the whole campaign down: one job's crash is
-// that job's failure, retryable like a stall, while the worker pool keeps
-// draining the rest of the sweep.
+// that job's failure, while the worker pool keeps draining the rest of the
+// sweep.
 type PanicError struct {
 	Value string // the panic value, rendered
 	Stack string // the goroutine stack at recovery
 }
 
 func (e *PanicError) Error() string { return "campaign: job panicked: " + e.Value }
-
-// IsPanic reports whether err is (or wraps) a recovered job panic.
-func IsPanic(err error) bool {
-	var p *PanicError
-	return errors.As(err, &p)
-}
 
 // aborted carries a cancellation/timeout/stall out of the run loop; it is
 // recovered at the top of Execute.
@@ -110,7 +98,7 @@ type ExecuteOpts struct {
 // ctx cancellation and deadline between synchronization windows, and
 // returns a *StallError when the job's watchdog detects a wedged simulation.
 // Execution is fully deterministic: equal Params produce byte-identical
-// Results (Attempts excluded; the runner owns it).
+// Results.
 func Execute(ctx context.Context, p Params) (*Result, error) {
 	return ExecuteWithOpts(ctx, p, ExecuteOpts{})
 }

@@ -2,7 +2,7 @@ package campaign
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"time"
@@ -11,27 +11,22 @@ import (
 )
 
 // ExecPolicy is the execution policy one job runs under: how long it may
-// take, how many extra attempts a stall or panic earns, and how often it
-// checkpoints. Policy never changes what a job computes — only how its
-// result is won — so it travels outside Params and outside the cache key.
+// take and how often it checkpoints. Policy never changes what a job
+// computes — only how its result is won — so it travels outside Params and
+// outside the cache key.
 type ExecPolicy struct {
 	TimeoutSec      float64 `json:"timeout_sec,omitempty"`
-	Retries         int     `json:"retries,omitempty"`
 	CheckpointEvery uint64  `json:"checkpoint_every,omitempty"`
 }
 
 // Policy extracts the execution policy from a spec.
 func (s Spec) Policy() ExecPolicy {
-	return ExecPolicy{
-		TimeoutSec:      s.TimeoutSec,
-		Retries:         s.Retries,
-		CheckpointEvery: s.CheckpointEvery,
-	}
+	return ExecPolicy{TimeoutSec: s.TimeoutSec, CheckpointEvery: s.CheckpointEvery}
 }
 
 // ckptPathIn is where a job's in-flight periodic checkpoint lives. It is
-// keyed by the job's full identity, written during execution, and deleted on
-// success or on a stall/panic — so its existence means "this exact job was
+// keyed by the job's full identity, written during execution, and deleted
+// once the job has an outcome — so its existence means "this exact job was
 // interrupted mid-run and its state is worth resuming".
 func ckptPathIn(dir string, p Params) string {
 	return filepath.Join(dir, p.Key()+".ckpt")
@@ -53,11 +48,11 @@ func statExists(path string) (bool, error) {
 	}
 }
 
-// Executor runs single jobs under an ExecPolicy: per-attempt timeouts,
-// stall/panic retries, and periodic checkpointing with crash resume. It is
-// the bottom layer of the campaign engine — the in-process Runner drives it
-// from a goroutine pool, and a fleet worker process drives it from a network
-// lease — so a job's outcome is byte-identical wherever it executes.
+// Executor runs single jobs under an ExecPolicy: a per-job timeout and
+// periodic checkpointing with crash resume. It is the bottom layer of the
+// campaign engine — the in-process Runner drives it from a goroutine pool,
+// and a fleet worker process drives it from a network lease — so a job's
+// outcome is byte-identical wherever it executes.
 type Executor struct {
 	// Dir is the checkpoint directory (normally the result cache's
 	// directory, shared between workers so a re-leased job can resume its
@@ -75,8 +70,8 @@ type Executor struct {
 	// the caller runs jobs concurrently.
 	OnEvent func(Event)
 
-	// execOpts is the test seam for the checkpoint/retry machinery: like
-	// Exec, but it receives the resolved ExecuteOpts of each attempt, and —
+	// execOpts is the test seam for the checkpoint machinery: like Exec,
+	// but it receives the resolved ExecuteOpts of each execution, and —
 	// unlike Exec — checkpoint bookkeeping runs exactly as for the real
 	// simulator.
 	execOpts func(ctx context.Context, p Params, opts ExecuteOpts) (*Result, error)
@@ -96,13 +91,13 @@ func (e *Executor) logf(format string, args ...any) {
 	}
 }
 
-// RunJob executes one job under pol. Stalls and recovered panics are
-// retryable; a corrupt or version-skewed resume snapshot is discarded and the
-// job restarts without it, burning no retry attempt. A
-// stalled or panicked attempt's periodic checkpoint is deleted before the
-// next attempt (and on terminal stall/panic failure): resuming the pre-stall
-// state would deterministically stall again, so that snapshot is poison, not
-// progress.
+// RunJob executes one job under pol. A job is a pure function of its
+// Params, so a stall, a recovered panic or a timeout is its outcome: running
+// it again would only repeat it. The one second execution is a cold restart
+// when the resume snapshot is unusable (corrupt, truncated or from another
+// format version) — a bad file, not a bad job. The job's checkpoint is
+// removed once it has an outcome; only a skipped (cancelled) job keeps it
+// for the resumed campaign.
 func (e *Executor) RunJob(ctx context.Context, job Job, pol ExecPolicy, total int) JobOutcome {
 	label := job.Params.Label()
 	if ctx.Err() != nil {
@@ -132,72 +127,37 @@ func (e *Executor) RunJob(ctx context.Context, job Job, pol ExecPolicy, total in
 			exec = func(c context.Context, p Params) (*Result, error) { return ExecuteWithOpts(c, p, opts) }
 		}
 	}
-	e.emit(Event{Type: EventStarted, Index: job.Index, Label: label, Total: total, Attempt: 1})
-	var lastErr error
-	for attempt := 1; attempt <= pol.Retries+1; {
-		jctx := ctx
-		cancel := context.CancelFunc(func() {})
-		if pol.TimeoutSec > 0 {
-			jctx, cancel = context.WithTimeout(ctx, time.Duration(pol.TimeoutSec*float64(time.Second)))
-		}
-		result, err := exec(jctx, job.Params)
-		cancel()
-		if err == nil {
-			result.Attempts = attempt
-			if ckptFile != "" {
-				os.Remove(ckptFile)
-			}
-			e.emit(Event{Type: EventDone, Index: job.Index, Label: label, Total: total,
-				Attempt: attempt, Cycles: result.Cycles})
-			return JobOutcome{Job: job, Status: StatusRun, Result: result}
-		}
-		lastErr = err
-		if opts.ResumeFrom != "" && ckpt.IsSnapshotError(err) {
-			// The resume snapshot is corrupt, truncated, or from another
-			// format version — a bad file, not a bad job. Discard it and
-			// restart cold; this costs no retry attempt.
-			os.Remove(ckptFile)
-			opts.ResumeFrom = ""
-			e.logf("job %d %s: discarding unusable checkpoint: %v", job.Index, label, err)
-			continue
-		}
-		if (IsStall(err) || IsPanic(err)) && ckptFile != "" {
-			// The stalled/panicked attempt left its periodic checkpoint on
-			// disk, and that snapshot deterministically reproduces the
-			// stall. Keeping it is worse than useless: if the campaign
-			// process dies before a retry overwrites it, the resumed
-			// campaign warm-resumes into the same stall and burns its whole
-			// retry budget. Delete it now, before any retry, so both the
-			// retry and any future resume of this job start cold.
-			if rmErr := os.Remove(ckptFile); rmErr != nil && !os.IsNotExist(rmErr) {
-				e.logf("job %d %s: removing stalled attempt's checkpoint: %v", job.Index, label, rmErr)
-			}
-			opts.ResumeFrom = ""
-		}
-		// Retry watchdog stalls and recovered panics: the failure modes
-		// where another attempt is meaningful policy (and what the retry
-		// budget exists for). Cancellations and timeouts burn no further
-		// attempts.
-		if (!IsStall(err) && !IsPanic(err)) || ctx.Err() != nil {
-			break
-		}
-		if attempt <= pol.Retries {
-			typ := EventStallRetry
-			if IsPanic(err) {
-				typ = EventPanicRetry
-			}
-			e.emit(Event{Type: typ, Index: job.Index, Label: label, Total: total,
-				Attempt: attempt, Err: err.Error()})
-		}
-		attempt++
+	e.emit(Event{Type: EventStarted, Index: job.Index, Label: label, Total: total})
+	jctx, cancel := ctx, context.CancelFunc(func() {})
+	if pol.TimeoutSec > 0 {
+		jctx, cancel = context.WithTimeout(ctx, time.Duration(pol.TimeoutSec*float64(time.Second)))
 	}
-	if ctx.Err() != nil && !IsStall(lastErr) && !IsPanic(lastErr) {
+	defer cancel()
+	result, err := exec(jctx, job.Params)
+	if err != nil && opts.ResumeFrom != "" && ckpt.IsSnapshotError(err) {
+		e.logf("job %d %s: discarding unusable checkpoint: %v", job.Index, label, err)
+		os.Remove(ckptFile)
+		opts.ResumeFrom = ""
+		result, err = exec(jctx, job.Params)
+	}
+	var stall *StallError
+	var crash *PanicError
+	if err != nil && ctx.Err() != nil && !errors.As(err, &stall) && !errors.As(err, &crash) {
 		// The campaign was cancelled out from under the job; it never
-		// completed, so it stays resumable rather than failed. Any periodic
-		// checkpoint it wrote stays on disk for the resumed campaign.
-		e.emit(Event{Type: EventSkipped, Index: job.Index, Label: label, Total: total, Err: lastErr.Error()})
-		return JobOutcome{Job: job, Status: StatusSkipped, Err: lastErr.Error()}
+		// completed, so it stays resumable rather than failed, and its
+		// periodic checkpoint stays on disk for the resumed campaign.
+		e.emit(Event{Type: EventSkipped, Index: job.Index, Label: label, Total: total, Err: err.Error()})
+		return JobOutcome{Job: job, Status: StatusSkipped, Err: err.Error()}
 	}
-	e.emit(Event{Type: EventFailed, Index: job.Index, Label: label, Total: total, Err: fmt.Sprintf("%v", lastErr)})
-	return JobOutcome{Job: job, Status: StatusFailed, Err: fmt.Sprintf("%v", lastErr)}
+	if ckptFile != "" {
+		if rmErr := os.Remove(ckptFile); rmErr != nil && !os.IsNotExist(rmErr) {
+			e.logf("job %d %s: removing checkpoint: %v", job.Index, label, rmErr)
+		}
+	}
+	if err != nil {
+		e.emit(Event{Type: EventFailed, Index: job.Index, Label: label, Total: total, Err: err.Error()})
+		return JobOutcome{Job: job, Status: StatusFailed, Err: err.Error()}
+	}
+	e.emit(Event{Type: EventDone, Index: job.Index, Label: label, Total: total, Cycles: result.Cycles})
+	return JobOutcome{Job: job, Status: StatusRun, Result: result}
 }

@@ -14,8 +14,8 @@ const (
 	StatusRun Status = "run"
 	// StatusCached: served from the result cache without executing.
 	StatusCached Status = "cached"
-	// StatusFailed: executed and failed (stall after all retries, timeout,
-	// build error).
+	// StatusFailed: executed and failed (stall, panic, timeout, build
+	// error).
 	StatusFailed Status = "failed"
 	// StatusSkipped: never executed — the campaign was cancelled before
 	// the job was dispatched. Skipped jobs are what a resumed campaign
@@ -27,23 +27,16 @@ const (
 type EventType string
 
 const (
-	// EventStarted: the job was dispatched to a worker (first attempt).
+	// EventStarted: the job was dispatched to a worker.
 	EventStarted EventType = "started"
 	// EventCacheHit: the job was served from the result cache unexecuted.
 	EventCacheHit EventType = "cache_hit"
-	// EventStallRetry: an attempt hit a watchdog stall and the job is being
-	// retried; Attempt is the attempt that failed.
-	EventStallRetry EventType = "stall_retry"
-	// EventPanicRetry: an attempt panicked, the panic was recovered into a
-	// PanicError, and the job is being retried; Attempt is the attempt that
-	// failed.
-	EventPanicRetry EventType = "panic_retry"
 	// EventResumed: a checkpoint file from an interrupted run of this exact
 	// job was found; the job restarts from that snapshot instead of cycle 0.
 	EventResumed EventType = "resumed"
-	// EventDone: the job completed successfully; Cycles and Attempt are set.
+	// EventDone: the job completed successfully; Cycles is set.
 	EventDone EventType = "done"
-	// EventFailed: the job failed terminally; Err is set.
+	// EventFailed: the job failed; Err is set.
 	EventFailed EventType = "failed"
 	// EventSkipped: the job was never executed (campaign cancelled).
 	EventSkipped EventType = "skipped"
@@ -56,13 +49,12 @@ const (
 // Event is one structured job lifecycle notification. The zero Total means
 // the expansion failed before any event was emitted (never seen by hooks).
 type Event struct {
-	Type    EventType `json:"type"`
-	Index   int       `json:"index"`
-	Label   string    `json:"label"`
-	Total   int       `json:"total"`             // jobs in the campaign
-	Attempt int       `json:"attempt,omitempty"` // 1-based, for started/stall_retry/done
-	Cycles  uint64    `json:"cycles,omitempty"`  // workload cycles, for done
-	Err     string    `json:"err,omitempty"`     // for failed/skipped/stall_retry
+	Type   EventType `json:"type"`
+	Index  int       `json:"index"`
+	Label  string    `json:"label"`
+	Total  int       `json:"total"`            // jobs in the campaign
+	Cycles uint64    `json:"cycles,omitempty"` // workload cycles, for done
+	Err    string    `json:"err,omitempty"`    // for failed/skipped
 }
 
 // JobOutcome pairs a job with how it went.
@@ -126,7 +118,7 @@ type Runner struct {
 	// Log, when non-nil, receives one line per job as it completes.
 	Log func(format string, args ...any)
 	// OnEvent, when non-nil, receives structured job lifecycle events
-	// (started, cache_hit, stall_retry, done, failed, skipped) as they
+	// (started, cache_hit, resumed, done, failed, skipped) as they
 	// happen. It is called concurrently from worker goroutines and must be
 	// safe for concurrent use; the fleet CLI's -v flag and the live
 	// dashboard both hang off this hook.
@@ -196,7 +188,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 					case StatusFailed:
 						r.Log("job %d %s: FAILED: %s", job.Index, job.Params.Label(), out.Err)
 					case StatusRun:
-						r.Log("job %d %s: %d cycles (attempt %d)", job.Index, job.Params.Label(), out.Result.Cycles, out.Result.Attempts)
+						r.Log("job %d %s: %d cycles", job.Index, job.Params.Label(), out.Result.Cycles)
 					}
 				}
 			}
@@ -214,8 +206,8 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*CampaignResult, error) {
 }
 
 // runJob executes one job through the Executor layer with the spec's
-// timeout, retry, and checkpoint/resume policy, then records the winning
-// result in the cache.
+// timeout and checkpoint/resume policy, then records the result in the
+// cache.
 func (r *Runner) runJob(ctx context.Context, job Job, spec Spec, total int) JobOutcome {
 	ex := &Executor{Exec: r.Exec, Log: r.Log, OnEvent: r.OnEvent, execOpts: r.execOpts}
 	if r.Cache != nil {

@@ -1,9 +1,9 @@
 // Package campaign is the experiment-sweep engine: a declarative Spec
 // describes a parameter grid (shapes x workloads x NUMA modes x seeds x
 // fault plans x ...), the engine expands it into independent jobs, runs them
-// on a bounded worker pool with per-job timeouts and retry-on-stall, and
-// merges the per-job statistics into one deterministic campaign report with
-// a cloud cost estimate.
+// on a bounded worker pool with per-job timeouts, and merges the per-job
+// statistics into one deterministic campaign report with a cloud cost
+// estimate.
 //
 // Because every job is a deterministic simulation, the campaign's aggregate
 // output is byte-identical regardless of worker count, job completion order
@@ -17,8 +17,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
+	"time"
 
 	"smappic/internal/core"
 	"smappic/internal/fault"
@@ -187,7 +189,6 @@ type Spec struct {
 
 	// Execution policy (does not affect results, only how they are won).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"` // per-job wall clock, 0 = none
-	Retries    int     `json:"retries,omitempty"`     // extra attempts after a stall or panic
 	// CheckpointEvery, with a cache configured, checkpoints every running
 	// IS job each time it crosses another interval of simulated cycles; a
 	// killed campaign resumes those jobs mid-flight instead of from zero.
@@ -199,6 +200,11 @@ type Spec struct {
 // benchmark's are a few hundred points at most; the bound exists so that a
 // grid submitted to a shared fleetd is refused before it is allocated.
 const MaxPoints = 1 << 16
+
+// maxTimeoutSec is the longest timeout_sec a time.Duration holds: past it
+// the per-job deadline overflows into the past and aborts every job at
+// cycle 0.
+const maxTimeoutSec = float64(math.MaxInt64 / int64(time.Second))
 
 // Job is one expanded point of a campaign.
 type Job struct {
@@ -267,6 +273,9 @@ func (s Spec) Jobs() ([]Job, error) {
 	}
 	if len(s.Shapes) == 0 || len(s.Workloads) == 0 {
 		return nil, fmt.Errorf("campaign: spec needs at least one shape and one workload")
+	}
+	if !(s.TimeoutSec >= 0 && s.TimeoutSec <= maxTimeoutSec) {
+		return nil, fmt.Errorf("campaign: timeout_sec %g out of range [0, %g]", s.TimeoutSec, maxTimeoutSec)
 	}
 	d := s.withDefaults()
 	// Size the grid before building any of it: the axes multiply, so a spec

@@ -21,11 +21,12 @@ import (
 // Result, wherever it executes.
 func fakeExec(_ context.Context, p campaign.Params) (*campaign.Result, error) {
 	return &campaign.Result{
-		Label:  p.Label(),
-		Key:    p.Key(),
-		Params: p,
-		Cycles: 1000 + p.Seed,
-		Stats:  map[string]uint64{"fake.cycles": 1000 + p.Seed},
+		Label:    p.Label(),
+		Key:      p.Key(),
+		Params:   p,
+		Cycles:   1000 + p.Seed,
+		Attempts: 1,
+		Stats:    map[string]uint64{"fake.cycles": 1000 + p.Seed},
 	}, nil
 }
 
@@ -92,7 +93,6 @@ func completeAll(t *testing.T, s *Server, workerID string) {
 		}
 		lj := resp.Job
 		res, _ := fakeExec(context.Background(), lj.Params)
-		res.Attempts = 1
 		if err := s.result(ResultRequest{
 			WorkerID: workerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
 			Index: lj.Index, Status: campaign.StatusRun, Result: res,
@@ -152,7 +152,6 @@ func TestWorkerKilledMidLease(t *testing.T) {
 		}
 		seen[r2.Job.Index] = true
 		res, _ := fakeExec(context.Background(), r2.Job.Params)
-		res.Attempts = 1
 		if err := s.result(ResultRequest{
 			WorkerID: w2.WorkerID, LeaseID: r2.Job.LeaseID, CampaignID: r2.Job.CampaignID,
 			Index: r2.Job.Index, Status: campaign.StatusRun, Result: res,
@@ -222,7 +221,6 @@ func TestHeartbeatLostStaleLeaseRejected(t *testing.T) {
 		t.Fatalf("stale heartbeat: got %v, want errStaleLease", err)
 	}
 	res, _ := fakeExec(context.Background(), lj.Params)
-	res.Attempts = 1
 	err = s.result(ResultRequest{
 		WorkerID: w1.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
 		Index: lj.Index, Status: campaign.StatusRun, Result: res,
@@ -258,7 +256,6 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 
 	// The slow worker finally finishes and delivers. Same job, same bytes.
 	res, _ := fakeExec(context.Background(), lj.Params)
-	res.Attempts = 1
 	if err := s.result(ResultRequest{
 		WorkerID: w1.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
 		Index: lj.Index, Status: campaign.StatusRun, Result: res,
@@ -293,7 +290,7 @@ func TestDuplicateResultDoesNotRewriteCache(t *testing.T) {
 	}
 
 	altered, _ := fakeExec(context.Background(), lj.Params)
-	altered.Attempts, altered.Cycles = 1, first.Cycles+1
+	altered.Cycles = first.Cycles + 1
 	if err := s.result(ResultRequest{
 		WorkerID: w1.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
 		Index: lj.Index, Status: campaign.StatusRun, Result: altered,
@@ -323,7 +320,7 @@ func TestRetainedOutcomeDropsMetrics(t *testing.T) {
 		t.Fatalf("lease: %v %+v", err, resp)
 	}
 	res, _ := fakeExec(context.Background(), resp.Job.Params)
-	res.Attempts, res.Metrics = 1, []byte(`{"stats":{}}`)
+	res.Metrics = []byte(`{"stats":{}}`)
 	if err := s.result(ResultRequest{
 		WorkerID: w.WorkerID, LeaseID: resp.Job.LeaseID, CampaignID: resp.Job.CampaignID,
 		Index: resp.Job.Index, Status: campaign.StatusRun, Result: res,
@@ -400,7 +397,6 @@ func TestTenantQuotasFairness(t *testing.T) {
 		held = held[1:]
 		inflight[g.lj.Tenant]--
 		res, _ := fakeExec(context.Background(), g.lj.Params)
-		res.Attempts = 1
 		if err := s.result(ResultRequest{
 			WorkerID: w.WorkerID, LeaseID: g.lj.LeaseID, CampaignID: g.lj.CampaignID,
 			Index: g.lj.Index, Status: campaign.StatusRun, Result: res,
@@ -534,7 +530,7 @@ func TestResultKeyMustMatchLease(t *testing.T) {
 	victim := s.campaigns[sub.CampaignID].jobs[1-lj.Index].Params
 
 	forged, _ := fakeExec(context.Background(), victim)
-	forged.Cycles, forged.Attempts = 1, 1
+	forged.Cycles = 1
 	deliver := func(res *campaign.Result) error {
 		return s.result(ResultRequest{
 			WorkerID: w.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
@@ -548,7 +544,6 @@ func TestResultKeyMustMatchLease(t *testing.T) {
 		t.Fatalf("forged result served from the shared cache: %+v", got)
 	}
 	honest, _ := fakeExec(context.Background(), lj.Params)
-	honest.Attempts = 1
 	if err := deliver(honest); err != nil {
 		t.Fatalf("honest result after the refused one: %v (the refusal consumed the lease)", err)
 	}
@@ -587,7 +582,6 @@ func TestServerRestartPersistence(t *testing.T) {
 			t.Fatalf("lease %d: %v", i, err)
 		}
 		res, _ := fakeExec(context.Background(), resp.Job.Params)
-		res.Attempts = 1
 		if err := s1.result(ResultRequest{
 			WorkerID: w.WorkerID, LeaseID: resp.Job.LeaseID, CampaignID: resp.Job.CampaignID,
 			Index: resp.Job.Index, Status: campaign.StatusRun, Result: res,
@@ -808,7 +802,6 @@ func TestOversizeBodyRefused(t *testing.T) {
 		t.Fatalf("lease: %+v, %v", lease, err)
 	}
 	res, _ := fakeExec(ctx, lease.Job.Params)
-	res.Attempts = 1
 	req := ResultRequest{WorkerID: reg.WorkerID, LeaseID: lease.Job.LeaseID,
 		CampaignID: lease.Job.CampaignID, Index: lease.Job.Index, Status: campaign.StatusRun, Result: res}
 	body := func(size int) []byte {
@@ -873,6 +866,35 @@ func TestOversizeSpecRefused(t *testing.T) {
 	defer cancel()
 	if fs, err := (&Client{Server: ts.URL}).FleetStatus(ctx); err != nil || len(fs.Campaigns) != 0 {
 		t.Fatalf("fleet status after the refusal: %+v, %v", fs, err)
+	}
+}
+
+// TestSubmitRefusesBadPolicy: a submit naming a field the spec no longer has
+// (retries) or a timeout no time.Duration holds is a 400, and nothing is
+// admitted.
+func TestSubmitRefusesBadPolicy(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(cache).Handler())
+	defer ts.Close()
+	for _, policy := range []string{`"retries":1`, `"timeout_sec":1e10`, `"timeout_sec":-1`} {
+		body := `{"tenant":"alice","spec":{"name":"x","shapes":["1x1x2"],"workloads":["is"],` + policy + `}}`
+		resp, err := http.Post(ts.URL+"/api/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with %s: status %d, body %q; want 400", policy, resp.StatusCode, msg)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if fs, err := (&Client{Server: ts.URL}).FleetStatus(ctx); err != nil || len(fs.Campaigns) != 0 {
+		t.Fatalf("fleet status after the refusals: %+v, %v", fs, err)
 	}
 }
 

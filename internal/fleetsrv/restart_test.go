@@ -160,7 +160,6 @@ func TestIDsFromThePreviousBootNeverMatch(t *testing.T) {
 		t.Errorf("survivor's heartbeat: %v, want a 409", err)
 	}
 	res, _ := fakeExec(context.Background(), held.Job.Params)
-	res.Attempts = 1
 	if err := s2.result(ResultRequest{
 		WorkerID: survivor, LeaseID: held.Job.LeaseID, CampaignID: held.Job.CampaignID,
 		Index: held.Job.Index, Status: campaign.StatusRun, Result: res,
@@ -172,7 +171,6 @@ func TestIDsFromThePreviousBootNeverMatch(t *testing.T) {
 	}
 
 	res, _ = fakeExec(context.Background(), granted.Job.Params)
-	res.Attempts = 1
 	if err := s2.result(ResultRequest{
 		WorkerID: newcomer, LeaseID: granted.Job.LeaseID, CampaignID: granted.Job.CampaignID,
 		Index: granted.Job.Index, Status: campaign.StatusRun, Result: res,
@@ -325,5 +323,50 @@ func TestLoadRequeuesOutcomeOfAnotherKey(t *testing.T) {
 	completeAll(t, r, r.register(RegisterRequest{}).WorkerID)
 	if got := reportOf(t, r, sub.CampaignID); !bytes.Equal(got, want) {
 		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLoadSkipsCampaignItCannotExpand: a state dir can hold a campaign whose
+// spec this build refuses — here a timeout_sec past what a time.Duration
+// holds, which an older build admitted and then failed every job of at
+// cycle 0. The server still boots: it logs and skips that campaign, restores
+// the others, and never reuses the skipped campaign's ID.
+func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	good, err := loadedServer(t, cache, stateDir).submit(SubmitRequest{Tenant: "alice", Spec: testSpec("good")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := `{"id":"c0002","tenant":"bob","spec":{"name":"forever","shapes":["1x1x2"],"workloads":["is"],"keys":256,"timeout_sec":1e10}}`
+	if err := os.WriteFile(filepath.Join(stateDir, "c0002.campaign.json"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	r := New(cache)
+	r.StateDir = stateDir
+	r.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	if err := r.Load(); err != nil {
+		t.Fatalf("Load refused to boot: %v", err)
+	}
+	if st, err := r.campaignStatus(good.CampaignID); err != nil || st.Pending != 4 {
+		t.Fatalf("good campaign restored as %+v, %v; want 4 pending", st, err)
+	}
+	if st, err := r.campaignStatus("c0002"); err == nil {
+		t.Fatalf("campaign with an out-of-range timeout restored: %+v", st)
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "c0002: not restored: campaign: timeout_sec") {
+		t.Errorf("the skipped campaign was not logged: %q", logged)
+	}
+	next, err := r.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("next")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.CampaignID != "c0003" {
+		t.Errorf("next campaign is %s, want c0003 past the skipped one", next.CampaignID)
 	}
 }

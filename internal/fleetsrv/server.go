@@ -335,7 +335,7 @@ func (s *Server) leaseNext(req LeaseRequest) (*LeaseResponse, error) {
 		run.inflight++
 		run.hub.Broadcast("job", campaign.Event{
 			Type: campaign.EventStarted, Index: tj.Job.Index,
-			Label: tj.Job.Params.Label(), Total: len(run.jobs), Attempt: 1,
+			Label: tj.Job.Params.Label(), Total: len(run.jobs),
 		})
 		return &LeaseResponse{Job: &LeasedJob{
 			LeaseID:    l.id,
@@ -426,8 +426,7 @@ func (s *Server) result(req ResultRequest) error {
 		}
 		s.fillLocked(run, campaign.JobOutcome{Job: l.tj.Job, Status: campaign.StatusRun, Result: req.Result},
 			campaign.Event{Type: campaign.EventDone, Index: l.tj.Job.Index,
-				Label: l.tj.Job.Params.Label(), Total: len(run.jobs),
-				Attempt: req.Result.Attempts, Cycles: req.Result.Cycles})
+				Label: l.tj.Job.Params.Label(), Total: len(run.jobs), Cycles: req.Result.Cycles})
 	case campaign.StatusFailed:
 		s.queue.Release(l.tj.Tenant)
 		s.fillLocked(run, campaign.JobOutcome{Job: l.tj.Job, Status: campaign.StatusFailed, Err: req.Err},
@@ -585,7 +584,8 @@ func appendFile(path string, data []byte) error {
 
 // Load restores persisted campaigns from StateDir: completed jobs are
 // replayed from their journal (results re-read from the content-addressed
-// cache), incomplete ones go back on the queue. Call once, before serving.
+// cache), incomplete ones go back on the queue. A campaign whose spec no
+// longer expands is logged and skipped. Call once, before serving.
 func (s *Server) Load() error {
 	if s.StateDir == "" {
 		return nil
@@ -609,14 +609,18 @@ func (s *Server) Load() error {
 		if err := json.Unmarshal(data, &pc); err != nil {
 			return fmt.Errorf("fleetsrv: %s: %w", path, err)
 		}
-		jobs, err := pc.Spec.Jobs()
-		if err != nil {
-			return fmt.Errorf("fleetsrv: %s: %w", path, err)
-		}
-		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
 		if n := campNum(pc.ID); n > s.nextCamp {
 			s.nextCamp = n
 		}
+		jobs, err := pc.Spec.Jobs()
+		if err != nil {
+			// Admitted under an older, looser build: this one refuses the
+			// spec, so serving it would run jobs it cannot trust. Skip it
+			// rather than refuse to boot for every other tenant.
+			s.logf("campaign %s: not restored: %v", pc.ID, err)
+			continue
+		}
+		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
 
 		jpath := filepath.Join(s.StateDir, pc.ID+".outcomes.jsonl")
 		journal, err := os.ReadFile(jpath)

@@ -179,17 +179,11 @@ func (s *Server) CampaignEvent(ev campaign.Event) {
 	switch ev.Type {
 	case campaign.EventStarted:
 		jv.Status = "running"
-		jv.Attempt = ev.Attempt
 	case campaign.EventCacheHit:
 		jv.Status = "cached"
 		jv.Cycles = ev.Cycles
-	case campaign.EventStallRetry, campaign.EventPanicRetry:
-		jv.Status = "retrying"
-		jv.Attempt = ev.Attempt + 1
-		jv.Err = ev.Err
 	case campaign.EventDone:
 		jv.Status = "done"
-		jv.Attempt = ev.Attempt
 		jv.Cycles = ev.Cycles
 		jv.Err = ""
 	case campaign.EventFailed:

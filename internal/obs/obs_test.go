@@ -127,13 +127,11 @@ func TestCampaignEventsUpdateTableAndStream(t *testing.T) {
 		t.Fatalf("expected hello, got %q", line)
 	}
 
-	srv.CampaignEvent(campaign.Event{Type: campaign.EventStarted, Index: 1, Label: "b", Total: 3, Attempt: 1})
+	srv.CampaignEvent(campaign.Event{Type: campaign.EventStarted, Index: 1, Label: "b", Total: 3})
 	srv.CampaignEvent(campaign.Event{Type: campaign.EventCacheHit, Index: 0, Label: "a", Total: 3, Cycles: 123})
-	srv.CampaignEvent(campaign.Event{Type: campaign.EventStallRetry, Index: 1, Label: "b", Total: 3, Attempt: 1, Err: "stall"})
-	srv.CampaignEvent(campaign.Event{Type: campaign.EventDone, Index: 1, Label: "b", Total: 3, Attempt: 2, Cycles: 456})
+	srv.CampaignEvent(campaign.Event{Type: campaign.EventDone, Index: 1, Label: "b", Total: 3, Cycles: 456})
 	srv.CampaignEvent(campaign.Event{Type: campaign.EventFailed, Index: 2, Label: "c", Total: 3, Err: "boom"})
-	srv.CampaignEvent(campaign.Event{Type: campaign.EventStarted, Index: 3, Label: "d", Total: 4, Attempt: 1})
-	srv.CampaignEvent(campaign.Event{Type: campaign.EventPanicRetry, Index: 3, Label: "d", Total: 4, Attempt: 1, Err: "panic: bad"})
+	srv.CampaignEvent(campaign.Event{Type: campaign.EventStarted, Index: 3, Label: "d", Total: 4})
 
 	view := srv.campaignView()
 	if view.Total != 4 || len(view.Jobs) != 4 {
@@ -148,17 +146,16 @@ func TestCampaignEventsUpdateTableAndStream(t *testing.T) {
 	if view.Jobs[0].Status != "cached" || view.Jobs[0].Cycles != 123 {
 		t.Fatalf("job 0: %+v", view.Jobs[0])
 	}
-	if view.Jobs[1].Status != "done" || view.Jobs[1].Attempt != 2 || view.Jobs[1].Err != "" {
-		t.Fatalf("job 1 (retried then done): %+v", view.Jobs[1])
+	if view.Jobs[1].Status != "done" || view.Jobs[1].Cycles != 456 || view.Jobs[1].Err != "" {
+		t.Fatalf("job 1: %+v", view.Jobs[1])
 	}
 	if view.Jobs[2].Status != "failed" || view.Jobs[2].Err != "boom" {
 		t.Fatalf("job 2: %+v", view.Jobs[2])
 	}
-	// A panic recovered into a retry reads like a stall retry.
-	if view.Jobs[3].Status != "retrying" || view.Jobs[3].Attempt != 2 || view.Jobs[3].Err != "panic: bad" {
-		t.Fatalf("job 3 (panicked, retrying): %+v", view.Jobs[3])
+	if view.Jobs[3].Status != "running" {
+		t.Fatalf("job 3: %+v", view.Jobs[3])
 	}
-	if view.Counts["done"] != 1 || view.Counts["cached"] != 1 || view.Counts["failed"] != 1 || view.Counts["retrying"] != 1 {
+	if view.Counts["done"] != 1 || view.Counts["cached"] != 1 || view.Counts["failed"] != 1 || view.Counts["running"] != 1 {
 		t.Fatalf("counts: %v", view.Counts)
 	}
 

@@ -79,12 +79,11 @@ type CampaignView struct {
 
 // JobView is one campaign job's latest known state.
 type JobView struct {
-	Index   int    `json:"index"`
-	Label   string `json:"label"`
-	Status  string `json:"status"` // running | retrying | done | cached | failed | skipped
-	Attempt int    `json:"attempt,omitempty"`
-	Cycles  uint64 `json:"cycles,omitempty"`
-	Err     string `json:"err,omitempty"`
+	Index  int    `json:"index"`
+	Label  string `json:"label"`
+	Status string `json:"status"` // running | done | cached | failed | skipped
+	Cycles uint64 `json:"cycles,omitempty"`
+	Err    string `json:"err,omitempty"`
 }
 
 // buildPrototypeView fills the prototype-derived sections of a snapshot.
