@@ -9,11 +9,11 @@
 //	smappic-fleet -spec smoke            # builtin sweeps by name
 //	smappic-fleet -list                  # show the builtin sweeps
 //
-// The spec is a JSON document (see EXPERIMENTS.md) or the name of a builtin
-// sweep. Completed jobs land in the cache keyed by a hash of their resolved
-// parameters, so re-running a campaign — after an interrupt, a crash, or
-// just to regenerate reports — re-executes nothing. The aggregate report is
-// byte-identical for any worker count and any mix of fresh and cached jobs.
+// The spec is a JSON document (EXPERIMENTS.md, "Campaigns") or a builtin
+// sweep's name. Completed jobs land in the cache keyed by a hash of their
+// resolved parameters, so re-running a campaign — after an interrupt, a
+// crash, or to regenerate reports — re-executes nothing. The aggregate report
+// is byte-identical for any worker count and any mix of fresh and cached jobs.
 //
 // -checkpoint-every N makes in-flight IS jobs checkpoint their full
 // simulation state into the cache directory every N simulated cycles, and
@@ -111,6 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	*workers = max(*workers, 1)
 	runner := &campaign.Runner{
 		Workers: *workers,
 		Log: func(format string, args ...any) {

@@ -1,9 +1,10 @@
 // Golden regression fixtures: the serial engine's full MetricsJSON for the
-// two example configurations, and the rendering of every table, figure and
-// ablation of the paper's evaluation, are pinned under testdata/. Any change
-// to event ordering, cache policy, interconnect timing or stats accounting
-// shows up as a byte diff against a fixture — run with -update after an
-// intentional model change to regenerate:
+// two example configurations is pinned under testdata/, and the rendering of
+// every table, figure and ablation of the paper's evaluation is pinned in
+// EXPERIMENTS.md's paper_eval blocks. Any change to event ordering, cache
+// policy, interconnect timing or stats accounting shows up as a byte diff
+// against a fixture — run with -update after an intentional model change to
+// regenerate:
 //
 //	go test -run TestGolden -update .
 package smappic_test
@@ -13,6 +14,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"smappic"
@@ -23,7 +25,7 @@ import (
 	"smappic/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden fixtures under testdata/")
+var update = flag.Bool("update", false, "rewrite the golden fixtures under testdata/ and the paper_eval blocks of EXPERIMENTS.md")
 
 // checkGolden compares got against testdata/<name>, or rewrites the fixture
 // with -update.
@@ -150,15 +152,76 @@ digits:	.space 20
 digend:	.space 4
 `
 
+// paperEvalBlock is one artifact's golden in EXPERIMENTS.md: a fenced text
+// block between a paper_eval NAME marker and its closing marker, each on a
+// line of its own. Group 1 is the name, group 2 the contents.
+var paperEvalBlock = regexp.MustCompile("(?ms)^<!-- paper_eval (\\S+) -->\n```text\n(.*?)^```\n<!-- /paper_eval -->$")
+
 // TestGoldenPaperEval pins the paper's evaluation at full size: each
 // artifact's rendering — what smappic-bench prints under its "generated in"
-// header, and what EXPERIMENTS.md quotes — is testdata/paper_eval/<name>.txt.
-// A model change that moves a paper number fails here, and the -update diff
-// shows which numbers moved.
+// header — is the contents of its paper_eval block in EXPERIMENTS.md, one
+// block per artifact. A model change that moves a paper number fails the
+// artifact's subtest; -update rewrites only the block contents, so the diff
+// of EXPERIMENTS.md shows which numbers moved.
 func TestGoldenPaperEval(t *testing.T) {
+	const path = "EXPERIMENTS.md"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := paperEvalBlock.FindAllSubmatchIndex(doc, -1)
+	if n := bytes.Count(doc, []byte("\n<!-- paper_eval ")); n != len(matches) {
+		t.Fatalf("%s: %d paper_eval markers but %d well-formed blocks", path, n, len(matches))
+	}
+	blocks := map[string][]int{} // name -> submatch indices
+	for _, m := range matches {
+		name := string(doc[m[2]:m[3]])
+		if blocks[name] != nil {
+			t.Errorf("%s: two paper_eval blocks for %s", path, name)
+		}
+		blocks[name] = m
+	}
+	known := map[string]bool{}
+	for _, a := range experiments.Artifacts {
+		known[a.Name] = true
+		if blocks[a.Name] == nil {
+			t.Errorf("%s: no paper_eval block for %s", path, a.Name)
+		}
+	}
+	for name := range blocks {
+		if !known[name] {
+			t.Errorf("%s: paper_eval block %s names no artifact", path, name)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	got := map[string][]byte{}
 	for _, a := range experiments.Artifacts {
 		t.Run(a.Name, func(t *testing.T) {
-			checkGolden(t, filepath.Join("paper_eval", a.Name+".txt"), []byte(a.Run(false)+"\n"))
+			got[a.Name] = []byte(a.Run(false) + "\n")
+			m := blocks[a.Name]
+			if want := doc[m[4]:m[5]]; !*update && !bytes.Equal(got[a.Name], want) {
+				t.Errorf("%s drifted from its block in %s:\n%s\nrun `go test -run TestGoldenPaperEval -update .` if the change is intentional",
+					a.Name, path, firstDiff(want, got[a.Name]))
+			}
 		})
+	}
+	if !*update {
+		return
+	}
+	var out []byte
+	last := 0
+	for _, m := range matches {
+		body, ran := got[string(doc[m[2]:m[3]])]
+		if !ran { // a -run filter skipped it: keep what is there
+			body = doc[m[4]:m[5]]
+		}
+		out = append(append(out, doc[last:m[4]]...), body...)
+		last = m[5]
+	}
+	if err := os.WriteFile(path, append(out, doc[last:]...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

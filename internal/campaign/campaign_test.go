@@ -92,6 +92,12 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, Faults: []string{"pcie.drop:q=1"}},
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, TimeoutSec: -1},   // negative timeout
 		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, TimeoutSec: 1e10}, // overflows a Duration
+		{Name: "x", Shapes: []string{"1x5x2"}, Workloads: []string{WorkloadIS}},                   // F1 has 4 DRAM channels
+		{Name: "x", Shapes: []string{"9x1x2"}, Workloads: []string{WorkloadIS}},                   // 8 FPGAs at most
+		{Name: "x", Shapes: []string{"1x1x13"}, Workloads: []string{WorkloadIS}},                  // 12 tiles at most
+		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, Threads: []int{-3}},
+		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, Credits: []int{-5}},
+		{Name: "x", Shapes: []string{"1x1x2"}, Workloads: []string{WorkloadIS}, ActiveNodes: []int{-1}},
 	}
 	for i, s := range cases {
 		if _, err := s.Jobs(); err == nil {

@@ -132,7 +132,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 				return
 			}
 			// Any other panic is a crashed job, not a crashed campaign:
-			// surface it as a retryable error with the stack preserved.
+			// surface it as the job's error with the stack preserved.
 			res, err = nil, &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
 	}()

@@ -73,7 +73,7 @@ type Params struct {
 	// MaxCycles aborts a runaway job past this simulated time (0 = none).
 	MaxCycles uint64 `json:"max_cycles"`
 	// Watchdog arms the forward-progress watchdog with this window; a job
-	// that trips it fails with ErrStalled and is eligible for retry.
+	// that trips it fails with a *StallError, which is its outcome.
 	Watchdog uint64 `json:"watchdog"`
 }
 
@@ -131,11 +131,18 @@ const (
 	HomingInterleave = "interleave"
 )
 
-// Validate checks a job's parameters without building the prototype.
+// Validate checks a job's parameters without building the prototype,
+// refusing every shape core.Build would refuse.
 func (p Params) Validate() error {
-	a, b, _, err := core.ParseShape(p.Shape)
+	a, b, c, err := core.ParseShape(p.Shape)
 	if err != nil {
 		return err
+	}
+	if err := core.DefaultConfig(a, b, c).Validate(); err != nil {
+		return err
+	}
+	if p.Threads < 0 || p.Credits < 0 || p.ActiveNodes < 0 {
+		return fmt.Errorf("campaign: threads, credits and active_nodes must be >= 0 (got %d, %d, %d)", p.Threads, p.Credits, p.ActiveNodes)
 	}
 	switch p.Workload {
 	case WorkloadIS:

@@ -93,9 +93,8 @@ type Config struct {
 	// window level at the intra-FPGA interconnect crossing — so the value
 	// only selects the policy. 0 or 1 (the default) is the one-shard case of
 	// the same synchronizer: one engine, windows run straight through.
-	// Every sharding produces byte-identical MetricsJSON, event traces and
-	// latency probes; only the state cut (CaptureState / ApplyState) needs
-	// the single engine.
+	// Every sharding produces byte-identical MetricsJSON, event traces,
+	// latency probes and state captures.
 	Parallel int
 
 	// ShardGranularity selects how finely a Parallel > 1 build shards:

@@ -879,8 +879,11 @@ func TestSubmitRefusesBadPolicy(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(cache).Handler())
 	defer ts.Close()
-	for _, policy := range []string{`"retries":1`, `"timeout_sec":1e10`, `"timeout_sec":-1`} {
-		body := `{"tenant":"alice","spec":{"name":"x","shapes":["1x1x2"],"workloads":["is"],` + policy + `}}`
+	for _, policy := range []string{
+		`"shapes":["1x1x2"],"retries":1`, `"shapes":["1x1x2"],"timeout_sec":1e10`, `"shapes":["1x1x2"],"timeout_sec":-1`,
+		`"shapes":["1x5x2"]`, `"shapes":["1x1x2"],"threads":[-3]`,
+	} {
+		body := `{"tenant":"alice","spec":{"name":"x","workloads":["is"],` + policy + `}}`
 		resp, err := http.Post(ts.URL+"/api/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -544,7 +544,7 @@ func (g *Group) parked(l *level) bool {
 // committed numbers come from — the slower worker of a root chunk, or that
 // plus the coordinator's turn between two windows: in a two-worker per-node
 // NPB-IS run half the waits are over within 1.5 µs, nine in ten within 25 µs
-// and 99 in 100 within 65 µs (EXPERIMENTS.md, "Host throughput", PR 21) — and
+// and 99 in 100 within 65 µs (EXPERIMENTS.md, "the spin bound") — and
 // a waiter that parks short of that costs more than one that never spins. A
 // constant, not a knob: past it the waiter parks exactly as before, so a
 // bound that is wrong for a host costs time, never a result. Nobody spins
