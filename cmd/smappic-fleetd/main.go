@@ -3,7 +3,7 @@
 // persistent tenant-aware queue, and schedules the jobs across
 // smappic-worker processes with a lease/heartbeat protocol. Workers that die
 // mid-job lose their lease; the job re-queues and — when workers share the
-// cache directory — warm-resumes the dead worker's last checkpoint.
+// cache directory — resumes from the dead worker's last checkpoint.
 //
 // Usage:
 //

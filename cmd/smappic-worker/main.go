@@ -29,7 +29,7 @@ import (
 
 func main() {
 	server := flag.String("server", "http://127.0.0.1:9090", "fleet server base URL")
-	cacheDir := flag.String("cache", "", "shared checkpoint/cache directory (same filesystem as the server's -cache for warm resume)")
+	cacheDir := flag.String("cache", "", "shared checkpoint/cache directory (same filesystem as the server's -cache for checkpoint resume)")
 	name := flag.String("name", hostname(), "worker label shown in fleet status")
 	poll := flag.Float64("poll", 0.2, "idle re-poll interval in seconds")
 	verbose := flag.Bool("v", false, "log lease lifecycle to stderr")

@@ -76,54 +76,59 @@ func (c *Cache) Get(key string) (*Result, bool) {
 	return &r, true
 }
 
-// Put stores a result under its own key, atomically and durably: the entry
-// is written to a temp file in the same directory, fsynced, renamed over the
-// entry path, and the directory is fsynced — so a crash at any point leaves
-// either the old entry or the complete new one, never a zero-length or
-// truncated file that a later run would have to detect.
+// Put stores a result under its own key, atomically and durably (see
+// WriteFileAtomic), so a crash at any point leaves either the old entry or
+// the complete new one, never a zero-length or truncated file that a later
+// run would have to detect.
 func (c *Cache) Put(r *Result) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, r.Key+".tmp-*")
-	if err != nil {
+	if err := WriteFileAtomic(c.path(r.Key), append(data, '\n')); err != nil {
 		return fmt.Errorf("campaign: cache: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	return nil
+}
+
+// WriteFileAtomic publishes data under path atomically and durably: it is
+// written to a temp file in the same directory, fsynced, renamed over path,
+// and the directory is fsynced. A crash at any point leaves either the old
+// file or the complete new one.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
 	if werr == nil {
-		// The rename below publishes the entry name; without this fsync a
-		// power cut can publish a name whose blocks never hit the disk.
+		// The rename below publishes the name; without this fsync a power
+		// cut can publish a name whose blocks never hit the disk.
 		werr = tmp.Sync()
 	}
-	cerr := tmp.Close()
-	if werr == nil {
+	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: cache: %w", werr)
+		return werr
 	}
-	if err := os.Rename(tmp.Name(), c.path(r.Key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: cache: %w", err)
-	}
-	return c.syncDir()
+	return syncDir(dir)
 }
 
-// syncDir fsyncs the cache directory, making the most recent rename durable.
-func (c *Cache) syncDir() error {
-	d, err := os.Open(c.dir)
+// syncDir fsyncs a directory, making the most recent rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("campaign: cache: %w", err)
+		return err
 	}
 	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("campaign: cache: %w", serr)
+	if cerr := d.Close(); serr == nil {
+		serr = cerr
 	}
-	if cerr != nil {
-		return fmt.Errorf("campaign: cache: %w", cerr)
-	}
-	return nil
+	return serr
 }

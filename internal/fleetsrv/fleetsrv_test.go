@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,6 +32,16 @@ func fakeExec(_ context.Context, p campaign.Params) (*campaign.Result, error) {
 	}, nil
 }
 
+// failingExec is fakeExec with the jobs of the given seeds failing.
+func failingExec(seeds ...uint64) func(context.Context, campaign.Params) (*campaign.Result, error) {
+	return func(ctx context.Context, p campaign.Params) (*campaign.Result, error) {
+		if slices.Contains(seeds, p.Seed) {
+			return nil, fmt.Errorf("seed %d: boom", p.Seed)
+		}
+		return fakeExec(ctx, p)
+	}
+}
+
 func testSpec(name string, seeds ...uint64) campaign.Spec {
 	if len(seeds) == 0 {
 		seeds = []uint64{1, 2, 3, 4}
@@ -48,11 +60,17 @@ func testSpec(name string, seeds ...uint64) campaign.Spec {
 // the bytes every fleet execution must reproduce exactly.
 func referenceReport(t *testing.T, spec campaign.Spec) ([]byte, string) {
 	t.Helper()
+	return referenceReportWith(t, spec, fakeExec)
+}
+
+// referenceReportWith is referenceReport with exec as the simulator.
+func referenceReportWith(t *testing.T, spec campaign.Spec, exec func(context.Context, campaign.Params) (*campaign.Result, error)) ([]byte, string) {
+	t.Helper()
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &campaign.Runner{Workers: 2, Cache: cache, Exec: fakeExec}
+	r := &campaign.Runner{Workers: 2, Cache: cache, Exec: exec}
 	res, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +101,15 @@ func testServer(t *testing.T) (*Server, *time.Time) {
 // executing with fakeExec, until no work remains.
 func completeAll(t *testing.T, s *Server, workerID string) {
 	t.Helper()
+	deliverAll(t, s, workerID, fakeExec)
+}
+
+// deliverAll drains the queue through the protocol as the given worker until
+// no work remains: each job runs through the Executor a Worker uses, with
+// exec as the simulator, and its outcome — a result or a failure — is
+// delivered.
+func deliverAll(t *testing.T, s *Server, workerID string, exec func(context.Context, campaign.Params) (*campaign.Result, error)) {
+	t.Helper()
 	for {
 		resp, err := s.leaseNext(LeaseRequest{WorkerID: workerID})
 		if err != nil {
@@ -92,10 +119,11 @@ func completeAll(t *testing.T, s *Server, workerID string) {
 			return
 		}
 		lj := resp.Job
-		res, _ := fakeExec(context.Background(), lj.Params)
+		out := (&campaign.Executor{Exec: exec}).RunJob(context.Background(),
+			campaign.Job{Index: lj.Index, Params: lj.Params}, lj.Policy, lj.Total)
 		if err := s.result(ResultRequest{
 			WorkerID: workerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
-			Index: lj.Index, Status: campaign.StatusRun, Result: res,
+			Index: lj.Index, Status: out.Status, Result: out.Result, Err: out.Err,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,12 @@ package fleetsrv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,14 +186,15 @@ func TestIDsFromThePreviousBootNeverMatch(t *testing.T) {
 }
 
 // TestLoadSurvivesJournalTornAtEveryOffset: whatever a crash or a bad disk
-// left of a campaign's outcome journal — any prefix, or a corrupted line in
-// the middle — Load restores exactly the records that are whole, re-queues
-// the rest, and the finished campaign serves the reference report. What the
-// restored server then appends to the damaged file survives a further
-// restart too.
+// left of a campaign's failure journal — any prefix, or a corrupted line in
+// the middle — Load restores exactly the failures whose records are whole,
+// re-queues the rest, and the finished campaign serves the reference report.
+// What the restored server then appends to the damaged file survives a
+// further restart too.
 func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	spec := testSpec("torn")
-	want, _ := referenceReport(t, spec)
+	fail := failingExec(1, 2, 3, 4)
+	want, _ := referenceReportWith(t, spec, fail)
 
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -203,7 +206,7 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
 	record, err := os.ReadFile(filepath.Join(stateDir, sub.CampaignID+".campaign.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +217,7 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	}
 	lines := bytes.SplitAfter(journal, []byte("\n"))
 	if lines = lines[:len(lines)-1]; len(lines) != 4 { // every record ends in a newline
-		t.Fatalf("journal of a 4-point campaign has %d lines:\n%s", len(lines), journal)
+		t.Fatalf("journal of a 4-point campaign that failed has %d lines:\n%s", len(lines), journal)
 	}
 
 	check := func(name string, damaged []byte, whole int) {
@@ -231,16 +234,16 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if st.Done != whole || st.Pending != 4-whole || st.Failed != 0 || st.InFlight != 0 {
-			t.Fatalf("%s: restored %+v, want %d done and %d re-queued", name, st, whole, 4-whole)
+		if st.Failed != whole || st.Pending != 4-whole || st.Done != 0 || st.InFlight != 0 {
+			t.Fatalf("%s: restored %+v, want %d failed and %d re-queued", name, st, whole, 4-whole)
 		}
-		completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+		deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
 		if got := reportOf(t, s, sub.CampaignID); !bytes.Equal(got, want) {
 			t.Fatalf("%s: report differs from the in-process run\ngot:\n%s\nwant:\n%s", name, got, want)
 		}
 		again, err := loadedServer(t, cache, dir).campaignStatus(sub.CampaignID)
-		if err != nil || !again.Complete || again.Done != 4 {
-			t.Fatalf("%s: a second restart restored %+v, %v; want the 4 records the first one completed", name, again, err)
+		if err != nil || !again.Complete || again.Failed != 4 {
+			t.Fatalf("%s: a second restart restored %+v, %v; want the 4 failures the first one completed", name, again, err)
 		}
 	}
 	for n := 0; n <= len(journal); n++ {
@@ -258,71 +261,229 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	check("corrupted second line", corrupt, 3)
 }
 
-// TestLoadRequeuesOutcomeOfAnotherKey: a journal line restores its slot only
-// with the result of that slot's own job. A line naming another key — one
-// still in the cache, as every key of the model before a cacheVersion bump
-// is — is logged and its job re-queued, not served as this point's answer.
-func TestLoadRequeuesOutcomeOfAnotherKey(t *testing.T) {
-	spec := testSpec("foreign")
-	want, _ := referenceReport(t, spec)
+// TestJournalHoldsOnlyFailures: the cache is the record of a completed job,
+// so a campaign with no failure leaves no outcome journal, one with k
+// failures leaves exactly k lines, and a resubmission the cache answers in
+// full writes nothing but its submission record.
+func TestJournalHoldsOnlyFailures(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	stateDir := t.TempDir()
 	s := loadedServer(t, cache, stateDir)
-	sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	worker := s.register(RegisterRequest{}).WorkerID
+	for _, c := range []struct {
+		spec campaign.Spec
+		exec func(context.Context, campaign.Params) (*campaign.Result, error)
+	}{
+		{testSpec("clean", 1, 2, 3, 4), fakeExec},
+		{testSpec("flaky", 5, 6, 7, 8), failingExec(6, 8)},
+		{testSpec("clean", 1, 2, 3, 4), nil}, // every point a cache hit
+	} {
+		sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: c.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.exec != nil {
+			deliverAll(t, s, worker, c.exec)
+		}
+		if st, err := s.campaignStatus(sub.CampaignID); err != nil || !st.Complete {
+			t.Fatalf("campaign %s: %+v, %v; want it complete", sub.CampaignID, st, err)
+		}
+	}
+	entries, err := os.ReadDir(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := "c0001.campaign.json c0002.campaign.json c0002.outcomes.jsonl c0003.campaign.json"; strings.Join(names, " ") != want {
+		t.Fatalf("state dir holds %q, want %q", names, want)
+	}
+	journal, err := os.ReadFile(filepath.Join(stateDir, "c0002.outcomes.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte("\n")); n != 2 || bytes.Count(journal, []byte(`"status":"failed"`)) != 2 {
+		t.Fatalf("journal of a campaign with 2 failures has %d lines:\n%s", n, journal)
+	}
+}
+
+// TestResultCachedWhileDownIsDoneAtLoad: a job's result that reached the
+// shared cache while the server was down — a worker finishing after the
+// crash, or another process's campaign — is the job's answer: the restored
+// campaign shows it done right after Load, with no lease granted.
+func TestResultCachedWhileDownIsDoneAtLoad(t *testing.T) {
+	spec := testSpec("down")
+	want, _ := referenceReport(t, spec)
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	sub, err := loadedServer(t, cache, stateDir).submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, foreign := jobs[0].Params.Key(), jobs[1].Params.Key()
-	if _, ok := cache.Get(foreign); !ok {
-		t.Fatal("the foreign key is not in the cache; the check needs one that is")
+	res, _ := fakeExec(context.Background(), jobs[2].Params)
+	if err := cache.Put(res); err != nil {
+		t.Fatal(err)
 	}
 
-	jpath := filepath.Join(stateDir, sub.CampaignID+".outcomes.jsonl")
-	journal, err := os.ReadFile(jpath)
+	s := loadedServer(t, cache, stateDir)
+	if st, err := s.campaignStatus(sub.CampaignID); err != nil || st.Done != 1 || st.Pending != 3 || st.InFlight != 0 {
+		t.Fatalf("restored %+v, %v; want the cached job done and 3 pending", st, err)
+	}
+	if got := s.campaigns[sub.CampaignID].outcomes[2].Status; got != campaign.StatusCached {
+		t.Fatalf("job 2 restored as %q, want %q", got, campaign.StatusCached)
+	}
+	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	if got := reportOf(t, s, sub.CampaignID); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLoadRestoresOlderJournal: a journal from a build that also recorded
+// each completed job by its cache key restores only its failed lines. Every
+// other slot is answered by the cache under the job's own key — a line
+// naming another key, or a key the cache no longer holds, serves nothing —
+// and the rest re-queue.
+func TestLoadRestoresOlderJournal(t *testing.T) {
+	spec := testSpec("older")
+	fail := failingExec(4)
+	want, _ := referenceReportWith(t, spec, fail)
+	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(journal, []byte(own)) {
-		t.Fatalf("journal names no record of job 0's key %s:\n%s", own, journal)
-	}
-	if err := os.WriteFile(jpath, bytes.ReplaceAll(journal, []byte(own), []byte(foreign)), 0o644); err != nil {
+	jobs, err := spec.Jobs()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var logged []string
-	r := New(cache)
-	r.StateDir = stateDir
-	r.Log = func(format string, args ...any) {
-		mu.Lock()
-		logged = append(logged, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	if err := r.Load(); err != nil {
+	res, _ := fakeExec(context.Background(), jobs[1].Params)
+	if err := cache.Put(res); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := r.campaignStatus(sub.CampaignID); err != nil || st.Done != 3 || st.Pending != 1 {
-		t.Fatalf("restored %+v, %v; want job 0 re-queued and the other 3 done", st, err)
+	stateDir := t.TempDir()
+	sub, err := loadedServer(t, cache, stateDir).submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	sawMismatch := false
-	for _, line := range logged {
-		sawMismatch = sawMismatch || strings.Contains(line, foreign)
+	journal := fmt.Sprintf(`{"index":0,"status":"run","key":%q}
+{"index":1,"status":"cached","key":%q}
+{"index":2,"status":"run","key":%q}
+{"index":3,"status":"failed","err":"seed 4: boom"}
+`, jobs[1].Params.Key(), jobs[1].Params.Key(), jobs[2].Params.Key())
+	if err := os.WriteFile(filepath.Join(stateDir, sub.CampaignID+".outcomes.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	mu.Unlock()
-	if !sawMismatch {
-		t.Errorf("the mismatched key was not logged: %q", logged)
+
+	s := loadedServer(t, cache, stateDir)
+	var got []campaign.Status
+	for _, out := range s.campaigns[sub.CampaignID].outcomes {
+		got = append(got, out.Status)
 	}
-	completeAll(t, r, r.register(RegisterRequest{}).WorkerID)
-	if got := reportOf(t, r, sub.CampaignID); !bytes.Equal(got, want) {
+	if want := []campaign.Status{"", campaign.StatusCached, "", campaign.StatusFailed}; !slices.Equal(got, want) {
+		t.Fatalf("restored slots %q, want %q (empty: queued)", got, want)
+	}
+	if st, err := s.campaignStatus(sub.CampaignID); err != nil || st.Pending != 2 {
+		t.Fatalf("restored %+v, %v; want 2 pending", st, err)
+	}
+	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
+	if got := reportOf(t, s, sub.CampaignID); !bytes.Equal(got, want) {
 		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLoadSkipsTornCampaignFile: a campaign record cut short — by a crash
+// mid-write under a build that wrote it in place — does not stop the server
+// booting for every other tenant: Load logs and skips it, and its ID is not
+// reused. The records this build writes are published whole.
+func TestLoadSkipsTornCampaignFile(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	s1 := loadedServer(t, cache, stateDir)
+	for _, tenant := range []string{"alice", "bob"} {
+		if _, err := s1.submit(SubmitRequest{Tenant: tenant, Spec: testSpec(tenant)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if temps, _ := filepath.Glob(filepath.Join(stateDir, "*.tmp-*")); len(temps) != 0 {
+		t.Fatalf("persisting campaigns left temp files: %v", temps)
+	}
+	torn := filepath.Join(stateDir, "c0002.campaign.json")
+	record, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, record[:len(record)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	s := New(cache)
+	s.StateDir = stateDir
+	s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	if err := s.Load(); err != nil {
+		t.Fatalf("Load refused to boot: %v", err)
+	}
+	if st, err := s.campaignStatus("c0001"); err != nil || st.Pending != 4 {
+		t.Fatalf("intact campaign restored as %+v, %v; want 4 pending", st, err)
+	}
+	if st, err := s.campaignStatus("c0002"); err == nil {
+		t.Fatalf("torn campaign restored: %+v", st)
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "c0002: not restored: unexpected end of JSON input") {
+		t.Errorf("the torn campaign was not logged: %q", logged)
+	}
+	if next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")}); err != nil || next.CampaignID != "c0003" {
+		t.Fatalf("next campaign: %+v, %v; want c0003 past the torn one", next, err)
+	}
+}
+
+// TestLoadRestoresInAdmissionOrderPastC9999: campaign IDs are counters, so
+// c10000 was admitted after c9999 though it sorts before it as a string.
+// Load restores c9999 first: it is listed first, and of one tenant's two
+// campaigns at one priority, its jobs are leased first.
+func TestLoadRestoresInAdmissionOrderPastC9999(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	for _, id := range []string{"c9999", "c10000"} {
+		data, err := json.Marshal(persistedCampaign{ID: id, Tenant: "alice", Spec: testSpec(id, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stateDir, id+".campaign.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := loadedServer(t, cache, stateDir)
+	var ids []string
+	for _, c := range s.fleetStatus().Campaigns {
+		ids = append(ids, c.CampaignID)
+	}
+	if !slices.Equal(ids, []string{"c9999", "c10000"}) {
+		t.Fatalf("restored campaigns listed as %q, want c9999 before c10000", ids)
+	}
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: s.register(RegisterRequest{}).WorkerID})
+	if err != nil || resp.Job == nil || resp.Job.CampaignID != "c9999" {
+		t.Fatalf("first lease: %+v, %v; want c9999's job", resp.Job, err)
+	}
+	if next, err := s.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("next")}); err != nil || next.CampaignID != "c10001" {
+		t.Fatalf("next campaign: %+v, %v; want c10001", next, err)
 	}
 }
 

@@ -30,10 +30,10 @@ type Server struct {
 	// answers jobs before any lease is granted and absorbs every completed
 	// result, so identical sweep points across tenants simulate once.
 	Cache *campaign.Cache
-	// StateDir, when non-empty, persists campaigns and their outcomes so a
-	// restarted server resumes where it stopped (completed jobs stay
-	// completed, incomplete ones re-queue). Empty keeps everything
-	// in-memory.
+	// StateDir, when non-empty, persists each campaign's submission and a
+	// journal of its failed jobs, so a restarted server resumes where it
+	// stopped: the cache answers every job that completed, failures stay
+	// failed, the rest re-queue. Empty keeps everything in-memory.
 	StateDir string
 	// LeaseTTL is the heartbeat deadline for granted leases; 0 means
 	// DefaultLeaseTTL.
@@ -71,17 +71,20 @@ type campaignRun struct {
 	priority int
 	spec     campaign.Spec
 	jobs     []campaign.Job
+	// outcomes holds each slot's terminal outcome; a slot is filled once its
+	// Status is set. pending counts jobs sitting on the queue, inflight the
+	// leased ones.
 	outcomes []campaign.JobOutcome
-	filled   []bool
-	// remaining counts unfilled slots; pending counts jobs sitting on the
-	// queue (remaining minus in-flight leases).
-	remaining int
-	pending   int
-	inflight  int
-	failed    int
-	done      int
-	hub       *obs.Hub // per-campaign progress stream (SSE)
+	pending  int
+	inflight int
+	failed   int
+	done     int
+	hub      *obs.Hub // per-campaign progress stream (SSE)
 }
+
+// complete reports whether every slot is filled: the server never fills a
+// slot as skipped, so each one is done or failed.
+func (run *campaignRun) complete() bool { return run.done+run.failed == len(run.jobs) }
 
 // workerState tracks one registered worker.
 type workerState struct {
@@ -144,9 +147,7 @@ func (s *Server) leaseTTL() time.Duration {
 
 // ---- submission ----------------------------------------------------------
 
-// submit expands a spec and enqueues its uncached jobs. It is the
-// server-side twin of Runner.Run's setup phase: cache hits resolve up front,
-// everything else goes to the scheduler.
+// submit expands a spec, admits it and resolves its jobs.
 func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 	tenant := req.Tenant
 	if tenant == "" {
@@ -163,18 +164,7 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 	s.nextCamp++
 	run := s.admitLocked(fmt.Sprintf("c%04d", s.nextCamp), tenant, req.Priority, req.Spec, jobs)
 	s.persistCampaign(run)
-
-	cached := 0
-	for _, job := range jobs {
-		if res, ok := s.Cache.Get(job.Params.Key()); ok {
-			s.fillLocked(run, campaign.JobOutcome{Job: job, Status: campaign.StatusCached, Result: res},
-				campaign.Event{Type: campaign.EventCacheHit, Index: job.Index,
-					Label: job.Params.Label(), Total: len(jobs), Cycles: res.Cycles})
-			cached++
-			continue
-		}
-		s.enqueueLocked(run, job)
-	}
+	cached := s.resolveLocked(run)
 	s.logf("campaign %s (%s): %d jobs, %d cached, tenant %s", run.id, req.Spec.Name, len(jobs), cached, tenant)
 	return &SubmitResponse{CampaignID: run.id, Jobs: len(jobs), Cached: cached}, nil
 }
@@ -183,15 +173,35 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 func (s *Server) admitLocked(id, tenant string, priority int, spec campaign.Spec, jobs []campaign.Job) *campaignRun {
 	run := &campaignRun{
 		id: id, tenant: tenant, priority: priority, spec: spec,
-		jobs:      jobs,
-		outcomes:  make([]campaign.JobOutcome, len(jobs)),
-		filled:    make([]bool, len(jobs)),
-		remaining: len(jobs),
-		hub:       obs.NewHub(),
+		jobs:     jobs,
+		outcomes: make([]campaign.JobOutcome, len(jobs)),
+		hub:      obs.NewHub(),
 	}
 	s.campaigns[run.id] = run
 	s.order = append(s.order, run.id)
 	return run
+}
+
+// resolveLocked is the server-side twin of Runner.Run's setup phase, for a
+// new submission and a restored one alike: every open slot whose job the
+// cache answers is filled as cached, the rest go to the scheduler. It
+// returns the number of cache hits. Caller holds s.mu.
+func (s *Server) resolveLocked(run *campaignRun) int {
+	cached := 0
+	for _, job := range run.jobs {
+		if run.outcomes[job.Index].Status != "" {
+			continue // a journaled failure
+		}
+		if res, ok := s.Cache.Get(job.Params.Key()); ok {
+			s.fillLocked(run, campaign.JobOutcome{Job: job, Status: campaign.StatusCached, Result: res},
+				campaign.Event{Type: campaign.EventCacheHit, Index: job.Index,
+					Label: job.Params.Label(), Total: len(run.jobs), Cycles: res.Cycles})
+			cached++
+			continue
+		}
+		s.enqueueLocked(run, job)
+	}
+	return cached
 }
 
 // enqueueLocked puts one open slot's job on the scheduler queue. Caller holds
@@ -208,17 +218,15 @@ func (s *Server) enqueueLocked(run *campaignRun, job campaign.Job) {
 // fill books a terminal outcome into its job slot — the accounting only, no
 // journal, no stream — and reports whether the slot was still open.
 func (run *campaignRun) fill(out campaign.JobOutcome) bool {
-	if run.filled[out.Job.Index] {
+	if run.outcomes[out.Job.Index].Status != "" {
 		return false
 	}
-	run.filled[out.Job.Index] = true
 	if out.Result != nil {
 		slim := *out.Result
 		slim.Metrics = nil // stays in the cache; Aggregate strips it from every row it serves
 		out.Result = &slim
 	}
 	run.outcomes[out.Job.Index] = out
-	run.remaining--
 	switch out.Status {
 	case campaign.StatusRun, campaign.StatusCached:
 		run.done++
@@ -228,15 +236,18 @@ func (run *campaignRun) fill(out campaign.JobOutcome) bool {
 	return true
 }
 
-// fillLocked records a terminal outcome for one job slot, journals it and
-// streams its event. Caller holds s.mu.
+// fillLocked records a terminal outcome for one job slot, journals it if it
+// is a failure (a success is in the cache) and streams its event. Caller
+// holds s.mu.
 func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campaign.Event) {
 	if !run.fill(out) {
 		return
 	}
-	s.persistOutcome(run, out)
+	if out.Status == campaign.StatusFailed {
+		s.journalFailure(run, out)
+	}
 	run.hub.Broadcast("job", ev)
-	if run.remaining == 0 {
+	if run.complete() {
 		run.hub.Broadcast("complete", s.statusLocked(run))
 		s.logf("campaign %s complete: %d done, %d failed", run.id, run.done, run.failed)
 	}
@@ -307,7 +318,7 @@ func (s *Server) leaseNext(req LeaseRequest) (*LeaseResponse, error) {
 			return &LeaseResponse{}, nil
 		}
 		run := s.campaigns[tj.CampaignID]
-		if run == nil || run.filled[tj.Job.Index] {
+		if run == nil || run.outcomes[tj.Job.Index].Status != "" {
 			// The campaign vanished (bad persistence edit) or the slot was
 			// filled by an idempotent duplicate; drop the queue entry.
 			s.queue.Release(tj.Tenant)
@@ -386,7 +397,7 @@ func (s *Server) result(req ResultRequest) error {
 	l, ok := s.leases[req.LeaseID]
 	if !ok || l.workerID != req.WorkerID {
 		run := s.campaigns[req.CampaignID]
-		if run != nil && req.Index >= 0 && req.Index < len(run.filled) && run.filled[req.Index] {
+		if run != nil && req.Index >= 0 && req.Index < len(run.outcomes) && run.outcomes[req.Index].Status != "" {
 			prev := run.outcomes[req.Index]
 			if req.Status == campaign.StatusRun && req.Result != nil && prev.Result != nil &&
 				prev.Result.Key == req.Result.Key {
@@ -458,7 +469,7 @@ func (s *Server) statusLocked(run *campaignRun) CampaignStatus {
 		Failed:     run.failed,
 		Pending:    run.pending,
 		InFlight:   run.inflight,
-		Complete:   run.remaining == 0,
+		Complete:   run.complete(),
 	}
 }
 
@@ -484,7 +495,7 @@ func (s *Server) campaignResult(id string) (*campaign.CampaignResult, error) {
 	if !ok {
 		return nil, errUnknownCampaign
 	}
-	if run.remaining != 0 {
+	if !run.complete() {
 		return nil, errIncomplete
 	}
 	cr := &campaign.CampaignResult{Spec: run.spec, Jobs: append([]campaign.JobOutcome(nil), run.outcomes...)}
@@ -527,13 +538,14 @@ type persistedCampaign struct {
 	Spec     campaign.Spec `json:"spec"`
 }
 
-// persistedOutcome is one line of a campaign's outcome journal. Results are
-// not inlined: the durable cache already holds them content-addressed, so
-// the journal stores only the key.
+// persistedOutcome is one line of a campaign's failure journal. A completed
+// job needs no line: its result is in the content-addressed cache, which
+// Load consults by the job's own key. Status stays on the line so that a
+// journal holding success lines from an older build restores only its
+// failures.
 type persistedOutcome struct {
 	Index  int             `json:"index"`
 	Status campaign.Status `json:"status"`
-	Key    string          `json:"key,omitempty"`
 	Err    string          `json:"err,omitempty"`
 }
 
@@ -545,22 +557,18 @@ func (s *Server) persistCampaign(run *campaignRun) {
 		ID: run.id, Tenant: run.tenant, Priority: run.priority, Spec: run.spec,
 	}, "", "  ")
 	if err == nil {
-		err = os.WriteFile(filepath.Join(s.StateDir, run.id+".campaign.json"), append(data, '\n'), 0o644)
+		err = campaign.WriteFileAtomic(filepath.Join(s.StateDir, run.id+".campaign.json"), append(data, '\n'))
 	}
 	if err != nil {
 		s.logf("persist campaign %s: %v", run.id, err)
 	}
 }
 
-func (s *Server) persistOutcome(run *campaignRun, out campaign.JobOutcome) {
+func (s *Server) journalFailure(run *campaignRun, out campaign.JobOutcome) {
 	if s.StateDir == "" {
 		return
 	}
-	rec := persistedOutcome{Index: out.Job.Index, Status: out.Status, Err: out.Err}
-	if out.Result != nil {
-		rec.Key = out.Result.Key
-	}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(persistedOutcome{Index: out.Job.Index, Status: out.Status, Err: out.Err})
 	if err == nil {
 		err = appendFile(filepath.Join(s.StateDir, run.id+".outcomes.jsonl"), append(line, '\n'))
 	}
@@ -582,10 +590,12 @@ func appendFile(path string, data []byte) error {
 	return err
 }
 
-// Load restores persisted campaigns from StateDir: completed jobs are
-// replayed from their journal (results re-read from the content-addressed
-// cache), incomplete ones go back on the queue. A campaign whose spec no
-// longer expands is logged and skipped. Call once, before serving.
+// Load restores persisted campaigns from StateDir in admission order. Each
+// one is admitted again with its journaled failures filled, then resolved
+// exactly as a new submission is: the cache answers every job that
+// completed, the rest re-queue. A campaign file that does not parse, or
+// whose spec no longer expands, is logged and skipped. Call once, before
+// serving.
 func (s *Server) Load() error {
 	if s.StateDir == "" {
 		return nil
@@ -597,27 +607,31 @@ func (s *Server) Load() error {
 	if err != nil {
 		return err
 	}
-	sort.Strings(files) // admission order: IDs are zero-padded counters
+	// Admission order: IDs are counters, and c10000 follows c9999.
+	sort.SliceStable(files, func(i, j int) bool {
+		return campNum(filepath.Base(files[i])) < campNum(filepath.Base(files[j]))
+	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, path := range files {
+		id := strings.TrimSuffix(filepath.Base(path), ".campaign.json")
+		// A skipped campaign's ID is never reused either: its files stay.
+		s.nextCamp = max(s.nextCamp, campNum(id))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("fleetsrv: %s: %w", path, err)
 		}
 		var pc persistedCampaign
-		if err := json.Unmarshal(data, &pc); err != nil {
-			return fmt.Errorf("fleetsrv: %s: %w", path, err)
+		var jobs []campaign.Job
+		if err = json.Unmarshal(data, &pc); err == nil {
+			jobs, err = pc.Spec.Jobs()
 		}
-		if n := campNum(pc.ID); n > s.nextCamp {
-			s.nextCamp = n
-		}
-		jobs, err := pc.Spec.Jobs()
 		if err != nil {
-			// Admitted under an older, looser build: this one refuses the
-			// spec, so serving it would run jobs it cannot trust. Skip it
-			// rather than refuse to boot for every other tenant.
-			s.logf("campaign %s: not restored: %v", pc.ID, err)
+			// Torn by a crash under an older build, or admitted under an
+			// older, looser one that this one refuses: serving it would run
+			// jobs it cannot trust. Skip it rather than refuse to boot for
+			// every other tenant.
+			s.logf("campaign %s: not restored: %v", id, err)
 			continue
 		}
 		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
@@ -645,39 +659,18 @@ func (s *Server) Load() error {
 				s.logf("campaign %s: skipping torn journal line: %v", pc.ID, err)
 				continue
 			}
-			if rec.Index < 0 || rec.Index >= len(jobs) || run.filled[rec.Index] {
-				continue
-			}
-			out := campaign.JobOutcome{Job: jobs[rec.Index], Status: rec.Status, Err: rec.Err}
-			if rec.Status == campaign.StatusRun || rec.Status == campaign.StatusCached {
-				if key := jobs[rec.Index].Params.Key(); rec.Key != key {
-					// Another identity's result, e.g. one keyed before a
-					// cacheVersion bump: serving it would pass off another
-					// model's answer for this point. Re-run.
-					s.logf("campaign %s job %d: journaled key %s is not the job's %s, re-queueing", pc.ID, rec.Index, rec.Key, key)
-					continue
-				}
-				res, ok := s.Cache.Get(rec.Key)
-				if !ok {
-					// The journal promises a result the cache lost: re-run.
-					s.logf("campaign %s job %d: cached result %s missing, re-queueing", pc.ID, rec.Index, rec.Key)
-					continue
-				}
-				out.Result = res
-			}
-			run.fill(out)
-		}
-		for _, job := range jobs {
-			if !run.filled[job.Index] {
-				s.enqueueLocked(run, job)
+			if rec.Status == campaign.StatusFailed && rec.Index >= 0 && rec.Index < len(jobs) {
+				run.fill(campaign.JobOutcome{Job: jobs[rec.Index], Status: rec.Status, Err: rec.Err})
 			}
 		}
+		s.resolveLocked(run)
 		s.logf("restored campaign %s: %d/%d complete, %d re-queued", run.id, run.done+run.failed, len(jobs), run.pending)
 	}
 	return nil
 }
 
-// campNum parses the counter out of a cNNNN campaign ID (0 if malformed).
+// campNum parses the counter out of a cNNNN campaign ID, or out of a file
+// name that starts with one (0 if malformed).
 func campNum(id string) int {
 	n := 0
 	if _, err := fmt.Sscanf(id, "c%d", &n); err != nil {
