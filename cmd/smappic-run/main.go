@@ -9,7 +9,7 @@
 //	            [-parallel N] [-shard-granularity fpga|node]
 //	            [-metrics-json out.json] [-trace-out trace.json]
 //	            [-sample-every N] [-sample-out samples.csv]
-//	            [-faults SPEC] [-fault-seed N] [-watchdog N]
+//	            [-faults SPEC] [-fault-seed N]
 //	            [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //
 // Without -prog a built-in hello-world runs. Programs are RV64IMA assembly
@@ -39,13 +39,10 @@
 // after=N (skip the first N transfers), cycles=N (delay/stall length),
 // seed=N (per-rule RNG seed; -fault-seed sets the default).
 //
-// -watchdog N arms the forward-progress watchdog: if a shard executes
-// nothing for N cycles while transactions are in flight, or the run drains
-// with transactions still in flight, the run prints a stall diagnosis
-// (the wedged shard, its outstanding gauges, fault-site status) instead of
-// draining silently. The watchdog checks at window barriers and schedules
-// no events: a watched run's results are byte-identical to an unwatched
-// one's.
+// A run that drains with transactions still in flight (a hung link, say)
+// wedged: it prints a stall diagnosis — the drain cycle, every node's
+// outstanding gauges, fault-site status — and exits 1. The check runs at
+// every drain, takes no option, and reads the same under every sharding.
 //
 // -cpuprofile and -memprofile write Go pprof profiles of the simulator
 // itself (inspect with `go tool pprof`). The CPU profile covers the whole
@@ -57,9 +54,8 @@
 // windows run straight through). -parallel N (N > 1) shards it
 // one-engine-per-FPGA; results are bit-identical whatever the shard count.
 // Windows widen adaptively while cross-shard traffic is absent (geometric
-// doubling up to 64 minimum PCIe crossings — clamped to the -watchdog
-// interval when one is armed — collapsing back to one crossing when
-// traffic returns). -shard-granularity picks the shard unit: "fpga"
+// doubling up to 64 minimum PCIe crossings, collapsing back to one crossing
+// when traffic returns). -shard-granularity picks the shard unit: "fpga"
 // (default, one engine per FPGA) or "node" (one engine per simulated node,
 // nested under the per-FPGA windows at the intra-FPGA interconnect
 // lookahead — on multi-node FPGAs this exposes NodesPerFPGA times more host
@@ -131,7 +127,6 @@ func main() {
 	sampleOut := flag.String("sample-out", "", "write the sampled time series as CSV to this file")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "pcie.*.drop:p=0.01;node0.dram.flip:n=3" (see doc comment)`)
 	faultSeed := flag.Uint64("fault-seed", 1, "default RNG seed for fault rules without an explicit seed=")
-	watchdog := flag.Uint64("watchdog", 0, "stall-detection window in cycles (0 = off)")
 	parallel := flag.Int("parallel", 0, "shard the simulation, one engine per FPGA, run by up to GOMAXPROCS workers (>1 = on; results are identical to serial)")
 	granularity := flag.String("shard-granularity", "", `shard unit for -parallel runs: "fpga" (default) or "node" (one engine per node under nested windows)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -153,7 +148,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg.WatchdogInterval = smappic.Time(*watchdog)
 
 	proto, err := smappic.Build(cfg)
 	if err != nil {
@@ -244,8 +238,12 @@ func main() {
 
 	fmt.Printf("ran %d cycles (%.3f ms at %d MHz)\n",
 		proto.Now(), proto.Seconds(proto.Now())*1e3, proto.Cfg.ClockMHz)
-	if !proto.AllHalted() {
+	switch {
+	case proto.AllHalted():
+	case proto.Now() >= smappic.Time(*maxCycles):
 		fmt.Println("warning: not all harts halted before the cycle limit")
+	default:
+		fmt.Println("warning: the run drained with harts still running")
 	}
 	if *parallel > 1 {
 		// The partition's books, not the results': stderr, like the other
@@ -308,5 +306,9 @@ func main() {
 	}
 	if srv != nil {
 		srv.Close()
+	}
+	if proto.StallDiagnosis != "" {
+		pprof.StopCPUProfile() // os.Exit skips the deferred stop
+		os.Exit(1)
 	}
 }

@@ -31,8 +31,8 @@ import (
 const ChunkFlits = 3
 
 // creditReadFailLimit bounds consecutive failed credit reads toward one
-// destination before the bridge declares it wedged and stops polling, leaving
-// the stall visible to the forward-progress watchdog.
+// destination before the bridge declares it wedged and stops polling, so the
+// run drains and the drain's stall check reports it.
 const creditReadFailLimit = 4
 
 // Envelope is an inter-node NoC packet in flight between bridges. The
@@ -263,8 +263,8 @@ func (b *Bridge) transmit(env *Envelope) {
 // total seen, clamped to the pool. An answer without a total (a lost update)
 // adds nothing, and the next poll reads what it missed. A failed read retries
 // after a few bridge delays; creditReadFailLimit consecutive failures declare
-// dst wedged and stop polling so the stall surfaces to the forward-progress
-// watchdog instead of spinning the event queue forever.
+// dst wedged and stop polling so the run drains into a stall diagnosis
+// instead of spinning the event queue forever.
 func (b *Bridge) fetchCredits(dst int) {
 	pe := &b.peers[dst]
 	if pe.creditRead || pe.wedged {

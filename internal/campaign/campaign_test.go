@@ -240,7 +240,7 @@ func TestSecondRunFullyCacheServed(t *testing.T) {
 	}
 }
 
-// isStall reports whether err is (or wraps) a watchdog stall.
+// isStall reports whether err is (or wraps) a stall.
 func isStall(err error) bool {
 	var s *StallError
 	return errors.As(err, &s)
@@ -252,7 +252,7 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	spec := testSpec()
 	spec.Seeds = []uint64{1}
 	for name, fail := range map[string]error{
-		"stall": &StallError{Diagnosis: "WATCHDOG: wedged"},
+		"stall": &StallError{Diagnosis: "WATCHDOG: drained at cycle 1 with transactions in flight"},
 		"panic": &PanicError{Value: "injected", Stack: "stack"},
 		"other": fmt.Errorf("build exploded"),
 	} {
@@ -318,7 +318,7 @@ func TestCancellationLeavesResumableState(t *testing.T) {
 	}
 }
 
-// stallOf executes p and returns its watchdog diagnosis, failing the test
+// stallOf executes p and returns its stall diagnosis, failing the test
 // unless p stalls.
 func stallOf(t *testing.T, p Params) string {
 	t.Helper()
@@ -331,8 +331,8 @@ func stallOf(t *testing.T, p Params) string {
 }
 
 // A real stall end to end: a hung PCIe endpoint under the stores workload
-// trips the watchdog, Execute converts the diagnosis into a StallError, and
-// the runner fails the job with it. The stall is deterministic — a second
+// drains the run wedged, Execute converts the drain's diagnosis into a
+// StallError, and the runner fails the job with it. The stall is deterministic — a second
 // execution wedges at the same cycle with the same diagnosis, byte for byte —
 // which is why a failed job is never run again.
 func TestExecuteRealWatchdogStall(t *testing.T) {
@@ -344,11 +344,10 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 		Seed:      1,
 		Faults:    "pcie.ep0.link.hang:after=4",
 		FaultSeed: 1,
-		Watchdog:  100_000,
 	}
 	first := stallOf(t, p)
-	if !strings.HasPrefix(first, "WATCHDOG: shard 0") {
-		t.Fatalf("diagnosis %q is not the watchdog's", first)
+	if !strings.HasPrefix(first, "WATCHDOG: drained at cycle ") {
+		t.Fatalf("diagnosis %q is not a drain's", first)
 	}
 	if again := stallOf(t, p); again != first {
 		t.Fatalf("the same job stalled differently twice:\n%s\n---\n%s", first, again)
@@ -358,10 +357,9 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 	is := Params{
 		Shape: "2x1x2", Workload: WorkloadIS, NUMA: true, Homing: HomingRegion,
 		Keys: 1 << 10, Seed: 1, Faults: "pcie.ep1.link.hang:after=40", FaultSeed: 1,
-		Watchdog: 50_000,
 	}
 	isFirst := stallOf(t, is)
-	if !strings.Contains(isFirst, "at cycle 24614") {
+	if !strings.HasPrefix(isFirst, "WATCHDOG: drained at cycle 24614 ") {
 		t.Fatalf("hung IS job: diagnosis %q, want a stall at cycle 24614", isFirst)
 	}
 	if again := stallOf(t, is); again != isFirst {
@@ -369,7 +367,7 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 	}
 
 	// The probe workload drains inside MeasureLatency rather than under the
-	// job's stop predicate; its drain must reach the watchdog all the same.
+	// job's stop predicate; its drain is checked all the same.
 	probe := p
 	probe.Workload, probe.Keys, probe.Faults = WorkloadProbe, 0, "pcie.ep0.link.hang:after=0"
 	stallOf(t, probe)
@@ -380,7 +378,6 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 		Workloads: []string{WorkloadStores},
 		Keys:      16,
 		Faults:    []string{"pcie.ep0.link.hang:after=4"},
-		Watchdog:  100_000,
 	}
 	res, err := (&Runner{}).Run(context.Background(), spec)
 	if err != nil {
@@ -389,8 +386,8 @@ func TestExecuteRealWatchdogStall(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("stalling job not failed: %+v", res.Jobs[0])
 	}
-	if !strings.Contains(res.Jobs[0].Err, "WATCHDOG") {
-		t.Fatalf("failure lost the watchdog diagnosis: %q", res.Jobs[0].Err)
+	if !strings.Contains(res.Jobs[0].Err, "WATCHDOG: drained at cycle ") {
+		t.Fatalf("failure lost the stall diagnosis: %q", res.Jobs[0].Err)
 	}
 }
 
@@ -429,7 +426,6 @@ func TestAbortedJobsLeakNoGoroutines(t *testing.T) {
 	stalled := Params{
 		Shape: "2x1x2", Workload: WorkloadStores, Homing: HomingRegion,
 		Keys: 16, Seed: 1, Faults: "pcie.ep0.link.hang:after=4", FaultSeed: 1,
-		Watchdog: 100_000,
 	}
 	ckptPath := filepath.Join(t.TempDir(), "job.ckpt")
 

@@ -38,14 +38,14 @@ func resultBytes(t *testing.T, r *Result) []byte {
 	return b
 }
 
-// TestExecuteRecoversPanic wedges an IS job (hang fault, no watchdog) so the
-// kernel's Join panics on a drained queue, and requires ExecuteWithOpts to
-// convert that into a typed PanicError — the job's failure — instead of
-// crashing the pool.
+// TestExecuteRecoversPanic gives an IS job fewer keys than threads, which
+// the workload refuses with a panic inside the model, and requires
+// ExecuteWithOpts to convert that into a typed PanicError — the job's
+// failure — instead of crashing the pool. A wedged IS job (a hang fault) is
+// no panic: its drain fails it as a StallError with a diagnosis.
 func TestExecuteRecoversPanic(t *testing.T) {
 	p := isParams()
-	p.Shape = "2x1x2" // multi-node, so the hang wedges real PCIe traffic
-	p.Faults = "pcie.*.hang:after=10"
+	p.Keys = 1 // two harts, so two threads
 	_, err := Execute(context.Background(), p)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -53,6 +53,15 @@ func TestExecuteRecoversPanic(t *testing.T) {
 	}
 	if pe.Stack == "" {
 		t.Error("PanicError carries no stack trace")
+	}
+
+	hung := isParams()
+	hung.Shape = "2x1x2" // multi-node, so the hang wedges real PCIe traffic
+	hung.Faults = "pcie.*.hang:after=10"
+	_, err = Execute(context.Background(), hung)
+	var se *StallError
+	if !errors.As(err, &se) || !strings.HasPrefix(se.Diagnosis, "WATCHDOG: drained at cycle ") {
+		t.Fatalf("hung IS job: error %T (%v), want a StallError with a drain diagnosis", err, err)
 	}
 }
 

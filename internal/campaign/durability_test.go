@@ -201,7 +201,6 @@ func TestStalledJobLeavesNoCheckpoint(t *testing.T) {
 		Workloads:       []string{WorkloadIS},
 		Keys:            1 << 10,
 		Faults:          []string{"pcie.ep1.link.hang:after=40"},
-		Watchdog:        50_000,
 		CheckpointEvery: 1_000,
 	}
 	jobs, err := spec.Jobs()
@@ -225,8 +224,8 @@ func TestStalledJobLeavesNoCheckpoint(t *testing.T) {
 	if res.Failed != 1 || executions != 1 {
 		t.Fatalf("failed %d after %d executions, want 1 after 1", res.Failed, executions)
 	}
-	if !strings.Contains(res.Jobs[0].Err, "stalled: WATCHDOG") {
-		t.Fatalf("failure %q is not the watchdog's", res.Jobs[0].Err)
+	if !strings.Contains(res.Jobs[0].Err, "stalled: WATCHDOG: drained at cycle ") {
+		t.Fatalf("failure %q is not a stall's", res.Jobs[0].Err)
 	}
 	if !wrote {
 		t.Fatal("the job stalled before its first checkpoint; the test checks nothing")

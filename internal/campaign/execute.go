@@ -52,9 +52,9 @@ type Result struct {
 	Metrics json.RawMessage   `json:"metrics,omitempty"`
 }
 
-// StallError reports a job whose forward-progress watchdog fired: the
-// simulation wedged (typically under injected faults) and was terminated
-// with a diagnosis instead of draining silently.
+// StallError reports a job whose simulation wedged (typically under injected
+// faults): it drained with transactions still in flight, and the drain's
+// diagnosis (core.Prototype.StallDiagnosis) is its outcome.
 type StallError struct{ Diagnosis string }
 
 // Error summarizes the stall; the full diagnosis is preserved.
@@ -96,7 +96,7 @@ type ExecuteOpts struct {
 
 // Execute runs one job to completion and returns its Result. It honors
 // ctx cancellation and deadline between synchronization windows, and
-// returns a *StallError when the job's watchdog detects a wedged simulation.
+// returns a *StallError when the simulation drains wedged.
 // Execution is fully deterministic: equal Params produce byte-identical
 // Results.
 func Execute(ctx context.Context, p Params) (*Result, error) {
@@ -114,7 +114,6 @@ func configFor(p Params) (core.Config, error) {
 		cfg.Bridge.CreditsPerDst = p.Credits
 	}
 	cfg.Bridge.ExtraLatency = sim.Time(p.ExtraLatency)
-	cfg.WatchdogInterval = sim.Time(p.Watchdog)
 	var err error
 	cfg.Faults, err = fault.Parse(p.Faults, p.FaultSeed)
 	return cfg, err
@@ -169,7 +168,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 		// One warm dirty-line read from node 0 to node 1, exactly the
 		// Fig. 7 measurement (seq 1 keeps the probe line off the warmup
 		// line). MeasureLatency drains the run itself; under an injected
-		// hang the drain ends in the watchdog's diagnosis, if one is armed.
+		// hang the drain ends in a stall diagnosis.
 		proto, err = core.Build(cfg)
 		if err != nil {
 			return nil, err
@@ -194,10 +193,7 @@ func ExecuteWithOpts(ctx context.Context, p Params, opts ExecuteOpts) (res *Resu
 		})
 		drive(ctx, proto, p.MaxCycles)
 		if !done {
-			if proto.StallDiagnosis != "" {
-				return nil, &StallError{Diagnosis: proto.StallDiagnosis}
-			}
-			return nil, fmt.Errorf("campaign: %s wedged without a watchdog diagnosis", p.Label())
+			return nil, fmt.Errorf("campaign: %s wedged without a stall diagnosis", p.Label())
 		}
 	}
 	if proto.StallDiagnosis != "" {
@@ -358,9 +354,6 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 	} else {
 		r, ic = workload.RunISCut(k, ip, plan)
 	}
-	if proto.StallDiagnosis != "" {
-		return nil, workload.ISResult{}, nil, &StallError{Diagnosis: proto.StallDiagnosis}
-	}
 	if ic == nil {
 		return proto, r, nil, nil
 	}
@@ -370,11 +363,10 @@ func isSegment(ctx context.Context, p Params, cfg core.Config, opts ExecuteOpts,
 
 // drive runs the prototype to quiescence through its one run entry. The
 // job's limits are that entry's stop predicate, evaluated at every window
-// barrier: a wall-clock timeout or campaign cancellation, the max_cycles
-// bound (passed by at most one window before it is noticed) and a watchdog
-// diagnosis each end the run mid-simulation. A run that wedges drains, and
-// the drain itself reaches the watchdog, so the diagnosis is checked once
-// more after the loop.
+// barrier: a wall-clock timeout or campaign cancellation and the max_cycles
+// bound (passed by at most one window before it is noticed) each end the
+// run mid-simulation. A run that wedges drains, and only a drain records a
+// stall diagnosis, so the diagnosis is checked after the loop.
 func drive(ctx context.Context, proto *core.Prototype, maxCycles uint64) sim.Time {
 	var abort error
 	now := proto.RunUntil(func() bool {
@@ -384,7 +376,7 @@ func drive(ctx context.Context, proto *core.Prototype, maxCycles uint64) sim.Tim
 		case maxCycles > 0 && uint64(proto.Now()) > maxCycles:
 			abort = fmt.Errorf("campaign: job exceeded max_cycles %d", maxCycles)
 		}
-		return abort != nil || proto.StallDiagnosis != ""
+		return abort != nil
 	})
 	if abort == nil && proto.StallDiagnosis != "" {
 		abort = &StallError{Diagnosis: proto.StallDiagnosis}

@@ -72,9 +72,6 @@ type Params struct {
 	ExtraLatency uint64 `json:"extra_latency"`
 	// MaxCycles aborts a runaway job past this simulated time (0 = none).
 	MaxCycles uint64 `json:"max_cycles"`
-	// Watchdog arms the forward-progress watchdog with this window; a job
-	// that trips it fails with a *StallError, which is its outcome.
-	Watchdog uint64 `json:"watchdog"`
 }
 
 // cacheVersion salts the content hash, and with it every result key and
@@ -192,7 +189,6 @@ type Spec struct {
 	Keys      int    `json:"keys,omitempty"`       // default 1<<13
 	FaultSeed uint64 `json:"fault_seed,omitempty"` // default 1
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	Watchdog  uint64 `json:"watchdog,omitempty"`
 
 	// Execution policy (does not affect results, only how they are won).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"` // per-job wall clock, 0 = none
@@ -321,7 +317,6 @@ func (s Spec) Jobs() ([]Job, error) {
 												Credits:      credits,
 												ExtraLatency: extra,
 												MaxCycles:    d.MaxCycles,
-												Watchdog:     d.Watchdog,
 											}
 											if err := p.Validate(); err != nil {
 												return nil, fmt.Errorf("job %d (%s): %w", len(jobs), p.Label(), err)

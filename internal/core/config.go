@@ -75,15 +75,6 @@ type Config struct {
 	// bridges and the DRAM channels. Nil disables injection at zero cost.
 	Faults *fault.Plan
 
-	// WatchdogInterval, when nonzero, arms the forward-progress watchdog:
-	// if a shard executes nothing for this many cycles while transactions
-	// are in flight — or the run drains with transactions still in flight —
-	// the run records a stall diagnosis naming the wedged shard instead of
-	// draining silently. The watchdog checks at window barriers and
-	// schedules no events, so a watched run is byte-identical to an
-	// unwatched one.
-	WatchdogInterval sim.Time
-
 	// Parallel > 1 shards the simulation: one engine per shard under the
 	// bounded-lag synchronizer whose outer lookahead is the minimum PCIe
 	// crossing, the engines of a window run by as many host workers as
@@ -196,22 +187,4 @@ func (c Config) Granularity() string {
 		return "fpga"
 	}
 	return c.ShardGranularity
-}
-
-// AdaptiveCap resolves the adaptive-lookahead cap — the widest window, in
-// minimum PCIe crossings: sim.DefaultAdaptiveCap, clamped so a full-width
-// window cannot outlast an armed watchdog's interval (a quiet wide window
-// would otherwise legitimately delay the barrier past the stall deadline).
-// It is execution scheduling and never changes simulation results.
-func (c Config) AdaptiveCap() int {
-	cap := sim.DefaultAdaptiveCap
-	if c.WatchdogInterval > 0 {
-		if byWD := int(c.WatchdogInterval / c.PCIe.MinCrossing()); byWD < cap {
-			cap = byWD
-		}
-		if cap < 1 {
-			cap = 1
-		}
-	}
-	return cap
 }

@@ -125,13 +125,8 @@ type Prototype struct {
 	// Injector resolves fault sites against Cfg.Faults; nil when no plan is
 	// configured (injection disabled, zero cost).
 	Injector *fault.Injector
-	// GroupWatchdog is the forward-progress monitor Build installs when
-	// Cfg.WatchdogInterval is set. It piggybacks on window barriers instead
-	// of scheduling events, so arming it cannot perturb the simulated event
-	// stream.
-	GroupWatchdog *GroupWatchdog
-	// StallDiagnosis is filled when the watchdog detects a wedged run: no
-	// event executed for a full interval while transactions were in flight.
+	// StallDiagnosis is filled when the run drains wedged: the event queues
+	// emptied while transactions were still in flight (see drained).
 	StallDiagnosis string
 	// WorkloadTag names the software loaded into the prototype (set by the
 	// workload layer); snapshots record it so a restore can refuse a
@@ -201,7 +196,7 @@ func Build(cfg Config) (*Prototype, error) {
 		clusters[c] = p.engs[c*shardsPerCluster : (c+1)*shardsPerCluster]
 	}
 	p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
-	p.Group.SetAdaptive(cfg.AdaptiveCap())
+	p.Group.SetAdaptive(sim.DefaultAdaptiveCap)
 	// Per-edge model-latency floors (PCIe crossing between FPGAs, interconnect
 	// crossing inside one) are enforced whatever the shard count, so an
 	// undercutting model is caught even where no window depends on it.
@@ -211,9 +206,6 @@ func Build(cfg Config) (*Prototype, error) {
 	// speaks node ids (so intra-FPGA hops can cross shards too). pcieView
 	// translates: FPGA f rides its slot-0 node's endpoint.
 	p.Fabric = pcie.New(cfg.PCIe, pcieView{net: p.Group, nodes: cfg.NodesPerFPGA}, p.Injector)
-	if cfg.WatchdogInterval > 0 {
-		p.EnableGroupWatchdog(cfg.WatchdogInterval)
-	}
 
 	w, h := cfg.MeshDims()
 
@@ -463,11 +455,11 @@ func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
 // where every shard is parked and the whole model is coherent to inspect —
 // so it may read anything and may have host-side effects (check a context,
 // note why it stopped), and a run passes the bound stop encodes by at most
-// one window: Cfg.AdaptiveCap() minimum PCIe crossings. That holds for every
-// shard count; a one-shard build has windows too. Observers hook the same
-// barriers through Group.OnBarrier (obs.Server.ObservePrototype does), and a
-// drain reaches the watchdog's lost-callback check. Stats is the fold of the
-// node registries when it returns.
+// one window: sim.DefaultAdaptiveCap minimum PCIe crossings. That holds for
+// every shard count; a one-shard build has windows too. Observers hook the
+// same barriers through Group.OnBarrier (obs.Server.ObservePrototype does),
+// and every drain is checked for lost callbacks (drained). Stats is the
+// fold of the node registries when it returns.
 func (p *Prototype) RunUntil(stop func() bool) sim.Time {
 	p.run(stop)
 	p.Stats.CopyFrom(p.nodeStats...)
@@ -480,7 +472,7 @@ func (p *Prototype) RunUntil(stop func() bool) sim.Time {
 func (p *Prototype) run(stop func() bool) {
 	for stop == nil || !stop() {
 		if !p.Group.StepWindow() {
-			p.GroupWatchdog.drained()
+			p.drained()
 			return
 		}
 	}

@@ -132,124 +132,38 @@ func (p *Prototype) WriteTrace(w io.Writer) error {
 	return sim.WriteChrome(w, rings...)
 }
 
-// GroupWatchdog is the forward-progress monitor of every build. It
-// schedules no events — an event per interval would drag a drained clock to
-// the next interval multiple and perturb window contents, breaking the
-// "watched = unwatched, byte for byte" contract — and piggybacks on the
-// window barrier instead, a point where every shard is provably quiescent:
-// it compares each shard engine's executed-event count against the last
-// barrier at which that shard made progress. A shard that executes nothing
-// for a full interval while its nodes' registries show outstanding
-// transactions is wedged; the diagnosis names it. A second detector covers
-// the wedges no barrier sees — the only kind a one-shard build can have,
-// since its every barrier follows executed events: if the whole group
-// drains (StepWindow returns false) while occupancy gauges are still
-// nonzero, callbacks were lost and the run stalled silently. RunUntil calls
-// drained() for that case.
-type GroupWatchdog struct {
-	p        *Prototype
-	interval sim.Time
-	lastExec []uint64   // executed-event count per shard at its last progress
-	lastAt   []sim.Time // group time of that last progress
-	fired    bool
-}
-
-// EnableGroupWatchdog arms the watchdog; Build calls it when
-// WatchdogInterval is set. It observes window barriers and schedules no
-// events.
-func (p *Prototype) EnableGroupWatchdog(interval sim.Time) *GroupWatchdog {
-	w := &GroupWatchdog{
-		p:        p,
-		interval: interval,
-		lastExec: make([]uint64, p.Group.Shards()),
-		lastAt:   make([]sim.Time, p.Group.Shards()),
-	}
-	p.Group.OnBarrier(w.check)
-	p.GroupWatchdog = w
-	return w
-}
-
-// Fired reports whether the watchdog has recorded a stall diagnosis.
-func (w *GroupWatchdog) Fired() bool { return w != nil && w.fired }
-
-// check runs at every window barrier, while all shards are parked.
-func (w *GroupWatchdog) check() {
-	if w.fired {
+// drained runs each time the group's event queues empty, in every build.
+// A drain that leaves an occupancy gauge nonzero — an MSHR, a memory
+// engine, PCIe in flight, a bridge send queue — lost a callback: the run
+// wedged, and would end silently unless it says so. The first such drain
+// records the stall diagnosis. A clean drain reads each node's gauges in
+// place and allocates nothing.
+func (p *Prototype) drained() {
+	if p.StallDiagnosis != "" {
 		return
 	}
-	now := w.p.Now()
-	for i := range w.lastExec {
-		e := w.p.Group.Engine(i).Executed()
-		if e != w.lastExec[i] {
-			w.lastExec[i], w.lastAt[i] = e, now
-			continue
-		}
-		if now-w.lastAt[i] < w.interval {
-			continue
-		}
-		if len(w.p.inflight(i)) == 0 {
-			// Idle, not wedged (e.g. this FPGA's cores halted early);
-			// restart its clock so later traffic gets a full interval.
-			w.lastAt[i] = now
-			continue
-		}
-		w.fired = true
-		w.p.StallDiagnosis = w.p.shardStallDiagnosis(i, w.interval)
-		return
-	}
-}
-
-// drained runs after the group's event queues empty: a drain with
-// transactions still outstanding means callbacks were dropped and the run
-// wedged without ever reaching another barrier check. Nil-safe (unwatched
-// builds have no GroupWatchdog).
-func (w *GroupWatchdog) drained() {
-	if w == nil || w.fired {
-		return
-	}
-	for i := range w.lastExec {
-		if len(w.p.inflight(i)) > 0 {
-			w.fired = true
-			w.p.StallDiagnosis = w.p.shardStallDiagnosis(i, w.interval)
+	for _, s := range p.nodeStats {
+		if !s.GaugesZero() {
+			p.StallDiagnosis = p.stallDiagnosis()
 			return
 		}
 	}
 }
 
-// inflight lists the nonzero occupancy gauges every subsystem maintains in
-// its node's registry (MSHRs, memory engines, PCIe in flight, bridge send
-// queues) over a shard's nodes, one diagnosis line each in name order: any
-// line means a transaction is outstanding on the shard.
-func (p *Prototype) inflight(shard int) []string {
-	var regs []*sim.Stats
-	for n, s := range p.nodeShard {
-		if s == shard {
-			regs = append(regs, p.nodeStats[n])
-		}
-	}
+// stallDiagnosis renders a wedged drain: its cycle, every nonzero gauge of
+// every node in name order (the names carry the node), and the fault sites'
+// status. Nothing in it depends on the sharding.
+func (p *Prototype) stallDiagnosis() string {
 	var merged sim.Stats
-	merged.CopyFrom(regs...)
-	var lines []string
+	merged.CopyFrom(p.nodeStats...)
+	var b strings.Builder
+	fmt.Fprintf(&b, "WATCHDOG: drained at cycle %d with transactions in flight\n", p.Now())
+	b.WriteString("outstanding (nonzero gauges):\n")
 	for _, name := range merged.GaugeNames() {
 		if v, _ := merged.GaugeValue(name); v != 0 {
-			lines = append(lines, fmt.Sprintf("  %-40s %d\n", name, v))
+			fmt.Fprintf(&b, "  %-40s %d\n", name, v)
 		}
 	}
-	return lines
-}
-
-// shardStallDiagnosis renders the watchdog's dump, naming the wedged shard
-// and listing where its outstanding work is stuck.
-func (p *Prototype) shardStallDiagnosis(shard int, interval sim.Time) string {
-	var b strings.Builder
-	unit := "all nodes"
-	if len(p.engs) > 1 {
-		unit = fmt.Sprintf("%s%d", p.Cfg.Granularity(), shard)
-	}
-	fmt.Fprintf(&b, "WATCHDOG: shard %d (%s) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
-		shard, unit, interval, p.Now())
-	fmt.Fprintf(&b, "outstanding on shard %d (nonzero gauges):\n", shard)
-	b.WriteString(strings.Join(p.inflight(shard), ""))
 	if p.Injector != nil {
 		b.WriteString("fault sites:\n")
 		b.WriteString(p.Injector.String())

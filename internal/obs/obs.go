@@ -6,7 +6,8 @@
 //     heatmap, per-shard window occupancy, fleet job queue),
 //   - GET /api/metrics the latest published Snapshot as JSON,
 //   - GET /api/events  a server-sent-event stream of publish ticks, sampler
-//     rows, watchdog transitions and campaign job lifecycle events.
+//     rows, the stall diagnosis of a run that drained wedged and campaign
+//     job lifecycle events.
 //
 // Non-perturbation contract: the server NEVER touches live simulator state
 // from an HTTP handler. All state crosses from the simulation to the HTTP
@@ -59,7 +60,7 @@ type Server struct {
 	campMu sync.Mutex
 	camp   *campaignState
 
-	wdFired atomic.Bool // last observed watchdog state, for edge detection
+	wdFired atomic.Bool // a stall was already streamed, for edge detection
 
 	httpSrv *http.Server
 }
@@ -133,7 +134,7 @@ func (s *Server) publish() {
 	sn.Campaign = s.campaignView()
 	s.snap.Store(sn)
 
-	// Edge-detect a watchdog stall so the stream carries the diagnosis once.
+	// Edge-detect a stall so the stream carries the diagnosis once.
 	if wd := sn.Watchdog; wd != nil && wd.Fired && !s.wdFired.Swap(true) {
 		s.hub.Broadcast("watchdog", wd)
 	}

@@ -11,9 +11,12 @@ import (
 	"sync"
 	"testing"
 
+	"smappic/internal/cache"
 	"smappic/internal/campaign"
 	"smappic/internal/core"
+	"smappic/internal/fault"
 	"smappic/internal/kernel"
+	"smappic/internal/sim"
 	"smappic/internal/workload"
 )
 
@@ -329,6 +332,99 @@ func TestSampleFramesFollowTheSamplerAtBarriers(t *testing.T) {
 			t.Fatalf("frame %d = %q, want %q", i, got[i], want)
 		}
 	}
+}
+
+// TestServedWedgedRunStreamsOneStall serves a run that a hung PCIe link
+// wedges: the drain records the stall, the final Flush publishes it, and
+// the SSE stream carries exactly one "watchdog" event — however often the
+// run is flushed afterwards — whose diagnosis is the prototype's, which
+// /api/metrics shows too.
+func TestServedWedgedRunStreamsOneStall(t *testing.T) {
+	cfg := core.DefaultConfig(2, 1, 2)
+	cfg.Core = core.CoreNone
+	cfg.Faults = fault.MustParse("pcie.ep0.link.hang:after=4", 1)
+	p, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	port := p.PortAt(cache.GID{Node: 0, Tile: 0})
+	remote := p.Map.NodeDRAMBase(1) + 0x200000
+	sim.Go(p.Eng, "stores", func(proc *sim.Process) {
+		for i := uint64(0); i < 16; i++ {
+			port.Store(proc, remote+i*64, 8, i)
+		}
+	})
+
+	srv := New()
+	srv.ObservePrototype(p)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sse := bufio.NewReader(resp.Body)
+	if line, _ := sse.ReadString('\n'); line != "event: hello\n" {
+		t.Fatalf("expected hello, got %q", line)
+	}
+	// Collect every watchdog payload until the test's end marker.
+	frames := make(chan []string, 1)
+	go func() {
+		var got []string
+		for event := ""; ; {
+			line, err := sse.ReadString('\n')
+			if err != nil {
+				break
+			}
+			if name, ok := strings.CutPrefix(line, "event: "); ok {
+				if event = strings.TrimSpace(name); event == "end" {
+					break
+				}
+			} else if data, ok := strings.CutPrefix(line, "data: "); ok && event == "watchdog" {
+				got = append(got, data)
+			}
+		}
+		frames <- got
+	}()
+
+	p.Run()
+	if p.StallDiagnosis == "" {
+		t.Fatal("the hung link did not wedge the run")
+	}
+	srv.Flush()
+	srv.Flush()
+	srv.hub.Broadcast("end", nil)
+	got := <-frames
+	if len(got) != 1 {
+		t.Fatalf("%d watchdog events, want 1: %q", len(got), got)
+	}
+	var wd WatchdogView
+	if err := json.Unmarshal([]byte(got[0]), &wd); err != nil {
+		t.Fatal(err)
+	}
+	if !wd.Fired || wd.Diagnosis != p.StallDiagnosis {
+		t.Fatalf("watchdog event %+v, want the diagnosis\n%s", wd, p.StallDiagnosis)
+	}
+
+	var sn Snapshot
+	if err := json.Unmarshal([]byte(readAll(t, mustGet(t, ts.URL+"/api/metrics"))), &sn); err != nil {
+		t.Fatal(err)
+	}
+	if sn.Watchdog == nil || *sn.Watchdog != wd {
+		t.Fatalf("/api/metrics watchdog %+v, want %+v", sn.Watchdog, wd)
+	}
+}
+
+// mustGet issues a GET, failing the test on a transport error.
+func mustGet(t *testing.T, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // TestHubDropsSlowSubscribers pins the non-blocking broadcast: a subscriber

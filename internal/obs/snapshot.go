@@ -53,9 +53,9 @@ type MeshView struct {
 	Classes [][]noc.LinkStat `json:"classes"`
 }
 
-// WatchdogView reports the forward-progress watchdog.
+// WatchdogView reports the stall check every drain runs: Fired once the
+// run drained wedged, with the prototype's StallDiagnosis.
 type WatchdogView struct {
-	Armed     bool   `json:"armed"`
 	Fired     bool   `json:"fired"`
 	Diagnosis string `json:"diagnosis,omitempty"`
 }
@@ -130,8 +130,7 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 	}
 
 	sn.Watchdog = &WatchdogView{
-		Armed:     p.GroupWatchdog != nil,
-		Fired:     p.GroupWatchdog.Fired(),
+		Fired:     p.StallDiagnosis != "",
 		Diagnosis: p.StallDiagnosis,
 	}
 

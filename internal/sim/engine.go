@@ -119,8 +119,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of live events currently scheduled. Cancelled
 // timers still sitting in the queue are not counted: a drained queue of
-// cancelled PCIe retransmit timers must read as quiesced, or the Watchdog
-// and Sampler would see phantom pending work.
+// cancelled PCIe retransmit timers must read as quiesced, or the group
+// would never drain and the sampler would see phantom pending work.
 func (e *Engine) Pending() int { return e.live }
 
 // LastEventTime returns the timestamp of the most recently executed event.
@@ -323,9 +323,8 @@ func (t *Timer) Cancel() {
 }
 
 // After schedules fn after delay cycles, like Schedule, but returns a Timer
-// that can cancel the event before it fires. Models use it for timeout
-// watchdogs (e.g. the PCIe retransmit timer) that are cancelled on the
-// common path.
+// that can cancel the event before it fires. Models use it for timeouts
+// (e.g. the PCIe retransmit timer) that are cancelled on the common path.
 func (e *Engine) After(delay Time, fn func()) Timer {
 	t := e.now + delay
 	idx := e.alloc(t, prioNormal)

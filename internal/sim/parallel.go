@@ -76,9 +76,9 @@
 // send is same-engine and lands in the spool at once. Its window is the
 // planned width run straight through — no worker, no chunk barrier — so
 // the only thing the window machinery adds to a serial run is a boundary
-// every few thousand cycles at which run predicates, observers and the
-// watchdog get a quiescent look at the model. That is what lets one run
-// loop and one watchdog serve every build.
+// every few thousand cycles at which run predicates and observers get a
+// quiescent look at the model. That is what lets one run loop serve every
+// build.
 package sim
 
 import (
@@ -95,8 +95,8 @@ import (
 // root window at a few thousand cycles with the PCIe-calibrated lookahead —
 // long enough to amortize barriers (and, on more than one worker, the
 // hand-off and join of a window) across a local compute phase, short
-// enough that the group still reaches quiescent points (checkpoints,
-// watchdog checks, dashboard snapshots) at a useful cadence. Inner windows
+// enough that the group still reaches quiescent points (checkpoints, run
+// predicates, dashboard snapshots) at a useful cadence. Inner windows
 // use the same cap in units of the inner lookahead; the enclosing root chunk
 // clamps them further.
 const DefaultAdaptiveCap = 64
@@ -318,8 +318,8 @@ func (g *Group) SetAdaptive(cap int) {
 // registered before it: once a window's worker goroutines have joined and
 // before the next window begins. The group is quiescent there: fn may
 // inspect any shard engine or registry freely, but must not schedule events
-// or send envelopes. It is the one place a run is observed — the watchdog,
-// the sampler and the dashboard publisher all hang here.
+// or send envelopes. It is the one place a running simulation is observed —
+// the sampler and the dashboard publisher both hang here.
 func (g *Group) OnBarrier(fn func()) { g.observers = append(g.observers, fn) }
 
 func (g *Group) observe() {

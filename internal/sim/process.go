@@ -53,8 +53,8 @@ func Go(eng *Engine, name string, fn func(*Process)) *Process {
 
 // exit ends the body: it returned, panicked, or was unwound by a panic that
 // is not its own. Event callbacks run inside whichever process is driving, so
-// a model panic (scheduling in the past, a latency undercut, the watchdog, a
-// panic out of a nested resume) unwinds that process's body; it is re-raised
+// a model panic (scheduling in the past, a latency undercut, a panic out of
+// a nested resume) unwinds that process's body; it is re-raised
 // with its original value, while a panic raised by the body itself gets the
 // process's name attached. Either way it leaves the coroutine through the
 // resume that was running it.

@@ -238,6 +238,9 @@ type Stats struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// gaugeList holds the gauges in creation order, for GaugesZero: a
+	// slice scan is several times cheaper than a map range.
+	gaugeList []*Gauge
 }
 
 // Counter returns the counter with the given name, creating it on first use.
@@ -262,6 +265,7 @@ func (s *Stats) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{Name: name}
 		s.gauges[name] = g
+		s.gaugeList = append(s.gaugeList, g)
 	}
 	return g
 }
@@ -289,6 +293,7 @@ func (s *Stats) Histogram(name string) *Histogram {
 func (s *Stats) CopyFrom(parts ...*Stats) {
 	s.counters = make(map[string]*Counter)
 	s.gauges = make(map[string]*Gauge)
+	s.gaugeList = nil
 	s.hists = make(map[string]*Histogram)
 	for _, p := range parts {
 		for name, c := range p.counters {
@@ -444,6 +449,16 @@ func (s *Stats) Get(name string) uint64 {
 		return c.Value
 	}
 	return 0
+}
+
+// GaugesZero reports whether every gauge reads zero, without allocating.
+func (s *Stats) GaugesZero() bool {
+	for _, g := range s.gaugeList {
+		if g.Value != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // GaugeValue returns the current value of a gauge and whether it exists.

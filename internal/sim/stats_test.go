@@ -186,3 +186,24 @@ func TestStatsJSONDeterministic(t *testing.T) {
 		t.Fatalf("JSON missing histogram summary: %s", a)
 	}
 }
+
+// GaugesZero sees every gauge the registry holds, including those a fold
+// (CopyFrom) rebuilt, and none it dropped.
+func TestGaugesZeroTracksRegistry(t *testing.T) {
+	var a, merged Stats
+	if !a.GaugesZero() {
+		t.Fatal("an empty registry has a nonzero gauge")
+	}
+	a.Gauge("node0.occ").Inc()
+	if a.GaugesZero() {
+		t.Fatal("a gauge at 1 reads as zero")
+	}
+	merged.CopyFrom(&a)
+	if merged.GaugesZero() {
+		t.Fatal("a folded gauge at 1 reads as zero")
+	}
+	merged.CopyFrom(&Stats{})
+	if !merged.GaugesZero() {
+		t.Fatal("a refold kept a gauge it dropped")
+	}
+}

@@ -68,7 +68,6 @@ type diffCase struct {
 	numa        bool
 	faults      string
 	seed        uint64
-	watchdog    smappic.Time // WatchdogInterval (0 = unwatched)
 	sampler     smappic.Time // EnableSampler interval (0 = unsampled)
 	trace       int          // EnableTrace capacity, small enough that every node's ring wraps (0 = untraced)
 	widthCap    int          // widening-cap override for the sharded run (0 = the configuration's, 1 = fixed windows)
@@ -82,7 +81,6 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 	cfg.Parallel = parallel
 	cfg.ShardGranularity = dc.granularity
 	cfg.Seed = dc.seed
-	cfg.WatchdogInterval = dc.watchdog
 	if dc.workload != "riscv" {
 		cfg.Core = core.CoreNone
 	}
@@ -171,7 +169,7 @@ func runCase(t *testing.T, dc diffCase, parallel int) diffOutcome {
 	}
 
 	if p.StallDiagnosis != "" {
-		t.Fatalf("%s: watchdog fired on a healthy run:\n%s", dc.name, p.StallDiagnosis)
+		t.Fatalf("%s: a healthy run drained wedged:\n%s", dc.name, p.StallDiagnosis)
 	}
 	m, err := p.MetricsJSON()
 	if err != nil {
@@ -268,14 +266,7 @@ func diffCases() []diffCase {
 		// Full RISC-V cores over the bridge/PCIe fabric.
 		diffCase{name: "riscv-4x1x2", a: 4, b: 1, c: 2, workload: "riscv", seed: 42},
 		diffCase{name: "riscv-4x1x2-faults", a: 4, b: 1, c: 2, workload: "riscv", faults: pcieFaults, seed: 5},
-		// Watched rows: the reference stays the *unwatched* one-shard run,
-		// and the watched one-shard and watched sharded runs must both
-		// reproduce it. (An event-scheduling watchdog dragged the drained
-		// clock of the first row to an interval multiple: 300 000 cycles
-		// against 115 121.)
-		diffCase{name: "is-2x1x2-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, seed: 42, watchdog: 150_000},
-		diffCase{name: "is-2x1x2-faults-watchdog", a: 2, b: 1, c: 2, workload: "is", numa: true, faults: pcieFaults, seed: 7, watchdog: 150_000},
-		// Sampled rows: likewise against the *unsampled* one-shard run, and
+		// Sampled rows: the reference stays the *unsampled* one-shard run, and
 		// every sharding must take the sampled one-shard run's rows, byte
 		// for byte.
 		diffCase{name: "is-4x2x2-sampler", a: 4, b: 2, c: 2, workload: "is", numa: true, seed: 42, sampler: 1000},
@@ -294,8 +285,8 @@ func diffCases() []diffCase {
 // and for every row, both with fixed windows and under the configuration's
 // adaptive widening cap, at per-FPGA shard granularity and (for multi-node
 // FPGAs) at per-node granularity under the hierarchical synchronizer.
-// Adaptive widening, shard granularity, the watchdog, the sampler and the
-// tracer are execution scheduling and observation only, so every variant
+// Adaptive widening, shard granularity, the sampler and the tracer are
+// execution scheduling and observation only, so every variant
 // must reproduce the one unobserved one-shard outcome — which also pins
 // per-node byte-identical to per-FPGA, transitively.
 func TestShardedMatchesSerial(t *testing.T) {
@@ -304,11 +295,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
 			ref := dc
-			ref.watchdog, ref.sampler, ref.trace = 0, 0, 0
+			ref.sampler, ref.trace = 0, 0
 			// The unobserved one-shard outcome, then with the observed one-shard
 			// run's sampler rows and Chrome trace.
 			want := runCase(t, ref, 0)
-			if dc.watchdog != 0 || dc.sampler != 0 || dc.trace != 0 {
+			if dc.sampler != 0 || dc.trace != 0 {
 				observed := runCase(t, dc, 0)
 				if (len(observed.samples) == 0) != (dc.sampler == 0) {
 					t.Fatalf("observed-serial: %d bytes of sampler rows at interval %d", len(observed.samples), dc.sampler)
