@@ -187,3 +187,48 @@ func TestGroupHandoffBurstZeroAlloc(t *testing.T) {
 		t.Fatalf("16-envelope window allocates %.2f/op at steady state, want 0", avg)
 	}
 }
+
+// TestGroupHandoffBatchesZeroAlloc is the burst pin with the envelopes
+// spread out: 64 distinct (destination, cycle) batches in flight at once,
+// some beyond the calendar's horizon. Batches, their buffers and the open
+// list are pooled, so a steady window still allocates nothing.
+func TestGroupHandoffBatchesZeroAlloc(t *testing.T) {
+	e0, e1 := NewEngine(), NewEngine()
+	g := NewGroup(61, e0, e1)
+	fn := func() {}
+	window := func() {
+		at := e1.Now() + 100
+		for i := Time(0); i < 64; i++ {
+			g.Send(0, 1, at+4*i, fn)
+			g.Send(0, 1, at+4*i, fn)
+		}
+		g.merge(g.root)
+		e1.Run()
+	}
+	for i := 0; i < 8; i++ {
+		window()
+	}
+	if avg := testing.AllocsPerRun(200, window); avg != 0 {
+		t.Fatalf("64-batch window allocates %.2f/op at steady state, want 0", avg)
+	}
+}
+
+// TestFarScheduleZeroAlloc pins the path beyond the calendar's horizon: a
+// normal and a front-of-cycle event due several horizons out wait in the far
+// heap, whose slice is reused once warm.
+func TestFarScheduleZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		eng.Schedule(3*horizon, fn)
+		eng.AtFront(eng.Now()+2*horizon+1, fn)
+	}
+	eng.Run()
+	if avg := testing.AllocsPerRun(1000, func() {
+		eng.Schedule(3*horizon, fn)
+		eng.AtFront(eng.Now()+2*horizon+1, fn)
+		eng.Run()
+	}); avg != 0 {
+		t.Fatalf("beyond-horizon Schedule+AtFront+Run allocates %.2f/op at steady state, want 0", avg)
+	}
+}

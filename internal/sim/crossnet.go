@@ -80,92 +80,86 @@ func netCmp(a, b netEntry) int {
 	return 0
 }
 
-// dstState is one destination endpoint's delivery state. Buffers are
-// reused flush to flush, so a warmed-up spool parks and flushes without
-// allocating.
-type dstState struct {
-	pending []netEntry // not yet delivered
-	due     []netEntry // scratch: the current cycle's deliveries
-	sched   []Time     // cycles with a flush event already queued
+// batch is one (destination endpoint, cycle)'s parked deliveries. Its
+// flush event carries it as the argument, so a flush finds its work without
+// searching; batches and their buffers are pooled per spool, so a warmed-up
+// spool parks and flushes without allocating.
+type batch struct {
+	at   Time
+	dst  int
+	ents []netEntry
 }
 
-// spool is one engine's delivery side of a CrossNet: per destination
-// endpoint it parks pending envelopes and applies all of a cycle's
-// deliveries in canonical order at the front of that cycle, with exactly
-// one flush event per (destination, cycle). The Group keeps one spool per
+// spool is one engine's delivery side of a CrossNet: it parks envelopes in
+// one batch per (destination endpoint, cycle) and flushes each batch at the
+// front of its cycle, in canonical order. The Group keeps one spool per
 // shard engine, fed from barrier merges and from same-engine sends;
 // SerialNet is a bare spool over a single engine.
 //
-// Endpoint ids may include hostEndpoint; state is indexed at id+1.
+// open lists, per destination endpoint, the batches whose flush has not
+// started — at most one per cycle, and only cycles within the fabric's
+// latency spread, so a linear scan finds one. Endpoint ids may include
+// hostEndpoint; open is indexed at id+1.
 type spool struct {
 	eng     *Engine
-	dsts    []*dstState
-	flushFn func(any) // bound once; arg is the destination endpoint id
+	open    [][]*batch
+	spare   []*batch  // flushed batches, buffers kept for reuse
+	flushFn func(any) // bound once; arg is the *batch
 }
 
 func newSpool(eng *Engine) *spool {
 	s := &spool{eng: eng}
-	s.flushFn = func(dst any) { s.flush(dst.(int)) }
+	s.flushFn = func(b any) { s.flush(b.(*batch)) }
 	return s
 }
 
-// dstAt returns dst's delivery state, growing the table on first use.
-func (s *spool) dstAt(dst int) *dstState {
-	for dst+1 >= len(s.dsts) {
-		s.dsts = append(s.dsts, nil)
-	}
-	if s.dsts[dst+1] == nil {
-		s.dsts[dst+1] = &dstState{}
-	}
-	return s.dsts[dst+1]
-}
-
-// insert parks one envelope and guarantees a flush event for its
-// (destination, cycle). It must run either in the owning engine's own
-// execution context or while that engine is provably parked (a window
-// barrier provides the happens-before edge).
+// insert parks one envelope in its (destination, cycle) batch, opening the
+// batch and scheduling its flush when it is the cycle's first. It must run
+// either in the owning engine's own execution context or while that engine
+// is provably parked (a window barrier provides the happens-before edge).
 func (s *spool) insert(e netEntry) {
-	d := s.dstAt(e.dst)
-	d.pending = append(d.pending, e)
-	// One flush event per (dst, cycle): the scheduled set is a small slice
-	// (only cycles within the fabric's latency spread are outstanding), so
-	// a linear scan beats a map here.
-	if !slices.Contains(d.sched, e.at) {
-		d.sched = append(d.sched, e.at)
-		s.eng.AtFrontArg(e.at, s.flushFn, e.dst)
+	for e.dst+1 >= len(s.open) {
+		s.open = append(s.open, nil)
 	}
-}
-
-// flush applies every delivery due on dst at the current cycle, in canonical
-// order. It runs as a prioDeliver event, ahead of the cycle's local work.
-func (s *spool) flush(dst int) {
-	d := s.dstAt(dst)
-	now := s.eng.Now()
-	if i := slices.Index(d.sched, now); i >= 0 {
-		d.sched = slices.Delete(d.sched, i, i+1)
-	}
-	// Partition in place: due entries move to the scratch buffer, the rest
-	// compact to the front of pending. The consumed tail is zeroed so the
-	// delivered closures don't linger past their execution.
-	due := d.due[:0]
-	keep := d.pending[:0]
-	for _, e := range d.pending {
-		if e.at == now {
-			due = append(due, e)
-		} else {
-			keep = append(keep, e)
+	open := s.open[e.dst+1]
+	for _, b := range open {
+		if b.at == e.at {
+			b.ents = append(b.ents, e)
+			return
 		}
 	}
-	for i := len(keep); i < len(d.pending); i++ {
-		d.pending[i] = netEntry{}
+	var b *batch
+	if n := len(s.spare); n > 0 {
+		b = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	} else {
+		b = &batch{}
 	}
-	d.pending = keep
-	slices.SortFunc(due, netCmp)
-	for i := range due {
-		due[i].fn()
-		due[i].fn = nil
+	b.at, b.dst = e.at, e.dst
+	b.ents = append(b.ents, e)
+	s.open[e.dst+1] = append(open, b)
+	s.eng.AtFrontArg(e.at, s.flushFn, b)
+}
+
+// flush applies a batch in canonical order. It runs as a prioDeliver event,
+// ahead of the cycle's local work. The batch is closed first, so a delivery
+// to the same (destination, cycle) sent from inside it opens a new batch
+// whose flush follows this one, still ahead of the cycle's local work.
+// Delivered closures are dropped as they run.
+func (s *spool) flush(b *batch) {
+	open := s.open[b.dst+1]
+	i := slices.Index(open, b)
+	last := len(open) - 1
+	open[i] = open[last]
+	open[last] = nil
+	s.open[b.dst+1] = open[:last]
+	slices.SortFunc(b.ents, netCmp)
+	for i := range b.ents {
+		b.ents[i].fn()
+		b.ents[i].fn = nil
 	}
-	d.due = due[:0]
+	b.ents = b.ents[:0]
+	s.spare = append(s.spare, b)
 }
 
 // SerialNet is the reference oracle: a CrossNet with no windows at all, just

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -231,4 +232,221 @@ func TestFuzzSeedsDecode(t *testing.T) {
 		t.Fatal("short input should decode to nil")
 	}
 	_ = fmt.Sprint(sc)
+}
+
+// refEvent is one live event of the engine-order reference model.
+type refEvent struct {
+	at    Time
+	prio  uint8
+	seq   uint64
+	id    int
+	child uint8
+}
+
+// refEngine is the reference the calendar is fuzzed against: a plain slice
+// of live events, scanned for the least (at, prio, seq) at every step.
+// Cancelled events leave it at once, since they never run or move the clock.
+type refEngine struct {
+	now      Time
+	seq      uint64
+	executed uint64
+	pend     []refEvent
+	log      []int
+	nextID   int
+}
+
+func (r *refEngine) push(at Time, prio uint8, child uint8) int {
+	r.seq++
+	r.nextID++
+	r.pend = append(r.pend, refEvent{at: at, prio: prio, seq: r.seq, id: r.nextID, child: child})
+	return r.nextID
+}
+
+// advance runs every live event due by limit, like Engine.advance: the
+// clock rests on the last one run.
+func (r *refEngine) advance(limit Time) {
+	for len(r.pend) > 0 {
+		m := 0
+		for i, ev := range r.pend {
+			b := r.pend[m]
+			if ev.at < b.at || ev.at == b.at && (ev.prio < b.prio || ev.prio == b.prio && ev.seq < b.seq) {
+				m = i
+			}
+		}
+		ev := r.pend[m]
+		if ev.at > limit {
+			return
+		}
+		r.pend = append(r.pend[:m], r.pend[m+1:]...)
+		r.now = ev.at
+		r.executed++
+		r.log = append(r.log, ev.id)
+		if ev.child != 0 {
+			d, prio := fuzzChild(ev.child)
+			r.push(r.now+d, prio, 0)
+		}
+	}
+}
+
+func (r *refEngine) cancel(id int) {
+	for i, ev := range r.pend {
+		if ev.id == id {
+			r.pend = append(r.pend[:i], r.pend[i+1:]...)
+			return
+		}
+	}
+}
+
+// fuzzChildDelays are the delays an event's child is scheduled at from
+// inside its callback: same cycle, near, and on both sides of the horizon.
+var fuzzChildDelays = [...]Time{0, 1, 7, horizon - 1, horizon, horizon + 1, 2*horizon + 3, 3 * horizon}
+
+// fuzzChild decodes a nonzero child spec into a delay and a priority.
+func fuzzChild(c uint8) (Time, uint8) {
+	prio := uint8(prioNormal)
+	if c&1 != 0 {
+		prio = prioDeliver
+	}
+	return fuzzChildDelays[(c>>1)%uint8(len(fuzzChildDelays))], prio
+}
+
+// FuzzEngineOrder drives one Engine and the reference model with the same
+// op stream — every way to schedule (delays up to three horizons, front and
+// normal, closure and typed callback, children scheduled from callbacks),
+// After plus Cancel, RunUntil (which forces the clock), runTo (which leaves
+// it stale), NextEventTime, and an idle alignTo jump past cancelled entries —
+// and after every op holds the executed order, Now, Pending and Executed to
+// the model's.
+//
+// Each op is three bytes [kind, a, b]: kind%10 picks the op and kind>>4 is
+// the child spec of a scheduled event (0: none); (a<<8|b) % (3*horizon+1)
+// is the op's delay.
+func FuzzEngineOrder(f *testing.F) {
+	// Seeds (mirrored under testdata/fuzz): one event; fronts and normals
+	// sharing a cycle, one front scheduling another from its callback; far
+	// and calendar heads tied on one cycle; a clock wrapping the calendar;
+	// cancelled timers left behind an idle jump of two horizons, new work
+	// landing in their slots; a cancelled head NextEventTime must skip;
+	// RunUntil forcing and runTo leaving the clock.
+	f.Add([]byte("\x00\x00\x05"))
+	f.Add([]byte("\x02\x00\x05" + "\x02\x00\x05" + "\x00\x00\x05" + "\x16\x00\x05" + "\x00\x00\x05" + "\x07\x00\x0a"))
+	f.Add([]byte("\x00\x01\x2c" + "\x02\x01\x2c" + "\x06\x00\x64" + "\x02\x00\xc8" + "\x00\x00\xc8" + "\x07\x03\x00"))
+	f.Add([]byte("\x00\x00\xfa" + "\x00\x00\xff" + "\x07\x00\xfa" + "\x00\x00\x0a" + "\x00\x00\x03" + "\x09\x00\x00" + "\x07\x01\x00"))
+	f.Add([]byte("\x04\x00\x0a" + "\x04\x00\x14" + "\x05\x00\x00" + "\x05\x00\x01" + "\x08\x02\x00" + "\x00\x00\x0a" + "\x01\x00\x14" + "\x09\x00\x00"))
+	f.Add([]byte("\x04\x00\x0a" + "\x05\x00\x00" + "\x00\x00\x14" + "\x09\x00\x00"))
+	f.Add([]byte("\x70\x00\x04" + "\xd1\x00\x08" + "\x06\x00\x06" + "\x82\x00\x03" + "\x07\x01\x20" + "\x03\x00\x00" + "\x06\x03\x00"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := NewEngine()
+		ref := &refEngine{}
+		type fuzzEv struct {
+			id    int
+			child uint8
+		}
+		var got []int
+		nextID := 0
+		var run func(v any)
+		// schedule mirrors refEngine.push on the engine; the kind selects the
+		// scheduling call.
+		schedule := func(kind int, at Time, child uint8) Timer {
+			nextID++
+			v := &fuzzEv{id: nextID, child: child}
+			fn := func() { run(v) }
+			switch kind {
+			case 0:
+				e.Schedule(at-e.Now(), fn)
+			case 1:
+				e.ScheduleArg(at-e.Now(), run, v)
+			case 2:
+				e.AtFront(at, fn)
+			case 3:
+				e.AtFrontArg(at, run, v)
+			default:
+				return e.After(at-e.Now(), fn)
+			}
+			return Timer{}
+		}
+		run = func(a any) {
+			v := a.(*fuzzEv)
+			got = append(got, v.id)
+			if v.child != 0 {
+				d, prio := fuzzChild(v.child)
+				kind := 0
+				if prio == prioDeliver {
+					kind = 2
+				}
+				schedule(kind, e.Now()+d, 0)
+			}
+		}
+		type timer struct {
+			tm Timer
+			id int
+		}
+		var timers []timer
+		for i := 0; i+2 < len(data) && i < 3*128; i += 3 {
+			kind := data[i]
+			d := Time(int(data[i+1])<<8|int(data[i+2])) % (3*horizon + 1)
+			child := kind >> 4
+			switch op := kind % 10; op {
+			case 0, 1, 2, 3, 4:
+				at := e.Now() + d
+				prio := uint8(prioNormal)
+				if op == 2 || op == 3 {
+					prio = prioDeliver
+				}
+				tm := schedule(int(op), at, child)
+				id := ref.push(at, prio, child)
+				if op == 4 {
+					timers = append(timers, timer{tm, id})
+				}
+			case 5:
+				if len(timers) > 0 {
+					k := int(d) % len(timers)
+					timers[k].tm.Cancel()
+					ref.cancel(timers[k].id)
+				}
+			case 6:
+				deadline := ref.now + d
+				e.RunUntil(deadline)
+				ref.advance(deadline)
+				ref.now = deadline
+			case 7:
+				e.runTo(e.Now() + d)
+				ref.advance(ref.now + d)
+			case 8:
+				// alignTo needs an idle engine. One idle already may still
+				// hold cancelled timers, which the jump then leaves behind;
+				// Run would have discarded them.
+				if e.Pending() > 0 {
+					e.Run()
+					ref.advance(TimeMax)
+				}
+				e.alignTo(e.Now() + d)
+				ref.now += d
+			case 9:
+				at, ok := e.NextEventTime()
+				var want Time
+				for j, ev := range ref.pend {
+					if j == 0 || ev.at < want {
+						want = ev.at
+					}
+				}
+				if ok != (len(ref.pend) > 0) || ok && at != want {
+					t.Fatalf("op %d: NextEventTime = %d, %v; model %d, %v", i/3, at, ok, want, len(ref.pend) > 0)
+				}
+			}
+			if !slices.Equal(got, ref.log) {
+				t.Fatalf("op %d (kind %d): executed order diverges:\nengine: %v\nmodel:  %v", i/3, kind%10, got, ref.log)
+			}
+			if e.Now() != ref.now || e.Pending() != len(ref.pend) || e.Executed() != ref.executed {
+				t.Fatalf("op %d (kind %d): now/pending/executed = %d/%d/%d, model %d/%d/%d", i/3, kind%10,
+					e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
+			}
+		}
+		e.Run()
+		ref.advance(TimeMax)
+		if !slices.Equal(got, ref.log) || e.Now() != ref.now || e.Pending() != 0 {
+			t.Fatalf("final drain diverges:\nengine: %v at %d\nmodel:  %v at %d", got, e.Now(), ref.log, ref.now)
+		}
+	})
 }

@@ -501,6 +501,60 @@ func TestSerialNetCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestSpoolFlushReentrant pins a delivery sent to its own (destination,
+// cycle) from inside that cycle's flush: the flushing batch is already
+// closed, so the send opens a new batch whose flush follows it — still at
+// the front of the cycle, ahead of local work scheduled before or during the
+// deliveries, and in canonical order — under the SerialNet oracle and a
+// one- and two-engine Group alike.
+func TestSpoolFlushReentrant(t *testing.T) {
+	const la, at = Time(61), Time(100)
+	run := func(engs []*Engine, net CrossNet, drain func() Time) []string {
+		var order []string
+		dst := engs[1]
+		rec := func(label string) func() {
+			return func() {
+				if dst.Now() != at {
+					t.Errorf("%s ran at %d, want %d", label, dst.Now(), at)
+				}
+				order = append(order, label)
+			}
+		}
+		dst.At(at, rec("local"))
+		engs[1].At(5, func() { net.Send(1, 1, at, rec("from1@5")) })
+		engs[0].At(10, func() {
+			net.Send(0, 1, at, func() {
+				rec("from0@10")()
+				dst.Schedule(0, rec("local-zero"))
+				net.Send(1, 1, at, func() {
+					rec("again1")()
+					net.Send(1, 1, at, rec("again3"))
+				})
+				net.Send(1, 1, at, rec("again2"))
+			})
+		})
+		engs[1].At(10, func() { net.Send(1, 1, at, rec("from1@10")) })
+		drain()
+		return order
+	}
+	want := []string{"from1@5", "from0@10", "from1@10", "again1", "again2", "again3", "local", "local-zero"}
+
+	se := NewEngine()
+	if got := run([]*Engine{se, se}, NewSerialNet(se), se.Run); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SerialNet: order %v, want %v", got, want)
+	}
+	e := NewEngine()
+	g1 := NewHierGroup(la, la, [][]*Engine{{e}}, []int{0, 0})
+	if got := run([]*Engine{e, e}, g1, g1.Run); !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-engine Group: order %v, want %v", got, want)
+	}
+	e0, e1 := NewEngine(), NewEngine()
+	g2 := NewGroup(la, e0, e1)
+	if got := run([]*Engine{e0, e1}, g2, g2.Run); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two-engine Group: order %v, want %v", got, want)
+	}
+}
+
 // TestGroupSyncTelemetry drives the cross-shard model and checks the
 // synchronizer's window/envelope accounting: SyncSnapshot at barriers and at
 // the end, and OnBarrier firing once per window while the group is quiescent.
