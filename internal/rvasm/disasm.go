@@ -5,135 +5,45 @@ import (
 	"strings"
 )
 
-// Disassemble renders one RV64IMA instruction word in the same syntax the
-// assembler accepts, so assemble(disassemble(w)) == w for every supported
-// encoding. Unknown words render as ".word 0x...".
-func Disassemble(inst uint32) string {
-	op := inst & 0x7F
-	rd := int(inst >> 7 & 0x1F)
-	rs1 := int(inst >> 15 & 0x1F)
-	rs2 := int(inst >> 20 & 0x1F)
-	f3 := inst >> 12 & 7
-	f7 := inst >> 25
-	immI := int64(signExtend(uint64(inst>>20), 12))
-
-	r := regName
-	unknown := func() string { return fmt.Sprintf(".word 0x%08X", inst) }
-
-	switch op {
-	case 0x37:
-		return fmt.Sprintf("lui %s, 0x%x", r(rd), inst>>12)
-	case 0x17:
-		return fmt.Sprintf("auipc %s, 0x%x", r(rd), inst>>12)
-	case 0x6F:
-		imm := int64(signExtend(uint64(inst>>31<<20|inst>>21&0x3FF<<1|inst>>20&1<<11|inst>>12&0xFF<<12), 21))
-		return fmt.Sprintf("jal %s, %d", r(rd), imm)
-	case 0x67:
-		return fmt.Sprintf("jalr %s, %s, %d", r(rd), r(rs1), immI)
-	case 0x63:
-		imm := int64(signExtend(uint64(inst>>31<<12|inst>>25&0x3F<<5|inst>>8&0xF<<1|inst>>7&1<<11), 13))
-		names := map[uint32]string{0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
-		n, ok := names[f3]
-		if !ok {
-			return unknown()
-		}
-		return fmt.Sprintf("%s %s, %s, %d", n, r(rs1), r(rs2), imm)
-	case 0x03:
-		names := map[uint32]string{0: "lb", 1: "lh", 2: "lw", 3: "ld", 4: "lbu", 5: "lhu", 6: "lwu"}
-		n, ok := names[f3]
-		if !ok {
-			return unknown()
-		}
-		return fmt.Sprintf("%s %s, %d(%s)", n, r(rd), immI, r(rs1))
-	case 0x23:
-		names := map[uint32]string{0: "sb", 1: "sh", 2: "sw", 3: "sd"}
-		n, ok := names[f3]
-		if !ok {
-			return unknown()
-		}
-		imm := int64(signExtend(uint64(inst>>25<<5|inst>>7&0x1F), 12))
-		return fmt.Sprintf("%s %s, %d(%s)", n, r(rs2), imm, r(rs1))
-	case 0x13:
-		switch f3 {
-		case 0:
-			return fmt.Sprintf("addi %s, %s, %d", r(rd), r(rs1), immI)
-		case 2:
-			return fmt.Sprintf("slti %s, %s, %d", r(rd), r(rs1), immI)
-		case 3:
-			return fmt.Sprintf("sltiu %s, %s, %d", r(rd), r(rs1), immI)
-		case 4:
-			return fmt.Sprintf("xori %s, %s, %d", r(rd), r(rs1), immI)
-		case 6:
-			return fmt.Sprintf("ori %s, %s, %d", r(rd), r(rs1), immI)
-		case 7:
-			return fmt.Sprintf("andi %s, %s, %d", r(rd), r(rs1), immI)
-		case 1:
-			return fmt.Sprintf("slli %s, %s, %d", r(rd), r(rs1), inst>>20&0x3F)
-		case 5:
-			if inst>>30&1 != 0 {
-				return fmt.Sprintf("srai %s, %s, %d", r(rd), r(rs1), inst>>20&0x3F)
-			}
-			return fmt.Sprintf("srli %s, %s, %d", r(rd), r(rs1), inst>>20&0x3F)
-		}
-	case 0x1B:
-		switch f3 {
-		case 0:
-			return fmt.Sprintf("addiw %s, %s, %d", r(rd), r(rs1), immI)
-		case 1:
-			return fmt.Sprintf("slliw %s, %s, %d", r(rd), r(rs1), inst>>20&0x1F)
-		case 5:
-			if inst>>30&1 != 0 {
-				return fmt.Sprintf("sraiw %s, %s, %d", r(rd), r(rs1), inst>>20&0x1F)
-			}
-			return fmt.Sprintf("srliw %s, %s, %d", r(rd), r(rs1), inst>>20&0x1F)
-		}
-	case 0x33, 0x3B:
-		for name, enc := range rTypes {
-			if enc[2] == op && enc[0] == f3 && enc[1] == f7 {
-				return fmt.Sprintf("%s %s, %s, %s", name, r(rd), r(rs1), r(rs2))
-			}
-		}
-	case 0x0F:
-		return "fence"
-	case 0x2F:
-		width := map[uint32]string{2: "w", 3: "d"}[f3]
-		if width == "" {
-			return unknown()
-		}
-		for name, f5 := range amoTypes {
-			if f5 == inst>>27 {
-				if name == "lr" {
-					return fmt.Sprintf("lr.%s %s, (%s)", width, r(rd), r(rs1))
-				}
-				return fmt.Sprintf("%s.%s %s, %s, (%s)", name, width, r(rd), r(rs2), r(rs1))
-			}
-		}
-	case 0x73:
-		if f3 == 0 {
-			switch inst >> 20 {
-			case 0:
-				return "ecall"
-			case 1:
-				return "ebreak"
-			case 0x302:
-				return "mret"
-			case 0x105:
-				return "wfi"
-			}
-			return unknown()
-		}
-		csr := inst >> 20
-		csrStr := csrNameOf(csr)
-		switch f3 & 3 {
-		case 1:
-			return fmt.Sprintf("csrrw %s, %s, %s", r(rd), csrStr, r(rs1))
-		case 2:
-			return fmt.Sprintf("csrrs %s, %s, %s", r(rd), csrStr, r(rs1))
-		case 3:
-			return fmt.Sprintf("csrrc %s, %s, %s", r(rd), csrStr, r(rs1))
+// Disassemble renders one instruction word in the syntax the assembler
+// accepts: the first entry of insns that w matches, through that entry's
+// operand slots, or ".word 0x..." when none does. Branch and jump targets
+// print as offsets, so the text reassembles to w at address 0.
+func Disassemble(w uint32) string {
+	for i := range insns {
+		if e := &insns[i]; w&e.mask == e.match {
+			return e.render(w)
 		}
 	}
-	return unknown()
+	return fmt.Sprintf(".word 0x%08X", w)
+}
+
+func (e *insn) render(w uint32) string {
+	var b strings.Builder
+	b.WriteString(e.name)
+	if e.args != "" {
+		b.WriteByte(' ')
+	}
+	for _, c := range []byte(e.args) {
+		if sh, ok := regShift[c]; ok {
+			b.WriteString(abiNames[w>>sh&31])
+			continue
+		}
+		switch c {
+		case ',':
+			b.WriteString(", ")
+		case '(', ')':
+			b.WriteByte(c)
+		case '0':
+		case 'E':
+			b.WriteString(csrName(w >> 20))
+		case 'u':
+			fmt.Fprintf(&b, "0x%x", w>>12)
+		default:
+			fmt.Fprintf(&b, "%d", imms[c].get(w))
+		}
+	}
+	return b.String()
 }
 
 // DisassembleAll renders a program's code words, one instruction per line
@@ -147,21 +57,7 @@ func DisassembleAll(p *Program) string {
 	return b.String()
 }
 
-func signExtend(v uint64, bits uint) uint64 {
-	sh := 64 - bits
-	return uint64(int64(v<<sh) >> sh)
-}
-
-var regNamesByNum = [32]string{
-	"zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
-	"s0", "s1", "a0", "a1", "a2", "a3", "a4", "a5",
-	"a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7",
-	"s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6",
-}
-
-func regName(n int) string { return regNamesByNum[n&31] }
-
-func csrNameOf(csr uint32) string {
+func csrName(csr uint32) string {
 	for name, v := range csrNames {
 		if v == csr {
 			return name

@@ -1,11 +1,21 @@
-// Package rvasm is a small two-pass RV64IMA assembler. It exists so that
-// the repository's examples and tests can express bare-metal programs in
-// readable assembly instead of hand-encoded words. It supports the
-// instructions the RV64IMA core implements, the usual pseudo-instructions,
-// labels, and a handful of data directives.
+// Package rvasm is a small two-pass RV64IMA assembler and its
+// disassembler. It exists so that the repository's examples and tests can
+// express bare-metal programs in readable assembly instead of hand-encoded
+// words.
+//
+// The instruction set is one table, insns: each real instruction's
+// mnemonic, operand syntax and match/mask bits. Assemble looks a mnemonic
+// up there and parses its operands slot by slot, checking arity and every
+// immediate's range in one place. Disassemble renders a word through the
+// first entry whose mask and match it fits, and any other word as .word,
+// so Disassemble(w) reassembles to w for every 32-bit w. Each
+// pseudo-instruction is a rewrite into one table entry (pseudos); only li
+// and la, whose length depends on their value, and jal's one-operand form
+// are code. Labels and a handful of data directives complete the language.
 package rvasm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,30 +34,6 @@ func (p *Program) Entry(label string) uint64 {
 		return a
 	}
 	return p.Base
-}
-
-// regNames maps ABI and x-register names to numbers.
-var regNames = map[string]int{}
-
-func init() {
-	abi := []string{
-		"zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
-		"s0", "s1", "a0", "a1", "a2", "a3", "a4", "a5",
-		"a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7",
-		"s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6",
-	}
-	for i, n := range abi {
-		regNames[n] = i
-		regNames[fmt.Sprintf("x%d", i)] = i
-	}
-	regNames["fp"] = 8
-}
-
-var csrNames = map[string]uint32{
-	"mstatus": 0x300, "misa": 0x301, "mie": 0x304, "mtvec": 0x305,
-	"mscratch": 0x340, "mepc": 0x341, "mcause": 0x342, "mtval": 0x343,
-	"mip": 0x344, "mcycle": 0xB00, "minstret": 0xB02, "mhartid": 0xF14,
-	"time": 0xC01,
 }
 
 // Assemble translates source into a Program loaded at base.
@@ -150,7 +136,7 @@ func (a *assembler) reg(s string) (int, error) {
 	return r, nil
 }
 
-// value resolves an integer literal or label, with an optional %hi/%lo.
+// value resolves an integer literal or label.
 func (a *assembler) value(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	neg := false
@@ -177,225 +163,21 @@ func (a *assembler) value(s string) (int64, error) {
 	return int64(v), nil
 }
 
-// memOperand parses "imm(reg)".
-func (a *assembler) memOperand(s string) (imm int64, reg int, err error) {
-	s = strings.TrimSpace(s)
-	open := strings.Index(s, "(")
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, a.errf("bad memory operand %q", s)
-	}
-	immStr := strings.TrimSpace(s[:open])
-	if immStr == "" {
-		immStr = "0"
-	}
-	imm, err = a.value(immStr)
-	if err != nil {
-		return 0, 0, err
-	}
-	reg, err = a.reg(s[open+1 : len(s)-1])
-	return imm, reg, err
-}
-
-// encoders -------------------------------------------------------------------
-
-func encR(op, f3, f7 uint32, rd, rs1, rs2 int) uint32 {
-	return f7<<25 | uint32(rs2)<<20 | uint32(rs1)<<15 | f3<<12 | uint32(rd)<<7 | op
-}
-
-func encI(op, f3 uint32, rd, rs1 int, imm int64) uint32 {
-	return uint32(imm&0xFFF)<<20 | uint32(rs1)<<15 | f3<<12 | uint32(rd)<<7 | op
-}
-
-func encS(op, f3 uint32, rs1, rs2 int, imm int64) uint32 {
-	return uint32(imm>>5&0x7F)<<25 | uint32(rs2)<<20 | uint32(rs1)<<15 | f3<<12 | uint32(imm&0x1F)<<7 | op
-}
-
-func encB(op, f3 uint32, rs1, rs2 int, imm int64) uint32 {
-	return uint32(imm>>12&1)<<31 | uint32(imm>>5&0x3F)<<25 | uint32(rs2)<<20 |
-		uint32(rs1)<<15 | f3<<12 | uint32(imm>>1&0xF)<<8 | uint32(imm>>11&1)<<7 | op
-}
-
-func encU(op uint32, rd int, imm int64) uint32 {
-	return uint32(imm)&0xFFFFF000 | uint32(rd)<<7 | op
-}
-
-func encJ(op uint32, rd int, imm int64) uint32 {
-	return uint32(imm>>20&1)<<31 | uint32(imm>>1&0x3FF)<<21 | uint32(imm>>11&1)<<20 |
-		uint32(imm>>12&0xFF)<<12 | uint32(rd)<<7 | op
-}
-
-// instruction tables ----------------------------------------------------------
-
-var rTypes = map[string][3]uint32{ // f3, f7, op
-	"add": {0, 0, 0x33}, "sub": {0, 0x20, 0x33}, "sll": {1, 0, 0x33},
-	"slt": {2, 0, 0x33}, "sltu": {3, 0, 0x33}, "xor": {4, 0, 0x33},
-	"srl": {5, 0, 0x33}, "sra": {5, 0x20, 0x33}, "or": {6, 0, 0x33},
-	"and":  {7, 0, 0x33},
-	"addw": {0, 0, 0x3B}, "subw": {0, 0x20, 0x3B}, "sllw": {1, 0, 0x3B},
-	"srlw": {5, 0, 0x3B}, "sraw": {5, 0x20, 0x3B},
-	"mul": {0, 1, 0x33}, "mulh": {1, 1, 0x33}, "mulhsu": {2, 1, 0x33},
-	"mulhu": {3, 1, 0x33}, "div": {4, 1, 0x33}, "divu": {5, 1, 0x33},
-	"rem": {6, 1, 0x33}, "remu": {7, 1, 0x33},
-	"mulw": {0, 1, 0x3B}, "divw": {4, 1, 0x3B}, "divuw": {5, 1, 0x3B},
-	"remw": {6, 1, 0x3B}, "remuw": {7, 1, 0x3B},
-}
-
-var iTypes = map[string][2]uint32{ // f3, op
-	"addi": {0, 0x13}, "slti": {2, 0x13}, "sltiu": {3, 0x13},
-	"xori": {4, 0x13}, "ori": {6, 0x13}, "andi": {7, 0x13},
-	"addiw": {0, 0x1B}, "jalr": {0, 0x67},
-}
-
-var loadTypes = map[string]uint32{
-	"lb": 0, "lh": 1, "lw": 2, "ld": 3, "lbu": 4, "lhu": 5, "lwu": 6,
-}
-
-var storeTypes = map[string]uint32{"sb": 0, "sh": 1, "sw": 2, "sd": 3}
-
-var branchTypes = map[string]uint32{
-	"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7,
-}
-
-var amoTypes = map[string]uint32{ // funct5
-	"amoswap": 0x01, "amoadd": 0x00, "amoxor": 0x04, "amoand": 0x0C,
-	"amoor": 0x08, "amomin": 0x10, "amomax": 0x14, "amominu": 0x18,
-	"amomaxu": 0x1C, "lr": 0x02, "sc": 0x03,
-}
-
 // statement assembles one directive or instruction.
 func (a *assembler) statement(line string) error {
-	mn := line
-	rest := ""
+	mn, rest := line, ""
 	if sp := strings.IndexAny(line, " \t"); sp >= 0 {
 		mn, rest = line[:sp], strings.TrimSpace(line[sp+1:])
 	}
 	mn = strings.ToLower(mn)
-
 	if strings.HasPrefix(mn, ".") {
 		return a.directive(mn, rest)
 	}
-
 	args := splitArgs(rest)
-	return a.instruction(mn, args)
-}
-
-func splitArgs(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
-}
-
-func (a *assembler) directive(mn, rest string) error {
 	switch mn {
-	case ".align":
-		n, err := a.value(rest)
-		if err != nil {
-			return err
-		}
-		align := uint64(1) << uint(n)
-		for a.pc%align != 0 {
-			a.putBytes([]byte{0})
-		}
-	case ".word":
-		for _, arg := range splitArgs(rest) {
-			v, err := a.value(arg)
-			if err != nil {
-				return err
-			}
-			a.put32(uint32(v))
-		}
-	case ".dword":
-		for _, arg := range splitArgs(rest) {
-			v, err := a.value(arg)
-			if err != nil {
-				return err
-			}
-			a.put32(uint32(v))
-			a.put32(uint32(uint64(v) >> 32))
-		}
-	case ".byte":
-		for _, arg := range splitArgs(rest) {
-			v, err := a.value(arg)
-			if err != nil {
-				return err
-			}
-			a.putBytes([]byte{byte(v)})
-		}
-	case ".space":
-		n, err := a.value(rest)
-		if err != nil {
-			return err
-		}
-		a.putBytes(make([]byte, n))
-	case ".asciz":
-		s, err := strconv.Unquote(strings.TrimSpace(rest))
-		if err != nil {
-			return a.errf("bad string %s", rest)
-		}
-		a.putBytes(append([]byte(s), 0))
-	default:
-		return a.errf("unknown directive %s", mn)
-	}
-	return nil
-}
-
-func (a *assembler) instruction(mn string, args []string) error {
-	need := func(n int) error {
-		if len(args) != n {
-			return a.errf("%s expects %d operands, got %d", mn, n, len(args))
-		}
-		return nil
-	}
-
-	// Pseudo-instructions first.
-	switch mn {
-	case "nop":
-		a.put32(encI(0x13, 0, 0, 0, 0))
-		return nil
-	case "mv":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(encI(0x13, 0, rd, rs, 0))
-		return nil
-	case "not":
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(encI(0x13, 4, rd, rs, -1))
-		return nil
-	case "neg":
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(encR(0x33, 0, 0x20, rd, 0, rs))
-		return nil
 	case "li", "la":
-		if err := need(2); err != nil {
-			return err
+		if len(args) != 2 {
+			return a.errf("%s expects 2 operands, got %d", mn, len(args))
 		}
 		rd, err := a.reg(args[0])
 		if err != nil {
@@ -414,315 +196,157 @@ func (a *assembler) instruction(mn string, args []string) error {
 			a.loadImm(rd, v)
 		}
 		return nil
-	case "j":
-		if err := need(1); err != nil {
-			return err
-		}
-		return a.jump(0, args[0])
 	case "jal":
 		if len(args) == 1 {
-			return a.jump(1, args[0])
+			args = []string{"ra", args[0]}
 		}
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		return a.jump(rd, args[1])
-	case "call":
-		return a.jump(1, args[0])
-	case "jr":
-		rs, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		a.put32(encI(0x67, 0, 0, rs, 0))
-		return nil
-	case "ret":
-		a.put32(encI(0x67, 0, 0, 1, 0))
-		return nil
-	case "beqz":
-		return a.branchPseudo("beq", args)
-	case "bnez":
-		return a.branchPseudo("bne", args)
-	case "bgez":
-		return a.branchPseudo("bge", args)
-	case "bltz":
-		return a.branchPseudo("blt", args)
-	case "ble": // ble a,b,l == bge b,a,l
-		return a.instruction("bge", []string{args[1], args[0], args[2]})
-	case "bgt":
-		return a.instruction("blt", []string{args[1], args[0], args[2]})
-	case "csrr":
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		csr, err := a.csr(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(uint32(csr)<<20 | 2<<12 | uint32(rd)<<7 | 0x73)
-		return nil
-	case "csrw":
-		csr, err := a.csr(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(uint32(csr)<<20 | uint32(rs)<<15 | 1<<12 | 0x73)
-		return nil
-	case "csrs":
-		csr, err := a.csr(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(uint32(csr)<<20 | uint32(rs)<<15 | 2<<12 | 0x73)
-		return nil
-	case "csrc":
-		csr, err := a.csr(args[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(uint32(csr)<<20 | uint32(rs)<<15 | 3<<12 | 0x73)
-		return nil
-	case "csrrw", "csrrs", "csrrc":
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		csr, err := a.csr(args[1])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[2])
-		if err != nil {
-			return err
-		}
-		f3 := map[string]uint32{"csrrw": 1, "csrrs": 2, "csrrc": 3}[mn]
-		a.put32(uint32(csr)<<20 | uint32(rs)<<15 | f3<<12 | uint32(rd)<<7 | 0x73)
-		return nil
-	case "ecall":
-		a.put32(0x73)
-		return nil
-	case "ebreak":
-		a.put32(1<<20 | 0x73)
-		return nil
-	case "mret":
-		a.put32(0x302<<20 | 0x73)
-		return nil
-	case "wfi":
-		a.put32(0x105<<20 | 0x73)
-		return nil
-	case "fence", "fence.i":
-		a.put32(0x0F)
-		return nil
 	}
+	name := mn
+	if t, ok := pseudos[mn]; ok {
+		if want := strings.Count(t, "$"); len(args) != want {
+			return a.errf("%s expects %d operands, got %d", name, want, len(args))
+		}
+		mn, rest, _ = strings.Cut(t, " ")
+		real := splitArgs(rest)
+		for i, r := range real {
+			if r[0] == '$' {
+				real[i] = args[r[1]-'0']
+			}
+		}
+		args = real
+	}
+	e, ok := byName[mn]
+	if !ok {
+		return a.errf("unknown instruction %q", name)
+	}
+	return a.encode(e, name, args)
+}
 
-	// Real instructions by format.
-	if enc, ok := rTypes[mn]; ok {
-		if err := need(3); err != nil {
-			return err
+// encode assembles one real instruction from its operands; name is the
+// mnemonic as written, which errors report.
+func (a *assembler) encode(e *insn, name string, args []string) error {
+	slots := splitArgs(e.args)
+	if len(args) != len(slots) {
+		return a.errf("%s expects %d operands, got %d", name, len(slots), len(args))
+	}
+	w := e.match
+	for i, slot := range slots {
+		arg := args[i]
+		if len(slot) > 1 { // "x(s)": an offset and a base register
+			open := strings.Index(arg, "(")
+			if open < 0 || !strings.HasSuffix(arg, ")") {
+				return a.errf("bad memory operand %q", arg)
+			}
+			base, err := a.reg(arg[open+1 : len(arg)-1])
+			if err != nil {
+				return err
+			}
+			w |= uint32(base) << 15
+			if arg = strings.TrimSpace(arg[:open]); arg == "" {
+				arg = "0"
+			}
 		}
-		rd, err := a.reg(args[0])
+		bits, err := a.field(name, slot[0], arg)
 		if err != nil {
 			return err
 		}
-		rs1, err := a.reg(args[1])
-		if err != nil {
-			return err
+		w |= bits
+	}
+	a.put32(w)
+	return nil
+}
+
+// field encodes one operand as the letter c spells it (see insn).
+func (a *assembler) field(name string, c byte, arg string) (uint32, error) {
+	if sh, ok := regShift[c]; ok {
+		r, err := a.reg(arg)
+		return uint32(r) << sh, err
+	}
+	var v int64
+	var err error
+	if c == 'E' {
+		var csr uint32
+		csr, err = a.csr(arg)
+		v = int64(csr)
+	} else {
+		v, err = a.value(arg)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if c == '0' {
+		if v != 0 {
+			return 0, a.errf("%s takes no offset, got %d", name, v)
 		}
-		rs2, err := a.reg(args[2])
-		if err != nil {
-			return err
+		return 0, nil
+	}
+	rel := c == 'p' || c == 'a'
+	if rel {
+		v -= int64(a.pc)
+	}
+	f := imms[c]
+	bits := f.put(v)
+	if a.emit && f.get(bits) != v {
+		if rel {
+			return 0, a.errf("%s target %s out of range (offset %d)", name, arg, v)
 		}
-		a.put32(encR(enc[2], enc[0], enc[1], rd, rs1, rs2))
+		return 0, a.errf("%s immediate %d out of range", name, v)
+	}
+	return bits, nil
+}
+
+func splitArgs(s string) []string {
+	if strings.TrimSpace(s) == "" {
 		return nil
 	}
-	if enc, ok := iTypes[mn]; ok {
-		if err := need(3); err != nil {
-			return err
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}
+
+// dataSizes are the data directives' item sizes in bytes.
+var dataSizes = map[string]int{".byte": 1, ".word": 4, ".dword": 8}
+
+func (a *assembler) directive(mn, rest string) error {
+	if size, ok := dataSizes[mn]; ok {
+		for _, arg := range splitArgs(rest) {
+			v, err := a.value(arg)
+			if err != nil {
+				return err
+			}
+			a.putBytes(binary.LittleEndian.AppendUint64(nil, uint64(v))[:size])
 		}
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		imm, err := a.value(args[2])
-		if err != nil {
-			return err
-		}
-		if a.emit && (imm < -2048 || imm > 2047) {
-			return a.errf("%s immediate %d out of range", mn, imm)
-		}
-		a.put32(encI(enc[1], enc[0], rd, rs1, imm))
 		return nil
 	}
 	switch mn {
-	case "slli", "srli", "srai", "slliw", "srliw", "sraiw":
-		rd, err := a.reg(args[0])
+	case ".align":
+		n, err := a.value(rest)
 		if err != nil {
 			return err
 		}
-		rs1, err := a.reg(args[1])
+		if n < 0 || n > 63 {
+			return a.errf(".align %d out of range", n)
+		}
+		align := uint64(1) << n
+		return a.pad(int64((align - a.pc%align) % align))
+	case ".space":
+		n, err := a.value(rest)
 		if err != nil {
 			return err
 		}
-		sh, err := a.value(args[2])
+		return a.pad(n)
+	case ".asciz":
+		s, err := strconv.Unquote(strings.TrimSpace(rest))
 		if err != nil {
-			return err
+			return a.errf("bad string %s", rest)
 		}
-		op := uint32(0x13)
-		if strings.HasSuffix(mn, "w") {
-			op = 0x1B
-		}
-		var f3, hi uint32
-		switch strings.TrimSuffix(mn, "w") {
-		case "slli":
-			f3 = 1
-		case "srli":
-			f3 = 5
-		case "srai":
-			f3, hi = 5, 0x20<<5
-		}
-		a.put32(uint32(hi)<<20 | uint32(sh&0x3F)<<20 | 0 /*rs2 in imm*/ | uint32(rs1)<<15 | f3<<12 | uint32(rd)<<7 | op)
-		return nil
+		a.putBytes(append([]byte(s), 0))
+	default:
+		return a.errf("unknown directive %s", mn)
 	}
-	if f3, ok := loadTypes[mn]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, rs1, err := a.memOperand(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(encI(0x03, f3, rd, rs1, imm))
-		return nil
-	}
-	if f3, ok := storeTypes[mn]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		rs2, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, rs1, err := a.memOperand(args[1])
-		if err != nil {
-			return err
-		}
-		a.put32(encS(0x23, f3, rs1, rs2, imm))
-		return nil
-	}
-	if f3, ok := branchTypes[mn]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		rs1, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		rs2, err := a.reg(args[1])
-		if err != nil {
-			return err
-		}
-		target, err := a.value(args[2])
-		if err != nil {
-			return err
-		}
-		off := target - int64(a.pc)
-		if a.emit && (off < -4096 || off > 4095 || off&1 != 0) {
-			return a.errf("branch target out of range (offset %d)", off)
-		}
-		a.put32(encB(0x63, f3, rs1, rs2, off))
-		return nil
-	}
-	// AMO family: amoadd.w/d etc.
-	if dot := strings.Index(mn, "."); dot > 0 {
-		baseMn, suffix := mn[:dot], mn[dot+1:]
-		if f5, ok := amoTypes[baseMn]; ok {
-			var f3 uint32
-			switch suffix {
-			case "w":
-				f3 = 2
-			case "d":
-				f3 = 3
-			default:
-				return a.errf("bad AMO width %q", suffix)
-			}
-			var rd, rs1, rs2 int
-			var err error
-			if baseMn == "lr" {
-				if err = need(2); err != nil {
-					return err
-				}
-				rd, err = a.reg(args[0])
-				if err != nil {
-					return err
-				}
-				_, rs1, err = a.memOperand(args[1])
-				if err != nil {
-					return err
-				}
-			} else {
-				if err = need(3); err != nil {
-					return err
-				}
-				rd, err = a.reg(args[0])
-				if err != nil {
-					return err
-				}
-				rs2, err = a.reg(args[1])
-				if err != nil {
-					return err
-				}
-				_, rs1, err = a.memOperand(args[2])
-				if err != nil {
-					return err
-				}
-			}
-			a.put32(f5<<27 | uint32(rs2)<<20 | uint32(rs1)<<15 | f3<<12 | uint32(rd)<<7 | 0x2F)
-			return nil
-		}
-	}
-	switch mn {
-	case "lui", "auipc":
-		rd, err := a.reg(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.value(args[1])
-		if err != nil {
-			return err
-		}
-		op := uint32(0x37)
-		if mn == "auipc" {
-			op = 0x17
-		}
-		a.put32(encU(op, rd, v<<12))
-		return nil
-	}
-	return a.errf("unknown instruction %q", mn)
+	return nil
 }
 
 func (a *assembler) csr(s string) (uint32, error) {
@@ -736,24 +360,21 @@ func (a *assembler) csr(s string) (uint32, error) {
 	return uint32(n), nil
 }
 
-func (a *assembler) jump(rd int, target string) error {
-	v, err := a.value(target)
-	if err != nil {
-		return err
-	}
-	off := v - int64(a.pc)
-	if a.emit && (off < -(1<<20) || off >= 1<<20) {
-		return a.errf("jump target out of range (offset %d)", off)
-	}
-	a.put32(encJ(0x6F, rd, off))
-	return nil
-}
+// maxImage bounds how far .space and .align may grow a program: 16 MiB is
+// far beyond any program here, and keeps a malformed one from exhausting
+// memory.
+const maxImage = 16 << 20
 
-func (a *assembler) branchPseudo(real string, args []string) error {
-	if len(args) != 2 {
-		return a.errf("%s expects 2 operands", real)
+// pad emits n zero bytes.
+func (a *assembler) pad(n int64) error {
+	if used := a.pc - a.base; n < 0 || used > maxImage || uint64(n) > maxImage-used {
+		return a.errf("%d bytes of padding would grow the program past %d bytes", n, maxImage)
 	}
-	return a.instruction(real, []string{args[0], "zero", args[1]})
+	if a.emit {
+		a.out = append(a.out, make([]byte, n)...)
+	}
+	a.pc += uint64(n)
+	return nil
 }
 
 // isSymbolOperand reports whether s is a label reference (not a numeric
@@ -776,7 +397,7 @@ func (a *assembler) loadImmFixed(rd int, v int64) {
 	start := a.pc
 	a.loadImm(rd, v)
 	for a.pc-start < 8*4 {
-		a.put32(encI(0x13, 0, 0, 0, 0)) // nop
+		a.put32(enc("addi", 0, 0, 0)) // nop
 	}
 	if a.pc-start > 8*4 {
 		panic(fmt.Sprintf("rvasm: loadImm for %#x exceeded fixed budget", uint64(v)))
@@ -786,15 +407,15 @@ func (a *assembler) loadImmFixed(rd int, v int64) {
 // loadImm emits a minimal sequence materializing a 64-bit constant.
 func (a *assembler) loadImm(rd int, v int64) {
 	if v >= -2048 && v <= 2047 {
-		a.put32(encI(0x13, 0, rd, 0, v))
+		a.put32(enc("addi", rd, 0, v))
 		return
 	}
 	if v >= -(1<<31) && v < 1<<31 {
 		hi := (v + 0x800) >> 12 << 12
 		lo := v - hi
-		a.put32(encU(0x37, rd, hi))
+		a.put32(enc("lui", rd, 0, hi>>12))
 		if lo != 0 {
-			a.put32(encI(0x1B, 0, rd, rd, lo)) // addiw keeps 32-bit sign
+			a.put32(enc("addiw", rd, rd, lo)) // addiw keeps 32-bit sign
 		}
 		return
 	}
@@ -803,8 +424,15 @@ func (a *assembler) loadImm(rd int, v int64) {
 	lo12 := v << 52 >> 52
 	hi := (v - lo12) >> 12
 	a.loadImm(rd, hi)
-	a.put32(uint32(12)<<20 | uint32(rd)<<15 | 1<<12 | uint32(rd)<<7 | 0x13) // slli rd, rd, 12
+	a.put32(enc("slli", rd, rd, 12))
 	if lo12 != 0 {
-		a.put32(encI(0x13, 0, rd, rd, lo12))
+		a.put32(enc("addi", rd, rd, lo12))
 	}
+}
+
+// enc encodes the real instruction mn, whose operands are rd, rs1 (if it
+// has one) and an immediate known to fit: the expansions of li and la.
+func enc(mn string, rd, rs1 int, imm int64) uint32 {
+	e := byName[mn]
+	return e.match | uint32(rd)<<7 | uint32(rs1)<<15 | imms[e.args[len(e.args)-1]].put(imm)
 }
