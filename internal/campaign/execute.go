@@ -19,6 +19,10 @@ import (
 // Result is one job's outcome — everything the aggregate needs, in a form
 // that round-trips through JSON byte-exactly (the cache stores results as
 // JSON, and a cache hit must be indistinguishable from a fresh run).
+//
+// A Result handed out by the cache or the fleet server is read-only: the
+// server shares one record per key among every campaign that resolves it,
+// Stats map included, so a caller that needs to change one copies it first.
 type Result struct {
 	Label  string `json:"label"`
 	Key    string `json:"key"`

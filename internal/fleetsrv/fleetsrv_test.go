@@ -297,11 +297,12 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 
 // TestDuplicateResultDoesNotRewriteCache: a replayed delivery of a completed
 // job — same key, no live lease — is absorbed but never written: the entry
-// under the key stays the first delivery's even when the replay's body
-// differs.
+// under the key and the server's record of it stay the first delivery's
+// even when the replay's body differs.
 func TestDuplicateResultDoesNotRewriteCache(t *testing.T) {
+	spec := testSpec("dup-rewrite", 1)
 	s, clock := testServer(t)
-	if _, err := s.submit(SubmitRequest{Spec: testSpec("dup-rewrite", 1)}); err != nil {
+	if _, err := s.submit(SubmitRequest{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
 	w1 := s.register(RegisterRequest{Name: "slow"})
@@ -328,12 +329,23 @@ func TestDuplicateResultDoesNotRewriteCache(t *testing.T) {
 	if got, ok := s.Cache.Get(lj.Params.Key()); !ok || got.Cycles != first.Cycles {
 		t.Fatalf("duplicate delivery rewrote the cache entry: cycles %d, first delivery had %d", got.Cycles, first.Cycles)
 	}
+	again, err := s.submit(SubmitRequest{Spec: spec})
+	if err != nil || again.Cached != 1 {
+		t.Fatalf("resubmission: %+v, %v; want one cache hit", again, err)
+	}
+	cr, err := s.campaignResult(again.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := cr.Aggregate().Results; len(rows) != 1 || rows[0].Cycles != first.Cycles {
+		t.Fatalf("resubmission serves %+v, want the first delivery's %d cycles", rows, first.Cycles)
+	}
 }
 
 // TestRetainedOutcomeDropsMetrics: the full MetricsJSON of a delivered
-// result goes to the cache; the copy the server keeps for the life of the
-// campaign — delivered, or answered from the cache at submit — does not
-// hold it, and the report does not change.
+// result goes to the cache; the record the server keeps for the key — which
+// the delivering campaign and one answered from the cache at submit both
+// point at — does not hold it, and the report does not change.
 func TestRetainedOutcomeDropsMetrics(t *testing.T) {
 	spec := testSpec("slim", 1)
 	want, _ := referenceReport(t, spec)
@@ -362,14 +374,74 @@ func TestRetainedOutcomeDropsMetrics(t *testing.T) {
 	if err != nil || again.Cached != 1 {
 		t.Fatalf("resubmission: %+v, %v; want one cache hit", again, err)
 	}
+	shared := s.campaigns[first.CampaignID].outcomes[0].Result
+	if shared == nil || shared.Metrics != nil {
+		t.Fatalf("campaign %s retains %+v", first.CampaignID, shared)
+	}
+	if kept := s.campaigns[again.CampaignID].outcomes[0].Result; kept != shared {
+		t.Errorf("campaign %s holds its own copy of the result, not the shared record", again.CampaignID)
+	}
+	if got, ok := s.Cache.Get(res.Key); !ok || len(got.Metrics) == 0 {
+		t.Fatalf("cache entry lost its metrics after the resubmission: %+v", got)
+	}
 	for _, id := range []string{first.CampaignID, again.CampaignID} {
-		if kept := s.campaigns[id].outcomes[0].Result; kept == nil || kept.Metrics != nil {
-			t.Errorf("campaign %s retains %+v", id, kept)
-		}
 		if got := reportOf(t, s, id); !bytes.Equal(got, want) {
 			t.Errorf("campaign %s: report differs from the in-process run", id)
 		}
 	}
+}
+
+// TestConcurrentReportsOverSharedResults: reports of two campaigns that share
+// every record are rendered over HTTP, outside the server lock, while a third
+// campaign's results land and one of its points resolves to a shared record.
+// Every report stays byte-identical to the in-process run; the race detector
+// checks that nothing writes what the readers share.
+func TestConcurrentReportsOverSharedResults(t *testing.T) {
+	spec := testSpec("shared-reads", 1, 2, 3, 4)
+	want, _ := referenceReport(t, spec)
+	s, _ := testServer(t)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	cl := &Client{Server: hs.URL}
+	worker := s.register(RegisterRequest{}).WorkerID
+
+	var ids []string
+	for range 2 {
+		sub, err := s.submit(SubmitRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		completeAll(t, s, worker)
+		ids = append(ids, sub.CampaignID)
+	}
+	if _, err := s.submit(SubmitRequest{Tenant: "bob", Spec: testSpec("landing", 4, 5, 6, 7, 8, 9)}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					got, err := cl.Report(context.Background(), id)
+					if err != nil {
+						t.Errorf("report %s: %v", id, err)
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("report %s differs from the in-process run", id)
+						return
+					}
+				}
+			}()
+		}
+	}
+	completeAll(t, s, worker)
+	stop.Store(true)
+	wg.Wait()
 }
 
 // TestTenantQuotasFairness: two tenants saturate the fleet; quotas cap each
@@ -570,6 +642,13 @@ func TestResultKeyMustMatchLease(t *testing.T) {
 	}
 	if got, ok := s.Cache.Get(victim.Key()); ok {
 		t.Fatalf("forged result served from the shared cache: %+v", got)
+	}
+	victimSub, err := s.submit(SubmitRequest{Tenant: "victim", Spec: testSpec("victim", victim.Seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if victimSub.Cached != 0 || s.campaigns[victimSub.CampaignID].jobs[0].Params.Key() != victim.Key() {
+		t.Fatalf("victim's resubmission: %+v; want its one point a cache miss", victimSub)
 	}
 	honest, _ := fakeExec(context.Background(), lj.Params)
 	if err := deliver(honest); err != nil {

@@ -350,6 +350,64 @@ func TestResultCachedWhileDownIsDoneAtLoad(t *testing.T) {
 	}
 }
 
+// TestResubmissionReadsNoCacheEntry: the server decodes a key's cache entry
+// once. With every entry on disk overwritten by garbage, a resubmission of a
+// completed spec is still answered in full from the server's records, byte
+// for byte. A restarted server has no records: after Load it reads the
+// entries, finds them corrupt, re-queues the jobs, and completing them puts
+// the entries back.
+func TestResubmissionReadsNoCacheEntry(t *testing.T) {
+	spec := testSpec("decoded-once")
+	want, _ := referenceReport(t, spec)
+	cacheDir, stateDir := t.TempDir(), t.TempDir()
+	cache, err := campaign.OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loadedServer(t, cache, stateDir)
+	first, err := s.submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	firstReport := reportOf(t, s, first.CampaignID)
+
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
+	if err != nil || len(entries) != first.Jobs {
+		t.Fatalf("cache holds %d entries (%v), want %d", len(entries), err, first.Jobs)
+	}
+	for _, path := range entries {
+		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := s.submit(SubmitRequest{Tenant: "bob", Spec: spec})
+	if err != nil || again.Cached != again.Jobs {
+		t.Fatalf("resubmission: %+v, %v; want every point answered", again, err)
+	}
+	if got := reportOf(t, s, again.CampaignID); !bytes.Equal(got, firstReport) || !bytes.Equal(got, want) {
+		t.Fatalf("resubmission report differs from the first and the in-process run\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	restarted := loadedServer(t, cache, stateDir)
+	for _, id := range []string{first.CampaignID, again.CampaignID} {
+		if st, err := restarted.campaignStatus(id); err != nil || st.Done != 0 || st.Pending != len(entries) {
+			t.Fatalf("restored %s: %+v, %v; want every corrupt entry a miss and its job re-queued", id, st, err)
+		}
+	}
+	completeAll(t, restarted, restarted.register(RegisterRequest{}).WorkerID)
+	for _, job := range restarted.campaigns[first.CampaignID].jobs {
+		if _, ok := cache.Get(job.Params.Key()); !ok {
+			t.Errorf("job %d: completing it did not put its entry back", job.Index)
+		}
+	}
+	for _, id := range []string{first.CampaignID, again.CampaignID} {
+		if got := reportOf(t, restarted, id); !bytes.Equal(got, want) {
+			t.Errorf("campaign %s after restart: report differs from the in-process run\ngot:\n%s\nwant:\n%s", id, got, want)
+		}
+	}
+}
+
 // TestLoadRestoresOlderJournal: a journal from a build that also recorded
 // each completed job by its cache key restores only its failed lines. Every
 // other slot is answered by the cache under the job's own key — a line

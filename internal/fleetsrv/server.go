@@ -28,7 +28,9 @@ const DefaultLeaseTTL = 30 * time.Second
 type Server struct {
 	// Cache is the shared content-addressed result store; required. It
 	// answers jobs before any lease is granted and absorbs every completed
-	// result, so identical sweep points across tenants simulate once.
+	// result, so identical sweep points across tenants simulate once. The
+	// server decodes a key's entry once, the first time the key is asked
+	// for; its record in results answers from then on.
 	Cache *campaign.Cache
 	// StateDir, when non-empty, persists each campaign's submission and a
 	// journal of its failed jobs, so a restarted server resumes where it
@@ -56,6 +58,12 @@ type Server struct {
 	order     []string // campaign admission order, for status output
 	workers   map[string]*workerState
 	leases    map[string]*lease
+	// results holds one slim record (Metrics stripped) per cache key the
+	// server has resolved or been delivered, shared read-only by every
+	// outcome of the key. It is not persisted — the cache is the durable
+	// record, and Load's resolve rebuilds it — and it holds exactly the
+	// results the retained campaigns point at, so it needs no eviction.
+	results   map[string]*campaign.Result
 	nextSeq   uint64
 	nextCamp  int
 	nextLease int
@@ -114,6 +122,7 @@ func New(cache *campaign.Cache) *Server {
 		campaigns: map[string]*campaignRun{},
 		workers:   map[string]*workerState{},
 		leases:    map[string]*lease{},
+		results:   map[string]*campaign.Result{},
 	}
 }
 
@@ -192,7 +201,7 @@ func (s *Server) resolveLocked(run *campaignRun) int {
 		if run.outcomes[job.Index].Status != "" {
 			continue // a journaled failure
 		}
-		if res, ok := s.Cache.Get(job.Params.Key()); ok {
+		if res, ok := s.lookupLocked(job.Params.Key()); ok {
 			s.fillLocked(run, campaign.JobOutcome{Job: job, Status: campaign.StatusCached, Result: res},
 				campaign.Event{Type: campaign.EventCacheHit, Index: job.Index,
 					Label: job.Params.Label(), Total: len(run.jobs), Cycles: res.Cycles})
@@ -202,6 +211,30 @@ func (s *Server) resolveLocked(run *campaignRun) int {
 		s.enqueueLocked(run, job)
 	}
 	return cached
+}
+
+// lookupLocked answers a key from the server's record, reading and decoding
+// the cache entry only the first time the key is asked for. It is the one
+// read of the cache on the server. Caller holds s.mu.
+func (s *Server) lookupLocked(key string) (*campaign.Result, bool) {
+	if res, ok := s.results[key]; ok {
+		return res, true
+	}
+	res, ok := s.Cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return s.keepLocked(res), true
+}
+
+// keepLocked makes a slim copy of res the record for its key and returns it:
+// the bulky Metrics stay in the cache entry, and no report serves them.
+// Caller holds s.mu.
+func (s *Server) keepLocked(res *campaign.Result) *campaign.Result {
+	slim := *res
+	slim.Metrics = nil
+	s.results[slim.Key] = &slim
+	return &slim
 }
 
 // enqueueLocked puts one open slot's job on the scheduler queue. Caller holds
@@ -220,11 +253,6 @@ func (s *Server) enqueueLocked(run *campaignRun, job campaign.Job) {
 func (run *campaignRun) fill(out campaign.JobOutcome) bool {
 	if run.outcomes[out.Job.Index].Status != "" {
 		return false
-	}
-	if out.Result != nil {
-		slim := *out.Result
-		slim.Metrics = nil // stays in the cache; Aggregate strips it from every row it serves
-		out.Result = &slim
 	}
 	run.outcomes[out.Job.Index] = out
 	switch out.Status {
@@ -301,8 +329,8 @@ func (s *Server) register(req RegisterRequest) *RegisterResponse {
 
 // leaseNext grants the scheduler's next job to a worker. Jobs that became
 // cache hits while queued (another tenant's identical point completed) are
-// answered from disk without a lease — the "ask the server before
-// executing" half of the cache protocol.
+// answered through lookupLocked without a lease — the "ask the server
+// before executing" half of the cache protocol.
 func (s *Server) leaseNext(req LeaseRequest) (*LeaseResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,7 +352,7 @@ func (s *Server) leaseNext(req LeaseRequest) (*LeaseResponse, error) {
 			s.queue.Release(tj.Tenant)
 			continue
 		}
-		if res, ok := s.Cache.Get(tj.Job.Params.Key()); ok {
+		if res, ok := s.lookupLocked(tj.Job.Params.Key()); ok {
 			s.queue.Release(tj.Tenant)
 			run.pending--
 			s.fillLocked(run, campaign.JobOutcome{Job: tj.Job, Status: campaign.StatusCached, Result: res},
@@ -380,7 +408,8 @@ func (s *Server) heartbeat(req HeartbeatRequest) error {
 
 // result lands a finished job. Three paths:
 //
-//   - live lease: record the outcome, publish to the cache, free the slot;
+//   - live lease: record the outcome, publish to the cache, keep its slim
+//     record, free the slot;
 //   - stale lease but the slot already completed with the same content key:
 //     an idempotent duplicate (the job's first worker was slow, a second
 //     re-ran it — deterministic jobs produce byte-identical results), so
@@ -435,9 +464,10 @@ func (s *Server) result(req ResultRequest) error {
 		if err := s.Cache.Put(req.Result); err != nil {
 			s.logf("campaign %s job %d: cache put: %v", run.id, req.Index, err)
 		}
-		s.fillLocked(run, campaign.JobOutcome{Job: l.tj.Job, Status: campaign.StatusRun, Result: req.Result},
+		res := s.keepLocked(req.Result)
+		s.fillLocked(run, campaign.JobOutcome{Job: l.tj.Job, Status: campaign.StatusRun, Result: res},
 			campaign.Event{Type: campaign.EventDone, Index: l.tj.Job.Index,
-				Label: l.tj.Job.Params.Label(), Total: len(run.jobs), Cycles: req.Result.Cycles})
+				Label: l.tj.Job.Params.Label(), Total: len(run.jobs), Cycles: res.Cycles})
 	case campaign.StatusFailed:
 		s.queue.Release(l.tj.Tenant)
 		s.fillLocked(run, campaign.JobOutcome{Job: l.tj.Job, Status: campaign.StatusFailed, Err: req.Err},
