@@ -1,7 +1,7 @@
-// Package axi models the AXI4 and AXI-Lite interfaces that the AWS F1 Hard
-// Shell exposes to Custom Logic. Only the aspects the platform observes are
-// modeled: addresses, IDs, 64-byte alignment rules, per-target serialization
-// and request/response pairing. Signal-level handshakes (five channels,
+// Package axi models the AXI4 interfaces that the AWS F1 Hard Shell exposes
+// to Custom Logic. Only the aspects the platform observes are modeled:
+// addresses, IDs, 64-byte alignment rules, per-target serialization and
+// request/response pairing. Signal-level handshakes (five channels,
 // bursts) are abstracted into one exchange per transfer: a Txn handed to a
 // Target and the Resp that completes it, whichever direction the transfer
 // moves data in. The channel roles are documented where SMAPPIC's bridge
@@ -65,11 +65,4 @@ type Resp struct {
 // value, so an acknowledgement costs no allocation.
 type Target interface {
 	Do(t *Txn, done func(Resp))
-}
-
-// LiteTarget is an AXI-Lite register file: single 32-bit accesses, no IDs,
-// no bursts. The F1 shell provides three AXI-Lite taps for management.
-type LiteTarget interface {
-	ReadReg(addr Addr) uint32
-	WriteReg(addr Addr, v uint32)
 }

@@ -67,22 +67,6 @@ func TestUARTReceiveAndIRQ(t *testing.T) {
 	}
 }
 
-func TestUARTLiteTapMatchesMMIO(t *testing.T) {
-	eng := sim.NewEngine()
-	u := NewUART(eng, "uart0", nil)
-	u.CyclesPerByte = 1
-	tap := u.LiteTap()
-	tap.WriteReg(UartTHR*4, 'Z')
-	eng.Run()
-	if got := string(u.HostRead()); got != "Z" {
-		t.Fatalf("lite-tap write produced %q", got)
-	}
-	u.HostWrite([]byte{'Q'})
-	if got := tap.ReadReg(UartRBR * 4); got != 'Q' {
-		t.Fatalf("lite-tap read = %c", rune(got))
-	}
-}
-
 func TestVirtualSerialConsole(t *testing.T) {
 	eng := sim.NewEngine()
 	u := NewUART(eng, "uart0", nil)
@@ -138,7 +122,9 @@ func TestSDCardWriteFromMemory(t *testing.T) {
 	sd.Write(SDCount, 8, 1)
 	sd.Write(SDCmd, 8, 2)
 	eng.Run()
-	if !bytes.Equal(sd.ReadImage(5*SDSectorBytes, SDSectorBytes), data) {
+	card := make([]byte, SDSectorBytes)
+	b.ReadBytes(sd.CardBase+5*SDSectorBytes, card)
+	if !bytes.Equal(card, data) {
 		t.Fatal("card contents mismatch after DMA write")
 	}
 }

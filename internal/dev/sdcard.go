@@ -64,13 +64,6 @@ func (s *SDCard) LoadImage(offset uint64, data []byte) {
 	s.backing.WriteBytes(s.CardBase+offset, data)
 }
 
-// ReadImage reads back card contents (for tests and host tooling).
-func (s *SDCard) ReadImage(offset uint64, n int) []byte {
-	out := make([]byte, n)
-	s.backing.ReadBytes(s.CardBase+offset, out)
-	return out
-}
-
 // Read implements core-side MMIO reads.
 func (s *SDCard) Read(off uint64, size int) uint64 {
 	switch off {

@@ -1,12 +1,9 @@
 // Package dev provides SMAPPIC's I/O devices (paper §3.4): the UART16550
-// tunneled over AXI-Lite to a host-side virtual serial device, and the
-// virtual SD card mapped into the top half of the FPGA's DRAM.
+// whose console a host-side virtual serial device drains, and the virtual SD
+// card mapped into the top half of the FPGA's DRAM.
 package dev
 
-import (
-	"smappic/internal/axi"
-	"smappic/internal/sim"
-)
+import "smappic/internal/sim"
 
 // UART16550 register offsets (LCR.DLAB=0 view; the divisor latch is
 // accepted but the model's speed is set by CyclesPerByte).
@@ -34,8 +31,7 @@ const StdBaudCycles = 8680
 const FastBaudCycles = 1000
 
 // UART is a 16550-compatible UART. The core side accesses registers through
-// MMIO; the host side drains TX and feeds RX through the AXI-Lite tunnel
-// (LiteTap) or directly via HostRead/HostWrite in tests.
+// MMIO; the host side drains TX with HostRead.
 type UART struct {
 	eng   *sim.Engine
 	name  string
@@ -124,12 +120,6 @@ func (u *UART) Write(off uint64, size int, v uint64) {
 	}
 }
 
-// HostWrite injects bytes on the receive side (host -> core).
-func (u *UART) HostWrite(data []byte) {
-	u.rx = append(u.rx, data...)
-	u.updateIRQ()
-}
-
 // HostRead drains the transmit side (core -> host).
 func (u *UART) HostRead() []byte {
 	out := u.tx
@@ -137,23 +127,10 @@ func (u *UART) HostRead() []byte {
 	return out
 }
 
-// LiteTap exposes the UART over AXI-Lite for the host tunnel: the same
-// registers, as 32-bit words at stride 4 (the Xilinx AXI UART16550 layout).
-func (u *UART) LiteTap() axi.LiteTarget { return liteTap{u} }
-
-type liteTap struct{ u *UART }
-
-func (t liteTap) ReadReg(addr axi.Addr) uint32 {
-	return uint32(t.u.Read(uint64(addr)/4, 1))
-}
-
-func (t liteTap) WriteReg(addr axi.Addr, v uint32) {
-	t.u.Write(uint64(addr)/4, 1, uint64(v))
-}
-
-// VirtualSerial is the host program that creates a virtual serial device and
-// tunnels data between the PCIe driver and it (paper §3.4.1). It polls the
-// UART through the AXI-Lite tap and accumulates console output.
+// VirtualSerial is the host program that creates a virtual serial device
+// for a UART (paper §3.4.1). It drains the UART's transmit side with
+// HostRead and accumulates console output; the PCIe crossing the paper's
+// tunnel takes is not modeled, so reading the console costs no cycles.
 type VirtualSerial struct {
 	uart *UART
 	out  []byte

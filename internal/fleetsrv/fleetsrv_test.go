@@ -660,6 +660,56 @@ func TestResultKeyMustMatchLease(t *testing.T) {
 	}
 }
 
+// TestRunWithoutResultKeepsTheLease: a worker that reports a run but sends
+// no result is refused before its lease is consumed, so the lease expires as
+// any abandoned one does, the job re-queues, and both tenants' campaigns
+// complete with the in-process reports.
+func TestRunWithoutResultKeepsTheLease(t *testing.T) {
+	specA, specB := testSpec("nil-a", 1, 2), testSpec("nil-b", 3, 4)
+	wantA, _ := referenceReport(t, specA)
+	wantB, _ := referenceReport(t, specB)
+	s, clock := testServer(t)
+	subA, err := s.submit(SubmitRequest{Tenant: "alice", Spec: specA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subB, err := s.submit(SubmitRequest{Tenant: "bob", Spec: specB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := s.register(RegisterRequest{Name: "bad"})
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: bad.WorkerID})
+	if err != nil || resp.Job == nil {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	lj := resp.Job
+	err = s.result(ResultRequest{
+		WorkerID: bad.WorkerID, LeaseID: lj.LeaseID, CampaignID: lj.CampaignID,
+		Index: lj.Index, Status: campaign.StatusRun,
+	})
+	if err == nil || httpStatus(err) != http.StatusBadRequest {
+		t.Fatalf("run status without a result: got %v, want a 400", err)
+	}
+	if st, _ := s.campaignStatus(lj.CampaignID); st.InFlight != 1 {
+		t.Fatalf("after the refused delivery: %+v; want the job still in flight", st)
+	}
+
+	*clock = clock.Add(s.LeaseTTL + time.Second)
+	good := s.register(RegisterRequest{Name: "good"})
+	completeAll(t, s, good.WorkerID)
+	for _, c := range []struct {
+		id   string
+		want []byte
+	}{{subA.CampaignID, wantA}, {subB.CampaignID, wantB}} {
+		if st, _ := s.campaignStatus(c.id); !st.Complete || st.Done != st.Total {
+			t.Fatalf("campaign %s after the healthy worker drained the queue: %+v", c.id, st)
+		}
+		if got := reportOf(t, s, c.id); !bytes.Equal(got, c.want) {
+			t.Fatalf("campaign %s report differs from the in-process run\ngot:\n%s\nwant:\n%s", c.id, got, c.want)
+		}
+	}
+}
+
 // TestServerRestartPersistence: the server dies mid-campaign; a new one
 // over the same StateDir and cache resumes — completed jobs stay completed,
 // the rest re-queue — and the final report matches the in-process run.

@@ -439,10 +439,17 @@ func (s *Server) result(req ResultRequest) error {
 		}
 		return errStaleLease
 	}
-	// The cache is content-addressed and shared by every tenant: a result
-	// goes in only under the key of the job this lease was granted for.
-	if req.Status == campaign.StatusRun && req.Result != nil && req.Result.Key != l.tj.Job.Params.Key() {
-		return fmt.Errorf("fleetsrv: result key %q is not the key of leased job %d", req.Result.Key, l.tj.Job.Index)
+	// A malformed delivery is refused before the lease is consumed: the lease
+	// stays live, so its expiry re-queues the job. The cache is
+	// content-addressed and shared by every tenant: a result goes in only
+	// under the key of the job this lease was granted for.
+	if req.Status == campaign.StatusRun {
+		if req.Result == nil {
+			return fmt.Errorf("fleetsrv: run status without a result")
+		}
+		if req.Result.Key != l.tj.Job.Params.Key() {
+			return fmt.Errorf("fleetsrv: result key %q is not the key of leased job %d", req.Result.Key, l.tj.Job.Index)
+		}
 	}
 	delete(s.leases, l.id)
 	if w, ok := s.workers[l.workerID]; ok {
@@ -456,10 +463,6 @@ func (s *Server) result(req ResultRequest) error {
 	run.inflight--
 	switch req.Status {
 	case campaign.StatusRun:
-		if req.Result == nil {
-			s.queue.Release(l.tj.Tenant)
-			return fmt.Errorf("fleetsrv: run status without a result")
-		}
 		s.queue.Release(l.tj.Tenant)
 		if err := s.Cache.Put(req.Result); err != nil {
 			s.logf("campaign %s job %d: cache put: %v", run.id, req.Index, err)

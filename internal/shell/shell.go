@@ -1,31 +1,19 @@
 // Package shell models the AWS F1 Hard Shell (HS): the fixed partition of
-// each F1 FPGA that converts the host/peer PCIe connection into the AXI4 and
-// AXI-Lite interfaces Custom Logic (CL) sees (paper Fig. 2).
+// each F1 FPGA that converts the host/peer PCIe connection into the AXI4
+// interfaces Custom Logic (CL) sees (paper Fig. 2).
 //
 // The shell owns one PCIe endpoint. Traffic arriving over PCIe is converted
-// to AXI4 and forwarded to the CL's inbound port, except for the AXI-Lite
-// aperture, which the shell decodes itself onto up to three register taps
-// (used in SMAPPIC for the UART tunnel and management). Outbound AXI4 from
-// the CL is converted to PCIe transfers routed by address.
+// to AXI4 and forwarded to the CL's inbound port; outbound AXI4 from the CL
+// is converted to PCIe transfers routed by address. The shell's AXI-Lite
+// taps are not modeled: the host reaches the console UART directly.
 package shell
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"smappic/internal/axi"
 	"smappic/internal/pcie"
 	"smappic/internal/sim"
-)
-
-// NumLiteTaps is the number of AXI-Lite interfaces the F1 shell provides.
-const NumLiteTaps = 3
-
-// LiteTapBase is the offset of the AXI-Lite aperture inside an FPGA's PCIe
-// window; tap i occupies [LiteTapBase + i*LiteTapSize, +LiteTapSize).
-const (
-	LiteTapBase axi.Addr = 1 << 39
-	LiteTapSize uint64   = 1 << 24
 )
 
 // ConversionDelay is the PCIe<->AXI4 conversion latency inside the shell,
@@ -39,7 +27,6 @@ type Shell struct {
 	id     int
 	fabric *pcie.Fabric
 	cl     axi.Target
-	lite   [NumLiteTaps]axi.LiteTarget
 	stats  *sim.Stats
 
 	cErrors *sim.Counter // outbound responses with OK:false crossing the CL
@@ -63,21 +50,6 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, id int, stats *sim.Stats) *Shell 
 
 // SetCustomLogic registers the CL's inbound AXI4 port.
 func (s *Shell) SetCustomLogic(t axi.Target) { s.cl = t }
-
-// RegisterLite installs a register file behind AXI-Lite tap i.
-func (s *Shell) RegisterLite(i int, t axi.LiteTarget) {
-	if i < 0 || i >= NumLiteTaps {
-		panic(fmt.Sprintf("shell: lite tap %d out of range", i))
-	}
-	s.lite[i] = t
-}
-
-// LiteAddr returns the global PCIe address of register reg behind tap i of
-// this FPGA, as a host program would compute it from the BAR mapping.
-func (s *Shell) LiteAddr(tap int, reg axi.Addr) axi.Addr {
-	base, _ := s.fabric.Window(s.id)
-	return base + LiteTapBase + axi.Addr(uint64(tap)*LiteTapSize) + reg
-}
 
 // Outbound returns the CL's outbound AXI4 master: requests are converted to
 // PCIe and routed by address (to peer FPGAs or the host).
@@ -136,42 +108,12 @@ func (o *outbound) Do(t *axi.Txn, done func(axi.Resp)) {
 // inbound is the shell's PCIe-facing target (what the fabric delivers to).
 type inbound Shell
 
-func (in *inbound) isLite(addr axi.Addr) (tap int, reg axi.Addr, ok bool) {
-	if addr < LiteTapBase {
-		return 0, 0, false
-	}
-	off := uint64(addr - LiteTapBase)
-	tap = int(off / LiteTapSize)
-	if tap >= NumLiteTaps {
-		return 0, 0, false
-	}
-	return tap, axi.Addr(off % LiteTapSize), true
-}
-
-// Do converts a transfer arriving over PCIe: the AXI-Lite aperture is
-// decoded by the shell itself, anything else goes to the CL.
+// Do converts a transfer arriving over PCIe and forwards it to the CL.
 func (in *inbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	s := (*Shell)(in)
-	if tap, reg, ok := in.isLite(t.Addr); ok {
-		s.eng.Schedule(ConversionDelay, func() { done(s.liteAccess(tap, reg, t)) })
-		return
-	}
 	if s.cl == nil {
 		done(axi.Resp{ID: t.ID, OK: false})
 		return
 	}
 	s.inFwd.Do(ConversionDelay, s.cl, t, done)
-}
-
-// liteAccess performs one 32-bit register access behind AXI-Lite tap tap.
-func (s *Shell) liteAccess(tap int, reg axi.Addr, t *axi.Txn) axi.Resp {
-	regs := s.lite[tap]
-	if regs == nil || t.Write && len(t.Data) < 4 {
-		return axi.Resp{ID: t.ID, OK: false}
-	}
-	if t.Write {
-		regs.WriteReg(reg, binary.LittleEndian.Uint32(t.Data))
-		return axi.Resp{ID: t.ID, OK: true}
-	}
-	return axi.Resp{ID: t.ID, OK: true, Data: binary.LittleEndian.AppendUint32(nil, regs.ReadReg(reg))}
 }

@@ -22,11 +22,6 @@ func (c *clStub) Do(t *axi.Txn, done func(axi.Resp)) {
 	done(axi.Resp{ID: t.ID, Data: make([]byte, t.Len), OK: true})
 }
 
-type liteRegs struct{ regs map[axi.Addr]uint32 }
-
-func (l *liteRegs) ReadReg(a axi.Addr) uint32     { return l.regs[a] }
-func (l *liteRegs) WriteReg(a axi.Addr, v uint32) { l.regs[a] = v }
-
 func setup() (*sim.Engine, *pcie.Fabric, *Shell, *Shell) {
 	eng := sim.NewEngine()
 	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), nil)
@@ -69,51 +64,6 @@ func TestInterFPGAAXIReadRTTMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestLiteTapDecodedByShell(t *testing.T) {
-	eng, fab, s0, _ := setup()
-	regs := &liteRegs{regs: map[axi.Addr]uint32{}}
-	s0.RegisterLite(1, regs)
-	cl := &clStub{}
-	s0.SetCustomLogic(cl)
-
-	host := fab.Master(pcie.HostID)
-	var wr *axi.Resp
-	host.Do(&axi.Txn{Write: true, Addr: s0.LiteAddr(1, 0x10), Data: []byte{0xEF, 0xBE, 0xAD, 0xDE}},
-		func(r axi.Resp) { wr = &r })
-	eng.Run()
-	if wr == nil || !wr.OK {
-		t.Fatal("lite write failed")
-	}
-	if regs.regs[0x10] != 0xDEADBEEF {
-		t.Fatalf("reg = %#x, want 0xDEADBEEF", regs.regs[0x10])
-	}
-	if len(cl.writes) != 0 {
-		t.Error("lite write leaked into CL")
-	}
-
-	var rr *axi.Resp
-	host.Do(&axi.Txn{Addr: s0.LiteAddr(1, 0x10), Len: 4}, func(r axi.Resp) { rr = &r })
-	eng.Run()
-	if rr == nil || !rr.OK || len(rr.Data) != 4 {
-		t.Fatal("lite read failed")
-	}
-	got := uint32(rr.Data[0]) | uint32(rr.Data[1])<<8 | uint32(rr.Data[2])<<16 | uint32(rr.Data[3])<<24
-	if got != 0xDEADBEEF {
-		t.Fatalf("lite read = %#x", got)
-	}
-}
-
-func TestUnregisteredLiteTapFails(t *testing.T) {
-	eng, fab, s0, _ := setup()
-	var rr *axi.Resp
-	fab.Master(pcie.HostID).Do(&axi.Txn{Addr: s0.LiteAddr(2, 0), Len: 4},
-		func(r axi.Resp) { rr = &r })
-	eng.Run()
-	if rr == nil || rr.OK {
-		t.Fatal("read from unregistered tap should fail")
-	}
-}
-
 func TestNoCustomLogicFails(t *testing.T) {
 	eng, _, s0, s1 := setup()
 	var wr *axi.Resp
@@ -123,16 +73,6 @@ func TestNoCustomLogicFails(t *testing.T) {
 	if wr == nil || wr.OK {
 		t.Fatal("write to FPGA without CL should fail")
 	}
-}
-
-func TestLiteTapRangePanics(t *testing.T) {
-	_, _, s0, _ := setup()
-	defer func() {
-		if recover() == nil {
-			t.Error("RegisterLite(3) did not panic")
-		}
-	}()
-	s0.RegisterLite(3, &liteRegs{})
 }
 
 func TestHostReachesCLDMAWindow(t *testing.T) {
@@ -148,5 +88,27 @@ func TestHostReachesCLDMAWindow(t *testing.T) {
 	}
 	if len(cl.writes) != 1 || cl.writes[0].Addr != 0x8000 {
 		t.Fatalf("CL saw %+v", cl.writes)
+	}
+}
+
+// TestWholeWindowReachesCL: the shell decodes no aperture of its own, so a
+// host transfer anywhere in an FPGA's window — here at 1<<39, the offset of
+// the F1 shell's AXI-Lite aperture — is the CL's to answer.
+func TestWholeWindowReachesCL(t *testing.T) {
+	eng, fab, s0, _ := setup()
+	cl := &clStub{}
+	s0.SetCustomLogic(cl)
+	const off axi.Addr = 1 << 39
+	var wr, rr *axi.Resp
+	host := fab.Master(pcie.HostID)
+	host.Do(&axi.Txn{Write: true, Addr: s0.WindowAddr(off), Data: []byte{1, 2, 3, 4}},
+		func(r axi.Resp) { wr = &r })
+	host.Do(&axi.Txn{Addr: s0.WindowAddr(off), Len: 4}, func(r axi.Resp) { rr = &r })
+	eng.Run()
+	if wr == nil || !wr.OK || rr == nil || !rr.OK || len(rr.Data) != 4 {
+		t.Fatalf("write %+v, read %+v: want both answered OK by the CL", wr, rr)
+	}
+	if len(cl.writes) != 1 || cl.writes[0].Addr != off {
+		t.Fatalf("CL saw %+v, want one write at %#x", cl.writes, off)
 	}
 }

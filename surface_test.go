@@ -16,23 +16,6 @@ import (
 	"testing"
 )
 
-// paperModels is the allow-list of TestEveryInternalExportHasACaller: models
-// of a named part of the paper that DESIGN §2's inventory lists and that only
-// their own unit tests exercise. An entry names the paper section it models;
-// a type's entry covers its methods. Nothing else belongs here — an export
-// nothing calls is deleted, and a probe only own-package tests need lives in
-// that package's export_test.go.
-var paperModels = map[string]string{
-	"cloud.Fleet":              "§4.7: the on-demand fleet of F1 instances a lab rents by the hour",
-	"cloud.NewFleet":           "§4.7: its constructor",
-	"dev.PPPHost":              "§3.4.1: the host end of the PPP link over the second UART",
-	"dev.NewPPPHost":           "§3.4.1: its constructor",
-	"dev.UART.LiteTap":         "§3.4.1: the UART's registers as the host tunnel sees them, over AXI-Lite",
-	"shell.Shell.RegisterLite": "§3.4.1: the shell's AXI-Lite taps, device side",
-	"shell.Shell.LiteAddr":     "§3.4.1: the shell's AXI-Lite taps, the address a host program computes",
-	"dev.SDCard.ReadImage":     "§3.4.2: the card's contents read back by host tooling",
-}
-
 // surface type-checks the two modules from source. Module packages are
 // checked here, once each, so that every reference lands in one object
 // graph; everything else goes to the stdlib source importer.
@@ -109,9 +92,10 @@ func (s *surface) check(path, dir string, names []string) *types.Package {
 // in the two modules or one of error, fmt.Stringer, json.Marshaler,
 // io.Reader, io.Writer, http.Handler — that lists it.
 //
-// On a failure: delete the identifier (and re-run: its callees may follow);
-// if own-package tests need it as a probe, move it to that package's
-// export_test.go; paperModels is only for what its comment says.
+// No identifier is exempt by name: code that only its own unit tests run is
+// not kept, whatever part of the paper it models. On a failure, delete the
+// identifier (and re-run: its callees may follow); if own-package tests need
+// it as a probe, move it to that package's export_test.go.
 func TestEveryInternalExportHasACaller(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -208,16 +192,9 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 	}
 
 	var orphans []string
-	allowed := map[string]bool{}
-	report := func(obj types.Object, kind, name string, covers ...string) {
+	report := func(obj types.Object, kind, name string) {
 		if s.used[obj.Pos()] {
 			return
-		}
-		for _, key := range append(covers, name) {
-			if _, ok := paperModels[key]; ok {
-				allowed[key] = true
-				return
-			}
 		}
 		pos := fset.Position(obj.Pos())
 		rel, _ := filepath.Rel(root, pos.Filename)
@@ -247,15 +224,10 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 			if named, ok := obj.Type().(*types.Named); ok && kind == "type" {
 				for i := 0; i < named.NumMethods(); i++ {
 					if m := named.Method(i); m.Exported() && !viaInterface(named, m) {
-						report(m, "method", qual+"."+m.Name(), qual)
+						report(m, "method", qual+"."+m.Name())
 					}
 				}
 			}
-		}
-	}
-	for key := range paperModels {
-		if !allowed[key] {
-			t.Errorf("paperModels[%q] excuses nothing: the identifier is gone or has a caller; drop the entry", key)
 		}
 	}
 	if len(orphans) > 0 {
