@@ -130,15 +130,11 @@ func deliverAll(t *testing.T, s *Server, workerID string, exec func(context.Cont
 	}
 }
 
-// reportOf fetches a completed campaign's aggregate JSON straight from the
-// server's assembly path (the same code the HTTP handler runs).
+// reportOf fetches a completed campaign's aggregate JSON through the method
+// the HTTP handler serves, report memo included.
 func reportOf(t *testing.T, s *Server, id string) []byte {
 	t.Helper()
-	cr, err := s.campaignResult(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := cr.Aggregate().JSON()
+	doc, err := s.report(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +390,11 @@ func TestRetainedOutcomeDropsMetrics(t *testing.T) {
 // TestConcurrentReportsOverSharedResults: reports of two campaigns that share
 // every record are rendered over HTTP, outside the server lock, while a third
 // campaign's results land and one of its points resolves to a shared record.
-// Every report stays byte-identical to the in-process run; the race detector
-// checks that nothing writes what the readers share.
+// The readers start together, so the first reports of the two campaigns race
+// the report memo's first store and its keeping of the bytes; a third
+// campaign of the same spec, admitted mid-read, is read from the memo. Every
+// report stays byte-identical to the in-process run; the race detector checks
+// that nothing writes what the readers share.
 func TestConcurrentReportsOverSharedResults(t *testing.T) {
 	spec := testSpec("shared-reads", 1, 2, 3, 4)
 	want, _ := referenceReport(t, spec)
@@ -420,28 +419,44 @@ func TestConcurrentReportsOverSharedResults(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	gate := make(chan struct{})
+	read := func(id string) {
+		defer wg.Done()
+		<-gate
+		for !stop.Load() {
+			got, err := cl.Report(context.Background(), id)
+			if err != nil {
+				t.Errorf("report %s: %v", id, err)
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report %s differs from the in-process run", id)
+				return
+			}
+		}
+	}
 	for _, id := range ids {
 		for range 2 {
 			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					got, err := cl.Report(context.Background(), id)
-					if err != nil {
-						t.Errorf("report %s: %v", id, err)
-						return
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("report %s differs from the in-process run", id)
-						return
-					}
-				}
-			}()
+			go read(id)
 		}
 	}
+	close(gate)
+	third, err := s.submit(SubmitRequest{Tenant: "carol", Spec: spec})
+	if err != nil || third.Cached != third.Jobs {
+		t.Fatalf("third submission: %+v, %v; want every point answered", third, err)
+	}
+	wg.Add(1)
+	go read(third.CampaignID)
 	completeAll(t, s, worker)
 	stop.Store(true)
 	wg.Wait()
+	if got := reportOf(t, s, third.CampaignID); !bytes.Equal(got, want) {
+		t.Errorf("report %s differs from the in-process run", third.CampaignID)
+	}
+	if memo := memoOf(s, spec); memo == nil || memo.doc == nil {
+		t.Errorf("three campaigns of one spec reported, memo %+v holds no bytes", memo)
+	}
 }
 
 // TestTenantQuotasFairness: two tenants saturate the fleet; quotas cap each

@@ -16,13 +16,18 @@ var (
 	errUnknownCampaign = errors.New("fleetsrv: unknown campaign")
 	errStaleLease      = errors.New("fleetsrv: stale lease")
 	errIncomplete      = errors.New("fleetsrv: campaign incomplete")
+	// errRender marks a report that did not render: the server's fault,
+	// not the request's.
+	errRender = errors.New("fleetsrv: render report")
 )
 
 // httpStatus maps a protocol error to its wire status. Stale leases are 409
 // (the worker must abandon the job), incomplete reports too (retry later),
-// unknown IDs are 404.
+// unknown IDs are 404, a report that does not render is 500.
 func httpStatus(err error) int {
 	switch {
+	case errors.Is(err, errRender):
+		return http.StatusInternalServerError
 	case errors.Is(err, errStaleLease), errors.Is(err, errIncomplete):
 		return http.StatusConflict
 	case errors.Is(err, errUnknownWorker), errors.Is(err, errUnknownCampaign):
@@ -110,14 +115,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	cr, err := s.campaignResult(r.PathValue("id"))
+	out, err := s.report(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, err.Error(), httpStatus(err))
-		return
-	}
-	out, err := cr.Aggregate().JSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

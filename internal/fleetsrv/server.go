@@ -1,6 +1,7 @@
 package fleetsrv
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -63,7 +64,11 @@ type Server struct {
 	// outcome of the key. It is not persisted — the cache is the durable
 	// record, and Load's resolve rebuilds it — and it holds exactly the
 	// results the retained campaigns point at, so it needs no eviction.
-	results   map[string]*campaign.Result
+	results map[string]*campaign.Result
+	// reports holds, per spec, the last report rendered for a campaign of
+	// it (see report). Like results it is not persisted: a restarted server
+	// renders each report once more.
+	reports   map[string]*reportMemo
 	nextSeq   uint64
 	nextCamp  int
 	nextLease int
@@ -123,6 +128,7 @@ func New(cache *campaign.Cache) *Server {
 		workers:   map[string]*workerState{},
 		leases:    map[string]*lease{},
 		results:   map[string]*campaign.Result{},
+		reports:   map[string]*reportMemo{},
 	}
 }
 
@@ -534,6 +540,84 @@ func (s *Server) campaignResult(id string) (*campaign.CampaignResult, error) {
 	cr := &campaign.CampaignResult{Spec: run.spec, Jobs: append([]campaign.JobOutcome(nil), run.outcomes...)}
 	cr.Tally()
 	return cr, nil
+}
+
+// report returns a completed campaign's canonical JSON report. It renders
+// outside s.mu, and answers from s.reports instead when a campaign of the
+// same spec was rendered from the very same outcomes: every slot pointing at
+// the same record, or failed with the same error. A record replaced by a
+// later live delivery, or a failure that completed on resubmission, renders
+// afresh. The bytes are kept only once a second campaign of the spec asks —
+// a spec submitted once, as every fresh sweep is, keeps its slot pointers
+// alone. A complete campaign's outcomes never change and a memo entry is
+// replaced, never modified, so both are read outside the lock. The returned
+// slice may be the memo's: callers must not modify it.
+func (s *Server) report(id string) ([]byte, error) {
+	cr, err := s.campaignResult(id)
+	if err != nil {
+		return nil, err
+	}
+	key := specKey(cr.Spec)
+	s.mu.Lock()
+	memo := s.reports[key]
+	s.mu.Unlock()
+	if memo != nil && memo.doc != nil && memo.renders(cr.Jobs) {
+		return memo.doc, nil
+	}
+
+	doc, err := cr.Aggregate().JSON()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errRender, err)
+	}
+	next := &reportMemo{campaignID: id, slots: make([]reportSlot, len(cr.Jobs))}
+	for i, out := range cr.Jobs {
+		next.slots[i] = reportSlot{out.Result, out.Err}
+	}
+	if memo != nil && memo.campaignID != id {
+		next.doc = doc
+	}
+	s.mu.Lock()
+	s.reports[key] = next
+	s.mu.Unlock()
+	return doc, nil
+}
+
+// reportMemo is the last report rendered for one spec: the campaign it was
+// rendered for, what it read of each slot, and — when that campaign was not
+// the first of its spec to ask — the rendered bytes.
+type reportMemo struct {
+	campaignID string
+	slots      []reportSlot
+	doc        []byte
+}
+
+// reportSlot is what a report reads of one filled slot: the shared record
+// of a result, or the error of a failure.
+type reportSlot struct {
+	res *campaign.Result
+	err string
+}
+
+// renders reports whether the memo was rendered from exactly these
+// outcomes.
+func (m *reportMemo) renders(outcomes []campaign.JobOutcome) bool {
+	for i, out := range outcomes {
+		if m.slots[i] != (reportSlot{out.Result, out.Err}) {
+			return false
+		}
+	}
+	return true
+}
+
+// specKey names a spec in the report memo: the SHA-256 of its JSON, whose
+// field order is fixed, so two campaigns share an entry only when they
+// expand to the same jobs under the same name. An admitted spec always
+// marshals: Jobs refuses the one value JSON cannot hold, a non-finite
+// timeout.
+func specKey(spec campaign.Spec) string {
+	doc, _ := json.Marshal(spec)
+	sum := sha256.Sum256(doc)
+	return string(sum[:])
 }
 
 // fleetStatus builds the whole-fleet view.
