@@ -77,7 +77,7 @@ func (c *Cache) Get(key string) (*Result, bool) {
 }
 
 // Put stores a result under its own key, atomically and durably (see
-// WriteFileAtomic), so a crash at any point leaves either the old entry or
+// writeFileAtomic), so a crash at any point leaves either the old entry or
 // the complete new one, never a zero-length or truncated file that a later
 // run would have to detect.
 func (c *Cache) Put(r *Result) error {
@@ -85,17 +85,17 @@ func (c *Cache) Put(r *Result) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteFileAtomic(c.path(r.Key), append(data, '\n')); err != nil {
+	if err := writeFileAtomic(c.path(r.Key), append(data, '\n')); err != nil {
 		return fmt.Errorf("campaign: cache: %w", err)
 	}
 	return nil
 }
 
-// WriteFileAtomic publishes data under path atomically and durably: it is
+// writeFileAtomic publishes data under path atomically and durably: it is
 // written to a temp file in the same directory, fsynced, renamed over path,
 // and the directory is fsynced. A crash at any point leaves either the old
 // file or the complete new one.
-func WriteFileAtomic(path string, data []byte) error {
+func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

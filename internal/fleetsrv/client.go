@@ -176,15 +176,35 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleetsrv: GET %s: %w", path, err)
 	}
 	if resp.StatusCode == http.StatusConflict {
 		return nil, &staleError{msg: strings.TrimSpace(string(data))}
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fleetsrv: GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(data)))
+	}
+	return data, nil
+}
+
+// readBody reads a whole response body. One whose length the server
+// declared, up to maxBodyBytes, is read into a buffer of exactly that size
+// — a report runs to hundreds of KB, which io.ReadAll reaches by growing and
+// copying — and must end there: a body shorter than its length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	var extra [1]byte
+	if k, err := resp.Body.Read(extra[:]); k != 0 || err != io.EOF {
+		return nil, fmt.Errorf("body does not end at its Content-Length %d (%v)", n, err)
 	}
 	return data, nil
 }

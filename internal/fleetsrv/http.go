@@ -3,8 +3,10 @@ package fleetsrv
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"smappic/internal/obs"
@@ -16,17 +18,20 @@ var (
 	errUnknownCampaign = errors.New("fleetsrv: unknown campaign")
 	errStaleLease      = errors.New("fleetsrv: stale lease")
 	errIncomplete      = errors.New("fleetsrv: campaign incomplete")
-	// errRender marks a report that did not render: the server's fault,
-	// not the request's.
-	errRender = errors.New("fleetsrv: render report")
+	// errRender marks a report that did not render, errPersist a submission
+	// whose record did not reach the disk: the server's fault, not the
+	// request's.
+	errRender  = errors.New("fleetsrv: render report")
+	errPersist = errors.New("fleetsrv: persist submission")
 )
 
 // httpStatus maps a protocol error to its wire status. Stale leases are 409
 // (the worker must abandon the job), incomplete reports too (retry later),
-// unknown IDs are 404, a report that does not render is 500.
+// unknown IDs are 404, a report that does not render or a submission that
+// is not persisted is 500.
 func httpStatus(err error) int {
 	switch {
-	case errors.Is(err, errRender):
+	case errors.Is(err, errRender), errors.Is(err, errPersist):
 		return http.StatusInternalServerError
 	case errors.Is(err, errStaleLease), errors.Is(err, errIncomplete):
 		return http.StatusConflict
@@ -99,7 +104,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.submit(req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), httpStatus(err))
 		return
 	}
 	writeJSON(w, resp)
@@ -121,6 +126,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Write(out)
 }
 
@@ -130,8 +136,10 @@ func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), httpStatus(err))
 		return
 	}
+	out := cr.Aggregate().CSV()
 	w.Header().Set("Content-Type", "text/csv")
-	w.Write([]byte(cr.Aggregate().CSV()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	io.WriteString(w, out)
 }
 
 // handleEvents streams a campaign's job lifecycle over SSE, reusing the obs
@@ -243,14 +251,21 @@ func (s *Server) janitor() {
 	}
 }
 
-// Close shuts the listener down; in-flight SSE streams are cut.
+// Close shuts the listener down, cutting in-flight SSE streams, and closes
+// the submission journal.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	srv := s.httpSrv
-	s.httpSrv = nil
+	srv, journal := s.httpSrv, s.submissions
+	s.httpSrv, s.submissions = nil, nil
 	s.mu.Unlock()
-	if srv == nil {
-		return nil
+	var err error
+	if srv != nil {
+		err = srv.Close()
 	}
-	return srv.Close()
+	if journal != nil {
+		if cerr := journal.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"smappic/internal/campaign"
@@ -241,5 +243,59 @@ func TestReportRenderErrorIs500(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/campaigns/"+sub.CampaignID+"/report", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("unrenderable report: HTTP %d %q, want 500", rec.Code, rec.Body)
+	}
+}
+
+// TestReportBodyReadWhole: the server declares a report's length, and the
+// client reads a body of declared length into one buffer of that size. A
+// body cut short of its length is an error, never a short report; a body of
+// undeclared length (chunked) still reads whole.
+func TestReportBodyReadWhole(t *testing.T) {
+	spec := testSpec("length")
+	s, _ := testServer(t)
+	sub, err := s.submit(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, s, s.register(RegisterRequest{}).WorkerID)
+	want := reportOf(t, s, sub.CampaignID)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	ctx := context.Background()
+	cl := &Client{Server: hs.URL}
+	for _, path := range []string{"/report", "/report.csv"} {
+		resp, err := http.Get(hs.URL + "/api/campaigns/" + sub.CampaignID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %q for %d bytes (%v)", path, resp.ContentLength, resp.TransferEncoding, len(body), err)
+		}
+	}
+	if got, err := cl.Report(ctx, sub.CampaignID); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("served report differs (%v)", err)
+	}
+
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		w.Write(want[:len(want)/2])
+	}))
+	defer short.Close()
+	if got, err := (&Client{Server: short.URL}).Report(ctx, "c0001"); err == nil {
+		t.Errorf("a body cut short of its Content-Length read as a %d-byte report of %d", len(got), len(want))
+	}
+
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		third := len(want) / 3
+		for _, part := range [][]byte{want[:third], want[third : 2*third], want[2*third:]} {
+			w.Write(part)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer chunked.Close()
+	if got, err := (&Client{Server: chunked.URL}).Report(ctx, "c0001"); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a chunked body read as %d bytes of %d (%v)", len(got), len(want), err)
 	}
 }

@@ -27,6 +27,7 @@ func loadedServer(t *testing.T, cache *campaign.Cache, stateDir string) *Server 
 	if err := s.Load(); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -207,7 +208,7 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
-	record, err := os.ReadFile(filepath.Join(stateDir, sub.CampaignID+".campaign.json"))
+	record, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	check := func(name string, damaged []byte, whole int) {
 		t.Helper()
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, sub.CampaignID+".campaign.json"), record, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, submissionJournal), record, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, sub.CampaignID+".outcomes.jsonl"), damaged, 0o644); err != nil {
@@ -264,7 +265,7 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 // TestJournalHoldsOnlyFailures: the cache is the record of a completed job,
 // so a campaign with no failure leaves no outcome journal, one with k
 // failures leaves exactly k lines, and a resubmission the cache answers in
-// full writes nothing but its submission record.
+// full writes nothing but its line of the submission journal.
 func TestJournalHoldsOnlyFailures(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -300,7 +301,7 @@ func TestJournalHoldsOnlyFailures(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := "c0001.campaign.json c0002.campaign.json c0002.outcomes.jsonl c0003.campaign.json"; strings.Join(names, " ") != want {
+	if want := "c0002.outcomes.jsonl campaigns.jsonl"; strings.Join(names, " ") != want {
 		t.Fatalf("state dir holds %q, want %q", names, want)
 	}
 	journal, err := os.ReadFile(filepath.Join(stateDir, "c0002.outcomes.jsonl"))
@@ -460,10 +461,12 @@ func TestLoadRestoresOlderJournal(t *testing.T) {
 	}
 }
 
-// TestLoadSkipsTornCampaignFile: a campaign record cut short — by a crash
-// mid-write under a build that wrote it in place — does not stop the server
-// booting for every other tenant: Load logs and skips it, and its ID is not
-// reused. The records this build writes are published whole.
+// TestLoadSkipsTornCampaignFile: a crash mid-append can leave the
+// submission journal's last line cut at any byte. Whatever is left, the
+// server boots for every other tenant: the earlier campaigns restore, the
+// torn one is logged and skipped and its ID is not reused, and the next
+// submission is appended on a line of its own and restores on the following
+// boot. A line cut only after its closing brace is whole and restores.
 func TestLoadSkipsTornCampaignFile(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -476,36 +479,76 @@ func TestLoadSkipsTornCampaignFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if temps, _ := filepath.Glob(filepath.Join(stateDir, "*.tmp-*")); len(temps) != 0 {
-		t.Fatalf("persisting campaigns left temp files: %v", temps)
-	}
-	torn := filepath.Join(stateDir, "c0002.campaign.json")
-	record, err := os.ReadFile(torn)
+	journal, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(torn, record[:len(record)/2], 0o644); err != nil {
-		t.Fatal(err)
+	lines := bytes.SplitAfter(journal, []byte("\n"))
+	if lines = lines[:len(lines)-1]; len(lines) != 2 {
+		t.Fatalf("journal of 2 submissions has %d lines:\n%s", len(lines), journal)
 	}
+	first, last := len(lines[0]), len(lines[1])
 
-	var logged []string
-	s := New(cache)
-	s.StateDir = stateDir
-	s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-	if err := s.Load(); err != nil {
-		t.Fatalf("Load refused to boot: %v", err)
-	}
-	if st, err := s.campaignStatus("c0001"); err != nil || st.Pending != 4 {
-		t.Fatalf("intact campaign restored as %+v, %v; want 4 pending", st, err)
-	}
-	if st, err := s.campaignStatus("c0002"); err == nil {
-		t.Fatalf("torn campaign restored: %+v", st)
-	}
-	if !strings.Contains(strings.Join(logged, "\n"), "c0002: not restored: unexpected end of JSON input") {
-		t.Errorf("the torn campaign was not logged: %q", logged)
-	}
-	if next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")}); err != nil || next.CampaignID != "c0003" {
-		t.Fatalf("next campaign: %+v, %v; want c0003 past the torn one", next, err)
+	for n := 0; n <= last; n++ {
+		name := fmt.Sprintf("last line cut to %d of %d bytes", n, last)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, submissionJournal), journal[:first+n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		s := New(cache)
+		s.StateDir = dir
+		s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		if err := s.Load(); err != nil {
+			t.Fatalf("%s: Load refused to boot: %v", name, err)
+		}
+		if st, err := s.campaignStatus("c0001"); err != nil || st.Pending != 4 {
+			t.Fatalf("%s: intact campaign restored as %+v, %v; want 4 pending", name, st, err)
+		}
+		// A record is whole once its closing brace is there; the newline
+		// after it is not part of it.
+		whole := n >= last-1
+		st, err := s.campaignStatus("c0002")
+		if whole && (err != nil || st.Pending != 4 || st.Tenant != "bob") {
+			t.Fatalf("%s: whole campaign restored as %+v, %v; want bob's 4 pending", name, st, err)
+		}
+		if !whole && err == nil {
+			t.Fatalf("%s: torn campaign restored: %+v", name, st)
+		}
+		torn := n > 0 && !whole
+		if got := strings.Contains(strings.Join(logged, "\n"), "campaigns.jsonl line 2: not restored: unexpected end of JSON input"); got != torn {
+			t.Errorf("%s: torn line logged %v, want %v: %q", name, got, torn, logged)
+		}
+		// A cut before the record's first byte leaves nothing of it; any
+		// part of it left took c0002.
+		wantNext := "c0003"
+		if n == 0 {
+			wantNext = "c0002"
+		}
+		next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")})
+		if err != nil || next.CampaignID != wantNext {
+			t.Fatalf("%s: next campaign: %+v, %v; want %s", name, next, err, wantNext)
+		}
+		s.Close()
+
+		again := loadedServer(t, cache, dir)
+		if st, err := again.campaignStatus(wantNext); err != nil || st.Tenant != "carol" || st.Pending != 4 {
+			t.Fatalf("%s: the submission after the cut restored as %+v, %v; want carol's 4 pending", name, st, err)
+		}
+		var ids []string
+		for _, c := range again.fleetStatus().Campaigns {
+			ids = append(ids, c.CampaignID)
+		}
+		want := []string{"c0001", "c0003"}
+		if whole {
+			want = []string{"c0001", "c0002", "c0003"}
+		} else if n == 0 {
+			want = []string{"c0001", "c0002"}
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("%s: second boot restored %q, want %q", name, ids, want)
+		}
+		again.Close()
 	}
 }
 
@@ -519,14 +562,16 @@ func TestLoadRestoresInAdmissionOrderPastC9999(t *testing.T) {
 		t.Fatal(err)
 	}
 	stateDir := t.TempDir()
+	var journal []byte
 	for _, id := range []string{"c9999", "c10000"} {
 		data, err := json.Marshal(persistedCampaign{ID: id, Tenant: "alice", Spec: testSpec(id, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(stateDir, id+".campaign.json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		journal = append(append(journal, data...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, submissionJournal), journal, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s := loadedServer(t, cache, stateDir)
 	var ids []string
@@ -560,8 +605,8 @@ func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := `{"id":"c0002","tenant":"bob","spec":{"name":"forever","shapes":["1x1x2"],"workloads":["is"],"keys":256,"timeout_sec":1e10}}`
-	if err := os.WriteFile(filepath.Join(stateDir, "c0002.campaign.json"), []byte(bad), 0o644); err != nil {
+	bad := `{"id":"c0002","tenant":"bob","spec":{"name":"forever","shapes":["1x1x2"],"workloads":["is"],"keys":256,"timeout_sec":1e10}}` + "\n"
+	if err := appendFile(filepath.Join(stateDir, submissionJournal), []byte(bad)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -587,5 +632,167 @@ func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
 	}
 	if next.CampaignID != "c0003" {
 		t.Errorf("next campaign is %s, want c0003 past the skipped one", next.CampaignID)
+	}
+}
+
+// TestSubmissionRecordIsOneJournalLine: each submission is one compact line
+// of the submission journal, in admission order — no file per campaign, no
+// temp file — and a restarted server restores every one of them in that
+// order.
+func TestSubmissionRecordIsOneJournalLine(t *testing.T) {
+	const n = 5
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	s := loadedServer(t, cache, stateDir)
+	var want []string
+	for i := range n {
+		sub, err := s.submit(SubmitRequest{Tenant: "alice", Priority: i, Spec: testSpec(fmt.Sprint("s", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sub.CampaignID)
+	}
+	journal, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(journal), "\n")
+	if lines = lines[:len(lines)-1]; len(lines) != n {
+		t.Fatalf("journal of %d submissions has %d lines:\n%s", n, len(lines), journal)
+	}
+	for i, line := range lines {
+		var pc persistedCampaign
+		if err := json.Unmarshal([]byte(line), &pc); err != nil || pc.ID != want[i] || pc.Priority != i {
+			t.Fatalf("line %d is %q (%v), want the record of %s", i+1, line, err, want[i])
+		}
+		compact, _ := json.Marshal(pc)
+		if line != string(compact)+"\n" {
+			t.Errorf("line %d is not one compact record: %q", i+1, line)
+		}
+	}
+	for _, pattern := range []string{"*.campaign.json", "*.tmp-*"} {
+		if stray, _ := filepath.Glob(filepath.Join(stateDir, pattern)); len(stray) != 0 {
+			t.Errorf("state dir holds %v", stray)
+		}
+	}
+	var ids []string
+	for _, c := range loadedServer(t, cache, stateDir).fleetStatus().Campaigns {
+		ids = append(ids, c.CampaignID)
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("restored %q, want %q", ids, want)
+	}
+}
+
+// TestLoadRestoresPerCampaignRecords: a state dir an older build left holds
+// one <id>.campaign.json per campaign. An upgraded server restores them in
+// admission order (c10000 after c9999), skips a torn one without reusing its
+// ID, then restores the journal's lines; it writes its own submissions to
+// the journal and leaves the old files as they were.
+func TestLoadRestoresPerCampaignRecords(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	old := map[string][]byte{}
+	for _, id := range []string{"c0002", "c9999", "c10000", "c10001"} {
+		data, err := json.MarshalIndent(persistedCampaign{ID: id, Tenant: "alice", Spec: testSpec(id, 1)}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, '\n')
+		if id == "c10001" {
+			data = data[:len(data)/2] // written in place by an even older build, and cut by a crash
+		}
+		old[id] = data
+		if err := os.WriteFile(filepath.Join(stateDir, id+".campaign.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line, err := json.Marshal(persistedCampaign{ID: "c10002", Tenant: "bob", Spec: testSpec("journaled", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, submissionJournal), append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	s := New(cache)
+	s.StateDir = stateDir
+	s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	if err := s.Load(); err != nil {
+		t.Fatalf("Load refused to boot: %v", err)
+	}
+	defer s.Close()
+	restored := func(s *Server) []string {
+		var ids []string
+		for _, c := range s.fleetStatus().Campaigns {
+			ids = append(ids, c.CampaignID)
+		}
+		return ids
+	}
+	if got, want := restored(s), []string{"c0002", "c9999", "c10000", "c10002"}; !slices.Equal(got, want) {
+		t.Fatalf("restored %q, want %q", got, want)
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "c10001: not restored: unexpected end of JSON input") {
+		t.Errorf("the torn campaign file was not logged: %q", logged)
+	}
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: s.register(RegisterRequest{}).WorkerID})
+	if err != nil || resp.Job == nil || resp.Job.CampaignID != "c0002" {
+		t.Fatalf("first lease: %+v, %v; want c0002's job", resp.Job, err)
+	}
+	next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")})
+	if err != nil || next.CampaignID != "c10003" {
+		t.Fatalf("next campaign: %+v, %v; want c10003", next, err)
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, "c10003.campaign.json")); !os.IsNotExist(err) {
+		t.Errorf("the new submission was written as a file of its own (%v)", err)
+	}
+	for id, data := range old {
+		if got, err := os.ReadFile(filepath.Join(stateDir, id+".campaign.json")); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s.campaign.json changed: %v\n%s", id, err, got)
+		}
+	}
+	if got, want := restored(loadedServer(t, cache, stateDir)), []string{"c0002", "c9999", "c10000", "c10002", "c10003"}; !slices.Equal(got, want) {
+		t.Fatalf("second boot restored %q, want %q", got, want)
+	}
+}
+
+// TestSubmitRefusedWhenRecordIsNotDurable: a submission is answered only
+// once its record is on disk. When the journal cannot be written the
+// submission is a 500, and nothing of it is admitted, leased or restored.
+func TestSubmitRefusedWhenRecordIsNotDurable(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	s := loadedServer(t, cache, stateDir)
+	// A directory where the journal belongs: opening it for writing fails.
+	blocker := filepath.Join(stateDir, submissionJournal)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("lost")})
+	if err == nil || httpStatus(err) != http.StatusInternalServerError {
+		t.Fatalf("submit: %+v, %v; want a 500", sub, err)
+	}
+	if st := s.fleetStatus(); len(st.Campaigns) != 0 {
+		t.Fatalf("a refused submission was admitted: %+v", st.Campaigns)
+	}
+	resp, err := s.leaseNext(LeaseRequest{WorkerID: s.register(RegisterRequest{}).WorkerID})
+	if err != nil || resp.Job != nil {
+		t.Fatalf("lease after a refused submission: %+v, %v; want none", resp.Job, err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if st := loadedServer(t, cache, stateDir).fleetStatus(); len(st.Campaigns) != 0 {
+		t.Fatalf("a refused submission was restored: %+v", st.Campaigns)
 	}
 }

@@ -1,6 +1,7 @@
 package fleetsrv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -33,10 +34,11 @@ type Server struct {
 	// server decodes a key's entry once, the first time the key is asked
 	// for; its record in results answers from then on.
 	Cache *campaign.Cache
-	// StateDir, when non-empty, persists each campaign's submission and a
-	// journal of its failed jobs, so a restarted server resumes where it
-	// stopped: the cache answers every job that completed, failures stay
-	// failed, the rest re-queue. Empty keeps everything in-memory.
+	// StateDir, when non-empty, persists every submission to one journal
+	// and each campaign's failed jobs to a journal of its own, so a
+	// restarted server resumes where it stopped: the cache answers every job
+	// that completed, failures stay failed, the rest re-queue. Empty keeps
+	// everything in-memory.
 	StateDir string
 	// LeaseTTL is the heartbeat deadline for granted leases; 0 means
 	// DefaultLeaseTTL.
@@ -73,6 +75,9 @@ type Server struct {
 	nextCamp  int
 	nextLease int
 	nextWkr   int
+	// submissions is the submission journal in StateDir, open for appending
+	// from the first submission until Close.
+	submissions *os.File
 
 	httpSrv *http.Server
 }
@@ -177,8 +182,14 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 	defer s.mu.Unlock()
 	s.expireLocked()
 	s.nextCamp++
-	run := s.admitLocked(fmt.Sprintf("c%04d", s.nextCamp), tenant, req.Priority, req.Spec, jobs)
-	s.persistCampaign(run)
+	id := fmt.Sprintf("c%04d", s.nextCamp)
+	// The record is durable before any job of the campaign can be leased or
+	// its failure journaled, and the submission is refused if it is not.
+	if err := s.persistLocked(persistedCampaign{ID: id, Tenant: tenant, Priority: req.Priority, Spec: req.Spec}); err != nil {
+		s.logf("persist campaign %s: %v", id, err)
+		return nil, fmt.Errorf("%w: %w", errPersist, err)
+	}
+	run := s.admitLocked(id, tenant, req.Priority, req.Spec, jobs)
 	cached := s.resolveLocked(run)
 	s.logf("campaign %s (%s): %d jobs, %d cached, tenant %s", run.id, req.Spec.Name, len(jobs), cached, tenant)
 	return &SubmitResponse{CampaignID: run.id, Jobs: len(jobs), Cached: cached}, nil
@@ -647,7 +658,12 @@ func (s *Server) fleetStatus() *StatusView {
 
 // ---- persistence ---------------------------------------------------------
 
-// persistedCampaign is the on-disk submission record.
+// submissionJournal is the file in StateDir that holds every submission
+// record, one compact persistedCampaign per line, in admission order.
+const submissionJournal = "campaigns.jsonl"
+
+// persistedCampaign is the on-disk submission record: a line of the
+// submission journal, or a <id>.campaign.json file of an older build.
 type persistedCampaign struct {
 	ID       string        `json:"id"`
 	Tenant   string        `json:"tenant"`
@@ -666,19 +682,55 @@ type persistedOutcome struct {
 	Err    string          `json:"err,omitempty"`
 }
 
-func (s *Server) persistCampaign(run *campaignRun) {
+// persistLocked appends one submission record to the journal and fsyncs it,
+// opening the journal at the first record. Caller holds s.mu.
+func (s *Server) persistLocked(pc persistedCampaign) error {
 	if s.StateDir == "" {
-		return
+		return nil
 	}
-	data, err := json.MarshalIndent(persistedCampaign{
-		ID: run.id, Tenant: run.tenant, Priority: run.priority, Spec: run.spec,
-	}, "", "  ")
-	if err == nil {
-		err = campaign.WriteFileAtomic(filepath.Join(s.StateDir, run.id+".campaign.json"), append(data, '\n'))
+	line, err := json.Marshal(pc)
+	if err != nil {
+		return err
+	}
+	if s.submissions == nil {
+		f, err := os.OpenFile(filepath.Join(s.StateDir, submissionJournal), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		// The journal's name is durable once its directory is synced; each
+		// record is synced as it is appended.
+		if err := syncDir(s.StateDir); err != nil {
+			f.Close()
+			return err
+		}
+		s.submissions = f
+	}
+	info, err := s.submissions.Stat()
+	if err != nil {
+		return err
+	}
+	if _, err = s.submissions.Write(append(line, '\n')); err == nil {
+		err = s.submissions.Sync()
 	}
 	if err != nil {
-		s.logf("persist campaign %s: %v", run.id, err)
+		// The submission is refused, so cut its record back out. Best
+		// effort: on a disk that fails this too, the fragment stays.
+		_ = s.submissions.Truncate(info.Size())
 	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the names created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Server) journalFailure(run *campaignRun, out campaign.JobOutcome) {
@@ -687,12 +739,15 @@ func (s *Server) journalFailure(run *campaignRun, out campaign.JobOutcome) {
 	}
 	line, err := json.Marshal(persistedOutcome{Index: out.Job.Index, Status: out.Status, Err: out.Err})
 	if err == nil {
-		err = appendFile(filepath.Join(s.StateDir, run.id+".outcomes.jsonl"), append(line, '\n'))
+		err = appendFile(filepath.Join(s.StateDir, run.id+outcomesSuffix), append(line, '\n'))
 	}
 	if err != nil {
 		s.logf("persist outcome %s/%d: %v", run.id, out.Job.Index, err)
 	}
 }
+
+// outcomesSuffix ends the name of a campaign's failure journal in StateDir.
+const outcomesSuffix = ".outcomes.jsonl"
 
 // appendFile appends data to the journal at path, creating it if needed.
 func appendFile(path string, data []byte) error {
@@ -710,8 +765,9 @@ func appendFile(path string, data []byte) error {
 // Load restores persisted campaigns from StateDir in admission order. Each
 // one is admitted again with its journaled failures filled, then resolved
 // exactly as a new submission is: the cache answers every job that
-// completed, the rest re-queue. A campaign file that does not parse, or
-// whose spec no longer expands, is logged and skipped. Call once, before
+// completed, the rest re-queue. A record that does not parse, or whose spec
+// no longer expands, is logged and skipped. Load does not open the
+// submission journal; the first submission after it does. Call once, before
 // serving.
 func (s *Server) Load() error {
 	if s.StateDir == "" {
@@ -720,70 +776,134 @@ func (s *Server) Load() error {
 	if err := os.MkdirAll(s.StateDir, 0o755); err != nil {
 		return fmt.Errorf("fleetsrv: state dir: %w", err)
 	}
-	files, err := filepath.Glob(filepath.Join(s.StateDir, "*.campaign.json"))
+	// Only the campaigns that had a failure have a journal of their own.
+	journals, err := filepath.Glob(filepath.Join(s.StateDir, "*"+outcomesSuffix))
 	if err != nil {
 		return err
 	}
-	// Admission order: IDs are counters, and c10000 follows c9999.
-	sort.SliceStable(files, func(i, j int) bool {
-		return campNum(filepath.Base(files[i])) < campNum(filepath.Base(files[j]))
-	})
+	hasJournal := make(map[string]bool, len(journals))
+	for _, path := range journals {
+		hasJournal[strings.TrimSuffix(filepath.Base(path), outcomesSuffix)] = true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, path := range files {
-		id := strings.TrimSuffix(filepath.Base(path), ".campaign.json")
-		// A skipped campaign's ID is never reused either: its files stay.
-		s.nextCamp = max(s.nextCamp, campNum(id))
-		data, err := os.ReadFile(path)
+	records, err := s.readSubmissionsLocked()
+	if err != nil {
+		return err
+	}
+	for _, pc := range records {
+		jobs, err := pc.Spec.Jobs()
 		if err != nil {
-			return fmt.Errorf("fleetsrv: %s: %w", path, err)
-		}
-		var pc persistedCampaign
-		var jobs []campaign.Job
-		if err = json.Unmarshal(data, &pc); err == nil {
-			jobs, err = pc.Spec.Jobs()
-		}
-		if err != nil {
-			// Torn by a crash under an older build, or admitted under an
-			// older, looser one that this one refuses: serving it would run
-			// jobs it cannot trust. Skip it rather than refuse to boot for
-			// every other tenant.
-			s.logf("campaign %s: not restored: %v", id, err)
+			// Admitted under an older, looser build that this one refuses:
+			// serving it would run jobs it cannot trust. Skip it rather than
+			// refuse to boot for every other tenant; its ID is not reused.
+			s.logf("campaign %s: not restored: %v", pc.ID, err)
 			continue
 		}
 		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
-
-		jpath := filepath.Join(s.StateDir, pc.ID+".outcomes.jsonl")
-		journal, err := os.ReadFile(jpath)
-		if err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("fleetsrv: %s journal: %w", pc.ID, err)
-		}
-		if n := len(journal); n > 0 && journal[n-1] != '\n' {
-			// A crash tore the last append. End its line, or the next record
-			// appended would be glued to the fragment and lost with it.
-			if err := appendFile(jpath, []byte("\n")); err != nil {
-				return fmt.Errorf("fleetsrv: %s journal: %w", pc.ID, err)
-			}
-		}
-		for _, line := range strings.Split(string(journal), "\n") {
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			var rec persistedOutcome
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				// A torn trailing line from a crash mid-append: the job
-				// simply re-runs.
-				s.logf("campaign %s: skipping torn journal line: %v", pc.ID, err)
-				continue
-			}
-			if rec.Status == campaign.StatusFailed && rec.Index >= 0 && rec.Index < len(jobs) {
-				run.fill(campaign.JobOutcome{Job: jobs[rec.Index], Status: rec.Status, Err: rec.Err})
+		if hasJournal[pc.ID] {
+			if err := s.restoreFailures(run); err != nil {
+				return err
 			}
 		}
 		s.resolveLocked(run)
 		s.logf("restored campaign %s: %d/%d complete, %d re-queued", run.id, run.done+run.failed, len(jobs), run.pending)
 	}
 	return nil
+}
+
+// readSubmissionsLocked returns every submission record in StateDir in
+// admission order: first the <id>.campaign.json files an older build wrote,
+// by campNum (c10000 follows c9999), then the journal's lines in file
+// order. Every record advances nextCamp past its ID, so no ID is reused.
+// One that does not parse — torn by a crash mid-write — is logged and
+// skipped, and still advances it: a file by its name, a journal line by
+// one, since each line took the next ID. Caller holds s.mu.
+func (s *Server) readSubmissionsLocked() ([]persistedCampaign, error) {
+	files, err := filepath.Glob(filepath.Join(s.StateDir, "*.campaign.json"))
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(files, func(i, j int) bool {
+		return campNum(filepath.Base(files[i])) < campNum(filepath.Base(files[j]))
+	})
+	var records []persistedCampaign
+	for _, path := range files {
+		id := strings.TrimSuffix(filepath.Base(path), ".campaign.json")
+		s.nextCamp = max(s.nextCamp, campNum(id))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("fleetsrv: %s: %w", path, err)
+		}
+		var pc persistedCampaign
+		if err := json.Unmarshal(data, &pc); err != nil {
+			s.logf("campaign %s: not restored: %v", id, err)
+			continue
+		}
+		records = append(records, pc)
+	}
+
+	lines, err := readJournal(filepath.Join(s.StateDir, submissionJournal))
+	if err != nil {
+		return nil, err
+	}
+	for i, line := range lines {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var pc persistedCampaign
+		if err := json.Unmarshal(line, &pc); err != nil {
+			s.nextCamp++
+			s.logf("%s line %d: not restored: %v", submissionJournal, i+1, err)
+			continue
+		}
+		s.nextCamp = max(s.nextCamp, campNum(pc.ID))
+		records = append(records, pc)
+	}
+	return records, nil
+}
+
+// restoreFailures fills the slots of run's journaled failures.
+func (s *Server) restoreFailures(run *campaignRun) error {
+	lines, err := readJournal(filepath.Join(s.StateDir, run.id+outcomesSuffix))
+	if err != nil {
+		return err
+	}
+	for _, line := range lines {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec persistedOutcome
+		if err := json.Unmarshal(line, &rec); err != nil {
+			// A torn trailing line from a crash mid-append: the job
+			// simply re-runs.
+			s.logf("campaign %s: skipping torn journal line: %v", run.id, err)
+			continue
+		}
+		if rec.Status == campaign.StatusFailed && rec.Index >= 0 && rec.Index < len(run.jobs) {
+			run.fill(campaign.JobOutcome{Job: run.jobs[rec.Index], Status: rec.Status, Err: rec.Err})
+		}
+	}
+	return nil
+}
+
+// readJournal returns the lines of the journal at path, none if there is no
+// such file. A last line torn by a crash is ended first: otherwise the next
+// record appended would be glued to the fragment and lost with it.
+func readJournal(path string) ([][]byte, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fleetsrv: %w", err)
+	}
+	if n := len(data); n > 0 && data[n-1] != '\n' {
+		if err := appendFile(path, []byte("\n")); err != nil {
+			return nil, fmt.Errorf("fleetsrv: %w", err)
+		}
+	}
+	return bytes.Split(data, []byte("\n")), nil
 }
 
 // campNum parses the counter out of a cNNNN campaign ID, or out of a file
