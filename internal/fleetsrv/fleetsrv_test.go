@@ -423,7 +423,9 @@ func TestConcurrentReportsOverSharedResults(t *testing.T) {
 	read := func(id string) {
 		defer wg.Done()
 		<-gate
-		for !stop.Load() {
+		// Every reader reads at least once: one that the scheduler starts
+		// only after stop would otherwise leave a campaign unreported.
+		for {
 			got, err := cl.Report(context.Background(), id)
 			if err != nil {
 				t.Errorf("report %s: %v", id, err)
@@ -431,6 +433,9 @@ func TestConcurrentReportsOverSharedResults(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("report %s differs from the in-process run", id)
+				return
+			}
+			if stop.Load() {
 				return
 			}
 		}

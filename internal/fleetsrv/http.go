@@ -252,11 +252,11 @@ func (s *Server) janitor() {
 }
 
 // Close shuts the listener down, cutting in-flight SSE streams, and closes
-// the submission journal.
+// the journal.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	srv, journal := s.httpSrv, s.submissions
-	s.httpSrv, s.submissions = nil, nil
+	srv, journal := s.httpSrv, s.journal
+	s.httpSrv, s.journal = nil, nil
 	s.mu.Unlock()
 	var err error
 	if srv != nil {

@@ -187,11 +187,11 @@ func TestIDsFromThePreviousBootNeverMatch(t *testing.T) {
 }
 
 // TestLoadSurvivesJournalTornAtEveryOffset: whatever a crash or a bad disk
-// left of a campaign's failure journal — any prefix, or a corrupted line in
-// the middle — Load restores exactly the failures whose records are whole,
-// re-queues the rest, and the finished campaign serves the reference report.
-// What the restored server then appends to the damaged file survives a
-// further restart too.
+// left of the failure lines after a campaign's submission line — any prefix,
+// or a corrupted line in the middle — Load restores exactly the failures
+// whose records are whole, re-queues the rest, and the finished campaign
+// serves the reference report. What the restored server then appends to the
+// damaged journal survives a further restart too.
 func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 	spec := testSpec("torn")
 	fail := failingExec(1, 2, 3, 4)
@@ -208,26 +208,20 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
-	record, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal, err := os.ReadFile(filepath.Join(stateDir, sub.CampaignID+".outcomes.jsonl"))
+	journal, err := os.ReadFile(filepath.Join(stateDir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(journal, []byte("\n"))
-	if lines = lines[:len(lines)-1]; len(lines) != 4 { // every record ends in a newline
-		t.Fatalf("journal of a 4-point campaign that failed has %d lines:\n%s", len(lines), journal)
+	if lines = lines[:len(lines)-1]; len(lines) != 5 { // every record ends in a newline
+		t.Fatalf("journal of a 4-point campaign that failed has %d lines, want its submission and 4 failures:\n%s", len(lines), journal)
 	}
+	record, failures := lines[0], lines[1:]
 
 	check := func(name string, damaged []byte, whole int) {
 		t.Helper()
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, submissionJournal), record, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, sub.CampaignID+".outcomes.jsonl"), damaged, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, journalFile), append(slices.Clip(record), damaged...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s := loadedServer(t, cache, dir)
@@ -247,25 +241,27 @@ func TestLoadSurvivesJournalTornAtEveryOffset(t *testing.T) {
 			t.Fatalf("%s: a second restart restored %+v, %v; want the 4 failures the first one completed", name, again, err)
 		}
 	}
-	for n := 0; n <= len(journal); n++ {
+	tail := bytes.Join(failures, nil)
+	for n := 0; n <= len(tail); n++ {
 		// A record is whole once its closing brace is there; the newline
 		// after it is not part of it.
 		whole, end := 0, 0
-		for _, line := range lines {
+		for _, line := range failures {
 			if end += len(line); n >= end-1 {
 				whole++
 			}
 		}
-		check(fmt.Sprintf("prefix of %d bytes", n), journal[:n], whole)
+		check(fmt.Sprintf("failure lines cut to %d bytes", n), tail[:n], whole)
 	}
-	corrupt := bytes.Join([][]byte{lines[0], []byte("{\"index\":1,\"sta\x00\xff}}\n"), lines[2], lines[3]}, nil)
-	check("corrupted second line", corrupt, 3)
+	corrupt := bytes.Join([][]byte{failures[0], []byte("{\"id\":\"c0001\",\"fai\x00\xff}}\n"), failures[2], failures[3]}, nil)
+	check("corrupted second failure line", corrupt, 3)
 }
 
 // TestJournalHoldsOnlyFailures: the cache is the record of a completed job,
-// so a campaign with no failure leaves no outcome journal, one with k
-// failures leaves exactly k lines, and a resubmission the cache answers in
-// full writes nothing but its line of the submission journal.
+// so the state dir is the one journal, and besides each campaign's
+// submission line it holds exactly one line per failed job, after its own
+// campaign's line. A campaign with no failure, or a resubmission the cache
+// answers in full, writes nothing but its submission line.
 func TestJournalHoldsOnlyFailures(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -301,15 +297,33 @@ func TestJournalHoldsOnlyFailures(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := "c0002.outcomes.jsonl campaigns.jsonl"; strings.Join(names, " ") != want {
+	if want := journalFile; strings.Join(names, " ") != want {
 		t.Fatalf("state dir holds %q, want %q", names, want)
 	}
-	journal, err := os.ReadFile(filepath.Join(stateDir, "c0002.outcomes.jsonl"))
+	journal, err := os.ReadFile(filepath.Join(stateDir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(journal, []byte("\n")); n != 2 || bytes.Count(journal, []byte(`"status":"failed"`)) != 2 {
-		t.Fatalf("journal of a campaign with 2 failures has %d lines:\n%s", n, journal)
+	var submitted, failed []string
+	for i, line := range strings.SplitAfter(string(journal), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d %q: %v", i+1, line, err)
+		}
+		switch {
+		case rec.Spec != nil:
+			submitted = append(submitted, rec.ID)
+		case rec.Failed != nil && slices.Contains(submitted, rec.ID):
+			failed = append(failed, fmt.Sprint(rec.ID, "/", *rec.Failed))
+		default:
+			t.Fatalf("line %d %q is neither a submission nor a failure of a campaign submitted before it", i+1, line)
+		}
+	}
+	if !slices.Equal(submitted, []string{"c0001", "c0002", "c0003"}) || !slices.Equal(failed, []string{"c0002/1", "c0002/3"}) {
+		t.Fatalf("journal holds submissions %q and failures %q, want 3 submissions and c0002's 2 failures:\n%s", submitted, failed, journal)
 	}
 }
 
@@ -409,64 +423,13 @@ func TestResubmissionReadsNoCacheEntry(t *testing.T) {
 	}
 }
 
-// TestLoadRestoresOlderJournal: a journal from a build that also recorded
-// each completed job by its cache key restores only its failed lines. Every
-// other slot is answered by the cache under the job's own key — a line
-// naming another key, or a key the cache no longer holds, serves nothing —
-// and the rest re-queue.
-func TestLoadRestoresOlderJournal(t *testing.T) {
-	spec := testSpec("older")
-	fail := failingExec(4)
-	want, _ := referenceReportWith(t, spec, fail)
-	cache, err := campaign.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ := fakeExec(context.Background(), jobs[1].Params)
-	if err := cache.Put(res); err != nil {
-		t.Fatal(err)
-	}
-	stateDir := t.TempDir()
-	sub, err := loadedServer(t, cache, stateDir).submit(SubmitRequest{Tenant: "alice", Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := fmt.Sprintf(`{"index":0,"status":"run","key":%q}
-{"index":1,"status":"cached","key":%q}
-{"index":2,"status":"run","key":%q}
-{"index":3,"status":"failed","err":"seed 4: boom"}
-`, jobs[1].Params.Key(), jobs[1].Params.Key(), jobs[2].Params.Key())
-	if err := os.WriteFile(filepath.Join(stateDir, sub.CampaignID+".outcomes.jsonl"), []byte(journal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := loadedServer(t, cache, stateDir)
-	var got []campaign.Status
-	for _, out := range s.campaigns[sub.CampaignID].outcomes {
-		got = append(got, out.Status)
-	}
-	if want := []campaign.Status{"", campaign.StatusCached, "", campaign.StatusFailed}; !slices.Equal(got, want) {
-		t.Fatalf("restored slots %q, want %q (empty: queued)", got, want)
-	}
-	if st, err := s.campaignStatus(sub.CampaignID); err != nil || st.Pending != 2 {
-		t.Fatalf("restored %+v, %v; want 2 pending", st, err)
-	}
-	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, fail)
-	if got := reportOf(t, s, sub.CampaignID); !bytes.Equal(got, want) {
-		t.Fatalf("report differs from the in-process run\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestLoadSkipsTornCampaignFile: a crash mid-append can leave the
-// submission journal's last line cut at any byte. Whatever is left, the
-// server boots for every other tenant: the earlier campaigns restore, the
-// torn one is logged and skipped and its ID is not reused, and the next
-// submission is appended on a line of its own and restores on the following
-// boot. A line cut only after its closing brace is whole and restores.
+// TestLoadSkipsTornCampaignFile: a crash mid-append can leave the journal's
+// last line cut at any byte, whether it was a submission or a failure.
+// Whatever is left, the server boots for every other tenant: the earlier
+// campaigns restore, the torn line is logged and skipped and the ID it may
+// have taken is not reused, and the next submission is appended on a line of
+// its own and restores on the following boot. A line cut only after its
+// closing brace is whole: a submission restores, a failure fills its slot.
 func TestLoadSkipsTornCampaignFile(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -479,7 +442,7 @@ func TestLoadSkipsTornCampaignFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	journal, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
+	journal, err := os.ReadFile(filepath.Join(stateDir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,68 +450,89 @@ func TestLoadSkipsTornCampaignFile(t *testing.T) {
 	if lines = lines[:len(lines)-1]; len(lines) != 2 {
 		t.Fatalf("journal of 2 submissions has %d lines:\n%s", len(lines), journal)
 	}
-	first, last := len(lines[0]), len(lines[1])
+	index := 2
+	failure, err := json.Marshal(journalRecord{ID: "c0001", Failed: &index, Err: "seed 3: boom"})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for n := 0; n <= last; n++ {
-		name := fmt.Sprintf("last line cut to %d of %d bytes", n, last)
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, submissionJournal), journal[:first+n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var logged []string
-		s := New(cache)
-		s.StateDir = dir
-		s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-		if err := s.Load(); err != nil {
-			t.Fatalf("%s: Load refused to boot: %v", name, err)
-		}
-		if st, err := s.campaignStatus("c0001"); err != nil || st.Pending != 4 {
-			t.Fatalf("%s: intact campaign restored as %+v, %v; want 4 pending", name, st, err)
-		}
-		// A record is whole once its closing brace is there; the newline
-		// after it is not part of it.
-		whole := n >= last-1
-		st, err := s.campaignStatus("c0002")
-		if whole && (err != nil || st.Pending != 4 || st.Tenant != "bob") {
-			t.Fatalf("%s: whole campaign restored as %+v, %v; want bob's 4 pending", name, st, err)
-		}
-		if !whole && err == nil {
-			t.Fatalf("%s: torn campaign restored: %+v", name, st)
-		}
-		torn := n > 0 && !whole
-		if got := strings.Contains(strings.Join(logged, "\n"), "campaigns.jsonl line 2: not restored: unexpected end of JSON input"); got != torn {
-			t.Errorf("%s: torn line logged %v, want %v: %q", name, got, torn, logged)
-		}
-		// A cut before the record's first byte leaves nothing of it; any
-		// part of it left took c0002.
-		wantNext := "c0003"
-		if n == 0 {
-			wantNext = "c0002"
-		}
-		next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")})
-		if err != nil || next.CampaignID != wantNext {
-			t.Fatalf("%s: next campaign: %+v, %v; want %s", name, next, err, wantNext)
-		}
-		s.Close()
+	for _, c := range []struct {
+		what    string
+		last    []byte
+		failure bool
+	}{
+		{"submission", lines[1], false},
+		{"failure", append(failure, '\n'), true},
+	} {
+		last := len(c.last)
+		for n := 0; n <= last; n++ {
+			name := fmt.Sprintf("%s line cut to %d of %d bytes", c.what, n, last)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, journalFile), append(slices.Clip(lines[0]), c.last[:n]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logged []string
+			s := New(cache)
+			s.StateDir = dir
+			s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+			if err := s.Load(); err != nil {
+				t.Fatalf("%s: Load refused to boot: %v", name, err)
+			}
+			// A record is whole once its closing brace is there; the newline
+			// after it is not part of it.
+			whole := n >= last-1
+			failed := 0
+			if c.failure && whole {
+				failed = 1
+			}
+			intact := func(s *Server) {
+				t.Helper()
+				if st, err := s.campaignStatus("c0001"); err != nil || st.Failed != failed || st.Pending != 4-failed {
+					t.Fatalf("%s: intact campaign restored as %+v, %v; want %d failed, the rest pending", name, st, err, failed)
+				}
+			}
+			intact(s)
+			st, err := s.campaignStatus("c0002")
+			if !c.failure && whole && (err != nil || st.Pending != 4 || st.Tenant != "bob") {
+				t.Fatalf("%s: whole campaign restored as %+v, %v; want bob's 4 pending", name, st, err)
+			}
+			if (c.failure || !whole) && err == nil {
+				t.Fatalf("%s: torn campaign restored: %+v", name, st)
+			}
+			torn := n > 0 && !whole
+			if got := strings.Contains(strings.Join(logged, "\n"), "campaigns.jsonl line 2: not restored: unexpected end of JSON input"); got != torn {
+				t.Errorf("%s: torn line logged %v, want %v: %q", name, got, torn, logged)
+			}
+			// Any part left of a submission took c0002, and a torn line may
+			// have been one; a whole failure line took no ID.
+			wantNext := "c0002"
+			if torn || !c.failure && n > 0 {
+				wantNext = "c0003"
+			}
+			next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")})
+			if err != nil || next.CampaignID != wantNext {
+				t.Fatalf("%s: next campaign: %+v, %v; want %s", name, next, err, wantNext)
+			}
+			s.Close()
 
-		again := loadedServer(t, cache, dir)
-		if st, err := again.campaignStatus(wantNext); err != nil || st.Tenant != "carol" || st.Pending != 4 {
-			t.Fatalf("%s: the submission after the cut restored as %+v, %v; want carol's 4 pending", name, st, err)
+			again := loadedServer(t, cache, dir)
+			intact(again)
+			if st, err := again.campaignStatus(wantNext); err != nil || st.Tenant != "carol" || st.Pending != 4 {
+				t.Fatalf("%s: the submission after the cut restored as %+v, %v; want carol's 4 pending", name, st, err)
+			}
+			var ids []string
+			for _, c := range again.fleetStatus().Campaigns {
+				ids = append(ids, c.CampaignID)
+			}
+			want := []string{"c0001", wantNext}
+			if !c.failure && whole {
+				want = []string{"c0001", "c0002", "c0003"}
+			}
+			if !slices.Equal(ids, want) {
+				t.Fatalf("%s: second boot restored %q, want %q", name, ids, want)
+			}
+			again.Close()
 		}
-		var ids []string
-		for _, c := range again.fleetStatus().Campaigns {
-			ids = append(ids, c.CampaignID)
-		}
-		want := []string{"c0001", "c0003"}
-		if whole {
-			want = []string{"c0001", "c0002", "c0003"}
-		} else if n == 0 {
-			want = []string{"c0001", "c0002"}
-		}
-		if !slices.Equal(ids, want) {
-			t.Fatalf("%s: second boot restored %q, want %q", name, ids, want)
-		}
-		again.Close()
 	}
 }
 
@@ -564,13 +548,14 @@ func TestLoadRestoresInAdmissionOrderPastC9999(t *testing.T) {
 	stateDir := t.TempDir()
 	var journal []byte
 	for _, id := range []string{"c9999", "c10000"} {
-		data, err := json.Marshal(persistedCampaign{ID: id, Tenant: "alice", Spec: testSpec(id, 1)})
+		spec := testSpec(id, 1)
+		data, err := json.Marshal(journalRecord{ID: id, Tenant: "alice", Spec: &spec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		journal = append(append(journal, data...), '\n')
 	}
-	if err := os.WriteFile(filepath.Join(stateDir, submissionJournal), journal, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stateDir, journalFile), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := loadedServer(t, cache, stateDir)
@@ -593,8 +578,9 @@ func TestLoadRestoresInAdmissionOrderPastC9999(t *testing.T) {
 // TestLoadSkipsCampaignItCannotExpand: a state dir can hold a campaign whose
 // spec this build refuses — here a timeout_sec past what a time.Duration
 // holds, which an older build admitted and then failed every job of at
-// cycle 0. The server still boots: it logs and skips that campaign, restores
-// the others, and never reuses the skipped campaign's ID.
+// cycle 0. The server still boots: it logs and skips that campaign, ignores
+// the failure line of it, restores the others, and never reuses the skipped
+// campaign's ID.
 func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
@@ -605,8 +591,13 @@ func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := `{"id":"c0002","tenant":"bob","spec":{"name":"forever","shapes":["1x1x2"],"workloads":["is"],"keys":256,"timeout_sec":1e10}}` + "\n"
-	if err := appendFile(filepath.Join(stateDir, submissionJournal), []byte(bad)); err != nil {
+	bad := `{"id":"c0002","tenant":"bob","spec":{"name":"forever","shapes":["1x1x2"],"workloads":["is"],"keys":256,"timeout_sec":1e10}}` + "\n" +
+		`{"id":"c0002","failed":0,"err":"campaign: timeout_sec"}` + "\n"
+	journal, err := os.ReadFile(filepath.Join(stateDir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, journalFile), append(journal, bad...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -636,7 +627,7 @@ func TestLoadSkipsCampaignItCannotExpand(t *testing.T) {
 }
 
 // TestSubmissionRecordIsOneJournalLine: each submission is one compact line
-// of the submission journal, in admission order — no file per campaign, no
+// of the journal, in admission order — no file per campaign, no
 // temp file — and a restarted server restores every one of them in that
 // order.
 func TestSubmissionRecordIsOneJournalLine(t *testing.T) {
@@ -655,7 +646,7 @@ func TestSubmissionRecordIsOneJournalLine(t *testing.T) {
 		}
 		want = append(want, sub.CampaignID)
 	}
-	journal, err := os.ReadFile(filepath.Join(stateDir, submissionJournal))
+	journal, err := os.ReadFile(filepath.Join(stateDir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,8 +655,8 @@ func TestSubmissionRecordIsOneJournalLine(t *testing.T) {
 		t.Fatalf("journal of %d submissions has %d lines:\n%s", n, len(lines), journal)
 	}
 	for i, line := range lines {
-		var pc persistedCampaign
-		if err := json.Unmarshal([]byte(line), &pc); err != nil || pc.ID != want[i] || pc.Priority != i {
+		var pc journalRecord
+		if err := json.Unmarshal([]byte(line), &pc); err != nil || pc.ID != want[i] || pc.Priority != i || pc.Spec == nil {
 			t.Fatalf("line %d is %q (%v), want the record of %s", i+1, line, err, want[i])
 		}
 		compact, _ := json.Marshal(pc)
@@ -687,82 +678,6 @@ func TestSubmissionRecordIsOneJournalLine(t *testing.T) {
 	}
 }
 
-// TestLoadRestoresPerCampaignRecords: a state dir an older build left holds
-// one <id>.campaign.json per campaign. An upgraded server restores them in
-// admission order (c10000 after c9999), skips a torn one without reusing its
-// ID, then restores the journal's lines; it writes its own submissions to
-// the journal and leaves the old files as they were.
-func TestLoadRestoresPerCampaignRecords(t *testing.T) {
-	cache, err := campaign.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stateDir := t.TempDir()
-	old := map[string][]byte{}
-	for _, id := range []string{"c0002", "c9999", "c10000", "c10001"} {
-		data, err := json.MarshalIndent(persistedCampaign{ID: id, Tenant: "alice", Spec: testSpec(id, 1)}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, '\n')
-		if id == "c10001" {
-			data = data[:len(data)/2] // written in place by an even older build, and cut by a crash
-		}
-		old[id] = data
-		if err := os.WriteFile(filepath.Join(stateDir, id+".campaign.json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	line, err := json.Marshal(persistedCampaign{ID: "c10002", Tenant: "bob", Spec: testSpec("journaled", 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stateDir, submissionJournal), append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var logged []string
-	s := New(cache)
-	s.StateDir = stateDir
-	s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-	if err := s.Load(); err != nil {
-		t.Fatalf("Load refused to boot: %v", err)
-	}
-	defer s.Close()
-	restored := func(s *Server) []string {
-		var ids []string
-		for _, c := range s.fleetStatus().Campaigns {
-			ids = append(ids, c.CampaignID)
-		}
-		return ids
-	}
-	if got, want := restored(s), []string{"c0002", "c9999", "c10000", "c10002"}; !slices.Equal(got, want) {
-		t.Fatalf("restored %q, want %q", got, want)
-	}
-	if !strings.Contains(strings.Join(logged, "\n"), "c10001: not restored: unexpected end of JSON input") {
-		t.Errorf("the torn campaign file was not logged: %q", logged)
-	}
-	resp, err := s.leaseNext(LeaseRequest{WorkerID: s.register(RegisterRequest{}).WorkerID})
-	if err != nil || resp.Job == nil || resp.Job.CampaignID != "c0002" {
-		t.Fatalf("first lease: %+v, %v; want c0002's job", resp.Job, err)
-	}
-	next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next")})
-	if err != nil || next.CampaignID != "c10003" {
-		t.Fatalf("next campaign: %+v, %v; want c10003", next, err)
-	}
-	if _, err := os.Stat(filepath.Join(stateDir, "c10003.campaign.json")); !os.IsNotExist(err) {
-		t.Errorf("the new submission was written as a file of its own (%v)", err)
-	}
-	for id, data := range old {
-		if got, err := os.ReadFile(filepath.Join(stateDir, id+".campaign.json")); err != nil || !bytes.Equal(got, data) {
-			t.Errorf("%s.campaign.json changed: %v\n%s", id, err, got)
-		}
-	}
-	if got, want := restored(loadedServer(t, cache, stateDir)), []string{"c0002", "c9999", "c10000", "c10002", "c10003"}; !slices.Equal(got, want) {
-		t.Fatalf("second boot restored %q, want %q", got, want)
-	}
-}
-
 // TestSubmitRefusedWhenRecordIsNotDurable: a submission is answered only
 // once its record is on disk. When the journal cannot be written the
 // submission is a 500, and nothing of it is admitted, leased or restored.
@@ -774,7 +689,7 @@ func TestSubmitRefusedWhenRecordIsNotDurable(t *testing.T) {
 	stateDir := t.TempDir()
 	s := loadedServer(t, cache, stateDir)
 	// A directory where the journal belongs: opening it for writing fails.
-	blocker := filepath.Join(stateDir, submissionJournal)
+	blocker := filepath.Join(stateDir, journalFile)
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -794,5 +709,120 @@ func TestSubmitRefusedWhenRecordIsNotDurable(t *testing.T) {
 	}
 	if st := loadedServer(t, cache, stateDir).fleetStatus(); len(st.Campaigns) != 0 {
 		t.Fatalf("a refused submission was restored: %+v", st.Campaigns)
+	}
+}
+
+// TestLoadRefusesOlderLayout: an older build kept each submission in a
+// <id>.campaign.json file and each campaign's failures in <id>.outcomes.jsonl,
+// which this build does not read. Rather than boot with those campaigns or
+// failures missing, Load refuses a state dir holding either, with an error
+// that names the file; it admits nothing and changes no file, not even the
+// journal's torn last line.
+func TestLoadRefusesOlderLayout(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec("newer")
+	line, err := json.Marshal(journalRecord{ID: "c0002", Tenant: "bob", Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"c0001.campaign.json":  `{"id":"c0001","tenant":"alice","spec":{"name":"older","shapes":["1x1x2"],"workloads":["is"],"keys":256}}` + "\n",
+		"c0001.outcomes.jsonl": `{"index":0,"status":"failed","err":"seed 1: boom"}` + "\n",
+	} {
+		dir := t.TempDir()
+		files := map[string][]byte{
+			name:        []byte(data),
+			journalFile: append(append(line, '\n'), line[:len(line)/2]...),
+		}
+		for file, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(cache)
+		s.StateDir = dir
+		err := s.Load()
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+			t.Fatalf("%s: Load returned %v, want an error naming the file", name, err)
+		}
+		if st := s.fleetStatus(); len(st.Campaigns) != 0 {
+			t.Errorf("%s: Load admitted %+v", name, st.Campaigns)
+		}
+		s.Close()
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != len(files) {
+			t.Fatalf("%s: state dir holds %v (%v), want %d files", name, entries, err, len(files))
+		}
+		for file, data := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, file)); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: %s changed: %v\n%s", name, file, err, got)
+			}
+		}
+	}
+}
+
+// TestUnwritableFailureLineIsLogged: a job's failure is booked whether or
+// not its line reaches the journal, so a line the journal cannot take — here
+// through a read-only handle — is logged, and nothing of it is left: the
+// journal stays byte-identical. The next submission appends after it, and a
+// restart restores both campaigns, re-queuing the job whose failure was not
+// recorded.
+func TestUnwritableFailureLineIsLogged(t *testing.T) {
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	var logged []string
+	s := New(cache)
+	s.StateDir = stateDir
+	s.Log = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sub, err := s.submit(SubmitRequest{Tenant: "alice", Spec: testSpec("unwritable", 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(stateDir, journalFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readOnly, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writable := s.journal
+	s.journal = readOnly
+	deliverAll(t, s, s.register(RegisterRequest{}).WorkerID, failingExec(2))
+	s.journal = writable
+	readOnly.Close()
+
+	if st, err := s.campaignStatus(sub.CampaignID); err != nil || !st.Complete || st.Done != 1 || st.Failed != 1 {
+		t.Fatalf("campaign %+v, %v; want 1 done and 1 failed", st, err)
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "persist outcome c0001/1: ") {
+		t.Errorf("the unwritten failure line was not logged: %q", logged)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("journal changed by a failed append: %v\nbefore:\n%s\nafter:\n%s", err, before, after)
+	}
+	next, err := s.submit(SubmitRequest{Tenant: "carol", Spec: testSpec("next", 5, 6, 7, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	again := loadedServer(t, cache, stateDir)
+	if st, err := again.campaignStatus(sub.CampaignID); err != nil || st.Done != 1 || st.Failed != 0 || st.Pending != 1 {
+		t.Errorf("restored %+v, %v; want the done job cached and the unrecorded failure re-queued", st, err)
+	}
+	if st, err := again.campaignStatus(next.CampaignID); err != nil || st.Tenant != "carol" || st.Pending != 4 {
+		t.Errorf("the next submission restored as %+v, %v; want carol's 4 pending", st, err)
 	}
 }

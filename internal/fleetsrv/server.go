@@ -34,11 +34,10 @@ type Server struct {
 	// server decodes a key's entry once, the first time the key is asked
 	// for; its record in results answers from then on.
 	Cache *campaign.Cache
-	// StateDir, when non-empty, persists every submission to one journal
-	// and each campaign's failed jobs to a journal of its own, so a
-	// restarted server resumes where it stopped: the cache answers every job
-	// that completed, failures stay failed, the rest re-queue. Empty keeps
-	// everything in-memory.
+	// StateDir, when non-empty, persists every submission and every failed
+	// job as lines of one journal, so a restarted server resumes where it
+	// stopped: the cache answers every job that completed, failures stay
+	// failed, the rest re-queue. Empty keeps everything in-memory.
 	StateDir string
 	// LeaseTTL is the heartbeat deadline for granted leases; 0 means
 	// DefaultLeaseTTL.
@@ -75,9 +74,9 @@ type Server struct {
 	nextCamp  int
 	nextLease int
 	nextWkr   int
-	// submissions is the submission journal in StateDir, open for appending
-	// from the first submission until Close.
-	submissions *os.File
+	// journal is the journal in StateDir, open for appending from the first
+	// record written until Close.
+	journal *os.File
 
 	httpSrv *http.Server
 }
@@ -185,7 +184,7 @@ func (s *Server) submit(req SubmitRequest) (*SubmitResponse, error) {
 	id := fmt.Sprintf("c%04d", s.nextCamp)
 	// The record is durable before any job of the campaign can be leased or
 	// its failure journaled, and the submission is refused if it is not.
-	if err := s.persistLocked(persistedCampaign{ID: id, Tenant: tenant, Priority: req.Priority, Spec: req.Spec}); err != nil {
+	if err := s.persistLocked(journalRecord{ID: id, Tenant: tenant, Priority: req.Priority, Spec: &req.Spec}, true); err != nil {
 		s.logf("persist campaign %s: %v", id, err)
 		return nil, fmt.Errorf("%w: %w", errPersist, err)
 	}
@@ -289,7 +288,11 @@ func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campai
 		return
 	}
 	if out.Status == campaign.StatusFailed {
-		s.journalFailure(run, out)
+		// Not fsynced: a failure lost in a crash re-runs its job.
+		index := out.Job.Index
+		if err := s.persistLocked(journalRecord{ID: run.id, Failed: &index, Err: out.Err}, false); err != nil {
+			s.logf("persist outcome %s/%d: %v", run.id, index, err)
+		}
 	}
 	run.hub.Broadcast("job", ev)
 	if run.complete() {
@@ -584,10 +587,12 @@ func (s *Server) report(id string) ([]byte, error) {
 	for i, out := range cr.Jobs {
 		next.slots[i] = reportSlot{out.Result, out.Err}
 	}
-	if memo != nil && memo.campaignID != id {
+	s.mu.Lock()
+	// Keep the bytes once another campaign of the spec has rendered, whether
+	// its entry was read above or was stored while this one rendered.
+	if cur := s.reports[key]; memo != nil && memo.campaignID != id || cur != nil && cur.campaignID != id {
 		next.doc = doc
 	}
-	s.mu.Lock()
 	s.reports[key] = next
 	s.mu.Unlock()
 	return doc, nil
@@ -658,64 +663,63 @@ func (s *Server) fleetStatus() *StatusView {
 
 // ---- persistence ---------------------------------------------------------
 
-// submissionJournal is the file in StateDir that holds every submission
-// record, one compact persistedCampaign per line, in admission order.
-const submissionJournal = "campaigns.jsonl"
+// journalFile is StateDir's one file: every submission and every failed
+// job, one compact journalRecord per line, in the order they happened.
+const journalFile = "campaigns.jsonl"
 
-// persistedCampaign is the on-disk submission record: a line of the
-// submission journal, or a <id>.campaign.json file of an older build.
-type persistedCampaign struct {
-	ID       string        `json:"id"`
-	Tenant   string        `json:"tenant"`
-	Priority int           `json:"priority,omitempty"`
-	Spec     campaign.Spec `json:"spec"`
+// journalRecord is one line of the journal: a submission, which carries the
+// spec, or a failed job of a campaign admitted on an earlier line, which
+// carries the job's index. A completed job needs no line: its result is in
+// the content-addressed cache, which Load consults by the job's own key.
+type journalRecord struct {
+	ID       string         `json:"id"`
+	Tenant   string         `json:"tenant,omitempty"`
+	Priority int            `json:"priority,omitempty"`
+	Spec     *campaign.Spec `json:"spec,omitempty"`
+	Failed   *int           `json:"failed,omitempty"`
+	Err      string         `json:"err,omitempty"`
 }
 
-// persistedOutcome is one line of a campaign's failure journal. A completed
-// job needs no line: its result is in the content-addressed cache, which
-// Load consults by the job's own key. Status stays on the line so that a
-// journal holding success lines from an older build restores only its
-// failures.
-type persistedOutcome struct {
-	Index  int             `json:"index"`
-	Status campaign.Status `json:"status"`
-	Err    string          `json:"err,omitempty"`
-}
-
-// persistLocked appends one submission record to the journal and fsyncs it,
-// opening the journal at the first record. Caller holds s.mu.
-func (s *Server) persistLocked(pc persistedCampaign) error {
+// persistLocked appends rec to the journal as one line, fsynced when sync
+// is set. Caller holds s.mu.
+func (s *Server) persistLocked(rec journalRecord, sync bool) error {
 	if s.StateDir == "" {
 		return nil
 	}
-	line, err := json.Marshal(pc)
+	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if s.submissions == nil {
-		f, err := os.OpenFile(filepath.Join(s.StateDir, submissionJournal), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return s.appendLocked(append(line, '\n'), sync)
+}
+
+// appendLocked appends data to the journal, opening it at the first append,
+// and fsyncs it when sync is set. A failed append is cut back out, so no
+// fragment of it glues onto the next record. Caller holds s.mu.
+func (s *Server) appendLocked(data []byte, sync bool) error {
+	if s.journal == nil {
+		f, err := os.OpenFile(filepath.Join(s.StateDir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		// The journal's name is durable once its directory is synced; each
-		// record is synced as it is appended.
+		// submission is synced as it is appended.
 		if err := syncDir(s.StateDir); err != nil {
 			f.Close()
 			return err
 		}
-		s.submissions = f
+		s.journal = f
 	}
-	info, err := s.submissions.Stat()
+	info, err := s.journal.Stat()
 	if err != nil {
 		return err
 	}
-	if _, err = s.submissions.Write(append(line, '\n')); err == nil {
-		err = s.submissions.Sync()
+	if _, err = s.journal.Write(data); err == nil && sync {
+		err = s.journal.Sync()
 	}
 	if err != nil {
-		// The submission is refused, so cut its record back out. Best
-		// effort: on a disk that fails this too, the fragment stays.
-		_ = s.submissions.Truncate(info.Size())
+		// Best effort: on a disk that fails this too, the fragment stays.
+		_ = s.journal.Truncate(info.Size())
 	}
 	return err
 }
@@ -733,42 +737,14 @@ func syncDir(dir string) error {
 	return err
 }
 
-func (s *Server) journalFailure(run *campaignRun, out campaign.JobOutcome) {
-	if s.StateDir == "" {
-		return
-	}
-	line, err := json.Marshal(persistedOutcome{Index: out.Job.Index, Status: out.Status, Err: out.Err})
-	if err == nil {
-		err = appendFile(filepath.Join(s.StateDir, run.id+outcomesSuffix), append(line, '\n'))
-	}
-	if err != nil {
-		s.logf("persist outcome %s/%d: %v", run.id, out.Job.Index, err)
-	}
-}
-
-// outcomesSuffix ends the name of a campaign's failure journal in StateDir.
-const outcomesSuffix = ".outcomes.jsonl"
-
-// appendFile appends data to the journal at path, creating it if needed.
-func appendFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Load restores persisted campaigns from StateDir in admission order. Each
-// one is admitted again with its journaled failures filled, then resolved
-// exactly as a new submission is: the cache answers every job that
-// completed, the rest re-queue. A record that does not parse, or whose spec
-// no longer expands, is logged and skipped. Load does not open the
-// submission journal; the first submission after it does. Call once, before
-// serving.
+// Load restores the journal's campaigns. It reads the journal once, in
+// order: a submission line admits its campaign, a failure line fills a slot
+// of a campaign already admitted. Each restored campaign is then resolved,
+// in admission order, exactly as a new submission is: the cache answers
+// every job that completed, the rest re-queue. A line that does not parse,
+// or a campaign whose spec no longer expands, is logged and skipped. A state
+// dir that holds an older build's files is refused, and nothing is written
+// to it. Call once, before serving.
 func (s *Server) Load() error {
 	if s.StateDir == "" {
 		return nil
@@ -776,138 +752,69 @@ func (s *Server) Load() error {
 	if err := os.MkdirAll(s.StateDir, 0o755); err != nil {
 		return fmt.Errorf("fleetsrv: state dir: %w", err)
 	}
-	// Only the campaigns that had a failure have a journal of their own.
-	journals, err := filepath.Glob(filepath.Join(s.StateDir, "*"+outcomesSuffix))
+	entries, err := os.ReadDir(s.StateDir)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleetsrv: state dir: %w", err)
 	}
-	hasJournal := make(map[string]bool, len(journals))
-	for _, path := range journals {
-		hasJournal[strings.TrimSuffix(filepath.Base(path), outcomesSuffix)] = true
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".campaign.json") || strings.HasSuffix(name, ".outcomes.jsonl") {
+			return fmt.Errorf("fleetsrv: %s is an older build's state, which this build does not read; start from an empty state dir",
+				filepath.Join(s.StateDir, name))
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(s.StateDir, journalFile))
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("fleetsrv: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	records, err := s.readSubmissionsLocked()
-	if err != nil {
-		return err
+	if n := len(data); n > 0 && data[n-1] != '\n' {
+		// A last line torn by a crash is ended first: otherwise the next
+		// record appended would be glued to the fragment and lost with it.
+		if err := s.appendLocked([]byte("\n"), false); err != nil {
+			return fmt.Errorf("fleetsrv: %w", err)
+		}
 	}
-	for _, pc := range records {
-		jobs, err := pc.Spec.Jobs()
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			// Torn by a crash mid-append. A submission line took the next
+			// ID, so that ID is not reused; a failure line's job re-runs.
+			s.nextCamp++
+			s.logf("%s line %d: not restored: %v", journalFile, i+1, err)
+			continue
+		}
+		if rec.Spec == nil {
+			// A failure line, of a campaign admitted above or of none.
+			if run := s.campaigns[rec.ID]; run != nil && rec.Failed != nil && *rec.Failed >= 0 && *rec.Failed < len(run.jobs) {
+				run.fill(campaign.JobOutcome{Job: run.jobs[*rec.Failed], Status: campaign.StatusFailed, Err: rec.Err})
+			}
+			continue
+		}
+		s.nextCamp = max(s.nextCamp, campNum(rec.ID))
+		jobs, err := rec.Spec.Jobs()
 		if err != nil {
 			// Admitted under an older, looser build that this one refuses:
 			// serving it would run jobs it cannot trust. Skip it rather than
-			// refuse to boot for every other tenant; its ID is not reused.
-			s.logf("campaign %s: not restored: %v", pc.ID, err)
+			// refuse to boot for every other tenant; its ID is not reused,
+			// and its failure lines fill nothing.
+			s.logf("campaign %s: not restored: %v", rec.ID, err)
 			continue
 		}
-		run := s.admitLocked(pc.ID, pc.Tenant, pc.Priority, pc.Spec, jobs)
-		if hasJournal[pc.ID] {
-			if err := s.restoreFailures(run); err != nil {
-				return err
-			}
-		}
+		s.admitLocked(rec.ID, rec.Tenant, rec.Priority, *rec.Spec, jobs)
+	}
+	for _, id := range s.order {
+		run := s.campaigns[id]
 		s.resolveLocked(run)
-		s.logf("restored campaign %s: %d/%d complete, %d re-queued", run.id, run.done+run.failed, len(jobs), run.pending)
+		s.logf("restored campaign %s: %d/%d complete, %d re-queued", run.id, run.done+run.failed, len(run.jobs), run.pending)
 	}
 	return nil
 }
 
-// readSubmissionsLocked returns every submission record in StateDir in
-// admission order: first the <id>.campaign.json files an older build wrote,
-// by campNum (c10000 follows c9999), then the journal's lines in file
-// order. Every record advances nextCamp past its ID, so no ID is reused.
-// One that does not parse — torn by a crash mid-write — is logged and
-// skipped, and still advances it: a file by its name, a journal line by
-// one, since each line took the next ID. Caller holds s.mu.
-func (s *Server) readSubmissionsLocked() ([]persistedCampaign, error) {
-	files, err := filepath.Glob(filepath.Join(s.StateDir, "*.campaign.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(files, func(i, j int) bool {
-		return campNum(filepath.Base(files[i])) < campNum(filepath.Base(files[j]))
-	})
-	var records []persistedCampaign
-	for _, path := range files {
-		id := strings.TrimSuffix(filepath.Base(path), ".campaign.json")
-		s.nextCamp = max(s.nextCamp, campNum(id))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("fleetsrv: %s: %w", path, err)
-		}
-		var pc persistedCampaign
-		if err := json.Unmarshal(data, &pc); err != nil {
-			s.logf("campaign %s: not restored: %v", id, err)
-			continue
-		}
-		records = append(records, pc)
-	}
-
-	lines, err := readJournal(filepath.Join(s.StateDir, submissionJournal))
-	if err != nil {
-		return nil, err
-	}
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var pc persistedCampaign
-		if err := json.Unmarshal(line, &pc); err != nil {
-			s.nextCamp++
-			s.logf("%s line %d: not restored: %v", submissionJournal, i+1, err)
-			continue
-		}
-		s.nextCamp = max(s.nextCamp, campNum(pc.ID))
-		records = append(records, pc)
-	}
-	return records, nil
-}
-
-// restoreFailures fills the slots of run's journaled failures.
-func (s *Server) restoreFailures(run *campaignRun) error {
-	lines, err := readJournal(filepath.Join(s.StateDir, run.id+outcomesSuffix))
-	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec persistedOutcome
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn trailing line from a crash mid-append: the job
-			// simply re-runs.
-			s.logf("campaign %s: skipping torn journal line: %v", run.id, err)
-			continue
-		}
-		if rec.Status == campaign.StatusFailed && rec.Index >= 0 && rec.Index < len(run.jobs) {
-			run.fill(campaign.JobOutcome{Job: run.jobs[rec.Index], Status: rec.Status, Err: rec.Err})
-		}
-	}
-	return nil
-}
-
-// readJournal returns the lines of the journal at path, none if there is no
-// such file. A last line torn by a crash is ended first: otherwise the next
-// record appended would be glued to the fragment and lost with it.
-func readJournal(path string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fleetsrv: %w", err)
-	}
-	if n := len(data); n > 0 && data[n-1] != '\n' {
-		if err := appendFile(path, []byte("\n")); err != nil {
-			return nil, fmt.Errorf("fleetsrv: %w", err)
-		}
-	}
-	return bytes.Split(data, []byte("\n")), nil
-}
-
-// campNum parses the counter out of a cNNNN campaign ID, or out of a file
-// name that starts with one (0 if malformed).
+// campNum parses the counter out of a cNNNN campaign ID (0 if malformed).
 func campNum(id string) int {
 	n := 0
 	if _, err := fmt.Sscanf(id, "c%d", &n); err != nil {
