@@ -32,7 +32,7 @@ func TestTaus88Uniformity(t *testing.T) {
 }
 
 func TestGNGStatisticsAreGaussian(t *testing.T) {
-	g := NewGNG(99, nil, "gng")
+	g := NewGNG(99, &sim.Stats{}, "gng")
 	const n = 100_000
 	var sum, sum2 float64
 	for i := 0; i < n; i++ {
@@ -53,8 +53,8 @@ func TestGNGStatisticsAreGaussian(t *testing.T) {
 func TestGNGPackedFetches(t *testing.T) {
 	// Two generators with the same seed: one fetched 1-at-a-time, one
 	// 4-at-a-time; the sample streams must match.
-	a := NewGNG(5, nil, "a")
-	b := NewGNG(5, nil, "b")
+	a := NewGNG(5, &sim.Stats{}, "a")
+	b := NewGNG(5, &sim.Stats{}, "b")
 	var seq []uint16
 	for i := 0; i < 8; i++ {
 		seq = append(seq, uint16(a.Read(GNGFetch1, 8)))
@@ -84,7 +84,7 @@ func TestGNGStatsCount(t *testing.T) {
 }
 
 func TestSoftwareMatchesHardware(t *testing.T) {
-	hw := NewGNG(77, nil, "hw")
+	hw := NewGNG(77, &sim.Stats{}, "hw")
 	sw := NewSoftwareGNG(77)
 	for i := 0; i < 100; i++ {
 		if hw.Sample() != sw.Sample() {

@@ -100,10 +100,8 @@ func (g *GNG) Read(off uint64, size int) uint64 {
 	default:
 		return 0
 	}
-	if g.stats != nil {
-		g.stats.Counter(g.name + ".fetches").Inc()
-		g.stats.Counter(g.name + ".samples").Add(uint64(n))
-	}
+	g.stats.Counter(g.name + ".fetches").Inc()
+	g.stats.Counter(g.name + ".samples").Add(uint64(n))
 	var out uint64
 	for i := 0; i < n; i++ {
 		out |= uint64(uint16(g.Sample())) << (16 * i)

@@ -22,20 +22,15 @@ type Shaper struct {
 	cBytes    *sim.Counter // bytes pushed through the shaper
 }
 
-// NewShaper wraps t. With zero latency and bandwidth it is a transparent
-// pass-through.
-func NewShaper(eng *sim.Engine, t Target, extraLatency sim.Time, bytesPerCycle int) *Shaper {
-	return &Shaper{eng: eng, t: t, ExtraLatency: extraLatency, BytesPerCycle: bytesPerCycle, pool: NewForwarder(eng)}
-}
-
-// SetStats registers throttle telemetry under name ("<name>.throttle_cycles",
-// "<name>.shaped_bytes"). A nil stats leaves the shaper un-instrumented.
-func (s *Shaper) SetStats(stats *sim.Stats, name string) {
-	if stats == nil {
-		return
+// NewShaper wraps t and registers its telemetry under name
+// ("<name>.throttle_cycles", "<name>.shaped_bytes"). With zero latency and
+// bandwidth it is a transparent pass-through.
+func NewShaper(eng *sim.Engine, t Target, extraLatency sim.Time, bytesPerCycle int, stats *sim.Stats, name string) *Shaper {
+	return &Shaper{
+		eng: eng, t: t, ExtraLatency: extraLatency, BytesPerCycle: bytesPerCycle, pool: NewForwarder(eng),
+		cThrottle: stats.Counter(name + ".throttle_cycles"),
+		cBytes:    stats.Counter(name + ".shaped_bytes"),
 	}
-	s.cThrottle = stats.Counter(name + ".throttle_cycles")
-	s.cBytes = stats.Counter(name + ".shaped_bytes")
 }
 
 // Busy returns the bandwidth-reservation clock, the shaper's only mutable

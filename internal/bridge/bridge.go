@@ -98,10 +98,9 @@ type Bridge struct {
 	gSendq      *sim.Gauge     // total packets stalled on credits
 	nStalled    int
 
-	// Pre-resolved counters (nil and free without stats; the conditionally
-	// hit ones list themselves only once touched) and bound callbacks, so
-	// neither the per-packet path nor the stall path builds strings or
-	// captures closures.
+	// Pre-resolved counters (the conditionally hit ones list themselves
+	// only once touched) and bound callbacks, so neither the per-packet
+	// path nor the stall path builds strings or captures closures.
 	cTxPackets       sim.LazyCounter
 	cTxFlits         sim.LazyCounter
 	cRxPackets       sim.LazyCounter
@@ -142,10 +141,8 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.
 	for i := range b.peers {
 		b.peers[i].credits = p.CreditsPerDst
 	}
-	if stats != nil {
-		b.hCreditWait = stats.Histogram(name + ".credit_wait")
-		b.gSendq = stats.Gauge(name + ".sendq")
-	}
+	b.hCreditWait = stats.Histogram(name + ".credit_wait")
+	b.gSendq = stats.Gauge(name + ".sendq")
 	b.cTxPackets = stats.LazyCounter(name + ".tx_packets")
 	b.cTxFlits = stats.LazyCounter(name + ".tx_flits")
 	b.cRxPackets = stats.LazyCounter(name + ".rx_packets")
@@ -185,10 +182,8 @@ func (b *Bridge) SetTracer(t *sim.Tracer) { b.tracer = t }
 // bridge window. A shaper is inserted when Params request one.
 func (b *Bridge) ConnectOut(out axi.Target, addrOf func(dstNode int) axi.Addr) {
 	if b.p.ExtraLatency > 0 || b.p.BytesPerCycle > 0 {
-		sh := axi.NewShaper(b.eng, out, b.p.ExtraLatency, b.p.BytesPerCycle)
-		sh.SetStats(b.stats, b.name+".shaper")
-		b.shaper = sh
-		out = sh
+		b.shaper = axi.NewShaper(b.eng, out, b.p.ExtraLatency, b.p.BytesPerCycle, b.stats, b.name+".shaper")
+		out = b.shaper
 	}
 	b.out = out
 	b.addrOf = addrOf

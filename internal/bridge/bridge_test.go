@@ -243,8 +243,8 @@ func TestSameFPGABridgeDelivery(t *testing.T) {
 
 func TestUnconnectedBridgePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil)
-	New(eng, mesh, 0, 2, DefaultParams(), nil, "bridge")
+	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), &sim.Stats{})
+	New(eng, mesh, 0, 2, DefaultParams(), &sim.Stats{}, "bridge")
 	mesh.Send(&noc.Packet{
 		Class:   noc.NoC1,
 		Src:     noc.Dest{Port: noc.PortTile, Tile: 0},
@@ -334,7 +334,7 @@ func TestStateRoundTrip(t *testing.T) {
 	full := DefaultParams().CreditsPerDst
 	fresh := func() (*sim.Engine, *Bridge) {
 		eng := sim.NewEngine()
-		return eng, New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil), 0, 4, DefaultParams(), nil, "bridge")
+		return eng, New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), &sim.Stats{}), 0, 4, DefaultParams(), &sim.Stats{}, "bridge")
 	}
 	for _, tc := range []struct {
 		name       string
@@ -391,7 +391,7 @@ func TestStateRoundTrip(t *testing.T) {
 // a credit read's address — is checked against the platform's node count.
 func TestPeerIDsFromOutsideAreChecked(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), nil), 0, 2, DefaultParams(), nil, "bridge")
+	b := New(eng, noc.New(eng, "mesh", noc.DefaultParams(2, 1), &sim.Stats{}), 0, 2, DefaultParams(), &sim.Stats{}, "bridge")
 	for _, dst := range []int{-1, 2} {
 		err := b.RestoreState(ckpt.BridgeState{Dsts: []ckpt.BridgeDstState{{Dst: dst}}})
 		if !ckpt.IsSnapshotError(err) {

@@ -20,13 +20,12 @@ type mshr struct {
 // Load/Store/Fetch/Amo methods: compute units interact with the memory
 // system only through them and are isolated from the coherence protocol.
 type Private struct {
-	eng   *sim.Engine
-	id    GID
-	p     Params
-	conn  Conn
-	home  HomeFunc
-	stats *sim.Stats
-	name  string
+	eng  *sim.Engine
+	id   GID
+	p    Params
+	conn Conn
+	home HomeFunc
+	name string
 
 	l1i *setAssoc
 	l1d *setAssoc
@@ -35,8 +34,7 @@ type Private struct {
 	mshrs   map[uint64]*mshr
 	blocked []func() // accesses stalled on MSHR exhaustion
 
-	// Pre-resolved hot-path instruments; nil (and therefore free no-ops)
-	// when telemetry is disabled.
+	// Hot-path instruments, resolved at construction.
 	cL1Hit    *sim.Counter
 	cL1Miss   *sim.Counter
 	cBpcHit   *sim.Counter
@@ -57,20 +55,18 @@ type Private struct {
 // NewPrivate builds a tile's private cache stack.
 func NewPrivate(eng *sim.Engine, id GID, p Params, conn Conn, home HomeFunc, stats *sim.Stats, name string) *Private {
 	c := &Private{
-		eng: eng, id: id, p: p, conn: conn, home: home, stats: stats, name: name,
+		eng: eng, id: id, p: p, conn: conn, home: home, name: name,
 		l1i:   newSetAssoc(p.L1ISizeBytes, p.Ways),
 		l1d:   newSetAssoc(p.L1DSizeBytes, p.Ways),
 		bpc:   newSetAssoc(p.BPCSizeBytes, p.Ways),
 		mshrs: make(map[uint64]*mshr),
 	}
-	if stats != nil {
-		c.cL1Hit = stats.Counter(name + ".l1_hit")
-		c.cL1Miss = stats.Counter(name + ".l1_miss")
-		c.cBpcHit = stats.Counter(name + ".bpc_hit")
-		c.cBpcMiss = stats.Counter(name + ".bpc_miss")
-		c.hMissLat = stats.Histogram(name + ".miss_latency")
-		c.gMSHR = stats.Gauge(name + ".mshr_occ")
-	}
+	c.cL1Hit = stats.Counter(name + ".l1_hit")
+	c.cL1Miss = stats.Counter(name + ".l1_miss")
+	c.cBpcHit = stats.Counter(name + ".bpc_hit")
+	c.cBpcMiss = stats.Counter(name + ".bpc_miss")
+	c.hMissLat = stats.Histogram(name + ".miss_latency")
+	c.gMSHR = stats.Gauge(name + ".mshr_occ")
 	c.cUpgrade = stats.LazyCounter(name + ".bpc_upgrade_silent")
 	c.cCoalesce = stats.LazyCounter(name + ".mshr_coalesce")
 	c.cStall = stats.LazyCounter(name + ".mshr_stall")

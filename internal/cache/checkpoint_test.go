@@ -28,7 +28,7 @@ func TestSharersKeepNodeTileOrder(t *testing.T) {
 	const line = 0x1000
 	eng := sim.NewEngine()
 	var log invLog
-	home := NewSlice(eng, GID{Node: 0, Tile: 99}, DefaultParams(), &log, nil, "home")
+	home := NewSlice(eng, GID{Node: 0, Tile: 99}, DefaultParams(), &log, &sim.Stats{}, "home")
 	var st ckpt.TileState
 	if err := home.CaptureState(&st); err != nil {
 		t.Fatal(err)

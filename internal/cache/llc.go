@@ -74,9 +74,9 @@ type Slice struct {
 	gQueue  *sim.Gauge     // directory queue depth
 	hMemLat *sim.Histogram // LLC miss memory fetch latency, cycles
 
-	// Hot-path counters, resolved once at construction (lazy handles:
-	// no-ops without stats, registered on first hit). Avoids a string
-	// concat + registry lookup per message.
+	// Hot-path counters, resolved once at construction (lazy handles,
+	// registered on first hit). Avoids a string concat + registry lookup
+	// per message.
 	cQueued, cHit, cMiss sim.LazyCounter
 	cGetS, cGetM         sim.LazyCounter
 	cPutS, cPutM         sim.LazyCounter
@@ -98,10 +98,8 @@ func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, na
 		lines:   make(map[uint64]*record),
 		memTags: make(map[uint64]memFetch),
 	}
-	if stats != nil {
-		s.gQueue = stats.Gauge(name + ".dir_queue")
-		s.hMemLat = stats.Histogram(name + ".mem_latency")
-	}
+	s.gQueue = stats.Gauge(name + ".dir_queue")
+	s.hMemLat = stats.Histogram(name + ".mem_latency")
 	s.cQueued = stats.LazyCounter(name + ".queued")
 	s.cHit = stats.LazyCounter(name + ".llc_hit")
 	s.cMiss = stats.LazyCounter(name + ".llc_miss")
@@ -113,11 +111,7 @@ func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, na
 	return s
 }
 
-func (s *Slice) count(what string) {
-	if s.stats != nil {
-		s.stats.Counter(s.name + "." + what).Inc()
-	}
-}
+func (s *Slice) count(what string) { s.stats.Counter(s.name + "." + what).Inc() }
 
 func (s *Slice) entry(line uint64) *record {
 	r, ok := s.lines[line]

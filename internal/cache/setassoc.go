@@ -113,16 +113,3 @@ func (c *setAssoc) invalidate(line uint64) (prev way, had bool) {
 	}
 	return prev, had
 }
-
-// lines returns the number of valid entries (for tests and stats).
-func (c *setAssoc) lines() int {
-	n := 0
-	for _, set := range c.sets {
-		for _, w := range set {
-			if w.st != stInvalid {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -235,10 +235,9 @@ func Build(cfg Config) (*Prototype, error) {
 			RouterDelay: 3, LinkDelay: 2, Width: w, Height: h,
 		}, stats)
 
-		// Memory path: DRAM channel behind the NoC-AXI4 controller. The
-		// controller sees node-local offsets; translate by the region base
-		// for the (timing-only) channel.
-		n.DRAM = mem.NewDRAM(eng, name+".dram", cfg.DRAMLatency, cfg.DRAMBytesPerCycle, nil, 0, stats)
+		// Memory path: the (timing-only) DRAM channel behind the NoC-AXI4
+		// controller, which sees node-local offsets.
+		n.DRAM = mem.NewDRAM(eng, name+".dram", cfg.DRAMLatency, cfg.DRAMBytesPerCycle, stats)
 		n.DRAM.SetInjector(p.Injector)
 		n.MemCtl = mem.NewController(eng, n.Mesh, name+".memctl", n.DRAM, stats)
 
@@ -282,9 +281,9 @@ func Build(cfg Config) (*Prototype, error) {
 			port := corePort{&Port{tile: t, pr: p}}
 			switch cfg.Core {
 			case CoreAriane:
-				t.Core = riscv.New(port, p.hartID(gid), ResetPC, stats, tname+".core")
+				t.Core = riscv.New(port, p.hartID(gid), ResetPC)
 			case CorePicoRV32:
-				t.Core = riscv.NewWithProfile(port, p.hartID(gid), ResetPC, riscv.PicoRV32, stats, tname+".core")
+				t.Core = riscv.NewWithProfile(port, p.hartID(gid), ResetPC, riscv.PicoRV32)
 			}
 			n.Tiles = append(n.Tiles, t)
 			n.Mesh.AttachTile(tID, p.tileHandler(t))

@@ -10,7 +10,7 @@ import (
 
 func TestUARTTransmitToHost(t *testing.T) {
 	eng := sim.NewEngine()
-	u := NewUART(eng, "uart0", nil)
+	u := NewUART(eng, "uart0", &sim.Stats{})
 	u.CyclesPerByte = 10
 	for _, b := range []byte("Hi") {
 		// Respect LSR: wait for THR empty.
@@ -28,7 +28,7 @@ func TestUARTTransmitToHost(t *testing.T) {
 
 func TestUARTLineRateModeled(t *testing.T) {
 	eng := sim.NewEngine()
-	u := NewUART(eng, "uart0", nil)
+	u := NewUART(eng, "uart0", &sim.Stats{})
 	u.Write(UartTHR, 1, 'x')
 	if u.Read(UartLSR, 1)&lsrTHREmpty != 0 {
 		t.Fatal("THR should be busy right after write")
@@ -45,7 +45,7 @@ func TestUARTLineRateModeled(t *testing.T) {
 
 func TestUARTReceiveAndIRQ(t *testing.T) {
 	eng := sim.NewEngine()
-	u := NewUART(eng, "uart0", nil)
+	u := NewUART(eng, "uart0", &sim.Stats{})
 	var irq bool
 	u.IRQ = func(l bool) { irq = l }
 	u.Write(UartIER, 1, 1) // enable RX interrupt
@@ -69,7 +69,7 @@ func TestUARTReceiveAndIRQ(t *testing.T) {
 
 func TestVirtualSerialConsole(t *testing.T) {
 	eng := sim.NewEngine()
-	u := NewUART(eng, "uart0", nil)
+	u := NewUART(eng, "uart0", &sim.Stats{})
 	u.CyclesPerByte = 1
 	vs := NewVirtualSerial(u)
 	for _, b := range []byte("boot ok\n") {
@@ -85,7 +85,7 @@ func TestVirtualSerialConsole(t *testing.T) {
 func TestSDCardReadIntoMemory(t *testing.T) {
 	eng := sim.NewEngine()
 	b := mem.NewBacking()
-	sd := NewSDCard(eng, b, 1<<29, 1<<29, nil, "sd0")
+	sd := NewSDCard(eng, b, 1<<29, 1<<29, &sim.Stats{}, "sd0")
 	img := make([]byte, 2*SDSectorBytes)
 	for i := range img {
 		img[i] = byte(i)
@@ -113,7 +113,7 @@ func TestSDCardReadIntoMemory(t *testing.T) {
 func TestSDCardWriteFromMemory(t *testing.T) {
 	eng := sim.NewEngine()
 	b := mem.NewBacking()
-	sd := NewSDCard(eng, b, 1<<29, 1<<29, nil, "sd0")
+	sd := NewSDCard(eng, b, 1<<29, 1<<29, &sim.Stats{}, "sd0")
 	data := bytes.Repeat([]byte{0xAB}, SDSectorBytes)
 	b.WriteBytes(0x2000, data)
 
@@ -132,7 +132,7 @@ func TestSDCardWriteFromMemory(t *testing.T) {
 func TestSDCardDMATiming(t *testing.T) {
 	eng := sim.NewEngine()
 	b := mem.NewBacking()
-	sd := NewSDCard(eng, b, 1<<29, 1<<29, nil, "sd0")
+	sd := NewSDCard(eng, b, 1<<29, 1<<29, &sim.Stats{}, "sd0")
 	sd.Write(SDCount, 8, 8)
 	sd.Write(SDCmd, 8, 1)
 	end := eng.Run()

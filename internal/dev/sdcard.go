@@ -102,10 +102,8 @@ func (s *SDCard) start(cmd int) {
 	}
 	s.busy = true
 	n := s.count
-	if s.stats != nil {
-		s.stats.Counter(s.name + ".transfers").Inc()
-		s.stats.Counter(s.name + ".sectors").Add(n)
-	}
+	s.stats.Counter(s.name + ".transfers").Inc()
+	s.stats.Counter(s.name + ".sectors").Add(n)
 	s.eng.Schedule(s.DMACyclesPerSector*sim.Time(n), func() {
 		buf := make([]byte, n*SDSectorBytes)
 		card := s.CardBase + s.sector*SDSectorBytes

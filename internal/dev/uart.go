@@ -103,9 +103,7 @@ func (u *UART) Read(off uint64, size int) uint64 {
 func (u *UART) Write(off uint64, size int, v uint64) {
 	switch off {
 	case UartTHR:
-		if u.stats != nil {
-			u.stats.Counter(u.name + ".tx_bytes").Inc()
-		}
+		u.stats.Counter(u.name + ".tx_bytes").Inc()
 		u.shifting = true
 		b := byte(v)
 		u.eng.Schedule(u.CyclesPerByte, func() {

@@ -4,13 +4,13 @@
 // "pcie.*.drop:p=0.01,seed=7" — schedules drops, corruptions, extra delays,
 // stall windows, endpoint hangs and memory bit flips against them.
 //
-// The framework follows the same nil-safe, zero-cost-when-disabled pattern as
-// sim.Stats: a subsystem resolves its *Site once at construction time and the
-// pointer is nil when no plan rule matches, so the hot path pays a single
-// predictable branch and performs no allocation. All randomness comes from a
-// per-site xorshift generator seeded from (plan seed, site name), so two runs
-// with the same seed and plan inject byte-identical fault sequences, and the
-// order in which sites are resolved does not matter.
+// The framework is nil-safe and costs nothing when disabled: a subsystem
+// resolves its *Site once at construction time and the pointer is nil when no
+// plan rule matches, so the hot path pays a single predictable branch and
+// performs no allocation. All randomness comes from a per-site xorshift
+// generator seeded from (plan seed, site name), so two runs with the same
+// seed and plan inject byte-identical fault sequences, and the order in
+// which sites are resolved does not matter.
 package fault
 
 import (

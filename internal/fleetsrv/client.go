@@ -19,8 +19,6 @@ import (
 type Client struct {
 	// Server is the base URL (http://host:port).
 	Server string
-	// HTTP overrides the transport; nil uses http.DefaultClient.
-	HTTP *http.Client
 }
 
 // staleError marks a 409 answer: the lease (or report request) lost a race
@@ -35,13 +33,6 @@ func (e *staleError) Error() string { return e.msg }
 func isStale(err error) bool {
 	_, ok := err.(*staleError)
 	return ok || errors.Is(err, errUnknownWorker)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // do runs one JSON round trip. A nil out discards the response body.
@@ -61,7 +52,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -171,7 +162,7 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +207,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(event string, da
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -46,11 +46,10 @@ const (
 // AXI4 boundary and issued to the DRAM channel. Responses restore the
 // requester's MSHR tag and are serialized back onto the NoC.
 type Controller struct {
-	eng   *sim.Engine
-	mesh  *noc.Mesh
-	name  string
-	stats *sim.Stats
-	dram  axi.Target
+	eng  *sim.Engine
+	mesh *noc.Mesh
+	name string
+	dram axi.Target
 
 	// DeserializeDelay models the NoC deserializer + management module.
 	DeserializeDelay sim.Time
@@ -88,18 +87,16 @@ type queuedReq struct {
 // to dram (typically a *DRAM, possibly wrapped in an axi.Shaper).
 func NewController(eng *sim.Engine, mesh *noc.Mesh, name string, dram axi.Target, stats *sim.Stats) *Controller {
 	c := &Controller{
-		eng: eng, mesh: mesh, name: name, stats: stats, dram: dram,
+		eng: eng, mesh: mesh, name: name, dram: dram,
 		DeserializeDelay: 4,
 		IDsPerEngine:     16,
 	}
-	if stats != nil {
-		c.gInflight[readEngine] = stats.Gauge(name + ".rd_inflight")
-		c.gInflight[writeEngine] = stats.Gauge(name + ".wr_inflight")
-		c.gQueue[readEngine] = stats.Gauge(name + ".rd_queue")
-		c.gQueue[writeEngine] = stats.Gauge(name + ".wr_queue")
-		c.hQWait = stats.Histogram(name + ".queue_wait")
-		c.cErrors = stats.Counter(name + ".axi_errors")
-	}
+	c.gInflight[readEngine] = stats.Gauge(name + ".rd_inflight")
+	c.gInflight[writeEngine] = stats.Gauge(name + ".wr_inflight")
+	c.gQueue[readEngine] = stats.Gauge(name + ".rd_queue")
+	c.gQueue[writeEngine] = stats.Gauge(name + ".wr_queue")
+	c.hQWait = stats.Histogram(name + ".queue_wait")
+	c.cErrors = stats.Counter(name + ".axi_errors")
 	c.cQueued = stats.LazyCounter(name + ".queued")
 	c.cWrites = stats.LazyCounter(name + ".write_reqs")
 	c.cReads = stats.LazyCounter(name + ".read_reqs")

@@ -8,16 +8,12 @@ import (
 )
 
 // DRAM models one F1 onboard DDR4 channel as an AXI4 target: fixed access
-// latency plus bandwidth serialization. When a Backing is attached, reads
-// and writes also move functional data (used by host DMA and the virtual SD
-// card; the cache hierarchy moves its data through the backing store
-// directly and uses DRAM only for timing).
+// latency plus bandwidth serialization. It is timing only: data lives in the
+// Backing, which the cache hierarchy, host DMA and the virtual SD card read
+// and write directly, so a read response carries no bytes.
 type DRAM struct {
-	eng     *sim.Engine
-	name    string
-	stats   *sim.Stats
-	backing *Backing
-	base    uint64 // global physical address of this channel's offset 0
+	eng  *sim.Engine
+	name string
 
 	// Latency is the device access time in cycles. The paper's Table 2
 	// lists 80 cycles end-to-end from the LLC; the controller path adds
@@ -29,7 +25,7 @@ type DRAM struct {
 	busy sim.Time
 	site *fault.Site // bit-flip fault site (the DRAM's own name)
 
-	// Pre-resolved instruments (nil and free when telemetry is disabled).
+	// Instruments, resolved at construction.
 	cReads      *sim.Counter
 	cWrites     *sim.Counter
 	cReadBytes  *sim.Counter
@@ -40,24 +36,20 @@ type DRAM struct {
 	cEccFatal   *sim.Counter // double-bit errors SECDED detected (OK:false)
 }
 
-// NewDRAM creates a DRAM channel. backing may be nil for timing-only use.
-func NewDRAM(eng *sim.Engine, name string, latency sim.Time, bytesPerCycle int, backing *Backing, base uint64, stats *sim.Stats) *DRAM {
-	d := &DRAM{
-		eng: eng, name: name, stats: stats,
-		backing: backing, base: base,
+// NewDRAM creates a DRAM channel.
+func NewDRAM(eng *sim.Engine, name string, latency sim.Time, bytesPerCycle int, stats *sim.Stats) *DRAM {
+	return &DRAM{
+		eng: eng, name: name,
 		Latency: latency, BytesPerCycle: bytesPerCycle,
+		cReads:      stats.Counter(name + ".reads"),
+		cWrites:     stats.Counter(name + ".writes"),
+		cReadBytes:  stats.Counter(name + ".read_bytes"),
+		cWriteBytes: stats.Counter(name + ".write_bytes"),
+		cConflicts:  stats.Counter(name + ".conflicts"),
+		cConfCycles: stats.Counter(name + ".conflict_cycles"),
+		cEccFixed:   stats.Counter(name + ".ecc_corrected"),
+		cEccFatal:   stats.Counter(name + ".ecc_uncorrectable"),
 	}
-	if stats != nil {
-		d.cReads = stats.Counter(name + ".reads")
-		d.cWrites = stats.Counter(name + ".writes")
-		d.cReadBytes = stats.Counter(name + ".read_bytes")
-		d.cWriteBytes = stats.Counter(name + ".write_bytes")
-		d.cConflicts = stats.Counter(name + ".conflicts")
-		d.cConfCycles = stats.Counter(name + ".conflict_cycles")
-		d.cEccFixed = stats.Counter(name + ".ecc_corrected")
-		d.cEccFatal = stats.Counter(name + ".ecc_uncorrectable")
-	}
-	return d
 }
 
 // SetInjector resolves this channel's bit-flip fault site (named after the
@@ -91,10 +83,9 @@ func (d *DRAM) delay(n int) sim.Time {
 	return (start - d.eng.Now()) + beats + d.Latency
 }
 
-// Do serves a transfer after the access latency: a write applies its data, a
-// read returns data. The SECDED model runs on the read path: a single-bit
-// upset is corrected transparently (counted), a double-bit upset is detected
-// but uncorrectable and fails the read.
+// Do answers a transfer after the access latency. The SECDED model runs on
+// the read path: a single-bit upset is corrected transparently (counted), a
+// double-bit upset is detected but uncorrectable and fails the read.
 func (d *DRAM) Do(t *axi.Txn, done func(axi.Resp)) {
 	n := t.Size()
 	count, bytes := d.cReads, d.cReadBytes
@@ -105,23 +96,14 @@ func (d *DRAM) Do(t *axi.Txn, done func(axi.Resp)) {
 	bytes.Add(uint64(n))
 	d.eng.Schedule(d.delay(n), func() {
 		resp := axi.Resp{ID: t.ID, OK: true}
-		if t.Write {
-			if d.backing != nil && n > 0 {
-				d.backing.WriteBytes(d.base+t.Addr, t.Data)
+		if !t.Write {
+			switch d.site.FlipBits() {
+			case 1:
+				d.cEccFixed.Inc()
+			case 2:
+				d.cEccFatal.Inc()
+				resp.OK = false
 			}
-			done(resp)
-			return
-		}
-		switch d.site.FlipBits() {
-		case 1:
-			d.cEccFixed.Inc()
-		case 2:
-			d.cEccFatal.Inc()
-			resp.OK = false
-		}
-		if resp.OK && d.backing != nil && n > 0 {
-			resp.Data = make([]byte, n)
-			d.backing.ReadBytes(d.base+t.Addr, resp.Data)
 		}
 		done(resp)
 	})

@@ -89,9 +89,8 @@ func DefaultParams(w, h int) Params {
 	return Params{RouterDelay: 2, LinkDelay: 1, Width: w, Height: h}
 }
 
-// chanStats is the pre-resolved telemetry of one NoC class. All pointers
-// are nil when the mesh was built without a Stats registry; the instrument
-// methods are nil-safe, so the send path stays branch-cheap either way.
+// chanStats is the telemetry of one NoC class, resolved when the mesh is
+// built, so the send path neither builds names nor looks them up.
 type chanStats struct {
 	packets    *sim.Counter
 	flits      *sim.Counter
@@ -142,17 +141,15 @@ func New(eng *sim.Engine, name string, p Params, stats *sim.Stats) *Mesh {
 		m.linkFlits[c] = make([]uint64, links)
 		m.linkBusy[c] = make([]sim.Time, links)
 	}
-	if stats != nil {
-		for c := Class(0); c < numClasses; c++ {
-			base := name + "." + c.String()
-			m.cs[c] = chanStats{
-				packets:    stats.Counter(base + ".packets"),
-				flits:      stats.Counter(base + ".flits"),
-				hopCycles:  stats.Counter(base + ".hop_cycles"),
-				waitCycles: stats.Counter(base + ".wait_cycles"),
-				inflight:   stats.Gauge(base + ".inflight"),
-				latency:    stats.Histogram(base + ".latency"),
-			}
+	for c := Class(0); c < numClasses; c++ {
+		base := name + "." + c.String()
+		m.cs[c] = chanStats{
+			packets:    stats.Counter(base + ".packets"),
+			flits:      stats.Counter(base + ".flits"),
+			hopCycles:  stats.Counter(base + ".hop_cycles"),
+			waitCycles: stats.Counter(base + ".wait_cycles"),
+			inflight:   stats.Gauge(base + ".inflight"),
+			latency:    stats.Histogram(base + ".latency"),
 		}
 	}
 	return m
@@ -327,9 +324,6 @@ func (m *Mesh) LinkStatsSnapshot() [][]LinkStat {
 // assigns (rather than accumulates) counter values, so calling it repeatedly
 // is idempotent. Links that never carried traffic are skipped.
 func (m *Mesh) FlushLinkStats() {
-	if m.stats == nil {
-		return
-	}
 	for c := Class(0); c < numClasses; c++ {
 		for l := range m.linkFlits[c] {
 			f, busy := m.linkFlits[c][l], m.linkBusy[c][l]

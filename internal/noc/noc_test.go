@@ -10,7 +10,7 @@ import (
 func newTestMesh(t *testing.T, w, h int) (*sim.Engine, *Mesh) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m := New(eng, "mesh", DefaultParams(w, h), nil)
+	m := New(eng, "mesh", DefaultParams(w, h), &sim.Stats{})
 	return eng, m
 }
 
@@ -182,7 +182,7 @@ func TestHopCountProperties(t *testing.T) {
 func TestAllPacketsDelivered(t *testing.T) {
 	f := func(seed uint64) bool {
 		eng := sim.NewEngine()
-		m := New(eng, "m", DefaultParams(4, 3), nil)
+		m := New(eng, "m", DefaultParams(4, 3), &sim.Stats{})
 		rng := sim.NewRNG(seed)
 		got := 0
 		for i := 0; i < m.Tiles(); i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDoubleAttachPanics(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	defer func() {
 		if recover() == nil {
@@ -21,7 +21,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestErrorResponsePaysLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), nil, nil)
+	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
 	base, _ := f.Window(3) // nothing attached
 	var at sim.Time
 	var resp *axi.Resp
@@ -122,7 +122,7 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 		if inj {
 			plan = fault.MustParse("pcie.*.drop:p=0", 1)
 		}
-		f := newFabric(eng, DefaultParams(), nil, plan)
+		f := newFabric(eng, DefaultParams(), &sim.Stats{}, plan)
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time
@@ -141,7 +141,7 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 func TestDelayFaultAddsLatency(t *testing.T) {
 	rtt := func(spec string) sim.Time {
 		eng := sim.NewEngine()
-		f := newFabric(eng, DefaultParams(), nil, fault.MustParse(spec, 1))
+		f := newFabric(eng, DefaultParams(), &sim.Stats{}, fault.MustParse(spec, 1))
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time

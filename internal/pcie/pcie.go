@@ -137,17 +137,15 @@ func (f *Fabric) Bind(id int, eng *sim.Engine, stats *sim.Stats) {
 	}
 	st := &epState{f: f, id: id, eng: eng, tel: &epStats{}}
 	st.tel.site = f.inj.Site(fmt.Sprintf("pcie.ep%d.link", id), eng)
-	if stats != nil {
-		t := st.tel
-		t.txBytes = stats.Counter(fmt.Sprintf("pcie.ep%d.tx_bytes", id))
-		t.txTransfers = stats.Counter(fmt.Sprintf("pcie.ep%d.tx_transfers", id))
-		t.rtt = stats.Histogram(fmt.Sprintf("pcie.ep%d.rtt", id))
-		t.inflight = stats.Gauge(fmt.Sprintf("pcie.ep%d.inflight", id))
-		t.retransmits = stats.Counter(fmt.Sprintf("pcie.ep%d.retransmits", id))
-		t.linkDrops = stats.Counter(fmt.Sprintf("pcie.ep%d.link_drops", id))
-		t.linkCorrupt = stats.Counter(fmt.Sprintf("pcie.ep%d.link_corrupt", id))
-		t.linkFailed = stats.Counter(fmt.Sprintf("pcie.ep%d.link_failed", id))
-	}
+	t := st.tel
+	t.txBytes = stats.Counter(fmt.Sprintf("pcie.ep%d.tx_bytes", id))
+	t.txTransfers = stats.Counter(fmt.Sprintf("pcie.ep%d.tx_transfers", id))
+	t.rtt = stats.Histogram(fmt.Sprintf("pcie.ep%d.rtt", id))
+	t.inflight = stats.Gauge(fmt.Sprintf("pcie.ep%d.inflight", id))
+	t.retransmits = stats.Counter(fmt.Sprintf("pcie.ep%d.retransmits", id))
+	t.linkDrops = stats.Counter(fmt.Sprintf("pcie.ep%d.link_drops", id))
+	t.linkCorrupt = stats.Counter(fmt.Sprintf("pcie.ep%d.link_corrupt", id))
+	t.linkFailed = stats.Counter(fmt.Sprintf("pcie.ep%d.link_failed", id))
 	f.eps[id+1] = st
 }
 

@@ -35,7 +35,7 @@ func (e *echoTarget) Do(t *axi.Txn, done func(axi.Resp)) {
 }
 
 func TestRouteByWindow(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
 	for i := 0; i < MaxFPGAs; i++ {
 		base, _ := f.Window(i)
 		if got := f.RouteOf(base); got != i {
@@ -51,7 +51,7 @@ func TestRouteByWindow(t *testing.T) {
 }
 
 func TestLocalAddrStripsWindow(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
 	base, _ := f.Window(2)
 	if got := f.LocalAddr(base + 0xABC); got != 0xABC {
 		t.Errorf("LocalAddr = %#x, want 0xABC", got)
@@ -63,7 +63,7 @@ func TestLocalAddrStripsWindow(t *testing.T) {
 
 func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), nil, nil)
+	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
 	host := &echoTarget{}
 	fpga1 := &echoTarget{}
 	f.Attach(HostID, host)
@@ -86,7 +86,7 @@ func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 
 func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), nil, nil)
+	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
@@ -102,7 +102,7 @@ func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 
 func TestUnattachedEndpointFails(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), nil, nil)
+	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
 	base, _ := f.Window(3)
 	var resp *axi.Resp
 	f.Master(0).Do(&axi.Txn{Write: true, Addr: base}, func(r axi.Resp) { resp = &r })
@@ -116,7 +116,7 @@ func TestEgressSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultParams()
 	p.BytesPerCycle = 64
-	f := newFabric(eng, p, nil, nil)
+	f := newFabric(eng, p, &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
@@ -153,13 +153,13 @@ func TestStatsCountTraffic(t *testing.T) {
 }
 
 func TestBadEndpointIDPanics(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), nil, nil)
+	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Bind(9) did not panic")
 		}
 	}()
-	f.Bind(9, sim.NewEngine(), nil)
+	f.Bind(9, sim.NewEngine(), &sim.Stats{})
 }
 
 // TestUnboundEndpointPanics: an endpoint belongs to one engine from
@@ -175,7 +175,7 @@ func TestUnboundEndpointPanics(t *testing.T) {
 		g := sim.NewGroup(DefaultParams().MinCrossing(), engs...)
 		f := New(DefaultParams(), g, nil)
 		for id := 0; id < 2; id++ {
-			f.Bind(id, engs[id%engines], nil)
+			f.Bind(id, engs[id%engines], &sim.Stats{})
 		}
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
@@ -201,7 +201,7 @@ func TestUnboundEndpointPanics(t *testing.T) {
 // bind is answered with a typed snapshot error, not created.
 func TestRestoreRefusesUnboundEndpoint(t *testing.T) {
 	f := New(DefaultParams(), sim.NewSerialNet(sim.NewEngine()), nil)
-	f.Bind(0, sim.NewEngine(), nil)
+	f.Bind(0, sim.NewEngine(), &sim.Stats{})
 	if err := f.RestoreState(ckpt.PCIeState{Endpoints: []ckpt.PCIeEndpointState{{ID: 0, Egress: 7}}}); err != nil {
 		t.Fatalf("bound endpoint: %v", err)
 	}

@@ -59,7 +59,6 @@ const (
 const (
 	causeMisalignedFetch = 0
 	causeIllegalInst     = 2
-	causeBreakpoint      = 3
 	causeECallM          = 11
 	causeIntSoftware     = uint64(1)<<63 | 3
 	causeIntTimer        = uint64(1)<<63 | 7
@@ -114,8 +113,6 @@ type Core struct {
 
 	// Timing model.
 	pendingCycles sim.Time
-	stats         *sim.Stats
-	name          string
 
 	// nextPtr points at the in-flight instruction's fallthrough PC while
 	// exec runs, so traps raised mid-instruction can redirect it.
@@ -123,13 +120,13 @@ type Core struct {
 }
 
 // New creates an Ariane-profile core with reset PC.
-func New(mem Mem, hartID int, resetPC uint64, stats *sim.Stats, name string) *Core {
-	return NewWithProfile(mem, hartID, resetPC, Ariane, stats, name)
+func New(mem Mem, hartID int, resetPC uint64) *Core {
+	return NewWithProfile(mem, hartID, resetPC, Ariane)
 }
 
 // NewWithProfile creates a core with an explicit timing profile.
-func NewWithProfile(mem Mem, hartID int, resetPC uint64, prof Profile, stats *sim.Stats, name string) *Core {
-	return &Core{mem: mem, hartID: hartID, PC: resetPC, profile: prof, stats: stats, name: name}
+func NewWithProfile(mem Mem, hartID int, resetPC uint64, prof Profile) *Core {
+	return &Core{mem: mem, hartID: hartID, PC: resetPC, profile: prof}
 }
 
 // Halted reports whether the core stopped (EBREAK or double fault).

@@ -77,7 +77,7 @@ func runWith(t *testing.T, source string, tweak func(*flatMem)) (*Core, *flatMem
 		tweak(fm)
 	}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 0, prog.Base, nil, "core0")
+	core := New(fm, 0, prog.Base)
 	eng := sim.NewEngine()
 	sim.Go(eng, "hart0", func(p *sim.Process) { core.Run(p, 2_000_000) })
 	eng.Run()
@@ -320,7 +320,7 @@ func TestHartID(t *testing.T) {
 	`)
 	fm := &flatMem{b: mem.NewBacking()}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 3, prog.Base, nil, "core3")
+	core := New(fm, 3, prog.Base)
 	eng := sim.NewEngine()
 	sim.Go(eng, "hart3", func(p *sim.Process) { core.Run(p, 1000) })
 	eng.Run()
@@ -385,7 +385,7 @@ func TestSoftwareInterrupt(t *testing.T) {
 	`)
 	fm := &flatMem{b: mem.NewBacking()}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 0, prog.Base, nil, "core0")
+	core := New(fm, 0, prog.Base)
 	eng := sim.NewEngine()
 	sim.Go(eng, "hart0", func(p *sim.Process) { core.Run(p, 100_000) })
 	eng.Schedule(200, func() { core.SetIRQ(0, true) })
@@ -405,7 +405,7 @@ func TestWFIBlocksUntilInterrupt(t *testing.T) {
 	`)
 	fm := &flatMem{b: mem.NewBacking()}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 0, prog.Base, nil, "core0")
+	core := New(fm, 0, prog.Base)
 	eng := sim.NewEngine()
 	var haltAt sim.Time
 	sim.Go(eng, "hart0", func(p *sim.Process) {
@@ -445,7 +445,7 @@ func TestTimingChargesCycles(t *testing.T) {
 	`)
 	fm := &flatMem{b: mem.NewBacking()}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 0, prog.Base, nil, "core0")
+	core := New(fm, 0, prog.Base)
 	eng := sim.NewEngine()
 	sim.Go(eng, "hart0", func(p *sim.Process) { core.Run(p, 10_000) })
 	end := eng.Run()

@@ -19,7 +19,7 @@ func runProgram(t *testing.T, source string) (uint64, bool) {
 	}
 	fm := &flatMem{b: mem.NewBacking()}
 	fm.b.WriteBytes(prog.Base, prog.Bytes)
-	core := New(fm, 0, prog.Base, nil, "prop")
+	core := New(fm, 0, prog.Base)
 	eng := sim.NewEngine()
 	sim.Go(eng, "hart", func(p *sim.Process) { core.Run(p, 500_000) })
 	eng.Run()
@@ -143,7 +143,7 @@ func TestDecodeTotality(t *testing.T) {
 		}
 		fm := &flatMem{b: mem.NewBacking()}
 		fm.b.WriteBytes(prog.Base, prog.Bytes)
-		core := New(fm, 0, prog.Base, nil, "fuzz")
+		core := New(fm, 0, prog.Base)
 		eng := sim.NewEngine()
 		sim.Go(eng, "hart", func(p *sim.Process) {
 			defer func() {

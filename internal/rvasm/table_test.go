@@ -89,7 +89,7 @@ func TestEveryEntryExecutes(t *testing.T) {
 		}
 		m := make(flatMem, 64<<10)
 		copy(m[prog.Base:], prog.Bytes)
-		core := riscv.New(m, 0, prog.Base, nil, "hart0")
+		core := riscv.New(m, 0, prog.Base)
 		core.SetIRQ(1, true)
 		eng := sim.NewEngine()
 		sim.Go(eng, "hart0", func(p *sim.Process) { core.Run(p, 1000) })

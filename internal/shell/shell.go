@@ -27,7 +27,6 @@ type Shell struct {
 	id     int
 	fabric *pcie.Fabric
 	cl     axi.Target
-	stats  *sim.Stats
 
 	cErrors *sim.Counter // outbound responses with OK:false crossing the CL
 
@@ -38,10 +37,8 @@ type Shell struct {
 
 // New creates the shell for FPGA id and attaches it to the fabric.
 func New(eng *sim.Engine, fabric *pcie.Fabric, id int, stats *sim.Stats) *Shell {
-	s := &Shell{eng: eng, id: id, fabric: fabric, stats: stats}
-	if stats != nil {
-		s.cErrors = stats.Counter(fmt.Sprintf("fpga%d.shell.axi_errors", id))
-	}
+	s := &Shell{eng: eng, id: id, fabric: fabric}
+	s.cErrors = stats.Counter(fmt.Sprintf("fpga%d.shell.axi_errors", id))
 	s.outb.s = s
 	s.inFwd = axi.NewForwarder(eng)
 	fabric.Attach(id, (*inbound)(s))

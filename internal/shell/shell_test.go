@@ -25,11 +25,12 @@ func (c *clStub) Do(t *axi.Txn, done func(axi.Resp)) {
 func setup() (*sim.Engine, *pcie.Fabric, *Shell, *Shell) {
 	eng := sim.NewEngine()
 	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), nil)
+	stats := &sim.Stats{}
 	for id := pcie.HostID; id < 2; id++ {
-		fab.Bind(id, eng, nil)
+		fab.Bind(id, eng, stats)
 	}
-	s0 := New(eng, fab, 0, nil)
-	s1 := New(eng, fab, 1, nil)
+	s0 := New(eng, fab, 0, stats)
+	s1 := New(eng, fab, 1, stats)
 	return eng, fab, s0, s1
 }
 

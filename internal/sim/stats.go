@@ -14,44 +14,36 @@ import (
 // counters through a Stats registry so experiments can read congestion,
 // hit rates and traffic volumes after a run.
 //
-// All instrument types (Counter, Gauge, Histogram) are nil-safe on their
-// mutating methods: models pre-resolve instruments at construction time and
-// leave the pointers nil when telemetry is disabled, so the hot path pays a
-// single predictable branch and performs no allocation.
+// Every model is built with a registry and resolves its instruments (Counter,
+// Gauge, Histogram) once, at construction, so the hot path updates a field
+// through a pointer and allocates nothing. No instrument method accepts a nil
+// receiver; the one nil an instrument handles is Histogram.Merge's argument,
+// because Stats.FindHistogram answers nil for a name that was never
+// registered.
 type Counter struct {
 	Name  string
 	Value uint64
 }
 
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.Value += n
-	}
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.Value += n }
 
-// Inc increments the counter by one. No-op on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.Value++
-	}
-}
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Value++ }
 
 // LazyCounter is a counter handle that registers with its Stats on first
 // increment instead of at construction. Use it for conditionally-hit
 // counters a model resolves up front: a metrics report then lists the
 // counter only if the run actually touched it (exactly as if the model had
 // looked it up by name at each hit), while repeat increments still pay no
-// string building or map lookup. The zero value (and any handle built with
-// a nil Stats) is a no-op.
+// string building or map lookup.
 type LazyCounter struct {
 	stats *Stats
 	name  string
 	c     *Counter
 }
 
-// LazyCounter returns a lazily-registering handle for name. Safe to call on
-// a nil registry: the handle is then a no-op.
+// LazyCounter returns a lazily-registering handle for name.
 func (s *Stats) LazyCounter(name string) LazyCounter {
 	return LazyCounter{stats: s, name: name}
 }
@@ -59,9 +51,6 @@ func (s *Stats) LazyCounter(name string) LazyCounter {
 // Add increments the counter by n, registering it on first use.
 func (l *LazyCounter) Add(n uint64) {
 	if l.c == nil {
-		if l.stats == nil {
-			return
-		}
 		l.c = l.stats.Counter(l.name)
 	}
 	l.c.Value += n
@@ -80,32 +69,26 @@ type Gauge struct {
 	High  int64
 }
 
-// Set replaces the gauge value. No-op on a nil receiver.
+// Set replaces the gauge value.
 func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
 	g.Value = v
 	if v > g.High {
 		g.High = v
 	}
 }
 
-// Add moves the gauge by d (negative to decrease). No-op on a nil receiver.
+// Add moves the gauge by d (negative to decrease).
 func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
 	g.Value += d
 	if g.Value > g.High {
 		g.High = g.Value
 	}
 }
 
-// Inc increases the gauge by one. No-op on a nil receiver.
+// Inc increases the gauge by one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec decreases the gauge by one. No-op on a nil receiver.
+// Dec decreases the gauge by one.
 func (g *Gauge) Dec() { g.Add(-1) }
 
 // histBins is the number of log2 bins: bin 0 holds the value 0, bin i
@@ -125,11 +108,8 @@ type Histogram struct {
 	Bins    [histBins]uint64
 }
 
-// Observe records one sample. No-op on a nil receiver.
+// Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
 	if h.Samples == 0 || v < h.Min {
 		h.Min = v
 	}
@@ -143,7 +123,7 @@ func (h *Histogram) Observe(v uint64) {
 
 // Mean returns the mean of observed samples (zero if none).
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.Samples == 0 {
+	if h.Samples == 0 {
 		return 0
 	}
 	return float64(h.Sum) / float64(h.Samples)
@@ -153,7 +133,7 @@ func (h *Histogram) Mean() float64 {
 // the upper edge of the first bin at which the cumulative sample count
 // reaches q*Samples, clamped to the observed [Min, Max] range.
 func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil || h.Samples == 0 {
+	if h.Samples == 0 {
 		return 0
 	}
 	target := uint64(q * float64(h.Samples))
@@ -198,9 +178,10 @@ func (h *Histogram) P95() uint64 { return h.Quantile(0.95) }
 func (h *Histogram) P99() uint64 { return h.Quantile(0.99) }
 
 // Merge folds the samples of o into h (used to aggregate per-tile
-// distributions into per-node ones). No-op when either side is nil.
+// distributions into per-node ones). A nil o (a FindHistogram miss) adds
+// nothing.
 func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || o.Samples == 0 {
+	if o == nil || o.Samples == 0 {
 		return
 	}
 	if h.Samples == 0 || o.Min < h.Min {
@@ -218,9 +199,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset clears all recorded samples, keeping the name.
 func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
 	*h = Histogram{Name: h.Name}
 }
 

@@ -82,10 +82,10 @@ func (s *surface) check(path, dir string, names []string) *types.Package {
 	return pkg
 }
 
-// TestEveryInternalExportHasACaller keeps internal/'s exported surface equal
-// to what something calls: it type-checks every package of the root module
-// and of benchmark/ (tests included) and fails on any exported package-level
-// function, type, constant, variable or method declared in a non-test file
+// TestEveryInternalExportHasACaller keeps internal/'s surface equal to what
+// something calls: it type-checks every package of the root module and of
+// benchmark/ (tests included) and fails on any package-level function, type,
+// constant, variable or method, exported or not, declared in a non-test file
 // under internal/ that nothing outside its own package's _test.go files
 // references. Struct fields are out of scope (JSON and gob need them), and a
 // method is exempt when its receiver implements an interface — one declared
@@ -207,9 +207,6 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		}
 		for _, name := range p.Scope().Names() {
 			obj := p.Scope().Lookup(name)
-			if !obj.Exported() {
-				continue
-			}
 			qual := p.Name() + "." + name
 			kind := "type"
 			switch obj.(type) {
@@ -223,7 +220,7 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 			report(obj, kind, qual)
 			if named, ok := obj.Type().(*types.Named); ok && kind == "type" {
 				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() && !viaInterface(named, m) {
+					if m := named.Method(i); !viaInterface(named, m) {
 						report(m, "method", qual+"."+m.Name())
 					}
 				}
@@ -232,7 +229,7 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 	}
 	if len(orphans) > 0 {
 		sort.Strings(orphans)
-		t.Errorf("%d exported identifiers under internal/ have no caller outside their own package's tests:\n%s",
+		t.Errorf("%d identifiers under internal/ have no caller outside their own package's tests:\n%s",
 			len(orphans), strings.Join(orphans, "\n"))
 	}
 }
