@@ -83,6 +83,15 @@ func TestGNGStatsCount(t *testing.T) {
 	}
 }
 
+// A fetch resolves no instrument by name: the counters are handles built
+// with the device, so a program streaming samples allocates nothing.
+func TestGNGReadZeroAlloc(t *testing.T) {
+	g := NewGNG(1, &sim.Stats{}, "gng")
+	if n := testing.AllocsPerRun(100, func() { g.Read(GNGFetch4, 8) }); n != 0 {
+		t.Fatalf("GNG.Read allocates %.1f times per fetch, want 0", n)
+	}
+}
+
 func TestSoftwareMatchesHardware(t *testing.T) {
 	hw := NewGNG(77, &sim.Stats{}, "hw")
 	sw := NewSoftwareGNG(77)
@@ -110,7 +119,7 @@ func TestMAPLEDeliversStreamInOrder(t *testing.T) {
 	for i := uint64(0); i < 32; i++ {
 		p.Backing.WriteU64(base+i*8, 100+i)
 	}
-	m := NewMAPLE(p, cache.GID{Node: 0, Tile: 2}, "maple")
+	m := NewMAPLE(p, cache.GID{Node: 0, Tile: 2})
 	m.Program(func(i int) (uint64, int, bool) {
 		if i >= 32 {
 			return 0, 0, false
@@ -168,7 +177,7 @@ func TestMAPLEHidesMemoryLatency(t *testing.T) {
 
 	p2 := mapleProto(t)
 	decoupled := func() sim.Time {
-		m := NewMAPLE(p2, cache.GID{Node: 0, Tile: 2}, "maple")
+		m := NewMAPLE(p2, cache.GID{Node: 0, Tile: 2})
 		m.Program(func(i int) (uint64, int, bool) {
 			if i >= n {
 				return 0, 0, false
@@ -198,7 +207,7 @@ func TestMAPLEHidesMemoryLatency(t *testing.T) {
 
 func TestMAPLEQueueBoundsProducer(t *testing.T) {
 	p := mapleProto(t)
-	m := NewMAPLE(p, cache.GID{Node: 0, Tile: 2}, "maple")
+	m := NewMAPLE(p, cache.GID{Node: 0, Tile: 2})
 	m.QueueDepth = 4
 	base := p.Map.NodeDRAMBase(0) + 0x10000
 	m.Program(func(i int) (uint64, int, bool) {

@@ -66,14 +66,18 @@ func BoxMuller(u1, u2 float64) int16 {
 
 // GNG is the Gaussian Noise Generator accelerator as a tile device.
 type GNG struct {
-	rng   taus88
-	stats *sim.Stats
-	name  string
+	rng              taus88
+	name             string
+	fetches, samples sim.LazyCounter
 }
 
 // NewGNG creates a generator with the given seed.
 func NewGNG(seed uint32, stats *sim.Stats, name string) *GNG {
-	return &GNG{rng: newTaus88(seed), stats: stats, name: name}
+	return &GNG{
+		rng: newTaus88(seed), name: name,
+		fetches: stats.LazyCounter(name + ".fetches"),
+		samples: stats.LazyCounter(name + ".samples"),
+	}
 }
 
 // Name identifies the device.
@@ -100,8 +104,8 @@ func (g *GNG) Read(off uint64, size int) uint64 {
 	default:
 		return 0
 	}
-	g.stats.Counter(g.name + ".fetches").Inc()
-	g.stats.Counter(g.name + ".samples").Add(uint64(n))
+	g.fetches.Inc()
+	g.samples.Add(uint64(n))
 	var out uint64
 	for i := 0; i < n; i++ {
 		out |= uint64(uint16(g.Sample())) << (16 * i)

@@ -22,7 +22,6 @@ type MAPLE struct {
 	pr   *core.Prototype
 	tile cache.GID
 	port *core.Port
-	name string
 
 	// QueueDepth is the hardware FIFO size.
 	QueueDepth int
@@ -45,27 +44,16 @@ type MAPLE struct {
 }
 
 // NewMAPLE places an engine on a tile of the prototype.
-func NewMAPLE(pr *core.Prototype, tile cache.GID, name string) *MAPLE {
+func NewMAPLE(pr *core.Prototype, tile cache.GID) *MAPLE {
 	return &MAPLE{
 		pr:         pr,
 		tile:       tile,
 		port:       pr.PortAt(tile),
-		name:       name,
 		QueueDepth: 64,
 		Window:     8,
 		PopCost:    12,
 	}
 }
-
-// Name identifies the engine.
-func (m *MAPLE) Name() string { return m.name }
-
-// Read implements the tile-device interface for status probes.
-func (m *MAPLE) Read(off uint64, size int) uint64 { return uint64(len(m.queue)) }
-
-// Write implements the tile-device interface (configuration is done through
-// Program in this model).
-func (m *MAPLE) Write(off uint64, size int, v uint64) {}
 
 // Program arms the engine with an access pattern: addrs(i) returns the i-th
 // physical address to fetch (ok=false ends the stream). Fetching starts

@@ -58,12 +58,11 @@ func (r *record) removeSharer(g GID) {
 // Slice is one tile's LLC slice plus the directory for the lines it homes.
 // It is the "home" of the coherence protocol.
 type Slice struct {
-	eng   *sim.Engine
-	id    GID
-	p     Params
-	conn  Conn
-	stats *sim.Stats
-	name  string
+	eng  *sim.Engine
+	id   GID
+	p    Params
+	conn Conn
+	name string
 
 	tags    *setAssoc
 	lines   map[uint64]*record
@@ -80,7 +79,8 @@ type Slice struct {
 	cQueued, cHit, cMiss sim.LazyCounter
 	cGetS, cGetM         sim.LazyCounter
 	cPutS, cPutM         sim.LazyCounter
-	lookupFn             func(any) // bound once; arg is the *Msg
+	cBackInval, cWB      sim.LazyCounter // eviction path
+	lookupFn             func(any)       // bound once; arg is the *Msg
 }
 
 // memFetch is one outstanding memory fetch: the request to resume on the
@@ -93,7 +93,7 @@ type memFetch struct {
 // NewSlice builds an LLC slice.
 func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, name string) *Slice {
 	s := &Slice{
-		eng: eng, id: id, p: p, conn: conn, stats: stats, name: name,
+		eng: eng, id: id, p: p, conn: conn, name: name,
 		tags:    newSetAssoc(p.LLCSliceSize, p.Ways),
 		lines:   make(map[uint64]*record),
 		memTags: make(map[uint64]memFetch),
@@ -107,11 +107,11 @@ func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, na
 	s.cGetM = stats.LazyCounter(name + ".GetM")
 	s.cPutS = stats.LazyCounter(name + ".puts")
 	s.cPutM = stats.LazyCounter(name + ".putm")
+	s.cBackInval = stats.LazyCounter(name + ".back_inval")
+	s.cWB = stats.LazyCounter(name + ".llc_writeback")
 	s.lookupFn = func(msg any) { s.lookup(msg.(*Msg)) }
 	return s
 }
-
-func (s *Slice) count(what string) { s.stats.Counter(s.name + "." + what).Inc() }
 
 func (s *Slice) entry(line uint64) *record {
 	r, ok := s.lines[line]
@@ -239,11 +239,11 @@ func (s *Slice) evictLLC(v way) {
 		switch r.st {
 		case dirE:
 			s.conn.SendProto(s.id, r.owner, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
-			s.count("back_inval")
+			s.cBackInval.Inc()
 		case dirS:
 			for _, g := range r.sharers {
 				s.conn.SendProto(s.id, g, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
-				s.count("back_inval")
+				s.cBackInval.Inc()
 			}
 		}
 		if r.req == nil {
@@ -256,7 +256,7 @@ func (s *Slice) evictLLC(v way) {
 	}
 	if v.dirty {
 		s.memWrite(v.line)
-		s.count("llc_writeback")
+		s.cWB.Inc()
 	}
 }
 

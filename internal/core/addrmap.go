@@ -1,8 +1,9 @@
 package core
 
-// Physical address map. Each node owns one DRAM region; the top half of the
-// region backs the node's virtual SD card (paper §3.4.2), the bottom half is
-// main memory. Device (uncacheable) space sits far above DRAM.
+// Physical address map. Each node owns one DRAM region; its bottom half is
+// main memory and its top half is left unused (the paper's virtual SD card
+// lives there on the FPGA; this model loads programs with Host.LoadProgram
+// instead). Device (uncacheable) space sits far above DRAM.
 const (
 	// DRAMBase is where node 0's DRAM region starts (the RISC-V reset
 	// region sits below it).
@@ -21,9 +22,7 @@ const (
 	// Device offsets within a node's device window.
 	DevUART0    uint64 = 0x0000_1000
 	DevUART1    uint64 = 0x0000_2000
-	DevSD       uint64 = 0x0000_3000
 	DevCLINT    uint64 = 0x0200_0000
-	DevPLIC     uint64 = 0x0C00_0000
 	DevAccel    uint64 = 0x4000_0000 // + tile<<16: per-tile accelerator MMIO
 	DevNodeSize uint64 = 1 << 32
 )
@@ -47,12 +46,6 @@ func (m *AddrMap) NodeDRAMBase(node int) uint64 {
 
 // MainMemorySize is the usable main memory per node (bottom half).
 func (m *AddrMap) MainMemorySize() uint64 { return NodeDRAMSize / 2 }
-
-// SDCardBase returns the physical address of a node's virtual SD card image
-// (top half of the node's DRAM).
-func (m *AddrMap) SDCardBase(node int) uint64 {
-	return m.NodeDRAMBase(node) + NodeDRAMSize/2
-}
 
 // IsDRAM reports whether addr falls in any node's DRAM region.
 func (m *AddrMap) IsDRAM(addr uint64) bool {

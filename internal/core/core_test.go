@@ -383,13 +383,41 @@ func TestCLINTTimerInterruptWakesCore(t *testing.T) {
 	}
 }
 
+// runHaltedAtOneAndTwoEngines runs prog until its harts halt on one engine
+// and sharded across two, and requires both runs to end with byte-identical
+// MetricsJSON (final cycle included). It returns the one-engine run.
+func runHaltedAtOneAndTwoEngines(t *testing.T, cfg Config, prog *rvasm.Program) *Prototype {
+	t.Helper()
+	var serial *Prototype
+	var want []byte
+	for _, parallel := range []int{1, 2} {
+		cfg.Parallel = parallel
+		p := buildQuiet(t, cfg)
+		t.Cleanup(p.Close)
+		p.Host().LoadProgram(0, prog)
+		p.Start()
+		p.RunUntilHalted(5_000_000)
+		got, err := p.MetricsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial == nil {
+			serial, want = p, got
+			continue
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("MetricsJSON at %d engines differs from the one-engine run (cycle %d vs %d)",
+				parallel, serial.Now(), p.Now())
+		}
+	}
+	return serial
+}
+
 func TestSoftwareInterruptAcrossNodes(t *testing.T) {
 	// Hart 0 on node 0 sends an IPI to hart 1 on node 1 through its local
-	// CLINT window; the interrupt packetizer crosses the bridge.
-	cfg := DefaultConfig(2, 1, 1)
-	p := buildQuiet(t, cfg)
-	host := p.Host()
-	prog := rvasm.MustAssemble(ResetPC, `
+	// CLINT window; the interrupt packetizer crosses the bridge. The IPI is
+	// hart 0's last act, so the run must not stop while it is in flight.
+	p := runHaltedAtOneAndTwoEngines(t, DefaultConfig(2, 1, 1), rvasm.MustAssemble(ResetPC, `
 		csrr t0, mhartid
 		bnez t0, receiver
 		li   t0, 0xF002000004  # CLINT msip hart1 (node 0 window)
@@ -411,49 +439,34 @@ func TestSoftwareInterruptAcrossNodes(t *testing.T) {
 	handler:
 		li   a0, 99
 		ebreak
-	`)
-	host.LoadProgram(0, prog)
-	p.Start()
-	p.RunUntilHalted(5_000_000)
+	`))
 	rcv := p.Nodes[1].Tiles[0].Core
 	if !rcv.Halted() || rcv.HaltCode() != 99 {
 		t.Fatalf("cross-node IPI not delivered: %s", rcv)
 	}
 }
 
-func TestVirtualSDBootFlow(t *testing.T) {
-	cfg := DefaultConfig(1, 1, 1)
-	p := buildQuiet(t, cfg)
-	host := p.Host()
-	// Host loads a "filesystem" onto the virtual SD; the core DMAs sector
-	// 3 into main memory and reads a magic number from it.
-	img := make([]byte, 4*512)
-	for i := range img {
-		img[i] = byte(i / 512)
-	}
-	img[3*512] = 0x5A
-	p.Nodes[0].SD.LoadImage(0, img)
-	prog := rvasm.MustAssemble(ResetPC, `
-		li t0, 0xF000003000    # SD controller
-		li t1, 3
-		sd t1, 0(t0)           # sector
-		li t1, 0x80100000
-		sd t1, 8(t0)           # target
-		li t1, 1
-		sd t1, 16(t0)          # count
-		sd t1, 24(t0)          # cmd = read
-	poll:	ld t2, 32(t0)
-		bnez t2, poll
-		li t3, 0x80100000
-		lbu a0, 0(t3)
+func TestRemoteStoreBeforeHaltDrains(t *testing.T) {
+	// Hart 0's last act is a store to node 1's DRAM, still crossing the
+	// bridge when the last hart halts: the run ends when it lands, at the
+	// same cycle under every sharding.
+	p := runHaltedAtOneAndTwoEngines(t, DefaultConfig(2, 1, 1), rvasm.MustAssemble(ResetPC, `
+		csrr t0, mhartid
+		bnez t0, done
+		li   t0, 0xC0100000    # node 1's DRAM
+		li   t1, 0x5A
+		li   t2, 3000
+	delay:	addi t2, t2, -1
+		bnez t2, delay
+		sd   t1, 0(t0)
+	done:	li   a0, 0
 		ebreak
-	`)
-	host.LoadProgram(0, prog)
-	p.Start()
-	p.RunUntilHalted(1_000_000)
-	c := p.Nodes[0].Tiles[0].Core
-	if !c.Halted() || c.HaltCode() != 0x5A {
-		t.Fatalf("SD boot flow failed: %s", c)
+	`))
+	if !p.AllHalted() {
+		t.Fatal("harts still running")
+	}
+	if got := p.Backing.ReadU64(0xC0100000); got != 0x5A {
+		t.Fatalf("remote store landed %#x, want 0x5a", got)
 	}
 }
 

@@ -73,10 +73,8 @@ type Node struct {
 	DRAM   *mem.DRAM
 
 	CLINT *interrupt.CLINT
-	PLIC  *interrupt.PLIC
 	UART0 *dev.UART // console, 115200 baud
 	UART1 *dev.UART // data, ~1 Mbit/s ("overclocked", paper §3.4.1)
-	SD    *dev.SDCard
 	Pack  *interrupt.Packetizer
 	// Tracer, when installed with EnableTrace, is the node's ring of
 	// protocol, MMIO and bridge events (nil-safe: tracing is free when
@@ -246,24 +244,18 @@ func Build(cfg Config) (*Prototype, error) {
 			p.sendInterrupt(n, hart, c)
 		})
 		n.CLINT = interrupt.NewCLINT(eng, cfg.TotalTiles(), n.Pack)
-		n.PLIC = interrupt.NewPLIC(cfg.TotalTiles(), 4, n.Pack)
 
 		// Virtual devices.
 		n.UART0 = dev.NewUART(eng, name+".uart0", stats)
 		n.UART1 = dev.NewUART(eng, name+".uart1", stats)
 		n.UART1.CyclesPerByte = dev.FastBaudCycles
-		n.UART0.IRQ = func(level bool) { n.PLIC.SetLevel(1, level) }
-		n.UART1.IRQ = func(level bool) { n.PLIC.SetLevel(2, level) }
-		n.SD = dev.NewSDCard(eng, p.Backing, p.Map.SDCardBase(nID), NodeDRAMSize/2, stats, name+".sd")
 
 		n.devices = []devRegion{
 			// UART registers are exposed at stride 8 on the core side
 			// (64-bit friendly), matching OpenPiton's chipset bridge.
 			{DevUART0, 0x1000, strided{n.UART0, 3}, 2},
 			{DevUART1, 0x1000, strided{n.UART1, 3}, 2},
-			{DevSD, 0x1000, n.SD, 2},
 			{DevCLINT, 0x10000, n.CLINT, 2},
-			{DevPLIC, 0x400_0000, n.PLIC, 2},
 		}
 
 		// Tiles.
@@ -442,10 +434,13 @@ func (p *Prototype) Close() {
 // Run drains the simulation (until all activity quiesces).
 func (p *Prototype) Run() sim.Time { return p.RunUntil(nil) }
 
-// RunUntilHalted executes until every core halts, the event queue drains,
-// or the cycle limit passes, and returns the final time.
+// RunUntilHalted executes until the event queue drains or the cycle limit
+// passes, and returns the final time. Halted harts schedule nothing, so a
+// run whose harts all halt drains once their last stores and interrupts
+// have landed: it ends at the same cycle under every sharding, where
+// stopping at the first window barrier after the last halt would not.
 func (p *Prototype) RunUntilHalted(limit sim.Time) sim.Time {
-	return p.RunUntil(func() bool { return p.AllHalted() || p.Now() >= limit })
+	return p.RunUntil(func() bool { return p.Now() >= limit })
 }
 
 // RunUntil is the one run entry: it steps synchronization windows until the

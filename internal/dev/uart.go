@@ -1,6 +1,5 @@
-// Package dev provides SMAPPIC's I/O devices (paper §3.4): the UART16550
-// whose console a host-side virtual serial device drains, and the virtual SD
-// card mapped into the top half of the FPGA's DRAM.
+// Package dev provides SMAPPIC's I/O device (paper §3.4): the UART16550
+// whose console a host-side virtual serial device drains.
 package dev
 
 import "smappic/internal/sim"
@@ -33,38 +32,31 @@ const FastBaudCycles = 1000
 // UART is a 16550-compatible UART. The core side accesses registers through
 // MMIO; the host side drains TX with HostRead.
 type UART struct {
-	eng   *sim.Engine
-	name  string
-	stats *sim.Stats
+	eng     *sim.Engine
+	name    string
+	txBytes sim.LazyCounter
 
 	// CyclesPerByte is the modeled line rate.
 	CyclesPerByte sim.Time
 
-	// IRQ is asserted through this callback (wired to the PLIC).
-	IRQ func(level bool)
-
 	rx       []byte // waiting for the core
 	tx       []byte // waiting for the host
-	ier      uint8
+	ier      uint8  // read back, and gates IIR; the model has no interrupt line
 	lcr      uint8
 	shifting bool
 }
 
 // NewUART creates a UART at the standard baud rate.
 func NewUART(eng *sim.Engine, name string, stats *sim.Stats) *UART {
-	return &UART{eng: eng, name: name, stats: stats, CyclesPerByte: StdBaudCycles}
+	return &UART{
+		eng: eng, name: name,
+		txBytes:       stats.LazyCounter(name + ".tx_bytes"),
+		CyclesPerByte: StdBaudCycles,
+	}
 }
 
 // Name identifies the device in the chipset address map.
 func (u *UART) Name() string { return u.name }
-
-func (u *UART) updateIRQ() {
-	if u.IRQ == nil {
-		return
-	}
-	// Interrupt on received data available, when enabled.
-	u.IRQ(u.ier&1 != 0 && len(u.rx) > 0)
-}
 
 // Read implements core-side MMIO reads.
 func (u *UART) Read(off uint64, size int) uint64 {
@@ -75,7 +67,6 @@ func (u *UART) Read(off uint64, size int) uint64 {
 		}
 		b := u.rx[0]
 		u.rx = u.rx[1:]
-		u.updateIRQ()
 		return uint64(b)
 	case UartIER:
 		return uint64(u.ier)
@@ -103,7 +94,7 @@ func (u *UART) Read(off uint64, size int) uint64 {
 func (u *UART) Write(off uint64, size int, v uint64) {
 	switch off {
 	case UartTHR:
-		u.stats.Counter(u.name + ".tx_bytes").Inc()
+		u.txBytes.Inc()
 		u.shifting = true
 		b := byte(v)
 		u.eng.Schedule(u.CyclesPerByte, func() {
@@ -112,7 +103,6 @@ func (u *UART) Write(off uint64, size int, v uint64) {
 		})
 	case UartIER:
 		u.ier = uint8(v)
-		u.updateIRQ()
 	case UartLCR:
 		u.lcr = uint8(v)
 	}

@@ -1,6 +1,6 @@
 // Package interrupt provides SMAPPIC's RISC-V interrupt machinery: a CLINT
-// (software + timer interrupts), a PLIC-lite (external interrupts), and the
-// interrupt packetizer/depacketizer pair of paper §3.3 / Fig. 6.
+// (software + timer interrupts) and the interrupt packetizer/depacketizer
+// pair of paper §3.3 / Fig. 6.
 //
 // The RISC-V specification notifies cores of pending interrupts with
 // dedicated wires from the controller into each core. That does not scale to
@@ -19,22 +19,8 @@ type Kind int
 const (
 	Software Kind = iota // MSIP
 	Timer                // MTIP
-	External             // MEIP
 	numKinds
 )
-
-// String names the wire.
-func (k Kind) String() string {
-	switch k {
-	case Software:
-		return "msip"
-	case Timer:
-		return "mtip"
-	case External:
-		return "meip"
-	}
-	return "irq?"
-}
 
 // Change is the payload of an interrupt packet: a level transition on one
 // hart's wire.
@@ -169,111 +155,5 @@ func (c *CLINT) evaluateTimer(h int) {
 			c.armed[h] = false
 			c.evaluateTimer(h)
 		})
-	}
-}
-
-// PLIC is a simplified platform-level interrupt controller: level-sensitive
-// sources, per-hart enable masks, claim/complete. Priorities are fixed
-// (lowest source number wins), which matches how the platform uses it.
-type PLIC struct {
-	pack    *Packetizer
-	harts   int
-	sources int
-
-	level   []bool   // device-driven levels, by source (1-based)
-	claimed []bool   // source claimed and in service
-	enable  [][]bool // [hart][source]
-}
-
-// PLIC register map (offsets within the PLIC MMIO window).
-const (
-	PlicEnableBase = 0x2000 // one 32-bit enable word per hart
-	PlicClaimBase  = 0x200004
-	PlicClaimStep  = 0x1000
-)
-
-// NewPLIC builds a PLIC with the given hart and source counts.
-func NewPLIC(harts, sources int, pack *Packetizer) *PLIC {
-	p := &PLIC{
-		pack: pack, harts: harts, sources: sources,
-		level:   make([]bool, sources+1),
-		claimed: make([]bool, sources+1),
-		enable:  make([][]bool, harts),
-	}
-	for h := range p.enable {
-		p.enable[h] = make([]bool, sources+1)
-	}
-	return p
-}
-
-// Name identifies the device in the chipset address map.
-func (p *PLIC) Name() string { return "plic" }
-
-// SetLevel drives a source's interrupt level (called by devices).
-func (p *PLIC) SetLevel(source int, level bool) {
-	p.level[source] = level
-	p.update()
-}
-
-// pendingFor returns the lowest pending enabled unclaimed source for hart h.
-func (p *PLIC) pendingFor(h int) int {
-	for s := 1; s <= p.sources; s++ {
-		if p.level[s] && !p.claimed[s] && p.enable[h][s] {
-			return s
-		}
-	}
-	return 0
-}
-
-func (p *PLIC) update() {
-	for h := 0; h < p.harts; h++ {
-		p.pack.Set(h, External, p.pendingFor(h) != 0)
-	}
-}
-
-// Read implements MMIO reads; reading the claim register claims the highest
-// priority pending source.
-func (p *PLIC) Read(off uint64, size int) uint64 {
-	if off >= PlicClaimBase && (off-PlicClaimBase)%PlicClaimStep == 0 {
-		h := int((off - PlicClaimBase) / PlicClaimStep)
-		if h < p.harts {
-			s := p.pendingFor(h)
-			if s != 0 {
-				p.claimed[s] = true
-				p.update()
-			}
-			return uint64(s)
-		}
-	}
-	if off >= PlicEnableBase && off < PlicEnableBase+uint64(4*p.harts) {
-		h := int((off - PlicEnableBase) / 4)
-		var v uint64
-		for s := 1; s <= p.sources && s < 32; s++ {
-			if p.enable[h][s] {
-				v |= 1 << s
-			}
-		}
-		return v
-	}
-	return 0
-}
-
-// Write implements MMIO writes; writing a source number to the claim
-// register completes it.
-func (p *PLIC) Write(off uint64, size int, v uint64) {
-	if off >= PlicClaimBase && (off-PlicClaimBase)%PlicClaimStep == 0 {
-		s := int(v)
-		if s >= 1 && s <= p.sources {
-			p.claimed[s] = false
-			p.update()
-		}
-		return
-	}
-	if off >= PlicEnableBase && off < PlicEnableBase+uint64(4*p.harts) {
-		h := int((off - PlicEnableBase) / 4)
-		for s := 1; s <= p.sources && s < 32; s++ {
-			p.enable[h][s] = v&(1<<s) != 0
-		}
-		p.update()
 	}
 }

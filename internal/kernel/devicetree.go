@@ -34,8 +34,8 @@ func (k *Kernel) DeviceTree() string {
 	}
 	fmt.Fprintf(&b, "\t};\n\n")
 
-	// Memory regions, one per node, usable bottom half (the top half backs
-	// the virtual SD card).
+	// Memory regions, one per node: the bottom half of its DRAM region (the
+	// top half is left unused).
 	for n := 0; n < cfg.TotalNodes(); n++ {
 		base := k.pr.Map.NodeDRAMBase(n)
 		size := k.pr.Map.MainMemorySize()
@@ -72,9 +72,7 @@ func (k *Kernel) DeviceTree() string {
 	}{
 		{"uart", "ns16550a", core.DevUART0},
 		{"uart", "ns16550a", core.DevUART1},
-		{"sdhc", "smappic,virtual-sd", core.DevSD},
 		{"clint", "riscv,clint0", core.DevCLINT},
-		{"plic", "riscv,plic0", core.DevPLIC},
 	}
 	for _, d := range devs {
 		addr := core.DevBase + d.off

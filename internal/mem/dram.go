@@ -9,8 +9,8 @@ import (
 
 // DRAM models one F1 onboard DDR4 channel as an AXI4 target: fixed access
 // latency plus bandwidth serialization. It is timing only: data lives in the
-// Backing, which the cache hierarchy, host DMA and the virtual SD card read
-// and write directly, so a read response carries no bytes.
+// Backing, which the cache hierarchy and host DMA read and write directly,
+// so a read response carries no bytes.
 type DRAM struct {
 	eng  *sim.Engine
 	name string

@@ -119,7 +119,7 @@ func RunIrregular(k *kernel.Kernel, kind IrregularKernel, mode IrregularMode, p 
 	}
 	var engines []*accel.MAPLE
 	if mode == WithMAPLE {
-		engines = append(engines, accel.NewMAPLE(pr, cache.GID{Node: 0, Tile: 2}, "maple0"))
+		engines = append(engines, accel.NewMAPLE(pr, cache.GID{Node: 0, Tile: 2}))
 	}
 
 	bar := k.NewBarrier(threads)
