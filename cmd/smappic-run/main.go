@@ -237,7 +237,7 @@ func main() {
 	}
 
 	fmt.Printf("ran %d cycles (%.3f ms at %d MHz)\n",
-		proto.Now(), proto.Seconds(proto.Now())*1e3, proto.Cfg.ClockMHz)
+		proto.Now(), proto.Seconds(proto.Now())*1e3, smappic.ClockMHz)
 	switch {
 	case proto.AllHalted():
 	case proto.Now() >= smappic.Time(*maxCycles):

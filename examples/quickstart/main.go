@@ -77,7 +77,7 @@ func main() {
 
 	fmt.Printf("console: %s", host.Console(0))
 	fmt.Printf("simulated %d cycles = %.3f ms at %d MHz\n",
-		proto.Now(), proto.Seconds(proto.Now())*1e3, proto.Cfg.ClockMHz)
+		proto.Now(), proto.Seconds(proto.Now())*1e3, smappic.ClockMHz)
 	fmt.Printf("memory traffic: %d DRAM reads, %d DRAM writes\n",
 		proto.Stats.Get("node0.dram.reads"), proto.Stats.Get("node0.dram.writes"))
 }

@@ -49,20 +49,22 @@ type Envelope struct {
 	Payload any
 }
 
+// processDelay is the encapsulation/decapsulation latency per side in
+// cycles: the F1 deployment's light bridge pipeline.
+const processDelay sim.Time = 5
+
 // Params configure the bridge.
 type Params struct {
-	ProcessDelay  sim.Time // encapsulation/decapsulation latency per side
-	CreditsPerDst int      // flit credits per destination node
-	// Shaper models a slower inter-node link (paper §3.5); zero values
-	// leave the link unshaped.
-	ExtraLatency  sim.Time
-	BytesPerCycle int
+	CreditsPerDst int // flit credits per destination node
+	// ExtraLatency models a slower inter-node link (paper §3.5) with a
+	// shaper on the outbound path; zero leaves the link unshaped.
+	ExtraLatency sim.Time
 }
 
-// DefaultParams matches the F1 deployment: light bridge pipeline, enough
-// credits to cover the PCIe round trip at full rate.
+// DefaultParams matches the F1 deployment: enough credits to cover the PCIe
+// round trip at full rate.
 func DefaultParams() Params {
-	return Params{ProcessDelay: 5, CreditsPerDst: 24 * ChunkFlits}
+	return Params{CreditsPerDst: 24 * ChunkFlits}
 }
 
 // peer is one bridge's state toward one other node: the send side's credit
@@ -86,7 +88,6 @@ type Bridge struct {
 	stats  *sim.Stats
 	name   string
 	out    axi.Target
-	shaper *axi.Shaper // non-nil when Params request link shaping
 	addrOf func(dstNode int) axi.Addr
 
 	peers []peer // indexed by node id, every node of the platform
@@ -179,11 +180,10 @@ func (b *Bridge) SetTracer(t *sim.Tracer) { b.tracer = t }
 
 // ConnectOut wires the bridge's outbound AXI path: out is the crossbar or
 // shell port, addrOf maps a destination node to the AXI address of its
-// bridge window. A shaper is inserted when Params request one.
+// bridge window. A shaper is inserted when Params.ExtraLatency asks for one.
 func (b *Bridge) ConnectOut(out axi.Target, addrOf func(dstNode int) axi.Addr) {
-	if b.p.ExtraLatency > 0 || b.p.BytesPerCycle > 0 {
-		b.shaper = axi.NewShaper(b.eng, out, b.p.ExtraLatency, b.p.BytesPerCycle, b.stats, b.name+".shaper")
-		out = b.shaper
+	if b.p.ExtraLatency > 0 {
+		out = axi.NewShaper(b.eng, out, b.p.ExtraLatency, b.stats, b.name+".shaper")
 	}
 	b.out = out
 	b.addrOf = addrOf
@@ -196,7 +196,7 @@ func (b *Bridge) handleMeshPacket(pkt *noc.Packet) {
 	if !ok {
 		panic(fmt.Sprintf("bridge: %s: non-envelope payload %T at bridge port", b.name, pkt.Payload))
 	}
-	b.eng.ScheduleArg(b.p.ProcessDelay, b.trySendFn, env)
+	b.eng.ScheduleArg(processDelay, b.trySendFn, env)
 }
 
 // trySend transmits env if credits allow, otherwise queues it and arranges
@@ -280,7 +280,7 @@ func (b *Bridge) fetchCredits(dst int) {
 				b.cDstWedged.Inc()
 				return
 			}
-			b.eng.Schedule(b.p.ProcessDelay*4, func() { b.fetchCredits(dst) })
+			b.eng.Schedule(processDelay*4, func() { b.fetchCredits(dst) })
 			return
 		}
 		pe.crFails = 0
@@ -304,7 +304,7 @@ func (b *Bridge) drain(dst int) {
 			// Still short: poll again. The receiver frees credits as it
 			// injects, so this terminates (the wedged flag bounds the
 			// pathological case of an unreachable receiver).
-			b.eng.Schedule(b.p.ProcessDelay*4, func() { b.fetchCredits(dst) })
+			b.eng.Schedule(processDelay*4, func() { b.fetchCredits(dst) })
 			return
 		}
 		pe.sendq = pe.sendq[1:]
@@ -344,9 +344,6 @@ func (b *Bridge) CaptureState() (ckpt.BridgeState, error) {
 			st.Dsts = append(st.Dsts, row)
 		}
 	}
-	if b.shaper != nil {
-		st.ShaperBusy = uint64(b.shaper.Busy())
-	}
 	return st, nil
 }
 
@@ -363,9 +360,6 @@ func (b *Bridge) RestoreState(st ckpt.BridgeState) error {
 		pe.freedTotal = d.FreedTotal
 		pe.crFails = d.CrFails
 		pe.wedged = d.Wedged
-	}
-	if b.shaper != nil {
-		b.shaper.SetBusy(sim.Time(st.ShaperBusy))
 	}
 	return nil
 }
@@ -391,7 +385,7 @@ func (in *inbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	if !ok {
 		return
 	}
-	b.eng.ScheduleArg(b.p.ProcessDelay, b.rxFn, env)
+	b.eng.ScheduleArg(processDelay, b.rxFn, env)
 }
 
 // rx decapsulates a received packet and injects it into the local mesh.

@@ -30,7 +30,7 @@ func newPair(t *testing.T, p Params, faults string) *pair {
 	eng := sim.NewEngine()
 	var stats sim.Stats
 	inj := fault.NewInjector(fault.MustParse(faults, 5))
-	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), inj)
+	fab := pcie.New(sim.NewSerialNet(eng), inj)
 	pr := &pair{eng: eng, fab: fab, stats: &stats}
 	var shells [2]*shell.Shell
 	for i := 0; i < 2; i++ {

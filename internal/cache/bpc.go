@@ -22,7 +22,6 @@ type mshr struct {
 type Private struct {
 	eng  *sim.Engine
 	id   GID
-	p    Params
 	conn Conn
 	home HomeFunc
 	name string
@@ -55,10 +54,10 @@ type Private struct {
 // NewPrivate builds a tile's private cache stack.
 func NewPrivate(eng *sim.Engine, id GID, p Params, conn Conn, home HomeFunc, stats *sim.Stats, name string) *Private {
 	c := &Private{
-		eng: eng, id: id, p: p, conn: conn, home: home, name: name,
-		l1i:   newSetAssoc(p.L1ISizeBytes, p.Ways),
-		l1d:   newSetAssoc(p.L1DSizeBytes, p.Ways),
-		bpc:   newSetAssoc(p.BPCSizeBytes, p.Ways),
+		eng: eng, id: id, conn: conn, home: home, name: name,
+		l1i:   newSetAssoc(p.L1ISizeBytes),
+		l1d:   newSetAssoc(p.L1DSizeBytes),
+		bpc:   newSetAssoc(p.BPCSizeBytes),
 		mshrs: make(map[uint64]*mshr),
 	}
 	c.cL1Hit = stats.Counter(name + ".l1_hit")
@@ -101,13 +100,13 @@ func (c *Private) access(addr uint64, write bool, l1 *setAssoc, done func()) {
 	if w := l1.lookup(line); w != nil {
 		if !write || w.st == stModified {
 			c.cL1Hit.Inc()
-			c.eng.Schedule(sim.Time(c.p.L1Latency), done)
+			c.eng.Schedule(l1Latency, done)
 			return
 		}
 	}
 	c.cL1Miss.Inc()
 	// BPC lookup after the L1 latency.
-	c.eng.Schedule(sim.Time(c.p.L1Latency+c.p.BPCLatency), func() {
+	c.eng.Schedule(l1Latency+bpcLatency, func() {
 		c.bpcAccess(line, write, l1, done)
 	})
 }
@@ -161,7 +160,7 @@ func (c *Private) miss(line uint64, write bool, l1 *setAssoc, done func()) {
 		c.cCoalesce.Inc()
 		return
 	}
-	if len(c.mshrs) >= c.p.MSHRs {
+	if len(c.mshrs) >= maxMSHRs {
 		c.cStall.Inc()
 		c.blocked = append(c.blocked, func() { c.bpcAccess(line, write, l1, done) })
 		return

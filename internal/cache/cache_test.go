@@ -204,9 +204,9 @@ func TestLLCHitAvoidsMemory(t *testing.T) {
 func TestBPCEvictionSendsPut(t *testing.T) {
 	r := newRig(t, 1)
 	p := DefaultParams()
-	setSpan := uint64(p.BPCSizeBytes / p.Ways) // lines mapping to set 0
+	setSpan := uint64(p.BPCSizeBytes / Ways) // lines mapping to set 0
 	// Fill one BPC set beyond capacity with clean lines.
-	for i := 0; i <= p.Ways; i++ {
+	for i := 0; i <= Ways; i++ {
 		r.load(0, uint64(i)*setSpan)
 	}
 	if r.stats.Get("priv.evict_clean") == 0 {
@@ -215,7 +215,7 @@ func TestBPCEvictionSendsPut(t *testing.T) {
 	// Dirty eviction.
 	r2 := newRig(t, 1)
 	r2.store(0, 0)
-	for i := 1; i <= p.Ways; i++ {
+	for i := 1; i <= Ways; i++ {
 		r2.store(0, uint64(i)*setSpan)
 	}
 	if r2.stats.Get("priv.writeback") == 0 {
@@ -226,9 +226,9 @@ func TestBPCEvictionSendsPut(t *testing.T) {
 func TestPutSCleansDirectory(t *testing.T) {
 	r := newRig(t, 1)
 	p := DefaultParams()
-	setSpan := uint64(p.BPCSizeBytes / p.Ways)
+	setSpan := uint64(p.BPCSizeBytes / Ways)
 	r.load(0, 0)
-	for i := 1; i <= p.Ways; i++ {
+	for i := 1; i <= Ways; i++ {
 		r.load(0, uint64(i)*setSpan)
 	}
 	// Line 0 was evicted; directory should no longer count the evicter.
@@ -258,7 +258,7 @@ func TestMSHRCoalescing(t *testing.T) {
 func TestMSHRExhaustionStallsAndRecovers(t *testing.T) {
 	r := newRig(t, 1)
 	done := 0
-	n := DefaultParams().MSHRs + 4
+	n := maxMSHRs + 4
 	for i := 0; i < n; i++ {
 		r.privs[0].Load(uint64(i)*LineBytes*512, func() { done++ })
 	}
@@ -293,10 +293,10 @@ func TestStoreCoalescedOntoReadMissEscalates(t *testing.T) {
 func TestLLCEvictionBackInvalidates(t *testing.T) {
 	r := newRig(t, 1)
 	p := DefaultParams()
-	llcSpan := uint64(p.LLCSliceSize / p.Ways)
+	llcSpan := uint64(p.LLCSliceSize / Ways)
 	// Touch ways+1 lines that collide in one LLC set but spread over BPC
 	// sets (llcSpan is a multiple of the BPC span, so use odd multiples).
-	for i := 0; i <= p.Ways; i++ {
+	for i := 0; i <= Ways; i++ {
 		r.load(0, uint64(i)*llcSpan)
 	}
 	if r.stats.Get("home.back_inval") == 0 {
@@ -409,7 +409,7 @@ func TestDeterministicTiming(t *testing.T) {
 }
 
 func TestSetAssocLRU(t *testing.T) {
-	c := newSetAssoc(4*LineBytes, 4) // one set, 4 ways
+	c := newSetAssoc(Ways * LineBytes) // one set
 	for i := uint64(0); i < 4; i++ {
 		c.insert(i*LineBytes, stShared)
 	}
@@ -424,7 +424,7 @@ func TestSetAssocLRU(t *testing.T) {
 }
 
 func TestSetAssocInsertExistingUpdatesState(t *testing.T) {
-	c := newSetAssoc(4*LineBytes, 4)
+	c := newSetAssoc(Ways * LineBytes)
 	c.insert(0, stShared)
 	_, ev := c.insert(0, stModified)
 	if ev {
@@ -452,7 +452,7 @@ func TestSetAssocBadGeometryPanics(t *testing.T) {
 			t.Error("bad geometry did not panic")
 		}
 	}()
-	newSetAssoc(3*LineBytes, 4)
+	newSetAssoc(3 * LineBytes)
 }
 
 func TestLineOf(t *testing.T) {

@@ -60,7 +60,6 @@ func (r *record) removeSharer(g GID) {
 type Slice struct {
 	eng  *sim.Engine
 	id   GID
-	p    Params
 	conn Conn
 	name string
 
@@ -93,8 +92,8 @@ type memFetch struct {
 // NewSlice builds an LLC slice.
 func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, name string) *Slice {
 	s := &Slice{
-		eng: eng, id: id, p: p, conn: conn, name: name,
-		tags:    newSetAssoc(p.LLCSliceSize, p.Ways),
+		eng: eng, id: id, conn: conn, name: name,
+		tags:    newSetAssoc(p.LLCSliceSize),
 		lines:   make(map[uint64]*record),
 		memTags: make(map[uint64]memFetch),
 	}
@@ -177,7 +176,7 @@ func (s *Slice) begin(msg *Msg) {
 	} else {
 		s.cGetM.Inc()
 	}
-	s.eng.ScheduleArg(sim.Time(s.p.LLCLatency), s.lookupFn, msg)
+	s.eng.ScheduleArg(llcLatency, s.lookupFn, msg)
 }
 
 // lookup ensures the line is resident in the LLC, fetching from memory on a

@@ -28,20 +28,20 @@ type setAssoc struct {
 	tick    uint64
 }
 
-// newSetAssoc builds a tag array of the given total size and associativity.
-// Size must be a power-of-two multiple of ways*LineBytes.
-func newSetAssoc(sizeBytes, ways int) *setAssoc {
+// newSetAssoc builds a Ways-way tag array of the given total size, which
+// must be a power-of-two multiple of Ways*LineBytes.
+func newSetAssoc(sizeBytes int) *setAssoc {
 	lines := sizeBytes / LineBytes
-	if lines <= 0 || lines%ways != 0 {
-		panic(fmt.Sprintf("cache: bad geometry %dB/%dw", sizeBytes, ways))
+	if lines <= 0 || lines%Ways != 0 {
+		panic(fmt.Sprintf("cache: bad geometry %dB/%dw", sizeBytes, Ways))
 	}
-	nsets := lines / ways
+	nsets := lines / Ways
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
 	c := &setAssoc{sets: make([][]way, nsets), setMask: uint64(nsets - 1)}
 	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
+		c.sets[i] = make([]way, Ways)
 	}
 	return c
 }

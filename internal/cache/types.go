@@ -138,32 +138,32 @@ type Conn interface {
 // HomeFunc maps a line address to its home LLC slice.
 type HomeFunc func(line uint64) GID
 
-// Params sets cache geometry and latencies (defaults follow paper Table 2).
+// Table 2 timing and associativity, shared by every cache of the system.
+const (
+	// Ways is the associativity of every L1, BPC and LLC array.
+	Ways = 4
+
+	l1Latency  = 1  // cycles for an L1 hit
+	bpcLatency = 8  // BPC lookup
+	llcLatency = 20 // LLC slice lookup (includes directory)
+	maxMSHRs   = 8  // outstanding misses per BPC
+)
+
+// Params sets the cache sizes (defaults follow paper Table 2).
 type Params struct {
 	L1ISizeBytes int
 	L1DSizeBytes int
 	BPCSizeBytes int
 	LLCSliceSize int
-	Ways         int
-
-	L1Latency  int // cycles for an L1 hit
-	BPCLatency int // BPC lookup
-	LLCLatency int // LLC slice lookup (includes directory)
-	MSHRs      int // outstanding misses per BPC
 }
 
-// DefaultParams returns the Table 2 configuration: L1D 8KB, L1I 16KB,
-// BPC 8KB, LLC slice 64KB, all 4-way.
+// DefaultParams returns the Table 2 sizes: L1D 8KB, L1I 16KB, BPC 8KB,
+// LLC slice 64KB.
 func DefaultParams() Params {
 	return Params{
 		L1ISizeBytes: 16 << 10,
 		L1DSizeBytes: 8 << 10,
 		BPCSizeBytes: 8 << 10,
 		LLCSliceSize: 64 << 10,
-		Ways:         4,
-		L1Latency:    1,
-		BPCLatency:   8,
-		LLCLatency:   20,
-		MSHRs:        8,
 	}
 }

@@ -79,8 +79,10 @@ type Params struct {
 // Result encoding changes meaning, so stale cache entries miss instead of
 // poisoning new runs. (v5: IS results moved when a bridge credit read began
 // answering with the receiver's running total and the reconciliation
-// watchdog went.)
-const cacheVersion = "campaign-v5"
+// watchdog went. v6: results of ExtraLatency > 0 jobs lost the always-zero
+// bridge shaper throttle_cycles counter when the shaper's bandwidth model
+// went.)
+const cacheVersion = "campaign-v6"
 
 // Key returns the content address of the job: a hash of the canonical JSON
 // encoding of the fully resolved parameters.

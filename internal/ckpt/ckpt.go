@@ -183,11 +183,9 @@ type NoCState struct {
 }
 
 // BridgeState is an inter-node bridge's credit bookkeeping, keyed by
-// destination node (sorted), plus the outbound shaper's bandwidth clock
-// when the link is shaped.
+// destination node (sorted).
 type BridgeState struct {
-	Dsts       []BridgeDstState
-	ShaperBusy uint64
+	Dsts []BridgeDstState
 }
 
 // BridgeDstState is the per-destination credit state of one bridge: the

@@ -18,10 +18,9 @@ import (
 // fixed by the type definitions; the fault plan uses its canonical form so
 // differently-written but equal specs fingerprint identically.
 func (c Config) canonicalString() string {
-	return fmt.Sprintf("shape=%s;core=%s;cache=%+v;unified=%t;gih=%t;dram=%d/%d;bridge=%+v;pcie=%+v;clock=%d;seed=%d;faults=%s",
+	return fmt.Sprintf("shape=%s;core=%s;cache=%+v;unified=%t;gih=%t;bridge=%+v;seed=%d;faults=%s",
 		c.Shape(), c.Core, c.Cache, c.UnifiedMemory, c.GlobalInterleaveHoming,
-		c.DRAMLatency, c.DRAMBytesPerCycle, c.Bridge, c.PCIe, c.ClockMHz,
-		c.Seed, c.Faults.String())
+		c.Bridge, c.Seed, c.Faults.String())
 }
 
 // ConfigHash fingerprints the configuration for snapshot/restore matching.

@@ -18,7 +18,6 @@ import (
 	"smappic/internal/cache"
 	"smappic/internal/fault"
 	"smappic/internal/pcie"
-	"smappic/internal/sim"
 )
 
 // CoreType selects what occupies a tile's compute slot.
@@ -36,7 +35,13 @@ const (
 	CoreNone CoreType = "none"
 )
 
-// Config describes a prototype.
+// ClockMHz is the prototype clock (paper Table 2), for converting cycles to
+// seconds.
+const ClockMHz = 100
+
+// Config describes a prototype: its shape and the settings that experiments
+// vary. Table 2's timing constants are not part of it; they live in the
+// packages that model them (pcie, mem, bridge, cache).
 type Config struct {
 	FPGAs        int // A
 	NodesPerFPGA int // B
@@ -57,16 +62,7 @@ type Config struct {
 	// first-touch NUMA allocation effective.
 	GlobalInterleaveHoming bool
 
-	// DRAMLatency is the paper's Table 2 value (cycles).
-	DRAMLatency sim.Time
-	// DRAMBytesPerCycle throttles each DDR4 channel.
-	DRAMBytesPerCycle int
-
 	Bridge bridge.Params
-	PCIe   pcie.Params
-
-	// ClockMHz is the prototype clock (for converting cycles to seconds).
-	ClockMHz int
 
 	Seed uint64
 
@@ -101,18 +97,14 @@ type Config struct {
 // DefaultConfig returns the paper's Table 2 system for the given shape.
 func DefaultConfig(fpgas, nodesPerFPGA, tilesPerNode int) Config {
 	return Config{
-		FPGAs:             fpgas,
-		NodesPerFPGA:      nodesPerFPGA,
-		TilesPerNode:      tilesPerNode,
-		Core:              CoreAriane,
-		Cache:             cache.DefaultParams(),
-		UnifiedMemory:     true,
-		DRAMLatency:       76, // + controller path = Table 2's 80 cycles
-		DRAMBytesPerCycle: 64,
-		Bridge:            bridge.DefaultParams(),
-		PCIe:              pcie.DefaultParams(),
-		ClockMHz:          100,
-		Seed:              1,
+		FPGAs:         fpgas,
+		NodesPerFPGA:  nodesPerFPGA,
+		TilesPerNode:  tilesPerNode,
+		Core:          CoreAriane,
+		Cache:         cache.DefaultParams(),
+		UnifiedMemory: true,
+		Bridge:        bridge.DefaultParams(),
+		Seed:          1,
 	}
 }
 

@@ -193,7 +193,7 @@ func Build(cfg Config) (*Prototype, error) {
 	for c := range clusters {
 		clusters[c] = p.engs[c*shardsPerCluster : (c+1)*shardsPerCluster]
 	}
-	p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
+	p.Group = sim.NewHierGroup(pcie.MinCrossing, icLatency, clusters, p.nodeShard)
 	p.Group.SetAdaptive(sim.DefaultAdaptiveCap)
 	// Per-edge model-latency floors (PCIe crossing between FPGAs, interconnect
 	// crossing inside one) are enforced whatever the shard count, so an
@@ -203,7 +203,7 @@ func Build(cfg Config) (*Prototype, error) {
 	// The fabric addresses endpoints by FPGA id; the CrossNet underneath
 	// speaks node ids (so intra-FPGA hops can cross shards too). pcieView
 	// translates: FPGA f rides its slot-0 node's endpoint.
-	p.Fabric = pcie.New(cfg.PCIe, pcieView{net: p.Group, nodes: cfg.NodesPerFPGA}, p.Injector)
+	p.Fabric = pcie.New(pcieView{net: p.Group, nodes: cfg.NodesPerFPGA}, p.Injector)
 
 	w, h := cfg.MeshDims()
 
@@ -235,7 +235,7 @@ func Build(cfg Config) (*Prototype, error) {
 
 		// Memory path: the (timing-only) DRAM channel behind the NoC-AXI4
 		// controller, which sees node-local offsets.
-		n.DRAM = mem.NewDRAM(eng, name+".dram", cfg.DRAMLatency, cfg.DRAMBytesPerCycle, stats)
+		n.DRAM = mem.NewDRAM(eng, name+".dram", stats)
 		n.DRAM.SetInjector(p.Injector)
 		n.MemCtl = mem.NewController(eng, n.Mesh, name+".memctl", n.DRAM, stats)
 
@@ -313,7 +313,7 @@ func Build(cfg Config) (*Prototype, error) {
 // FPGAs (and for anything involving the host endpoint).
 func (p *Prototype) minCrossingOf(src, dst int) sim.Time {
 	if src < 0 || dst < 0 {
-		return p.Cfg.PCIe.MinCrossing()
+		return pcie.MinCrossing
 	}
 	if src == dst {
 		return 0
@@ -321,7 +321,7 @@ func (p *Prototype) minCrossingOf(src, dst int) sim.Time {
 	if src/p.Cfg.NodesPerFPGA == dst/p.Cfg.NodesPerFPGA {
 		return icLatency
 	}
-	return p.Cfg.PCIe.MinCrossing()
+	return pcie.MinCrossing
 }
 
 // bridgeWindow returns the CL-inbound window of a node's bridge within its
@@ -382,7 +382,7 @@ func (p *Prototype) Tile(g cache.GID) *Tile { return p.Nodes[g.Node].Tiles[g.Til
 
 // Seconds converts cycles to wall-clock seconds at the prototype frequency.
 func (p *Prototype) Seconds(cycles sim.Time) float64 {
-	return float64(cycles) / (float64(p.Cfg.ClockMHz) * 1e6)
+	return float64(cycles) / (ClockMHz * 1e6)
 }
 
 // Now returns the current simulation time: the globally latest executed
@@ -404,18 +404,6 @@ func (p *Prototype) Net() sim.CrossNet { return p.Group }
 // node (e.g. an accelerator placed on one of its tiles) must register with.
 // Instruments registered on Stats directly are dropped by the next fold.
 func (p *Prototype) StatsForNode(node int) *sim.Stats { return p.nodeStats[node] }
-
-// Lookahead returns the minimum cross-FPGA latency in cycles — the outer
-// bound every PCIe-class CrossNet send must respect, whatever the shard
-// count (a one-shard run must obey it too or it would diverge from a
-// sharded one).
-func (p *Prototype) Lookahead() sim.Time { return p.Cfg.PCIe.MinCrossing() }
-
-// InnerLookahead returns the minimum intra-FPGA cross-shard latency in
-// cycles: the interconnect crossing between co-located nodes, and the
-// inner window bound of per-node sharded runs. Like Lookahead it is a
-// property of the model, not the execution policy.
-func (p *Prototype) InnerLookahead() sim.Time { return icLatency }
 
 // Close releases the goroutines of every simulation process (hart, kernel
 // thread, workload driver) still parked when the prototype is abandoned — a

@@ -37,7 +37,7 @@ func (p *Prototype) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# shape %dx%dx%d, %d cycles (%.6f s at %d MHz), seed %d\n",
 		p.Cfg.FPGAs, p.Cfg.NodesPerFPGA, p.Cfg.TilesPerNode,
-		p.Now(), p.Seconds(p.Now()), p.Cfg.ClockMHz, p.Cfg.Seed)
+		p.Now(), p.Seconds(p.Now()), ClockMHz, p.Cfg.Seed)
 	b.WriteString(p.Stats.String())
 	if p.Injector != nil {
 		b.WriteString("# fault injection\n")
@@ -77,7 +77,7 @@ func (p *Prototype) MetricsJSON() ([]byte, error) {
 			NodesPerFPGA: p.Cfg.NodesPerFPGA,
 			TilesPerNode: p.Cfg.TilesPerNode,
 			Cycles:       uint64(p.Now()),
-			ClockMHz:     p.Cfg.ClockMHz,
+			ClockMHz:     ClockMHz,
 			Seed:         p.Cfg.Seed,
 		},
 		Stats:   p.Stats,

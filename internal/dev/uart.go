@@ -5,9 +5,10 @@ package dev
 import "smappic/internal/sim"
 
 // UART16550 register offsets (LCR.DLAB=0 view; the divisor latch is
-// accepted but the model's speed is set by CyclesPerByte).
+// accepted but the model's speed is set by CyclesPerByte). The model has no
+// receive path: nothing on the host side sends to the core, so RBR reads 0
+// and LSR never reports data ready.
 const (
-	UartRBR = 0 // read: receive buffer
 	UartTHR = 0 // write: transmit holding
 	UartIER = 1
 	UartIIR = 2 // read; write = FCR
@@ -17,9 +18,8 @@ const (
 
 // LSR bits.
 const (
-	lsrDataReady = 1 << 0
-	lsrTHREmpty  = 1 << 5
-	lsrTXIdle    = 1 << 6
+	lsrTHREmpty = 1 << 5
+	lsrTXIdle   = 1 << 6
 )
 
 // StdBaudCycles is the cycles per byte at the standard 115200 bit/s rate at
@@ -39,9 +39,8 @@ type UART struct {
 	// CyclesPerByte is the modeled line rate.
 	CyclesPerByte sim.Time
 
-	rx       []byte // waiting for the core
 	tx       []byte // waiting for the host
-	ier      uint8  // read back, and gates IIR; the model has no interrupt line
+	ier      uint8  // read back only; the model has no interrupt line
 	lcr      uint8
 	shifting bool
 }
@@ -61,19 +60,9 @@ func (u *UART) Name() string { return u.name }
 // Read implements core-side MMIO reads.
 func (u *UART) Read(off uint64, size int) uint64 {
 	switch off {
-	case UartRBR:
-		if len(u.rx) == 0 {
-			return 0
-		}
-		b := u.rx[0]
-		u.rx = u.rx[1:]
-		return uint64(b)
 	case UartIER:
 		return uint64(u.ier)
 	case UartIIR:
-		if u.ier&1 != 0 && len(u.rx) > 0 {
-			return 0x04 // received data available
-		}
 		return 0x01 // no interrupt pending
 	case UartLCR:
 		return uint64(u.lcr)
@@ -81,9 +70,6 @@ func (u *UART) Read(off uint64, size int) uint64 {
 		var v uint64 = lsrTXIdle
 		if !u.shifting {
 			v |= lsrTHREmpty
-		}
-		if len(u.rx) > 0 {
-			v |= lsrDataReady
 		}
 		return v
 	}

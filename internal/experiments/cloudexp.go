@@ -49,7 +49,7 @@ func (pb *prototypeBackend) Handle(path string, s3Data []byte) (string, time.Dur
 	end := k.Join()
 	cycles := end - start
 	secs := pr.Seconds(cycles)
-	body := fmt.Sprintf("%s date=%d-cycles-%d", string(s3Data), pr.Cfg.ClockMHz, cycles)
+	body := fmt.Sprintf("%s date=%d-cycles-%d", string(s3Data), core.ClockMHz, cycles)
 	return body, time.Duration(secs * float64(time.Second))
 }
 

@@ -9,9 +9,11 @@ import (
 	"strings"
 
 	"smappic/internal/baseline"
+	"smappic/internal/cache"
 	"smappic/internal/cloud"
 	"smappic/internal/core"
 	"smappic/internal/fpga"
+	"smappic/internal/mem"
 )
 
 // Table1 renders the available F1 instances (paper Table 1).
@@ -35,13 +37,13 @@ func Table2() string {
 	rows := [][2]string{
 		{"Instruction set", "RISC-V 64-bit"},
 		{"Operating system", "mini-kernel (stands in for Linux v5.12, NUMA)"},
-		{"Frequency", fmt.Sprintf("%d MHz", cfg.ClockMHz)},
+		{"Frequency", fmt.Sprintf("%d MHz", core.ClockMHz)},
 		{"Core", string(cfg.Core) + " (in-order, 6-stage model)"},
-		{"L1D cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.L1DSizeBytes/1024, cfg.Cache.Ways)},
-		{"L1I cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.L1ISizeBytes/1024, cfg.Cache.Ways)},
-		{"BPC cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.BPCSizeBytes/1024, cfg.Cache.Ways)},
-		{"LLC cache slice", fmt.Sprintf("%d KB, %d ways", cfg.Cache.LLCSliceSize/1024, cfg.Cache.Ways)},
-		{"DRAM latency", fmt.Sprintf("%d cycles (+controller path = 80)", cfg.DRAMLatency)},
+		{"L1D cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.L1DSizeBytes/1024, cache.Ways)},
+		{"L1I cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.L1ISizeBytes/1024, cache.Ways)},
+		{"BPC cache", fmt.Sprintf("%d KB, %d ways", cfg.Cache.BPCSizeBytes/1024, cache.Ways)},
+		{"LLC cache slice", fmt.Sprintf("%d KB, %d ways", cfg.Cache.LLCSliceSize/1024, cache.Ways)},
+		{"DRAM latency", fmt.Sprintf("%d cycles (+controller path = 80)", mem.DRAMLatency)},
 		{"Inter-node round-trip latency", "125 cycles"},
 	}
 	for _, r := range rows {

@@ -872,6 +872,242 @@ func TestEndToEndWorkersOverHTTP(t *testing.T) {
 	wg.Wait()
 }
 
+// postLog records the JSON bodies of every request to one API path before
+// handing the request on to the server, so a test can see what its workers
+// sent.
+type postLog struct {
+	path string
+	next http.Handler
+
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (l *postLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == l.path {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		l.mu.Lock()
+		l.bodies = append(l.bodies, body)
+		l.mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	l.next.ServeHTTP(w, r)
+}
+
+// leaseIDs decodes the lease_id of every recorded body.
+func (l *postLog) leaseIDs(t *testing.T) []string {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var ids []string
+	for _, b := range l.bodies {
+		var req struct {
+			LeaseID string `json:"lease_id"`
+		}
+		if err := json.Unmarshal(b, &req); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, req.LeaseID)
+	}
+	return ids
+}
+
+// TestHeartbeatsKeepALongJobLeased: over real HTTP, with a short lease TTL
+// and one job that runs for several TTLs, the worker's heartbeats keep the
+// lease alive. A second worker polls all along, so an expired lease would
+// be re-queued and the job run twice; instead every job runs once and the
+// report is byte-identical to the in-process run.
+func TestHeartbeatsKeepALongJobLeased(t *testing.T) {
+	spec := testSpec("heartbeat")
+	want, _ := referenceReport(t, spec)
+
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cache)
+	// Heartbeats go out every TTL/3: a beat may run up to two intervals
+	// late before the lease lapses.
+	s.LeaseTTL = 600 * time.Millisecond
+	beats := &postLog{path: "/api/workers/heartbeat", next: s.Handler()}
+	ts := httptest.NewServer(beats)
+	defer ts.Close()
+
+	var mu sync.Mutex
+	runs := map[uint64]int{}
+	exec := func(jctx context.Context, p campaign.Params) (*campaign.Result, error) {
+		mu.Lock()
+		runs[p.Seed]++
+		mu.Unlock()
+		if p.Seed == 1 {
+			select {
+			case <-time.After(4 * s.LeaseTTL):
+			case <-jctx.Done():
+				return nil, jctx.Err()
+			}
+		}
+		return fakeExec(jctx, p)
+	}
+
+	cl := &Client{Server: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sub, err := cl.Submit(ctx, "alice", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b"} {
+		w := &Worker{Server: ts.URL, Name: name, Poll: 20 * time.Millisecond, Exec: exec}
+		wg.Add(1)
+		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	st, err := cl.Wait(ctx, sub.CampaignID, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	wg.Wait()
+
+	if !st.Complete || st.Failed != 0 {
+		t.Fatalf("final status %+v", st)
+	}
+	if n := len(beats.leaseIDs(t)); n < 3 {
+		t.Errorf("%d heartbeats during a job of four TTLs, want at least 3", n)
+	}
+	for _, seed := range spec.Seeds {
+		if runs[seed] != 1 {
+			t.Errorf("seed %d ran %d times, want once (runs: %v)", seed, runs[seed], runs)
+		}
+	}
+	got, err := cl.Report(context.Background(), sub.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet report differs from in-process run\nfleet:\n%s\nin-process:\n%s", got, want)
+	}
+}
+
+// TestStaleHeartbeatAbandonsTheJob: the server's clock steps past a running
+// lease's deadline, so the worker's next heartbeat is answered 409. The
+// worker cancels the job and delivers no result for that lease; once it is
+// gone, a second worker completes the campaign, byte-identical to the
+// in-process run.
+func TestStaleHeartbeatAbandonsTheJob(t *testing.T) {
+	spec := testSpec("stale")
+	want, _ := referenceReport(t, spec)
+
+	cache, err := campaign.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cache)
+	// Heartbeats go out every TTL/3: a beat may run up to two intervals
+	// late before the lease lapses on its own.
+	s.LeaseTTL = 300 * time.Millisecond
+	var skew atomic.Int64 // the server's clock runs this far ahead of real time
+	s.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	results := &postLog{path: "/api/workers/result", next: s.Handler()}
+	ts := httptest.NewServer(results)
+	defer ts.Close()
+
+	cl := &Client{Server: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sub, err := cl.Submit(ctx, "alice", 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Worker 1's jobs hang until cancelled. The first cancellation can only
+	// come from the stale heartbeat: its own context is still live then.
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	var logMu sync.Mutex
+	var logged []string
+	w1ctx, killW1 := context.WithCancel(ctx)
+	w1 := &Worker{
+		Server: ts.URL,
+		Name:   "stale",
+		Poll:   20 * time.Millisecond,
+		Exec: func(jctx context.Context, p campaign.Params) (*campaign.Result, error) {
+			first := calls.Add(1) == 1
+			if first {
+				close(started)
+			}
+			<-jctx.Done()
+			if first {
+				close(cancelled)
+			}
+			return nil, jctx.Err()
+		},
+		Log: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); w1.Run(w1ctx) }()
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("worker 1 never started a job")
+	}
+	skew.Add(int64(10 * s.LeaseTTL))
+	select {
+	case <-cancelled:
+	case <-ctx.Done():
+		t.Fatal("worker 1 kept running a job whose lease expired")
+	}
+	// A job worker 1 leased again before dying is re-queued when that
+	// lease lapses.
+	killW1()
+	wg.Wait()
+
+	var stale string
+	logMu.Lock()
+	for _, line := range logged {
+		if id, ok := strings.CutSuffix(line, ": gone stale, abandoning job"); ok {
+			stale = strings.TrimPrefix(id, "lease ")
+		}
+	}
+	logMu.Unlock()
+	if stale == "" {
+		t.Fatalf("worker 1 never logged abandoning a stale lease: %q", logged)
+	}
+
+	w2 := &Worker{Server: ts.URL, Name: "survivor", Poll: 20 * time.Millisecond, Exec: fakeExec}
+	wg.Add(1)
+	go func() { defer wg.Done(); w2.Run(ctx) }()
+	st, err := cl.Wait(ctx, sub.CampaignID, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	wg.Wait()
+
+	if !st.Complete || st.Failed != 0 {
+		t.Fatalf("final status %+v", st)
+	}
+	if slices.Contains(results.leaseIDs(t), stale) {
+		t.Errorf("worker 1 delivered a result for its stale lease %s", stale)
+	}
+	got, err := cl.Report(context.Background(), sub.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet report differs from in-process run\nfleet:\n%s\nin-process:\n%s", got, want)
+	}
+}
+
 // TestOversizeBodyRefused: the server is shared, so a request body is read
 // only up to maxBodyBytes. A tenant streaming more than that at POST
 // /api/campaigns gets 413 with a JSON error while another tenant's campaign

@@ -21,7 +21,7 @@ func (k *Kernel) DeviceTree() string {
 	fmt.Fprintf(&b, "\t#address-cells = <2>;\n\t#size-cells = <2>;\n\n")
 
 	// CPUs.
-	fmt.Fprintf(&b, "\tcpus {\n\t\ttimebase-frequency = <%d>;\n", cfg.ClockMHz*1_000_000)
+	fmt.Fprintf(&b, "\tcpus {\n\t\ttimebase-frequency = <%d>;\n", core.ClockMHz*1_000_000)
 	for hart := 0; hart < cfg.TotalTiles(); hart++ {
 		node := hart / cfg.TilesPerNode
 		fmt.Fprintf(&b, "\t\tcpu@%d {\n", hart)

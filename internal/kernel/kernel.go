@@ -39,8 +39,8 @@
 //     so the release (futex-style wakeups sent through the cross-shard
 //     network, one lookahead-bounded latency each) is deterministic;
 //   - a migration that crosses nodes hops the thread's process between
-//     engines through the cross-shard network, paying MigrateCost, which
-//     must be at least the governing lookahead (PCIe across FPGAs, the
+//     engines through the cross-shard network, paying a fixed migration
+//     cost that covers the governing lookahead (PCIe across FPGAs, the
 //     intra-FPGA interconnect between co-located nodes).
 package kernel
 
@@ -50,6 +50,7 @@ import (
 
 	"smappic/internal/cache"
 	"smappic/internal/core"
+	"smappic/internal/pcie"
 	"smappic/internal/sim"
 )
 
@@ -73,32 +74,38 @@ const (
 	lockLines  uint64 = 64
 )
 
-// barrierWakeFloor is the minimum release-to-resume latency of a barrier
-// wakeup (the futex/IPI path); the actual latency also covers the
-// cross-shard lookahead.
-const barrierWakeFloor sim.Time = 100
+// barrierHopLatency is the cost of one barrier slow-path message
+// (register, release or wake: the futex/IPI path).
+const barrierHopLatency sim.Time = 100
+
+// Non-NUMA scheduling: quantum is the timeslice between migration decisions
+// and migrateCost the context-switch penalty charged per migration, in
+// cycles.
+const (
+	quantum     sim.Time = 50_000
+	migrateCost sim.Time = 2000
+)
+
+// A barrier message and a migration are cross-shard sends, so each must
+// cost at least the PCIe lookahead (and with it the intra-FPGA one, which
+// sim.NewHierGroup keeps at or below it). sim.Time is unsigned: a
+// shortfall overflows these constants and fails the build.
+const (
+	_ = barrierHopLatency - pcie.MinCrossing
+	_ = migrateCost - pcie.MinCrossing
+)
 
 // Config selects the kernel policies.
 type Config struct {
 	// NUMA enables first-touch allocation and no-migration scheduling.
 	NUMA bool
-	// Quantum is the scheduling timeslice for migration decisions in
-	// non-NUMA mode, in cycles.
-	Quantum sim.Time
-	// MigrateCost is the context-switch penalty charged per migration. On
-	// a multi-FPGA prototype it must be at least the PCIe lookahead so a
-	// cross-FPGA hop is representable under the conservative synchronizer;
-	// on any multi-node prototype it must be at least the intra-FPGA
-	// interconnect lookahead for the same reason (a hop between co-located
-	// nodes crosses shards under per-node granularity).
-	MigrateCost sim.Time
 	// Seed drives the topology-blind allocator and migration choices.
 	Seed uint64
 }
 
 // DefaultConfig returns NUMA-aware defaults.
 func DefaultConfig() Config {
-	return Config{NUMA: true, Quantum: 50_000, MigrateCost: 2000, Seed: 42}
+	return Config{NUMA: true, Seed: 42}
 }
 
 // Kernel is a booted mini-OS instance on a prototype.
@@ -122,14 +129,6 @@ type Kernel struct {
 
 // New boots the kernel on a prototype.
 func New(pr *core.Prototype, cfg Config) *Kernel {
-	if !cfg.NUMA && pr.Cfg.FPGAs > 1 && cfg.MigrateCost < pr.Lookahead() {
-		panic(fmt.Sprintf("kernel: MigrateCost %d below the PCIe lookahead %d; a cross-FPGA migration cannot be scheduled",
-			cfg.MigrateCost, pr.Lookahead()))
-	}
-	if !cfg.NUMA && pr.Cfg.TotalNodes() > 1 && cfg.MigrateCost < pr.InnerLookahead() {
-		panic(fmt.Sprintf("kernel: MigrateCost %d below the intra-FPGA lookahead %d; a cross-node migration cannot be scheduled",
-			cfg.MigrateCost, pr.InnerLookahead()))
-	}
 	return &Kernel{
 		pr:        pr,
 		cfg:       cfg,
@@ -287,7 +286,7 @@ func (k *Kernel) spawnOn(name string, affinity []int, hart int, fn func(*Ctx)) *
 	t.port = k.pr.PortAt(k.locOf(hart))
 	k.threads = append(k.threads, t)
 	t.proc = sim.Go(k.pr.EngineForNode(t.Node()), name, func(p *sim.Process) {
-		t.nextMigr = p.Now() + k.cfg.Quantum
+		t.nextMigr = p.Now() + quantum
 		fn(&Ctx{T: t, P: p})
 		t.Done = true
 	})
@@ -325,14 +324,14 @@ func (t *Thread) Node() int { return t.hart / t.kern.pr.Cfg.TilesPerNode }
 // the thread may hop to another allowed hart. A hop that changes nodes
 // moves the thread's process through the cross-shard network to the
 // destination node's engine — the same route in every mode and at every
-// granularity, so results are mode-invariant (MigrateCost covers the
-// governing lookahead, PCIe or intra-FPGA, checked at boot); a same-node
-// hop just charges the context-switch cost.
+// granularity, so results are mode-invariant (migrateCost covers the
+// governing lookahead, PCIe or intra-FPGA, checked at compile time); a
+// same-node hop just charges the context-switch cost.
 func (t *Thread) maybeMigrate(p *sim.Process) {
 	if t.kern.cfg.NUMA || len(t.affinity) == 1 || p.Now() < t.nextMigr {
 		return
 	}
-	t.nextMigr = p.Now() + t.kern.cfg.Quantum
+	t.nextMigr = p.Now() + quantum
 	next := t.affinity[t.rng.Intn(len(t.affinity))]
 	if next == t.hart {
 		return
@@ -344,10 +343,10 @@ func (t *Thread) maybeMigrate(p *sim.Process) {
 	t.Migrations++
 	newNode := t.Node()
 	if newNode == oldNode {
-		p.Wait(t.kern.cfg.MigrateCost)
+		p.Wait(migrateCost)
 		return
 	}
-	p.Hop(pr.Net(), oldNode, newNode, pr.EngineForNode(newNode), t.kern.cfg.MigrateCost)
+	p.Hop(pr.Net(), oldNode, newNode, pr.EngineForNode(newNode), migrateCost)
 }
 
 // translate maps a virtual address with timing: a TLB hit is free, a miss
@@ -460,17 +459,6 @@ func (k *Kernel) NewBarrier(n int) *Barrier {
 	return &Barrier{k: k, n: n, countAddr: k.Alloc(PageBytes), homeNode: 0}
 }
 
-// hopLatency is the cost of one barrier slow-path message (register,
-// release or wake); it must cover the PCIe lookahead so the messages are
-// schedulable from any shard (and with it the smaller intra-FPGA
-// lookahead too).
-func (b *Barrier) hopLatency() sim.Time {
-	if l := b.k.pr.Lookahead(); l > barrierWakeFloor {
-		return l
-	}
-	return barrierWakeFloor
-}
-
 // release runs on the home node: it marks the round released and wakes
 // every registered waiter of that round.
 func (b *Barrier) release(ep uint64) {
@@ -478,7 +466,7 @@ func (b *Barrier) release(ep uint64) {
 		b.released = ep
 	}
 	home := b.k.pr.EngineForNode(b.homeNode)
-	at := home.Now() + b.hopLatency()
+	at := home.Now() + barrierHopLatency
 	var keep []barWaiter
 	for _, w := range b.waiting {
 		if w.ep <= b.released {
@@ -495,7 +483,7 @@ func (b *Barrier) release(ep uint64) {
 func (b *Barrier) register(w barWaiter) {
 	if w.ep <= b.released {
 		home := b.k.pr.EngineForNode(b.homeNode)
-		b.k.pr.Net().Send(b.homeNode, w.node, home.Now()+b.hopLatency(), w.wake)
+		b.k.pr.Net().Send(b.homeNode, w.node, home.Now()+barrierHopLatency, w.wake)
 		return
 	}
 	b.waiting = append(b.waiting, w)
@@ -513,11 +501,11 @@ func (b *Barrier) Wait(c *Ctx) {
 	if old+1 == uint64(b.n)*ep {
 		// Last arriver of this round: post the release to the home node
 		// and continue without blocking.
-		pr.Net().Send(src, b.homeNode, c.P.Now()+b.hopLatency(), func() { b.release(ep) })
+		pr.Net().Send(src, b.homeNode, c.P.Now()+barrierHopLatency, func() { b.release(ep) })
 		return
 	}
 	w := barWaiter{ep: ep, node: src, wake: c.P.Suspend()}
-	pr.Net().Send(src, b.homeNode, c.P.Now()+b.hopLatency(), func() { b.register(w) })
+	pr.Net().Send(src, b.homeNode, c.P.Now()+barrierHopLatency, func() { b.register(w) })
 	c.P.Park()
 }
 

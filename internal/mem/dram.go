@@ -7,6 +7,14 @@ import (
 	"smappic/internal/sim"
 )
 
+// DRAMLatency is the device access time in cycles. The paper's Table 2
+// lists 80 cycles end-to-end from the LLC; the controller path adds the
+// difference.
+const DRAMLatency sim.Time = 76
+
+// dramBytesPerCycle is one DDR4 channel's throughput.
+const dramBytesPerCycle = 64
+
 // DRAM models one F1 onboard DDR4 channel as an AXI4 target: fixed access
 // latency plus bandwidth serialization. It is timing only: data lives in the
 // Backing, which the cache hierarchy and host DMA read and write directly,
@@ -14,13 +22,6 @@ import (
 type DRAM struct {
 	eng  *sim.Engine
 	name string
-
-	// Latency is the device access time in cycles. The paper's Table 2
-	// lists 80 cycles end-to-end from the LLC; the controller path adds
-	// the difference.
-	Latency sim.Time
-	// BytesPerCycle limits channel throughput.
-	BytesPerCycle int
 
 	busy sim.Time
 	site *fault.Site // bit-flip fault site (the DRAM's own name)
@@ -37,10 +38,9 @@ type DRAM struct {
 }
 
 // NewDRAM creates a DRAM channel.
-func NewDRAM(eng *sim.Engine, name string, latency sim.Time, bytesPerCycle int, stats *sim.Stats) *DRAM {
+func NewDRAM(eng *sim.Engine, name string, stats *sim.Stats) *DRAM {
 	return &DRAM{
 		eng: eng, name: name,
-		Latency: latency, BytesPerCycle: bytesPerCycle,
 		cReads:      stats.Counter(name + ".reads"),
 		cWrites:     stats.Counter(name + ".writes"),
 		cReadBytes:  stats.Counter(name + ".read_bytes"),
@@ -66,13 +66,7 @@ func (d *DRAM) CaptureState() ckpt.DRAMState { return ckpt.DRAMState{Busy: uint6
 func (d *DRAM) RestoreState(st ckpt.DRAMState) { d.busy = sim.Time(st.Busy) }
 
 func (d *DRAM) delay(n int) sim.Time {
-	beats := sim.Time(1)
-	if d.BytesPerCycle > 0 {
-		beats = sim.Time((n + d.BytesPerCycle - 1) / d.BytesPerCycle)
-		if beats == 0 {
-			beats = 1
-		}
-	}
+	beats := max(sim.Time((n+dramBytesPerCycle-1)/dramBytesPerCycle), 1)
 	start := d.eng.Now()
 	if d.busy > start {
 		d.cConflicts.Inc()
@@ -80,7 +74,7 @@ func (d *DRAM) delay(n int) sim.Time {
 		start = d.busy
 	}
 	d.busy = start + beats
-	return (start - d.eng.Now()) + beats + d.Latency
+	return (start - d.eng.Now()) + beats + DRAMLatency
 }
 
 // Do answers a transfer after the access latency. The SECDED model runs on

@@ -83,19 +83,19 @@ func TestBackingRoundTripProperty(t *testing.T) {
 
 func TestDRAMLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDRAM(eng, "dram", 76, 64, &sim.Stats{})
+	d := NewDRAM(eng, "dram", &sim.Stats{})
 
 	var wrAt sim.Time
 	d.Do(&axi.Txn{Write: true, Addr: 0x40, Data: []byte{0xAA, 0xBB}}, func(axi.Resp) { wrAt = eng.Now() })
 	eng.Run()
-	if wrAt != 77 { // 76 latency + 1 beat
-		t.Fatalf("write completed at %d, want 77", wrAt)
+	if wrAt != DRAMLatency+1 { // latency + 1 beat
+		t.Fatalf("write completed at %d, want %d", wrAt, DRAMLatency+1)
 	}
 }
 
 func TestDRAMBandwidthSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDRAM(eng, "dram", 10, 64, &sim.Stats{})
+	d := NewDRAM(eng, "dram", &sim.Stats{})
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		d.Do(&axi.Txn{Addr: 0, Len: 64}, func(axi.Resp) { times = append(times, eng.Now()) })
@@ -110,32 +110,44 @@ func TestDRAMBandwidthSerializes(t *testing.T) {
 	}
 }
 
-func TestShaperAddsLatencyAndThrottles(t *testing.T) {
-	eng := sim.NewEngine()
-	stats := &sim.Stats{}
-	d := NewDRAM(eng, "dram", 0, 0, stats)
-	s := axi.NewShaper(eng, d, 50, 8, stats, "shaper")
-	var times []sim.Time
-	for i := 0; i < 2; i++ {
-		s.Do(&axi.Txn{Addr: 0, Len: 64}, func(axi.Resp) { times = append(times, eng.Now()) })
+func TestShaperAddsLatency(t *testing.T) {
+	// The same two back-to-back reads, straight to a channel and through a
+	// 50-cycle shaper: each shaped read lands exactly 50 cycles later.
+	reads := func(shaped bool) ([]sim.Time, *sim.Stats) {
+		eng := sim.NewEngine()
+		stats := &sim.Stats{}
+		var tgt axi.Target = NewDRAM(eng, "dram", stats)
+		if shaped {
+			tgt = axi.NewShaper(eng, tgt, 50, stats, "shaper")
+		}
+		var times []sim.Time
+		for i := 0; i < 2; i++ {
+			tgt.Do(&axi.Txn{Addr: 0, Len: 64}, func(axi.Resp) { times = append(times, eng.Now()) })
+		}
+		eng.Run()
+		return times, stats
 	}
-	eng.Run()
-	// 64B at 8B/cycle = 8 shaper beats + 1 DRAM beat. First: 50+8+1.
-	// Second: queued 8 more cycles behind the first.
-	if times[0] != 59 {
-		t.Errorf("first shaped read at %d, want 59", times[0])
+	plain, _ := reads(false)
+	shaped, stats := reads(true)
+	if len(plain) != 2 || len(shaped) != 2 {
+		t.Fatalf("completions: plain %v, shaped %v", plain, shaped)
 	}
-	if times[1] != 67 {
-		t.Errorf("second shaped read at %d, want 67", times[1])
+	for i := range plain {
+		if shaped[i] != plain[i]+50 {
+			t.Errorf("shaped read %d at %d, want %d", i, shaped[i], plain[i]+50)
+		}
+	}
+	if got := stats.Get("shaper.shaped_bytes"); got != 128 {
+		t.Errorf("shaped_bytes = %d, want 128", got)
 	}
 }
 
 // controllerHarness wires a controller to a 1x2 mesh and a DRAM.
-func controllerHarness(latency sim.Time, ids int) (*sim.Engine, *noc.Mesh, *Controller, *[]Resp) {
+func controllerHarness(ids int) (*sim.Engine, *noc.Mesh, *Controller, *[]Resp) {
 	eng := sim.NewEngine()
 	stats := &sim.Stats{}
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), stats)
-	dram := NewDRAM(eng, "dram", latency, 64, stats)
+	dram := NewDRAM(eng, "dram", stats)
 	ctl := NewController(eng, mesh, "memctl", dram, stats)
 	if ids > 0 {
 		ctl.IDsPerEngine = ids
@@ -163,7 +175,7 @@ func sendMemReq(mesh *noc.Mesh, req *Req) {
 }
 
 func TestControllerReadRoundTrip(t *testing.T) {
-	eng, mesh, _, resps := controllerHarness(76, 0)
+	eng, mesh, _, resps := controllerHarness(0)
 	sendMemReq(mesh, &Req{Addr: 0x1234, Size: 16, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: 99})
 	end := eng.Run()
 	if len(*resps) != 1 {
@@ -181,7 +193,7 @@ func TestControllerReadRoundTrip(t *testing.T) {
 }
 
 func TestControllerWriteAck(t *testing.T) {
-	eng, mesh, _, resps := controllerHarness(10, 0)
+	eng, mesh, _, resps := controllerHarness(0)
 	sendMemReq(mesh, &Req{Write: true, Addr: 0x40, Size: 64, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: 7})
 	eng.Run()
 	if len(*resps) != 1 || !(*resps)[0].Write || (*resps)[0].Tag != 7 {
@@ -190,7 +202,7 @@ func TestControllerWriteAck(t *testing.T) {
 }
 
 func TestControllerTagsPreservedAcrossOutOfOrder(t *testing.T) {
-	eng, mesh, _, resps := controllerHarness(5, 0)
+	eng, mesh, _, resps := controllerHarness(0)
 	for i := uint64(0); i < 8; i++ {
 		sendMemReq(mesh, &Req{Addr: i * 64, Size: 8, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: i})
 	}
@@ -212,7 +224,7 @@ func TestControllerIDLimitQueues(t *testing.T) {
 	var st sim.Stats
 	eng := sim.NewEngine()
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), &st)
-	dram := NewDRAM(eng, "dram", 100, 64, &st)
+	dram := NewDRAM(eng, "dram", &st)
 	ctl := NewController(eng, mesh, "memctl", dram, &st)
 	ctl.IDsPerEngine = 2
 	mesh.AttachChipset(ctl.Handle)
@@ -233,25 +245,22 @@ func TestControllerIDLimitQueues(t *testing.T) {
 }
 
 func TestControllerReadWriteEnginesIndependent(t *testing.T) {
-	// Saturate the read engine; writes must still flow.
-	eng, mesh, ctl, resps := controllerHarness(1000, 1)
-	_ = ctl
+	// Saturate the one-ID read engine: the second read waits for the
+	// first's response, and the write must not wait behind it.
+	eng, mesh, _, resps := controllerHarness(1)
 	sendMemReq(mesh, &Req{Addr: 0, Size: 8, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: 1})
 	sendMemReq(mesh, &Req{Addr: 64, Size: 8, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: 2})
 	sendMemReq(mesh, &Req{Write: true, Addr: 128, Size: 64, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: 3})
-	eng.RunUntil(1500)
-	var gotWrite bool
-	for _, r := range *resps {
-		if r.Write {
-			gotWrite = true
-		}
-	}
-	if !gotWrite {
-		t.Error("write starved behind saturated read engine")
-	}
 	eng.Run()
 	if len(*resps) != 3 {
 		t.Fatalf("got %d responses, want 3", len(*resps))
+	}
+	var order []uint64
+	for _, r := range *resps {
+		order = append(order, r.Tag)
+	}
+	if order[2] != 2 {
+		t.Errorf("response order %v: write starved behind the saturated read engine", order)
 	}
 }
 
@@ -267,7 +276,7 @@ func TestFlitsFor(t *testing.T) {
 func TestSECDEDModel(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	d := NewDRAM(eng, "node0.dram", 10, 64, &st)
+	d := NewDRAM(eng, "node0.dram", &st)
 	d.SetInjector(fault.NewInjector(fault.MustParse("node0.dram.flip:n=2;node0.dram.flip2:n=1,after=2", 3)))
 
 	var oks []bool
@@ -293,7 +302,7 @@ func TestControllerCountsAXIErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 2), &st)
-	d := NewDRAM(eng, "node0.dram", 10, 64, &st)
+	d := NewDRAM(eng, "node0.dram", &st)
 	d.SetInjector(fault.NewInjector(fault.MustParse("node0.dram.flip2:p=1", 3)))
 	ctl := NewController(eng, mesh, "memctl", d, &st)
 

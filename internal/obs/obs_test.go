@@ -16,6 +16,7 @@ import (
 	"smappic/internal/core"
 	"smappic/internal/fault"
 	"smappic/internal/kernel"
+	"smappic/internal/pcie"
 	"smappic/internal/sim"
 	"smappic/internal/workload"
 )
@@ -108,8 +109,8 @@ func TestParallelSnapshotCarriesSyncView(t *testing.T) {
 	if len(sn.Sync.Shards) != 2 {
 		t.Fatalf("sync view: %+v", sn.Sync)
 	}
-	if sn.Sync.Lookahead != p.Lookahead() {
-		t.Fatalf("lookahead %d, want %d", sn.Sync.Lookahead, p.Lookahead())
+	if sn.Sync.Lookahead != pcie.MinCrossing {
+		t.Fatalf("lookahead %d, want %d", sn.Sync.Lookahead, pcie.MinCrossing)
 	}
 }
 

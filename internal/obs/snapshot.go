@@ -98,7 +98,7 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 		NodesPerFPGA: cfg.NodesPerFPGA,
 		TilesPerNode: cfg.TilesPerNode,
 		Cycles:       uint64(p.Now()),
-		ClockMHz:     cfg.ClockMHz,
+		ClockMHz:     core.ClockMHz,
 		Seed:         cfg.Seed,
 		Parallel:     p.Group.Shards() > 1,
 		Halted:       p.AllHalted(),

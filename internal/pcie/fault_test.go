@@ -9,7 +9,7 @@ import (
 )
 
 func TestDoubleAttachPanics(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(sim.NewEngine(), &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	defer func() {
 		if recover() == nil {
@@ -21,7 +21,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestErrorResponsePaysLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(eng, &sim.Stats{}, nil)
 	base, _ := f.Window(3) // nothing attached
 	var at sim.Time
 	var resp *axi.Resp
@@ -30,15 +30,15 @@ func TestErrorResponsePaysLatency(t *testing.T) {
 	if resp == nil || resp.OK {
 		t.Fatal("write to unattached endpoint should fail")
 	}
-	if at != DefaultParams().OneWay {
-		t.Fatalf("error response at %d, want one-way latency %d", at, DefaultParams().OneWay)
+	if at != oneWay {
+		t.Fatalf("error response at %d, want one-way latency %d", at, oneWay)
 	}
 }
 
 func TestReliableDeliveryUnderDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.drop:p=0.3", 11))
+	f := newFabric(eng, &st, fault.MustParse("pcie.ep0.link.drop:p=0.3", 11))
 	dst := &echoTarget{}
 	f.Attach(1, dst)
 	base, _ := f.Window(1)
@@ -71,7 +71,7 @@ func TestReliableDeliveryUnderDrops(t *testing.T) {
 func TestCorruptionIsRetransmitted(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.corrupt:n=1", 3))
+	f := newFabric(eng, &st, fault.MustParse("pcie.ep0.link.corrupt:n=1", 3))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	var resp *axi.Resp
@@ -89,7 +89,7 @@ func TestCorruptionIsRetransmitted(t *testing.T) {
 func TestHungEndpointGivesUpWithError(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := newFabric(eng, DefaultParams(), &st, fault.MustParse("pcie.ep0.link.hang", 1))
+	f := newFabric(eng, &st, fault.MustParse("pcie.ep0.link.hang", 1))
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	var resp *axi.Resp
@@ -122,7 +122,7 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 		if inj {
 			plan = fault.MustParse("pcie.*.drop:p=0", 1)
 		}
-		f := newFabric(eng, DefaultParams(), &sim.Stats{}, plan)
+		f := newFabric(eng, &sim.Stats{}, plan)
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time
@@ -141,7 +141,7 @@ func TestFaultFreePlanMatchesNoInjector(t *testing.T) {
 func TestDelayFaultAddsLatency(t *testing.T) {
 	rtt := func(spec string) sim.Time {
 		eng := sim.NewEngine()
-		f := newFabric(eng, DefaultParams(), &sim.Stats{}, fault.MustParse(spec, 1))
+		f := newFabric(eng, &sim.Stats{}, fault.MustParse(spec, 1))
 		f.Attach(1, &echoTarget{})
 		base, _ := f.Window(1)
 		var at sim.Time

@@ -34,25 +34,20 @@ const HostID = -1
 // low-latency switch — the constraint in paper §4.8).
 const MaxFPGAs = 4
 
-// Params configure fabric timing.
-type Params struct {
-	OneWay        sim.Time // one-way switch latency, cycles
-	BytesPerCycle int      // egress link bandwidth
-}
-
-// DefaultParams matches the F1 measurements: 60-cycle switch one-way (the
+// Fabric timing, from the F1 measurements: a 60-cycle switch one-way (the
 // shell adds conversion cycles on each side for the paper's ~125-cycle RTT)
-// and 16 GB/s ~ 160 B/cycle at 100 MHz.
-func DefaultParams() Params {
-	return Params{OneWay: 60, BytesPerCycle: 160}
-}
+// and 16 GB/s ~ 160 B/cycle of egress bandwidth at 100 MHz.
+const (
+	oneWay        sim.Time = 60
+	bytesPerCycle          = 160
+)
 
 // MinCrossing is the smallest possible cycle count between issuing a
 // transfer at one endpoint and its arrival at another: the one-way switch
 // latency plus at least one egress serialization beat. It lower-bounds
 // every CrossNet delivery the fabric makes, so it is the safe lookahead for
 // sharded execution.
-func (p Params) MinCrossing() sim.Time { return p.OneWay + 1 }
+const MinCrossing = oneWay + 1
 
 // epStats is the pre-resolved telemetry of one fabric endpoint; nil
 // instruments when the fabric has no registry. The reliability counters are
@@ -91,7 +86,6 @@ type epState struct {
 
 // Fabric is the PCIe switch connecting FPGAs and the host.
 type Fabric struct {
-	p   Params
 	inj *fault.Injector
 	net sim.CrossNet
 	// eps[id+1] is endpoint id's state and rel[src+1][dst+1] the
@@ -114,8 +108,8 @@ const WindowBase axi.Addr = 1 << 44
 // the other cross-shard users, so all draw from one per-source sequence
 // space) and consults inj for link faults; a nil injector leaves every link
 // infallible. Bind, then Attach, every endpoint before sending.
-func New(p Params, net sim.CrossNet, inj *fault.Injector) *Fabric {
-	f := &Fabric{p: p, inj: inj, net: net}
+func New(net sim.CrossNet, inj *fault.Injector) *Fabric {
+	f := &Fabric{inj: inj, net: net}
 	for i := range f.rel {
 		for j := range f.rel[i] {
 			f.rel[i][j] = &relState{cache: make(map[uint64]*axi.Resp)}
@@ -245,7 +239,7 @@ func (f *Fabric) RestoreState(st ckpt.PCIeState) error {
 // delay reserves egress bandwidth at st and returns the total transfer
 // delay for n bytes. Runs in st's execution context.
 func (f *Fabric) delay(st *epState, n int) sim.Time {
-	beats := sim.Time((n + f.p.BytesPerCycle - 1) / f.p.BytesPerCycle)
+	beats := sim.Time((n + bytesPerCycle - 1) / bytesPerCycle)
 	if beats == 0 {
 		beats = 1
 	}
@@ -256,7 +250,7 @@ func (f *Fabric) delay(st *epState, n int) sim.Time {
 	st.egress = start + beats
 	st.tel.txBytes.Add(uint64(n))
 	st.tel.txTransfers.Inc()
-	return (start - st.eng.Now()) + beats + f.p.OneWay
+	return (start - st.eng.Now()) + beats + oneWay
 }
 
 // Reliable link layer
@@ -355,9 +349,8 @@ func (f *Fabric) exchange(src, dst int, fwdBytes, respBytes int, invoke func(rep
 
 // baseTimeout is the nominal exchange round trip plus slack.
 func (x *xchg) baseTimeout() sim.Time {
-	bpc := x.f.p.BytesPerCycle
-	beats := sim.Time((x.fwdBytes + x.respBytes + bpc - 1) / bpc)
-	return 2*x.f.p.OneWay + beats + timeoutSlack
+	beats := sim.Time((x.fwdBytes + x.respBytes + bytesPerCycle - 1) / bytesPerCycle)
+	return 2*oneWay + beats + timeoutSlack
 }
 
 func (x *xchg) attempt() {
@@ -427,7 +420,7 @@ func (f *Fabric) Master(src int) axi.Target { return f.state(src) }
 // still pays the one-way switch latency: the request has to reach the switch
 // before anything can reject it. The rejection never leaves src.
 func (src *epState) fail(respond func()) {
-	src.eng.Schedule(src.f.p.OneWay, func() {
+	src.eng.Schedule(oneWay, func() {
 		src.tel.inflight.Dec()
 		respond()
 	})

@@ -12,8 +12,8 @@ import (
 
 // newFabric builds a fabric whose every endpoint, the host's included, is
 // bound to eng and stats; plan (nil: none) is its fault plan.
-func newFabric(eng *sim.Engine, p Params, stats *sim.Stats, plan *fault.Plan) *Fabric {
-	f := New(p, sim.NewSerialNet(eng), fault.NewInjector(plan))
+func newFabric(eng *sim.Engine, stats *sim.Stats, plan *fault.Plan) *Fabric {
+	f := New(sim.NewSerialNet(eng), fault.NewInjector(plan))
 	for id := HostID; id < MaxFPGAs; id++ {
 		f.Bind(id, eng, stats)
 	}
@@ -35,7 +35,7 @@ func (e *echoTarget) Do(t *axi.Txn, done func(axi.Resp)) {
 }
 
 func TestRouteByWindow(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(sim.NewEngine(), &sim.Stats{}, nil)
 	for i := 0; i < MaxFPGAs; i++ {
 		base, _ := f.Window(i)
 		if got := f.RouteOf(base); got != i {
@@ -51,7 +51,7 @@ func TestRouteByWindow(t *testing.T) {
 }
 
 func TestLocalAddrStripsWindow(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(sim.NewEngine(), &sim.Stats{}, nil)
 	base, _ := f.Window(2)
 	if got := f.LocalAddr(base + 0xABC); got != 0xABC {
 		t.Errorf("LocalAddr = %#x, want 0xABC", got)
@@ -63,7 +63,7 @@ func TestLocalAddrStripsWindow(t *testing.T) {
 
 func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(eng, &sim.Stats{}, nil)
 	host := &echoTarget{}
 	fpga1 := &echoTarget{}
 	f.Attach(HostID, host)
@@ -86,7 +86,7 @@ func TestFPGAToFPGAWriteBypassesHost(t *testing.T) {
 
 func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(eng, &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
@@ -102,7 +102,7 @@ func TestRoundTripLatencyNear125Cycles(t *testing.T) {
 
 func TestUnattachedEndpointFails(t *testing.T) {
 	eng := sim.NewEngine()
-	f := newFabric(eng, DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(eng, &sim.Stats{}, nil)
 	base, _ := f.Window(3)
 	var resp *axi.Resp
 	f.Master(0).Do(&axi.Txn{Write: true, Addr: base}, func(r axi.Resp) { resp = &r })
@@ -114,16 +114,14 @@ func TestUnattachedEndpointFails(t *testing.T) {
 
 func TestEgressSerialization(t *testing.T) {
 	eng := sim.NewEngine()
-	p := DefaultParams()
-	p.BytesPerCycle = 64
-	f := newFabric(eng, p, &sim.Stats{}, nil)
+	f := newFabric(eng, &sim.Stats{}, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 
 	var times []sim.Time
-	// Two 640-byte writes = 10 egress beats each from the same endpoint.
+	// Two writes of 10 egress beats each from the same endpoint.
 	for i := 0; i < 2; i++ {
-		f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 640)}, func(r axi.Resp) {
+		f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 10*bytesPerCycle)}, func(r axi.Resp) {
 			times = append(times, eng.Now())
 		})
 	}
@@ -139,7 +137,7 @@ func TestEgressSerialization(t *testing.T) {
 func TestStatsCountTraffic(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats
-	f := newFabric(eng, DefaultParams(), &st, nil)
+	f := newFabric(eng, &st, nil)
 	f.Attach(1, &echoTarget{})
 	base, _ := f.Window(1)
 	f.Master(0).Do(&axi.Txn{Write: true, Addr: base, Data: make([]byte, 64)}, func(axi.Resp) {})
@@ -153,7 +151,7 @@ func TestStatsCountTraffic(t *testing.T) {
 }
 
 func TestBadEndpointIDPanics(t *testing.T) {
-	f := newFabric(sim.NewEngine(), DefaultParams(), &sim.Stats{}, nil)
+	f := newFabric(sim.NewEngine(), &sim.Stats{}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Bind(9) did not panic")
@@ -172,8 +170,8 @@ func TestUnboundEndpointPanics(t *testing.T) {
 		for i := range engs {
 			engs[i] = sim.NewEngine()
 		}
-		g := sim.NewGroup(DefaultParams().MinCrossing(), engs...)
-		f := New(DefaultParams(), g, nil)
+		g := sim.NewGroup(MinCrossing, engs...)
+		f := New(g, nil)
 		for id := 0; id < 2; id++ {
 			f.Bind(id, engs[id%engines], &sim.Stats{})
 		}
@@ -200,7 +198,7 @@ func TestUnboundEndpointPanics(t *testing.T) {
 // TestRestoreRefusesUnboundEndpoint: a snapshot endpoint this build did not
 // bind is answered with a typed snapshot error, not created.
 func TestRestoreRefusesUnboundEndpoint(t *testing.T) {
-	f := New(DefaultParams(), sim.NewSerialNet(sim.NewEngine()), nil)
+	f := New(sim.NewSerialNet(sim.NewEngine()), nil)
 	f.Bind(0, sim.NewEngine(), &sim.Stats{})
 	if err := f.RestoreState(ckpt.PCIeState{Endpoints: []ckpt.PCIeEndpointState{{ID: 0, Egress: 7}}}); err != nil {
 		t.Fatalf("bound endpoint: %v", err)

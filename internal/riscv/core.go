@@ -42,11 +42,10 @@ const (
 	csrTime     = 0xC01
 )
 
-// mip/mie bit positions.
+// mip/mie bit positions of the interrupts a wire drives.
 const (
 	bitMSI = 3
 	bitMTI = 7
-	bitMEI = 11
 )
 
 // mstatus bits.
@@ -62,7 +61,6 @@ const (
 	causeECallM          = 11
 	causeIntSoftware     = uint64(1)<<63 | 3
 	causeIntTimer        = uint64(1)<<63 | 7
-	causeIntExternal     = uint64(1)<<63 | 11
 )
 
 // Profile is a core timing model: the functional ISA is shared, the
@@ -140,7 +138,8 @@ func (c *Core) HaltCode() uint64 { return c.haltCode }
 func (c *Core) InstRet() uint64 { return c.instret }
 
 // SetIRQ drives one of the core's interrupt wires (from the interrupt
-// depacketizer). kind: 0 software, 1 timer, 2 external.
+// depacketizer). kind: 0 software, 1 timer; no device drives an external
+// interrupt.
 func (c *Core) SetIRQ(kind int, level bool) {
 	var bit uint
 	switch kind {
@@ -149,7 +148,7 @@ func (c *Core) SetIRQ(kind int, level bool) {
 	case 1:
 		bit = bitMTI
 	default:
-		bit = bitMEI
+		panic(fmt.Sprintf("riscv: interrupt kind %d has no wire", kind))
 	}
 	if level {
 		c.mip |= 1 << bit
@@ -200,8 +199,6 @@ func (c *Core) pendingInterrupt() uint64 {
 	}
 	pend := c.mip & c.mie
 	switch {
-	case pend&(1<<bitMEI) != 0:
-		return causeIntExternal
 	case pend&(1<<bitMSI) != 0:
 		return causeIntSoftware
 	case pend&(1<<bitMTI) != 0:

@@ -24,7 +24,7 @@ func (c *clStub) Do(t *axi.Txn, done func(axi.Resp)) {
 
 func setup() (*sim.Engine, *pcie.Fabric, *Shell, *Shell) {
 	eng := sim.NewEngine()
-	fab := pcie.New(pcie.DefaultParams(), sim.NewSerialNet(eng), nil)
+	fab := pcie.New(sim.NewSerialNet(eng), nil)
 	stats := &sim.Stats{}
 	for id := pcie.HostID; id < 2; id++ {
 		fab.Bind(id, eng, stats)

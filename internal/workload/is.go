@@ -85,11 +85,11 @@ const isPhases = 5
 // decision is made once per barrier round — by the round's first exiter,
 // which is always the round's last arriver, at cycle T: it leaves without
 // blocking, while every other thread is woken by the barrier's home node at
-// T + 2·hopLatency or later, past a root barrier of any sharding — so either
-// the whole round stops or the whole round proceeds, and no thread reads the
-// latch before it is set. The plan is a pure function of simulated time and
-// adds no events, keeping a cut-armed run byte-identical to an unarmed one
-// up to the cut.
+// T + 2·barrierHopLatency or later, past a root barrier of any sharding —
+// so either the whole round stops or the whole round proceeds, and no thread
+// reads the latch before it is set. The plan is a pure function of simulated
+// time and adds no events, keeping a cut-armed run byte-identical to an
+// unarmed one up to the cut.
 type CutPlan struct {
 	// After is the request threshold in absolute cycles; zero disables.
 	After sim.Time

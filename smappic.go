@@ -73,6 +73,9 @@ const (
 	CoreNone   = core.CoreNone
 )
 
+// ClockMHz is the prototype clock (paper Table 2).
+const ClockMHz = core.ClockMHz
+
 // Address-map landmarks.
 const (
 	// ResetPC is where cores begin fetching.

@@ -157,7 +157,7 @@ func TestRestoreRefusesFormatVersion4(t *testing.T) {
 // then do one of two things: bump ckpt.Version (and pin the new pair here,
 // emptying compatibleSchemas), or list the old digest in compatibleSchemas.
 const (
-	pinnedSchema  = "fb08009ac81a5c1e3f59cdf3e13ad80c1a91ab1bdcfe6b7b3ba37c977207ec56"
+	pinnedSchema  = "7a722c5118c184ae5837385fd47c412e881bbd120233c627888002587a079859"
 	pinnedVersion = 5
 )
 
@@ -167,6 +167,10 @@ const (
 var compatibleSchemas = map[string]string{
 	// Commit 6084b31: Snapshot.PrefixHash, the warm-start prefix identity.
 	"0f09bc612ea925962ab0e2b9074d7f2c1a975b9d49e505213cca5a82210ca0a9": "testdata/state-v5/one-shard.ckpt",
+	// Commit 4abb278: BridgeState.ShaperBusy, the link shaper's bandwidth
+	// clock. The state-v5 file carries the field too (its schema is this
+	// one plus PrefixHash), so it backs this entry as well.
+	"fb08009ac81a5c1e3f59cdf3e13ad80c1a91ab1bdcfe6b7b3ba37c977207ec56": "testdata/state-v5/one-shard.ckpt",
 }
 
 // schemaOf renders t canonically, the way gob sees it: a struct as its
