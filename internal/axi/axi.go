@@ -63,6 +63,10 @@ type Resp struct {
 // Target is anything that accepts AXI4 transfers. Completion callbacks fire
 // as simulation events; they may fire synchronously. The Resp travels by
 // value, so an acknowledgement costs no allocation.
+//
+// Ownership: the master may recycle t as soon as done is called, so Do
+// reads everything it needs from t before it calls done and never touches t
+// afterwards.
 type Target interface {
 	Do(t *Txn, done func(Resp))
 }

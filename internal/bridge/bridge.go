@@ -77,6 +77,10 @@ type peer struct {
 	crFails    int       // consecutive failed credit reads
 	wedged     bool      // declared unreachable after creditReadFailLimit
 	freedTotal uint64    // receive side: cumulative flits freed
+
+	// The credit-return read toward this peer: at most one is
+	// outstanding, so one transfer serves every read.
+	creditTxn axi.Txn
 }
 
 // Bridge is one node's inter-node bridge.
@@ -115,7 +119,22 @@ type Bridge struct {
 	cDstWedged       sim.LazyCounter
 	trySendFn        func(any)      // arg is the *Envelope
 	rxFn             func(any)      // arg is the *Envelope
-	chunkRespFn      func(axi.Resp) // non-final chunk completion
+	fetchFn          func(any)      // arg is the destination node (int)
+	creditRespFn     func(axi.Resp) // credit read completion; ID names the peer
+	chunks           []*chunk       // free list of chunk writes
+}
+
+// chunk is one encapsulation write in flight: the transfer the bridge issues
+// and what its completion needs, copied at issue so the completion reads
+// nothing but its record. Its completion callback is bound once per record. Records are taken and
+// released on the bridge's engine: a write is answered at the bridge's own
+// node.
+type chunk struct {
+	txn    axi.Txn
+	dst    int // destination node
+	flits  int // the packet's flits, reclaimed if the final chunk fails
+	final  bool
+	respFn func(axi.Resp)
 }
 
 // chunkData backs the w channel of every encapsulation chunk. The payload
@@ -123,6 +142,17 @@ type Bridge struct {
 // field), so all bridges share one read-only buffer instead of allocating
 // 24 bytes per chunk.
 var chunkData [ChunkFlits * 8]byte
+
+func (b *Bridge) newChunk() *chunk {
+	if n := len(b.chunks); n > 0 {
+		c := b.chunks[n-1]
+		b.chunks = b.chunks[:n-1]
+		return c
+	}
+	c := &chunk{}
+	c.respFn = func(r axi.Resp) { b.chunkDone(c, r) }
+	return c
+}
 
 // stalled is one packet queued on credit exhaustion, with the cycle it
 // stalled at for wait-time accounting.
@@ -157,13 +187,8 @@ func New(eng *sim.Engine, mesh *noc.Mesh, node, nodes int, p Params, stats *sim.
 	b.cDstWedged = stats.LazyCounter(name + ".dst_wedged")
 	b.trySendFn = func(env any) { b.trySend(env.(*Envelope)) }
 	b.rxFn = func(env any) { b.rx(env.(*Envelope)) }
-	b.chunkRespFn = func(r axi.Resp) {
-		if !r.OK {
-			// Payload chunk lost; the envelope chunk decides the packet's
-			// fate, so only the error is recorded here.
-			b.cAXIErrors.Inc()
-		}
-	}
+	b.fetchFn = func(dst any) { b.fetchCredits(dst.(int)) }
+	b.creditRespFn = b.creditsAnswered
 	mesh.AttachBridge(b.handleMeshPacket)
 	return b
 }
@@ -233,23 +258,34 @@ func (b *Bridge) transmit(env *Envelope) {
 	b.cTxFlits.Add(uint64(env.Flits))
 	b.tracer.Instant(b.name, sim.CatBridge, "tx")
 	for i := 0; i < chunks; i++ {
-		t := &axi.Txn{Write: true, Addr: addr, Data: chunkData[:]}
-		if i == chunks-1 {
-			t.User = env
-			b.out.Do(t, func(r axi.Resp) {
-				if r.OK {
-					return
-				}
-				b.cAXIErrors.Inc()
-				b.cTxLost.Inc()
-				b.cCreditReclaimed.Add(uint64(env.Flits))
-				b.peers[env.DstNode].credits += env.Flits
-				b.drain(env.DstNode)
-			})
-			continue
+		c := b.newChunk()
+		c.txn = axi.Txn{Write: true, Addr: addr, Data: chunkData[:]}
+		c.dst, c.flits, c.final = env.DstNode, env.Flits, i == chunks-1
+		if c.final {
+			c.txn.User = env
 		}
-		b.out.Do(t, b.chunkRespFn)
+		b.out.Do(&c.txn, c.respFn)
 	}
+}
+
+// chunkDone completes one chunk write and releases its record. A lost
+// payload chunk is only counted: the final chunk, which carries the
+// envelope, decides the packet's fate.
+func (b *Bridge) chunkDone(c *chunk, r axi.Resp) {
+	dst, flits, final := c.dst, c.flits, c.final
+	c.txn, c.dst, c.flits, c.final = axi.Txn{}, 0, 0, false
+	b.chunks = append(b.chunks, c)
+	if r.OK {
+		return
+	}
+	b.cAXIErrors.Inc()
+	if !final {
+		return
+	}
+	b.cTxLost.Inc()
+	b.cCreditReclaimed.Add(uint64(flits))
+	b.peers[dst].credits += flits
+	b.drain(dst)
 }
 
 // fetchCredits issues the credit-return AXI read (ar channel) unless one is
@@ -267,32 +303,37 @@ func (b *Bridge) fetchCredits(dst int) {
 	}
 	pe.creditRead = true
 	b.cCreditReads.Inc()
-	b.out.Do(&axi.Txn{
-		Addr: b.addrOf(dst) | axi.Addr(uint64(b.node)<<8),
-		Len:  8,
-	}, func(r axi.Resp) {
-		pe.creditRead = false
-		if !r.OK {
-			b.cAXIErrors.Inc()
-			pe.crFails++
-			if pe.crFails >= creditReadFailLimit {
-				pe.wedged = true
-				b.cDstWedged.Inc()
-				return
-			}
-			b.eng.Schedule(processDelay*4, func() { b.fetchCredits(dst) })
+	// The read is tagged with its destination, so one bound completion
+	// serves every peer.
+	pe.creditTxn = axi.Txn{Addr: b.addrOf(dst) | axi.Addr(uint64(b.node)<<8), Len: 8, ID: axi.ID(dst)}
+	b.out.Do(&pe.creditTxn, b.creditRespFn)
+}
+
+// creditsAnswered completes the credit-return read toward node r.ID.
+func (b *Bridge) creditsAnswered(r axi.Resp) {
+	dst := int(r.ID)
+	pe := &b.peers[dst]
+	pe.creditRead = false
+	if !r.OK {
+		b.cAXIErrors.Inc()
+		pe.crFails++
+		if pe.crFails >= creditReadFailLimit {
+			pe.wedged = true
+			b.cDstWedged.Inc()
 			return
 		}
-		pe.crFails = 0
-		if len(r.Data) == 8 {
-			total := binary.LittleEndian.Uint64(r.Data)
-			if total > pe.returned {
-				pe.credits = min(pe.credits+int(total-pe.returned), b.p.CreditsPerDst)
-			}
-			pe.returned = total
+		b.eng.ScheduleArg(processDelay*4, b.fetchFn, dst)
+		return
+	}
+	pe.crFails = 0
+	if len(r.Data) == 8 {
+		total := binary.LittleEndian.Uint64(r.Data)
+		if total > pe.returned {
+			pe.credits = min(pe.credits+int(total-pe.returned), b.p.CreditsPerDst)
 		}
-		b.drain(dst)
-	})
+		pe.returned = total
+	}
+	b.drain(dst)
 }
 
 // drain retries queued packets after credits arrive.
@@ -304,10 +345,13 @@ func (b *Bridge) drain(dst int) {
 			// Still short: poll again. The receiver frees credits as it
 			// injects, so this terminates (the wedged flag bounds the
 			// pathological case of an unreachable receiver).
-			b.eng.Schedule(processDelay*4, func() { b.fetchCredits(dst) })
+			b.eng.ScheduleArg(processDelay*4, b.fetchFn, dst)
 			return
 		}
-		pe.sendq = pe.sendq[1:]
+		// Shift rather than reslice, so the queue keeps its capacity.
+		n := copy(pe.sendq, pe.sendq[1:])
+		pe.sendq[n] = stalled{}
+		pe.sendq = pe.sendq[:n]
 		b.nStalled--
 		b.gSendq.Set(int64(b.nStalled))
 		b.hCreditWait.Observe(uint64(b.eng.Now() - st.at))
@@ -373,16 +417,17 @@ type inbound Bridge
 // Do receives a transfer from a peer bridge. A write is an encapsulation
 // chunk: only the final chunk of a packet carries the envelope; earlier
 // chunks have paid their bus time already. A read asks for credits back (see
-// returnCredits).
+// returnCredits). The transfer is read before it is acknowledged: done may
+// recycle it.
 func (in *inbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	b := (*Bridge)(in)
 	if !t.Write {
 		b.returnCredits(t, done)
 		return
 	}
+	env, _ := t.User.(*Envelope)
 	done(axi.Resp{ID: t.ID, OK: true})
-	env, ok := t.User.(*Envelope)
-	if !ok {
+	if env == nil {
 		return
 	}
 	b.eng.ScheduleArg(processDelay, b.rxFn, env)
@@ -409,6 +454,9 @@ func (b *Bridge) rx(env *Envelope) {
 // returnCredits answers a credit-return read with the running total of flits
 // freed from the source as its 8 bytes of read data. Answering does not
 // change the total, so a read asked twice, or answered and lost, is harmless.
+// The answer is a fresh slice: on a faulted link a retried read can overlap
+// the one it replaces, so a buffer reused per peer could change under an
+// answer still on its way back.
 //
 // The bridge's fault site models loss of the credit-return update itself: a
 // triggered drop or corruption answers without a total and counts one lost

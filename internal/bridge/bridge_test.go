@@ -404,3 +404,32 @@ func TestPeerIDsFromOutsideAreChecked(t *testing.T) {
 		t.Errorf("credit read from node 7 of 2 answered %+v, want OK:false", resp)
 	}
 }
+
+// TestCreditReadAllocatesOnlyItsAnswer pins the credit-return read's round
+// trip across FPGAs: the read's transfer and completion are bound once per
+// peer and bridge, so a warm read through the shells and the PCIe fabric
+// allocates only the answer's 8 bytes — and still returns the receiver's
+// running total.
+func TestCreditReadAllocatesOnlyItsAnswer(t *testing.T) {
+	p := DefaultParams()
+	pr := newPair(t, p, "")
+	pr.meshes[1].AttachTile(0, func(*noc.Packet) {})
+	pr.send(0, 1, 0, 9, nil)
+	pr.eng.Run()
+	read := func() {
+		pr.bs[0].FetchCredits(1)
+		pr.eng.Run()
+	}
+	for i := 0; i < 4; i++ {
+		read()
+	}
+	if a := testing.AllocsPerRun(100, read); a != 1 {
+		t.Errorf("credit read round trip: %.1f allocs, want 1 (the answer)", a)
+	}
+	if n := pr.stats.Get("bridge.credit_reads"); n < 100 {
+		t.Errorf("credit_reads = %d, want every FetchCredits to issue one", n)
+	}
+	if c := pr.bs[0].Credits(1); c != p.CreditsPerDst {
+		t.Errorf("credits[1] = %d after the reads, want the full %d back", c, p.CreditsPerDst)
+	}
+}

@@ -12,8 +12,9 @@
 // JSON; version 2 serial cursors counted executed events and version 3
 // cursors counted synchronization windows, cursors no build can replay any
 // more; version 4 state captures held one statistics registry per shard,
-// which the decoder would silently drop — each is a VersionError, which
-// callers treat as "discard, start cold"). The payload
+// which the decoder would silently drop; version 5 backed memory in 64 KiB
+// pages, which a 4 KiB-page build cannot restore — each is a VersionError,
+// which callers treat as "discard, start cold"). The payload
 // codec is reflection-driven, so a field added to a state struct needs no
 // codec code; the bulk sections are shaped for its fast paths — cache tag
 // arrays are columnar (SetAssocState) and memory pages are raw bytes. All
@@ -47,7 +48,7 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 5
+const Version = 6
 
 // magic identifies a SMAPPIC snapshot file.
 var magic = [4]byte{'S', 'M', 'C', 'K'}

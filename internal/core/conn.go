@@ -24,7 +24,8 @@ func (c nodeConn) SendProto(from, to cache.GID, msg *cache.Msg) {
 // send puts a packet from src on the node's mesh toward dst on node dstNode:
 // straight to dst when that is this node, otherwise to the bridge port
 // wrapped in a bridge.Envelope that the destination node's bridge injects
-// toward dst.
+// toward dst. The mesh copies the packet, so it stays on the stack: the
+// envelope is a message's one allocation.
 func (n *Node) send(cls noc.Class, src noc.Dest, dstNode int, dst noc.Dest, flits int, payload any) {
 	if dstNode == n.ID {
 		n.Mesh.Send(&noc.Packet{Class: cls, Src: src, Dst: dst, Flits: flits, Payload: payload})

@@ -303,14 +303,19 @@ func TestWorkloadPortDataFlow(t *testing.T) {
 	b := p.PortAt(cache.GID{Node: 0, Tile: 1})
 	addr := p.Map.NodeDRAMBase(0) + 0x8000
 
-	var got uint64
+	var got, half uint64
 	sim.Go(p.Eng, "wl", func(proc *sim.Process) {
 		a.Store(proc, addr, 8, 0xC0FFEE)
 		got = b.Load(proc, addr, 8)
+		a.Store(proc, addr+0x12, 2, 0xBEEF)
+		half = b.Load(proc, addr+0x12, 2)
 	})
 	p.Run()
 	if got != 0xC0FFEE {
 		t.Fatalf("cross-tile read = %#x", got)
+	}
+	if half != 0xBEEF {
+		t.Fatalf("cross-tile halfword read = %#x", half)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"smappic/internal/axi"
 	"smappic/internal/pcie"
 	"smappic/internal/sim"
@@ -56,11 +58,6 @@ func (pt *icPort) arbitrate(beats sim.Time, invoke func()) {
 	invoke()
 }
 
-// dropResp discards the bridge's inbound write acknowledgement: the source
-// was answered at issue time (posted write), so the destination-side response
-// has no consumer.
-func dropResp(axi.Resp) {}
-
 // icMaster is one node's master port onto its FPGA's interconnect: addresses
 // below the PCIe aperture decode to a co-located bridge window and cross the
 // interconnect (a CrossNet send at icLatency); addresses inside the
@@ -96,9 +93,93 @@ func (m *icMaster) outNode() int {
 	return m.node / b * b
 }
 
+// crossing is one transfer's passage across the interconnect, pooled: the
+// copy of the transfer the crossing owns, the source's completion and the
+// response on its way back, with the stage callbacks bound once per record.
+// The crossing owns a copy because t may point into a pooled record (a
+// bridge chunk, a PCIe exchange's rewritten transfer) that its owner
+// recycles at a later cycle of the same window — which another engine may
+// execute concurrently. Within one engine sim order protects the pointer;
+// across engines only a value handed off at the Send boundary is safe.
+//
+// A record is taken on the source's engine and released on whichever
+// engine completes it (the far node's for a posted write, the source's for
+// a response), possibly while another prototype runs in the same process,
+// so the pool is a sync.Pool. It is zeroed and released exactly once, before
+// the completion it delivers, which may issue the next transfer.
+type crossing struct {
+	m    *icMaster // the master the transfer entered through
+	pt   *icPort   // destination port; nil for a hop to the shell
+	far  int       // the node the transfer crosses to
+	txn  axi.Txn
+	done func(axi.Resp)
+	resp axi.Resp
+
+	arriveFn func()         // at pt: count the transfer and arbitrate
+	invokeFn func()         // the transfer won pt: hand it to the target
+	ackFn    func(axi.Resp) // a posted write's answer: nobody waits
+	shellFn  func()         // at the shell's node: issue on the shell
+	replyFn  func(axi.Resp) // a response at the far node: cross back
+	returnFn func()         // at the source: complete
+}
+
+var crossings sync.Pool
+
+// bindCrossing makes a record and binds its callbacks.
+func bindCrossing() *crossing {
+	c := &crossing{}
+	c.arriveFn = func() {
+		count := &c.pt.reads
+		if c.txn.Write {
+			count = &c.pt.writes
+		}
+		count.Inc()
+		c.pt.arbitrate(icBeats(c.txn.Size()), c.invokeFn)
+	}
+	c.invokeFn = func() {
+		if c.txn.Write {
+			c.pt.target.Do(&c.txn, c.ackFn)
+			return
+		}
+		c.pt.target.Do(&c.txn, c.replyFn)
+	}
+	c.ackFn = func(axi.Resp) { c.release() }
+	c.shellFn = func() {
+		c.m.p.Shells[c.m.node/c.m.p.Cfg.NodesPerFPGA].Outbound().Do(&c.txn, c.replyFn)
+	}
+	c.replyFn = func(r axi.Resp) {
+		c.resp = r
+		p := c.m.p
+		p.Group.Send(c.far, c.m.node, p.EngineForNode(c.far).Now()+icLatency, c.returnFn)
+	}
+	c.returnFn = func() {
+		done, resp := c.done, c.resp
+		c.release()
+		done(resp)
+	}
+	return c
+}
+
+// newCrossing takes a record for t entering through m toward node far.
+func newCrossing(m *icMaster, far int, t *axi.Txn, done func(axi.Resp)) *crossing {
+	c, _ := crossings.Get().(*crossing)
+	if c == nil {
+		c = bindCrossing()
+	}
+	c.m, c.far, c.txn, c.done = m, far, *t, done
+	return c
+}
+
+func (c *crossing) release() {
+	c.m, c.pt, c.far = nil, nil, 0
+	c.txn, c.done, c.resp = axi.Txn{}, nil, axi.Resp{}
+	crossings.Put(c)
+}
+
 // Do carries one transfer across the interconnect. A write is posted: the
-// source is answered at issue. A read is a full round trip: the response
-// pays the return crossing too, delivered back on the source node's engine.
+// source is answered at issue, and the bridge's acknowledgement at the far
+// side has no consumer. A read is a full round trip: the response pays the
+// return crossing too, delivered back on the source node's engine.
 func (m *icMaster) Do(t *axi.Txn, done func(axi.Resp)) {
 	if t.Addr >= pcie.WindowBase {
 		m.toShell(t, done)
@@ -109,25 +190,9 @@ func (m *icMaster) Do(t *axi.Txn, done func(axi.Resp)) {
 		done(axi.Resp{ID: t.ID, OK: false})
 		return
 	}
-	beats := icBeats(t.Size())
-	src := m.node
-	count, reply := &pt.writes, dropResp
-	if !t.Write {
-		count = &pt.reads
-		reply = func(r axi.Resp) {
-			m.p.Group.Send(pt.node, src, pt.eng.Now()+icLatency, func() { done(r) })
-		}
-	}
-	// The crossing owns a copy of the transfer: t may point into a pooled
-	// record (a PCIe exchange's rewritten transfer) that its owner recycles at
-	// a later cycle of the same window — which another engine may execute
-	// concurrently. Within one engine sim order protects the pointer; across
-	// engines only a value handed off at the Send boundary is safe.
-	cp := *t
-	m.p.Group.Send(src, pt.node, m.eng.Now()+icLatency, func() {
-		count.Inc()
-		pt.arbitrate(beats, func() { pt.target.Do(&cp, reply) })
-	})
+	c := newCrossing(m, pt.node, t, done)
+	c.pt = pt
+	m.p.Group.Send(m.node, pt.node, m.eng.Now()+icLatency, c.arriveFn)
 	if t.Write {
 		// The decode succeeded, so the source is answered now. The bridge's
 		// inbound port unconditionally acknowledges writes (loss shows up as
@@ -143,20 +208,13 @@ func (m *icMaster) Do(t *axi.Txn, done func(axi.Resp)) {
 // reclaims credits on a failed write, so the completion must arrive in the
 // source's own execution context).
 func (m *icMaster) toShell(t *axi.Txn, done func(axi.Resp)) {
-	sh := m.p.Shells[m.node/m.p.Cfg.NodesPerFPGA]
 	out := m.outNode()
 	if m.node == out {
-		sh.Outbound().Do(t, done)
+		m.p.Shells[m.node/m.p.Cfg.NodesPerFPGA].Outbound().Do(t, done)
 		return
 	}
-	src := m.node
-	shEng := m.p.EngineForNode(out)
-	cp := *t // see Do: the crossing owns a copy
-	m.p.Group.Send(src, out, m.eng.Now()+icLatency, func() {
-		sh.Outbound().Do(&cp, func(r axi.Resp) {
-			m.p.Group.Send(out, src, shEng.Now()+icLatency, func() { done(r) })
-		})
-	})
+	c := newCrossing(m, out, t, done)
+	m.p.Group.Send(m.node, out, m.eng.Now()+icLatency, c.shellFn)
 }
 
 var _ axi.Target = (*icMaster)(nil)

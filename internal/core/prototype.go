@@ -227,11 +227,7 @@ func Build(cfg Config) (*Prototype, error) {
 		eng, stats := p.EngineForNode(nID), p.nodeStats[nID]
 		name := fmt.Sprintf("node%d", nID)
 		n := &Node{ID: nID, FPGA: f, proto: p, eng: eng, name: name}
-		// Router/link delays calibrated so a 12-tile node reproduces the
-		// paper's ~100-cycle intra-node round trip (Fig. 7).
-		n.Mesh = noc.New(eng, name+".mesh", noc.Params{
-			RouterDelay: 3, LinkDelay: 2, Width: w, Height: h,
-		}, stats)
+		n.Mesh = noc.New(eng, name+".mesh", noc.DefaultParams(w, h), stats)
 
 		// Memory path: the (timing-only) DRAM channel behind the NoC-AXI4
 		// controller, which sees node-local offsets.

@@ -17,10 +17,13 @@ import (
 	"smappic/internal/ckpt"
 )
 
-// pageBits is the granularity of on-demand allocation in the backing store.
-const pageBits = 16 // 64 KiB pages
+// pageBits is the granularity of on-demand allocation in the backing store:
+// the host kernel's 4 KiB page, which is also the kernel model's frame
+// (kernel.PageBytes), so a touched frame materialises one page and a
+// snapshot carries only the frames a run wrote or read.
+const pageBits = 12 // 4 KiB pages
 
-// Backing is a sparse flat physical memory. It allocates 64 KiB pages on
+// Backing is a sparse flat physical memory. It allocates 4 KiB pages on
 // first touch, so multi-GB address spaces cost only what is actually used.
 // The zero value is ready to use.
 //

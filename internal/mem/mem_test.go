@@ -33,8 +33,8 @@ func TestBackingReadWriteRoundTrip(t *testing.T) {
 
 func TestBackingCrossPageAccess(t *testing.T) {
 	b := NewBacking()
-	// Write spanning a 64 KiB page boundary.
-	addr := uint64(1<<16) - 3
+	// Write spanning a page boundary.
+	addr := uint64(1<<pageBits) - 3
 	src := []byte{1, 2, 3, 4, 5, 6}
 	b.WriteBytes(addr, src)
 	dst := make([]byte, 6)

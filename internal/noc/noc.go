@@ -73,7 +73,10 @@ type Packet struct {
 	Payload any
 }
 
-// Handler receives packets delivered to an attachment point.
+// Handler receives packets delivered to an attachment point. The *Packet is
+// the mesh's own entry, lent for the call: it is valid only until the
+// handler returns, after which the mesh recycles it. A handler keeps the
+// Payload (or a copy of the Packet), never the pointer.
 type Handler func(*Packet)
 
 // Params are the mesh timing parameters.
@@ -84,9 +87,11 @@ type Params struct {
 	Height      int      // mesh height (rows)
 }
 
-// DefaultParams returns OpenPiton-like mesh timing for a w x h mesh.
+// DefaultParams returns the mesh timing every prototype builds, for a w x h
+// mesh: router and link delays calibrated so a 12-tile node reproduces the
+// paper's ~100-cycle intra-node round trip (Fig. 7).
 func DefaultParams(w, h int) Params {
-	return Params{RouterDelay: 2, LinkDelay: 1, Width: w, Height: h}
+	return Params{RouterDelay: 3, LinkDelay: 2, Width: w, Height: h}
 }
 
 // chanStats is the telemetry of one NoC class, resolved when the mesh is
@@ -117,6 +122,12 @@ type Mesh struct {
 	linkFlits [numClasses][]uint64
 	linkBusy  [numClasses][]sim.Time
 	deliverFn func(any) // bound once; arg is the *Packet to deliver
+	// free holds the packet entries not in flight. Send copies the
+	// caller's packet into one and deliver returns it once the handler is
+	// done, so a packet costs no allocation in steady state. A mesh belongs
+	// to one node and so to one engine, which is the only goroutine that
+	// touches the list.
+	free []*Packet
 }
 
 // New creates a mesh with nTiles = p.Width*p.Height tile ports.
@@ -250,8 +261,10 @@ func (m *Mesh) HopCount(src, dst Dest) int {
 	return n
 }
 
-// Send injects a packet. Delivery is scheduled after routing and
-// serialization delays; the destination handler runs as a simulation event.
+// Send injects a copy of pkt: the caller keeps pkt and may reuse it or
+// leave it on its stack. Delivery is scheduled after routing and
+// serialization delays; the destination handler runs as a simulation event
+// and receives the mesh's copy (see Handler).
 func (m *Mesh) Send(pkt *Packet) {
 	if pkt.Flits <= 0 {
 		panic("noc: packet must have at least one flit")
@@ -289,7 +302,15 @@ func (m *Mesh) Send(pkt *Packet) {
 	cs.waitCycles.Add(uint64(wait))
 	cs.inflight.Inc()
 	cs.latency.Observe(uint64(t - now))
-	m.eng.AtArg(t, m.deliverFn, pkt)
+	var e *Packet
+	if n := len(m.free); n > 0 {
+		e = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		e = new(Packet)
+	}
+	*e = *pkt
+	m.eng.AtArg(t, m.deliverFn, e)
 }
 
 // Dims returns the mesh's width and height in tiles.
@@ -400,4 +421,6 @@ func (m *Mesh) deliver(pkt *Packet) {
 		panic(fmt.Sprintf("noc: %s: no handler attached at %+v", m.name, pkt.Dst))
 	}
 	h(pkt)
+	*pkt = Packet{}
+	m.free = append(m.free, pkt)
 }

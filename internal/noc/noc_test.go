@@ -9,8 +9,16 @@ import (
 
 func newTestMesh(t *testing.T, w, h int) (*sim.Engine, *Mesh) {
 	t.Helper()
+	return newTimedMesh(t, DefaultParams(w, h))
+}
+
+// newTimedMesh builds a mesh at explicit timing. The mechanics tests below
+// run at router/link delay 2/1, the figures their expected latencies are
+// worked out in; they test the timing rules, not the prototype's constants.
+func newTimedMesh(t *testing.T, p Params) (*sim.Engine, *Mesh) {
+	t.Helper()
 	eng := sim.NewEngine()
-	m := New(eng, "mesh", DefaultParams(w, h), &sim.Stats{})
+	m := New(eng, "mesh", p, &sim.Stats{})
 	return eng, m
 }
 
@@ -50,7 +58,7 @@ func TestHopCountExitPorts(t *testing.T) {
 }
 
 func TestDeliveryLatencyMatchesHops(t *testing.T) {
-	eng, m := newTestMesh(t, 4, 3)
+	eng, m := newTimedMesh(t, Params{RouterDelay: 2, LinkDelay: 1, Width: 4, Height: 3})
 	var at sim.Time
 	m.AttachTile(11, func(p *Packet) { at = eng.Now() })
 	m.Send(&Packet{Class: NoC1, Src: Dest{PortTile, 0}, Dst: Dest{PortTile, 11}, Flits: 1})
@@ -62,7 +70,7 @@ func TestDeliveryLatencyMatchesHops(t *testing.T) {
 }
 
 func TestSamePortDeliveryTakesRouterDelay(t *testing.T) {
-	eng, m := newTestMesh(t, 2, 1)
+	eng, m := newTimedMesh(t, Params{RouterDelay: 2, LinkDelay: 1, Width: 2, Height: 1})
 	var at sim.Time
 	m.AttachTile(0, func(p *Packet) { at = eng.Now() })
 	m.Send(&Packet{Class: NoC2, Src: Dest{PortTile, 0}, Dst: Dest{PortTile, 0}, Flits: 1})
@@ -73,7 +81,7 @@ func TestSamePortDeliveryTakesRouterDelay(t *testing.T) {
 }
 
 func TestLinkContentionSerializes(t *testing.T) {
-	eng, m := newTestMesh(t, 2, 1)
+	eng, m := newTimedMesh(t, Params{RouterDelay: 2, LinkDelay: 1, Width: 2, Height: 1})
 	var times []sim.Time
 	m.AttachTile(1, func(p *Packet) { times = append(times, eng.Now()) })
 	// Two 8-flit packets over the same single link, injected the same cycle.
@@ -94,7 +102,7 @@ func TestLinkContentionSerializes(t *testing.T) {
 }
 
 func TestClassesAreIndependentNetworks(t *testing.T) {
-	eng, m := newTestMesh(t, 2, 1)
+	eng, m := newTimedMesh(t, Params{RouterDelay: 2, LinkDelay: 1, Width: 2, Height: 1})
 	var times []sim.Time
 	m.AttachTile(1, func(p *Packet) { times = append(times, eng.Now()) })
 	m.Send(&Packet{Class: NoC1, Src: Dest{PortTile, 0}, Dst: Dest{PortTile, 1}, Flits: 8})
@@ -227,5 +235,43 @@ func TestSendHopZeroAlloc(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("packets never delivered")
+	}
+}
+
+// A caller's packet is copied into an entry the mesh owns, so a packet built
+// on the caller's stack, sent and delivered, allocates nothing once the
+// mesh's free list is warm. The handler sees the copy: what the caller does
+// with its packet after Send does not reach it, and the mesh recycles its
+// entry only after the handler returns.
+func TestSendCopiesCallersPacketZeroAlloc(t *testing.T) {
+	eng, m := newTestMesh(t, 4, 3)
+	type msg struct{ n int }
+	payload := &msg{}
+	var got []int
+	m.AttachTile(11, func(p *Packet) {
+		got = append(got[:0], p.Flits, p.Payload.(*msg).n)
+		m.Send(&Packet{Class: NoC2, Src: p.Dst, Dst: Dest{PortTile, 5}, Flits: 1, Payload: p.Payload})
+		if p.Flits != got[0] || p.Payload != payload {
+			t.Errorf("the delivered packet changed during its handler: %+v", *p)
+		}
+	})
+	m.AttachTile(5, func(p *Packet) { payload.n++ })
+	send := func() {
+		pkt := Packet{Class: NoC1, Src: Dest{PortTile, 0}, Dst: Dest{PortTile, 11}, Flits: 3, Payload: payload}
+		m.Send(&pkt)
+		pkt.Flits, pkt.Payload = 9, nil // the mesh holds a copy
+		eng.Run()
+	}
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	if len(got) != 2 || got[0] != 3 {
+		t.Fatalf("delivered flits %v, want 3 as sent", got)
+	}
+	if avg := testing.AllocsPerRun(500, send); avg != 0 {
+		t.Fatalf("Send+deliver of a caller's packet allocates %.2f/op at steady state, want 0", avg)
+	}
+	if payload.n != 4+501 {
+		t.Errorf("second hop delivered %d times, want %d", payload.n, 4+501)
 	}
 }

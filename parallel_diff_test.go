@@ -390,6 +390,35 @@ func TestStoppedRunLeaksNoWorkers(t *testing.T) {
 	}
 }
 
+// TestConcurrentShardedJobsMatchSoloRuns runs two jobs at once in one
+// process, the way two fleet workers do: one sharded per node, one on one
+// shard under a PCIe fault plan. The message path's records (interconnect
+// crossings and bridge envelopes) come from pools the two prototypes
+// share, so a record that leaked from one job into the other, or was
+// released twice, would show as a divergence from that job's solo run —
+// or, under the race detector, as a race.
+func TestConcurrentShardedJobsMatchSoloRuns(t *testing.T) {
+	jobs := []struct {
+		dc       diffCase
+		parallel int
+	}{
+		{diffCase{name: "is-2x2x2-per-node", a: 2, b: 2, c: 2, workload: "is", numa: true, seed: 42, granularity: "node"}, 2},
+		{diffCase{name: "is-2x2x2-faults-one-shard", a: 2, b: 2, c: 2, workload: "is", numa: false, faults: pcieFaults, seed: 7}, 0},
+	}
+	solo := make([]diffOutcome, len(jobs))
+	for i, j := range jobs {
+		solo[i] = runCase(t, j.dc, j.parallel)
+	}
+	t.Run("together", func(t *testing.T) {
+		for i, j := range jobs {
+			t.Run(j.dc.name, func(t *testing.T) {
+				t.Parallel()
+				solo[i].same(t, "concurrent", runCase(t, j.dc, j.parallel))
+			})
+		}
+	})
+}
+
 // TestLatencyMatrixSameUnderEverySharding: the Fig. 7 probe starts its two
 // processes on the engines of the tiles they use and drains through the
 // group, so the heatmap and the MetricsJSON after its 256 probes are the

@@ -152,26 +152,33 @@ func TestRestoreRefusesFormatVersion4(t *testing.T) {
 	wantVersionError(t, raw, 4)
 }
 
+// TestRestoreRefusesFormatVersion5 reads a real version-5 state capture,
+// whose memory pages are 64 KiB where this build's are 4 KiB. gob would
+// decode it, and only the backing store's page-size check would stop it
+// part-way through a restore, so the gate must stop it first.
+func TestRestoreRefusesFormatVersion5(t *testing.T) {
+	raw, err := os.ReadFile("testdata/state-v5/one-shard.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVersionError(t, raw, 5)
+}
+
 // The payload schema ckpt.Version names, as the digest of schemaOf
 // (ckpt.Snapshot). Any change to a state struct moves the digest, and must
 // then do one of two things: bump ckpt.Version (and pin the new pair here,
 // emptying compatibleSchemas), or list the old digest in compatibleSchemas.
 const (
 	pinnedSchema  = "7a722c5118c184ae5837385fd47c412e881bbd120233c627888002587a079859"
-	pinnedVersion = 5
+	pinnedVersion = 6
 )
 
 // compatibleSchemas maps an earlier schema of pinnedVersion, one whose files
 // gob still decodes into the current structs without losing state, to a
 // committed file written under it. The file must read and restore.
-var compatibleSchemas = map[string]string{
-	// Commit 6084b31: Snapshot.PrefixHash, the warm-start prefix identity.
-	"0f09bc612ea925962ab0e2b9074d7f2c1a975b9d49e505213cca5a82210ca0a9": "testdata/state-v5/one-shard.ckpt",
-	// Commit 4abb278: BridgeState.ShaperBusy, the link shaper's bandwidth
-	// clock. The state-v5 file carries the field too (its schema is this
-	// one plus PrefixHash), so it backs this entry as well.
-	"fb08009ac81a5c1e3f59cdf3e13ad80c1a91ab1bdcfe6b7b3ba37c977207ec56": "testdata/state-v5/one-shard.ckpt",
-}
+// Version 6 changed what MemState.PageBytes holds, not the schema, and no
+// earlier schema is listed: a version-5 file is refused at the gate.
+var compatibleSchemas = map[string]string{}
 
 // schemaOf renders t canonically, the way gob sees it: a struct as its
 // exported fields in declaration order, each as its name and the rendering
@@ -213,7 +220,8 @@ func schemaOf(b *strings.Builder, t reflect.Type, open map[reflect.Type]bool) {
 	}
 }
 
-// freshStateTarget is the build the state-v4 and state-v5 files capture:
+// freshStateTarget is the build the state-v4 and state-v5 files capture, and
+// the one a file backing a compatibleSchemas entry must restore onto:
 // 1x1x2, no cores, caches of a few sets.
 func freshStateTarget(t *testing.T) *core.Prototype {
 	t.Helper()
