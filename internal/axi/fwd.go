@@ -17,7 +17,7 @@ type fwd struct {
 // shard engines never share mutable state.
 type Forwarder struct {
 	eng  *sim.Engine
-	free []*fwd
+	free sim.FreeList[fwd]
 	fn   func(any) // dispatches and recycles; arg is the *fwd
 }
 
@@ -30,7 +30,7 @@ func NewForwarder(eng *sim.Engine) *Forwarder {
 		// Recycle before dispatching: the target may synchronously issue
 		// further transfers through this same forwarder.
 		*f = fwd{}
-		p.free = append(p.free, f)
+		p.free.Put(f)
 		t.Do(txn, done)
 	}
 	return p
@@ -38,13 +38,7 @@ func NewForwarder(eng *sim.Engine) *Forwarder {
 
 // Do dispatches t.Do(txn, done) after delay cycles.
 func (p *Forwarder) Do(delay sim.Time, t Target, txn *Txn, done func(Resp)) {
-	var f *fwd
-	if n := len(p.free); n > 0 {
-		f = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		f = &fwd{}
-	}
+	f := p.free.Get()
 	f.t, f.txn, f.done = t, txn, done
 	p.eng.ScheduleArg(delay, p.fn, f)
 }

@@ -8,11 +8,26 @@ import (
 
 // mshr tracks one outstanding miss in the BPC. At most one transaction per
 // line is in flight; later accesses to the same line coalesce as waiters.
+// The cache recycles an MSHR, waiters' capacity included, once the grant
+// has run its waiters.
 type mshr struct {
 	line    uint64
 	op      MsgOp // GetS or GetM
 	start   sim.Time
-	waiters []func()
+	waiters []access
+}
+
+// access is a load, store, fetch or AMO the BPC holds for later: the BPC
+// lookup an L1 miss schedules, a waiter coalesced onto a pending miss, or
+// an access stalled on MSHR exhaustion. A retry runs the BPC lookup again
+// (a stalled access, or a store behind a pending GetS); any other access
+// completes with the grant it waited for.
+type access struct {
+	line  uint64
+	l1    *setAssoc
+	done  func()
+	write bool
+	retry bool
 }
 
 // Private is a tile's private cache stack: L1I and L1D in front of the BYOC
@@ -30,8 +45,16 @@ type Private struct {
 	l1d *setAssoc
 	bpc *setAssoc
 
-	mshrs   map[uint64]*mshr
-	blocked []func() // accesses stalled on MSHR exhaustion
+	// The access path's records, each recycled when its access moves on.
+	mshrs    []*mshr  // outstanding misses, at most maxMSHRs, unordered
+	blocked  []access // accesses stalled on MSHR exhaustion
+	retrying []access // blocked's spare backing, swapped in for a retry pass
+	freeMSHR sim.FreeList[mshr]
+	lookups  sim.FreeList[access] // BPC lookups in flight
+	lookupFn func(any)            // bound once; arg is the *access
+	// msgs holds this cache's message records: a request comes back as its
+	// grant and is kept for the next one.
+	msgs sim.FreeList[Msg]
 
 	// Hot-path instruments, resolved at construction.
 	cL1Hit    *sim.Counter
@@ -58,7 +81,14 @@ func NewPrivate(eng *sim.Engine, id GID, p Params, conn Conn, home HomeFunc, sta
 		l1i:   newSetAssoc(p.L1ISizeBytes),
 		l1d:   newSetAssoc(p.L1DSizeBytes),
 		bpc:   newSetAssoc(p.BPCSizeBytes),
-		mshrs: make(map[uint64]*mshr),
+		mshrs: make([]*mshr, 0, maxMSHRs),
+	}
+	c.lookupFn = func(v any) {
+		a := v.(*access)
+		w := *a
+		*a = access{}
+		c.lookups.Put(a)
+		c.bpcAccess(w.line, w.write, w.l1, w.done)
 	}
 	c.cL1Hit = stats.Counter(name + ".l1_hit")
 	c.cL1Miss = stats.Counter(name + ".l1_miss")
@@ -106,9 +136,9 @@ func (c *Private) access(addr uint64, write bool, l1 *setAssoc, done func()) {
 	}
 	c.cL1Miss.Inc()
 	// BPC lookup after the L1 latency.
-	c.eng.Schedule(l1Latency+bpcLatency, func() {
-		c.bpcAccess(line, write, l1, done)
-	})
+	a := c.lookups.Get()
+	*a = access{line: line, l1: l1, done: done, write: write}
+	c.eng.ScheduleArg(l1Latency+bpcLatency, c.lookupFn, a)
 }
 
 func (c *Private) bpcAccess(line uint64, write bool, l1 *setAssoc, done func()) {
@@ -146,38 +176,62 @@ func (c *Private) miss(line uint64, write bool, l1 *setAssoc, done func()) {
 	if write {
 		op = GetM
 	}
-	if m, ok := c.mshrs[line]; ok {
+	a := access{line: line, l1: l1, done: done, write: write}
+	if i := c.findMSHR(line); i >= 0 {
 		// Coalesce. A pending GetS cannot satisfy a store: escalate by
 		// queueing the store to retry after the fill completes.
-		if write && m.op == GetS {
-			m.waiters = append(m.waiters, func() { c.bpcAccess(line, true, l1, done) })
-		} else {
-			m.waiters = append(m.waiters, func() {
-				c.fillL1(l1, line, c.grantState(write))
-				done()
-			})
-		}
+		m := c.mshrs[i]
+		a.retry = write && m.op == GetS
+		m.waiters = append(m.waiters, a)
 		c.cCoalesce.Inc()
 		return
 	}
 	if len(c.mshrs) >= maxMSHRs {
 		c.cStall.Inc()
-		c.blocked = append(c.blocked, func() { c.bpcAccess(line, write, l1, done) })
+		a.retry = true
+		c.blocked = append(c.blocked, a)
 		return
 	}
-	m := &mshr{line: line, op: op, start: c.eng.Now()}
-	m.waiters = append(m.waiters, func() {
-		c.fillL1(l1, line, c.grantState(write))
-		done()
-	})
-	c.mshrs[line] = m
+	m := c.freeMSHR.Get()
+	m.line, m.op, m.start = line, op, c.eng.Now()
+	m.waiters = append(m.waiters, a)
+	c.mshrs = append(c.mshrs, m)
 	c.gMSHR.Set(int64(len(c.mshrs)))
 	if op == GetS {
 		c.cGetS.Inc()
 	} else {
 		c.cGetM.Inc()
 	}
-	c.conn.SendProto(c.id, c.home(line), &Msg{Op: op, Line: line, From: c.id, Req: c.id})
+	c.conn.SendProto(c.id, c.home(line), c.newMsg(op, line))
+}
+
+// findMSHR returns the index of line's MSHR in c.mshrs, or -1.
+func (c *Private) findMSHR(line uint64) int {
+	for i, m := range c.mshrs {
+		if m.line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// newMsg fills a message record from this cache for line. Records come from
+// the cache's free list, which its grants refill.
+func (c *Private) newMsg(op MsgOp, line uint64) *Msg {
+	m := c.msgs.Get()
+	*m = Msg{Op: op, Line: line, From: c.id, Req: c.id}
+	return m
+}
+
+// resume runs an access the BPC held: a retry looks the BPC up again, a
+// waiter completes with the grant it coalesced onto.
+func (c *Private) resume(a access) {
+	if a.retry {
+		c.bpcAccess(a.line, a.write, a.l1, a.done)
+		return
+	}
+	c.fillL1(a.l1, a.line, c.grantState(a.write))
+	a.done()
 }
 
 func (c *Private) grantState(write bool) state {
@@ -212,11 +266,14 @@ func (c *Private) HandleMsg(msg *Msg) {
 }
 
 func (c *Private) handleGrant(msg *Msg) {
-	m, ok := c.mshrs[msg.Line]
-	if !ok {
+	i := c.findMSHR(msg.Line)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: %s: grant %v for line %#x with no MSHR", c.name, msg.Op, msg.Line))
 	}
-	delete(c.mshrs, msg.Line)
+	m := c.mshrs[i]
+	last := len(c.mshrs) - 1
+	c.mshrs[i], c.mshrs[last] = c.mshrs[last], nil
+	c.mshrs = c.mshrs[:last]
 	c.hMissLat.Observe(uint64(c.eng.Now() - m.start))
 	c.gMSHR.Set(int64(len(c.mshrs)))
 
@@ -236,17 +293,27 @@ func (c *Private) handleGrant(msg *Msg) {
 	if evicted {
 		c.evict(victim)
 	}
-	waiters := m.waiters
-	for _, w := range waiters {
-		w()
+	// The MSHR is out of c.mshrs, so a waiter may open a new one for the
+	// same line; its record goes back to the free list only after the
+	// waiters have run.
+	for _, w := range m.waiters {
+		c.resume(w)
 	}
-	// Retry accesses stalled on MSHR pressure.
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	c.freeMSHR.Put(m)
+	// The grant is this cache's own request come back.
+	c.msgs.Put(msg)
+	// Retry accesses stalled on MSHR pressure; any that stall again queue
+	// on the spare backing.
 	if len(c.blocked) > 0 {
 		retry := c.blocked
-		c.blocked = nil
+		c.blocked = c.retrying
 		for _, r := range retry {
-			r()
+			c.resume(r)
 		}
+		clear(retry)
+		c.retrying = retry[:0]
 	}
 }
 
@@ -264,7 +331,17 @@ func (c *Private) evict(v way) {
 	} else {
 		c.cClean.Inc()
 	}
-	c.conn.SendProto(c.id, c.home(v.line), &Msg{Op: op, Line: v.line, From: c.id, Req: c.id})
+	// A Put has no answer to come back as, so its record is the home's to
+	// drop: the one message a cache allocates once warm.
+	c.conn.SendProto(c.id, c.home(v.line), c.newMsg(op, v.line))
+}
+
+// answer turns a probe into its response: the record goes back to the home
+// that sent it, which keeps it for its next probe.
+func (c *Private) answer(probe *Msg, op MsgOp) {
+	home := probe.From
+	probe.Op, probe.From = op, c.id
+	c.conn.SendProto(c.id, home, probe)
 }
 
 func (c *Private) handleInv(msg *Msg) {
@@ -272,7 +349,7 @@ func (c *Private) handleInv(msg *Msg) {
 	c.l1i.invalidate(msg.Line)
 	c.l1d.invalidate(msg.Line)
 	c.cInvRx.Inc()
-	c.conn.SendProto(c.id, msg.From, &Msg{Op: InvAck, Line: msg.Line, From: c.id, Req: msg.Req})
+	c.answer(msg, InvAck)
 }
 
 func (c *Private) handleDowngrade(msg *Msg) {
@@ -287,5 +364,5 @@ func (c *Private) handleDowngrade(msg *Msg) {
 		}
 	}
 	c.cDownRx.Inc()
-	c.conn.SendProto(c.id, msg.From, &Msg{Op: DownAck, Line: msg.Line, From: c.id, Req: msg.Req})
+	c.answer(msg, DownAck)
 }

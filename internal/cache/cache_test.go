@@ -38,7 +38,7 @@ func (f *fakeConn) SendProto(from, to GID, msg *Msg) {
 
 func (f *fakeConn) SendMem(from GID, req *mem.Req) {
 	f.eng.Schedule(f.memLat, func() {
-		f.slices[from].HandleMemResp(&mem.Resp{Write: req.Write, Addr: req.Addr, Tag: req.Tag})
+		f.slices[from].HandleMemResp(req)
 	})
 }
 

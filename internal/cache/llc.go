@@ -80,6 +80,14 @@ type Slice struct {
 	cPutS, cPutM         sim.LazyCounter
 	cBackInval, cWB      sim.LazyCounter // eviction path
 	lookupFn             func(any)       // bound once; arg is the *Msg
+
+	// The access path's records. A directory record deleted by an LLC
+	// eviction keeps its slices' capacity for the next line; a probe comes
+	// back as its ack and a memory request as its response, each then kept
+	// for the next.
+	recs sim.FreeList[record]
+	msgs sim.FreeList[Msg]
+	reqs sim.FreeList[mem.Req]
 }
 
 // memFetch is one outstanding memory fetch: the request to resume on the
@@ -115,10 +123,24 @@ func NewSlice(eng *sim.Engine, id GID, p Params, conn Conn, stats *sim.Stats, na
 func (s *Slice) entry(line uint64) *record {
 	r, ok := s.lines[line]
 	if !ok {
-		r = &record{}
+		r = s.recs.Get()
 		s.lines[line] = r
 	}
 	return r
+}
+
+// send fills a message record from this slice and sends it to a cache.
+func (s *Slice) send(to GID, op MsgOp, line uint64, req GID) {
+	m := s.msgs.Get()
+	*m = Msg{Op: op, Line: line, From: s.id, Req: req}
+	s.conn.SendProto(s.id, to, m)
+}
+
+// sendMem fills a memory request record and sends it to the controller.
+func (s *Slice) sendMem(write bool, line, tag uint64) {
+	r := s.reqs.Get()
+	*r = mem.Req{Write: write, Addr: line, Size: LineBytes, Src: s.nocDest(), Tag: tag}
+	s.conn.SendMem(s.id, r)
 }
 
 // HandleMsg processes a protocol message addressed to this home slice.
@@ -162,6 +184,7 @@ func (s *Slice) HandleMsg(msg *Msg) {
 		s.cPutM.Inc()
 	case InvAck, DownAck:
 		s.ack(msg)
+		s.msgs.Put(msg) // one of this slice's probes, come back
 	default:
 		panic(fmt.Sprintf("cache: %s: unexpected message %v", s.name, msg.Op))
 	}
@@ -191,12 +214,7 @@ func (s *Slice) lookup(msg *Msg) {
 	s.nextTag++
 	tag := s.nextTag
 	s.memTags[tag] = memFetch{msg: msg, at: s.eng.Now()}
-	s.conn.SendMem(s.id, &mem.Req{
-		Addr: msg.Line,
-		Size: LineBytes,
-		Src:  s.nocDest(),
-		Tag:  tag,
-	})
+	s.sendMem(false, msg.Line, tag)
 }
 
 // nocDest is where the memory controller should send responses.
@@ -207,16 +225,18 @@ func (s *Slice) nocDest() (d noc.Dest) {
 }
 
 // HandleMemResp resumes a transaction waiting on a memory fetch or
-// acknowledges a writeback.
-func (s *Slice) HandleMemResp(r *mem.Resp) {
-	if r.Write {
+// acknowledges a writeback. The response is this slice's request come back.
+func (s *Slice) HandleMemResp(r *mem.Req) {
+	write, tag := r.Write, r.Tag
+	s.reqs.Put(r)
+	if write {
 		return // writeback acks need no action
 	}
-	f, ok := s.memTags[r.Tag]
+	f, ok := s.memTags[tag]
 	if !ok {
-		panic(fmt.Sprintf("cache: %s: memory response with unknown tag %d", s.name, r.Tag))
+		panic(fmt.Sprintf("cache: %s: memory response with unknown tag %d", s.name, tag))
 	}
-	delete(s.memTags, r.Tag)
+	delete(s.memTags, tag)
 	s.hMemLat.Observe(uint64(s.eng.Now() - f.at))
 	s.fill(f.msg)
 }
@@ -237,16 +257,19 @@ func (s *Slice) evictLLC(v way) {
 	if r, ok := s.lines[v.line]; ok {
 		switch r.st {
 		case dirE:
-			s.conn.SendProto(s.id, r.owner, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
+			s.send(r.owner, Inv, v.line, NoReq)
 			s.cBackInval.Inc()
 		case dirS:
 			for _, g := range r.sharers {
-				s.conn.SendProto(s.id, g, &Msg{Op: Inv, Line: v.line, From: s.id, Req: NoReq})
+				s.send(g, Inv, v.line, NoReq)
 				s.cBackInval.Inc()
 			}
 		}
 		if r.req == nil {
+			// No request holds the line, so none is queued behind it.
 			delete(s.lines, v.line)
+			*r = record{sharers: r.sharers[:0], queue: r.queue[:0]}
+			s.recs.Put(r)
 		} else {
 			// A request holds the line and keeps its place; the directory
 			// half starts over as a deleted-and-recreated entry would.
@@ -264,13 +287,7 @@ func (s *Slice) evictLLC(v way) {
 
 func (s *Slice) memWrite(line uint64) {
 	s.nextTag++
-	s.conn.SendMem(s.id, &mem.Req{
-		Write: true,
-		Addr:  line,
-		Size:  LineBytes,
-		Src:   s.nocDest(),
-		Tag:   s.nextTag,
-	})
+	s.sendMem(true, line, s.nextTag)
 }
 
 // direct performs the directory action for a resident line.
@@ -299,7 +316,7 @@ func (s *Slice) direct(msg *Msg) {
 			}
 			// Demote the owner, then grant shared to both.
 			r.needAcks = 1
-			s.conn.SendProto(s.id, r.owner, &Msg{Op: Downgrade, Line: msg.Line, From: s.id, Req: msg.Req})
+			s.send(r.owner, Downgrade, msg.Line, msg.Req)
 		}
 	case GetM:
 		switch r.st {
@@ -314,7 +331,7 @@ func (s *Slice) direct(msg *Msg) {
 				if g == msg.Req {
 					continue
 				}
-				s.conn.SendProto(s.id, g, &Msg{Op: Inv, Line: msg.Line, From: s.id, Req: msg.Req})
+				s.send(g, Inv, msg.Line, msg.Req)
 				n++
 			}
 			if n == 0 {
@@ -333,7 +350,7 @@ func (s *Slice) direct(msg *Msg) {
 				return
 			}
 			r.needAcks = 1
-			s.conn.SendProto(s.id, r.owner, &Msg{Op: Inv, Line: msg.Line, From: s.id, Req: msg.Req})
+			s.send(r.owner, Inv, msg.Line, msg.Req)
 		}
 	}
 }
@@ -373,8 +390,12 @@ func (s *Slice) ack(msg *Msg) {
 	s.finish(msg.Line)
 }
 
+// grant answers a request with the request's own record: it goes back to
+// the requesting cache, which keeps it for its next request. The slice
+// holds no reference to req afterwards.
 func (s *Slice) grant(req *Msg, op MsgOp) {
-	s.conn.SendProto(s.id, req.Req, &Msg{Op: op, Line: req.Line, From: s.id, Req: req.Req})
+	req.Op, req.From = op, s.id
+	s.conn.SendProto(s.id, req.Req, req)
 }
 
 // finish releases the line lock and starts the next queued transaction.
@@ -385,7 +406,9 @@ func (s *Slice) finish(line uint64) {
 		return
 	}
 	next := r.queue[0]
-	r.queue = r.queue[1:]
+	n := copy(r.queue, r.queue[1:])
+	r.queue[n] = nil
+	r.queue = r.queue[:n]
 	s.nq--
 	s.gQueue.Set(int64(s.nq))
 	s.begin(next)

@@ -40,8 +40,9 @@ func newSetAssoc(sizeBytes int) *setAssoc {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
 	c := &setAssoc{sets: make([][]way, nsets), setMask: uint64(nsets - 1)}
+	ways := make([]way, nsets*Ways) // one backing array, not one per set
 	for i := range c.sets {
-		c.sets[i] = make([]way, Ways)
+		c.sets[i] = ways[i*Ways : (i+1)*Ways : (i+1)*Ways]
 	}
 	return c
 }

@@ -61,19 +61,31 @@ func (c nodeConn) SendMem(from cache.GID, req *mem.Req) {
 }
 
 // mmioReq is an uncacheable device access travelling over the NoC to the
-// chipset (or an accelerator tile). The completion callback rides in the
-// message; the simulation is single-threaded, so this is deterministic and
-// race-free (it stands in for the response packet's routing information).
+// chipset (or an accelerator tile), with its answer riding back in resp.
+// Each Port owns one record: its process is parked while the access is out,
+// so a port never has two. When the device sits on another node, that
+// node's engine fills in the serving fields and resp while the port's
+// process is parked; the request and the response each cross engines as a
+// message, which the window barrier orders.
 type mmioReq struct {
 	write bool
 	addr  uint64
 	size  int
 	val   uint64
 	src   noc.Dest
-	done  func(val uint64)
+
+	// Where the access is served, set on arrival: the chipset device
+	// region (node, dev) or the accelerator tile, and the offset within it.
+	node *Node
+	dev  *devRegion
+	tile *Tile
+	off  uint64
+
+	resp mmioResp
 }
 
-// mmioResp carries the device's answer back to the requesting tile.
+// mmioResp carries the device's answer back to the requesting tile; done
+// stands in for the response packet's routing information.
 type mmioResp struct {
 	val  uint64
 	done func(val uint64)
@@ -97,7 +109,7 @@ func (p *Prototype) tileHandler(t *Tile) noc.Handler {
 			default:
 				t.Priv.HandleMsg(m)
 			}
-		case *mem.Resp:
+		case *mem.Req: // a memory response: the slice's request come back
 			t.LLC.HandleMemResp(m)
 		case *interrupt.Change:
 			t.Depack.Handle(m)
@@ -126,20 +138,27 @@ func (p *Prototype) accelAccess(t *Tile, m *mmioReq) {
 	if !ok {
 		panic(fmt.Sprintf("core: bad accelerator address %#x", m.addr))
 	}
-	t.node.eng.Schedule(accelMMIOLatency, func() {
-		var val uint64
-		if m.write {
-			t.Accel.Write(devOff, m.size, m.val)
-		} else {
-			val = t.Accel.Read(devOff, m.size)
-		}
-		t.node.Mesh.Send(&noc.Packet{
-			Class:   noc.NoC2,
-			Src:     noc.Dest{Port: noc.PortTile, Tile: t.ID.Tile},
-			Dst:     m.src,
-			Flits:   2,
-			Payload: &mmioResp{val: val, done: m.done},
-		})
+	m.tile, m.off = t, devOff
+	t.node.eng.ScheduleArg(accelMMIOLatency, accelStep, m)
+}
+
+// accelStep performs an accelerator access after its latency and answers
+// it; arg is the *mmioReq.
+func accelStep(arg any) {
+	m := arg.(*mmioReq)
+	t := m.tile
+	m.resp.val = 0
+	if m.write {
+		t.Accel.Write(m.off, m.size, m.val)
+	} else {
+		m.resp.val = t.Accel.Read(m.off, m.size)
+	}
+	t.node.Mesh.Send(&noc.Packet{
+		Class:   noc.NoC2,
+		Src:     noc.Dest{Port: noc.PortTile, Tile: t.ID.Tile},
+		Dst:     m.src,
+		Flits:   2,
+		Payload: &m.resp,
 	})
 }
 
@@ -161,31 +180,38 @@ func (p *Prototype) chipsetHandler(n *Node) noc.Handler {
 // deviceAccess serves an uncacheable access to a chipset device.
 func (p *Prototype) deviceAccess(n *Node, m *mmioReq) {
 	off := p.Map.DevOffset(m.addr)
-	for _, r := range n.devices {
-		if off >= r.base && off < r.base+r.size {
-			r := r
-			n.eng.Schedule(r.latency, func() {
-				var val uint64
-				if m.write {
-					r.dev.Write(off-r.base, m.size, m.val)
-				} else {
-					val = r.dev.Read(off-r.base, m.size)
-				}
-				if n.Tracer.Enabled() {
-					n.Tracer.EmitT(n.Name(), sim.CatMMIO, "%s %s off=%#x val=%#x", rw(m.write), r.dev.Name(), off-r.base, val|m.val)
-				}
-				n.Mesh.Send(&noc.Packet{
-					Class:   noc.NoC2,
-					Src:     noc.Dest{Port: noc.PortChipset},
-					Dst:     m.src,
-					Flits:   2,
-					Payload: &mmioResp{val: val, done: m.done},
-				})
-			})
+	for i := range n.devices {
+		if r := &n.devices[i]; off >= r.base && off < r.base+r.size {
+			m.node, m.dev, m.off = n, r, off-r.base
+			n.eng.ScheduleArg(r.latency, deviceStep, m)
 			return
 		}
 	}
 	panic(fmt.Sprintf("core: node%d: no device at offset %#x", n.ID, off))
+}
+
+// deviceStep performs a chipset device access after its latency and
+// answers it; arg is the *mmioReq.
+func deviceStep(arg any) {
+	m := arg.(*mmioReq)
+	n, r := m.node, m.dev
+	var val uint64
+	if m.write {
+		r.dev.Write(m.off, m.size, m.val)
+	} else {
+		val = r.dev.Read(m.off, m.size)
+	}
+	if n.Tracer.Enabled() {
+		n.Tracer.EmitT(n.Name(), sim.CatMMIO, "%s %s off=%#x val=%#x", rw(m.write), r.dev.Name(), m.off, val|m.val)
+	}
+	m.resp.val = val
+	n.Mesh.Send(&noc.Packet{
+		Class:   noc.NoC2,
+		Src:     noc.Dest{Port: noc.PortChipset},
+		Dst:     m.src,
+		Flits:   2,
+		Payload: &m.resp,
+	})
 }
 
 // sendInterrupt routes a packetizer change to the owning hart's tile, which

@@ -381,7 +381,7 @@ func TestCLINTTimerInterruptWakesCore(t *testing.T) {
 	p.RunUntilHalted(1_000_000)
 	c := p.Nodes[0].Tiles[0].Core
 	if !c.Halted() || c.HaltCode() != 42 {
-		t.Fatalf("timer interrupt not delivered: %s", c)
+		t.Fatalf("timer interrupt not delivered: pc=%#x a0=%#x halted=%v", c.PC, c.X[10], c.Halted())
 	}
 	if p.Eng.Now() < 3000 {
 		t.Fatal("halted before mtimecmp")
@@ -447,7 +447,7 @@ func TestSoftwareInterruptAcrossNodes(t *testing.T) {
 	`))
 	rcv := p.Nodes[1].Tiles[0].Core
 	if !rcv.Halted() || rcv.HaltCode() != 99 {
-		t.Fatalf("cross-node IPI not delivered: %s", rcv)
+		t.Fatalf("cross-node IPI not delivered: pc=%#x a0=%#x halted=%v", rcv.PC, rcv.X[10], rcv.Halted())
 	}
 }
 

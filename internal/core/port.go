@@ -76,17 +76,25 @@ func (p *Prototype) ReadPhys(addr uint64, size int) uint64 { return readBacking(
 type Port struct {
 	tile *Tile
 	pr   *Prototype
+	// mmio is the port's one uncacheable access record, reused by every
+	// MMIO round trip; wake resumes the process parked on it.
+	mmio mmioReq
+	wake func()
 }
 
 // PortAt returns the workload port of a tile.
-func (p *Prototype) PortAt(g cache.GID) *Port {
-	return &Port{tile: p.Tile(g), pr: p}
+func (p *Prototype) PortAt(g cache.GID) *Port { return newPort(p.Tile(g), p) }
+
+func newPort(t *Tile, p *Prototype) *Port {
+	pt := &Port{tile: t, pr: p}
+	pt.mmio.resp.done = func(uint64) { pt.wake() }
+	return pt
 }
 
-// Cacheable accesses use the Suspend/Park split rather than Call: the
-// process's pooled completion goes straight to the cache stack, so the
-// per-access path allocates nothing, and functional data moves in the
-// backing store at completion time.
+// Every access uses the Suspend/Park split: the process's pooled completion
+// goes straight to the cache stack (or, for MMIO, into the port's record),
+// so the per-access path allocates nothing, and functional data moves in
+// the backing store at completion time.
 
 // Load reads size bytes at addr through the cache hierarchy.
 func (pt *Port) Load(p *sim.Process, addr uint64, size int) uint64 {
@@ -129,21 +137,20 @@ func (pt *Port) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64
 
 // MMIOLoad performs an uncacheable device read (e.g. an accelerator fetch).
 func (pt *Port) MMIOLoad(p *sim.Process, addr uint64, size int) uint64 {
-	var out uint64
-	p.Call(func(done func()) {
-		pt.pr.sendMMIO(pt.tile, &mmioReq{addr: addr, size: size, done: func(v uint64) {
-			out = v
-			done()
-		}})
-	})
-	return out
+	pt.mmioAccess(p, false, addr, size, 0)
+	return pt.mmio.resp.val
 }
 
 // MMIOStore performs an uncacheable device write.
 func (pt *Port) MMIOStore(p *sim.Process, addr uint64, size int, v uint64) {
-	p.Call(func(done func()) {
-		pt.pr.sendMMIO(pt.tile, &mmioReq{write: true, addr: addr, size: size, val: v, done: func(uint64) {
-			done()
-		}})
-	})
+	pt.mmioAccess(p, true, addr, size, v)
+}
+
+// mmioAccess sends one round trip in the port's record and parks p until
+// the answer is back in it.
+func (pt *Port) mmioAccess(p *sim.Process, write bool, addr uint64, size int, v uint64) {
+	pt.mmio = mmioReq{write: write, addr: addr, size: size, val: v, resp: mmioResp{done: pt.mmio.resp.done}}
+	pt.wake = p.Suspend()
+	pt.pr.sendMMIO(pt.tile, &pt.mmio)
+	p.Park()
 }

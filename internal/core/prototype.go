@@ -266,7 +266,7 @@ func Build(cfg Config) (*Prototype, error) {
 					t.Core.SetIRQ(int(k), level)
 				}
 			})
-			port := corePort{&Port{tile: t, pr: p}}
+			port := corePort{newPort(t, p)}
 			switch cfg.Core {
 			case CoreAriane:
 				t.Core = riscv.New(port, p.hartID(gid), ResetPC)

@@ -9,21 +9,16 @@ import (
 	"smappic/internal/sim"
 )
 
-// Req is a memory request carried over the NoC from an LLC slice (or a
-// device) to the memory controller. Tag is the requester's MSHR handle,
-// echoed back in the response (the ID-MSHR mapping of paper Fig. 5).
+// Req is a memory request carried over the NoC from an LLC slice to the
+// memory controller. Tag is the requester's MSHR handle, echoed back in the
+// response (the ID-MSHR mapping of paper Fig. 5). The controller answers
+// with the request's own record, sent back to Src unchanged, so a round
+// trip is one record that the requester owns and may recycle.
 type Req struct {
 	Write bool
 	Addr  uint64 // node-local DRAM offset
 	Size  int    // bytes
 	Src   noc.Dest
-	Tag   uint64
-}
-
-// Resp is the controller's reply, sent back over the NoC.
-type Resp struct {
-	Write bool
-	Addr  uint64
 	Tag   uint64
 }
 
@@ -68,6 +63,18 @@ type Controller struct {
 	cWrites   sim.LazyCounter
 	cReads    sim.LazyCounter
 	enqueueFn func(any) // bound once; arg is the *Req
+	issues    sim.FreeList[issueRec]
+}
+
+// issueRec is one request in an AXI engine: the transfer the DRAM serves and
+// its completion, bound once per record. The record is recycled when the
+// DRAM answers, which the axi.Target rule makes safe: the target reads
+// nothing of the transfer after calling done.
+type issueRec struct {
+	k    engineKind
+	req  *Req
+	txn  axi.Txn
+	done func(axi.Resp)
 }
 
 // zeroData backs the write engine's AXI beats. The protocol path is
@@ -154,7 +161,13 @@ func (c *Controller) issue(k engineKind, req *Req) {
 		size = axi.BeatBytes // AXI4 transfers are whole beats; narrow
 		// requests select the needed bytes on return (Fig. 5).
 	}
-	t := &axi.Txn{Write: req.Write, Addr: aligned, ID: id}
+	is := c.issues.Get()
+	if is.done == nil {
+		is.done = func(r axi.Resp) { c.complete(is, r) }
+	}
+	is.k, is.req = k, req
+	t := &is.txn
+	*t = axi.Txn{Write: req.Write, Addr: aligned, ID: id}
 	if req.Write {
 		c.cWrites.Inc()
 		if size <= len(zeroData) {
@@ -166,26 +179,36 @@ func (c *Controller) issue(k engineKind, req *Req) {
 		c.cReads.Inc()
 		t.Len = size
 	}
-	c.dram.Do(t, func(r axi.Resp) {
-		if !r.OK {
-			// The requester's MSHR is still released and the tag echoed —
-			// the NoC response format has no error channel — but the fault
-			// is recorded instead of silently swallowed.
-			c.cErrors.Inc()
-		}
-		c.inflight[k]--
-		c.gInflight[k].Set(int64(c.inflight[k]))
-		c.respond(req)
-		if len(c.queue[k]) > 0 {
-			next := c.queue[k][0]
-			c.queue[k] = c.queue[k][1:]
-			c.gQueue[k].Set(int64(len(c.queue[k])))
-			c.hQWait.Observe(uint64(c.eng.Now() - next.at))
-			c.issue(k, next.req)
-		}
-	})
+	c.dram.Do(t, is.done)
 }
 
+// complete retires an issued request when the DRAM answers it.
+func (c *Controller) complete(is *issueRec, r axi.Resp) {
+	k, req := is.k, is.req
+	is.req, is.txn = nil, axi.Txn{}
+	c.issues.Put(is)
+	if !r.OK {
+		// The requester's MSHR is still released and the tag echoed —
+		// the NoC response format has no error channel — but the fault
+		// is recorded instead of silently swallowed.
+		c.cErrors.Inc()
+	}
+	c.inflight[k]--
+	c.gInflight[k].Set(int64(c.inflight[k]))
+	c.respond(req)
+	if q := c.queue[k]; len(q) > 0 {
+		next := q[0]
+		n := copy(q, q[1:])
+		q[n] = queuedReq{}
+		c.queue[k] = q[:n]
+		c.gQueue[k].Set(int64(len(c.queue[k])))
+		c.hQWait.Observe(uint64(c.eng.Now() - next.at))
+		c.issue(k, next.req)
+	}
+}
+
+// respond sends the request back to its source as the response; the
+// controller holds no reference to it afterwards.
 func (c *Controller) respond(req *Req) {
 	data := 0
 	if !req.Write {
@@ -196,6 +219,6 @@ func (c *Controller) respond(req *Req) {
 		Src:     noc.Dest{Port: noc.PortChipset},
 		Dst:     req.Src,
 		Flits:   FlitsFor(data),
-		Payload: &Resp{Write: req.Write, Addr: req.Addr, Tag: req.Tag},
+		Payload: req,
 	})
 }

@@ -35,11 +35,23 @@ type DRAM struct {
 	cConfCycles *sim.Counter // cycles those accesses waited
 	cEccFixed   *sim.Counter // single-bit errors SECDED corrected
 	cEccFatal   *sim.Counter // double-bit errors SECDED detected (OK:false)
+
+	ops      sim.FreeList[dramOp]
+	answerFn func(any) // bound once; arg is the *dramOp
+}
+
+// dramOp is one access waiting out its latency, recycled when it answers.
+// It copies what the answer needs from the transfer, which the master may
+// recycle once done runs.
+type dramOp struct {
+	id    axi.ID
+	write bool
+	done  func(axi.Resp)
 }
 
 // NewDRAM creates a DRAM channel.
 func NewDRAM(eng *sim.Engine, name string, stats *sim.Stats) *DRAM {
-	return &DRAM{
+	d := &DRAM{
 		eng: eng, name: name,
 		cReads:      stats.Counter(name + ".reads"),
 		cWrites:     stats.Counter(name + ".writes"),
@@ -50,6 +62,8 @@ func NewDRAM(eng *sim.Engine, name string, stats *sim.Stats) *DRAM {
 		cEccFixed:   stats.Counter(name + ".ecc_corrected"),
 		cEccFatal:   stats.Counter(name + ".ecc_uncorrectable"),
 	}
+	d.answerFn = func(v any) { d.answer(v.(*dramOp)) }
+	return d
 }
 
 // SetInjector resolves this channel's bit-flip fault site (named after the
@@ -88,19 +102,27 @@ func (d *DRAM) Do(t *axi.Txn, done func(axi.Resp)) {
 	}
 	count.Inc()
 	bytes.Add(uint64(n))
-	d.eng.Schedule(d.delay(n), func() {
-		resp := axi.Resp{ID: t.ID, OK: true}
-		if !t.Write {
-			switch d.site.FlipBits() {
-			case 1:
-				d.cEccFixed.Inc()
-			case 2:
-				d.cEccFatal.Inc()
-				resp.OK = false
-			}
+	op := d.ops.Get()
+	*op = dramOp{id: t.ID, write: t.Write, done: done}
+	d.eng.ScheduleArg(d.delay(n), d.answerFn, op)
+}
+
+// answer completes an access once its latency has passed.
+func (d *DRAM) answer(op *dramOp) {
+	resp := axi.Resp{ID: op.id, OK: true}
+	write, done := op.write, op.done
+	*op = dramOp{}
+	d.ops.Put(op)
+	if !write {
+		switch d.site.FlipBits() {
+		case 1:
+			d.cEccFixed.Inc()
+		case 2:
+			d.cEccFatal.Inc()
+			resp.OK = false
 		}
-		done(resp)
-	})
+	}
+	done(resp)
 }
 
 var _ axi.Target = (*DRAM)(nil)

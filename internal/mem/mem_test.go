@@ -143,7 +143,7 @@ func TestShaperAddsLatency(t *testing.T) {
 }
 
 // controllerHarness wires a controller to a 1x2 mesh and a DRAM.
-func controllerHarness(ids int) (*sim.Engine, *noc.Mesh, *Controller, *[]Resp) {
+func controllerHarness(ids int) (*sim.Engine, *noc.Mesh, *Controller, *[]Req) {
 	eng := sim.NewEngine()
 	stats := &sim.Stats{}
 	mesh := noc.New(eng, "mesh", noc.DefaultParams(2, 1), stats)
@@ -153,9 +153,9 @@ func controllerHarness(ids int) (*sim.Engine, *noc.Mesh, *Controller, *[]Resp) {
 		ctl.IDsPerEngine = ids
 	}
 	mesh.AttachChipset(ctl.Handle)
-	resps := &[]Resp{}
+	resps := &[]Req{}
 	mesh.AttachTile(1, func(p *noc.Packet) {
-		*resps = append(*resps, *p.Payload.(*Resp))
+		*resps = append(*resps, *p.Payload.(*Req))
 	})
 	return eng, mesh, ctl, resps
 }
@@ -228,9 +228,9 @@ func TestControllerIDLimitQueues(t *testing.T) {
 	ctl := NewController(eng, mesh, "memctl", dram, &st)
 	ctl.IDsPerEngine = 2
 	mesh.AttachChipset(ctl.Handle)
-	resps := &[]Resp{}
+	resps := &[]Req{}
 	mesh.AttachTile(1, func(p *noc.Packet) {
-		*resps = append(*resps, *p.Payload.(*Resp))
+		*resps = append(*resps, *p.Payload.(*Req))
 	})
 	for i := uint64(0); i < 6; i++ {
 		sendMemReq(mesh, &Req{Addr: i * 64, Size: 8, Src: noc.Dest{Port: noc.PortTile, Tile: 1}, Tag: i})

@@ -127,7 +127,7 @@ type Mesh struct {
 	// done, so a packet costs no allocation in steady state. A mesh belongs
 	// to one node and so to one engine, which is the only goroutine that
 	// touches the list.
-	free []*Packet
+	free sim.FreeList[Packet]
 }
 
 // New creates a mesh with nTiles = p.Width*p.Height tile ports.
@@ -302,13 +302,7 @@ func (m *Mesh) Send(pkt *Packet) {
 	cs.waitCycles.Add(uint64(wait))
 	cs.inflight.Inc()
 	cs.latency.Observe(uint64(t - now))
-	var e *Packet
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		e = new(Packet)
-	}
+	e := m.free.Get()
 	*e = *pkt
 	m.eng.AtArg(t, m.deliverFn, e)
 }
@@ -422,5 +416,5 @@ func (m *Mesh) deliver(pkt *Packet) {
 	}
 	h(pkt)
 	*pkt = Packet{}
-	m.free = append(m.free, pkt)
+	m.free.Put(pkt)
 }

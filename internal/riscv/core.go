@@ -112,8 +112,10 @@ type Core struct {
 	// Timing model.
 	pendingCycles sim.Time
 
-	// nextPtr points at the in-flight instruction's fallthrough PC while
-	// exec runs, so traps raised mid-instruction can redirect it.
+	// next is the in-flight instruction's fallthrough PC. nextPtr points at
+	// it while exec runs, so traps raised mid-instruction can redirect it;
+	// it is a field, not a local, so taking its address allocates nothing.
+	next    uint64
 	nextPtr *uint64
 }
 
@@ -247,11 +249,11 @@ func (c *Core) Step(p *sim.Process) {
 	}
 	c.flushTime(p)
 	inst := c.mem.Fetch(p, c.PC)
-	next := c.PC + 4
-	c.nextPtr = &next
-	c.exec(p, inst, &next)
+	c.next = c.PC + 4
+	c.nextPtr = &c.next
+	c.exec(p, inst, &c.next)
 	c.nextPtr = nil
-	c.PC = next
+	c.PC = c.next
 	c.instret++
 	c.charge(p, c.profile.BaseCPI)
 }
@@ -800,10 +802,4 @@ func (c *Core) writeCSR(csr uint32, v uint64) {
 	case csrMTVal:
 		c.mtval = v
 	}
-}
-
-// String summarizes architectural state (debugging aid).
-func (c *Core) String() string {
-	return fmt.Sprintf("hart%d pc=%#x ra=%#x sp=%#x a0=%#x halted=%v",
-		c.hartID, c.PC, c.X[1], c.X[2], c.X[10], c.halted)
 }

@@ -169,35 +169,6 @@ func TestProcessWaitAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestProcessCallSynchronousCompletion(t *testing.T) {
-	e := NewEngine()
-	var done Time = TimeMax
-	Go(e, "caller", func(p *Process) {
-		p.Wait(5)
-		p.Call(func(complete func()) { complete() })
-		done = p.Now()
-	})
-	e.Run()
-	if done != 5 {
-		t.Fatalf("synchronous Call completed at %d, want 5", done)
-	}
-}
-
-func TestProcessCallAsynchronousCompletion(t *testing.T) {
-	e := NewEngine()
-	var done Time
-	Go(e, "caller", func(p *Process) {
-		p.Call(func(complete func()) {
-			e.Schedule(42, complete)
-		})
-		done = p.Now()
-	})
-	e.Run()
-	if done != 42 {
-		t.Fatalf("async Call completed at %d, want 42", done)
-	}
-}
-
 func TestProcessesInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()

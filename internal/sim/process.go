@@ -24,11 +24,11 @@ type Process struct {
 	nested  bool // resumed from inside a Hop delivery; must not drive at its next block
 
 	// dispatchFn and wakeFn are bound once at creation so the hot resume
-	// paths (Wait, Call, Suspend) schedule without allocating a closure
+	// paths (Wait, Suspend) schedule without allocating a closure
 	// per event.
 	dispatchFn func()
 	wakeFn     func()
-	armed      bool // a Suspend/Call completion is outstanding
+	armed      bool // a Suspend completion is outstanding
 }
 
 // killedPanic is the sentinel a process stopped by Engine.Close unwinds with.
@@ -79,7 +79,7 @@ func (p *Process) dispatch() {
 	}
 }
 
-// wake is the shared completion callback handed out by Suspend and Call. A
+// wake is the shared completion callback handed out by Suspend. A
 // process can have at most one completion outstanding (it is parked while it
 // waits), so one bound function per process suffices; the armed flag catches
 // a completion invoked twice.
@@ -162,15 +162,3 @@ func (p *Process) Suspend() (wake func()) {
 // Park suspends until wake is invoked. It is split from Suspend so callers
 // can publish the wake function before blocking.
 func (p *Process) Park() { p.block() }
-
-// Call issues an asynchronous operation and blocks until it completes.
-// start receives a completion callback; the model must invoke it exactly once
-// (possibly immediately). Call returns at the simulation time of completion.
-func (p *Process) Call(start func(done func())) {
-	p.armed = true
-	// The dispatch the completion schedules cannot run before we block
-	// below, even when the completion is synchronous: this process is the
-	// one running, so no event executes until block drives the loop.
-	start(p.wakeFn)
-	p.block()
-}
