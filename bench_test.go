@@ -112,7 +112,7 @@ func BenchmarkFig10_GNGAccelerator(b *testing.B) {
 func BenchmarkFig11_MAPLE(b *testing.B) {
 	var r experiments.Fig11Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig11(testing.Short())
+		r = experiments.Fig11()
 	}
 	report("Fig 11", r.String())
 	b.ReportMetric(r.Speedup[workload.SPMV][workload.WithMAPLE], "spmv_maple")

@@ -24,8 +24,7 @@ func main() {
 	}
 
 	p := workload.DefaultIrregularParams()
-	fmt.Printf("irregular kernels: %d rows, %d nnz/row (dense operand exceeds the private caches)\n\n",
-		p.Rows, p.NNZPerRow)
+	fmt.Printf("irregular kernels: %d rows (dense operand exceeds the private caches)\n\n", p.Rows)
 	fmt.Printf("%-6s %12s %12s %12s %10s %10s\n",
 		"kernel", "1T cycles", "MAPLE cycles", "2T cycles", "MAPLE x", "2T x")
 

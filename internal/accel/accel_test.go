@@ -208,10 +208,10 @@ func TestMAPLEHidesMemoryLatency(t *testing.T) {
 func TestMAPLEQueueBoundsProducer(t *testing.T) {
 	p := mapleProto(t)
 	m := NewMAPLE(p, cache.GID{Node: 0, Tile: 2})
-	m.QueueDepth = 4
 	base := p.Map.NodeDRAMBase(0) + 0x10000
+	const n = 4 * queueDepth
 	m.Program(func(i int) (uint64, int, bool) {
-		if i >= 100 {
+		if i >= n {
 			return 0, 0, false
 		}
 		return base + uint64(i)*64, 8, true
@@ -230,7 +230,10 @@ func TestMAPLEQueueBoundsProducer(t *testing.T) {
 		}
 	})
 	p.Run()
-	if maxDepth > 4 {
-		t.Fatalf("queue overflowed its depth: %d > 4", maxDepth)
+	if maxDepth > queueDepth {
+		t.Fatalf("queue overflowed its depth: %d > %d", maxDepth, queueDepth)
+	}
+	if maxDepth < queueDepth {
+		t.Fatalf("queue peaked at %d of %d: the producer never ran ahead", maxDepth, queueDepth)
 	}
 }

@@ -67,29 +67,26 @@ func BoxMuller(u1, u2 float64) int16 {
 // GNG is the Gaussian Noise Generator accelerator as a tile device.
 type GNG struct {
 	rng              taus88
-	name             string
 	fetches, samples sim.LazyCounter
 }
 
-// NewGNG creates a generator with the given seed.
+// NewGNG creates a generator with the given seed, counting its fetches and
+// samples under name.
 func NewGNG(seed uint32, stats *sim.Stats, name string) *GNG {
 	return &GNG{
-		rng: newTaus88(seed), name: name,
+		rng:     newTaus88(seed),
 		fetches: stats.LazyCounter(name + ".fetches"),
 		samples: stats.LazyCounter(name + ".samples"),
 	}
 }
-
-// Name identifies the device.
-func (g *GNG) Name() string { return g.name }
 
 // Sample produces the next noise value.
 func (g *GNG) Sample() int16 {
 	return BoxMuller(g.rng.float01(), g.rng.float01())
 }
 
-// Read implements the tile-device MMIO interface: each load fetches 1, 2 or
-// 4 packed samples.
+// Read implements core.Accelerator: each load fetches 1, 2 or 4 packed
+// samples.
 func (g *GNG) Read(off uint64, size int) uint64 {
 	n := 0
 	switch off {
@@ -112,9 +109,6 @@ func (g *GNG) Read(off uint64, size int) uint64 {
 	}
 	return out
 }
-
-// Write implements the device interface (the GNG has no writable state).
-func (g *GNG) Write(off uint64, size int, v uint64) {}
 
 // SoftwareGNG is the software reference implementation executed on the
 // Ariane core in the paper's comparison. CyclesPerSample is the modeled

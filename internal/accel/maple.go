@@ -23,14 +23,6 @@ type MAPLE struct {
 	tile cache.GID
 	port *core.Port
 
-	// QueueDepth is the hardware FIFO size.
-	QueueDepth int
-	// Window bounds in-flight memory requests.
-	Window int
-	// PopCost is the consumer-side cost of reading the queue head (a load
-	// to the adjacent tile).
-	PopCost sim.Time
-
 	addrs        func(i int) (uint64, int, bool)
 	pairs        func(i int) (a, b uint64, ok bool)
 	queue        []uint64
@@ -43,21 +35,24 @@ type MAPLE struct {
 	consumerWake func()
 }
 
+const (
+	// queueDepth is the hardware FIFO size.
+	queueDepth = 64
+	// window bounds in-flight memory requests.
+	window = 8
+	// popCost is the consumer-side cost of reading the queue head (a load
+	// to the adjacent tile).
+	popCost sim.Time = 12
+)
+
 // NewMAPLE places an engine on a tile of the prototype.
 func NewMAPLE(pr *core.Prototype, tile cache.GID) *MAPLE {
-	return &MAPLE{
-		pr:         pr,
-		tile:       tile,
-		port:       pr.PortAt(tile),
-		QueueDepth: 64,
-		Window:     8,
-		PopCost:    12,
-	}
+	return &MAPLE{pr: pr, tile: tile, port: pr.PortAt(tile)}
 }
 
 // Program arms the engine with an access pattern: addrs(i) returns the i-th
 // physical address to fetch (ok=false ends the stream). Fetching starts
-// immediately and runs ahead of the consumer up to QueueDepth entries.
+// immediately and runs ahead of the consumer up to queueDepth entries.
 func (m *MAPLE) Program(addrs func(i int) (addr uint64, size int, ok bool)) {
 	m.addrs = addrs
 	m.pairs = nil
@@ -86,8 +81,8 @@ func (m *MAPLE) reset() {
 
 // pump issues fetches while the window and queue have room.
 func (m *MAPLE) pump() {
-	for !m.exhausted && m.inflight < m.Window &&
-		len(m.queue)+m.inflight+len(m.pending) < m.QueueDepth {
+	for !m.exhausted && m.inflight < window &&
+		len(m.queue)+m.inflight+len(m.pending) < queueDepth {
 		i := m.next
 		if m.pairs != nil {
 			a, b, ok := m.pairs(i)
@@ -158,7 +153,7 @@ func (m *MAPLE) wakeConsumer() {
 // Fetch pops the next value for the Execute core, blocking until the engine
 // has produced it. The returned ok is false once the stream is exhausted.
 func (m *MAPLE) Fetch(p *sim.Process) (v uint64, ok bool) {
-	p.Wait(m.PopCost)
+	p.Wait(popCost)
 	for len(m.queue) == 0 {
 		if m.done {
 			return 0, false

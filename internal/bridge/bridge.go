@@ -117,11 +117,11 @@ type Bridge struct {
 	cCreditReclaimed sim.LazyCounter
 	cCreditLoss      sim.LazyCounter
 	cDstWedged       sim.LazyCounter
-	trySendFn        func(any)      // arg is the *Envelope
-	rxFn             func(any)      // arg is the *Envelope
-	fetchFn          func(any)      // arg is the destination node (int)
-	creditRespFn     func(axi.Resp) // credit read completion; ID names the peer
-	chunks           []*chunk       // free list of chunk writes
+	trySendFn        func(any)           // arg is the *Envelope
+	rxFn             func(any)           // arg is the *Envelope
+	fetchFn          func(any)           // arg is the destination node (int)
+	creditRespFn     func(axi.Resp)      // credit read completion; ID names the peer
+	chunks           sim.FreeList[chunk] // recycled chunk records
 }
 
 // chunk is one encapsulation write in flight: the transfer the bridge issues
@@ -144,13 +144,10 @@ type chunk struct {
 var chunkData [ChunkFlits * 8]byte
 
 func (b *Bridge) newChunk() *chunk {
-	if n := len(b.chunks); n > 0 {
-		c := b.chunks[n-1]
-		b.chunks = b.chunks[:n-1]
-		return c
+	c := b.chunks.Get()
+	if c.respFn == nil {
+		c.respFn = func(r axi.Resp) { b.chunkDone(c, r) }
 	}
-	c := &chunk{}
-	c.respFn = func(r axi.Resp) { b.chunkDone(c, r) }
 	return c
 }
 
@@ -274,7 +271,7 @@ func (b *Bridge) transmit(env *Envelope) {
 func (b *Bridge) chunkDone(c *chunk, r axi.Resp) {
 	dst, flits, final := c.dst, c.flits, c.final
 	c.txn, c.dst, c.flits, c.final = axi.Txn{}, 0, 0, false
-	b.chunks = append(b.chunks, c)
+	b.chunks.Put(c)
 	if r.OK {
 		return
 	}

@@ -148,9 +148,7 @@ func accelStep(arg any) {
 	m := arg.(*mmioReq)
 	t := m.tile
 	m.resp.val = 0
-	if m.write {
-		t.Accel.Write(m.off, m.size, m.val)
-	} else {
+	if !m.write {
 		m.resp.val = t.Accel.Read(m.off, m.size)
 	}
 	t.node.Mesh.Send(&noc.Packet{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"smappic/internal/cache"
+	"smappic/internal/riscv"
 	"smappic/internal/rvasm"
 	"smappic/internal/sim"
 )
@@ -329,7 +330,7 @@ func TestAmoAtomicityUnderContention(t *testing.T) {
 		port := p.PortAt(cache.GID{Node: 0, Tile: i})
 		sim.Go(p.Eng, "incr", func(proc *sim.Process) {
 			for k := 0; k < perThread; k++ {
-				port.Amo(proc, addr, 8, func(o uint64) uint64 { return o + 1 })
+				port.Amo(proc, addr, 8, riscv.AmoAdd, 1)
 			}
 		})
 	}
@@ -593,7 +594,7 @@ func TestMixedTopologyCoherentAcrossBothPaths(t *testing.T) {
 		port := p.PortAt(cache.GID{Node: n, Tile: 0})
 		sim.Go(p.Eng, "incr", func(proc *sim.Process) {
 			for i := 0; i < each; i++ {
-				port.Amo(proc, addr, 8, func(o uint64) uint64 { return o + 1 })
+				port.Amo(proc, addr, 8, riscv.AmoAdd, 1)
 			}
 		})
 	}

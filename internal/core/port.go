@@ -124,14 +124,15 @@ func (pt *Port) StoreAsync(addr uint64, size int, v uint64) {
 	pt.tile.Priv.Store(addr, func() { writeBacking(pt.pr, addr, size, v) })
 }
 
-// Amo performs an atomic read-modify-write (fetch-add style) at addr.
-func (pt *Port) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64) uint64 {
+// Amo performs an atomic read-modify-write at addr: op.Apply(old, operand)
+// replaces the old value, which it returns.
+func (pt *Port) Amo(p *sim.Process, addr uint64, size int, op riscv.AmoOp, operand uint64) uint64 {
 	pt.tile.Priv.Amo(addr, p.Suspend())
 	p.Park()
 	// The line is held in M here; the read-modify-write is atomic in the
 	// simulated interleaving.
 	old := readBacking(pt.pr, addr, size)
-	writeBacking(pt.pr, addr, size, f(old))
+	writeBacking(pt.pr, addr, size, op.Apply(old, operand, size))
 	return old
 }
 

@@ -17,12 +17,19 @@ import (
 	"smappic/internal/sim"
 )
 
-// Device is a memory-mapped peripheral reachable through uncacheable
-// accesses. All virtual devices and accelerators implement it.
+// Device is a memory-mapped peripheral of a node's device window, reachable
+// through uncacheable accesses.
 type Device interface {
 	Name() string
 	Read(off uint64, size int) uint64
 	Write(off uint64, size int, v uint64)
+}
+
+// Accelerator is a tile's MMIO device. A load reads the register at a byte
+// offset; a store is acknowledged and changes nothing, since no accelerator
+// modelled here has writable state.
+type Accelerator interface {
+	Read(off uint64, size int) uint64
 }
 
 // strided rescales MMIO byte offsets to a device's register indices.
@@ -55,7 +62,7 @@ type Tile struct {
 	LLC    *cache.Slice
 	Core   *riscv.Core
 	Depack *interrupt.Depacketizer
-	Accel  Device // per-tile MMIO device (GNG, MAPLE, ...)
+	Accel  Accelerator // per-tile accelerator (the GNG)
 
 	node *Node
 	proc *sim.Process

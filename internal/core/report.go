@@ -90,20 +90,16 @@ func (p *Prototype) MetricsJSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// EnableSampler installs an interval sampler snapshotting the given counter
-// or gauge names (trailing "*" sums a prefix) every `every` cycles. With no
-// names it samples a default set: per-node NoC flit totals per class, bridge
-// traffic, DRAM accesses and memory-engine occupancy.
-func (p *Prototype) EnableSampler(every sim.Time, names ...string) *sim.Sampler {
-	if len(names) == 0 {
-		names = p.defaultSampleSet()
-	}
-	p.Sampler = sim.NewSampler(p.Group, p.nodeStats, every, names...)
+// EnableSampler installs an interval sampler snapshotting, every `every`
+// cycles, per-node NoC flit totals per class, bridge traffic, DRAM accesses
+// and memory-engine occupancy.
+func (p *Prototype) EnableSampler(every sim.Time) *sim.Sampler {
+	p.Sampler = sim.NewSampler(p.Group, p.nodeStats, every, p.sampleSet()...)
 	return p.Sampler
 }
 
-// defaultSampleSet lists the sampler columns used when the caller names none.
-func (p *Prototype) defaultSampleSet() []string {
+// sampleSet lists the sampler's columns.
+func (p *Prototype) sampleSet() []string {
 	var names []string
 	for _, n := range p.Nodes {
 		names = append(names,

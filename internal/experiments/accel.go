@@ -79,12 +79,11 @@ type Fig11Result struct {
 
 // Fig11 runs the four irregular kernels in the three execution modes on
 // the paper's 1x1x6 configuration (cores in tiles 0/1, MAPLE in tile 2).
-func Fig11(quick bool) Fig11Result {
-	// The dataset must exceed the private caches even in quick mode, or
-	// the gather stops missing and MAPLE has nothing to hide; the full
-	// parameters already run in seconds.
+// It has no quick mode: the dataset must exceed the private caches, or the
+// gather stops missing and MAPLE has nothing to hide, and the full
+// parameters already run in seconds.
+func Fig11() Fig11Result {
 	p := workload.DefaultIrregularParams()
-	_ = quick
 	res := Fig11Result{Speedup: make(map[workload.IrregularKernel]map[workload.IrregularMode]float64)}
 	for _, kind := range workload.Kernels {
 		res.Speedup[kind] = make(map[workload.IrregularMode]float64)

@@ -22,7 +22,7 @@ var Artifacts = []Artifact{
 	{"fig8", func(q bool) string { return Fig8(q).String() }},
 	{"fig9", func(q bool) string { return Fig9(q).String() }},
 	{"fig10", func(q bool) string { return Fig10(q).String() }},
-	{"fig11", func(q bool) string { return Fig11(q).String() }},
+	{"fig11", func(bool) string { return Fig11().String() }},
 	{"fig12", func(bool) string { return Fig12().String() }},
 	{"fig13", func(bool) string { return Fig13().String() }},
 	{"fig14", func(bool) string { return Fig14().String() }},

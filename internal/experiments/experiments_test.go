@@ -104,7 +104,7 @@ func TestFig10QuickBands(t *testing.T) {
 }
 
 func TestFig11QuickShape(t *testing.T) {
-	r := Fig11(true)
+	r := Fig11()
 	get := func(k workload.IrregularKernel, m workload.IrregularMode) float64 {
 		return r.Speedup[k][m]
 	}
@@ -194,7 +194,7 @@ func TestRenderingsMentionPaperReference(t *testing.T) {
 		Fig8(true).String(),
 		Fig9(true).String(),
 		Fig10(true).String(),
-		Fig11(true).String(),
+		Fig11().String(),
 		Fig13().String(),
 		Fig14().String(),
 	}

@@ -51,6 +51,7 @@ import (
 	"smappic/internal/cache"
 	"smappic/internal/core"
 	"smappic/internal/pcie"
+	"smappic/internal/riscv"
 	"smappic/internal/sim"
 )
 
@@ -369,7 +370,7 @@ func (c *Ctx) translate(va uint64) uint64 {
 		return pa + va%PageBytes
 	}
 	k := t.kern
-	t.port.Amo(c.P, k.lockAddr(vp), 8, func(v uint64) uint64 { return v + 1 })
+	t.port.Amo(c.P, k.lockAddr(vp), 8, riscv.AmoAdd, 1)
 	k.mu.Lock()
 	pa := k.faultLocked(vp, t.Node())
 	k.mu.Unlock()
@@ -400,11 +401,12 @@ func (c *Ctx) StoreAsync(va uint64, size int, v uint64) {
 	c.P.Wait(1)
 }
 
-// Amo atomically applies f at virtual address va.
-func (c *Ctx) Amo(va uint64, size int, f func(uint64) uint64) uint64 {
+// Amo atomically applies op with operand at virtual address va and returns
+// the old value.
+func (c *Ctx) Amo(va uint64, size int, op riscv.AmoOp, operand uint64) uint64 {
 	c.T.maybeMigrate(c.P)
 	pa := c.translate(va)
-	return c.T.port.Amo(c.P, pa, size, f)
+	return c.T.port.Amo(c.P, pa, size, op, operand)
 }
 
 // Compute charges n cycles of computation.
@@ -495,7 +497,7 @@ func (b *Barrier) register(w barWaiter) {
 func (b *Barrier) Wait(c *Ctx) {
 	ep := c.T.barEpoch[b] + 1
 	c.T.barEpoch[b] = ep
-	old := c.Amo(b.countAddr, 8, func(o uint64) uint64 { return o + 1 })
+	old := c.Amo(b.countAddr, 8, riscv.AmoAdd, 1)
 	pr := b.k.pr
 	src := c.T.Node()
 	if old+1 == uint64(b.n)*ep {

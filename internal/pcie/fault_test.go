@@ -19,22 +19,6 @@ func TestDoubleAttachPanics(t *testing.T) {
 	f.Attach(1, &echoTarget{})
 }
 
-func TestErrorResponsePaysLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	f := newFabric(eng, &sim.Stats{}, nil)
-	base, _ := f.Window(3) // nothing attached
-	var at sim.Time
-	var resp *axi.Resp
-	f.Master(0).Do(&axi.Txn{Write: true, Addr: base}, func(r axi.Resp) { resp, at = &r, eng.Now() })
-	eng.Run()
-	if resp == nil || resp.OK {
-		t.Fatal("write to unattached endpoint should fail")
-	}
-	if at != oneWay {
-		t.Fatalf("error response at %d, want one-way latency %d", at, oneWay)
-	}
-}
-
 func TestReliableDeliveryUnderDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	var st sim.Stats

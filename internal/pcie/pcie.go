@@ -81,7 +81,7 @@ type epState struct {
 	// Free list of pooled fast-path exchange records. Owned by this
 	// endpoint: records are taken and recycled only in its execution
 	// context, so shards never contend.
-	ops []*op
+	ops sim.FreeList[op]
 }
 
 // Fabric is the PCIe switch connecting FPGAs and the host.
@@ -416,16 +416,6 @@ func (x *xchg) timeout() {
 // crossing.
 func (f *Fabric) Master(src int) axi.Target { return f.state(src) }
 
-// fail schedules an OK:false response for an unrouteable request. The error
-// still pays the one-way switch latency: the request has to reach the switch
-// before anything can reject it. The rejection never leaves src.
-func (src *epState) fail(respond func()) {
-	src.eng.Schedule(oneWay, func() {
-		src.tel.inflight.Dec()
-		respond()
-	})
-}
-
 // crossBytes returns the bytes a transfer carries over the link each way: a
 // write's data forward and its b-channel response back as a small TLP, a
 // read's request forward as a small TLP and its r-channel data back.
@@ -437,7 +427,7 @@ func crossBytes(t *axi.Txn) (fwd, resp int) {
 }
 
 // op is one pooled fast-path exchange: the rewritten transfer held by value,
-// plus the three stage callbacks built once per record. The record is taken
+// plus the three stage callbacks bound once per record. The record is taken
 // and recycled at the source endpoint; between the two crossings it is
 // touched only at the destination, with the CrossNet barriers providing the
 // ordering — the same discipline the capture closures it replaces followed.
@@ -454,8 +444,7 @@ type op struct {
 	finishFn  func()         // at src: telemetry, completion, recycle
 }
 
-func newOp(f *Fabric, st *epState) *op {
-	o := &op{}
+func (o *op) bind(f *Fabric, st *epState) {
 	o.deliverFn = func() { o.dst.Do(&o.local, o.respFn) }
 	o.respFn = func(r axi.Resp) {
 		o.resp = r
@@ -470,33 +459,29 @@ func newOp(f *Fabric, st *epState) *op {
 		// synchronously through this same endpoint.
 		o.dst, o.done, o.resp = nil, nil, axi.Resp{}
 		o.local = axi.Txn{}
-		st.ops = append(st.ops, o)
+		st.ops.Put(o)
 		done(resp)
 	}
-	return o
 }
 
 func (src *epState) Do(t *axi.Txn, done func(axi.Resp)) {
 	f := src.f
 	dstID := f.RouteOf(t.Addr)
+	ep := f.eps[dstID+1]
+	if ep == nil || ep.target == nil {
+		// A wiring fault, as in Fabric.state: every sender is a bridge,
+		// and a bridge addresses only nodes the prototype built.
+		panic(fmt.Sprintf("pcie: transfer to %#x from endpoint %d routes to endpoint %d, which has no target", uint64(t.Addr), src.id, dstID))
+	}
 	tel := src.tel
 	start := src.eng.Now()
 	tel.inflight.Inc()
-	ep := f.eps[dstID+1]
-	if ep == nil || ep.target == nil {
-		// Unbound or unattached: an unrouteable address fails, not panics.
-		src.fail(func() { done(axi.Resp{ID: t.ID, OK: false}) })
-		return
-	}
 	dst := ep.target
 	fwdBytes, respBytes := crossBytes(t)
 	if tel.site == nil && ep.tel.site == nil {
-		var o *op
-		if n := len(src.ops); n > 0 {
-			o = src.ops[n-1]
-			src.ops = src.ops[:n-1]
-		} else {
-			o = newOp(f, src)
+		o := src.ops.Get()
+		if o.deliverFn == nil {
+			o.bind(f, src)
 		}
 		o.dstID, o.dst = dstID, dst
 		o.local = *t

@@ -20,9 +20,61 @@ type Mem interface {
 	Fetch(p *sim.Process, addr uint64) uint32
 	Load(p *sim.Process, addr uint64, size int) uint64
 	Store(p *sim.Process, addr uint64, size int, v uint64)
-	// Amo atomically applies f to the value at addr and returns the old
-	// value. The callee guarantees exclusivity.
-	Amo(p *sim.Process, addr uint64, size int, f func(old uint64) uint64) uint64
+	// Amo atomically replaces the value at addr with op.Apply(old,
+	// operand, size) and returns the old value. The callee guarantees
+	// exclusivity.
+	Amo(p *sim.Process, addr uint64, size int, op AmoOp, operand uint64) uint64
+}
+
+// AmoOp is an AMO's funct5 field: the read-modify-write it performs.
+type AmoOp uint32
+
+const (
+	AmoAdd  AmoOp = 0x00
+	AmoSwap AmoOp = 0x01
+	AmoXor  AmoOp = 0x04
+	AmoOr   AmoOp = 0x08
+	AmoAnd  AmoOp = 0x0C
+	AmoMin  AmoOp = 0x10
+	AmoMax  AmoOp = 0x14
+	AmoMinU AmoOp = 0x18
+	AmoMaxU AmoOp = 0x1C
+)
+
+// Apply returns the value op stores over old, for a size-byte (4 or 8)
+// operand.
+func (op AmoOp) Apply(old, operand uint64, size int) uint64 {
+	switch op {
+	case AmoSwap:
+		return operand
+	case AmoAdd:
+		return old + operand
+	case AmoXor:
+		return old ^ operand
+	case AmoAnd:
+		return old & operand
+	case AmoOr:
+		return old | operand
+	case AmoMin:
+		if cmpSigned(old, operand, size) <= 0 {
+			return old
+		}
+	case AmoMax:
+		if cmpSigned(old, operand, size) >= 0 {
+			return old
+		}
+	case AmoMinU:
+		if trunc(old, size) <= trunc(operand, size) {
+			return old
+		}
+	case AmoMaxU:
+		if trunc(old, size) >= trunc(operand, size) {
+			return old
+		}
+	default:
+		panic(fmt.Sprintf("riscv: AMO funct5 %#x", uint32(op)))
+	}
+	return operand
 }
 
 // Machine-mode CSR numbers (the subset a bare-metal OS needs).
@@ -623,7 +675,7 @@ func (c *Core) execA(p *sim.Process, inst, f3 uint32, a, b uint64, setRD func(ui
 		return v
 	}
 	c.flushTime(p)
-	switch inst >> 27 {
+	switch op := AmoOp(inst >> 27); op {
 	case 0x02: // LR
 		v := c.mem.Load(p, a, size)
 		c.resValid = true
@@ -637,44 +689,8 @@ func (c *Core) execA(p *sim.Process, inst, f3 uint32, a, b uint64, setRD func(ui
 			setRD(1)
 		}
 		c.resValid = false
-	case 0x01: // AMOSWAP
-		setRD(sext(c.mem.Amo(p, a, size, func(uint64) uint64 { return b })))
-	case 0x00: // AMOADD
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 { return o + b })))
-	case 0x04: // AMOXOR
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 { return o ^ b })))
-	case 0x0C: // AMOAND
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 { return o & b })))
-	case 0x08: // AMOOR
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 { return o | b })))
-	case 0x10: // AMOMIN
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 {
-			if cmpSigned(o, b, size) <= 0 {
-				return o
-			}
-			return b
-		})))
-	case 0x14: // AMOMAX
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 {
-			if cmpSigned(o, b, size) >= 0 {
-				return o
-			}
-			return b
-		})))
-	case 0x18: // AMOMINU
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 {
-			if trunc(o, size) <= trunc(b, size) {
-				return o
-			}
-			return b
-		})))
-	case 0x1C: // AMOMAXU
-		setRD(sext(c.mem.Amo(p, a, size, func(o uint64) uint64 {
-			if trunc(o, size) >= trunc(b, size) {
-				return o
-			}
-			return b
-		})))
+	case AmoAdd, AmoSwap, AmoXor, AmoOr, AmoAnd, AmoMin, AmoMax, AmoMinU, AmoMaxU:
+		setRD(sext(c.mem.Amo(p, a, size, op, b)))
 	default:
 		c.trap(causeIllegalInst, uint64(inst))
 	}

@@ -54,9 +54,9 @@ func (m *flatMem) Store(p *sim.Process, addr uint64, size int, v uint64) {
 	}
 }
 
-func (m *flatMem) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64) uint64 {
+func (m *flatMem) Amo(p *sim.Process, addr uint64, size int, op AmoOp, operand uint64) uint64 {
 	old := m.Load(p, addr, size)
-	m.Store(p, addr, size, f(old))
+	m.Store(p, addr, size, op.Apply(old, operand, size))
 	return old
 }
 
@@ -522,5 +522,37 @@ func TestStepALUZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("Step of an ALU instruction allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestStepAMOZeroAlloc: an AMO reaches memory as an opcode and an operand,
+// so retiring one allocates nothing either.
+func TestStepAMOZeroAlloc(t *testing.T) {
+	prog, err := rvasm.Assemble(0x1000, "amoadd.d x5, x6, (x7)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := &flatMem{b: mem.NewBacking()}
+	fm.b.WriteBytes(prog.Base, prog.Bytes)
+	core := New(fm, 0, prog.Base)
+	core.X[6], core.X[7] = 3, 0x8000
+	step := func(p *sim.Process) {
+		core.PC = prog.Base
+		core.Step(p)
+	}
+	var allocs float64
+	eng := sim.NewEngine()
+	sim.Go(eng, "hart0", func(p *sim.Process) {
+		for i := 0; i < 100; i++ {
+			step(p)
+		}
+		allocs = testing.AllocsPerRun(1000, func() { step(p) })
+	})
+	eng.Run()
+	if got := fm.b.ReadU64(0x8000); got != 3*1101 || core.X[5] != 3*1100 {
+		t.Fatalf("memory %d, x5 %d after 1101 amoadd.d of 3; want %d, %d", got, core.X[5], 3*1101, 3*1100)
+	}
+	if allocs != 0 {
+		t.Errorf("Step of an AMO allocates %.2f/op, want 0", allocs)
 	}
 }

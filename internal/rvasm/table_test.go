@@ -30,9 +30,9 @@ func (m flatMem) Store(_ *sim.Process, addr uint64, size int, v uint64) {
 	copy(m[addr:addr+uint64(size)], b[:size])
 }
 
-func (m flatMem) Amo(p *sim.Process, addr uint64, size int, f func(uint64) uint64) uint64 {
+func (m flatMem) Amo(p *sim.Process, addr uint64, size int, op riscv.AmoOp, operand uint64) uint64 {
 	old := m.Load(p, addr, size)
-	m.Store(p, addr, size, f(old))
+	m.Store(p, addr, size, op.Apply(old, operand, size))
 	return old
 }
 

@@ -30,9 +30,9 @@ type Shell struct {
 
 	cErrors *sim.Counter // outbound responses with OK:false crossing the CL
 
-	outb   outbound       // the one outbound master, handed out by Outbound
-	outOps []*outOp       // free list of outbound conversion records
-	inFwd  *axi.Forwarder // inbound PCIe->AXI4 conversion toward the CL
+	outb   outbound            // the one outbound master, handed out by Outbound
+	outOps sim.FreeList[outOp] // outbound conversion records
+	inFwd  *axi.Forwarder      // inbound PCIe->AXI4 conversion toward the CL
 }
 
 // New creates the shell for FPGA id and attaches it to the fabric.
@@ -56,7 +56,7 @@ type outbound struct{ s *Shell }
 
 // outOp is one pooled outbound conversion: AXI4 in from the CL, PCIe issue
 // after the conversion delay, and the response converted back. Its stage
-// callbacks are built once when the record is created, so a steady-state
+// callbacks are bound once when the record is created, so a steady-state
 // transaction allocates nothing in the shell.
 type outOp struct {
 	txn  *axi.Txn
@@ -68,8 +68,7 @@ type outOp struct {
 	finishFn func()         // stage 2: deliver the converted response
 }
 
-func newOutOp(s *Shell) *outOp {
-	o := &outOp{}
+func (o *outOp) bind(s *Shell) {
 	o.issueFn = func() { s.fabric.Master(s.id).Do(o.txn, o.respFn) }
 	o.respFn = func(r axi.Resp) {
 		if !r.OK {
@@ -83,20 +82,16 @@ func newOutOp(s *Shell) *outOp {
 		// Recycle before delivering: the completion may issue the next
 		// outbound transfer synchronously.
 		o.txn, o.done, o.resp = nil, nil, axi.Resp{}
-		s.outOps = append(s.outOps, o)
+		s.outOps.Put(o)
 		done(resp)
 	}
-	return o
 }
 
 func (o *outbound) Do(t *axi.Txn, done func(axi.Resp)) {
 	s := o.s
-	var op *outOp
-	if n := len(s.outOps); n > 0 {
-		op = s.outOps[n-1]
-		s.outOps = s.outOps[:n-1]
-	} else {
-		op = newOutOp(s)
+	op := s.outOps.Get()
+	if op.issueFn == nil {
+		op.bind(s)
 	}
 	op.txn, op.done = t, done
 	s.eng.Schedule(ConversionDelay, op.issueFn)

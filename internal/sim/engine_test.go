@@ -252,13 +252,13 @@ func TestRNGZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestStatsCountersAndSum(t *testing.T) {
+func TestStatsCountersAndNames(t *testing.T) {
 	var s Stats
 	s.Counter("node0.tile0.miss").Add(3)
 	s.Counter("node0.tile1.miss").Add(4)
 	s.Counter("node1.tile0.miss").Inc()
-	if got := s.Sum("node0."); got != 7 {
-		t.Errorf("Sum(node0.) = %d, want 7", got)
+	if got := s.Get("node0.tile1.miss"); got != 4 {
+		t.Errorf("Get = %d, want 4", got)
 	}
 	if got := s.Get("node1.tile0.miss"); got != 1 {
 		t.Errorf("Get = %d, want 1", got)

@@ -10,10 +10,8 @@ import (
 // a time series, so experiments can plot NoC link traffic, queue depths or
 // MSHR occupancy over a run instead of seeing only end-of-run totals.
 //
-// Sampled names resolve in this order: a trailing "*" sums all counters
-// under the prefix (Sum semantics, "." boundary aware); otherwise an exact
-// counter match wins, then an exact gauge match; unknown names read as zero
-// until the instrument is created.
+// A sampled name reads the counter of that name, else the gauge of that
+// name; an unknown name reads as zero until the instrument is created.
 //
 // The sampler is a barrier observer and schedules nothing: it keeps the
 // group's cut on its next boundary, so a barrier falls exactly there, and
@@ -74,18 +72,14 @@ func (s *Sampler) observe() {
 }
 
 func (s *Sampler) sample(name string) uint64 {
-	prefix, sum := strings.CutSuffix(name, "*")
-	var v uint64
 	for _, r := range s.regs {
-		if sum {
-			v += r.Sum(prefix)
-		} else if c, ok := r.counters[name]; ok {
+		if c, ok := r.counters[name]; ok {
 			return c.Value
 		} else if g, ok := r.gauges[name]; ok {
 			return uint64(max(g.Value, 0))
 		}
 	}
-	return v
+	return 0
 }
 
 // CSV renders the time series with a header row ("cycle,<name>,...").

@@ -35,7 +35,7 @@ func sampledRun(until, every Time, names ...string) (*Sampler, Time) {
 }
 
 func TestSamplerRecordsTimeSeries(t *testing.T) {
-	sm, _ := sampledRun(100, 10, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "node0.*", "missing")
+	sm, _ := sampledRun(100, 10, "node0.mesh.noc1.flits", "node0.memctl.rd_inflight", "missing")
 
 	rows := sm.Rows()
 	if len(rows) != 10 {
@@ -53,12 +53,8 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 	if r0.Values[1] != 9%5 {
 		t.Fatalf("gauge sample = %d, want %d", r0.Values[1], 9%5)
 	}
-	// The prefix column sums the flit counter (the gauge is not a counter).
-	if r0.Values[2] != r0.Values[0] {
-		t.Fatalf("prefix sum = %d, want %d", r0.Values[2], r0.Values[0])
-	}
-	if r0.Values[3] != 0 {
-		t.Fatalf("unknown name sampled %d, want 0", r0.Values[3])
+	if r0.Values[2] != 0 {
+		t.Fatalf("unknown name sampled %d, want 0", r0.Values[2])
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Values[0] < rows[i-1].Values[0] {
@@ -176,7 +172,7 @@ func sampledPair(t *testing.T, engines int, every Time) (string, Time) {
 		}
 		e.Schedule(Time(1+s), func() { tick(0) })
 	}
-	sm := NewSampler(g, regs, every, "shard0.ticks", "shard1.recv", "shard1.busy", "*")
+	sm := NewSampler(g, regs, every, "shard0.ticks", "shard1.recv", "shard1.busy")
 	end := g.Run()
 	for _, r := range sm.Rows() {
 		if r.At%every != 0 || r.At > end {

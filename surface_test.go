@@ -27,6 +27,16 @@ type surface struct {
 	files map[string]*ast.File      // parsed once, shared by a package and its test variant
 	pkgs  map[string]*types.Package // non-test packages by import path
 	used  map[token.Pos]bool        // declarations referenced from outside their own package's tests
+	boxed []flow                    // concrete values converted to an interface
+	cast  []flow                    // interfaces an interface value is asserted to
+}
+
+// flow is one site where a type meets an interface: a value of a concrete
+// type converted to an interface (boxed), or an interface value asserted to
+// an interface type (cast).
+type flow struct {
+	typ  types.Type // the concrete type (boxed) or the asserted interface (cast)
+	file string     // where it happens
 }
 
 func (s *surface) Import(path string) (*types.Package, error) { return s.ImportFrom(path, "", 0) }
@@ -66,20 +76,221 @@ func (s *surface) check(path, dir string, names []string) *types.Package {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:  map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{Importer: s, Error: func(err error) { s.t.Errorf("type-check: %v", err) }}
 	pkg, _ := conf.Check(path, s.fset, files, info)
 	for id, obj := range info.Uses {
-		if !obj.Pos().IsValid() {
-			continue
+		if obj.Pos().IsValid() && s.counts(s.fset.File(id.Pos()).Name(), obj) {
+			s.used[obj.Pos()] = true
 		}
-		from, decl := s.fset.File(id.Pos()).Name(), s.fset.File(obj.Pos()).Name()
-		if strings.HasSuffix(from, "_test.go") && filepath.Dir(from) == filepath.Dir(decl) {
-			continue
-		}
-		s.used[obj.Pos()] = true
+	}
+	for _, f := range files {
+		s.flows(f, info)
 	}
 	return pkg
+}
+
+// counts reports whether a reference from file reaches obj: every reference
+// does but one from a _test.go file to a declaration in its own directory.
+func (s *surface) counts(file string, obj types.Object) bool {
+	decl := s.fset.File(obj.Pos()).Name()
+	return !strings.HasSuffix(file, "_test.go") || filepath.Dir(file) != filepath.Dir(decl)
+}
+
+// reach books, as used, the methods of concrete type t that interface it
+// lists, when the conversion in file counts for them.
+func (s *surface) reach(t types.Type, it *types.Interface, file string) {
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		if obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name()); obj != nil && obj.Pos().IsValid() && s.counts(file, obj) {
+			s.used[obj.Pos()] = true
+		}
+	}
+}
+
+// flows books every value of a concrete type that f converts to an
+// interface, reaching the methods the interface lists, and every interface
+// f asserts an interface value to. A conversion is implicit wherever a
+// value meets a slot of interface type: an assignment or declaration, a
+// call's argument (append's included), a return, a composite literal's
+// element, a channel send; or explicit, I(x).
+func (s *surface) flows(f *ast.File, info *types.Info) {
+	file := s.fset.File(f.Pos()).Name()
+	into := func(from, to types.Type) {
+		if tup, ok := from.(*types.Tuple); ok {
+			if res, ok := to.(*types.Tuple); ok && res.Len() == tup.Len() {
+				for i := 0; i < tup.Len(); i++ {
+					s.flowInto(tup.At(i).Type(), res.At(i).Type(), file)
+				}
+			}
+			return
+		}
+		s.flowInto(from, to, file)
+	}
+	typeOf := func(e ast.Expr) types.Type {
+		if id, ok := e.(*ast.Ident); ok {
+			if obj := info.Defs[id]; obj != nil {
+				return obj.Type()
+			}
+		}
+		return info.Types[e].Type
+	}
+	// many pairs values with their slots; a lone call answering several
+	// slots is a tuple.
+	many := func(values []ast.Expr, slots []types.Type) {
+		if len(values) == 1 && len(slots) > 1 {
+			into(typeOf(values[0]), types.NewTuple(vars(slots)...))
+			return
+		}
+		for i, v := range values {
+			if i < len(slots) {
+				into(typeOf(v), slots[i])
+			}
+		}
+	}
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			slots := make([]types.Type, len(n.Lhs))
+			for i, l := range n.Lhs {
+				slots[i] = typeOf(l)
+			}
+			many(n.Rhs, slots)
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				slots := make([]types.Type, len(n.Names))
+				for i := range slots {
+					slots[i] = info.Types[n.Type].Type
+				}
+				many(n.Values, slots)
+			}
+		case *ast.CallExpr:
+			fun := info.Types[n.Fun]
+			if fun.IsType() {
+				if len(n.Args) == 1 {
+					into(typeOf(n.Args[0]), fun.Type)
+				}
+				return true
+			}
+			sig, ok := fun.Type.(*types.Signature)
+			if !ok {
+				return true
+			}
+			var slots []types.Type
+			for i := 0; i < sig.Params().Len(); i++ {
+				slots = append(slots, sig.Params().At(i).Type())
+			}
+			if sig.Variadic() && !n.Ellipsis.IsValid() {
+				elem := slots[len(slots)-1].(*types.Slice).Elem()
+				slots = slots[:len(slots)-1]
+				for len(slots) < len(n.Args) {
+					slots = append(slots, elem)
+				}
+			}
+			many(n.Args, slots)
+		case *ast.ReturnStmt:
+			var sig *types.Signature
+			for i := len(stack) - 1; i >= 0 && sig == nil; i-- {
+				switch fn := stack[i].(type) {
+				case *ast.FuncLit:
+					sig, _ = info.Types[fn].Type.(*types.Signature)
+				case *ast.FuncDecl:
+					sig = info.Defs[fn.Name].Type().(*types.Signature)
+				}
+			}
+			if sig != nil {
+				var slots []types.Type
+				for i := 0; i < sig.Results().Len(); i++ {
+					slots = append(slots, sig.Results().At(i).Type())
+				}
+				many(n.Results, slots)
+			}
+		case *ast.CompositeLit:
+			lit := info.Types[n].Type
+			if lit == nil {
+				return true
+			}
+			if p, ok := lit.Underlying().(*types.Pointer); ok {
+				lit = p.Elem()
+			}
+			for i, e := range n.Elts {
+				var key ast.Expr
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					key, e = kv.Key, kv.Value
+				}
+				switch u := lit.Underlying().(type) {
+				case *types.Struct:
+					if key != nil {
+						for j := 0; j < u.NumFields(); j++ {
+							if u.Field(j).Name() == key.(*ast.Ident).Name {
+								into(typeOf(e), u.Field(j).Type())
+							}
+						}
+					} else if i < u.NumFields() {
+						into(typeOf(e), u.Field(i).Type())
+					}
+				case *types.Slice:
+					into(typeOf(e), u.Elem())
+				case *types.Array:
+					into(typeOf(e), u.Elem())
+				case *types.Map:
+					if key != nil {
+						into(typeOf(key), u.Key())
+					}
+					into(typeOf(e), u.Elem())
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := typeOf(n.Chan).Underlying().(*types.Chan); ok {
+				into(typeOf(n.Value), ch.Elem())
+			}
+		case *ast.TypeAssertExpr:
+			if n.Type != nil && types.IsInterface(info.Types[n.Type].Type) {
+				s.cast = append(s.cast, flow{info.Types[n.Type].Type, file})
+			}
+		case *ast.TypeSwitchStmt:
+			for _, c := range n.Body.List {
+				for _, e := range c.(*ast.CaseClause).List {
+					if t := info.Types[e].Type; t != nil && types.IsInterface(t) {
+						s.cast = append(s.cast, flow{t, file})
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// flowInto books one conversion of a from value into a slot of type to.
+func (s *surface) flowInto(from, to types.Type, file string) {
+	if from == nil || to == nil || types.IsInterface(from) {
+		return
+	}
+	if _, isParam := to.(*types.TypeParam); isParam {
+		return
+	}
+	if it, ok := to.Underlying().(*types.Interface); ok {
+		s.boxed = append(s.boxed, flow{from, file})
+		s.reach(from, it, file)
+	}
+}
+
+func vars(ts []types.Type) []*types.Var {
+	vs := make([]*types.Var, len(ts))
+	for i, t := range ts {
+		vs[i] = types.NewVar(token.NoPos, nil, "", t)
+	}
+	return vs
 }
 
 // TestEveryInternalExportHasACaller keeps internal/'s surface equal to what
@@ -87,10 +298,12 @@ func (s *surface) check(path, dir string, names []string) *types.Package {
 // benchmark/ (tests included) and fails on any package-level function, type,
 // constant, variable or method, exported or not, declared in a non-test file
 // under internal/ that nothing outside its own package's _test.go files
-// references. Struct fields are out of scope (JSON and gob need them), and a
-// method is exempt when its receiver implements an interface — one declared
-// in the two modules or one of error, fmt.Stringer, json.Marshaler,
-// io.Reader, io.Writer, http.Handler — that lists it.
+// references. Struct fields are out of scope (JSON and gob need them). A
+// method is also reached through an interface that lists it when a value of
+// its type converts to that interface outside its package's own tests, or
+// when its receiver implements one of error, fmt.Stringer, json.Marshaler,
+// io.Reader, io.Writer, http.Handler (the standard library finds those by
+// itself). Merely satisfying an interface reaches nothing.
 //
 // No identifier is exempt by name: code that only its own unit tests run is
 // not kept, whatever part of the paper it models. On a failure, delete the
@@ -161,7 +374,21 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		t.FailNow()
 	}
 
-	// The interfaces a method may be reached through without being named.
+	// An interface value asserted to another interface reaches, of every
+	// type boxed anywhere, the methods the asserted interface lists.
+	for _, c := range s.cast {
+		it := c.typ.Underlying().(*types.Interface)
+		for _, b := range s.boxed {
+			if types.Implements(b.typ, it) {
+				s.reach(b.typ, it, b.file)
+				s.reach(b.typ, it, c.file)
+			}
+		}
+	}
+	// The standard library reaches these by reflection or by its own
+	// assertions on values it was handed as any, which no conversion in
+	// the two modules shows: a method they list counts as reached when its
+	// receiver implements them.
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	for _, n := range [][2]string{{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}, {"io", "Reader"}, {"io", "Writer"}, {"net/http", "Handler"}} {
 		p, err := s.std.ImportFrom(n[0], root, 0)
@@ -169,15 +396,6 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		ifaces = append(ifaces, p.Scope().Lookup(n[1]).Type().Underlying().(*types.Interface))
-	}
-	for _, p := range s.pkgs {
-		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
 	}
 	viaInterface := func(recv types.Type, m *types.Func) bool {
 		for _, it := range ifaces {
